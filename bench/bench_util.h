@@ -5,7 +5,8 @@
 // Every bench is a plain executable printing one table; absolute values
 // differ from the paper (synthetic scaled stand-ins, different
 // hardware), the *shape* — who wins and by roughly what factor — is
-// what EXPERIMENTS.md tracks.
+// what they check. End-to-end timings are the job of the benchmark
+// declared in BENCHMARK.json (see e2ebench/README.md).
 
 #ifndef GREPAIR_BENCH_BENCH_UTIL_H_
 #define GREPAIR_BENCH_BENCH_UTIL_H_

@@ -1,23 +1,26 @@
-// Cold-open + first-query latency: GRSHARD1 eager open vs GRSHARD2
-// lazy mmap open on a 16-shard dblp container.
+// Cold-open + first-query latency on a 16-shard dblp GRSHARD2
+// container: a lazy mmap open vs the same open followed by faulting
+// every shard inline.
 //
 //   open_latency [--size N] [--shards K] [--queries Q]
 //                [--min-open-speedup X] [--dir PATH]
 //
-// Writes the same sharded:grepair rep as a v1 (eager) and a v2
-// (footer-directory) backend-tagged file, then measures per format:
+// Writes one sharded:grepair rep as a backend-tagged file, then
+// measures two ways of opening it:
 //
-//   * cold open      — mmap + parse until the rep is queryable
-//                      (v1 deserializes every shard; v2 reads the
-//                      footer and faults nothing)
-//   * first query    — one OutNeighbors on a cold rep (v2 pays its
-//                      first shard fault here)
+//   * cold open      — mmap + parse until the rep is queryable (lazy:
+//                      reads the footer and faults nothing; eager:
+//                      additionally PrefetchAll() with no pool, so
+//                      every shard is checksummed and deserialized
+//                      up front)
+//   * first query    — one OutNeighbors on a cold rep (the lazy open
+//                      pays its first shard fault here)
 //   * full touch     — batch over sampled nodes across all shards
 //
 // and verifies the answers are identical. Exits nonzero when the lazy
 // cold open is not at least --min-open-speedup times faster than the
 // eager one (default 5; the CI Release leg runs this as a smoke gate —
-// the margin is structural, parse-16-grammars vs read-one-footer, so
+// the margin is structural, read-one-footer vs parse-16-grammars, so
 // it holds on noisy shared runners too).
 
 #include <cerrno>
@@ -49,18 +52,24 @@ struct OpenTimings {
   uint64_t faults_after_touch = 0;
 };
 
-// One cold run over `path`: open, one query, then a batch touching
-// every sampled node. The rep is dropped between runs so every
-// measurement starts from the file.
-Result<OpenTimings> MeasureOpen(const std::string& path,
+// One cold run over `path`: open (then, when `fault_all`, fault every
+// shard inline before the clock stops), one query, then a batch
+// touching every sampled node. The rep is dropped between runs so
+// every measurement starts from the file.
+Result<OpenTimings> MeasureOpen(const std::string& path, bool fault_all,
                                 const std::vector<uint64_t>& probe,
                                 const std::vector<uint64_t>& sweep,
                                 std::vector<std::vector<uint64_t>>* answers) {
   OpenTimings t;
   auto t0 = std::chrono::steady_clock::now();
   auto rep = api::OpenCompressedFile(path);
-  auto t1 = std::chrono::steady_clock::now();
   if (!rep.ok()) return rep.status();
+  if (fault_all) {
+    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+    if (sharded == nullptr) return Status::Internal("rep is not sharded");
+    sharded->PrefetchAll();  // no pool: every shard faults inline
+  }
+  auto t1 = std::chrono::steady_clock::now();
   t.open_s = bench::Seconds(t0, t1);
 
   auto q0 = std::chrono::steady_clock::now();
@@ -139,16 +148,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::string v1_path = dir + "/open_latency_v1.bin";
-  std::string v2_path = dir + "/open_latency_v2.bin";
-  auto w1 = WriteFileBytes(
-      v1_path, api::WrapCodecPayload("sharded:grepair", sharded->Serialize()));
-  auto w2 = WriteFileBytes(
-      v2_path,
-      api::WrapCodecPayload("sharded:grepair", sharded->SerializeV2()));
-  if (!w1.ok() || !w2.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!w1.ok() ? w1 : w2).ToString().c_str());
+  std::string path = dir + "/open_latency.bin";
+  auto written = WriteFileBytes(
+      path, api::WrapCodecPayload("sharded:grepair", sharded->Serialize()));
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
   }
 
@@ -162,10 +166,11 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::vector<uint64_t>> eager_answers, lazy_answers;
-  auto eager = MeasureOpen(v1_path, probe, sweep, &eager_answers);
-  auto lazy = MeasureOpen(v2_path, probe, sweep, &lazy_answers);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  auto eager = MeasureOpen(path, /*fault_all=*/true, probe, sweep,
+                           &eager_answers);
+  auto lazy = MeasureOpen(path, /*fault_all=*/false, probe, sweep,
+                          &lazy_answers);
+  std::remove(path.c_str());
   if (!eager.ok() || !lazy.ok()) {
     std::fprintf(stderr, "%s\n",
                  (!eager.ok() ? eager : lazy).status().ToString().c_str());
@@ -177,7 +182,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("%-22s %14s %14s %8s\n", "", "v1 eager", "v2 lazy", "ratio");
+  std::printf("%-22s %14s %14s %8s\n", "", "eager", "lazy", "ratio");
   auto row = [](const char* label, double a, double b) {
     std::printf("%-22s %12.3f ms %12.3f ms %7.1fx\n", label, a * 1e3,
                 b * 1e3, b > 0 ? a / b : 0.0);

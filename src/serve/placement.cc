@@ -11,13 +11,12 @@ namespace serve {
 
 namespace {
 
-// Sidecar envelope ("GRDC"):
+// Sidecar envelope ("GRDC", version 2):
 //   u32 magic   u32 version   u64 dir_off
 //   u32 len     len raw directory bytes
-//   v2 only: u64 histogram_epoch  u32 shard_count  u64 x count hits
+//   u64 histogram_epoch  u32 shard_count  u64 x count hits
 //   u64 HashBytes over everything above
 constexpr uint32_t kDirSidecarMagic = 0x43445247;  // "GRDC"
-constexpr uint32_t kDirSidecarV1 = 1;
 constexpr uint32_t kDirSidecarV2 = 2;
 
 // Histograms come off disk: bound the allocation-driving count by the
@@ -93,29 +92,26 @@ Result<DirSidecar> LoadDirSidecar(const std::string& path) {
   GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&version));
   GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.dir_off));
   GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&len));
-  if (magic != kDirSidecarMagic ||
-      (version != kDirSidecarV1 && version != kDirSidecarV2)) {
+  if (magic != kDirSidecarMagic || version != kDirSidecarV2) {
     return Status::Corruption("directory sidecar " + path +
                               " has a bad magic or version");
   }
   ByteSpan raw;
   GREPAIR_RETURN_IF_ERROR(src.ReadSpan(len, &raw));
   sidecar.raw_directory.assign(raw.begin(), raw.end());
-  if (version == kDirSidecarV2) {
-    uint32_t count = 0;
-    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.histogram_epoch));
-    GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&count));
-    if (count > kMaxSidecarShards ||
-        src.PeekRemaining().size < static_cast<size_t>(count) * 8) {
-      return Status::Corruption("directory sidecar " + path +
-                                " histogram count disagrees with the file");
-    }
-    sidecar.histogram.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t hits = 0;
-      GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&hits));
-      sidecar.histogram.push_back(hits);
-    }
+  uint32_t count = 0;
+  GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.histogram_epoch));
+  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&count));
+  if (count > kMaxSidecarShards ||
+      src.PeekRemaining().size < static_cast<size_t>(count) * 8) {
+    return Status::Corruption("directory sidecar " + path +
+                              " histogram count disagrees with the file");
+  }
+  sidecar.histogram.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint64_t hits = 0;
+    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&hits));
+    sidecar.histogram.push_back(hits);
   }
   GREPAIR_RETURN_IF_ERROR(src.ExpectExhausted("directory sidecar"));
   return sidecar;

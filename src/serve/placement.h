@@ -14,8 +14,7 @@
 //    that reopens a corpus knows which shards were hot *before* it
 //    issues the first query, so OpenRemoteContainer can warm the tier
 //    and prefetch hot shards at open time instead of rediscovering
-//    the working set one cold fault at a time. v1 sidecars (directory
-//    only) still load; their histogram is simply empty.
+//    the working set one cold fault at a time.
 //
 // The "pinned" accounting everywhere in this layer is placement
 // *coverage* — which shards the budget selected — not an mlock
@@ -64,11 +63,10 @@ std::string DirSidecarPath(const std::string& cache_dir,
 /// offline-open and open-time-warming features.
 void SaveDirSidecar(const std::string& path, const DirSidecar& sidecar);
 
-/// \brief Loads and verifies a sidecar. Understands both format v1
-/// (directory only; histogram comes back empty with epoch 0) and v2.
-/// kCorruption on checksum/layout damage — a tampered sidecar fails
-/// closed. The raw directory still needs ParseV2Directory; the loader
-/// only peels the envelope.
+/// \brief Loads and verifies a format-v2 sidecar. kCorruption on
+/// checksum/layout damage or any other version — a tampered or
+/// foreign sidecar fails closed. The raw directory still needs
+/// ParseV2Directory; the loader only peels the envelope.
 Result<DirSidecar> LoadDirSidecar(const std::string& path);
 
 /// \brief Server-side placement engine: ranks every (corpus, shard)

@@ -91,15 +91,8 @@ Status CorpusRegistry::Add(const std::string& name,
                                      "\" is already registered");
     }
   }
-  // v1 containers have no directory to serve; raw grammars and
-  // single-shard payloads have no shards. Fail with advice, not a
-  // generic corruption.
-  if (payload.size >= 8 &&
-      std::memcmp(payload.data, shard::kShardContainerMagic, 8) == 0) {
-    return Status::InvalidArgument(
-        "cannot serve a GRSHARD1 container (no footer directory); "
-        "recompress with --container v2");
-  }
+  // Raw grammars and single-shard payloads have no shards. Fail with
+  // advice, not a generic corruption.
   uint64_t dir_off = 0;
   auto region = shard::LocateV2DirectoryRegion(payload, &dir_off);
   if (!region.ok()) {

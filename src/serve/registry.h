@@ -73,9 +73,8 @@ class CorpusRegistry {
 
   /// \brief Registers the container at `path` (a backend-tagged
   /// "GRPCODEC" file or a bare GRSHARD2 container) under `name`.
-  /// kInvalidArgument for bad names, duplicate names, v1 containers
-  /// (no footer directory; recompress with --container v2),
-  /// non-sharded payloads, and containers whose directory or shards
+  /// kInvalidArgument for bad names, duplicate names, anything but a
+  /// GRSHARD2 container, and containers whose directory or shards
   /// exceed the frame bound.
   Status AddFile(const std::string& name, const std::string& path);
 

@@ -49,11 +49,11 @@ ParallelCompressor::ParallelCompressor(const api::GraphCodec& inner,
                                        int num_threads)
     : inner_(inner), num_threads_(std::max(1, std::min(num_threads, 256))) {}
 
-Result<std::vector<CompressedShard>> ParallelCompressor::CompressShards(
+Result<std::vector<std::vector<uint8_t>>> ParallelCompressor::CompressShards(
     const GraphPartition& partition, const Alphabet& alphabet,
     const api::CodecOptions& inner_options) const {
   size_t count = partition.shards.size();
-  std::vector<CompressedShard> results(count);
+  std::vector<std::vector<uint8_t>> results(count);
   std::vector<Status> statuses(count);
 
   RunIndexedOnPool(count, num_threads_, [&](size_t i) {
@@ -64,8 +64,7 @@ Result<std::vector<CompressedShard>> ParallelCompressor::CompressShards(
       statuses[i] = rep.status();
       return;
     }
-    results[i].rep = std::move(rep).ValueOrDie();
-    results[i].payload = results[i].rep->Serialize();
+    results[i] = rep.value()->Serialize();
   });
 
   for (size_t i = 0; i < count; ++i) {

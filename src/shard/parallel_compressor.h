@@ -13,7 +13,6 @@
 #define GREPAIR_SHARD_PARALLEL_COMPRESSOR_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/api/graph_codec.h"
@@ -30,14 +29,6 @@ namespace shard {
 void RunIndexedOnPool(size_t count, int threads,
                       const std::function<void(size_t)>& fn);
 
-/// \brief One compressed shard: the inner rep plus its serialized
-/// payload. Edgeless shards are represented by an empty payload and a
-/// null rep (inner codecs never see them).
-struct CompressedShard {
-  std::vector<uint8_t> payload;
-  std::unique_ptr<api::CompressedRep> rep;
-};
-
 class ParallelCompressor {
  public:
   /// \brief `inner` must outlive the compressor; `num_threads` is
@@ -45,10 +36,12 @@ class ParallelCompressor {
   ParallelCompressor(const api::GraphCodec& inner, int num_threads);
 
   /// \brief Compresses every shard of `partition` (over `alphabet`,
-  /// with `inner_options` forwarded to the inner codec). On any
-  /// per-shard failure returns the failing status of the lowest shard
-  /// index (deterministic even when several shards fail).
-  Result<std::vector<CompressedShard>> CompressShards(
+  /// with `inner_options` forwarded to the inner codec) and returns
+  /// each shard's serialized inner payload, in shard order. Edgeless
+  /// shards get an empty payload (inner codecs never see them). On
+  /// any per-shard failure returns the failing status of the lowest
+  /// shard index (deterministic even when several shards fail).
+  Result<std::vector<std::vector<uint8_t>>> CompressShards(
       const GraphPartition& partition, const Alphabet& alphabet,
       const api::CodecOptions& inner_options) const;
 

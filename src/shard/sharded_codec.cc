@@ -26,8 +26,6 @@
 namespace grepair {
 namespace shard {
 
-const char kShardContainerMagic[8] = {'G', 'R', 'S', 'H', 'A', 'R', 'D',
-                                      '1'};
 const char kShardContainerMagicV2[8] = {'G', 'R', 'S', 'H', 'A', 'R', 'D',
                                         '2'};
 
@@ -36,9 +34,13 @@ namespace {
 // Data shards + the cut shard.
 constexpr size_t kMaxShardCount = static_cast<size_t>(kMaxShards) + 1;
 
-// v2 trailer: u64 directory offset + u64 directory length + u64
-// directory checksum.
+// Trailer: u64 directory offset + u64 directory length + u64 directory
+// checksum.
 constexpr size_t kV2TrailerBytes = 24;
+
+// Fixed bytes of one directory row: offset, length, checksum and
+// node-map length (u64 each), then the u32 node-map byte length.
+constexpr size_t kV2RowBytes = 4 * 8 + 4;
 
 // Appends the sorted node map as Elias-delta gaps (ids shifted by one,
 // gaps strictly positive), byte-aligned so payloads stay addressable.
@@ -55,6 +57,64 @@ void EncodeNodeMap(const std::vector<NodeId>& nodes,
   auto bytes = w.TakeBytes();
   out->insert(out->end(), bytes.begin(), bytes.end());
 }
+
+// Byte length EncodeNodeMap produces for `nodes`, computed without
+// encoding.
+size_t NodeMapBytes(const std::vector<NodeId>& nodes) {
+  size_t bits = 0;
+  uint64_t prev = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    uint64_t shifted = static_cast<uint64_t>(nodes[i]) + 1;
+    bits += EliasDeltaLength(i == 0 ? shifted : shifted - prev);
+    prev = shifted;
+  }
+  return (bits + 7) / 8;
+}
+
+// Streams a GRSHARD2 container: payload blobs go out back to back as
+// shards are added, directory rows accumulate in a side buffer, and
+// Finish() appends the directory and the checksummed trailer. The one
+// encoder behind Compress and SerializeV2.
+class V2Encoder {
+ public:
+  V2Encoder(const std::string& inner_name, uint64_t num_nodes,
+            size_t shard_count)
+      : out_(kShardContainerMagicV2, kShardContainerMagicV2 + 8) {
+    dir_.push_back(static_cast<uint8_t>(inner_name.size()));
+    dir_.insert(dir_.end(), inner_name.begin(), inner_name.end());
+    PutU64LE(num_nodes, &dir_);
+    PutU32LE(static_cast<uint32_t>(shard_count), &dir_);
+  }
+
+  // Appends the next shard: its payload (empty = edgeless, recorded
+  // with offset and checksum 0) and its directory row.
+  void AddShard(const std::vector<NodeId>& nodes, ByteSpan payload,
+                uint64_t checksum) {
+    bool edgeless = payload.size == 0;
+    PutU64LE(edgeless ? 0 : out_.size(), &dir_);
+    PutU64LE(payload.size, &dir_);
+    PutU64LE(edgeless ? 0 : checksum, &dir_);
+    PutU64LE(nodes.size(), &dir_);
+    std::vector<uint8_t> map;
+    EncodeNodeMap(nodes, &map);
+    PutU32LE(static_cast<uint32_t>(map.size()), &dir_);
+    dir_.insert(dir_.end(), map.begin(), map.end());
+    out_.insert(out_.end(), payload.begin(), payload.end());
+  }
+
+  std::vector<uint8_t> Finish() && {
+    uint64_t dir_off = out_.size();
+    out_.insert(out_.end(), dir_.begin(), dir_.end());
+    PutU64LE(dir_off, &out_);
+    PutU64LE(dir_.size(), &out_);
+    PutU64LE(HashBytes(dir_.data(), dir_.size()), &out_);
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<uint8_t> out_;
+  std::vector<uint8_t> dir_;
+};
 
 // Decodes a node map off the cursor's remaining window, advancing it
 // past the (data-dependent, byte-aligned) consumed length.
@@ -125,17 +185,19 @@ bool ShardMayContain(const std::vector<NodeId>& nodes, uint64_t global) {
          global <= nodes.back();
 }
 
-// Version dispatch: the first 7 magic bytes select the family, the
-// eighth selects the parser.
-Result<int> ContainerVersion(ByteSpan bytes) {
+// The first 7 magic bytes name the family, the eighth the version:
+// only GRSHARD2 is a standalone container, so any other version byte
+// fails loudly as a version error rather than as a misparse.
+Status CheckContainerMagic(ByteSpan bytes) {
   if (bytes.size < 8 ||
-      std::memcmp(bytes.data, kShardContainerMagic, 7) != 0) {
+      std::memcmp(bytes.data, kShardContainerMagicV2, 7) != 0) {
     return Status::Corruption("bad sharded container magic");
   }
-  if (bytes[7] == kShardContainerMagic[7]) return 1;
-  if (bytes[7] == kShardContainerMagicV2[7]) return 2;
-  return Status::Corruption(
-      "unsupported sharded container version (expected '1' or '2')");
+  if (bytes[7] != kShardContainerMagicV2[7]) {
+    return Status::Corruption(
+        "unsupported sharded container version (expected GRSHARD2)");
+  }
+  return Status::OK();
 }
 
 // The inner name is untrusted: a nested "sharded:*" inner would
@@ -351,28 +413,41 @@ class ShardedRep::Prefetcher {
 // ---------------------------------------------------------------------------
 // ShardedRep
 
-ShardedRep::ShardedRep(std::string inner_name, uint32_t inner_capabilities,
-                       uint64_t num_nodes, std::vector<Entry> entries)
-    : inner_name_(std::move(inner_name)),
-      inner_capabilities_(inner_capabilities),
-      num_nodes_(num_nodes),
-      entries_(std::move(entries)),
+namespace {
+
+std::vector<ShardedRep::Entry> EntriesOf(ParsedDirectory* dir) {
+  std::vector<ShardedRep::Entry> entries(dir->rows.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    entries[i].nodes = std::move(dir->node_maps[i]);
+    entries[i].length = dir->rows[i].length;
+    entries[i].checksum = dir->rows[i].checksum;
+  }
+  return entries;
+}
+
+}  // namespace
+
+ShardedRep::ShardedRep(std::unique_ptr<api::GraphCodec> inner_codec,
+                       std::shared_ptr<ShardSource> source,
+                       ParsedDirectory dir)
+    : inner_name_(std::move(dir.inner_name)),
+      inner_capabilities_(inner_codec->capabilities()),
+      num_nodes_(dir.num_nodes),
+      entries_(EntriesOf(&dir)),
+      inner_codec_(std::move(inner_codec)),
+      source_(std::move(source)),
       lazy_slots_(entries_.size()),
       lazy_published_(
-          new std::atomic<const api::CompressedRep*>[entries_.size() == 0
-                                                         ? 1
-                                                         : entries_.size()]),
-      fault_mutexes_(new Mutex[entries_.size() == 0 ? 1
-                                                         : entries_.size()]),
+          new std::atomic<const api::CompressedRep*>[entries_.size()]),
+      fault_mutexes_(new Mutex[entries_.size()]),
       cache_slots_(entries_.size()),
       cache_last_use_(entries_.size(), 0),
-      cache_miss_credit_(entries_.size(), 0) {
-  size_t slots = entries_.size() == 0 ? 1 : entries_.size();
-  for (size_t i = 0; i < slots; ++i) {
+      cache_miss_credit_(entries_.size(), 0),
+      directory_checksum_(dir.dir_checksum),
+      folded_published_(
+          new std::atomic<const FoldedShard*>[entries_.size()]) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
     lazy_published_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  folded_published_.reset(new std::atomic<const FoldedShard*>[slots]);
-  for (size_t i = 0; i < slots; ++i) {
     folded_published_[i].store(nullptr, std::memory_order_relaxed);
   }
   total_nodes_.store(num_nodes_, std::memory_order_relaxed);
@@ -409,17 +484,15 @@ void ShardedRep::Prefetch(const std::vector<size_t>& shards) const {
   // io_uring round (page cache warm), so the workers' deserializers
   // hit resident bytes instead of issuing N independent blocking
   // reads. No-op on sources without a batched path.
-  if (source_ != nullptr) {
-    std::vector<size_t> cold;
-    cold.reserve(valid.size());
-    for (size_t s : valid) {
-      if (!ShardResident(s)) cold.push_back(s);
-    }
-    if (!cold.empty()) {
-      uint64_t batches = source_->WarmShards(cold);
-      if (batches > 0) {
-        stat_uring_batches_.fetch_add(batches, std::memory_order_relaxed);
-      }
+  std::vector<size_t> cold;
+  cold.reserve(valid.size());
+  for (size_t s : valid) {
+    if (!ShardResident(s)) cold.push_back(s);
+  }
+  if (!cold.empty()) {
+    uint64_t batches = source_->WarmShards(cold);
+    if (batches > 0) {
+      stat_uring_batches_.fetch_add(batches, std::memory_order_relaxed);
     }
   }
   {
@@ -450,9 +523,6 @@ void ShardedRep::WaitForPrefetch() const {
 ShardedRep::PinOutcome ShardedRep::ApplyPlacement(
     const std::vector<size_t>& ranked, uint64_t budget_bytes) const {
   PinOutcome outcome;
-  // Eager reps have no source: every shard is heap-resident already,
-  // a pin budget has nothing to place.
-  if (source_ == nullptr) return outcome;
   MutexLock lock(pin_mutex_);
   if (pinned_flags_.size() != entries_.size()) {
     pinned_flags_.assign(entries_.size(), 0);
@@ -466,7 +536,7 @@ ShardedRep::PinOutcome ShardedRep::ApplyPlacement(
   uint64_t planned = 0;
   for (size_t s : ranked) {
     if (s >= entries_.size() || want[s]) continue;
-    uint64_t len = entries_[s].payload_length();
+    uint64_t len = entries_[s].length;
     if (len == 0 || planned + len > budget_bytes) continue;
     want[s] = 1;
     planned += len;
@@ -481,8 +551,8 @@ ShardedRep::PinOutcome ShardedRep::ApplyPlacement(
   }
   for (size_t s = 0; s < entries_.size(); ++s) {
     if (!want[s]) continue;
-    uint64_t covered = pinned_flags_[s] ? entries_[s].payload_length()
-                                        : source_->PinShard(s);
+    uint64_t covered =
+        pinned_flags_[s] ? entries_[s].length : source_->PinShard(s);
     if (covered == 0) continue;  // source holds no local bytes (remote)
     pinned_flags_[s] = 1;
     outcome.shards_pinned += 1;
@@ -495,9 +565,7 @@ ShardedRep::PinOutcome ShardedRep::ApplyPlacement(
 }
 
 bool ShardedRep::ShardResident(size_t i) const {
-  const Entry& entry = entries_[i];
-  if (entry.rep != nullptr) return true;
-  if (!entry.has_payload()) return true;  // nothing to fault
+  if (!entries_[i].has_payload()) return true;  // nothing to fault
   return lazy_published_[i].load(std::memory_order_acquire) != nullptr;
 }
 
@@ -506,12 +574,8 @@ void ShardedRep::PrefetchOne(size_t shard) const {
   // Readahead hint first: on mapped sources the kernel starts paging
   // the payload in while this worker is still in the deserializer's
   // early bytes.
-  if (source_ != nullptr) {
-    uint64_t hinted = source_->AdviseShard(shard);
-    if (hinted > 0) {
-      stat_hinted_.fetch_add(hinted, std::memory_order_relaxed);
-    }
-  }
+  uint64_t hinted = source_->AdviseShard(shard);
+  if (hinted > 0) stat_hinted_.fetch_add(hinted, std::memory_order_relaxed);
   bool faulted = false;
   auto rep = ShardRepFor(shard, &faulted);
   (void)rep;  // errors resurface on the foreground query that needs it
@@ -534,13 +598,10 @@ Result<ByteSpan> ShardedRep::VerifiedPayload(
   }
   const Entry& entry = entries_[shard];
   ByteSpan payload = entry.payload_bytes();
-  if (payload.size == 0 && entry.length > 0) {
+  if (payload.size == 0) {
     // Source-only shard (remote): fetch the bytes now. The span the
     // source returns either borrows its own pinned storage or points
     // into *owned.
-    if (source_ == nullptr) {
-      return Status::Internal("source-only shard without a source");
-    }
     auto fetched = source_->FetchShard(shard, owned);
     if (!fetched.ok()) return fetched.status();
     payload = fetched.value();
@@ -552,18 +613,13 @@ Result<ByteSpan> ShardedRep::VerifiedPayload(
     }
   }
   // Fail closed on payload corruption before anyone parses the bytes.
-  // Eager entries (checksum 0, bytes straight from Compress or the
-  // already-validated v1 parse) skip the check; every directory-backed
-  // entry carries the v2 checksum.
-  if (entry.checksum != 0 || is_lazy()) {
-    uint64_t actual = HashBytes(payload.data, payload.size);
-    if (actual != entry.checksum) {
-      return Status::Corruption(
-          "shard " + std::to_string(shard) +
-          " payload checksum mismatch (expected " + HexU64(entry.checksum) +
-          ", got " + HexU64(actual) + " over " + std::to_string(payload.size) +
-          " bytes)");
-    }
+  uint64_t actual = HashBytes(payload.data, payload.size);
+  if (actual != entry.checksum) {
+    return Status::Corruption(
+        "shard " + std::to_string(shard) +
+        " payload checksum mismatch (expected " + HexU64(entry.checksum) +
+        ", got " + HexU64(actual) + " over " + std::to_string(payload.size) +
+        " bytes)");
   }
   return payload;
 }
@@ -577,21 +633,15 @@ Result<const api::CompressedRep*> ShardedRep::ShardRepFor(
     return static_cast<const api::CompressedRep*>(folded->rep.get());
   }
   const Entry& entry = entries_[shard];
-  if (entry.rep != nullptr) {
-    return static_cast<const api::CompressedRep*>(entry.rep.get());
-  }
   if (!entry.has_payload()) {
     return static_cast<const api::CompressedRep*>(nullptr);  // edgeless
   }
   // Lock-free resident fast path: slots are never reset, so a
   // published pointer is valid for the rep's lifetime and hot shards
-  // cost one acquire-load per touch, same as the eager entry.rep path.
+  // cost one acquire-load per touch.
   if (const api::CompressedRep* published =
           lazy_published_[shard].load(std::memory_order_acquire)) {
     return published;
-  }
-  if (inner_codec_ == nullptr) {
-    return Status::Internal("lazy shard without an inner codec");
   }
   // Fault path: per-shard mutex so concurrent touches of one shard
   // deserialize (and, for remote sources, fetch) it exactly once
@@ -760,111 +810,52 @@ ShardedRep::GetOrDecodeShard(size_t shard, size_t pending) const {
   return decoded;
 }
 
-// Serialize rebuilds the container from the per-shard payload bytes
+// SerializeV2 rebuilds the container from the per-shard payload bytes
 // each call (deterministic, so repeated calls are byte-identical)
 // instead of caching a second full copy of the compressed bytes for
 // the rep's lifetime; ByteSize computes the exact container size
 // arithmetically without materializing anything. Both are safe to call
-// concurrently on a shared rep and never fault a lazy shard — locally
+// concurrently on a shared rep and never fault a shard — locally
 // backed payload bytes are already at hand; source-only (remote)
 // shards are fetched through the source, and any fetch failure yields
 // an empty result (an empty buffer never parses as a container, so
 // the failure stays closed).
-std::vector<uint8_t> ShardedRep::Serialize() const {
-  std::vector<uint8_t> out(kShardContainerMagic, kShardContainerMagic + 8);
-  out.push_back(static_cast<uint8_t>(inner_name_.size()));
-  out.insert(out.end(), inner_name_.begin(), inner_name_.end());
-  PutU64LE(num_nodes_, &out);
-  PutU32LE(static_cast<uint32_t>(entries_.size()), &out);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& entry = entries_[i];
-    PutU64LE(entry.nodes.size(), &out);
-    EncodeNodeMap(entry.nodes, &out);
-    std::vector<uint8_t> fetched;
-    ByteSpan payload;
-    if (entry.has_payload()) {
-      // The per-shard fault mutex upholds ShardSource's contract
-      // (FetchShard is never called concurrently for one shard) when
-      // a serialize races a query faulting the same shard.
-      MutexLock shard_lock(fault_mutexes_[i]);
-      auto verified = VerifiedPayload(i, &fetched);
-      if (!verified.ok()) return {};
-      payload = verified.value();
-    }
-    PutU64LE(payload.size, &out);
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
-  return out;
-}
+std::vector<uint8_t> ShardedRep::Serialize() const { return SerializeV2(); }
 
 std::vector<uint8_t> ShardedRep::SerializeV2() const {
-  std::vector<uint8_t> out(kShardContainerMagicV2,
-                           kShardContainerMagicV2 + 8);
-  // Payload blobs first, back to back, recording the directory rows.
-  std::vector<ShardDirEntry> dir(entries_.size());
+  V2Encoder out(inner_name_, num_nodes_, entries_.size());
   for (size_t i = 0; i < entries_.size(); ++i) {
-    dir[i].node_count = entries_[i].nodes.size();
-    if (!entries_[i].has_payload()) continue;
+    const Entry& entry = entries_[i];
+    if (!entry.has_payload()) {
+      out.AddShard(entry.nodes, ByteSpan(), 0);
+      continue;
+    }
+    // The per-shard fault mutex upholds ShardSource's contract
+    // (FetchShard is never called concurrently for one shard) when a
+    // serialize races a query faulting the same shard.
     std::vector<uint8_t> fetched;
     MutexLock shard_lock(fault_mutexes_[i]);
     auto verified = VerifiedPayload(i, &fetched);
     if (!verified.ok()) return {};
-    ByteSpan payload = verified.value();
-    dir[i].offset = out.size();
-    dir[i].length = payload.size;
-    // Entries with a directory checksum were just verified against it
-    // by VerifiedPayload — reuse it instead of hashing the bytes a
-    // second time; only eager entries (checksum 0) compute fresh.
-    // Folded shards carry their fold-time checksum (the base entry's
-    // no longer matches the bytes VerifiedPayload just returned).
+    // VerifiedPayload just checked the bytes against this checksum;
+    // folded shards carry their fold-time one (the base entry's no
+    // longer matches the bytes).
     const FoldedShard* folded = FoldedFor(i);
-    dir[i].checksum = folded != nullptr ? folded->checksum
-                      : entries_[i].checksum != 0
-                          ? entries_[i].checksum
-                          : HashBytes(payload.data, payload.size);
-    out.insert(out.end(), payload.begin(), payload.end());
+    out.AddShard(entry.nodes, verified.value(),
+                 folded != nullptr ? folded->checksum : entry.checksum);
   }
-  // Footer directory.
-  size_t dir_off = out.size();
-  out.push_back(static_cast<uint8_t>(inner_name_.size()));
-  out.insert(out.end(), inner_name_.begin(), inner_name_.end());
-  PutU64LE(num_nodes_, &out);
-  PutU32LE(static_cast<uint32_t>(entries_.size()), &out);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    PutU64LE(dir[i].offset, &out);
-    PutU64LE(dir[i].length, &out);
-    PutU64LE(dir[i].checksum, &out);
-    PutU64LE(dir[i].node_count, &out);
-    std::vector<uint8_t> map;
-    EncodeNodeMap(entries_[i].nodes, &map);
-    PutU32LE(static_cast<uint32_t>(map.size()), &out);
-    out.insert(out.end(), map.begin(), map.end());
-  }
-  // Trailer: directory offset + length + checksum.
-  uint64_t dir_len = out.size() - dir_off;
-  uint64_t dir_checksum = HashBytes(out.data() + dir_off, dir_len);
-  PutU64LE(dir_off, &out);
-  PutU64LE(dir_len, &out);
-  PutU64LE(dir_checksum, &out);
-  return out;
+  return std::move(out).Finish();
 }
 
 size_t ShardedRep::ByteSize() const {
-  size_t size = 8 + 1 + inner_name_.size() + 8 + 4;  // container header
+  // Magic, directory head, trailer; then per shard its directory row
+  // and node map plus its payload.
+  size_t size = 8 + 1 + inner_name_.size() + 8 + 4 + kV2TrailerBytes;
   for (size_t s = 0; s < entries_.size(); ++s) {
-    const Entry& entry = entries_[s];
-    size_t map_bits = 0;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < entry.nodes.size(); ++i) {
-      uint64_t shifted = static_cast<uint64_t>(entry.nodes[i]) + 1;
-      map_bits += EliasDeltaLength(i == 0 ? shifted : shifted - prev);
-      prev = shifted;
-    }
     const FoldedShard* folded = FoldedFor(s);
-    size += 8 + (map_bits + 7) / 8 + 8 +
-            (folded != nullptr
-                 ? folded->payload.size()
-                 : static_cast<size_t>(entry.payload_length()));
+    size += kV2RowBytes + NodeMapBytes(entries_[s].nodes) +
+            (folded != nullptr ? folded->payload.size()
+                               : static_cast<size_t>(entries_[s].length));
   }
   return size;
 }
@@ -892,12 +883,10 @@ Result<Hypergraph> ShardedRep::Decompress() const {
       if (source != nullptr) (void)source->AdviseNormal();
     }
   } hint{nullptr};
-  if (source_ != nullptr) {
-    uint64_t hinted = source_->AdviseSequential();
-    if (hinted > 0) {
-      stat_hinted_.fetch_add(hinted, std::memory_order_relaxed);
-      hint.source = source_.get();
-    }
+  uint64_t hinted = source_->AdviseSequential();
+  if (hinted > 0) {
+    stat_hinted_.fetch_add(hinted, std::memory_order_relaxed);
+    hint.source = source_.get();
   }
   // Sentinel status keeps Result's value-or-error contract honest for
   // slots the workers never fill (edgeless shards with no payload).
@@ -969,7 +958,7 @@ Result<Hypergraph> ShardedRep::Decompress() const {
 // Shared routing for Out/InNeighbors: first the node-result cache
 // (repeat queries are one hash lookup), then per owning shard either
 // the decoded-neighborhood tier (promoting hot shards after repeated
-// misses) or the inner rep — faulted in on first touch for lazy reps —
+// misses) or the inner rep — faulted in on first touch —
 // map back, merge, memoize.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
@@ -1123,15 +1112,13 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
   // is running) so they warm while earlier shards are queried; the
   // per-shard fault mutex makes the handoff race-free, and workers
   // that lose the race simply find the shard resident.
-  if (is_lazy()) {
-    std::vector<size_t> cold;
-    for (size_t i = 0; i < shard_count; ++i) {
-      if (!groups[i].empty() && !ShardResident(i)) cold.push_back(i);
-    }
-    if (!cold.empty()) {
-      MutexLock lock(prefetch_mutex_);
-      if (prefetcher_ != nullptr) prefetcher_->Enqueue(cold);
-    }
+  std::vector<size_t> cold;
+  for (size_t i = 0; i < shard_count; ++i) {
+    if (!groups[i].empty() && !ShardResident(i)) cold.push_back(i);
+  }
+  if (!cold.empty()) {
+    MutexLock lock(prefetch_mutex_);
+    if (prefetcher_ != nullptr) prefetcher_->Enqueue(cold);
   }
 
   // Per-shard answers, filled by the pool workers into per-shard
@@ -1275,7 +1262,7 @@ api::QueryStats ShardedRep::query_stats() const {
   stats.pinned_bytes = stat_pinned_bytes_.load(std::memory_order_relaxed);
   // Network/pool/tier counters live with the source stack: the rep
   // cannot tell an SSD-warm hit from a WAN fetch, but the sources can.
-  if (source_ != nullptr) source_->AddStats(&stats);
+  source_->AddStats(&stats);
   stats.overlay_merges =
       stat_overlay_merges_.load(std::memory_order_relaxed);
   stats.shard_folds = stat_shard_folds_.load(std::memory_order_relaxed);
@@ -1292,11 +1279,10 @@ api::QueryStats ShardedRep::query_stats() const {
   // build grammar memo tables of their own). Only resident reps are
   // consulted — stats must never fault a shard in.
   for (size_t i = 0; i < entries_.size(); ++i) {
-    const api::CompressedRep* rep = entries_[i].rep.get();
-    if (const FoldedShard* folded = FoldedFor(i)) rep = folded->rep.get();
-    if (rep == nullptr) {
-      rep = lazy_published_[i].load(std::memory_order_acquire);
-    }
+    const FoldedShard* folded = FoldedFor(i);
+    const api::CompressedRep* rep =
+        folded != nullptr ? folded->rep.get()
+                          : lazy_published_[i].load(std::memory_order_acquire);
     if (rep == nullptr) continue;
     api::QueryStats inner = rep->query_stats();
     stats.memo_entries += inner.memo_entries;
@@ -1571,15 +1557,8 @@ Status ShardedRep::FoldOneShard(size_t shard,
     alphabet.Add("l" + std::to_string(l), ranks[l]);
   }
 
-  const api::GraphCodec* codec = inner_codec_.get();
-  std::unique_ptr<api::GraphCodec> created;
-  if (codec == nullptr) {
-    auto r = api::CodecRegistry::Create(inner_name_);
-    if (!r.ok()) return r.status();
-    created = std::move(r).ValueOrDie();
-    codec = created.get();
-  }
-  auto compressed = codec->Compress(local, alphabet, api::CodecOptions());
+  auto compressed =
+      inner_codec_->Compress(local, alphabet, api::CodecOptions());
   if (!compressed.ok()) return compressed.status();
   auto f = std::make_shared<FoldedShard>();
   f->rep = std::move(compressed).ValueOrDie();
@@ -1647,10 +1626,6 @@ void ShardedRep::PublishFolds(
 
 Status ShardedRep::ApplyDelta(const DeltaContainer& delta) {
   MutexLock fold_lock(fold_mu_);
-  if (!is_lazy() || directory_checksum_ == 0) {
-    return Status::InvalidArgument(
-        "deltas apply to v2 (GRSHARD2) containers only");
-  }
   if (delta.base_dir_checksum != directory_checksum_) {
     return Status::Corruption(
         "delta does not bind to this base: directory checksum " +
@@ -1700,10 +1675,6 @@ Status ShardedRep::ApplyDelta(const DeltaContainer& delta) {
 
 Result<DeltaContainer> ShardedRep::BuildDelta(uint64_t base_hash,
                                               uint64_t base_size) const {
-  if (directory_checksum_ == 0) {
-    return Status::InvalidArgument(
-        "deltas can only be built over a v2 (GRSHARD2) base");
-  }
   DeltaContainer out;
   out.base_hash = base_hash;
   out.base_size = base_size;
@@ -1729,82 +1700,7 @@ Result<DeltaContainer> ShardedRep::BuildDelta(uint64_t base_hash,
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (v1 eager, v2 lazy) and inspection
-
-namespace {
-
-// Shared v1 header walk (ParseV1 + the v1 Inspect scan): magic skip,
-// inner name, global node count, shard count — with the untrusted-
-// input hardening both consumers need.
-Status ReadV1Head(ByteSource* src, std::string* inner_name,
-                  uint64_t* num_nodes, uint32_t* shard_count) {
-  GREPAIR_RETURN_IF_ERROR(src->Skip(8));  // magic, checked by caller
-  uint8_t name_len = 0;
-  GREPAIR_RETURN_IF_ERROR(src->ReadU8(&name_len));
-  if (name_len == 0) {
-    return Status::Corruption("sharded container has empty codec name");
-  }
-  ByteSpan name_span;
-  GREPAIR_RETURN_IF_ERROR(src->ReadSpan(name_len, &name_span));
-  inner_name->assign(name_span.begin(), name_span.end());
-  GREPAIR_RETURN_IF_ERROR(src->ReadU64LE(num_nodes));
-  GREPAIR_RETURN_IF_ERROR(src->ReadU32LE(shard_count));
-  if (*num_nodes > 0xFFFFFFFFull) {
-    return Status::Corruption("sharded container node count out of range");
-  }
-  if (*shard_count < 1 || *shard_count > kMaxShardCount) {
-    return Status::Corruption("sharded container shard count out of range");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::unique_ptr<ShardedRep>> ShardedRep::ParseV1(ByteSpan bytes) {
-  ByteSource src(bytes, "sharded container");
-  std::string inner_name;
-  uint64_t num_nodes = 0;
-  uint32_t shard_count = 0;
-  GREPAIR_RETURN_IF_ERROR(
-      ReadV1Head(&src, &inner_name, &num_nodes, &shard_count));
-  GREPAIR_RETURN_IF_ERROR(RejectNestedInner(inner_name));
-
-  auto inner = api::CodecRegistry::Create(inner_name);
-  if (!inner.ok()) return inner.status();
-
-  // Grown per parsed shard (each consumes >= 16 header bytes, so
-  // growth is input-bounded) rather than reserved from the untrusted
-  // count — a 25-byte container claiming 2^20 shards must not
-  // allocate 2^20 Entry slots up front.
-  std::vector<Entry> entries;
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    Entry entry;
-    uint64_t node_count = 0;
-    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&node_count));
-    GREPAIR_RETURN_IF_ERROR(
-        DecodeNodeMap(&src, node_count, num_nodes, &entry.nodes));
-    uint64_t payload_len = 0;
-    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&payload_len));
-    if (payload_len > 0) {
-      ByteSpan payload_span;
-      GREPAIR_RETURN_IF_ERROR(src.ReadSpan(payload_len, &payload_span));
-      entry.payload = payload_span.ToVector();
-      auto rep = inner.value()->DeserializeSpan(
-          ByteSpan(entry.payload.data(), entry.payload.size()));
-      if (!rep.ok()) return rep.status();
-      entry.rep = std::move(rep).ValueOrDie();
-      if (entry.rep->num_nodes() != entry.nodes.size()) {
-        return Status::Corruption(
-            "shard payload node count does not match its node map");
-      }
-    }
-    entries.push_back(std::move(entry));
-  }
-  GREPAIR_RETURN_IF_ERROR(src.ExpectExhausted("sharded container"));
-  return std::make_unique<ShardedRep>(inner_name,
-                                      inner.value()->capabilities(),
-                                      num_nodes, std::move(entries));
-}
+// Parsing and inspection
 
 // Shared v2 footer walk: validates magic/trailer/directory checksum
 // and hands back the raw directory byte region plus its offset. Every
@@ -1847,7 +1743,7 @@ Result<ByteSpan> LocateV2DirectoryRegion(ByteSpan bytes,
 namespace {
 
 // Reads the fixed head of the v2 directory (inner name, node count,
-// shard count) with the same hardening as the v1 parser.
+// shard count), bounding both counts.
 Status ReadV2DirectoryHead(ByteSource* dir, std::string* inner_name,
                            uint64_t* num_nodes, uint32_t* shard_count) {
   uint8_t name_len = 0;
@@ -2106,38 +2002,26 @@ class LocalShardSource : public ShardSource {
 Result<std::unique_ptr<ShardedRep>> ShardedRep::ParseV2(
     ByteSpan bytes, std::shared_ptr<MmapFile> file,
     std::shared_ptr<std::vector<uint8_t>> owned) {
+  GREPAIR_RETURN_IF_ERROR(CheckContainerMagic(bytes));
   uint64_t dir_off = 0;
   auto region = LocateV2DirectoryRegion(bytes, &dir_off);
   if (!region.ok()) return region.status();
   auto dir = ParseV2Directory(region.value(), dir_off);
   if (!dir.ok()) return dir.status();
-  GREPAIR_RETURN_IF_ERROR(RejectNestedInner(dir.value().inner_name));
 
-  auto inner = api::CodecRegistry::Create(dir.value().inner_name);
-  if (!inner.ok()) return inner.status();
-
-  std::vector<Entry> entries;
   std::vector<ByteSpan> payloads;
-  for (size_t i = 0; i < dir.value().rows.size(); ++i) {
-    const ShardDirEntry& row = dir.value().rows[i];
-    Entry entry;
-    entry.nodes = std::move(dir.value().node_maps[i]);
-    if (row.length > 0) {
-      entry.view = bytes.subspan(row.offset, row.length);
-      entry.checksum = row.checksum;
-    }
-    payloads.push_back(entry.view);
-    entries.push_back(std::move(entry));
+  for (const ShardDirEntry& row : dir.value().rows) {
+    payloads.push_back(row.length > 0 ? bytes.subspan(row.offset, row.length)
+                                      : ByteSpan());
   }
-
-  auto rep = std::make_unique<ShardedRep>(dir.value().inner_name,
-                                          inner.value()->capabilities(),
-                                          dir.value().num_nodes,
-                                          std::move(entries));
-  rep->inner_codec_ = std::move(inner).ValueOrDie();
-  rep->directory_checksum_ = dir.value().dir_checksum;
-  rep->source_ = std::make_shared<LocalShardSource>(
-      std::move(file), std::move(owned), std::move(payloads));
+  auto rep = OpenFromSource(
+      std::make_shared<LocalShardSource>(std::move(file), std::move(owned),
+                                         payloads),
+      std::move(dir).ValueOrDie());
+  if (!rep.ok()) return rep.status();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    rep.value()->entries_[i].view = payloads[i];
+  }
   return rep;
 }
 
@@ -2153,23 +2037,8 @@ Result<std::unique_ptr<ShardedRep>> ShardedRep::OpenFromSource(
   }
   auto inner = api::CodecRegistry::Create(dir.inner_name);
   if (!inner.ok()) return inner.status();
-
-  std::vector<Entry> entries;
-  for (size_t i = 0; i < dir.rows.size(); ++i) {
-    Entry entry;
-    entry.nodes = std::move(dir.node_maps[i]);
-    entry.length = dir.rows[i].length;
-    entry.checksum = dir.rows[i].checksum;
-    entries.push_back(std::move(entry));
-  }
-  auto rep = std::make_unique<ShardedRep>(dir.inner_name,
-                                          inner.value()->capabilities(),
-                                          dir.num_nodes,
-                                          std::move(entries));
-  rep->inner_codec_ = std::move(inner).ValueOrDie();
-  rep->directory_checksum_ = dir.dir_checksum;
-  rep->source_ = std::move(source);
-  return rep;
+  return std::unique_ptr<ShardedRep>(new ShardedRep(
+      std::move(inner).ValueOrDie(), std::move(source), std::move(dir)));
 }
 
 Result<std::unique_ptr<ShardedRep>> ShardedRep::Deserialize(
@@ -2178,68 +2047,42 @@ Result<std::unique_ptr<ShardedRep>> ShardedRep::Deserialize(
 }
 
 Result<std::unique_ptr<ShardedRep>> ShardedRep::Deserialize(ByteSpan bytes) {
-  auto version = ContainerVersion(bytes);
-  if (!version.ok()) return version.status();
-  if (version.value() == 1) return ParseV1(bytes);
-  // v2 from an unmapped buffer: copy once into an owned backing store
-  // the lazy payload views can borrow from for the rep's lifetime.
-  auto owned = std::make_shared<std::vector<uint8_t>>(bytes.ToVector());
+  return Deserialize(bytes.ToVector());
+}
+
+Result<std::unique_ptr<ShardedRep>> ShardedRep::Deserialize(
+    std::vector<uint8_t>&& bytes) {
+  // An unmapped buffer becomes the owned backing store the payload
+  // views borrow from for the rep's lifetime.
+  auto owned = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
   ByteSpan span = SpanOf(*owned);
   return ParseV2(span, nullptr, std::move(owned));
 }
 
 Result<std::unique_ptr<ShardedRep>> ShardedRep::Open(
     std::shared_ptr<MmapFile> file, ByteSpan bytes) {
-  auto version = ContainerVersion(bytes);
-  if (!version.ok()) return version.status();
-  if (version.value() == 1) return ParseV1(bytes);  // no directory to seek by
   return ParseV2(bytes, std::move(file), nullptr);
 }
 
 Result<ShardContainerInfo> ShardedRep::Inspect(ByteSpan bytes) {
-  auto version = ContainerVersion(bytes);
-  if (!version.ok()) return version.status();
+  GREPAIR_RETURN_IF_ERROR(CheckContainerMagic(bytes));
+  uint64_t dir_off = 0;
+  auto region = LocateV2DirectoryRegion(bytes, &dir_off);
+  if (!region.ok()) return region.status();
+  // Row walk only — the node-map bits are length-prefixed and skipped
+  // undecoded, so `info` stays O(directory), not O(nodes).
   ShardContainerInfo info;
-  info.version = version.value();
-  if (info.version == 2) {
-    uint64_t dir_off = 0;
-    auto region = LocateV2DirectoryRegion(bytes, &dir_off);
-    if (!region.ok()) return region.status();
-    // Row walk only — the node-map bits are length-prefixed and
-    // skipped undecoded, so `info` stays O(directory), not O(nodes).
-    ByteSource dir(region.value(), "sharded v2 directory");
-    uint32_t shard_count = 0;
-    GREPAIR_RETURN_IF_ERROR(ReadV2DirectoryHead(&dir, &info.inner_name,
-                                                &info.num_nodes,
-                                                &shard_count));
-    for (uint32_t i = 0; i < shard_count; ++i) {
-      ShardDirEntry row;
-      ByteSpan map;
-      GREPAIR_RETURN_IF_ERROR(
-          ReadV2DirectoryRow(&dir, dir_off, i, &row, &map));
-      info.shards.push_back(row);
-    }
-    GREPAIR_RETURN_IF_ERROR(dir.ExpectExhausted("sharded v2 directory"));
-    return info;
-  }
-  // v1: a header scan — node maps must be decoded to find their length,
-  // but payloads are only skipped, never handed to an inner codec.
-  ByteSource src(bytes, "sharded container");
+  ByteSource dir(region.value(), "sharded v2 directory");
   uint32_t shard_count = 0;
-  GREPAIR_RETURN_IF_ERROR(
-      ReadV1Head(&src, &info.inner_name, &info.num_nodes, &shard_count));
+  GREPAIR_RETURN_IF_ERROR(ReadV2DirectoryHead(&dir, &info.inner_name,
+                                              &info.num_nodes, &shard_count));
   for (uint32_t i = 0; i < shard_count; ++i) {
     ShardDirEntry row;
-    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&row.node_count));
-    std::vector<NodeId> nodes;
-    GREPAIR_RETURN_IF_ERROR(
-        DecodeNodeMap(&src, row.node_count, info.num_nodes, &nodes));
-    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&row.length));
-    row.offset = row.length > 0 ? src.position() : 0;
-    GREPAIR_RETURN_IF_ERROR(src.Skip(row.length));
+    ByteSpan map;
+    GREPAIR_RETURN_IF_ERROR(ReadV2DirectoryRow(&dir, dir_off, i, &row, &map));
     info.shards.push_back(row);
   }
-  GREPAIR_RETURN_IF_ERROR(src.ExpectExhausted("sharded container"));
+  GREPAIR_RETURN_IF_ERROR(dir.ExpectExhausted("sharded v2 directory"));
   return info;
 }
 
@@ -2317,22 +2160,22 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
   if (!partition.ok()) return partition.status();
 
   ParallelCompressor compressor(*inner_, threads);
-  auto compressed = compressor.CompressShards(partition.value(), alphabet,
-                                              inner_options);
-  if (!compressed.ok()) return compressed.status();
+  auto payloads = compressor.CompressShards(partition.value(), alphabet,
+                                            inner_options);
+  if (!payloads.ok()) return payloads.status();
 
-  std::vector<ShardedRep::Entry> entries;
-  entries.reserve(partition.value().shards.size());
-  for (size_t i = 0; i < partition.value().shards.size(); ++i) {
-    ShardedRep::Entry entry;
-    entry.nodes = std::move(partition.value().shards[i].nodes);
-    entry.payload = std::move(compressed.value()[i].payload);
-    entry.rep = std::move(compressed.value()[i].rep);
-    entries.push_back(std::move(entry));
+  // Encode the container and open it like any other GRSHARD2 bytes, so
+  // a fresh rep is exactly the rep its serialized form opens to.
+  const std::vector<Shard>& parts = partition.value().shards;
+  V2Encoder encoder(inner_name_, graph.num_nodes(), parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    ByteSpan payload = SpanOf(payloads.value()[i]);
+    encoder.AddShard(parts[i].nodes, payload,
+                     HashBytes(payload.data, payload.size));
   }
-  return std::unique_ptr<api::CompressedRep>(new ShardedRep(
-      inner_name_, inner_->capabilities(), graph.num_nodes(),
-      std::move(entries)));
+  auto rep = ShardedRep::Deserialize(std::move(encoder).Finish());
+  if (!rep.ok()) return rep.status();
+  return std::unique_ptr<api::CompressedRep>(std::move(rep).ValueOrDie());
 }
 
 Status ShardedCodec::CheckInnerName(const ShardedRep& rep) const {
@@ -2351,8 +2194,8 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Deserialize(
 
 Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::DeserializeSpan(
     ByteSpan bytes) const {
-  // v1 parses in place; v2 copies the span once into its owned
-  // backing store (the lazy views must outlive this call).
+  // Copies the span once into the rep's owned backing store (the lazy
+  // views must outlive this call).
   auto rep = ShardedRep::Deserialize(bytes);
   if (!rep.ok()) return rep.status();
   GREPAIR_RETURN_IF_ERROR(CheckInnerName(*rep.value()));

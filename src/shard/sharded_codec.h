@@ -12,31 +12,18 @@
 //   strategy=S      edge-range | bfs (default edge-range)
 //   <anything else> forwarded to the inner codec
 //
-// Container layouts. Version 1 ("GRSHARD1", little-endian, pinned by
-// golden tests in tests/container_format_test.cc — bump the magic to
-// change it) interleaves node maps and payloads and is parsed eagerly:
-//
-//   magic   "GRSHARD1"                        8 bytes
-//   u8      inner codec name length (> 0)
-//   bytes   inner codec name
-//   u64     global node count
-//   u32     shard count (K data shards + 1 cut shard)
-//   per shard:
-//     u64   node-map length n_k
-//     bits  Elias-delta node map: first global id + 1, then gaps
-//           (strictly increasing), zero-padded to a byte boundary
-//     u64   payload length (0 = edgeless shard, no inner payload)
-//     bytes inner codec payload (inner CompressedRep::Serialize())
-//
-// Version 2 ("GRSHARD2") is the zero-copy layout: shard payloads sit
-// back-to-back after the magic, and a footer directory of per-shard
-// {offset, length, checksum, node map} plus a checksummed trailer lets
-// Open() map the file and materialize shards lazily on first touch —
-// opening a 16-shard container costs a directory parse, not 16 inner
-// deserializations (see src/shard/README.md for the exact layout).
-// Serialize() always emits version 1 (the byte-stable interchange
-// form); SerializeV2() emits the footer form the CLI writes by
-// default for sharded backends.
+// Container layout ("GRSHARD2", little-endian, pinned by golden tests
+// in tests/container_format_test.cc — bump the magic to change it):
+// shard payloads sit back-to-back after the magic, and a footer
+// directory of per-shard {offset, length, checksum, node map} plus a
+// checksummed trailer lets Open() map the file and materialize shards
+// lazily on first touch — opening a 16-shard container costs a
+// directory parse, not 16 inner deserializations (see
+// src/shard/README.md for the exact layout). Serialize() and
+// SerializeV2() both emit it. A rep is always a GRSHARD2 directory over
+// a ShardSource: Compress encodes its shard payloads into GRSHARD2
+// bytes and opens them over an owned buffer, so a freshly compressed
+// rep is exactly the rep its own bytes open to.
 //
 // Queries route through the node maps: a global node is looked up in
 // every shard that contains it (vertex-cut shards may share nodes) and
@@ -45,14 +32,14 @@
 // across shard boundaries and is available whenever the inner codec
 // answers neighbor queries.
 //
-// Lazy shards and prefetch: a rep opened from a v2 container holds
-// borrowed payload views into the backing store (an MmapFile or an
-// owned buffer) and faults each shard's inner rep in on first touch —
-// checksum-verified, guarded by a per-shard mutex, counted in
-// QueryStats::shard_faults. set_prefetch_threads() starts a background
-// pool that warms shards ahead of demand (batch queries enqueue the
-// shards they are about to touch; Prefetch/PrefetchAll warm
-// explicitly); answers are byte-identical with or without prefetch.
+// Lazy shards and prefetch: a rep holds borrowed payload views into
+// the backing store (an MmapFile or an owned buffer) and faults each
+// shard's inner rep in on first touch — checksum-verified, guarded by
+// a per-shard mutex, counted in QueryStats::shard_faults.
+// set_prefetch_threads() starts a background pool that warms shards
+// ahead of demand (batch queries enqueue the shards they are about to
+// touch; Prefetch/PrefetchAll warm explicitly); answers are
+// byte-identical with or without prefetch.
 //
 // Where a faulting shard's bytes come from is the ShardSource seam
 // (below): the local backing store and the remote TCP client
@@ -98,9 +85,8 @@
 namespace grepair {
 namespace shard {
 
-/// \brief The 8-byte sharded-container magics (version byte last).
-extern const char kShardContainerMagic[8];    ///< "GRSHARD1" (eager)
-extern const char kShardContainerMagicV2[8];  ///< "GRSHARD2" (lazy/footer)
+/// \brief The 8-byte sharded-container magic (version byte last).
+extern const char kShardContainerMagicV2[8];  ///< "GRSHARD2"
 
 /// \brief Default byte budget of the per-shard query cache.
 inline constexpr size_t kDefaultQueryCacheBytes = 64ull << 20;
@@ -195,14 +181,13 @@ class ShardSource {
 struct ShardDirEntry {
   uint64_t offset = 0;      ///< payload offset from container start
   uint64_t length = 0;      ///< payload byte length (0 = edgeless)
-  uint64_t checksum = 0;    ///< payload checksum (v2; 0 in v1)
+  uint64_t checksum = 0;    ///< payload checksum (0 when edgeless)
   uint64_t node_count = 0;  ///< node-map length n_k
 };
 
 /// \brief Whole-container directory metadata (no shard is decoded to
-/// produce this — Inspect reads headers and the v2 footer only).
+/// produce this — Inspect reads the footer only).
 struct ShardContainerInfo {
-  int version = 0;  ///< 1 or 2
   std::string inner_name;
   uint64_t num_nodes = 0;
   std::vector<ShardDirEntry> shards;
@@ -240,56 +225,40 @@ Result<ByteSpan> LocateV2DirectoryRegion(ByteSpan container,
 /// the server-reported value; they never dereference the offsets).
 Result<ParsedDirectory> ParseV2Directory(ByteSpan dir, uint64_t dir_off);
 
-/// \brief Multi-shard compressed representation (container formats
+/// \brief Multi-shard compressed representation (container format
 /// above). Implements the full CompressedRep query surface by routing
-/// to the owning shards; shards may be eager (v1, Compress) or lazy
-/// (v2), and every query path faults lazy shards in transparently.
+/// to the owning shards; every shard is faulted in on first touch
+/// from the rep's ShardSource, transparently to every query path.
 class ShardedRep : public api::CompressedRep {
  public:
   struct Entry {
-    std::vector<NodeId> nodes;     ///< sorted global IDs
-    std::vector<uint8_t> payload;  ///< owned inner bytes (eager path)
-    ByteSpan view;       ///< borrowed inner bytes (lazy path); the rep
-                         ///< pins the backing store (source) alive
-    uint64_t length = 0;    ///< directory payload length for shards
-                            ///< whose bytes live behind the source
-                            ///< only (remote); 0 when resident/edgeless
-    uint64_t checksum = 0;  ///< v2 payload checksum, verified at fault
-    std::unique_ptr<api::CompressedRep> rep;  ///< eager rep; null when
-                                              ///< lazy or edgeless
+    std::vector<NodeId> nodes;  ///< sorted global IDs
+    ByteSpan view;       ///< borrowed inner bytes when the source keeps
+                         ///< them locally (the rep pins the backing
+                         ///< store alive); empty for remote sources
+    uint64_t length = 0;    ///< directory payload length (0 = edgeless)
+    uint64_t checksum = 0;  ///< directory payload checksum, verified at
+                            ///< fault
 
     /// \brief The locally resident payload bytes (empty for
     /// source-only shards, whose bytes are fetched at fault time).
-    ByteSpan payload_bytes() const {
-      return view.data != nullptr ? view
-                                  : ByteSpan(payload.data(), payload.size());
-    }
-    /// \brief Byte length regardless of residency (the directory
-    /// length for source-only shards).
-    uint64_t payload_length() const {
-      ByteSpan resident = payload_bytes();
-      return resident.size != 0 ? resident.size : length;
-    }
-    bool has_payload() const { return payload_length() != 0; }
+    ByteSpan payload_bytes() const { return view; }
+    bool has_payload() const { return length != 0; }
   };
 
-  ShardedRep(std::string inner_name, uint32_t inner_capabilities,
-             uint64_t num_nodes, std::vector<Entry> entries);
   ~ShardedRep() override;
 
-  /// \brief Always emits the version-1 container (the byte-stable
-  /// interchange form; golden-pinned). Works on lazy reps without
-  /// faulting anything — payload bytes are copied straight out of the
-  /// backing store. Shards whose bytes are not locally resident
-  /// (remote sources) are fetched and checksum-verified through the
-  /// source; if any fetch fails the result is an empty vector, which
-  /// never parses as a container, so failure stays closed.
+  /// \brief Same bytes as SerializeV2(): GRSHARD2 is the only layout.
   std::vector<uint8_t> Serialize() const override;
 
-  /// \brief Emits the version-2 footer-directory container (payload
+  /// \brief Emits the GRSHARD2 footer-directory container (payload
   /// blobs, then directory with per-shard offset/length/checksum/node
-  /// map, then a checksummed trailer). Deterministic; never faults.
-  /// Same remote-fetch contract as Serialize().
+  /// map, then a checksummed trailer). Deterministic; never faults —
+  /// payload bytes are copied straight out of the backing store.
+  /// Shards whose bytes are not locally resident (remote sources) are
+  /// fetched and checksum-verified through the source; if any fetch
+  /// fails the result is an empty vector, which never parses as a
+  /// container, so failure stays closed.
   std::vector<uint8_t> SerializeV2() const;
 
   size_t ByteSize() const override;
@@ -324,31 +293,32 @@ class ShardedRep : public api::CompressedRep {
 
   api::QueryStats query_stats() const override;
 
-  /// \brief Parses a version-1 or version-2 container. Version 1
-  /// reconstructs every inner rep eagerly through the registry;
-  /// version 2 copies the bytes into an owned backing store and
-  /// materializes shards lazily. Clean kCorruption on truncated or
-  /// inconsistent input.
+  /// \brief Parses a GRSHARD2 container: copies the bytes into an
+  /// owned backing store and materializes shards lazily. Clean
+  /// kCorruption on truncated, inconsistent or other-version input.
   static Result<std::unique_ptr<ShardedRep>> Deserialize(
       const std::vector<uint8_t>& bytes);
 
-  /// \brief Span overload: v1 parses in place; v2 copies the span
-  /// once into an owned backing store and opens lazily over it.
+  /// \brief Span overload: copies the span once into an owned backing
+  /// store and opens lazily over it.
   static Result<std::unique_ptr<ShardedRep>> Deserialize(ByteSpan bytes);
 
+  /// \brief Owning overload: the buffer becomes the backing store
+  /// without a copy (how Compress opens the bytes it just encoded).
+  static Result<std::unique_ptr<ShardedRep>> Deserialize(
+      std::vector<uint8_t>&& bytes);
+
   /// \brief Zero-copy open: `bytes` must be a view into `file`'s
-  /// mapping (e.g. the payload of a backend-tagged frame). A v2
+  /// mapping (e.g. the payload of a backend-tagged frame). The
   /// container is opened in O(directory) time — shard payloads stay
   /// borrowed windows into the map until first touch — and `file` is
-  /// retained for the rep's lifetime. A v1 container is parsed eagerly
-  /// (it has no directory to seek by).
+  /// retained for the rep's lifetime.
   static Result<std::unique_ptr<ShardedRep>> Open(
       std::shared_ptr<MmapFile> file, ByteSpan bytes);
 
-  /// \brief Reads a container's directory — version, inner codec,
-  /// node/shard counts, per-shard offsets/lengths/checksums — without
-  /// constructing a single inner rep (v2 reads only the footer; v1 is
-  /// a header scan).
+  /// \brief Reads a container's directory — inner codec, node/shard
+  /// counts, per-shard offsets/lengths/checksums — from the footer
+  /// alone, without constructing a single inner rep.
   static Result<ShardContainerInfo> Inspect(ByteSpan bytes);
 
   /// \brief Opens a lazy rep over an arbitrary payload source: shard
@@ -446,9 +416,8 @@ class ShardedRep : public api::CompressedRep {
   std::shared_ptr<const DeltaOverlay> overlay_snapshot() const
       GREPAIR_LOCKS_EXCLUDED(overlay_mu_);
 
-  /// \brief The base container's directory checksum (v2 trailer value
-  /// or its remote recomputation); 0 for v1/eager reps, which cannot
-  /// anchor deltas.
+  /// \brief The base container's directory checksum (the GRSHARD2
+  /// trailer value or its remote recomputation).
   uint64_t directory_checksum() const { return directory_checksum_; }
 
   /// \brief Installs a decoded GRSHARD3 delta: verifies it binds to
@@ -456,8 +425,8 @@ class ShardedRep : public api::CompressedRep {
   /// payloads (re-verified, eagerly deserialized through the inner
   /// codec) and replaces the overlay with the delta's residual runs.
   /// Deltas are cumulative, so applying a chain in order or only its
-  /// newest link yields the same corpus. kInvalidArgument on an eager
-  /// (v1) base, kCorruption on any mismatch — fail closed.
+  /// newest link yields the same corpus. kCorruption on any mismatch —
+  /// fail closed.
   Status ApplyDelta(const DeltaContainer& delta);
 
   /// \brief Emits this rep's current edits as a GRSHARD3 delta
@@ -479,16 +448,9 @@ class ShardedRep : public api::CompressedRep {
   size_t num_shards() const { return entries_.size(); }
   const Entry& entry(size_t i) const { return entries_[i]; }
 
-  /// \brief True when this rep materializes shards on first touch
-  /// (opened from a v2 container or a remote source) rather than
-  /// holding them decoded.
-  bool is_lazy() const { return inner_codec_ != nullptr; }
-
   /// \brief The payload source's kind ("local-mmap", "local-heap",
-  /// "remote"), or "resident" for eager reps with no source.
-  const char* source_kind() const {
-    return source_ != nullptr ? source_->kind() : "resident";
-  }
+  /// "remote", "tiered-ssd").
+  const char* source_kind() const { return source_->kind(); }
 
   /// \brief A shard's decoded adjacency: per local node the sorted
   /// global-id out/in neighbor contributions of this shard. Immutable
@@ -498,12 +460,18 @@ class ShardedRep : public api::CompressedRep {
  private:
   class Prefetcher;
 
+  /// Every rep is built here (through OpenFromSource): `inner_codec`
+  /// faults shards in, `source` serves their bytes, `dir` supplies the
+  /// node maps and per-shard lengths/checksums.
+  ShardedRep(std::unique_ptr<api::GraphCodec> inner_codec,
+             std::shared_ptr<ShardSource> source, ParsedDirectory dir);
+
   Result<std::vector<uint64_t>> RoutedNeighbors(uint64_t node,
                                                 bool out) const;
   Result<bool> ReachableImpl(uint64_t from, uint64_t to) const;
 
   /// The shard's inner rep, faulting it in (checksum-verified, mutex
-  /// per shard) when lazy. nullptr value = edgeless shard. `faulted`
+  /// per shard) on first touch. nullptr value = edgeless shard. `faulted`
   /// (optional) reports whether this call performed the
   /// materialization.
   Result<const api::CompressedRep*> ShardRepFor(size_t shard,
@@ -517,15 +485,14 @@ class ShardedRep : public api::CompressedRep {
   Result<ByteSpan> VerifiedPayload(size_t shard,
                                    std::vector<uint8_t>* owned) const;
 
-  /// True when shard `i`'s inner rep is resident (eager, or already
-  /// faulted) — never triggers a fault.
+  /// True when shard `i`'s inner rep is resident (already faulted, or
+  /// nothing to fault) — never triggers a fault.
   bool ShardResident(size_t i) const;
 
   /// Prefetch-worker body for one shard (ignores fault errors — the
   /// foreground query that needs the shard will surface them).
   void PrefetchOne(size_t shard) const;
 
-  static Result<std::unique_ptr<ShardedRep>> ParseV1(ByteSpan bytes);
   static Result<std::unique_ptr<ShardedRep>> ParseV2(
       ByteSpan bytes, std::shared_ptr<MmapFile> file,
       std::shared_ptr<std::vector<uint8_t>> owned);
@@ -539,7 +506,7 @@ class ShardedRep : public api::CompressedRep {
       size_t shard, size_t pending) const;
 
   /// One shard's grammar after a fold: the recompressed payload, its
-  /// checksum, and the eager inner rep. Immutable once published;
+  /// checksum, and its inner rep. Immutable once published;
   /// retained (folded_keep_) for the rep's lifetime so the lock-free
   /// published pointer stays valid like lazy_published_ does.
   struct FoldedShard {
@@ -553,9 +520,7 @@ class ShardedRep : public api::CompressedRep {
   /// pointer; consulted before the base entry everywhere payload
   /// bytes or inner reps are read.
   const FoldedShard* FoldedFor(size_t shard) const {
-    return folded_published_ == nullptr
-               ? nullptr
-               : folded_published_[shard].load(std::memory_order_acquire);
+    return folded_published_[shard].load(std::memory_order_acquire);
   }
 
   /// Publishes folded shards + the residual overlay as one atomic
@@ -579,7 +544,7 @@ class ShardedRep : public api::CompressedRep {
   /// Folds one shard: decompress (through the current folded rep when
   /// one exists), apply `kills` then `adds` (global ids; set
   /// semantics), recompress through the inner codec, serialize. On
-  /// success *out carries the new payload + eager rep.
+  /// success *out carries the new payload + its inner rep.
   Status FoldOneShard(size_t shard, const std::vector<DeltaPair>& kills,
                       const std::vector<DeltaEdge>& adds,
                       std::shared_ptr<FoldedShard>* out) const;
@@ -596,13 +561,13 @@ class ShardedRep : public api::CompressedRep {
 
   // Lazy-open state: the inner codec that faults shards in, the
   // payload source the shards' bytes come from (the local backing
-  // store for v2 files/buffers, the TCP client for remote reps — the
+  // store for files/buffers, the TCP client for remote reps — the
   // source pins whatever storage entry views borrow), per-shard
   // materialization slots and their mutexes. Faulted reps are
   // immutable once published, and slots are never reset, so the raw
   // published pointer (the lock-free resident fast path) stays valid
-  // for the rep's lifetime.
-  std::unique_ptr<api::GraphCodec> inner_codec_;  // null = eager rep
+  // for the rep's lifetime. Both pointers are non-null.
+  std::unique_ptr<api::GraphCodec> inner_codec_;
   std::shared_ptr<ShardSource> source_;
   // lazy_slots_[i] is written only under fault_mutexes_[i]; a
   // per-element capability is not expressible with GUARDED_BY (one
@@ -683,7 +648,7 @@ class ShardedRep : public api::CompressedRep {
   std::atomic<bool> has_overlay_{false};  // lock-free clean-rep fast path
   std::atomic<uint64_t> total_nodes_{0};  // >= num_nodes_, grown by adds
   std::atomic<uint64_t> overlay_budget_bytes_{kDefaultOverlayBudgetBytes};
-  uint64_t directory_checksum_ = 0;  // set at parse; immutable after
+  const uint64_t directory_checksum_;
   // Serializes FoldOverlay/ApplyDelta bodies; Decompress holds it too
   // so its (folded shards, residual overlay) capture is consistent —
   // a fold publishing mid-walk would double-apply its adds. Taken
@@ -747,9 +712,8 @@ class ShardedCodec : public api::GraphCodec {
   Result<std::unique_ptr<api::CompressedRep>> DeserializeSpan(
       ByteSpan bytes) const override;
 
-  /// \brief Lazy mmap-backed open for v2 payloads: the returned rep
-  /// borrows shard payloads from `file` and faults them on first
-  /// touch. v1 payloads fall back to the eager parse.
+  /// \brief Lazy mmap-backed open: the returned rep borrows shard
+  /// payloads from `file` and faults them on first touch.
   Result<std::unique_ptr<api::CompressedRep>> OpenPayload(
       std::shared_ptr<MmapFile> file, ByteSpan payload) const override;
 

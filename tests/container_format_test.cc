@@ -1,13 +1,14 @@
 // Golden-file format-stability tests for the container formats: the
-// backend-tagged frame ("GRPCODEC", src/api/container.h) and the two
-// sharded multi-shard containers ("GRSHARD1" eager, "GRSHARD2"
-// footer-directory/lazy; src/shard/sharded_codec.h).
+// backend-tagged frame ("GRPCODEC", src/api/container.h) and the
+// sharded multi-shard container ("GRSHARD2", footer directory;
+// src/shard/sharded_codec.h). The retired eager "GRSHARD1" layout
+// survives only as a negative fixture: it must fail closed everywhere.
 //
 // The golden byte arrays below are checked-in fixtures. If one of
 // these tests fails after an intentional format change, do NOT update
 // the bytes in place: bump the container magic/version and add a new
-// fixture, so old files stay readable (or fail loudly with a version
-// error instead of misparsing). The corruption sweeps additionally
+// fixture, so old files fail loudly with a version error instead of
+// misparsing. The corruption sweeps additionally
 // pin the untrusted-input contract: truncated or bit-flipped
 // containers yield a clean error Status (or a still-consistent rep),
 // never a crash — the CI sanitizer matrix runs these sweeps under
@@ -15,11 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 
 #include "src/api/grepair_api.h"
+#include "src/serve/registry.h"
 #include "src/util/byte_io.h"
 #include "src/util/elias.h"
+#include "src/util/hashing.h"
 
 namespace grepair {
 namespace {
@@ -37,11 +43,10 @@ Alphabet FixtureAlphabet() {
   return alphabet;
 }
 
-// sharded:k2, shards=2, threads=1, edge-range — regenerate by
-// compressing FixtureGraph() and hex-dumping Serialize() (see
-// tests/container_format_test.cc history for a one-liner), but only
-// together with a magic bump.
-const uint8_t kGoldenShardedContainer[] = {
+// The sharded:k2 fixture below in the retired eager "GRSHARD1" layout
+// (node maps and payloads interleaved). Nothing reads it any more: it
+// is kept only to prove that such files fail closed.
+const uint8_t kRetiredShardedV1Container[] = {
     // "GRSHARD1" magic (version byte last)
     0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x31,
     // inner codec name: len 2, "k2"
@@ -72,16 +77,17 @@ const uint8_t kGoldenTaggedContainer[] = {
     0xDE, 0xAD, 0xBE, 0xEF,                          // payload
 };
 
-std::vector<uint8_t> GoldenSharded() {
+std::vector<uint8_t> RetiredShardedV1() {
   return std::vector<uint8_t>(
-      kGoldenShardedContainer,
-      kGoldenShardedContainer + sizeof(kGoldenShardedContainer));
+      kRetiredShardedV1Container,
+      kRetiredShardedV1Container + sizeof(kRetiredShardedV1Container));
 }
 
-// SerializeV2() of the same sharded:k2 fixture: payload blobs after
-// the magic, footer directory (name, counts, per-shard offset/length/
-// checksum/node map), 24-byte trailer (directory offset/length/
-// checksum). Pinned like the v1 bytes: change only with a magic bump.
+// SerializeV2() of sharded:k2, shards=2, threads=1, edge-range over
+// FixtureGraph(): payload blobs after the magic, footer directory
+// (name, counts, per-shard offset/length/checksum/node map), 24-byte
+// trailer (directory offset/length/checksum). Change only with a
+// magic bump.
 const uint8_t kGoldenShardedV2Container[] = {
     0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x6A, 0x51, 0xAD, 0x63,
     0x49, 0x75, 0x09, 0x00, 0x6A, 0x51, 0xAD, 0x63, 0x49, 0x5C, 0x89, 0x00,
@@ -144,43 +150,46 @@ TEST(TaggedContainerTest, NonContainerAndTruncatedInputsFailCleanly) {
   }
 }
 
-TEST(ShardedContainerTest, GoldenBytesAreStable) {
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
-  api::CodecOptions options;
-  options.Set("shards", "2");
-  options.Set("threads", "1");
-  auto rep = codec->Compress(FixtureGraph(), FixtureAlphabet(), options);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  auto bytes = rep.value()->Serialize();
-  ASSERT_EQ(bytes.size(), sizeof(kGoldenShardedContainer))
-      << "sharded container size drifted";
-  EXPECT_EQ(0, std::memcmp(bytes.data(), kGoldenShardedContainer,
-                           bytes.size()))
-      << "sharded container layout drifted; bump the 'GRSHARD1' magic "
-         "instead of changing version 1 in place";
-}
-
-TEST(ShardedContainerTest, GoldenBytesDeserializeToTheFixture) {
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
-  auto rep = codec->Deserialize(GoldenSharded());
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(rep.value()->num_nodes(), 6u);
-  auto graph = rep.value()->Decompress();
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  EXPECT_TRUE(graph.value().EqualUpToEdgeOrder(FixtureGraph()));
-
-  // Re-serialization is byte-stable.
-  EXPECT_EQ(rep.value()->Serialize(), GoldenSharded());
-}
-
 TEST(ShardedContainerTest, VersionDriftFailsLoudly) {
-  auto bytes = GoldenSharded();
-  bytes[7] = '3';  // future container version ('2' is now real)
+  auto bytes = GoldenShardedV2();
+  bytes[7] = '3';  // a future container version
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
   EXPECT_NE(rep.status().message().find("version"), std::string::npos)
       << rep.status().ToString();
+}
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "grepair_format_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
+TEST(ShardedContainerTest, RetiredV1ContainerFailsClosedEverywhere) {
+  // The retired GRSHARD1 bytes, and every truncation of them, must be
+  // refused by each entry point that takes container bytes: the rep
+  // parser, a tagged file opened through the api, the directory
+  // inspector, and the serving registry.
+  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  std::string path = TempPath("v1.bin");
+  auto good = RetiredShardedV1();
+  for (size_t len = 0; len <= good.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<uint8_t> cut(good.begin(), good.begin() + len);
+    auto rep = shard::ShardedRep::Deserialize(cut);
+    ASSERT_FALSE(rep.ok());
+    EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(codec->Deserialize(cut).ok());
+    EXPECT_FALSE(shard::ShardedRep::Inspect(SpanOf(cut)).ok());
+
+    ASSERT_TRUE(
+        WriteFileBytes(path, api::WrapCodecPayload("sharded:k2", cut)).ok());
+    EXPECT_FALSE(api::OpenCompressedFile(path).ok());
+
+    serve::CorpusRegistry registry;
+    EXPECT_FALSE(registry.AddBytes("g", SpanOf(cut)).ok());
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardedV2ContainerTest, GoldenBytesAreStable) {
@@ -210,12 +219,12 @@ TEST(ShardedV2ContainerTest, GoldenBytesDeserializeToTheFixture) {
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   EXPECT_TRUE(graph.value().EqualUpToEdgeOrder(FixtureGraph()));
 
-  // Serialize() of a v2-opened rep emits the byte-stable v1 form, and
-  // SerializeV2 round-trips byte-identically.
+  // Serialize and SerializeV2 both round-trip byte-identically.
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
   ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(sharded->Serialize(), GoldenSharded());
+  EXPECT_EQ(sharded->Serialize(), GoldenShardedV2());
   EXPECT_EQ(sharded->SerializeV2(), GoldenShardedV2());
+  EXPECT_EQ(sharded->ByteSize(), GoldenShardedV2().size());
 }
 
 TEST(ShardedV2ContainerTest, InspectReadsTheDirectoryWithoutDecoding) {
@@ -223,7 +232,6 @@ TEST(ShardedV2ContainerTest, InspectReadsTheDirectoryWithoutDecoding) {
       ByteSpan(kGoldenShardedV2Container,
                sizeof(kGoldenShardedV2Container)));
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().version, 2);
   EXPECT_EQ(info.value().inner_name, "k2");
   EXPECT_EQ(info.value().num_nodes, 6u);
   ASSERT_EQ(info.value().shards.size(), 3u);
@@ -233,15 +241,36 @@ TEST(ShardedV2ContainerTest, InspectReadsTheDirectoryWithoutDecoding) {
   EXPECT_EQ(info.value().shards[1].offset, 16u);
   EXPECT_EQ(info.value().shards[1].length, 8u);
   EXPECT_EQ(info.value().shards[2].length, 0u);  // empty cut shard
+}
 
-  // The v1 container inspects too (a header scan, no inner decode).
-  auto v1 = shard::ShardedRep::Inspect(
-      ByteSpan(kGoldenShardedContainer, sizeof(kGoldenShardedContainer)));
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1.value().version, 1);
-  EXPECT_EQ(v1.value().inner_name, "k2");
-  ASSERT_EQ(v1.value().shards.size(), 3u);
-  EXPECT_EQ(v1.value().shards[0].length, 8u);
+TEST(ShardedV2ContainerTest, ByteSizeIsTheSerializedSize) {
+  // ByteSize() counts the GRSHARD2 layout arithmetically; it must equal
+  // the bytes Serialize() emits for every sharded codec, fresh from
+  // Compress and after folded edits replaced some shard payloads.
+  GeneratedGraph gg = ErdosRenyi(80, 240, 17);
+  api::CodecOptions options;
+  options.Set("shards", "3");
+  for (const std::string& base : api::CodecRegistry::BaseNames()) {
+    SCOPED_TRACE(base);
+    auto codec = api::CodecRegistry::Create("sharded:" + base).ValueOrDie();
+    auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+    ASSERT_NE(sharded, nullptr);
+    EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());
+
+    std::vector<shard::EdgeEdit> edits;
+    for (const HEdge& e : gg.graph.edges()) {
+      if (edits.size() == 6) break;
+      edits.push_back(shard::EdgeEdit::Delete(e.att[0], e.att[1]));
+    }
+    edits.push_back(shard::EdgeEdit::Add(1, 2));
+    edits.push_back(shard::EdgeEdit::Add(3, 70));
+    ASSERT_TRUE(sharded->ApplyEdits(edits).ok());
+    ASSERT_TRUE(sharded->FoldOverlay().ok());
+    ASSERT_GT(sharded->query_stats().shard_folds, 0u);
+    EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());
+  }
 }
 
 TEST(ShardedV2ContainerTest, EveryTruncationFailsCleanly) {
@@ -260,11 +289,11 @@ TEST(ShardedV2ContainerTest, EveryTruncationFailsCleanly) {
 }
 
 TEST(ShardedV2ContainerTest, EveryBitFlipFailsClosed) {
-  // Stronger than the v1 sweep: v2 carries payload and directory
-  // checksums, so EVERY single-byte corruption must surface as a
-  // clean error — at open time for directory/trailer flips, at fault
-  // time (first decompression/query) for payload flips. Never a
-  // silently different answer.
+  // The container carries payload and directory checksums, so EVERY
+  // single-byte corruption must surface as a clean error — at open
+  // time for magic/directory/trailer flips, at fault time (first
+  // decompression/query) for payload flips. Never a silently
+  // different answer. ASan/UBSan verify the "no UB" half.
   GeneratedGraph gg = BarabasiAlbert(60, 2, 31);
   for (const char* strategy : {"edge-range", "bfs"}) {
     auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
@@ -276,7 +305,7 @@ TEST(ShardedV2ContainerTest, EveryBitFlipFailsClosed) {
     auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
     ASSERT_NE(sharded, nullptr);
     auto bytes = sharded->SerializeV2();
-    for (size_t off = 8; off < bytes.size(); ++off) {
+    for (size_t off = 0; off < bytes.size(); ++off) {
       auto bad = bytes;
       bad[off] ^= 0xFF;
       auto back = codec->Deserialize(bad);
@@ -295,23 +324,40 @@ TEST(ShardedContainerTest, WrongInnerCodecIsRejected) {
   // A sharded:k2 container fed to sharded:grepair must be refused,
   // not misparsed.
   auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
-  auto rep = codec->Deserialize(GoldenSharded());
+  auto rep = codec->Deserialize(GoldenShardedV2());
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedContainerTest, EveryTruncationFailsCleanly) {
-  auto good = GoldenSharded();
-  for (size_t len = 0; len < good.size(); ++len) {
-    std::vector<uint8_t> cut(good.begin(), good.begin() + len);
-    auto rep = shard::ShardedRep::Deserialize(cut);
-    EXPECT_FALSE(rep.ok()) << "truncation to " << len
-                           << " bytes parsed successfully";
-  }
-  // Trailing garbage is also an error, not silently ignored.
-  auto extended = good;
-  extended.push_back(0x00);
-  EXPECT_FALSE(shard::ShardedRep::Deserialize(extended).ok());
+// A GRSHARD2 container around hand-built directory bytes (no
+// payloads): magic, directory at offset 8, checksummed trailer.
+std::vector<uint8_t> ContainerAround(const std::vector<uint8_t>& dir) {
+  std::vector<uint8_t> bytes(shard::kShardContainerMagicV2,
+                             shard::kShardContainerMagicV2 + 8);
+  bytes.insert(bytes.end(), dir.begin(), dir.end());
+  PutU64LE(8, &bytes);
+  PutU64LE(dir.size(), &bytes);
+  PutU64LE(HashBytes(dir.data(), dir.size()), &bytes);
+  return bytes;
+}
+
+// Directory head (inner name, node count, shard count) followed by
+// one edgeless row whose node map claims `map_count` ids in `map`.
+std::vector<uint8_t> OneRowDirectory(const std::string& inner,
+                                     uint64_t num_nodes, uint64_t map_count,
+                                     const std::vector<uint8_t>& map) {
+  std::vector<uint8_t> dir;
+  dir.push_back(static_cast<uint8_t>(inner.size()));
+  dir.insert(dir.end(), inner.begin(), inner.end());
+  PutU64LE(num_nodes, &dir);
+  PutU32LE(1, &dir);  // one shard
+  PutU64LE(0, &dir);  // payload offset
+  PutU64LE(0, &dir);  // payload length: edgeless
+  PutU64LE(0, &dir);  // payload checksum
+  PutU64LE(map_count, &dir);
+  PutU32LE(static_cast<uint32_t>(map.size()), &dir);
+  dir.insert(dir.end(), map.begin(), map.end());
+  return dir;
 }
 
 TEST(ShardedContainerTest, HugeClaimedNodeMapRejectedWithoutAllocating) {
@@ -321,14 +367,9 @@ TEST(ShardedContainerTest, HugeClaimedNodeMapRejectedWithoutAllocating) {
   // flips cannot produce this state (two fields must be large
   // together), so the flip sweep missed it; counts must be bounded by
   // the remaining input size instead.
-  std::vector<uint8_t> bytes(shard::kShardContainerMagic,
-                             shard::kShardContainerMagic + 8);
-  bytes.push_back(2);  // inner name "k2"
-  bytes.push_back('k');
-  bytes.push_back('2');
-  PutU64LE(0xFFFFFFFFull, &bytes);  // huge but "valid" num_nodes
-  PutU32LE(1, &bytes);              // one shard
-  PutU64LE(0xFFFFFFFFull, &bytes);  // huge node-map count
+  auto bytes = ContainerAround(
+      OneRowDirectory("k2", /*num_nodes=*/0xFFFFFFFFull,
+                      /*map_count=*/0xFFFFFFFFull, /*map=*/{}));
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
@@ -340,15 +381,7 @@ TEST(ShardedContainerTest, NestedShardedInnerNameRejected) {
   // so a deeply nested crafted file was a stack overflow instead of a
   // Status. Compression never nests containers, so parsing rejects
   // them outright.
-  std::vector<uint8_t> bytes(shard::kShardContainerMagic,
-                             shard::kShardContainerMagic + 8);
-  const std::string inner = "sharded:k2";
-  bytes.push_back(static_cast<uint8_t>(inner.size()));
-  bytes.insert(bytes.end(), inner.begin(), inner.end());
-  PutU64LE(6, &bytes);  // num_nodes
-  PutU32LE(1, &bytes);  // one shard
-  PutU64LE(0, &bytes);  // empty node map
-  PutU64LE(0, &bytes);  // empty payload
+  auto bytes = ContainerAround(OneRowDirectory("sharded:k2", 6, 0, {}));
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
@@ -361,50 +394,15 @@ TEST(ShardedContainerTest, WrappingNodeMapGapRejected) {
   // num_nodes] and smuggled in an UNSORTED map ([2, 1]) that binary
   // search cannot query — Decompress showed edges that OutNeighbors
   // denied. Gaps must be range-checked before the addition.
-  std::vector<uint8_t> bytes(shard::kShardContainerMagic,
-                             shard::kShardContainerMagic + 8);
-  bytes.push_back(2);  // inner name "k2"
-  bytes.push_back('k');
-  bytes.push_back('2');
-  PutU64LE(6, &bytes);  // num_nodes
-  PutU32LE(1, &bytes);  // one shard
-  PutU64LE(2, &bytes);  // node-map count 2
   BitWriter w;
   EliasDeltaEncode(3, &w);              // first id: shifted = 3
   EliasDeltaEncode(~0ull, &w);          // gap 2^64-1: wraps to shifted = 2
   w.AlignToByte();
-  auto map_bits = w.TakeBytes();
-  bytes.insert(bytes.end(), map_bits.begin(), map_bits.end());
-  PutU64LE(0, &bytes);  // empty payload
+  auto bytes = ContainerAround(
+      OneRowDirectory("k2", 6, /*map_count=*/2, w.TakeBytes()));
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
-}
-
-TEST(ShardedContainerTest, EveryBitFlipFailsCleanlyOrStaysConsistent) {
-  // Flip each byte of a larger container (both strategies); the
-  // result must be a clean Status or a rep whose queries and
-  // decompression do not crash. ASan/UBSan verify the "no UB" half.
-  GeneratedGraph gg = BarabasiAlbert(60, 2, 31);
-  for (const char* strategy : {"edge-range", "bfs"}) {
-    auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
-    api::CodecOptions options;
-    options.Set("shards", "3");
-    options.Set("strategy", strategy);
-    auto rep = codec->Compress(gg.graph, gg.alphabet, options);
-    ASSERT_TRUE(rep.ok());
-    auto bytes = rep.value()->Serialize();
-    for (size_t off = 0; off < bytes.size(); ++off) {
-      auto bad = bytes;
-      bad[off] ^= 0xFF;
-      auto back = codec->Deserialize(bad);
-      if (!back.ok()) continue;
-      auto graph = back.value()->Decompress();  // must not crash
-      (void)graph;
-      auto neighbors = back.value()->OutNeighbors(0);  // must not crash
-      (void)neighbors;
-    }
-  }
 }
 
 // RAII guard so a failing differential cannot leave the scalar switch
@@ -426,7 +424,6 @@ TEST(GoldenDifferentialTest, FixturesDecodeIdenticallyUnderScalarOracle) {
     std::vector<uint8_t> bytes;
   };
   const std::vector<Fixture> fixtures = {
-      {"sharded:k2", GoldenSharded()},
       {"sharded:k2", GoldenShardedV2()},
   };
   for (const auto& fixture : fixtures) {

@@ -586,25 +586,41 @@ TEST(DynamicCorpusTest, AtomicWritesLeaveNoTornOrStrayFiles) {
   EXPECT_EQ(ReadFileBytes(target).ValueOrDie(), old_bytes);
 }
 
-// A v1 (eager) container has no directory checksum, so it can neither
-// anchor nor accept deltas — both directions must reject, not corrupt.
-TEST(DynamicCorpusTest, EagerContainersRejectDeltas) {
+// A freshly compressed rep is the rep its own GRSHARD2 bytes open to:
+// it anchors deltas by the same directory checksum, builds the same
+// delta for the same edits, and still refuses a delta bound to another
+// base.
+TEST(DynamicCorpusTest, CompressedRepAnchorsDeltasLikeItsBytes) {
   GeneratedGraph gg = BarabasiAlbert(50, 3, 43);
   auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
   options.Set("shards", "2");
   auto rep = codec->Compress(gg.graph, gg.alphabet, options);
   ASSERT_TRUE(rep.ok());
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-  // A freshly compressed rep was never opened from a v2 container.
-  EXPECT_EQ(sharded->directory_checksum(), 0u);
-  EXPECT_EQ(sharded->BuildDelta(1, 2).status().code(),
-            StatusCode::kInvalidArgument);
-  shard::DeltaContainer delta;
-  delta.base_dir_checksum = 12345;
-  delta.num_nodes = gg.graph.num_nodes();
-  EXPECT_EQ(sharded->ApplyDelta(delta).code(),
-            StatusCode::kInvalidArgument);
+  auto* compressed = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+  auto opened = shard::ShardedRep::Deserialize(compressed->SerializeV2());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_NE(compressed->directory_checksum(), 0u);
+  EXPECT_EQ(compressed->directory_checksum(),
+            opened.value()->directory_checksum());
+
+  std::vector<EdgeEdit> edits = {EdgeEdit::Add(0, 49), EdgeEdit::Add(7, 3),
+                                 EdgeEdit::Delete(1, 0)};
+  for (shard::ShardedRep* r : {compressed, opened.value().get()}) {
+    ASSERT_TRUE(r->ApplyEdits(edits).ok());
+    ASSERT_TRUE(r->FoldOverlay().ok());
+  }
+  auto from_compressed = compressed->BuildDelta(1, 2);
+  auto from_opened = opened.value()->BuildDelta(1, 2);
+  ASSERT_TRUE(from_compressed.ok()) << from_compressed.status().ToString();
+  ASSERT_TRUE(from_opened.ok()) << from_opened.status().ToString();
+  EXPECT_EQ(shard::EncodeDeltaContainer(from_compressed.value()),
+            shard::EncodeDeltaContainer(from_opened.value()));
+
+  shard::DeltaContainer foreign;
+  foreign.base_dir_checksum = compressed->directory_checksum() ^ 1;
+  foreign.num_nodes = gg.graph.num_nodes();
+  EXPECT_EQ(compressed->ApplyDelta(foreign).code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -63,12 +63,12 @@ std::string TempPath(const std::string& name) {
 }
 
 TEST(LazyOpenTest, QueryingOneNodeFaultsExactlyOneShard) {
-  auto eager = CompressTwoClique();
-  auto v2 = AsSharded(eager.get())->SerializeV2();
+  auto compressed = CompressTwoClique();
+  auto v2 = AsSharded(compressed.get())->SerializeV2();
 
   auto rep = shard::ShardedRep::Deserialize(v2);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  ASSERT_TRUE(rep.value()->is_lazy());
+  EXPECT_STREQ(rep.value()->source_kind(), "local-heap");
   EXPECT_EQ(rep.value()->query_stats().shard_faults, 0u);
 
   // Node 0 lives only in shard 0: exactly one fault.
@@ -91,9 +91,9 @@ TEST(LazyOpenTest, QueryingOneNodeFaultsExactlyOneShard) {
 }
 
 TEST(LazyOpenTest, MmapOpenFaultsLazilyThroughTheCodecApi) {
-  auto eager = CompressTwoClique();
-  auto wrapped = api::WrapCodecPayload("sharded:grepair",
-                                       AsSharded(eager.get())->SerializeV2());
+  auto compressed = CompressTwoClique();
+  auto wrapped = api::WrapCodecPayload(
+      "sharded:grepair", AsSharded(compressed.get())->SerializeV2());
   std::string path = TempPath("open.bin");
   ASSERT_TRUE(WriteFileBytes(path, wrapped).ok());
 
@@ -101,8 +101,7 @@ TEST(LazyOpenTest, MmapOpenFaultsLazilyThroughTheCodecApi) {
   auto rep = api::OpenCompressedFile(path, &backend);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_EQ(backend, "sharded:grepair");
-  auto* sharded = AsSharded(rep.value().get());
-  ASSERT_TRUE(sharded->is_lazy());
+  ASSERT_NE(AsSharded(rep.value().get()), nullptr);
 
   auto out = rep.value()->OutNeighbors(5);
   ASSERT_TRUE(out.ok());
@@ -123,50 +122,50 @@ TEST(LazyOpenTest, MmapOpenFaultsLazilyThroughTheCodecApi) {
   std::remove(path.c_str());
 }
 
-TEST(LazyOpenTest, V1AndV2AnswersAndSerializationAgree) {
+TEST(LazyOpenTest, CompressedAndReopenedRepsAgree) {
   GeneratedGraph gg = BarabasiAlbert(80, 3, 7);
   auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
   options.Set("shards", "3");
-  auto eager = codec->Compress(gg.graph, gg.alphabet, options);
-  ASSERT_TRUE(eager.ok());
-  auto* eager_sharded = AsSharded(eager.value().get());
+  auto compressed = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(compressed.ok());
+  auto* compressed_sharded = AsSharded(compressed.value().get());
 
-  auto lazy = shard::ShardedRep::Deserialize(eager_sharded->SerializeV2());
+  auto lazy = shard::ShardedRep::Deserialize(compressed_sharded->SerializeV2());
   ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
 
-  // Serialize() of the lazy rep is the byte-stable v1 form — without
-  // faulting a single shard.
-  EXPECT_EQ(lazy.value()->Serialize(), eager_sharded->Serialize());
+  // Both serialize to the same GRSHARD2 bytes — without faulting a
+  // single shard.
+  EXPECT_EQ(lazy.value()->Serialize(), compressed_sharded->Serialize());
   EXPECT_EQ(lazy.value()->query_stats().shard_faults, 0u);
-  EXPECT_EQ(lazy.value()->ByteSize(), eager_sharded->ByteSize());
+  EXPECT_EQ(lazy.value()->ByteSize(), compressed_sharded->ByteSize());
 
   for (uint64_t v = 0; v < gg.graph.num_nodes(); ++v) {
-    auto a = eager.value()->OutNeighbors(v);
+    auto a = compressed.value()->OutNeighbors(v);
     auto b = lazy.value()->OutNeighbors(v);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a.value(), b.value()) << "node " << v;
-    auto ai = eager.value()->InNeighbors(v);
+    auto ai = compressed.value()->InNeighbors(v);
     auto bi = lazy.value()->InNeighbors(v);
     ASSERT_TRUE(ai.ok() && bi.ok());
     EXPECT_EQ(ai.value(), bi.value()) << "node " << v;
   }
-  auto ga = eager.value()->Decompress();
+  auto ga = compressed.value()->Decompress();
   auto gb = lazy.value()->Decompress();
   ASSERT_TRUE(ga.ok() && gb.ok());
   EXPECT_TRUE(ga.value().EqualUpToEdgeOrder(gb.value()));
 }
 
 TEST(LazyOpenTest, EvictionThenRefaultIsByteIdentical) {
-  auto eager = CompressTwoClique();
+  auto compressed = CompressTwoClique();
   auto rep = shard::ShardedRep::Deserialize(
-      AsSharded(eager.get())->SerializeV2());
+      AsSharded(compressed.get())->SerializeV2());
   ASSERT_TRUE(rep.ok());
 
-  // Ground truth from the eager rep with caching disabled.
+  // Ground truth from the compressed rep.
   std::vector<std::vector<uint64_t>> truth(8);
   for (uint64_t v = 0; v < 8; ++v) {
-    auto r = eager->OutNeighbors(v);
+    auto r = compressed->OutNeighbors(v);
     ASSERT_TRUE(r.ok());
     truth[v] = r.value();
   }
@@ -189,8 +188,8 @@ TEST(LazyOpenTest, EvictionThenRefaultIsByteIdentical) {
 }
 
 TEST(LazyOpenTest, PayloadCorruptionFailsClosedAtFaultTime) {
-  auto eager = CompressTwoClique();
-  auto v2 = AsSharded(eager.get())->SerializeV2();
+  auto compressed = CompressTwoClique();
+  auto v2 = AsSharded(compressed.get())->SerializeV2();
   auto info = shard::ShardedRep::Inspect(SpanOf(v2));
   ASSERT_TRUE(info.ok());
   // Corrupt one byte inside shard 0's payload: the open (directory
@@ -211,9 +210,9 @@ TEST(LazyOpenTest, PayloadCorruptionFailsClosedAtFaultTime) {
 }
 
 TEST(LazyOpenTest, PrefetchWarmsShardsAheadOfQueries) {
-  auto eager = CompressTwoClique();
+  auto compressed = CompressTwoClique();
   auto rep = shard::ShardedRep::Deserialize(
-      AsSharded(eager.get())->SerializeV2());
+      AsSharded(compressed.get())->SerializeV2());
   ASSERT_TRUE(rep.ok());
 
   rep.value()->set_prefetch_threads(2);
@@ -232,9 +231,9 @@ TEST(LazyOpenTest, PrefetchWarmsShardsAheadOfQueries) {
 }
 
 TEST(LazyOpenTest, PrefetchOverMmapHintsReadaheadBytes) {
-  auto eager = CompressTwoClique();
-  auto wrapped = api::WrapCodecPayload("sharded:grepair",
-                                       AsSharded(eager.get())->SerializeV2());
+  auto compressed = CompressTwoClique();
+  auto wrapped = api::WrapCodecPayload(
+      "sharded:grepair", AsSharded(compressed.get())->SerializeV2());
   std::string path = TempPath("hints.bin");
   ASSERT_TRUE(WriteFileBytes(path, wrapped).ok());
 
@@ -270,18 +269,18 @@ TEST(LazyOpenTest, ConcurrentQueriersAndPrefetchersAreRaceFree) {
   auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
   options.Set("shards", "4");
-  auto eager = codec->Compress(gg.graph, gg.alphabet, options);
-  ASSERT_TRUE(eager.ok());
-  auto* eager_sharded = AsSharded(eager.value().get());
+  auto compressed = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(compressed.ok());
+  auto* compressed_sharded = AsSharded(compressed.value().get());
 
   std::vector<std::vector<uint64_t>> truth(gg.graph.num_nodes());
   for (uint64_t v = 0; v < gg.graph.num_nodes(); ++v) {
-    auto r = eager.value()->OutNeighbors(v);
+    auto r = compressed.value()->OutNeighbors(v);
     ASSERT_TRUE(r.ok());
     truth[v] = r.value();
   }
 
-  auto lazy = shard::ShardedRep::Deserialize(eager_sharded->SerializeV2());
+  auto lazy = shard::ShardedRep::Deserialize(compressed_sharded->SerializeV2());
   ASSERT_TRUE(lazy.ok());
   lazy.value()->set_query_threads(4);
   lazy.value()->set_prefetch_threads(2);

@@ -86,7 +86,7 @@ TEST(ParallelCompressorTest, EmptyShardsCompressToEmptyPayloads) {
   EXPECT_EQ(sharded->num_shards(), 65u);
   size_t empty = 0;
   for (size_t i = 0; i < sharded->num_shards(); ++i) {
-    if (sharded->entry(i).payload.empty()) ++empty;
+    if (!sharded->entry(i).has_payload()) ++empty;
   }
   EXPECT_GE(empty, 60u);
 

@@ -1,6 +1,6 @@
 // The placement layer end to end: RankByHeat's deterministic ordering,
-// the `.grdir` sidecar envelope (v2 with histogram + epoch, v1
-// back-compat, fail-closed on damage), the server-side
+// the `.grdir` sidecar envelope (v2 with histogram + epoch, fail-closed
+// on damage and on the retired v1 envelope), the server-side
 // PlacementController's budgeted pin set and its STATS-visible flags,
 // ShardedRep::ApplyPlacement on a real mmap-backed container, the
 // STATS body round-trip carrying epoch + pinned flags, and the sidecar
@@ -113,10 +113,10 @@ TEST(PlacementTest, DirSidecarV2RoundTripAndFailClosed) {
   EXPECT_FALSE(serve::LoadDirSidecar(path).ok());
 }
 
-TEST(PlacementTest, DirSidecarV1LoadsWithEmptyHistogram) {
+TEST(PlacementTest, DirSidecarV1FailsClosed) {
   ScratchDir scratch("sidecar_v1");
-  // Hand-build the v1 envelope (directory only) the pre-histogram
-  // code wrote: the loader must keep accepting it.
+  // Hand-build the retired v1 envelope (directory only, correctly
+  // checksummed): the loader must refuse it, never load it.
   std::vector<uint8_t> raw = {9, 8, 7, 6};
   std::vector<uint8_t> body;
   PutU32LE(0x43445247, &body);  // "GRDC"
@@ -129,11 +129,8 @@ TEST(PlacementTest, DirSidecarV1LoadsWithEmptyHistogram) {
   ASSERT_TRUE(WriteFileBytes(path, body).ok());
 
   auto loaded = serve::LoadDirSidecar(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().dir_off, 777u);
-  EXPECT_EQ(loaded.value().raw_directory, raw);
-  EXPECT_EQ(loaded.value().histogram_epoch, 0u);
-  EXPECT_TRUE(loaded.value().histogram.empty());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
 TEST(PlacementTest, ControllerPinsHotFirstUnderBudgetDeterministically) {

@@ -131,7 +131,8 @@ TEST(RemoteShardTest, RemoteSerializeMatchesLocalByteForByte) {
   auto remote = serve::OpenRemoteContainer(served.host_port());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   // Remote Serialize fetches every payload across the wire and must
-  // reproduce the byte-stable v1 form exactly.
+  // reproduce the served GRSHARD2 bytes exactly.
+  EXPECT_EQ(remote.value()->Serialize(), served.bytes);
   EXPECT_EQ(remote.value()->Serialize(), local.value()->Serialize());
   EXPECT_EQ(remote.value()->ByteSize(), local.value()->ByteSize());
 }
@@ -273,11 +274,10 @@ TEST(RemoteShardTest, ApiOpenRemoteEntryPoint) {
     auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
     ASSERT_NE(sharded, nullptr);
     EXPECT_STREQ(sharded->source_kind(), "remote");
-    EXPECT_TRUE(sharded->is_lazy());
   }
 }
 
-TEST(RemoteShardTest, ServingRefusesV1AndNonShardedPayloads) {
+TEST(RemoteShardTest, ServingRefusesOtherVersionsAndNonShardedPayloads) {
   GeneratedGraph gg = BarabasiAlbert(40, 3, 43);
   auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
@@ -285,12 +285,20 @@ TEST(RemoteShardTest, ServingRefusesV1AndNonShardedPayloads) {
   auto rep = codec->Compress(gg.graph, gg.alphabet, options);
   ASSERT_TRUE(rep.ok());
 
-  auto v1 = rep.value()->Serialize();  // GRSHARD1: no directory
+  auto other_version = rep.value()->Serialize();
+  other_version[7] = '1';  // "GRSHARD1": not a servable container
   serve::CorpusRegistry registry;
-  Status v1_added = registry.AddBytes("g", SpanOf(v1));
-  ASSERT_FALSE(v1_added.ok());
-  EXPECT_EQ(v1_added.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(v1_added.message().find("v2"), std::string::npos);
+  Status refused = registry.AddBytes("g", SpanOf(other_version));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("GRSHARD2"), std::string::npos);
+
+  auto plain = api::CodecRegistry::Create("grepair").ValueOrDie();
+  auto plain_rep = plain->Compress(gg.graph, gg.alphabet);
+  ASSERT_TRUE(plain_rep.ok());
+  auto plain_bytes = plain_rep.value()->Serialize();
+  EXPECT_EQ(registry.AddBytes("plain", SpanOf(plain_bytes)).code(),
+            StatusCode::kInvalidArgument);
 
   std::vector<uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF};
   EXPECT_FALSE(registry.AddBytes("bad", SpanOf(garbage)).ok());

@@ -3,7 +3,7 @@
 // Usage:
 //   grepair compress <in.graph> <out> [--backend NAME]
 //           [--options k=v,...] [--shards K] [--threads T]
-//           [--strategy edge-range|bfs] [--container v1|v2]
+//           [--strategy edge-range|bfs]
 //           [--order KIND] [--max-rank N]
 //           [--no-prune] [--no-virtual] [--mapping out.map]
 //   grepair decompress <in> <out.graph> [--mapping in.map] [--threads T]
@@ -53,10 +53,9 @@
 // the end.
 //
 // Zero-copy storage: every compressed file is opened via mmap, and
-// sharded backends write the GRSHARD2 footer-directory container by
-// default (`--container v1` forces the legacy eager layout), so
-// `decompress`/`query` on a v2 container materialize only the shards
-// they touch. `info` prints a container's directory — backend, shard
+// sharded backends write the GRSHARD2 footer-directory container, so
+// `decompress`/`query` materialize only the shards they touch. `info`
+// prints a container's directory — backend, shard
 // offsets/lengths/checksums — without decoding a single shard.
 //
 // Versioned corpora: `append` replays a text edit stream (`a u v
@@ -123,7 +122,7 @@ int Usage() {
       "usage: grepair <command> ...\n"
       "  compress <in.graph> <out> [--backend %s]\n"
       "           [--options k=v,...] [--shards K] [--threads T]\n"
-      "           [--strategy edge-range|bfs] [--container v1|v2]\n"
+      "           [--strategy edge-range|bfs]\n"
       "           [--order natural|bfs|dfs|random|"
       "fp0|fp] [--max-rank N]\n"
       "           [--no-prune] [--no-virtual] [--mapping out.map]\n"
@@ -251,7 +250,6 @@ bool ApplyShardFlags(const ShardFlags& flags, std::string* backend,
 
 int CompressWithBackend(std::string backend, const std::string& option_spec,
                         const ShardFlags& shard_flags,
-                        const std::string& container_version,
                         const char* in_path, const char* out_path) {
   auto loaded = LoadGraphText(in_path);
   if (!loaded.ok()) {
@@ -276,25 +274,13 @@ int CompressWithBackend(std::string backend, const std::string& option_spec,
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
   }
-  // Sharded backends default to the GRSHARD2 footer container so the
-  // file opens lazily; --container v1 forces the legacy eager layout.
-  // Single-shard codecs only have one serialized form.
-  std::vector<uint8_t> payload;
-  const char* layout = "";
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-  if (sharded != nullptr && container_version != "v1") {
-    payload = sharded->SerializeV2();
-    layout = ", GRSHARD2 lazy container";
-  } else {
-    if (sharded == nullptr && !container_version.empty()) {
-      std::fprintf(stderr,
-                   "note: --container only affects sharded backends; "
-                   "'%s' has a single serialized form\n",
-                   backend.c_str());
-    }
-    payload = rep.value()->Serialize();
-  }
-  auto bytes = api::WrapCodecPayload(backend, payload);
+  // Sharded backends serialize to the GRSHARD2 footer container, so
+  // the file opens lazily.
+  const char* layout =
+      dynamic_cast<shard::ShardedRep*>(rep.value().get()) != nullptr
+          ? ", GRSHARD2 lazy container"
+          : "";
+  auto bytes = api::WrapCodecPayload(backend, rep.value()->Serialize());
   if (!WriteBytes(out_path, bytes)) return 1;
   std::printf("[%s] %u edges -> %zu bytes on disk (%.3f bpe as measured "
               "by the bench tables%s)\n",
@@ -312,7 +298,6 @@ int CmdCompress(int argc, char** argv) {
   std::string mapping_path;
   std::string backend;
   std::string option_spec;
-  std::string container_version;
   ShardFlags shard_flags;
   bool legacy_flags = false;
   for (int i = 4; i < argc; ++i) {
@@ -321,13 +306,6 @@ int CmdCompress(int argc, char** argv) {
       backend = argv[++i];
     } else if (arg == "--options" && i + 1 < argc) {
       option_spec = argv[++i];
-    } else if (arg == "--container" && i + 1 < argc) {
-      container_version = argv[++i];
-      if (container_version != "v1" && container_version != "v2") {
-        std::fprintf(stderr, "--container expects v1 or v2, got '%s'\n",
-                     container_version.c_str());
-        return 2;
-      }
     } else if (ShardFlagParse m =
                    MatchShardFlag(arg, argc, argv, &i, &shard_flags);
                m != ShardFlagParse::kNoMatch) {
@@ -373,14 +351,8 @@ int CmdCompress(int argc, char** argv) {
                    "virtual=false)\n");
       return 2;
     }
-    return CompressWithBackend(backend, option_spec, shard_flags,
-                               container_version, argv[2], argv[3]);
-  }
-  if (!container_version.empty()) {
-    std::fprintf(stderr,
-                 "--container requires --backend (the legacy path writes "
-                 "raw .grg grammars)\n");
-    return 2;
+    return CompressWithBackend(backend, option_spec, shard_flags, argv[2],
+                               argv[3]);
   }
   if (!option_spec.empty()) {
     std::fprintf(stderr,
@@ -1383,7 +1355,7 @@ int CmdInfo(int argc, char** argv) {
   }
   bool sharded_magic =
       payload.size >= 7 &&
-      std::memcmp(payload.data, shard::kShardContainerMagic, 7) == 0;
+      std::memcmp(payload.data, shard::kShardContainerMagicV2, 7) == 0;
   if (!sharded_magic) {
     std::printf("payload: %s\n",
                 backend.empty() ? "raw .grg grammar (no directory)"
@@ -1396,8 +1368,8 @@ int CmdInfo(int argc, char** argv) {
                  info.status().ToString().c_str());
     return 1;
   }
-  std::printf("sharded container v%d: inner=%s nodes=%llu shards=%zu\n",
-              info.value().version, info.value().inner_name.c_str(),
+  std::printf("sharded container GRSHARD2: inner=%s nodes=%llu shards=%zu\n",
+              info.value().inner_name.c_str(),
               static_cast<unsigned long long>(info.value().num_nodes),
               info.value().shards.size());
   std::printf("%6s %10s %10s %18s %10s\n", "shard", "offset", "length",
