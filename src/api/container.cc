@@ -59,48 +59,49 @@ Status UnwrapCodecPayload(const std::vector<uint8_t>& bytes,
   return Status::OK();
 }
 
-Result<std::unique_ptr<CompressedRep>> OpenCompressedFile(
-    const std::string& path, std::string* backend_name) {
+Result<std::shared_ptr<MmapFile>> MapCodecFile(const std::string& path,
+                                               std::string* name,
+                                               ByteSpan* payload) {
   auto file = MmapFile::Open(path);
   if (!file.ok()) return file.status();
-  ByteSpan bytes = file.value()->span();
+  auto unwrap = UnwrapCodecPayloadView(file.value()->span(), name, payload);
+  if (unwrap.code() == StatusCode::kInvalidArgument) {
+    return Status::InvalidArgument(path +
+                                   " is not a backend-tagged container");
+  }
+  if (!unwrap.ok()) return Status::Corruption(path + ": " + unwrap.message());
+  return file;
+}
+
+Result<std::unique_ptr<CompressedRep>> OpenCompressedFile(
+    const std::string& path, std::string* backend_name) {
   std::string name;
   ByteSpan payload;
-  auto unwrap = UnwrapCodecPayloadView(bytes, &name, &payload);
-  if (!unwrap.ok()) {
-    if (unwrap.code() == StatusCode::kInvalidArgument) {
-      return Status::InvalidArgument(
-          path + " is not a backend-tagged container");
-    }
-    return Status::Corruption(path + ": " + unwrap.message());
-  }
+  auto file = MapCodecFile(path, &name, &payload);
+  if (!file.ok()) return file.status();
   auto codec = CodecRegistry::Create(name);
   if (!codec.ok()) return codec.status();
   if (backend_name != nullptr) *backend_name = name;
   return codec.value()->OpenPayload(std::move(file).ValueOrDie(), payload);
 }
 
-Result<std::unique_ptr<CompressedRep>> OpenVersioned(
-    const std::string& base_path,
-    const std::vector<std::string>& delta_paths,
-    std::string* backend_name) {
-  std::string name;
-  auto rep = OpenCompressedFile(base_path, &name);
-  if (!rep.ok()) return rep.status();
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+Status ApplyDeltaChain(CompressedRep* rep, const std::string& base_path,
+                       const std::vector<std::string>& delta_paths) {
+  if (delta_paths.empty()) return Status::OK();
+  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep);
   if (sharded == nullptr) {
     return Status::InvalidArgument(
-        base_path + " is not a sharded container; deltas need one");
+        "deltas need a sharded corpus; this one is not sharded");
   }
-  if (backend_name != nullptr) *backend_name = name;
-  if (delta_paths.empty()) return rep;
-
   // Lineage walk: delta[i] records the hash + size of the *entire*
   // previous file in the chain (the base for i == 0), so a swapped or
   // regenerated intermediate is caught before its payload is trusted.
+  // A served base has no local bytes to hash: its first link is
+  // anchored by the directory checksum ApplyDelta verifies.
+  bool anchored = !base_path.empty();
   uint64_t prev_hash = 0;
   uint64_t prev_size = 0;
-  {
+  if (anchored) {
     auto base_file = MmapFile::Open(base_path);
     if (!base_file.ok()) return base_file.status();
     ByteSpan span = base_file.value()->span();
@@ -113,8 +114,8 @@ Result<std::unique_ptr<CompressedRep>> OpenVersioned(
     ByteSpan span = file.value()->span();
     auto delta = shard::DecodeDeltaContainer(span, path);
     if (!delta.ok()) return delta.status();
-    if (delta.value().base_hash != prev_hash ||
-        delta.value().base_size != prev_size) {
+    if (anchored && (delta.value().base_hash != prev_hash ||
+                     delta.value().base_size != prev_size)) {
       return Status::Corruption(
           path + " does not continue this chain (expected predecessor " +
           HexU64(delta.value().base_hash) + "/" +
@@ -127,7 +128,25 @@ Result<std::unique_ptr<CompressedRep>> OpenVersioned(
     GREPAIR_RETURN_IF_ERROR(sharded->ApplyDelta(delta.value()));
     prev_hash = HashBytes(span.data, span.size);
     prev_size = span.size;
+    anchored = true;
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<CompressedRep>> OpenVersioned(
+    const std::string& base_path,
+    const std::vector<std::string>& delta_paths,
+    std::string* backend_name) {
+  std::string name;
+  auto rep = OpenCompressedFile(base_path, &name);
+  if (!rep.ok()) return rep.status();
+  if (dynamic_cast<shard::ShardedRep*>(rep.value().get()) == nullptr) {
+    return Status::InvalidArgument(
+        base_path + " is not a sharded container; deltas need one");
+  }
+  if (backend_name != nullptr) *backend_name = name;
+  GREPAIR_RETURN_IF_ERROR(
+      ApplyDeltaChain(rep.value().get(), base_path, delta_paths));
   return rep;
 }
 

@@ -3,8 +3,6 @@
 #include <cerrno>
 #include <cstdlib>
 
-#include "src/api/container.h"
-
 namespace grepair {
 namespace api {
 
@@ -136,25 +134,6 @@ Result<std::unique_ptr<CompressedRep>> GraphCodec::DeserializeSpan(
 Result<std::unique_ptr<CompressedRep>> GraphCodec::OpenPayload(
     std::shared_ptr<MmapFile> /*file*/, ByteSpan payload) const {
   return DeserializeSpan(payload);
-}
-
-Result<std::unique_ptr<CompressedRep>> GraphCodec::Open(
-    const std::string& path) const {
-  auto file = MmapFile::Open(path);
-  if (!file.ok()) return file.status();
-  ByteSpan bytes = file.value()->span();
-  ByteSpan payload = bytes;
-  if (IsCodecContainer(bytes)) {
-    std::string tagged_name;
-    GREPAIR_RETURN_IF_ERROR(
-        UnwrapCodecPayloadView(bytes, &tagged_name, &payload));
-    if (tagged_name != name()) {
-      return Status::InvalidArgument(
-          path + " was produced by codec '" + tagged_name + "', not '" +
-          name() + "'");
-    }
-  }
-  return OpenPayload(std::move(file).ValueOrDie(), payload);
 }
 
 }  // namespace api

@@ -119,11 +119,8 @@ struct QueryStats {
   uint64_t tier_cold_fetches = 0;   ///< shards faulted through to inner
   uint64_t tier_evictions = 0;      ///< cache files evicted by the budget
   uint64_t tier_corrupt_drops = 0;  ///< cache files failing verification
-  // Placement / batched-I/O counters (serve::PlacementController,
-  // util::IoEngine). shards_pinned / pinned_bytes are the *current*
-  // placement (like cache_bytes_used), not cumulative totals.
-  uint64_t shards_pinned = 0;     ///< shards under the pin budget now
-  uint64_t pinned_bytes = 0;      ///< payload bytes under the pin budget
+  // Batched-I/O and replica-affinity counters (util::IoEngine,
+  // serve::ReplicaShardSource).
   uint64_t uring_batches = 0;     ///< io_uring submission rounds issued
   uint64_t affinity_switches = 0; ///< shard fetches served off-affinity
   // Mutable-corpus counters (shard::DeltaOverlay + folding).
@@ -231,13 +228,6 @@ class GraphCodec {
   /// parses eagerly via DeserializeSpan.
   virtual Result<std::unique_ptr<CompressedRep>> OpenPayload(
       std::shared_ptr<MmapFile> file, ByteSpan payload) const;
-
-  /// \brief Opens an on-disk compressed file through this codec via
-  /// mmap: a backend-tagged "GRPCODEC" container must name this codec
-  /// (kInvalidArgument otherwise); any other file is treated as a bare
-  /// payload. Lazy-capable codecs materialize shards on first touch
-  /// instead of decoding the whole file here.
-  Result<std::unique_ptr<CompressedRep>> Open(const std::string& path) const;
 };
 
 }  // namespace api

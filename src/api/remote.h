@@ -18,50 +18,26 @@
 #ifndef GREPAIR_API_REMOTE_H_
 #define GREPAIR_API_REMOTE_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/api/graph_codec.h"
+#include "src/serve/pool.h"
 #include "src/util/status.h"
 
 namespace grepair {
 namespace api {
 
-/// \brief Knobs for OpenRemote. Defaults match a LAN frontend.
-struct RemoteOptions {
-  /// Bounds the connect and every shard fetch — a stalled or dead
-  /// server is a kUnavailable Status, never a hang.
-  int io_timeout_ms = 30000;
-  /// Connections in the multiplexed pool (clamped to [1, 64]).
-  int pool_size = 4;
-  /// When non-empty, shards are cached (checksummed, LRU) in this
-  /// local directory and served from it on later faults — including
-  /// after the server goes away.
-  std::string ssd_cache_dir;
-  /// Byte budget of the SSD cache.
-  uint64_t ssd_cache_bytes = 256ull << 20;
-  /// Additional "host:port" replicas serving the same corpus; shard
-  /// fetches are routed shard-id-mod-N with failover (the affinity
-  /// layer, see src/serve/pool.h).
-  std::vector<std::string> replicas;
-  /// Client-side pin budget (ShardedRep::ApplyPlacement); 0 = off.
-  uint64_t pin_bytes = 0;
-  /// Warm the tier and prefetch hot shards at open time from the best
-  /// available histogram (persisted sidecar or a fresh STATS call).
-  bool warm_from_histogram = true;
-};
+/// \brief Knobs for OpenRemote (timeouts, pool size, SSD tier,
+/// replicas, open-time warming); see serve::OpenOptions. Defaults
+/// match a LAN frontend.
+using RemoteOptions = serve::OpenOptions;
 
 /// \brief Opens the GRSHARD2 corpus served at "host:port[/corpus]".
-Result<std::unique_ptr<CompressedRep>> OpenRemote(
-    const std::string& target, const RemoteOptions& options);
-Result<std::unique_ptr<CompressedRep>> OpenRemote(
-    const std::string& target);
-
-/// \brief Back-compat convenience: timeout-only overload.
-Result<std::unique_ptr<CompressedRep>> OpenRemote(const std::string& target,
-                                                  int io_timeout_ms);
+inline Result<std::unique_ptr<CompressedRep>> OpenRemote(
+    const std::string& target, const RemoteOptions& options = {}) {
+  return serve::OpenRemoteContainer(target, options);
+}
 
 }  // namespace api
 }  // namespace grepair

@@ -169,4 +169,18 @@ Hypergraph BuildSimpleGraph(uint32_t num_nodes,
   return g;
 }
 
+Alphabet InferAlphabet(const Hypergraph& g) {
+  Label max_label = 0;
+  for (const HEdge& e : g.edges()) max_label = std::max(max_label, e.label);
+  std::vector<int> ranks(static_cast<size_t>(max_label) + 1, -1);
+  for (const HEdge& e : g.edges()) {
+    if (ranks[e.label] < 0) ranks[e.label] = e.rank();
+  }
+  Alphabet alphabet;
+  for (size_t l = 0; l < ranks.size(); ++l) {
+    alphabet.Add("l" + std::to_string(l), ranks[l] < 0 ? 2 : ranks[l]);
+  }
+  return alphabet;
+}
+
 }  // namespace grepair

@@ -181,6 +181,13 @@ class Hypergraph {
 Hypergraph BuildSimpleGraph(uint32_t num_nodes,
                             std::vector<std::array<uint32_t, 3>> triples);
 
+/// \brief Minimal alphabet covering the labels of `g`, for graphs
+/// whose alphabet was not stored (codec payloads carry no label names
+/// or ranks): labels 0..max named "l<id>", each ranked by the first
+/// edge that carries it. Unobserved labels get rank 2, and an edgeless
+/// graph gets a single rank-2 label.
+Alphabet InferAlphabet(const Hypergraph& g);
+
 }  // namespace grepair
 
 #endif  // GREPAIR_GRAPH_HYPERGRAPH_H_

@@ -680,8 +680,7 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
   // not shadow a rich persisted one.
   std::vector<uint64_t> histogram;
   uint64_t histogram_epoch = 0;
-  bool want_histogram =
-      options.warm_from_histogram || save_sidecar || options.pin_bytes > 0;
+  bool want_histogram = options.warm_from_histogram || save_sidecar;
   if (online && want_histogram) {
     auto stats = FetchServerStats(endpoints[0], options.io_timeout_ms);
     if (stats.ok()) {
@@ -720,20 +719,15 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
   auto rep = shard::ShardedRep::OpenFromSource(std::move(stack),
                                                std::move(dir));
   if (!rep.ok()) return rep.status();
-  if (!histogram.empty()) {
-    std::vector<size_t> ranked = RankByHeat(histogram);
-    if (options.warm_from_histogram && !ranked.empty()) {
-      // Open-time warming: fault the known-hot shards through the
-      // stack (SSD tier first, network behind it) on a small pool so
-      // the first real queries find them resident. Asynchronous — the
-      // open returns while the warm-up streams in; a later
-      // set_prefetch_threads joins this pool first.
-      rep.value()->set_prefetch_threads(4);
-      rep.value()->Prefetch(ranked);
-    }
-    if (options.pin_bytes > 0) {
-      (void)rep.value()->ApplyPlacement(ranked, options.pin_bytes);
-    }
+  std::vector<size_t> ranked = RankByHeat(histogram);
+  if (options.warm_from_histogram && !ranked.empty()) {
+    // Open-time warming: fault the known-hot shards through the stack
+    // (SSD tier first, network behind it) on a small pool so the first
+    // real queries find them resident. Asynchronous — the open returns
+    // while the warm-up streams in; a later set_prefetch_threads joins
+    // this pool first.
+    rep.value()->set_prefetch_threads(4);
+    rep.value()->Prefetch(ranked);
   }
   return std::unique_ptr<api::CompressedRep>(std::move(rep).ValueOrDie());
 }

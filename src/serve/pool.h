@@ -190,13 +190,20 @@ class RemoteShardSource : public shard::ShardSource {
 Status SplitTarget(const std::string& target, std::string* host_port,
                    std::string* corpus);
 
-/// \brief Everything api::OpenRemote needs to wire the tier together.
+/// \brief Everything api::OpenRemote needs to wire the tier together
+/// (api::RemoteOptions is this struct).
 struct OpenOptions {
+  /// Bounds the connect and every shard fetch — a stalled or dead
+  /// server is a kUnavailable Status, never a hang.
   int io_timeout_ms = 30000;
+  /// Connections in the multiplexed pool (clamped to [1, 64]).
   int pool_size = 4;
   /// When non-empty, a TieredShardSource backed by this directory is
-  /// stacked over the pool (see src/serve/tiered.h).
+  /// stacked over the pool (see src/serve/tiered.h): shards are cached
+  /// checksummed and served from it on later faults, including after
+  /// the server goes away.
   std::string ssd_cache_dir;
+  /// Byte budget of the SSD cache (LRU).
   uint64_t ssd_cache_bytes = 256ull << 20;
   /// Additional "host:port" replicas serving the same corpus. Shard
   /// fetches are routed by affinity (shard id mod replica count, the
@@ -204,11 +211,6 @@ struct OpenOptions {
   /// page cache sees a stable shard subset; an unreachable home
   /// replica fails over to the next (counted as an affinity switch).
   std::vector<std::string> replicas;
-  /// Client-side pin budget in bytes, applied to the opened rep via
-  /// ShardedRep::ApplyPlacement using the warm histogram. Only
-  /// sources holding local bytes can pin, so this matters for local
-  /// opens; remote stacks report zero pinned. 0 disables.
-  uint64_t pin_bytes = 0;
   /// Open-time warming: rank shards by the best histogram available
   /// (the persisted `.grdir` sidecar's, or a fresh STATS snapshot
   /// when the server is reachable) and prefetch the hot ones before

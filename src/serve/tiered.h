@@ -71,16 +71,6 @@ class TieredShardSource : public shard::ShardSource {
   uint64_t AdviseSequential() override { return inner_->AdviseSequential(); }
   uint64_t AdviseNormal() override { return inner_->AdviseNormal(); }
 
-  // Pinning is about bytes this stack holds locally: the tier's cache
-  // files are disk, not memory, so the calls forward to the inner
-  // source (a remote inner returns 0 — nothing pinnable client-side).
-  uint64_t PinShard(size_t shard) override {
-    return inner_->PinShard(shard);
-  }
-  uint64_t UnpinShard(size_t shard) override {
-    return inner_->UnpinShard(shard);
-  }
-
   /// \brief Batched warm-up of cached shards: every requested shard
   /// whose cache file is present is read end-to-end through the
   /// IoEngine (io_uring batches when available) so the page cache is

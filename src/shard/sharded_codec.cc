@@ -520,50 +520,6 @@ void ShardedRep::WaitForPrefetch() const {
   if (prefetcher_ != nullptr) prefetcher_->WaitIdle();
 }
 
-ShardedRep::PinOutcome ShardedRep::ApplyPlacement(
-    const std::vector<size_t>& ranked, uint64_t budget_bytes) const {
-  PinOutcome outcome;
-  MutexLock lock(pin_mutex_);
-  if (pinned_flags_.size() != entries_.size()) {
-    pinned_flags_.assign(entries_.size(), 0);
-  }
-  // Plan: walk hot-first, take every shard whose payload still fits
-  // the remaining budget (greedy fill — a large lukewarm shard does
-  // not block smaller hot ones behind it). Deterministic for a given
-  // ranking, so repeated refreshes with an unchanged histogram are
-  // no-ops.
-  std::vector<uint8_t> want(entries_.size(), 0);
-  uint64_t planned = 0;
-  for (size_t s : ranked) {
-    if (s >= entries_.size() || want[s]) continue;
-    uint64_t len = entries_[s].length;
-    if (len == 0 || planned + len > budget_bytes) continue;
-    want[s] = 1;
-    planned += len;
-  }
-  // Unpin fallen-out shards before pinning newcomers so the transient
-  // locked footprint never exceeds the budget.
-  for (size_t s = 0; s < entries_.size(); ++s) {
-    if (pinned_flags_[s] && !want[s]) {
-      (void)source_->UnpinShard(s);
-      pinned_flags_[s] = 0;
-    }
-  }
-  for (size_t s = 0; s < entries_.size(); ++s) {
-    if (!want[s]) continue;
-    uint64_t covered =
-        pinned_flags_[s] ? entries_[s].length : source_->PinShard(s);
-    if (covered == 0) continue;  // source holds no local bytes (remote)
-    pinned_flags_[s] = 1;
-    outcome.shards_pinned += 1;
-    outcome.pinned_bytes += covered;
-  }
-  stat_shards_pinned_.store(outcome.shards_pinned,
-                            std::memory_order_relaxed);
-  stat_pinned_bytes_.store(outcome.pinned_bytes, std::memory_order_relaxed);
-  return outcome;
-}
-
 bool ShardedRep::ShardResident(size_t i) const {
   if (!entries_[i].has_payload()) return true;  // nothing to fault
   return lazy_published_[i].load(std::memory_order_acquire) != nullptr;
@@ -1258,8 +1214,6 @@ api::QueryStats ShardedRep::query_stats() const {
       stat_prefetched_.load(std::memory_order_relaxed);
   stats.bytes_hinted = stat_hinted_.load(std::memory_order_relaxed);
   stats.uring_batches = stat_uring_batches_.load(std::memory_order_relaxed);
-  stats.shards_pinned = stat_shards_pinned_.load(std::memory_order_relaxed);
-  stats.pinned_bytes = stat_pinned_bytes_.load(std::memory_order_relaxed);
   // Network/pool/tier counters live with the source stack: the rep
   // cannot tell an SSD-warm hit from a WAN fetch, but the sources can.
   source_->AddStats(&stats);
@@ -1537,28 +1491,9 @@ Status ShardedRep::FoldOneShard(size_t shard,
     local.AddSimpleEdge(lu, lv, a.label);
   }
 
-  // Synthesize the alphabet the recompression needs: ranks from the
-  // edges actually present (first observation wins; unobserved labels
-  // default to rank 2, matching simple-graph alphabets).
-  uint32_t max_label = 0;
-  for (const HEdge& e : local.edges()) {
-    max_label = std::max(max_label, e.label);
-  }
-  std::vector<int> ranks(static_cast<size_t>(max_label) + 1, 2);
-  std::vector<uint8_t> seen(static_cast<size_t>(max_label) + 1, 0);
-  for (const HEdge& e : local.edges()) {
-    if (!seen[e.label]) {
-      seen[e.label] = 1;
-      ranks[e.label] = static_cast<int>(e.att.size());
-    }
-  }
-  Alphabet alphabet;
-  for (size_t l = 0; l < ranks.size(); ++l) {
-    alphabet.Add("l" + std::to_string(l), ranks[l]);
-  }
-
-  auto compressed =
-      inner_codec_->Compress(local, alphabet, api::CodecOptions());
+  // The recompression needs an alphabet; the shard payload stores none.
+  auto compressed = inner_codec_->Compress(local, InferAlphabet(local),
+                                           api::CodecOptions());
   if (!compressed.ok()) return compressed.status();
   auto f = std::make_shared<FoldedShard>();
   f->rep = std::move(compressed).ValueOrDie();
@@ -1873,37 +1808,6 @@ class LocalShardSource : public ShardSource {
 
   uint64_t AdviseNormal() override {
     return file_ != nullptr ? file_->AdviseNormal() : 0;
-  }
-
-  // Pin coverage contract: a local source always *covers* the shard
-  // (the bytes are resident-by-construction or mapped), so the return
-  // is the payload length whenever the shard exists. The mlock
-  // underneath is best-effort — RLIMIT_MEMLOCK is tight in containers
-  // and a refused lock must not perturb placement decisions.
-  uint64_t PinShard(size_t shard) override {
-    if (shard >= payloads_.size()) return 0;
-    ByteSpan payload = payloads_[shard];
-    if (payload.size == 0) return 0;
-    if (MappedOffset(payload) >= 0) {
-      (void)file_->Pin(static_cast<size_t>(MappedOffset(payload)),
-                       payload.size);
-    } else {
-      (void)PinBytes(payload);
-    }
-    return payload.size;
-  }
-
-  uint64_t UnpinShard(size_t shard) override {
-    if (shard >= payloads_.size()) return 0;
-    ByteSpan payload = payloads_[shard];
-    if (payload.size == 0) return 0;
-    if (MappedOffset(payload) >= 0) {
-      (void)file_->Unpin(static_cast<size_t>(MappedOffset(payload)),
-                         payload.size);
-    } else {
-      (void)UnpinBytes(payload);
-    }
-    return payload.size;
   }
 
   // Batched fault warm-up: re-opens the backing file and reads every

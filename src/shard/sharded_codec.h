@@ -138,23 +138,6 @@ class ShardSource {
   /// covered.
   virtual uint64_t AdviseNormal() { return 0; }
 
-  /// \brief Pins shard `shard`'s payload resident (mlock on mapped
-  /// sources; layered sources forward to their inner). Returns the
-  /// bytes this pin reserves against a placement budget — 0 when the
-  /// source has no local bytes to pin (remote). The mlock itself is
-  /// best-effort (RLIMIT_MEMLOCK), so the return value is the
-  /// *coverage*, what budget accounting needs, not a lock guarantee.
-  virtual uint64_t PinShard(size_t shard) {
-    (void)shard;
-    return 0;
-  }
-
-  /// \brief Releases a PinShard; returns the bytes released.
-  virtual uint64_t UnpinShard(size_t shard) {
-    (void)shard;
-    return 0;
-  }
-
   /// \brief Batched warm-up of `shards`' payload bytes ahead of their
   /// faults: sources with a local backing file read every payload in
   /// one io_uring submission round (util::IoEngine), populating the
@@ -354,25 +337,6 @@ class ShardedRep : public api::CompressedRep {
   /// \brief Blocks until the prefetch queue is drained (test/bench
   /// hook; no-op without a pool).
   void WaitForPrefetch() const;
-
-  /// \brief What ApplyPlacement selected (surfaces in QueryStats as
-  /// shards_pinned / pinned_bytes).
-  struct PinOutcome {
-    uint64_t shards_pinned = 0;
-    uint64_t pinned_bytes = 0;
-  };
-
-  /// \brief Applies a placement: walks `ranked` (shard indices, hot
-  /// first — PlacementController::RankByHeat produces it from a hit
-  /// histogram) and pins each shard's payload through the source
-  /// while the cumulative payload bytes fit `budget_bytes`; shards
-  /// pinned by an earlier call that fell out of the new ranking are
-  /// unpinned. Idempotent, safe to call while queries run, byte
-  /// accounting is deterministic even where mlock itself is refused
-  /// (see ShardSource::PinShard). Out-of-range indices are ignored.
-  PinOutcome ApplyPlacement(const std::vector<size_t>& ranked,
-                            uint64_t budget_bytes) const
-      GREPAIR_LOCKS_EXCLUDED(pin_mutex_);
 
   // --- Mutable-corpus surface (delta overlays, folds, GRSHARD3) ---
 
@@ -633,8 +597,6 @@ class ShardedRep : public api::CompressedRep {
   mutable std::atomic<uint64_t> stat_prefetched_{0};
   mutable std::atomic<uint64_t> stat_hinted_{0};
   mutable std::atomic<uint64_t> stat_uring_batches_{0};
-  mutable std::atomic<uint64_t> stat_shards_pinned_{0};
-  mutable std::atomic<uint64_t> stat_pinned_bytes_{0};
 
   // Mutable-corpus state. Lock order: overlay_mu_ before cache_mutex_
   // (PublishFolds nests the cache invalidation inside the overlay
@@ -673,10 +635,6 @@ class ShardedRep : public api::CompressedRep {
   mutable std::atomic<uint64_t> stat_overlay_merges_{0};
   mutable std::atomic<uint64_t> stat_shard_folds_{0};
   mutable std::atomic<uint64_t> stat_folded_edits_{0};
-
-  // Current placement (ApplyPlacement diffs new rankings against it).
-  mutable Mutex pin_mutex_;
-  mutable std::vector<uint8_t> pinned_flags_ GREPAIR_GUARDED_BY(pin_mutex_);
 
   // Prefetch pool; guarded by prefetch_mutex_ (knob retunes race with
   // batch enqueues). Declared last so workers are joined before the

@@ -89,62 +89,10 @@ size_t MmapFile::AdviseNormal() const {
 namespace {
 
 #if GREPAIR_HAVE_MMAP
-// Shared page-alignment for the lock/unlock pair: both must cover the
-// exact same range or an munlock leaves stray locked pages behind.
-bool AlignedRange(const void* data, size_t size, size_t offset,
-                  size_t length, void** begin, size_t* span) {
-  if (data == nullptr || length == 0 || offset >= size) return false;
-  length = std::min(length, size - offset);
-  size_t page = PageSize();
-  size_t start = offset - offset % page;
-  size_t end = std::min(size, offset + length);
-  *begin = const_cast<char*>(static_cast<const char*>(data) + start);
-  *span = end - start;
-  return true;
-}
-#endif
-
-}  // namespace
-
-size_t MmapFile::Pin(size_t offset, size_t length) const {
-#if GREPAIR_HAVE_MMAP
-  void* begin = nullptr;
-  size_t span = 0;
-  if (!mapped_ ||
-      !AlignedRange(data_, size_, offset, length, &begin, &span)) {
-    return 0;
-  }
-  return mlock(begin, span) == 0 ? span : 0;
-#else
-  (void)offset;
-  (void)length;
-  return 0;
-#endif
-}
-
-size_t MmapFile::Unpin(size_t offset, size_t length) const {
-#if GREPAIR_HAVE_MMAP
-  void* begin = nullptr;
-  size_t span = 0;
-  if (!mapped_ ||
-      !AlignedRange(data_, size_, offset, length, &begin, &span)) {
-    return 0;
-  }
-  return munlock(begin, span) == 0 ? span : 0;
-#else
-  (void)offset;
-  (void)length;
-  return 0;
-#endif
-}
-
-namespace {
-
-#if GREPAIR_HAVE_MMAP
 // Unlike the MmapFile methods (whose base is page-aligned by mmap),
 // an arbitrary span's address must itself be aligned down; the same
-// widening is applied by Pin and Unpin so the two always cover the
-// identical page range.
+// widening is applied by PinBytes and UnpinBytes so the two always
+// cover the identical page range.
 void AlignedSpan(ByteSpan span, void** begin, size_t* bytes) {
   size_t page = PageSize();
   uintptr_t addr = reinterpret_cast<uintptr_t>(span.data);

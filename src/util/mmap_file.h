@@ -68,18 +68,6 @@ class MmapFile {
   /// faults want. Returns bytes covered, 0 when not mapped/refused.
   size_t AdviseNormal() const;
 
-  /// \brief mlock(2) over the page-aligned range covering
-  /// [offset, offset+length) — a placement controller pins hot shard
-  /// payloads resident with this. Returns the bytes actually locked
-  /// (0 on the heap fallback, an empty range, or a refused mlock —
-  /// RLIMIT_MEMLOCK is tight in containers, so pinning is best-effort
-  /// by design and callers account the *intent* separately).
-  size_t Pin(size_t offset, size_t length) const;
-
-  /// \brief munlock(2) over the same page-aligned range; returns the
-  /// bytes unlocked (0 when not mapped or refused).
-  size_t Unpin(size_t offset, size_t length) const;
-
  private:
   MmapFile() = default;
 

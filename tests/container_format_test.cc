@@ -130,8 +130,8 @@ TEST(TaggedContainerTest, GoldenBytesAreStable) {
 TEST(TaggedContainerTest, NonContainerAndTruncatedInputsFailCleanly) {
   std::string name;
   std::vector<uint8_t> payload;
-  // A raw .grg-style file (no magic) is InvalidArgument, so callers
-  // can fall through to the legacy format.
+  // Bytes without the magic are InvalidArgument (not a tagged
+  // container at all), distinct from a damaged frame.
   std::vector<uint8_t> raw = {0x01, 0x02, 0x03};
   EXPECT_FALSE(api::IsCodecContainer(raw));
   auto status = api::UnwrapCodecPayload(raw, &name, &payload);

@@ -11,7 +11,8 @@
 // and under 8 concurrent query threads, before and after folding the
 // overlay into the shard grammars. The GRSHARD3 chain tests prove a
 // written delta file reproduces the same corpus through
-// api::OpenVersioned, that lineage tampering fails closed, that a
+// api::OpenVersioned (and over a served base through
+// api::ApplyDeltaChain), that lineage tampering fails closed, that a
 // SIGKILL mid-fold never damages the base container, and that the
 // atomic write path leaves no torn or stray files. Runs under the
 // ASan/UBSan and TSan CI legs.
@@ -32,6 +33,8 @@
 #include <vector>
 
 #include "src/api/grepair_api.h"
+#include "src/serve/registry.h"
+#include "src/serve/server.h"
 #include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
 
@@ -497,6 +500,112 @@ TEST(DynamicCorpusTest, DeltaChainRoundTripsThroughFiles) {
                   .ok());
   auto not_sharded = api::OpenVersioned(plain_path, {d1});
   EXPECT_EQ(not_sharded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The same lineage walk over a served base (`query --remote --delta`):
+// the base file lives on the server, so api::ApplyDeltaChain anchors
+// the first link by the directory checksum inside ApplyDelta alone;
+// later links still chain hash-to-hash through the local delta files.
+TEST(DynamicCorpusTest, DeltaChainOverServedBase) {
+  ScratchDir scratch("served_chain");
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "4");
+  auto write_base = [&](const GeneratedGraph& gg, const std::string& path) {
+    auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    auto bytes = api::WrapCodecPayload(
+        "sharded:grepair",
+        dynamic_cast<shard::ShardedRep*>(rep.value().get())->SerializeV2());
+    ASSERT_TRUE(WriteFileBytesAtomic(path, SpanOf(bytes)).ok());
+  };
+  // Opens `base` + `chain`, applies a fresh edit batch and writes the
+  // next link to `out`, chained to the newest existing file.
+  auto extend = [&](const std::string& base, TruthCorpus* truth,
+                    std::mt19937* rng, const std::vector<std::string>& chain,
+                    const std::string& out) {
+    auto opened = api::OpenVersioned(base, chain);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto* sharded = dynamic_cast<shard::ShardedRep*>(opened.value().get());
+    std::vector<uint32_t> labels = {0};
+    ASSERT_TRUE(sharded->ApplyEdits(MakeEdits(truth, rng, 20, labels)).ok());
+    auto prev = ReadFileBytes(chain.empty() ? base : chain.back());
+    ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+    auto delta = sharded->BuildDelta(
+        HashBytes(prev.value().data(), prev.value().size()),
+        prev.value().size());
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    ASSERT_TRUE(
+        WriteFileBytesAtomic(
+            out, SpanOf(shard::EncodeDeltaContainer(delta.value())))
+            .ok());
+  };
+
+  GeneratedGraph gg = ErdosRenyi(90, 270, 43);
+  ASSERT_EQ(LabelsOf(gg.graph), std::vector<uint32_t>{0});
+  std::string base_path = scratch.path + "/base.grc";
+  write_base(gg, base_path);
+  TruthCorpus truth = TruthCorpus::FromGraph(gg.graph);
+  std::mt19937 rng(97);
+  std::string d1 = scratch.path + "/v1.grs3";
+  std::string d2 = scratch.path + "/v2.grs3";
+  std::string d3 = scratch.path + "/v3.grs3";
+  extend(base_path, &truth, &rng, {}, d1);
+  extend(base_path, &truth, &rng, {d1}, d2);
+  extend(base_path, &truth, &rng, {d1, d2}, d3);
+
+  // A delta built against another base (same shape, other edges).
+  GeneratedGraph other = ErdosRenyi(90, 270, 44);
+  std::string other_path = scratch.path + "/other.grc";
+  write_base(other, other_path);
+  TruthCorpus other_truth = TruthCorpus::FromGraph(other.graph);
+  std::string foreign = scratch.path + "/foreign.grs3";
+  extend(other_path, &other_truth, &rng, {}, foreign);
+
+  serve::CorpusRegistry registry;
+  ASSERT_TRUE(registry.AddFile("base", base_path).ok());
+  auto server = serve::ShardServer::Start(std::move(registry));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const std::string target = server.value()->host_port() + "/base";
+  auto served_with = [&](const std::vector<std::string>& chain,
+                         std::unique_ptr<api::CompressedRep>* rep) {
+    auto opened = api::OpenRemote(target);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (!opened.ok()) return opened.status();
+    *rep = std::move(opened).ValueOrDie();
+    return api::ApplyDeltaChain(rep->get(), "", chain);
+  };
+
+  // A correct two-link chain answers like the local versioned open.
+  std::unique_ptr<api::CompressedRep> served;
+  auto chained = served_with({d1, d2}, &served);
+  ASSERT_TRUE(chained.ok()) << chained.ToString();
+  auto local = api::OpenVersioned(base_path, {d1, d2});
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ExpectQueriesAgree(served.get(), local.value().get(),
+                     codec->capabilities(), 4, "served chain");
+  ExpectDecompressAgrees(served.get(), local.value().get(),
+                         /*labeled=*/true, "served chain");
+  auto edited = served->Decompress();
+  ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+  EXPECT_NE(LabeledEdgeSet(edited.value()), LabeledEdgeSet(gg.graph))
+      << "the chain's edits must be visible";
+
+  // A skipped or swapped link fails closed.
+  std::unique_ptr<api::CompressedRep> skipped_rep, swapped_rep;
+  auto skipped = served_with({d1, d3}, &skipped_rep);
+  EXPECT_EQ(skipped.code(), StatusCode::kCorruption) << skipped.ToString();
+  auto swapped = served_with({d2, d1}, &swapped_rep);
+  EXPECT_EQ(swapped.code(), StatusCode::kCorruption) << swapped.ToString();
+
+  // A delta against another base fails on the directory checksum.
+  std::unique_ptr<api::CompressedRep> foreign_rep;
+  auto wrong_base = served_with({foreign}, &foreign_rep);
+  EXPECT_EQ(wrong_base.code(), StatusCode::kCorruption)
+      << wrong_base.ToString();
+  EXPECT_NE(wrong_base.message().find("directory checksum"),
+            std::string::npos)
+      << wrong_base.ToString();
 }
 
 // A process killed mid-fold must never damage the base container:

@@ -113,6 +113,23 @@ TEST(HypergraphTest, RemoveEdgesIf) {
   EXPECT_EQ(g.num_nodes(), 3u);  // nodes untouched
 }
 
+TEST(HypergraphTest, InferAlphabetFirstObservedRankWins) {
+  Hypergraph g(4);
+  g.AddEdge(2, {0, 1, 2});   // label 2 first seen with rank 3
+  g.AddSimpleEdge(1, 2, 2);  // a later rank-2 use does not override it
+  g.AddEdge(0, {3});
+  Alphabet alphabet = InferAlphabet(g);
+  ASSERT_EQ(alphabet.size(), 3u);
+  EXPECT_EQ(alphabet.rank(0), 1);
+  EXPECT_EQ(alphabet.rank(1), 2);  // unobserved label: rank 2
+  EXPECT_EQ(alphabet.rank(2), 3);
+  EXPECT_EQ(alphabet.name(2), "l2");
+
+  Alphabet edgeless = InferAlphabet(Hypergraph(5));
+  ASSERT_EQ(edgeless.size(), 1u);
+  EXPECT_EQ(edgeless.rank(0), 2);
+}
+
 TEST(HypergraphTest, ExternalNodesAndRank) {
   Hypergraph g(3);
   g.AddSimpleEdge(0, 1, 0);

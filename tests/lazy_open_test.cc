@@ -108,18 +108,24 @@ TEST(LazyOpenTest, MmapOpenFaultsLazilyThroughTheCodecApi) {
   EXPECT_EQ(out.value(), std::vector<uint64_t>({4, 6, 7}));
   EXPECT_EQ(rep.value()->query_stats().shard_faults, 1u);
 
-  // GraphCodec::Open enforces the frame's backend tag.
-  auto wrong = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
-  auto mismatch = wrong->Open(path);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
-
-  // The right codec's Open works and stays lazy.
-  auto right = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
-  auto reopened = right->Open(path);
+  // A fresh open stays lazy: nothing is faulted before a query.
+  auto reopened = api::OpenCompressedFile(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->query_stats().shard_faults, 0u);
+
+  // The frame is the only way in: the same payload without the
+  // backend tag is refused, not guessed at.
+  std::string bare = TempPath("bare.bin");
+  ASSERT_TRUE(
+      WriteFileBytes(bare, AsSharded(compressed.get())->SerializeV2()).ok());
+  auto untagged = api::OpenCompressedFile(bare);
+  ASSERT_FALSE(untagged.ok());
+  EXPECT_EQ(untagged.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(untagged.status().message().find("not a backend-tagged"),
+            std::string::npos)
+      << untagged.status().ToString();
   std::remove(path.c_str());
+  std::remove(bare.c_str());
 }
 
 TEST(LazyOpenTest, CompressedAndReopenedRepsAgree) {

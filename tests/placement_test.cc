@@ -2,9 +2,8 @@
 // the `.grdir` sidecar envelope (v2 with histogram + epoch, fail-closed
 // on damage and on the retired v1 envelope), the server-side
 // PlacementController's budgeted pin set and its STATS-visible flags,
-// ShardedRep::ApplyPlacement on a real mmap-backed container, the
-// STATS body round-trip carrying epoch + pinned flags, and the sidecar
-// a remote open persists.
+// the STATS body round-trip carrying epoch + pinned flags, and the
+// sidecar a remote open persists.
 
 #include <gtest/gtest.h>
 
@@ -186,61 +185,6 @@ TEST(PlacementTest, ControllerPinsHotFirstUnderBudgetDeterministically) {
   off.Refresh(registry);
   EXPECT_EQ(off.shards_pinned(), 0u);
   EXPECT_EQ(off.pinned_bytes(), 0u);
-}
-
-TEST(PlacementTest, ApplyPlacementPinsLocalContainerUnderBudget) {
-  ScratchDir scratch("apply");
-  GeneratedGraph gg = BarabasiAlbert(130, 3, 223);
-  std::vector<uint8_t> bytes = CompressSharded(gg, 6);
-  auto rows = DirectoryRows(bytes);
-  auto data = DataShards(rows);
-  ASSERT_GE(data.size(), 3u);
-
-  std::string path = scratch.path + "/g.grc";
-  ASSERT_TRUE(
-      WriteFileBytes(path, api::WrapCodecPayload("sharded:grepair", bytes))
-          .ok());
-  auto opened = api::OpenCompressedFile(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(opened.value().get());
-  ASSERT_NE(sharded, nullptr);
-
-  // Synthetic histogram: the first three data shards are hot, in
-  // order. Budget = the first two payloads → exactly those pinned.
-  std::vector<uint64_t> histogram(sharded->num_shards(), 0);
-  histogram[data[0]] = 3;
-  histogram[data[1]] = 2;
-  histogram[data[2]] = 1;
-  std::vector<size_t> ranked = serve::RankByHeat(histogram);
-  ASSERT_EQ(ranked,
-            (std::vector<size_t>{data[0], data[1], data[2]}));
-
-  uint64_t budget = rows[data[0]].length + rows[data[1]].length;
-  auto outcome = sharded->ApplyPlacement(ranked, budget);
-  EXPECT_EQ(outcome.shards_pinned, 2u);
-  EXPECT_EQ(outcome.pinned_bytes, budget);
-  auto stats = sharded->query_stats();
-  EXPECT_EQ(stats.shards_pinned, 2u);
-  EXPECT_EQ(stats.pinned_bytes, budget);
-
-  // Re-applying the same placement is a no-op; answers stay correct
-  // while pinned.
-  outcome = sharded->ApplyPlacement(ranked, budget);
-  EXPECT_EQ(outcome.shards_pinned, 2u);
-  auto local = shard::ShardedRep::Deserialize(SpanOf(bytes));
-  ASSERT_TRUE(local.ok());
-  for (uint64_t v = 0; v < gg.graph.num_nodes(); ++v) {
-    auto got = sharded->OutNeighbors(v);
-    auto want = local.value()->OutNeighbors(v);
-    ASSERT_TRUE(got.ok() && want.ok());
-    EXPECT_EQ(got.value(), want.value());
-  }
-
-  // An empty ranking drains every pin.
-  outcome = sharded->ApplyPlacement({}, 0);
-  EXPECT_EQ(outcome.shards_pinned, 0u);
-  EXPECT_EQ(outcome.pinned_bytes, 0u);
-  EXPECT_EQ(sharded->query_stats().shards_pinned, 0u);
 }
 
 TEST(PlacementTest, StatsBodyRoundTripsEpochAndPinnedFlags) {

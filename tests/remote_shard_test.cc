@@ -323,7 +323,9 @@ TEST(RemoteShardTest, ConnectErrorsAreCleanStatuses) {
     ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   }
   std::string peer = "127.0.0.1:" + std::to_string(dead_port);
-  auto refused = api::OpenRemote(peer, /*io_timeout_ms=*/2000);
+  api::RemoteOptions options;
+  options.io_timeout_ms = 2000;
+  auto refused = api::OpenRemote(peer, options);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(refused.status().message().find(peer), std::string::npos)

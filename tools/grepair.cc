@@ -4,9 +4,7 @@
 //   grepair compress <in.graph> <out> [--backend NAME]
 //           [--options k=v,...] [--shards K] [--threads T]
 //           [--strategy edge-range|bfs]
-//           [--order KIND] [--max-rank N]
-//           [--no-prune] [--no-virtual] [--mapping out.map]
-//   grepair decompress <in> <out.graph> [--mapping in.map] [--threads T]
+//   grepair decompress <in> <out.graph> [--threads T]
 //   grepair bench --backend NAME|all --gen KIND [--size N]
 //           [--options k=v,...] [--shards K] [--threads T]
 //           [--strategy edge-range|bfs]
@@ -14,41 +12,46 @@
 //   grepair query <in>|--remote host:port[/corpus] [--nodes 1,2,3]
 //           [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]
 //           [--prefetch P] [--pool N] [--ssd-cache DIR]
-//           [--ssd-cache-bytes N] [--delta file.grs3]...
+//           [--ssd-cache-bytes N] [--replica host:port]...
+//           [--warm-from-histogram 0|1] [--delta file.grs3]...
 //   grepair append <base> [chain.grs3]... --edits <file> -o <out.grs3>
 //           [--fold-budget BYTES]
 //   grepair diff <base> <delta.grs3>...
 //   grepair serve [<file>|<dir>]... [--corpus name=path]
-//           [--host H] [--port P]
+//           [--host H] [--port P] [--pin-bytes N]
 //   grepair info <in> | info --remote host:port[/corpus]
-//   grepair stats <in.grg>
-//   grepair reach <in.grg> <from> <to>
-//   grepair neighbors <in.grg> <node>
-//   grepair components <in.grg>
+//   grepair stats <in>
+//   grepair components <in>
 //   grepair gen <kind> <out.graph> [size]
 //
 // Every compressor in the repo sits behind the GraphCodec registry
-// (src/api/): `--backend` selects one ("grepair", "k2", "hn", "lm",
-// "repair-adj", "deflate", or a sharded meta-variant
+// (src/api/): `--backend` selects one ("grepair", the default, "k2",
+// "hn", "lm", "repair-adj", "deflate", or a sharded meta-variant
 // "sharded:<inner>"; see `grepair backends`), `--options` passes
-// codec-specific key=value options, and `bench` runs any backend (or
-// all of them) over any generated dataset with a round-trip check.
+// codec-specific key=value options (for grepair: order, max-rank,
+// prune, virtual, ...), and `bench` runs any backend (or all of them)
+// over any generated dataset with a round-trip check.
 // `--shards`/`--threads`/`--strategy` rewrite the backend to its
 // sharded variant (src/shard/); `decompress --threads` parallelizes
-// sharded containers. Backend output files carry a small container
-// header naming the codec, so `decompress` routes automatically;
-// without --backend, compress writes the paper's raw .grg binary
-// grammar format as before. Graph files use the native text format of
+// sharded containers. Graph files use the native text format of
 // src/graph/graph_io.h. `gen` kinds: er, ba, coauth, rdf-types,
 // rdf-entities, copies, dblp.
+//
+// One on-disk framing: every compressed file is a backend-tagged
+// GRPCODEC container (src/api/container.h) naming the codec that wrote
+// its payload, and every command opens it through src/api/ — an
+// untagged file is refused. The grepair payload is the paper's binary
+// grammar encoding plus the node mapping, so `decompress` restores the
+// input's node ids. `stats` and `components` read the grammar of a
+// grepair file directly: its size and shape, and its connected
+// components counted in one grammar pass.
 //
 // `query` answers neighbor/reachability queries on a compressed file
 // without decompressing it: --nodes asks for out-neighbors, --pairs
 // for reachability, --batch switches to the batched entry points
 // (shard-parallel on sharded containers), --cache-bytes/--threads tune
 // the sharded query cache and pool, --prefetch starts a background
-// pool that warms the shards batches touch. Raw .grg grammars are
-// queried through the grepair backend. A query-stats line (cache
+// pool that warms the shards batches touch. A query-stats line (cache
 // hits/misses, shard decodes/faults, memo-table sizes) is printed at
 // the end.
 //
@@ -62,8 +65,8 @@
 // [label]` / `d u v`, '#' comments) against a GRSHARD2 base (plus any
 // earlier deltas) and writes a GRSHARD3 delta container — changed
 // shards and residual overlay runs only, chained to the base by
-// content hash. `query --delta` (repeatable) opens base + chain via
-// api::OpenVersioned, verifying lineage before anything is trusted;
+// content hash. `query --delta` (repeatable) applies the chain through
+// api::ApplyDeltaChain, verifying lineage before anything is trusted;
 // it composes with --remote, where the deltas are read locally and
 // applied over the served base. `diff` prints each delta's size,
 // changed-shard count, and edit counts against the full base reship.
@@ -72,13 +75,14 @@
 // GRNF v2 frame protocol of src/net/ + src/serve/). One server hosts
 // many corpora: `--corpus name=path` registers each explicitly, and a
 // bare directory argument auto-discovers every servable container in
-// it (named by file basename). `query --remote host:port/corpus` runs
-// the exact same query paths against a served corpus — cold shards
-// fault across the connection pool (`--pool`), optionally through a
-// checksummed local SSD shard cache (`--ssd-cache`), and the answers
-// are byte-identical to a local open of the same file. `info --remote`
-// asks a running server for its per-corpus serving stats and hot-shard
-// histograms over the GRNF STATS verb.
+// it (named by file basename); `--pin-bytes` keeps the hottest shard
+// payloads pinned in server memory. `query --remote host:port/corpus`
+// runs the exact same query paths against a served corpus — cold
+// shards fault across the connection pool (`--pool`), optionally
+// through a checksummed local SSD shard cache (`--ssd-cache`), and the
+// answers are byte-identical to a local open of the same file.
+// `info --remote` asks a running server for its per-corpus serving
+// stats and hot-shard histograms over the GRNF STATS verb.
 
 #include <algorithm>
 #include <atomic>
@@ -96,11 +100,7 @@
 #include <sys/stat.h>
 
 #include "src/api/grepair_api.h"
-#include "src/encoding/grammar_coder.h"
-#include "src/grepair/compressor.h"
-#include "src/query/neighborhood.h"
-#include "src/query/reachability.h"
-#include "src/query/speedup.h"
+#include "src/grammar/derivation.h"
 #include "src/serve/pool.h"
 #include "src/serve/registry.h"
 #include "src/serve/server.h"
@@ -121,12 +121,9 @@ int Usage() {
       stderr,
       "usage: grepair <command> ...\n"
       "  compress <in.graph> <out> [--backend %s]\n"
-      "           [--options k=v,...] [--shards K] [--threads T]\n"
-      "           [--strategy edge-range|bfs]\n"
-      "           [--order natural|bfs|dfs|random|"
-      "fp0|fp] [--max-rank N]\n"
-      "           [--no-prune] [--no-virtual] [--mapping out.map]\n"
-      "  decompress <in> <out.graph> [--mapping in.map] [--threads T]\n"
+      "           (default grepair) [--options k=v,...] [--shards K]\n"
+      "           [--threads T] [--strategy edge-range|bfs]\n"
+      "  decompress <in> <out.graph> [--threads T]\n"
       "  bench --backend NAME|all --gen KIND [--size N] "
       "[--options k=v,...]\n"
       "        [--shards K] [--threads T] [--strategy edge-range|bfs]\n"
@@ -135,8 +132,7 @@ int Usage() {
       "        [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]\n"
       "        [--prefetch P] [--pool N] [--ssd-cache DIR]\n"
       "        [--ssd-cache-bytes N] [--replica host:port]...\n"
-      "        [--pin-bytes N] [--warm-from-histogram 0|1]\n"
-      "        [--delta file.grs3]...\n"
+      "        [--warm-from-histogram 0|1] [--delta file.grs3]...\n"
       "  append <base> [chain.grs3]... --edits <file> -o <out.grs3>\n"
       "         [--fold-budget BYTES]\n"
       "  diff <base> <delta.grs3>...\n"
@@ -144,19 +140,18 @@ int Usage() {
       "[--port P]\n"
       "        [--pin-bytes N]\n"
       "  info <in> | info --remote host:port[/corpus]\n"
-      "  stats <in.grg>\n"
-      "  reach <in.grg> <from> <to>\n"
-      "  neighbors <in.grg> <node>\n"
-      "  components <in.grg>\n"
+      "  stats <in>\n"
+      "  components <in>\n"
       "  gen <er|ba|coauth|rdf-types|rdf-entities|copies|dblp> "
       "<out.graph> [size]\n",
       backends.c_str());
   return 2;
 }
 
-// All file loading routes through the zero-copy storage layer:
-// MmapFile + ByteSource give Status errors naming the path and byte
-// offset instead of the old unchecked ifstream slurp.
+// Compressed graphs are opened only through src/api/
+// (OpenCompressedFile, ApplyDeltaChain, MapCodecFile); `append` and
+// `diff` map files themselves only to hash or size them. Writes go
+// through WriteFileBytes. Both report Status errors naming the path.
 bool WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   auto status = WriteFileBytes(path, bytes);
   if (!status.ok()) {
@@ -166,20 +161,17 @@ bool WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   return true;
 }
 
-Result<SlhrGrammar> LoadGrammar(const std::string& path) {
-  auto file = MmapFile::Open(path);
-  if (!file.ok()) return file.status();
-  return DecodeGrammar(file.value()->span());
-}
-
 // Sharding knobs shared by compress and bench: --shards/--threads/
 // --strategy rewrite `backend` to its sharded:<inner> variant and land
-// in `options` as codec options. Returns false (after printing) on a
-// bad combination.
+// in `options` as codec options.
 struct ShardFlags {
   int shards = 0;            // 0 = not requested
   int threads = 0;           // 0 = not requested
   std::string strategy;      // empty = not requested
+
+  bool requested() const {
+    return shards != 0 || threads != 0 || !strategy.empty();
+  }
 };
 
 // Strictly positive integer flag value; atoi would silently turn
@@ -227,16 +219,9 @@ ShardFlagParse MatchShardFlag(const std::string& arg, int argc, char** argv,
   return ShardFlagParse::kNoMatch;
 }
 
-bool ApplyShardFlags(const ShardFlags& flags, std::string* backend,
+void ApplyShardFlags(const ShardFlags& flags, std::string* backend,
                      api::CodecOptions* options) {
-  if (flags.shards == 0 && flags.threads == 0 && flags.strategy.empty()) {
-    return true;
-  }
-  if (backend->empty()) {
-    std::fprintf(stderr,
-                 "--shards/--threads/--strategy require --backend\n");
-    return false;
-  }
+  if (!flags.requested()) return;
   if (backend->rfind("sharded:", 0) != 0) {
     *backend = "sharded:" + *backend;
   }
@@ -245,13 +230,28 @@ bool ApplyShardFlags(const ShardFlags& flags, std::string* backend,
     options->Set("threads", std::to_string(flags.threads));
   }
   if (!flags.strategy.empty()) options->Set("strategy", flags.strategy);
-  return true;
 }
 
-int CompressWithBackend(std::string backend, const std::string& option_spec,
-                        const ShardFlags& shard_flags,
-                        const char* in_path, const char* out_path) {
-  auto loaded = LoadGraphText(in_path);
+int CmdCompress(int argc, char** argv) {
+  if (argc < 4) return Usage();
+  std::string backend = "grepair";
+  std::string option_spec;
+  ShardFlags shard_flags;
+  for (int i = 4; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg == "--backend" && i + 1 < argc) {
+      backend = argv[++i];
+    } else if (arg == "--options" && i + 1 < argc) {
+      option_spec = argv[++i];
+    } else if (ShardFlagParse m =
+                   MatchShardFlag(arg, argc, argv, &i, &shard_flags);
+               m != ShardFlagParse::kNoMatch) {
+      if (m == ShardFlagParse::kError) return 2;
+    } else {
+      return Usage();
+    }
+  }
+  auto loaded = LoadGraphText(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
@@ -261,7 +261,7 @@ int CompressWithBackend(std::string backend, const std::string& option_spec,
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
   }
-  if (!ApplyShardFlags(shard_flags, &backend, &options.value())) return 2;
+  ApplyShardFlags(shard_flags, &backend, &options.value());
   auto codec = api::CodecRegistry::Create(backend);
   if (!codec.ok()) {
     std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
@@ -281,7 +281,7 @@ int CompressWithBackend(std::string backend, const std::string& option_spec,
           ? ", GRSHARD2 lazy container"
           : "";
   auto bytes = api::WrapCodecPayload(backend, rep.value()->Serialize());
-  if (!WriteBytes(out_path, bytes)) return 1;
+  if (!WriteBytes(argv[3], bytes)) return 1;
   std::printf("[%s] %u edges -> %zu bytes on disk (%.3f bpe as measured "
               "by the bench tables%s)\n",
               backend.c_str(), loaded.value().graph.num_edges(),
@@ -292,133 +292,23 @@ int CompressWithBackend(std::string backend, const std::string& option_spec,
   return 0;
 }
 
-int CmdCompress(int argc, char** argv) {
+int CmdDecompress(int argc, char** argv) {
   if (argc < 4) return Usage();
-  CompressOptions options;
-  std::string mapping_path;
-  std::string backend;
-  std::string option_spec;
-  ShardFlags shard_flags;
-  bool legacy_flags = false;
+  int threads = 0;
   for (int i = 4; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--backend" && i + 1 < argc) {
-      backend = argv[++i];
-    } else if (arg == "--options" && i + 1 < argc) {
-      option_spec = argv[++i];
-    } else if (ShardFlagParse m =
-                   MatchShardFlag(arg, argc, argv, &i, &shard_flags);
-               m != ShardFlagParse::kNoMatch) {
-      if (m == ShardFlagParse::kError) return 2;
-    } else if (arg == "--order" && i + 1 < argc) {
-      if (!ParseNodeOrderKind(argv[++i], &options.node_order)) {
-        std::fprintf(stderr, "unknown order %s\n", argv[i]);
+    if (arg == "--threads" && i + 1 < argc) {
+      if (!ParseCountFlag("--threads", argv[++i], kMaxThreads, &threads)) {
         return 2;
       }
-      legacy_flags = true;
-    } else if (arg == "--max-rank" && i + 1 < argc) {
-      // [1, 63] mirrors Compress's own validation (compressor.cc).
-      if (!ParseCountFlag("--max-rank", argv[++i], 63,
-                          &options.max_rank)) {
-        return 2;
-      }
-      legacy_flags = true;
-    } else if (arg == "--no-prune") {
-      options.prune = false;
-      legacy_flags = true;
-    } else if (arg == "--no-virtual") {
-      options.connect_components = false;
-      legacy_flags = true;
-    } else if (arg == "--mapping" && i + 1 < argc) {
-      mapping_path = argv[++i];
-      options.track_node_mapping = true;
     } else {
       return Usage();
     }
   }
-  if (!backend.empty()) {
-    if (!mapping_path.empty()) {
-      std::fprintf(stderr,
-                   "--mapping is not used with --backend (the grepair "
-                   "backend embeds the mapping in its output)\n");
-      return 2;
-    }
-    if (legacy_flags) {
-      std::fprintf(stderr,
-                   "--order/--max-rank/--no-prune/--no-virtual are not "
-                   "used with --backend; pass them via --options "
-                   "(e.g. --options order=bfs,max-rank=3,prune=false,"
-                   "virtual=false)\n");
-      return 2;
-    }
-    return CompressWithBackend(backend, option_spec, shard_flags, argv[2],
-                               argv[3]);
-  }
-  if (!option_spec.empty()) {
-    std::fprintf(stderr,
-                 "--options requires --backend (the legacy path takes "
-                 "--order/--max-rank/... flags)\n");
-    return 2;
-  }
-  if (shard_flags.shards != 0 || shard_flags.threads != 0 ||
-      !shard_flags.strategy.empty()) {
-    std::fprintf(stderr,
-                 "--shards/--threads/--strategy require --backend "
-                 "(e.g. --backend grepair --shards 8)\n");
-    return 2;
-  }
-  auto loaded = LoadGraphText(argv[2]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  auto result =
-      Compress(loaded.value().graph, loaded.value().alphabet, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  EncodeStats stats;
-  auto bytes = EncodeGrammar(result.value().grammar, &stats);
-  if (!WriteBytes(argv[3], bytes)) return 1;
-  if (!mapping_path.empty()) {
-    auto map_bytes =
-        EncodeNodeMapping(result.value().grammar, result.value().mapping);
-    if (!WriteBytes(mapping_path, map_bytes)) return 1;
-  }
-  std::printf("%u edges -> %zu bytes (%.3f bpe), %u rules\n",
-              loaded.value().graph.num_edges(), bytes.size(),
-              BitsPerEdge(bytes.size(), loaded.value().graph.num_edges()),
-              result.value().grammar.num_rules());
-  return 0;
-}
-
-// Minimal alphabet covering the labels a codec's Decompress emits
-// (codec payloads do not carry label names).
-Alphabet InferAlphabet(const Hypergraph& g) {
-  Label max_label = 0;
-  for (const auto& e : g.edges()) max_label = std::max(max_label, e.label);
-  std::vector<int> ranks(g.num_edges() ? max_label + 1 : 0, 2);
-  for (const auto& e : g.edges()) ranks[e.label] = e.rank();
-  Alphabet alphabet;
-  for (size_t l = 0; l < ranks.size(); ++l) {
-    alphabet.Add("l" + std::to_string(l), ranks[l]);
-  }
-  return alphabet;
-}
-
-int DecompressWithBackend(const std::string& backend,
-                          std::shared_ptr<MmapFile> file, ByteSpan payload,
-                          int threads, const char* out_path) {
-  auto codec = api::CodecRegistry::Create(backend);
-  if (!codec.ok()) {
-    std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-    return 1;
-  }
-  // OpenPayload keeps the mapping alive for reps that borrow from it;
-  // a GRSHARD2 payload opens lazily and Decompress faults the shards
-  // on the decompress thread pool.
-  auto rep = codec.value()->OpenPayload(std::move(file), payload);
+  // A GRSHARD2 payload opens lazily and Decompress faults the shards on
+  // the decompress thread pool.
+  std::string backend;
+  auto rep = api::OpenCompressedFile(argv[2], &backend);
   if (!rep.ok()) {
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
@@ -438,97 +328,15 @@ int DecompressWithBackend(const std::string& backend,
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
+  // Codec payloads carry no label names, only labeled edges.
   auto status =
-      SaveGraphText(graph.value(), InferAlphabet(graph.value()), out_path);
+      SaveGraphText(graph.value(), InferAlphabet(graph.value()), argv[3]);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("[%s] wrote %u nodes, %u edges\n", backend.c_str(),
               graph.value().num_nodes(), graph.value().num_edges());
-  return 0;
-}
-
-int CmdDecompress(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  std::string mapping_path;
-  int threads = 0;
-  for (int i = 4; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--mapping" && i + 1 < argc) {
-      mapping_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      if (!ParseCountFlag("--threads", argv[++i], kMaxThreads, &threads)) return 2;
-    } else {
-      return Usage();
-    }
-  }
-  auto file = MmapFile::Open(argv[2]);
-  if (!file.ok()) {
-    std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
-    return 1;
-  }
-  ByteSpan bytes = file.value()->span();
-  if (api::IsCodecContainer(bytes)) {
-    std::string backend;
-    ByteSpan payload;
-    auto status = api::UnwrapCodecPayloadView(bytes, &backend, &payload);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv[2], status.ToString().c_str());
-      return 1;
-    }
-    if (!mapping_path.empty()) {
-      std::fprintf(stderr,
-                   "--mapping is not used with backend-tagged files "
-                   "(any mapping is embedded in the payload)\n");
-      return 2;
-    }
-    return DecompressWithBackend(backend, std::move(file).ValueOrDie(),
-                                 payload, threads, argv[3]);
-  }
-  if (threads > 1) {
-    std::fprintf(stderr,
-                 "note: --threads only parallelizes sharded containers; "
-                 "raw .grg grammars decompress single-threaded\n");
-  }
-  auto grammar = DecodeGrammar(bytes);
-  if (!grammar.ok()) {
-    std::fprintf(stderr, "%s\n", grammar.status().ToString().c_str());
-    return 1;
-  }
-  Result<Hypergraph> graph = Status::Internal("graph not derived");
-  if (mapping_path.empty()) {
-    graph = Derive(grammar.value());
-  } else {
-    auto map_bytes = ReadFileBytes(mapping_path);
-    if (!map_bytes.ok()) {
-      std::fprintf(stderr, "%s\n", map_bytes.status().ToString().c_str());
-      return 1;
-    }
-    auto mapping = DecodeNodeMapping(grammar.value(), map_bytes.value());
-    if (!mapping.ok()) {
-      std::fprintf(stderr, "%s\n", mapping.status().ToString().c_str());
-      return 1;
-    }
-    graph = DeriveOriginal(grammar.value(), mapping.value());
-  }
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  // Reconstruct a terminal-only alphabet for saving.
-  Alphabet terminals;
-  for (Label l = 0; l < grammar.value().num_terminals(); ++l) {
-    terminals.Add(grammar.value().alphabet().name(l),
-                  grammar.value().alphabet().rank(l));
-  }
-  auto status = SaveGraphText(graph.value(), terminals, argv[3]);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %u nodes, %u edges\n", graph.value().num_nodes(),
-              graph.value().num_edges());
   return 0;
 }
 
@@ -606,23 +414,14 @@ int RunQueries(std::unique_ptr<api::CompressedRep> rep,
                const std::vector<uint64_t>& nodes,
                const std::vector<std::pair<uint64_t, uint64_t>>& pairs,
                bool batch, int threads, bool have_cache_bytes,
-               uint64_t cache_bytes, int prefetch, uint64_t pin_bytes) {
+               uint64_t cache_bytes, int prefetch) {
   if (auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get())) {
     if (threads > 1) sharded->set_query_threads(threads);
     if (have_cache_bytes) {
       sharded->set_query_cache_bytes(static_cast<size_t>(cache_bytes));
     }
     if (prefetch > 0) sharded->set_prefetch_threads(prefetch);
-    if (pin_bytes > 0) {
-      // Local opens have no histogram yet; pin in shard-id order until
-      // the budget is spent (remote opens pin by the server histogram
-      // inside OpenRemote instead).
-      std::vector<size_t> ranked(sharded->num_shards());
-      for (size_t s = 0; s < ranked.size(); ++s) ranked[s] = s;
-      (void)sharded->ApplyPlacement(ranked, pin_bytes);
-    }
-  } else if (threads > 1 || have_cache_bytes || prefetch > 0 ||
-             pin_bytes > 0) {
+  } else if (threads > 1 || have_cache_bytes || prefetch > 0) {
     std::fprintf(stderr,
                  "note: --threads/--cache-bytes/--prefetch tune sharded "
                  "containers; '%s' queries ignore them\n",
@@ -717,15 +516,10 @@ int RunQueries(std::unique_ptr<api::CompressedRep> rep,
                 (unsigned long long)stats.tier_evictions,
                 (unsigned long long)stats.tier_corrupt_drops);
   }
-  // The placement/batched-IO counters likewise only appear when the
-  // engine did something: pinned shards, io_uring rounds, or
-  // off-affinity fetches.
-  if (stats.shards_pinned != 0 || stats.pinned_bytes != 0 ||
-      stats.uring_batches != 0 || stats.affinity_switches != 0) {
-    std::printf("placement: shards_pinned=%llu pinned_bytes=%llu "
-                "uring_batches=%llu affinity_switches=%llu\n",
-                (unsigned long long)stats.shards_pinned,
-                (unsigned long long)stats.pinned_bytes,
+  // The batched-IO/affinity counters likewise only appear when the
+  // engine did something: io_uring rounds or off-affinity fetches.
+  if (stats.uring_batches != 0 || stats.affinity_switches != 0) {
+    std::printf("placement: uring_batches=%llu affinity_switches=%llu\n",
                 (unsigned long long)stats.uring_batches,
                 (unsigned long long)stats.affinity_switches);
   }
@@ -751,7 +545,6 @@ int CmdQuery(int argc, char** argv) {
   int prefetch = 0;
   bool have_cache_bytes = false;
   uint64_t cache_bytes = 0;
-  uint64_t pin_bytes = 0;
   std::vector<std::string> delta_paths;
   api::RemoteOptions remote_options;
   bool have_remote_flags = false;
@@ -797,13 +590,6 @@ int CmdQuery(int argc, char** argv) {
     } else if (arg == "--replica" && i + 1 < argc) {
       remote_options.replicas.push_back(argv[++i]);
       have_remote_flags = true;
-    } else if (arg == "--pin-bytes" && i + 1 < argc) {
-      if (!ParseU64(argv[++i], &pin_bytes)) {
-        std::fprintf(stderr, "--pin-bytes expects a byte count, got "
-                             "'%s'\n", argv[i]);
-        return 2;
-      }
-      remote_options.pin_bytes = pin_bytes;
     } else if (arg == "--warm-from-histogram" && i + 1 < argc) {
       std::string value = argv[++i];
       if (value != "0" && value != "1") {
@@ -835,132 +621,32 @@ int CmdQuery(int argc, char** argv) {
   if (!nodes_spec.empty() && !ParseNodeList(nodes_spec, &nodes)) return 2;
   if (!pairs_spec.empty() && !ParsePairList(pairs_spec, &pairs)) return 2;
 
+  // Local and served corpora open differently, then share everything:
+  // the delta chain (anchored at the local base file, or by directory
+  // checksum alone for a served base) and the query paths.
   std::string backend;
-  Result<std::unique_ptr<api::CompressedRep>> rep =
-      Status::Internal("rep not opened");
-  if (!remote_spec.empty()) {
-    rep = api::OpenRemote(remote_spec, remote_options);
-    if (!rep.ok()) {
-      std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
-      return 1;
-    }
-    // The served container names its inner codec; report the same
-    // backend tag a local open of that file would.
-    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-    if (sharded != nullptr) {
-      backend = "sharded:" + sharded->inner_name();
-    } else {
-      backend = "remote";
-    }
-    // Deltas over a served base: the base file lives on the server, so
-    // the first link's (hash, size) cannot be checked here — the
-    // delta's recorded directory checksum against the served directory
-    // (inside ApplyDelta) is the anchor instead. Later links still
-    // chain hash-to-hash through the local delta files.
-    if (!delta_paths.empty()) {
-      if (sharded == nullptr) {
-        std::fprintf(stderr,
-                     "--delta needs a sharded corpus; %s is not one\n",
-                     remote_spec.c_str());
-        return 1;
-      }
-      uint64_t prev_hash = 0, prev_size = 0;
-      bool have_prev = false;
-      for (const std::string& path : delta_paths) {
-        auto delta_file = MmapFile::Open(path);
-        if (!delta_file.ok()) {
-          std::fprintf(stderr, "%s\n",
-                       delta_file.status().ToString().c_str());
-          return 1;
-        }
-        ByteSpan span = delta_file.value()->span();
-        auto delta = shard::DecodeDeltaContainer(span, path);
-        if (!delta.ok()) {
-          std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
-          return 1;
-        }
-        if (have_prev && (delta.value().base_hash != prev_hash ||
-                          delta.value().base_size != prev_size)) {
-          std::fprintf(stderr,
-                       "%s does not continue the delta chain\n",
-                       path.c_str());
-          return 1;
-        }
-        auto applied = sharded->ApplyDelta(delta.value());
-        if (!applied.ok()) {
-          std::fprintf(stderr, "%s\n", applied.ToString().c_str());
-          return 1;
-        }
-        prev_hash = HashBytes(span.data, span.size);
-        prev_size = span.size;
-        have_prev = true;
-      }
-    }
-    // OpenRemote already applied the pin budget using the server's
-    // histogram — don't re-place with the id-order fallback.
-    return RunQueries(std::move(rep).ValueOrDie(), backend, nodes, pairs,
-                      batch, threads, have_cache_bytes, cache_bytes,
-                      prefetch, /*pin_bytes=*/0);
-  }
-  if (!delta_paths.empty()) {
-    // Versioned open: base + chain, lineage verified link by link
-    // before any delta payload is trusted.
-    rep = api::OpenVersioned(in_path, delta_paths, &backend);
-    if (!rep.ok()) {
-      std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
-      return 1;
-    }
-    return RunQueries(std::move(rep).ValueOrDie(), backend, nodes, pairs,
-                      batch, threads, have_cache_bytes, cache_bytes,
-                      prefetch, pin_bytes);
-  }
-  auto file = MmapFile::Open(in_path);
-  if (!file.ok()) {
-    std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
-    return 1;
-  }
-  ByteSpan bytes = file.value()->span();
-  if (api::IsCodecContainer(bytes)) {
-    ByteSpan payload;
-    auto status = api::UnwrapCodecPayloadView(bytes, &backend, &payload);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", in_path, status.ToString().c_str());
-      return 1;
-    }
-    auto codec = api::CodecRegistry::Create(backend);
-    if (!codec.ok()) {
-      std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-      return 1;
-    }
-    // Lazy for GRSHARD2 payloads: only the shards the queries below
-    // actually touch are materialized from the mapping.
-    rep = codec.value()->OpenPayload(std::move(file).ValueOrDie(), payload);
-  } else {
-    // Raw .grg grammar: frame it as the grepair backend's payload
-    // (no-mapping flag + length-prefixed grammar) so one query path
-    // serves both file kinds.
-    backend = "grepair";
-    std::vector<uint8_t> payload;
-    payload.push_back(0);
-    uint64_t len = bytes.size;
-    for (int b = 0; b < 8; ++b) {
-      payload.push_back(static_cast<uint8_t>(len >> (8 * b)));
-    }
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
-    auto codec = api::CodecRegistry::Create(backend);
-    if (!codec.ok()) {
-      std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-      return 1;
-    }
-    rep = codec.value()->Deserialize(payload);
-  }
+  auto rep = remote_spec.empty()
+                 ? api::OpenCompressedFile(in_path, &backend)
+                 : api::OpenRemote(remote_spec, remote_options);
   if (!rep.ok()) {
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
   }
+  if (!remote_spec.empty()) {
+    // The served container names its inner codec; report the same
+    // backend tag a local open of that file would.
+    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+    backend = sharded != nullptr ? "sharded:" + sharded->inner_name()
+                                 : "remote";
+  }
+  auto chained = api::ApplyDeltaChain(
+      rep.value().get(), remote_spec.empty() ? in_path : "", delta_paths);
+  if (!chained.ok()) {
+    std::fprintf(stderr, "%s\n", chained.ToString().c_str());
+    return 1;
+  }
   return RunQueries(std::move(rep).ValueOrDie(), backend, nodes, pairs,
-                    batch, threads, have_cache_bytes, cache_bytes,
-                    prefetch, pin_bytes);
+                    batch, threads, have_cache_bytes, cache_bytes, prefetch);
 }
 
 // `append`: replay a text edit stream against a versioned corpus and
@@ -1326,40 +1012,31 @@ int CmdInfoRemote(const std::string& target) {
 
 // `info`: the container directory without decoding anything — the
 // backend tag, and for sharded payloads the per-shard
-// offset/length/checksum/node-count table straight from the v2 footer
-// (or a v1 header scan). No inner rep is ever constructed.
+// offset/length/checksum/node-count table straight from the GRSHARD2
+// footer. No inner rep is ever constructed.
 int CmdInfo(int argc, char** argv) {
   if (argc < 3) return Usage();
   if (std::strcmp(argv[2], "--remote") == 0) {
     if (argc < 4) return Usage();
     return CmdInfoRemote(argv[3]);
   }
-  auto file = MmapFile::Open(argv[2]);
+  std::string backend;
+  ByteSpan payload;
+  auto file = api::MapCodecFile(argv[2], &backend, &payload);
   if (!file.ok()) {
     std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
     return 1;
   }
-  ByteSpan bytes = file.value()->span();
-  std::printf("%s: %zu bytes (%s)\n", argv[2], bytes.size,
+  size_t size = file.value()->span().size;
+  std::printf("%s: %zu bytes (%s)\n", argv[2], size,
               file.value()->is_mapped() ? "mmap" : "heap");
-  std::string backend;
-  ByteSpan payload = bytes;
-  if (api::IsCodecContainer(bytes)) {
-    auto status = api::UnwrapCodecPayloadView(bytes, &backend, &payload);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv[2], status.ToString().c_str());
-      return 1;
-    }
-    std::printf("backend: %s (payload %zu bytes at offset %zu)\n",
-                backend.c_str(), payload.size, bytes.size - payload.size);
-  }
+  std::printf("backend: %s (payload %zu bytes at offset %zu)\n",
+              backend.c_str(), payload.size, size - payload.size);
   bool sharded_magic =
       payload.size >= 7 &&
       std::memcmp(payload.data, shard::kShardContainerMagicV2, 7) == 0;
   if (!sharded_magic) {
-    std::printf("payload: %s\n",
-                backend.empty() ? "raw .grg grammar (no directory)"
-                                : "single-shard codec (no directory)");
+    std::printf("payload: single-shard codec (no directory)\n");
     return 0;
   }
   auto info = shard::ShardedRep::Inspect(payload);
@@ -1384,14 +1061,30 @@ int CmdInfo(int argc, char** argv) {
   return 0;
 }
 
+// `stats` and `components` work on the grammar itself, so they take a
+// single-codec grepair file (what `compress` writes by default).
+Result<CompressedGraph> LoadGrepairFile(const std::string& path) {
+  std::string backend;
+  ByteSpan payload;
+  auto file = api::MapCodecFile(path, &backend, &payload);
+  if (!file.ok()) return file.status();
+  if (backend != "grepair") {
+    return Status::InvalidArgument(path + " holds a '" + backend +
+                                   "' payload; this command needs a "
+                                   "'grepair' one");
+  }
+  return CompressedGraph::Deserialize(payload);
+}
+
 int CmdStats(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto grammar = LoadGrammar(argv[2]);
-  if (!grammar.ok()) {
-    std::fprintf(stderr, "%s\n", grammar.status().ToString().c_str());
+  auto graph = LoadGrepairFile(argv[2]);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  auto s = ComputeGrammarStats(grammar.value());
+  const SlhrGrammar& grammar = graph.value().grammar();
+  auto s = ComputeGrammarStats(grammar);
   std::printf("rules:            %u\n", s.num_rules);
   std::printf("height:           %u\n", s.height);
   std::printf("max NT rank:      %u\n", s.max_nonterminal_rank);
@@ -1401,78 +1094,21 @@ int CmdStats(int argc, char** argv) {
               static_cast<unsigned long long>(s.start_size), s.start_nodes,
               s.start_edges);
   std::printf("val(G):           %llu nodes, %llu edges\n",
-              static_cast<unsigned long long>(ValNodeCount(grammar.value())),
-              static_cast<unsigned long long>(ValEdgeCount(grammar.value())));
-  return 0;
-}
-
-int CmdReach(int argc, char** argv) {
-  if (argc < 5) return Usage();
-  auto grammar = LoadGrammar(argv[2]);
-  if (!grammar.ok()) {
-    std::fprintf(stderr, "%s\n", grammar.status().ToString().c_str());
-    return 1;
-  }
-  ReachabilityIndex index(grammar.value());
-  uint64_t from = 0, to = 0;
-  if (!ParseU64(argv[3], &from) || !ParseU64(argv[4], &to)) {
-    std::fprintf(stderr,
-                 "reach expects two non-negative node ids, got '%s' '%s'\n",
-                 argv[3], argv[4]);
-    return 2;
-  }
-  if (from >= index.node_map().num_nodes() ||
-      to >= index.node_map().num_nodes()) {
-    std::fprintf(stderr, "node out of range (val has %llu nodes)\n",
-                 static_cast<unsigned long long>(
-                     index.node_map().num_nodes()));
-    return 1;
-  }
-  std::printf("%llu -> %llu: %s\n",
-              static_cast<unsigned long long>(from),
-              static_cast<unsigned long long>(to),
-              index.Reachable(from, to) ? "reachable" : "not reachable");
-  return 0;
-}
-
-int CmdNeighbors(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  auto grammar = LoadGrammar(argv[2]);
-  if (!grammar.ok()) {
-    std::fprintf(stderr, "%s\n", grammar.status().ToString().c_str());
-    return 1;
-  }
-  NeighborhoodIndex index(grammar.value());
-  uint64_t node = 0;
-  if (!ParseU64(argv[3], &node)) {
-    std::fprintf(stderr, "neighbors expects a non-negative node id, got '%s'\n",
-                 argv[3]);
-    return 2;
-  }
-  if (node >= index.node_map().num_nodes()) {
-    std::fprintf(stderr, "node out of range\n");
-    return 1;
-  }
-  auto out = index.OutNeighbors(node);
-  auto in = index.InNeighbors(node);
-  std::printf("out (%zu):", out.size());
-  for (uint64_t v : out) std::printf(" %llu", (unsigned long long)v);
-  std::printf("\nin  (%zu):", in.size());
-  for (uint64_t v : in) std::printf(" %llu", (unsigned long long)v);
-  std::printf("\n");
+              static_cast<unsigned long long>(ValNodeCount(grammar)),
+              static_cast<unsigned long long>(ValEdgeCount(grammar)));
   return 0;
 }
 
 int CmdComponents(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto grammar = LoadGrammar(argv[2]);
-  if (!grammar.ok()) {
-    std::fprintf(stderr, "%s\n", grammar.status().ToString().c_str());
+  auto graph = LoadGrepairFile(argv[2]);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
   std::printf("%llu connected components\n",
               static_cast<unsigned long long>(
-                  CountConnectedComponents(grammar.value())));
+                  graph.value().NumConnectedComponents()));
   return 0;
 }
 
@@ -1617,10 +1253,7 @@ int CmdBench(int argc, char** argv) {
     }
   }
   if (kind.empty()) return Usage();
-  bool sharding_requested = shard_flags.shards != 0 ||
-                            shard_flags.threads != 0 ||
-                            !shard_flags.strategy.empty();
-  if (sharding_requested && backend == "all") {
+  if (shard_flags.requested() && backend == "all") {
     std::fprintf(stderr,
                  "--shards/--threads/--strategy need a single --backend "
                  "(run e.g. --backend grepair --shards 8)\n");
@@ -1636,10 +1269,7 @@ int CmdBench(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
   }
-  if (sharding_requested &&
-      !ApplyShardFlags(shard_flags, &backend, &options.value())) {
-    return 2;
-  }
+  ApplyShardFlags(shard_flags, &backend, &options.value());
   std::printf("dataset %s: %u nodes, %u edges, %zu labels\n",
               gg.name.c_str(), gg.graph.num_nodes(), gg.graph.num_edges(),
               gg.alphabet.size());
@@ -1697,8 +1327,6 @@ int main(int argc, char** argv) {
   if (cmd == "serve") return CmdServe(argc, argv);
   if (cmd == "info") return CmdInfo(argc, argv);
   if (cmd == "stats") return CmdStats(argc, argv);
-  if (cmd == "reach") return CmdReach(argc, argv);
-  if (cmd == "neighbors") return CmdNeighbors(argc, argv);
   if (cmd == "components") return CmdComponents(argc, argv);
   if (cmd == "gen") return CmdGen(argc, argv);
   return Usage();
