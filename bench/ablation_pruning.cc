@@ -2,6 +2,11 @@
 // encoded size with pruning off, the paper's single bottom-up pass, and
 // the fixpoint extension, demonstrating that pruning never hurts and
 // usually trims a large fraction of the rules.
+//
+// Every run tracks the node mapping and must reproduce its input
+// exactly (RunGrepair exits 1 otherwise), and a pruned grammar must
+// never encode larger than the unpruned one; so the bench doubles as a
+// correctness smoke for both pruning modes on the paper's stand-ins.
 
 #include <cstdio>
 
@@ -19,12 +24,15 @@ int main() {
               "rules", "bpe", "rules", "bpe", "rules", "bpe");
   std::printf("%-14s | %18s | %18s | %18s\n", "", "no pruning",
               "paper (1 pass)", "fixpoint");
+  bool failed = false;
   for (const auto& name : graphs) {
     PaperDataset d = MakePaperDataset(name);
     CompressOptions off;
     off.prune = false;
-    CompressOptions paper;  // defaults: single pass
-    CompressOptions fix;
+    off.track_node_mapping = true;
+    CompressOptions paper = off;  // defaults: single pass
+    paper.prune = true;
+    CompressOptions fix = paper;
     fix.prune_options.iterate_to_fixpoint = true;
     GrepairRun r_off = RunGrepair(d.data, off);
     GrepairRun r_paper = RunGrepair(d.data, paper);
@@ -33,6 +41,11 @@ int main() {
                 name.c_str(), r_off.grammar.num_rules, r_off.bpe,
                 r_paper.grammar.num_rules, r_paper.bpe,
                 r_fix.grammar.num_rules, r_fix.bpe);
+    if (r_paper.bytes > r_off.bytes || r_fix.bytes > r_off.bytes) {
+      std::fprintf(stderr, "%s: pruning grew the encoded grammar\n",
+                   name.c_str());
+      failed = true;
+    }
   }
-  return 0;
+  return failed ? 1 : 0;
 }

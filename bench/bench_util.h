@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +32,9 @@ inline double Seconds(std::chrono::steady_clock::time_point a,
 }
 
 /// \brief gRePair end-to-end: compress + binary encode; returns bpe.
+/// Fails loud: a failed compress, or (when the options track the node
+/// mapping) a grammar that does not reproduce the input exactly, prints
+/// the error and exits the bench with status 1.
 struct GrepairRun {
   double bpe = 0;
   size_t bytes = 0;
@@ -47,10 +51,19 @@ inline GrepairRun RunGrepair(const GeneratedGraph& gg,
   if (!result.ok()) {
     std::fprintf(stderr, "compress failed on %s: %s\n", gg.name.c_str(),
                  result.status().ToString().c_str());
-    return run;
+    std::exit(1);
   }
   auto bytes = EncodeGrammar(result.value().grammar);
   auto t1 = std::chrono::steady_clock::now();
+  if (options.track_node_mapping) {
+    auto back = DeriveOriginal(result.value().grammar, result.value().mapping);
+    if (!back.ok() || !back.value().EqualUpToEdgeOrder(gg.graph)) {
+      std::fprintf(stderr, "%s: the grammar does not reproduce the input%s%s\n",
+                   gg.name.c_str(), back.ok() ? "" : ": ",
+                   back.ok() ? "" : back.status().ToString().c_str());
+      std::exit(1);
+    }
+  }
   run.bytes = bytes.size();
   run.bpe = BitsPerEdge(bytes.size(), gg.graph.num_edges());
   run.stats = result.value().stats;

@@ -150,10 +150,8 @@ class GrepairRep : public CompressedRep {
     stats.single_queries = singles_.load(std::memory_order_relaxed);
     stats.batch_calls = batch_calls_.load(std::memory_order_relaxed);
     stats.batch_items = batch_items_.load(std::memory_order_relaxed);
-    stats.memo_entries = graph_.neighborhood().memo_entries() +
-                         graph_.reachability().memo_entries();
-    stats.memo_hits = graph_.neighborhood().memo_hits() +
-                      graph_.reachability().memo_hits();
+    stats.memo_entries = graph_.memo_entries();
+    stats.memo_hits = graph_.memo_hits();
     return stats;
   }
 

@@ -1,232 +1,353 @@
 #include "src/grammar/pruning.h"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <utility>
 
 namespace grepair {
 
 namespace {
 
-// Splices record trees at A-application nodes strictly below the roots,
-// i.e. at A-labeled edges inside other rules' right-hand sides. Must run
-// BEFORE any grammar surgery for this inline (it walks the current rule
-// structure). A-labeled edges in the start graph (root records) are
-// handled by InlineIntoStart instead.
+// Inline step of a rule that is never inlined. Compares greater than
+// every real step, so it doubles as "alive until the end".
+constexpr uint32_t kNeverInlined = ~0u;
+
+// Labels of the nonterminal edges of a sequence of hypergraphs, in edge
+// order, stored flat: list i is labels[offsets[i], offsets[i + 1]).
+class LabelLists {
+ public:
+  void Append(const SlhrGrammar& g, const Hypergraph& h) {
+    if (offsets_.empty()) offsets_.push_back(0);
+    for (const auto& e : h.edges()) {
+      if (g.IsNonterminal(e.label)) labels_.push_back(e.label);
+    }
+    offsets_.push_back(static_cast<uint32_t>(labels_.size()));
+  }
+  const Label* begin(uint32_t i) const { return labels_.data() + offsets_[i]; }
+
+ private:
+  std::vector<uint32_t> offsets_;
+  std::vector<Label> labels_;
+};
+
+// Copy of a right-hand-side edge with its attachment renamed by `node_map`.
+HEdge MapEdge(const HEdge& e, const std::vector<NodeId>& node_map) {
+  HEdge copy;
+  copy.label = e.label;
+  copy.att.reserve(e.att.size());
+  for (NodeId v : e.att) copy.att.push_back(node_map[v]);
+  return copy;
+}
+
+// Inlining engine shared by PruneGrammar and InlineRuleEverywhere.
 //
-// Splicing a node r whose rule L contains A-edges: for every A-child c
-// of r (ascending child order), c's internal origins are appended to
-// r's (matching the host's internal nodes gaining rhs(A)'s internals at
-// the end, per A-edge in edge order) and c's children replace c in r's
-// child list (matching the in-place edge splice).
-void SpliceDeepRecords(const SlhrGrammar& g, Label A, NodeMapping* mapping) {
+// Inline(j) does the rule-side surgery at once: every rule that holds
+// an edge labeled j gets a copy of rhs(j) in its place. That keeps
+// |rhs| and the reference structure current for the pruning decisions,
+// which never look at the start graph. Rule j's right-hand side at
+// that moment is kept as the snapshot of its inline step.
+//
+// Finish() then applies all steps to the start graph and the node
+// mapping in one pass. The result is exactly what inlining every step
+// into the start graph in turn would give:
+//  - Each start edge labeled by an inlined rule is replaced, in place,
+//    by that rule's snapshot. Snapshot edges whose labels were inlined
+//    later are replaced recursively, so the new edge list is the
+//    document-order expansion of the old one.
+//  - Sequentially, step s appends its new nodes after those of steps
+//    < s, one block per replaced edge, in start-edge order. The
+//    expansion is visited in that same relative order, so instance k of
+//    step s gets the k-th block after all earlier steps' blocks; the
+//    block sizes come from per-step instance counts computed up front.
+//  - A derivation record mirrors the right-hand side of its rule as it
+//    was before pruning. Its final form dissolves every child whose
+//    rule was inlined while the record's own rule still existed: the
+//    child's (already final) internal origins are appended as one group
+//    at the child's step, and its children take its place. Groups are
+//    ordered by step and, within a step, by edge order, exactly as the
+//    per-step splices append them.
+class Inliner {
+ public:
+  Inliner(SlhrGrammar* grammar, NodeMapping* mapping)
+      : grammar_(grammar),
+        mapping_(mapping),
+        step_of_(grammar->num_rules(), kNeverInlined) {
+    if (mapping_ != nullptr) {
+      for (uint32_t j = 0; j < grammar_->num_rules(); ++j) {
+        rule_children_.Append(*grammar_, grammar_->rhs_by_index(j));
+      }
+    }
+  }
+
+  // Inlines rule j into the rules listed in `hosts` (by index; stale
+  // and duplicate entries are skipped) and clears its right-hand side.
+  void Inline(uint32_t j, const std::vector<uint32_t>& hosts) {
+    Label nt = grammar_->NonterminalLabel(j);
+    Hypergraph rhs = std::move(*grammar_->mutable_rhs_by_index(j));
+    grammar_->SetRule(nt, Hypergraph());
+    for (uint32_t h : hosts) InlineIntoRule(nt, rhs, h);
+    step_of_[j] = static_cast<uint32_t>(snapshots_.size());
+    if (mapping_ != nullptr) snapshot_children_.Append(*grammar_, rhs);
+    snapshots_.push_back(std::move(rhs));
+  }
+
+  // Applies every inline step to the start graph and the mapping.
+  void Finish();
+
+  uint64_t spliced_edges() const { return spliced_edges_; }
+
+ private:
+  uint32_t StepOf(Label l) const {
+    return grammar_->IsNonterminal(l) ? step_of_[grammar_->RuleIndex(l)]
+                                      : kNeverInlined;
+  }
+
+  // Copies `rhs_a` into the host rule in place of each A-labeled edge:
+  // external node i of rhs_a merges with the edge's i-th attachment,
+  // internal nodes are appended to the host, per A-edge in edge order.
+  void InlineIntoRule(Label a, const Hypergraph& rhs_a, uint32_t host_index);
+
+  void FinalizeRecord(DerivationRecord* root, Label label);
+  void DissolveChildren(DerivationRecord* rec, Label label);
+  void ExpandStartEdge(HEdge edge, DerivationRecord rec);
+
+  SlhrGrammar* grammar_;
+  NodeMapping* mapping_;
+  std::vector<uint32_t> step_of_;      // per rule index
+  std::vector<Hypergraph> snapshots_;  // per step: rhs at inline time
+  // Nonterminal child labels of each rule before pruning and of each
+  // snapshot (filled only when a mapping is tracked).
+  LabelLists rule_children_;
+  LabelLists snapshot_children_;
+  uint64_t spliced_edges_ = 0;
+
+  // Start-graph expansion state (Finish).
+  std::vector<NodeId> step_base_;  // first new start node of each step
+  std::vector<uint32_t> next_instance_;  // per step: instances numbered
+  std::vector<HEdge> new_edges_;
+  std::vector<DerivationRecord> new_records_;
+};
+
+void Inliner::InlineIntoRule(Label a, const Hypergraph& rhs_a,
+                             uint32_t host_index) {
+  Hypergraph* host = grammar_->mutable_rhs_by_index(host_index);
+  bool has_a = false;
+  for (const auto& e : host->edges()) {
+    if (e.label == a) {
+      has_a = true;
+      break;
+    }
+  }
+  if (!has_a) return;
+  const uint32_t rank = static_cast<uint32_t>(rhs_a.ext().size());
+  std::vector<HEdge> old_edges = host->TakeEdges();
+  std::vector<HEdge> new_edges;
+  new_edges.reserve(old_edges.size());
+  std::vector<NodeId> node_map(rhs_a.num_nodes());
+  for (auto& e : old_edges) {
+    if (e.label != a) {
+      new_edges.push_back(std::move(e));
+      continue;
+    }
+    assert(e.att.size() == rank);
+    for (uint32_t i = 0; i < rank; ++i) node_map[i] = e.att[i];
+    for (uint32_t i = rank; i < rhs_a.num_nodes(); ++i) {
+      node_map[i] = host->AddNode();
+    }
+    for (const auto& re : rhs_a.edges()) {
+      new_edges.push_back(MapEdge(re, node_map));
+    }
+  }
+  spliced_edges_ += new_edges.size();
+  host->SetEdges(std::move(new_edges));
+}
+
+// Brings `root` (a record of rule `label`, shaped like the rules before
+// pruning) and all records below it into final form, children first.
+void Inliner::FinalizeRecord(DerivationRecord* root, Label label) {
   struct Work {
     DerivationRecord* rec;
     Label label;
-    bool expanded;
+    bool children_done;
   };
-  std::vector<Work> stack;
-  const Hypergraph& start = g.start();
-  for (EdgeId se = 0; se < start.num_edges(); ++se) {
-    if (g.IsNonterminal(start.edge(se).label)) {
-      stack.push_back({&mapping->edge_records[se], start.edge(se).label,
-                       false});
-    }
-  }
+  std::vector<Work> stack = {{root, label, false}};
   while (!stack.empty()) {
     Work w = stack.back();
     stack.pop_back();
-    const Hypergraph& rhs = g.rhs(w.label);
-    if (!w.expanded) {
-      // Post-order: children first, then splice this node.
-      stack.push_back({w.rec, w.label, true});
-      size_t ci = 0;
-      for (const auto& e : rhs.edges()) {
-        if (g.IsNonterminal(e.label)) {
-          stack.push_back({&w.rec->children[ci], e.label, false});
-          ++ci;
-        }
-      }
+    if (w.children_done) {
+      DissolveChildren(w.rec, w.label);
       continue;
     }
-    // Does rhs(w.label) have any A-edge?
-    bool has_a = false;
-    for (const auto& e : rhs.edges()) {
-      if (e.label == A) {
-        has_a = true;
-        break;
-      }
+    stack.push_back({w.rec, w.label, true});
+    const Label* labels = rule_children_.begin(grammar_->RuleIndex(w.label));
+    for (size_t c = 0; c < w.rec->children.size(); ++c) {
+      stack.push_back({&w.rec->children[c], labels[c], false});
     }
-    if (!has_a) continue;
-
-    std::vector<DerivationRecord> new_children;
-    std::vector<NodeId> appendix;
-    size_t ci = 0;
-    for (const auto& e : rhs.edges()) {
-      if (!g.IsNonterminal(e.label)) continue;
-      DerivationRecord child = std::move(w.rec->children[ci++]);
-      if (e.label != A) {
-        new_children.push_back(std::move(child));
-        continue;
-      }
-      appendix.insert(appendix.end(), child.internal_origs.begin(),
-                      child.internal_origs.end());
-      for (auto& grandchild : child.children) {
-        new_children.push_back(std::move(grandchild));
-      }
-    }
-    w.rec->internal_origs.insert(w.rec->internal_origs.end(),
-                                 appendix.begin(), appendix.end());
-    w.rec->children = std::move(new_children);
   }
 }
 
-// Copies `rhs_a` into `host` in place of edge `e` (an A-edge): external
-// node i of rhs_a merges with e.att[i], internal nodes are appended to
-// the host. Returns the node map used. Emits the replacement edges into
-// `out_edges` in rhs_a edge order.
-void SpliceGraph(Hypergraph* host, const HEdge& e, const Hypergraph& rhs_a,
-                 std::vector<HEdge>* out_edges,
-                 std::vector<NodeId>* new_host_nodes) {
-  uint32_t rank = static_cast<uint32_t>(rhs_a.ext().size());
-  assert(e.att.size() == rank);
-  std::vector<NodeId> node_map(rhs_a.num_nodes());
-  for (uint32_t i = 0; i < rank; ++i) node_map[i] = e.att[i];
-  for (uint32_t i = rank; i < rhs_a.num_nodes(); ++i) {
-    node_map[i] = host->AddNode();
-    if (new_host_nodes != nullptr) new_host_nodes->push_back(node_map[i]);
+// `rec`'s children are final; dissolves those whose rule was inlined
+// before `label`'s own step, recursively through the children they
+// bring along.
+void Inliner::DissolveChildren(DerivationRecord* rec, Label label) {
+  const uint32_t death = StepOf(label);
+  const Label* labels = rule_children_.begin(grammar_->RuleIndex(label));
+  bool any = false;
+  for (size_t c = 0; c < rec->children.size() && !any; ++c) {
+    any = StepOf(labels[c]) < death;
   }
-  for (const auto& re : rhs_a.edges()) {
-    HEdge copy;
-    copy.label = re.label;
-    copy.att.reserve(re.att.size());
-    for (NodeId v : re.att) copy.att.push_back(node_map[v]);
-    out_edges->push_back(std::move(copy));
-  }
-}
+  if (!any) return;
 
-// Inlines A into the start graph, updating root records and start-graph
-// origins when a mapping is tracked.
-void InlineIntoStart(SlhrGrammar* g, Label A, const Hypergraph& rhs_a,
-                     NodeMapping* mapping) {
-  Hypergraph* host = g->mutable_start();
-  bool has_a = false;
-  for (const auto& e : host->edges()) {
-    if (e.label == A) {
-      has_a = true;
-      break;
-    }
-  }
-  if (!has_a) return;
-
-  std::vector<HEdge> old_edges = host->TakeEdges();
-  std::vector<HEdge> new_edges;
-  new_edges.reserve(old_edges.size());
-  std::vector<DerivationRecord> new_records;
-  const bool track = mapping != nullptr;
-  uint32_t rank = static_cast<uint32_t>(rhs_a.ext().size());
-
-  for (EdgeId i = 0; i < old_edges.size(); ++i) {
-    HEdge e = std::move(old_edges[i]);
-    if (e.label != A) {
-      new_edges.push_back(std::move(e));
-      if (track) {
-        new_records.push_back(std::move(mapping->edge_records[i]));
-      }
+  struct Level {
+    std::vector<DerivationRecord>* children;
+    const Label* labels;
+    size_t next;
+  };
+  std::vector<DerivationRecord> old_children = std::move(rec->children);
+  std::vector<DerivationRecord> kept;
+  std::vector<std::pair<uint32_t, std::vector<NodeId>>> groups;
+  std::vector<Level> levels = {{&old_children, labels, 0}};
+  while (!levels.empty()) {
+    Level& level = levels.back();
+    if (level.next == level.children->size()) {
+      levels.pop_back();
       continue;
     }
+    DerivationRecord& child = (*level.children)[level.next];
+    uint32_t step = StepOf(level.labels[level.next]);
+    ++level.next;
+    if (step >= death) {
+      kept.push_back(std::move(child));
+      continue;
+    }
+    groups.emplace_back(step, std::move(child.internal_origs));
+    levels.push_back({&child.children, snapshot_children_.begin(step), 0});
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.first < y.first;
+                   });
+  for (auto& group : groups) {
+    rec->internal_origs.insert(rec->internal_origs.end(),
+                               group.second.begin(), group.second.end());
+  }
+  rec->children = std::move(kept);
+}
+
+// Emits `edge` into the new start graph, expanding it (and whatever
+// its snapshot brings along) when its rule was inlined. `rec` is final.
+void Inliner::ExpandStartEdge(HEdge edge, DerivationRecord rec) {
+  const bool track = mapping_ != nullptr;
+  struct Frame {
+    const Hypergraph* rhs;
+    std::vector<NodeId> node_map;
     DerivationRecord rec;
-    if (track) rec = std::move(mapping->edge_records[i]);
-    std::vector<NodeId> created;
-    SpliceGraph(host, e, rhs_a, &new_edges, &created);
+    size_t next_edge = 0;
+    size_t next_child = 0;
+  };
+  std::vector<Frame> frames;
+  // Emits one edge: as is when its rule survives, else as a new frame.
+  auto emit = [&](HEdge e, DerivationRecord r) {
+    uint32_t step = StepOf(e.label);
+    if (step == kNeverInlined) {
+      new_edges_.push_back(std::move(e));
+      if (track) new_records_.push_back(std::move(r));
+      return;
+    }
+    Frame f;
+    f.rhs = &snapshots_[step];
+    const uint32_t rank = static_cast<uint32_t>(f.rhs->ext().size());
+    const uint32_t internal = f.rhs->num_nodes() - rank;
+    assert(e.att.size() == rank);
+    f.node_map = std::move(e.att);
+    NodeId first = step_base_[step] + next_instance_[step]++ * internal;
+    for (uint32_t i = 0; i < internal; ++i) f.node_map.push_back(first + i);
     if (track) {
-      assert(created.size() == rec.internal_origs.size());
-      for (size_t k = 0; k < created.size(); ++k) {
-        assert(created[k] == mapping->start_origs.size());
-        mapping->start_origs.push_back(rec.internal_origs[k]);
+      assert(r.internal_origs.size() == internal);
+      for (uint32_t i = 0; i < internal; ++i) {
+        mapping_->start_origs[first + i] = r.internal_origs[i];
       }
-      // Distribute the record's children to the spliced nonterminal
-      // edges (rhs_a edge order); terminal splices get empty records.
-      size_t child_idx = 0;
-      for (const auto& re : rhs_a.edges()) {
-        if (g->IsNonterminal(re.label)) {
-          new_records.push_back(std::move(rec.children[child_idx++]));
-        } else {
-          new_records.emplace_back();
-        }
-      }
-      assert(child_idx == rec.children.size());
+      f.rec = std::move(r);
     }
-    (void)rank;
-  }
-  host->SetEdges(std::move(new_edges));
-  if (track) mapping->edge_records = std::move(new_records);
-}
-
-// Inlines A into one rule's right-hand side (grammar surgery only; the
-// record side was handled by SpliceDeepRecords).
-void InlineIntoRule(SlhrGrammar* g, Label A, const Hypergraph& rhs_a,
-                    uint32_t host_rule_index) {
-  Hypergraph* host = g->mutable_rhs_by_index(host_rule_index);
-  bool has_a = false;
-  for (const auto& e : host->edges()) {
-    if (e.label == A) {
-      has_a = true;
-      break;
-    }
-  }
-  if (!has_a) return;
-  std::vector<HEdge> old_edges = host->TakeEdges();
-  std::vector<HEdge> new_edges;
-  new_edges.reserve(old_edges.size());
-  for (auto& e : old_edges) {
-    if (e.label != A) {
-      new_edges.push_back(std::move(e));
+    frames.push_back(std::move(f));
+  };
+  emit(std::move(edge), std::move(rec));
+  while (!frames.empty()) {
+    Frame& f = frames.back();
+    if (f.next_edge == f.rhs->num_edges()) {
+      assert(!track || f.next_child == f.rec.children.size());
+      frames.pop_back();
       continue;
     }
-    SpliceGraph(host, e, rhs_a, &new_edges, nullptr);
+    const HEdge& re = f.rhs->edge(static_cast<EdgeId>(f.next_edge++));
+    DerivationRecord child;
+    if (track && grammar_->IsNonterminal(re.label)) {
+      child = std::move(f.rec.children[f.next_child++]);
+    }
+    emit(MapEdge(re, f.node_map), std::move(child));  // may invalidate f
   }
-  host->SetEdges(std::move(new_edges));
 }
 
-// Host ids for the reference-location index: 0 is the start graph,
-// 1 + k is rule k.
-constexpr uint32_t kStartHost = 0;
+void Inliner::Finish() {
+  Hypergraph* start = grammar_->mutable_start();
+  const size_t num_steps = snapshots_.size();
+  if (num_steps == 0) return;
 
-// Inline without compacting rule labels; marks nothing — caller tracks
-// dead rules. The rule's rhs is cleared afterwards. `hosts` restricts
-// the surgery to the hosts known to reference nt (stale or duplicate
-// entries are tolerated — the per-host has_a check skips them); null
-// means "scan everything".
-void InlineRuleNoCompact(SlhrGrammar* grammar, Label nt,
-                         NodeMapping* mapping,
-                         const std::vector<uint32_t>* hosts) {
-  const Hypergraph rhs_a = grammar->rhs(nt);  // copy: source of splices
-  if (mapping != nullptr) {
-    SpliceDeepRecords(*grammar, nt, mapping);
+  // Instances per step: the step's edges in the start graph at the time
+  // it ran. Each start edge labeled A contributes one; each instance of
+  // an earlier step contributes one per A-edge of its snapshot.
+  std::vector<uint64_t> instances(num_steps, 0);
+  for (const auto& e : start->edges()) {
+    uint32_t step = StepOf(e.label);
+    if (step != kNeverInlined) ++instances[step];
   }
-  if (hosts != nullptr) {
-    for (uint32_t h : *hosts) {
-      if (h == kStartHost) {
-        InlineIntoStart(grammar, nt, rhs_a, mapping);
-      } else if (h - 1 != grammar->RuleIndex(nt)) {
-        InlineIntoRule(grammar, nt, rhs_a, h - 1);
+  for (size_t s = 0; s < num_steps; ++s) {
+    for (const auto& e : snapshots_[s].edges()) {
+      uint32_t step = StepOf(e.label);
+      if (step == kNeverInlined) continue;
+      assert(step > s);
+      instances[step] += instances[s];
+    }
+  }
+  step_base_.resize(num_steps);
+  uint64_t num_nodes = start->num_nodes();
+  for (size_t s = 0; s < num_steps; ++s) {
+    step_base_[s] = static_cast<NodeId>(num_nodes);
+    num_nodes += instances[s] * (snapshots_[s].num_nodes() -
+                                 snapshots_[s].ext().size());
+  }
+  assert(num_nodes <= kInvalidNode);
+
+  const bool track = mapping_ != nullptr;
+  if (track) mapping_->start_origs.resize(num_nodes);
+  std::vector<HEdge> old_edges = start->TakeEdges();
+  next_instance_.assign(num_steps, 0);
+  for (EdgeId i = 0; i < old_edges.size(); ++i) {
+    DerivationRecord rec;
+    if (track) {
+      rec = std::move(mapping_->edge_records[i]);
+      if (grammar_->IsNonterminal(old_edges[i].label)) {
+        FinalizeRecord(&rec, old_edges[i].label);
       }
     }
-  } else {
-    InlineIntoStart(grammar, nt, rhs_a, mapping);
-    for (uint32_t j = 0; j < grammar->num_rules(); ++j) {
-      if (j == grammar->RuleIndex(nt)) continue;
-      InlineIntoRule(grammar, nt, rhs_a, j);
-    }
+    ExpandStartEdge(std::move(old_edges[i]), std::move(rec));
   }
-  grammar->SetRule(nt, Hypergraph());
+  start->AddNodes(static_cast<uint32_t>(num_nodes - start->num_nodes()));
+  spliced_edges_ += new_edges_.size();
+  start->SetEdges(std::move(new_edges_));
+  if (track) mapping_->edge_records = std::move(new_records_);
 }
 
 }  // namespace
 
 void InlineRuleEverywhere(SlhrGrammar* grammar, Label nt,
                           NodeMapping* mapping) {
-  InlineRuleNoCompact(grammar, nt, mapping, nullptr);
+  std::vector<uint32_t> hosts(grammar->num_rules());
+  std::iota(hosts.begin(), hosts.end(), 0u);
+  Inliner inliner(grammar, mapping);
+  inliner.Inline(grammar->RuleIndex(nt), hosts);
+  inliner.Finish();
   std::vector<char> dead(grammar->num_rules(), 0);
   dead[grammar->RuleIndex(nt)] = 1;
   grammar->CompactRules(dead);
@@ -241,31 +362,26 @@ PruneStats PruneGrammar(SlhrGrammar* grammar, NodeMapping* mapping,
   std::vector<char> dead(n, 0);
   std::vector<uint64_t> refs = grammar->AllReferenceCounts();
 
-  // Reference-location index: which hosts mention each rule. Entries
-  // can go stale after inlining (tolerated), and hosts gaining
-  // references through an inline are appended.
+  // Reference-location index: which rules mention each rule (the start
+  // graph is expanded once at the end). Entries can go stale after
+  // inlining (tolerated), and hosts gaining references through an
+  // inline are appended.
   std::vector<std::vector<uint32_t>> host_refs(n);
-  {
-    auto scan = [&](const Hypergraph& g, uint32_t host) {
-      for (const auto& e : g.edges()) {
-        if (grammar->IsNonterminal(e.label)) {
-          auto& list = host_refs[grammar->RuleIndex(e.label)];
-          if (list.empty() || list.back() != host) list.push_back(host);
-        }
+  for (uint32_t j = 0; j < n; ++j) {
+    for (const auto& e : grammar->rhs_by_index(j).edges()) {
+      if (grammar->IsNonterminal(e.label)) {
+        auto& list = host_refs[grammar->RuleIndex(e.label)];
+        if (list.empty() || list.back() != j) list.push_back(j);
       }
-    };
-    scan(grammar->start(), kStartHost);
-    for (uint32_t j = 0; j < n; ++j) {
-      scan(grammar->rhs_by_index(j), 1 + j);
     }
   }
 
+  Inliner inliner(grammar, mapping);
   // Incremental ref maintenance: inlining A with ref(A)=r replaces each
   // A-edge by a copy of rhs(A), so every nonterminal B referenced k
   // times in rhs(A) gains r*k references and loses the k references from
   // the deleted rule itself: refs[B] += (r-1)*k.
   auto inline_rule = [&](uint32_t j) {
-    Label nt = grammar->NonterminalLabel(j);
     int64_t r = static_cast<int64_t>(refs[j]);
     std::vector<uint32_t> children;
     for (const auto& e : grammar->rhs_by_index(j).edges()) {
@@ -278,7 +394,7 @@ PruneStats PruneGrammar(SlhrGrammar* grammar, NodeMapping* mapping,
     }
     std::vector<uint32_t> hosts = std::move(host_refs[j]);
     host_refs[j].clear();
-    InlineRuleNoCompact(grammar, nt, mapping, &hosts);
+    inliner.Inline(j, hosts);
     // The hosts that contained A now contain A's children.
     for (uint32_t child : children) {
       for (uint32_t h : hosts) host_refs[child].push_back(h);
@@ -317,8 +433,10 @@ PruneStats PruneGrammar(SlhrGrammar* grammar, NodeMapping* mapping,
     }
   }
 
+  inliner.Finish();
   grammar->CompactRules(dead);
   stats.size_after = grammar->TotalSize();
+  stats.spliced_edges = inliner.spliced_edges();
   return stats;
 }
 

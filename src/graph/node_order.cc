@@ -87,7 +87,9 @@ FpRefinement ComputeFpRefinement(const Hypergraph& g, int max_iterations) {
   std::vector<uint32_t> next_colors(n);
   std::vector<uint64_t> arena;
   std::vector<SigSpan> spans(n);
-  std::vector<std::vector<uint64_t>> edge_tuples;
+  // One node's incident-edge tuples, flat, and their spans (reused).
+  std::vector<uint64_t> tuple_arena;
+  std::vector<SigSpan> tuple_spans;
 
   for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations = iter;
@@ -99,27 +101,30 @@ FpRefinement ComputeFpRefinement(const Hypergraph& g, int max_iterations) {
     // "straightforward extension to directed labeled graphs" of
     // Section III-B1 (direction = position, label included).
     for (NodeId v = 0; v < n; ++v) {
-      edge_tuples.clear();
-      edge_tuples.reserve(incidence[v].size());
+      tuple_arena.clear();
+      tuple_spans.clear();
       for (EdgeId e : incidence[v]) {
         const HEdge& edge = g.edge(e);
-        std::vector<uint64_t> tuple;
-        tuple.reserve(edge.att.size() + 2);
-        tuple.push_back(edge.label);
+        size_t offset = tuple_arena.size();
+        tuple_arena.push_back(edge.label);
         uint64_t pos = 0;
         for (size_t i = 0; i < edge.att.size(); ++i) {
           if (edge.att[i] == v) pos = i;
         }
-        tuple.push_back(pos);
-        for (NodeId u : edge.att) tuple.push_back(result.colors[u]);
-        edge_tuples.push_back(std::move(tuple));
+        tuple_arena.push_back(pos);
+        for (NodeId u : edge.att) tuple_arena.push_back(result.colors[u]);
+        tuple_spans.push_back({offset, tuple_arena.size() - offset});
       }
-      std::sort(edge_tuples.begin(), edge_tuples.end());
+      std::sort(tuple_spans.begin(), tuple_spans.end(),
+                [&](const SigSpan& a, const SigSpan& b) {
+                  return SigLess(tuple_arena, a, b);
+                });
       size_t offset = arena.size();
       arena.push_back(result.colors[v]);
-      for (const auto& tuple : edge_tuples) {
-        arena.push_back(tuple.size());  // length prefix: unambiguous flatten
-        arena.insert(arena.end(), tuple.begin(), tuple.end());
+      for (const SigSpan& t : tuple_spans) {
+        arena.push_back(t.length);  // length prefix: unambiguous flatten
+        arena.insert(arena.end(), tuple_arena.begin() + t.offset,
+                     tuple_arena.begin() + t.offset + t.length);
       }
       spans[v] = {offset, arena.size() - offset};
     }

@@ -50,7 +50,7 @@ Result<CompressedGraph> CompressedGraph::FromGraph(
     GREPAIR_RETURN_IF_ERROR(BuildIdTranslation(
         &g.to_original_, &g.to_val_, *g.grammar_, g.mapping_));
   }
-  g.BuildIndexes();
+  g.Init();
   return g;
 }
 
@@ -58,7 +58,7 @@ Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar) {
   GREPAIR_RETURN_IF_ERROR(grammar.Validate());
   CompressedGraph g;
   g.grammar_ = std::make_unique<SlhrGrammar>(std::move(grammar));
-  g.BuildIndexes();
+  g.Init();
   return g;
 }
 
@@ -71,7 +71,7 @@ Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar,
   g.mapping_ = std::move(mapping);
   GREPAIR_RETURN_IF_ERROR(BuildIdTranslation(
       &g.to_original_, &g.to_val_, *g.grammar_, g.mapping_));
-  g.BuildIndexes();
+  g.Init();
   return g;
 }
 
@@ -114,15 +114,27 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
                      std::move(mapping).ValueOrDie());
 }
 
-void CompressedGraph::BuildIndexes() {
+void CompressedGraph::Init() {
   num_nodes_ = ValNodeCount(*grammar_);
   num_edges_ = ValEdgeCount(*grammar_);
-  neighborhood_ = std::make_unique<NeighborhoodIndex>(*grammar_);
-  reachability_ = std::make_unique<ReachabilityIndex>(*grammar_);
+  neighborhood_ = std::make_unique<LazyIndex<NeighborhoodIndex>>();
+  reachability_ = std::make_unique<LazyIndex<ReachabilityIndex>>();
+}
+
+uint64_t CompressedGraph::memo_entries() const {
+  const NeighborhoodIndex* n = neighborhood_->IfBuilt();
+  const ReachabilityIndex* r = reachability_->IfBuilt();
+  return (n ? n->memo_entries() : 0) + (r ? r->memo_entries() : 0);
+}
+
+uint64_t CompressedGraph::memo_hits() const {
+  const NeighborhoodIndex* n = neighborhood_->IfBuilt();
+  const ReachabilityIndex* r = reachability_->IfBuilt();
+  return (n ? n->memo_hits() : 0) + (r ? r->memo_hits() : 0);
 }
 
 std::vector<uint64_t> CompressedGraph::OutNeighbors(uint64_t node) const {
-  auto result = neighborhood_->OutNeighbors(ToVal(node));
+  auto result = neighborhood().OutNeighbors(ToVal(node));
   if (!to_original_.empty()) {
     for (auto& v : result) v = ToOriginal(v);
     std::sort(result.begin(), result.end());
@@ -131,7 +143,7 @@ std::vector<uint64_t> CompressedGraph::OutNeighbors(uint64_t node) const {
 }
 
 std::vector<uint64_t> CompressedGraph::InNeighbors(uint64_t node) const {
-  auto result = neighborhood_->InNeighbors(ToVal(node));
+  auto result = neighborhood().InNeighbors(ToVal(node));
   if (!to_original_.empty()) {
     for (auto& v : result) v = ToOriginal(v);
     std::sort(result.begin(), result.end());
@@ -140,7 +152,7 @@ std::vector<uint64_t> CompressedGraph::InNeighbors(uint64_t node) const {
 }
 
 bool CompressedGraph::Reachable(uint64_t from, uint64_t to) const {
-  return reachability_->Reachable(ToVal(from), ToVal(to));
+  return reachability().Reachable(ToVal(from), ToVal(to));
 }
 
 uint64_t CompressedGraph::NumConnectedComponents() const {

@@ -16,8 +16,10 @@
 #ifndef GREPAIR_QUERY_COMPRESSED_GRAPH_H_
 #define GREPAIR_QUERY_COMPRESSED_GRAPH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -29,7 +31,10 @@
 namespace grepair {
 
 /// \brief Queryable compressed graph. Movable, not copyable (owns the
-/// lazily built query indexes).
+/// lazily built query indexes). The neighborhood and reachability
+/// indexes are built on the first query that needs them (thread-safe,
+/// exactly once), so compress/serialize/decompress paths never pay for
+/// them.
 class CompressedGraph {
  public:
   /// \brief Compresses `graph` and wraps the result. When
@@ -95,17 +100,48 @@ class CompressedGraph {
   const SlhrGrammar& grammar() const { return *grammar_; }
   const CompressStats& stats() const { return stats_; }
 
-  /// \brief The underlying query indexes (their memo-table counters
-  /// feed the api-level QueryStats surface).
-  const NeighborhoodIndex& neighborhood() const { return *neighborhood_; }
-  const ReachabilityIndex& reachability() const { return *reachability_; }
+  /// \brief Memo-table counters of the query indexes built so far (they
+  /// feed the api-level QueryStats surface). Reading them never builds
+  /// an index: an index no query has needed yet counts zero.
+  uint64_t memo_entries() const;
+  uint64_t memo_hits() const;
 
   /// \brief True when queries and Decompress use original-graph ids.
   bool has_original_ids() const { return !to_original_.empty(); }
 
  private:
+  // One query index, built on first use. Heap-held (with its flag) by
+  // the graph so that CompressedGraph stays movable.
+  template <typename Index>
+  struct LazyIndex {
+    std::once_flag once;
+    std::atomic<const Index*> built{nullptr};
+    std::unique_ptr<Index> index;
+
+    const Index& Get(const SlhrGrammar& grammar) {
+      std::call_once(once, [&] {
+        index = std::make_unique<Index>(grammar);
+        built.store(index.get(), std::memory_order_release);
+      });
+      return *index;
+    }
+    // The index if some query built it, else null; never builds.
+    const Index* IfBuilt() const {
+      return built.load(std::memory_order_acquire);
+    }
+  };
+
   CompressedGraph() = default;
-  void BuildIndexes();
+  // Sets the val(G) sizes (cheap, one bottom-up pass) and the empty
+  // lazy indexes.
+  void Init();
+
+  const NeighborhoodIndex& neighborhood() const {
+    return neighborhood_->Get(*grammar_);
+  }
+  const ReachabilityIndex& reachability() const {
+    return reachability_->Get(*grammar_);
+  }
 
   uint64_t ToVal(uint64_t node) const {
     return to_val_.empty() ? node : to_val_[node];
@@ -123,8 +159,8 @@ class CompressedGraph {
   uint64_t num_edges_ = 0;
   std::vector<NodeId> to_original_;  // val id -> original id
   std::vector<uint64_t> to_val_;     // original id -> val id
-  std::unique_ptr<NeighborhoodIndex> neighborhood_;
-  std::unique_ptr<ReachabilityIndex> reachability_;
+  std::unique_ptr<LazyIndex<NeighborhoodIndex>> neighborhood_;
+  std::unique_ptr<LazyIndex<ReachabilityIndex>> reachability_;
   mutable std::optional<size_t> serialized_size_;
 };
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "src/datasets/generators.h"
 #include "src/encoding/grammar_coder.h"
@@ -22,6 +24,16 @@ std::vector<uint64_t> BruteOut(const Hypergraph& g, uint64_t node) {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+std::vector<uint64_t> BruteIn(const Hypergraph& g, uint64_t node) {
+  std::vector<uint64_t> in;
+  for (const auto& e : g.edges()) {
+    if (e.att.size() == 2 && e.att[1] == node) in.push_back(e.att[0]);
+  }
+  std::sort(in.begin(), in.end());
+  in.erase(std::unique(in.begin(), in.end()), in.end());
+  return in;
 }
 
 class CompressedGraphSweep : public ::testing::TestWithParam<const char*> {};
@@ -121,6 +133,58 @@ TEST(CompressedGraphTest, ValNumberingWhenMappingDisabled) {
   ASSERT_TRUE(val.ok());
   for (uint64_t v = 0; v < 40; ++v) {
     EXPECT_EQ(cg.value().OutNeighbors(v), BruteOut(val.value(), v));
+  }
+}
+
+// The query indexes are built on first use: stats reads never build
+// them, and 8 threads racing the very first OutNeighbors / InNeighbors /
+// Reachable on a freshly deserialized graph all get the model's answers
+// (the TSan leg checks the build-once handoff).
+TEST(CompressedGraphTest, LazyIndexesRaceFirstQueries) {
+  GeneratedGraph gg = CoAuthorship(140, 200, 66);
+  auto built = CompressedGraph::FromGraph(gg.graph, gg.alphabet);
+  ASSERT_TRUE(built.ok());
+  const std::vector<uint8_t> bytes = built.value().Serialize();
+  const uint32_t n = gg.graph.num_nodes();
+  std::vector<std::vector<char>> reach(n);
+  for (NodeId u = 0; u < n; ++u) reach[u] = DirectedReachable(gg.graph, u);
+
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 4; ++round) {
+    auto fresh = CompressedGraph::Deserialize(bytes);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    const CompressedGraph& g = fresh.value();
+    EXPECT_EQ(g.memo_entries(), 0u);
+    EXPECT_EQ(g.memo_hits(), 0u);
+
+    std::atomic<int> ready{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        // Each thread starts with a different query kind, so the first
+        // calls into both indexes overlap.
+        for (uint32_t i = 0; i < 40; ++i) {
+          uint64_t v = (static_cast<uint64_t>(t) * 37 + i * 11) % n;
+          uint64_t w = (v * 7 + 3) % n;
+          switch ((t + i) % 3) {
+            case 0:
+              if (g.OutNeighbors(v) != BruteOut(gg.graph, v)) ++mismatches;
+              break;
+            case 1:
+              if (g.InNeighbors(v) != BruteIn(gg.graph, v)) ++mismatches;
+              break;
+            default:
+              if (g.Reachable(v, w) != (reach[v][w] != 0)) ++mismatches;
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+    EXPECT_GT(g.memo_entries(), 0u);
   }
 }
 

@@ -1,0 +1,158 @@
+// Golden digests of the compressor's output bytes.
+//
+// Pins HashBytes(EncodeGrammar) and HashBytes(EncodeNodeMapping) for a
+// fixed corpus under every combination of the pruning, virtual-edge and
+// node-mapping options. Any change to the compressor that alters a
+// single output byte (rule choice, rule order, start-graph edge order,
+// node numbering, derivation records) changes a digest, so refactors
+// and optimizations of the pipeline can prove they are byte-identical.
+// Every mapped run is also checked to reproduce its input exactly.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "src/datasets/generators.h"
+#include "src/encoding/grammar_coder.h"
+#include "src/grepair/compressor.h"
+#include "src/shard/partitioner.h"
+#include "src/util/hashing.h"
+
+namespace grepair {
+namespace {
+
+// A labeled graph mixing rank-3 hyperedges with simple edges: repeated
+// blocks (so digrams recur) with a rotating label pattern.
+GeneratedGraph HyperedgeGraph() {
+  GeneratedGraph gg;
+  gg.name = "hyper";
+  Label tri = gg.alphabet.Add("tri", 3);
+  Label a = gg.alphabet.Add("a", 2);
+  Label b = gg.alphabet.Add("b", 2);
+  constexpr uint32_t kBlocks = 40;
+  gg.graph = Hypergraph(kBlocks * 4);
+  for (uint32_t i = 0; i < kBlocks; ++i) {
+    NodeId base = i * 4;
+    gg.graph.AddEdge(tri, {base, base + 1, base + 2});
+    gg.graph.AddSimpleEdge(base + 2, base + 3, i % 3 == 0 ? b : a);
+    gg.graph.AddSimpleEdge(base + 3, (base + 4) % (kBlocks * 4), a);
+  }
+  return gg;
+}
+
+// The fixed corpus: four dblp version graphs cut into 16 shards each
+// (the sharded ingest path compresses shards, not whole graphs), an
+// RDF entity graph, Figure-13 copies and a hyperedge graph.
+std::vector<GeneratedGraph> GoldenCorpus() {
+  std::vector<GeneratedGraph> corpus;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    GeneratedGraph dblp = DblpVersions(12, 200, 100, seed, "dblp");
+    shard::PartitionOptions options;
+    options.num_shards = 16;
+    auto partition = shard::PartitionGraph(dblp.graph, options);
+    EXPECT_TRUE(partition.ok()) << partition.status().ToString();
+    if (!partition.ok()) continue;
+    for (size_t s = 0; s < partition.value().shards.size(); ++s) {
+      GeneratedGraph part;
+      part.name = "dblp" + std::to_string(seed) + "/shard" + std::to_string(s);
+      part.graph = std::move(partition.value().shards[s].graph);
+      part.alphabet = dblp.alphabet;
+      corpus.push_back(std::move(part));
+    }
+  }
+  corpus.push_back(RdfEntities(400, 12, 8, 7));
+  corpus.push_back(DisjointCopies(CycleWithDiagonal(), 64, "fig13"));
+  corpus.push_back(HyperedgeGraph());
+  return corpus;
+}
+
+// Corpus entries [0, kDblpParts) are the dblp shards.
+constexpr size_t kDblpParts = 4 * 17;
+
+enum class PruneMode { kOff, kPaper, kFixpoint };
+
+struct GoldenCase {
+  PruneMode prune;
+  bool virtual_edges;
+  bool mapping;
+  uint64_t digest;  // folded over this case's inputs, in corpus order
+};
+
+std::string CaseName(const GoldenCase& c) {
+  const char* prune = c.prune == PruneMode::kOff     ? "prune=off"
+                      : c.prune == PruneMode::kPaper ? "prune=paper"
+                                                     : "prune=fixpoint";
+  return std::string(prune) +
+         (c.virtual_edges ? " virtual=on" : " virtual=off") +
+         (c.mapping ? " mapping=on" : " mapping=off");
+}
+
+CompressOptions OptionsFor(const GoldenCase& c) {
+  CompressOptions options;
+  options.prune = c.prune != PruneMode::kOff;
+  options.prune_options.iterate_to_fixpoint = c.prune == PruneMode::kFixpoint;
+  options.connect_components = c.virtual_edges;
+  options.track_node_mapping = c.mapping;
+  return options;
+}
+
+uint64_t FoldBytes(const std::vector<uint8_t>& bytes, uint64_t h) {
+  return HashBytes(bytes.data(), bytes.size(), h);
+}
+
+TEST(CompressorGoldenTest, OutputBytesMatchPinnedDigests) {
+  const std::vector<GeneratedGraph> corpus = GoldenCorpus();
+  ASSERT_EQ(corpus.size(), kDblpParts + 3u);
+
+  // Pinned digests: they change only when the compressor's output
+  // changes on purpose (format, rule choice or numbering).
+  const std::vector<GoldenCase> cases = {
+      {PruneMode::kOff, false, false, 0x79d5a066ad566ef0ull},
+      {PruneMode::kOff, false, true, 0xdecb061a786ed3faull},
+      {PruneMode::kOff, true, false, 0xa6bcc981015d9cdcull},
+      {PruneMode::kOff, true, true, 0x371ebf96d9720362ull},
+      {PruneMode::kPaper, false, false, 0x598c6a58a54e9e3eull},
+      {PruneMode::kPaper, false, true, 0xb2cc71d1b8143e94ull},
+      {PruneMode::kPaper, true, false, 0x1a90fcabc47f893bull},
+      {PruneMode::kPaper, true, true, 0x3ac9015fafb47aa9ull},
+      {PruneMode::kFixpoint, false, false, 0x6a5007a4640fe2d8ull},
+      {PruneMode::kFixpoint, false, true, 0xa5cd0dbf48061f11ull},
+      {PruneMode::kFixpoint, true, false, 0xef6d1a16e3bda13dull},
+      {PruneMode::kFixpoint, true, true, 0xc12978df6a7bfd9eull},
+  };
+  std::vector<uint64_t> digests(cases.size(), 0);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const GeneratedGraph& gg = corpus[i];
+    // Each dblp shard runs under one option set (rotating, so every
+    // set sees shards of all four seeds); the small graphs run under
+    // all of them. Keeps the test fast in Debug and sanitizer builds.
+    for (size_t k = 0; k < cases.size(); ++k) {
+      if (i < kDblpParts && i % cases.size() != k) continue;
+      const GoldenCase& c = cases[k];
+      auto result = Compress(gg.graph, gg.alphabet, OptionsFor(c));
+      ASSERT_TRUE(result.ok()) << gg.name << ": " << result.status().ToString();
+      const SlhrGrammar& grammar = result.value().grammar;
+      digests[k] = FoldBytes(EncodeGrammar(grammar), digests[k]);
+      if (!c.mapping) continue;
+      const NodeMapping& mapping = result.value().mapping;
+      digests[k] = FoldBytes(EncodeNodeMapping(grammar, mapping), digests[k]);
+      auto original = DeriveOriginal(grammar, mapping);
+      ASSERT_TRUE(original.ok()) << gg.name << ": "
+                                 << original.status().ToString();
+      EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph))
+          << gg.name << " under " << CaseName(c);
+    }
+  }
+  for (size_t k = 0; k < cases.size(); ++k) {
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(digests[k]));
+    EXPECT_EQ(digests[k], cases[k].digest)
+        << CaseName(cases[k]) << " digest " << hex;
+  }
+}
+
+}  // namespace
+}  // namespace grepair

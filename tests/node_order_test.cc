@@ -160,5 +160,31 @@ TEST(NodeOrderTest, RandomOrderSeedDependent) {
   EXPECT_NE(a, b);
 }
 
+// A mixed-rank labeled hypergraph (rank-2, rank-3 and rank-4 edges,
+// nodes that sit at different positions of the same hyperedge label):
+// pins the exact FP coloring and node order, so any re-implementation
+// of the signature ranking must reproduce the same tuple order.
+TEST(NodeOrderTest, FpOrderPinnedOnMixedRankHypergraph) {
+  Hypergraph g(18);
+  for (NodeId i = 0; i < 18; i += 3) {
+    g.AddEdge(/*label=*/2, {i, (i + 1) % 18, (i + 2) % 18});
+    g.AddEdge(/*label=*/0, {(i + 2) % 18, (i + 3) % 18});
+  }
+  g.AddEdge(/*label=*/3, {0, 4, 8, 12});
+  g.AddEdge(/*label=*/3, {12, 16, 1, 5});
+  g.AddEdge(/*label=*/1, {7, 0});
+  g.AddEdge(/*label=*/1, {13, 9});
+  g.AddEdge(/*label=*/2, {17, 10, 3});
+
+  auto fp = ComputeFpRefinement(g);
+  EXPECT_EQ(fp.num_classes, 18u);
+  EXPECT_EQ(fp.iterations, 2);
+  EXPECT_EQ(fp.colors, (std::vector<uint32_t>{17, 10, 1, 14, 9, 11, 4, 6, 12,
+                                               15, 8, 2, 16, 5, 0, 3, 7, 13}));
+  EXPECT_EQ(ComputeNodeOrder(g, NodeOrderKind::kFp),
+            (std::vector<NodeId>{14, 2, 11, 15, 6, 13, 7, 16, 10,
+                                 4, 1, 5, 8, 17, 3, 9, 12, 0}));
+}
+
 }  // namespace
 }  // namespace grepair
