@@ -20,9 +20,11 @@
 // bit-stream bound end to end (Elias headers + k^2-tree bitmaps + a
 // rank directory over the loaded words), so the fast-vs-scalar ratio
 // measures the decode engine itself. The sharded:grepair container is
-// reported alongside for context: grammar deserialization spends most
-// of its time materializing rules and indexes, which the decode engine
-// does not touch, so its end-to-end ratio sits near 1x by design.
+// reported alongside for context: most of its deserialization time
+// goes to enumerating the start graph's per-label k^2-trees (a
+// level-order walk plus a sort per tree) and building the grammar and
+// node mapping, none of which the Elias decoders speed up, so its
+// fast-vs-scalar ratio stays near 1x by design.
 //
 // Also reports an informational cold/warm whole-container sweep (open
 // + batch query, first touch vs cached) so the shard-cache win stays

@@ -3,8 +3,9 @@
 //
 //   * the libFuzzer targets in fuzz/*_fuzzer.cc (coverage-guided,
 //     CI-smoked over the checked-in seed corpora, run long locally),
-//   * the bounded-budget GTest battery in tests/net_fuzz_test.cc
-//     (mutation fuzzing that runs in every ctest invocation).
+//   * the bounded-budget GTest batteries in tests/net_fuzz_test.cc and
+//     tests/k2tree_test.cc (mutation fuzzing that runs in every ctest
+//     invocation).
 //
 // Each check returns nullptr when every invariant holds and a static
 // description of the first violated invariant otherwise; the fuzzer
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/k2tree/k2tree.h"
 #include "src/net/frame.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/bit_stream.h"
@@ -182,6 +184,80 @@ inline const char* CheckEliasDifferential(const uint8_t* data, size_t size) {
       }
       if (width == 0 && fast.BitsAvailable() == 0) break;
       width = (width + 7) % 65;  // 0,7,14,...,63,5,... covers 0..64
+    }
+  }
+  return nullptr;
+}
+
+/// \brief k^2-tree parse through both entry points: the ranked
+/// K2Tree::Deserialize and the enumerate-only K2Tree::DecodeCells
+/// accept exactly the same inputs with the same status, and a parsed
+/// tree's AllCells is sorted, unique, in bounds, num_cells() long and
+/// equal to DecodeCells' keys; every listed cell satisfies Contains,
+/// and on matrices up to 64 x 64 Contains holds on no other cell.
+inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
+  BitReader ranked_reader(data, size * 8);
+  auto tree = K2Tree::Deserialize(&ranked_reader);
+  BitReader cells_reader(data, size * 8);
+  auto cells = K2Tree::DecodeCells(&cells_reader);
+  if (tree.ok() != cells.ok()) {
+    return "Deserialize and DecodeCells disagree on the input's validity";
+  }
+  if (!tree.ok()) {
+    if (tree.status().code() != cells.status().code() ||
+        tree.status().message() != cells.status().message()) {
+      return "Deserialize and DecodeCells fail with different statuses";
+    }
+    if (tree.status().code() != StatusCode::kCorruption &&
+        tree.status().code() != StatusCode::kOutOfRange) {
+      return "k2-tree parse failed with a code other than kCorruption or "
+             "kOutOfRange";
+    }
+    if (tree.status().message().empty()) {
+      return "k2-tree parse failed with an empty status message";
+    }
+    return nullptr;
+  }
+  if (ranked_reader.position() != cells_reader.position()) {
+    return "Deserialize and DecodeCells consumed different bit counts";
+  }
+  const K2Tree& t = tree.value();
+  const K2Tree::Cells& c = cells.value();
+  if (c.num_rows != t.num_rows() || c.num_cols != t.num_cols()) {
+    return "Deserialize and DecodeCells report different dimensions";
+  }
+  const auto all = t.AllCells();
+  if (all.size() != t.num_cells()) {
+    return "AllCells lists a different number of cells than num_cells";
+  }
+  if (c.keys.size() != all.size()) {
+    return "DecodeCells lists a different number of cells than AllCells";
+  }
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (i > 0 && !(all[i - 1] < all[i])) {
+      return "AllCells output is not strictly increasing";
+    }
+    if (all[i].first >= t.num_rows() || all[i].second >= t.num_cols()) {
+      return "AllCells lists a cell outside the matrix";
+    }
+    if (c.keys[i] != (static_cast<uint64_t>(all[i].first) << 32 |
+                      all[i].second)) {
+      return "DecodeCells and AllCells list different cells";
+    }
+    if (!t.Contains(all[i].first, all[i].second)) {
+      return "AllCells lists a cell that Contains rejects";
+    }
+  }
+  if (t.num_rows() <= 64 && t.num_cols() <= 64) {
+    uint64_t contained = 0;
+    for (uint32_t r = 0; r < t.num_rows(); ++r) {
+      for (uint32_t col = 0; col < t.num_cols(); ++col) {
+        contained += t.Contains(r, col) ? 1 : 0;
+      }
+    }
+    // Every listed cell is contained, so equal counts mean equal sets.
+    if (contained != all.size()) {
+      return "Contains accepts a cell that AllCells does not list";
     }
   }
   return nullptr;

@@ -2,14 +2,15 @@
 //
 //   gen_corpus <corpus_root>
 //
-// writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias}
-// — the directories checked in at fuzz/corpus and replayed by the
-// ctest fuzz_smoke_* tests. Seeds are golden-path encodings (every
-// verb of both frame protocol generations, real GRSHARD2 directories,
-// well-formed Elias streams plus the degenerate all-zeros/all-ones
-// edges), so coverage-guided runs start from deep inside the parsers
-// instead of fighting the magic bytes. Rerun after a format change and
-// commit the diff.
+// writes fuzz inputs under
+// <corpus_root>/{frame,shard_directory,elias,k2tree} — the directories
+// checked in at fuzz/corpus and replayed by the ctest fuzz_smoke_*
+// tests. Seeds are golden-path encodings (every verb of both frame
+// protocol generations, real GRSHARD2 directories, well-formed Elias
+// streams plus the degenerate all-zeros/all-ones edges, k^2-trees from
+// K2Tree::Build plus a forged cell count), so coverage-guided runs
+// start from deep inside the parsers instead of fighting the magic
+// bytes. Rerun after a format change and commit the diff.
 
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "fuzz/golden_seeds.h"
+#include "src/k2tree/k2tree.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
 
@@ -69,6 +71,43 @@ std::vector<uint8_t> EliasStream(const std::vector<uint64_t>& values,
   return w.TakeBytes();
 }
 
+// Serialized K2Tree::Build output over a deterministic cell pattern:
+// `per_col` cells in every column (an incidence shape when small), or
+// `count` scattered cells when per_col is 0.
+std::vector<uint8_t> TreeSeed(uint32_t rows, uint32_t cols, int k,
+                              uint32_t count, uint32_t per_col) {
+  std::vector<std::pair<uint32_t, uint32_t>> cells;
+  if (per_col > 0) {
+    for (uint32_t c = 0; c < cols; ++c) {
+      for (uint32_t j = 0; j < per_col; ++j) {
+        cells.push_back({(c * 7 + j * 13) % rows, c});
+      }
+    }
+  } else {
+    for (uint32_t i = 0; i < count; ++i) {
+      cells.push_back({(i * 37 + 11) % rows, (i * 101 + i / 3) % cols});
+    }
+  }
+  BitWriter w;
+  K2Tree::Build(rows, cols, std::move(cells), k).Serialize(&w);
+  return w.TakeBytes();
+}
+
+// A 4 x 4 k = 2 tree holding (0,1) and (3,2) whose header claims 2^40
+// cells: a count no layout backs, which must fail closed rather than
+// size an allocation.
+std::vector<uint8_t> ForgedCountSeed() {
+  BitWriter w;
+  EliasDeltaEncode(2, &w);                  // k
+  EliasDeltaEncode(4 + 1, &w);              // rows
+  EliasDeltaEncode(4 + 1, &w);              // cols
+  EliasDeltaEncode((1ull << 40) + 1, &w);   // cells
+  EliasDeltaEncode(4 + 1, &w);              // |T|
+  EliasDeltaEncode(8 + 1, &w);              // |L|
+  for (char bit : std::string("1001" "01000010")) w.PutBit(bit == '1');
+  return w.TakeBytes();
+}
+
 }  // namespace
 }  // namespace grepair
 
@@ -82,9 +121,11 @@ int main(int argc, char** argv) {
   const auto frame_dir = root / "frame";
   const auto dir_dir = root / "shard_directory";
   const auto elias_dir = root / "elias";
+  const auto k2tree_dir = root / "k2tree";
   std::filesystem::create_directories(frame_dir);
   std::filesystem::create_directories(dir_dir);
   std::filesystem::create_directories(elias_dir);
+  std::filesystem::create_directories(k2tree_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -119,6 +160,23 @@ int main(int argc, char** argv) {
   grepair::WriteSeed(elias_dir, "zeros.bin", std::vector<uint8_t>(24, 0x00));
   grepair::WriteSeed(elias_dir, "ones.bin", std::vector<uint8_t>(24, 0xFF));
   grepair::WriteSeed(elias_dir, "empty.bin", {});
+
+  using grepair::TreeSeed;
+  grepair::WriteSeed(k2tree_dir, "k2_square_64.bin",
+                     TreeSeed(64, 64, 2, 90, 0));
+  grepair::WriteSeed(k2tree_dir, "k3_square_81.bin",
+                     TreeSeed(81, 81, 3, 90, 0));
+  grepair::WriteSeed(k2tree_dir, "k4_square_100.bin",
+                     TreeSeed(100, 100, 4, 120, 0));
+  grepair::WriteSeed(k2tree_dir, "k2_incidence_50x20.bin",
+                     TreeSeed(50, 20, 2, 0, 3));
+  grepair::WriteSeed(k2tree_dir, "k3_incidence_40x17.bin",
+                     TreeSeed(40, 17, 3, 0, 3));
+  grepair::WriteSeed(k2tree_dir, "k4_incidence_30x9.bin",
+                     TreeSeed(30, 9, 4, 0, 4));
+  grepair::WriteSeed(k2tree_dir, "k2_empty_10.bin", TreeSeed(10, 10, 2, 0, 0));
+  grepair::WriteSeed(k2tree_dir, "forged_cell_count.bin",
+                     grepair::ForgedCountSeed());
 
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

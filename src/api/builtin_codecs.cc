@@ -92,6 +92,9 @@ class GrepairRep : public CompressedRep {
     return graph_.Decompress();
   }
   uint64_t num_nodes() const override { return graph_.num_nodes(); }
+  Status ForEachRank2Edge(const Rank2EdgeSink& sink) const override {
+    return graph_.ForEachRank2Edge(sink);
+  }
 
   Result<std::vector<uint64_t>> OutNeighbors(uint64_t node) const override {
     GREPAIR_RETURN_IF_ERROR(CheckNodeId(node, graph_.num_nodes()));

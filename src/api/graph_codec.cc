@@ -89,6 +89,18 @@ Status CheckNodeId(uint64_t node, uint64_t num_nodes) {
   return Status::OK();
 }
 
+Status CompressedRep::ForEachRank2Edge(const Rank2EdgeSink& sink) const {
+  auto graph = Decompress();
+  if (!graph.ok()) return graph.status();
+  if (graph.value().num_nodes() != num_nodes()) {
+    return Status::Corruption("decompressed node count disagrees with rep");
+  }
+  for (const HEdge& e : graph.value().edges()) {
+    if (e.att.size() == 2) sink(e.att[0], e.att[1]);
+  }
+  return Status::OK();
+}
+
 Result<std::vector<uint64_t>> CompressedRep::OutNeighbors(uint64_t) const {
   return Status::Unimplemented("codec does not support neighbor queries");
 }

@@ -26,6 +26,7 @@
 #define GREPAIR_API_GRAPH_CODEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -160,6 +161,16 @@ class CompressedRep {
   virtual size_t ByteSize() const = 0;
   virtual Result<Hypergraph> Decompress() const = 0;
   virtual uint64_t num_nodes() const = 0;
+
+  /// \brief Receives one rank-2 edge from -> to of the decompressed graph.
+  using Rank2EdgeSink = std::function<void(NodeId from, NodeId to)>;
+
+  /// \brief Calls `sink` for every rank-2 edge of Decompress()'s graph,
+  /// in Decompress()'s node ids and edge order; hyperedges are skipped.
+  /// Default: Decompress() and walk its edges (Corruption when its node
+  /// count disagrees with num_nodes()). Codecs that can produce edges
+  /// without building a Hypergraph override it.
+  virtual Status ForEachRank2Edge(const Rank2EdgeSink& sink) const;
 
   /// \brief Targets of edges leaving `node` (any label), sorted.
   /// Default: Unimplemented (codec lacks kNeighborQueries).

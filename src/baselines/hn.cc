@@ -116,16 +116,15 @@ Result<Hypergraph> HnDecompress(const HnCompressed& compressed) {
   if (original > total) {
     return Status::Corruption("more original than total nodes");
   }
-  auto tree = K2Tree::Deserialize(&r);
+  auto tree = K2Tree::DecodeCells(&r);
   if (!tree.ok()) return tree.status();
-  if (tree.value().num_rows() != total ||
-      tree.value().num_cols() != total) {
+  if (tree.value().num_rows != total || tree.value().num_cols != total) {
     return Status::Corruption("HN tree dimensions mismatch header");
   }
 
   std::vector<std::vector<uint32_t>> adj(total);
-  for (const auto& cell : tree.value().AllCells()) {
-    adj[cell.first].push_back(cell.second);
+  for (uint64_t cell : tree.value().keys) {
+    adj[cell >> 32].push_back(static_cast<uint32_t>(cell & 0xFFFFFFFFu));
   }
   // Expansion of a virtual node: the original nodes reachable from it
   // through virtual nodes. Virtual-to-virtual edges can form cycles

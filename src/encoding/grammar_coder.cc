@@ -338,10 +338,10 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
     bool present = false;
     GREPAIR_RETURN_IF_ERROR(r.ReadBit(&present));
     if (!present) continue;
-    auto tree = K2Tree::Deserialize(&r);
+    auto tree = K2Tree::DecodeCells(&r);
     if (!tree.ok()) return tree.status();
+    const std::vector<uint64_t>& cells = tree.value().keys;
     if (alpha.rank(l) == 2) {
-      auto cells = tree.value().AllCells();
       uint64_t num_dups = 0;
       GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_dups));
       if (num_dups == 0) return Status::Corruption("bad dup count");
@@ -374,8 +374,10 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
         multiplicity[cell_rank - 1] += static_cast<uint32_t>(extra);
       }
       for (size_t ci = 0; ci < cells.size(); ++ci) {
+        const NodeId u = static_cast<NodeId>(cells[ci] >> 32);
+        const NodeId v = static_cast<NodeId>(cells[ci] & 0xFFFFFFFFu);
         for (uint32_t m = 0; m < multiplicity[ci]; ++m) {
-          start->AddEdge(l, {cells[ci].first, cells[ci].second});
+          start->AddEdge(l, {u, v});
         }
       }
     } else {
@@ -384,17 +386,17 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
       // column count is bounded by the (input-bounded) cell count —
       // sizing `cols` straight from the header would amplify each
       // input bit into a 24-byte empty vector.
-      uint32_t num_edges = tree.value().num_cols();
-      auto incidence_cells = tree.value().AllCells();
-      if (num_edges > incidence_cells.size()) {
+      uint32_t num_edges = tree.value().num_cols;
+      if (num_edges > cells.size()) {
         return Status::Corruption("hyperedge count exceeds incidence cells");
       }
       std::vector<std::vector<NodeId>> cols(num_edges);
-      for (const auto& cell : incidence_cells) {
-        if (cell.second >= num_edges) {
+      for (uint64_t cell : cells) {
+        const uint32_t col = static_cast<uint32_t>(cell & 0xFFFFFFFFu);
+        if (col >= num_edges) {
           return Status::Corruption("incidence cell column out of range");
         }
-        cols[cell.second].push_back(cell.first);
+        cols[col].push_back(static_cast<NodeId>(cell >> 32));
       }
       for (uint32_t col = 0; col < num_edges; ++col) {
         uint64_t perm_idx = 0;

@@ -80,44 +80,19 @@ namespace {
 // One suspended rule application during depth-first expansion.
 struct Frame {
   const Hypergraph* rhs;
-  std::vector<NodeId> node_map;        // rhs node id -> output node id
-  size_t edge_idx = 0;                 // next rhs edge to process
-  const DerivationRecord* record = nullptr;
-  size_t child_idx = 0;                // next record child to consume
+  size_t map_begin;     // rhs node id -> val(G) node id, in the map stack
+  size_t edge_idx = 0;  // next rhs edge to process
 };
 
-// Creates the frame for applying `label`'s rule at attachment `att`.
-// Materializes the rhs's internal nodes immediately (in rhs node order),
-// which is what fixes the derived node IDs.
-Frame MakeFrame(const SlhrGrammar& grammar, Label label,
-                const std::vector<NodeId>& att, Hypergraph* out,
-                const DerivationRecord* record,
-                std::vector<NodeId>* origins) {
-  Frame f;
-  f.rhs = &grammar.rhs(label);
-  f.record = record;
-  uint32_t rank = static_cast<uint32_t>(f.rhs->ext().size());
-  assert(att.size() == rank);
-  f.node_map.resize(f.rhs->num_nodes());
-  // Canonical form: external node i has rhs id i.
-  for (uint32_t i = 0; i < rank; ++i) f.node_map[i] = att[i];
-  for (uint32_t i = rank; i < f.rhs->num_nodes(); ++i) {
-    f.node_map[i] = out->AddNode();
-    if (origins != nullptr) {
-      assert(record != nullptr &&
-             i - rank < record->internal_origs.size());
-      origins->push_back(record->internal_origs[i - rank]);
-    }
-  }
-  return f;
-}
-
-Result<Hypergraph> DeriveImpl(const SlhrGrammar& grammar,
-                              const NodeMapping* mapping,
-                              std::vector<NodeId>* origins,
-                              const DeriveOptions& options) {
-  uint64_t total_nodes = ValNodeCount(grammar);
-  uint64_t total_edges = ValEdgeCount(grammar);
+// Walks val(G) depth-first and calls sink(label, att) for each terminal
+// edge, with att in val(G) node ids (valid only during the call).
+// Applying a rule creates the rhs's internal nodes first, in rhs node
+// order, which is what fixes the derived node IDs. Returns |val(G)|_V.
+template <typename Sink>
+Result<uint64_t> DeriveImpl(const SlhrGrammar& grammar,
+                            const DeriveOptions& options, Sink&& sink) {
+  const uint64_t total_nodes = ValNodeCount(grammar);
+  const uint64_t total_edges = ValEdgeCount(grammar);
   if (total_nodes > options.max_nodes) {
     return Status::OutOfRange("val(G) has " + std::to_string(total_nodes) +
                               " nodes, above the materialization limit");
@@ -128,68 +103,75 @@ Result<Hypergraph> DeriveImpl(const SlhrGrammar& grammar,
   }
 
   const Hypergraph& start = grammar.start();
-  Hypergraph out(start.num_nodes());
-  if (origins != nullptr) {
-    assert(mapping != nullptr);
-    *origins = mapping->start_origs;
-    origins->reserve(total_nodes);
-  }
-
+  NodeId next_node = start.num_nodes();
+  // Frames and their node maps live on two stacks that grow and shrink
+  // together, so a rule application allocates nothing.
   std::vector<Frame> stack;
+  std::vector<NodeId> maps;
   std::vector<NodeId> mapped;
-  for (EdgeId se = 0; se < start.num_edges(); ++se) {
-    const HEdge& e = start.edge(se);
+  auto push_frame = [&](Label label, const std::vector<NodeId>& att) {
+    const Hypergraph& rhs = grammar.rhs(label);
+    assert(att.size() == rhs.ext().size());
+    stack.push_back(Frame{&rhs, maps.size(), 0});
+    // Canonical form: external node i has rhs id i.
+    maps.insert(maps.end(), att.begin(), att.end());
+    for (uint32_t i = static_cast<uint32_t>(att.size()); i < rhs.num_nodes();
+         ++i) {
+      maps.push_back(next_node++);
+    }
+  };
+
+  uint64_t emitted = 0;
+  for (const HEdge& e : start.edges()) {
     if (grammar.IsTerminal(e.label)) {
-      out.AddEdge(e.label, e.att);
+      sink(e.label, e.att);
+      ++emitted;
       continue;
     }
-    const DerivationRecord* rec =
-        mapping != nullptr ? &mapping->edge_records[se] : nullptr;
-    stack.push_back(MakeFrame(grammar, e.label, e.att, &out, rec, origins));
+    push_frame(e.label, e.att);
     while (!stack.empty()) {
       Frame& f = stack.back();
       if (f.edge_idx >= f.rhs->num_edges()) {
+        maps.resize(f.map_begin);
         stack.pop_back();
         continue;
       }
       const HEdge& he = f.rhs->edge(static_cast<EdgeId>(f.edge_idx++));
       mapped.clear();
-      for (NodeId v : he.att) mapped.push_back(f.node_map[v]);
+      for (NodeId v : he.att) mapped.push_back(maps[f.map_begin + v]);
       if (grammar.IsTerminal(he.label)) {
-        out.AddEdge(he.label, mapped);
+        sink(he.label, mapped);
+        ++emitted;
       } else {
-        const DerivationRecord* child_rec = nullptr;
-        if (f.record != nullptr) {
-          assert(f.child_idx < f.record->children.size());
-          child_rec = &f.record->children[f.child_idx++];
-        }
-        // Note: push_back may reallocate `stack`; `f` is dead after this.
-        stack.push_back(
-            MakeFrame(grammar, he.label, mapped, &out, child_rec, origins));
+        // Note: push_frame may reallocate `stack`; `f` is dead after this.
+        push_frame(he.label, mapped);
       }
     }
   }
-  assert(out.num_nodes() == total_nodes);
-  assert(out.num_edges() == total_edges);
-  return out;
+  assert(next_node == total_nodes);
+  assert(emitted == total_edges);
+  (void)emitted;
+  return total_nodes;
 }
 
 }  // namespace
 
 Result<Hypergraph> Derive(const SlhrGrammar& grammar,
                           const DeriveOptions& options) {
-  return DeriveImpl(grammar, nullptr, nullptr, options);
+  Hypergraph out;
+  auto nodes = DeriveImpl(grammar, options,
+                          [&](Label label, const std::vector<NodeId>& att) {
+                            out.AddEdge(label, att);
+                          });
+  if (!nodes.ok()) return nodes.status();
+  out.AddNodes(static_cast<uint32_t>(nodes.value()));
+  return out;
 }
 
-Result<DerivedWithOrigins> DeriveWithMapping(const SlhrGrammar& grammar,
-                                             const NodeMapping& mapping,
-                                             const DeriveOptions& options) {
-  GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
-  DerivedWithOrigins result;
-  auto derived = DeriveImpl(grammar, &mapping, &result.origins, options);
-  if (!derived.ok()) return derived.status();
-  result.graph = std::move(derived).ValueOrDie();
-  return result;
+Status ForEachDerivedEdge(const SlhrGrammar& grammar,
+                          const DerivedEdgeSink& sink,
+                          const DeriveOptions& options) {
+  return DeriveImpl(grammar, options, sink).status();
 }
 
 Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
@@ -229,26 +211,29 @@ Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
 Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
                                   const NodeMapping& mapping,
                                   const DeriveOptions& options) {
-  auto derived = DeriveWithMapping(grammar, mapping, options);
-  if (!derived.ok()) return derived.status();
-  const Hypergraph& g = derived.value().graph;
-  const std::vector<NodeId>& origins = derived.value().origins;
+  auto flat = FlattenOrigins(grammar, mapping, options);
+  if (!flat.ok()) return flat.status();
+  const std::vector<NodeId>& origins = flat.value();
 
   // The origins must form a permutation of 0..n-1.
-  std::vector<char> seen(g.num_nodes(), 0);
+  std::vector<char> seen(origins.size(), 0);
   for (NodeId o : origins) {
-    if (o >= g.num_nodes() || seen[o]) {
+    if (o >= origins.size() || seen[o]) {
       return Status::Corruption("node mapping is not a permutation");
     }
     seen[o] = 1;
   }
-  Hypergraph renamed(g.num_nodes());
-  for (const auto& e : g.edges()) {
-    std::vector<NodeId> att;
-    att.reserve(e.att.size());
-    for (NodeId v : e.att) att.push_back(origins[v]);
-    renamed.AddEdge(e.label, std::move(att));
-  }
+  // Edges arrive in val(G) ids and are renamed on the way in: val(G)
+  // itself is never built.
+  Hypergraph renamed(static_cast<uint32_t>(origins.size()));
+  std::vector<NodeId> att;
+  auto nodes = DeriveImpl(grammar, options,
+                          [&](Label label, const std::vector<NodeId>& val_att) {
+                            att.clear();
+                            for (NodeId v : val_att) att.push_back(origins[v]);
+                            renamed.AddEdge(label, att);
+                          });
+  if (!nodes.ok()) return nodes.status();
   return renamed;
 }
 

@@ -23,6 +23,7 @@
 #define GREPAIR_GRAMMAR_DERIVATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/grammar/grammar.h"
@@ -78,18 +79,16 @@ struct DeriveOptions {
 Result<Hypergraph> Derive(const SlhrGrammar& grammar,
                           const DeriveOptions& options = {});
 
-/// \brief val(G) plus, per derived node, its original-graph ID according
-/// to `mapping` (flattened in derivation order).
-struct DerivedWithOrigins {
-  Hypergraph graph;
-  std::vector<NodeId> origins;  // origins[derived id] = original id
-};
+/// \brief Receives one terminal edge of val(G): its label and its
+/// attachment in val(G) node ids (valid only during the call).
+using DerivedEdgeSink =
+    std::function<void(Label label, const std::vector<NodeId>& att)>;
 
-/// \brief Materializes val(G) together with original IDs. `mapping` must
-/// structurally match the grammar (record trees mirror rule nesting).
-Result<DerivedWithOrigins> DeriveWithMapping(const SlhrGrammar& grammar,
-                                             const NodeMapping& mapping,
-                                             const DeriveOptions& options = {});
+/// \brief Streams val(G)'s terminal edges to `sink` in Derive's edge
+/// order without materializing the graph; same size limits as Derive.
+Status ForEachDerivedEdge(const SlhrGrammar& grammar,
+                          const DerivedEdgeSink& sink,
+                          const DeriveOptions& options = {});
 
 /// \brief Flattens `mapping` to the per-node origin vector of val(G)
 /// (origins[derived id] = original id) without materializing any edges:
@@ -99,9 +98,10 @@ Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
                                            const NodeMapping& mapping,
                                            const DeriveOptions& options = {});
 
-/// \brief Applies the permutation from DeriveWithMapping: returns val(G)
+/// \brief Applies the permutation from FlattenOrigins: returns val(G)
 /// with every node renamed to its original ID, reproducing the input
-/// graph exactly (same IDs, edges up to order).
+/// graph exactly (same IDs, edges up to order). Edges are renamed as
+/// they are derived; val(G) itself is never built.
 Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
                                   const NodeMapping& mapping,
                                   const DeriveOptions& options = {});

@@ -1,8 +1,9 @@
 // Bit vector with constant-time rank support.
 //
-// Substrate of the k^2-tree (k2tree.h): navigation from an internal
-// node to its children requires rank1 over the tree bitmap. We use a
-// two-level directory (512-bit superblocks, 64-bit words) giving O(1)
+// Substrate of the k^2-tree (k2tree.h): point queries navigate from an
+// internal node to its children with rank1 over the tree bitmap, while
+// enumeration walks the words directly and needs no directory. We use
+// a two-level directory (512-bit superblocks, 64-bit words) giving O(1)
 // rank with ~6% space overhead, in the spirit of the rank structures
 // used by Brisaboa et al.'s implementation.
 
@@ -31,18 +32,24 @@ class RankBitVector {
   /// \brief Appends `nbits` (0..64) bits taken MSB-first from `word`:
   /// the first appended bit is bit 63. This is the word-at-a-time
   /// deserialization path — a 64-bit stream chunk lands as one
-  /// bit-reversal plus one push instead of 64 PushBack calls; the
-  /// unaligned/partial cases fall back to the per-bit loop.
+  /// bit-reversal plus at most two word writes instead of one PushBack
+  /// per bit, whatever the alignment and length.
   void PushWord(uint64_t word, size_t nbits) {
-    if (nbits == 64 && size_ % 64 == 0) {
-      words_.push_back(ReverseBits64(word));
-      size_ += 64;
-      return;
+    if (nbits == 0) return;
+    uint64_t bits = ReverseBits64(word);
+    if (nbits < 64) bits &= (1ull << nbits) - 1;
+    const size_t offset = size_ % 64;
+    if (offset == 0) {
+      words_.push_back(bits);
+    } else {
+      words_.back() |= bits << offset;
+      if (offset + nbits > 64) words_.push_back(bits >> (64 - offset));
     }
-    for (size_t j = 0; j < nbits; ++j) {
-      PushBack((word >> (63 - j)) & 1u);
-    }
+    size_ += nbits;
   }
+
+  /// \brief Preallocates room for `nbits` bits in total.
+  void Reserve(size_t nbits) { words_.reserve((nbits + 63) / 64); }
 
   /// \brief Random access.
   bool Get(size_t i) const { return (words_[i / 64] >> (i % 64)) & 1u; }

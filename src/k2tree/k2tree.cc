@@ -145,49 +145,213 @@ std::vector<uint32_t> K2Tree::ColNeighbors(uint32_t col) const {
 
 namespace {
 
-void CollectCells(const RankBitVector& t, const RankBitVector& l, int k,
-                  uint64_t block, uint64_t size, uint64_t row_base,
-                  uint64_t col_base,
-                  std::vector<std::pair<uint32_t, uint32_t>>* out) {
-  uint64_t sub = size / k;
-  const uint64_t kk = static_cast<uint64_t>(k) * k;
-  for (int qr = 0; qr < k; ++qr) {
-    for (int qc = 0; qc < k; ++qc) {
-      uint64_t p = block + static_cast<uint64_t>(qr) * k + qc;
-      uint64_t rb = row_base + static_cast<uint64_t>(qr) * sub;
-      uint64_t cb = col_base + static_cast<uint64_t>(qc) * sub;
-      if (p >= t.size()) {
-        uint64_t lp = p - t.size();
-        if (lp < l.size() && l.Get(lp)) {
-          out->push_back({static_cast<uint32_t>(rb),
-                          static_cast<uint32_t>(cb)});
-        }
-        continue;
-      }
-      if (!t.Get(p)) continue;
-      CollectCells(t, l, k, t.Rank1(p + 1) * kk, sub, rb, cb, out);
+// Calls visit(p) for each set bit p of `words` in [begin, end), in
+// ascending order.
+template <typename Visit>
+void ForEachSetBit(const std::vector<uint64_t>& words, uint64_t begin,
+                   uint64_t end, Visit&& visit) {
+  if (begin >= end) return;
+  uint64_t w = begin / 64;
+  const uint64_t last = (end - 1) / 64;
+  const uint64_t tail = ~0ull >> (63 - (end - 1) % 64);
+  uint64_t word = words[w] & (~0ull << (begin % 64));
+  for (;;) {
+    if (w == last) word &= tail;
+    for (; word != 0; word &= word - 1) {
+      visit(w * 64 + static_cast<uint64_t>(__builtin_ctzll(word)));
     }
+    if (w == last) return;
+    word = words[++w];
+  }
+}
+
+// Sorts level-order keys into row-major order. Level order lists the
+// cells in Z-order (by their quadrant path from the root), and within
+// one row that order is ascending by column, so a stable sort on the
+// row alone finishes the job: an LSD radix sort over the row's bytes,
+// one O(n) pass per byte of the largest row.
+void SortLevelOrderKeys(uint32_t num_rows, std::vector<uint64_t>* keys) {
+  if (keys->size() < 64) {
+    std::sort(keys->begin(), keys->end());
+    return;
+  }
+  std::vector<uint64_t> sorted(keys->size());
+  for (uint64_t shift = 32; shift < 64 && ((num_rows - 1ull) >> (shift - 32));
+       shift += 8) {
+    size_t next[257] = {};
+    for (uint64_t key : *keys) ++next[((key >> shift) & 0xFF) + 1];
+    for (size_t b = 1; b < 257; ++b) next[b] += next[b - 1];
+    for (uint64_t key : *keys) sorted[next[(key >> shift) & 0xFF]++] = key;
+    keys->swap(sorted);
   }
 }
 
 }  // namespace
 
+Status K2Tree::CheckLevelBounds(bool leaf, uint64_t level_begin,
+                                uint64_t level_bits) const {
+  if (!leaf && level_bits > t_.size() - level_begin) {
+    return Status::Corruption("k2-tree level runs past the end of T");
+  }
+  if (leaf && level_begin != t_.size()) {
+    return Status::Corruption("k2-tree T is longer than its levels");
+  }
+  if (leaf && level_bits != l_.size()) {
+    return Status::Corruption("k2-tree L size disagrees with its parents");
+  }
+  return Status::OK();
+}
+
+Status K2Tree::AppendKeys(std::vector<uint64_t>* keys) const {
+  if (t_.size() == 0 && l_.size() == 0) {
+    return num_cells_ == 0
+               ? Status::OK()
+               : Status::Corruption("k2-tree cell count disagrees with L");
+  }
+  const uint64_t k = static_cast<uint64_t>(k_);
+  const uint64_t kk = k * k;
+  // Packed row << 32 | col origin of every node on the current level,
+  // in level order: the root, then one entry per set bit above. In a
+  // valid tree the level above L, with |L| / k^2 nodes, is the widest;
+  // unlike the header's cell count, that bound is backed by input read.
+  std::vector<uint64_t> parents;
+  std::vector<uint64_t> children;
+  parents.reserve(l_.size() / kk + 1);
+  children.reserve(l_.size() / kk + 1);
+  parents.push_back(0);
+  const size_t first_key = keys->size();
+  keys->reserve(first_key + std::min<uint64_t>(num_cells_, l_.size()));
+  uint64_t row_off[256];
+  uint64_t col_off[256];
+  uint64_t level_begin = 0;  // in T; the last level is all of L
+  for (uint64_t sub = size_ / k;; sub /= k) {
+    const bool leaf = sub == 1;
+    const uint64_t level_bits = parents.size() * kk;
+    GREPAIR_RETURN_IF_ERROR(CheckLevelBounds(leaf, level_begin, level_bits));
+    for (uint64_t q = 0; q < kk; ++q) {
+      row_off[q] = (q / k) * sub;
+      col_off[q] = (q % k) * sub;
+    }
+    const uint64_t begin = leaf ? 0 : level_begin;
+    std::vector<uint64_t>* out = leaf ? keys : &children;
+    children.clear();
+    bool in_bounds = true;
+    // Block j of this level holds the children of parents[j]; set bits
+    // arrive in ascending order, so the owning block only moves
+    // forward and no rank is needed to find it.
+    const uint64_t* parent = parents.data();
+    uint64_t block_end = begin + kk;
+    ForEachSetBit((leaf ? l_ : t_).words(), begin, begin + level_bits,
+                  [&](uint64_t p) {
+                    while (p >= block_end) {
+                      ++parent;
+                      block_end += kk;
+                    }
+                    const uint64_t q = p + kk - block_end;
+                    const uint64_t row = (*parent >> 32) + row_off[q];
+                    const uint64_t col = (*parent & 0xFFFFFFFFu) + col_off[q];
+                    in_bounds &= row < num_rows_ && col < num_cols_;
+                    out->push_back(row << 32 | col);
+                  });
+    if (!in_bounds) {
+      return Status::Corruption("k2-tree sets a bit in its padding");
+    }
+    if (leaf) {
+      if (keys->size() - first_key != num_cells_) {
+        return Status::Corruption("k2-tree cell count disagrees with L");
+      }
+      return Status::OK();
+    }
+    level_begin += level_bits;
+    parents.swap(children);
+  }
+}
+
 std::vector<std::pair<uint32_t, uint32_t>> K2Tree::AllCells() const {
+  std::vector<uint64_t> keys;
+  const Status walked = AppendKeys(&keys);
+  // Build and Deserialize only produce trees that CheckLayout accepts.
+  assert(walked.ok());
+  (void)walked;
+  SortLevelOrderKeys(num_rows_, &keys);
   std::vector<std::pair<uint32_t, uint32_t>> out;
-  if (num_cells_ == 0) return out;
-  out.reserve(num_cells_);
-  CollectCells(t_, l_, k_, 0, size_, 0, 0, &out);
-  // Build() never sets bits in the padding beyond (num_rows, num_cols),
-  // but a deserialized tree from corrupt bytes can; dropping such cells
-  // keeps every consumer's coordinate arithmetic in bounds.
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [this](const std::pair<uint32_t, uint32_t>& c) {
-                             return c.first >= num_rows_ ||
-                                    c.second >= num_cols_;
-                           }),
-            out.end());
-  std::sort(out.begin(), out.end());
+  out.reserve(keys.size());
+  for (uint64_t key : keys) {
+    out.push_back({static_cast<uint32_t>(key >> 32),
+                   static_cast<uint32_t>(key & 0xFFFFFFFFu)});
+  }
   return out;
+}
+
+Status K2Tree::CheckLayout() const {
+  if (t_.size() == 0 && l_.size() == 0) {
+    return num_cells_ == 0
+               ? Status::OK()
+               : Status::Corruption("k2-tree cell count disagrees with L");
+  }
+  const uint64_t k = static_cast<uint64_t>(k_);
+  const uint64_t kk = k * k;
+  // Nodes whose square straddles the (num_rows, num_cols) boundary, by
+  // index on their level, in level order. Only their children can lie
+  // in the padding, so they are the only nodes visited.
+  struct Node {
+    uint64_t index, row, col;
+  };
+  std::vector<Node> straddling;
+  std::vector<Node> next;
+  straddling.reserve(32);
+  next.reserve(32);
+  if (num_rows_ < size_ || num_cols_ < size_) straddling.push_back({0, 0, 0});
+  uint64_t level_begin = 0;  // in T; the last level is all of L
+  uint64_t level_bits = kk;
+  uint64_t ones_before = 0;  // set bits of T before level_begin
+  for (uint64_t sub = size_ / k;; sub /= k) {
+    const bool leaf = sub == 1;
+    GREPAIR_RETURN_IF_ERROR(CheckLevelBounds(leaf, level_begin, level_bits));
+    const RankBitVector& bits = leaf ? l_ : t_;
+    const uint64_t begin = leaf ? 0 : level_begin;
+    if (leaf) ones_before = 0;
+    bool padding = false;
+    next.clear();
+    for (const Node& node : straddling) {
+      const uint64_t block = begin + node.index * kk;
+      ForEachSetBit(bits.words(), block, block + kk, [&](uint64_t p) {
+        const uint64_t q = p - block;
+        const uint64_t row = node.row + (q / k) * sub;
+        const uint64_t col = node.col + (q % k) * sub;
+        if (row >= num_rows_ || col >= num_cols_) {
+          padding = true;
+        } else if (row + sub > num_rows_ || col + sub > num_cols_) {
+          next.push_back({bits.Rank1(p) - ones_before, row, col});
+        }
+      });
+    }
+    if (padding) {
+      return Status::Corruption("k2-tree sets a bit in its padding");
+    }
+    const uint64_t ones = bits.Rank1(begin + level_bits) - ones_before;
+    if (leaf) {
+      return ones == num_cells_
+                 ? Status::OK()
+                 : Status::Corruption("k2-tree cell count disagrees with L");
+    }
+    level_begin += level_bits;
+    level_bits = ones * kk;
+    ones_before += ones;
+    straddling.swap(next);
+  }
+}
+
+Result<K2Tree::Cells> K2Tree::DecodeCells(BitReader* reader) {
+  auto read = ReadUnranked(reader);
+  if (!read.ok()) return read.status();
+  const K2Tree& tree = read.value();
+  Cells cells;
+  cells.num_rows = tree.num_rows_;
+  cells.num_cols = tree.num_cols_;
+  GREPAIR_RETURN_IF_ERROR(tree.AppendKeys(&cells.keys));
+  SortLevelOrderKeys(tree.num_rows_, &cells.keys);
+  return cells;
 }
 
 void K2Tree::Serialize(BitWriter* writer) const {
@@ -202,6 +366,16 @@ void K2Tree::Serialize(BitWriter* writer) const {
 }
 
 Result<K2Tree> K2Tree::Deserialize(BitReader* reader) {
+  auto read = ReadUnranked(reader);
+  if (!read.ok()) return read.status();
+  K2Tree tree = std::move(read).ValueOrDie();
+  tree.t_.Finalize();
+  tree.l_.Finalize();
+  GREPAIR_RETURN_IF_ERROR(tree.CheckLayout());
+  return tree;
+}
+
+Result<K2Tree> K2Tree::ReadUnranked(BitReader* reader) {
   uint64_t k = 0, rows = 0, cols = 0, cells = 0, t_bits = 0, l_bits = 0;
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &k));
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &rows));
@@ -237,6 +411,8 @@ Result<K2Tree> K2Tree::Deserialize(BitReader* reader) {
       }
       return Status::OK();
     }
+    // Sized from the header only as far as the input can back it.
+    bv->Reserve(std::min<uint64_t>(nbits, reader->BitsAvailable()));
     uint64_t i = 0;
     uint64_t w = 0;
     for (; i + 64 <= nbits; i += 64) {
@@ -254,8 +430,6 @@ Result<K2Tree> K2Tree::Deserialize(BitReader* reader) {
   };
   GREPAIR_RETURN_IF_ERROR(read_bitmap(&tree.t_, t_bits - 1));
   GREPAIR_RETURN_IF_ERROR(read_bitmap(&tree.l_, l_bits - 1));
-  tree.t_.Finalize();
-  tree.l_.Finalize();
   return tree;
 }
 

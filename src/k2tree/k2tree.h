@@ -5,8 +5,30 @@
 // quadrants; an all-zero quadrant is a 0-bit, a non-empty quadrant is a
 // 1-bit whose children continue one level down, and the deepest level
 // stores individual cells. Bits are laid out level by level: internal
-// levels in T, the last level in L; the children of the node whose set
-// bit is the j-th 1 of T start at block j+1 (rank-based navigation).
+// levels in T, the last level in L; the root's children are bits
+// [0, k^2), and the children of the node whose set bit is the j-th 1
+// of T (counting from 1) are bits [j * k^2, (j + 1) * k^2) of T.L.
+//
+// Two ways to navigate that layout:
+//  * point queries (Contains, RowNeighbors, ColNeighbors) descend one
+//    path and find each child block with Rank1 over T;
+//  * enumeration (AllCells, DecodeCells) walks the levels in order.
+//    The blocks of level i+1 belong to the set bits of level i in
+//    order, so the walk keeps a cursor over the parents instead of
+//    calling Rank1, and DecodeCells never builds the rank directories.
+//    The walk yields cells in Z-order; a radix sort on the row alone
+//    makes that row-major, since one row's cells already ascend by
+//    column.
+//
+// The layout is validated once, at deserialize time, by both entry
+// points: level 0 is one k^2-bit block, level i+1 holds k^2 * ones(level
+// i) bits, T ends exactly where the level at depth log_k(size) starts,
+// that level is L, the header's cell count equals ones(L), and no set
+// bit covers only padding beyond (num_rows, num_cols). Any other input
+// is Corruption, so no count from the header sizes an allocation
+// before the bits back it. Deserialize checks with Rank1, visiting
+// only the nodes that straddle the padding boundary; DecodeCells
+// checks inside its enumeration walk.
 //
 // Used three ways in this repo:
 //  * the paper's gRePair serializer encodes the (incompressible) start
@@ -53,6 +75,19 @@ class K2Tree {
   /// \brief All set cells in row-major order.
   std::vector<std::pair<uint32_t, uint32_t>> AllCells() const;
 
+  /// \brief A serialized tree's dimensions and set cells, each cell
+  /// packed as `row << 32 | col`, ascending (row-major order).
+  struct Cells {
+    uint32_t num_rows = 0;
+    uint32_t num_cols = 0;
+    std::vector<uint64_t> keys;
+  };
+
+  /// \brief Reads an encoding produced by Serialize and lists its cells
+  /// without building the rank directories: the entry point for callers
+  /// that only enumerate. Same validation as Deserialize.
+  static Result<Cells> DecodeCells(BitReader* reader);
+
   uint64_t num_cells() const { return num_cells_; }
   uint32_t num_rows() const { return num_rows_; }
   uint32_t num_cols() const { return num_cols_; }
@@ -68,6 +103,21 @@ class K2Tree {
   static Result<K2Tree> Deserialize(BitReader* reader);
 
  private:
+  // Header and bitmaps of a Serialize()d tree, unchecked and without
+  // rank directories.
+  static Result<K2Tree> ReadUnranked(BitReader* reader);
+  // The level starting at `level_begin` of T with `level_bits` bits
+  // fits T, and the last level (`leaf`) is exactly L, at T's end.
+  Status CheckLevelBounds(bool leaf, uint64_t level_begin,
+                          uint64_t level_bits) const;
+  // Checks the layout described at the top of this file with Rank1
+  // (requires Finalize), visiting only the nodes that straddle the
+  // padding boundary.
+  Status CheckLayout() const;
+  // Appends the set cells as packed keys in level order (unsorted),
+  // checking the same layout rules as CheckLayout on the way, rank-free.
+  Status AppendKeys(std::vector<uint64_t>* keys) const;
+
   int k_ = 2;
   uint32_t num_rows_ = 0;
   uint32_t num_cols_ = 0;

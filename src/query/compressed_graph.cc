@@ -55,22 +55,24 @@ Result<CompressedGraph> CompressedGraph::FromGraph(
 }
 
 Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar) {
-  GREPAIR_RETURN_IF_ERROR(grammar.Validate());
-  CompressedGraph g;
-  g.grammar_ = std::make_unique<SlhrGrammar>(std::move(grammar));
-  g.Init();
-  return g;
+  return FromGrammar(std::move(grammar), NodeMapping());
 }
 
 Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar,
                                                      NodeMapping mapping) {
-  if (mapping.empty()) return FromGrammar(std::move(grammar));
   GREPAIR_RETURN_IF_ERROR(grammar.Validate());
+  return FromValidGrammar(std::move(grammar), std::move(mapping));
+}
+
+Result<CompressedGraph> CompressedGraph::FromValidGrammar(
+    SlhrGrammar grammar, NodeMapping mapping) {
   CompressedGraph g;
   g.grammar_ = std::make_unique<SlhrGrammar>(std::move(grammar));
-  g.mapping_ = std::move(mapping);
-  GREPAIR_RETURN_IF_ERROR(BuildIdTranslation(
-      &g.to_original_, &g.to_val_, *g.grammar_, g.mapping_));
+  if (!mapping.empty()) {
+    g.mapping_ = std::move(mapping);
+    GREPAIR_RETURN_IF_ERROR(BuildIdTranslation(
+        &g.to_original_, &g.to_val_, *g.grammar_, g.mapping_));
+  }
   g.Init();
   return g;
 }
@@ -101,17 +103,18 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
   GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&grammar_len));
   ByteSpan grammar_bytes;
   GREPAIR_RETURN_IF_ERROR(src.ReadSpan(grammar_len, &grammar_bytes));
+  // DecodeGrammar validates what it returns, so it is not checked twice.
   auto grammar = DecodeGrammar(grammar_bytes);
   if (!grammar.ok()) return grammar.status();
   if (mapping_flag == 0) {
-    return FromGrammar(std::move(grammar).ValueOrDie());
+    return FromValidGrammar(std::move(grammar).ValueOrDie(), NodeMapping());
   }
   ByteSpan mapping_bytes;
   GREPAIR_RETURN_IF_ERROR(src.ReadSpan(src.remaining(), &mapping_bytes));
   auto mapping = DecodeNodeMapping(grammar.value(), mapping_bytes);
   if (!mapping.ok()) return mapping.status();
-  return FromGrammar(std::move(grammar).ValueOrDie(),
-                     std::move(mapping).ValueOrDie());
+  return FromValidGrammar(std::move(grammar).ValueOrDie(),
+                          std::move(mapping).ValueOrDie());
 }
 
 void CompressedGraph::Init() {
@@ -175,6 +178,19 @@ Result<Hypergraph> CompressedGraph::Decompress() const {
     return DeriveOriginal(*grammar_, mapping_);
   }
   return Derive(*grammar_);
+}
+
+Status CompressedGraph::ForEachRank2Edge(
+    const std::function<void(NodeId from, NodeId to)>& sink) const {
+  // to_original_ is a permutation of val(G)'s ids, checked when it was
+  // built, so no edge needs re-validating here.
+  return ForEachDerivedEdge(
+      *grammar_, [&](Label, const std::vector<NodeId>& att) {
+        if (att.size() == 2) {
+          sink(static_cast<NodeId>(ToOriginal(att[0])),
+               static_cast<NodeId>(ToOriginal(att[1])));
+        }
+      });
 }
 
 }  // namespace grepair

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -97,6 +98,11 @@ class CompressedGraph {
   /// \brief Materializes the graph (original ids when available).
   Result<Hypergraph> Decompress() const;
 
+  /// \brief Calls sink(from, to) for each rank-2 edge of Decompress()'s
+  /// graph, in the same ids and order, without materializing it.
+  Status ForEachRank2Edge(
+      const std::function<void(NodeId from, NodeId to)>& sink) const;
+
   const SlhrGrammar& grammar() const { return *grammar_; }
   const CompressStats& stats() const { return stats_; }
 
@@ -132,6 +138,9 @@ class CompressedGraph {
   };
 
   CompressedGraph() = default;
+  // FromGrammar for a grammar that already passed Validate().
+  static Result<CompressedGraph> FromValidGrammar(SlhrGrammar grammar,
+                                                  NodeMapping mapping);
   // Sets the val(G) sizes (cheap, one bottom-up pass) and the empty
   // lazy indexes.
   void Init();

@@ -288,23 +288,27 @@ void SortDedupCompact(uint64_t* off, uint64_t* data, size_t n) {
 
 std::shared_ptr<const ShardedRep::ShardNeighborhoods> DecodeNeighborhoods(
     const ShardedRep::Entry& entry, const api::CompressedRep& rep) {
-  auto local = rep.Decompress();
-  if (!local.ok()) return nullptr;
   size_t n = entry.nodes.size();
-  if (local.value().num_nodes() != n) return nullptr;
+  if (rep.num_nodes() != n) return nullptr;
 
-  // Counting pass: per-node degrees (and validation), so the arena can
-  // be sized exactly and the whole decoded form costs one allocation.
+  // Counting pass, fed straight from the rep's edge stream (a grepair
+  // shard derives it from the grammar without building a Hypergraph):
+  // per-node degrees (and validation), so the arena can be sized
+  // exactly and the whole decoded form costs one allocation.
   std::vector<uint64_t> out_deg(n + 1, 0), in_deg(n + 1, 0);
-  size_t total = 0;
-  for (const HEdge& e : local.value().edges()) {
-    if (e.att.size() != 2) continue;  // hyperedges carry no direction
-    NodeId u = e.att[0], v = e.att[1];
-    if (u >= n || v >= n) return nullptr;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  bool in_range = true;
+  Status streamed = rep.ForEachRank2Edge([&](NodeId u, NodeId v) {
+    if (u >= n || v >= n) {
+      in_range = false;
+      return;
+    }
     ++out_deg[u + 1];
     ++in_deg[v + 1];
-    ++total;
-  }
+    edges.push_back({u, v});
+  });
+  if (!streamed.ok() || !in_range) return nullptr;
+  const size_t total = edges.size();
 
   const size_t reserve =
       (2 * (n + 1) + 2 * total) * sizeof(uint64_t) + alignof(uint64_t);
@@ -321,9 +325,7 @@ std::shared_ptr<const ShardedRep::ShardNeighborhoods> DecodeNeighborhoods(
   // Fill pass: reuse the degree arrays as write cursors.
   std::copy(out_off, out_off + n, out_deg.begin());
   std::copy(in_off, in_off + n, in_deg.begin());
-  for (const HEdge& e : local.value().edges()) {
-    if (e.att.size() != 2) continue;
-    NodeId u = e.att[0], v = e.att[1];
+  for (const auto& [u, v] : edges) {
     sn->out_data[out_deg[u]++] = entry.nodes[v];
     sn->in_data[in_deg[v]++] = entry.nodes[u];
   }
@@ -337,6 +339,23 @@ std::shared_ptr<const ShardedRep::ShardNeighborhoods> DecodeNeighborhoods(
 }
 
 }  // namespace
+
+Result<ShardAdjacency> DecodeShardAdjacency(const std::vector<NodeId>& nodes,
+                                            const api::CompressedRep& rep) {
+  ShardedRep::Entry entry;
+  entry.nodes = nodes;
+  auto sn = DecodeNeighborhoods(entry, rep);
+  if (sn == nullptr) {
+    return Status::Corruption("shard edges do not fit its node map");
+  }
+  const size_t n = nodes.size();
+  ShardAdjacency adj;
+  adj.out_off.assign(sn->out_off, sn->out_off + n + 1);
+  adj.in_off.assign(sn->in_off, sn->in_off + n + 1);
+  adj.out_data.assign(sn->out_data, sn->out_data + adj.out_off[n]);
+  adj.in_data.assign(sn->in_data, sn->in_data + adj.in_off[n]);
+  return adj;
+}
 
 // ---------------------------------------------------------------------------
 // Prefetch pool

@@ -644,6 +644,22 @@ class ShardedRep : public api::CompressedRep {
       GREPAIR_GUARDED_BY(prefetch_mutex_);
 };
 
+/// \brief One shard's decoded adjacency, copied into plain vectors:
+/// the CSR over the shard's local nodes that the query cache builds
+/// (ShardedRep::ShardNeighborhoods), whose rows hold sorted,
+/// deduplicated global ids. Queries never use it; it lets tests pin
+/// the cache's decode.
+struct ShardAdjacency {
+  std::vector<uint64_t> out_off, out_data;  ///< n + 1 offsets; rows
+  std::vector<uint64_t> in_off, in_data;
+};
+
+/// \brief Decodes `rep` (a shard whose local node i is global id
+/// `nodes[i]`) exactly as the query cache does; Corruption when its
+/// edges do not fit `nodes`.
+Result<ShardAdjacency> DecodeShardAdjacency(const std::vector<NodeId>& nodes,
+                                            const api::CompressedRep& rep);
+
 /// \brief The "sharded:<inner>" meta-codec.
 class ShardedCodec : public api::GraphCodec {
  public:

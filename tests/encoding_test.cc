@@ -200,6 +200,43 @@ TEST(EncodingTest, HugeClaimedCountsRejectedWithoutAllocating) {
   EXPECT_EQ(decoded2.status().code(), StatusCode::kCorruption);
 }
 
+// A grammar with one rank-2 terminal, no rules, 4 start nodes and a
+// start graph whose only k^2-tree is written raw: (0,1) and (3,2) under
+// a header claiming `claimed_cells` cells.
+std::vector<uint8_t> GrammarWithRawTree(uint64_t claimed_cells) {
+  BitWriter w;
+  w.PutBits(0x47524731, 32);          // format magic
+  EliasDeltaEncode(2, &w);            // one terminal label
+  EliasDeltaEncode(2, &w);            // ... of rank 2
+  EliasDeltaEncode(1, &w);            // zero rules
+  EliasDeltaEncode(5, &w);            // 4 start nodes
+  EliasDeltaEncode(1, &w);            // empty permutation dictionary
+  w.PutBit(true);                     // label 0 present
+  EliasDeltaEncode(2, &w);            // k
+  EliasDeltaEncode(4 + 1, &w);        // rows
+  EliasDeltaEncode(4 + 1, &w);        // cols
+  EliasDeltaEncode(claimed_cells + 1, &w);
+  EliasDeltaEncode(4 + 1, &w);        // |T|
+  EliasDeltaEncode(8 + 1, &w);        // |L|
+  for (char bit : std::string("1001" "01000010")) w.PutBit(bit == '1');
+  EliasDeltaEncode(1, &w);            // no duplicate edges
+  return w.TakeBytes();
+}
+
+TEST(EncodingTest, ForgedStartGraphCellCountRejected) {
+  // Regression: single-codec GRPCODEC files carry no checksum, so a
+  // k^2-tree header claiming 2^40 cells reached K2Tree::AllCells, which
+  // sized its output from the claim and aborted the process with
+  // std::bad_alloc. The tree layout check now rejects the count.
+  auto honest = DecodeGrammar(GrammarWithRawTree(2));
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_EQ(honest.value().start().num_edges(), 2u);
+
+  auto forged = DecodeGrammar(GrammarWithRawTree(1ull << 40));
+  ASSERT_FALSE(forged.ok());
+  EXPECT_EQ(forged.status().code(), StatusCode::kCorruption);
+}
+
 TEST(EncodingTest, ZeroHasNoEliasCodeAndFailsClosed) {
   // Regression: BitLength(0) used to hit __builtin_clzll(0) — UB the
   // moment release builds compiled the guard assert out. All the

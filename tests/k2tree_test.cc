@@ -1,14 +1,20 @@
 // k^2-tree tests: membership/neighbor queries against brute force over
-// random matrices (parameterized over k and density), edge cases, and
-// serialization round trips.
+// random matrices (parameterized over k, shape and density), both
+// enumeration entry points (AllCells and DecodeCells), edge cases,
+// serialization round trips, malformed layouts that must fail closed,
+// and a mutation battery over the shared fuzz invariants.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "fuzz/fuzz_checks.h"
 #include "src/k2tree/bitvector.h"
 #include "src/k2tree/k2tree.h"
+#include "src/util/elias.h"
 #include "src/util/rng.h"
 
 namespace grepair {
@@ -42,6 +48,37 @@ TEST(RankBitVectorTest, FromWordsRoundTrip) {
   EXPECT_EQ(copy.size(), bv.size());
   for (size_t i = 0; i < bv.size(); ++i) EXPECT_EQ(copy.Get(i), bv.Get(i));
   EXPECT_EQ(copy.Rank1(100), bv.Rank1(100));
+}
+
+TEST(RankBitVectorTest, PushWordMatchesPushBack) {
+  // Every alignment and length, including the partial words that the
+  // deserializer's last chunk produces.
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    RankBitVector by_word, by_bit;
+    const int lead = static_cast<int>(rng.UniformBounded(130));
+    for (int i = 0; i < lead; ++i) {
+      const bool b = rng.Bernoulli(0.5);
+      by_word.PushBack(b);
+      by_bit.PushBack(b);
+    }
+    for (int chunk = 0; chunk < 3; ++chunk) {
+      const size_t nbits = rng.UniformBounded(65);
+      const uint64_t word = rng.Next();
+      // Only the top nbits are meaningful; the rest must be ignored.
+      by_word.PushWord(word, nbits);
+      for (size_t j = 0; j < nbits; ++j) {
+        by_bit.PushBack((word >> (63 - j)) & 1);
+      }
+    }
+    ASSERT_EQ(by_word.size(), by_bit.size());
+    ASSERT_EQ(by_word.words(), by_bit.words()) << "trial " << trial;
+  }
+}
+
+// Packs a cell the way K2Tree::Cells keys do.
+uint64_t Key(const std::pair<uint32_t, uint32_t>& cell) {
+  return static_cast<uint64_t>(cell.first) << 32 | cell.second;
 }
 
 struct K2Param {
@@ -111,6 +148,18 @@ TEST_P(K2TreeRandom, MatchesBruteForce) {
   EXPECT_EQ(back.value().num_rows(), p.rows);
   EXPECT_EQ(back.value().num_cols(), p.cols);
   EXPECT_EQ(back.value().StorageBits(), tree.StorageBits());
+
+  // The enumerate-only entry point reads the same bytes to the same
+  // cells, already packed and sorted.
+  BitReader cells_reader(bytes);
+  auto decoded = K2Tree::DecodeCells(&cells_reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().num_rows, p.rows);
+  EXPECT_EQ(decoded.value().num_cols, p.cols);
+  std::vector<uint64_t> keys;
+  for (const auto& c : cells) keys.push_back(Key(c));
+  EXPECT_EQ(decoded.value().keys, keys);
+  EXPECT_EQ(cells_reader.position(), r.position());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,7 +169,13 @@ INSTANTIATE_TEST_SUITE_P(
                       K2Param{2, 37, 91, 0.05},  // rectangular
                       K2Param{3, 81, 81, 0.03}, K2Param{4, 256, 256, 0.01},
                       K2Param{2, 5, 5, 0.5},     // tiny and dense
-                      K2Param{2, 1, 8, 0.5}),    // single row
+                      K2Param{2, 1, 8, 0.5},     // single row
+                      K2Param{3, 82, 82, 0.03},  // one past a power of k
+                      K2Param{4, 257, 100, 0.01},
+                      // Incidence shapes: nodes x hyperedges.
+                      K2Param{2, 200, 37, 0.05}, K2Param{3, 100, 7, 0.3},
+                      K2Param{4, 300, 45, 0.05}, K2Param{3, 10, 500, 0.1},
+                      K2Param{4, 1, 20, 0.5}),
     [](const auto& suite_info) {
       return "k" + std::to_string(suite_info.param.k) + "_" +
              std::to_string(suite_info.param.rows) + "x" +
@@ -176,6 +231,144 @@ TEST(K2TreeTest, SparseStarIsSmall) {
   for (uint32_t c = 0; c < 100; ++c) cells.push_back({0, c * 17 % 2048});
   K2Tree tree = K2Tree::Build(2048, 2048, cells);
   EXPECT_LT(tree.StorageBits(), 6000u);
+}
+
+// A k = 2 tree serialized from raw parts, laid out as Serialize does
+// (header, then T, then L) but without Build's guarantees.
+std::vector<uint8_t> RawTree(uint64_t rows, uint64_t cols, uint64_t cells,
+                             const std::string& t, const std::string& l) {
+  BitWriter w;
+  EliasDeltaEncode(2, &w);
+  EliasDeltaEncode(rows + 1, &w);
+  EliasDeltaEncode(cols + 1, &w);
+  EliasDeltaEncode(cells + 1, &w);
+  EliasDeltaEncode(t.size() + 1, &w);
+  EliasDeltaEncode(l.size() + 1, &w);
+  for (char bit : t + l) w.PutBit(bit == '1');
+  return w.TakeBytes();
+}
+
+// Both entry points must reject `bytes` with Corruption.
+void ExpectCorrupt(const std::vector<uint8_t>& bytes,
+                   const std::string& what) {
+  BitReader ranked(bytes);
+  auto tree = K2Tree::Deserialize(&ranked);
+  ASSERT_FALSE(tree.ok()) << what;
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption) << what;
+  BitReader unranked(bytes);
+  auto cells = K2Tree::DecodeCells(&unranked);
+  ASSERT_FALSE(cells.ok()) << what;
+  EXPECT_EQ(cells.status().ToString(), tree.status().ToString()) << what;
+}
+
+// The 8 x 8 tree holding (0,1) and (5,6): level 0 = 1001, level 1 =
+// 1000 0100 (T), leaves 0100 0010 (L).
+const char kT8[] = "1001" "10000100";
+const char kL8[] = "01000010";
+
+TEST(K2TreeLayoutTest, RawTreeMatchesBuild) {
+  BitWriter w;
+  K2Tree::Build(8, 8, {{0, 1}, {5, 6}}).Serialize(&w);
+  EXPECT_EQ(RawTree(8, 8, 2, kT8, kL8), w.TakeBytes());
+}
+
+// Each malformed layout below deserialized with OK status before the
+// layout check existed; the comment records what that returned.
+TEST(K2TreeLayoutTest, UnreachedSetBitFails) {
+  // L carries a third block that no set bit of T owns, holding a leaf
+  // no parent reaches. Before: OK, num_cells 3, cells (0,1) (5,6).
+  ExpectCorrupt(RawTree(8, 8, 3, kT8, std::string(kL8) + "0001"),
+                "unreached set bit");
+}
+
+TEST(K2TreeLayoutTest, TLongerThanItsLevelsFails) {
+  // One extra all-zero block at the end of T. Before: OK, cells (4,7)
+  // (the extra block shifted every child lookup into the wrong leaves).
+  ExpectCorrupt(RawTree(8, 8, 2, std::string(kT8) + "0000", kL8),
+                "T one block longer");
+}
+
+TEST(K2TreeLayoutTest, LOneBlockShortFails) {
+  // The second leaf block is missing. Before: OK, num_cells 1, cells
+  // (0,1): the cell (5,6) vanished silently.
+  ExpectCorrupt(RawTree(8, 8, 1, kT8, "0100"), "L one block short");
+}
+
+TEST(K2TreeLayoutTest, DepthMismatchFails) {
+  // The 8 x 8 bits under a 16 x 16 header (depth 4, not 3). Before:
+  // OK, cells (0,2) (10,12).
+  ExpectCorrupt(RawTree(16, 16, 2, kT8, kL8), "depth mismatch");
+}
+
+TEST(K2TreeLayoutTest, ChildlessSetBitFails) {
+  // A second set bit in level 1 without a leaf block of its own.
+  // Before: OK, cells (0,1) (1,2).
+  ExpectCorrupt(RawTree(8, 8, 2, "1001" "11000100", kL8), "childless bit");
+}
+
+TEST(K2TreeLayoutTest, PaddingCellFails) {
+  // A 3 x 3 matrix padded to 4 x 4 with a leaf at (3,3). Before: OK,
+  // num_cells 2, cells (0,1) (the padding cell silently dropped).
+  ExpectCorrupt(RawTree(3, 3, 2, "1001", "01000001"), "padding cell");
+}
+
+TEST(K2TreeLayoutTest, ForgedCellCountFailsWithoutAllocating) {
+  // A 12-byte 4 x 4 tree with two real cells whose header claims 2^40
+  // cells. Before: Deserialize returned OK and AllCells aborted the
+  // process with std::bad_alloc sizing its output from the header.
+  const auto forged = RawTree(4, 4, 1ull << 40, "1001", "01000010");
+  EXPECT_EQ(forged.size(), 12u);
+  ExpectCorrupt(forged, "forged cell count");
+  const auto honest = RawTree(4, 4, 2, "1001", "01000010");
+  BitReader r(honest);
+  auto tree = K2Tree::Deserialize(&r);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree.value().AllCells(),
+            (std::vector<std::pair<uint32_t, uint32_t>>{{0, 1}, {3, 2}}));
+}
+
+// Mutation battery over the fuzz target's invariants (CheckK2TreeParse):
+// bit flips, truncations and byte noise on Build outputs for k = 2, 3, 4
+// over square and incidence shapes.
+TEST(K2TreeLayoutTest, MutatedTreesUpholdFuzzInvariants) {
+  std::vector<std::vector<uint8_t>> seeds;
+  Rng rng(0x2D7EE);
+  for (int k : {2, 3, 4}) {
+    for (auto [rows, cols] : {std::pair<uint32_t, uint32_t>{40, 40},
+                              {33, 9}, {7, 60}}) {
+      std::vector<std::pair<uint32_t, uint32_t>> cells;
+      for (int i = 0; i < 30; ++i) {
+        cells.push_back({static_cast<uint32_t>(rng.UniformBounded(rows)),
+                         static_cast<uint32_t>(rng.UniformBounded(cols))});
+      }
+      BitWriter w;
+      K2Tree::Build(rows, cols, cells, k).Serialize(&w);
+      seeds.push_back(w.TakeBytes());
+    }
+  }
+  auto check = [](const std::vector<uint8_t>& bytes) {
+    const char* violated = fuzz::CheckK2TreeParse(bytes.data(), bytes.size());
+    EXPECT_EQ(violated, nullptr) << violated;
+  };
+  for (const auto& seed : seeds) {
+    check(seed);
+    for (size_t bit = 0; bit < seed.size() * 8; ++bit) {
+      auto flipped = seed;
+      flipped[bit / 8] ^= static_cast<uint8_t>(0x80 >> (bit % 8));
+      check(flipped);
+    }
+    for (size_t keep = 0; keep < seed.size(); ++keep) {
+      check(std::vector<uint8_t>(seed.begin(), seed.begin() + keep));
+    }
+    for (int trial = 0; trial < 50; ++trial) {
+      auto noisy = seed;
+      for (int j = 0; j < 3; ++j) {
+        noisy[rng.UniformBounded(noisy.size())] =
+            static_cast<uint8_t>(rng.Next());
+      }
+      check(noisy);
+    }
+  }
 }
 
 TEST(K2TreeTest, DeserializeGarbageFails) {
