@@ -25,20 +25,15 @@
 // compared against an in-process open of the same bytes; any
 // difference is a hard failure.
 //
-// Also differentially verifies the batched-read engine under the
-// warming path: the container file is re-read through
-// IoEngine::ReadBatch twice — io_uring (when the kernel has it) vs the
-// forced pread fallback — and a local mmap'd open is warmed and
-// queried under both modes; bytes and answers must match exactly.
+// Also sweeps a local mmap'd open of the same container: Prefetch of
+// every shard (readahead hint plus fault per shard on the prefetch
+// pool), then every hot query; each answer must match the truth.
 //
 // Exits nonzero when the warmed open is not at least --min-speedup
 // times faster to the last hot answer than the cold one (default 2;
 // --min-speedup 0 waives the gate, matching the remote_throughput
 // pattern). The margin is structural — K serial delay-bound faults vs
 // ceil(K/4) overlapped waves — so it holds on noisy shared runners.
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -52,7 +47,6 @@
 #include "src/serve/registry.h"
 #include "src/serve/server.h"
 #include "src/shard/sharded_codec.h"
-#include "src/util/io_engine.h"
 #include "src/util/mmap_file.h"
 
 using namespace grepair;
@@ -271,12 +265,9 @@ int main(int argc, char** argv) {
       "(gate >= %.1fx)\n",
       cold_best * 1e3, warm_best * 1e3, speedup, min_speedup);
 
-  // ---- Batched-read engine differential ---------------------------
-  // The same container, on disk, read back through IoEngine twice:
-  // default path (io_uring when the kernel has it) vs the forced pread
-  // fallback. Then a local mmap'd open is histogram-warmed and swept
-  // under both modes. Bytes and answers must match exactly.
-  IoEngine& engine = IoEngine::Default();
+  // ---- Local prefetch sweep ---------------------------------------
+  // The same container, on disk, opened mmap'd: Prefetch of every
+  // shard, then the hot workload; every answer must match the truth.
   std::string path = dir + "/placement_warmup_v2.bin";
   auto wrote = WriteFileBytes(
       path, api::WrapCodecPayload("sharded:grepair", container));
@@ -284,110 +275,39 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", wrote.ToString().c_str());
     return 1;
   }
-  uint64_t uring_batches = 0;
-  bool io_ok = true;
+  bool local_ok = false;
   {
-    auto read_all = [&](bool force, std::vector<uint8_t>* out,
-                        uint64_t* batches) {
-      engine.set_force_fallback(force);
-      auto file = MmapFile::Open(path);
-      if (!file.ok()) return false;
-      size_t total = file.value()->span().size;
-      out->assign(total, 0);
-      int fd = ::open(path.c_str(), O_RDONLY);
-      if (fd < 0) return false;
-      std::vector<IoReadRequest> reads;
-      constexpr uint32_t kChunk = 64u << 10;
-      for (size_t off = 0; off < total; off += kChunk) {
-        IoReadRequest req;
-        req.fd = fd;
-        req.offset = off;
-        req.dst = out->data() + off;
-        req.length = static_cast<uint32_t>(
-            total - off < kChunk ? total - off : kChunk);
-        reads.push_back(req);
-      }
-      *batches = engine.ReadBatch(&reads);
-      ::close(fd);
-      engine.set_force_fallback(false);
-      for (const auto& r : reads) {
-        if (!r.status.ok()) {
-          std::fprintf(stderr, "batched read: %s\n",
-                       r.status.ToString().c_str());
-          return false;
-        }
-      }
-      return true;
-    };
-    std::vector<uint8_t> via_default, via_fallback;
-    uint64_t fb_batches = 0;
-    if (!read_all(false, &via_default, &uring_batches) ||
-        !read_all(true, &via_fallback, &fb_batches)) {
-      io_ok = false;
-    } else if (via_default != via_fallback) {
-      std::fprintf(stderr,
-                   "FAIL: io_uring and pread reads of the container "
-                   "differ\n");
-      io_ok = false;
-    } else if (fb_batches != 0) {
-      std::fprintf(stderr,
-                   "FAIL: forced fallback still reported %llu uring "
-                   "batches\n",
-                   (unsigned long long)fb_batches);
-      io_ok = false;
-    }
-  }
-  std::printf("io engine: %s (%llu uring batches on the default path; "
-              "forced-pread bytes identical)\n",
-              engine.uring_available() ? "io_uring" : "pread fallback",
-              (unsigned long long)uring_batches);
-
-  // Local warmed open under both engine modes: Prefetch drives
-  // LocalShardSource::WarmShards through ReadBatch; the swept answers
-  // must match the truth either way.
-  std::vector<size_t> all_shards(static_cast<size_t>(shards));
-  std::iota(all_shards.begin(), all_shards.end(), 0);
-  uint64_t local_uring_batches = 0;
-  for (int force = 0; force < 2 && io_ok; ++force) {
-    engine.set_force_fallback(force == 1);
     auto opened = api::OpenCompressedFile(path);
+    shard::ShardedRep* sharded =
+        opened.ok() ? dynamic_cast<shard::ShardedRep*>(opened.value().get())
+                    : nullptr;
     if (!opened.ok()) {
       std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-      engine.set_force_fallback(false);
-      io_ok = false;
-      break;
-    }
-    auto* sharded =
-        dynamic_cast<shard::ShardedRep*>(opened.value().get());
-    if (sharded == nullptr) {
+    } else if (sharded == nullptr) {
       std::fprintf(stderr, "local open is not sharded\n");
-      engine.set_force_fallback(false);
-      io_ok = false;
-      break;
-    }
-    sharded->set_prefetch_threads(2);
-    sharded->Prefetch(all_shards);
-    sharded->WaitForPrefetch();
-    for (uint64_t v : hot_nodes) {
-      auto r = sharded->OutNeighbors(v);
-      if (!r.ok() || r.value() != truth[v]) {
-        std::fprintf(stderr,
-                     "FAIL: local %s-mode answer differs from truth\n",
-                     force == 1 ? "pread" : "default");
-        io_ok = false;
-        break;
+    } else {
+      local_ok = true;
+      std::vector<size_t> all_shards(sharded->num_shards());
+      std::iota(all_shards.begin(), all_shards.end(), 0);
+      sharded->set_prefetch_threads(2);
+      sharded->Prefetch(all_shards);
+      sharded->WaitForPrefetch();
+      for (uint64_t v : hot_nodes) {
+        auto r = sharded->OutNeighbors(v);
+        if (!r.ok() || r.value() != truth[v]) {
+          std::fprintf(stderr,
+                       "FAIL: local prefetched answer differs from truth\n");
+          local_ok = false;
+          break;
+        }
       }
     }
-    if (force == 0) {
-      local_uring_batches = sharded->query_stats().uring_batches;
-    }
-    engine.set_force_fallback(false);
   }
   std::remove(path.c_str());
-  if (io_ok) {
-    std::printf("local warm sweep: answers identical under io_uring and "
-                "pread (%llu uring batches via WarmShards)\n",
-                (unsigned long long)local_uring_batches);
+  if (local_ok) {
+    std::printf("local prefetch sweep: %zu hot answers identical to the "
+                "truth\n",
+                hot_nodes.size());
   }
 
   if (!json_path.empty()) {
@@ -404,15 +324,10 @@ int main(int argc, char** argv) {
     json.Add("speedup", speedup);
     json.Add("warm_remote_fetches", warm_fetches);
     json.Add("min_speedup", min_speedup);
-    json.Add("io_engine", std::string(engine.uring_available()
-                                          ? "io_uring"
-                                          : "pread"));
-    json.Add("uring_batches", uring_batches);
-    json.Add("io_differential_ok", std::string(io_ok ? "true" : "false"));
     if (!json.WriteTo(json_path)) return 1;
   }
 
-  if (!io_ok) return 1;
+  if (!local_ok) return 1;
   if (min_speedup == 0.0) {
     std::printf("PASS (gate waived)\n");
     return 0;

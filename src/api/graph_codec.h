@@ -120,10 +120,6 @@ struct QueryStats {
   uint64_t tier_cold_fetches = 0;   ///< shards faulted through to inner
   uint64_t tier_evictions = 0;      ///< cache files evicted by the budget
   uint64_t tier_corrupt_drops = 0;  ///< cache files failing verification
-  // Batched-I/O and replica-affinity counters (util::IoEngine,
-  // serve::ReplicaShardSource).
-  uint64_t uring_batches = 0;     ///< io_uring submission rounds issued
-  uint64_t affinity_switches = 0; ///< shard fetches served off-affinity
   // Mutable-corpus counters (shard::DeltaOverlay + folding).
   // overlay_edits is the *current* residual edit count (like
   // cache_bytes_used); the others are cumulative.

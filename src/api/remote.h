@@ -29,8 +29,8 @@ namespace grepair {
 namespace api {
 
 /// \brief Knobs for OpenRemote (timeouts, pool size, SSD tier,
-/// replicas, open-time warming); see serve::OpenOptions. Defaults
-/// match a LAN frontend.
+/// open-time warming); see serve::OpenOptions. Defaults match a LAN
+/// frontend.
 using RemoteOptions = serve::OpenOptions;
 
 /// \brief Opens the GRSHARD2 corpus served at "host:port[/corpus]".

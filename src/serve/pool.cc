@@ -529,52 +529,6 @@ class OfflineShardSource : public shard::ShardSource {
   std::string peer_;
 };
 
-// Affinity router over N replicas serving the same corpus. Shard s
-// lives on replica s % N — a stable mapping, so each replica's page
-// cache (and SSD tier, server-side) sees a disjoint working set
-// instead of every replica faulting everything. An unreachable home
-// replica fails over to the next in ring order; every shard served
-// off its home replica counts one affinity switch.
-class ReplicaShardSource : public shard::ShardSource {
- public:
-  explicit ReplicaShardSource(
-      std::vector<std::shared_ptr<RemoteShardSource>> replicas)
-      : replicas_(std::move(replicas)) {}
-
-  const char* kind() const override { return "replica-affinity"; }
-
-  Result<ByteSpan> FetchShard(size_t shard,
-                              std::vector<uint8_t>* owned) override {
-    size_t home = shard % replicas_.size();
-    Status last = Status::OK();
-    for (size_t hop = 0; hop < replicas_.size(); ++hop) {
-      size_t pick = (home + hop) % replicas_.size();
-      auto fetched = replicas_[pick]->FetchShard(shard, owned);
-      if (fetched.ok()) {
-        if (hop > 0) {
-          stat_switches_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return fetched;
-      }
-      last = fetched.status();
-      // Only an unreachable replica justifies going off-affinity; a
-      // corrupt or lying one must not be papered over by a twin.
-      if (last.code() != StatusCode::kUnavailable) return last;
-    }
-    return last;
-  }
-
-  void AddStats(api::QueryStats* stats) const override {
-    stats->affinity_switches +=
-        stat_switches_.load(std::memory_order_relaxed);
-    for (const auto& replica : replicas_) replica->AddStats(stats);
-  }
-
- private:
-  std::vector<std::shared_ptr<RemoteShardSource>> replicas_;
-  mutable std::atomic<uint64_t> stat_switches_{0};
-};
-
 // Picks `corpus`'s record out of a stats snapshot (by name, or the
 // sole corpus when the name is empty); null when absent.
 const CorpusServeStats* FindCorpusStats(const ServerStatsSnapshot& snapshot,
@@ -595,16 +549,6 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
   std::string host_port;
   std::string corpus;
   GREPAIR_RETURN_IF_ERROR(SplitTarget(target, &host_port, &corpus));
-  // Replica ring: the target's endpoint is replica 0, --replica
-  // endpoints follow in the order given (the order IS the affinity
-  // mapping, so every client must list replicas identically).
-  std::vector<std::string> endpoints{host_port};
-  for (const std::string& replica : options.replicas) {
-    std::string host;
-    uint16_t port = 0;
-    GREPAIR_RETURN_IF_ERROR(ParseHostPort(replica, &host, &port));
-    if (replica != host_port) endpoints.push_back(replica);
-  }
   RemoteShardSource::Options pool_options;
   pool_options.io_timeout_ms = options.io_timeout_ms;
   pool_options.pool_size = options.pool_size;
@@ -622,24 +566,17 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
     }
   }
 
-  std::vector<std::shared_ptr<RemoteShardSource>> replicas;
-  Status first_error = Status::OK();
-  for (const std::string& endpoint : endpoints) {
-    auto source = RemoteShardSource::Connect(endpoint, corpus, pool_options);
-    if (source.ok()) {
-      replicas.push_back(std::move(source).ValueOrDie());
-    } else if (first_error.ok()) {
-      first_error = source.status();
-    }
-  }
+  auto remote = RemoteShardSource::Connect(host_port, corpus, pool_options);
 
   shard::ParsedDirectory dir;
   std::shared_ptr<shard::ShardSource> stack;
-  bool online = !replicas.empty();
+  bool online = remote.ok();
   DirSidecar sidecar;  // what gets (re)persisted this open
   bool save_sidecar = false;
   if (online) {
-    dir = replicas[0]->TakeDirectory();
+    std::shared_ptr<RemoteShardSource> source =
+        std::move(remote).ValueOrDie();
+    dir = source->TakeDirectory();
     // Fail closed on a stale sidecar: the persisted directory must be
     // byte-equivalent (checksum) to what the server just shipped. A
     // corpus rebuilt in place keeps the sidecar path and often the
@@ -652,29 +589,26 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
     }
     if (!options.ssd_cache_dir.empty()) {
       save_sidecar = true;
-      sidecar.dir_off = replicas[0]->raw_dir_off();
-      sidecar.raw_directory = replicas[0]->raw_directory();
+      sidecar.dir_off = source->raw_dir_off();
+      sidecar.raw_directory = source->raw_directory();
     }
-    if (replicas.size() == 1) {
-      stack = replicas[0];
-    } else {
-      stack = std::make_shared<ReplicaShardSource>(replicas);
-    }
-  } else if (first_error.code() == StatusCode::kUnavailable && have_prior) {
-    // Every peer down, but a tier may be warm: reopen over the
+    stack = std::move(source);
+  } else if (remote.status().code() == StatusCode::kUnavailable &&
+             have_prior) {
+    // The peer is down, but a tier may be warm: reopen over the
     // persisted directory; any shard the tier does not hold stays
     // kUnavailable.
     auto cached = shard::ParseV2Directory(SpanOf(prior.raw_directory),
                                           prior.dir_off);
-    if (!cached.ok()) return first_error;  // the dial is the story
+    if (!cached.ok()) return remote.status();  // the dial is the story
     dir = std::move(cached).ValueOrDie();
     stack = std::make_shared<OfflineShardSource>(host_port);
   } else {
-    return first_error;
+    return remote.status();
   }
 
   // Pick the histogram to warm from: a fresh STATS snapshot from
-  // replica 0 when online (one extra round-trip, gated on anyone
+  // the server when online (one extra round-trip, gated on anyone
   // wanting it), else the sidecar's. Between the two, the higher
   // epoch — a freshly restarted server's near-empty histogram must
   // not shadow a rich persisted one.
@@ -682,7 +616,7 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
   uint64_t histogram_epoch = 0;
   bool want_histogram = options.warm_from_histogram || save_sidecar;
   if (online && want_histogram) {
-    auto stats = FetchServerStats(endpoints[0], options.io_timeout_ms);
+    auto stats = FetchServerStats(host_port, options.io_timeout_ms);
     if (stats.ok()) {
       const CorpusServeStats* record =
           FindCorpusStats(stats.value(), corpus);

@@ -205,12 +205,6 @@ struct OpenOptions {
   std::string ssd_cache_dir;
   /// Byte budget of the SSD cache (LRU).
   uint64_t ssd_cache_bytes = 256ull << 20;
-  /// Additional "host:port" replicas serving the same corpus. Shard
-  /// fetches are routed by affinity (shard id mod replica count, the
-  /// target's own endpoint counting as replica 0) so each replica's
-  /// page cache sees a stable shard subset; an unreachable home
-  /// replica fails over to the next (counted as an affinity switch).
-  std::vector<std::string> replicas;
   /// Open-time warming: rank shards by the best histogram available
   /// (the persisted `.grdir` sidecar's, or a fresh STATS snapshot
   /// when the server is reachable) and prefetch the hot ones before

@@ -54,7 +54,7 @@ struct Corpus {
   // Serving counters (incremented by connection threads).
   mutable std::atomic<uint64_t> requests{0};
   /// Per-shard hit histogram (rows.size() slots): the hot-shard signal
-  /// behind the STATS verb, groundwork for placement/affinity.
+  /// behind the STATS verb, placement and open-time warming.
   std::unique_ptr<std::atomic<uint64_t>[]> shard_hits;
   /// Per-shard placement flags (rows.size() slots): 1 when the shard
   /// is under the server's pin budget right now. Written by the

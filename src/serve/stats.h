@@ -3,8 +3,8 @@
 //
 // A kStats body is a point-in-time snapshot of one server process:
 // process-wide counters followed by one record per served corpus,
-// including the per-shard hit histogram — the hot-shard signal a
-// placement/affinity layer will feed on. The encoding is the usual
+// including the per-shard hit histogram — the hot-shard signal that
+// placement and open-time warming feed on. The encoding is the usual
 // little-endian length-prefixed layout and the decoder applies the
 // same untrusted-input discipline as every other wire parser in this
 // tree (a stats frame crosses the same network as shard frames).

@@ -1,19 +1,15 @@
 #include "src/serve/tiered.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "src/util/hashing.h"
-#include "src/util/io_engine.h"
 #include "src/util/mmap_file.h"
 
 namespace grepair {
@@ -220,67 +216,6 @@ Result<ByteSpan> TieredShardSource::FetchShard(size_t shard,
     }
   }
   return payload;
-}
-
-uint64_t TieredShardSource::WarmShards(const std::vector<size_t>& shards) {
-  // Collect the cached candidates under the lock (membership + touch),
-  // then do the IO outside it. A file evicted between the check and
-  // the read just makes that read fail — harmless, the warm-up is
-  // advisory.
-  struct Candidate {
-    size_t shard;
-    std::string path;
-    uint64_t length;
-  };
-  std::vector<Candidate> warm;
-  {
-    MutexLock lock(mu_);
-    for (size_t s : shards) {
-      if (s >= filenames_.size() || filenames_[s].empty()) continue;
-      if (index_.find(filenames_[s]) == index_.end()) continue;
-      TouchLocked(filenames_[s]);
-      warm.push_back({s, PathFor(s), lengths_[s]});
-    }
-  }
-  if (warm.empty()) return 0;
-  uint64_t batches = 0;
-  std::vector<IoReadRequest> reads;
-  std::vector<std::vector<uint8_t>> buffers;
-  std::vector<int> fds;
-  constexpr size_t kWarmChunkBytes = 32u << 20;
-  size_t chunk_bytes = 0;
-  auto flush = [&]() {
-    if (!reads.empty()) {
-      batches += IoEngine::Default().ReadBatch(&reads);
-    }
-    for (int fd : fds) ::close(fd);
-    reads.clear();
-    buffers.clear();
-    fds.clear();
-    chunk_bytes = 0;
-  };
-  for (const Candidate& cand : warm) {
-    if (cand.length == 0 ||
-        cand.length > std::numeric_limits<uint32_t>::max()) {
-      continue;
-    }
-    int fd = ::open(cand.path.c_str(), O_RDONLY);
-    if (fd < 0) continue;  // evicted meanwhile
-    if (!reads.empty() && chunk_bytes + cand.length > kWarmChunkBytes) {
-      flush();
-    }
-    buffers.emplace_back(cand.length);
-    IoReadRequest req;
-    req.fd = fd;
-    req.offset = 0;
-    req.dst = buffers.back().data();
-    req.length = static_cast<uint32_t>(cand.length);
-    reads.push_back(req);
-    fds.push_back(fd);
-    chunk_bytes += cand.length;
-  }
-  flush();
-  return batches;
 }
 
 void TieredShardSource::AddStats(api::QueryStats* stats) const {

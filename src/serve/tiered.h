@@ -71,15 +71,6 @@ class TieredShardSource : public shard::ShardSource {
   uint64_t AdviseSequential() override { return inner_->AdviseSequential(); }
   uint64_t AdviseNormal() override { return inner_->AdviseNormal(); }
 
-  /// \brief Batched warm-up of cached shards: every requested shard
-  /// whose cache file is present is read end-to-end through the
-  /// IoEngine (io_uring batches when available) so the page cache is
-  /// hot before the per-shard faults re-read and verify the bytes.
-  /// Shards not in the cache are left for the inner source's faults.
-  /// Returns the number of io_uring submission rounds.
-  uint64_t WarmShards(const std::vector<size_t>& shards) override
-      GREPAIR_LOCKS_EXCLUDED(mu_);
-
   void AddStats(api::QueryStats* stats) const override;
 
   /// \brief Current cache footprint in bytes (tests/bench).

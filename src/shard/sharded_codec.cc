@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -16,12 +15,6 @@
 #include "src/util/byte_io.h"
 #include "src/util/elias.h"
 #include "src/util/hashing.h"
-#include "src/util/io_engine.h"
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace grepair {
 namespace shard {
@@ -498,22 +491,6 @@ void ShardedRep::Prefetch(const std::vector<size_t>& shards) const {
     if (s < entries_.size()) valid.push_back(s);
   }
   if (valid.empty()) return;
-  // Batched byte warm-up ahead of the per-shard faults: sources with
-  // a local backing file submit every cold payload read in one
-  // io_uring round (page cache warm), so the workers' deserializers
-  // hit resident bytes instead of issuing N independent blocking
-  // reads. No-op on sources without a batched path.
-  std::vector<size_t> cold;
-  cold.reserve(valid.size());
-  for (size_t s : valid) {
-    if (!ShardResident(s)) cold.push_back(s);
-  }
-  if (!cold.empty()) {
-    uint64_t batches = source_->WarmShards(cold);
-    if (batches > 0) {
-      stat_uring_batches_.fetch_add(batches, std::memory_order_relaxed);
-    }
-  }
   {
     MutexLock lock(prefetch_mutex_);
     if (prefetcher_ != nullptr) {
@@ -1232,7 +1209,6 @@ api::QueryStats ShardedRep::query_stats() const {
   stats.shards_prefetched =
       stat_prefetched_.load(std::memory_order_relaxed);
   stats.bytes_hinted = stat_hinted_.load(std::memory_order_relaxed);
-  stats.uring_batches = stat_uring_batches_.load(std::memory_order_relaxed);
   // Network/pool/tier counters live with the source stack: the rep
   // cannot tell an SSD-warm hit from a WAN fetch, but the sources can.
   source_->AddStats(&stats);
@@ -1829,95 +1805,10 @@ class LocalShardSource : public ShardSource {
     return file_ != nullptr ? file_->AdviseNormal() : 0;
   }
 
-  // Batched fault warm-up: re-opens the backing file and reads every
-  // requested payload range through the IoEngine (io_uring when the
-  // kernel has it, pread batches otherwise) into a scratch buffer.
-  // The reads populate the page cache, so the mmap faults that follow
-  // are soft. Heap-backed containers are already resident: no-op.
-  uint64_t WarmShards(const std::vector<size_t>& shards) override {
-#if !defined(_WIN32)
-    if (file_ == nullptr || !file_->is_mapped()) return 0;
-    int fd = -1;
-    {
-      MutexLock lock(warm_mu_);
-      if (warm_fd_ < 0 && !warm_fd_failed_) {
-        warm_fd_ = ::open(file_->path().c_str(), O_RDONLY);
-        if (warm_fd_ < 0) warm_fd_failed_ = true;
-      }
-      fd = warm_fd_;
-    }
-    if (fd < 0) return 0;
-    constexpr size_t kWarmChunkBytes = 32u << 20;  // scratch cap
-    uint64_t batches = 0;
-    std::vector<IoReadRequest> reads;
-    std::vector<uint8_t> scratch;
-    size_t chunk_bytes = 0;
-    auto flush = [&]() {
-      if (reads.empty()) return;
-      scratch.resize(chunk_bytes);
-      size_t off = 0;
-      for (IoReadRequest& r : reads) {
-        r.dst = scratch.data() + off;
-        off += r.length;
-      }
-      batches += IoEngine::Default().ReadBatch(&reads);
-      reads.clear();
-      chunk_bytes = 0;
-    };
-    for (size_t s : shards) {
-      if (s >= payloads_.size()) continue;
-      ByteSpan payload = payloads_[s];
-      int64_t offset = MappedOffset(payload);
-      if (payload.size == 0 || offset < 0 ||
-          payload.size > std::numeric_limits<uint32_t>::max()) {
-        continue;
-      }
-      if (!reads.empty() && chunk_bytes + payload.size > kWarmChunkBytes) {
-        flush();
-      }
-      IoReadRequest req;
-      req.fd = fd;
-      req.offset = static_cast<uint64_t>(offset);
-      req.length = static_cast<uint32_t>(payload.size);
-      reads.push_back(req);
-      chunk_bytes += payload.size;
-    }
-    flush();
-    return batches;
-#else
-    (void)shards;
-    return 0;
-#endif
-  }
-
-  ~LocalShardSource() override {
-#if !defined(_WIN32)
-    MutexLock lock(warm_mu_);
-    if (warm_fd_ >= 0) ::close(warm_fd_);
-#endif
-  }
-
  private:
-  // Byte offset of `payload` inside the mapping, or -1 when the bytes
-  // do not live in the mapped file (heap container / edgeless).
-  int64_t MappedOffset(ByteSpan payload) const {
-    if (file_ == nullptr || !file_->is_mapped() || payload.data == nullptr) {
-      return -1;
-    }
-    ByteSpan map = file_->span();
-    if (payload.data < map.data ||
-        payload.data + payload.size > map.data + map.size) {
-      return -1;
-    }
-    return static_cast<int64_t>(payload.data - map.data);
-  }
-
   std::shared_ptr<MmapFile> file_;
   std::shared_ptr<std::vector<uint8_t>> owned_;
   std::vector<ByteSpan> payloads_;
-  Mutex warm_mu_;
-  int warm_fd_ GREPAIR_GUARDED_BY(warm_mu_) = -1;
-  bool warm_fd_failed_ GREPAIR_GUARDED_BY(warm_mu_) = false;
 };
 
 }  // namespace

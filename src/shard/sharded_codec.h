@@ -98,9 +98,11 @@ inline constexpr uint64_t kDefaultOverlayBudgetBytes = 1ull << 20;
 
 /// \brief Where a lazy ShardedRep's payload bytes come from — the
 /// seam the local mmap backing store, the remote TCP client
-/// (net::RemoteShardSource) and any future tiered backend implement.
-/// A rep holds exactly one source for its lifetime; the source owns
-/// (or pins) whatever storage its returned spans borrow from.
+/// (serve::RemoteShardSource) and the SSD tier in front of it
+/// (serve::TieredShardSource) implement. A rep holds exactly one
+/// source for its lifetime; the source owns (or pins) whatever
+/// storage its returned spans borrow from. Prefetch has one readahead
+/// hook, AdviseShard, called just before each prefetched fault.
 class ShardSource {
  public:
   virtual ~ShardSource() = default;
@@ -120,8 +122,9 @@ class ShardSource {
                                       std::vector<uint8_t>* owned) = 0;
 
   /// \brief Readahead hint for one shard's payload (MADV_WILLNEED on
-  /// mapped sources). Returns the number of bytes hinted (0 = no-op);
-  /// the rep accumulates this into QueryStats::bytes_hinted.
+  /// mapped sources), issued by ShardedRep::PrefetchOne just before
+  /// it faults the shard. Returns the number of bytes hinted (0 =
+  /// no-op); the rep accumulates this into QueryStats::bytes_hinted.
   virtual uint64_t AdviseShard(size_t shard) {
     (void)shard;
     return 0;
@@ -137,19 +140,6 @@ class ShardSource {
   /// readahead that random point-query faults want. Returns bytes
   /// covered.
   virtual uint64_t AdviseNormal() { return 0; }
-
-  /// \brief Batched warm-up of `shards`' payload bytes ahead of their
-  /// faults: sources with a local backing file read every payload in
-  /// one io_uring submission round (util::IoEngine), populating the
-  /// page cache the subsequent faults hit. Returns the number of
-  /// io_uring batches submitted (0 = fallback or nothing to do); the
-  /// rep accumulates this into QueryStats::uring_batches. The default
-  /// is a no-op — per-shard AdviseShard hints already cover sources
-  /// without a batched path.
-  virtual uint64_t WarmShards(const std::vector<size_t>& shards) {
-    (void)shards;
-    return 0;
-  }
 
   /// \brief Folds this source's own counters (network fetches, pool
   /// dials, cache tiers) into *stats. Local sources are free: the
@@ -596,7 +586,6 @@ class ShardedRep : public api::CompressedRep {
   mutable std::atomic<uint64_t> stat_faults_{0};
   mutable std::atomic<uint64_t> stat_prefetched_{0};
   mutable std::atomic<uint64_t> stat_hinted_{0};
-  mutable std::atomic<uint64_t> stat_uring_batches_{0};
 
   // Mutable-corpus state. Lock order: overlay_mu_ before cache_mutex_
   // (PublishFolds nests the cache invalidation inside the overlay

@@ -448,7 +448,7 @@ TEST_F(NetFaultTest, V2ServerRejectsV1ClientCleanly) {
 
 // Address parsing regressions: bracketed IPv6 literals must survive
 // both layers — ParseHostPort (the dial path) and SplitTarget (the
-// target/corpus split used by OpenRemote and --replica).
+// target/corpus split used by OpenRemote).
 TEST(AddressParsing, BracketedIpv6HostPort) {
   std::string host;
   uint16_t port = 0;

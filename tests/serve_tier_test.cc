@@ -322,6 +322,74 @@ TEST(ServeTierTest, OfflineOpenFromWarmTierAfterServerDies) {
   EXPECT_EQ(no_tier.status().code(), StatusCode::kUnavailable);
 }
 
+// Open-time warming from the SSD tier: the first session fills the
+// tier and the directory sidecar and makes its shards the server's
+// hot set; a second open with warm_from_histogram must prefetch each
+// hot shard with exactly one tier read and no network fetch.
+TEST(ServeTierTest, OpenTimeWarmingReadsEachHotShardFromTheTierOnce) {
+  ScratchDir scratch("open_warm");
+  GeneratedGraph gg = BarabasiAlbert(120, 3, 149);
+  std::vector<uint8_t> bytes = CompressSharded(gg, 6);
+  auto truth = LocalTruth(bytes, gg.graph.num_nodes());
+  size_t data_shards = CountDataShards(DirectoryRows(bytes));
+
+  serve::CorpusRegistry registry;
+  ASSERT_TRUE(registry.AddBytes("g", SpanOf(bytes)).ok());
+  auto server = serve::ShardServer::Start(std::move(registry));
+  ASSERT_TRUE(server.ok());
+  std::string peer = server.value()->host_port();
+
+  serve::OpenOptions options;
+  options.ssd_cache_dir = scratch.path + "/cache";
+  options.warm_from_histogram = true;
+
+  // Session 1: the last third of the nodes faults a subset of the
+  // shards over the wire into the tier.
+  {
+    auto rep = serve::OpenRemoteContainer(peer, options);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    for (uint64_t v = truth.size() - truth.size() / 3; v < truth.size();
+         ++v) {
+      auto r = rep.value()->OutNeighbors(v);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value(), truth[v]);
+    }
+  }
+  ASSERT_TRUE(std::filesystem::exists(
+      serve::DirSidecarPath(options.ssd_cache_dir, "")));
+  auto snapshot = serve::FetchServerStats(peer);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot.value().corpora.size(), 1u);
+  size_t hot = serve::RankByHeat(snapshot.value().corpora[0].shard_hits)
+                   .size();
+  ASSERT_GT(hot, 0u);
+  ASSERT_LT(hot, data_shards);  // some shards stay cold
+
+  // Session 2: the open warms the hot shards; wait for it before any
+  // query so the counters are the warm-up's alone.
+  auto rep = serve::OpenRemoteContainer(peer, options);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+  ASSERT_NE(sharded, nullptr);
+  sharded->WaitForPrefetch();
+  auto warmed = sharded->query_stats();
+  EXPECT_EQ(warmed.shards_prefetched, hot);
+  EXPECT_EQ(warmed.tier_warm_hits, hot);
+  EXPECT_EQ(warmed.tier_cold_fetches, 0u);
+  EXPECT_EQ(warmed.remote_fetches, 0u);
+
+  for (uint64_t v = 0; v < truth.size(); ++v) {
+    auto r = rep.value()->OutNeighbors(v);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value(), truth[v]);
+  }
+  // The hot shards stayed resident; only the cold ones crossed the
+  // wire.
+  auto after = sharded->query_stats();
+  EXPECT_EQ(after.tier_warm_hits, hot);
+  EXPECT_EQ(after.remote_fetches, data_shards - hot);
+}
+
 TEST(ServeTierTest, CorruptOrTruncatedCacheFilesFailClosedAndRefetch) {
   ScratchDir scratch("corrupt");
   GeneratedGraph gg = BarabasiAlbert(70, 3, 101);
@@ -540,11 +608,11 @@ TEST(ServeTierTest, SeedFromDiskBreaksMtimeTiesByName) {
 }
 
 // Warming under load: threads interleave histogram-style Prefetch
-// (LocalShardSource::WarmShards through the IoEngine) with point
-// queries on one shared mmap-backed rep. Then the same thread shape
-// drives a budget-constrained SSD tier, so WarmShards races LRU
-// eviction. Answers must stay byte-identical throughout. Runs under
-// the TSan CI leg.
+// (the prefetch pool's MADV_WILLNEED hint plus fault per shard) with
+// point queries on one shared mmap-backed rep. Then the same thread
+// shape drives a budget-constrained SSD tier, so prefetch faults
+// through the tier race LRU eviction. Answers must stay
+// byte-identical throughout. Runs under the TSan CI leg.
 TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   ScratchDir scratch("pin_stress");
   GeneratedGraph gg = BarabasiAlbert(140, 3, 137);
@@ -557,7 +625,7 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
     largest = std::max(largest, row.length);
   }
 
-  // --- Local leg: io_uring warms racing readers --------------------
+  // --- Local leg: prefetch faults racing readers -------------------
   std::string path = scratch.path + "/stress.grc";
   ASSERT_TRUE(
       WriteFileBytes(path, api::WrapCodecPayload("sharded:grepair", bytes))
@@ -595,7 +663,7 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  // --- Tiered leg: WarmShards racing LRU eviction ------------------
+  // --- Tiered leg: tier prefetch racing LRU eviction ---------------
   serve::CorpusRegistry registry;
   ASSERT_TRUE(registry.AddBytes("g", SpanOf(bytes)).ok());
   auto server = serve::ShardServer::Start(std::move(registry));

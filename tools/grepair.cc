@@ -12,8 +12,8 @@
 //   grepair query <in>|--remote host:port[/corpus] [--nodes 1,2,3]
 //           [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]
 //           [--prefetch P] [--pool N] [--ssd-cache DIR]
-//           [--ssd-cache-bytes N] [--replica host:port]...
-//           [--warm-from-histogram 0|1] [--delta file.grs3]...
+//           [--ssd-cache-bytes N] [--warm-from-histogram 0|1]
+//           [--delta file.grs3]...
 //   grepair append <base> [chain.grs3]... --edits <file> -o <out.grs3>
 //           [--fold-budget BYTES]
 //   grepair diff <base> <delta.grs3>...
@@ -131,8 +131,8 @@ int Usage() {
       "  query <in>|--remote host:port[/corpus] [--nodes 1,2,3]\n"
       "        [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]\n"
       "        [--prefetch P] [--pool N] [--ssd-cache DIR]\n"
-      "        [--ssd-cache-bytes N] [--replica host:port]...\n"
-      "        [--warm-from-histogram 0|1] [--delta file.grs3]...\n"
+      "        [--ssd-cache-bytes N] [--warm-from-histogram 0|1]\n"
+      "        [--delta file.grs3]...\n"
       "  append <base> [chain.grs3]... --edits <file> -o <out.grs3>\n"
       "         [--fold-budget BYTES]\n"
       "  diff <base> <delta.grs3>...\n"
@@ -516,13 +516,6 @@ int RunQueries(std::unique_ptr<api::CompressedRep> rep,
                 (unsigned long long)stats.tier_evictions,
                 (unsigned long long)stats.tier_corrupt_drops);
   }
-  // The batched-IO/affinity counters likewise only appear when the
-  // engine did something: io_uring rounds or off-affinity fetches.
-  if (stats.uring_batches != 0 || stats.affinity_switches != 0) {
-    std::printf("placement: uring_batches=%llu affinity_switches=%llu\n",
-                (unsigned long long)stats.uring_batches,
-                (unsigned long long)stats.affinity_switches);
-  }
   return 0;
 }
 
@@ -587,9 +580,6 @@ int CmdQuery(int argc, char** argv) {
         return 2;
       }
       have_remote_flags = true;
-    } else if (arg == "--replica" && i + 1 < argc) {
-      remote_options.replicas.push_back(argv[++i]);
-      have_remote_flags = true;
     } else if (arg == "--warm-from-histogram" && i + 1 < argc) {
       std::string value = argv[++i];
       if (value != "0" && value != "1") {
@@ -607,7 +597,7 @@ int CmdQuery(int argc, char** argv) {
   }
   if (have_remote_flags && remote_spec.empty()) {
     std::fprintf(stderr,
-                 "--pool/--ssd-cache/--ssd-cache-bytes/--replica/"
+                 "--pool/--ssd-cache/--ssd-cache-bytes/"
                  "--warm-from-histogram tune the remote tier; they "
                  "require --remote\n");
     return 2;
