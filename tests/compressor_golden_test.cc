@@ -6,10 +6,14 @@
 // single output byte (rule choice, rule order, start-graph edge order,
 // node numbering, derivation records) changes a digest, so refactors
 // and optimizations of the pipeline can prove they are byte-identical.
-// Every mapped run is also checked to reproduce its input exactly.
+// Every mapped run is also checked to reproduce its input exactly. A
+// second corpus covers what the first lacks: wide terminal hyperedges
+// (up to the rank-63 limit, with max_rank 4 and 63) and hub nodes that
+// carry many labels.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "src/grepair/compressor.h"
 #include "src/shard/partitioner.h"
 #include "src/util/hashing.h"
+#include "src/util/rng.h"
 
 namespace grepair {
 namespace {
@@ -68,6 +73,92 @@ std::vector<GeneratedGraph> GoldenCorpus() {
   return corpus;
 }
 
+// Wide terminal hyperedges (ranks 16-63) in four block types: two
+// rank-63 edges over the same 63 nodes (in the same and in rotated
+// order, so a digram shares all 63 positions), then mixed ranks
+// 16/31/48 overlapping on a few nodes. Blocks are chained by rank-2
+// edges, so most hyperedge nodes are internal to their block.
+GeneratedGraph WideHyperedgeGraph() {
+  GeneratedGraph gg;
+  gg.name = "wide";
+  Label w16 = gg.alphabet.Add("w16", 16);
+  Label w31 = gg.alphabet.Add("w31", 31);
+  Label w48 = gg.alphabet.Add("w48", 48);
+  Label w63a = gg.alphabet.Add("w63a", 63);
+  Label w63b = gg.alphabet.Add("w63b", 63);
+  Label link = gg.alphabet.Add("link", 2);
+  constexpr uint32_t kBlocks = 24;
+  constexpr uint32_t kBlockNodes = 64;
+  gg.graph = Hypergraph(kBlocks * kBlockNodes);
+  auto run = [](NodeId first, uint32_t len, uint32_t rotate) {
+    std::vector<NodeId> att(len);
+    for (uint32_t k = 0; k < len; ++k) att[k] = first + (k + rotate) % len;
+    return att;
+  };
+  for (uint32_t i = 0; i < kBlocks; ++i) {
+    NodeId base = i * kBlockNodes;
+    switch (i % 4) {
+      case 0:
+      case 1:
+        gg.graph.AddEdge(w63a, run(base, 63, 0));
+        gg.graph.AddEdge(w63b, run(base, 63, i % 4));
+        break;
+      case 2:
+        gg.graph.AddEdge(w16, run(base, 16, 0));
+        gg.graph.AddEdge(w16, run(base + 12, 16, 0));
+        gg.graph.AddEdge(w31, run(base + 20, 31, 0));
+        gg.graph.AddEdge(w48, run(base + 15, 48, 0));
+        break;
+      default:
+        gg.graph.AddEdge(w31, run(base, 31, 0));
+        gg.graph.AddEdge(w31, run(base + 30, 31, 0));
+        gg.graph.AddEdge(w16, run(base + 45, 16, 0));
+        break;
+    }
+    gg.graph.AddSimpleEdge(base, (base + kBlockNodes) % (kBlocks * kBlockNodes),
+                           link);
+    gg.graph.AddSimpleEdge(base + 62, base + 63, link);
+  }
+  return gg;
+}
+
+// One hub node carrying edges of many labels in both directions:
+// entities draw 3-5 distinct labels from one of 12 templates over 48 labels,
+// so the hub's incident edges span every label and new nonterminal
+// edges keep landing on it.
+GeneratedGraph LabelHubGraph() {
+  GeneratedGraph gg;
+  gg.name = "label-hub";
+  constexpr int kLabels = 48;
+  constexpr uint32_t kEntities = 600;
+  Label first = gg.alphabet.AddSimpleLabels(kLabels);
+  Rng rng(11);
+  std::vector<std::vector<Label>> templates(12);
+  for (auto& t : templates) {
+    uint32_t fields = 3 + static_cast<uint32_t>(rng.UniformBounded(3));
+    while (t.size() < fields) {
+      Label l = first + static_cast<Label>(rng.UniformBounded(kLabels));
+      if (std::find(t.begin(), t.end(), l) == t.end()) t.push_back(l);
+    }
+  }
+  const NodeId hub = 0;
+  gg.graph = Hypergraph(1 + 2 * kEntities);
+  for (uint32_t e = 0; e < kEntities; ++e) {
+    NodeId entity = 1 + 2 * e;
+    const std::vector<Label>& t =
+        templates[rng.UniformBounded(templates.size())];
+    for (size_t f = 0; f < t.size(); ++f) {
+      if (f % 2 == 0) {
+        gg.graph.AddSimpleEdge(hub, entity, t[f]);
+      } else {
+        gg.graph.AddSimpleEdge(entity, hub, t[f]);
+      }
+    }
+    gg.graph.AddSimpleEdge(entity, entity + 1, t[0]);
+  }
+  return gg;
+}
+
 // Corpus entries [0, kDblpParts) are the dblp shards.
 constexpr size_t kDblpParts = 4 * 17;
 
@@ -78,6 +169,7 @@ struct GoldenCase {
   bool virtual_edges;
   bool mapping;
   uint64_t digest;  // folded over this case's inputs, in corpus order
+  int max_rank = 4;
 };
 
 std::string CaseName(const GoldenCase& c) {
@@ -86,7 +178,8 @@ std::string CaseName(const GoldenCase& c) {
                                                      : "prune=fixpoint";
   return std::string(prune) +
          (c.virtual_edges ? " virtual=on" : " virtual=off") +
-         (c.mapping ? " mapping=on" : " mapping=off");
+         (c.mapping ? " mapping=on" : " mapping=off") +
+         " max-rank=" + std::to_string(c.max_rank);
 }
 
 CompressOptions OptionsFor(const GoldenCase& c) {
@@ -95,11 +188,41 @@ CompressOptions OptionsFor(const GoldenCase& c) {
   options.prune_options.iterate_to_fixpoint = c.prune == PruneMode::kFixpoint;
   options.connect_components = c.virtual_edges;
   options.track_node_mapping = c.mapping;
+  options.max_rank = c.max_rank;
   return options;
 }
 
 uint64_t FoldBytes(const std::vector<uint8_t>& bytes, uint64_t h) {
   return HashBytes(bytes.data(), bytes.size(), h);
+}
+
+// Compresses `gg` under `c` and folds the output bytes into *digest;
+// a mapped run must also reproduce its input exactly.
+void FoldCase(const GeneratedGraph& gg, const GoldenCase& c,
+              uint64_t* digest) {
+  auto result = Compress(gg.graph, gg.alphabet, OptionsFor(c));
+  ASSERT_TRUE(result.ok()) << gg.name << ": " << result.status().ToString();
+  const SlhrGrammar& grammar = result.value().grammar;
+  *digest = FoldBytes(EncodeGrammar(grammar), *digest);
+  if (!c.mapping) return;
+  const NodeMapping& mapping = result.value().mapping;
+  *digest = FoldBytes(EncodeNodeMapping(grammar, mapping), *digest);
+  auto original = DeriveOriginal(grammar, mapping);
+  ASSERT_TRUE(original.ok()) << gg.name << ": "
+                             << original.status().ToString();
+  EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph))
+      << gg.name << " under " << CaseName(c);
+}
+
+void ExpectDigests(const std::vector<GoldenCase>& cases,
+                   const std::vector<uint64_t>& digests) {
+  for (size_t k = 0; k < cases.size(); ++k) {
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(digests[k]));
+    EXPECT_EQ(digests[k], cases[k].digest)
+        << CaseName(cases[k]) << " digest " << hex;
+  }
 }
 
 TEST(CompressorGoldenTest, OutputBytesMatchPinnedDigests) {
@@ -130,28 +253,27 @@ TEST(CompressorGoldenTest, OutputBytesMatchPinnedDigests) {
     // all of them. Keeps the test fast in Debug and sanitizer builds.
     for (size_t k = 0; k < cases.size(); ++k) {
       if (i < kDblpParts && i % cases.size() != k) continue;
-      const GoldenCase& c = cases[k];
-      auto result = Compress(gg.graph, gg.alphabet, OptionsFor(c));
-      ASSERT_TRUE(result.ok()) << gg.name << ": " << result.status().ToString();
-      const SlhrGrammar& grammar = result.value().grammar;
-      digests[k] = FoldBytes(EncodeGrammar(grammar), digests[k]);
-      if (!c.mapping) continue;
-      const NodeMapping& mapping = result.value().mapping;
-      digests[k] = FoldBytes(EncodeNodeMapping(grammar, mapping), digests[k]);
-      auto original = DeriveOriginal(grammar, mapping);
-      ASSERT_TRUE(original.ok()) << gg.name << ": "
-                                 << original.status().ToString();
-      EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph))
-          << gg.name << " under " << CaseName(c);
+      FoldCase(gg, cases[k], &digests[k]);
     }
   }
-  for (size_t k = 0; k < cases.size(); ++k) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(digests[k]));
-    EXPECT_EQ(digests[k], cases[k].digest)
-        << CaseName(cases[k]) << " digest " << hex;
+  ExpectDigests(cases, digests);
+}
+
+TEST(CompressorGoldenTest, WideHyperedgesAndLabelHubsMatchPinnedDigests) {
+  const std::vector<GeneratedGraph> corpus = {
+      WideHyperedgeGraph(), LabelHubGraph(), RdfTypes(3000, 40, 5, 2.0)};
+  const std::vector<GoldenCase> cases = {
+      {PruneMode::kPaper, true, true, 0x4955a206aa64edb0ull},
+      {PruneMode::kOff, false, false, 0x27f32def3715cf66ull, 63},
+      {PruneMode::kFixpoint, true, true, 0x6ad89454a0f3d631ull, 63},
+  };
+  std::vector<uint64_t> digests(cases.size(), 0);
+  for (const GeneratedGraph& gg : corpus) {
+    for (size_t k = 0; k < cases.size(); ++k) {
+      FoldCase(gg, cases[k], &digests[k]);
+    }
   }
+  ExpectDigests(cases, digests);
 }
 
 }  // namespace
