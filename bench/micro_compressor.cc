@@ -10,6 +10,7 @@
 #include "src/api/grepair_api.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
+#include "src/shard/partitioner.h"
 
 namespace grepair {
 namespace {
@@ -48,6 +49,30 @@ void BM_CompressCopies(benchmark::State& state) {
 }
 BENCHMARK(BM_CompressCopies)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+// build-dblp's ingest input: one DblpVersions(12, 200, 100) graph cut
+// into 16 shards, each compressed as the sharded grepair codec does it
+// (node mapping on), one after another on this thread.
+void BM_CompressDblpShards(benchmark::State& state) {
+  auto gg = DblpVersions(12, 200, 100, 1, "dblp");
+  shard::PartitionOptions partition_options;
+  partition_options.num_shards = 16;
+  auto partition = shard::PartitionGraph(gg.graph, partition_options);
+  if (!partition.ok()) {
+    state.SkipWithError(partition.status().ToString().c_str());
+    return;
+  }
+  CompressOptions options;
+  options.track_node_mapping = true;
+  for (auto _ : state) {
+    for (const auto& part : partition.value().shards) {
+      auto result = Compress(part.graph, gg.alphabet, options);
+      benchmark::DoNotOptimize(result.value().stats.output_size);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * gg.graph.num_edges());
+}
+BENCHMARK(BM_CompressDblpShards)->Unit(benchmark::kMillisecond);
 
 void BM_EncodeGrammar(benchmark::State& state) {
   auto gg = RdfEntities(4000, 12, 200, 3);

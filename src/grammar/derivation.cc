@@ -51,31 +51,35 @@ GeneratedSizes ComputeGeneratedSizes(const SlhrGrammar& grammar) {
   return sizes;
 }
 
-uint64_t ValNodeCount(const SlhrGrammar& grammar) {
-  auto sizes = ComputeGeneratedSizes(grammar);
-  uint64_t count = grammar.start().num_nodes();
+ValSize ComputeValSize(const SlhrGrammar& grammar) {
+  const GeneratedSizes sizes = ComputeGeneratedSizes(grammar);
+  ValSize size;
+  size.nodes = grammar.start().num_nodes();
   for (const auto& e : grammar.start().edges()) {
     if (grammar.IsNonterminal(e.label)) {
-      count += sizes.gen_nodes[grammar.RuleIndex(e.label)];
-    }
-  }
-  return count;
-}
-
-uint64_t ValEdgeCount(const SlhrGrammar& grammar) {
-  auto sizes = ComputeGeneratedSizes(grammar);
-  uint64_t count = 0;
-  for (const auto& e : grammar.start().edges()) {
-    if (grammar.IsNonterminal(e.label)) {
-      count += sizes.gen_edges[grammar.RuleIndex(e.label)];
+      const uint32_t j = grammar.RuleIndex(e.label);
+      size.nodes += sizes.gen_nodes[j];
+      size.edges += sizes.gen_edges[j];
     } else {
-      count += 1;
+      size.edges += 1;
     }
   }
-  return count;
+  return size;
 }
 
 namespace {
+
+Status CheckDeriveLimits(const ValSize& size, const DeriveOptions& options) {
+  if (size.nodes > options.max_nodes) {
+    return Status::OutOfRange("val(G) has " + std::to_string(size.nodes) +
+                              " nodes, above the materialization limit");
+  }
+  if (size.edges > options.max_edges) {
+    return Status::OutOfRange("val(G) has " + std::to_string(size.edges) +
+                              " edges, above the materialization limit");
+  }
+  return Status::OK();
+}
 
 // One suspended rule application during depth-first expansion.
 struct Frame {
@@ -87,21 +91,11 @@ struct Frame {
 // Walks val(G) depth-first and calls sink(label, att) for each terminal
 // edge, with att in val(G) node ids (valid only during the call).
 // Applying a rule creates the rhs's internal nodes first, in rhs node
-// order, which is what fixes the derived node IDs. Returns |val(G)|_V.
+// order, which is what fixes the derived node IDs. `size` is
+// ComputeValSize(grammar), already checked against the limits.
 template <typename Sink>
-Result<uint64_t> DeriveImpl(const SlhrGrammar& grammar,
-                            const DeriveOptions& options, Sink&& sink) {
-  const uint64_t total_nodes = ValNodeCount(grammar);
-  const uint64_t total_edges = ValEdgeCount(grammar);
-  if (total_nodes > options.max_nodes) {
-    return Status::OutOfRange("val(G) has " + std::to_string(total_nodes) +
-                              " nodes, above the materialization limit");
-  }
-  if (total_edges > options.max_edges) {
-    return Status::OutOfRange("val(G) has " + std::to_string(total_edges) +
-                              " edges, above the materialization limit");
-  }
-
+void DeriveImpl(const SlhrGrammar& grammar,
+                [[maybe_unused]] const ValSize& size, Sink&& sink) {
   const Hypergraph& start = grammar.start();
   NodeId next_node = start.num_nodes();
   // Frames and their node maps live on two stacks that grow and shrink
@@ -148,42 +142,18 @@ Result<uint64_t> DeriveImpl(const SlhrGrammar& grammar,
       }
     }
   }
-  assert(next_node == total_nodes);
-  assert(emitted == total_edges);
+  assert(next_node == size.nodes);
+  assert(emitted == size.edges);
   (void)emitted;
-  return total_nodes;
 }
 
-}  // namespace
-
-Result<Hypergraph> Derive(const SlhrGrammar& grammar,
-                          const DeriveOptions& options) {
-  Hypergraph out;
-  auto nodes = DeriveImpl(grammar, options,
-                          [&](Label label, const std::vector<NodeId>& att) {
-                            out.AddEdge(label, att);
-                          });
-  if (!nodes.ok()) return nodes.status();
-  out.AddNodes(static_cast<uint32_t>(nodes.value()));
-  return out;
-}
-
-Status ForEachDerivedEdge(const SlhrGrammar& grammar,
-                          const DerivedEdgeSink& sink,
-                          const DeriveOptions& options) {
-  return DeriveImpl(grammar, options, sink).status();
-}
-
-Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
-                                           const NodeMapping& mapping,
-                                           const DeriveOptions& options) {
-  GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
-  uint64_t total = ValNodeCount(grammar);
-  if (total > options.max_nodes) {
-    return Status::OutOfRange("val(G) node count above limit");
-  }
+// FlattenOrigins for a mapping already validated against `grammar`,
+// whose val(G) has `total_nodes` nodes.
+std::vector<NodeId> FlattenValidOrigins(const SlhrGrammar& grammar,
+                                        const NodeMapping& mapping,
+                                        uint64_t total_nodes) {
   std::vector<NodeId> origins = mapping.start_origs;
-  origins.reserve(total);
+  origins.reserve(total_nodes);
   // Depth-first flatten mirroring the derivation order: a record's
   // internals come first, then its children in rhs edge order.
   struct Work {
@@ -204,16 +174,51 @@ Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
       }
     }
   }
-  assert(origins.size() == total);
+  assert(origins.size() == total_nodes);
   return origins;
+}
+
+}  // namespace
+
+Result<Hypergraph> Derive(const SlhrGrammar& grammar,
+                          const DeriveOptions& options) {
+  const ValSize size = ComputeValSize(grammar);
+  GREPAIR_RETURN_IF_ERROR(CheckDeriveLimits(size, options));
+  Hypergraph out(static_cast<uint32_t>(size.nodes));
+  DeriveImpl(grammar, size, [&](Label label, const std::vector<NodeId>& att) {
+    out.AddEdge(label, att);
+  });
+  return out;
+}
+
+Status ForEachDerivedEdge(const SlhrGrammar& grammar,
+                          const DerivedEdgeSink& sink,
+                          const DeriveOptions& options) {
+  const ValSize size = ComputeValSize(grammar);
+  GREPAIR_RETURN_IF_ERROR(CheckDeriveLimits(size, options));
+  DeriveImpl(grammar, size, sink);
+  return Status::OK();
+}
+
+Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
+                                           const NodeMapping& mapping,
+                                           const DeriveOptions& options) {
+  GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
+  const uint64_t total_nodes = ComputeValSize(grammar).nodes;
+  if (total_nodes > options.max_nodes) {
+    return Status::OutOfRange("val(G) node count above limit");
+  }
+  return FlattenValidOrigins(grammar, mapping, total_nodes);
 }
 
 Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
                                   const NodeMapping& mapping,
                                   const DeriveOptions& options) {
-  auto flat = FlattenOrigins(grammar, mapping, options);
-  if (!flat.ok()) return flat.status();
-  const std::vector<NodeId>& origins = flat.value();
+  GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
+  const ValSize size = ComputeValSize(grammar);
+  GREPAIR_RETURN_IF_ERROR(CheckDeriveLimits(size, options));
+  const std::vector<NodeId> origins =
+      FlattenValidOrigins(grammar, mapping, size.nodes);
 
   // The origins must form a permutation of 0..n-1.
   std::vector<char> seen(origins.size(), 0);
@@ -227,13 +232,12 @@ Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
   // itself is never built.
   Hypergraph renamed(static_cast<uint32_t>(origins.size()));
   std::vector<NodeId> att;
-  auto nodes = DeriveImpl(grammar, options,
-                          [&](Label label, const std::vector<NodeId>& val_att) {
-                            att.clear();
-                            for (NodeId v : val_att) att.push_back(origins[v]);
-                            renamed.AddEdge(label, att);
-                          });
-  if (!nodes.ok()) return nodes.status();
+  DeriveImpl(grammar, size,
+             [&](Label label, const std::vector<NodeId>& val_att) {
+               att.clear();
+               for (NodeId v : val_att) att.push_back(origins[v]);
+               renamed.AddEdge(label, att);
+             });
   return renamed;
 }
 

@@ -61,11 +61,15 @@ struct GeneratedSizes {
 /// \brief Computes generated sizes bottom-up in O(|G|).
 GeneratedSizes ComputeGeneratedSizes(const SlhrGrammar& grammar);
 
-/// \brief Number of nodes of val(G) without materializing it.
-uint64_t ValNodeCount(const SlhrGrammar& grammar);
+/// \brief Size of val(G): its nodes and its terminal edges.
+struct ValSize {
+  uint64_t nodes = 0;
+  uint64_t edges = 0;
+};
 
-/// \brief Number of terminal edges of val(G) without materializing it.
-uint64_t ValEdgeCount(const SlhrGrammar& grammar);
+/// \brief Both counts of val(G) from one ComputeGeneratedSizes pass,
+/// without materializing it.
+ValSize ComputeValSize(const SlhrGrammar& grammar);
 
 /// \brief Options for Derive.
 struct DeriveOptions {

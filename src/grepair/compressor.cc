@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
 
 #include "src/encoding/grammar_coder.h"
@@ -30,6 +29,7 @@ class Compressor {
     node_alive_.assign(graph.num_nodes(), 1);
     degree_.assign(graph.num_nodes(), 0);
     incidence_.resize(graph.num_nodes());
+    round_lists_.resize(graph.num_nodes());
     dead_incident_.assign(graph.num_nodes(), 0);
     if (options_.track_node_mapping) {
       orig_.resize(graph.num_nodes());
@@ -84,10 +84,35 @@ class Compressor {
   };
 
   // Entries of the per-round pairing lists: edges of one label at one
-  // node, consumed front to back. Cleared every round (see PairNewEdge).
+  // node, consumed front to back. Reset every round (see PairNewEdge).
   struct RoundList {
+    Label label = kInvalidLabel;
+    uint32_t cursor = 0;
     std::vector<EdgeId> edges;
-    size_t cursor = 0;
+  };
+
+  // A node's round lists: slots [first, first + count) of round_slots_,
+  // ascending by label, in a block with room for `capacity` lists. A
+  // node is materialized this round exactly when count > 0.
+  struct NodeRoundLists {
+    uint32_t first = 0;
+    uint32_t count = 0;
+    uint32_t capacity = 0;
+  };
+
+  // Round lists that grew past this many entries give their memory back
+  // at the end of the round; the many small ones keep it.
+  static constexpr size_t kKeptRoundListCapacity = 64;
+
+  // Scratch entry for grouping a node's incident edges by a key; the
+  // sequence number keeps incidence order within a key under std::sort.
+  struct KeyedEdge {
+    uint64_t key;
+    uint32_t seq;
+    EdgeId edge;
+    bool operator<(const KeyedEdge& o) const {
+      return key != o.key ? key < o.key : seq < o.seq;
+    }
   };
 
   bool IsNonterminalLabel(Label l) const { return l >= num_terminals_; }
@@ -106,12 +131,68 @@ class Compressor {
       // edges must be pairable at shared hub nodes. Creating the label
       // entry on demand matters — the fill at materialization time only
       // saw labels that existed then.
-      auto it = round_lists_.find(v);
-      if (it != round_lists_.end()) {
-        it->second[label].edges.push_back(id);
+      if (round_lists_[v].count > 0) {
+        RoundListFor(v, label).edges.push_back(id);
       }
     }
     return id;
+  }
+
+  // Takes n slots off the round's slot arena. Slots are reused round
+  // after round, so their edge vectors keep their capacity.
+  uint32_t AllocateRoundSlots(uint32_t n) {
+    const uint32_t first = round_slots_used_;
+    round_slots_used_ += n;
+    if (round_slots_.size() < round_slots_used_) {
+      round_slots_.resize(round_slots_used_);
+    }
+    return first;
+  }
+
+  RoundList& InitRoundSlot(uint32_t slot, Label label) {
+    RoundList& list = round_slots_[slot];
+    list.label = label;
+    list.cursor = 0;
+    list.edges.clear();
+    return list;
+  }
+
+  // The round list for `label` at materialized node v, created in label
+  // order when missing.
+  RoundList& RoundListFor(NodeId v, Label label) {
+    NodeRoundLists& node = round_lists_[v];
+    auto begin = round_slots_.begin() + node.first;
+    auto end = begin + node.count;
+    auto it = std::lower_bound(
+        begin, end, label,
+        [](const RoundList& list, Label l) { return list.label < l; });
+    if (it != end && it->label == label) return *it;
+    const auto pos = it - begin;
+    if (node.count == node.capacity) {
+      // Full: move the lists to a block twice the size.
+      const uint32_t first = AllocateRoundSlots(2 * node.capacity);
+      for (uint32_t k = 0; k < node.count; ++k) {
+        std::swap(round_slots_[first + k], round_slots_[node.first + k]);
+      }
+      node.first = first;
+      node.capacity *= 2;
+    }
+    InitRoundSlot(node.first + node.count++, label);
+    auto block = round_slots_.begin() + node.first;
+    std::rotate(block + pos, block + node.count - 1, block + node.count);
+    return block[pos];
+  }
+
+  // Ends the round: every materialized node goes back to zero lists.
+  void ResetRoundLists() {
+    for (NodeId v : touched_) round_lists_[v].count = 0;
+    touched_.clear();
+    for (uint32_t i = 0; i < round_slots_used_; ++i) {
+      if (round_slots_[i].edges.capacity() > kKeptRoundListCapacity) {
+        round_slots_[i].edges = std::vector<EdgeId>();
+      }
+    }
+    round_slots_used_ = 0;
   }
 
   void KillEdge(EdgeId e) {
@@ -217,9 +298,8 @@ class Compressor {
   void RepushToRoundLists(EdgeId e) {
     Label label = edges_[e].edge.label;
     for (NodeId v : edges_[e].edge.att) {
-      auto it = round_lists_.find(v);
-      if (it != round_lists_.end()) {
-        it->second[label].edges.push_back(e);
+      if (round_lists_[v].count > 0) {
+        RoundListFor(v, label).edges.push_back(e);
       }
     }
   }
@@ -232,9 +312,8 @@ class Compressor {
   // Section III-C1). Only O(deg) candidate pairs are formed.
   void CountAroundNode(NodeId v) {
     MaybeCompactIncidence(v);
-    // (type key, edge) pairs; type key = (label << 8) | position-of-v.
-    std::vector<std::pair<uint64_t, EdgeId>> typed;
-    typed.reserve(incidence_[v].size());
+    // Type key = (label << 8) | position-of-v.
+    typed_.clear();
     for (EdgeId e : incidence_[v]) {
       if (!edges_[e].alive) continue;
       uint64_t pos = 0;
@@ -242,61 +321,51 @@ class Compressor {
       for (size_t i = 0; i < att.size(); ++i) {
         if (att[i] == v) pos = i;
       }
-      typed.push_back({(static_cast<uint64_t>(edges_[e].edge.label) << 8) | pos,
-                       e});
+      typed_.push_back(
+          {(static_cast<uint64_t>(edges_[e].edge.label) << 8) | pos,
+           static_cast<uint32_t>(typed_.size()), e});
     }
-    std::stable_sort(typed.begin(), typed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+    std::sort(typed_.begin(), typed_.end());
     // Group boundaries.
-    std::vector<std::pair<size_t, size_t>> groups;
-    for (size_t i = 0; i < typed.size();) {
+    groups_.clear();
+    for (size_t i = 0; i < typed_.size();) {
       size_t j = i;
-      while (j < typed.size() && typed[j].first == typed[i].first) ++j;
-      groups.push_back({i, j});
+      while (j < typed_.size() && typed_[j].key == typed_[i].key) ++j;
+      groups_.push_back({i, j});
       i = j;
     }
     auto label_of_group = [&](size_t g) {
-      return static_cast<Label>(typed[groups[g].first].first >> 8);
+      return static_cast<Label>(typed_[groups_[g].first].key >> 8);
     };
-    std::vector<EdgeId> list1, list2;
-    for (size_t g1 = 0; g1 < groups.size(); ++g1) {
-      for (size_t g2 = g1; g2 < groups.size(); ++g2) {
+    // Fills *out with the group's edges that are still available for a
+    // partner of label `partner`.
+    auto collect = [&](size_t g, Label partner, std::vector<EdgeId>* out) {
+      out->clear();
+      for (size_t i = groups_[g].first; i < groups_[g].second; ++i) {
+        EdgeId e = typed_[i].edge;
+        if (edges_[e].alive && !HasOccWithPartner(e, partner)) {
+          out->push_back(e);
+        }
+      }
+    };
+    for (size_t g1 = 0; g1 < groups_.size(); ++g1) {
+      for (size_t g2 = g1; g2 < groups_.size(); ++g2) {
         Label lab1 = label_of_group(g1);
         Label lab2 = label_of_group(g2);
         if (g1 == g2) {
           // Same type: split the available edges into halves E1, E2 and
           // pair element-wise.
-          list1.clear();
-          for (size_t i = groups[g1].first; i < groups[g1].second; ++i) {
-            EdgeId e = typed[i].second;
-            if (edges_[e].alive && !HasOccWithPartner(e, lab2)) {
-              list1.push_back(e);
-            }
-          }
-          size_t n = list1.size() / 2;
+          collect(g1, lab2, &list1_);
+          size_t n = list1_.size() / 2;
           for (size_t i = 0; i < n; ++i) {
-            TryCreateOccurrence(list1[i], list1[n + i]);
+            TryCreateOccurrence(list1_[i], list1_[n + i]);
           }
         } else {
-          list1.clear();
-          list2.clear();
-          for (size_t i = groups[g1].first; i < groups[g1].second; ++i) {
-            EdgeId e = typed[i].second;
-            if (edges_[e].alive && !HasOccWithPartner(e, lab2)) {
-              list1.push_back(e);
-            }
-          }
-          for (size_t i = groups[g2].first; i < groups[g2].second; ++i) {
-            EdgeId e = typed[i].second;
-            if (edges_[e].alive && !HasOccWithPartner(e, lab1)) {
-              list2.push_back(e);
-            }
-          }
-          size_t n = std::min(list1.size(), list2.size());
+          collect(g1, lab2, &list1_);
+          collect(g2, lab1, &list2_);
+          size_t n = std::min(list1_.size(), list2_.size());
           for (size_t i = 0; i < n; ++i) {
-            TryCreateOccurrence(list1[i], list2[i]);
+            TryCreateOccurrence(list1_[i], list2_[i]);
           }
         }
       }
@@ -328,7 +397,7 @@ class Compressor {
     Label a_label = work_alphabet_.Add(
         "N" + std::to_string(rule_rhs_.size()), shape.NumExternal());
     rule_rhs_.push_back(BuildDigramRhs(shape));
-    round_lists_.clear();
+    ResetRoundLists();
 
     std::vector<NodeId> attachment, removal;
     for (;;) {
@@ -375,17 +444,15 @@ class Compressor {
   // nonterminal — cannot have pre-round pairings).
   void PairNewEdge(EdgeId ne) {
     Label a_label = edges_[ne].edge.label;
-    // Iterate over a copy: TryCreateOccurrence never mutates attachments.
-    std::vector<NodeId> att = edges_[ne].edge.att;
-    for (NodeId v : att) {
-      auto& per_label = round_lists_[v];
-      if (per_label.empty()) {
-        MaybeCompactIncidence(v);
-        for (EdgeId e : incidence_[v]) {
-          if (edges_[e].alive) per_label[edges_[e].edge.label].edges.push_back(e);
-        }
-      }
-      for (auto& [label, list] : per_label) {
+    // TryCreateOccurrence adds no edge, so the attachment stays put.
+    for (NodeId v : edges_[ne].edge.att) {
+      const NodeRoundLists& node = round_lists_[v];
+      if (node.count == 0) MaterializeRoundLists(v);
+      // TryCreateOccurrence never touches round lists, so v's lists
+      // neither move nor grow in number during this loop.
+      for (uint32_t k = 0; k < node.count; ++k) {
+        RoundList& list = round_slots_[node.first + k];
+        Label label = list.label;
         if (HasOccWithPartner(ne, label)) continue;
         // Entries are consumed front-to-back; every skip consumes its
         // entry so a round's total scan work at a node stays linear:
@@ -413,10 +480,41 @@ class Compressor {
     }
   }
 
+  // Fills v's round lists with its live incident edges, grouped by label
+  // in incidence order.
+  void MaterializeRoundLists(NodeId v) {
+    MaybeCompactIncidence(v);
+    typed_.clear();
+    for (EdgeId e : incidence_[v]) {
+      if (edges_[e].alive) {
+        typed_.push_back({edges_[e].edge.label,
+                          static_cast<uint32_t>(typed_.size()), e});
+      }
+    }
+    std::sort(typed_.begin(), typed_.end());
+    uint32_t num_labels = 0;
+    for (size_t i = 0; i < typed_.size(); ++i) {
+      if (i == 0 || typed_[i].key != typed_[i - 1].key) ++num_labels;
+    }
+    NodeRoundLists& node = round_lists_[v];
+    node.first = AllocateRoundSlots(num_labels);
+    node.capacity = num_labels;
+    node.count = 0;
+    RoundList* list = nullptr;
+    for (const KeyedEdge& k : typed_) {
+      if (list == nullptr || list->label != k.key) {
+        list = &InitRoundSlot(node.first + node.count++,
+                              static_cast<Label>(k.key));
+      }
+      list->edges.push_back(k.edge);
+    }
+    touched_.push_back(v);
+  }
+
   bool RunPass() {
     index_ = std::make_unique<OccurrenceIndex>(CountLiveEdges());
     for (auto& e : edges_) e.occs.clear();
-    round_lists_.clear();
+    ResetRoundLists();
     InitialCount();
     bool any = false;
     for (;;) {
@@ -553,7 +651,15 @@ class Compressor {
 
   std::vector<NodeId> order_;
   std::unique_ptr<OccurrenceIndex> index_;
-  std::unordered_map<NodeId, std::map<Label, RoundList>> round_lists_;
+  std::vector<NodeRoundLists> round_lists_;  // per node
+  std::vector<RoundList> round_slots_;       // every node's lists
+  uint32_t round_slots_used_ = 0;            // this round's prefix
+  std::vector<NodeId> touched_;  // nodes materialized this round
+
+  // Scratch buffers of CountAroundNode and MaterializeRoundLists.
+  std::vector<KeyedEdge> typed_;
+  std::vector<std::pair<size_t, size_t>> groups_;
+  std::vector<EdgeId> list1_, list2_;
 
   CompressStats stats_;
 };

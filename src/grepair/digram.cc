@@ -1,5 +1,6 @@
 #include "src/grepair/digram.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/util/hashing.h"
@@ -7,6 +8,9 @@
 namespace grepair {
 
 namespace {
+
+// Mask of positions [0, n).
+uint64_t LowBits(int n) { return n >= 64 ? ~0ull : (1ull << n) - 1; }
 
 // Mask of edge1 positions that are shared with edge0.
 uint64_t SharedMask1(const DigramShape& s) {
@@ -19,6 +23,19 @@ uint64_t SharedMask1(const DigramShape& s) {
 
 }  // namespace
 
+namespace internal {
+
+void Transpose(const SharedPositions& in, SharedPositions* out) {
+  out->clear();
+  for (uint16_t packed : in) {
+    out->push_back(static_cast<uint16_t>(((packed & 0xFF) << 8) |
+                                         (packed >> 8)));
+  }
+  std::sort(out->begin(), out->end());
+}
+
+}  // namespace internal
+
 bool DigramShape::operator<(const DigramShape& o) const {
   if (label0 != o.label0) return label0 < o.label0;
   if (label1 != o.label1) return label1 < o.label1;
@@ -30,16 +47,9 @@ bool DigramShape::operator<(const DigramShape& o) const {
 }
 
 int DigramShape::NumExternal() const {
-  uint64_t shared1 = SharedMask1(*this);
-  int count = 0;
-  for (int i = 0; i < rank0; ++i) {
-    if ((ext0 >> i) & 1) ++count;
-  }
-  for (int j = 0; j < rank1; ++j) {
-    if ((shared1 >> j) & 1) continue;  // counted via edge0
-    if ((ext1 >> j) & 1) ++count;
-  }
-  return count;
+  // Shared nodes are flagged in both masks; count them via edge0 only.
+  return __builtin_popcountll(ext0 & LowBits(rank0)) +
+         __builtin_popcountll(ext1 & ~SharedMask1(*this) & LowBits(rank1));
 }
 
 size_t DigramShapeHash::operator()(const DigramShape& s) const {

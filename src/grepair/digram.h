@@ -9,14 +9,25 @@
 // occurrence is external exactly when it is incident with an edge
 // outside the occurrence (condition 3).
 //
-// Shapes are canonical over the unordered edge pair: the shape is
-// computed for both orderings and the lexicographically smaller one
-// wins, so {e1,e2} and {e2,e1} always map to one digram. The digram's
-// external sequence is fixed as "ascending pre-canonical node id",
-// where pre-canonical ids enumerate edge0's attachments first and then
-// edge1's unshared attachments; the replacement edge attaches its nodes
-// in exactly this order, which makes rule application reproduce the
-// replaced subgraph (Section III).
+// Shapes are canonical over the unordered edge pair: of the two
+// orientations the lexicographically smaller one wins, so {e1,e2} and
+// {e2,e1} always map to one digram. The digram's external sequence is
+// fixed as "ascending pre-canonical node id", where pre-canonical ids
+// enumerate edge0's attachments first and then edge1's unshared
+// attachments; the replacement edge attaches its nodes in exactly this
+// order, which makes rule application reproduce the replaced subgraph
+// (Section III).
+//
+// Shapes are built in the innermost loop of occurrence counting, so
+// they allocate nothing. The shared positions live inline: an edge
+// attaches no node twice (restriction 1) and Compress caps every rank
+// at 63, so a pair shares at most 63 positions. The backward
+// orientation has the forward one's fields with edge0 and edge1
+// exchanged, so ComputeDigramShape builds only the winner whenever the
+// labels (or ranks) differ. Only on a tie, in practice equal labels,
+// does it build the backward shared positions, by transposing the
+// forward ones, and then only when the externality masks tie too or
+// already favor the backward orientation.
 //
 // Stability note (why stored occurrences never go stale): for a live
 // occurrence {e1,e2}, a node's externality can never flip. External
@@ -32,13 +43,54 @@
 #ifndef GREPAIR_GREPAIR_DIGRAM_H_
 #define GREPAIR_GREPAIR_DIGRAM_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "src/graph/hypergraph.h"
 
 namespace grepair {
+
+/// \brief Most attachment positions two edges can share: ranks are at
+/// most 63 and an edge attaches no node twice.
+inline constexpr int kMaxSharedPositions = 63;
+
+/// \brief Shared attachment positions of a digram, stored inline.
+/// Compares like a vector: by elements, then lexicographically.
+class SharedPositions {
+ public:
+  SharedPositions() = default;
+  SharedPositions(std::initializer_list<uint16_t> init) {
+    for (uint16_t p : init) push_back(p);
+  }
+
+  void push_back(uint16_t packed) {
+    assert(size_ < kMaxSharedPositions);
+    data_[size_++] = packed;
+  }
+  void clear() { size_ = 0; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  uint16_t operator[](size_t i) const { return data_[i]; }
+  const uint16_t* begin() const { return data_; }
+  const uint16_t* end() const { return data_ + size_; }
+  uint16_t* begin() { return data_; }
+  uint16_t* end() { return data_ + size_; }
+
+  bool operator==(const SharedPositions& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
+  bool operator<(const SharedPositions& o) const {
+    return std::lexicographical_compare(begin(), end(), o.begin(), o.end());
+  }
+
+ private:
+  uint16_t data_[kMaxSharedPositions] = {};
+  uint8_t size_ = 0;
+};
 
 /// \brief Canonical identity of a digram.
 struct DigramShape {
@@ -49,7 +101,7 @@ struct DigramShape {
   /// Shared attachment positions, packed (pos_in_edge0 << 8) |
   /// pos_in_edge1, sorted ascending by pos_in_edge0. Non-empty for any
   /// valid digram (the edges must be connected).
-  std::vector<uint16_t> shared;
+  SharedPositions shared;
   /// Externality bitmasks by attachment position (bit i = position i is
   /// an external node). Shared nodes are flagged in both masks.
   uint64_t ext0 = 0;
@@ -83,34 +135,29 @@ struct DigramShapeHash {
 
 namespace internal {
 
-/// \brief Builds one orientation of the shape (x plays edge0); returns
-/// false when the edges share no node.
-template <typename IsExternal>
-bool ComputeOrientedShape(const HEdge& x, const HEdge& y,
-                          const IsExternal& is_external,
-                          DigramShape* shape) {
-  shape->label0 = x.label;
-  shape->label1 = y.label;
-  shape->rank0 = static_cast<uint8_t>(x.att.size());
-  shape->rank1 = static_cast<uint8_t>(y.att.size());
-  shape->shared.clear();
-  shape->ext0 = 0;
-  shape->ext1 = 0;
+/// \brief Shared positions with x playing edge0, ascending.
+inline void CollectShared(const HEdge& x, const HEdge& y,
+                          SharedPositions* out) {
+  out->clear();
   for (size_t i = 0; i < x.att.size(); ++i) {
     for (size_t j = 0; j < y.att.size(); ++j) {
       if (x.att[i] == y.att[j]) {
-        shape->shared.push_back(static_cast<uint16_t>((i << 8) | j));
+        out->push_back(static_cast<uint16_t>((i << 8) | j));
       }
     }
   }
-  if (shape->shared.empty()) return false;  // not connected: no digram
-  for (size_t i = 0; i < x.att.size(); ++i) {
-    if (is_external(x.att[i])) shape->ext0 |= 1ull << i;
+}
+
+/// \brief The same positions with the edge roles exchanged, ascending.
+void Transpose(const SharedPositions& in, SharedPositions* out);
+
+template <typename IsExternal>
+uint64_t ExternalMask(const HEdge& e, const IsExternal& is_external) {
+  uint64_t mask = 0;
+  for (size_t i = 0; i < e.att.size(); ++i) {
+    if (is_external(e.att[i])) mask |= 1ull << i;
   }
-  for (size_t j = 0; j < y.att.size(); ++j) {
-    if (is_external(y.att[j])) shape->ext1 |= 1ull << j;
-  }
-  return true;
+  return mask;
 }
 
 }  // namespace internal
@@ -121,26 +168,47 @@ bool ComputeOrientedShape(const HEdge& x, const HEdge& y,
 /// edge other than a and b. Returns false when the edges share no node
 /// (not a digram). `*swapped` is set when the canonical orientation has
 /// b playing edge0. The predicate is a template parameter: this runs in
-/// the innermost loop of occurrence counting.
+/// the innermost loop of occurrence counting. Both edges must have rank
+/// at most 63 and attach no node twice.
 template <typename IsExternal>
 bool ComputeDigramShape(const HEdge& a, const HEdge& b,
                         const IsExternal& is_external, DigramShape* shape,
                         bool* swapped) {
-  assert(a.att.size() <= 64 && b.att.size() <= 64);
-  DigramShape forward, backward;
-  if (!internal::ComputeOrientedShape(a, b, is_external, &forward)) {
-    return false;
+  assert(a.att.size() <= kMaxSharedPositions &&
+         b.att.size() <= kMaxSharedPositions);
+  // Labels, then ranks, decide the orientation before anything is built.
+  const bool by_label =
+      a.label != b.label || a.att.size() != b.att.size();
+  bool backward_less = a.label != b.label ? b.label < a.label
+                                          : b.att.size() < a.att.size();
+  const HEdge& x = backward_less ? b : a;  // plays edge0
+  const HEdge& y = backward_less ? a : b;
+  internal::CollectShared(x, y, &shape->shared);
+  if (shape->shared.empty()) return false;  // not connected: no digram
+  shape->label0 = x.label;
+  shape->label1 = y.label;
+  shape->rank0 = static_cast<uint8_t>(x.att.size());
+  shape->rank1 = static_cast<uint8_t>(y.att.size());
+  shape->ext0 = internal::ExternalMask(x, is_external);
+  shape->ext1 = internal::ExternalMask(y, is_external);
+  if (!by_label) {
+    // Equal labels and ranks: the backward orientation exchanges the
+    // externality masks and transposes the shared positions, and is
+    // built only when the masks tie or already favor it.
+    backward_less = shape->ext1 < shape->ext0;
+    if (backward_less || shape->ext0 == shape->ext1) {
+      SharedPositions backward;
+      internal::Transpose(shape->shared, &backward);
+      if (shape->ext0 == shape->ext1) {
+        backward_less = backward < shape->shared;
+      }
+      if (backward_less) {
+        std::swap(shape->ext0, shape->ext1);
+        shape->shared = backward;
+      }
+    }
   }
-  bool ok = internal::ComputeOrientedShape(b, a, is_external, &backward);
-  assert(ok);
-  (void)ok;
-  if (backward < forward) {
-    *shape = std::move(backward);
-    *swapped = true;
-  } else {
-    *shape = std::move(forward);
-    *swapped = false;
-  }
+  *swapped = backward_less;
   return true;
 }
 

@@ -1,5 +1,6 @@
 #include "src/grepair/occurrence_index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -43,17 +44,36 @@ void OccurrenceIndex::PqRemove(DigramId id) {
   d.pq_prev = d.pq_next = kInvalidDigram;
 }
 
-OccId OccurrenceIndex::Add(const DigramShape& shape, EdgeId e0, EdgeId e1) {
-  DigramId did;
-  auto it = shape_to_digram_.find(shape);
-  if (it != shape_to_digram_.end()) {
-    did = it->second;
-  } else {
-    did = static_cast<DigramId>(digrams_.size());
-    digrams_.emplace_back();
-    digrams_.back().shape = shape;
-    shape_to_digram_.emplace(shape, did);
+DigramId OccurrenceIndex::FindOrAddDigram(const DigramShape& shape) {
+  if (2 * (digrams_.size() + 1) > shape_table_.size()) GrowShapeTable();
+  const size_t mask = shape_table_.size() - 1;
+  for (size_t i = DigramShapeHash()(shape) & mask;; i = (i + 1) & mask) {
+    DigramId id = shape_table_[i];
+    if (id == kInvalidDigram) {
+      id = static_cast<DigramId>(digrams_.size());
+      digrams_.emplace_back();
+      digrams_.back().shape = shape;
+      shape_table_[i] = id;
+      return id;
+    }
+    if (digrams_[id].shape == shape) return id;
   }
+}
+
+void OccurrenceIndex::GrowShapeTable() {
+  std::vector<DigramId> table(
+      std::max<size_t>(64, 2 * shape_table_.size()), kInvalidDigram);
+  const size_t mask = table.size() - 1;
+  for (DigramId id = 0; id < digrams_.size(); ++id) {
+    size_t i = DigramShapeHash()(digrams_[id].shape) & mask;
+    while (table[i] != kInvalidDigram) i = (i + 1) & mask;
+    table[i] = id;
+  }
+  shape_table_ = std::move(table);
+}
+
+OccId OccurrenceIndex::Add(const DigramShape& shape, EdgeId e0, EdgeId e1) {
+  const DigramId did = FindOrAddDigram(shape);
 
   OccId oid;
   if (!free_occs_.empty()) {

@@ -15,7 +15,6 @@
 #define GREPAIR_GREPAIR_OCCURRENCE_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/grepair/digram.h"
@@ -81,9 +80,14 @@ class OccurrenceIndex {
   void PqInsert(DigramId id);
   void PqRemove(DigramId id);
   int32_t BucketFor(uint32_t count) const;
+  DigramId FindOrAddDigram(const DigramShape& shape);
+  void GrowShapeTable();
 
-  std::unordered_map<DigramShape, DigramId, DigramShapeHash> shape_to_digram_;
   std::vector<DigramEntry> digrams_;
+  // Open-addressing hash table (linear probing, at most half full) of
+  // digram ids keyed by digrams_[id].shape, so each shape is stored
+  // once; kInvalidDigram marks an empty slot.
+  std::vector<DigramId> shape_table_;
   std::vector<Occurrence> occs_;
   std::vector<OccId> free_occs_;
   std::vector<DigramId> bucket_head_;

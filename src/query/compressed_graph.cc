@@ -118,8 +118,9 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
 }
 
 void CompressedGraph::Init() {
-  num_nodes_ = ValNodeCount(*grammar_);
-  num_edges_ = ValEdgeCount(*grammar_);
+  const ValSize size = ComputeValSize(*grammar_);
+  num_nodes_ = size.nodes;
+  num_edges_ = size.edges;
   neighborhood_ = std::make_unique<LazyIndex<NeighborhoodIndex>>();
   reachability_ = std::make_unique<LazyIndex<ReachabilityIndex>>();
 }

@@ -27,8 +27,8 @@ void CheckRoundTrip(const GeneratedGraph& gg, CompressOptions options) {
   const SlhrGrammar& grammar = result.value().grammar;
   ASSERT_TRUE(grammar.Validate().ok()) << grammar.Validate().ToString();
 
-  EXPECT_EQ(ValNodeCount(grammar), gg.graph.num_nodes());
-  EXPECT_EQ(ValEdgeCount(grammar), gg.graph.num_edges());
+  EXPECT_EQ(ComputeValSize(grammar).nodes, gg.graph.num_nodes());
+  EXPECT_EQ(ComputeValSize(grammar).edges, gg.graph.num_edges());
 
   auto derived = Derive(grammar);
   ASSERT_TRUE(derived.ok());

@@ -36,8 +36,8 @@ SlhrGrammar Figure1Grammar() {
 TEST(DerivationTest, Figure1FullDerivation) {
   SlhrGrammar g = Figure1Grammar();
   ASSERT_TRUE(g.Validate().ok());
-  EXPECT_EQ(ValNodeCount(g), 6u);
-  EXPECT_EQ(ValEdgeCount(g), 6u);
+  EXPECT_EQ(ComputeValSize(g).nodes, 6u);
+  EXPECT_EQ(ComputeValSize(g).edges, 6u);
 
   auto derived = Derive(g);
   ASSERT_TRUE(derived.ok());

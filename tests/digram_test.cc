@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
 #include <set>
 
 #include "src/grepair/digram.h"
+#include "src/util/rng.h"
 
 namespace grepair {
 namespace {
@@ -188,6 +192,143 @@ TEST(DigramShapeTest, HashEqualForEqualShapes) {
                                  ExternalSet({4, 6}), &s2, &sw));
   EXPECT_TRUE(s1 == s2);  // same digram at different nodes
   EXPECT_EQ(DigramShapeHash()(s1), DigramShapeHash()(s2));
+}
+
+// Reference canonicalization: builds both orientations in full and keeps
+// the smaller one, the definition ComputeDigramShape must agree with.
+template <typename IsExternal>
+bool OrientedShapeReference(const HEdge& x, const HEdge& y,
+                            const IsExternal& is_external,
+                            DigramShape* shape) {
+  shape->label0 = x.label;
+  shape->label1 = y.label;
+  shape->rank0 = static_cast<uint8_t>(x.att.size());
+  shape->rank1 = static_cast<uint8_t>(y.att.size());
+  shape->shared.clear();
+  shape->ext0 = 0;
+  shape->ext1 = 0;
+  for (size_t i = 0; i < x.att.size(); ++i) {
+    for (size_t j = 0; j < y.att.size(); ++j) {
+      if (x.att[i] == y.att[j]) {
+        shape->shared.push_back(static_cast<uint16_t>((i << 8) | j));
+      }
+    }
+  }
+  if (shape->shared.empty()) return false;
+  for (size_t i = 0; i < x.att.size(); ++i) {
+    if (is_external(x.att[i])) shape->ext0 |= 1ull << i;
+  }
+  for (size_t j = 0; j < y.att.size(); ++j) {
+    if (is_external(y.att[j])) shape->ext1 |= 1ull << j;
+  }
+  return true;
+}
+
+template <typename IsExternal>
+bool DigramShapeReference(const HEdge& a, const HEdge& b,
+                          const IsExternal& is_external, DigramShape* shape,
+                          bool* swapped) {
+  DigramShape forward, backward;
+  if (!OrientedShapeReference(a, b, is_external, &forward)) return false;
+  EXPECT_TRUE(OrientedShapeReference(b, a, is_external, &backward));
+  *swapped = backward < forward;
+  *shape = *swapped ? backward : forward;
+  return true;
+}
+
+// Checks ComputeDigramShape against the reference on one pair, in both
+// argument orders.
+void ExpectMatchesReference(const HEdge& a, const HEdge& b,
+                            const std::vector<char>& external) {
+  auto is_external = [&](NodeId v) { return external[v] != 0; };
+  for (int order = 0; order < 2; ++order) {
+    const HEdge& x = order == 0 ? a : b;
+    const HEdge& y = order == 0 ? b : a;
+    DigramShape got, want;
+    bool got_swapped = false, want_swapped = false;
+    bool got_ok = ComputeDigramShape(x, y, is_external, &got, &got_swapped);
+    bool want_ok =
+        DigramShapeReference(x, y, is_external, &want, &want_swapped);
+    ASSERT_EQ(got_ok, want_ok);
+    if (!want_ok) continue;
+    EXPECT_TRUE(got == want);
+    EXPECT_FALSE(got < want || want < got);
+    EXPECT_EQ(got_swapped, want_swapped);
+    EXPECT_EQ(DigramShapeHash()(got), DigramShapeHash()(want));
+    EXPECT_EQ(got.NumExternal(), want.NumExternal());
+  }
+}
+
+// `rank` distinct nodes drawn from [0, universe).
+std::vector<NodeId> DrawAttachment(Rng* rng, uint32_t rank,
+                                   uint32_t universe) {
+  std::vector<NodeId> pool(universe);
+  std::iota(pool.begin(), pool.end(), 0u);
+  for (uint32_t i = 0; i < rank; ++i) {
+    std::swap(pool[i], pool[i + rng->UniformBounded(universe - i)]);
+  }
+  pool.resize(rank);
+  return pool;
+}
+
+TEST(DigramShapeTest, MatchesBothOrientationReferenceOnRandomPairs) {
+  Rng rng(2016);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const bool equal_labels = trial % 2 == 0;
+    const uint32_t rank0 = static_cast<uint32_t>(rng.UniformInt(1, 63));
+    const uint32_t rank1 =
+        equal_labels ? rank0 : static_cast<uint32_t>(rng.UniformInt(1, 63));
+    // A universe below rank0 + rank1 forces a shared node; one trial in
+    // eight may draw disconnected edges.
+    const uint32_t lo = std::max(rank0, rank1);
+    const uint32_t hi = trial % 8 == 1 ? rank0 + rank1 + 4 : rank0 + rank1 - 1;
+    const uint32_t universe = static_cast<uint32_t>(rng.UniformInt(lo, hi));
+    const Label l0 = static_cast<Label>(rng.UniformBounded(4));
+    const Label l1 = equal_labels ? l0 : l0 + 1 + rng.UniformBounded(3);
+    HEdge a = MakeEdge(l0, DrawAttachment(&rng, rank0, universe));
+    HEdge b = MakeEdge(l1, DrawAttachment(&rng, rank1, universe));
+    // Externality: none, all, or a random subset, so masks tie often.
+    std::vector<char> external(universe);
+    const int mode = static_cast<int>(rng.UniformBounded(3));
+    for (auto& x : external) {
+      x = mode == 0 ? 0 : mode == 1 ? 1 : rng.Bernoulli(0.5);
+    }
+    ExpectMatchesReference(a, b, external);
+    if (HasFailure()) {
+      ADD_FAILURE() << "trial " << trial << " ranks " << rank0 << "/"
+                    << rank1 << " universe " << universe;
+      return;
+    }
+  }
+}
+
+TEST(DigramShapeTest, Rank63PairSharingAllNodes) {
+  // The capacity edge: two rank-63 edges over the same 63 nodes share
+  // all 63 positions.
+  Rng rng(63);
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool equal_labels = trial % 2 == 0;
+    HEdge a = MakeEdge(0, DrawAttachment(&rng, 63, 63));
+    HEdge b = MakeEdge(equal_labels ? 0 : 1, DrawAttachment(&rng, 63, 63));
+    if (trial < 4) b.att = a.att;  // identical attachment: a full tie
+    std::vector<char> external(63);
+    const int mode = trial % 3;
+    for (auto& x : external) {
+      x = mode == 0 ? 0 : mode == 1 ? 1 : rng.Bernoulli(0.5);
+    }
+    ExpectMatchesReference(a, b, external);
+    DigramShape shape;
+    bool swapped;
+    ASSERT_TRUE(ComputeDigramShape(
+        a, b, [&](NodeId v) { return external[v] != 0; }, &shape,
+        &swapped));
+    EXPECT_EQ(shape.shared.size(), 63u);
+    EXPECT_EQ(shape.NumNodes(), 63);
+    if (HasFailure()) {
+      ADD_FAILURE() << "trial " << trial;
+      return;
+    }
+  }
 }
 
 }  // namespace

@@ -197,7 +197,7 @@ TEST(PruningTest, PruningNeverGrowsGrammar) {
 // Builds a mapping for `g` whose flattened origins are the reversal of
 // the derivation order.
 NodeMapping ReversedMapping(const SlhrGrammar& g) {
-  uint64_t total = ValNodeCount(g);
+  uint64_t total = ComputeValSize(g).nodes;
   NodeId next = 0;
   auto fresh = [&]() { return static_cast<NodeId>(total - 1 - next++); };
   NodeMapping m;

@@ -1083,9 +1083,10 @@ int CmdStats(int argc, char** argv) {
   std::printf("|S| (start):      %llu (%u nodes, %u edges)\n",
               static_cast<unsigned long long>(s.start_size), s.start_nodes,
               s.start_edges);
+  const ValSize val = ComputeValSize(grammar);
   std::printf("val(G):           %llu nodes, %llu edges\n",
-              static_cast<unsigned long long>(ValNodeCount(grammar)),
-              static_cast<unsigned long long>(ValEdgeCount(grammar)));
+              static_cast<unsigned long long>(val.nodes),
+              static_cast<unsigned long long>(val.edges));
   return 0;
 }
 
