@@ -14,8 +14,9 @@
 // api::OpenVersioned (and over a served base through
 // api::ApplyDeltaChain), that lineage tampering fails closed, that a
 // SIGKILL mid-fold never damages the base container, and that the
-// atomic write path leaves no torn or stray files. Runs under the
-// ASan/UBSan and TSan CI legs.
+// atomic write path leaves no torn or stray files. A race test holds
+// readers to every add whose ApplyEdits returned while folds publish.
+// Runs under the ASan/UBSan and TSan CI legs.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,9 @@
 #include <array>
 #include <atomic>
 #include <filesystem>
+#include <mutex>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -400,6 +403,164 @@ TEST(DynamicCorpusTest, BudgetTriggersAutomaticFold) {
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   ExpectQueriesAgree(edited, fresh.value().get(), codec->capabilities(), 4,
                      "auto-fold");
+}
+
+// Edits race readers. A writer adds one edge per ApplyEdits between
+// nodes that share a shard, with a 1-byte overlay budget so every call
+// folds, and publishes how many calls have returned. Four readers loop
+// over OutNeighbors, OutNeighborsBatch and Reachable: every answer must
+// hold each add published before the query began, and nothing outside
+// the base edges plus the writer's adds. Base edges and adds all point
+// from a lower to a higher id, so the reverse of an add is never
+// reachable.
+TEST(DynamicCorpusTest, ReadersRacingEditsSeeEveryReturnedAdd) {
+  constexpr uint32_t kNodes = 120;
+  constexpr size_t kAdds = 48;
+  constexpr int kReaders = 4;
+  std::mt19937 rng(4711);
+  std::set<std::pair<uint32_t, uint32_t>> base_pairs;
+  while (base_pairs.size() < 300) {
+    uint32_t u = rng() % kNodes, v = rng() % kNodes;
+    if (u != v) base_pairs.insert({std::min(u, v), std::max(u, v)});
+  }
+  Hypergraph base(kNodes);
+  for (const auto& [u, v] : base_pairs) base.AddSimpleEdge(u, v, 0);
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "3");
+  auto compressed = codec->Compress(base, InferAlphabet(base), options);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  auto* rep = dynamic_cast<shard::ShardedRep*>(compressed.value().get());
+  ASSERT_NE(rep, nullptr);
+  rep->set_overlay_budget_bytes(1);
+
+  // Absent pairs inside one shard's node map, round-robin over shards.
+  std::vector<size_t> data_shards;
+  for (size_t i = 0; i < rep->num_shards(); ++i) {
+    if (rep->entry(i).has_payload() && rep->entry(i).nodes.size() >= 2) {
+      data_shards.push_back(i);
+    }
+  }
+  ASSERT_FALSE(data_shards.empty());
+  std::vector<std::pair<uint32_t, uint32_t>> adds;
+  std::set<std::pair<uint32_t, uint32_t>> allowed = base_pairs;
+  for (size_t k = 0; adds.size() < kAdds; ++k) {
+    const auto& nodes = rep->entry(data_shards[k % data_shards.size()]).nodes;
+    uint32_t a = nodes[rng() % nodes.size()];
+    uint32_t b = nodes[rng() % nodes.size()];
+    if (a == b) continue;
+    std::pair<uint32_t, uint32_t> pair{std::min(a, b), std::max(a, b)};
+    if (allowed.insert(pair).second) adds.push_back(pair);
+  }
+  std::vector<uint64_t> sources;
+  for (const auto& add : adds) sources.push_back(add.first);
+
+  std::atomic<size_t> published{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> failures{0};
+  std::mutex first_failure_mu;
+  std::string first_failure;
+  auto fail = [&](const std::string& what) {
+    if (failures.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> lock(first_failure_mu);
+      first_failure = what;
+    }
+  };
+  // `answer` is u's out-neighbor list from a query that began after
+  // `seen` adds had returned.
+  auto check_out = [&](uint32_t u, const std::vector<uint64_t>& answer,
+                       size_t seen, const char* surface) {
+    for (uint64_t v : answer) {
+      if (!allowed.count({u, static_cast<uint32_t>(v)})) {
+        fail(std::string(surface) + ": foreign edge " + std::to_string(u) +
+             "->" + std::to_string(v));
+      }
+    }
+    for (size_t k = 0; k < seen; ++k) {
+      if (adds[k].first != u) continue;
+      if (!std::binary_search(answer.begin(), answer.end(), adds[k].second)) {
+        fail(std::string(surface) + ": add " + std::to_string(k) + " " +
+             std::to_string(u) + "->" + std::to_string(adds[k].second) +
+             " missing after it returned");
+      }
+    }
+  };
+  auto reader = [&](int id) {
+    std::mt19937 r(static_cast<uint32_t>(id));
+    while (!done.load(std::memory_order_acquire)) {
+      size_t seen = published.load(std::memory_order_acquire);
+      size_t k = r() % adds.size();
+      auto [u, v] = adds[k];
+      switch (r() % 3) {
+        case 0: {
+          auto out = rep->OutNeighbors(u);
+          if (!out.ok()) {
+            fail(out.status().ToString());
+          } else {
+            check_out(u, out.value(), seen, "single");
+          }
+          break;
+        }
+        case 1: {
+          auto batch = rep->OutNeighborsBatch(sources);
+          if (!batch.ok()) {
+            fail(batch.status().ToString());
+            break;
+          }
+          for (size_t j = 0; j < sources.size(); ++j) {
+            check_out(static_cast<uint32_t>(sources[j]), batch.value()[j],
+                      seen, "batch");
+          }
+          break;
+        }
+        default: {
+          auto forward = rep->Reachable(u, v);
+          auto backward = rep->Reachable(v, u);
+          if (!forward.ok() || !backward.ok()) {
+            fail("reachability query failed");
+          } else if (k < seen && !forward.value()) {
+            fail("add " + std::to_string(k) + " not reachable after it "
+                 "returned");
+          } else if (backward.value()) {
+            fail("reverse of add " + std::to_string(k) + " reachable");
+          }
+          break;
+        }
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) readers.emplace_back(reader, t);
+  for (size_t k = 0; k < adds.size(); ++k) {
+    Status applied = rep->ApplyEdits({EdgeEdit::Add(adds[k].first,
+                                                    adds[k].second)});
+    if (!applied.ok()) {
+      fail(applied.ToString());
+      break;
+    }
+    published.store(k + 1, std::memory_order_release);
+    // Let every reader run a few queries against this corpus version.
+    uint64_t target = reads.load() + 8 * kReaders;
+    while (reads.load() < target) std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0u) << "first: " << first_failure;
+  EXPECT_GT(reads.load(), 0u);
+  auto stats = rep->query_stats();
+  EXPECT_EQ(stats.shard_folds, kAdds) << "every ApplyEdits must fold";
+  EXPECT_EQ(stats.overlay_edits, 0u);
+  for (size_t k = 0; k < adds.size(); ++k) {
+    auto out = rep->OutNeighbors(adds[k].first);
+    ASSERT_TRUE(out.ok());
+    EXPECT_TRUE(std::binary_search(out.value().begin(), out.value().end(),
+                                   adds[k].second))
+        << "add " << k;
+  }
 }
 
 // GRSHARD3 files end to end: a two-link chain written to disk reopens
