@@ -177,7 +177,7 @@ int RunCacheAndBatch(uint32_t size, uint32_t num_queries, double min_warm,
   auto rep_uncached = MakeRep();
   auto* sh_batch = dynamic_cast<shard::ShardedRep*>(rep_batch.get());
   auto* sh_uncached = dynamic_cast<shard::ShardedRep*>(rep_uncached.get());
-  sh_batch->set_query_threads(4);
+  sh_batch->set_threads(4);
   sh_uncached->set_query_cache_bytes(0);  // per-call routing baseline
 
   Rng rng(99);

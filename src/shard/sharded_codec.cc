@@ -467,13 +467,9 @@ ShardedRep::ShardedRep(std::unique_ptr<api::GraphCodec> inner_codec,
 
 ShardedRep::~ShardedRep() = default;
 
-void ShardedRep::set_decompress_threads(int threads) {
-  decompress_threads_ = std::max(1, std::min(threads, 256));
-}
-
-void ShardedRep::set_query_threads(int threads) {
-  query_threads_.store(std::max(1, std::min(threads, 256)),
-                       std::memory_order_relaxed);
+void ShardedRep::set_threads(int threads) {
+  threads_.store(std::max(1, std::min(threads, 256)),
+                 std::memory_order_relaxed);
 }
 
 void ShardedRep::set_prefetch_threads(int threads) {
@@ -622,13 +618,6 @@ Result<const api::CompressedRep*> ShardedRep::ShardRepFor(
   return static_cast<const api::CompressedRep*>(lazy_slots_[shard].get());
 }
 
-// The byte budget is split between the two tiers: the node-result LRU
-// gets a quarter, decoded shard neighborhoods the rest.
-namespace {
-size_t ResultBudget(size_t limit) { return limit / 4; }
-size_t ShardBudget(size_t limit) { return limit - limit / 4; }
-}  // namespace
-
 void ShardedRep::EvictShardsLocked(size_t target) const {
   while (cache_bytes_used_ > target) {
     size_t victim = cache_slots_.size();
@@ -646,57 +635,13 @@ void ShardedRep::EvictShardsLocked(size_t target) const {
   }
 }
 
-void ShardedRep::EvictResultsLocked(size_t target) const {
-  while (result_bytes_used_ > target && !result_lru_.empty()) {
-    uint64_t victim = result_lru_.back();
-    result_lru_.pop_back();
-    auto it = results_.find(victim);
-    result_bytes_used_ -= it->second.bytes;
-    results_.erase(it);
-    stat_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void ShardedRep::set_query_cache_bytes(size_t bytes) {
   cache_bytes_limit_.store(bytes, std::memory_order_relaxed);
-  // Shrink both tiers to the new budget immediately, LRU first, and
-  // let previously uncacheable shards try again under the new budget.
+  // Shrink to the new budget immediately, LRU first, and let
+  // previously uncacheable shards try again under the new budget.
   MutexLock lock(cache_mutex_);
-  EvictShardsLocked(ShardBudget(bytes));
-  EvictResultsLocked(ResultBudget(bytes));
+  EvictShardsLocked(bytes);
   std::fill(cache_miss_credit_.begin(), cache_miss_credit_.end(), 0u);
-}
-
-std::shared_ptr<const std::vector<uint64_t>> ShardedRep::LookupResult(
-    uint64_t key) const {
-  MutexLock lock(cache_mutex_);
-  auto it = results_.find(key);
-  if (it == results_.end()) return nullptr;
-  result_lru_.splice(result_lru_.begin(), result_lru_, it->second.lru_it);
-  return it->second.value;
-}
-
-void ShardedRep::StoreResult(
-    uint64_t key,
-    std::shared_ptr<const std::vector<uint64_t>> value,
-    uint64_t edit_epoch) const {
-  size_t bytes = value->size() * sizeof(uint64_t) + 80;  // + map overhead
-  MutexLock lock(cache_mutex_);
-  // Edits landed while this answer was computed: it reflects the old
-  // corpus, and the memo flush that accompanied the epoch bump may
-  // already have run — never let the stale answer in behind it.
-  if (edit_epoch_.load(std::memory_order_relaxed) != edit_epoch) return;
-  size_t budget =
-      ResultBudget(cache_bytes_limit_.load(std::memory_order_relaxed));
-  if (budget == 0 || bytes > budget) return;
-  if (results_.count(key) > 0) return;  // racing store: first one wins
-  result_lru_.push_front(key);
-  results_.emplace(key,
-                   ResultEntry{result_lru_.begin(), std::move(value), bytes});
-  result_bytes_used_ += bytes;
-  // The new entry is at the LRU front and fits the budget by itself,
-  // so it can never be its own victim here.
-  EvictResultsLocked(budget);
 }
 
 std::shared_ptr<const ShardedRep::ShardNeighborhoods>
@@ -744,8 +689,7 @@ ShardedRep::GetOrDecodeShard(size_t shard, size_t pending) const {
     // query that snapshots the post-fold residual.
     return decoded;
   }
-  size_t budget =
-      ShardBudget(cache_bytes_limit_.load(std::memory_order_relaxed));
+  size_t budget = cache_bytes_limit_.load(std::memory_order_relaxed);
   // A shard that cannot fit the budget must not flush everyone else
   // on every decode: it is returned for this call, not retained,
   // nothing is evicted for it, and it is marked uncacheable so the
@@ -845,7 +789,8 @@ Result<Hypergraph> ShardedRep::Decompress() const {
   std::vector<Result<Hypergraph>> locals(
       count, Status::Internal("shard not decompressed"));
 
-  RunIndexedOnPool(count, decompress_threads_, [&](size_t i) {
+  RunIndexedOnPool(count, threads_.load(std::memory_order_relaxed),
+                   [&](size_t i) {
     auto rep = ShardRepFor(i);  // faults lazy shards in parallel
     if (!rep.ok()) {
       locals[i] = rep.status();
@@ -907,11 +852,41 @@ Result<Hypergraph> ShardedRep::Decompress() const {
   return global;
 }
 
-// Shared routing for Out/InNeighbors: first the node-result cache
-// (repeat queries are one hash lookup), then per owning shard either
-// the decoded-neighborhood tier (promoting hot shards after repeated
-// misses) or the inner rep — faulted in on first touch —
-// map back, merge, memoize.
+namespace {
+
+// The routing rule: `node`'s local id in shard `entry`, or kInvalidNode
+// when the shard is edgeless or does not hold the node.
+NodeId RouteToShard(const ShardedRep::Entry& entry, uint64_t node) {
+  if (!entry.has_payload() || !ShardMayContain(entry.nodes, node)) {
+    return kInvalidNode;
+  }
+  return LocalId(entry.nodes, node);
+}
+
+// Grammar-direct lookup in one shard: `local`'s out (or in) neighbors
+// from the shard's inner rep, mapped back to global ids and appended
+// to *dest. entry.nodes is increasing, so the appended run stays
+// sorted and deduplicated.
+Status AppendShardNeighbors(const ShardedRep::Entry& entry,
+                            const api::CompressedRep& rep, NodeId local,
+                            bool out, std::vector<uint64_t>* dest) {
+  auto part = out ? rep.OutNeighbors(local) : rep.InNeighbors(local);
+  if (!part.ok()) return part.status();
+  for (uint64_t u : part.value()) {
+    if (u >= entry.nodes.size()) {
+      return Status::Corruption("shard neighbor id out of range");
+    }
+    dest->push_back(entry.nodes[u]);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+// Shared routing for Out/InNeighbors: per owning shard either the
+// decoded-neighborhood cache (promoting hot shards after repeated
+// misses) or a grammar-direct lookup in the inner rep — faulted in on
+// first touch — then merge and apply the overlay.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
   if (!(inner_capabilities_ & api::kNeighborQueries)) {
@@ -919,26 +894,17 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                  "' does not answer neighbor queries");
   }
   GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(node, num_nodes()));
-  uint64_t result_key = node * 2 + (out ? 1 : 0);
-  if (auto memoized = LookupResult(result_key)) {
-    stat_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *memoized;
-  }
-  // Reader protocol (see PublishFolds): the edit epoch is read before
-  // the overlay, the overlay before any shard state. A fold that
-  // publishes after the snapshot only makes shard views newer, and
-  // re-applying the snapshot's edits over a folded view is idempotent.
-  uint64_t edit_epoch = edit_epoch_.load(std::memory_order_acquire);
+  // Reader protocol (see PublishFolds): the overlay is read before any
+  // shard state. A fold that publishes after the snapshot only makes
+  // shard views newer, and re-applying the snapshot's edits over a
+  // folded view is idempotent.
   std::shared_ptr<const DeltaOverlay> overlay;
   if (has_overlay_.load(std::memory_order_acquire)) {
     overlay = overlay_snapshot();
   }
   std::vector<uint64_t> all;
   for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& entry = entries_[i];
-    if (!entry.has_payload()) continue;
-    if (!ShardMayContain(entry.nodes, node)) continue;
-    NodeId local = LocalId(entry.nodes, node);
+    NodeId local = RouteToShard(entries_[i], node);
     if (local == kInvalidNode) continue;
     auto cached = GetOrDecodeShard(i, 1);
     if (cached != nullptr) {
@@ -950,15 +916,8 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
     stat_misses_.fetch_add(1, std::memory_order_relaxed);
     auto rep = ShardRepFor(i);
     if (!rep.ok()) return rep.status();
-    auto part = out ? rep.value()->OutNeighbors(local)
-                    : rep.value()->InNeighbors(local);
-    if (!part.ok()) return part.status();
-    for (uint64_t u : part.value()) {
-      if (u >= entry.nodes.size()) {
-        return Status::Corruption("shard neighbor id out of range");
-      }
-      all.push_back(entry.nodes[u]);
-    }
+    GREPAIR_RETURN_IF_ERROR(
+        AppendShardNeighbors(entries_[i], *rep.value(), local, out, &all));
   }
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
@@ -968,9 +927,7 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
               : overlay->MergeIn(node, std::move(all));
     stat_overlay_merges_.fetch_add(1, std::memory_order_relaxed);
   }
-  auto value = std::make_shared<std::vector<uint64_t>>(std::move(all));
-  StoreResult(result_key, value, edit_epoch);
-  return *value;
+  return all;
 }
 
 Result<std::vector<uint64_t>> ShardedRep::OutNeighbors(uint64_t node) const {
@@ -1028,8 +985,7 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
   stat_batch_items_.fetch_add(nodes.size(), std::memory_order_relaxed);
 
   // Overlay snapshot before any shard state (reader protocol; see
-  // RoutedNeighbors). The batch path never memoizes, so no edit epoch
-  // is needed here.
+  // RoutedNeighbors).
   std::shared_ptr<const DeltaOverlay> overlay;
   if (has_overlay_.load(std::memory_order_acquire)) {
     overlay = overlay_snapshot();
@@ -1050,9 +1006,7 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
   std::vector<uint32_t> owner_count(uniq.size(), 0);
   for (size_t u = 0; u < uniq.size(); ++u) {
     for (size_t i = 0; i < shard_count; ++i) {
-      if (!entries_[i].has_payload()) continue;
-      if (!ShardMayContain(entries_[i].nodes, uniq[u])) continue;
-      NodeId local = LocalId(entries_[i].nodes, uniq[u]);
+      NodeId local = RouteToShard(entries_[i], uniq[u]);
       if (local != kInvalidNode) {
         groups[i].emplace_back(u, local);
         ++owner_count[u];
@@ -1083,10 +1037,9 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
       shard_count);
   std::vector<Status> shard_status(shard_count, Status::OK());
   RunIndexedOnPool(shard_count,
-                   query_threads_.load(std::memory_order_relaxed),
+                   threads_.load(std::memory_order_relaxed),
                    [&](size_t i) {
     if (groups[i].empty()) return;
-    const Entry& entry = entries_[i];
     used_cache[i] = GetOrDecodeShard(i, groups[i].size());
     if (used_cache[i] != nullptr) {
       stat_hits_.fetch_add(groups[i].size(), std::memory_order_relaxed);
@@ -1100,21 +1053,12 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
     }
     partial[i].resize(groups[i].size());
     for (size_t k = 0; k < groups[i].size(); ++k) {
-      auto part = rep.value()->OutNeighbors(groups[i][k].second);
-      if (!part.ok()) {
-        shard_status[i] = part.status();
-        return;
-      }
-      for (uint64_t u : part.value()) {
-        if (u >= entry.nodes.size()) {
-          shard_status[i] =
-              Status::Corruption("shard neighbor id out of range");
-          return;
-        }
-        // entry.nodes is increasing, so the mapped list stays sorted
-        // and deduplicated — single-owner answers need no re-sort.
-        partial[i][k].push_back(entry.nodes[u]);
-      }
+      // Sorted and deduplicated: single-owner answers need no re-sort.
+      shard_status[i] =
+          AppendShardNeighbors(entries_[i], *rep.value(),
+                               groups[i][k].second, /*out=*/true,
+                               &partial[i][k]);
+      if (!shard_status[i].ok()) return;
     }
   });
   for (size_t i = 0; i < shard_count; ++i) {
@@ -1181,7 +1125,7 @@ Result<std::vector<uint8_t>> ShardedRep::ReachableBatch(
   std::vector<uint8_t> results(pairs.size(), 0);
   std::vector<Status> pair_status(pairs.size(), Status::OK());
   RunIndexedOnPool(pairs.size(),
-                   query_threads_.load(std::memory_order_relaxed),
+                   threads_.load(std::memory_order_relaxed),
                    [&](size_t k) {
     auto r = ReachableImpl(pairs[k].first, pairs[k].second);
     if (!r.ok()) {
@@ -1222,7 +1166,7 @@ api::QueryStats ShardedRep::query_stats() const {
   }
   {
     MutexLock lock(cache_mutex_);
-    stats.cache_bytes_used = cache_bytes_used_ + result_bytes_used_;
+    stats.cache_bytes_used = cache_bytes_used_;
   }
   // Aggregate the inner reps' memo-table counters (grepair inners
   // build grammar memo tables of their own). Only resident reps are
@@ -1277,14 +1221,6 @@ Status ShardedRep::ApplyEdits(const std::vector<EdgeEdit>& edits) {
                                                std::memory_order_release,
                                                std::memory_order_relaxed)) {
     }
-    // The memo holds pre-edit answers; flush it inside the same
-    // critical section the epoch bump lands in, so an in-flight query
-    // can neither hit a stale entry nor store one behind the flush.
-    MutexLock cache_lock(cache_mutex_);
-    edit_epoch_.fetch_add(1, std::memory_order_release);
-    results_.clear();
-    result_lru_.clear();
-    result_bytes_used_ = 0;
   }
   uint64_t budget = overlay_budget_bytes_.load(std::memory_order_relaxed);
   if (budget != ~0ull && overlay_bytes > budget) {
@@ -1322,14 +1258,10 @@ Status ShardedRep::FoldOverlayLocked() {
     size_t owner = shard_count;
     int owners = 0;
     for (size_t i = 0; i < shard_count; ++i) {
-      const Entry& e = entries_[i];
-      if (!e.has_payload()) continue;
-      if (!ShardMayContain(e.nodes, kill.u) ||
-          !ShardMayContain(e.nodes, kill.v)) {
+      if (RouteToShard(entries_[i], kill.u) == kInvalidNode ||
+          RouteToShard(entries_[i], kill.v) == kInvalidNode) {
         continue;
       }
-      if (LocalId(e.nodes, kill.u) == kInvalidNode) continue;
-      if (LocalId(e.nodes, kill.v) == kInvalidNode) continue;
       owner = i;
       if (++owners > 1) break;
     }
@@ -1350,14 +1282,10 @@ Status ShardedRep::FoldOverlayLocked() {
   for (const DeltaEdge& add : snap->adds()) {
     size_t owner = shard_count;
     for (size_t i = 0; i < shard_count; ++i) {
-      const Entry& e = entries_[i];
-      if (!e.has_payload()) continue;
-      if (!ShardMayContain(e.nodes, add.u) ||
-          !ShardMayContain(e.nodes, add.v)) {
+      if (RouteToShard(entries_[i], add.u) == kInvalidNode ||
+          RouteToShard(entries_[i], add.v) == kInvalidNode) {
         continue;
       }
-      if (LocalId(e.nodes, add.u) == kInvalidNode) continue;
-      if (LocalId(e.nodes, add.v) == kInvalidNode) continue;
       owner = i;
       break;
     }
@@ -1388,7 +1316,7 @@ Status ShardedRep::FoldOverlayLocked() {
                                            std::move(residual_kills));
     if (!residual.ok()) return residual.status();
     PublishFolds({}, std::move(residual).ValueOrDie(),
-                 /*replace_all=*/false, /*bump_edit_epoch=*/false);
+                 /*replace_all=*/false);
     return Status::OK();
   }
 
@@ -1397,7 +1325,8 @@ Status ShardedRep::FoldOverlayLocked() {
   // lossy); the base container file is never touched, so a crash at
   // any point here leaves the on-disk corpus exactly as it was.
   std::vector<std::shared_ptr<FoldedShard>> folded(shard_count);
-  RunIndexedOnPool(work.size(), decompress_threads_, [&](size_t w) {
+  RunIndexedOnPool(work.size(), threads_.load(std::memory_order_relaxed),
+                   [&](size_t w) {
     size_t i = work[w];
     std::shared_ptr<FoldedShard> out;
     if (FoldOneShard(i, shard_kills[i], shard_adds[i], &out).ok()) {
@@ -1434,7 +1363,7 @@ Status ShardedRep::FoldOverlayLocked() {
 
   size_t fold_count = publish.size();
   PublishFolds(std::move(publish), std::move(residual).ValueOrDie(),
-               /*replace_all=*/false, /*bump_edit_epoch=*/false);
+               /*replace_all=*/false);
   stat_shard_folds_.fetch_add(fold_count, std::memory_order_relaxed);
   stat_folded_edits_.fetch_add(folded_edits, std::memory_order_relaxed);
   return Status::OK();
@@ -1506,8 +1435,7 @@ Status ShardedRep::FoldOneShard(size_t shard,
 
 void ShardedRep::PublishFolds(
     std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> folds,
-    std::shared_ptr<const DeltaOverlay> residual, bool replace_all,
-    bool bump_edit_epoch) {
+    std::shared_ptr<const DeltaOverlay> residual, bool replace_all) {
   MutexLock lock(overlay_mu_);
   std::vector<uint8_t> changed(entries_.size(), 0);
   for (auto& fold : folds) {
@@ -1545,12 +1473,6 @@ void ShardedRep::PublishFolds(
       stat_evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     cache_miss_credit_[i] = 0;  // folded payload may now fit the budget
-  }
-  if (bump_edit_epoch) {
-    edit_epoch_.fetch_add(1, std::memory_order_release);
-    results_.clear();
-    result_lru_.clear();
-    result_bytes_used_ = 0;
   }
 }
 
@@ -1599,7 +1521,7 @@ Status ShardedRep::ApplyDelta(const DeltaContainer& delta) {
                                              std::memory_order_relaxed)) {
   }
   PublishFolds(std::move(publish), std::move(residual).ValueOrDie(),
-               /*replace_all=*/true, /*bump_edit_epoch=*/true);
+               /*replace_all=*/true);
   return Status::OK();
 }
 

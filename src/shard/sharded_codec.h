@@ -47,30 +47,30 @@
 // api::OpenRemote faults shards across the network through exactly
 // this machinery — same verification, same caches, same stats.
 //
-// Query caching: each rep carries a bounded LRU cache of *decoded
+// Query caching: each rep carries one bounded LRU cache of *decoded
 // shard neighborhoods* — a shard's full out/in adjacency in global
-// ids, materialized once from the inner rep. Batch queries decode
+// ids, materialized once from the inner rep. It is the rep's only
+// query cache: merged answers are recomputed per query (grepair inner
+// reps keep grammar memo tables of their own). Batch queries decode
 // every shard they touch densely enough (amortizing the decode over
-// the batch) and fan out over the compression thread pool
-// (set_query_threads); single queries fall back to grammar-direct
-// routing but promote a shard into the cache after repeated misses.
-// The budget (set_query_cache_bytes, 0 = disabled) evicts whole
-// decoded shards, least-recently-used first; the next touch of an
+// the batch) and fan out over the rep's thread pool (set_threads);
+// single queries fall back to grammar-direct routing but promote a
+// shard into the cache after repeated misses. The whole budget
+// (set_query_cache_bytes, 0 = disabled) goes to decoded shards,
+// evicted whole, least-recently-used first; the next touch of an
 // evicted shard re-decodes it from the resident inner rep. Faulted
 // inner reps themselves (compressed-size, not decoded-size) are
-// retained for the rep's lifetime — the byte budget governs the
-// decoded tier, not the compressed one. Cached answers are
-// byte-identical to uncached ones and the cache never serializes.
+// retained for the rep's lifetime — the byte budget governs decoded
+// shards, not compressed ones. Cached answers are byte-identical to
+// uncached ones and the cache never serializes.
 
 #ifndef GREPAIR_SHARD_SHARDED_CODEC_H_
 #define GREPAIR_SHARD_SHARDED_CODEC_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -250,16 +250,16 @@ class ShardedRep : public api::CompressedRep {
 
   /// \brief Batch neighbor queries: nodes grouped by owning shard,
   /// shards decoded into the cache where the batch amortizes it, work
-  /// fanned out over the query thread pool (un-faulted shards the
-  /// batch touches are handed to the prefetch pool first when one is
+  /// fanned out over the thread pool (un-faulted shards the batch
+  /// touches are handed to the prefetch pool first when one is
   /// running). Result order follows the input order and is identical
   /// for every thread count.
   Result<std::vector<std::vector<uint64_t>>> OutNeighborsBatch(
       const std::vector<uint64_t>& nodes) const override;
 
-  /// \brief Batch reachability: pairs fanned out over the query
-  /// thread pool (each BFS shares the shard cache). Deterministic
-  /// result order; on failures the lowest pair index's status wins.
+  /// \brief Batch reachability: pairs fanned out over the thread
+  /// pool (each BFS shares the shard cache). Deterministic result
+  /// order; on failures the lowest pair index's status wins.
   Result<std::vector<uint8_t>> ReachableBatch(
       const std::vector<std::pair<uint64_t, uint64_t>>& pairs)
       const override;
@@ -303,13 +303,10 @@ class ShardedRep : public api::CompressedRep {
   static Result<std::unique_ptr<ShardedRep>> OpenFromSource(
       std::shared_ptr<ShardSource> source, ParsedDirectory dir);
 
-  /// \brief Thread-pool size for Decompress (default 1; the CLI's
-  /// `decompress --threads` sets it).
-  void set_decompress_threads(int threads);
-
-  /// \brief Thread-pool size for batch queries (default 1, clamped to
-  /// [1, 256]).
-  void set_query_threads(int threads);
+  /// \brief Thread-pool size for Decompress, batch queries and folds
+  /// (default 1, clamped to [1, 256]; the CLI's `decompress --threads`
+  /// and `query --threads` set it). Safe to call while queries run.
+  void set_threads(int threads);
 
   /// \brief Starts (or resizes, or with 0 stops) the background shard
   /// prefetch pool. Workers fault queued shards' inner reps so
@@ -331,11 +328,11 @@ class ShardedRep : public api::CompressedRep {
   // --- Mutable-corpus surface (delta overlays, folds, GRSHARD3) ---
 
   /// \brief Applies `edits` (in order) to this rep's delta overlay.
-  /// Queries issued after this returns see the mutated corpus; the
-  /// node-result memo is flushed (shard caches stay — they hold base
-  /// data the overlay merges over). When the overlay's ByteSize
-  /// exceeds the fold budget, eligible edits are folded back into
-  /// their shards' inner grammars before returning (see FoldOverlay).
+  /// Queries issued after this returns see the mutated corpus (shard
+  /// caches stay — they hold base data the overlay merges over). When
+  /// the overlay's ByteSize exceeds the fold budget, eligible edits are
+  /// folded back into their shards' inner grammars before returning
+  /// (see FoldOverlay).
   /// Adds may reference fresh node ids (num_nodes grows); a self-loop
   /// add is kInvalidArgument. Safe to call concurrently with queries;
   /// concurrent ApplyEdits calls serialize on the overlay lock.
@@ -482,13 +479,11 @@ class ShardedRep : public api::CompressedRep {
   /// invalidations), so readers that snapshot the overlay first can
   /// never observe residual runs without the folds they depend on.
   /// `replace_all` additionally reverts shards absent from `folds` to
-  /// their base grammar (the ApplyDelta path — deltas are cumulative);
-  /// `bump_edit_epoch` flushes the node-result memo inside the same
-  /// critical section when the publish changes logical answers.
+  /// their base grammar (the ApplyDelta path — deltas are cumulative).
   void PublishFolds(
       std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> folds,
-      std::shared_ptr<const DeltaOverlay> residual, bool replace_all,
-      bool bump_edit_epoch) GREPAIR_REQUIRES(fold_mu_)
+      std::shared_ptr<const DeltaOverlay> residual, bool replace_all)
+      GREPAIR_REQUIRES(fold_mu_)
       GREPAIR_LOCKS_EXCLUDED(overlay_mu_, cache_mutex_);
 
   /// FoldOverlay's body, for callers already holding fold_mu_
@@ -507,10 +502,9 @@ class ShardedRep : public api::CompressedRep {
   uint32_t inner_capabilities_ = 0;
   uint64_t num_nodes_ = 0;
   std::vector<Entry> entries_;  // K data shards, then the cut shard
-  int decompress_threads_ = 1;
   // Atomics: the knobs may be retuned while queries are in flight on
   // other threads (query_stats()/monitoring alongside batches).
-  std::atomic<int> query_threads_{1};
+  std::atomic<int> threads_{1};
   std::atomic<size_t> cache_bytes_limit_{kDefaultQueryCacheBytes};
 
   // Lazy-open state: the inner codec that faults shards in, the
@@ -532,35 +526,13 @@ class ShardedRep : public api::CompressedRep {
       lazy_published_;
   mutable std::unique_ptr<Mutex[]> fault_mutexes_;
 
-  /// Tier-1 node-result cache: merged, sorted answers of single
-  /// queries keyed by (node, direction). Shares the byte budget with
-  /// the shard tier; LRU within the tier.
-  struct ResultEntry {
-    std::list<uint64_t>::iterator lru_it;
-    std::shared_ptr<const std::vector<uint64_t>> value;
-    size_t bytes = 0;
-  };
-
-  std::shared_ptr<const std::vector<uint64_t>> LookupResult(
-      uint64_t key) const GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
-  /// Memoizes a node answer computed while edit_epoch_ was
-  /// `edit_epoch`: the store is dropped when the epoch has moved
-  /// (edits landed mid-query), so the memo never caches stale answers.
-  void StoreResult(uint64_t key,
-                   std::shared_ptr<const std::vector<uint64_t>> value,
-                   uint64_t edit_epoch) const
-      GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
-
-  /// LRU eviction down to `target` bytes per tier.
+  /// LRU eviction of decoded shards down to `target` bytes.
   void EvictShardsLocked(size_t target) const
-      GREPAIR_REQUIRES(cache_mutex_);
-  void EvictResultsLocked(size_t target) const
       GREPAIR_REQUIRES(cache_mutex_);
 
   // Cache state: one decoded-neighborhood slot per shard plus LRU
-  // stamps, and the node-result LRU map, all guarded by cache_mutex_;
-  // the pointed-to data is immutable, so readers only hold the lock
-  // for the lookup.
+  // stamps, all guarded by cache_mutex_; the pointed-to data is
+  // immutable, so readers only hold the lock for the lookup.
   mutable Mutex cache_mutex_;
   mutable std::vector<std::shared_ptr<const ShardNeighborhoods>>
       cache_slots_ GREPAIR_GUARDED_BY(cache_mutex_);
@@ -570,11 +542,6 @@ class ShardedRep : public api::CompressedRep {
       GREPAIR_GUARDED_BY(cache_mutex_);
   mutable uint64_t cache_tick_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;
   mutable size_t cache_bytes_used_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;
-  mutable std::list<uint64_t> result_lru_
-      GREPAIR_GUARDED_BY(cache_mutex_);  // most recent first
-  mutable std::unordered_map<uint64_t, ResultEntry> results_
-      GREPAIR_GUARDED_BY(cache_mutex_);
-  mutable size_t result_bytes_used_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;
 
   mutable std::atomic<uint64_t> stat_singles_{0};
   mutable std::atomic<uint64_t> stat_batch_calls_{0};
@@ -614,11 +581,9 @@ class ShardedRep : public api::CompressedRep {
       folded_published_;
   std::vector<std::shared_ptr<FoldedShard>> folded_keep_
       GREPAIR_GUARDED_BY(overlay_mu_);
-  // Epochs pair in-flight computations with the state they read:
-  // a memo store is dropped when edit_epoch_ moved since the query
-  // began, a shard-cache store when fold_epoch_ moved since the
-  // decode began. Both bumped under cache_mutex_; checked there too.
-  mutable std::atomic<uint64_t> edit_epoch_{0};
+  // Pairs an in-flight shard decode with the grammar it read: the
+  // cache store is dropped when fold_epoch_ moved since the decode
+  // began. Bumped under cache_mutex_; checked there too.
   mutable std::atomic<uint64_t> fold_epoch_{0};
 
   mutable std::atomic<uint64_t> stat_overlay_merges_{0};

@@ -520,8 +520,8 @@ TEST(DynamicCorpusTest, ReadersRacingEditsSeeEveryReturnedAdd) {
           if (!forward.ok() || !backward.ok()) {
             fail("reachability query failed");
           } else if (k < seen && !forward.value()) {
-            fail("add " + std::to_string(k) + " not reachable after it "
-                 "returned");
+            fail("add " + std::to_string(k) +
+                 " not reachable after it returned");
           } else if (backward.value()) {
             fail("reverse of add " + std::to_string(k) + " reachable");
           }

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "src/api/grepair_api.h"
 #include "src/util/mmap_file.h"
@@ -176,9 +178,30 @@ TEST(LazyOpenTest, EvictionThenRefaultIsByteIdentical) {
     truth[v] = r.value();
   }
 
-  // A tiny budget forces decoded-neighborhood evictions between
-  // queries; every re-fault must reproduce the same answers.
-  rep.value()->set_query_cache_bytes(700);
+  // Measure each clique shard's decoded size on a probe rep: a batch
+  // over one shard's nodes decodes exactly that shard into the cache.
+  auto probe = shard::ShardedRep::Deserialize(
+      AsSharded(compressed.get())->SerializeV2());
+  ASSERT_TRUE(probe.ok());
+  size_t largest_shard = 0;
+  for (size_t i = 0; i < probe.value()->num_shards(); ++i) {
+    if (!probe.value()->entry(i).has_payload()) continue;
+    const auto& nodes = probe.value()->entry(i).nodes;
+    size_t before = probe.value()->query_stats().cache_bytes_used;
+    ASSERT_TRUE(probe.value()
+                    ->OutNeighborsBatch(
+                        std::vector<uint64_t>(nodes.begin(), nodes.end()))
+                    .ok());
+    size_t after = probe.value()->query_stats().cache_bytes_used;
+    ASSERT_GT(after, before) << "shard " << i << " was not decoded";
+    largest_shard = std::max(largest_shard, after - before);
+  }
+
+  // A budget of the largest decoded shard fits either clique shard
+  // alone but never both, so the sweep forces decoded-neighborhood
+  // evictions between queries; every re-fault must reproduce the same
+  // answers.
+  rep.value()->set_query_cache_bytes(largest_shard);
   for (int round = 0; round < 4; ++round) {
     for (uint64_t v = 0; v < 8; ++v) {
       auto r = rep.value()->OutNeighbors(v);
@@ -186,8 +209,8 @@ TEST(LazyOpenTest, EvictionThenRefaultIsByteIdentical) {
       EXPECT_EQ(r.value(), truth[v]) << "round " << round << " node " << v;
     }
   }
-  // With a 700-byte budget the two clique shards cannot both stay
-  // resident once promoted, so the sweep above must have evicted.
+  // The two clique shards cannot both stay resident once promoted,
+  // so the sweep above must have evicted.
   auto stats = rep.value()->query_stats();
   EXPECT_GT(stats.cache_evictions, 0u);
   EXPECT_GT(stats.shard_decodes, 1u);
@@ -288,7 +311,7 @@ TEST(LazyOpenTest, ConcurrentQueriersAndPrefetchersAreRaceFree) {
 
   auto lazy = shard::ShardedRep::Deserialize(compressed_sharded->SerializeV2());
   ASSERT_TRUE(lazy.ok());
-  lazy.value()->set_query_threads(4);
+  lazy.value()->set_threads(4);
   lazy.value()->set_prefetch_threads(2);
 
   // 8 threads race single queries, batches and prefetches over one

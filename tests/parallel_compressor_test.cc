@@ -159,7 +159,7 @@ TEST(ParallelCompressorTest, DecompressThreadsDoNotChangeTheGraph) {
   auto* sharded = dynamic_cast<ShardedRep*>(rep.value().get());
   ASSERT_NE(sharded, nullptr);
   auto sequential = sharded->Decompress();
-  sharded->set_decompress_threads(8);
+  sharded->set_threads(8);
   auto parallel = sharded->Decompress();
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());

@@ -1,8 +1,9 @@
-// The memoized batch query engine, end to end:
+// The batch query engine and the sharded rep's one query cache (the
+// decoded-shard cache), end to end:
 //
 //   * cached (warm) and batched answers are byte-identical to fresh
 //     uncached single-call answers, against ground truth,
-//   * for every query thread count (1 vs 8) and cache configuration
+//   * for every thread count (1 vs 8) and cache configuration
 //     (default, tiny-budget eviction path, disabled),
 //   * the grammar-direct memo tables (grepair) change nothing about
 //     answers while filling their counters,
@@ -82,8 +83,8 @@ TEST(QueryCacheTest, BatchMatchesSinglesAndIsThreadCountInvariant) {
   auto rep_single = MakeSharded(gg);
   auto rep_t1 = MakeSharded(gg);
   auto rep_t8 = MakeSharded(gg);
-  AsSharded(rep_t1.get())->set_query_threads(1);
-  AsSharded(rep_t8.get())->set_query_threads(8);
+  AsSharded(rep_t1.get())->set_threads(1);
+  AsSharded(rep_t8.get())->set_threads(8);
 
   std::vector<uint64_t> nodes;
   for (uint64_t v = 0; v < gg.graph.num_nodes(); ++v) {
@@ -139,7 +140,7 @@ TEST(QueryCacheTest, ReachableBatchMatchesSinglesAcrossThreads) {
   GeneratedGraph gg = BarabasiAlbert(90, 2, 31);
   auto rep_single = MakeSharded(gg);
   auto rep_batch = MakeSharded(gg);
-  AsSharded(rep_batch.get())->set_query_threads(8);
+  AsSharded(rep_batch.get())->set_threads(8);
 
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
   for (uint64_t v = 0; v < gg.graph.num_nodes(); v += 2) {
@@ -158,9 +159,9 @@ TEST(QueryCacheTest, ReachableBatchMatchesSinglesAcrossThreads) {
 TEST(QueryCacheTest, ConcurrentMixedQueriesAgreeWithTruth) {
   GeneratedGraph gg = BarabasiAlbert(120, 3, 41);
   auto rep = MakeSharded(gg);
-  AsSharded(rep.get())->set_query_threads(4);
+  AsSharded(rep.get())->set_threads(4);
   // Hammer one shared rep from several threads mixing batch and
-  // single calls; the cache tiers fill concurrently underneath.
+  // single calls; the shard cache fills concurrently underneath.
   std::vector<std::thread> workers;
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {

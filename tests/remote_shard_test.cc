@@ -158,7 +158,7 @@ TEST(RemoteShardTest, EightThreadsOnOnePoolMatchTruth) {
     ASSERT_TRUE(remote.ok()) << remote.status().ToString();
     auto* sharded = dynamic_cast<shard::ShardedRep*>(remote.value().get());
     ASSERT_NE(sharded, nullptr);
-    sharded->set_query_threads(4);
+    sharded->set_threads(4);
 
     std::vector<uint64_t> all_nodes(gg.graph.num_nodes());
     for (uint64_t v = 0; v < all_nodes.size(); ++v) all_nodes[v] = v;

@@ -49,9 +49,10 @@
 // `query` answers neighbor/reachability queries on a compressed file
 // without decompressing it: --nodes asks for out-neighbors, --pairs
 // for reachability, --batch switches to the batched entry points
-// (shard-parallel on sharded containers), --cache-bytes/--threads tune
-// the sharded query cache and pool, --prefetch starts a background
-// pool that warms the shards batches touch. A query-stats line (cache
+// (shard-parallel on sharded containers), --cache-bytes sets the byte
+// budget of the sharded rep's one query cache (decoded shards),
+// --threads the rep's thread pool, --prefetch starts a background pool
+// that warms the shards batches touch. A query-stats line (cache
 // hits/misses, shard decodes/faults, memo-table sizes) is printed at
 // the end.
 //
@@ -315,7 +316,7 @@ int CmdDecompress(int argc, char** argv) {
   }
   if (threads > 1) {
     if (auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get())) {
-      sharded->set_decompress_threads(threads);
+      sharded->set_threads(threads);
     } else {
       std::fprintf(stderr,
                    "note: --threads only parallelizes sharded containers; "
@@ -416,7 +417,7 @@ int RunQueries(std::unique_ptr<api::CompressedRep> rep,
                bool batch, int threads, bool have_cache_bytes,
                uint64_t cache_bytes, int prefetch) {
   if (auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get())) {
-    if (threads > 1) sharded->set_query_threads(threads);
+    if (threads > 1) sharded->set_threads(threads);
     if (have_cache_bytes) {
       sharded->set_query_cache_bytes(static_cast<size_t>(cache_bytes));
     }
