@@ -110,11 +110,13 @@ void BM_DigramShape(benchmark::State& state) {
   a.att = {10, 11};
   b.label = 5;
   b.att = {11, 12};
-  auto ext = [](NodeId) { return true; };
+  // Every node has an edge outside the pair: all three are external.
+  auto degree = [](NodeId v) { return v == 11 ? 3u : 2u; };
   DigramShape shape;
   bool swapped;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeDigramShape(a, b, ext, &shape, &swapped));
+    benchmark::DoNotOptimize(
+        ComputeDigramShape(a, b, degree, 4, &shape, &swapped));
   }
 }
 BENCHMARK(BM_DigramShape);

@@ -515,7 +515,7 @@ class DeflateRep : public CompressedRep {
       if (label == 0 || label >= num_labels) {
         return Status::Corruption("edge label out of range");
       }
-      std::vector<NodeId> att;
+      Attachments att;
       for (uint64_t i = 0; i < ranks[label - 1]; ++i) {
         uint64_t v = 0;
         GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &v));

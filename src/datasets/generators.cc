@@ -257,9 +257,8 @@ GeneratedGraph DisjointUnion(const std::vector<const Hypergraph*>& parts,
   uint32_t base = 0;
   for (const Hypergraph* p : parts) {
     for (const auto& e : p->edges()) {
-      std::vector<NodeId> att;
-      att.reserve(e.att.size());
-      for (NodeId v : e.att) att.push_back(base + v);
+      Attachments att = e.att;
+      for (NodeId& v : att) v += base;
       g.graph.AddEdge(e.label, std::move(att));
     }
     base += p->num_nodes();

@@ -71,7 +71,8 @@ Status DecodeRule(uint32_t num_labels, BitReader* r, Hypergraph* rhs,
     if (att_count == 0 || att_count > 64) {
       return Status::Corruption("bad attachment count");
     }
-    std::vector<NodeId> att(att_count);
+    Attachments att;
+    att.resize(att_count);
     for (uint64_t a = 0; a < att_count; ++a) {
       bool external = false;
       GREPAIR_RETURN_IF_ERROR(r->ReadBit(&external));
@@ -132,7 +133,7 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
   for (EdgeId i = 0; i < start.num_edges(); ++i) {
     const HEdge& e = start.edge(i);
     if (e.att.size() == 2) continue;
-    std::vector<NodeId> sorted_att = e.att;
+    Attachments sorted_att = e.att;
     std::sort(sorted_att.begin(), sorted_att.end());
     std::vector<uint8_t> perm(e.att.size());
     for (size_t a = 0; a < e.att.size(); ++a) {
@@ -162,40 +163,55 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
 #endif
   uint64_t encoded_dup_edges = 0;  // whole-grammar budget, see header
   (void)encoded_dup_edges;
+  // Edge ids grouped by label, ascending within a label: label l's
+  // edges are by_label[label_begin[l], label_begin[l + 1]).
+  std::vector<uint32_t> label_begin(alpha.size() + 1, 0);
+  for (const HEdge& e : start.edges()) {
+    assert(e.label < alpha.size());
+    ++label_begin[e.label + 1];
+  }
   for (Label l = 0; l < alpha.size(); ++l) {
-    // Collect this label's edges (contiguous in canonical order).
-    std::vector<EdgeId> label_edges;
+    label_begin[l + 1] += label_begin[l];
+  }
+  std::vector<EdgeId> by_label(start.num_edges());
+  {
+    std::vector<uint32_t> fill(label_begin.begin(), label_begin.end() - 1);
     for (EdgeId i = 0; i < start.num_edges(); ++i) {
-      if (start.edge(i).label == l) label_edges.push_back(i);
+      by_label[fill[start.edge(i).label]++] = i;
     }
-    w.PutBit(!label_edges.empty());
-    if (label_edges.empty()) continue;
+  }
+  for (Label l = 0; l < alpha.size(); ++l) {
+    const EdgeId* label_edges = by_label.data() + label_begin[l];
+    const uint32_t num_label_edges = label_begin[l + 1] - label_begin[l];
+    w.PutBit(num_label_edges > 0);
+    if (num_label_edges == 0) continue;
     if (alpha.rank(l) == 2) {
       // Adjacency matrix; parallel duplicates patched separately.
       std::vector<std::pair<uint32_t, uint32_t>> cells;
-      cells.reserve(label_edges.size());
-      for (EdgeId i : label_edges) {
-        cells.push_back({start.edge(i).att[0], start.edge(i).att[1]});
+      cells.reserve(num_label_edges);
+      for (uint32_t j = 0; j < num_label_edges; ++j) {
+        const HEdge& e = start.edge(label_edges[j]);
+        cells.push_back({e.att[0], e.att[1]});
       }
-      std::vector<std::pair<uint32_t, uint32_t>> unique_cells = cells;
-      std::sort(unique_cells.begin(), unique_cells.end());
-      unique_cells.erase(
-          std::unique(unique_cells.begin(), unique_cells.end()),
-          unique_cells.end());
-      K2Tree tree =
-          K2Tree::Build(start.num_nodes(), start.num_nodes(), unique_cells);
-      tree.Serialize(&w);
-      // Multiplicity patches: (cell rank, extra count).
-      std::map<std::pair<uint32_t, uint32_t>, uint32_t> mult;
-      for (const auto& c : cells) ++mult[c];
+      // Already sorted when the start graph is in canonical order.
+      std::sort(cells.begin(), cells.end());
+      // Multiplicity patches: (rank among the distinct cells, extra
+      // count), one per run of equal cells.
       std::vector<std::pair<uint64_t, uint32_t>> dups;
-      for (size_t ci = 0; ci < unique_cells.size(); ++ci) {
-        uint32_t m = mult[unique_cells[ci]];
-        if (m > 1) {
-          dups.push_back({ci, m - 1});
-          encoded_dup_edges += m - 1;
+      size_t distinct = 0;
+      for (size_t ci = 0; ci < cells.size();) {
+        size_t run = ci + 1;
+        while (run < cells.size() && cells[run] == cells[ci]) ++run;
+        if (run - ci > 1) {
+          dups.push_back({distinct, static_cast<uint32_t>(run - ci - 1)});
+          encoded_dup_edges += run - ci - 1;
         }
+        cells[distinct++] = cells[ci];
+        ci = run;
       }
+      cells.resize(distinct);
+      K2Tree tree = K2Tree::Build(start.num_nodes(), start.num_nodes(), cells);
+      tree.Serialize(&w);
       // Format limit mirrored by the decoder's corruption guard
       // (kMaxDupEdges, global across label sections). Graphs past it
       // would serialize into undecodable files; Compress() rejects
@@ -209,17 +225,16 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
     } else {
       // Incidence matrix: rows = nodes, cols = this label's edges.
       std::vector<std::pair<uint32_t, uint32_t>> cells;
-      for (uint32_t col = 0; col < label_edges.size(); ++col) {
+      for (uint32_t col = 0; col < num_label_edges; ++col) {
         for (NodeId v : start.edge(label_edges[col]).att) {
           cells.push_back({v, col});
         }
       }
-      K2Tree tree = K2Tree::Build(
-          start.num_nodes(), static_cast<uint32_t>(label_edges.size()),
-          cells);
+      K2Tree tree =
+          K2Tree::Build(start.num_nodes(), num_label_edges, cells);
       tree.Serialize(&w);
-      for (EdgeId i : label_edges) {
-        w.PutBits(edge_perm[i], perm_bits);
+      for (uint32_t j = 0; j < num_label_edges; ++j) {
+        w.PutBits(edge_perm[label_edges[j]], perm_bits);
       }
     }
   }
@@ -390,13 +405,23 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
       if (num_edges > cells.size()) {
         return Status::Corruption("hyperedge count exceeds incidence cells");
       }
-      std::vector<std::vector<NodeId>> cols(num_edges);
+      // Column col's rows, ascending, are rows[col_begin[col],
+      // col_begin[col + 1]): the cells arrive row-major.
+      std::vector<uint32_t> col_begin(static_cast<size_t>(num_edges) + 1, 0);
       for (uint64_t cell : cells) {
         const uint32_t col = static_cast<uint32_t>(cell & 0xFFFFFFFFu);
         if (col >= num_edges) {
           return Status::Corruption("incidence cell column out of range");
         }
-        cols[col].push_back(static_cast<NodeId>(cell >> 32));
+        ++col_begin[col + 1];
+      }
+      for (uint32_t col = 0; col < num_edges; ++col) {
+        col_begin[col + 1] += col_begin[col];
+      }
+      std::vector<NodeId> rows(cells.size());
+      std::vector<uint32_t> fill(col_begin.begin(), col_begin.end() - 1);
+      for (uint64_t cell : cells) {
+        rows[fill[cell & 0xFFFFFFFFu]++] = static_cast<NodeId>(cell >> 32);
       }
       for (uint32_t col = 0; col < num_edges; ++col) {
         uint64_t perm_idx = 0;
@@ -408,12 +433,13 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
           return Status::Corruption("bad perm index");
         }
         const auto& perm = perms[perm_idx];
-        std::vector<NodeId>& sorted_att = cols[col];  // rows are sorted
-        if (perm.size() != sorted_att.size()) {
+        const NodeId* sorted_att = rows.data() + col_begin[col];
+        if (perm.size() != col_begin[col + 1] - col_begin[col]) {
           return Status::Corruption("perm length mismatch");
         }
-        std::vector<NodeId> att(sorted_att.size());
-        for (size_t a = 0; a < att.size(); ++a) {
+        Attachments att;
+        att.resize(perm.size());
+        for (size_t a = 0; a < perm.size(); ++a) {
           att[a] = sorted_att[perm[a]];
         }
         start->AddEdge(l, std::move(att));

@@ -7,12 +7,12 @@
 namespace grepair {
 
 void CanonicalizeStartEdgeOrder(SlhrGrammar* grammar, NodeMapping* mapping) {
-  const Hypergraph& start = grammar->start();
-  std::vector<EdgeId> order(start.num_edges());
+  std::vector<HEdge> edges = grammar->mutable_start()->TakeEdges();
+  std::vector<EdgeId> order(edges.size());
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    const HEdge& ea = start.edge(a);
-    const HEdge& eb = start.edge(b);
+    const HEdge& ea = edges[a];
+    const HEdge& eb = edges[b];
     if (ea.label != eb.label) return ea.label < eb.label;
     return ea.att < eb.att;
   });
@@ -20,7 +20,7 @@ void CanonicalizeStartEdgeOrder(SlhrGrammar* grammar, NodeMapping* mapping) {
   sorted.reserve(order.size());
   std::vector<DerivationRecord> sorted_records;
   for (EdgeId e : order) {
-    sorted.push_back(start.edge(e));
+    sorted.push_back(std::move(edges[e]));
     if (mapping != nullptr) {
       sorted_records.push_back(std::move(mapping->edge_records[e]));
     }
@@ -102,8 +102,8 @@ void DeriveImpl(const SlhrGrammar& grammar,
   // together, so a rule application allocates nothing.
   std::vector<Frame> stack;
   std::vector<NodeId> maps;
-  std::vector<NodeId> mapped;
-  auto push_frame = [&](Label label, const std::vector<NodeId>& att) {
+  Attachments mapped;
+  auto push_frame = [&](Label label, const Attachments& att) {
     const Hypergraph& rhs = grammar.rhs(label);
     assert(att.size() == rhs.ext().size());
     stack.push_back(Frame{&rhs, maps.size(), 0});
@@ -185,7 +185,8 @@ Result<Hypergraph> Derive(const SlhrGrammar& grammar,
   const ValSize size = ComputeValSize(grammar);
   GREPAIR_RETURN_IF_ERROR(CheckDeriveLimits(size, options));
   Hypergraph out(static_cast<uint32_t>(size.nodes));
-  DeriveImpl(grammar, size, [&](Label label, const std::vector<NodeId>& att) {
+  out.ReserveEdges(size.edges);
+  DeriveImpl(grammar, size, [&](Label label, const Attachments& att) {
     out.AddEdge(label, att);
   });
   return out;
@@ -231,13 +232,11 @@ Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
   // Edges arrive in val(G) ids and are renamed on the way in: val(G)
   // itself is never built.
   Hypergraph renamed(static_cast<uint32_t>(origins.size()));
-  std::vector<NodeId> att;
-  DeriveImpl(grammar, size,
-             [&](Label label, const std::vector<NodeId>& val_att) {
-               att.clear();
-               for (NodeId v : val_att) att.push_back(origins[v]);
-               renamed.AddEdge(label, att);
-             });
+  renamed.ReserveEdges(size.edges);
+  DeriveImpl(grammar, size, [&](Label label, Attachments att) {
+    for (NodeId& v : att) v = origins[v];
+    renamed.AddEdge(label, std::move(att));
+  });
   return renamed;
 }
 

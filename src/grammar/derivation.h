@@ -86,7 +86,7 @@ Result<Hypergraph> Derive(const SlhrGrammar& grammar,
 /// \brief Receives one terminal edge of val(G): its label and its
 /// attachment in val(G) node ids (valid only during the call).
 using DerivedEdgeSink =
-    std::function<void(Label label, const std::vector<NodeId>& att)>;
+    std::function<void(Label label, const Attachments& att)>;
 
 /// \brief Streams val(G)'s terminal edges to `sink` in Derive's edge
 /// order without materializing the graph; same size limits as Derive.

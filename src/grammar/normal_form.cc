@@ -64,9 +64,8 @@ Status SplitToLimit(SlhrGrammar* ng, Hypergraph* h, uint32_t max_edges) {
       sub.SetExternal(std::move(ext));
     }
     for (EdgeId e = 0; e < take; ++e) {
-      std::vector<NodeId> att;
-      att.reserve(h->edge(e).att.size());
-      for (NodeId v : h->edge(e).att) att.push_back(sub_id[v]);
+      Attachments att = h->edge(e).att;
+      for (NodeId& v : att) v = sub_id[v];
       sub.AddEdge(h->edge(e).label, std::move(att));
     }
     GREPAIR_RETURN_IF_ERROR(SplitToLimit(ng, &sub, max_edges));
@@ -85,15 +84,13 @@ Status SplitToLimit(SlhrGrammar* ng, Hypergraph* h, uint32_t max_edges) {
     }
     Hypergraph rebuilt(next);
     {
-      std::vector<NodeId> att;
-      att.reserve(boundary.size());
+      Attachments att;
       for (NodeId v : boundary) att.push_back(keep_id[v]);
       rebuilt.AddEdge(fresh, std::move(att));
     }
     for (EdgeId e = take; e < h->num_edges(); ++e) {
-      std::vector<NodeId> att;
-      att.reserve(h->edge(e).att.size());
-      for (NodeId v : h->edge(e).att) att.push_back(keep_id[v]);
+      Attachments att = h->edge(e).att;
+      for (NodeId& v : att) v = keep_id[v];
       rebuilt.AddEdge(h->edge(e).label, std::move(att));
     }
     std::vector<NodeId> ext;

@@ -33,10 +33,8 @@ class LabelLists {
 
 // Copy of a right-hand-side edge with its attachment renamed by `node_map`.
 HEdge MapEdge(const HEdge& e, const std::vector<NodeId>& node_map) {
-  HEdge copy;
-  copy.label = e.label;
-  copy.att.reserve(e.att.size());
-  for (NodeId v : e.att) copy.att.push_back(node_map[v]);
+  HEdge copy = e;
+  for (NodeId& v : copy.att) v = node_map[v];
   return copy;
 }
 
@@ -260,7 +258,7 @@ void Inliner::ExpandStartEdge(HEdge edge, DerivationRecord rec) {
     const uint32_t rank = static_cast<uint32_t>(f.rhs->ext().size());
     const uint32_t internal = f.rhs->num_nodes() - rank;
     assert(e.att.size() == rank);
-    f.node_map = std::move(e.att);
+    f.node_map.assign(e.att.begin(), e.att.end());
     NodeId first = step_base_[step] + next_instance_[step]++ * internal;
     for (uint32_t i = 0; i < internal; ++i) f.node_map.push_back(first + i);
     if (track) {

@@ -49,7 +49,8 @@ Result<LoadedGraph> ParseGraphText(std::istream& in) {
       return Status::Corruption("bad edge label at edge " + std::to_string(i));
     }
     int rank = result.alphabet.rank(label);
-    std::vector<NodeId> att(rank);
+    Attachments att;
+    att.resize(rank);
     for (int a = 0; a < rank; ++a) {
       if (!(in >> att[a]) || att[a] >= num_nodes) {
         return Status::Corruption("bad attachment at edge " +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,12 +26,34 @@ Label Alphabet::AddSimpleLabels(int count) {
   return first;
 }
 
-EdgeId Hypergraph::AddEdge(Label label, std::vector<NodeId> att) {
-  HEdge e;
-  e.label = label;
-  e.att = std::move(att);
-  edges_.push_back(std::move(e));
-  return static_cast<EdgeId>(edges_.size() - 1);
+void Attachments::assign(const NodeId* src, size_t n) {
+  assert(n <= UINT32_MAX);
+  if (n > capacity_) {
+    // Allocate first: the sequence stays intact if new throws.
+    NodeId* grown = new NodeId[n];
+    std::copy(src, src + n, grown);
+    Release();
+    heap_ = grown;
+    capacity_ = static_cast<uint32_t>(n);
+  } else if (n > 0) {
+    std::memmove(data(), src, n * sizeof(NodeId));
+  }
+  size_ = static_cast<uint32_t>(n);
+}
+
+void Attachments::resize(size_t n) {
+  if (n > capacity_) Grow(n);
+  if (n > size_) std::fill(data() + size_, data() + n, 0u);
+  size_ = static_cast<uint32_t>(n);
+}
+
+void Attachments::Grow(size_t capacity) {
+  assert(capacity > capacity_ && capacity <= UINT32_MAX);
+  NodeId* grown = new NodeId[capacity];
+  std::copy(begin(), end(), grown);
+  Release();
+  heap_ = grown;
+  capacity_ = static_cast<uint32_t>(capacity);
 }
 
 uint64_t Hypergraph::EdgeSize() const {

@@ -15,13 +15,25 @@
 //
 // Size metrics follow the paper exactly: |g|_V = |V|; |g|_E counts 1 per
 // edge of rank <= 2 and rank(e) per hyperedge of rank > 2; |g| is the sum.
+//
+// Attachment storage: att(e) is an Attachments, which keeps up to four
+// node ids inline and moves longer sequences to the heap. Terminal
+// edges of simple graphs have rank 2 and gRePair caps nonterminal ranks
+// at 4 by default, so adding, copying and deriving edges allocates
+// nothing per edge in practice, and an HEdge is 32 bytes. Attachments
+// converts neither to nor from std::vector<NodeId>: a hidden per-edge
+// vector copy does not compile. Build one from a brace list, a pointer
+// and a size, or element by element.
 
 #ifndef GREPAIR_GRAPH_HYPERGRAPH_H_
 #define GREPAIR_GRAPH_HYPERGRAPH_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/status.h"
@@ -62,16 +74,110 @@ class Alphabet {
   std::vector<std::string> names_;
 };
 
+/// \brief Attachment sequence of one edge: up to kInlineAttachments
+/// node ids in place, longer sequences on the heap (see the top of this
+/// file). Compares like a vector: by elements, then lexicographically.
+class Attachments {
+ public:
+  static constexpr uint32_t kInlineAttachments = 4;
+  using value_type = NodeId;
+  using iterator = NodeId*;
+  using const_iterator = const NodeId*;
+
+  Attachments() = default;
+  Attachments(std::initializer_list<NodeId> init)
+      : Attachments(init.begin(), init.size()) {}
+  Attachments(const NodeId* data, size_t size) { assign(data, size); }
+  Attachments(const Attachments& o) : Attachments(o.data(), o.size()) {}
+  Attachments(Attachments&& o) noexcept { Steal(&o); }
+  Attachments& operator=(const Attachments& o) {
+    if (this != &o) assign(o.data(), o.size());
+    return *this;
+  }
+  Attachments& operator=(Attachments&& o) noexcept {
+    if (this != &o) {
+      Release();
+      Steal(&o);
+    }
+    return *this;
+  }
+  ~Attachments() { Release(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const NodeId* data() const { return on_heap() ? heap_ : inline_; }
+  NodeId* data() { return on_heap() ? heap_ : inline_; }
+  const NodeId* begin() const { return data(); }
+  const NodeId* end() const { return data() + size_; }
+  NodeId* begin() { return data(); }
+  NodeId* end() { return data() + size_; }
+  NodeId operator[](size_t i) const { return data()[i]; }
+  NodeId& operator[](size_t i) { return data()[i]; }
+
+  /// \brief Keeps the storage: a cleared heap sequence refills without
+  /// allocating.
+  void clear() { size_ = 0; }
+  void push_back(NodeId v) {
+    if (size_ == capacity_) Grow(2 * static_cast<size_t>(size_));
+    data()[size_++] = v;
+  }
+  /// \brief Replaces the contents; `src` may point into this sequence.
+  void assign(const NodeId* src, size_t n);
+  /// \brief New elements are zero.
+  void resize(size_t n);
+
+  bool operator==(const Attachments& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
+  bool operator!=(const Attachments& o) const { return !(*this == o); }
+  bool operator<(const Attachments& o) const {
+    return std::lexicographical_compare(begin(), end(), o.begin(), o.end());
+  }
+
+ private:
+  bool on_heap() const { return capacity_ > kInlineAttachments; }
+  // Moves the elements to a heap buffer of at least `capacity` ids.
+  void Grow(size_t capacity);
+  void Release() {
+    if (on_heap()) delete[] heap_;
+    capacity_ = kInlineAttachments;
+  }
+  // Takes o's contents; o is left empty and inline. *this must hold no
+  // heap buffer.
+  void Steal(Attachments* o) {
+    size_ = o->size_;
+    capacity_ = o->capacity_;
+    if (o->on_heap()) {
+      heap_ = o->heap_;
+    } else {
+      std::copy(o->inline_, o->inline_ + size_, inline_);
+    }
+    o->size_ = 0;
+    o->capacity_ = kInlineAttachments;
+  }
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInlineAttachments;
+  union {
+    NodeId inline_[kInlineAttachments];
+    NodeId* heap_;
+  };
+};
+
 /// \brief One (hyper)edge: label plus attachment sequence.
 struct HEdge {
   Label label = kInvalidLabel;
-  std::vector<NodeId> att;
+  Attachments att;
 
   int rank() const { return static_cast<int>(att.size()); }
   bool operator==(const HEdge& other) const {
     return label == other.label && att == other.att;
   }
 };
+
+// Edge lists are the bulk of every graph in memory: a label and an
+// inline rank-4 attachment in one half cache line.
+static_assert(sizeof(HEdge) <= 32, "HEdge outgrew half a cache line");
 
 /// \brief Directed edge-labeled hypergraph with external-node sequence.
 class Hypergraph {
@@ -90,7 +196,13 @@ class Hypergraph {
   }
 
   /// \brief Appends an edge; attachment nodes must already exist.
-  EdgeId AddEdge(Label label, std::vector<NodeId> att);
+  EdgeId AddEdge(Label label, Attachments att) {
+    edges_.push_back(HEdge{label, std::move(att)});
+    return static_cast<EdgeId>(edges_.size() - 1);
+  }
+
+  /// \brief Reserves room for `count` edges in total.
+  void ReserveEdges(size_t count) { edges_.reserve(count); }
 
   /// \brief Convenience for a rank-2 edge u -> v.
   EdgeId AddSimpleEdge(NodeId u, NodeId v, Label label) {

@@ -77,10 +77,17 @@ class Compressor {
   }
 
  private:
+  // One occurrence an edge participates in, with the label of the
+  // occurrence's other edge (which never changes while it is stored).
+  struct OccRef {
+    OccId oid;
+    Label partner;
+  };
+
   struct WEdge {
     HEdge edge;
     bool alive = true;
-    std::vector<OccId> occs;  // occurrences this edge participates in
+    std::vector<OccRef> occs;  // occurrences this edge participates in
   };
 
   // Entries of the per-round pairing lists: edges of one label at one
@@ -117,12 +124,9 @@ class Compressor {
 
   bool IsNonterminalLabel(Label l) const { return l >= num_terminals_; }
 
-  EdgeId AddWorkEdge(Label label, std::vector<NodeId> att) {
+  EdgeId AddWorkEdge(Label label, const Attachments& att) {
     EdgeId id = static_cast<EdgeId>(edges_.size());
-    WEdge e;
-    e.edge.label = label;
-    e.edge.att = std::move(att);
-    edges_.push_back(std::move(e));
+    edges_.push_back(WEdge{HEdge{label, att}, true, {}});
     if (options_.track_node_mapping) records_.emplace_back();
     for (NodeId v : edges_[id].edge.att) {
       incidence_[v].push_back(id);
@@ -217,25 +221,11 @@ class Compressor {
     dead_incident_[v] = 0;
   }
 
-  // True when node v has a live edge other than a and b (Definition 3,
-  // condition 3). degree_ counts live incident edges.
-  bool IsExternalFor(NodeId v, EdgeId a, EdgeId b) const {
-    uint32_t inside = 0;
-    for (NodeId u : edges_[a].edge.att) {
-      if (u == v) ++inside;
-    }
-    for (NodeId u : edges_[b].edge.att) {
-      if (u == v) ++inside;
-    }
-    return degree_[v] > inside;
-  }
-
   // True if edge e is already in an occurrence whose other edge carries
   // label `partner` (the availability predicate of Section III-C1).
   bool HasOccWithPartner(EdgeId e, Label partner) const {
-    for (OccId oid : edges_[e].occs) {
-      const Occurrence& o = index_->occ(oid);
-      if (edges_[o.other(e)].edge.label == partner) return true;
+    for (const OccRef& ref : edges_[e].occs) {
+      if (ref.partner == partner) return true;
     }
     return false;
   }
@@ -259,19 +249,20 @@ class Compressor {
     }
     DigramShape shape;
     bool swapped = false;
-    auto is_external = [&](NodeId v) { return IsExternalFor(v, x, y); };
-    if (!ComputeDigramShape(ex.edge, ey.edge, is_external, &shape,
-                            &swapped)) {
+    // degree_ counts live incident edges, x and y included.
+    auto degree = [&](NodeId v) { return degree_[v]; };
+    if (!ComputeDigramShape(ex.edge, ey.edge, degree, options_.max_rank,
+                            &shape, &swapped)) {
       return false;
     }
-    int rank = shape.NumExternal();
-    if (rank < 1 || rank > options_.max_rank) return false;
+    // Rank 0 (no external node): the pair is a whole component.
+    if (shape.ext0 == 0 && shape.ext1 == 0) return false;
 
     EdgeId e0 = swapped ? y : x;
     EdgeId e1 = swapped ? x : y;
     OccId oid = index_->Add(shape, e0, e1);
-    edges_[x].occs.push_back(oid);
-    edges_[y].occs.push_back(oid);
+    edges_[x].occs.push_back({oid, ey.edge.label});
+    edges_[y].occs.push_back({oid, ex.edge.label});
     return true;
   }
 
@@ -282,12 +273,15 @@ class Compressor {
   // of Section III-C1; without it, edges freed mid-round could never be
   // paired with later nonterminal edges).
   void RemoveOccurrencesOf(EdgeId e) {
-    for (OccId oid : edges_[e].occs) {
+    for (const OccRef& ref : edges_[e].occs) {
+      const OccId oid = ref.oid;
       const Occurrence& o = index_->occ(oid);
       if (!o.alive) continue;
       EdgeId other = o.other(e);
       auto& other_occs = edges_[other].occs;
-      other_occs.erase(std::find(other_occs.begin(), other_occs.end(), oid));
+      other_occs.erase(std::find_if(
+          other_occs.begin(), other_occs.end(),
+          [oid](const OccRef& r) { return r.oid == oid; }));
       index_->Remove(oid);
       if (edges_[other].alive) RepushToRoundLists(other);
     }
@@ -377,6 +371,7 @@ class Compressor {
   // on recount passes.
   Hypergraph Snapshot() const {
     Hypergraph g(static_cast<uint32_t>(node_alive_.size()));
+    g.ReserveEdges(CountLiveEdges());
     for (const auto& e : edges_) {
       if (e.alive) g.AddEdge(e.edge.label, e.edge.att);
     }
@@ -399,14 +394,15 @@ class Compressor {
     rule_rhs_.push_back(BuildDigramRhs(shape));
     ResetRoundLists();
 
-    std::vector<NodeId> attachment, removal;
+    Attachments attachment;
+    std::vector<NodeId> removal;
     for (;;) {
       OccId oid = index_->FirstOccurrence(did);
       if (oid == kInvalidOcc) break;
       Occurrence o = index_->occ(oid);  // copy before removal
       EdgeId e0 = o.edge0, e1 = o.edge1;
-      MapOccurrenceNodes(shape, edges_[e0].edge.att, edges_[e1].edge.att, &attachment,
-                         &removal);
+      MapOccurrenceNodes(shape, edges_[e0].edge.att, edges_[e1].edge.att,
+                         &attachment, &removal);
 
       // Drop all occurrences using e0/e1 (including this one).
       RemoveOccurrencesOf(e0);
@@ -596,11 +592,11 @@ class Compressor {
       assert(!drop_virtual || l != virtual_label_);
       return drop_virtual && l > virtual_label_ ? l - 1 : l;
     };
+    start.ReserveEdges(CountLiveEdges());
     for (EdgeId e = 0; e < edges_.size(); ++e) {
       if (!edges_[e].alive) continue;
-      std::vector<NodeId> att;
-      att.reserve(edges_[e].edge.att.size());
-      for (NodeId v : edges_[e].edge.att) att.push_back(remap[v]);
+      Attachments att = edges_[e].edge.att;
+      for (NodeId& v : att) v = remap[v];
       start.AddEdge(out_label(edges_[e].edge.label), std::move(att));
       if (options_.track_node_mapping) {
         result.mapping.edge_records.push_back(std::move(records_[e]));

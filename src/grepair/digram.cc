@@ -94,7 +94,9 @@ Hypergraph BuildDigramRhs(const DigramShape& shape) {
 
   // Edge attachments in canonical ids. edge0 positions are their own
   // pre-ids; edge1 positions resolve through the shared map.
-  std::vector<NodeId> att0(shape.rank0), att1(shape.rank1, kInvalidNode);
+  Attachments att0, att1;
+  att0.resize(shape.rank0);
+  att1.resize(shape.rank1);
   for (int i = 0; i < shape.rank0; ++i) att0[i] = canon[i];
   for (uint16_t packed : shape.shared) {
     att1[packed & 0xFF] = canon[packed >> 8];
@@ -112,10 +114,9 @@ Hypergraph BuildDigramRhs(const DigramShape& shape) {
   return rhs;
 }
 
-void MapOccurrenceNodes(const DigramShape& shape,
-                        const std::vector<NodeId>& att0,
-                        const std::vector<NodeId>& att1,
-                        std::vector<NodeId>* attachment_nodes,
+void MapOccurrenceNodes(const DigramShape& shape, const Attachments& att0,
+                        const Attachments& att1,
+                        Attachments* attachment_nodes,
                         std::vector<NodeId>* removal_nodes) {
   attachment_nodes->clear();
   removal_nodes->clear();

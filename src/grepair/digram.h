@@ -135,14 +135,20 @@ struct DigramShapeHash {
 
 namespace internal {
 
-/// \brief Shared positions with x playing edge0, ascending.
+/// \brief Shared positions with x playing edge0, ascending, and the
+/// masks of the shared positions of x and of y.
 inline void CollectShared(const HEdge& x, const HEdge& y,
-                          SharedPositions* out) {
+                          SharedPositions* out, uint64_t* shared_x,
+                          uint64_t* shared_y) {
   out->clear();
+  *shared_x = 0;
+  *shared_y = 0;
   for (size_t i = 0; i < x.att.size(); ++i) {
     for (size_t j = 0; j < y.att.size(); ++j) {
       if (x.att[i] == y.att[j]) {
         out->push_back(static_cast<uint16_t>((i << 8) | j));
+        *shared_x |= 1ull << i;
+        *shared_y |= 1ull << j;
       }
     }
   }
@@ -151,11 +157,25 @@ inline void CollectShared(const HEdge& x, const HEdge& y,
 /// \brief The same positions with the edge roles exchanged, ascending.
 void Transpose(const SharedPositions& in, SharedPositions* out);
 
-template <typename IsExternal>
-uint64_t ExternalMask(const HEdge& e, const IsExternal& is_external) {
+/// \brief Set bits of a mask. Externality masks hold a few bits, and
+/// this loop beats the library call __builtin_popcountll becomes on
+/// targets built without a popcount instruction.
+inline int CountBits(uint64_t mask) {
+  int n = 0;
+  for (; mask != 0; mask &= mask - 1) ++n;
+  return n;
+}
+
+/// \brief Externality mask of e within its pair (Definition 3,
+/// condition 3). The pair attaches a node once, or twice when it is
+/// shared, so the node at position i has an edge outside the pair
+/// exactly when its degree exceeds that count.
+template <typename Degree>
+uint64_t ExternalMask(const HEdge& e, uint64_t shared, const Degree& degree) {
   uint64_t mask = 0;
   for (size_t i = 0; i < e.att.size(); ++i) {
-    if (is_external(e.att[i])) mask |= 1ull << i;
+    const uint32_t inside = 1 + static_cast<uint32_t>((shared >> i) & 1);
+    if (degree(e.att[i]) > inside) mask |= 1ull << i;
   }
   return mask;
 }
@@ -164,16 +184,17 @@ uint64_t ExternalMask(const HEdge& e, const IsExternal& is_external) {
 
 /// \brief Computes the canonical shape of the edge pair {a, b}.
 ///
-/// `is_external(v)` must report whether node v is incident with any live
-/// edge other than a and b. Returns false when the edges share no node
-/// (not a digram). `*swapped` is set when the canonical orientation has
-/// b playing edge0. The predicate is a template parameter: this runs in
-/// the innermost loop of occurrence counting. Both edges must have rank
-/// at most 63 and attach no node twice.
-template <typename IsExternal>
-bool ComputeDigramShape(const HEdge& a, const HEdge& b,
-                        const IsExternal& is_external, DigramShape* shape,
-                        bool* swapped) {
+/// `degree(v)` must report the number of live edges incident with node
+/// v, a and b included. Returns false when the edges share no node (not
+/// a digram) or when the digram has more than `max_rank` external nodes;
+/// the rank does not depend on the orientation, so that rejection comes
+/// before an equal-label tie is broken. `*swapped` is set when the
+/// canonical orientation has b playing edge0. The degree is a template
+/// parameter: this runs in the innermost loop of occurrence counting.
+/// Both edges must have rank at most 63 and attach no node twice.
+template <typename Degree>
+bool ComputeDigramShape(const HEdge& a, const HEdge& b, const Degree& degree,
+                        int max_rank, DigramShape* shape, bool* swapped) {
   assert(a.att.size() <= kMaxSharedPositions &&
          b.att.size() <= kMaxSharedPositions);
   // Labels, then ranks, decide the orientation before anything is built.
@@ -183,14 +204,19 @@ bool ComputeDigramShape(const HEdge& a, const HEdge& b,
                                           : b.att.size() < a.att.size();
   const HEdge& x = backward_less ? b : a;  // plays edge0
   const HEdge& y = backward_less ? a : b;
-  internal::CollectShared(x, y, &shape->shared);
+  uint64_t shared_x = 0, shared_y = 0;
+  internal::CollectShared(x, y, &shape->shared, &shared_x, &shared_y);
   if (shape->shared.empty()) return false;  // not connected: no digram
+  shape->ext0 = internal::ExternalMask(x, shared_x, degree);
+  shape->ext1 = internal::ExternalMask(y, shared_y, degree);
+  // Shared nodes are flagged in both masks; count them via x only.
+  const int rank = internal::CountBits(shape->ext0) +
+                   internal::CountBits(shape->ext1 & ~shared_y);
+  if (rank > max_rank) return false;
   shape->label0 = x.label;
   shape->label1 = y.label;
   shape->rank0 = static_cast<uint8_t>(x.att.size());
   shape->rank1 = static_cast<uint8_t>(y.att.size());
-  shape->ext0 = internal::ExternalMask(x, is_external);
-  shape->ext1 = internal::ExternalMask(y, is_external);
   if (!by_label) {
     // Equal labels and ranks: the backward orientation exchanges the
     // externality masks and transposes the shared positions, and is
@@ -222,10 +248,9 @@ Hypergraph BuildDigramRhs(const DigramShape& shape);
 /// the host-graph nodes the replacement nonterminal edge attaches to
 /// (in external order) and the removal nodes (in internal order, which
 /// equals the rhs's internal node order).
-void MapOccurrenceNodes(const DigramShape& shape,
-                        const std::vector<NodeId>& att0,
-                        const std::vector<NodeId>& att1,
-                        std::vector<NodeId>* attachment_nodes,
+void MapOccurrenceNodes(const DigramShape& shape, const Attachments& att0,
+                        const Attachments& att1,
+                        Attachments* attachment_nodes,
                         std::vector<NodeId>* removal_nodes);
 
 }  // namespace grepair

@@ -11,28 +11,58 @@ namespace {
 
 using Cell = std::pair<uint32_t, uint32_t>;
 
-// Recursive level-ordered bit emission. `level_bits[d]` accumulates the
-// bits of depth d. Cells are local to the current submatrix.
-void BuildRec(std::vector<Cell>& cells, uint64_t size, int k, size_t depth,
-              std::vector<std::vector<char>>* level_bits) {
-  uint64_t sub = size / static_cast<uint64_t>(k);
-  // Bucket cells into the k^2 quadrants (row-major quadrant order).
-  std::vector<std::vector<Cell>> quads(static_cast<size_t>(k) * k);
+// Bits of T or L under construction, LSB-first in words.
+struct LevelBits {
+  std::vector<uint64_t> words;
+  uint64_t size = 0;
+};
+
+// Writes the levels of the tree over `cells` (a size x size matrix with
+// `depth` levels) into t and l; returns the number of distinct cells.
+// Each cell becomes its quadrant path from the root as a key, one
+// `digit_bits` wide digit per level (row quadrant * k + column
+// quadrant), so sorted keys list the cells in Z-order: the order in
+// which the level-ordered layout meets them on every level. The nodes
+// of level d are the runs of keys that share their first d digits, in
+// order, and each level is one scan that sets, per node, the bits of
+// its children. `Key` must hold depth * digit_bits bits.
+template <typename Key>
+uint64_t EmitLevels(const std::vector<Cell>& cells, uint64_t size, int k,
+                    int depth, int digit_bits, LevelBits* t, LevelBits* l) {
+  std::vector<Key> keys;
+  keys.reserve(cells.size());
   for (const Cell& c : cells) {
-    uint32_t qr = static_cast<uint32_t>(c.first / sub);
-    uint32_t qc = static_cast<uint32_t>(c.second / sub);
-    quads[qr * k + qc].push_back(
-        {static_cast<uint32_t>(c.first % sub),
-         static_cast<uint32_t>(c.second % sub)});
+    Key key = 0;
+    for (uint64_t sub = size / k; sub > 0; sub /= k) {
+      const uint64_t digit = (c.first / sub % k) * k + c.second / sub % k;
+      key = (key << digit_bits) | digit;
+    }
+    keys.push_back(key);
   }
-  if (depth >= level_bits->size()) level_bits->resize(depth + 1);
-  for (auto& q : quads) {
-    (*level_bits)[depth].push_back(q.empty() ? 0 : 1);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const Key digit_mask = (Key{1} << digit_bits) - 1;
+  const uint64_t kk = static_cast<uint64_t>(k) * k;
+  for (int d = 0; d < depth; ++d) {
+    LevelBits* bits = d + 1 == depth ? l : t;
+    const int digit_shift = (depth - 1 - d) * digit_bits;
+    const int parent_shift = digit_shift + digit_bits;
+    uint64_t block = 0;  // bit offset of the current node's children
+    for (size_t i = 0; i < keys.size(); ++i) {
+      // Level 0 has one node, the root; below, a node starts wherever
+      // the parent prefix changes.
+      if (i == 0 || (d > 0 && (keys[i] >> parent_shift) !=
+                                  (keys[i - 1] >> parent_shift))) {
+        block = bits->size;
+        bits->size += kk;
+        bits->words.resize((bits->size + 63) / 64, 0);
+      }
+      const uint64_t bit =
+          block + static_cast<uint64_t>((keys[i] >> digit_shift) & digit_mask);
+      bits->words[bit / 64] |= 1ull << (bit % 64);
+    }
   }
-  if (sub == 1) return;  // this was the leaf level: bits are cells
-  for (auto& q : quads) {
-    if (!q.empty()) BuildRec(q, sub, k, depth + 1, level_bits);
-  }
+  return keys.size();
 }
 
 }  // namespace
@@ -45,26 +75,27 @@ K2Tree K2Tree::Build(uint32_t num_rows, uint32_t num_cols,
   tree.num_rows_ = num_rows;
   tree.num_cols_ = num_cols;
 
-  std::sort(cells.begin(), cells.end());
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  tree.num_cells_ = cells.size();
-
   uint64_t need = std::max<uint64_t>({num_rows, num_cols, 1});
   uint64_t size = k;
-  while (size < need) size *= static_cast<uint64_t>(k);
+  int depth = 1;
+  while (size < need) {
+    size *= static_cast<uint64_t>(k);
+    ++depth;
+  }
   tree.size_ = size;
 
-  if (!cells.empty()) {
-    std::vector<std::vector<char>> level_bits;
-    BuildRec(cells, size, k, 0, &level_bits);
-    // Internal levels -> T, deepest level -> L.
-    for (size_t d = 0; d + 1 < level_bits.size(); ++d) {
-      for (char b : level_bits[d]) tree.t_.PushBack(b != 0);
-    }
-    for (char b : level_bits.back()) tree.l_.PushBack(b != 0);
-  }
-  tree.t_.Finalize();
-  tree.l_.Finalize();
+  int digit_bits = 1;
+  while ((1 << digit_bits) < k * k) ++digit_bits;
+  LevelBits t, l;
+  // Only k that are not powers of two, over dimensions near 2^32, need
+  // paths longer than 64 bits.
+  tree.num_cells_ =
+      depth * digit_bits <= 64
+          ? EmitLevels<uint64_t>(cells, size, k, depth, digit_bits, &t, &l)
+          : EmitLevels<unsigned __int128>(cells, size, k, depth, digit_bits,
+                                          &t, &l);
+  tree.t_ = RankBitVector::FromWords(std::move(t.words), t.size);
+  tree.l_ = RankBitVector::FromWords(std::move(l.words), l.size);
   return tree;
 }
 

@@ -9,6 +9,9 @@
 // [0, k^2), and the children of the node whose set bit is the j-th 1
 // of T (counting from 1) are bits [j * k^2, (j + 1) * k^2) of T.L.
 //
+// Build writes that layout from the cells' quadrant paths from the
+// root: one sort of the paths, then one scan per level.
+//
 // Two ways to navigate that layout:
 //  * point queries (Contains, RowNeighbors, ColNeighbors) descend one
 //    path and find each child block with Rank1 over T;
@@ -95,6 +98,10 @@ class K2Tree {
 
   /// \brief Structure bits |T| + |L| (the standard k^2-tree size metric).
   size_t StorageBits() const { return t_.size() + l_.size(); }
+
+  /// \brief The internal levels (T) and the last level (L).
+  const RankBitVector& t_bits() const { return t_; }
+  const RankBitVector& l_bits() const { return l_; }
 
   /// \brief Appends a self-delimiting encoding (header + T + L bits).
   void Serialize(BitWriter* writer) const;

@@ -186,7 +186,7 @@ Status CompressedGraph::ForEachRank2Edge(
   // to_original_ is a permutation of val(G)'s ids, checked when it was
   // built, so no edge needs re-validating here.
   return ForEachDerivedEdge(
-      *grammar_, [&](Label, const std::vector<NodeId>& att) {
+      *grammar_, [&](Label, const Attachments& att) {
         if (att.size() == 2) {
           sink(static_cast<NodeId>(ToOriginal(att[0])),
                static_cast<NodeId>(ToOriginal(att[1])));

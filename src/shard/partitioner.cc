@@ -28,13 +28,13 @@ Shard BuildShard(const Hypergraph& graph,
   shard.nodes.erase(std::unique(shard.nodes.begin(), shard.nodes.end()),
                     shard.nodes.end());
   shard.graph = Hypergraph(static_cast<uint32_t>(shard.nodes.size()));
+  shard.graph.ReserveEdges(edge_ids.size());
   for (EdgeId e : edge_ids) {
     const HEdge& edge = graph.edge(e);
-    std::vector<NodeId> att;
-    att.reserve(edge.att.size());
-    for (NodeId v : edge.att) {
+    Attachments att = edge.att;
+    for (NodeId& v : att) {
       auto it = std::lower_bound(shard.nodes.begin(), shard.nodes.end(), v);
-      att.push_back(static_cast<NodeId>(it - shard.nodes.begin()));
+      v = static_cast<NodeId>(it - shard.nodes.begin());
     }
     shard.graph.AddEdge(edge.label, std::move(att));
   }

@@ -811,13 +811,12 @@ Result<Hypergraph> ShardedRep::Decompress() const {
           " decompressed node count does not match its node map");
     }
     for (const HEdge& edge : local.edges()) {
-      std::vector<NodeId> att;
-      att.reserve(edge.att.size());
-      for (NodeId v : edge.att) {
+      Attachments att = edge.att;
+      for (NodeId& v : att) {
         if (v >= entry.nodes.size()) {
           return Status::Corruption("shard-local node id out of range");
         }
-        att.push_back(entry.nodes[v]);
+        v = entry.nodes[v];
       }
       global.AddEdge(edge.label, std::move(att));
     }

@@ -91,8 +91,10 @@ GeneratedGraph WideHyperedgeGraph() {
   constexpr uint32_t kBlockNodes = 64;
   gg.graph = Hypergraph(kBlocks * kBlockNodes);
   auto run = [](NodeId first, uint32_t len, uint32_t rotate) {
-    std::vector<NodeId> att(len);
-    for (uint32_t k = 0; k < len; ++k) att[k] = first + (k + rotate) % len;
+    Attachments att;
+    for (uint32_t k = 0; k < len; ++k) {
+      att.push_back(first + (k + rotate) % len);
+    }
     return att;
   };
   for (uint32_t i = 0; i < kBlocks; ++i) {

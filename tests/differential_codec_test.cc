@@ -61,7 +61,7 @@ const std::vector<Dataset>& AllDatasets() {
   return *datasets;
 }
 
-using LabeledEdge = std::pair<Label, std::vector<NodeId>>;
+using LabeledEdge = std::pair<Label, Attachments>;
 
 // Sorted multisets, deliberately NOT deduplicated: the format
 // supports parallel edges, so a codec that silently collapses

@@ -14,21 +14,38 @@
 namespace grepair {
 namespace {
 
+// Above any digram's rank: two rank-63 edges have at most 126 nodes.
+constexpr int kNoRankLimit = 2 * kMaxSharedPositions;
+
 std::function<bool(NodeId)> ExternalSet(std::set<NodeId> ext) {
   return [ext = std::move(ext)](NodeId v) { return ext.count(v) > 0; };
 }
 
-HEdge MakeEdge(Label l, std::vector<NodeId> att) {
-  HEdge e;
-  e.label = l;
-  e.att = std::move(att);
-  return e;
+HEdge MakeEdge(Label l, const std::vector<NodeId>& att) {
+  return HEdge{l, Attachments(att.data(), att.size())};
+}
+
+// ComputeDigramShape for a pair whose nodes are external exactly where
+// `is_external` (Definition 3, condition 3) says so. The predicate
+// becomes the degrees the compressor keeps: the pair's own edges at a
+// node, plus one outside edge at each external node.
+template <typename IsExternal>
+bool ShapeFor(const HEdge& a, const HEdge& b, const IsExternal& is_external,
+              DigramShape* shape, bool* swapped,
+              int max_rank = kNoRankLimit) {
+  auto degree = [&](NodeId v) {
+    return static_cast<uint32_t>(
+        (is_external(v) ? 1 : 0) +
+        std::count(a.att.begin(), a.att.end(), v) +
+        std::count(b.att.begin(), b.att.end(), v));
+  };
+  return ComputeDigramShape(a, b, degree, max_rank, shape, swapped);
 }
 
 TEST(DigramShapeTest, DisconnectedEdgesAreNoDigram) {
   DigramShape shape;
   bool swapped;
-  EXPECT_FALSE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(0, {2, 3}),
+  EXPECT_FALSE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(0, {2, 3}),
                                   ExternalSet({}), &shape, &swapped));
 }
 
@@ -36,7 +53,7 @@ TEST(DigramShapeTest, ChainDigram) {
   // a: 0->1, b: 1->2; middle node internal, ends external.
   DigramShape shape;
   bool swapped;
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(1, {1, 2}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(1, {1, 2}),
                                  ExternalSet({0, 2}), &shape, &swapped));
   EXPECT_EQ(shape.NumNodes(), 3);
   EXPECT_EQ(shape.NumExternal(), 2);
@@ -51,8 +68,8 @@ TEST(DigramShapeTest, CanonicalUnderSwap) {
   auto ext = ExternalSet({0, 2});
   DigramShape s1, s2;
   bool sw1, sw2;
-  ASSERT_TRUE(ComputeDigramShape(a, b, ext, &s1, &sw1));
-  ASSERT_TRUE(ComputeDigramShape(b, a, ext, &s2, &sw2));
+  ASSERT_TRUE(ShapeFor(a, b, ext, &s1, &sw1));
+  ASSERT_TRUE(ShapeFor(b, a, ext, &s2, &sw2));
   EXPECT_TRUE(s1 == s2);
   EXPECT_NE(sw1, sw2);  // exactly one ordering got swapped
 }
@@ -62,9 +79,9 @@ TEST(DigramShapeTest, DirectionDistinguishesShapes) {
   auto ext = ExternalSet({0, 2});
   DigramShape chain, converge;
   bool sw;
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(0, {1, 2}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(0, {1, 2}),
                                  ext, &chain, &sw));
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(0, {2, 1}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(0, {2, 1}),
                                  ext, &converge, &sw));
   EXPECT_FALSE(chain == converge);
 }
@@ -74,9 +91,9 @@ TEST(DigramShapeTest, ExternalityDistinguishesShapes) {
   // edges (Figure 4's two grammars differ exactly this way).
   DigramShape middle_internal, middle_external;
   bool sw;
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(0, {1, 2}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(0, {1, 2}),
                                  ExternalSet({0, 2}), &middle_internal, &sw));
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(0, {1, 2}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(0, {1, 2}),
                                  ExternalSet({0, 1, 2}), &middle_external,
                                  &sw));
   EXPECT_FALSE(middle_internal == middle_external);
@@ -101,7 +118,7 @@ TEST(DigramShapeTest, EightUnlabeledDigrams) {
     for (const auto& y : ys) {
       DigramShape s;
       bool sw;
-      if (ComputeDigramShape(x, y, ext, &s, &sw)) {
+      if (ShapeFor(x, y, ext, &s, &sw)) {
         std::vector<uint64_t> key{s.label0, s.label1, s.rank0, s.rank1,
                                   s.ext0, s.ext1};
         for (auto p : s.shared) key.push_back(p);
@@ -122,7 +139,7 @@ TEST(DigramShapeTest, EightUnlabeledDigrams) {
 TEST(DigramRhsTest, CanonicalFormChain) {
   DigramShape shape;
   bool swapped;
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {10, 11}), MakeEdge(1, {11, 12}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {10, 11}), MakeEdge(1, {11, 12}),
                                  ExternalSet({10, 12}), &shape, &swapped));
   Hypergraph rhs = BuildDigramRhs(shape);
   EXPECT_EQ(rhs.num_nodes(), 3u);
@@ -150,15 +167,16 @@ TEST(DigramRhsTest, MapOccurrenceNodesMatchesRhs) {
   HEdge b = MakeEdge(0, {7, 30});
   DigramShape shape;
   bool swapped;
-  ASSERT_TRUE(ComputeDigramShape(a, b, ExternalSet({7}), &shape, &swapped));
+  ASSERT_TRUE(ShapeFor(a, b, ExternalSet({7}), &shape, &swapped));
   EXPECT_EQ(shape.NumExternal(), 1);
   EXPECT_EQ(shape.NumInternal(), 2);
 
-  std::vector<NodeId> attachment, removal;
+  Attachments attachment;
+  std::vector<NodeId> removal;
   const auto& att0 = swapped ? b.att : a.att;
   const auto& att1 = swapped ? a.att : b.att;
   MapOccurrenceNodes(shape, att0, att1, &attachment, &removal);
-  EXPECT_EQ(attachment, (std::vector<NodeId>{7}));
+  EXPECT_EQ(attachment, (Attachments{7}));
   ASSERT_EQ(removal.size(), 2u);
   EXPECT_TRUE((removal[0] == 20 && removal[1] == 30) ||
               (removal[0] == 30 && removal[1] == 20));
@@ -171,7 +189,7 @@ TEST(DigramRhsTest, HyperedgePair) {
   DigramShape shape;
   bool swapped;
   ASSERT_TRUE(
-      ComputeDigramShape(h, e, ExternalSet({1, 2}), &shape, &swapped));
+      ShapeFor(h, e, ExternalSet({1, 2}), &shape, &swapped));
   EXPECT_EQ(shape.NumNodes(), 3);
   EXPECT_EQ(shape.shared.size(), 2u);
   EXPECT_EQ(shape.NumExternal(), 2);
@@ -186,9 +204,9 @@ TEST(DigramShapeTest, HashEqualForEqualShapes) {
   auto ext = ExternalSet({0, 2});
   DigramShape s1, s2;
   bool sw;
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(0, {0, 1}), MakeEdge(1, {1, 2}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(0, {0, 1}), MakeEdge(1, {1, 2}),
                                  ext, &s1, &sw));
-  ASSERT_TRUE(ComputeDigramShape(MakeEdge(1, {5, 6}), MakeEdge(0, {4, 5}),
+  ASSERT_TRUE(ShapeFor(MakeEdge(1, {5, 6}), MakeEdge(0, {4, 5}),
                                  ExternalSet({4, 6}), &s2, &sw));
   EXPECT_TRUE(s1 == s2);  // same digram at different nodes
   EXPECT_EQ(DigramShapeHash()(s1), DigramShapeHash()(s2));
@@ -236,19 +254,23 @@ bool DigramShapeReference(const HEdge& a, const HEdge& b,
   return true;
 }
 
-// Checks ComputeDigramShape against the reference on one pair, in both
-// argument orders.
+// Checks ComputeDigramShape, which derives externality from degrees
+// and shared positions, against the reference, which applies
+// Definition 3 literally, on one pair in both argument orders. Under a
+// rank limit, exactly the digrams above it must be rejected.
 void ExpectMatchesReference(const HEdge& a, const HEdge& b,
-                            const std::vector<char>& external) {
+                            const std::vector<char>& external,
+                            int max_rank = kNoRankLimit) {
   auto is_external = [&](NodeId v) { return external[v] != 0; };
   for (int order = 0; order < 2; ++order) {
     const HEdge& x = order == 0 ? a : b;
     const HEdge& y = order == 0 ? b : a;
     DigramShape got, want;
     bool got_swapped = false, want_swapped = false;
-    bool got_ok = ComputeDigramShape(x, y, is_external, &got, &got_swapped);
+    bool got_ok = ShapeFor(x, y, is_external, &got, &got_swapped, max_rank);
     bool want_ok =
-        DigramShapeReference(x, y, is_external, &want, &want_swapped);
+        DigramShapeReference(x, y, is_external, &want, &want_swapped) &&
+        want.NumExternal() <= max_rank;
     ASSERT_EQ(got_ok, want_ok);
     if (!want_ok) continue;
     EXPECT_TRUE(got == want);
@@ -294,9 +316,13 @@ TEST(DigramShapeTest, MatchesBothOrientationReferenceOnRandomPairs) {
       x = mode == 0 ? 0 : mode == 1 ? 1 : rng.Bernoulli(0.5);
     }
     ExpectMatchesReference(a, b, external);
+    // The same pair under a rank limit that cuts some digrams off.
+    const int max_rank = static_cast<int>(rng.UniformInt(0, 8));
+    ExpectMatchesReference(a, b, external, max_rank);
     if (HasFailure()) {
       ADD_FAILURE() << "trial " << trial << " ranks " << rank0 << "/"
-                    << rank1 << " universe " << universe;
+                    << rank1 << " universe " << universe << " max_rank "
+                    << max_rank;
       return;
     }
   }
@@ -319,7 +345,7 @@ TEST(DigramShapeTest, Rank63PairSharingAllNodes) {
     ExpectMatchesReference(a, b, external);
     DigramShape shape;
     bool swapped;
-    ASSERT_TRUE(ComputeDigramShape(
+    ASSERT_TRUE(ShapeFor(
         a, b, [&](NodeId v) { return external[v] != 0; }, &shape,
         &swapped));
     EXPECT_EQ(shape.shared.size(), 63u);

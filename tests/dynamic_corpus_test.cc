@@ -149,7 +149,7 @@ std::vector<uint32_t> LabelsOf(const Hypergraph& g) {
   return labels;
 }
 
-using LabeledEdge = std::pair<Label, std::vector<NodeId>>;
+using LabeledEdge = std::pair<Label, Attachments>;
 
 std::vector<LabeledEdge> LabeledEdgeSet(const Hypergraph& g) {
   std::vector<LabeledEdge> edges;

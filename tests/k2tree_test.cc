@@ -371,6 +371,151 @@ TEST(K2TreeLayoutTest, MutatedTreesUpholdFuzzInvariants) {
   }
 }
 
+// Reference builder for the differential test: the recursive
+// construction Build used before it sorted quadrant paths. Buckets the
+// cells of each submatrix into its k^2 quadrants and appends one bit
+// per quadrant to the bits of its depth, recursing into the non-empty
+// quadrants in order.
+void ReferenceBuildRec(const std::vector<std::pair<uint32_t, uint32_t>>& cells,
+                       uint64_t size, int k, size_t depth,
+                       std::vector<std::vector<bool>>* level_bits) {
+  const uint64_t sub = size / static_cast<uint64_t>(k);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> quads(
+      static_cast<size_t>(k) * k);
+  for (const auto& c : cells) {
+    quads[(c.first / sub) * k + c.second / sub].push_back(
+        {static_cast<uint32_t>(c.first % sub),
+         static_cast<uint32_t>(c.second % sub)});
+  }
+  if (depth >= level_bits->size()) level_bits->resize(depth + 1);
+  for (const auto& q : quads) (*level_bits)[depth].push_back(!q.empty());
+  if (sub == 1) return;
+  for (const auto& q : quads) {
+    if (!q.empty()) ReferenceBuildRec(q, sub, k, depth + 1, level_bits);
+  }
+}
+
+struct ReferenceTree {
+  std::vector<bool> t, l;
+  uint64_t num_cells = 0;
+};
+
+ReferenceTree ReferenceBuild(
+    uint32_t rows, uint32_t cols,
+    std::vector<std::pair<uint32_t, uint32_t>> cells, int k) {
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  ReferenceTree ref;
+  ref.num_cells = cells.size();
+  if (cells.empty()) return ref;
+  uint64_t size = k;
+  while (size < std::max<uint64_t>({rows, cols, 1})) size *= k;
+  std::vector<std::vector<bool>> level_bits;
+  ReferenceBuildRec(cells, size, k, 0, &level_bits);
+  for (size_t d = 0; d + 1 < level_bits.size(); ++d) {
+    ref.t.insert(ref.t.end(), level_bits[d].begin(), level_bits[d].end());
+  }
+  ref.l = level_bits.back();
+  return ref;
+}
+
+std::vector<bool> Bits(const RankBitVector& bv) {
+  std::vector<bool> bits(bv.size());
+  for (size_t i = 0; i < bv.size(); ++i) bits[i] = bv.Get(i);
+  return bits;
+}
+
+// Builds `cells` both ways; T, L and the serialized bytes must agree
+// bit for bit (the header goes through the same encoder as Serialize).
+void ExpectBuildMatchesReference(
+    uint32_t rows, uint32_t cols,
+    const std::vector<std::pair<uint32_t, uint32_t>>& cells, int k) {
+  SCOPED_TRACE("k=" + std::to_string(k) + " " + std::to_string(rows) + "x" +
+               std::to_string(cols) + " cells=" +
+               std::to_string(cells.size()));
+  const ReferenceTree ref = ReferenceBuild(rows, cols, cells, k);
+  const K2Tree tree = K2Tree::Build(rows, cols, cells, k);
+  EXPECT_EQ(tree.num_cells(), ref.num_cells);
+  EXPECT_EQ(Bits(tree.t_bits()), ref.t);
+  EXPECT_EQ(Bits(tree.l_bits()), ref.l);
+  BitWriter got;
+  tree.Serialize(&got);
+  BitWriter want;
+  EliasDeltaEncode(static_cast<uint64_t>(k), &want);
+  EliasDeltaEncode(rows + 1ull, &want);
+  EliasDeltaEncode(cols + 1ull, &want);
+  EliasDeltaEncode(ref.num_cells + 1, &want);
+  EliasDeltaEncode(ref.t.size() + 1, &want);
+  EliasDeltaEncode(ref.l.size() + 1, &want);
+  for (bool b : ref.t) want.PutBit(b);
+  for (bool b : ref.l) want.PutBit(b);
+  EXPECT_EQ(got.bit_size(), want.bit_size());
+  EXPECT_EQ(got.TakeBytes(), want.TakeBytes());
+}
+
+TEST(K2TreeBuildTest, MatchesRecursiveReferenceOnRandomCells) {
+  Rng rng(2048);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int k = 2 + trial % 3;
+    // Mostly small, often non-square shapes, some one past a power of k.
+    uint32_t rows = 1 + static_cast<uint32_t>(rng.UniformBounded(300));
+    uint32_t cols = trial % 4 == 0
+                        ? rows
+                        : 1 + static_cast<uint32_t>(rng.UniformBounded(300));
+    if (trial % 7 == 0) rows = static_cast<uint32_t>(k * k * k + 1);
+    const uint64_t area = static_cast<uint64_t>(rows) * cols;
+    const uint64_t n = rng.UniformBounded(std::min<uint64_t>(area, 400) + 1);
+    std::vector<std::pair<uint32_t, uint32_t>> cells;
+    for (uint64_t i = 0; i < n; ++i) {
+      cells.push_back({static_cast<uint32_t>(rng.UniformBounded(rows)),
+                       static_cast<uint32_t>(rng.UniformBounded(cols))});
+    }
+    // Duplicates must merge; Build takes the cells in any order.
+    if (!cells.empty() && trial % 3 == 0) cells.push_back(cells.front());
+    ExpectBuildMatchesReference(rows, cols, cells, k);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(K2TreeBuildTest, MatchesRecursiveReferenceOnEdgeCases) {
+  for (int k : {2, 3, 4}) {
+    ExpectBuildMatchesReference(10, 10, {}, k);       // empty
+    ExpectBuildMatchesReference(1, 1, {{0, 0}}, k);   // one cell, one level
+    ExpectBuildMatchesReference(1000, 7, {{999, 6}}, k);
+    ExpectBuildMatchesReference(7, 1000, {{0, 999}}, k);
+    // The last row and column before the padding, on every shape from
+    // a power of k to one past it.
+    for (uint32_t n : {static_cast<uint32_t>(k * k),
+                       static_cast<uint32_t>(k * k + 1),
+                       static_cast<uint32_t>(k * k * k - 1)}) {
+      std::vector<std::pair<uint32_t, uint32_t>> border;
+      for (uint32_t i = 0; i < n; ++i) {
+        border.push_back({n - 1, i});
+        border.push_back({i, n - 1});
+      }
+      ExpectBuildMatchesReference(n, n, border, k);
+      ExpectBuildMatchesReference(n, n + 1, border, k);
+    }
+    // A full matrix: every node has all k^2 children.
+    std::vector<std::pair<uint32_t, uint32_t>> full;
+    for (uint32_t r = 0; r < 9; ++r) {
+      for (uint32_t c = 0; c < 9; ++c) full.push_back({c, r});
+    }
+    ExpectBuildMatchesReference(9, 9, full, k);
+  }
+}
+
+TEST(K2TreeBuildTest, MatchesRecursiveReferenceOnHugeDimensions) {
+  // Near-2^32 dimensions: for k = 3 the quadrant paths outgrow 64 bits.
+  const uint32_t big = 0xFFFFFFF0u;
+  for (int k : {2, 3, 4, 5, 16}) {
+    ExpectBuildMatchesReference(
+        big, big, {{0, 0}, {big - 1, big - 1}, {123456789, 3}, {7, big - 2}},
+        k);
+    ExpectBuildMatchesReference(big, 3, {{big - 1, 2}, {1, 1}}, k);
+  }
+}
+
 TEST(K2TreeTest, DeserializeGarbageFails) {
   std::vector<uint8_t> garbage = {0x00, 0x00, 0x00};
   BitReader r(garbage);

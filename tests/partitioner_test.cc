@@ -16,13 +16,13 @@ namespace shard {
 namespace {
 
 // Canonical multiset of global (label, att) edges in `partition`.
-std::vector<std::pair<Label, std::vector<NodeId>>> GlobalEdges(
+std::vector<std::pair<Label, Attachments>> GlobalEdges(
     const GraphPartition& partition) {
-  std::vector<std::pair<Label, std::vector<NodeId>>> edges;
+  std::vector<std::pair<Label, Attachments>> edges;
   for (const Shard& shard : partition.shards) {
     for (const HEdge& e : shard.graph.edges()) {
-      std::vector<NodeId> att;
-      for (NodeId v : e.att) att.push_back(shard.nodes[v]);
+      Attachments att = e.att;
+      for (NodeId& v : att) v = shard.nodes[v];
       edges.push_back({e.label, std::move(att)});
     }
   }
@@ -30,9 +30,9 @@ std::vector<std::pair<Label, std::vector<NodeId>>> GlobalEdges(
   return edges;
 }
 
-std::vector<std::pair<Label, std::vector<NodeId>>> CanonicalEdges(
+std::vector<std::pair<Label, Attachments>> CanonicalEdges(
     const Hypergraph& g) {
-  std::vector<std::pair<Label, std::vector<NodeId>>> edges;
+  std::vector<std::pair<Label, Attachments>> edges;
   for (const HEdge& e : g.edges()) edges.push_back({e.label, e.att});
   std::sort(edges.begin(), edges.end());
   return edges;

@@ -13,8 +13,8 @@ namespace {
 Hypergraph Permuted(const Hypergraph& g, const std::vector<NodeId>& perm) {
   Hypergraph out(g.num_nodes());
   for (const auto& e : g.edges()) {
-    std::vector<NodeId> att;
-    for (NodeId v : e.att) att.push_back(perm[v]);
+    Attachments att = e.att;
+    for (NodeId& v : att) v = perm[v];
     out.AddEdge(e.label, std::move(att));
   }
   std::vector<NodeId> ext;
