@@ -64,11 +64,7 @@ Result<OpenTimings> MeasureOpen(const std::string& path, bool fault_all,
   auto t0 = std::chrono::steady_clock::now();
   auto rep = api::OpenCompressedFile(path);
   if (!rep.ok()) return rep.status();
-  if (fault_all) {
-    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-    if (sharded == nullptr) return Status::Internal("rep is not sharded");
-    sharded->PrefetchAll();  // no pool: every shard faults inline
-  }
+  if (fault_all) rep.value()->PrefetchAll();  // no pool: faults inline
   auto t1 = std::chrono::steady_clock::now();
   t.open_s = bench::Seconds(t0, t1);
 

@@ -278,14 +278,10 @@ int main(int argc, char** argv) {
   bool local_ok = false;
   {
     auto opened = api::OpenCompressedFile(path);
-    shard::ShardedRep* sharded =
-        opened.ok() ? dynamic_cast<shard::ShardedRep*>(opened.value().get())
-                    : nullptr;
     if (!opened.ok()) {
       std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-    } else if (sharded == nullptr) {
-      std::fprintf(stderr, "local open is not sharded\n");
     } else {
+      shard::ShardedRep* sharded = opened.value().get();
       local_ok = true;
       std::vector<size_t> all_shards(sharded->num_shards());
       std::iota(all_shards.begin(), all_shards.end(), 0);

@@ -120,7 +120,7 @@ int main() {
       std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
       return 1;
     }
-    auto* sharded = dynamic_cast<shard::ShardedRep*>(opened.value().get());
+    shard::ShardedRep* sharded = opened.value().get();
     auto applied = sharded->ApplyEdits(edits);
     if (!applied.ok()) {
       std::fprintf(stderr, "%s\n", applied.ToString().c_str());

@@ -4,10 +4,7 @@
 #include <cstring>
 #include <utility>
 
-#include "src/api/codec_registry.h"
-#include "src/api/graph_codec.h"
 #include "src/shard/delta_overlay.h"
-#include "src/shard/sharded_codec.h"
 #include "src/util/hashing.h"
 
 namespace grepair {
@@ -59,40 +56,55 @@ Status UnwrapCodecPayload(const std::vector<uint8_t>& bytes,
   return Status::OK();
 }
 
-Result<std::shared_ptr<MmapFile>> MapCodecFile(const std::string& path,
-                                               std::string* name,
-                                               ByteSpan* payload) {
-  auto file = MmapFile::Open(path);
-  if (!file.ok()) return file.status();
-  auto unwrap = UnwrapCodecPayloadView(file.value()->span(), name, payload);
+Status UnwrapShardedPayload(const std::string& where, ByteSpan bytes,
+                            std::string* inner_name, ByteSpan* payload) {
+  std::string tag;
+  Status unwrap = UnwrapCodecPayloadView(bytes, &tag, payload);
   if (unwrap.code() == StatusCode::kInvalidArgument) {
-    return Status::InvalidArgument(path +
+    return Status::InvalidArgument(where +
                                    " is not a backend-tagged container");
   }
-  if (!unwrap.ok()) return Status::Corruption(path + ": " + unwrap.message());
+  if (!unwrap.ok()) return Status::Corruption(where + ": " + unwrap.message());
+  if (tag.rfind("sharded:", 0) != 0) {
+    return Status::InvalidArgument(
+        where + " is an old single-codec '" + tag +
+        "' file; recompress it (grepair compress writes checksummed "
+        "GRSHARD2 containers)");
+  }
+  *inner_name = tag.substr(8);
+  return Status::OK();
+}
+
+Result<std::shared_ptr<MmapFile>> MapShardedFile(const std::string& path,
+                                                 std::string* inner_name,
+                                                 ByteSpan* payload) {
+  auto file = MmapFile::Open(path);
+  if (!file.ok()) return file.status();
+  GREPAIR_RETURN_IF_ERROR(
+      UnwrapShardedPayload(path, file.value()->span(), inner_name, payload));
   return file;
 }
 
-Result<std::unique_ptr<CompressedRep>> OpenCompressedFile(
+Result<std::unique_ptr<shard::ShardedRep>> OpenCompressedFile(
     const std::string& path, std::string* backend_name) {
-  std::string name;
+  std::string inner;
   ByteSpan payload;
-  auto file = MapCodecFile(path, &name, &payload);
+  auto file = MapShardedFile(path, &inner, &payload);
   if (!file.ok()) return file.status();
-  auto codec = CodecRegistry::Create(name);
-  if (!codec.ok()) return codec.status();
-  if (backend_name != nullptr) *backend_name = name;
-  return codec.value()->OpenPayload(std::move(file).ValueOrDie(), payload);
+  auto rep = shard::ShardedRep::Open(std::move(file).ValueOrDie(), payload);
+  if (!rep.ok()) return rep.status();
+  if (rep.value()->inner_name() != inner) {
+    return Status::InvalidArgument(
+        path + ": container was produced by 'sharded:" +
+        rep.value()->inner_name() + "', not 'sharded:" + inner + "'");
+  }
+  if (backend_name != nullptr) *backend_name = "sharded:" + inner;
+  return rep;
 }
 
-Status ApplyDeltaChain(CompressedRep* rep, const std::string& base_path,
+Status ApplyDeltaChain(shard::ShardedRep* rep, const std::string& base_path,
                        const std::vector<std::string>& delta_paths) {
   if (delta_paths.empty()) return Status::OK();
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep);
-  if (sharded == nullptr) {
-    return Status::InvalidArgument(
-        "deltas need a sharded corpus; this one is not sharded");
-  }
   // Lineage walk: delta[i] records the hash + size of the *entire*
   // previous file in the chain (the base for i == 0), so a swapped or
   // regenerated intermediate is caught before its payload is trusted.
@@ -125,7 +137,7 @@ Status ApplyDeltaChain(CompressedRep* rep, const std::string& base_path,
     // Deltas are cumulative: each ApplyDelta fully replaces the edit
     // state, so applying every link in order just re-verifies lineage
     // and lands on the newest version.
-    GREPAIR_RETURN_IF_ERROR(sharded->ApplyDelta(delta.value()));
+    GREPAIR_RETURN_IF_ERROR(rep->ApplyDelta(delta.value()));
     prev_hash = HashBytes(span.data, span.size);
     prev_size = span.size;
     anchored = true;
@@ -133,18 +145,12 @@ Status ApplyDeltaChain(CompressedRep* rep, const std::string& base_path,
   return Status::OK();
 }
 
-Result<std::unique_ptr<CompressedRep>> OpenVersioned(
+Result<std::unique_ptr<shard::ShardedRep>> OpenVersioned(
     const std::string& base_path,
     const std::vector<std::string>& delta_paths,
     std::string* backend_name) {
-  std::string name;
-  auto rep = OpenCompressedFile(base_path, &name);
-  if (!rep.ok()) return rep.status();
-  if (dynamic_cast<shard::ShardedRep*>(rep.value().get()) == nullptr) {
-    return Status::InvalidArgument(
-        base_path + " is not a sharded container; deltas need one");
-  }
-  if (backend_name != nullptr) *backend_name = name;
+  auto rep = OpenCompressedFile(base_path, backend_name);
+  if (!rep.ok()) return rep;
   GREPAIR_RETURN_IF_ERROR(
       ApplyDeltaChain(rep.value().get(), base_path, delta_paths));
   return rep;

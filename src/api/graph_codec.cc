@@ -143,10 +143,5 @@ Result<std::unique_ptr<CompressedRep>> GraphCodec::DeserializeSpan(
   return Deserialize(bytes.ToVector());
 }
 
-Result<std::unique_ptr<CompressedRep>> GraphCodec::OpenPayload(
-    std::shared_ptr<MmapFile> /*file*/, ByteSpan payload) const {
-  return DeserializeSpan(payload);
-}
-
 }  // namespace api
 }  // namespace grepair

@@ -21,6 +21,10 @@
 // hyperedges, queries); the query entry points additionally return
 // Status::Unimplemented when unsupported, so callers may either check
 // capabilities() or just handle the status.
+//
+// Codecs work on bytes in memory. A file on disk is always a GRSHARD2
+// container of their payloads, opened by api::OpenCompressedFile
+// (src/api/container.h) straight into a shard::ShardedRep.
 
 #ifndef GREPAIR_API_GRAPH_CODEC_H_
 #define GREPAIR_API_GRAPH_CODEC_H_
@@ -35,7 +39,6 @@
 
 #include "src/graph/hypergraph.h"
 #include "src/util/byte_io.h"
-#include "src/util/mmap_file.h"
 #include "src/util/status.h"
 
 namespace grepair {
@@ -228,13 +231,6 @@ class GraphCodec {
   /// the returned rep owns (or re-derives) everything it keeps.
   virtual Result<std::unique_ptr<CompressedRep>> DeserializeSpan(
       ByteSpan bytes) const;
-
-  /// \brief Opens a payload whose storage is a shared mapped file.
-  /// Reps that borrow from the mapping (the lazy GRSHARD2 path) retain
-  /// `file` so the bytes outlive them; the default ignores `file` and
-  /// parses eagerly via DeserializeSpan.
-  virtual Result<std::unique_ptr<CompressedRep>> OpenPayload(
-      std::shared_ptr<MmapFile> file, ByteSpan payload) const;
 };
 
 }  // namespace api

@@ -21,7 +21,6 @@
 #include <memory>
 #include <string>
 
-#include "src/api/graph_codec.h"
 #include "src/serve/pool.h"
 #include "src/util/status.h"
 
@@ -34,7 +33,7 @@ namespace api {
 using RemoteOptions = serve::OpenOptions;
 
 /// \brief Opens the GRSHARD2 corpus served at "host:port[/corpus]".
-inline Result<std::unique_ptr<CompressedRep>> OpenRemote(
+inline Result<std::unique_ptr<shard::ShardedRep>> OpenRemote(
     const std::string& target, const RemoteOptions& options = {}) {
   return serve::OpenRemoteContainer(target, options);
 }

@@ -544,7 +544,7 @@ const CorpusServeStats* FindCorpusStats(const ServerStatsSnapshot& snapshot,
 
 }  // namespace
 
-Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
+Result<std::unique_ptr<shard::ShardedRep>> OpenRemoteContainer(
     const std::string& target, const OpenOptions& options) {
   std::string host_port;
   std::string corpus;
@@ -663,7 +663,7 @@ Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
     rep.value()->set_prefetch_threads(4);
     rep.value()->Prefetch(ranked);
   }
-  return std::unique_ptr<api::CompressedRep>(std::move(rep).ValueOrDie());
+  return rep;
 }
 
 }  // namespace serve

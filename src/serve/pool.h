@@ -213,13 +213,13 @@ struct OpenOptions {
 };
 
 /// \brief Opens the remote corpus at "host:port[/name]" as a lazy
-/// CompressedRep: shard metadata from the server's directory, payloads
+/// ShardedRep: shard metadata from the server's directory, payloads
 /// faulted over the pool (optionally through the SSD tier) on first
 /// touch. The convenience entry point is api::OpenRemote
 /// (src/api/remote.h).
-Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
+Result<std::unique_ptr<shard::ShardedRep>> OpenRemoteContainer(
     const std::string& target, const OpenOptions& options);
-inline Result<std::unique_ptr<api::CompressedRep>> OpenRemoteContainer(
+inline Result<std::unique_ptr<shard::ShardedRep>> OpenRemoteContainer(
     const std::string& target) {
   return OpenRemoteContainer(target, OpenOptions());
 }

@@ -45,6 +45,14 @@ Status CheckCorpusName(const std::string& name) {
   return Status::OK();
 }
 
+// A tagged frame must carry a sharded tag (any other tag is an old
+// single-codec file); raw GRSHARD2 bytes are served as they are.
+Status UnwrapIfTagged(const std::string& where, ByteSpan* payload) {
+  if (!api::IsCodecContainer(*payload)) return Status::OK();
+  std::string inner_name;
+  return api::UnwrapShardedPayload(where, *payload, &inner_name, payload);
+}
+
 // Basename minus the last extension: "/data/web.graph.grc" -> a
 // discovery name of "web.graph".
 std::string DiscoveryName(const std::string& filename) {
@@ -59,13 +67,8 @@ Status CorpusRegistry::AddFile(const std::string& name,
                                const std::string& path) {
   auto file = MmapFile::Open(path);
   if (!file.ok()) return file.status();
-  ByteSpan bytes = file.value()->span();
-  ByteSpan payload = bytes;
-  if (api::IsCodecContainer(bytes)) {
-    std::string backend;
-    GREPAIR_RETURN_IF_ERROR(
-        api::UnwrapCodecPayloadView(bytes, &backend, &payload));
-  }
+  ByteSpan payload = file.value()->span();
+  GREPAIR_RETURN_IF_ERROR(UnwrapIfTagged(path, &payload));
   Status added = Add(name, std::move(file).ValueOrDie(), payload);
   if (!added.ok() && added.code() == StatusCode::kInvalidArgument) {
     return Status::InvalidArgument(path + ": " + added.message());
@@ -74,11 +77,8 @@ Status CorpusRegistry::AddFile(const std::string& name,
 }
 
 Status CorpusRegistry::AddBytes(const std::string& name, ByteSpan payload) {
-  if (api::IsCodecContainer(payload)) {
-    std::string backend;
-    GREPAIR_RETURN_IF_ERROR(
-        api::UnwrapCodecPayloadView(payload, &backend, &payload));
-  }
+  GREPAIR_RETURN_IF_ERROR(
+      UnwrapIfTagged("corpus \"" + name + "\"", &payload));
   return Add(name, nullptr, payload);
 }
 
@@ -91,20 +91,9 @@ Status CorpusRegistry::Add(const std::string& name,
                                      "\" is already registered");
     }
   }
-  // Raw grammars and single-shard payloads have no shards. Fail with
-  // advice, not a generic corruption.
   uint64_t dir_off = 0;
   auto region = shard::LocateV2DirectoryRegion(payload, &dir_off);
-  if (!region.ok()) {
-    if (region.status().code() == StatusCode::kCorruption &&
-        payload.size >= 8 &&
-        std::memcmp(payload.data, shard::kShardContainerMagicV2, 8) != 0) {
-      return Status::InvalidArgument(
-          "not a sharded v2 container; `serve` serves GRSHARD2 files "
-          "(compress with a sharded backend)");
-    }
-    return region.status();
-  }
+  if (!region.ok()) return region.status();
   // Full parse up front: a corrupt container is refused at
   // registration, not discovered by the first client.
   auto dir = shard::ParseV2Directory(region.value(), dir_off);

@@ -71,11 +71,12 @@ class CorpusRegistry {
   CorpusRegistry(const CorpusRegistry&) = delete;
   CorpusRegistry& operator=(const CorpusRegistry&) = delete;
 
-  /// \brief Registers the container at `path` (a backend-tagged
-  /// "GRPCODEC" file or a bare GRSHARD2 container) under `name`.
-  /// kInvalidArgument for bad names, duplicate names, anything but a
-  /// GRSHARD2 container, and containers whose directory or shards
-  /// exceed the frame bound.
+  /// \brief Registers the container at `path` (a "sharded:<inner>"
+  /// tagged file or a bare GRSHARD2 container) under `name`.
+  /// kInvalidArgument for bad names, duplicate names, old single-codec
+  /// files (any other tag), and containers whose directory or shards
+  /// exceed the frame bound; kCorruption for anything else that is not
+  /// an intact GRSHARD2 container.
   Status AddFile(const std::string& name, const std::string& path);
 
   /// \brief Registers caller-owned container bytes under `name`. The

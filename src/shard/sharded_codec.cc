@@ -1908,18 +1908,7 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
     encoder.AddShard(parts[i].nodes, payload,
                      HashBytes(payload.data, payload.size));
   }
-  auto rep = ShardedRep::Deserialize(std::move(encoder).Finish());
-  if (!rep.ok()) return rep.status();
-  return std::unique_ptr<api::CompressedRep>(std::move(rep).ValueOrDie());
-}
-
-Status ShardedCodec::CheckInnerName(const ShardedRep& rep) const {
-  if (rep.inner_name() != inner_name_) {
-    return Status::InvalidArgument(
-        "container was produced by 'sharded:" + rep.inner_name() +
-        "', not '" + name_ + "'");
-  }
-  return Status::OK();
+  return ShardedRep::Deserialize(std::move(encoder).Finish());
 }
 
 Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Deserialize(
@@ -1933,16 +1922,12 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::DeserializeSpan(
   // views must outlive this call).
   auto rep = ShardedRep::Deserialize(bytes);
   if (!rep.ok()) return rep.status();
-  GREPAIR_RETURN_IF_ERROR(CheckInnerName(*rep.value()));
-  return std::unique_ptr<api::CompressedRep>(std::move(rep).ValueOrDie());
-}
-
-Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::OpenPayload(
-    std::shared_ptr<MmapFile> file, ByteSpan payload) const {
-  auto rep = ShardedRep::Open(std::move(file), payload);
-  if (!rep.ok()) return rep.status();
-  GREPAIR_RETURN_IF_ERROR(CheckInnerName(*rep.value()));
-  return std::unique_ptr<api::CompressedRep>(std::move(rep).ValueOrDie());
+  if (rep.value()->inner_name() != inner_name_) {
+    return Status::InvalidArgument(
+        "container was produced by 'sharded:" + rep.value()->inner_name() +
+        "', not '" + name_ + "'");
+  }
+  return rep;
 }
 
 }  // namespace shard

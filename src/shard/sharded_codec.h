@@ -403,6 +403,13 @@ class ShardedRep : public api::CompressedRep {
   /// "remote", "tiered-ssd").
   const char* source_kind() const { return source_->kind(); }
 
+  /// \brief Shard `shard`'s payload bytes, checksum-verified exactly as
+  /// a fault verifies them: a folded shard's bytes, else the resident
+  /// view, else a source fetch into *owned (counted in the
+  /// remote-fetch stats). Never faults an inner rep.
+  Result<ByteSpan> VerifiedPayload(size_t shard,
+                                   std::vector<uint8_t>* owned) const;
+
   /// \brief A shard's decoded adjacency: per local node the sorted
   /// global-id out/in neighbor contributions of this shard. Immutable
   /// once built; defined in the .cc (implementation detail).
@@ -428,13 +435,6 @@ class ShardedRep : public api::CompressedRep {
   Result<const api::CompressedRep*> ShardRepFor(size_t shard,
                                                 bool* faulted = nullptr)
       const;
-
-  /// Shard `shard`'s payload bytes, checksum-verified: the resident
-  /// view/buffer when there is one, otherwise a source fetch into
-  /// *owned (counted in the remote-fetch stats). Never faults an
-  /// inner rep.
-  Result<ByteSpan> VerifiedPayload(size_t shard,
-                                   std::vector<uint8_t>* owned) const;
 
   /// True when shard `i`'s inner rep is resident (already faulted, or
   /// nothing to fault) — never triggers a fault.
@@ -640,14 +640,7 @@ class ShardedCodec : public api::GraphCodec {
   Result<std::unique_ptr<api::CompressedRep>> DeserializeSpan(
       ByteSpan bytes) const override;
 
-  /// \brief Lazy mmap-backed open: the returned rep borrows shard
-  /// payloads from `file` and faults them on first touch.
-  Result<std::unique_ptr<api::CompressedRep>> OpenPayload(
-      std::shared_ptr<MmapFile> file, ByteSpan payload) const override;
-
  private:
-  Status CheckInnerName(const ShardedRep& rep) const;
-
   std::string inner_name_;
   std::string name_;  // "sharded:" + inner_name_
   std::unique_ptr<api::GraphCodec> inner_;  // null if inner_name_ unknown

@@ -11,6 +11,7 @@
 #include <cassert>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace grepair {
@@ -100,6 +101,16 @@ class [[nodiscard]] Result {
  public:
   Result(T value) : value_(std::move(value)) {}          // NOLINT(runtime/explicit)
   Result(Status status) : status_(std::move(status)) {}  // NOLINT(runtime/explicit)
+
+  /// \brief Converts a Result<U> whose value converts to T (e.g. a
+  /// derived-class unique_ptr into a base-class one).
+  template <typename U,
+            typename = std::enable_if_t<!std::is_same_v<U, T> &&
+                                        std::is_convertible_v<U&&, T>>>
+  Result(Result<U>&& other)  // NOLINT(runtime/explicit)
+      : status_(other.status()) {
+    if (ok()) value_.emplace(std::move(other).ValueOrDie());
+  }
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

@@ -1,0 +1,95 @@
+// Drives the built `grepair` binary over files it writes: the CLI's
+// side of the one-file-kind contract. `compress` writes a 1-shard
+// sharded:grepair container by default, `components` reads its one
+// grammar and adds back the edgeless nodes the shard leaves out, and
+// `stats`/`components` refuse files with more data shards.
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
+
+#include "src/datasets/generators.h"
+#include "src/graph/graph_algos.h"
+#include "src/graph/graph_io.h"
+
+#ifndef GREPAIR_CLI_PATH
+#error "GREPAIR_CLI_PATH must name the grepair binary"
+#endif
+
+namespace grepair {
+namespace {
+
+struct CliRun {
+  int exit_code = -1;
+  std::string output;  // stdout and stderr
+};
+
+CliRun RunCli(const std::string& args) {
+  CliRun run;
+  std::string command = std::string(GREPAIR_CLI_PATH) + " " + args + " 2>&1";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    run.output.append(buffer, n);
+  }
+  int status = pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "grepair_cli_" + std::to_string(::getpid()) +
+         "_" + name;
+}
+
+TEST(CliTest, ComponentsOfTheDefaultFileMatchTheInput) {
+  GeneratedGraph gg = ErdosRenyi(60, 40, 7);
+  std::vector<bool> touched(gg.graph.num_nodes(), false);
+  for (const HEdge& e : gg.graph.edges()) {
+    for (NodeId v : e.att) touched[v] = true;
+  }
+  size_t isolated = 0;
+  for (bool t : touched) isolated += t ? 0 : 1;
+  ASSERT_GT(isolated, 0u) << "the input must have edgeless nodes";
+  uint32_t expected = 0;
+  ConnectedComponents(gg.graph, &expected);
+
+  std::string graph_path = TempPath("in.graph");
+  std::string file_path = TempPath("in.grp");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  CliRun compress = RunCli("compress " + graph_path + " " + file_path);
+  ASSERT_EQ(compress.exit_code, 0) << compress.output;
+  CliRun components = RunCli("components " + file_path);
+  EXPECT_EQ(components.exit_code, 0) << components.output;
+  EXPECT_EQ(components.output,
+            std::to_string(expected) + " connected components\n");
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
+}
+
+TEST(CliTest, StatsAndComponentsRefuseMultiShardFiles) {
+  GeneratedGraph gg = BarabasiAlbert(200, 3, 5);
+  std::string graph_path = TempPath("ba.graph");
+  std::string file_path = TempPath("ba4.shd");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  CliRun compress =
+      RunCli("compress " + graph_path + " " + file_path + " --shards 4");
+  ASSERT_EQ(compress.exit_code, 0) << compress.output;
+  for (const char* command : {"stats ", "components "}) {
+    CliRun run = RunCli(command + file_path);
+    EXPECT_EQ(run.exit_code, 1) << command << run.output;
+    EXPECT_NE(run.output.find("holds 4 data shards"), std::string::npos)
+        << command << run.output;
+  }
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
+}
+
+}  // namespace
+}  // namespace grepair

@@ -1,8 +1,11 @@
 // Golden-file format-stability tests for the container formats: the
 // backend-tagged frame ("GRPCODEC", src/api/container.h) and the
 // sharded multi-shard container ("GRSHARD2", footer directory;
-// src/shard/sharded_codec.h). The retired eager "GRSHARD1" layout
-// survives only as a negative fixture: it must fail closed everywhere.
+// src/shard/sharded_codec.h). Two retired file kinds survive only as
+// negative fixtures that must fail closed everywhere: the eager
+// "GRSHARD1" layout and the single-codec file (a frame tagged with a
+// plain codec name around an unchecked payload), which `compress`
+// wrote before every file became a sharded container.
 //
 // The golden byte arrays below are checked-in fixtures. If one of
 // these tests fails after an intentional format change, do NOT update
@@ -75,6 +78,17 @@ const uint8_t kGoldenTaggedContainer[] = {
     0x47, 0x52, 0x50, 0x43, 0x4F, 0x44, 0x45, 0x43,  // "GRPCODEC"
     0x07, 0x67, 0x72, 0x65, 0x70, 0x61, 0x69, 0x72,  // len 7, "grepair"
     0xDE, 0xAD, 0xBE, 0xEF,                          // payload
+};
+
+// A single-codec file: `grepair compress` of FixtureGraph() (as text)
+// before every file became a sharded container. The frame is tagged
+// "grepair" and holds a bare grammar payload with no checksum.
+const uint8_t kRetiredSingleCodecFile[] = {
+    0x47, 0x52, 0x50, 0x43, 0x4F, 0x44, 0x45, 0x43,  // "GRPCODEC"
+    0x07, 0x67, 0x72, 0x65, 0x70, 0x61, 0x69, 0x72,  // len 7, "grepair"
+    0x01, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x52,
+    0x47, 0x31, 0x44, 0x46, 0x2B, 0x14, 0x99, 0x64, 0x2D, 0x35, 0x18,
+    0xC6, 0x34, 0x97, 0x90, 0xA2, 0x62, 0x31, 0xCA, 0xD8,
 };
 
 std::vector<uint8_t> RetiredShardedV1() {
@@ -188,6 +202,96 @@ TEST(ShardedContainerTest, RetiredV1ContainerFailsClosedEverywhere) {
 
     serve::CorpusRegistry registry;
     EXPECT_FALSE(registry.AddBytes("g", SpanOf(cut)).ok());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedContainerTest, RetiredSingleCodecFileFailsClosedEverywhere) {
+  // Every way into a file refuses the old single-codec kind with the
+  // one "recompress" message, and so does every truncation that still
+  // holds the whole tag.
+  std::vector<uint8_t> good(
+      kRetiredSingleCodecFile,
+      kRetiredSingleCodecFile + sizeof(kRetiredSingleCodecFile));
+  std::string path = TempPath("single_codec.grp");
+  auto expect_recompress = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("old single-codec 'grepair' file"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("recompress"), std::string::npos)
+        << status.ToString();
+  };
+  for (size_t len = 16; len <= good.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::remove(path.c_str());
+    ASSERT_TRUE(WriteFileBytes(path, std::vector<uint8_t>(
+                                         good.begin(), good.begin() + len))
+                    .ok());
+    expect_recompress(api::OpenCompressedFile(path).status());
+    expect_recompress(api::OpenVersioned(path, {}).status());
+    serve::CorpusRegistry registry;
+    expect_recompress(registry.AddFile("g", path));
+    EXPECT_TRUE(registry.empty());
+  }
+  std::remove(path.c_str());
+}
+
+// A small labeled graph with an isolated node (7), compressed the way
+// `grepair compress` writes a file: sharded:grepair, one shard, in the
+// tagged frame.
+Hypergraph IsolatedNodeGraph() {
+  Hypergraph g(8);
+  const NodeId edges[][3] = {{0, 1, 0}, {1, 2, 0}, {2, 0, 1}, {2, 3, 1},
+                             {3, 4, 0}, {4, 5, 0}, {5, 3, 1}, {5, 6, 0},
+                             {6, 0, 1}, {1, 4, 1}};
+  for (const auto& e : edges) g.AddSimpleEdge(e[0], e[1], e[2]);
+  return g;
+}
+
+TEST(ShardedV2ContainerTest, EveryBitFlipAndTruncationOfAFileFailsClosed) {
+  // Exhaustive: every single-bit flip and every truncation of the file
+  // either fails (at open or at decompression) or decodes to the input
+  // graph. The CI sanitizer legs run this under ASan/UBSan.
+  Hypergraph graph = IsolatedNodeGraph();
+  Alphabet alphabet;
+  alphabet.Add("a", 2);
+  alphabet.Add("b", 2);
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "1");
+  auto rep = codec->Compress(graph, alphabet, options);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  const std::vector<uint8_t> file =
+      api::WrapCodecPayload("sharded:grepair", rep.value()->Serialize());
+  std::string path = TempPath("flip.grp");
+
+  size_t decoded = 0;
+  auto check = [&](const std::vector<uint8_t>& bytes,
+                   const std::string& what) {
+    // A fresh file each time: renaming over an existing one is far
+    // slower on ext4 mounted with discard, and this runs ~3,000 times.
+    std::remove(path.c_str());
+    ASSERT_TRUE(WriteFileBytes(path, bytes).ok());
+    auto opened = api::OpenCompressedFile(path);
+    if (!opened.ok()) return;
+    auto back = opened.value()->Decompress();
+    if (!back.ok()) return;
+    ++decoded;
+    EXPECT_EQ(back.value().num_nodes(), graph.num_nodes()) << what;
+    EXPECT_TRUE(back.value().EqualUpToEdgeOrder(graph)) << what;
+  };
+  check(file, "the intact file");
+  ASSERT_EQ(decoded, 1u) << "the intact file must decode";
+  for (size_t bit = 0; bit < file.size() * 8; ++bit) {
+    std::vector<uint8_t> bad = file;
+    bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    check(bad, "flip of bit " + std::to_string(bit));
+  }
+  for (size_t len = 0; len < file.size(); ++len) {
+    check(std::vector<uint8_t>(file.begin(), file.begin() + len),
+          "truncation to " + std::to_string(len) + " bytes");
   }
   std::remove(path.c_str());
 }

@@ -729,7 +729,7 @@ TEST(DynamicCorpusTest, DeltaChainOverServedBase) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const std::string target = server.value()->host_port() + "/base";
   auto served_with = [&](const std::vector<std::string>& chain,
-                         std::unique_ptr<api::CompressedRep>* rep) {
+                         std::unique_ptr<shard::ShardedRep>* rep) {
     auto opened = api::OpenRemote(target);
     EXPECT_TRUE(opened.ok()) << opened.status().ToString();
     if (!opened.ok()) return opened.status();
@@ -738,7 +738,7 @@ TEST(DynamicCorpusTest, DeltaChainOverServedBase) {
   };
 
   // A correct two-link chain answers like the local versioned open.
-  std::unique_ptr<api::CompressedRep> served;
+  std::unique_ptr<shard::ShardedRep> served;
   auto chained = served_with({d1, d2}, &served);
   ASSERT_TRUE(chained.ok()) << chained.ToString();
   auto local = api::OpenVersioned(base_path, {d1, d2});
@@ -753,14 +753,14 @@ TEST(DynamicCorpusTest, DeltaChainOverServedBase) {
       << "the chain's edits must be visible";
 
   // A skipped or swapped link fails closed.
-  std::unique_ptr<api::CompressedRep> skipped_rep, swapped_rep;
+  std::unique_ptr<shard::ShardedRep> skipped_rep, swapped_rep;
   auto skipped = served_with({d1, d3}, &skipped_rep);
   EXPECT_EQ(skipped.code(), StatusCode::kCorruption) << skipped.ToString();
   auto swapped = served_with({d2, d1}, &swapped_rep);
   EXPECT_EQ(swapped.code(), StatusCode::kCorruption) << swapped.ToString();
 
   // A delta against another base fails on the directory checksum.
-  std::unique_ptr<api::CompressedRep> foreign_rep;
+  std::unique_ptr<shard::ShardedRep> foreign_rep;
   auto wrong_base = served_with({foreign}, &foreign_rep);
   EXPECT_EQ(wrong_base.code(), StatusCode::kCorruption)
       << wrong_base.ToString();

@@ -290,15 +290,24 @@ TEST(RemoteShardTest, ServingRefusesOtherVersionsAndNonShardedPayloads) {
   serve::CorpusRegistry registry;
   Status refused = registry.AddBytes("g", SpanOf(other_version));
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.message().find("GRSHARD2"), std::string::npos);
+  EXPECT_EQ(refused.code(), StatusCode::kCorruption);
+  EXPECT_NE(refused.message().find("not a sharded v2 container"),
+            std::string::npos)
+      << refused.ToString();
 
+  // A bare single-codec payload is not a container; tagged, it is an
+  // old single-codec file that must be recompressed.
   auto plain = api::CodecRegistry::Create("grepair").ValueOrDie();
   auto plain_rep = plain->Compress(gg.graph, gg.alphabet);
   ASSERT_TRUE(plain_rep.ok());
   auto plain_bytes = plain_rep.value()->Serialize();
   EXPECT_EQ(registry.AddBytes("plain", SpanOf(plain_bytes)).code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kCorruption);
+  Status tagged = registry.AddBytes(
+      "plain", SpanOf(api::WrapCodecPayload("grepair", plain_bytes)));
+  EXPECT_EQ(tagged.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tagged.message().find("recompress"), std::string::npos)
+      << tagged.ToString();
 
   std::vector<uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF};
   EXPECT_FALSE(registry.AddBytes("bad", SpanOf(garbage)).ok());

@@ -2,7 +2,7 @@
 //
 // Usage:
 //   grepair compress <in.graph> <out> [--backend NAME]
-//           [--options k=v,...] [--shards K] [--threads T]
+//           [--options k=v,...] [--shards K (default 1)] [--threads T]
 //           [--strategy edge-range|bfs]
 //   grepair decompress <in> <out.graph> [--threads T]
 //   grepair bench --backend NAME|all --gen KIND [--size N]
@@ -26,41 +26,41 @@
 //
 // Every compressor in the repo sits behind the GraphCodec registry
 // (src/api/): `--backend` selects one ("grepair", the default, "k2",
-// "hn", "lm", "repair-adj", "deflate", or a sharded meta-variant
-// "sharded:<inner>"; see `grepair backends`), `--options` passes
-// codec-specific key=value options (for grepair: order, max-rank,
-// prune, virtual, ...), and `bench` runs any backend (or all of them)
-// over any generated dataset with a round-trip check.
-// `--shards`/`--threads`/`--strategy` rewrite the backend to its
-// sharded variant (src/shard/); `decompress --threads` parallelizes
-// sharded containers. Graph files use the native text format of
-// src/graph/graph_io.h. `gen` kinds: er, ba, coauth, rdf-types,
-// rdf-entities, copies, dblp.
+// "hn", "lm", "repair-adj", "deflate"; see `grepair backends`),
+// `--options` passes codec-specific key=value options (for grepair:
+// order, max-rank, prune, virtual, ...), and `bench` runs any backend
+// (or all of them) over any generated dataset with a round-trip check;
+// there `--shards`/`--threads`/`--strategy` rewrite the backend to its
+// sharded variant "sharded:<inner>" (src/shard/). Graph files use the
+// native text format of src/graph/graph_io.h. `gen` kinds: er, ba,
+// coauth, rdf-types, rdf-entities, copies, dblp.
 //
-// One on-disk framing: every compressed file is a backend-tagged
-// GRPCODEC container (src/api/container.h) naming the codec that wrote
-// its payload, and every command opens it through src/api/ — an
-// untagged file is refused. The grepair payload is the paper's binary
-// grammar encoding plus the node mapping, so `decompress` restores the
-// input's node ids. `stats` and `components` read the grammar of a
-// grepair file directly: its size and shape, and its connected
-// components counted in one grammar pass.
+// One file kind: `compress` always writes "sharded:<backend>", one
+// edge-range shard unless `--shards` asks for more, as a checksummed
+// GRSHARD2 container inside the backend-tagged GRPCODEC frame
+// (src/api/container.h). Every command opens files through src/api/:
+// an untagged file is refused, and so is an old single-codec file
+// (any tag but "sharded:..."), which must be recompressed. The grepair
+// shard payload is the paper's binary grammar encoding plus the node
+// mapping, so `decompress` restores the input's node ids. `stats` and
+// `components` read the grammar of a 1-shard sharded:grepair file:
+// its size and shape, and its connected components counted in one
+// grammar pass plus the edgeless nodes the shard leaves out.
 //
 // `query` answers neighbor/reachability queries on a compressed file
 // without decompressing it: --nodes asks for out-neighbors, --pairs
 // for reachability, --batch switches to the batched entry points
-// (shard-parallel on sharded containers), --cache-bytes sets the byte
-// budget of the sharded rep's one query cache (decoded shards),
-// --threads the rep's thread pool, --prefetch starts a background pool
-// that warms the shards batches touch. A query-stats line (cache
-// hits/misses, shard decodes/faults, memo-table sizes) is printed at
-// the end.
+// (shard-parallel), --cache-bytes sets the byte budget of the rep's
+// one query cache (decoded shards), --threads the rep's thread pool,
+// --prefetch starts a background pool that warms the shards batches
+// touch. A query-stats line (cache hits/misses, shard decodes/faults,
+// memo-table sizes) is printed at the end.
 //
-// Zero-copy storage: every compressed file is opened via mmap, and
-// sharded backends write the GRSHARD2 footer-directory container, so
-// `decompress`/`query` materialize only the shards they touch. `info`
-// prints a container's directory — backend, shard
-// offsets/lengths/checksums — without decoding a single shard.
+// Zero-copy storage: every compressed file is opened via mmap as a
+// lazy GRSHARD2 footer-directory container, so `decompress`/`query`
+// materialize only the shards they touch. `info` prints a container's
+// directory — backend, shard offsets/lengths/checksums — without
+// decoding a single shard.
 //
 // Versioned corpora: `append` replays a text edit stream (`a u v
 // [label]` / `d u v`, '#' comments) against a GRSHARD2 base (plus any
@@ -94,6 +94,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,7 +151,7 @@ int Usage() {
 }
 
 // Compressed graphs are opened only through src/api/
-// (OpenCompressedFile, ApplyDeltaChain, MapCodecFile); `append` and
+// (OpenCompressedFile, ApplyDeltaChain, MapShardedFile); `append` and
 // `diff` map files themselves only to hash or size them. Writes go
 // through WriteFileBytes. Both report Status errors naming the path.
 bool WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
@@ -262,6 +263,9 @@ int CmdCompress(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return 1;
   }
+  // Every file is a sharded container: one shard unless --shards asks
+  // for more.
+  if (shard_flags.shards == 0) shard_flags.shards = 1;
   ApplyShardFlags(shard_flags, &backend, &options.value());
   auto codec = api::CodecRegistry::Create(backend);
   if (!codec.ok()) {
@@ -275,21 +279,14 @@ int CmdCompress(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
   }
-  // Sharded backends serialize to the GRSHARD2 footer container, so
-  // the file opens lazily.
-  const char* layout =
-      dynamic_cast<shard::ShardedRep*>(rep.value().get()) != nullptr
-          ? ", GRSHARD2 lazy container"
-          : "";
   auto bytes = api::WrapCodecPayload(backend, rep.value()->Serialize());
   if (!WriteBytes(argv[3], bytes)) return 1;
   std::printf("[%s] %u edges -> %zu bytes on disk (%.3f bpe as measured "
-              "by the bench tables%s)\n",
+              "by the bench tables)\n",
               backend.c_str(), loaded.value().graph.num_edges(),
               bytes.size(),
               BitsPerEdge(rep.value()->ByteSize(),
-                          loaded.value().graph.num_edges()),
-              layout);
+                          loaded.value().graph.num_edges()));
   return 0;
 }
 
@@ -306,24 +303,15 @@ int CmdDecompress(int argc, char** argv) {
       return Usage();
     }
   }
-  // A GRSHARD2 payload opens lazily and Decompress faults the shards on
-  // the decompress thread pool.
+  // The file opens lazily and Decompress faults the shards on the
+  // decompress thread pool.
   std::string backend;
   auto rep = api::OpenCompressedFile(argv[2], &backend);
   if (!rep.ok()) {
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
   }
-  if (threads > 1) {
-    if (auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get())) {
-      sharded->set_threads(threads);
-    } else {
-      std::fprintf(stderr,
-                   "note: --threads only parallelizes sharded containers; "
-                   "'%s' decompresses single-threaded\n",
-                   backend.c_str());
-    }
-  }
+  if (threads > 1) rep.value()->set_threads(threads);
   auto graph = rep.value()->Decompress();
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
@@ -408,27 +396,19 @@ void PrintNeighborLine(uint64_t node, const std::vector<uint64_t>& out) {
 }
 
 // The query half of `query`, shared by local files and --remote reps:
-// apply the sharded tuning knobs, run the node/pair queries (batched
-// or not), print answers plus the query-stats line.
-int RunQueries(std::unique_ptr<api::CompressedRep> rep,
-               const std::string& backend,
+// apply the tuning knobs, run the node/pair queries (batched or not),
+// print answers plus the query-stats line.
+int RunQueries(std::unique_ptr<shard::ShardedRep> rep,
                const std::vector<uint64_t>& nodes,
                const std::vector<std::pair<uint64_t, uint64_t>>& pairs,
                bool batch, int threads, bool have_cache_bytes,
                uint64_t cache_bytes, int prefetch) {
-  if (auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get())) {
-    if (threads > 1) sharded->set_threads(threads);
-    if (have_cache_bytes) {
-      sharded->set_query_cache_bytes(static_cast<size_t>(cache_bytes));
-    }
-    if (prefetch > 0) sharded->set_prefetch_threads(prefetch);
-  } else if (threads > 1 || have_cache_bytes || prefetch > 0) {
-    std::fprintf(stderr,
-                 "note: --threads/--cache-bytes/--prefetch tune sharded "
-                 "containers; '%s' queries ignore them\n",
-                 backend.c_str());
+  if (threads > 1) rep->set_threads(threads);
+  if (have_cache_bytes) {
+    rep->set_query_cache_bytes(static_cast<size_t>(cache_bytes));
   }
-  std::printf("[%s] %llu nodes\n", backend.c_str(),
+  if (prefetch > 0) rep->set_prefetch_threads(prefetch);
+  std::printf("[sharded:%s] %llu nodes\n", rep->inner_name().c_str(),
               static_cast<unsigned long long>(rep->num_nodes()));
 
   if (!nodes.empty()) {
@@ -615,20 +595,12 @@ int CmdQuery(int argc, char** argv) {
   // Local and served corpora open differently, then share everything:
   // the delta chain (anchored at the local base file, or by directory
   // checksum alone for a served base) and the query paths.
-  std::string backend;
   auto rep = remote_spec.empty()
-                 ? api::OpenCompressedFile(in_path, &backend)
+                 ? api::OpenCompressedFile(in_path)
                  : api::OpenRemote(remote_spec, remote_options);
   if (!rep.ok()) {
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
-  }
-  if (!remote_spec.empty()) {
-    // The served container names its inner codec; report the same
-    // backend tag a local open of that file would.
-    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-    backend = sharded != nullptr ? "sharded:" + sharded->inner_name()
-                                 : "remote";
   }
   auto chained = api::ApplyDeltaChain(
       rep.value().get(), remote_spec.empty() ? in_path : "", delta_paths);
@@ -636,8 +608,8 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", chained.ToString().c_str());
     return 1;
   }
-  return RunQueries(std::move(rep).ValueOrDie(), backend, nodes, pairs,
-                    batch, threads, have_cache_bytes, cache_bytes, prefetch);
+  return RunQueries(std::move(rep).ValueOrDie(), nodes, pairs, batch,
+                    threads, have_cache_bytes, cache_bytes, prefetch);
 }
 
 // `append`: replay a text edit stream against a versioned corpus and
@@ -724,9 +696,8 @@ int CmdAppend(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
     return 1;
   }
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-  if (have_fold_budget) sharded->set_overlay_budget_bytes(fold_budget);
-  auto applied = sharded->ApplyEdits(edits);
+  if (have_fold_budget) rep.value()->set_overlay_budget_bytes(fold_budget);
+  auto applied = rep.value()->ApplyEdits(edits);
   if (!applied.ok()) {
     std::fprintf(stderr, "%s\n", applied.ToString().c_str());
     return 1;
@@ -745,7 +716,7 @@ int CmdAppend(int argc, char** argv) {
     prev_hash = HashBytes(span.data, span.size);
     prev_size = span.size;
   }
-  auto delta = sharded->BuildDelta(prev_hash, prev_size);
+  auto delta = rep.value()->BuildDelta(prev_hash, prev_size);
   if (!delta.ok()) {
     std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
     return 1;
@@ -1002,18 +973,18 @@ int CmdInfoRemote(const std::string& target) {
 }
 
 // `info`: the container directory without decoding anything — the
-// backend tag, and for sharded payloads the per-shard
-// offset/length/checksum/node-count table straight from the GRSHARD2
-// footer. No inner rep is ever constructed.
+// backend tag and the per-shard offset/length/checksum/node-count
+// table straight from the GRSHARD2 footer. No inner rep is ever
+// constructed.
 int CmdInfo(int argc, char** argv) {
   if (argc < 3) return Usage();
   if (std::strcmp(argv[2], "--remote") == 0) {
     if (argc < 4) return Usage();
     return CmdInfoRemote(argv[3]);
   }
-  std::string backend;
+  std::string inner;
   ByteSpan payload;
-  auto file = api::MapCodecFile(argv[2], &backend, &payload);
+  auto file = api::MapShardedFile(argv[2], &inner, &payload);
   if (!file.ok()) {
     std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
     return 1;
@@ -1021,15 +992,8 @@ int CmdInfo(int argc, char** argv) {
   size_t size = file.value()->span().size;
   std::printf("%s: %zu bytes (%s)\n", argv[2], size,
               file.value()->is_mapped() ? "mmap" : "heap");
-  std::printf("backend: %s (payload %zu bytes at offset %zu)\n",
-              backend.c_str(), payload.size, size - payload.size);
-  bool sharded_magic =
-      payload.size >= 7 &&
-      std::memcmp(payload.data, shard::kShardContainerMagicV2, 7) == 0;
-  if (!sharded_magic) {
-    std::printf("payload: single-shard codec (no directory)\n");
-    return 0;
-  }
+  std::printf("backend: sharded:%s (payload %zu bytes at offset %zu)\n",
+              inner.c_str(), payload.size, size - payload.size);
   auto info = shard::ShardedRep::Inspect(payload);
   if (!info.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv[2],
@@ -1053,28 +1017,52 @@ int CmdInfo(int argc, char** argv) {
 }
 
 // `stats` and `components` work on the grammar itself, so they take a
-// single-codec grepair file (what `compress` writes by default).
-Result<CompressedGraph> LoadGrepairFile(const std::string& path) {
-  std::string backend;
-  ByteSpan payload;
-  auto file = api::MapCodecFile(path, &backend, &payload);
-  if (!file.ok()) return file.status();
-  if (backend != "grepair") {
-    return Status::InvalidArgument(path + " holds a '" + backend +
-                                   "' payload; this command needs a "
-                                   "'grepair' one");
+// file of one sharded:grepair shard (what `compress` writes by
+// default). The shard's payload comes through the rep's
+// checksum-verified fault path; its grammar covers the nodes that
+// have an edge. `*dropped_nodes` receives the edgeless nodes the
+// partitioner left out of the shard. A graph without edges has no
+// grammar (nullopt).
+Result<std::optional<CompressedGraph>> LoadOneGrammar(
+    const std::string& path, uint64_t* dropped_nodes) {
+  auto rep = api::OpenCompressedFile(path);
+  if (!rep.ok()) return rep.status();
+  const shard::ShardedRep& sharded = *rep.value();
+  if (sharded.inner_name() != "grepair") {
+    return Status::InvalidArgument(path + " holds 'sharded:" +
+                                   sharded.inner_name() +
+                                   "' shards; this command needs "
+                                   "'sharded:grepair'");
   }
-  return CompressedGraph::Deserialize(payload);
+  // The directory lists the data shards, then the cut shard.
+  size_t data_shards = sharded.num_shards() - 1;
+  if (data_shards != 1 || sharded.entry(1).has_payload()) {
+    return Status::InvalidArgument(
+        path + " holds " + std::to_string(data_shards) +
+        " data shards; this command reads the one grammar of a 1-shard "
+        "file (compress without --shards)");
+  }
+  *dropped_nodes = sharded.num_nodes() - sharded.entry(0).nodes.size();
+  if (!sharded.entry(0).has_payload()) return {std::nullopt};
+  std::vector<uint8_t> fetched;
+  auto payload = sharded.VerifiedPayload(0, &fetched);
+  if (!payload.ok()) return payload.status();
+  return CompressedGraph::Deserialize(payload.value());
 }
 
 int CmdStats(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto graph = LoadGrepairFile(argv[2]);
+  uint64_t dropped_nodes = 0;
+  auto graph = LoadOneGrammar(argv[2], &dropped_nodes);
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const SlhrGrammar& grammar = graph.value().grammar();
+  if (!graph.value()) {
+    std::fprintf(stderr, "%s holds a graph without edges\n", argv[2]);
+    return 1;
+  }
+  const SlhrGrammar& grammar = graph.value()->grammar();
   auto s = ComputeGrammarStats(grammar);
   std::printf("rules:            %u\n", s.num_rules);
   std::printf("height:           %u\n", s.height);
@@ -1093,14 +1081,18 @@ int CmdStats(int argc, char** argv) {
 
 int CmdComponents(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto graph = LoadGrepairFile(argv[2]);
+  uint64_t dropped_nodes = 0;
+  auto graph = LoadOneGrammar(argv[2], &dropped_nodes);
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
+  // Each edgeless node is a component of its own.
+  uint64_t components =
+      dropped_nodes +
+      (graph.value() ? graph.value()->NumConnectedComponents() : 0);
   std::printf("%llu connected components\n",
-              static_cast<unsigned long long>(
-                  graph.value().NumConnectedComponents()));
+              static_cast<unsigned long long>(components));
   return 0;
 }
 
