@@ -2,10 +2,12 @@
 //
 // Pins HashBytes(EncodeGrammar) and HashBytes(EncodeNodeMapping) for a
 // fixed corpus under every combination of the pruning, virtual-edge and
-// node-mapping options. Any change to the compressor that alters a
+// node-mapping options, as two digests per case: one over the grammar
+// bytes and one over the mapping bytes, so a change to one format shows
+// which of the two moved. Any change to the compressor that alters a
 // single output byte (rule choice, rule order, start-graph edge order,
-// node numbering, derivation records) changes a digest, so refactors
-// and optimizations of the pipeline can prove they are byte-identical.
+// node numbering, origin ids) changes a digest, so refactors and
+// optimizations of the pipeline can prove they are byte-identical.
 // Every mapped run is also checked to reproduce its input exactly. A
 // second corpus covers what the first lacks: wide terminal hyperedges
 // (up to the rank-63 limit, with max_rank 4 and 63) and hub nodes that
@@ -170,7 +172,10 @@ struct GoldenCase {
   PruneMode prune;
   bool virtual_edges;
   bool mapping;
-  uint64_t digest;  // folded over this case's inputs, in corpus order
+  // Folded over this case's inputs, in corpus order: EncodeGrammar's
+  // bytes, and EncodeNodeMapping's (0 when the mapping is off).
+  uint64_t grammar_digest;
+  uint64_t mapping_digest;
   int max_rank = 4;
 };
 
@@ -198,17 +203,23 @@ uint64_t FoldBytes(const std::vector<uint8_t>& bytes, uint64_t h) {
   return HashBytes(bytes.data(), bytes.size(), h);
 }
 
-// Compresses `gg` under `c` and folds the output bytes into *digest;
+struct Digests {
+  uint64_t grammar = 0;
+  uint64_t mapping = 0;
+};
+
+// Compresses `gg` under `c` and folds the output bytes into *digests;
 // a mapped run must also reproduce its input exactly.
 void FoldCase(const GeneratedGraph& gg, const GoldenCase& c,
-              uint64_t* digest) {
+              Digests* digests) {
   auto result = Compress(gg.graph, gg.alphabet, OptionsFor(c));
   ASSERT_TRUE(result.ok()) << gg.name << ": " << result.status().ToString();
   const SlhrGrammar& grammar = result.value().grammar;
-  *digest = FoldBytes(EncodeGrammar(grammar), *digest);
+  digests->grammar = FoldBytes(EncodeGrammar(grammar), digests->grammar);
   if (!c.mapping) return;
   const NodeMapping& mapping = result.value().mapping;
-  *digest = FoldBytes(EncodeNodeMapping(grammar, mapping), *digest);
+  digests->mapping =
+      FoldBytes(EncodeNodeMapping(grammar, mapping), digests->mapping);
   auto original = DeriveOriginal(grammar, mapping);
   ASSERT_TRUE(original.ok()) << gg.name << ": "
                              << original.status().ToString();
@@ -216,14 +227,22 @@ void FoldCase(const GeneratedGraph& gg, const GoldenCase& c,
       << gg.name << " under " << CaseName(c);
 }
 
+std::string Hex(uint64_t v) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return hex;
+}
+
 void ExpectDigests(const std::vector<GoldenCase>& cases,
-                   const std::vector<uint64_t>& digests) {
+                   const std::vector<Digests>& digests) {
   for (size_t k = 0; k < cases.size(); ++k) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(digests[k]));
-    EXPECT_EQ(digests[k], cases[k].digest)
-        << CaseName(cases[k]) << " digest " << hex;
+    EXPECT_EQ(digests[k].grammar, cases[k].grammar_digest)
+        << CaseName(cases[k]) << " grammar digest "
+        << Hex(digests[k].grammar);
+    EXPECT_EQ(digests[k].mapping, cases[k].mapping_digest)
+        << CaseName(cases[k]) << " mapping digest "
+        << Hex(digests[k].mapping);
   }
 }
 
@@ -234,20 +253,26 @@ TEST(CompressorGoldenTest, OutputBytesMatchPinnedDigests) {
   // Pinned digests: they change only when the compressor's output
   // changes on purpose (format, rule choice or numbering).
   const std::vector<GoldenCase> cases = {
-      {PruneMode::kOff, false, false, 0x79d5a066ad566ef0ull},
-      {PruneMode::kOff, false, true, 0xdecb061a786ed3faull},
-      {PruneMode::kOff, true, false, 0xa6bcc981015d9cdcull},
-      {PruneMode::kOff, true, true, 0x371ebf96d9720362ull},
-      {PruneMode::kPaper, false, false, 0x598c6a58a54e9e3eull},
-      {PruneMode::kPaper, false, true, 0xb2cc71d1b8143e94ull},
-      {PruneMode::kPaper, true, false, 0x1a90fcabc47f893bull},
-      {PruneMode::kPaper, true, true, 0x3ac9015fafb47aa9ull},
-      {PruneMode::kFixpoint, false, false, 0x6a5007a4640fe2d8ull},
-      {PruneMode::kFixpoint, false, true, 0xa5cd0dbf48061f11ull},
-      {PruneMode::kFixpoint, true, false, 0xef6d1a16e3bda13dull},
-      {PruneMode::kFixpoint, true, true, 0xc12978df6a7bfd9eull},
+      {PruneMode::kOff, false, false, 0x79d5a066ad566ef0ull, 0},
+      {PruneMode::kOff, false, true, 0x20bb76dfa31b040aull,
+       0xa95e711e01833165ull},
+      {PruneMode::kOff, true, false, 0xa6bcc981015d9cdcull, 0},
+      {PruneMode::kOff, true, true, 0x4b190ab199c26decull,
+       0xf15c9f33b958a790ull},
+      {PruneMode::kPaper, false, false, 0x598c6a58a54e9e3eull, 0},
+      {PruneMode::kPaper, false, true, 0xc2d63bcc8c3588d2ull,
+       0x8b6300302561e1d8ull},
+      {PruneMode::kPaper, true, false, 0x1a90fcabc47f893bull, 0},
+      {PruneMode::kPaper, true, true, 0xbc1cd0850018efceull,
+       0xb47fbd04ecc278aaull},
+      {PruneMode::kFixpoint, false, false, 0x6a5007a4640fe2d8ull, 0},
+      {PruneMode::kFixpoint, false, true, 0x44bfc3452ad2076bull,
+       0x428237c9e16dcd6aull},
+      {PruneMode::kFixpoint, true, false, 0xef6d1a16e3bda13dull, 0},
+      {PruneMode::kFixpoint, true, true, 0x5a136c7627c74b6bull,
+       0xf4ffedbbad4ea720ull},
   };
-  std::vector<uint64_t> digests(cases.size(), 0);
+  std::vector<Digests> digests(cases.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
     const GeneratedGraph& gg = corpus[i];
     // Each dblp shard runs under one option set (rotating, so every
@@ -265,11 +290,13 @@ TEST(CompressorGoldenTest, WideHyperedgesAndLabelHubsMatchPinnedDigests) {
   const std::vector<GeneratedGraph> corpus = {
       WideHyperedgeGraph(), LabelHubGraph(), RdfTypes(3000, 40, 5, 2.0)};
   const std::vector<GoldenCase> cases = {
-      {PruneMode::kPaper, true, true, 0x4955a206aa64edb0ull},
-      {PruneMode::kOff, false, false, 0x27f32def3715cf66ull, 63},
-      {PruneMode::kFixpoint, true, true, 0x6ad89454a0f3d631ull, 63},
+      {PruneMode::kPaper, true, true, 0x794857625b1efb84ull,
+       0xa12cc72b84ded3faull},
+      {PruneMode::kOff, false, false, 0x27f32def3715cf66ull, 0, 63},
+      {PruneMode::kFixpoint, true, true, 0x3ba5f4e7002bfae8ull,
+       0x5af4a5755d675881ull, 63},
   };
-  std::vector<uint64_t> digests(cases.size(), 0);
+  std::vector<Digests> digests(cases.size());
   for (const GeneratedGraph& gg : corpus) {
     for (size_t k = 0; k < cases.size(); ++k) {
       FoldCase(gg, cases[k], &digests[k]);
