@@ -56,7 +56,7 @@ inline GrepairRun RunGrepair(const GeneratedGraph& gg,
   auto bytes = EncodeGrammar(result.value().grammar);
   auto t1 = std::chrono::steady_clock::now();
   if (options.track_node_mapping) {
-    auto back = DeriveOriginal(result.value().grammar, result.value().mapping);
+    auto back = DeriveOriginal(result.value().grammar, result.value().origins);
     if (!back.ok() || !back.value().EqualUpToEdgeOrder(gg.graph)) {
       std::fprintf(stderr, "%s: the grammar does not reproduce the input%s%s\n",
                    gg.name.c_str(), back.ok() ? "" : ": ",

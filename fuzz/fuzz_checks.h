@@ -23,6 +23,7 @@
 
 #include "src/k2tree/k2tree.h"
 #include "src/net/frame.h"
+#include "src/query/compressed_graph.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/bit_stream.h"
 #include "src/util/byte_io.h"
@@ -259,6 +260,54 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
     if (contained != all.size()) {
       return "Contains accepts a cell that AllCells does not list";
     }
+  }
+  return nullptr;
+}
+
+/// \brief Grepair payload parse (CompressedGraph::Deserialize, i.e.
+/// DecodeGrammar plus DecodeNodeMapping): a failure carries a non-empty
+/// message. A success holds a permutation of val(G)'s ids as psi' (or
+/// none), re-serializes to bytes that decode again, and, when val(G) is
+/// small enough to materialize here, both decodes decompress to the same
+/// graph.
+inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
+  auto graph = CompressedGraph::Deserialize(ByteSpan(data, size));
+  if (!graph.ok()) {
+    if (graph.status().message().empty()) {
+      return "grepair payload decode failed with an empty status message";
+    }
+    return nullptr;
+  }
+  const CompressedGraph& g = graph.value();
+  const std::vector<NodeId>& origins = g.origins();
+  if (!origins.empty()) {
+    if (origins.size() != g.num_nodes()) {
+      return "decoded origin count differs from val(G)'s node count";
+    }
+    std::vector<char> seen(origins.size(), 0);
+    for (NodeId o : origins) {
+      if (o >= origins.size() || seen[o]) {
+        return "decoded origins are not a permutation of val(G)'s ids";
+      }
+      seen[o] = 1;
+    }
+  }
+  auto again = CompressedGraph::Deserialize(g.Serialize());
+  if (!again.ok()) return "a re-serialized payload fails to decode";
+  if (again.value().origins() != origins) {
+    return "a re-serialized payload decodes to different origins";
+  }
+  // Tight derive limits: a tiny payload may still describe a huge val(G).
+  if (g.num_nodes() > (1u << 16) || g.num_edges() > (1u << 18)) {
+    return nullptr;
+  }
+  auto first = g.Decompress();
+  auto second = again.value().Decompress();
+  if (!first.ok() || !second.ok()) {
+    return "decompressing a small decoded payload failed";
+  }
+  if (!(first.value() == second.value())) {
+    return "a re-serialized payload decompresses to a different graph";
   }
   return nullptr;
 }

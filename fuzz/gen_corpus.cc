@@ -3,12 +3,14 @@
 //   gen_corpus <corpus_root>
 //
 // writes fuzz inputs under
-// <corpus_root>/{frame,shard_directory,elias,k2tree} — the directories
-// checked in at fuzz/corpus and replayed by the ctest fuzz_smoke_*
-// tests. Seeds are golden-path encodings (every verb of both frame
-// protocol generations, real GRSHARD2 directories, well-formed Elias
-// streams plus the degenerate all-zeros/all-ones edges, k^2-trees from
-// K2Tree::Build plus a forged cell count), so coverage-guided runs
+// <corpus_root>/{frame,shard_directory,elias,k2tree,grepair_payload} —
+// the directories checked in at fuzz/corpus and replayed by the ctest
+// fuzz_smoke_* tests. Seeds are golden-path encodings (every verb of
+// both frame protocol generations, real GRSHARD2 directories,
+// well-formed Elias streams plus the degenerate all-zeros/all-ones
+// edges, k^2-trees from K2Tree::Build plus a forged cell count, real
+// grepair payloads plus a grammar whose val(G) counts wrap uint64_t),
+// so coverage-guided runs
 // start from deep inside the parsers instead of fighting the magic
 // bytes. Rerun after a format change and commit the diff.
 
@@ -122,10 +124,12 @@ int main(int argc, char** argv) {
   const auto dir_dir = root / "shard_directory";
   const auto elias_dir = root / "elias";
   const auto k2tree_dir = root / "k2tree";
+  const auto payload_dir = root / "grepair_payload";
   std::filesystem::create_directories(frame_dir);
   std::filesystem::create_directories(dir_dir);
   std::filesystem::create_directories(elias_dir);
   std::filesystem::create_directories(k2tree_dir);
+  std::filesystem::create_directories(payload_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -177,6 +181,13 @@ int main(int argc, char** argv) {
   grepair::WriteSeed(k2tree_dir, "k2_empty_10.bin", TreeSeed(10, 10, 2, 0, 0));
   grepair::WriteSeed(k2tree_dir, "forged_cell_count.bin",
                      grepair::ForgedCountSeed());
+
+  auto payloads = grepair::fuzz::GoldenGrepairPayloadSeeds();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "payload_%02zu.bin", i);
+    grepair::WriteSeed(payload_dir, name, payloads[i]);
+  }
 
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

@@ -1,7 +1,8 @@
 // Golden-path fixtures shared by the GTest mutation battery
-// (tests/net_fuzz_test.cc) and the seed-corpus generator
-// (fuzz/gen_corpus.cc), so the seeds the coverage-guided fuzzers start
-// from are exactly the ones the always-on test fuzzing mutates.
+// (tests/net_fuzz_test.cc), the other tests that need the same inputs,
+// and the seed-corpus generator (fuzz/gen_corpus.cc), so the seeds the
+// coverage-guided fuzzers start from are exactly the ones the always-on
+// test fuzzing mutates.
 
 #ifndef GREPAIR_FUZZ_GOLDEN_SEEDS_H_
 #define GREPAIR_FUZZ_GOLDEN_SEEDS_H_
@@ -88,6 +89,66 @@ inline std::vector<uint8_t> GoldenContainerBytes(uint32_t nodes,
     std::abort();
   }
   return dynamic_cast<shard::ShardedRep*>(rep.value().get())->SerializeV2();
+}
+
+/// \brief A grammar of `rules` rules whose val(G) doubles per rule: R0
+/// has one internal node and one terminal edge, each Rj has two R(j-1)
+/// edges, and the start graph is one R(rules-1) edge on two nodes. So
+/// val(G) has 2^(rules-1) + 2 nodes and 2^(rules-1) edges: 65 rules
+/// overflow a uint64_t count, 33 overflow NodeId.
+inline SlhrGrammar DoublingGrammar(uint32_t rules) {
+  Alphabet alphabet;
+  const Label a = alphabet.Add("a", 2);
+  SlhrGrammar grammar(std::move(alphabet), Hypergraph(2));
+  for (uint32_t j = 0; j < rules; ++j) {
+    const Label nt = grammar.AddNonterminal(2);
+    Hypergraph rhs(j == 0 ? 3 : 2);
+    if (j == 0) {
+      rhs.AddSimpleEdge(0, 2, a);
+    } else {
+      rhs.AddSimpleEdge(0, 1, nt - 1);
+      rhs.AddSimpleEdge(0, 1, nt - 1);
+    }
+    rhs.SetExternal({0, 1});
+    grammar.SetRule(nt, std::move(rhs));
+  }
+  grammar.mutable_start()->AddSimpleEdge(
+      0, 1, grammar.NonterminalLabel(rules - 1));
+  return grammar;
+}
+
+/// \brief A grepair payload (CompressedGraph::Serialize's layout: u8
+/// mapping flag, u64 LE grammar length, grammar bytes, mapping bytes)
+/// around `grammar`, with no node mapping. Builds payloads that
+/// CompressedGraph itself refuses to hold.
+inline std::vector<uint8_t> GrammarPayload(const SlhrGrammar& grammar) {
+  const std::vector<uint8_t> grammar_bytes = EncodeGrammar(grammar);
+  std::vector<uint8_t> out = {0};
+  PutU64LE(grammar_bytes.size(), &out);
+  out.insert(out.end(), grammar_bytes.begin(), grammar_bytes.end());
+  return out;
+}
+
+/// \brief Seeds for the grepair payload parser: small real payloads
+/// with and without a node mapping, plus the 65-rule DoublingGrammar,
+/// whose val(G) counts wrap uint64_t.
+inline std::vector<std::vector<uint8_t>> GoldenGrepairPayloadSeeds() {
+  std::vector<std::vector<uint8_t>> seeds;
+  auto add = [&](const GeneratedGraph& gg, bool original_ids) {
+    auto graph = CompressedGraph::FromGraph(gg.graph, gg.alphabet, {},
+                                            original_ids);
+    if (!graph.ok()) {
+      std::fprintf(stderr, "golden payload compress failed: %s\n",
+                   graph.status().ToString().c_str());
+      std::abort();
+    }
+    seeds.push_back(graph.value().Serialize());
+  };
+  add(CoAuthorship(40, 60, 91), true);
+  add(RdfTypes(60, 4, 92), true);
+  add(DisjointCopies(CycleWithDiagonal(), 8, "copies8"), false);
+  seeds.push_back(GrammarPayload(DoublingGrammar(65)));
+  return seeds;
 }
 
 }  // namespace fuzz

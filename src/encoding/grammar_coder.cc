@@ -454,88 +454,43 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
 }
 
 std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
-                                       const NodeMapping& mapping) {
+                                       const std::vector<NodeId>& origins) {
+  assert(origins.size() >= grammar.start().num_nodes());
   BitWriter w;
-  EliasDeltaEncode(mapping.start_origs.size() + 1, &w);
-  for (NodeId v : mapping.start_origs) EliasDeltaEncode(v + 1, &w);
-  // Record trees flattened in derivation order; the structure (how many
-  // internals / children each record has) is implied by the grammar.
-  std::vector<const DerivationRecord*> stack;
-  const Hypergraph& start = grammar.start();
-  for (EdgeId se = 0; se < start.num_edges(); ++se) {
-    if (!grammar.IsNonterminal(start.edge(se).label)) continue;
-    stack.push_back(&mapping.edge_records[se]);
-    while (!stack.empty()) {
-      const DerivationRecord* rec = stack.back();
-      stack.pop_back();
-      for (NodeId v : rec->internal_origs) EliasDeltaEncode(v + 1, &w);
-      for (size_t c = rec->children.size(); c-- > 0;) {
-        stack.push_back(&rec->children[c]);
-      }
-    }
-  }
+  EliasDeltaEncode(grammar.start().num_nodes() + 1, &w);
+  for (NodeId v : origins) EliasDeltaEncode(v + 1, &w);
   return w.TakeBytes();
 }
 
-Result<NodeMapping> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                      const std::vector<uint8_t>& bytes) {
-  return DecodeNodeMapping(grammar, SpanOf(bytes));
-}
-
-Result<NodeMapping> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                      ByteSpan bytes) {
+Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
+                                              ByteSpan bytes) {
   BitReader r(bytes.data, bytes.size * 8);
   uint64_t num_start = 0;
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_start));
   if (num_start == 0) return Status::Corruption("bad mapping header");
-  --num_start;
-  if (num_start != grammar.start().num_nodes()) {
+  if (num_start - 1 != grammar.start().num_nodes()) {
     return Status::Corruption("mapping does not match grammar");
   }
-  NodeMapping mapping;
-  mapping.start_origs.resize(num_start);
-  for (auto& v : mapping.start_origs) {
+  // The grammar fixes the id count. Every Elias-delta code takes at
+  // least one bit, so a count beyond the bits left fails before the
+  // allocation it would size (this also rejects a saturated count).
+  const uint64_t n = ComputeValSize(grammar).nodes;
+  if (n > r.BitsAvailable() || n > kMaxValNodes) {
+    return Status::Corruption("mapping node count exceeds the input");
+  }
+  std::vector<NodeId> origins(n);
+  std::vector<uint8_t> seen(n, 0);
+  for (NodeId& v : origins) {
     uint64_t raw = 0;
     GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &raw));
-    if (raw == 0) return Status::Corruption("bad origin id");
-    v = static_cast<NodeId>(raw - 1);
-  }
-  // Rebuild the record trees by walking the grammar structure in the
-  // same derivation order the encoder used.
-  mapping.edge_records.resize(grammar.start().num_edges());
-  struct Frame {
-    DerivationRecord* rec;
-    Label label;
-  };
-  const Hypergraph& start = grammar.start();
-  for (EdgeId se = 0; se < start.num_edges(); ++se) {
-    if (!grammar.IsNonterminal(start.edge(se).label)) continue;
-    std::vector<Frame> stack{{&mapping.edge_records[se],
-                              start.edge(se).label}};
-    while (!stack.empty()) {
-      Frame f = stack.back();
-      stack.pop_back();
-      const Hypergraph& rhs = grammar.rhs(f.label);
-      size_t internal = rhs.num_nodes() - rhs.ext().size();
-      f.rec->internal_origs.resize(internal);
-      for (auto& v : f.rec->internal_origs) {
-        uint64_t raw = 0;
-        GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &raw));
-        if (raw == 0) return Status::Corruption("bad origin id");
-        v = static_cast<NodeId>(raw - 1);
-      }
-      std::vector<Label> child_labels;
-      for (const auto& e : rhs.edges()) {
-        if (grammar.IsNonterminal(e.label)) child_labels.push_back(e.label);
-      }
-      f.rec->children.resize(child_labels.size());
-      for (size_t c = child_labels.size(); c-- > 0;) {
-        stack.push_back({&f.rec->children[c], child_labels[c]});
-      }
+    if (raw == 0 || raw > n) {
+      return Status::Corruption("origin id out of range");
     }
+    v = static_cast<NodeId>(raw - 1);
+    if (seen[v]) return Status::Corruption("node mapping is not a permutation");
+    seen[v] = 1;
   }
-  GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
-  return mapping;
+  return origins;
 }
 
 double BitsPerEdge(size_t encoded_bytes, uint64_t num_edges) {

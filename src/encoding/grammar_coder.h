@@ -78,23 +78,27 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes);
 /// with `num_edges` edges (the paper's compression metric).
 double BitsPerEdge(size_t encoded_bytes, uint64_t num_edges);
 
-/// \brief Serializes the psi' node mapping (original-ID record trees).
+/// \brief Serializes the psi' node mapping, given as the flat origin
+/// array (origins[val(G) id] = original id, see derivation.h).
 ///
 /// The paper stores this mapping out of band ("we do not include the
 /// space required to retain the original node IDs"); this encoder makes
-/// that concrete: delta-coded origin lists laid out in derivation
-/// order, so decoding needs the grammar it belongs to.
+/// that concrete. Format: EliasDelta(|V_S| + 1), then EliasDelta(o + 1)
+/// for every origin o in val(G) id order. val(G) numbers the start
+/// graph's nodes first and then the nodes each rule application creates,
+/// in derivation order, so the grammar implies which rule application
+/// each entry belongs to and decoding needs the grammar it was encoded
+/// against.
 std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
-                                       const NodeMapping& mapping);
+                                       const std::vector<NodeId>& origins);
 
-/// \brief Inverse of EncodeNodeMapping; `grammar` must be the grammar
-/// the mapping was encoded against (validated structurally).
-Result<NodeMapping> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                      const std::vector<uint8_t>& bytes);
-
-/// \brief Zero-copy overload of DecodeNodeMapping (see DecodeGrammar).
-Result<NodeMapping> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                      ByteSpan bytes);
+/// \brief Inverse of EncodeNodeMapping and the mapping's one validation
+/// point. Treats `bytes` as untrusted: the id count comes from
+/// `grammar` (and must fit the input before anything is allocated),
+/// the stored |V_S| must match the grammar's, and every id must be in
+/// range and unique, so a success is a permutation of val(G)'s ids.
+Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
+                                              ByteSpan bytes);
 
 }  // namespace grepair
 

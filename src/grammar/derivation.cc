@@ -29,6 +29,15 @@ void CanonicalizeStartEdgeOrder(SlhrGrammar* grammar, NodeMapping* mapping) {
   if (mapping != nullptr) mapping->edge_records = std::move(sorted_records);
 }
 
+namespace {
+
+// a + b, saturating at UINT64_MAX.
+uint64_t SatAdd(uint64_t a, uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+}
+
+}  // namespace
+
 GeneratedSizes ComputeGeneratedSizes(const SlhrGrammar& grammar) {
   GeneratedSizes sizes;
   uint32_t n = grammar.num_rules();
@@ -41,10 +50,10 @@ GeneratedSizes ComputeGeneratedSizes(const SlhrGrammar& grammar) {
       if (grammar.IsNonterminal(e.label)) {
         uint32_t child = grammar.RuleIndex(e.label);
         assert(child < j);
-        sizes.gen_nodes[j] += sizes.gen_nodes[child];
-        sizes.gen_edges[j] += sizes.gen_edges[child];
+        sizes.gen_nodes[j] = SatAdd(sizes.gen_nodes[j], sizes.gen_nodes[child]);
+        sizes.gen_edges[j] = SatAdd(sizes.gen_edges[j], sizes.gen_edges[child]);
       } else {
-        sizes.gen_edges[j] += 1;
+        sizes.gen_edges[j] = SatAdd(sizes.gen_edges[j], 1);
       }
     }
   }
@@ -58,10 +67,10 @@ ValSize ComputeValSize(const SlhrGrammar& grammar) {
   for (const auto& e : grammar.start().edges()) {
     if (grammar.IsNonterminal(e.label)) {
       const uint32_t j = grammar.RuleIndex(e.label);
-      size.nodes += sizes.gen_nodes[j];
-      size.edges += sizes.gen_edges[j];
+      size.nodes = SatAdd(size.nodes, sizes.gen_nodes[j]);
+      size.edges = SatAdd(size.edges, sizes.gen_edges[j]);
     } else {
-      size.edges += 1;
+      size.edges = SatAdd(size.edges, 1);
     }
   }
   return size;
@@ -70,7 +79,7 @@ ValSize ComputeValSize(const SlhrGrammar& grammar) {
 namespace {
 
 Status CheckDeriveLimits(const ValSize& size, const DeriveOptions& options) {
-  if (size.nodes > options.max_nodes) {
+  if (size.nodes > std::min(options.max_nodes, kMaxValNodes)) {
     return Status::OutOfRange("val(G) has " + std::to_string(size.nodes) +
                               " nodes, above the materialization limit");
   }
@@ -147,37 +156,6 @@ void DeriveImpl(const SlhrGrammar& grammar,
   (void)emitted;
 }
 
-// FlattenOrigins for a mapping already validated against `grammar`,
-// whose val(G) has `total_nodes` nodes.
-std::vector<NodeId> FlattenValidOrigins(const SlhrGrammar& grammar,
-                                        const NodeMapping& mapping,
-                                        uint64_t total_nodes) {
-  std::vector<NodeId> origins = mapping.start_origs;
-  origins.reserve(total_nodes);
-  // Depth-first flatten mirroring the derivation order: a record's
-  // internals come first, then its children in rhs edge order.
-  struct Work {
-    const DerivationRecord* rec;
-  };
-  const Hypergraph& start = grammar.start();
-  for (EdgeId se = 0; se < start.num_edges(); ++se) {
-    if (!grammar.IsNonterminal(start.edge(se).label)) continue;
-    std::vector<const DerivationRecord*> stack{&mapping.edge_records[se]};
-    // Children must be visited left-to-right: push in reverse.
-    while (!stack.empty()) {
-      const DerivationRecord* rec = stack.back();
-      stack.pop_back();
-      origins.insert(origins.end(), rec->internal_origs.begin(),
-                     rec->internal_origs.end());
-      for (size_t c = rec->children.size(); c-- > 0;) {
-        stack.push_back(&rec->children[c]);
-      }
-    }
-  }
-  assert(origins.size() == total_nodes);
-  return origins;
-}
-
 }  // namespace
 
 Result<Hypergraph> Derive(const SlhrGrammar& grammar,
@@ -206,21 +184,41 @@ Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
                                            const DeriveOptions& options) {
   GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
   const uint64_t total_nodes = ComputeValSize(grammar).nodes;
-  if (total_nodes > options.max_nodes) {
+  if (total_nodes > std::min(options.max_nodes, kMaxValNodes)) {
     return Status::OutOfRange("val(G) node count above limit");
   }
-  return FlattenValidOrigins(grammar, mapping, total_nodes);
+  std::vector<NodeId> origins = mapping.start_origs;
+  origins.reserve(total_nodes);
+  // Depth-first flatten mirroring the derivation order: a record's
+  // internals come first, then its children in rhs edge order.
+  const Hypergraph& start = grammar.start();
+  std::vector<const DerivationRecord*> stack;
+  for (EdgeId se = 0; se < start.num_edges(); ++se) {
+    if (!grammar.IsNonterminal(start.edge(se).label)) continue;
+    stack.push_back(&mapping.edge_records[se]);
+    // Children must be visited left-to-right: push in reverse.
+    while (!stack.empty()) {
+      const DerivationRecord* rec = stack.back();
+      stack.pop_back();
+      origins.insert(origins.end(), rec->internal_origs.begin(),
+                     rec->internal_origs.end());
+      for (size_t c = rec->children.size(); c-- > 0;) {
+        stack.push_back(&rec->children[c]);
+      }
+    }
+  }
+  assert(origins.size() == total_nodes);
+  return origins;
 }
 
 Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
-                                  const NodeMapping& mapping,
+                                  const std::vector<NodeId>& origins,
                                   const DeriveOptions& options) {
-  GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
   const ValSize size = ComputeValSize(grammar);
   GREPAIR_RETURN_IF_ERROR(CheckDeriveLimits(size, options));
-  const std::vector<NodeId> origins =
-      FlattenValidOrigins(grammar, mapping, size.nodes);
-
+  if (origins.size() != size.nodes) {
+    return Status::InvalidArgument("origin count does not match val(G)");
+  }
   // The origins must form a permutation of 0..n-1.
   std::vector<char> seen(origins.size(), 0);
   for (NodeId o : origins) {

@@ -11,13 +11,17 @@
 // single well-defined hypergraph, which the encoder/decoder round-trips
 // and the query layer (node_map.h) indexes without materializing it.
 //
-// The derivation-record machinery implements the paper's remark that the
-// compressor "can produce a mapping from the new node IDs to the
-// original ones": a DerivationRecord mirrors one rule application and
-// stores, for each internal rhs node, the original graph node it stands
-// for, plus one child record per nonterminal rhs edge. gRePair builds
-// these during replacement and pruning splices them when rules are
-// inlined (see pruning.cc).
+// The paper's remark that the compressor "can produce a mapping from
+// the new node IDs to the original ones" has two forms here. While a
+// grammar is being built, psi' is a NodeMapping of DerivationRecords:
+// a record mirrors one rule application and stores, for each internal
+// rhs node, the original graph node it stands for, plus one child
+// record per nonterminal rhs edge. gRePair builds these during
+// replacement and pruning splices them when rules are inlined (see
+// pruning.cc). Past Compress, psi' is only the flat origin array
+// (origins[val(G) id] = original id): the grammar implies the record
+// structure, so FlattenOrigins is the one bridge from records to the
+// array, and the encoder, decoder and query layer never build records.
 
 #ifndef GREPAIR_GRAMMAR_DERIVATION_H_
 #define GREPAIR_GRAMMAR_DERIVATION_H_
@@ -58,7 +62,9 @@ struct GeneratedSizes {
   std::vector<uint64_t> gen_edges;
 };
 
-/// \brief Computes generated sizes bottom-up in O(|G|).
+/// \brief Computes generated sizes bottom-up in O(|G|). A grammar can
+/// be exponentially smaller than val(G), so the counts saturate at
+/// UINT64_MAX instead of wrapping; Derive's limits then reject them.
 GeneratedSizes ComputeGeneratedSizes(const SlhrGrammar& grammar);
 
 /// \brief Size of val(G): its nodes and its terminal edges.
@@ -67,8 +73,13 @@ struct ValSize {
   uint64_t edges = 0;
 };
 
+/// \brief Most nodes a val(G) may have: its ids are NodeIds below
+/// kInvalidNode. Derive, FlattenOrigins and the decoders reject larger
+/// (or saturated) counts.
+inline constexpr uint64_t kMaxValNodes = kInvalidNode;
+
 /// \brief Both counts of val(G) from one ComputeGeneratedSizes pass,
-/// without materializing it.
+/// without materializing it; saturating like ComputeGeneratedSizes.
 ValSize ComputeValSize(const SlhrGrammar& grammar);
 
 /// \brief Options for Derive.
@@ -94,20 +105,20 @@ Status ForEachDerivedEdge(const SlhrGrammar& grammar,
                           const DerivedEdgeSink& sink,
                           const DeriveOptions& options = {});
 
-/// \brief Flattens `mapping` to the per-node origin vector of val(G)
-/// (origins[derived id] = original id) without materializing any edges:
-/// O(|val(G)|_V) time and memory, so queries can translate original ids
-/// to derived ids on compressed graphs.
+/// \brief Flattens `mapping` (validated against `grammar` first) to the
+/// per-node origin vector of val(G) (origins[derived id] = original id)
+/// without materializing any edges: O(|val(G)|_V) time and memory. The
+/// one bridge from build-time records to the flat form of psi'.
 Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
                                            const NodeMapping& mapping,
                                            const DeriveOptions& options = {});
 
-/// \brief Applies the permutation from FlattenOrigins: returns val(G)
-/// with every node renamed to its original ID, reproducing the input
-/// graph exactly (same IDs, edges up to order). Edges are renamed as
-/// they are derived; val(G) itself is never built.
+/// \brief Returns val(G) with every node v renamed to origins[v],
+/// reproducing the input graph exactly (same IDs, edges up to order).
+/// `origins` must be a permutation of val(G)'s node ids (checked).
+/// Edges are renamed as they are derived; val(G) itself is never built.
 Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
-                                  const NodeMapping& mapping,
+                                  const std::vector<NodeId>& origins,
                                   const DeriveOptions& options = {});
 
 /// \brief Checks that `mapping` structurally matches `grammar` (record

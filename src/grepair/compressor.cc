@@ -59,18 +59,24 @@ class Compressor {
       StripVirtualEdges();
     }
 
-    CompressResult result = Assemble();
+    NodeMapping mapping;
+    NodeMapping* tracked = options_.track_node_mapping ? &mapping : nullptr;
+    CompressResult result = Assemble(tracked);
     if (options_.prune) {
-      result.stats.prune_stats = PruneGrammar(
-          &result.grammar,
-          options_.track_node_mapping ? &result.mapping : nullptr,
-          options_.prune_options);
+      result.stats.prune_stats =
+          PruneGrammar(&result.grammar, tracked, options_.prune_options);
     }
     // Finish in canonical start-edge order so the binary encoder can
     // round-trip val(G) exactly.
-    CanonicalizeStartEdgeOrder(
-        &result.grammar,
-        options_.track_node_mapping ? &result.mapping : nullptr);
+    CanonicalizeStartEdgeOrder(&result.grammar, tracked);
+    if (tracked != nullptr) {
+      // val(G) has exactly the input's nodes, so no size limit applies.
+      DeriveOptions unlimited;
+      unlimited.max_nodes = kMaxValNodes;
+      auto origins = FlattenOrigins(result.grammar, mapping, unlimited);
+      assert(origins.ok());
+      result.origins = std::move(origins).ValueOrDie();
+    }
     result.stats.rules_after_prune = result.grammar.num_rules();
     result.stats.output_size = result.grammar.TotalSize();
     return result;
@@ -569,7 +575,8 @@ class Compressor {
 
   // ---- Final assembly -----------------------------------------------------
 
-  CompressResult Assemble() {
+  // Builds the grammar; fills *mapping when it is non-null.
+  CompressResult Assemble(NodeMapping* mapping) {
     // Compact live node ids.
     std::vector<NodeId> remap(node_alive_.size(), kInvalidNode);
     uint32_t next = 0;
@@ -578,10 +585,10 @@ class Compressor {
     }
     Hypergraph start(next);
     CompressResult result;
-    if (options_.track_node_mapping) {
-      result.mapping.start_origs.reserve(next);
+    if (mapping != nullptr) {
+      mapping->start_origs.reserve(next);
       for (NodeId v = 0; v < node_alive_.size(); ++v) {
-        if (node_alive_[v]) result.mapping.start_origs.push_back(orig_[v]);
+        if (node_alive_[v]) mapping->start_origs.push_back(orig_[v]);
       }
     }
     // The reserved virtual label is always the last terminal and all
@@ -598,8 +605,8 @@ class Compressor {
       Attachments att = edges_[e].edge.att;
       for (NodeId& v : att) v = remap[v];
       start.AddEdge(out_label(edges_[e].edge.label), std::move(att));
-      if (options_.track_node_mapping) {
-        result.mapping.edge_records.push_back(std::move(records_[e]));
+      if (mapping != nullptr) {
+        mapping->edge_records.push_back(std::move(records_[e]));
       }
     }
 

@@ -46,8 +46,8 @@ struct CompressOptions {
   bool prune = true;
   PruneOptions prune_options;
 
-  /// Track the original-ID mapping psi' (derivation records); enables
-  /// exact reconstruction via DeriveOriginal at some memory cost.
+  /// Track the original-ID mapping psi'; enables exact reconstruction
+  /// via DeriveOriginal at some memory cost.
   bool track_node_mapping = false;
 
   /// Extension (off by default = paper behavior): after the main loop,
@@ -71,9 +71,13 @@ struct CompressStats {
 /// \brief Output of Compress.
 struct CompressResult {
   SlhrGrammar grammar;
-  /// Populated when CompressOptions::track_node_mapping is set; together
-  /// with the grammar it reproduces the input exactly (DeriveOriginal).
-  NodeMapping mapping;
+  /// psi' as the flat origin array: origins[v] is the input node that
+  /// val(grammar) node v stands for, a permutation of the input's node
+  /// ids. Populated when CompressOptions::track_node_mapping is set
+  /// (empty otherwise); with the grammar it reproduces the input exactly
+  /// (DeriveOriginal) and it is what EncodeNodeMapping stores. The
+  /// derivation records it is flattened from stay inside Compress.
+  std::vector<NodeId> origins;
   CompressStats stats;
 };
 

@@ -1,6 +1,7 @@
 #include "src/query/compressed_graph.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/encoding/grammar_coder.h"
 #include "src/query/speedup.h"
@@ -8,83 +9,57 @@
 
 namespace grepair {
 
-namespace {
-
-// Fills the val<->original id translation tables from a psi' mapping.
-// The origins must form a permutation of [0, |val(G)|_V); Deserialize
-// feeds this untrusted bytes, so out-of-range or duplicate ids are
-// Corruption, not UB.
-Status BuildIdTranslation(std::vector<NodeId>* to_original,
-                          std::vector<uint64_t>* to_val,
-                          const SlhrGrammar& grammar,
-                          const NodeMapping& mapping) {
-  auto origins = FlattenOrigins(grammar, mapping);
-  if (!origins.ok()) return origins.status();
-  *to_original = std::move(origins).ValueOrDie();
-  constexpr uint64_t kUnset = ~0ull;
-  to_val->assign(to_original->size(), kUnset);
-  for (uint64_t v = 0; v < to_original->size(); ++v) {
-    NodeId orig = (*to_original)[v];
-    if (orig >= to_original->size() || (*to_val)[orig] != kUnset) {
-      return Status::Corruption("psi' mapping is not a permutation");
-    }
-    (*to_val)[orig] = v;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<CompressedGraph> CompressedGraph::FromGraph(
     const Hypergraph& graph, const Alphabet& alphabet,
     CompressOptions options, bool keep_original_ids) {
   options.track_node_mapping = keep_original_ids;
   auto result = Compress(graph, alphabet, options);
   if (!result.ok()) return result.status();
-
-  CompressedGraph g;
-  g.grammar_ = std::make_unique<SlhrGrammar>(std::move(result.value().grammar));
-  g.mapping_ = std::move(result.value().mapping);
-  g.stats_ = result.value().stats;
-  if (keep_original_ids) {
-    GREPAIR_RETURN_IF_ERROR(BuildIdTranslation(
-        &g.to_original_, &g.to_val_, *g.grammar_, g.mapping_));
-  }
-  g.Init();
+  auto g = FromValidGrammar(std::move(result.value().grammar),
+                            std::move(result.value().origins));
+  if (g.ok()) g.value().stats_ = result.value().stats;
   return g;
 }
 
 Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar) {
-  return FromGrammar(std::move(grammar), NodeMapping());
-}
-
-Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar,
-                                                     NodeMapping mapping) {
   GREPAIR_RETURN_IF_ERROR(grammar.Validate());
-  return FromValidGrammar(std::move(grammar), std::move(mapping));
+  return FromValidGrammar(std::move(grammar), {});
 }
 
 Result<CompressedGraph> CompressedGraph::FromValidGrammar(
-    SlhrGrammar grammar, NodeMapping mapping) {
+    SlhrGrammar grammar, std::vector<NodeId> origins) {
+  // One bottom-up pass; the counts saturate, so a grammar whose val(G)
+  // outgrows NodeId (or uint64_t edges) fails here instead of wrapping.
+  const ValSize size = ComputeValSize(grammar);
+  if (size.nodes > kMaxValNodes || size.edges == UINT64_MAX) {
+    return Status::OutOfRange("val(G) has more nodes or edges than ids "
+                              "can name");
+  }
   CompressedGraph g;
   g.grammar_ = std::make_unique<SlhrGrammar>(std::move(grammar));
-  if (!mapping.empty()) {
-    g.mapping_ = std::move(mapping);
-    GREPAIR_RETURN_IF_ERROR(BuildIdTranslation(
-        &g.to_original_, &g.to_val_, *g.grammar_, g.mapping_));
+  g.num_nodes_ = size.nodes;
+  g.num_edges_ = size.edges;
+  // Compress and DecodeNodeMapping only hand out permutations of
+  // val(G)'s ids, so inverting needs no second check.
+  assert(origins.empty() || origins.size() == size.nodes);
+  g.to_original_ = std::move(origins);
+  g.to_val_.resize(g.to_original_.size());
+  for (uint64_t v = 0; v < g.to_original_.size(); ++v) {
+    g.to_val_[g.to_original_[v]] = v;
   }
-  g.Init();
+  g.neighborhood_ = std::make_unique<LazyIndex<NeighborhoodIndex>>();
+  g.reachability_ = std::make_unique<LazyIndex<ReachabilityIndex>>();
   return g;
 }
 
 std::vector<uint8_t> CompressedGraph::Serialize() const {
   auto grammar_bytes = EncodeGrammar(*grammar_);
   std::vector<uint8_t> out;
-  out.push_back(mapping_.empty() ? 0 : 1);
+  out.push_back(has_original_ids() ? 1 : 0);
   PutU64LE(grammar_bytes.size(), &out);
   out.insert(out.end(), grammar_bytes.begin(), grammar_bytes.end());
-  if (!mapping_.empty()) {
-    auto mapping_bytes = EncodeNodeMapping(*grammar_, mapping_);
+  if (has_original_ids()) {
+    auto mapping_bytes = EncodeNodeMapping(*grammar_, to_original_);
     out.insert(out.end(), mapping_bytes.begin(), mapping_bytes.end());
   }
   return out;
@@ -106,23 +81,15 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
   // DecodeGrammar validates what it returns, so it is not checked twice.
   auto grammar = DecodeGrammar(grammar_bytes);
   if (!grammar.ok()) return grammar.status();
-  if (mapping_flag == 0) {
-    return FromValidGrammar(std::move(grammar).ValueOrDie(), NodeMapping());
+  std::vector<NodeId> origins;
+  if (mapping_flag != 0) {
+    ByteSpan mapping_bytes;
+    GREPAIR_RETURN_IF_ERROR(src.ReadSpan(src.remaining(), &mapping_bytes));
+    auto decoded = DecodeNodeMapping(grammar.value(), mapping_bytes);
+    if (!decoded.ok()) return decoded.status();
+    origins = std::move(decoded).ValueOrDie();
   }
-  ByteSpan mapping_bytes;
-  GREPAIR_RETURN_IF_ERROR(src.ReadSpan(src.remaining(), &mapping_bytes));
-  auto mapping = DecodeNodeMapping(grammar.value(), mapping_bytes);
-  if (!mapping.ok()) return mapping.status();
-  return FromValidGrammar(std::move(grammar).ValueOrDie(),
-                          std::move(mapping).ValueOrDie());
-}
-
-void CompressedGraph::Init() {
-  const ValSize size = ComputeValSize(*grammar_);
-  num_nodes_ = size.nodes;
-  num_edges_ = size.edges;
-  neighborhood_ = std::make_unique<LazyIndex<NeighborhoodIndex>>();
-  reachability_ = std::make_unique<LazyIndex<ReachabilityIndex>>();
+  return FromValidGrammar(std::move(grammar).ValueOrDie(), std::move(origins));
 }
 
 uint64_t CompressedGraph::memo_entries() const {
@@ -175,10 +142,15 @@ size_t CompressedGraph::SerializedSize() const {
 }
 
 Result<Hypergraph> CompressedGraph::Decompress() const {
-  if (!to_original_.empty()) {
-    return DeriveOriginal(*grammar_, mapping_);
+  auto graph = Derive(*grammar_);
+  if (!graph.ok() || !has_original_ids()) return graph;
+  // to_original_ is a permutation of val(G)'s ids, checked when it was
+  // decoded, so val(G) is renamed in place without re-checking it.
+  Hypergraph& g = graph.value();
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (NodeId& v : g.mutable_edge(e).att) v = to_original_[v];
   }
-  return Derive(*grammar_);
+  return graph;
 }
 
 Status CompressedGraph::ForEachRank2Edge(

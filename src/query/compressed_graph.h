@@ -48,13 +48,10 @@ class CompressedGraph {
                                            bool keep_original_ids = true);
 
   /// \brief Wraps an existing grammar (e.g. from DecodeGrammar);
-  /// queries use val(G) numbering.
+  /// queries use val(G) numbering. Fails when val(G) has more nodes
+  /// than NodeId can name (kMaxValNodes) or more edges than uint64_t
+  /// counts.
   static Result<CompressedGraph> FromGrammar(SlhrGrammar grammar);
-
-  /// \brief Wraps a grammar together with a psi' node mapping (must
-  /// structurally match); queries use original-graph ids.
-  static Result<CompressedGraph> FromGrammar(SlhrGrammar grammar,
-                                             NodeMapping mapping);
 
   /// \brief Self-contained serialization: the paper's binary grammar
   /// format, framed together with the psi' mapping when one is carried
@@ -115,6 +112,10 @@ class CompressedGraph {
   /// \brief True when queries and Decompress use original-graph ids.
   bool has_original_ids() const { return !to_original_.empty(); }
 
+  /// \brief psi' as the flat origin array: origins()[val(G) id] is the
+  /// original id, a permutation; empty without original ids.
+  const std::vector<NodeId>& origins() const { return to_original_; }
+
  private:
   // One query index, built on first use. Heap-held (with its flag) by
   // the graph so that CompressedGraph stays movable.
@@ -138,12 +139,10 @@ class CompressedGraph {
   };
 
   CompressedGraph() = default;
-  // FromGrammar for a grammar that already passed Validate().
-  static Result<CompressedGraph> FromValidGrammar(SlhrGrammar grammar,
-                                                  NodeMapping mapping);
-  // Sets the val(G) sizes (cheap, one bottom-up pass) and the empty
-  // lazy indexes.
-  void Init();
+  // Wraps a grammar that already passed Validate(), with `origins` as
+  // psi' (a permutation of val(G)'s ids, or empty for val(G) ids).
+  static Result<CompressedGraph> FromValidGrammar(
+      SlhrGrammar grammar, std::vector<NodeId> origins);
 
   const NeighborhoodIndex& neighborhood() const {
     return neighborhood_->Get(*grammar_);
@@ -162,12 +161,13 @@ class CompressedGraph {
   // Heap-allocated so the query indexes' internal pointers stay valid
   // when the CompressedGraph itself is moved.
   std::unique_ptr<SlhrGrammar> grammar_;
-  NodeMapping mapping_;  // empty when ids are val(G) numbering
   CompressStats stats_;
   uint64_t num_nodes_ = 0;
   uint64_t num_edges_ = 0;
-  std::vector<NodeId> to_original_;  // val id -> original id
-  std::vector<uint64_t> to_val_;     // original id -> val id
+  // psi': val id -> original id, a permutation; empty when ids are
+  // val(G) numbering.
+  std::vector<NodeId> to_original_;
+  std::vector<uint64_t> to_val_;  // original id -> val id
   std::unique_ptr<LazyIndex<NeighborhoodIndex>> neighborhood_;
   std::unique_ptr<LazyIndex<ReachabilityIndex>> reachability_;
   mutable std::optional<size_t> serialized_size_;

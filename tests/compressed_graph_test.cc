@@ -7,6 +7,7 @@
 #include <atomic>
 #include <thread>
 
+#include "fuzz/golden_seeds.h"
 #include "src/datasets/generators.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/graph/graph_algos.h"
@@ -122,6 +123,34 @@ TEST(CompressedGraphTest, RejectsInvalidGrammar) {
   rhs.SetExternal({0, 1});
   bad.SetRule(nt, std::move(rhs));
   EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(bad)).ok());
+}
+
+TEST(CompressedGraphTest, ValGraphBeyondNodeIdsFailsClosed) {
+  // 65 doubling rules in 455 bytes: val(G) has 2^64 + 2 nodes and 2^64
+  // edges. Plain uint64_t sums wrapped that to 2 nodes and 0 edges, so
+  // the grammar passed every size check and Decompress ran unbounded.
+  SlhrGrammar wrapped = fuzz::DoublingGrammar(65);
+  const std::vector<uint8_t> payload = fuzz::GrammarPayload(wrapped);
+  ASSERT_TRUE(DecodeGrammar(EncodeGrammar(wrapped)).ok());
+  const ValSize size = ComputeValSize(wrapped);
+  ASSERT_EQ(size.nodes, UINT64_MAX);
+  ASSERT_EQ(size.edges, UINT64_MAX);
+  EXPECT_EQ(Derive(wrapped).status().code(), StatusCode::kOutOfRange);
+  bool called = false;
+  Status streamed = ForEachDerivedEdge(
+      wrapped, [&](Label, const Attachments&) { called = true; });
+  EXPECT_EQ(streamed.code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(called);
+  EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(wrapped)).ok());
+  EXPECT_FALSE(CompressedGraph::Deserialize(payload).ok());
+
+  // 33 rules: 2^32 + 2 nodes, no wrap, but more than NodeId can name.
+  EXPECT_FALSE(CompressedGraph::FromGrammar(fuzz::DoublingGrammar(33)).ok());
+  // 20 rules fit, with exact counts.
+  auto fits = CompressedGraph::FromGrammar(fuzz::DoublingGrammar(20));
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits.value().num_nodes(), (1u << 19) + 2);
+  EXPECT_EQ(fits.value().num_edges(), 1u << 19);
 }
 
 TEST(CompressedGraphTest, ValNumberingWhenMappingDisabled) {

@@ -217,10 +217,10 @@ void FoldCase(const GeneratedGraph& gg, const GoldenCase& c,
   const SlhrGrammar& grammar = result.value().grammar;
   digests->grammar = FoldBytes(EncodeGrammar(grammar), digests->grammar);
   if (!c.mapping) return;
-  const NodeMapping& mapping = result.value().mapping;
+  const std::vector<NodeId>& origins = result.value().origins;
   digests->mapping =
-      FoldBytes(EncodeNodeMapping(grammar, mapping), digests->mapping);
-  auto original = DeriveOriginal(grammar, mapping);
+      FoldBytes(EncodeNodeMapping(grammar, origins), digests->mapping);
+  auto original = DeriveOriginal(grammar, origins);
   ASSERT_TRUE(original.ok()) << gg.name << ": "
                              << original.status().ToString();
   EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph))

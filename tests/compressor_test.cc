@@ -34,7 +34,7 @@ void CheckRoundTrip(const GeneratedGraph& gg, CompressOptions options) {
   ASSERT_TRUE(derived.ok());
   EXPECT_EQ(WlHash(derived.value()), WlHash(gg.graph)) << gg.name;
 
-  auto original = DeriveOriginal(grammar, result.value().mapping);
+  auto original = DeriveOriginal(grammar, result.value().origins);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph)) << gg.name;
 }

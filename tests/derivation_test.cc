@@ -152,7 +152,7 @@ TEST(DerivationTest, MappingRoundTrip) {
   ASSERT_TRUE(origins.ok());
   EXPECT_EQ(origins.value(), (std::vector<NodeId>{2, 0, 4, 1, 3, 5}));
 
-  auto original = DeriveOriginal(g, mapping);
+  auto original = DeriveOriginal(g, origins.value());
   ASSERT_TRUE(original.ok());
   Hypergraph expected(6);
   expected.AddSimpleEdge(2, 1, 0);
@@ -183,7 +183,7 @@ TEST(DerivationTest, NonPermutationMappingRejected) {
   mapping.edge_records[0].internal_origs = {3};
   mapping.edge_records[1].internal_origs = {4};
   mapping.edge_records[2].internal_origs = {5};
-  auto res = DeriveOriginal(g, mapping);
+  auto res = DeriveOriginal(g, FlattenOrigins(g, mapping).value());
   EXPECT_FALSE(res.ok());
 }
 

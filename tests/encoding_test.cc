@@ -95,7 +95,6 @@ TEST(EncodingTest, TerminalOnlyGrammar) {
   s.AddEdge(1, {5, 3, 4});
   s.AddEdge(1, {2, 4, 0});
   SlhrGrammar grammar(alpha, s);
-  NodeMapping no_mapping;
   CanonicalizeStartEdgeOrder(&grammar, nullptr);
   auto bytes = EncodeGrammar(grammar);
   auto decoded = DecodeGrammar(bytes);

@@ -77,7 +77,7 @@ TEST_P(FuzzRoundTrip, FullPipeline) {
   ASSERT_TRUE(grammar.Validate().ok()) << grammar.Validate().ToString();
 
   // Exact reconstruction through the mapping.
-  auto original = DeriveOriginal(grammar, result.value().mapping);
+  auto original = DeriveOriginal(grammar, result.value().origins);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   ASSERT_TRUE(original.value().EqualUpToEdgeOrder(graph))
       << "seed " << p.seed;

@@ -1,6 +1,7 @@
 // Bounded-budget fuzzing of the parsers a hostile network peer can
 // reach: the GRNF wire-frame parser and the GRSHARD2 directory parser
-// (the bytes a shard server ships at connect time), plus the
+// (the bytes a shard server ships at connect time), the grepair shard
+// payload parser (the bytes a shard fault decodes), plus the
 // bit-stream/Elias decode differential. The invariant checks and the
 // golden seeds are shared with the coverage-guided libFuzzer targets
 // (fuzz/fuzz_checks.h, fuzz/golden_seeds.h), so this always-on ctest
@@ -237,6 +238,27 @@ TEST(NetFuzzTest, WholeContainerMutationStaysFailClosed) {
     if (!rep.ok()) {
       EXPECT_FALSE(rep.status().message().empty());
     }
+  }
+}
+
+TEST(NetFuzzTest, GrepairPayloadParserSurvivesMutation) {
+  // fuzz/grepair_payload_fuzzer.cc runs the same check coverage-guided.
+  const auto seeds = fuzz::GoldenGrepairPayloadSeeds();
+  // Golden path: the real payloads decode; the last seed, whose val(G)
+  // counts wrap uint64_t, fails closed.
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    auto graph = CompressedGraph::Deserialize(SpanOf(seeds[i]));
+    EXPECT_EQ(graph.ok(), i + 1 < seeds.size()) << "seed " << i;
+    const char* violated =
+        fuzz::CheckGrepairPayload(seeds[i].data(), seeds[i].size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+  Rng rng(0x6AA1D5EE);
+  for (int iter = 0; iter < 1500; ++iter) {
+    auto mutated = Mutate(seeds[rng.UniformBounded(seeds.size())], &rng);
+    const char* violated =
+        fuzz::CheckGrepairPayload(mutated.data(), mutated.size());
+    EXPECT_TRUE(violated == nullptr) << violated;
   }
 }
 

@@ -128,9 +128,44 @@ TEST(PruningTest, ContributingRuleKept) {
   EXPECT_EQ(stats.size_after, size_before);
 }
 
+// Builds the record form of psi' for `g` from its flat form: the
+// inverse of FlattenOrigins, handing out `origins` in derivation order.
+NodeMapping RecordsFor(const SlhrGrammar& g,
+                       const std::vector<NodeId>& origins) {
+  size_t next = 0;
+  NodeMapping m;
+  for (NodeId v = 0; v < g.start().num_nodes(); ++v) {
+    m.start_origs.push_back(origins[next++]);
+  }
+  std::function<DerivationRecord(Label)> apply = [&](Label nt) {
+    DerivationRecord rec;
+    const Hypergraph& rhs = g.rhs(nt);
+    for (NodeId v = rhs.rank(); v < rhs.num_nodes(); ++v) {
+      rec.internal_origs.push_back(origins[next++]);
+    }
+    for (const auto& e : rhs.edges()) {
+      if (g.IsNonterminal(e.label)) rec.children.push_back(apply(e.label));
+    }
+    return rec;
+  };
+  for (const auto& e : g.start().edges()) {
+    m.edge_records.push_back(g.IsNonterminal(e.label) ? apply(e.label)
+                                                       : DerivationRecord());
+  }
+  return m;
+}
+
+// DeriveOriginal through the record form of psi'.
+Result<Hypergraph> DeriveFromRecords(const SlhrGrammar& g,
+                                     const NodeMapping& m) {
+  auto origins = FlattenOrigins(g, m);
+  if (!origins.ok()) return origins.status();
+  return DeriveOriginal(g, origins.value());
+}
+
 TEST(PruningTest, MappingSplicedThroughInline) {
-  // Full pipeline with tracking: compress (no prune), then prune with
-  // the mapping and check exact reconstruction still works.
+  // Full pipeline with tracking: compress (no prune), rebuild psi' as
+  // records, prune with them and check exact reconstruction still works.
   GeneratedGraph gg = CoAuthorship(120, 200, 31);
   CompressOptions options;
   options.prune = false;
@@ -138,13 +173,13 @@ TEST(PruningTest, MappingSplicedThroughInline) {
   auto result = Compress(gg.graph, gg.alphabet, options);
   ASSERT_TRUE(result.ok());
   SlhrGrammar grammar = std::move(result.value().grammar);
-  NodeMapping mapping = std::move(result.value().mapping);
+  NodeMapping mapping = RecordsFor(grammar, result.value().origins);
   ASSERT_TRUE(ValidateMapping(grammar, mapping).ok());
 
   PruneGrammar(&grammar, &mapping, PruneOptions());
   ASSERT_TRUE(grammar.Validate().ok());
   ASSERT_TRUE(ValidateMapping(grammar, mapping).ok());
-  auto original = DeriveOriginal(grammar, mapping);
+  auto original = DeriveFromRecords(grammar, mapping);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph));
 }
@@ -157,13 +192,13 @@ TEST(PruningTest, FixpointIterationIsSafe) {
   auto result = Compress(gg.graph, gg.alphabet, options);
   ASSERT_TRUE(result.ok());
   SlhrGrammar grammar = std::move(result.value().grammar);
-  NodeMapping mapping = std::move(result.value().mapping);
+  NodeMapping mapping = RecordsFor(grammar, result.value().origins);
 
   PruneOptions prune;
   prune.iterate_to_fixpoint = true;
   PruneGrammar(&grammar, &mapping, prune);
   ASSERT_TRUE(grammar.Validate().ok());
-  auto original = DeriveOriginal(grammar, mapping);
+  auto original = DeriveFromRecords(grammar, mapping);
   ASSERT_TRUE(original.ok());
   EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph));
 }
@@ -197,29 +232,11 @@ TEST(PruningTest, PruningNeverGrowsGrammar) {
 // Builds a mapping for `g` whose flattened origins are the reversal of
 // the derivation order.
 NodeMapping ReversedMapping(const SlhrGrammar& g) {
-  uint64_t total = ComputeValSize(g).nodes;
-  NodeId next = 0;
-  auto fresh = [&]() { return static_cast<NodeId>(total - 1 - next++); };
-  NodeMapping m;
-  for (NodeId v = 0; v < g.start().num_nodes(); ++v) {
-    m.start_origs.push_back(fresh());
+  std::vector<NodeId> origins(ComputeValSize(g).nodes);
+  for (size_t v = 0; v < origins.size(); ++v) {
+    origins[v] = static_cast<NodeId>(origins.size() - 1 - v);
   }
-  std::function<DerivationRecord(Label)> apply = [&](Label nt) {
-    DerivationRecord rec;
-    const Hypergraph& rhs = g.rhs(nt);
-    for (NodeId v = rhs.rank(); v < rhs.num_nodes(); ++v) {
-      rec.internal_origs.push_back(fresh());
-    }
-    for (const auto& e : rhs.edges()) {
-      if (g.IsNonterminal(e.label)) rec.children.push_back(apply(e.label));
-    }
-    return rec;
-  };
-  for (const auto& e : g.start().edges()) {
-    m.edge_records.push_back(g.IsNonterminal(e.label) ? apply(e.label)
-                                                       : DerivationRecord());
-  }
-  return m;
+  return RecordsFor(g, origins);
 }
 
 std::string DumpEdges(const Hypergraph& h) {
@@ -265,13 +282,13 @@ std::string PruneAndDump(const SlhrGrammar& g, const PruneOptions& options,
                          PruneStats* stats = nullptr) {
   SlhrGrammar pruned = g;
   NodeMapping mapping = ReversedMapping(g);
-  auto before = DeriveOriginal(g, mapping);
+  auto before = DeriveFromRecords(g, mapping);
   EXPECT_TRUE(before.ok()) << before.status().ToString();
   PruneStats s = PruneGrammar(&pruned, &mapping, options);
   if (stats != nullptr) *stats = s;
   EXPECT_TRUE(pruned.Validate().ok()) << pruned.Validate().ToString();
   EXPECT_TRUE(ValidateMapping(pruned, mapping).ok());
-  auto after = DeriveOriginal(pruned, mapping);
+  auto after = DeriveFromRecords(pruned, mapping);
   EXPECT_TRUE(after.ok()) << after.status().ToString();
   if (before.ok() && after.ok()) {
     EXPECT_TRUE(after.value().EqualUpToEdgeOrder(before.value()));
@@ -494,11 +511,11 @@ TEST(PruningPinnedTest, InlineRuleEverywhere) {
     g.mutable_start()->AddSimpleEdge(1, 0, 1);
     g.mutable_start()->AddEdge(g.NonterminalLabel(1), {1, 0});
     NodeMapping mapping = ReversedMapping(g);
-    auto before = DeriveOriginal(g, mapping);
+    auto before = DeriveFromRecords(g, mapping);
     ASSERT_TRUE(before.ok());
     InlineRuleEverywhere(&g, g.NonterminalLabel(rule), &mapping);
     ASSERT_TRUE(ValidateMapping(g, mapping).ok());
-    auto after = DeriveOriginal(g, mapping);
+    auto after = DeriveFromRecords(g, mapping);
     ASSERT_TRUE(after.ok());
     EXPECT_TRUE(after.value().EqualUpToEdgeOrder(before.value()));
     EXPECT_EQ(Dump(g, mapping), kExpected[rule]) << "rule " << rule;
@@ -514,14 +531,14 @@ TEST(PruningPinnedTest, InlineRuleEverywhere) {
 void CheckLinearPrune(const SlhrGrammar& g) {
   SlhrGrammar pruned = g;
   NodeMapping mapping = ReversedMapping(g);
-  auto before = DeriveOriginal(g, mapping);
+  auto before = DeriveFromRecords(g, mapping);
   ASSERT_TRUE(before.ok());
   PruneStats stats = PruneGrammar(&pruned, &mapping, PruneOptions());
   EXPECT_EQ(pruned.num_rules(), 0u);
   EXPECT_GT(stats.spliced_edges, 0u);
   EXPECT_LE(stats.spliced_edges, stats.size_before + stats.size_after);
   ASSERT_TRUE(ValidateMapping(pruned, mapping).ok());
-  auto after = DeriveOriginal(pruned, mapping);
+  auto after = DeriveFromRecords(pruned, mapping);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value().EqualUpToEdgeOrder(before.value()));
 }
