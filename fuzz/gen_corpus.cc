@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
 
   auto payloads = grepair::fuzz::GoldenGrepairPayloadSeeds();
   for (size_t i = 0; i < payloads.size(); ++i) {
-    char name[32];
+    char name[40];
     std::snprintf(name, sizeof(name), "payload_%02zu.bin", i);
     grepair::WriteSeed(payload_dir, name, payloads[i]);
   }

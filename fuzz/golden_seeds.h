@@ -92,19 +92,20 @@ inline std::vector<uint8_t> GoldenContainerBytes(uint32_t nodes,
 }
 
 /// \brief A grammar of `rules` rules whose val(G) doubles per rule: R0
-/// has one internal node and one terminal edge, each Rj has two R(j-1)
-/// edges, and the start graph is one R(rules-1) edge on two nodes. So
-/// val(G) has 2^(rules-1) + 2 nodes and 2^(rules-1) edges: 65 rules
-/// overflow a uint64_t count, 33 overflow NodeId.
-inline SlhrGrammar DoublingGrammar(uint32_t rules) {
+/// has one internal node (none without `new_node`) and one terminal
+/// edge, each Rj has two R(j-1) edges, and the start graph is one
+/// R(rules-1) edge on two nodes. So val(G) has 2^(rules-1) + 2 nodes
+/// (2 without `new_node`) and 2^(rules-1) edges: 65 rules overflow a
+/// uint64_t count, 33 overflow NodeId.
+inline SlhrGrammar DoublingGrammar(uint32_t rules, bool new_node = true) {
   Alphabet alphabet;
   const Label a = alphabet.Add("a", 2);
   SlhrGrammar grammar(std::move(alphabet), Hypergraph(2));
   for (uint32_t j = 0; j < rules; ++j) {
     const Label nt = grammar.AddNonterminal(2);
-    Hypergraph rhs(j == 0 ? 3 : 2);
+    Hypergraph rhs(j == 0 && new_node ? 3 : 2);
     if (j == 0) {
-      rhs.AddSimpleEdge(0, 2, a);
+      rhs.AddSimpleEdge(0, new_node ? 2 : 1, a);
     } else {
       rhs.AddSimpleEdge(0, 1, nt - 1);
       rhs.AddSimpleEdge(0, 1, nt - 1);

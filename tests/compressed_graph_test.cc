@@ -144,6 +144,12 @@ TEST(CompressedGraphTest, ValGraphBeyondNodeIdsFailsClosed) {
   EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(wrapped)).ok());
   EXPECT_FALSE(CompressedGraph::Deserialize(payload).ok());
 
+  // Edges alone can saturate too: 2 nodes and 2^64 parallel edges.
+  SlhrGrammar parallel = fuzz::DoublingGrammar(65, /*new_node=*/false);
+  EXPECT_EQ(ComputeValSize(parallel).nodes, 2u);
+  EXPECT_EQ(ComputeValSize(parallel).edges, UINT64_MAX);
+  EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(parallel)).ok());
+
   // 33 rules: 2^32 + 2 nodes, no wrap, but more than NodeId can name.
   EXPECT_FALSE(CompressedGraph::FromGrammar(fuzz::DoublingGrammar(33)).ok());
   // 20 rules fit, with exact counts.
