@@ -463,7 +463,7 @@ std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
 }
 
 Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                              ByteSpan bytes) {
+                                              uint64_t n, ByteSpan bytes) {
   BitReader r(bytes.data, bytes.size * 8);
   uint64_t num_start = 0;
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_start));
@@ -474,7 +474,6 @@ Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
   // The grammar fixes the id count. Every Elias-delta code takes at
   // least one bit, so a count beyond the bits left fails before the
   // allocation it would size (this also rejects a saturated count).
-  const uint64_t n = ComputeValSize(grammar).nodes;
   if (n > r.BitsAvailable() || n > kMaxValNodes) {
     return Status::Corruption("mapping node count exceeds the input");
   }

@@ -93,12 +93,14 @@ std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
                                        const std::vector<NodeId>& origins);
 
 /// \brief Inverse of EncodeNodeMapping and the mapping's one validation
-/// point. Treats `bytes` as untrusted: the id count comes from
-/// `grammar` (and must fit the input before anything is allocated),
-/// the stored |V_S| must match the grammar's, and every id must be in
-/// range and unique, so a success is a permutation of val(G)'s ids.
+/// point. `n` is ComputeValSize(grammar).nodes, the id count the
+/// grammar fixes; callers already have it at hand. Treats `bytes`
+/// as untrusted: the count must fit the input before anything is
+/// allocated, the stored |V_S| must match the grammar's, and every id
+/// must be in range and unique, so a success is a permutation of
+/// val(G)'s ids.
 Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                              ByteSpan bytes);
+                                              uint64_t n, ByteSpan bytes);
 
 }  // namespace grepair
 

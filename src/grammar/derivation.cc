@@ -180,13 +180,11 @@ Status ForEachDerivedEdge(const SlhrGrammar& grammar,
 }
 
 Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
-                                           const NodeMapping& mapping,
-                                           const DeriveOptions& options) {
+                                           const NodeMapping& mapping) {
+  // A valid mapping holds one stored id per val(G) node, so the count
+  // needs no limit of its own.
   GREPAIR_RETURN_IF_ERROR(ValidateMapping(grammar, mapping));
   const uint64_t total_nodes = ComputeValSize(grammar).nodes;
-  if (total_nodes > std::min(options.max_nodes, kMaxValNodes)) {
-    return Status::OutOfRange("val(G) node count above limit");
-  }
   std::vector<NodeId> origins = mapping.start_origs;
   origins.reserve(total_nodes);
   // Depth-first flatten mirroring the derivation order: a record's

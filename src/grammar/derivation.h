@@ -74,8 +74,8 @@ struct ValSize {
 };
 
 /// \brief Most nodes a val(G) may have: its ids are NodeIds below
-/// kInvalidNode. Derive, FlattenOrigins and the decoders reject larger
-/// (or saturated) counts.
+/// kInvalidNode. Derive and the decoders reject larger (or saturated)
+/// counts.
 inline constexpr uint64_t kMaxValNodes = kInvalidNode;
 
 /// \brief Both counts of val(G) from one ComputeGeneratedSizes pass,
@@ -110,8 +110,7 @@ Status ForEachDerivedEdge(const SlhrGrammar& grammar,
 /// without materializing any edges: O(|val(G)|_V) time and memory. The
 /// one bridge from build-time records to the flat form of psi'.
 Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
-                                           const NodeMapping& mapping,
-                                           const DeriveOptions& options = {});
+                                           const NodeMapping& mapping);
 
 /// \brief Returns val(G) with every node v renamed to origins[v],
 /// reproducing the input graph exactly (same IDs, edges up to order).

@@ -45,7 +45,7 @@ class Compressor {
                               options_.order_seed);
   }
 
-  CompressResult Run() {
+  Result<CompressResult> Run() {
     stats_.input_size = input_.TotalSize();
 
     RunPass();
@@ -70,11 +70,8 @@ class Compressor {
     // round-trip val(G) exactly.
     CanonicalizeStartEdgeOrder(&result.grammar, tracked);
     if (tracked != nullptr) {
-      // val(G) has exactly the input's nodes, so no size limit applies.
-      DeriveOptions unlimited;
-      unlimited.max_nodes = kMaxValNodes;
-      auto origins = FlattenOrigins(result.grammar, mapping, unlimited);
-      assert(origins.ok());
+      auto origins = FlattenOrigins(result.grammar, mapping);
+      if (!origins.ok()) return origins.status();
       result.origins = std::move(origins).ValueOrDie();
     }
     result.stats.rules_after_prune = result.grammar.num_rules();
@@ -685,7 +682,9 @@ Result<CompressResult> Compress(const Hypergraph& graph,
     }
   }
   Compressor compressor(graph, alphabet, options);
-  CompressResult result = compressor.Run();
+  auto run = compressor.Run();
+  if (!run.ok()) return run.status();
+  CompressResult result = std::move(run).ValueOrDie();
   // The binary format caps total duplicate parallel rank-2 edges at
   // kMaxDupEdges (grammar_coder.h); enforce it here, where there is
   // an error channel, so EncodeGrammar can never emit a file its own

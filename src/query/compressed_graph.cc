@@ -9,32 +9,45 @@
 
 namespace grepair {
 
+namespace {
+
+// One bottom-up pass; the counts saturate, so a grammar whose val(G)
+// outgrows NodeId (or uint64_t edges) fails here instead of wrapping.
+Result<ValSize> NameableValSize(const SlhrGrammar& grammar) {
+  const ValSize size = ComputeValSize(grammar);
+  if (size.nodes > kMaxValNodes || size.edges == UINT64_MAX) {
+    return Status::OutOfRange("val(G) has more nodes or edges than ids "
+                              "can name");
+  }
+  return size;
+}
+
+}  // namespace
+
 Result<CompressedGraph> CompressedGraph::FromGraph(
     const Hypergraph& graph, const Alphabet& alphabet,
     CompressOptions options, bool keep_original_ids) {
   options.track_node_mapping = keep_original_ids;
   auto result = Compress(graph, alphabet, options);
   if (!result.ok()) return result.status();
-  auto g = FromValidGrammar(std::move(result.value().grammar),
-                            std::move(result.value().origins));
-  if (g.ok()) g.value().stats_ = result.value().stats;
+  auto size = NameableValSize(result.value().grammar);
+  if (!size.ok()) return size.status();
+  CompressedGraph g =
+      FromValidGrammar(std::move(result.value().grammar), size.value(),
+                       std::move(result.value().origins));
+  g.stats_ = result.value().stats;
   return g;
 }
 
 Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar) {
   GREPAIR_RETURN_IF_ERROR(grammar.Validate());
-  return FromValidGrammar(std::move(grammar), {});
+  auto size = NameableValSize(grammar);
+  if (!size.ok()) return size.status();
+  return FromValidGrammar(std::move(grammar), size.value(), {});
 }
 
-Result<CompressedGraph> CompressedGraph::FromValidGrammar(
-    SlhrGrammar grammar, std::vector<NodeId> origins) {
-  // One bottom-up pass; the counts saturate, so a grammar whose val(G)
-  // outgrows NodeId (or uint64_t edges) fails here instead of wrapping.
-  const ValSize size = ComputeValSize(grammar);
-  if (size.nodes > kMaxValNodes || size.edges == UINT64_MAX) {
-    return Status::OutOfRange("val(G) has more nodes or edges than ids "
-                              "can name");
-  }
+CompressedGraph CompressedGraph::FromValidGrammar(
+    SlhrGrammar grammar, ValSize size, std::vector<NodeId> origins) {
   CompressedGraph g;
   g.grammar_ = std::make_unique<SlhrGrammar>(std::move(grammar));
   g.num_nodes_ = size.nodes;
@@ -81,15 +94,19 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
   // DecodeGrammar validates what it returns, so it is not checked twice.
   auto grammar = DecodeGrammar(grammar_bytes);
   if (!grammar.ok()) return grammar.status();
+  auto size = NameableValSize(grammar.value());
+  if (!size.ok()) return size.status();
   std::vector<NodeId> origins;
   if (mapping_flag != 0) {
     ByteSpan mapping_bytes;
     GREPAIR_RETURN_IF_ERROR(src.ReadSpan(src.remaining(), &mapping_bytes));
-    auto decoded = DecodeNodeMapping(grammar.value(), mapping_bytes);
+    auto decoded =
+        DecodeNodeMapping(grammar.value(), size.value().nodes, mapping_bytes);
     if (!decoded.ok()) return decoded.status();
     origins = std::move(decoded).ValueOrDie();
   }
-  return FromValidGrammar(std::move(grammar).ValueOrDie(), std::move(origins));
+  return FromValidGrammar(std::move(grammar).ValueOrDie(), size.value(),
+                          std::move(origins));
 }
 
 uint64_t CompressedGraph::memo_entries() const {

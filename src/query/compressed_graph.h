@@ -139,10 +139,11 @@ class CompressedGraph {
   };
 
   CompressedGraph() = default;
-  // Wraps a grammar that already passed Validate(), with `origins` as
-  // psi' (a permutation of val(G)'s ids, or empty for val(G) ids).
-  static Result<CompressedGraph> FromValidGrammar(
-      SlhrGrammar grammar, std::vector<NodeId> origins);
+  // Wraps a grammar that already passed Validate(), whose val(G) has
+  // `size` (within what ids can name), with `origins` as psi' (a
+  // permutation of val(G)'s ids, or empty for val(G) ids).
+  static CompressedGraph FromValidGrammar(SlhrGrammar grammar, ValSize size,
+                                          std::vector<NodeId> origins);
 
   const NeighborhoodIndex& neighborhood() const {
     return neighborhood_->Get(*grammar_);

@@ -36,7 +36,8 @@ void CheckMappingRoundTrip(const GeneratedGraph& gg) {
   const SlhrGrammar& grammar = result.grammar;
 
   auto bytes = EncodeNodeMapping(grammar, result.origins);
-  auto decoded = DecodeNodeMapping(grammar, SpanOf(bytes));
+  auto decoded = DecodeNodeMapping(grammar, ComputeValSize(grammar).nodes,
+                                   SpanOf(bytes));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   // The decoded mapping agrees entry-for-entry with the in-memory one.
   EXPECT_EQ(decoded.value(), result.origins);
@@ -61,7 +62,9 @@ class MappingCodecTest : public ::testing::Test {
     n_ = ids_.size();
   }
   Result<std::vector<NodeId>> Decode(const std::vector<uint8_t>& bytes) {
-    return DecodeNodeMapping(result_.grammar, SpanOf(bytes));
+    return DecodeNodeMapping(result_.grammar,
+                             ComputeValSize(result_.grammar).nodes,
+                             SpanOf(bytes));
   }
   uint64_t start_nodes() const { return result_.grammar.start().num_nodes(); }
 
@@ -83,7 +86,8 @@ TEST_F(MappingCodecTest, RejectsWrongGrammar) {
   CompressResult rb = CompressTracked(RdfTypes(300, 6, 95));
   auto bytes = EncodeNodeMapping(ra.grammar, ra.origins);
   // Decoding against the wrong grammar must fail cleanly.
-  auto decoded = DecodeNodeMapping(rb.grammar, SpanOf(bytes));
+  auto decoded = DecodeNodeMapping(
+      rb.grammar, ComputeValSize(rb.grammar).nodes, SpanOf(bytes));
   EXPECT_FALSE(decoded.ok());
 }
 
@@ -130,12 +134,13 @@ TEST_F(MappingCodecTest, RejectsCountBeyondInputBeforeAllocating) {
   // sizes anything by it (8 GiB of origins would not fit here).
   SlhrGrammar grammar = fuzz::DoublingGrammar(32);
   ASSERT_EQ(ComputeValSize(grammar).nodes, (uint64_t{1} << 31) + 2);
-  auto decoded =
-      DecodeNodeMapping(grammar, SpanOf(RawMapping(2, {0, 1, 2, 3})));
+  auto decoded = DecodeNodeMapping(grammar, ComputeValSize(grammar).nodes,
+                                   SpanOf(RawMapping(2, {0, 1, 2, 3})));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
   // A count that saturates (2^64 + 2 nodes) fails the same way.
-  decoded = DecodeNodeMapping(fuzz::DoublingGrammar(65),
+  SlhrGrammar saturated = fuzz::DoublingGrammar(65);
+  decoded = DecodeNodeMapping(saturated, ComputeValSize(saturated).nodes,
                               SpanOf(RawMapping(2, {0, 1})));
   EXPECT_FALSE(decoded.ok());
 }
