@@ -2,7 +2,7 @@
 // the largest generator dataset (the DBLP-style version graph, 105600
 // nodes / 172770 edges at the default size).
 //
-// Reports, per (shards, threads, strategy) configuration:
+// Reports, per (shards, threads) configuration:
 //   * compression wall-clock and speedup over unsharded gRePair,
 //   * serialized container size and ratio delta versus unsharded
 //     (positive = sharding cost, negative = sharding won — per-shard
@@ -14,8 +14,7 @@
 // superlinearity alone (K small problems are cheaper than one big
 // one); with real cores the thread pool multiplies it further.
 //
-// Usage: shard_scaling [--size N] [--strategy edge-range|bfs]
-//                      [--min-speedup X]
+// Usage: shard_scaling [--size N] [--min-speedup X]
 //   (--size is the dblp version count, default 32; --min-speedup
 //   relaxes the exit-code gate for noisy shared CI runners, where a
 //   small-size timing assertion would flake)
@@ -49,15 +48,13 @@ struct Run {
 int main(int argc, char** argv) {
   using namespace grepair;
   uint32_t size = 32;
-  std::string strategy = "edge-range";
   double min_speedup = 2.0;
   // Strict parses: atoi/atof would turn "--size abc" into a near-empty
   // dataset (meaningless verdict) and "--min-speedup abc" into an
   // always-pass 0.0 gate.
   auto usage = [] {
     std::fprintf(stderr,
-                 "usage: shard_scaling [--size N] "
-                 "[--strategy edge-range|bfs] [--min-speedup X]\n");
+                 "usage: shard_scaling [--size N] [--min-speedup X]\n");
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
@@ -68,8 +65,6 @@ int main(int argc, char** argv) {
         return usage();
       }
       size = static_cast<uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--strategy") == 0 && i + 1 < argc) {
-      strategy = argv[++i];
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
       double v = std::strtod(argv[++i], &end);
       if (end == argv[i] || *end != '\0' || v <= 0.0) return usage();
@@ -99,15 +94,14 @@ int main(int argc, char** argv) {
 
   auto sharded_codec =
       api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
-  std::printf("%7s %8s %11s %10s %9s %12s %12s\n", "shards", "threads",
-              "strategy", "ms", "speedup", "bytes", "ratio-delta");
+  std::printf("%7s %8s %10s %9s %12s %12s\n", "shards", "threads", "ms",
+              "speedup", "bytes", "ratio-delta");
   std::vector<Run> runs;
   for (int shards : {4, 8, 16}) {
     for (int threads : {1, 4}) {
       api::CodecOptions options;
       options.Set("shards", std::to_string(shards));
       options.Set("threads", std::to_string(threads));
-      options.Set("strategy", strategy);
       auto t1 = Clock::now();
       auto rep = sharded_codec->Compress(gg.graph, gg.alphabet, options);
       double ms = MsSince(t1);
@@ -120,9 +114,8 @@ int main(int argc, char** argv) {
       double delta =
           100.0 * (static_cast<double>(bytes) - baseline_bytes) /
           baseline_bytes;
-      std::printf("%7d %8d %11s %10.1f %8.2fx %12zu %+11.1f%%\n", shards,
-                  threads, strategy.c_str(), ms, baseline_ms / ms, bytes,
-                  delta);
+      std::printf("%7d %8d %10.1f %8.2fx %12zu %+11.1f%%\n", shards,
+                  threads, ms, baseline_ms / ms, bytes, delta);
       runs.push_back({shards, threads, ms, bytes});
     }
   }

@@ -33,9 +33,9 @@
 namespace grepair {
 namespace fuzz {
 
-/// \brief GRNF wire-frame decode: ok frames re-encode byte-identically
-/// and carry the type's protocol version; failures are non-empty
-/// kCorruption. Returns nullptr or the violated invariant.
+/// \brief GRNF wire-frame decode: ok frames carry a GRNF v2 type and
+/// re-encode byte-identically; failures are non-empty kCorruption.
+/// Returns nullptr or the violated invariant.
 inline const char* CheckFrameParse(ByteSpan bytes) {
   size_t consumed = 0;
   auto frame = net::DecodeFrame(bytes, &consumed);
@@ -51,17 +51,11 @@ inline const char* CheckFrameParse(ByteSpan bytes) {
   if (consumed > bytes.size) {
     return "frame decode claims to have consumed more bytes than given";
   }
-  if (frame.value().type < net::kGetDir || frame.value().type > net::kError2) {
+  if (frame.value().type < net::kHello || frame.value().type > net::kError2) {
     return "decoded frame type is outside the known verb range";
   }
-  // The version byte always agrees with the type (a mismatch is
-  // rejected as corruption), and a decoded frame re-encodes to the
-  // exact bytes it came from.
-  if (frame.value().version != net::FrameVersionForType(frame.value().type)) {
-    return "decoded frame version disagrees with its type's version";
-  }
-  auto reencoded = net::EncodeFrameWithVersion(
-      frame.value().version, frame.value().type, SpanOf(frame.value().body));
+  auto reencoded =
+      net::EncodeFrame(frame.value().type, SpanOf(frame.value().body));
   if (reencoded !=
       std::vector<uint8_t>(bytes.data, bytes.data + consumed)) {
     return "re-encoding a decoded frame did not reproduce its input bytes";

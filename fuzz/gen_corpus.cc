@@ -5,8 +5,8 @@
 // writes fuzz inputs under
 // <corpus_root>/{frame,shard_directory,elias,k2tree,grepair_payload} —
 // the directories checked in at fuzz/corpus and replayed by the ctest
-// fuzz_smoke_* tests. Seeds are golden-path encodings (every verb of
-// both frame protocol generations, real GRSHARD2 directories,
+// fuzz_smoke_* tests. Seeds are golden-path encodings (every GRNF v2
+// verb plus a retired v1 frame, real GRSHARD2 directories,
 // well-formed Elias streams plus the degenerate all-zeros/all-ones
 // edges, k^2-trees from K2Tree::Build plus a forged cell count, real
 // grepair payloads plus a grammar whose val(G) counts wrap uint64_t),

@@ -15,15 +15,30 @@
 
 #include "src/api/grepair_api.h"
 #include "src/net/frame.h"
+#include "src/serve/stats.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/byte_io.h"
+#include "src/util/hashing.h"
 #include "src/util/status.h"
 
 namespace grepair {
 namespace fuzz {
 
-/// \brief One golden frame per verb of both protocol generations, plus
-/// empty-body edges.
+/// \brief `frame` with its version and type bytes replaced and its
+/// checksum recomputed: a well-checksummed frame no conforming peer
+/// sends (a retired GRNF v1 verb, an unknown type).
+inline std::vector<uint8_t> WithFrameHeader(std::vector<uint8_t> frame,
+                                            uint8_t version, uint8_t type) {
+  frame[4] = version;
+  frame[5] = type;
+  frame.resize(frame.size() - net::kFrameChecksumBytes);
+  PutU64LE(HashBytes(frame.data(), frame.size()), &frame);
+  return frame;
+}
+
+/// \brief One golden frame per GRNF v2 verb, then one hand-built GRNF
+/// v1 frame (version 1, type 1: the retired kGetDir, empty body) that
+/// must fail closed.
 inline std::vector<std::vector<uint8_t>> GoldenFrameSeeds() {
   std::vector<uint8_t> payload(300);
   for (size_t i = 0; i < payload.size(); ++i) {
@@ -50,14 +65,19 @@ inline std::vector<std::vector<uint8_t>> GoldenFrameSeeds() {
   shard2.insert(shard2.end(), payload.begin(), payload.end());
   std::vector<uint8_t> get_stats;
   PutU64LE(44, &get_stats);
+  serve::ServerStatsSnapshot stats;
+  stats.connections = 2;
+  stats.requests = 9;
+  stats.bytes_sent = 512;
+  stats.corpora.resize(1);
+  stats.corpora[0].name = "web";
+  stats.corpora[0].inner_name = "grepair";
+  stats.corpora[0].num_nodes = 100;
+  stats.corpora[0].requests = 8;
+  stats.corpora[0].histogram_epoch = 8;
+  stats.corpora[0].shard_hits = {5, 3};
+  stats.corpora[0].shard_pinned = {1, 0};
   return {
-      net::EncodeFrame(net::kGetDir, ByteSpan{}),
-      net::EncodeFrame(net::kGetShard, ByteSpan(payload.data(), 4)),
-      net::EncodeFrame(net::kDir, SpanOf(payload)),
-      net::EncodeFrame(net::kShard, SpanOf(payload)),
-      net::EncodeFrame(net::kError,
-                       SpanOf(net::EncodeErrorBody(
-                           Status::InvalidArgument("seed error")))),
       net::EncodeFrame(net::kHello, SpanOf(hello)),
       net::EncodeFrame(net::kHelloOk, SpanOf(hello_ok)),
       net::EncodeFrame(net::kOpenCorpus, SpanOf(open_corpus)),
@@ -65,9 +85,12 @@ inline std::vector<std::vector<uint8_t>> GoldenFrameSeeds() {
       net::EncodeFrame(net::kGetShard2, SpanOf(get_shard2)),
       net::EncodeFrame(net::kShard2, SpanOf(shard2)),
       net::EncodeFrame(net::kGetStats, SpanOf(get_stats)),
+      net::EncodeFrame(net::kStats,
+                       SpanOf(serve::EncodeStatsBody(44, stats))),
       net::EncodeFrame(net::kError2,
                        SpanOf(net::EncodeErrorBody2(
                            99, Status::NotFound("seed error 2")))),
+      WithFrameHeader(net::EncodeFrame(net::kHello, ByteSpan{}), 1, 1),
   };
 }
 

@@ -9,14 +9,6 @@ namespace net {
 
 namespace {
 
-void PutHeader(uint8_t version, uint8_t type, uint32_t body_len,
-               std::vector<uint8_t>* out) {
-  PutU32LE(kFrameMagic, out);
-  out->push_back(version);
-  out->push_back(type);
-  PutU32LE(body_len, out);
-}
-
 // Shared checksum-and-finish step for a header+body buffer.
 Status CheckTrailer(const uint8_t* checked, size_t checked_len,
                     const uint8_t* trailer) {
@@ -36,28 +28,20 @@ Status CheckTrailer(const uint8_t* checked, size_t checked_len,
 
 }  // namespace
 
-uint8_t FrameVersionForType(uint8_t type) {
-  if (type >= kGetDir && type <= kError) return kProtoV1;
-  if (type >= kHello && type <= kError2) return kProtoV2;
-  return 0;
-}
-
 std::vector<uint8_t> EncodeFrame(uint8_t type, ByteSpan body) {
-  return EncodeFrameWithVersion(FrameVersionForType(type), type, body);
-}
-
-std::vector<uint8_t> EncodeFrameWithVersion(uint8_t version, uint8_t type,
-                                            ByteSpan body) {
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderBytes + body.size + kFrameChecksumBytes);
-  PutHeader(version, type, static_cast<uint32_t>(body.size), &out);
+  PutU32LE(kFrameMagic, &out);
+  out.push_back(kProtoV2);
+  out.push_back(type);
+  PutU32LE(static_cast<uint32_t>(body.size), &out);
   out.insert(out.end(), body.begin(), body.end());
   PutU64LE(HashBytes(out.data(), out.size()), &out);
   return out;
 }
 
-Status ValidateFrameHeader(const uint8_t* header, uint8_t* version,
-                           uint8_t* type, uint32_t* body_len) {
+Status ValidateFrameHeader(const uint8_t* header, uint8_t* type,
+                           uint32_t* body_len) {
   ByteSource src(ByteSpan(header, kFrameHeaderBytes), "frame header");
   uint32_t magic = 0;
   uint8_t raw_version = 0;
@@ -71,29 +55,20 @@ Status ValidateFrameHeader(const uint8_t* header, uint8_t* version,
     return Status::Corruption("bad frame magic " + HexU64(magic) +
                               " (expected " + HexU64(kFrameMagic) + ")");
   }
-  if (raw_version != kProtoV1 && raw_version != kProtoV2) {
+  if (raw_version != kProtoV2) {
     return Status::Corruption("unsupported frame protocol version " +
                               std::to_string(raw_version) + " (expected " +
-                              std::to_string(kProtoV1) + " or " +
                               std::to_string(kProtoV2) + ")");
   }
-  uint8_t type_version = FrameVersionForType(raw_type);
-  if (type_version == 0) {
+  if (raw_type < kHello || raw_type > kError2) {
     return Status::Corruption("unknown frame type " +
                               std::to_string(raw_type));
-  }
-  if (type_version != raw_version) {
-    return Status::Corruption(
-        "frame type " + std::to_string(raw_type) + " is a GRNF v" +
-        std::to_string(type_version) + " verb but the header claims v" +
-        std::to_string(raw_version));
   }
   if (len > kMaxFrameBody) {
     return Status::Corruption(
         "frame body length " + std::to_string(len) + " exceeds the " +
         std::to_string(kMaxFrameBody) + "-byte bound");
   }
-  *version = raw_version;
   *type = raw_type;
   *body_len = len;
   return Status::OK();
@@ -106,11 +81,9 @@ Result<Frame> DecodeFrame(ByteSpan bytes, size_t* consumed) {
                               std::to_string(kFrameHeaderBytes) +
                               " byte(s)");
   }
-  uint8_t version = 0;
   uint8_t type = 0;
   uint32_t body_len = 0;
-  GREPAIR_RETURN_IF_ERROR(
-      ValidateFrameHeader(bytes.data, &version, &type, &body_len));
+  GREPAIR_RETURN_IF_ERROR(ValidateFrameHeader(bytes.data, &type, &body_len));
   size_t total = kFrameHeaderBytes + body_len + kFrameChecksumBytes;
   if (bytes.size < total) {
     return Status::Corruption("truncated frame: have " +
@@ -121,7 +94,6 @@ Result<Frame> DecodeFrame(ByteSpan bytes, size_t* consumed) {
   GREPAIR_RETURN_IF_ERROR(
       CheckTrailer(bytes.data, checked, bytes.data + checked));
   Frame frame;
-  frame.version = version;
   frame.type = type;
   frame.body.assign(bytes.data + kFrameHeaderBytes,
                     bytes.data + kFrameHeaderBytes + body_len);
@@ -139,11 +111,9 @@ Result<Frame> ReadFrame(Socket* socket, bool* clean_eof) {
   uint8_t header[kFrameHeaderBytes];
   GREPAIR_RETURN_IF_ERROR(
       socket->RecvAll(header, kFrameHeaderBytes, clean_eof));
-  uint8_t version = 0;
   uint8_t type = 0;
   uint32_t body_len = 0;
-  GREPAIR_RETURN_IF_ERROR(
-      ValidateFrameHeader(header, &version, &type, &body_len));
+  GREPAIR_RETURN_IF_ERROR(ValidateFrameHeader(header, &type, &body_len));
   // One contiguous buffer so the checksum covers header + body exactly
   // as DecodeFrame sees it.
   std::vector<uint8_t> checked(kFrameHeaderBytes + body_len);
@@ -157,31 +127,34 @@ Result<Frame> ReadFrame(Socket* socket, bool* clean_eof) {
   GREPAIR_RETURN_IF_ERROR(
       CheckTrailer(checked.data(), checked.size(), trailer));
   Frame frame;
-  frame.version = version;
   frame.type = type;
   frame.body.assign(checked.begin() + kFrameHeaderBytes, checked.end());
   return frame;
 }
 
-std::vector<uint8_t> EncodeErrorBody(const Status& status) {
-  const std::string& message = status.message();
+std::vector<uint8_t> EncodeErrorBody2(uint64_t req_id, const Status& status) {
   std::vector<uint8_t> body;
-  body.reserve(1 + message.size());
+  const std::string& message = status.message();
+  body.reserve(8 + 1 + message.size());
+  PutU64LE(req_id, &body);
   body.push_back(static_cast<uint8_t>(status.code()));
   body.insert(body.end(), message.begin(), message.end());
   return body;
 }
 
-namespace {
-
-// Shared v1/v2 tail decode: u8 StatusCode + message, with the
-// "shard server: " provenance prefix.
-Status DecodeErrorTail(ByteSource* src) {
+Status DecodeErrorBody2(ByteSpan body, uint64_t* req_id) {
+  if (req_id != nullptr) *req_id = 0;
+  ByteSource src(body, "error frame body");
+  uint64_t id = 0;
+  if (!src.ReadU64LE(&id).ok()) {
+    return Status::Corruption("truncated error frame from shard server");
+  }
+  if (req_id != nullptr) *req_id = id;
   uint8_t code = 0;
-  if (!src->ReadU8(&code).ok()) {
+  if (!src.ReadU8(&code).ok()) {
     return Status::Corruption("empty error frame from shard server");
   }
-  ByteSpan rest = src->PeekRemaining();
+  ByteSpan rest = src.PeekRemaining();
   std::string message =
       "shard server: " + std::string(rest.begin(), rest.end());
   switch (static_cast<StatusCode>(code)) {
@@ -207,34 +180,6 @@ Status DecodeErrorTail(ByteSource* src) {
                                 std::string(" (code ") +
                                 std::to_string(code) + "): " + message);
   }
-}
-
-}  // namespace
-
-Status DecodeErrorBody(ByteSpan body) {
-  ByteSource src(body, "error frame body");
-  return DecodeErrorTail(&src);
-}
-
-std::vector<uint8_t> EncodeErrorBody2(uint64_t req_id, const Status& status) {
-  std::vector<uint8_t> body;
-  const std::string& message = status.message();
-  body.reserve(8 + 1 + message.size());
-  PutU64LE(req_id, &body);
-  body.push_back(static_cast<uint8_t>(status.code()));
-  body.insert(body.end(), message.begin(), message.end());
-  return body;
-}
-
-Status DecodeErrorBody2(ByteSpan body, uint64_t* req_id) {
-  if (req_id != nullptr) *req_id = 0;
-  ByteSource src(body, "error frame body");
-  uint64_t id = 0;
-  if (!src.ReadU64LE(&id).ok()) {
-    return Status::Corruption("truncated v2 error frame from shard server");
-  }
-  if (req_id != nullptr) *req_id = id;
-  return DecodeErrorTail(&src);
 }
 
 Result<uint64_t> FrameRequestId(const Frame& frame) {

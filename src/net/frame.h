@@ -1,37 +1,22 @@
-// GRNF wire frames: the length-prefixed, checksummed protocol the
+// GRNF v2 wire frames: the length-prefixed, checksummed protocol the
 // shard server and remote client speak over TCP.
 //
 // Every message is one frame (little-endian):
 //
 //   u32  magic    "GRNF"  (0x464E5247)
-//   u8   version  1 or 2 (kProtoV1 / kProtoV2)
+//   u8   version  2 (kProtoV2)
 //   u8   type     FrameType below
 //   u32  len      body byte length (<= kMaxFrameBody)
 //   ...  body     `len` bytes
 //   u64  checksum HashBytes over header + body (bytes [0, 10+len))
 //
-// The header layout is identical in both protocol versions; only the
-// version byte and the set of legal types differ, so a v1 peer and a
-// v2 peer always stay frame-synchronized even when they disagree —
-// disagreement surfaces as a clean error frame, never as a desynced
-// stream.
+// Any other version byte or type fails closed as kCorruption. Types
+// start at 6: 1-5 belonged to the retired GRNF v1 and stay unassigned.
 //
-// GRNF v1 (one request in flight per connection, single corpus):
-//
-//   kGetDir   c->s  empty body
-//   kDir      s->c  u64 directory offset + the container's raw
-//                   GRSHARD2 footer-directory bytes, verbatim — the
-//                   client reparses them with the same hardened parser
-//                   the file path uses (shard::ParseV2Directory)
-//   kGetShard c->s  u32 shard index
-//   kShard    s->c  u32 echoed shard index + the shard's payload bytes
-//   kError    s->c  u8 StatusCode + UTF-8 message (any request can
-//                   fail; the client surfaces it as that Status)
-//
-// GRNF v2 (multi-tenant, multiplexed; see src/net/README.md for the
-// full spec). A connection opens with a synchronous handshake, then
-// any number of tagged requests may be in flight concurrently; every
-// post-handshake body starts with a u64 request id the server echoes
+// The protocol is multi-tenant and multiplexed (see src/net/README.md
+// for the full spec). A connection opens with a synchronous handshake,
+// then any number of tagged requests may be in flight concurrently;
+// every post-handshake body starts with a u64 request id the server echoes
 // verbatim so responses can arrive out of order:
 //
 //   kHello      c->s  u32 highest protocol version the client speaks
@@ -70,7 +55,6 @@ namespace grepair {
 namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x464E5247u;  // "GRNF"
-inline constexpr uint8_t kProtoV1 = 1;
 inline constexpr uint8_t kProtoV2 = 2;
 inline constexpr size_t kFrameHeaderBytes = 10;
 inline constexpr size_t kFrameChecksumBytes = 8;
@@ -81,13 +65,6 @@ inline constexpr size_t kFrameChecksumBytes = 8;
 inline constexpr size_t kMaxFrameBody = 64u << 20;
 
 enum FrameType : uint8_t {
-  // GRNF v1 (PR 5).
-  kGetDir = 1,
-  kDir = 2,
-  kGetShard = 3,
-  kShard = 4,
-  kError = 5,
-  // GRNF v2: handshake, corpus-addressed verbs, tagged requests.
   kHello = 6,
   kHelloOk = 7,
   kOpenCorpus = 8,
@@ -99,32 +76,20 @@ enum FrameType : uint8_t {
   kError2 = 14,
 };
 
-/// \brief The protocol version a frame type belongs to (0 for unknown
-/// types). A frame whose version byte disagrees with its type's
-/// version is malformed: every type is legal in exactly one version.
-uint8_t FrameVersionForType(uint8_t type);
-
 /// \brief One decoded frame.
 struct Frame {
-  uint8_t version = 0;
   uint8_t type = 0;
   std::vector<uint8_t> body;
 };
 
-/// \brief Encodes a complete frame (header + body + checksum). The
-/// version byte is derived from the type via FrameVersionForType.
+/// \brief Encodes a complete frame (header + body + checksum).
 std::vector<uint8_t> EncodeFrame(uint8_t type, ByteSpan body);
 
-/// \brief Explicit-version encode, for tests that need to craft
-/// version/type mismatches a conforming peer would never send.
-std::vector<uint8_t> EncodeFrameWithVersion(uint8_t version, uint8_t type,
-                                            ByteSpan body);
-
-/// \brief Validates a frame header (magic, version 1 or 2, known type
-/// of that version, body bound). On success *version/*type/*body_len
-/// receive the parsed fields.
-Status ValidateFrameHeader(const uint8_t* header, uint8_t* version,
-                           uint8_t* type, uint32_t* body_len);
+/// \brief Validates a frame header (magic, version 2, a type in
+/// kHello..kError2, body bound). On success *type/*body_len receive
+/// the parsed fields.
+Status ValidateFrameHeader(const uint8_t* header, uint8_t* type,
+                           uint32_t* body_len);
 
 /// \brief Decodes one frame from the front of `bytes` (checksum
 /// verified). *consumed (when non-null) receives the frame's total
@@ -139,19 +104,14 @@ Status WriteFrame(Socket* socket, uint8_t type, ByteSpan body);
 /// mid-frame EOF, timeouts and malformed bytes are non-OK without it.
 Result<Frame> ReadFrame(Socket* socket, bool* clean_eof = nullptr);
 
-/// \brief kError body encoding: u8 StatusCode + message bytes.
-std::vector<uint8_t> EncodeErrorBody(const Status& status);
-
-/// \brief Reconstructs the Status carried by a kError body (prefixed
-/// with "shard server: " so callers can tell remote from local
-/// failures). Malformed bodies decode to kCorruption.
-Status DecodeErrorBody(ByteSpan body);
-
 /// \brief kError2 body encoding: u64 req_id + u8 StatusCode + message.
 std::vector<uint8_t> EncodeErrorBody2(uint64_t req_id, const Status& status);
 
-/// \brief Decodes a kError2 body; *req_id (when non-null) receives the
-/// echoed request id (0 if the body is too short to carry one).
+/// \brief Reconstructs the Status carried by a kError2 body (prefixed
+/// with "shard server: " so callers can tell remote from local
+/// failures); *req_id (when non-null) receives the echoed request id
+/// (0 if the body is too short to carry one). Malformed bodies decode
+/// to kCorruption.
 Status DecodeErrorBody2(ByteSpan body, uint64_t* req_id = nullptr);
 
 /// \brief The request id leading a v2 tagged body (kOpenCorpus,

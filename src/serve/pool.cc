@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/serve/placement.h"
-#include "src/serve/registry.h"
 #include "src/serve/stats.h"
 #include "src/serve/tiered.h"
 #include "src/util/hashing.h"
@@ -15,12 +14,9 @@ namespace serve {
 
 using net::Frame;
 
-RemoteShardSource::RemoteShardSource(std::string host, uint16_t port,
-                                     std::string peer, std::string corpus,
+RemoteShardSource::RemoteShardSource(std::string peer, std::string corpus,
                                      const Options& options)
-    : host_(std::move(host)),
-      port_(port),
-      peer_(std::move(peer)),
+    : peer_(std::move(peer)),
       corpus_(std::move(corpus)),
       io_timeout_ms_(options.io_timeout_ms),
       gate_jitter_(HashBytes(
@@ -35,17 +31,8 @@ RemoteShardSource::RemoteShardSource(std::string host, uint16_t port,
 Result<std::shared_ptr<RemoteShardSource>> RemoteShardSource::Connect(
     const std::string& host_port, const std::string& corpus,
     const Options& options) {
-  std::string host;
-  uint16_t port = 0;
-  GREPAIR_RETURN_IF_ERROR(ParseHostPort(host_port, &host, &port));
-  if (corpus.size() > kMaxCorpusNameBytes) {
-    return Status::InvalidArgument("corpus name is " +
-                                   std::to_string(corpus.size()) +
-                                   " bytes (max " +
-                                   std::to_string(kMaxCorpusNameBytes) + ")");
-  }
-  auto source = std::shared_ptr<RemoteShardSource>(new RemoteShardSource(
-      std::move(host), port, host_port, corpus, options));
+  auto source = std::shared_ptr<RemoteShardSource>(
+      new RemoteShardSource(host_port, corpus, options));
   // The first slot's dial doubles as the directory fetch: the
   // handshake's kCorpusDir response is parsed into directory_ (the
   // shard_lengths_ table is still empty, so no cross-check yet).
@@ -115,103 +102,30 @@ void RemoteShardSource::GateRecordSuccess() {
 Status RemoteShardSource::DialAndHandshake(Socket* socket,
                                            uint32_t* corpus_id,
                                            shard::ParsedDirectory* dir) {
-  auto dialed = Socket::ConnectTcp(host_, port_, io_timeout_ms_);
-  if (!dialed.ok()) {
-    return Status::Unavailable("cannot reach " + peer_ + ": " +
-                               dialed.status().message());
-  }
-  Socket fresh = std::move(dialed).ValueOrDie();
-  // Handshake: kHello -> kHelloOk.
-  std::vector<uint8_t> hello;
-  PutU32LE(net::kProtoV2, &hello);
-  Status sent = net::WriteFrame(&fresh, net::kHello, SpanOf(hello));
-  if (!sent.ok()) {
-    return Status::Unavailable("handshake with " + peer_ +
-                               " failed: " + sent.message());
-  }
-  auto hello_ok = net::ReadFrame(&fresh);
-  if (!hello_ok.ok()) {
-    if (hello_ok.status().code() == StatusCode::kUnavailable) {
-      return Status::Unavailable("handshake with " + peer_ +
-                                 " failed: " + hello_ok.status().message());
-    }
-    return hello_ok.status();
-  }
-  if (hello_ok.value().type == net::kError) {
-    // A GRNF v1 server answers the unknown kHello verb with a v1
-    // error frame — surface its own words (they say to upgrade).
-    return net::DecodeErrorBody(SpanOf(hello_ok.value().body));
-  }
-  if (hello_ok.value().type != net::kHelloOk) {
-    return Status::Corruption("shard server answered the handshake with "
-                              "frame type " +
-                              std::to_string(hello_ok.value().type));
-  }
-  ByteSource hello_body(SpanOf(hello_ok.value().body), "HelloOk body");
-  uint32_t negotiated = 0;
-  uint32_t corpus_count = 0;
-  GREPAIR_RETURN_IF_ERROR(hello_body.ReadU32LE(&negotiated));
-  GREPAIR_RETURN_IF_ERROR(hello_body.ReadU32LE(&corpus_count));
-  if (negotiated != net::kProtoV2) {
-    return Status::Corruption("shard server negotiated unsupported "
-                              "protocol version " +
-                              std::to_string(negotiated));
-  }
-  // Open (or re-resolve) the corpus; the response carries the raw
-  // directory bytes, reparsed with the hardened parser every time.
-  uint64_t open_req = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<uint8_t> open;
-  PutU64LE(open_req, &open);
-  open.push_back(static_cast<uint8_t>(corpus_.size()));
-  open.insert(open.end(), corpus_.begin(), corpus_.end());
-  sent = net::WriteFrame(&fresh, net::kOpenCorpus, SpanOf(open));
-  if (!sent.ok()) {
-    return Status::Unavailable("OpenCorpus to " + peer_ +
-                               " failed: " + sent.message());
-  }
-  auto reply = net::ReadFrame(&fresh);
-  if (!reply.ok()) {
-    if (reply.status().code() == StatusCode::kUnavailable) {
-      return Status::Unavailable("OpenCorpus response from " + peer_ +
-                                 " failed: " + reply.status().message());
-    }
-    return reply.status();
-  }
-  if (reply.value().type == net::kError2) {
-    return net::DecodeErrorBody2(SpanOf(reply.value().body));
-  }
-  if (reply.value().type != net::kCorpusDir) {
-    return Status::Corruption(
-        "shard server sent frame type " +
-        std::to_string(reply.value().type) + " where " +
-        std::to_string(net::kCorpusDir) + " was expected");
-  }
-  ByteSource dir_body(SpanOf(reply.value().body), "CorpusDir body");
-  uint64_t echoed_req = 0;
-  uint64_t dir_off = 0;
-  GREPAIR_RETURN_IF_ERROR(dir_body.ReadU64LE(&echoed_req));
-  GREPAIR_RETURN_IF_ERROR(dir_body.ReadU32LE(corpus_id));
-  GREPAIR_RETURN_IF_ERROR(dir_body.ReadU64LE(&dir_off));
-  if (echoed_req != open_req) {
-    return Status::Corruption("OpenCorpus response echoes request id " +
-                              std::to_string(echoed_req) + " (expected " +
-                              std::to_string(open_req) + ")");
-  }
-  auto parsed = shard::ParseV2Directory(dir_body.PeekRemaining(), dir_off);
+  auto dialed = DialServer(peer_, io_timeout_ms_);
+  if (!dialed.ok()) return dialed.status();
+  // Open (or re-resolve) the corpus; the reply's raw directory bytes
+  // are reparsed with the hardened parser every time.
+  auto opened =
+      OpenCorpus(&dialed.value(), peer_,
+                 next_req_id_.fetch_add(1, std::memory_order_relaxed),
+                 corpus_);
+  if (!opened.ok()) return opened.status();
+  CorpusDirReply& reply = opened.value();
+  auto parsed =
+      shard::ParseV2Directory(SpanOf(reply.raw_directory), reply.dir_off);
   if (!parsed.ok()) return parsed.status();
   if (shard_lengths_.empty()) {
     // First dial (single-threaded Connect): keep the verbatim wire
     // bytes so the caller can persist them for offline warm opens.
-    ByteSpan raw = dir_body.PeekRemaining();
-    raw_directory_.assign(raw.begin(), raw.end());
-    raw_dir_off_ = dir_off;
-  }
-  // On a redial the directory must still describe the corpus this rep
-  // was built over — a restarted server serving different bytes under
-  // the same name must not slip through (the per-shard checksums
-  // would catch it at fault time, but catch it with a better story
-  // here).
-  if (!shard_lengths_.empty()) {
+    raw_directory_ = std::move(reply.raw_directory);
+    raw_dir_off_ = reply.dir_off;
+  } else {
+    // On a redial the directory must still describe the corpus this
+    // rep was built over — a restarted server serving different bytes
+    // under the same name must not slip through (the per-shard
+    // checksums would catch it at fault time, but catch it with a
+    // better story here).
     const auto& rows = parsed.value().rows;
     bool same = rows.size() == shard_lengths_.size();
     for (size_t i = 0; same && i < rows.size(); ++i) {
@@ -224,8 +138,9 @@ Status RemoteShardSource::DialAndHandshake(Socket* socket,
           "different data?); reopen the remote container");
     }
   }
+  *corpus_id = reply.corpus_id;
   *dir = std::move(parsed).ValueOrDie();
-  *socket = std::move(fresh);
+  *socket = std::move(dialed).ValueOrDie();
   return Status::OK();
 }
 

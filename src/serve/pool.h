@@ -128,11 +128,12 @@ class RemoteShardSource : public shard::ShardSource {
     std::thread reader;
   };
 
-  RemoteShardSource(std::string host, uint16_t port, std::string peer,
-                    std::string corpus, const Options& options);
+  RemoteShardSource(std::string peer, std::string corpus,
+                    const Options& options);
 
-  /// Dials + handshakes + opens the corpus on a fresh socket. On
-  /// success *socket/*corpus_id are set and *dir holds the re-fetched,
+  /// Dials + handshakes + opens the corpus on a fresh socket (the
+  /// shared client calls in src/serve/stats.h). On success
+  /// *socket/*corpus_id are set and *dir holds the re-fetched,
   /// re-parsed directory.
   Status DialAndHandshake(Socket* socket, uint32_t* corpus_id,
                           shard::ParsedDirectory* dir);
@@ -152,9 +153,7 @@ class RemoteShardSource : public shard::ShardSource {
       GREPAIR_LOCKS_EXCLUDED(gate_mu_);
   void GateRecordSuccess() GREPAIR_LOCKS_EXCLUDED(gate_mu_);
 
-  std::string host_;
-  uint16_t port_ = 0;
-  std::string peer_;    // "host:port" for error context
+  std::string peer_;    // "host:port": dialed, and named in errors
   std::string corpus_;  // name opened on every (re)dial
   int io_timeout_ms_ = 30000;
 

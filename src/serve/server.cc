@@ -122,10 +122,9 @@ void ShardServer::ServeConnection(size_t slot) {
       if (!clean_eof) {
         stat_errors_.fetch_add(1, std::memory_order_relaxed);
         // Malformed bytes: the stream cannot be resynced — tell the
-        // peer why (best effort) and drop the connection. The reply
-        // is a v1 error frame: both protocol generations decode it.
+        // peer why (best effort) and drop the connection.
         if (frame.status().code() == StatusCode::kCorruption) {
-          (void)SendErrorV1(socket, frame.status());
+          (void)SendError(socket, 0, frame.status());
         }
       }
       break;
@@ -142,18 +141,6 @@ void ShardServer::ServeConnection(size_t slot) {
 }
 
 bool ShardServer::HandleFrame(Socket* socket, const Frame& frame) {
-  // A v1 peer leads with kGetDir/kGetShard instead of the handshake:
-  // answer in its own dialect so it reports a readable upgrade error
-  // instead of wire corruption. The shared header layout keeps the
-  // stream in sync, so the connection can stay open.
-  if (frame.version == net::kProtoV1) {
-    return SendErrorV1(
-               socket,
-               Status::InvalidArgument(
-                   "this server speaks GRNF v2 (multi-corpus); upgrade "
-                   "the client, or point a v1 client at a v1 server"))
-        .ok();
-  }
   switch (frame.type) {
     case net::kHello: {
       // u32 highest version the client speaks. Re-greeting mid-stream
@@ -161,17 +148,17 @@ bool ShardServer::HandleFrame(Socket* socket, const Frame& frame) {
       ByteSource body_src(SpanOf(frame.body), "Hello body");
       uint32_t client_max = 0;
       if (frame.body.size() != 4 || !body_src.ReadU32LE(&client_max).ok()) {
-        return SendErrorV1(socket,
-                           Status::InvalidArgument(
-                               "Hello body must be a u32 protocol version"))
+        return SendError(socket, 0,
+                         Status::InvalidArgument(
+                             "Hello body must be a u32 protocol version"))
             .ok();
       }
       if (client_max < net::kProtoV2) {
-        return SendErrorV1(
-                   socket,
+        return SendError(
+                   socket, 0,
                    Status::InvalidArgument(
                        "client speaks GRNF v" + std::to_string(client_max) +
-                       "; this server serves v2 only"))
+                       "; this server serves GRNF v2 only"))
             .ok();
       }
       std::vector<uint8_t> body;
@@ -328,12 +315,6 @@ Status ShardServer::SendError(Socket* socket, uint64_t req_id,
   stat_errors_.fetch_add(1, std::memory_order_relaxed);
   auto body = net::EncodeErrorBody2(req_id, status);
   return SendFrame(socket, net::kError2, SpanOf(body));
-}
-
-Status ShardServer::SendErrorV1(Socket* socket, const Status& status) {
-  stat_errors_.fetch_add(1, std::memory_order_relaxed);
-  auto body = net::EncodeErrorBody(status);
-  return SendFrame(socket, net::kError, SpanOf(body));
 }
 
 ServerStatsSnapshot ShardServer::stats() const {

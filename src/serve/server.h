@@ -10,11 +10,11 @@
 // A connection opens with a kHello/kHelloOk handshake; after that the
 // server answers tagged requests (kOpenCorpus, kGetShard2, kGetStats),
 // echoing each request id so a multiplexing client can run many shard
-// faults in flight per connection. A GRNF v1 peer — one that skips the
-// handshake and leads with kGetDir/kGetShard — gets a clean v1 error
-// frame telling it to upgrade; the frame header layout is shared
-// between versions, so the stream stays in sync and the old client
-// reports a readable error instead of wire corruption.
+// faults in flight per connection. Every error the server sends is a
+// kError2 frame, with request id 0 when the request carried none: a
+// kHello below v2 or a stray frame type keeps the connection open; a
+// malformed stream (bad magic, version, type, length or checksum)
+// closes it after the error frame.
 //
 // Concurrency: one accept thread plus one thread per connection, each
 // handling that connection's requests sequentially (clients get
@@ -102,10 +102,8 @@ class ShardServer {
   bool HandleOpenCorpus(Socket* socket, uint64_t req_id, ByteSource* body);
   bool HandleGetShard(Socket* socket, uint64_t req_id, ByteSource* body);
   Status SendFrame(Socket* socket, uint8_t type, ByteSpan body);
-  // v2 tagged error (keeps the connection; the stream is in sync).
+  // Tagged error frame (req_id 0 when the request carried none).
   Status SendError(Socket* socket, uint64_t req_id, const Status& status);
-  // v1 error frame, for pre-handshake v1 peers.
-  Status SendErrorV1(Socket* socket, const Status& status);
 
   CorpusRegistry registry_;
 

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "src/net/frame.h"
 #include "src/serve/registry.h"
-#include "src/util/socket.h"
 
 namespace grepair {
 namespace serve {
@@ -118,80 +116,26 @@ Result<ServerStatsSnapshot> DecodeStatsBody(ByteSpan body, uint64_t* req_id) {
 
 namespace {
 
-// A short-lived single-request admin connection: dial, handshake,
-// then one synchronous call per verb. Unlike the pool this never
-// redials — an operator command should report the failure it saw.
-struct AdminConn {
-  Socket socket;
-  std::string peer;
-};
-
-Status AdminDial(const std::string& host_port, int io_timeout_ms,
-                 AdminConn* conn) {
-  std::string host;
-  uint16_t port = 0;
-  GREPAIR_RETURN_IF_ERROR(ParseHostPort(host_port, &host, &port));
-  auto dialed = Socket::ConnectTcp(host, port, io_timeout_ms);
-  if (!dialed.ok()) {
-    return Status::Unavailable("cannot reach " + host_port + ": " +
-                               dialed.status().message());
-  }
-  conn->socket = std::move(dialed).ValueOrDie();
-  conn->peer = host_port;
-  std::vector<uint8_t> hello;
-  PutU32LE(net::kProtoV2, &hello);
-  GREPAIR_RETURN_IF_ERROR(
-      net::WriteFrame(&conn->socket, net::kHello, SpanOf(hello)));
-  auto reply = net::ReadFrame(&conn->socket);
-  if (!reply.ok()) {
-    if (reply.status().code() == StatusCode::kUnavailable) {
-      return Status::Unavailable("handshake with " + host_port +
-                                 " failed: " + reply.status().message());
-    }
-    return reply.status();
-  }
-  if (reply.value().type == net::kError) {
-    // A GRNF v1 server answers an unknown verb with a v1 error frame.
-    return net::DecodeErrorBody(SpanOf(reply.value().body));
-  }
-  if (reply.value().type != net::kHelloOk) {
-    return Status::Corruption("shard server answered the handshake with "
-                              "frame type " +
-                              std::to_string(reply.value().type));
-  }
-  ByteSource body(SpanOf(reply.value().body), "HelloOk body");
-  uint32_t negotiated = 0;
-  uint32_t corpus_count = 0;
-  GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&negotiated));
-  GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&corpus_count));
-  if (negotiated != net::kProtoV2) {
-    return Status::Corruption("shard server negotiated unsupported "
-                              "protocol version " +
-                              std::to_string(negotiated));
-  }
-  return Status::OK();
-}
-
-Result<net::Frame> AdminCall(AdminConn* conn, uint8_t type, ByteSpan body,
-                             uint8_t expect) {
-  Status sent = net::WriteFrame(&conn->socket, type, body);
+// Sends one frame and reads one reply. kUnavailable names the peer; a
+// kError2 reply becomes the Status it carries; any reply type other
+// than `expect` is kCorruption.
+Result<net::Frame> Exchange(Socket* socket, const std::string& peer,
+                            uint8_t type, ByteSpan body, uint8_t expect) {
+  Status sent = net::WriteFrame(socket, type, body);
   if (!sent.ok()) {
-    return Status::Unavailable("request to " + conn->peer +
+    return Status::Unavailable("request to " + peer +
                                " failed: " + sent.message());
   }
-  auto reply = net::ReadFrame(&conn->socket);
+  auto reply = net::ReadFrame(socket);
   if (!reply.ok()) {
     if (reply.status().code() == StatusCode::kUnavailable) {
-      return Status::Unavailable("response from " + conn->peer +
+      return Status::Unavailable("response from " + peer +
                                  " failed: " + reply.status().message());
     }
     return reply.status();
   }
   if (reply.value().type == net::kError2) {
     return net::DecodeErrorBody2(SpanOf(reply.value().body));
-  }
-  if (reply.value().type == net::kError) {
-    return net::DecodeErrorBody(SpanOf(reply.value().body));
   }
   if (reply.value().type != expect) {
     return Status::Corruption(
@@ -204,65 +148,111 @@ Result<net::Frame> AdminCall(AdminConn* conn, uint8_t type, ByteSpan body,
 
 }  // namespace
 
-Result<ServerStatsSnapshot> FetchServerStats(const std::string& host_port,
-                                             int io_timeout_ms) {
-  AdminConn conn;
-  GREPAIR_RETURN_IF_ERROR(AdminDial(host_port, io_timeout_ms, &conn));
-  std::vector<uint8_t> request;
-  PutU64LE(1, &request);
-  auto reply =
-      AdminCall(&conn, net::kGetStats, SpanOf(request), net::kStats);
-  if (!reply.ok()) return reply.status();
-  uint64_t req_id = 0;
-  auto snapshot = DecodeStatsBody(SpanOf(reply.value().body), &req_id);
-  if (!snapshot.ok()) return snapshot.status();
-  if (req_id != 1) {
-    return Status::Corruption("stats response echoes request id " +
-                              std::to_string(req_id) + " (expected 1)");
+Result<Socket> DialServer(const std::string& host_port, int io_timeout_ms) {
+  std::string host;
+  uint16_t port = 0;
+  GREPAIR_RETURN_IF_ERROR(ParseHostPort(host_port, &host, &port));
+  auto dialed = Socket::ConnectTcp(host, port, io_timeout_ms);
+  if (!dialed.ok()) {
+    return Status::Unavailable("cannot reach " + host_port + ": " +
+                               dialed.status().message());
   }
-  return snapshot;
+  Socket socket = std::move(dialed).ValueOrDie();
+  std::vector<uint8_t> hello;
+  PutU32LE(net::kProtoV2, &hello);
+  auto reply = Exchange(&socket, host_port, net::kHello, SpanOf(hello),
+                        net::kHelloOk);
+  if (!reply.ok()) return reply.status();
+  ByteSource body(SpanOf(reply.value().body), "HelloOk body");
+  uint32_t negotiated = 0;
+  uint32_t corpus_count = 0;
+  GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&negotiated));
+  GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&corpus_count));
+  if (negotiated != net::kProtoV2) {
+    return Status::Corruption("shard server negotiated unsupported "
+                              "protocol version " +
+                              std::to_string(negotiated));
+  }
+  return socket;
 }
 
-Result<shard::ParsedDirectory> FetchCorpusDirectory(
-    const std::string& host_port, const std::string& corpus,
-    int io_timeout_ms, std::string* resolved_name) {
+Result<net::Frame> CallServer(Socket* socket, const std::string& peer,
+                              uint8_t type, uint64_t req_id,
+                              ByteSpan operands, uint8_t expect) {
+  std::vector<uint8_t> body;
+  body.reserve(8 + operands.size);
+  PutU64LE(req_id, &body);
+  body.insert(body.end(), operands.begin(), operands.end());
+  auto reply = Exchange(socket, peer, type, SpanOf(body), expect);
+  if (!reply.ok()) return reply.status();
+  auto echoed = net::FrameRequestId(reply.value());
+  if (!echoed.ok()) return echoed.status();
+  if (echoed.value() != req_id) {
+    return Status::Corruption(
+        "shard server's frame type " + std::to_string(expect) +
+        " echoes request id " + std::to_string(echoed.value()) +
+        " (expected " + std::to_string(req_id) + ")");
+  }
+  return reply;
+}
+
+Result<CorpusDirReply> OpenCorpus(Socket* socket, const std::string& peer,
+                                  uint64_t req_id, const std::string& corpus) {
   if (corpus.size() > kMaxCorpusNameBytes) {
     return Status::InvalidArgument("corpus name is " +
                                    std::to_string(corpus.size()) +
                                    " bytes (max " +
                                    std::to_string(kMaxCorpusNameBytes) + ")");
   }
-  AdminConn conn;
-  GREPAIR_RETURN_IF_ERROR(AdminDial(host_port, io_timeout_ms, &conn));
-  std::vector<uint8_t> request;
-  PutU64LE(1, &request);
-  request.push_back(static_cast<uint8_t>(corpus.size()));
-  request.insert(request.end(), corpus.begin(), corpus.end());
-  auto reply =
-      AdminCall(&conn, net::kOpenCorpus, SpanOf(request), net::kCorpusDir);
+  std::vector<uint8_t> operands;
+  operands.push_back(static_cast<uint8_t>(corpus.size()));
+  operands.insert(operands.end(), corpus.begin(), corpus.end());
+  auto reply = CallServer(socket, peer, net::kOpenCorpus, req_id,
+                          SpanOf(operands), net::kCorpusDir);
   if (!reply.ok()) return reply.status();
-  ByteSource body(SpanOf(reply.value().body), "CorpusDir body");
-  uint64_t req_id = 0;
-  uint32_t corpus_id = 0;
-  uint64_t dir_off = 0;
-  GREPAIR_RETURN_IF_ERROR(body.ReadU64LE(&req_id));
-  GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&corpus_id));
-  GREPAIR_RETURN_IF_ERROR(body.ReadU64LE(&dir_off));
-  auto dir = shard::ParseV2Directory(body.PeekRemaining(), dir_off);
+  std::vector<uint8_t>& body = reply.value().body;
+  ByteSource src(SpanOf(body), "CorpusDir body");
+  CorpusDirReply out;
+  GREPAIR_RETURN_IF_ERROR(src.Skip(8));  // the request id just checked
+  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&out.corpus_id));
+  GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&out.dir_off));
+  body.erase(body.begin(), body.begin() + 20);
+  out.raw_directory = std::move(body);
+  return out;
+}
+
+Result<ServerStatsSnapshot> FetchServerStats(const std::string& host_port,
+                                             int io_timeout_ms) {
+  auto socket = DialServer(host_port, io_timeout_ms);
+  if (!socket.ok()) return socket.status();
+  auto reply = CallServer(&socket.value(), host_port, net::kGetStats, 1,
+                          ByteSpan{}, net::kStats);
+  if (!reply.ok()) return reply.status();
+  return DecodeStatsBody(SpanOf(reply.value().body), nullptr);
+}
+
+Result<shard::ParsedDirectory> FetchCorpusDirectory(
+    const std::string& host_port, const std::string& corpus,
+    int io_timeout_ms, std::string* resolved_name) {
+  auto socket = DialServer(host_port, io_timeout_ms);
+  if (!socket.ok()) return socket.status();
+  auto opened = OpenCorpus(&socket.value(), host_port, 1, corpus);
+  if (!opened.ok()) return opened.status();
+  auto dir = shard::ParseV2Directory(SpanOf(opened.value().raw_directory),
+                                     opened.value().dir_off);
   if (!dir.ok()) return dir.status();
   if (resolved_name != nullptr) {
     // The directory carries no name; the stats snapshot does, indexed
     // by the dense corpus id the server just resolved.
     resolved_name->clear();
-    std::vector<uint8_t> stats_request;
-    PutU64LE(2, &stats_request);
-    auto stats_reply = AdminCall(&conn, net::kGetStats, SpanOf(stats_request),
-                                 net::kStats);
+    auto stats_reply = CallServer(&socket.value(), host_port, net::kGetStats,
+                                  2, ByteSpan{}, net::kStats);
     if (stats_reply.ok()) {
       auto snapshot = DecodeStatsBody(SpanOf(stats_reply.value().body),
                                       nullptr);
-      if (snapshot.ok() && corpus_id < snapshot.value().corpora.size()) {
-        *resolved_name = snapshot.value().corpora[corpus_id].name;
+      uint32_t id = opened.value().corpus_id;
+      if (snapshot.ok() && id < snapshot.value().corpora.size()) {
+        *resolved_name = snapshot.value().corpora[id].name;
       }
     }
   }

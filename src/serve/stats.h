@@ -1,5 +1,7 @@
-// The GRNF v2 STATS verb's body codec, plus the small synchronous
-// admin client behind `grepair info --remote`.
+// The GRNF v2 STATS verb's body codec, plus the synchronous client
+// calls every client connection is built from: the connection pool's
+// (re)dials (src/serve/pool.h) and the short-lived admin connections
+// behind `grepair info --remote`.
 //
 // A kStats body is a point-in-time snapshot of one server process:
 // process-wide counters followed by one record per served corpus,
@@ -31,8 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "src/net/frame.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/byte_io.h"
+#include "src/util/socket.h"
 #include "src/util/status.h"
 
 namespace grepair {
@@ -69,6 +73,34 @@ std::vector<uint8_t> EncodeStatsBody(uint64_t req_id,
 /// \brief Decodes a kStats body; *req_id receives the echoed request
 /// id. Clean kCorruption on malformed bytes.
 Result<ServerStatsSnapshot> DecodeStatsBody(ByteSpan body, uint64_t* req_id);
+
+/// \brief Dials "host:port" and performs the kHello/kHelloOk handshake:
+/// the one way a client connection opens. kUnavailable names the peer
+/// when it is unreachable or stalls; a served kError2 is its Status.
+Result<Socket> DialServer(const std::string& host_port, int io_timeout_ms);
+
+/// \brief One synchronous tagged request on a handshaked connection:
+/// sends `type` with body u64 `req_id` + `operands` and reads one
+/// reply. A kError2 reply is its Status; a reply of another type than
+/// `expect`, or one echoing another request id, is kCorruption.
+/// kUnavailable (naming `peer`) on transport failure.
+Result<net::Frame> CallServer(Socket* socket, const std::string& peer,
+                              uint8_t type, uint64_t req_id,
+                              ByteSpan operands, uint8_t expect);
+
+/// \brief A kCorpusDir reply: the corpus id the server resolved, and
+/// its GRSHARD2 directory bytes with their in-container offset.
+struct CorpusDirReply {
+  uint32_t corpus_id = 0;
+  uint64_t dir_off = 0;
+  std::vector<uint8_t> raw_directory;
+};
+
+/// \brief The kOpenCorpus -> kCorpusDir round trip (via CallServer)
+/// for `corpus` (empty = the sole served corpus). kInvalidArgument
+/// for a name longer than kMaxCorpusNameBytes.
+Result<CorpusDirReply> OpenCorpus(Socket* socket, const std::string& peer,
+                                  uint64_t req_id, const std::string& corpus);
 
 /// \brief Dials "host:port", performs the v2 handshake, and fetches a
 /// stats snapshot over one short-lived connection. kUnavailable names

@@ -1,24 +1,15 @@
 // Graph partitioning for sharded compression.
 //
-// Both strategies split a Hypergraph into `num_shards` edge-disjoint
-// subgraphs plus one cut-edge remainder shard (always present, often
-// empty), so the downstream ParallelCompressor and ShardedRep treat
-// every partition uniformly as K+1 shards:
-//
-//   * kEdgeRange (vertex-cut): edges are split into num_shards
-//     contiguous index ranges. A node appears in every shard whose
-//     edge range touches it; the cut shard is empty. Partitioning is
-//     O(|E|), and because loaders and generators emit edges in node
-//     order, contiguous edge ranges track the graph's natural
-//     locality (a DBLP-style version graph splits almost exactly at
-//     version boundaries).
-//
-//   * kGreedyBfs (edge-cut, METIS-style greedy growth): nodes are
-//     assigned to num_shards balanced regions by repeated BFS from
-//     the lowest unvisited node, capping each region at
-//     ceil(|V|/num_shards). An edge whose attachments all land in one
-//     region goes to that region's shard; every other edge goes to
-//     the cut shard. Each node is owned by exactly one region.
+// PartitionGraph splits a Hypergraph's edges into `num_shards`
+// contiguous index ranges (a vertex cut): a node appears in every shard
+// whose edge range touches it. Partitioning is O(|E|), and because
+// loaders and generators emit edges in node order, contiguous edge
+// ranges keep the input's node order and its locality — the order
+// gRePair compresses best on (a DBLP-style version graph splits almost
+// exactly at version boundaries). One empty cut-edge shard follows the
+// data shards, so the downstream ParallelCompressor and ShardedRep see
+// K+1 shards; the GRSHARD2 layout keeps that row, and containers whose
+// last shard holds edges still open and route like any other shard.
 //
 // Shard subgraphs are renumbered to compact local IDs (0..n_k-1); the
 // sorted global-ID list `nodes` maps local back to global
@@ -29,7 +20,6 @@
 #ifndef GREPAIR_SHARD_PARTITIONER_H_
 #define GREPAIR_SHARD_PARTITIONER_H_
 
-#include <string>
 #include <vector>
 
 #include "src/graph/hypergraph.h"
@@ -43,20 +33,8 @@ namespace shard {
 /// the CLI flag validation — one constant so they cannot drift.
 inline constexpr int kMaxShards = 1 << 20;
 
-enum class PartitionStrategy {
-  kEdgeRange,
-  kGreedyBfs,
-};
-
-/// \brief Parses "edge-range" / "bfs"; false on unknown names.
-bool ParsePartitionStrategy(const std::string& name, PartitionStrategy* out);
-
-/// \brief Canonical CLI name of `strategy`.
-const char* PartitionStrategyName(PartitionStrategy strategy);
-
 struct PartitionOptions {
   int num_shards = 4;
-  PartitionStrategy strategy = PartitionStrategy::kEdgeRange;
 };
 
 /// \brief One shard: a compact-ID subgraph plus its global node list.
@@ -68,8 +46,8 @@ struct Shard {
 };
 
 /// \brief A partition: num_shards data shards followed by the cut
-/// shard (shards.back(), possibly edgeless). Every input edge appears
-/// in exactly one shard.
+/// shard (shards.back(), edgeless). Every input edge appears in exactly
+/// one shard.
 struct GraphPartition {
   uint32_t num_nodes = 0;  ///< global node count
   std::vector<Shard> shards;

@@ -1861,7 +1861,7 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
   int threads = 0;
   api::CodecOptions inner_options;
   for (const auto& [key, value] : options.entries()) {
-    if (key == "shards" || key == "threads" || key == "strategy") continue;
+    if (key == "shards" || key == "threads") continue;
     inner_options.Set(key, value);
   }
   auto shards = options.GetInt("shards", part_options.num_shards);
@@ -1882,12 +1882,6 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
     threads = static_cast<int>(
         std::min<unsigned>(std::max(1u, hw),
                            static_cast<unsigned>(part_options.num_shards)));
-  }
-  std::string strategy = options.GetString(
-      "strategy", PartitionStrategyName(part_options.strategy));
-  if (!ParsePartitionStrategy(strategy, &part_options.strategy)) {
-    return Status::InvalidArgument("unknown partition strategy '" +
-                                   strategy + "' (edge-range|bfs)");
   }
 
   GREPAIR_RETURN_IF_ERROR(graph.Validate(alphabet));

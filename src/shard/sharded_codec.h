@@ -9,7 +9,6 @@
 //
 //   shards=K        number of data shards (default 4)
 //   threads=T       compression thread-pool size (default: min(K, hw))
-//   strategy=S      edge-range | bfs (default edge-range)
 //   <anything else> forwarded to the inner codec
 //
 // Container layout ("GRSHARD2", little-endian, pinned by golden tests

@@ -2,7 +2,8 @@
 // side of the one-file-kind contract. `compress` writes a 1-shard
 // sharded:grepair container by default, `components` reads its one
 // grammar and adds back the edgeless nodes the shard leaves out, and
-// `stats`/`components` refuse files with more data shards.
+// `stats`/`components` refuse files with more data shards. Edge ranges
+// are the only partition, so there is no `--strategy` flag.
 
 #include <gtest/gtest.h>
 
@@ -87,6 +88,32 @@ TEST(CliTest, StatsAndComponentsRefuseMultiShardFiles) {
     EXPECT_NE(run.output.find("holds 4 data shards"), std::string::npos)
         << command << run.output;
   }
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
+}
+
+TEST(CliTest, StrategyFlagAndOptionAreRefused) {
+  GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
+  std::string graph_path = TempPath("strategy.graph");
+  std::string file_path = TempPath("strategy.shd");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  std::remove(file_path.c_str());
+  CliRun flag = RunCli("compress " + graph_path + " " + file_path +
+                       " --shards 2 --strategy edge-range");
+  EXPECT_EQ(flag.exit_code, 2) << flag.output;
+  EXPECT_NE(flag.output.find("usage:"), std::string::npos) << flag.output;
+  CliRun bench = RunCli(
+      "bench --backend grepair --gen er --size 50 --shards 2 "
+      "--strategy edge-range");
+  EXPECT_EQ(bench.exit_code, 2) << bench.output;
+  CliRun option = RunCli("compress " + graph_path + " " + file_path +
+                         " --shards 2 --options strategy=edge-range");
+  EXPECT_EQ(option.exit_code, 1) << option.output;
+  EXPECT_NE(option.output.find("unknown codec option 'strategy'"),
+            std::string::npos)
+      << option.output;
+  // Nothing was written by any refused run.
+  EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
 }

@@ -237,6 +237,24 @@ TEST(CodecOptionsTest, ParseAndTypedGetters) {
   EXPECT_FALSE(bad_bool.value().GetBool("prune", true).ok());
 }
 
+TEST(CodecOptionsTest, ShardedCodecsHaveNoStrategyOption) {
+  // Edge ranges are the only partition: `strategy` is not a sharded
+  // option, so it reaches the inner codec and is refused as unknown.
+  GeneratedGraph gg = UniversalInput();
+  for (const char* name : {"sharded:grepair", "sharded:k2"}) {
+    auto codec = CodecRegistry::Create(name).ValueOrDie();
+    CodecOptions options;
+    options.Set("shards", "2");
+    options.Set("strategy", "edge-range");
+    auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+    ASSERT_FALSE(rep.ok()) << name;
+    EXPECT_EQ(rep.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(rep.status().message().find("unknown codec option 'strategy'"),
+              std::string::npos)
+        << name << ": " << rep.status().message();
+  }
+}
+
 TEST(CodecOptionsTest, CodecSpecificOptionsApply) {
   GeneratedGraph gg = UniversalInput();
   auto codec = CodecRegistry::Create("grepair").ValueOrDie();

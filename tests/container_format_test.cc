@@ -120,6 +120,29 @@ const uint8_t kGoldenShardedV2Container[] = {
     0xCD, 0x7E, 0x0B, 0xF0, 0x2F,
 };
 
+// The same fixture as sharded:k2, shards=2, written by the retired
+// greedy-BFS partitioner: data shards {0,1,5} and {2,3,4}, and a last
+// shard holding the two edges between them (1->2, 4->5) over nodes
+// {1,2,4,5}. Nothing writes such files any more; they must still open
+// and route every shard alike.
+const uint8_t kPopulatedLastShardContainer[] = {
+    0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x62, 0x51, 0x8C, 0x56,
+    0x90, 0xD2, 0x40, 0x62, 0x51, 0x8C, 0x56, 0x90, 0xE2, 0x10, 0x6A, 0x51,
+    0xAD, 0x56, 0x90, 0xCA, 0x20, 0x02, 0x6B, 0x32, 0x06, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xD9, 0x18, 0x46, 0xC9, 0xA5, 0x4C, 0x41, 0xD3, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xD8, 0x0F, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xC3, 0xE2, 0x6D, 0xA1, 0x7F, 0x28, 0x29, 0xF8, 0x03, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x5C, 0x16, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xE1, 0xBE, 0x23, 0x6B, 0x77, 0x5C, 0x40, 0xA6, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x4A, 0x40,
+    0x1D, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7F, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x1E, 0x58, 0xA8, 0xB0, 0x2B, 0x2C, 0x2E, 0xEF,
+};
+
 std::vector<uint8_t> GoldenShardedV2() {
   return std::vector<uint8_t>(
       kGoldenShardedV2Container,
@@ -331,6 +354,36 @@ TEST(ShardedV2ContainerTest, GoldenBytesDeserializeToTheFixture) {
   EXPECT_EQ(sharded->ByteSize(), GoldenShardedV2().size());
 }
 
+TEST(ShardedV2ContainerTest, PopulatedLastShardStillOpensAndRoutes) {
+  std::vector<uint8_t> bytes(
+      kPopulatedLastShardContainer,
+      kPopulatedLastShardContainer + sizeof(kPopulatedLastShardContainer));
+  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  auto rep = codec->Deserialize(bytes);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+  ASSERT_NE(sharded, nullptr);
+  ASSERT_EQ(sharded->num_shards(), 3u);
+  EXPECT_TRUE(sharded->entry(2).has_payload());
+  auto graph = rep.value()->Decompress();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_TRUE(graph.value().EqualUpToEdgeOrder(FixtureGraph()));
+  // Nodes 1, 2, 4 and 5 sit in a data shard and in the last shard:
+  // their answers merge both.
+  std::vector<uint64_t> all = {0, 1, 2, 3, 4, 5};
+  auto batch = rep.value()->OutNeighborsBatch(all);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (uint64_t v = 0; v < 6; ++v) {
+    std::vector<uint64_t> out = {(v + 1) % 6};
+    std::vector<uint64_t> in = {(v + 5) % 6};
+    EXPECT_EQ(rep.value()->OutNeighbors(v).ValueOrDie(), out) << v;
+    EXPECT_EQ(rep.value()->InNeighbors(v).ValueOrDie(), in) << v;
+    EXPECT_EQ(batch.value()[v], out) << v;
+  }
+  EXPECT_TRUE(rep.value()->Reachable(0, 3).ValueOrDie());
+  EXPECT_EQ(sharded->SerializeV2(), bytes);
+}
+
 TEST(ShardedV2ContainerTest, InspectReadsTheDirectoryWithoutDecoding) {
   auto info = shard::ShardedRep::Inspect(
       ByteSpan(kGoldenShardedV2Container,
@@ -399,28 +452,24 @@ TEST(ShardedV2ContainerTest, EveryBitFlipFailsClosed) {
   // decompression/query) for payload flips. Never a silently
   // different answer. ASan/UBSan verify the "no UB" half.
   GeneratedGraph gg = BarabasiAlbert(60, 2, 31);
-  for (const char* strategy : {"edge-range", "bfs"}) {
-    auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
-    api::CodecOptions options;
-    options.Set("shards", "3");
-    options.Set("strategy", strategy);
-    auto rep = codec->Compress(gg.graph, gg.alphabet, options);
-    ASSERT_TRUE(rep.ok());
-    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-    ASSERT_NE(sharded, nullptr);
-    auto bytes = sharded->SerializeV2();
-    for (size_t off = 0; off < bytes.size(); ++off) {
-      auto bad = bytes;
-      bad[off] ^= 0xFF;
-      auto back = codec->Deserialize(bad);
-      if (!back.ok()) continue;  // caught at open
-      auto graph = back.value()->Decompress();
-      EXPECT_FALSE(graph.ok())
-          << strategy << ": flip at offset " << off
-          << " survived open AND decompression";
-      auto neighbors = back.value()->OutNeighbors(0);  // must not crash
-      (void)neighbors;
-    }
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "3");
+  auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(rep.ok());
+  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+  ASSERT_NE(sharded, nullptr);
+  auto bytes = sharded->SerializeV2();
+  for (size_t off = 0; off < bytes.size(); ++off) {
+    auto bad = bytes;
+    bad[off] ^= 0xFF;
+    auto back = codec->Deserialize(bad);
+    if (!back.ok()) continue;  // caught at open
+    auto graph = back.value()->Decompress();
+    EXPECT_FALSE(graph.ok())
+        << "flip at offset " << off << " survived open AND decompression";
+    auto neighbors = back.value()->OutNeighbors(0);  // must not crash
+    (void)neighbors;
   }
 }
 

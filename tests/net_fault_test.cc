@@ -6,8 +6,8 @@
 // (kCorruption or kUnavailable), never a crash, hang, or silently
 // wrong answer. The real server is also attacked from the client side
 // (garbage bytes, out-of-range requests, silent connections, a
-// down-version GRNF v1 peer) and must keep serving well-behaved
-// peers. Runs under the ASan/UBSan and TSan CI legs.
+// retired GRNF v1 frame, a down-version handshake) and must keep
+// serving well-behaved peers. Runs under the ASan/UBSan and TSan CI legs.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +15,13 @@
 #include <chrono>
 #include <thread>
 
+#include "fuzz/golden_seeds.h"
 #include "src/api/grepair_api.h"
 #include "src/net/frame.h"
 #include "src/serve/pool.h"
 #include "src/serve/registry.h"
 #include "src/serve/server.h"
+#include "src/serve/stats.h"
 
 namespace grepair {
 namespace {
@@ -45,11 +47,13 @@ enum class Fault {
   kGarbageFrame,       // non-frame bytes
   kBadFrameChecksum,   // valid frame, last checksum byte flipped
   kCorruptDirectory,   // truncated directory at connect time
+  kWrongOpenId,        // kCorpusDir echoes another request id
 };
 
 // Speaks just enough GRNF v2 to get a real client through the
 // kHello/kOpenCorpus handshake, then applies `fault` to kGetShard2
-// (or, for kCorruptDirectory, to the kCorpusDir reply).
+// (or, for kCorruptDirectory and kWrongOpenId, to the kCorpusDir
+// reply).
 // Single-connection, joins on destruction.
 class MisbehavingServer {
  public:
@@ -123,7 +127,7 @@ class MisbehavingServer {
       if (!src.ReadU64LE(&req_id).ok()) return;
       if (frame.value().type == net::kOpenCorpus) {
         std::vector<uint8_t> body;
-        PutU64LE(req_id, &body);
+        PutU64LE(fault_ == Fault::kWrongOpenId ? req_id + 1 : req_id, &body);
         PutU32LE(0, &body);  // corpus id
         PutU64LE(dir_off_, &body);
         body.insert(body.end(), dir_region_.begin(), dir_region_.end());
@@ -158,6 +162,7 @@ class MisbehavingServer {
     switch (fault_) {
       case Fault::kNone:
       case Fault::kCorruptDirectory:
+      case Fault::kWrongOpenId:
         return net::WriteFrame(&conn_, net::kShard2, SpanOf(body)).ok();
       case Fault::kTruncatedFrame: {
         auto bytes = net::EncodeFrame(net::kShard2, SpanOf(body));
@@ -326,6 +331,21 @@ TEST_F(NetFaultTest, CorruptDirectoryFailsAtConnect) {
   EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(NetFaultTest, WrongEchoedOpenIdIsCorruption) {
+  // Both client paths share one tagged round trip, so both check the
+  // request id a kCorpusDir reply echoes.
+  MisbehavingServer server(*container_, Fault::kWrongOpenId);
+  auto dir = serve::FetchCorpusDirectory(server.host_port(), "", 2000);
+  ASSERT_FALSE(dir.ok());
+  EXPECT_EQ(dir.status().code(), StatusCode::kCorruption)
+      << dir.status().ToString();
+  auto rep = serve::OpenRemoteContainer(server.host_port(),
+                                        OnePoolSlot(2000));
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kCorruption)
+      << rep.status().ToString();
+}
+
 // --- attacks against the real server -------------------------------------
 
 std::unique_ptr<serve::ShardServer> StartRealServer(
@@ -398,47 +418,65 @@ TEST_F(NetFaultTest, RealServerSurvivesGarbageAndKeepsServing) {
   EXPECT_GT(server->stats().errors, 0u);
 }
 
-TEST_F(NetFaultTest, V2ServerRejectsV1ClientCleanly) {
+// Reads the kError2 a refused request gets; returns its Status and
+// stores the echoed request id.
+Status ReadServedError(Socket* conn, uint64_t* req_id) {
+  auto reply = net::ReadFrame(conn);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  if (!reply.ok()) return reply.status();
+  EXPECT_EQ(reply.value().type, net::kError2);
+  return net::DecodeErrorBody2(SpanOf(reply.value().body), req_id);
+}
+
+TEST_F(NetFaultTest, RetiredV1FrameGetsErrorThenClose) {
   auto server = StartRealServer(*container_);
-  // A PR 5-era client skips the handshake and leads with kGetDir. The
-  // server must answer in the v1 dialect (the only one the old client
-  // decodes) with a readable upgrade error — not wire corruption, not
-  // a dropped connection.
+  // A GRNF v1 client leads with kGetDir (version 1, type 1). That is a
+  // malformed stream now: one kError2 with request id 0, then close.
   auto conn = Socket::ConnectTcp("127.0.0.1", server->port(), 2000);
   ASSERT_TRUE(conn.ok());
   ASSERT_TRUE(conn.value().SetTimeouts(2000).ok());
-  ASSERT_TRUE(net::WriteFrame(&conn.value(), net::kGetDir, ByteSpan{}).ok());
+  auto v1 = fuzz::WithFrameHeader(net::EncodeFrame(net::kHello, ByteSpan{}),
+                                  /*version=*/1, /*type=*/1);
+  ASSERT_TRUE(conn.value().SendAll(SpanOf(v1)).ok());
+  uint64_t req_id = 99;
+  Status served = ReadServedError(&conn.value(), &req_id);
+  EXPECT_EQ(served.code(), StatusCode::kCorruption) << served.ToString();
+  EXPECT_NE(served.message().find("protocol version 1"), std::string::npos)
+      << served.ToString();
+  EXPECT_EQ(req_id, 0u);
+  auto after = net::ReadFrame(&conn.value());
+  ASSERT_FALSE(after.ok()) << "the server must close the connection";
+  EXPECT_EQ(after.status().message().find("timed out"), std::string::npos)
+      << after.status().ToString();
+}
+
+TEST_F(NetFaultTest, DownVersionHelloIsRefusedAndTheConnectionStays) {
+  auto server = StartRealServer(*container_);
+  auto conn = Socket::ConnectTcp("127.0.0.1", server->port(), 2000);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.value().SetTimeouts(2000).ok());
+  for (uint32_t claimed : {0u, 1u}) {
+    std::vector<uint8_t> hello;
+    PutU32LE(claimed, &hello);  // "I speak at most v<claimed>"
+    ASSERT_TRUE(
+        net::WriteFrame(&conn.value(), net::kHello, SpanOf(hello)).ok());
+    uint64_t req_id = 99;
+    Status served = ReadServedError(&conn.value(), &req_id);
+    EXPECT_EQ(served.code(), StatusCode::kInvalidArgument)
+        << served.ToString();
+    EXPECT_NE(served.message().find("GRNF v2"), std::string::npos)
+        << served.ToString();
+    EXPECT_EQ(req_id, 0u);
+  }
+  // The stream is in sync: a proper kHello on the same connection
+  // still succeeds.
+  std::vector<uint8_t> hello;
+  PutU32LE(net::kProtoV2, &hello);
+  ASSERT_TRUE(
+      net::WriteFrame(&conn.value(), net::kHello, SpanOf(hello)).ok());
   auto reply = net::ReadFrame(&conn.value());
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  ASSERT_EQ(reply.value().type, net::kError);
-  ASSERT_EQ(reply.value().version, net::kProtoV1);
-  Status decoded = net::DecodeErrorBody(SpanOf(reply.value().body));
-  EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(decoded.message().find("GRNF v2"), std::string::npos)
-      << decoded.ToString();
-  // The stream stays in sync: a v1 kGetShard on the same connection
-  // still gets a clean v1 error, not garbage.
-  std::vector<uint8_t> body;
-  PutU32LE(0, &body);
-  ASSERT_TRUE(
-      net::WriteFrame(&conn.value(), net::kGetShard, SpanOf(body)).ok());
-  auto second = net::ReadFrame(&conn.value());
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second.value().type, net::kError);
-
-  // An explicit down-version handshake is refused just as cleanly.
-  auto v1_hello = Socket::ConnectTcp("127.0.0.1", server->port(), 2000);
-  ASSERT_TRUE(v1_hello.ok());
-  ASSERT_TRUE(v1_hello.value().SetTimeouts(2000).ok());
-  std::vector<uint8_t> hello;
-  PutU32LE(1, &hello);  // "I speak at most v1"
-  ASSERT_TRUE(
-      net::WriteFrame(&v1_hello.value(), net::kHello, SpanOf(hello)).ok());
-  auto refused = net::ReadFrame(&v1_hello.value());
-  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
-  EXPECT_EQ(refused.value().type, net::kError);
-  EXPECT_EQ(net::DecodeErrorBody(SpanOf(refused.value().body)).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reply.value().type, net::kHelloOk);
 
   // Real clients are unaffected throughout.
   auto rep = serve::OpenRemoteContainer(server->host_port());

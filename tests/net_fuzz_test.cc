@@ -76,10 +76,16 @@ void CheckDirectoryParse(ByteSpan dir, uint64_t dir_off) {
 
 TEST(NetFuzzTest, FrameParserSurvivesMutation) {
   std::vector<std::vector<uint8_t>> seeds = fuzz::GoldenFrameSeeds();
-  // Golden path first: every seed decodes to itself.
+  // Golden path first: every v2 seed decodes to itself, and the
+  // retired v1 seed fails closed.
   for (const auto& seed : seeds) {
     size_t consumed = 0;
     auto frame = net::DecodeFrame(SpanOf(seed), &consumed);
+    if (seed[4] != net::kProtoV2) {
+      ASSERT_FALSE(frame.ok());
+      EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
+      continue;
+    }
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(consumed, seed.size());
   }
@@ -99,16 +105,31 @@ TEST(NetFuzzTest, FrameParserSurvivesMutation) {
   }
 }
 
-TEST(NetFuzzTest, VersionTypeMismatchIsRejected) {
-  // Every type is legal in exactly one protocol version; a frame
-  // claiming the other version is corruption even with a valid
-  // checksum (a conforming peer never sends it).
-  for (uint8_t type = net::kGetDir; type <= net::kError2; ++type) {
-    uint8_t right = net::FrameVersionForType(type);
-    uint8_t wrong = right == net::kProtoV1 ? net::kProtoV2 : net::kProtoV1;
-    auto bytes = net::EncodeFrameWithVersion(wrong, type, ByteSpan{});
+TEST(NetFuzzTest, OnlyVersionTwoAndItsTypesDecode) {
+  // Every version byte other than 2, and every type outside
+  // kHello..kError2, is corruption even with a valid checksum (a
+  // conforming peer never sends it).
+  auto hello = net::EncodeFrame(net::kHello, ByteSpan{});
+  for (int version = 0; version < 256; ++version) {
+    auto bytes = fuzz::WithFrameHeader(hello, static_cast<uint8_t>(version),
+                                       net::kHello);
     auto frame = net::DecodeFrame(SpanOf(bytes));
-    ASSERT_FALSE(frame.ok()) << "type " << int(type);
+    if (version == net::kProtoV2) {
+      EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(frame.ok()) << "version " << version;
+    EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
+  }
+  for (int type = 0; type < 256; ++type) {
+    auto bytes = fuzz::WithFrameHeader(hello, net::kProtoV2,
+                                       static_cast<uint8_t>(type));
+    auto frame = net::DecodeFrame(SpanOf(bytes));
+    if (type >= net::kHello && type <= net::kError2) {
+      EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(frame.ok()) << "type " << type;
     EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
   }
 }
@@ -120,13 +141,10 @@ TEST(NetFuzzTest, ErrorBodyDecodersSurviveNoise) {
     for (auto& b : body) {
       b = static_cast<uint8_t>(rng.UniformBounded(256));
     }
-    Status decoded = net::DecodeErrorBody(SpanOf(body));
+    uint64_t req_id = 0;
+    Status decoded = net::DecodeErrorBody2(SpanOf(body), &req_id);
     EXPECT_FALSE(decoded.ok());  // an error frame is never OK
     EXPECT_FALSE(decoded.message().empty());
-    uint64_t req_id = 0;
-    Status decoded2 = net::DecodeErrorBody2(SpanOf(body), &req_id);
-    EXPECT_FALSE(decoded2.ok());
-    EXPECT_FALSE(decoded2.message().empty());
   }
 }
 

@@ -34,16 +34,11 @@ std::vector<uint8_t> CompressBytes(const std::string& backend,
 TEST(ParallelCompressorTest, ThreadCountDoesNotChangeTheBytes) {
   GeneratedGraph gg = BarabasiAlbert(600, 3, 17);
   for (const char* backend : {"sharded:grepair", "sharded:deflate"}) {
-    for (const char* strategy : {"edge-range", "bfs"}) {
-      std::string base =
-          std::string("shards=8,strategy=") + strategy + ",threads=";
-      auto one = CompressBytes(backend, gg, base + "1");
-      auto eight = CompressBytes(backend, gg, base + "8");
-      ASSERT_FALSE(one.empty());
-      EXPECT_EQ(one, eight)
-          << backend << " with strategy " << strategy
-          << " is not deterministic across thread counts";
-    }
+    auto one = CompressBytes(backend, gg, "shards=8,threads=1");
+    auto eight = CompressBytes(backend, gg, "shards=8,threads=8");
+    ASSERT_FALSE(one.empty());
+    EXPECT_EQ(one, eight)
+        << backend << " is not deterministic across thread counts";
   }
 }
 

@@ -1,12 +1,11 @@
 // Partitioner invariants: every input edge lands in exactly one
 // shard, node maps are sorted/compact/consistent with the local
-// subgraphs, the BFS strategy balances regions and isolates cut
-// edges, and partitioning is deterministic.
+// subgraphs, edge ranges are balanced with an empty cut shard, and
+// partitioning is deterministic.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "src/datasets/generators.h"
 #include "src/shard/partitioner.h"
@@ -57,7 +56,6 @@ TEST(PartitionerTest, EdgeRangePreservesEveryEdgeWithEmptyCut) {
   GeneratedGraph gg = BarabasiAlbert(400, 3, 7);
   PartitionOptions options;
   options.num_shards = 5;
-  options.strategy = PartitionStrategy::kEdgeRange;
   auto partition = PartitionGraph(gg.graph, options);
   ASSERT_TRUE(partition.ok()) << partition.status().ToString();
 
@@ -76,56 +74,6 @@ TEST(PartitionerTest, EdgeRangePreservesEveryEdgeWithEmptyCut) {
   }
 }
 
-TEST(PartitionerTest, GreedyBfsOwnsEveryNodeOnceAndIsolatesCutEdges) {
-  GeneratedGraph gg = CoAuthorship(300, 300, 11);
-  PartitionOptions options;
-  options.num_shards = 4;
-  options.strategy = PartitionStrategy::kGreedyBfs;
-  auto partition = PartitionGraph(gg.graph, options);
-  ASSERT_TRUE(partition.ok()) << partition.status().ToString();
-
-  ASSERT_EQ(partition.value().shards.size(), 5u);
-  CheckShardConsistency(partition.value(), gg.graph.num_nodes());
-  EXPECT_EQ(GlobalEdges(partition.value()), CanonicalEdges(gg.graph));
-  EXPECT_EQ(partition.value().cut_shard().graph.num_edges(),
-            partition.value().num_cut_edges);
-
-  // Every node is owned by exactly one data shard, and all data
-  // regions except the last respect the capacity cap.
-  uint32_t cap = (gg.graph.num_nodes() + 3) / 4;
-  std::map<NodeId, int> owner_count;
-  for (int k = 0; k < 4; ++k) {
-    const Shard& shard = partition.value().shards[k];
-    EXPECT_LE(shard.nodes.size(), static_cast<size_t>(cap) + 1) << k;
-    for (NodeId v : shard.nodes) owner_count[v]++;
-  }
-  ASSERT_EQ(owner_count.size(), gg.graph.num_nodes());
-  for (const auto& [node, count] : owner_count) {
-    EXPECT_EQ(count, 1) << "node " << node << " owned by " << count
-                        << " shards";
-  }
-
-  // An internal edge's endpoints all live in its shard's node map, by
-  // construction; a cut edge's endpoints span at least two owners.
-  const Shard& cut = partition.value().cut_shard();
-  for (const HEdge& e : cut.graph.edges()) {
-    std::vector<NodeId> global;
-    for (NodeId v : e.att) global.push_back(cut.nodes[v]);
-    int first_owner = -1;
-    bool spans = false;
-    for (NodeId v : global) {
-      for (int k = 0; k < 4; ++k) {
-        const auto& nodes = partition.value().shards[k].nodes;
-        if (std::binary_search(nodes.begin(), nodes.end(), v)) {
-          if (first_owner == -1) first_owner = k;
-          if (k != first_owner) spans = true;
-        }
-      }
-    }
-    EXPECT_TRUE(spans);
-  }
-}
-
 TEST(PartitionerTest, HyperedgesFollowTheirAttachments) {
   Alphabet alphabet;
   alphabet.Add("e", 2);
@@ -135,36 +83,34 @@ TEST(PartitionerTest, HyperedgesFollowTheirAttachments) {
   g.AddEdge(1, {0, 4, 8});  // spans the whole graph
   PartitionOptions options;
   options.num_shards = 3;
-  options.strategy = PartitionStrategy::kGreedyBfs;
   auto partition = PartitionGraph(g, options);
   ASSERT_TRUE(partition.ok());
   CheckShardConsistency(partition.value(), 9);
   EXPECT_EQ(GlobalEdges(partition.value()), CanonicalEdges(g));
-  // The rank-3 edge cannot be internal to any 3-node region.
-  bool found = false;
-  for (const HEdge& e : partition.value().cut_shard().graph.edges()) {
-    if (e.rank() == 3) found = true;
-  }
-  EXPECT_TRUE(found);
+  // The rank-3 edge is the last edge, so it lands whole in the last
+  // data shard, whose node map holds all three of its attachments.
+  const Shard& last = partition.value().shards[2];
+  ASSERT_FALSE(last.graph.edges().empty());
+  const HEdge& hyper = last.graph.edges().back();
+  ASSERT_EQ(hyper.rank(), 3u);
+  std::vector<NodeId> global;
+  for (NodeId v : hyper.att) global.push_back(last.nodes[v]);
+  EXPECT_EQ(global, (std::vector<NodeId>{0, 4, 8}));
 }
 
 TEST(PartitionerTest, SingleShardAndOvershardedGraphs) {
   GeneratedGraph gg = ErdosRenyi(20, 30, 3);
-  for (auto strategy :
-       {PartitionStrategy::kEdgeRange, PartitionStrategy::kGreedyBfs}) {
-    PartitionOptions options;
-    options.strategy = strategy;
-    options.num_shards = 1;
-    auto one = PartitionGraph(gg.graph, options);
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ(GlobalEdges(one.value()), CanonicalEdges(gg.graph));
+  PartitionOptions options;
+  options.num_shards = 1;
+  auto one = PartitionGraph(gg.graph, options);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(GlobalEdges(one.value()), CanonicalEdges(gg.graph));
 
-    options.num_shards = 64;  // more shards than edges
-    auto many = PartitionGraph(gg.graph, options);
-    ASSERT_TRUE(many.ok());
-    ASSERT_EQ(many.value().shards.size(), 65u);
-    EXPECT_EQ(GlobalEdges(many.value()), CanonicalEdges(gg.graph));
-  }
+  options.num_shards = 64;  // more shards than edges
+  auto many = PartitionGraph(gg.graph, options);
+  ASSERT_TRUE(many.ok());
+  ASSERT_EQ(many.value().shards.size(), 65u);
+  EXPECT_EQ(GlobalEdges(many.value()), CanonicalEdges(gg.graph));
 }
 
 TEST(PartitionerTest, RejectsBadInputs) {
@@ -186,33 +132,17 @@ TEST(PartitionerTest, RejectsBadInputs) {
 
 TEST(PartitionerTest, Deterministic) {
   GeneratedGraph gg = BarabasiAlbert(200, 4, 5);
-  for (auto strategy :
-       {PartitionStrategy::kEdgeRange, PartitionStrategy::kGreedyBfs}) {
-    PartitionOptions options;
-    options.num_shards = 6;
-    options.strategy = strategy;
-    auto a = PartitionGraph(gg.graph, options);
-    auto b = PartitionGraph(gg.graph, options);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().shards.size(), b.value().shards.size());
-    for (size_t i = 0; i < a.value().shards.size(); ++i) {
-      EXPECT_EQ(a.value().shards[i].nodes, b.value().shards[i].nodes);
-      EXPECT_TRUE(a.value().shards[i].graph == b.value().shards[i].graph);
-    }
+  PartitionOptions options;
+  options.num_shards = 6;
+  auto a = PartitionGraph(gg.graph, options);
+  auto b = PartitionGraph(gg.graph, options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a.value().shards.size(), b.value().shards.size());
+  for (size_t i = 0; i < a.value().shards.size(); ++i) {
+    EXPECT_EQ(a.value().shards[i].nodes, b.value().shards[i].nodes);
+    EXPECT_TRUE(a.value().shards[i].graph == b.value().shards[i].graph);
   }
-}
-
-TEST(PartitionerTest, StrategyNamesRoundTrip) {
-  PartitionStrategy s;
-  ASSERT_TRUE(ParsePartitionStrategy("edge-range", &s));
-  EXPECT_EQ(s, PartitionStrategy::kEdgeRange);
-  ASSERT_TRUE(ParsePartitionStrategy("bfs", &s));
-  EXPECT_EQ(s, PartitionStrategy::kGreedyBfs);
-  EXPECT_FALSE(ParsePartitionStrategy("metis", &s));
-  EXPECT_STREQ(PartitionStrategyName(PartitionStrategy::kEdgeRange),
-               "edge-range");
-  EXPECT_STREQ(PartitionStrategyName(PartitionStrategy::kGreedyBfs), "bfs");
 }
 
 }  // namespace

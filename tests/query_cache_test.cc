@@ -45,9 +45,22 @@ std::unique_ptr<CompressedRep> MakeSharded(const GeneratedGraph& gg,
   auto codec = CodecRegistry::Create(backend).ValueOrDie();
   CodecOptions options;
   options.Set("shards", std::to_string(shards));
-  options.Set("strategy", "bfs");
   auto rep = codec->Compress(gg.graph, gg.alphabet, options);
   EXPECT_TRUE(rep.ok()) << rep.status().ToString();
+  // Coverage guard: every test here queries most nodes, so some node
+  // sitting in two or more shards' node maps keeps the multi-owner
+  // merge of OutNeighborsBatch/RoutedNeighbors under test.
+  const auto& sharded = dynamic_cast<const shard::ShardedRep&>(*rep.value());
+  size_t max_owners = 0;
+  for (NodeId v = 0; v < gg.graph.num_nodes(); ++v) {
+    size_t owners = 0;
+    for (size_t k = 0; k < sharded.num_shards(); ++k) {
+      const auto& nodes = sharded.entry(k).nodes;
+      owners += std::binary_search(nodes.begin(), nodes.end(), v);
+    }
+    max_owners = std::max(max_owners, owners);
+  }
+  EXPECT_GE(max_owners, 2u) << gg.name;
   return std::move(rep).ValueOrDie();
 }
 

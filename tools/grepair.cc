@@ -3,11 +3,9 @@
 // Usage:
 //   grepair compress <in.graph> <out> [--backend NAME]
 //           [--options k=v,...] [--shards K (default 1)] [--threads T]
-//           [--strategy edge-range|bfs]
 //   grepair decompress <in> <out.graph> [--threads T]
 //   grepair bench --backend NAME|all --gen KIND [--size N]
 //           [--options k=v,...] [--shards K] [--threads T]
-//           [--strategy edge-range|bfs]
 //   grepair backends
 //   grepair query <in>|--remote host:port[/corpus] [--nodes 1,2,3]
 //           [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]
@@ -30,7 +28,7 @@
 // `--options` passes codec-specific key=value options (for grepair:
 // order, max-rank, prune, virtual, ...), and `bench` runs any backend
 // (or all of them) over any generated dataset with a round-trip check;
-// there `--shards`/`--threads`/`--strategy` rewrite the backend to its
+// there `--shards`/`--threads` rewrite the backend to its
 // sharded variant "sharded:<inner>" (src/shard/). Graph files use the
 // native text format of src/graph/graph_io.h. `gen` kinds: er, ba,
 // coauth, rdf-types, rdf-entities, copies, dblp.
@@ -124,11 +122,11 @@ int Usage() {
       "usage: grepair <command> ...\n"
       "  compress <in.graph> <out> [--backend %s]\n"
       "           (default grepair) [--options k=v,...] [--shards K]\n"
-      "           [--threads T] [--strategy edge-range|bfs]\n"
+      "           [--threads T]\n"
       "  decompress <in> <out.graph> [--threads T]\n"
       "  bench --backend NAME|all --gen KIND [--size N] "
       "[--options k=v,...]\n"
-      "        [--shards K] [--threads T] [--strategy edge-range|bfs]\n"
+      "        [--shards K] [--threads T]\n"
       "  backends\n"
       "  query <in>|--remote host:port[/corpus] [--nodes 1,2,3]\n"
       "        [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]\n"
@@ -163,17 +161,14 @@ bool WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   return true;
 }
 
-// Sharding knobs shared by compress and bench: --shards/--threads/
-// --strategy rewrite `backend` to its sharded:<inner> variant and land
-// in `options` as codec options.
+// Sharding knobs shared by compress and bench: --shards/--threads
+// rewrite `backend` to its sharded:<inner> variant and land in
+// `options` as codec options.
 struct ShardFlags {
-  int shards = 0;            // 0 = not requested
-  int threads = 0;           // 0 = not requested
-  std::string strategy;      // empty = not requested
+  int shards = 0;   // 0 = not requested
+  int threads = 0;  // 0 = not requested
 
-  bool requested() const {
-    return shards != 0 || threads != 0 || !strategy.empty();
-  }
+  bool requested() const { return shards != 0 || threads != 0; }
 };
 
 // Strictly positive integer flag value; atoi would silently turn
@@ -195,7 +190,7 @@ bool ParseCountFlag(const char* flag, const char* text, int max, int* out) {
 constexpr int kMaxShards = shard::kMaxShards;
 constexpr int kMaxThreads = 256;  // ParallelCompressor's clamp
 
-// Consumes one --shards/--threads/--strategy argument pair shared by
+// Consumes one --shards/--threads argument pair shared by
 // CmdCompress and CmdBench (one parser, so the two commands cannot
 // drift apart). Advances *i past the flag's value on a match.
 enum class ShardFlagParse { kNoMatch, kOk, kError };
@@ -214,10 +209,6 @@ ShardFlagParse MatchShardFlag(const std::string& arg, int argc, char** argv,
                ? ShardFlagParse::kOk
                : ShardFlagParse::kError;
   }
-  if (arg == "--strategy" && *i + 1 < argc) {
-    flags->strategy = argv[++*i];
-    return ShardFlagParse::kOk;
-  }
   return ShardFlagParse::kNoMatch;
 }
 
@@ -231,7 +222,6 @@ void ApplyShardFlags(const ShardFlags& flags, std::string* backend,
   if (flags.threads > 0) {
     options->Set("threads", std::to_string(flags.threads));
   }
-  if (!flags.strategy.empty()) options->Set("strategy", flags.strategy);
 }
 
 int CmdCompress(int argc, char** argv) {
@@ -1239,7 +1229,7 @@ int CmdBench(int argc, char** argv) {
   if (kind.empty()) return Usage();
   if (shard_flags.requested() && backend == "all") {
     std::fprintf(stderr,
-                 "--shards/--threads/--strategy need a single --backend "
+                 "--shards/--threads need a single --backend "
                  "(run e.g. --backend grepair --shards 8)\n");
     return 2;
   }
