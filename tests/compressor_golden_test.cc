@@ -8,6 +8,10 @@
 // single output byte (rule choice, rule order, start-graph edge order,
 // node numbering, origin ids) changes a digest, so refactors and
 // optimizations of the pipeline can prove they are byte-identical.
+// A third, format-independent digest per case covers what the bytes
+// decode to: the terminal ranks, the rules, the start graph's edges in
+// canonical order and the origins array. It moves only when the
+// compressor's output changes, not when the bit format does.
 // Every mapped run is also checked to reproduce its input exactly. A
 // second corpus covers what the first lacks: wide terminal hyperedges
 // (up to the rank-63 limit, with max_rank 4 and 63) and hub nodes that
@@ -173,9 +177,11 @@ struct GoldenCase {
   bool virtual_edges;
   bool mapping;
   // Folded over this case's inputs, in corpus order: EncodeGrammar's
-  // bytes, and EncodeNodeMapping's (0 when the mapping is off).
+  // bytes, EncodeNodeMapping's (0 when the mapping is off), and the
+  // decoded grammar and origins (StructureWords).
   uint64_t grammar_digest;
   uint64_t mapping_digest;
+  uint64_t structure_digest;
   int max_rank = 4;
 };
 
@@ -206,7 +212,40 @@ uint64_t FoldBytes(const std::vector<uint8_t>& bytes, uint64_t h) {
 struct Digests {
   uint64_t grammar = 0;
   uint64_t mapping = 0;
+  uint64_t structure = 0;
 };
+
+void AppendGraph(const Hypergraph& g, std::vector<uint64_t>* words) {
+  words->push_back(g.num_nodes());
+  words->push_back(g.num_edges());
+  for (const HEdge& e : g.edges()) {
+    words->push_back(e.label);
+    words->push_back(e.att.size());
+    words->insert(words->end(), e.att.begin(), e.att.end());
+  }
+}
+
+// The grammar as the decoder returns it, plus the origins, flattened
+// to words: terminal ranks, each rule's rhs in rule order (external
+// nodes are 0..rank-1, so the node count fixes them), the start graph
+// in its canonical edge order, then the origins.
+std::vector<uint64_t> StructureWords(const SlhrGrammar& grammar,
+                                     const std::vector<NodeId>& origins) {
+  std::vector<uint64_t> words;
+  words.push_back(grammar.num_terminals());
+  for (Label l = 0; l < grammar.num_terminals(); ++l) {
+    words.push_back(static_cast<uint64_t>(grammar.alphabet().rank(l)));
+  }
+  words.push_back(grammar.num_rules());
+  for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
+    words.push_back(grammar.rhs_by_index(j).ext().size());
+    AppendGraph(grammar.rhs_by_index(j), &words);
+  }
+  AppendGraph(grammar.start(), &words);
+  words.push_back(origins.size());
+  words.insert(words.end(), origins.begin(), origins.end());
+  return words;
+}
 
 // Compresses `gg` under `c` and folds the output bytes into *digests;
 // a mapped run must also reproduce its input exactly.
@@ -215,9 +254,17 @@ void FoldCase(const GeneratedGraph& gg, const GoldenCase& c,
   auto result = Compress(gg.graph, gg.alphabet, OptionsFor(c));
   ASSERT_TRUE(result.ok()) << gg.name << ": " << result.status().ToString();
   const SlhrGrammar& grammar = result.value().grammar;
-  digests->grammar = FoldBytes(EncodeGrammar(grammar), digests->grammar);
-  if (!c.mapping) return;
+  const std::vector<uint8_t> grammar_bytes = EncodeGrammar(grammar);
+  digests->grammar = FoldBytes(grammar_bytes, digests->grammar);
+  auto decoded = DecodeGrammar(grammar_bytes);
+  ASSERT_TRUE(decoded.ok()) << gg.name << ": "
+                            << decoded.status().ToString();
   const std::vector<NodeId>& origins = result.value().origins;
+  const std::vector<uint64_t> words = StructureWords(decoded.value(), origins);
+  digests->structure =
+      HashBytes(reinterpret_cast<const uint8_t*>(words.data()),
+                words.size() * sizeof(uint64_t), digests->structure);
+  if (!c.mapping) return;
   digests->mapping =
       FoldBytes(EncodeNodeMapping(grammar, origins), digests->mapping);
   auto original = DeriveOriginal(grammar, origins);
@@ -243,6 +290,9 @@ void ExpectDigests(const std::vector<GoldenCase>& cases,
     EXPECT_EQ(digests[k].mapping, cases[k].mapping_digest)
         << CaseName(cases[k]) << " mapping digest "
         << Hex(digests[k].mapping);
+    EXPECT_EQ(digests[k].structure, cases[k].structure_digest)
+        << CaseName(cases[k]) << " structure digest "
+        << Hex(digests[k].structure);
   }
 }
 
@@ -250,27 +300,40 @@ TEST(CompressorGoldenTest, OutputBytesMatchPinnedDigests) {
   const std::vector<GeneratedGraph> corpus = GoldenCorpus();
   ASSERT_EQ(corpus.size(), kDblpParts + 3u);
 
-  // Pinned digests: they change only when the compressor's output
-  // changes on purpose (format, rule choice or numbering).
+  // Pinned digests: the byte digests change when the compressor's
+  // output or the bit format changes on purpose (format, rule choice or
+  // numbering); the structure digests only on a change of output.
   const std::vector<GoldenCase> cases = {
-      {PruneMode::kOff, false, false, 0x79d5a066ad566ef0ull, 0},
+      {PruneMode::kOff, false, false, 0x79d5a066ad566ef0ull, 0,
+       0x418852079efda3dcull},
       {PruneMode::kOff, false, true, 0x20bb76dfa31b040aull,
-       0xa95e711e01833165ull},
-      {PruneMode::kOff, true, false, 0xa6bcc981015d9cdcull, 0},
+       0xa95e711e01833165ull,
+       0xf10beb0bb31ed27bull},
+      {PruneMode::kOff, true, false, 0xa6bcc981015d9cdcull, 0,
+       0x60f1b3e0e14e3406ull},
       {PruneMode::kOff, true, true, 0x4b190ab199c26decull,
-       0xf15c9f33b958a790ull},
-      {PruneMode::kPaper, false, false, 0x598c6a58a54e9e3eull, 0},
+       0xf15c9f33b958a790ull,
+       0xbcacd3c395e49b06ull},
+      {PruneMode::kPaper, false, false, 0x598c6a58a54e9e3eull, 0,
+       0x19dc87fbdf5fa3e4ull},
       {PruneMode::kPaper, false, true, 0xc2d63bcc8c3588d2ull,
-       0x8b6300302561e1d8ull},
-      {PruneMode::kPaper, true, false, 0x1a90fcabc47f893bull, 0},
+       0x8b6300302561e1d8ull,
+       0xb7fe159e49582108ull},
+      {PruneMode::kPaper, true, false, 0x1a90fcabc47f893bull, 0,
+       0xd568ab2d79790088ull},
       {PruneMode::kPaper, true, true, 0xbc1cd0850018efceull,
-       0xb47fbd04ecc278aaull},
-      {PruneMode::kFixpoint, false, false, 0x6a5007a4640fe2d8ull, 0},
+       0xb47fbd04ecc278aaull,
+       0xcdf055ecea9cad0dull},
+      {PruneMode::kFixpoint, false, false, 0x6a5007a4640fe2d8ull, 0,
+       0x627b85620f88297cull},
       {PruneMode::kFixpoint, false, true, 0x44bfc3452ad2076bull,
-       0x428237c9e16dcd6aull},
-      {PruneMode::kFixpoint, true, false, 0xef6d1a16e3bda13dull, 0},
+       0x428237c9e16dcd6aull,
+       0x605f97a646f51acbull},
+      {PruneMode::kFixpoint, true, false, 0xef6d1a16e3bda13dull, 0,
+       0x62a370fc6e8b50d7ull},
       {PruneMode::kFixpoint, true, true, 0x5a136c7627c74b6bull,
-       0xf4ffedbbad4ea720ull},
+       0xf4ffedbbad4ea720ull,
+       0xb2cff594e583434dull},
   };
   std::vector<Digests> digests(cases.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
@@ -291,10 +354,13 @@ TEST(CompressorGoldenTest, WideHyperedgesAndLabelHubsMatchPinnedDigests) {
       WideHyperedgeGraph(), LabelHubGraph(), RdfTypes(3000, 40, 5, 2.0)};
   const std::vector<GoldenCase> cases = {
       {PruneMode::kPaper, true, true, 0x794857625b1efb84ull,
-       0xa12cc72b84ded3faull},
-      {PruneMode::kOff, false, false, 0x27f32def3715cf66ull, 0, 63},
+       0xa12cc72b84ded3faull,
+       0xa5540dadd641cbd5ull},
+      {PruneMode::kOff, false, false, 0x27f32def3715cf66ull, 0,
+       0x80537a42e3221541ull, 63},
       {PruneMode::kFixpoint, true, true, 0x3ba5f4e7002bfae8ull,
-       0x5af4a5755d675881ull, 63},
+       0x5af4a5755d675881ull,
+       0x6b499ea3d39a633dull, 63},
   };
   std::vector<Digests> digests(cases.size());
   for (const GeneratedGraph& gg : corpus) {
