@@ -9,7 +9,8 @@
 // verb plus a retired v1 frame, real GRSHARD2 directories,
 // well-formed Elias streams plus the degenerate all-zeros/all-ones
 // edges, k^2-trees from K2Tree::Build plus a forged cell count, real
-// grepair payloads plus a grammar whose val(G) counts wrap uint64_t),
+// grepair payloads plus a grammar whose val(G) counts wrap uint64_t and
+// a retired v1 payload),
 // so coverage-guided runs
 // start from deep inside the parsers instead of fighting the magic
 // bytes. Rerun after a format change and commit the diff.
@@ -188,6 +189,8 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof(name), "payload_%02zu.bin", i);
     grepair::WriteSeed(payload_dir, name, payloads[i]);
   }
+  grepair::WriteSeed(payload_dir, "retired_v1.bin",
+                     grepair::fuzz::RetiredV1GrepairPayload());
 
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

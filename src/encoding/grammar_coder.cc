@@ -12,7 +12,18 @@ namespace grepair {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x47524731;  // "GRG1"
+constexpr uint32_t kMagic = 0x47524732;  // "GRG2"
+// The retired v1 payload (node x edge incidence k^2-trees for rank != 2
+// start-graph labels, psi' as plain ids). Only recognized to say so.
+constexpr uint32_t kMagicV1 = 0x47524731;  // "GRG1"
+
+// Largest label rank (and permutation length) the format holds.
+constexpr size_t kMaxRank = 64;
+
+// Zigzag folding of a two's-complement difference, so small steps in
+// either direction get small codes.
+uint64_t ZigZag(uint64_t d) { return (d << 1) ^ (0 - (d >> 63)); }
+uint64_t UnZigZag(uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
 
 int IndexBits(size_t dictionary_size) {
   if (dictionary_size <= 1) return 0;
@@ -126,9 +137,11 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
   size_t rules_end = w.bit_size();
 
   // ---- Permutation dictionary for start-graph hyperedges -------------------
-  // perm p of edge e: att(e)[i] = sorted(att(e))[p[i]].
+  // perm p of edge e: att(e)[i] = sorted(att(e))[p[i]]. An edge stores
+  // its perm's index among the dictionary's perms of its own length.
   std::map<std::vector<uint8_t>, uint32_t> perm_ids;
   std::vector<std::vector<uint8_t>> perms;
+  std::vector<uint32_t> perms_of_length(kMaxRank + 1, 0);
   std::vector<uint32_t> edge_perm(start.num_edges(), 0);
   for (EdgeId i = 0; i < start.num_edges(); ++i) {
     const HEdge& e = start.edge(i);
@@ -141,8 +154,12 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
           std::find(sorted_att.begin(), sorted_att.end(), e.att[a]) -
           sorted_att.begin());
     }
-    auto [it, inserted] = perm_ids.emplace(perm, perms.size());
-    if (inserted) perms.push_back(perm);
+    auto [it, inserted] =
+        perm_ids.emplace(perm, perms_of_length[perm.size()]);
+    if (inserted) {
+      ++perms_of_length[perm.size()];
+      perms.push_back(perm);
+    }
     edge_perm[i] = it->second;
   }
   EliasDeltaEncode(perms.size() + 1, &w);
@@ -150,9 +167,8 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
     EliasDeltaEncode(perm.size(), &w);
     for (uint8_t p : perm) EliasDeltaEncode(p + 1, &w);
   }
-  const int perm_bits = IndexBits(perms.size());
 
-  // ---- Start graph: one k^2-tree per label ---------------------------------
+  // ---- Start graph: one section per label ---------------------------------
   // Edges must be sorted by (label, att); verify in debug builds.
 #ifndef NDEBUG
   for (EdgeId i = 1; i < start.num_edges(); ++i) {
@@ -223,18 +239,22 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
         EliasDeltaEncode(extra, &w);
       }
     } else {
-      // Incidence matrix: rows = nodes, cols = this label's edges.
-      std::vector<std::pair<uint32_t, uint32_t>> cells;
-      for (uint32_t col = 0; col < num_label_edges; ++col) {
-        for (NodeId v : start.edge(label_edges[col]).att) {
-          cells.push_back({v, col});
-        }
-      }
-      K2Tree tree =
-          K2Tree::Build(start.num_nodes(), num_label_edges, cells);
-      tree.Serialize(&w);
+      // Sorted attachment tuples in canonical edge order: the perm
+      // index, the first member as a zigzag step from the previous
+      // tuple's, then the gaps (>= 1) between consecutive members.
+      EliasDeltaEncode(num_label_edges, &w);
+      const int perm_bits = IndexBits(perms_of_length[alpha.rank(l)]);
+      NodeId prev_first = 0;
       for (uint32_t j = 0; j < num_label_edges; ++j) {
         w.PutBits(edge_perm[label_edges[j]], perm_bits);
+        Attachments sorted_att = start.edge(label_edges[j]).att;
+        std::sort(sorted_att.begin(), sorted_att.end());
+        EliasDeltaEncode(
+            ZigZag(uint64_t{sorted_att[0]} - uint64_t{prev_first}) + 1, &w);
+        for (size_t a = 1; a < sorted_att.size(); ++a) {
+          EliasDeltaEncode(sorted_att[a] - sorted_att[a - 1], &w);
+        }
+        prev_first = sorted_att[0];
       }
     }
   }
@@ -256,6 +276,10 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
   BitReader r(bytes.data, bytes.size * 8);
   uint64_t magic = 0;
   GREPAIR_RETURN_IF_ERROR(r.ReadBits(32, &magic));
+  if (magic == kMagicV1) {
+    return Status::InvalidArgument(
+        "grepair payload v1 (GRG1) is no longer readable; recompress it");
+  }
   if (magic != kMagic) return Status::Corruption("bad magic");
 
   uint64_t num_terminals = 0;
@@ -330,20 +354,28 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
   // with the same bounded reserve to avoid realloc churn.
   std::vector<std::vector<uint8_t>> perms;
   perms.reserve(static_cast<size_t>(std::min<uint64_t>(num_perms, 4096)));
+  // perms_of_length[k]: the dictionary indices of the length-k perms,
+  // in dictionary order; a tuple's perm index points into its rank's.
+  std::vector<std::vector<uint32_t>> perms_of_length(kMaxRank + 1);
   for (uint64_t i = 0; i < num_perms; ++i) {
     uint64_t len = 0;
     GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &len));
-    if (len == 0 || len > 64) return Status::Corruption("bad perm length");
+    if (len == 0 || len > kMaxRank) {
+      return Status::Corruption("bad perm length");
+    }
     std::vector<uint8_t> perm(len);
+    uint64_t used = 0;  // entries seen so far, as a bit set
     for (auto& p : perm) {
       uint64_t v = 0;
       GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &v));
       if (v == 0 || v > len) return Status::Corruption("bad perm entry");
       p = static_cast<uint8_t>(v - 1);
+      if ((used >> p) & 1) return Status::Corruption("perm repeats an entry");
+      used |= uint64_t{1} << p;
     }
+    perms_of_length[len].push_back(static_cast<uint32_t>(perms.size()));
     perms.push_back(std::move(perm));
   }
-  const int perm_bits = IndexBits(perms.size());
 
   // Start graph label sections.
   Hypergraph* start = grammar.mutable_start();
@@ -353,10 +385,10 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
     bool present = false;
     GREPAIR_RETURN_IF_ERROR(r.ReadBit(&present));
     if (!present) continue;
-    auto tree = K2Tree::DecodeCells(&r);
-    if (!tree.ok()) return tree.status();
-    const std::vector<uint64_t>& cells = tree.value().keys;
     if (alpha.rank(l) == 2) {
+      auto tree = K2Tree::DecodeCells(&r);
+      if (!tree.ok()) return tree.status();
+      const std::vector<uint64_t>& cells = tree.value().keys;
       uint64_t num_dups = 0;
       GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_dups));
       if (num_dups == 0) return Status::Corruption("bad dup count");
@@ -395,60 +427,62 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
           start->AddEdge(l, {u, v});
         }
       }
-    } else {
-      // Incidence: rebuild per-column node sets, then apply perms.
-      // Every edge column holds >= 1 incidence cell, so the claimed
-      // column count is bounded by the (input-bounded) cell count —
-      // sizing `cols` straight from the header would amplify each
-      // input bit into a 24-byte empty vector.
-      uint32_t num_edges = tree.value().num_cols;
-      if (num_edges > cells.size()) {
-        return Status::Corruption("hyperedge count exceeds incidence cells");
+      continue;
+    }
+    // Sorted attachment tuples (see EncodeGrammar). Every tuple takes
+    // at least one bit, so a count beyond the bits left fails here.
+    const size_t rank = static_cast<size_t>(alpha.rank(l));
+    uint64_t num_edges = 0;
+    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_edges));
+    if (num_edges > r.BitsAvailable()) {
+      return Status::Corruption("hyperedge count exceeds the input");
+    }
+    const std::vector<uint32_t>& rank_perms = perms_of_length[rank];
+    if (rank_perms.empty()) {
+      return Status::Corruption("hyperedge without permutations");
+    }
+    const int perm_bits = IndexBits(rank_perms.size());
+    NodeId prev_first = 0;
+    Attachments sorted_att;
+    sorted_att.resize(rank);
+    for (uint64_t i = 0; i < num_edges; ++i) {
+      uint64_t perm_idx = 0;
+      GREPAIR_RETURN_IF_ERROR(r.ReadBits(perm_bits, &perm_idx));
+      if (perm_idx >= rank_perms.size()) {
+        return Status::Corruption("bad perm index");
       }
-      // Column col's rows, ascending, are rows[col_begin[col],
-      // col_begin[col + 1]): the cells arrive row-major.
-      std::vector<uint32_t> col_begin(static_cast<size_t>(num_edges) + 1, 0);
-      for (uint64_t cell : cells) {
-        const uint32_t col = static_cast<uint32_t>(cell & 0xFFFFFFFFu);
-        if (col >= num_edges) {
-          return Status::Corruption("incidence cell column out of range");
-        }
-        ++col_begin[col + 1];
+      const std::vector<uint8_t>& perm = perms[rank_perms[perm_idx]];
+      uint64_t code = 0;
+      GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &code));
+      // Wrapping add: with |V_S| < 2^32 the sum lands in range only
+      // when the signed step really does.
+      const uint64_t first = prev_first + UnZigZag(code - 1);
+      if (first >= start_nodes) {
+        return Status::Corruption("hyperedge member out of range");
       }
-      for (uint32_t col = 0; col < num_edges; ++col) {
-        col_begin[col + 1] += col_begin[col];
+      sorted_att[0] = static_cast<NodeId>(first);
+      for (size_t a = 1; a < rank; ++a) {
+        uint64_t gap = 0;
+        GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &gap));
+        if (gap == 0 || gap >= start_nodes - sorted_att[a - 1]) {
+          return Status::Corruption("hyperedge member out of range");
+        }
+        sorted_att[a] = static_cast<NodeId>(sorted_att[a - 1] + gap);
       }
-      std::vector<NodeId> rows(cells.size());
-      std::vector<uint32_t> fill(col_begin.begin(), col_begin.end() - 1);
-      for (uint64_t cell : cells) {
-        rows[fill[cell & 0xFFFFFFFFu]++] = static_cast<NodeId>(cell >> 32);
+      Attachments att;
+      att.resize(rank);
+      for (size_t a = 0; a < rank; ++a) att[a] = sorted_att[perm[a]];
+      if (i > 0 && att < start->edge(start->num_edges() - 1).att) {
+        return Status::Corruption("hyperedges out of canonical order");
       }
-      for (uint32_t col = 0; col < num_edges; ++col) {
-        uint64_t perm_idx = 0;
-        GREPAIR_RETURN_IF_ERROR(r.ReadBits(perm_bits, &perm_idx));
-        if (perms.empty()) {
-          return Status::Corruption("hyperedge without permutations");
-        }
-        if (perm_idx >= perms.size()) {
-          return Status::Corruption("bad perm index");
-        }
-        const auto& perm = perms[perm_idx];
-        const NodeId* sorted_att = rows.data() + col_begin[col];
-        if (perm.size() != col_begin[col + 1] - col_begin[col]) {
-          return Status::Corruption("perm length mismatch");
-        }
-        Attachments att;
-        att.resize(perm.size());
-        for (size_t a = 0; a < perm.size(); ++a) {
-          att[a] = sorted_att[perm[a]];
-        }
-        start->AddEdge(l, std::move(att));
-      }
+      start->AddEdge(l, std::move(att));
+      prev_first = sorted_att[0];
     }
   }
 
   // The edge insertion above goes label by label in ascending label
-  // order with ascending attachment within each label: canonical order.
+  // order with ascending attachment within each label (checked for the
+  // tuple sections): canonical order.
   GREPAIR_RETURN_IF_ERROR(grammar.Validate());
   return grammar;
 }
@@ -458,7 +492,11 @@ std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
   assert(origins.size() >= grammar.start().num_nodes());
   BitWriter w;
   EliasDeltaEncode(grammar.start().num_nodes() + 1, &w);
-  for (NodeId v : origins) EliasDeltaEncode(v + 1, &w);
+  uint64_t expected = 0;  // the previous origin + 1
+  for (NodeId v : origins) {
+    EliasDeltaEncode(ZigZag(uint64_t{v} - expected) + 1, &w);
+    expected = uint64_t{v} + 1;
+  }
   return w.TakeBytes();
 }
 
@@ -479,15 +517,18 @@ Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
   }
   std::vector<NodeId> origins(n);
   std::vector<uint8_t> seen(n, 0);
+  uint64_t expected = 0;  // the previous origin + 1
   for (NodeId& v : origins) {
-    uint64_t raw = 0;
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &raw));
-    if (raw == 0 || raw > n) {
-      return Status::Corruption("origin id out of range");
-    }
-    v = static_cast<NodeId>(raw - 1);
+    uint64_t code = 0;
+    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &code));
+    // Wrapping add: with n <= kMaxValNodes the sum lands in [0, n)
+    // only when the signed step really does.
+    const uint64_t id = expected + UnZigZag(code - 1);
+    if (id >= n) return Status::Corruption("origin id out of range");
+    v = static_cast<NodeId>(id);
     if (seen[v]) return Status::Corruption("node mapping is not a permutation");
     seen[v] = 1;
+    expected = id + 1;
   }
   return origins;
 }

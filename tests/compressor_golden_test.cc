@@ -304,35 +304,35 @@ TEST(CompressorGoldenTest, OutputBytesMatchPinnedDigests) {
   // output or the bit format changes on purpose (format, rule choice or
   // numbering); the structure digests only on a change of output.
   const std::vector<GoldenCase> cases = {
-      {PruneMode::kOff, false, false, 0x79d5a066ad566ef0ull, 0,
+      {PruneMode::kOff, false, false, 0xe9bbda54fa3e165cull, 0,
        0x418852079efda3dcull},
-      {PruneMode::kOff, false, true, 0x20bb76dfa31b040aull,
-       0xa95e711e01833165ull,
+      {PruneMode::kOff, false, true, 0xe03a4c65f29a6708ull,
+       0xf08cee8b7d2b792bull,
        0xf10beb0bb31ed27bull},
-      {PruneMode::kOff, true, false, 0xa6bcc981015d9cdcull, 0,
+      {PruneMode::kOff, true, false, 0x6f51488b716af77dull, 0,
        0x60f1b3e0e14e3406ull},
-      {PruneMode::kOff, true, true, 0x4b190ab199c26decull,
-       0xf15c9f33b958a790ull,
+      {PruneMode::kOff, true, true, 0xbaf26fa2b9df02e0ull,
+       0xe8f4fa2b120b0ee5ull,
        0xbcacd3c395e49b06ull},
-      {PruneMode::kPaper, false, false, 0x598c6a58a54e9e3eull, 0,
+      {PruneMode::kPaper, false, false, 0xaaad39b75ab4f36dull, 0,
        0x19dc87fbdf5fa3e4ull},
-      {PruneMode::kPaper, false, true, 0xc2d63bcc8c3588d2ull,
-       0x8b6300302561e1d8ull,
+      {PruneMode::kPaper, false, true, 0x449725a8c914df48ull,
+       0xadd09d9e7e552826ull,
        0xb7fe159e49582108ull},
-      {PruneMode::kPaper, true, false, 0x1a90fcabc47f893bull, 0,
+      {PruneMode::kPaper, true, false, 0x9e666ca9a0ef88aaull, 0,
        0xd568ab2d79790088ull},
-      {PruneMode::kPaper, true, true, 0xbc1cd0850018efceull,
-       0xb47fbd04ecc278aaull,
+      {PruneMode::kPaper, true, true, 0xae2c43e4b27778eaull,
+       0x4dc2dc96911e08fcull,
        0xcdf055ecea9cad0dull},
-      {PruneMode::kFixpoint, false, false, 0x6a5007a4640fe2d8ull, 0,
+      {PruneMode::kFixpoint, false, false, 0xbb792d42503a4199ull, 0,
        0x627b85620f88297cull},
-      {PruneMode::kFixpoint, false, true, 0x44bfc3452ad2076bull,
-       0x428237c9e16dcd6aull,
+      {PruneMode::kFixpoint, false, true, 0x44796923deaa441aull,
+       0x86e92bb48b293696ull,
        0x605f97a646f51acbull},
-      {PruneMode::kFixpoint, true, false, 0xef6d1a16e3bda13dull, 0,
+      {PruneMode::kFixpoint, true, false, 0xb9846892fa853b5aull, 0,
        0x62a370fc6e8b50d7ull},
-      {PruneMode::kFixpoint, true, true, 0x5a136c7627c74b6bull,
-       0xf4ffedbbad4ea720ull,
+      {PruneMode::kFixpoint, true, true, 0x3fc1a3f8b7935481ull,
+       0xcd3050973c5d7de2ull,
        0xb2cff594e583434dull},
   };
   std::vector<Digests> digests(cases.size());
@@ -353,13 +353,13 @@ TEST(CompressorGoldenTest, WideHyperedgesAndLabelHubsMatchPinnedDigests) {
   const std::vector<GeneratedGraph> corpus = {
       WideHyperedgeGraph(), LabelHubGraph(), RdfTypes(3000, 40, 5, 2.0)};
   const std::vector<GoldenCase> cases = {
-      {PruneMode::kPaper, true, true, 0x794857625b1efb84ull,
-       0xa12cc72b84ded3faull,
+      {PruneMode::kPaper, true, true, 0xb7912bb4c3f40a85ull,
+       0xae0fee46a7216ee4ull,
        0xa5540dadd641cbd5ull},
-      {PruneMode::kOff, false, false, 0x27f32def3715cf66ull, 0,
+      {PruneMode::kOff, false, false, 0x480b4e572aab4381ull, 0,
        0x80537a42e3221541ull, 63},
-      {PruneMode::kFixpoint, true, true, 0x3ba5f4e7002bfae8ull,
-       0x5af4a5755d675881ull,
+      {PruneMode::kFixpoint, true, true, 0x29efe90c4cfa460eull,
+       0x2ffe2d45f7fc94e3ull,
        0x6b499ea3d39a633dull, 63},
   };
   std::vector<Digests> digests(cases.size());

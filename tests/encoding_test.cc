@@ -177,7 +177,7 @@ TEST(EncodingTest, HugeClaimedCountsRejectedWithoutAllocating) {
   // drive allocations must be rejected against the input size first.
   // Found by the dense bit-flip sweep in container_format_test.
   BitWriter w;
-  w.PutBits(0x47524731, 32);          // format magic
+  w.PutBits(0x47524732, 32);          // format magic ("GRG2")
   EliasDeltaEncode(2, &w);            // one terminal label
   EliasDeltaEncode(2, &w);            // ... of rank 1
   EliasDeltaEncode((1ull << 50) + 1, &w);  // 2^50 rules
@@ -188,7 +188,7 @@ TEST(EncodingTest, HugeClaimedCountsRejectedWithoutAllocating) {
 
   // Same for the permutation dictionary: no rules, huge perm count.
   BitWriter w2;
-  w2.PutBits(0x47524731, 32);
+  w2.PutBits(0x47524732, 32);
   EliasDeltaEncode(2, &w2);           // one terminal label
   EliasDeltaEncode(2, &w2);           // ... of rank 1
   EliasDeltaEncode(1, &w2);           // zero rules
@@ -204,7 +204,7 @@ TEST(EncodingTest, HugeClaimedCountsRejectedWithoutAllocating) {
 // a header claiming `claimed_cells` cells.
 std::vector<uint8_t> GrammarWithRawTree(uint64_t claimed_cells) {
   BitWriter w;
-  w.PutBits(0x47524731, 32);          // format magic
+  w.PutBits(0x47524732, 32);          // format magic ("GRG2")
   EliasDeltaEncode(2, &w);            // one terminal label
   EliasDeltaEncode(2, &w);            // ... of rank 2
   EliasDeltaEncode(1, &w);            // zero rules

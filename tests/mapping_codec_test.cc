@@ -1,12 +1,18 @@
-// Round-trip and fail-closed tests for the psi' node-mapping
-// serialization (the flat origin array, see grammar_coder.h).
+// Round-trip and fail-closed tests for the grepair payload v2 codes of
+// grammar_coder.h: the psi' node mapping (the flat origin array as
+// zigzag gaps) and the start graph's hyperedge tuple sections, plus the
+// retired v1 payload, which must fail closed with a "recompress"
+// message.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "fuzz/golden_seeds.h"
 #include "src/datasets/generators.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
+#include "src/query/compressed_graph.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
 
@@ -21,13 +27,31 @@ CompressResult CompressTracked(const GeneratedGraph& gg) {
   return std::move(result).ValueOrDie();
 }
 
-// The mapping format written out by hand: |V_S| + 1, then id + 1 for
-// every entry of `ids`.
+uint64_t ZigZag(int64_t d) {
+  return (static_cast<uint64_t>(d) << 1) ^ (d < 0 ? ~uint64_t{0} : 0);
+}
+
+// The mapping format written out by hand: |V_S| + 1, then
+// zigzag(id - previous id - 1) + 1 for every entry of `ids` (the
+// previous id of the first entry is -1). Ids need not be valid.
 std::vector<uint8_t> RawMapping(uint64_t start_nodes,
-                                const std::vector<uint64_t>& ids) {
+                                const std::vector<int64_t>& ids) {
   BitWriter w;
   EliasDeltaEncode(start_nodes + 1, &w);
-  for (uint64_t id : ids) EliasDeltaEncode(id + 1, &w);
+  int64_t expected = 0;
+  for (int64_t id : ids) {
+    EliasDeltaEncode(ZigZag(id - expected) + 1, &w);
+    expected = id + 1;
+  }
+  return w.TakeBytes();
+}
+
+// |V_S| + 1, then the given Elias-delta values as they are.
+std::vector<uint8_t> RawCodes(uint64_t start_nodes,
+                              const std::vector<uint64_t>& codes) {
+  BitWriter w;
+  EliasDeltaEncode(start_nodes + 1, &w);
+  for (uint64_t code : codes) EliasDeltaEncode(code, &w);
   return w.TakeBytes();
 }
 
@@ -41,8 +65,8 @@ void CheckMappingRoundTrip(const GeneratedGraph& gg) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   // The decoded mapping agrees entry-for-entry with the in-memory one.
   EXPECT_EQ(decoded.value(), result.origins);
-  // The layout is the header plus every origin in val(G) id order.
-  std::vector<uint64_t> ids(result.origins.begin(), result.origins.end());
+  // The layout is the header plus every origin's gap in val(G) id order.
+  std::vector<int64_t> ids(result.origins.begin(), result.origins.end());
   EXPECT_EQ(bytes, RawMapping(grammar.start().num_nodes(), ids));
 
   // And it reconstructs the exact original graph.
@@ -69,8 +93,8 @@ class MappingCodecTest : public ::testing::Test {
   uint64_t start_nodes() const { return result_.grammar.start().num_nodes(); }
 
   CompressResult result_;
-  std::vector<uint64_t> ids_;
-  uint64_t n_ = 0;
+  std::vector<int64_t> ids_;
+  int64_t n_ = 0;
 };
 
 TEST_F(MappingCodecTest, RoundTripsAcrossWorkloads) {
@@ -102,21 +126,51 @@ TEST_F(MappingCodecTest, RejectsStartNodeCountMismatch) {
   EXPECT_FALSE(Decode(RawMapping(start_nodes() - 1, ids_)).ok());
 }
 
-TEST_F(MappingCodecTest, RejectsIdOutOfRange) {
-  for (uint64_t bad : {n_, n_ + 1, uint64_t{1} << 32, (uint64_t{1} << 40)}) {
-    std::vector<uint64_t> ids = ids_;
-    ids[ids.size() / 2] = bad;
-    auto decoded = Decode(RawMapping(start_nodes(), ids));
-    EXPECT_FALSE(decoded.ok()) << "id " << bad;
+TEST_F(MappingCodecTest, RejectsGapSteppingToNOrBeyond) {
+  for (int64_t bad : {n_, n_ + 1, int64_t{1} << 32, int64_t{1} << 40}) {
+    for (size_t at : {size_t{0}, ids_.size() / 2, ids_.size() - 1}) {
+      std::vector<int64_t> ids = ids_;
+      ids[at] = bad;
+      auto decoded = Decode(RawMapping(start_nodes(), ids));
+      ASSERT_FALSE(decoded.ok()) << "id " << bad << " at " << at;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    }
+  }
+}
+
+TEST_F(MappingCodecTest, RejectsGapSteppingBelowZero) {
+  for (int64_t bad : {int64_t{-1}, int64_t{-2}, -n_, -(int64_t{1} << 40)}) {
+    for (size_t at : {size_t{0}, ids_.size() / 2, ids_.size() - 1}) {
+      std::vector<int64_t> ids = ids_;
+      ids[at] = bad;
+      auto decoded = Decode(RawMapping(start_nodes(), ids));
+      ASSERT_FALSE(decoded.ok()) << "id " << bad << " at " << at;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    }
+  }
+}
+
+TEST_F(MappingCodecTest, RejectsExtremeGapCodes) {
+  // Steps of about +-2^63: the decoder's wrapping add must not bring
+  // them back into [0, n).
+  for (uint64_t code : {~uint64_t{0}, ~uint64_t{0} - 1, uint64_t{1} << 63,
+                        (uint64_t{1} << 63) + 1}) {
+    std::vector<uint64_t> codes(ids_.size(), 1);  // honest would be gaps
+    codes[0] = code;
+    auto decoded = Decode(RawCodes(start_nodes(), codes));
+    EXPECT_FALSE(decoded.ok()) << "code " << code;
   }
 }
 
 TEST_F(MappingCodecTest, RejectsDuplicateId) {
-  std::vector<uint64_t> ids = ids_;
-  ids[1] = ids[0];
-  auto decoded = Decode(RawMapping(start_nodes(), ids));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  // Adjacent (a step of -1) and far apart.
+  for (size_t at : {size_t{1}, ids_.size() - 1}) {
+    std::vector<int64_t> ids = ids_;
+    ids[at] = ids[at == 1 ? 0 : 2];
+    auto decoded = Decode(RawMapping(start_nodes(), ids));
+    ASSERT_FALSE(decoded.ok()) << "repeat at " << at;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST_F(MappingCodecTest, RejectsTruncatedBytes) {
@@ -152,6 +206,174 @@ TEST_F(MappingCodecTest, MappingSizeIsModest) {
   CompressResult result = CompressTracked(gg);
   auto bytes = EncodeNodeMapping(result.grammar, result.origins);
   EXPECT_LT(bytes.size(), gg.graph.num_nodes() * 4u);
+}
+
+// ---- Start-graph tuple sections -----------------------------------------
+
+// One hyperedge as written in a tuple section: its permutation index
+// (among the dictionary's perms of the edge's rank), then raw Elias-delta values (honestly: zigzag(first member - previous
+// tuple's first member) + 1, then the gaps between sorted members).
+struct RawTuple {
+  uint64_t perm;
+  std::vector<uint64_t> codes;
+};
+
+// The honest codes of a tuple whose sorted members are `sorted`.
+RawTuple Tuple(uint64_t perm, const std::vector<int64_t>& sorted,
+               int64_t prev_first) {
+  RawTuple t{perm, {ZigZag(sorted[0] - prev_first) + 1}};
+  for (size_t a = 1; a < sorted.size(); ++a) {
+    t.codes.push_back(static_cast<uint64_t>(sorted[a] - sorted[a - 1]));
+  }
+  return t;
+}
+
+// A grammar written out by hand: one rank-3 terminal, no rules,
+// `start_nodes` start nodes, the permutation dictionary `perms`, then
+// the terminal's tuple section claiming `count` edges and holding
+// `tuples`.
+std::vector<uint8_t> GrammarWithTuples(
+    uint64_t start_nodes, const std::vector<std::vector<uint8_t>>& perms,
+    uint64_t count, const std::vector<RawTuple>& tuples) {
+  BitWriter w;
+  w.PutBits(0x47524732, 32);  // "GRG2"
+  EliasDeltaEncode(2, &w);    // one terminal label
+  EliasDeltaEncode(3, &w);    // ... of rank 3
+  EliasDeltaEncode(1, &w);    // zero rules
+  EliasDeltaEncode(start_nodes + 1, &w);
+  EliasDeltaEncode(perms.size() + 1, &w);
+  for (const auto& perm : perms) {
+    EliasDeltaEncode(perm.size(), &w);
+    for (uint8_t p : perm) EliasDeltaEncode(p + 1, &w);
+  }
+  // Indices count only the rank-3 entries.
+  uint64_t rank3_perms = 0;
+  for (const auto& perm : perms) rank3_perms += perm.size() == 3;
+  int perm_bits = 0;
+  while ((uint64_t{1} << perm_bits) < rank3_perms) ++perm_bits;
+  w.PutBit(true);  // label 0 present
+  EliasDeltaEncode(count, &w);
+  for (const RawTuple& t : tuples) {
+    w.PutBits(t.perm, perm_bits);
+    for (uint64_t code : t.codes) EliasDeltaEncode(code, &w);
+  }
+  return w.TakeBytes();
+}
+
+// Six start nodes and three rank-3 edges in canonical order:
+// perm 0 keeps the sorted order, perm 1 rotates it (att[i] =
+// sorted[perm[i]]).
+const std::vector<std::vector<uint8_t>> kPerms = {{0, 1, 2}, {1, 2, 0}};
+const std::vector<Attachments> kHonestAtts = {{0, 2, 4}, {1, 3, 0}, {1, 3, 5}};
+
+std::vector<RawTuple> HonestTuples() {
+  return {Tuple(0, {0, 2, 4}, 0), Tuple(1, {0, 1, 3}, 0),
+          Tuple(0, {1, 3, 5}, 0)};
+}
+
+void ExpectCorrupt(const std::vector<uint8_t>& bytes, const char* what) {
+  auto decoded = DecodeGrammar(bytes);
+  ASSERT_FALSE(decoded.ok()) << what;
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << what;
+}
+
+TEST(TupleSectionTest, DecodesHonestTuplesInCanonicalOrder) {
+  auto decoded = DecodeGrammar(GrammarWithTuples(6, kPerms, 3, HonestTuples()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const Hypergraph& start = decoded.value().start();
+  ASSERT_EQ(start.num_edges(), kHonestAtts.size());
+  for (EdgeId e = 0; e < start.num_edges(); ++e) {
+    EXPECT_EQ(start.edge(e).label, 0u);
+    EXPECT_TRUE(start.edge(e).att == kHonestAtts[e]) << "edge " << e;
+  }
+}
+
+TEST(TupleSectionTest, EncoderWritesTheDocumentedLayout) {
+  Alphabet alphabet;
+  alphabet.Add("h", 3);
+  Hypergraph start(6);
+  for (const Attachments& att : kHonestAtts) start.AddEdge(0, att);
+  SlhrGrammar grammar(std::move(alphabet), std::move(start));
+  EXPECT_EQ(EncodeGrammar(grammar),
+            GrammarWithTuples(6, kPerms, 3, HonestTuples()));
+}
+
+TEST(TupleSectionTest, RejectsMemberOutOfRange) {
+  // First member at |V_S|, and a gap that steps the last member there.
+  std::vector<RawTuple> tuples = HonestTuples();
+  tuples[2] = Tuple(0, {6, 7, 8}, 0);
+  ExpectCorrupt(GrammarWithTuples(6, kPerms, 3, tuples), "first member 6");
+  tuples[2] = Tuple(0, {1, 3, 6}, 0);
+  ExpectCorrupt(GrammarWithTuples(6, kPerms, 3, tuples), "last member 6");
+  tuples[2] = Tuple(0, {1, 3, 1ll << 40}, 0);
+  ExpectCorrupt(GrammarWithTuples(6, kPerms, 3, tuples), "last member 2^40");
+  // A first member that steps below 0, and a near-2^64 step.
+  tuples[2] = Tuple(0, {-1, 3, 5}, 0);
+  ExpectCorrupt(GrammarWithTuples(6, kPerms, 3, tuples), "first member -1");
+  tuples[2].codes[0] = ~uint64_t{0};
+  ExpectCorrupt(GrammarWithTuples(6, kPerms, 3, tuples), "huge step");
+}
+
+TEST(TupleSectionTest, RejectsUnsortedTuplesAndRepeatedMembers) {
+  // Members are coded as gaps of at least one, so within one tuple
+  // neither disorder nor a repeat can be written. What can: a
+  // permutation that repeats an entry (a repeated member once applied)
+  // and tuples whose attachments break canonical edge order.
+  ExpectCorrupt(GrammarWithTuples(6, {{0, 0, 2}, {1, 2, 0}}, 3,
+                                  HonestTuples()),
+                "repeating permutation");
+  std::vector<RawTuple> tuples = {Tuple(0, {1, 3, 5}, 0),
+                                  Tuple(0, {0, 2, 4}, 1)};
+  ExpectCorrupt(GrammarWithTuples(6, kPerms, 2, tuples), "edges out of order");
+  // The same tuples with the rotating permutation on the second edge
+  // are in order: {1, 3, 5} < {2, 4, 0}.
+  tuples[1].perm = 1;
+  auto decoded = DecodeGrammar(GrammarWithTuples(6, kPerms, 2, tuples));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded.value().start().edge(1).att == Attachments({2, 4, 0}));
+}
+
+TEST(TupleSectionTest, RejectsBadPermutationIndex) {
+  // Three rank-3 entries take two index bits, so index 3 names none
+  // (the rank-1 entry does not count).
+  const std::vector<std::vector<uint8_t>> perms = {
+      {0, 1, 2}, {0}, {1, 2, 0}, {2, 0, 1}};
+  std::vector<RawTuple> tuples = HonestTuples();
+  ASSERT_TRUE(DecodeGrammar(GrammarWithTuples(6, perms, 3, tuples)).ok());
+  tuples[1].perm = 3;
+  ExpectCorrupt(GrammarWithTuples(6, perms, 3, tuples), "index 3 of 3");
+  // A dictionary with no rank-3 entry leaves rank-3 tuples without one.
+  tuples = {Tuple(0, {0, 2, 4}, 0)};
+  ExpectCorrupt(GrammarWithTuples(6, {{0}}, 1, tuples), "no rank-3 perms");
+}
+
+TEST(TupleSectionTest, RejectsEdgeCountBeyondTheInput) {
+  // One edge too many runs out of bits; counts past the bits left fail
+  // before the first tuple is read.
+  EXPECT_FALSE(
+      DecodeGrammar(GrammarWithTuples(6, kPerms, 4, HonestTuples())).ok());
+  for (uint64_t count : {uint64_t{1} << 20, uint64_t{1} << 40}) {
+    ExpectCorrupt(GrammarWithTuples(6, kPerms, count, HonestTuples()),
+                  "edge count beyond the input");
+  }
+}
+
+TEST(TupleSectionTest, RejectsEveryStrictPrefix) {
+  const std::vector<uint8_t> bytes =
+      GrammarWithTuples(6, kPerms, 3, HonestTuples());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+    EXPECT_FALSE(DecodeGrammar(prefix).ok()) << "prefix of " << len;
+  }
+}
+
+TEST(RetiredPayloadTest, V1PayloadFailsClosedWithRecompress) {
+  const std::vector<uint8_t> v1 = fuzz::RetiredV1GrepairPayload();
+  auto graph = CompressedGraph::Deserialize(v1);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(graph.status().message().find("recompress"), std::string::npos)
+      << graph.status().ToString();
 }
 
 }  // namespace
