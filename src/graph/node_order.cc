@@ -90,67 +90,88 @@ FpRefinement ComputeFpRefinement(const Hypergraph& g, int max_iterations) {
   // One node's incident-edge tuples, flat, and their spans (reused).
   std::vector<uint64_t> tuple_arena;
   std::vector<SigSpan> tuple_spans;
+  // The nodes grouped by color, ascending ids within a class: class c
+  // is by_color[class_begin[c], class_begin[c + 1]).
+  std::vector<NodeId> by_color(n);
+  std::vector<uint32_t> class_begin;
 
   for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations = iter;
-    arena.clear();
-    // Build the signature of every node: own color followed by the
-    // sorted tuples of its incident edges. An edge tuple records the
-    // label, the position of v within the edge, and the current colors
-    // of all attached nodes in attachment order — this is the
-    // "straightforward extension to directed labeled graphs" of
-    // Section III-B1 (direction = position, label included).
-    for (NodeId v = 0; v < n; ++v) {
-      tuple_arena.clear();
-      tuple_spans.clear();
-      for (EdgeId e : incidence[v]) {
-        const HEdge& edge = g.edge(e);
-        size_t offset = tuple_arena.size();
-        tuple_arena.push_back(edge.label);
-        uint64_t pos = 0;
-        for (size_t i = 0; i < edge.att.size(); ++i) {
-          if (edge.att[i] == v) pos = i;
-        }
-        tuple_arena.push_back(pos);
-        for (NodeId u : edge.att) tuple_arena.push_back(result.colors[u]);
-        tuple_spans.push_back({offset, tuple_arena.size() - offset});
-      }
-      std::sort(tuple_spans.begin(), tuple_spans.end(),
-                [&](const SigSpan& a, const SigSpan& b) {
-                  return SigLess(tuple_arena, a, b);
-                });
-      size_t offset = arena.size();
-      arena.push_back(result.colors[v]);
-      for (const SigSpan& t : tuple_spans) {
-        arena.push_back(t.length);  // length prefix: unambiguous flatten
-        arena.insert(arena.end(), tuple_arena.begin() + t.offset,
-                     tuple_arena.begin() + t.offset + t.length);
-      }
-      spans[v] = {offset, arena.size() - offset};
+    class_begin.assign(result.num_classes + 1, 0);
+    for (NodeId v = 0; v < n; ++v) ++class_begin[result.colors[v] + 1];
+    for (uint32_t c = 0; c < result.num_classes; ++c) {
+      class_begin[c + 1] += class_begin[c];
+    }
+    {
+      std::vector<uint32_t> fill(class_begin.begin(), class_begin.end() - 1);
+      for (NodeId v = 0; v < n; ++v) by_color[fill[result.colors[v]]++] = v;
     }
 
-    // Rank signatures lexicographically to obtain the next coloring.
-    std::vector<NodeId> by_sig(n);
-    std::iota(by_sig.begin(), by_sig.end(), 0u);
-    std::stable_sort(by_sig.begin(), by_sig.end(), [&](NodeId a, NodeId b) {
-      return SigLess(arena, spans[a], spans[b]);
-    });
+    // A node's signature is its own color followed by the sorted tuples
+    // of its incident edges. An edge tuple records the label, the
+    // position of v within the edge, and the current colors of all
+    // attached nodes in attachment order — this is the
+    // "straightforward extension to directed labeled graphs" of
+    // Section III-B1 (direction = position, label included). Ranking
+    // the signatures lexicographically gives the next coloring. The
+    // own color comes first, so the ranking keeps the classes in color
+    // order and only splits each one: a class is ranked alone, by the
+    // tuples, and a singleton class needs no signature at all.
     uint32_t color = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (i > 0 &&
-          !SigEqual(arena, spans[by_sig[i]], spans[by_sig[i - 1]])) {
-        ++color;
+    for (uint32_t c = 0; c < result.num_classes; ++c) {
+      NodeId* first = by_color.data() + class_begin[c];
+      NodeId* last = by_color.data() + class_begin[c + 1];
+      if (last - first == 1) {
+        next_colors[*first] = color++;
+        continue;
       }
-      next_colors[by_sig[i]] = color;
+      arena.clear();
+      for (const NodeId* it = first; it != last; ++it) {
+        const NodeId v = *it;
+        tuple_arena.clear();
+        tuple_spans.clear();
+        for (EdgeId e : incidence[v]) {
+          const HEdge& edge = g.edge(e);
+          size_t offset = tuple_arena.size();
+          tuple_arena.push_back(edge.label);
+          uint64_t pos = 0;
+          for (size_t i = 0; i < edge.att.size(); ++i) {
+            if (edge.att[i] == v) pos = i;
+          }
+          tuple_arena.push_back(pos);
+          for (NodeId u : edge.att) tuple_arena.push_back(result.colors[u]);
+          tuple_spans.push_back({offset, tuple_arena.size() - offset});
+        }
+        std::sort(tuple_spans.begin(), tuple_spans.end(),
+                  [&](const SigSpan& a, const SigSpan& b) {
+                    return SigLess(tuple_arena, a, b);
+                  });
+        size_t offset = arena.size();
+        for (const SigSpan& t : tuple_spans) {
+          arena.push_back(t.length);  // length prefix: unambiguous flatten
+          arena.insert(arena.end(), tuple_arena.begin() + t.offset,
+                       tuple_arena.begin() + t.offset + t.length);
+        }
+        spans[v] = {offset, arena.size() - offset};
+      }
+      std::stable_sort(first, last, [&](NodeId a, NodeId b) {
+        return SigLess(arena, spans[a], spans[b]);
+      });
+      next_colors[*first] = color;
+      for (const NodeId* it = first + 1; it != last; ++it) {
+        if (!SigEqual(arena, spans[*it], spans[*(it - 1)])) ++color;
+        next_colors[*it] = color;
+      }
+      ++color;
     }
-    uint32_t new_classes = color + 1;
+    const uint32_t new_classes = color;
 
     // Refinement only splits classes; equal counts imply a fixpoint.
     if (new_classes == result.num_classes) {
       result.iterations = iter + 1;
       return result;
     }
-    result.colors = next_colors;
+    result.colors.swap(next_colors);
     result.num_classes = new_classes;
   }
   return result;

@@ -4,11 +4,155 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
+#include "src/datasets/generators.h"
 #include "src/graph/node_order.h"
+#include "src/util/rng.h"
 
 namespace grepair {
 namespace {
+
+// The refinement as first written, kept as the reference the
+// per-class implementation must match: every round builds every node's
+// full signature (own color, then its sorted incident-edge tuples) and
+// stable-sorts all nodes by it.
+struct RefSpan {
+  size_t offset;
+  size_t length;
+};
+
+bool RefLess(const std::vector<uint64_t>& arena, const RefSpan& a,
+             const RefSpan& b) {
+  return std::lexicographical_compare(
+      arena.begin() + a.offset, arena.begin() + a.offset + a.length,
+      arena.begin() + b.offset, arena.begin() + b.offset + b.length);
+}
+
+bool RefEqual(const std::vector<uint64_t>& arena, const RefSpan& a,
+              const RefSpan& b) {
+  return a.length == b.length &&
+         std::equal(arena.begin() + a.offset,
+                    arena.begin() + a.offset + a.length,
+                    arena.begin() + b.offset);
+}
+
+FpRefinement ReferenceFpRefinement(const Hypergraph& g, int max_iterations) {
+  const uint32_t n = g.num_nodes();
+  FpRefinement result;
+  result.colors.assign(n, 0);
+  if (n == 0) return result;
+  auto incidence = g.BuildIncidence();
+  {
+    auto degrees = g.Degrees();
+    std::vector<NodeId> by_degree(n);
+    std::iota(by_degree.begin(), by_degree.end(), 0u);
+    std::stable_sort(by_degree.begin(), by_degree.end(),
+                     [&](NodeId a, NodeId b) { return degrees[a] < degrees[b]; });
+    uint32_t color = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (i > 0 && degrees[by_degree[i]] != degrees[by_degree[i - 1]]) ++color;
+      result.colors[by_degree[i]] = color;
+    }
+    result.num_classes = color + 1;
+  }
+  std::vector<uint32_t> next_colors(n);
+  for (int iter = 0; iter < max_iterations; ++iter) {
+    result.iterations = iter;
+    std::vector<uint64_t> arena;
+    std::vector<RefSpan> spans(n);
+    for (NodeId v = 0; v < n; ++v) {
+      std::vector<uint64_t> tuple_arena;
+      std::vector<RefSpan> tuple_spans;
+      for (EdgeId e : incidence[v]) {
+        const HEdge& edge = g.edge(e);
+        size_t offset = tuple_arena.size();
+        tuple_arena.push_back(edge.label);
+        uint64_t pos = 0;
+        for (size_t i = 0; i < edge.att.size(); ++i) {
+          if (edge.att[i] == v) pos = i;
+        }
+        tuple_arena.push_back(pos);
+        for (NodeId u : edge.att) tuple_arena.push_back(result.colors[u]);
+        tuple_spans.push_back({offset, tuple_arena.size() - offset});
+      }
+      std::sort(tuple_spans.begin(), tuple_spans.end(),
+                [&](const RefSpan& a, const RefSpan& b) {
+                  return RefLess(tuple_arena, a, b);
+                });
+      size_t offset = arena.size();
+      arena.push_back(result.colors[v]);
+      for (const RefSpan& t : tuple_spans) {
+        arena.push_back(t.length);
+        arena.insert(arena.end(), tuple_arena.begin() + t.offset,
+                     tuple_arena.begin() + t.offset + t.length);
+      }
+      spans[v] = {offset, arena.size() - offset};
+    }
+    std::vector<NodeId> by_sig(n);
+    std::iota(by_sig.begin(), by_sig.end(), 0u);
+    std::stable_sort(by_sig.begin(), by_sig.end(), [&](NodeId a, NodeId b) {
+      return RefLess(arena, spans[a], spans[b]);
+    });
+    uint32_t color = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (i > 0 && !RefEqual(arena, spans[by_sig[i]], spans[by_sig[i - 1]])) {
+        ++color;
+      }
+      next_colors[by_sig[i]] = color;
+    }
+    if (color + 1 == result.num_classes) {
+      result.iterations = iter + 1;
+      return result;
+    }
+    result.colors = next_colors;
+    result.num_classes = color + 1;
+  }
+  return result;
+}
+
+// Random labeled hyperedges of ranks 1-5 over `n` nodes, 3 labels per
+// rank, distinct attachments within an edge.
+Hypergraph LabeledHypergraph(uint32_t n, uint32_t edges, uint64_t seed) {
+  Rng rng(seed);
+  Hypergraph g(n);
+  for (uint32_t e = 0; e < edges; ++e) {
+    const uint32_t rank = 1 + static_cast<uint32_t>(rng.UniformBounded(5));
+    Attachments att;
+    while (att.size() < rank) {
+      const NodeId v = static_cast<NodeId>(rng.UniformBounded(n));
+      if (std::find(att.begin(), att.end(), v) == att.end()) att.push_back(v);
+    }
+    const Label label = static_cast<Label>(
+        (rank - 1) * 3 + rng.UniformBounded(3));
+    g.AddEdge(label, std::move(att));
+  }
+  return g;
+}
+
+TEST(FpRefinementTest, MatchesTheReferenceAlgorithm) {
+  std::vector<std::pair<std::string, Hypergraph>> inputs;
+  inputs.emplace_back("er", ErdosRenyi(600, 1500, 31, 3).graph);
+  inputs.emplace_back("ba", BarabasiAlbert(500, 3, 32).graph);
+  inputs.emplace_back("coauth", CoAuthorship(200, 300, 33).graph);
+  inputs.emplace_back("rdf-types", RdfTypes(400, 8, 34).graph);
+  inputs.emplace_back("rdf-entities", RdfEntities(300, 12, 8, 35).graph);
+  inputs.emplace_back("hyper", LabeledHypergraph(300, 500, 36));
+  inputs.emplace_back("empty", Hypergraph(0));
+  inputs.emplace_back("isolated", Hypergraph(5));
+  for (const auto& [name, g] : inputs) {
+    // Cut-off runs too: the non-fixpoint exit returns the last colors.
+    for (int max_iterations : {0, 1, 2, 1 << 20}) {
+      const FpRefinement got = ComputeFpRefinement(g, max_iterations);
+      const FpRefinement want = ReferenceFpRefinement(g, max_iterations);
+      EXPECT_EQ(got.colors, want.colors) << name << " " << max_iterations;
+      EXPECT_EQ(got.num_classes, want.num_classes)
+          << name << " " << max_iterations;
+      EXPECT_EQ(got.iterations, want.iterations)
+          << name << " " << max_iterations;
+    }
+  }
+}
 
 // Figure 8 of the paper: an undirected 4-node graph whose degree
 // coloring is (1,1,3,2)-ish and refines to 4 distinct classes after one
