@@ -155,9 +155,9 @@ inline std::vector<uint8_t> GrammarPayload(const SlhrGrammar& grammar) {
 
 /// \brief A grepair payload in the retired v1 layout (grammar magic
 /// "GRG1"), as written before the v2 bump: a 12-node graph of three
-/// blocks, each one rank-3 and two rank-2 edges, with a node mapping. No writer produces it any more; it is
-/// kept to prove that such payloads fail closed with a "recompress"
-/// message.
+/// blocks, each one rank-3 and two rank-2 edges, with a node mapping.
+/// No writer produces it any more; it is kept to prove that such
+/// payloads fail closed with a "recompress" message.
 inline std::vector<uint8_t> RetiredV1GrepairPayload() {
   return {0x01, 0x17, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x52,
           0x47, 0x31, 0x55, 0x44, 0x63, 0x1C, 0xA4, 0xCA, 0x85, 0x30, 0xA6,

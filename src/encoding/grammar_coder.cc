@@ -69,7 +69,7 @@ Status DecodeRule(uint32_t num_labels, BitReader* r, Hypergraph* rhs,
   if (num_nodes > 0xFFFFFFFFull) {
     return Status::Corruption("rhs node count out of range");
   }
-  if (rank == 0 || rank > 64) {
+  if (rank == 0 || rank > kMaxRank) {
     return Status::Corruption("nonterminal rank out of range");
   }
   if (rank > num_nodes) return Status::Corruption("rank exceeds rhs nodes");
@@ -79,7 +79,7 @@ Status DecodeRule(uint32_t num_labels, BitReader* r, Hypergraph* rhs,
     GREPAIR_RETURN_IF_ERROR(r->ReadBit(&is_nt));
     uint64_t att_count = 0;
     GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(r, &att_count));
-    if (att_count == 0 || att_count > 64) {
+    if (att_count == 0 || att_count > kMaxRank) {
       return Status::Corruption("bad attachment count");
     }
     Attachments att;
@@ -290,7 +290,9 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
   for (uint64_t l = 0; l < num_terminals; ++l) {
     uint64_t rank = 0;
     GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &rank));
-    if (rank == 0 || rank > 64) return Status::Corruption("bad label rank");
+    if (rank == 0 || rank > kMaxRank) {
+      return Status::Corruption("bad label rank");
+    }
     terminals.Add("t" + std::to_string(l), static_cast<int>(rank));
   }
   uint64_t num_rules = 0, start_nodes = 0;

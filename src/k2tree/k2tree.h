@@ -33,13 +33,13 @@
 // only the nodes that straddle the padding boundary; DecodeCells
 // checks inside its enumeration walk.
 //
-// Used three ways in this repo:
+// Used two ways in this repo:
 //  * the paper's gRePair serializer encodes the (incompressible) start
-//    graph as one k^2-tree per label (Section III-C2),
+//    graph as one k^2-tree per rank-2 label (Section III-C2; other
+//    ranks are coded as sorted tuples, see grammar_coder.h),
 //  * the plain "k2-tree" baseline compressor (Section IV) stores the
-//    whole input graph this way,
-//  * hyperedge labels are stored as node x edge incidence matrices
-//    (rectangular matrices are supported via padding).
+//    whole input graph this way.
+// Rectangular matrices are supported via padding.
 
 #ifndef GREPAIR_K2TREE_K2TREE_H_
 #define GREPAIR_K2TREE_K2TREE_H_

@@ -211,8 +211,9 @@ TEST_F(MappingCodecTest, MappingSizeIsModest) {
 // ---- Start-graph tuple sections -----------------------------------------
 
 // One hyperedge as written in a tuple section: its permutation index
-// (among the dictionary's perms of the edge's rank), then raw Elias-delta values (honestly: zigzag(first member - previous
-// tuple's first member) + 1, then the gaps between sorted members).
+// (among the dictionary's perms of the edge's rank), then raw
+// Elias-delta values (honestly: zigzag(first member - previous tuple's
+// first member) + 1, then the gaps between sorted members).
 struct RawTuple {
   uint64_t perm;
   std::vector<uint64_t> codes;

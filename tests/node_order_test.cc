@@ -47,8 +47,9 @@ FpRefinement ReferenceFpRefinement(const Hypergraph& g, int max_iterations) {
     auto degrees = g.Degrees();
     std::vector<NodeId> by_degree(n);
     std::iota(by_degree.begin(), by_degree.end(), 0u);
-    std::stable_sort(by_degree.begin(), by_degree.end(),
-                     [&](NodeId a, NodeId b) { return degrees[a] < degrees[b]; });
+    std::stable_sort(
+        by_degree.begin(), by_degree.end(),
+        [&](NodeId a, NodeId b) { return degrees[a] < degrees[b]; });
     uint32_t color = 0;
     for (uint32_t i = 0; i < n; ++i) {
       if (i > 0 && degrees[by_degree[i]] != degrees[by_degree[i - 1]]) ++color;
