@@ -26,11 +26,11 @@
 //        incidence k^2-trees; on the dblp and RDF corpora the tuples
 //        take 34-41% fewer bytes, perm indices included.
 //
-// The start graph's edges are stored by (label, attachment) order, so
-// encoding canonicalizes the start-graph edge order; Compress already
-// outputs this order, and the decoder rejects tuple sections that
-// break it. Decoding reproduces the grammar exactly (labels, rules,
-// start graph and therefore val(G)).
+// The start graph's edges are stored in canonical (label, attachment)
+// order, which Compress outputs: rank-2 sections are in that order by
+// construction, and the decoder rejects tuple sections that break it.
+// Decoding reproduces the grammar exactly (labels, rules, start graph
+// and therefore val(G)).
 
 #ifndef GREPAIR_ENCODING_GRAMMAR_CODER_H_
 #define GREPAIR_ENCODING_GRAMMAR_CODER_H_
