@@ -111,25 +111,18 @@ bool Prepare(const GeneratedGraph& gg, const std::string& codec_name,
   out->codec_name = codec_name;
   out->container = sharded->SerializeV2();
 
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(
-      ByteSpan(out->container.data(), out->container.size()), &dir_off);
-  if (!region.ok()) {
-    std::fprintf(stderr, "%s\n", region.status().ToString().c_str());
-    return false;
-  }
-  auto parsed = shard::ParseV2Directory(region.value(), dir_off);
+  auto parsed = shard::ParseContainer(SpanOf(out->container));
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
     return false;
   }
-  for (const auto& row : parsed.value().rows) {
+  for (const auto& row : parsed.value().dir.rows) {
     if (row.length == 0) continue;  // edgeless shard: nothing to decode
     out->payloads.emplace_back(out->container.begin() + row.offset,
                                out->container.begin() + row.offset +
                                    row.length);
   }
-  auto inner = api::CodecRegistry::Create(parsed.value().inner_name);
+  auto inner = api::CodecRegistry::Create(parsed.value().dir.inner_name);
   if (!inner.ok()) {
     std::fprintf(stderr, "%s\n", inner.status().ToString().c_str());
     return false;

@@ -48,16 +48,16 @@ std::vector<uint8_t> FramedDirectorySeed(uint32_t nodes, uint32_t shards,
                                          uint64_t rng_seed) {
   std::vector<uint8_t> container =
       fuzz::GoldenContainerBytes(nodes, shards, rng_seed);
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(SpanOf(container), &dir_off);
-  if (!region.ok()) {
-    std::fprintf(stderr, "locate failed: %s\n",
-                 region.status().ToString().c_str());
+  auto parsed = shard::ParseContainer(SpanOf(container));
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse failed: %s\n",
+                 parsed.status().ToString().c_str());
     std::exit(1);
   }
+  ByteSpan region = parsed.value().region;
   std::vector<uint8_t> framed;
-  PutU64LE(dir_off, &framed);
-  framed.insert(framed.end(), region.value().begin(), region.value().end());
+  PutU64LE(parsed.value().dir_off, &framed);
+  framed.insert(framed.end(), region.begin(), region.end());
   return framed;
 }
 

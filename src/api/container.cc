@@ -85,6 +85,14 @@ Result<std::shared_ptr<MmapFile>> MapShardedFile(const std::string& path,
   return file;
 }
 
+Status CheckTaggedInner(const std::string& path, const std::string& tagged,
+                        const std::string& stored) {
+  if (tagged == stored) return Status::OK();
+  return Status::InvalidArgument(path +
+                                 ": container was produced by 'sharded:" +
+                                 stored + "', not 'sharded:" + tagged + "'");
+}
+
 Result<std::unique_ptr<shard::ShardedRep>> OpenCompressedFile(
     const std::string& path, std::string* backend_name) {
   std::string inner;
@@ -93,11 +101,8 @@ Result<std::unique_ptr<shard::ShardedRep>> OpenCompressedFile(
   if (!file.ok()) return file.status();
   auto rep = shard::ShardedRep::Open(std::move(file).ValueOrDie(), payload);
   if (!rep.ok()) return rep.status();
-  if (rep.value()->inner_name() != inner) {
-    return Status::InvalidArgument(
-        path + ": container was produced by 'sharded:" +
-        rep.value()->inner_name() + "', not 'sharded:" + inner + "'");
-  }
+  GREPAIR_RETURN_IF_ERROR(
+      CheckTaggedInner(path, inner, rep.value()->inner_name()));
   if (backend_name != nullptr) *backend_name = "sharded:" + inner;
   return rep;
 }

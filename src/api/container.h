@@ -4,7 +4,7 @@
 // A container is `magic "GRPCODEC" | u8 name_len | name | payload`,
 // where `name` is the registry name of the codec that produced
 // `payload`. There is one file kind: the tag "sharded:<inner>" around
-// a checksummed GRSHARD2 payload (src/shard/sharded_codec.h), which
+// a checksummed GRSHARD2 payload (src/shard/container.h), which
 // this module opens lazily (OpenCompressedFile), as a base plus
 // GRSHARD3 deltas (OpenVersioned, ApplyDeltaChain), or as a bare frame
 // (MapShardedFile). Untagged files are refused, and so is any other
@@ -66,6 +66,12 @@ Status UnwrapShardedPayload(const std::string& where, ByteSpan bytes,
 Result<std::shared_ptr<MmapFile>> MapShardedFile(const std::string& path,
                                                  std::string* inner_name,
                                                  ByteSpan* payload);
+
+/// \brief kInvalidArgument "<path>: container was produced by
+/// 'sharded:<stored>', not 'sharded:<tagged>'" when a file's tag and
+/// its GRSHARD2 directory name different inner codecs.
+Status CheckTaggedInner(const std::string& path, const std::string& tagged,
+                        const std::string& stored);
 
 /// \brief Opens a file via mmap as a lazy sharded rep: the GRSHARD2
 /// directory is verified at open, shards fault in on first touch, and

@@ -91,28 +91,26 @@ Status CorpusRegistry::Add(const std::string& name,
                                      "\" is already registered");
     }
   }
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(payload, &dir_off);
-  if (!region.ok()) return region.status();
   // Full parse up front: a corrupt container is refused at
   // registration, not discovered by the first client.
-  auto dir = shard::ParseV2Directory(region.value(), dir_off);
-  if (!dir.ok()) return dir.status();
+  auto parsed = shard::ParseContainer(payload);
+  if (!parsed.ok()) return parsed.status();
+  shard::ParsedContainer& container = parsed.value();
   // Everything this server will ever put in a frame must fit the
   // frame bound — refuse oversized containers here with a clear error
   // instead of letting clients misdiagnose a too-long response frame
   // as wire corruption.
-  if (kCorpusDirOverhead + region.value().size > net::kMaxFrameBody) {
+  if (kCorpusDirOverhead + container.region.size > net::kMaxFrameBody) {
     return Status::InvalidArgument(
-        "container directory (" + std::to_string(region.value().size) +
+        "container directory (" + std::to_string(container.region.size) +
         " bytes) exceeds the " + std::to_string(net::kMaxFrameBody) +
         "-byte frame bound; re-shard with more shards");
   }
-  for (size_t i = 0; i < dir.value().rows.size(); ++i) {
-    if (kShardOverhead + dir.value().rows[i].length > net::kMaxFrameBody) {
+  for (size_t i = 0; i < container.dir.rows.size(); ++i) {
+    if (kShardOverhead + container.dir.rows[i].length > net::kMaxFrameBody) {
       return Status::InvalidArgument(
           "shard " + std::to_string(i) + " payload (" +
-          std::to_string(dir.value().rows[i].length) +
+          std::to_string(container.dir.rows[i].length) +
           " bytes) exceeds the " + std::to_string(net::kMaxFrameBody) +
           "-byte frame bound; re-shard with more shards");
     }
@@ -122,11 +120,11 @@ Status CorpusRegistry::Add(const std::string& name,
   corpus->name = name;
   corpus->file = std::move(file);
   corpus->payload = payload;
-  corpus->dir_region = region.value();
-  corpus->dir_off = dir_off;
-  corpus->inner_name = std::move(dir.value().inner_name);
-  corpus->num_nodes = dir.value().num_nodes;
-  corpus->rows = std::move(dir.value().rows);
+  corpus->dir_region = container.region;
+  corpus->dir_off = container.dir_off;
+  corpus->inner_name = std::move(container.dir.inner_name);
+  corpus->num_nodes = container.dir.num_nodes;
+  corpus->rows = std::move(container.dir.rows);
   size_t shards = corpus->rows.size();
   corpus->shard_hits =
       std::make_unique<std::atomic<uint64_t>[]>(shards > 0 ? shards : 1);

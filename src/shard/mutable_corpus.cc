@@ -1,0 +1,385 @@
+#include "src/shard/mutable_corpus.h"
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+
+#include "src/shard/parallel_compressor.h"
+#include "src/util/hashing.h"
+
+namespace grepair {
+namespace shard {
+
+namespace {
+
+bool PairLess(const DeltaPair& a, const DeltaPair& b) {
+  return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+}
+
+bool EdgeLess(const DeltaEdge& a, const DeltaEdge& b) {
+  return std::tie(a.u, a.v, a.label) < std::tie(b.u, b.v, b.label);
+}
+
+// Decompresses one shard, applies `kills` then `adds` (global ids; set
+// semantics) and recompresses it through the inner codec.
+Status FoldOneShard(const ShardStore& store, size_t shard,
+                    const std::vector<DeltaPair>& kills,
+                    const std::vector<DeltaEdge>& adds,
+                    std::shared_ptr<FoldedShard>* out) {
+  const ShardEntry& entry = store.entry(shard);
+  auto rep = store.Rep(shard);
+  if (!rep.ok()) return rep.status();
+  if (rep.value() == nullptr) {
+    return Status::Internal("cannot fold into an edgeless shard");
+  }
+  auto local_r = rep.value()->Decompress();
+  if (!local_r.ok()) return local_r.status();
+  Hypergraph local = std::move(local_r).ValueOrDie();
+  if (local.num_nodes() != entry.nodes.size()) {
+    return Status::Corruption(
+        "shard " + std::to_string(shard) +
+        " decompressed node count does not match its node map");
+  }
+
+  if (!kills.empty()) {
+    std::vector<std::pair<NodeId, NodeId>> killed;
+    killed.reserve(kills.size());
+    for (const DeltaPair& k : kills) {
+      killed.emplace_back(entry.LocalId(k.u), entry.LocalId(k.v));
+    }
+    std::sort(killed.begin(), killed.end());
+    local.RemoveEdgesIf([&](const HEdge& e) {
+      return e.att.size() == 2 &&
+             std::binary_search(killed.begin(), killed.end(),
+                                std::make_pair(e.att[0], e.att[1]));
+    });
+  }
+  // Set semantics: an add that duplicates a surviving local edge must
+  // not produce a second copy (the merge rule is a union).
+  std::set<std::tuple<NodeId, NodeId, Label>> present;
+  for (const HEdge& e : local.edges()) {
+    if (e.att.size() == 2) present.insert({e.att[0], e.att[1], e.label});
+  }
+  for (const DeltaEdge& a : adds) {
+    NodeId lu = entry.LocalId(a.u);
+    NodeId lv = entry.LocalId(a.v);
+    if (!present.insert({lu, lv, a.label}).second) continue;
+    local.AddSimpleEdge(lu, lv, a.label);
+  }
+
+  // The recompression needs an alphabet; the shard payload stores none.
+  auto compressed = store.inner_codec().Compress(
+      local, InferAlphabet(local), api::CodecOptions());
+  if (!compressed.ok()) return compressed.status();
+  auto f = std::make_shared<FoldedShard>();
+  f->rep = std::move(compressed).ValueOrDie();
+  if (f->rep->num_nodes() != entry.nodes.size()) {
+    return Status::Internal("folded shard changed its node count");
+  }
+  f->payload = f->rep->Serialize();
+  if (f->payload.empty()) {
+    return Status::Internal("folded shard serialized to nothing");
+  }
+  f->checksum = HashBytes(f->payload.data(), f->payload.size());
+  *out = std::move(f);
+  return Status::OK();
+}
+
+}  // namespace
+
+MutableCorpus::MutableCorpus(ShardStore* store, uint64_t base_nodes,
+                             uint64_t directory_checksum)
+    : store_(store),
+      directory_checksum_(directory_checksum),
+      total_nodes_(base_nodes) {}
+
+std::shared_ptr<const DeltaOverlay> MutableCorpus::ReaderSnapshot() const {
+  if (!has_overlay_.load(std::memory_order_acquire)) return nullptr;
+  MutexLock lock(overlay_mu_);
+  return overlay_;
+}
+
+void MutableCorpus::Merge(const DeltaOverlay& snap, uint64_t node, bool out,
+                          std::vector<uint64_t>* answer) const {
+  if (!(out ? snap.TouchesOut(node) : snap.TouchesIn(node))) return;
+  *answer = out ? snap.MergeOut(node, std::move(*answer))
+                : snap.MergeIn(node, std::move(*answer));
+  stat_overlay_merges_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void MutableCorpus::GrowNodes(uint64_t min_nodes) {
+  // Writers are serialized by fold_mu_; readers load lock-free.
+  if (min_nodes > total_nodes_.load(std::memory_order_relaxed)) {
+    total_nodes_.store(min_nodes, std::memory_order_release);
+  }
+}
+
+Status MutableCorpus::ApplyEdits(const std::vector<EdgeEdit>& edits,
+                                 int threads) {
+  if (edits.empty()) return Status::OK();
+  // fold_mu_ keeps the overlay stable against a concurrent fold's
+  // publish (the fold planner snapshots the overlay and swaps in its
+  // residual; an edit landing in between would be lost).
+  MutexLock fold_lock(fold_mu_);
+  uint64_t overlay_bytes = 0;
+  {
+    MutexLock lock(overlay_mu_);
+    auto next = DeltaOverlay::Apply(overlay_.get(), edits);
+    if (!next.ok()) return next.status();
+    overlay_ = std::move(next).ValueOrDie();
+    has_overlay_.store(!overlay_->empty(), std::memory_order_release);
+    overlay_bytes = overlay_->ByteSize();
+    GrowNodes(overlay_->min_num_nodes());
+  }
+  uint64_t budget = overlay_budget_bytes_.load(std::memory_order_relaxed);
+  if (budget != ~0ull && overlay_bytes > budget) return FoldLocked(threads);
+  return Status::OK();
+}
+
+Status MutableCorpus::FoldOverlay(int threads) {
+  MutexLock fold_lock(fold_mu_);
+  return FoldLocked(threads);
+}
+
+Status MutableCorpus::FoldLocked(int threads) {
+  std::shared_ptr<const DeltaOverlay> snap;
+  {
+    MutexLock lock(overlay_mu_);
+    snap = overlay_;
+  }
+  if (snap == nullptr || snap->empty()) return Status::OK();
+
+  const size_t shard_count = store_->num_shards();
+  // The first shard holding both endpoints, and how many shards do,
+  // counted up to `enough`.
+  auto owner_of = [&](uint64_t u, uint64_t v, int enough, int* owners) {
+    size_t owner = shard_count;
+    *owners = 0;
+    for (size_t i = 0; i < shard_count && *owners < enough; ++i) {
+      const ShardEntry& entry = store_->entry(i);
+      if (entry.LocalId(u) == kInvalidNode ||
+          entry.LocalId(v) == kInvalidNode) {
+        continue;
+      }
+      if (++*owners == 1) owner = i;
+    }
+    return owner;
+  };
+  std::vector<std::vector<DeltaPair>> shard_kills(shard_count);
+  std::vector<std::vector<DeltaEdge>> shard_adds(shard_count);
+  std::vector<DeltaPair> residual_kills;
+  std::vector<DeltaEdge> residual_adds;
+
+  // Kill eligibility: a kill folds only into the *unique* shard whose
+  // node map holds both endpoints — with the pair resolvable in two or
+  // more shards, folding into one would leave another shard's base
+  // copy alive and the residual kill gone. No shard holding both
+  // endpoints means no base copy exists: the kill is spent (Apply
+  // already erased pending adds of the pair).
+  for (const DeltaPair& kill : snap->kills()) {
+    int owners = 0;
+    size_t owner = owner_of(kill.u, kill.v, 2, &owners);
+    if (owners == 0) continue;
+    if (owners > 1) {
+      residual_kills.push_back(kill);
+      continue;
+    }
+    shard_kills[owner].push_back(kill);
+  }
+
+  // Add eligibility: the first shard holding both endpoints takes the
+  // edge — unless the pair has a residual kill, in which case the
+  // query-time merge (which applies kills to base answers) would
+  // re-kill the folded edge; such adds stay residual with their kill.
+  // Adds referencing fresh nodes (no shard holds them) stay residual
+  // until a future full recompression.
+  for (const DeltaEdge& add : snap->adds()) {
+    int owners = 0;
+    size_t owner = owner_of(add.u, add.v, 1, &owners);
+    bool killed_residual =
+        std::binary_search(residual_kills.begin(), residual_kills.end(),
+                           DeltaPair{add.u, add.v}, PairLess);
+    if (owners == 0 || killed_residual) {
+      residual_adds.push_back(add);
+      continue;
+    }
+    shard_adds[owner].push_back(add);
+  }
+
+  std::vector<size_t> work;
+  for (size_t i = 0; i < shard_count; ++i) {
+    if (!shard_kills[i].empty() || !shard_adds[i].empty()) work.push_back(i);
+  }
+  if (work.empty() && residual_kills.size() == snap->kill_count() &&
+      residual_adds.size() == snap->add_count()) {
+    return Status::OK();  // nothing changed at all
+  }
+
+  // Recompress the touched shards on the compression pool. A shard
+  // whose fold fails keeps its edits residual (fail-soft, never
+  // lossy); the base container file is never touched, so a crash at
+  // any point here leaves the on-disk corpus exactly as it was.
+  std::vector<std::shared_ptr<FoldedShard>> folded(shard_count);
+  RunIndexedOnPool(work.size(), threads, [&](size_t w) {
+    size_t i = work[w];
+    std::shared_ptr<FoldedShard> out;
+    if (FoldOneShard(*store_, i, shard_kills[i], shard_adds[i], &out).ok()) {
+      folded[i] = std::move(out);
+    }
+  });
+
+  std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> publish;
+  uint64_t folded_edits = 0;
+  for (size_t i : work) {
+    if (folded[i] != nullptr) {
+      publish.emplace_back(i, folded[i]);
+      folded_edits += shard_kills[i].size() + shard_adds[i].size();
+    } else {
+      residual_kills.insert(residual_kills.end(), shard_kills[i].begin(),
+                            shard_kills[i].end());
+      residual_adds.insert(residual_adds.end(), shard_adds[i].begin(),
+                           shard_adds[i].end());
+    }
+  }
+  // Re-sort: failed shards' edits were appended out of order.
+  std::sort(residual_kills.begin(), residual_kills.end(), PairLess);
+  std::sort(residual_adds.begin(), residual_adds.end(), EdgeLess);
+  auto residual = DeltaOverlay::FromRuns(std::move(residual_adds),
+                                         std::move(residual_kills));
+  if (!residual.ok()) return residual.status();
+
+  size_t fold_count = publish.size();
+  Publish(std::move(publish), std::move(residual).ValueOrDie(),
+          /*replace_all=*/false);
+  stat_shard_folds_.fetch_add(fold_count, std::memory_order_relaxed);
+  stat_folded_edits_.fetch_add(folded_edits, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void MutableCorpus::Publish(
+    std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> folds,
+    std::shared_ptr<const DeltaOverlay> residual, bool replace_all) {
+  MutexLock lock(overlay_mu_);
+  store_->Publish(std::move(folds), replace_all);
+  overlay_ = std::move(residual);
+  has_overlay_.store(overlay_ != nullptr && !overlay_->empty(),
+                     std::memory_order_release);
+}
+
+Status MutableCorpus::ApplyDelta(const DeltaContainer& delta) {
+  MutexLock fold_lock(fold_mu_);
+  if (delta.base_dir_checksum != directory_checksum_) {
+    return Status::Corruption(
+        "delta does not bind to this base: directory checksum " +
+        HexU64(delta.base_dir_checksum) + " != " +
+        HexU64(directory_checksum_));
+  }
+  if (delta.num_nodes > 0xFFFFFFFFull) {
+    return Status::Corruption("delta node count out of range");
+  }
+  std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> publish;
+  for (const DeltaContainer::ChangedShard& shard : delta.shards) {
+    if (shard.index >= store_->num_shards()) {
+      return Status::Corruption("delta shard index out of range");
+    }
+    const ShardEntry& entry = store_->entry(shard.index);
+    if (!entry.has_payload()) {
+      return Status::Corruption("delta changes an edgeless shard");
+    }
+    auto f = std::make_shared<FoldedShard>();
+    f->payload = shard.payload;
+    f->checksum = shard.checksum;  // verified by DecodeDeltaContainer
+    auto rep = store_->inner_codec().DeserializeSpan(SpanOf(f->payload));
+    if (!rep.ok()) return rep.status();
+    if (rep.value()->num_nodes() != entry.nodes.size()) {
+      return Status::Corruption(
+          "delta shard " + std::to_string(shard.index) +
+          " node count does not match the base node map");
+    }
+    f->rep = std::move(rep).ValueOrDie();
+    publish.emplace_back(shard.index, std::move(f));
+  }
+  auto residual = DeltaOverlay::FromRuns(delta.adds, delta.kills);
+  if (!residual.ok()) return residual.status();
+  GrowNodes(std::max(delta.num_nodes, residual.value()->min_num_nodes()));
+  Publish(std::move(publish), std::move(residual).ValueOrDie(),
+          /*replace_all=*/true);
+  return Status::OK();
+}
+
+Result<DeltaContainer> MutableCorpus::BuildDelta(uint64_t base_hash,
+                                                 uint64_t base_size) const {
+  DeltaContainer out;
+  out.base_hash = base_hash;
+  out.base_size = base_size;
+  out.base_dir_checksum = directory_checksum_;
+  out.num_nodes = num_nodes();
+  // Folded set and residual change together under overlay_mu_
+  // (Publish), so one lock hold captures a consistent pair.
+  MutexLock lock(overlay_mu_);
+  for (size_t i = 0; i < store_->num_shards(); ++i) {
+    const FoldedShard* f = store_->Folded(i);
+    if (f == nullptr) continue;
+    DeltaContainer::ChangedShard cs;
+    cs.index = static_cast<uint32_t>(i);
+    cs.checksum = f->checksum;
+    cs.payload = f->payload;
+    out.shards.push_back(std::move(cs));
+  }
+  if (overlay_ != nullptr) {
+    out.adds = overlay_->adds();
+    out.kills = overlay_->kills();
+  }
+  return out;
+}
+
+Result<Hypergraph> MutableCorpus::Materialize(
+    const std::function<Result<Hypergraph>()>& base) const {
+  // Holding fold_mu_ keeps the folded-shard set stable for the whole
+  // walk, so the residual overlay snapshot below is exactly the set of
+  // edits the shard payloads do NOT contain — a fold publishing
+  // mid-walk would otherwise double-apply its adds.
+  MutexLock fold_lock(fold_mu_);
+  std::shared_ptr<const DeltaOverlay> overlay;
+  {
+    MutexLock lock(overlay_mu_);
+    overlay = overlay_;
+  }
+  auto built = base();
+  if (!built.ok() || overlay == nullptr || overlay->empty()) return built;
+  Hypergraph global = std::move(built).ValueOrDie();
+  // Kills remove every base copy of their pair; adds then contribute
+  // exactly the edges the base does not already hold (the logical
+  // corpus is a set union, so an add that duplicates a surviving base
+  // edge must not produce a second copy).
+  global.RemoveEdgesIf([&](const HEdge& e) {
+    return e.att.size() == 2 && overlay->IsKilled(e.att[0], e.att[1]);
+  });
+  const std::vector<DeltaEdge>& adds = overlay->adds();
+  std::vector<uint8_t> present(adds.size(), 0);
+  for (const HEdge& e : global.edges()) {
+    if (e.att.size() != 2) continue;
+    DeltaEdge probe{e.att[0], e.att[1], e.label};
+    auto it = std::lower_bound(adds.begin(), adds.end(), probe, EdgeLess);
+    if (it != adds.end() && *it == probe) {
+      present[static_cast<size_t>(it - adds.begin())] = 1;
+    }
+  }
+  for (size_t k = 0; k < adds.size(); ++k) {
+    if (present[k]) continue;
+    global.AddSimpleEdge(adds[k].u, adds[k].v, adds[k].label);
+  }
+  return global;
+}
+
+void MutableCorpus::AddStats(api::QueryStats* stats) const {
+  stats->overlay_merges += stat_overlay_merges_.load(std::memory_order_relaxed);
+  stats->shard_folds += stat_shard_folds_.load(std::memory_order_relaxed);
+  stats->folded_edits += stat_folded_edits_.load(std::memory_order_relaxed);
+  MutexLock lock(overlay_mu_);
+  if (overlay_ != nullptr) stats->overlay_edits += overlay_->edit_count();
+}
+
+}  // namespace shard
+}  // namespace grepair

@@ -3,7 +3,9 @@
 // sharded:grepair container by default, `components` reads its one
 // grammar and adds back the edgeless nodes the shard leaves out, and
 // `stats`/`components` refuse files with more data shards. Edge ranges
-// are the only partition, so there is no `--strategy` flag.
+// are the only partition, so there is no `--strategy` flag. `info`
+// refuses a file whose tag names another inner codec than its
+// directory, as every open does.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +15,11 @@
 #include <cstdio>
 #include <string>
 
+#include "src/api/container.h"
 #include "src/datasets/generators.h"
 #include "src/graph/graph_algos.h"
 #include "src/graph/graph_io.h"
+#include "src/util/mmap_file.h"
 
 #ifndef GREPAIR_CLI_PATH
 #error "GREPAIR_CLI_PATH must name the grepair binary"
@@ -90,6 +94,46 @@ TEST(CliTest, StatsAndComponentsRefuseMultiShardFiles) {
   }
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
+}
+
+TEST(CliTest, InfoRefusesATagThatDisagreesWithTheDirectory) {
+  GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
+  std::string graph_path = TempPath("tag.graph");
+  std::string file_path = TempPath("tag.grp");
+  std::string retagged_path = TempPath("retagged.grp");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  CliRun compress = RunCli("compress " + graph_path + " " + file_path);
+  ASSERT_EQ(compress.exit_code, 0) << compress.output;
+  CliRun info = RunCli("info " + file_path);
+  EXPECT_EQ(info.exit_code, 0) << info.output;
+
+  // Same GRSHARD2 payload, framed under another backend's tag.
+  auto bytes = ReadFileBytes(file_path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string tag;
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(api::UnwrapCodecPayload(bytes.value(), &tag, &payload).ok());
+  ASSERT_EQ(tag, "sharded:grepair");
+  ASSERT_TRUE(WriteFileBytes(retagged_path,
+                             api::WrapCodecPayload("sharded:k2", payload))
+                  .ok());
+  const std::string refusal = retagged_path +
+                              ": container was produced by "
+                              "'sharded:grepair', not 'sharded:k2'";
+  for (const std::string& args :
+       {"info " + retagged_path,
+        "decompress " + retagged_path + " " + TempPath("retagged.graph")}) {
+    CliRun run = RunCli(args);
+    EXPECT_EQ(run.exit_code, 1) << args << run.output;
+    EXPECT_NE(run.output.find(refusal), std::string::npos)
+        << args << run.output;
+    EXPECT_EQ(run.output.find("sharded container GRSHARD2"),
+              std::string::npos)
+        << args << run.output;
+  }
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
+  std::remove(retagged_path.c_str());
 }
 
 TEST(CliTest, StrategyFlagAndOptionAreRefused) {

@@ -1,7 +1,7 @@
 // Golden-file format-stability tests for the container formats: the
 // backend-tagged frame ("GRPCODEC", src/api/container.h) and the
 // sharded multi-shard container ("GRSHARD2", footer directory;
-// src/shard/sharded_codec.h). Two retired file kinds survive only as
+// src/shard/container.h). Two retired file kinds survive only as
 // negative fixtures that must fail closed everywhere: the eager
 // "GRSHARD1" layout and the single-codec file (a frame tagged with a
 // plain codec name around an unchecked payload), which `compress`
@@ -217,7 +217,7 @@ TEST(ShardedContainerTest, RetiredV1ContainerFailsClosedEverywhere) {
     ASSERT_FALSE(rep.ok());
     EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
     EXPECT_FALSE(codec->Deserialize(cut).ok());
-    EXPECT_FALSE(shard::ShardedRep::Inspect(SpanOf(cut)).ok());
+    EXPECT_FALSE(shard::ParseContainer(SpanOf(cut)).ok());
 
     ASSERT_TRUE(
         WriteFileBytes(path, api::WrapCodecPayload("sharded:k2", cut)).ok());
@@ -384,20 +384,25 @@ TEST(ShardedV2ContainerTest, PopulatedLastShardStillOpensAndRoutes) {
   EXPECT_EQ(sharded->SerializeV2(), bytes);
 }
 
-TEST(ShardedV2ContainerTest, InspectReadsTheDirectoryWithoutDecoding) {
-  auto info = shard::ShardedRep::Inspect(
-      ByteSpan(kGoldenShardedV2Container,
-               sizeof(kGoldenShardedV2Container)));
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().inner_name, "k2");
-  EXPECT_EQ(info.value().num_nodes, 6u);
-  ASSERT_EQ(info.value().shards.size(), 3u);
-  EXPECT_EQ(info.value().shards[0].offset, 8u);
-  EXPECT_EQ(info.value().shards[0].length, 8u);
-  EXPECT_EQ(info.value().shards[0].node_count, 4u);
-  EXPECT_EQ(info.value().shards[1].offset, 16u);
-  EXPECT_EQ(info.value().shards[1].length, 8u);
-  EXPECT_EQ(info.value().shards[2].length, 0u);  // empty cut shard
+TEST(ShardedV2ContainerTest, ParseContainerReadsTheDirectory) {
+  auto parsed = shard::ParseContainer(ByteSpan(
+      kGoldenShardedV2Container, sizeof(kGoldenShardedV2Container)));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const shard::ParsedDirectory& dir = parsed.value().dir;
+  EXPECT_EQ(dir.inner_name, "k2");
+  EXPECT_EQ(dir.num_nodes, 6u);
+  ASSERT_EQ(dir.rows.size(), 3u);
+  EXPECT_EQ(dir.rows[0].offset, 8u);
+  EXPECT_EQ(dir.rows[0].length, 8u);
+  EXPECT_EQ(dir.rows[0].node_count, 4u);
+  EXPECT_EQ(dir.rows[1].offset, 16u);
+  EXPECT_EQ(dir.rows[1].length, 8u);
+  EXPECT_EQ(dir.rows[2].length, 0u);  // empty cut shard
+  // The region is the directory the trailer points at.
+  EXPECT_EQ(parsed.value().region.data,
+            kGoldenShardedV2Container + parsed.value().dir_off);
+  EXPECT_EQ(parsed.value().dir_off + parsed.value().region.size + 24,
+            sizeof(kGoldenShardedV2Container));
 }
 
 TEST(ShardedV2ContainerTest, ByteSizeIsTheSerializedSize) {

@@ -8,10 +8,10 @@
 //      edge-set-identical to G (labeled sets for label-preserving
 //      codecs, unlabeled (u, v) sets otherwise) with the node count
 //      preserved.
-//   2. Differential: sharded:<inner> reproduces exactly the graph
-//      <inner> reproduces, for both partitioning strategies — the
-//      replacement-strategy variants MR-RePair-style systems get
-//      subtly wrong are exactly what this cross-check catches.
+//   2. Differential: sharded:<inner> (the ShardedRep router) reproduces
+//      exactly the graph <inner> reproduces — the replacement-strategy
+//      variants MR-RePair-style systems get subtly wrong are exactly
+//      what this cross-check catches.
 //
 // Codecs that reject a dataset up front (e.g. unlabeled baselines on
 // labeled graphs) must do so with kInvalidArgument, which the suite

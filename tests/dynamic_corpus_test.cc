@@ -1,8 +1,8 @@
 // Dynamic-corpus differential suite: the overlay/fold/delta write
-// path of the sharded stack (src/shard/delta_overlay.h +
-// ShardedRep::ApplyEdits/FoldOverlay/ApplyDelta/BuildDelta +
-// api::OpenVersioned) proven equivalent to recompressing the mutated
-// graph from scratch.
+// path of the sharded stack (MutableCorpus, src/shard/mutable_corpus.h,
+// through ShardedRep::ApplyEdits/FoldOverlay/ApplyDelta/BuildDelta,
+// plus src/shard/delta_overlay.h and api::OpenVersioned) proven
+// equivalent to recompressing the mutated graph from scratch.
 //
 // For every registered base codec, a random edit stream applied
 // through the overlay must answer every query — singles, batches,

@@ -3,9 +3,9 @@
 //
 //   * per shard, the streamed edges are exactly Decompress()'s rank-2
 //     edges, in order (hence also as a multiset),
-//   * the shard CSR that DecodeShardAdjacency (the query cache's
-//     decode) builds equals one built the way shard decode used to:
-//     Decompress() into a Hypergraph, count, fill, sort and dedup,
+//   * the neighborhoods the store's decode (DecodeNeighborhoods)
+//     builds equal ones built the way shard decode used to:
+//     Decompress() into a Hypergraph, then sort and dedup every row,
 //
 // over every shard of a 16-shard dblp corpus, an RDF corpus, a graph
 // with rank-3 hyperedges (which the stream skips) and the shards a
@@ -44,31 +44,26 @@ EdgeList Rank2Edges(const Hypergraph& g) {
   return edges;
 }
 
+using Rows = std::vector<std::vector<uint64_t>>;
+
 // Shard decode as it was built before the edge stream: Decompress()
-// into a Hypergraph, then count, fill, and sort + dedup every row.
-shard::ShardAdjacency ReferenceAdjacency(const std::vector<NodeId>& nodes,
-                                         const Hypergraph& g) {
+// into a Hypergraph, then sort + dedup every row. Out rows first, then
+// in rows.
+std::pair<Rows, Rows> ReferenceRows(const std::vector<NodeId>& nodes,
+                                    const Hypergraph& g) {
   const size_t n = nodes.size();
-  std::vector<std::vector<uint64_t>> out(n), in(n);
+  Rows out(n), in(n);
   for (const auto& [u, v] : Rank2Edges(g)) {
     out[u].push_back(nodes[v]);
     in[v].push_back(nodes[u]);
   }
-  auto flatten = [n](std::vector<std::vector<uint64_t>>& rows,
-                     std::vector<uint64_t>* off, std::vector<uint64_t>* data) {
-    off->assign(1, 0);
-    for (size_t u = 0; u < n; ++u) {
-      std::sort(rows[u].begin(), rows[u].end());
-      rows[u].erase(std::unique(rows[u].begin(), rows[u].end()),
-                    rows[u].end());
-      data->insert(data->end(), rows[u].begin(), rows[u].end());
-      off->push_back(data->size());
+  for (Rows* rows : {&out, &in}) {
+    for (auto& row : *rows) {
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
     }
-  };
-  shard::ShardAdjacency adj;
-  flatten(out, &adj.out_off, &adj.out_data);
-  flatten(in, &adj.in_off, &adj.in_data);
-  return adj;
+  }
+  return {std::move(out), std::move(in)};
 }
 
 // Checks one rep whose local node i is global id nodes[i].
@@ -81,13 +76,16 @@ void ExpectStreamMatchesDecompress(const std::vector<NodeId>& nodes,
   const EdgeList expected = Rank2Edges(graph.value());
   EXPECT_EQ(Streamed(rep), expected) << tag;
 
-  auto adj = shard::DecodeShardAdjacency(nodes, rep);
-  ASSERT_TRUE(adj.ok()) << tag << ": " << adj.status().ToString();
-  const shard::ShardAdjacency want = ReferenceAdjacency(nodes, graph.value());
-  EXPECT_EQ(adj.value().out_off, want.out_off) << tag;
-  EXPECT_EQ(adj.value().out_data, want.out_data) << tag;
-  EXPECT_EQ(adj.value().in_off, want.in_off) << tag;
-  EXPECT_EQ(adj.value().in_data, want.in_data) << tag;
+  auto decoded = shard::DecodeNeighborhoods(nodes, rep);
+  ASSERT_NE(decoded, nullptr) << tag << ": edges do not fit the node map";
+  const auto [want_out, want_in] = ReferenceRows(nodes, graph.value());
+  Rows out, in;
+  for (size_t u = 0; u < nodes.size(); ++u) {
+    out.emplace_back(decoded->Out(u).begin(), decoded->Out(u).end());
+    in.emplace_back(decoded->In(u).begin(), decoded->In(u).end());
+  }
+  EXPECT_EQ(out, want_out) << tag;
+  EXPECT_EQ(in, want_in) << tag;
 }
 
 // Runs the check on every shard with a payload, reading the shards
@@ -95,25 +93,22 @@ void ExpectStreamMatchesDecompress(const std::vector<NodeId>& nodes,
 // Returns the number of shards checked.
 size_t CheckEveryShard(const shard::ShardedRep& rep) {
   const std::vector<uint8_t> container = rep.SerializeV2();
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(SpanOf(container), &dir_off);
-  EXPECT_TRUE(region.ok()) << region.status().ToString();
-  if (!region.ok()) return 0;
-  auto dir = shard::ParseV2Directory(region.value(), dir_off);
-  EXPECT_TRUE(dir.ok()) << dir.status().ToString();
-  if (!dir.ok()) return 0;
-  auto inner = api::CodecRegistry::Create(dir.value().inner_name);
+  auto parsed = shard::ParseContainer(SpanOf(container));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return 0;
+  const shard::ParsedDirectory& dir = parsed.value().dir;
+  auto inner = api::CodecRegistry::Create(dir.inner_name);
   EXPECT_TRUE(inner.ok()) << inner.status().ToString();
   if (!inner.ok()) return 0;
   size_t checked = 0;
-  for (size_t s = 0; s < dir.value().rows.size(); ++s) {
-    const auto& row = dir.value().rows[s];
+  for (size_t s = 0; s < dir.rows.size(); ++s) {
+    const auto& row = dir.rows[s];
     if (row.length == 0) continue;
     auto shard_rep = inner.value()->DeserializeSpan(
         ByteSpan(container.data() + row.offset, row.length));
     EXPECT_TRUE(shard_rep.ok()) << shard_rep.status().ToString();
     if (!shard_rep.ok()) continue;
-    ExpectStreamMatchesDecompress(dir.value().node_maps[s],
+    ExpectStreamMatchesDecompress(dir.node_maps[s],
                                   *shard_rep.value(),
                                   "shard " + std::to_string(s));
     ++checked;

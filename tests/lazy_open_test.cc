@@ -1,15 +1,17 @@
-// Lazy-open semantics of the zero-copy storage layer: a GRSHARD2
-// container opened via mmap (or from memory) materializes exactly the
-// shards queries touch, evicted shards re-fault byte-identically,
-// payload corruption fails closed at fault time, and concurrent
-// queriers/prefetchers on one mapping are race-free (the TSan CI leg
-// runs this file). Also covers MmapFile's error surface and the
-// api-level Open entry points.
+// Lazy-open semantics of the zero-copy storage layer (ShardStore,
+// src/shard/shard_store.h): a GRSHARD2 container opened via mmap (or
+// from memory) materializes exactly the shards queries touch, evicted
+// shards re-fault byte-identically, payload corruption fails closed at
+// fault time, concurrent queriers/prefetchers on one mapping are
+// race-free (the TSan CI leg runs this file), and a decode racing a
+// delta's publish is not cached. Also covers MmapFile's error surface
+// and the api-level Open entry points.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -70,7 +72,7 @@ TEST(LazyOpenTest, QueryingOneNodeFaultsExactlyOneShard) {
 
   auto rep = shard::ShardedRep::Deserialize(v2);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_STREQ(rep.value()->source_kind(), "local-heap");
+  EXPECT_STREQ(rep.value()->store().source_kind(), "local-heap");
   EXPECT_EQ(rep.value()->query_stats().shard_faults, 0u);
 
   // Node 0 lives only in shard 0: exactly one fault.
@@ -219,12 +221,12 @@ TEST(LazyOpenTest, EvictionThenRefaultIsByteIdentical) {
 TEST(LazyOpenTest, PayloadCorruptionFailsClosedAtFaultTime) {
   auto compressed = CompressTwoClique();
   auto v2 = AsSharded(compressed.get())->SerializeV2();
-  auto info = shard::ShardedRep::Inspect(SpanOf(v2));
-  ASSERT_TRUE(info.ok());
+  auto parsed = shard::ParseContainer(SpanOf(v2));
+  ASSERT_TRUE(parsed.ok());
   // Corrupt one byte inside shard 0's payload: the open (directory
   // only) must still succeed, the first touch of shard 0 must fail
   // with a checksum error, and shard 1 must stay fully queryable.
-  v2[info.value().shards[0].offset] ^= 0x01;
+  v2[parsed.value().dir.rows[0].offset] ^= 0x01;
   auto rep = shard::ShardedRep::Deserialize(v2);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   auto bad = rep.value()->OutNeighbors(0);
@@ -273,7 +275,8 @@ TEST(LazyOpenTest, PrefetchOverMmapHintsReadaheadBytes) {
   auto rep = api::OpenCompressedFile(path);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   auto* sharded = AsSharded(rep.value().get());
-  EXPECT_STREQ(sharded->source_kind(), mapped ? "local-mmap" : "local-heap");
+  EXPECT_STREQ(sharded->store().source_kind(),
+               mapped ? "local-mmap" : "local-heap");
 
   // Prefetch routes a WILLNEED hint through the source before each
   // fault; Decompress advises the whole mapping SEQUENTIAL. On the
@@ -345,6 +348,73 @@ TEST(LazyOpenTest, ConcurrentQueriersAndPrefetchersAreRaceFree) {
   // Each shard faulted at most once no matter how many threads raced.
   auto stats = lazy.value()->query_stats();
   EXPECT_LE(stats.shard_faults, lazy.value()->num_shards());
+}
+
+// Serves a container's payloads, but holds the fetch of shard `gated`
+// until `release` is set, so a test can land a delta mid-fault.
+struct GatedSource : shard::ShardSource {
+  std::vector<uint8_t> container;
+  std::vector<shard::ShardDirEntry> rows;
+  size_t gated = 0;
+  std::promise<void> entered;
+  std::promise<void> release;
+
+  const char* kind() const override { return "gated"; }
+
+  Result<ByteSpan> FetchShard(size_t shard,
+                              std::vector<uint8_t>* owned) override {
+    (void)owned;
+    if (shard == gated) {
+      entered.set_value();
+      release.get_future().wait();
+    }
+    return SpanOf(container).subspan(rows[shard].offset, rows[shard].length);
+  }
+};
+
+TEST(LazyOpenTest, DecodeRacingADeltaIsNotCached) {
+  // A batch decodes shard 0 while a delta replaces that shard: the
+  // pre-delta decode must not be cached, or later batches would keep
+  // answering from the old grammar.
+  auto compressed = CompressTwoClique();
+  const std::vector<uint8_t> bytes = AsSharded(compressed.get())->Serialize();
+
+  // The delta: drop 0->1 and 0->2, folded into shard 0's grammar.
+  auto editor = shard::ShardedRep::Deserialize(bytes);
+  ASSERT_TRUE(editor.ok()) << editor.status().ToString();
+  ASSERT_TRUE(editor.value()
+                  ->ApplyEdits({shard::EdgeEdit::Delete(0, 1),
+                                shard::EdgeEdit::Delete(0, 2)})
+                  .ok());
+  ASSERT_TRUE(editor.value()->FoldOverlay().ok());
+  ASSERT_EQ(editor.value()->query_stats().shard_folds, 1u);
+  auto delta = editor.value()->BuildDelta(0, 0);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_EQ(delta.value().shards.size(), 1u);
+  ASSERT_EQ(delta.value().shards[0].index, 0u);
+
+  auto parsed = shard::ParseContainer(SpanOf(bytes)).ValueOrDie();
+  auto source = std::make_shared<GatedSource>();
+  source->container = bytes;
+  source->rows = parsed.dir.rows;
+  std::future<void> entered = source->entered.get_future();
+  auto rep = shard::ShardedRep::OpenFromSource(source, parsed.dir);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  const std::vector<uint64_t> nodes = {0, 1};  // two queries: decode now
+
+  std::thread reader([&] {
+    auto answers = rep.value()->OutNeighborsBatch(nodes);
+    EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+  });
+  entered.wait();  // the batch's decode is blocked in the fetch
+  EXPECT_TRUE(rep.value()->ApplyDelta(delta.value()).ok());
+  source->release.set_value();
+  reader.join();
+
+  auto after = rep.value()->OutNeighborsBatch(nodes);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value()[0], std::vector<uint64_t>({3}));
+  EXPECT_EQ(after.value()[1], std::vector<uint64_t>({0, 2, 3}));
 }
 
 TEST(MmapFileTest, ErrorsNameThePath) {

@@ -59,15 +59,11 @@ class MisbehavingServer {
  public:
   MisbehavingServer(std::vector<uint8_t> container, Fault fault)
       : container_(std::move(container)), fault_(fault) {
-    uint64_t dir_off = 0;
-    auto region =
-        shard::LocateV2DirectoryRegion(SpanOf(container_), &dir_off);
-    EXPECT_TRUE(region.ok());
-    dir_off_ = dir_off;
-    dir_region_ = region.value();
-    auto rows = shard::ParseV2Directory(dir_region_, dir_off_);
-    EXPECT_TRUE(rows.ok());
-    rows_ = std::move(rows).ValueOrDie().rows;
+    auto parsed = shard::ParseContainer(SpanOf(container_));
+    EXPECT_TRUE(parsed.ok());
+    dir_off_ = parsed.value().dir_off;
+    dir_region_ = parsed.value().region;
+    rows_ = std::move(parsed).ValueOrDie().dir.rows;
     auto listener = Socket::ListenTcp("127.0.0.1", 0, &port_);
     EXPECT_TRUE(listener.ok()) << listener.status().ToString();
     listener_ = std::move(listener).ValueOrDie();

@@ -209,10 +209,11 @@ TEST(NetFuzzTest, StatsBodyDecoderSurvivesMutation) {
 
 TEST(NetFuzzTest, DirectoryParserSurvivesMutation) {
   auto container = fuzz::GoldenContainerBytes(50, 3, 61);
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(SpanOf(container), &dir_off);
-  ASSERT_TRUE(region.ok()) << region.status().ToString();
-  std::vector<uint8_t> dir(region.value().begin(), region.value().end());
+  auto parsed = shard::ParseContainer(SpanOf(container));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const uint64_t dir_off = parsed.value().dir_off;
+  std::vector<uint8_t> dir(parsed.value().region.begin(),
+                           parsed.value().region.end());
 
   // Golden path parses.
   CheckDirectoryParse(SpanOf(dir), dir_off);

@@ -36,12 +36,9 @@ std::vector<uint8_t> CompressSharded(const GeneratedGraph& gg, int shards) {
 
 std::vector<shard::ShardDirEntry> DirectoryRows(
     const std::vector<uint8_t>& container) {
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(SpanOf(container), &dir_off);
-  EXPECT_TRUE(region.ok());
-  auto dir = shard::ParseV2Directory(region.value(), dir_off);
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).ValueOrDie().rows;
+  auto parsed = shard::ParseContainer(SpanOf(container));
+  EXPECT_TRUE(parsed.ok());
+  return std::move(parsed).ValueOrDie().dir.rows;
 }
 
 // Indices of shards that actually carry payload bytes.

@@ -1,5 +1,5 @@
-// The batch query engine and the sharded rep's one query cache (the
-// decoded-shard cache), end to end:
+// The batch query engine and the store's one query cache (the
+// decoded-shard cache, ShardStore::Decoded), end to end:
 //
 //   * cached (warm) and batched answers are byte-identical to fresh
 //     uncached single-call answers, against ground truth,

@@ -273,7 +273,7 @@ TEST(RemoteShardTest, ApiOpenRemoteEntryPoint) {
     // The remote rep names its source.
     auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
     ASSERT_NE(sharded, nullptr);
-    EXPECT_STREQ(sharded->source_kind(), "remote");
+    EXPECT_STREQ(sharded->store().source_kind(), "remote");
   }
 }
 

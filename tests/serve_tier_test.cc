@@ -77,12 +77,9 @@ uint64_t DiskBytes(const std::string& dir) {
 // directory parse the server performs.
 std::vector<shard::ShardDirEntry> DirectoryRows(
     const std::vector<uint8_t>& container) {
-  uint64_t dir_off = 0;
-  auto region = shard::LocateV2DirectoryRegion(SpanOf(container), &dir_off);
-  EXPECT_TRUE(region.ok());
-  auto dir = shard::ParseV2Directory(region.value(), dir_off);
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).ValueOrDie().rows;
+  auto parsed = shard::ParseContainer(SpanOf(container));
+  EXPECT_TRUE(parsed.ok());
+  return std::move(parsed).ValueOrDie().dir.rows;
 }
 
 size_t CountDataShards(const std::vector<shard::ShardDirEntry>& rows) {
@@ -306,7 +303,7 @@ TEST(ServeTierTest, OfflineOpenFromWarmTierAfterServerDies) {
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
   ASSERT_NE(sharded, nullptr);
-  EXPECT_STREQ(sharded->source_kind(), "tiered-ssd");
+  EXPECT_STREQ(sharded->store().source_kind(), "tiered-ssd");
   for (uint64_t v = 0; v < truth.size(); ++v) {
     auto r = rep.value()->OutNeighbors(v);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -773,13 +770,11 @@ TEST(ServeTierTest, StaleSidecarFailsClosedOnRebuiltCorpus) {
   // this is exactly the prior the epoch comparison would prefer.
   serve::DirSidecar stale;
   {
-    uint64_t dir_off = 0;
-    auto region = shard::LocateV2DirectoryRegion(SpanOf(old_bytes),
-                                                 &dir_off);
-    ASSERT_TRUE(region.ok());
-    stale.dir_off = dir_off;
-    stale.raw_directory.assign(region.value().begin(),
-                               region.value().end());
+    auto parsed = shard::ParseContainer(SpanOf(old_bytes));
+    ASSERT_TRUE(parsed.ok());
+    stale.dir_off = parsed.value().dir_off;
+    stale.raw_directory.assign(parsed.value().region.begin(),
+                               parsed.value().region.end());
     stale.histogram.assign(old_rows.size(), 999);
     stale.histogram_epoch = ~0ull;
   }
@@ -811,13 +806,11 @@ TEST(ServeTierTest, StaleSidecarFailsClosedOnRebuiltCorpus) {
   // under a maximal epoch) was discarded, not carried forward.
   auto saved = serve::LoadDirSidecar(serve::DirSidecarPath(cache_dir, ""));
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
-  uint64_t dir_off = 0;
-  auto new_region = shard::LocateV2DirectoryRegion(SpanOf(new_bytes),
-                                                   &dir_off);
-  ASSERT_TRUE(new_region.ok());
+  auto parsed = shard::ParseContainer(SpanOf(new_bytes));
+  ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(saved.value().raw_directory,
-            std::vector<uint8_t>(new_region.value().begin(),
-                                 new_region.value().end()));
+            std::vector<uint8_t>(parsed.value().region.begin(),
+                                 parsed.value().region.end()));
   EXPECT_NE(saved.value().histogram_epoch, ~0ull);
   for (uint64_t hits : saved.value().histogram) {
     EXPECT_NE(hits, 999u) << "stale histogram survived the rebuild";

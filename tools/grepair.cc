@@ -962,10 +962,11 @@ int CmdInfoRemote(const std::string& target) {
   return 0;
 }
 
-// `info`: the container directory without decoding anything — the
+// `info`: the container directory without decoding a shard — the
 // backend tag and the per-shard offset/length/checksum/node-count
-// table straight from the GRSHARD2 footer. No inner rep is ever
-// constructed.
+// table from the parsed GRSHARD2 directory. No inner rep is ever
+// constructed, and a tag that names another inner codec than the
+// directory fails as it does at open.
 int CmdInfo(int argc, char** argv) {
   if (argc < 3) return Usage();
   if (std::strcmp(argv[2], "--remote") == 0) {
@@ -979,25 +980,31 @@ int CmdInfo(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
     return 1;
   }
+  auto parsed = shard::ParseContainer(payload);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[2],
+                 parsed.status().ToString().c_str());
+    return 1;
+  }
+  const shard::ParsedDirectory& dir = parsed.value().dir;
+  Status tag = api::CheckTaggedInner(argv[2], inner, dir.inner_name);
+  if (!tag.ok()) {
+    std::fprintf(stderr, "%s\n", tag.ToString().c_str());
+    return 1;
+  }
   size_t size = file.value()->span().size;
   std::printf("%s: %zu bytes (%s)\n", argv[2], size,
               file.value()->is_mapped() ? "mmap" : "heap");
   std::printf("backend: sharded:%s (payload %zu bytes at offset %zu)\n",
               inner.c_str(), payload.size, size - payload.size);
-  auto info = shard::ShardedRep::Inspect(payload);
-  if (!info.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[2],
-                 info.status().ToString().c_str());
-    return 1;
-  }
   std::printf("sharded container GRSHARD2: inner=%s nodes=%llu shards=%zu\n",
-              info.value().inner_name.c_str(),
-              static_cast<unsigned long long>(info.value().num_nodes),
-              info.value().shards.size());
+              dir.inner_name.c_str(),
+              static_cast<unsigned long long>(dir.num_nodes),
+              dir.rows.size());
   std::printf("%6s %10s %10s %18s %10s\n", "shard", "offset", "length",
               "checksum", "nodes");
-  for (size_t i = 0; i < info.value().shards.size(); ++i) {
-    const auto& s = info.value().shards[i];
+  for (size_t i = 0; i < dir.rows.size(); ++i) {
+    const auto& s = dir.rows[i];
     std::printf("%6zu %10llu %10llu 0x%016llx %10llu\n", i,
                 (unsigned long long)s.offset, (unsigned long long)s.length,
                 (unsigned long long)s.checksum,
@@ -1035,7 +1042,7 @@ Result<std::optional<CompressedGraph>> LoadOneGrammar(
   *dropped_nodes = sharded.num_nodes() - sharded.entry(0).nodes.size();
   if (!sharded.entry(0).has_payload()) return {std::nullopt};
   std::vector<uint8_t> fetched;
-  auto payload = sharded.VerifiedPayload(0, &fetched);
+  auto payload = sharded.store().VerifiedPayload(0, &fetched);
   if (!payload.ok()) return payload.status();
   return CompressedGraph::Deserialize(payload.value());
 }
