@@ -19,6 +19,9 @@
 #include <vector>
 
 #include "src/api/grepair_api.h"
+#include "src/baselines/hn.h"
+#include "src/baselines/lm.h"
+#include "src/baselines/string_repair.h"
 #include "src/datasets/paper_datasets.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
@@ -72,48 +75,67 @@ inline GrepairRun RunGrepair(const GeneratedGraph& gg,
   return run;
 }
 
-/// \brief Registry names without the sharded:<inner> meta-variants —
-/// the paper-table reproductions compare the paper's codecs;
-/// bench/shard_scaling.cc covers the sharded layer.
+/// \brief The paper's codecs in table column order (alphabetical): the
+/// two file backends (grepair, k2) and the size-only baselines (hn, lm,
+/// repair-adj); bench/shard_scaling.cc covers the sharded layer.
 inline std::vector<std::string> PaperCodecNames() {
-  return api::CodecRegistry::BaseNames();
+  return {"grepair", "hn", "k2", "lm", "repair-adj"};
 }
 
-/// \brief One registry codec's run over a dataset.
+/// \brief One codec's run over a dataset.
 struct CodecRun {
   bool ok = false;       ///< false: failed or not applicable to the input
   std::string error;     ///< status message when !ok
-  size_t bytes = 0;      ///< ByteSize(), the tables' size metric
+  size_t bytes = 0;      ///< compressed size, the tables' size metric
   double bpe = 0;
   double seconds = 0;
 };
 
-/// \brief Runs any registered codec (by name) over `gg`; the generic
-/// replacement for the old per-baseline Run* glue.
+/// \brief Compressed bytes of one of PaperCodecNames() over `gg`:
+/// grepair and k2 through the codec registry, the size-only baselines
+/// through their encoders with default options. The baselines compress
+/// unlabeled simple graphs only, so a labeled or hyperedge input is
+/// InvalidArgument (printed as n/a).
+inline Result<size_t> PaperCodecBytes(const std::string& name,
+                                      const GeneratedGraph& gg) {
+  if (name == "grepair" || name == "k2") {
+    auto codec = api::CodecRegistry::Create(name);
+    if (!codec.ok()) return codec.status();
+    auto rep = codec.value()->Compress(gg.graph, gg.alphabet);
+    if (!rep.ok()) return rep.status();
+    return rep.value()->ByteSize();
+  }
+  GREPAIR_RETURN_IF_ERROR(gg.graph.Validate(gg.alphabet));
+  if (gg.alphabet.size() > 1) {
+    return Status::InvalidArgument(
+        name + " is an unlabeled baseline (alphabet must have at most 1 "
+               "label)");
+  }
+  for (const auto& e : gg.graph.edges()) {
+    if (e.rank() != 2) {
+      return Status::InvalidArgument(
+          name + " requires a simple graph (rank-2 edges)");
+    }
+  }
+  if (name == "hn") return HnCompress(gg.graph).SizeBytes();
+  if (name == "lm") return LmCompress(gg.graph).SizeBytes();
+  if (name == "repair-adj") return AdjListRePairSizeBytes(gg.graph);
+  return Status::NotFound("no paper codec named '" + name + "'");
+}
+
+/// \brief Times PaperCodecBytes(backend, gg).
 inline CodecRun RunCodec(const std::string& backend,
-                         const GeneratedGraph& gg,
-                         const std::string& option_spec = "") {
+                         const GeneratedGraph& gg) {
   CodecRun run;
-  auto codec = api::CodecRegistry::Create(backend);
-  if (!codec.ok()) {
-    run.error = codec.status().ToString();
-    return run;
-  }
-  auto options = api::CodecOptions::Parse(option_spec);
-  if (!options.ok()) {
-    run.error = options.status().ToString();
-    return run;
-  }
   auto t0 = std::chrono::steady_clock::now();
-  auto rep =
-      codec.value()->Compress(gg.graph, gg.alphabet, options.value());
+  auto bytes = PaperCodecBytes(backend, gg);
   auto t1 = std::chrono::steady_clock::now();
-  if (!rep.ok()) {
-    run.error = rep.status().ToString();
+  if (!bytes.ok()) {
+    run.error = bytes.status().ToString();
     return run;
   }
   run.ok = true;
-  run.bytes = rep.value()->ByteSize();
+  run.bytes = bytes.value();
   run.bpe = BitsPerEdge(run.bytes, gg.graph.num_edges());
   run.seconds = Seconds(t0, t1);
   return run;
@@ -136,11 +158,6 @@ inline double RunLm(const GeneratedGraph& gg) {
 /// \brief HN baseline bpe (unlabeled out-adjacency).
 inline double RunHn(const GeneratedGraph& gg) {
   return RunCodec("hn", gg).bpe;
-}
-
-/// \brief Adjacency-list RePair (Claude & Navarro) bpe.
-inline double RunAdjRePair(const GeneratedGraph& gg) {
-  return RunCodec("repair-adj", gg).bpe;
 }
 
 /// \brief Flat key→value metrics sink for `--json <out>`: CI uploads

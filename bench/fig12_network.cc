@@ -1,11 +1,10 @@
-// Figure 12: network graphs — every registered codec, bpe.
+// Figure 12: network graphs — every paper codec, bpe.
 //
 // Paper shape: gRePair beats the plain k2-tree on all graphs except
 // NotreDame, but generally loses to LM and HN on network graphs
-// (Email-EuAll and CA-GrQc being its exceptions). The codec set comes
-// from the CodecRegistry, so newly registered compressors show up in
-// this table automatically (the paper-era fixed columns included the
-// adjacency-list RePair baseline the paper mentions and omits).
+// (Email-EuAll and CA-GrQc being its exceptions). The codec set is
+// bench_util.h's PaperCodecNames, which includes the adjacency-list
+// RePair baseline the paper mentions and omits.
 
 #include <cstdio>
 #include <map>
@@ -17,7 +16,7 @@ using namespace grepair::bench;
 
 int main() {
   auto codecs = PaperCodecNames();
-  std::printf("Figure 12: network graphs, bpe by registered codec\n");
+  std::printf("Figure 12: network graphs, bpe by paper codec\n");
   std::printf("%-14s", "graph");
   for (const auto& codec : codecs) std::printf(" %10s", codec.c_str());
   std::printf("   %s\n", "gRePair<=k2?");

@@ -1,8 +1,8 @@
 // Micro-benchmarks for the compression pipeline itself: gRePair
 // end-to-end throughput per workload family, encode/decode/derive, and
-// one compression benchmark per registered codec (so every backend's
-// throughput is tracked from the same harness — new codecs show up
-// here without touching this file).
+// one compression benchmark per paper codec (bench_util.h's
+// PaperCodecNames, so every compressor's throughput is tracked from the
+// same harness).
 
 #include <benchmark/benchmark.h>
 
@@ -109,18 +109,17 @@ void BM_DeriveVal(benchmark::State& state) {
 }
 BENCHMARK(BM_DeriveVal)->Unit(benchmark::kMillisecond);
 
-// One compress benchmark per registered codec over a shared web-like
+// One compress benchmark per paper codec over a shared web-like
 // dataset (single label, so the unlabeled baselines participate too).
 void BM_CodecCompress(benchmark::State& state, std::string codec_name) {
   auto gg = BarabasiAlbert(2000, 4, 5);
-  auto codec = api::CodecRegistry::Create(codec_name).ValueOrDie();
   for (auto _ : state) {
-    auto rep = codec->Compress(gg.graph, gg.alphabet);
-    if (!rep.ok()) {
-      state.SkipWithError(rep.status().ToString().c_str());
+    auto bytes = bench::PaperCodecBytes(codec_name, gg);
+    if (!bytes.ok()) {
+      state.SkipWithError(bytes.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(rep.value()->ByteSize());
+    benchmark::DoNotOptimize(bytes.value());
   }
   state.SetItemsProcessed(state.iterations() * gg.graph.num_edges());
 }

@@ -1,6 +1,6 @@
 // Tables I-III: dataset statistics — |V|, |E|, |Sigma| and the number
 // of ~FP equivalence classes — for the stand-ins next to the paper's
-// published numbers, plus the compressed size every registered codec
+// published numbers, plus the compressed size every paper codec
 // achieves on each dataset. |[~FP]| is exact (lexicographic color
 // refinement, node_order.h); the stand-ins are scaled, so compare the
 // *ratio* |[~FP]| / |V| against the paper's, which is what Figure 11
@@ -53,7 +53,7 @@ void PrintTable(const char* title, const std::vector<std::string>& names) {
 int main() {
   std::printf(
       "Tables I-III: dataset statistics (stand-ins vs paper) and\n"
-      "compressed bytes per registered codec\n");
+      "compressed bytes per paper codec\n");
   PrintTable("Table I: network graphs", NetworkGraphNames());
   PrintTable("Table II: RDF graphs", RdfGraphNames());
   PrintTable("Table III: version graphs", VersionGraphNames());

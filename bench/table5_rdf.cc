@@ -3,8 +3,8 @@
 // Paper shape: gRePair always smaller; on the instance-types graphs it
 // is orders of magnitude smaller (the star pattern collapses into a
 // handful of rules), moderate wins elsewhere. Both compressors run
-// through the codec registry; the unlabeled baselines (LM/HN) report
-// not-applicable on these labeled graphs, matching the paper.
+// through the codec registry; the unlabeled baselines (LM/HN) do not
+// apply to these labeled graphs, matching the paper.
 
 #include <cstdio>
 

@@ -18,9 +18,12 @@
 #ifndef GREPAIR_FUZZ_FUZZ_CHECKS_H_
 #define GREPAIR_FUZZ_FUZZ_CHECKS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
+#include "src/api/codec_registry.h"
 #include "src/k2tree/k2tree.h"
 #include "src/net/frame.h"
 #include "src/query/compressed_graph.h"
@@ -302,6 +305,61 @@ inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
   }
   if (!(first.value() == second.value())) {
     return "a re-serialized payload decompresses to a different graph";
+  }
+  return nullptr;
+}
+
+/// \brief k2 payload parse (the "k2" codec's Deserialize, i.e.
+/// K2GraphRepresentation::Deserialize): a failure carries a non-empty
+/// message. A success decompresses to num_nodes() nodes and rank-2
+/// edges whose ids are all below num_nodes(), and OutNeighbors reports
+/// the same edge set: for every node when num_nodes() <= 2^16, else for
+/// every node with an out-edge.
+inline const char* CheckK2PayloadParse(const uint8_t* data, size_t size) {
+  auto codec = api::CodecRegistry::Create("k2");
+  if (!codec.ok()) return "the k2 codec is not registered";
+  auto rep =
+      codec.value()->Deserialize(std::vector<uint8_t>(data, data + size));
+  if (!rep.ok()) {
+    if (rep.status().message().empty()) {
+      return "k2 payload decode failed with an empty status message";
+    }
+    return nullptr;
+  }
+  const api::CompressedRep& k2 = *rep.value();
+  const uint64_t n = k2.num_nodes();
+  auto graph = k2.Decompress();
+  if (!graph.ok()) return "a parsed k2 payload fails to decompress";
+  if (graph.value().num_nodes() != n) {
+    return "a decompressed k2 payload has another node count";
+  }
+  std::map<uint64_t, std::vector<uint64_t>> out;
+  for (const HEdge& e : graph.value().edges()) {
+    if (e.att.size() != 2) return "a decompressed k2 edge is not rank 2";
+    if (e.att[0] >= n || e.att[1] >= n) {
+      return "a decompressed k2 edge names a node id >= num_nodes()";
+    }
+    out[e.att[0]].push_back(e.att[1]);
+  }
+  for (auto& [u, targets] : out) {
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()),
+                  targets.end());
+  }
+  const std::vector<uint64_t> none;
+  auto agrees = [&](uint64_t u) {
+    auto got = k2.OutNeighbors(u);
+    auto it = out.find(u);
+    return got.ok() && got.value() == (it == out.end() ? none : it->second);
+  };
+  if (n <= (1u << 16)) {
+    for (uint64_t u = 0; u < n; ++u) {
+      if (!agrees(u)) return "OutNeighbors disagrees with Decompress";
+    }
+    return nullptr;
+  }
+  for (const auto& entry : out) {
+    if (!agrees(entry.first)) return "OutNeighbors disagrees with Decompress";
   }
   return nullptr;
 }

@@ -2,18 +2,18 @@
 //
 //   gen_corpus <corpus_root>
 //
-// writes fuzz inputs under
-// <corpus_root>/{frame,shard_directory,elias,k2tree,grepair_payload} —
-// the directories checked in at fuzz/corpus and replayed by the ctest
-// fuzz_smoke_* tests. Seeds are golden-path encodings (every GRNF v2
-// verb plus a retired v1 frame, real GRSHARD2 directories,
-// well-formed Elias streams plus the degenerate all-zeros/all-ones
-// edges, k^2-trees from K2Tree::Build plus a forged cell count, real
-// grepair payloads plus a grammar whose val(G) counts wrap uint64_t and
-// a retired v1 payload),
-// so coverage-guided runs
-// start from deep inside the parsers instead of fighting the magic
-// bytes. Rerun after a format change and commit the diff.
+// writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
+// k2tree,grepair_payload,k2_payload} — the directories checked in at
+// fuzz/corpus and replayed by the ctest fuzz_smoke_* tests. Seeds are
+// golden-path encodings (every GRNF v2 verb plus a retired v1 frame,
+// real GRSHARD2 directories, well-formed Elias streams plus the
+// degenerate all-zeros/all-ones edges, k^2-trees from K2Tree::Build
+// plus a forged cell count, real grepair payloads plus a grammar whose
+// val(G) counts wrap uint64_t and a retired v1 payload, real k2
+// payloads plus two whose node or tree dimension counts wrap
+// uint32_t), so coverage-guided runs start from deep inside the parsers
+// instead of fighting the magic bytes. Rerun after a format change and
+// commit the diff.
 
 #include <cstdint>
 #include <cstdio>
@@ -96,18 +96,11 @@ std::vector<uint8_t> TreeSeed(uint32_t rows, uint32_t cols, int k,
   return w.TakeBytes();
 }
 
-// A 4 x 4 k = 2 tree holding (0,1) and (3,2) whose header claims 2^40
-// cells: a count no layout backs, which must fail closed rather than
-// size an allocation.
+// The small 4 x 4 tree whose header claims 2^40 cells: a count no
+// layout backs, which must fail closed rather than size an allocation.
 std::vector<uint8_t> ForgedCountSeed() {
   BitWriter w;
-  EliasDeltaEncode(2, &w);                  // k
-  EliasDeltaEncode(4 + 1, &w);              // rows
-  EliasDeltaEncode(4 + 1, &w);              // cols
-  EliasDeltaEncode((1ull << 40) + 1, &w);   // cells
-  EliasDeltaEncode(4 + 1, &w);              // |T|
-  EliasDeltaEncode(8 + 1, &w);              // |L|
-  for (char bit : std::string("1001" "01000010")) w.PutBit(bit == '1');
+  fuzz::PutSmallK2Tree(4, 1ull << 40, &w);
   return w.TakeBytes();
 }
 
@@ -126,11 +119,13 @@ int main(int argc, char** argv) {
   const auto elias_dir = root / "elias";
   const auto k2tree_dir = root / "k2tree";
   const auto payload_dir = root / "grepair_payload";
+  const auto k2_payload_dir = root / "k2_payload";
   std::filesystem::create_directories(frame_dir);
   std::filesystem::create_directories(dir_dir);
   std::filesystem::create_directories(elias_dir);
   std::filesystem::create_directories(k2tree_dir);
   std::filesystem::create_directories(payload_dir);
+  std::filesystem::create_directories(k2_payload_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -191,6 +186,13 @@ int main(int argc, char** argv) {
   }
   grepair::WriteSeed(payload_dir, "retired_v1.bin",
                      grepair::fuzz::RetiredV1GrepairPayload());
+
+  auto k2_payloads = grepair::fuzz::GoldenK2PayloadSeeds();
+  for (size_t i = 0; i < k2_payloads.size(); ++i) {
+    char name[40];
+    std::snprintf(name, sizeof(name), "k2_payload_%02zu.bin", i);
+    grepair::WriteSeed(k2_payload_dir, name, k2_payloads[i]);
+  }
 
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

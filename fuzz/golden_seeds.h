@@ -14,10 +14,13 @@
 #include <vector>
 
 #include "src/api/grepair_api.h"
+#include "src/baselines/k2_compressor.h"
 #include "src/net/frame.h"
 #include "src/serve/stats.h"
 #include "src/shard/sharded_codec.h"
+#include "src/util/bit_stream.h"
 #include "src/util/byte_io.h"
+#include "src/util/elias.h"
 #include "src/util/hashing.h"
 #include "src/util/status.h"
 
@@ -185,6 +188,51 @@ inline std::vector<std::vector<uint8_t>> GoldenGrepairPayloadSeeds() {
   add(DisjointCopies(CycleWithDiagonal(), 8, "copies8"), false);
   seeds.push_back(GrammarPayload(DoublingGrammar(65)));
   return seeds;
+}
+
+/// \brief Writes the 4 x 4 k = 2 k^2-tree holding (0,1) and (3,2)
+/// under a header that claims `dim` rows and columns and `cells`
+/// cells; honest at dim 4 and cells 2.
+inline void PutSmallK2Tree(uint64_t dim, uint64_t cells, BitWriter* w) {
+  EliasDeltaEncode(2, w);          // k
+  EliasDeltaEncode(dim + 1, w);    // rows
+  EliasDeltaEncode(dim + 1, w);    // cols
+  EliasDeltaEncode(cells + 1, w);  // cells
+  EliasDeltaEncode(4 + 1, w);      // |T|
+  EliasDeltaEncode(8 + 1, w);      // |L|
+  for (char bit : std::string("1001" "01000010")) w->PutBit(bit == '1');
+}
+
+/// \brief A k2 codec payload (K2GraphRepresentation::Serialize's
+/// layout: node count, label count, then per label a presence bit and
+/// a k^2-tree) of one label whose tree is PutSmallK2Tree(dim, 2), under
+/// a header claiming `nodes` nodes. Honest at nodes = dim = 4; a count
+/// above 2^32 - 1 must fail closed instead of wrapping to 4.
+inline std::vector<uint8_t> SmallK2Payload(uint64_t nodes, uint64_t dim) {
+  BitWriter w;
+  EliasDeltaEncode(nodes + 1, &w);
+  EliasDeltaEncode(1 + 1, &w);
+  w.PutBit(true);
+  PutSmallK2Tree(dim, 2, &w);
+  return w.TakeBytes();
+}
+
+/// \brief Seeds for the k2 payload parser: real payloads (unlabeled,
+/// labeled, k = 3, edgeless), the honest small payload, and the two
+/// headers whose counts wrap uint32_t to the small tree's 4.
+inline std::vector<std::vector<uint8_t>> GoldenK2PayloadSeeds() {
+  auto payload = [](const GeneratedGraph& gg, int k) {
+    return K2GraphRepresentation::Build(gg.graph, gg.alphabet, k)
+        .Serialize();
+  };
+  const uint64_t wrapped = (1ull << 32) + 4;
+  return {payload(ErdosRenyi(60, 150, 94), 2),
+          payload(RdfTypes(60, 4, 95), 2),
+          payload(BarabasiAlbert(50, 3, 96), 3),
+          payload(ErdosRenyi(12, 0, 93), 2),
+          SmallK2Payload(4, 4),
+          SmallK2Payload(wrapped, 4),
+          SmallK2Payload(4, wrapped)};
 }
 
 }  // namespace fuzz

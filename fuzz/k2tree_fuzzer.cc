@@ -1,5 +1,5 @@
 // libFuzzer target for the k^2-tree parser behind every grepair start
-// graph and the k2/HN baselines: K2Tree::Deserialize (ranked, for point
+// graph and every k2 payload: K2Tree::Deserialize (ranked, for point
 // queries) and K2Tree::DecodeCells (enumerate-only) must accept the
 // same inputs, and a parsed tree's cell listing must be sorted, unique,
 // in bounds, num_cells long and consistent with Contains (see

@@ -1,22 +1,14 @@
-// Built-in GraphCodec adapters: gRePair and every baseline the paper
-// compares against, each wrapped behind the polymorphic API so the
-// CLI, benches and tests can treat them uniformly.
+// Built-in GraphCodec adapters: the two file backends, each wrapped
+// behind the polymorphic API so the CLI, benches and tests can treat
+// them uniformly. Both answer neighbor queries on their own bytes.
 //
 //   grepair     SL-HR grammar compression with neighborhood and
 //               reachability queries (the paper's contribution)
 //   k2          per-label k^2-trees (Brisaboa, Ladra & Navarro)
-//   hn          dense-substructure virtual nodes + k^2 (Hernandez &
-//               Navarro); unlabeled graphs only
-//   lm          list merging + Deflate (Grabowski & Bieniecki);
-//               unlabeled graphs only
-//   repair-adj  adjacency-list string RePair (Claude & Navarro);
-//               unlabeled graphs only
-//   deflate     Elias-delta edge stream + zlib, the "just gzip it"
-//               strawman (supports labels and hyperedges)
 //
-// The unlabeled baselines reject multi-label alphabets up front
-// instead of silently dropping labels — the paper likewise only runs
-// them on unlabeled graphs.
+// The paper's size-only baselines (HN, LM, adjacency-list RePair) are
+// not codecs: no file or socket reaches them. bench/bench_util.h runs
+// their encoders directly for the size tables.
 
 #include <algorithm>
 #include <atomic>
@@ -26,16 +18,11 @@
 
 #include "src/api/codec_registry.h"
 #include "src/api/graph_codec.h"
-#include "src/baselines/deflate.h"
-#include "src/baselines/hn.h"
 #include "src/baselines/k2_compressor.h"
-#include "src/baselines/lm.h"
-#include "src/baselines/string_repair.h"
 #include "src/graph/node_order.h"
 #include "src/query/compressed_graph.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/byte_io.h"
-#include "src/util/elias.h"
 
 namespace grepair {
 namespace api {
@@ -47,15 +34,6 @@ Status RequireRank2(const Hypergraph& graph, const char* codec) {
       return Status::InvalidArgument(
           std::string(codec) + " requires a simple graph (rank-2 edges)");
     }
-  }
-  return Status::OK();
-}
-
-Status RequireUnlabeled(const Alphabet& alphabet, const char* codec) {
-  if (alphabet.size() > 1) {
-    return Status::InvalidArgument(
-        std::string(codec) +
-        " is an unlabeled baseline (alphabet must have at most 1 label)");
   }
   return Status::OK();
 }
@@ -300,283 +278,6 @@ class K2Codec : public GraphCodec {
   }
 };
 
-// ---------------------------------------------------------------------------
-// hn
-
-class HnRep : public CompressedRep {
- public:
-  explicit HnRep(HnCompressed c) : compressed_(std::move(c)) {}
-
-  std::vector<uint8_t> Serialize() const override {
-    return HnSerialize(compressed_);
-  }
-  size_t ByteSize() const override { return compressed_.SizeBytes(); }
-  Result<Hypergraph> Decompress() const override {
-    return HnDecompress(compressed_);
-  }
-  uint64_t num_nodes() const override { return compressed_.original_nodes; }
-
- private:
-  HnCompressed compressed_;
-};
-
-class HnCodec : public GraphCodec {
- public:
-  const char* name() const override { return "hn"; }
-  uint32_t capabilities() const override { return 0; }
-
-  Result<std::unique_ptr<CompressedRep>> Compress(
-      const Hypergraph& graph, const Alphabet& alphabet,
-      const CodecOptions& options) const override {
-    GREPAIR_RETURN_IF_ERROR(options.ExpectKeys(
-        {"iterations", "min-rows", "min-saving", "k", "seed"}));
-    HnOptions opts;
-    auto iterations =
-        GetIntInRange(options, "iterations", opts.iterations, 1, 1000000);
-    if (!iterations.ok()) return iterations.status();
-    opts.iterations = static_cast<int>(iterations.value());
-    auto min_rows =
-        GetIntInRange(options, "min-rows", opts.min_rows, 1, 0xFFFFFFFFll);
-    if (!min_rows.ok()) return min_rows.status();
-    opts.min_rows = static_cast<uint32_t>(min_rows.value());
-    auto min_saving = options.GetInt("min-saving", opts.min_saving);
-    if (!min_saving.ok()) return min_saving.status();
-    opts.min_saving = min_saving.value();
-    auto k = GetIntInRange(options, "k", opts.k, 2, 16);
-    if (!k.ok()) return k.status();
-    opts.k = static_cast<int>(k.value());
-    auto seed = GetIntInRange(options, "seed",
-                              static_cast<int64_t>(opts.seed), 0,
-                              INT64_MAX);
-    if (!seed.ok()) return seed.status();
-    opts.seed = static_cast<uint64_t>(seed.value());
-
-    GREPAIR_RETURN_IF_ERROR(graph.Validate(alphabet));
-    GREPAIR_RETURN_IF_ERROR(RequireUnlabeled(alphabet, name()));
-    GREPAIR_RETURN_IF_ERROR(RequireRank2(graph, name()));
-    return std::unique_ptr<CompressedRep>(
-        new HnRep(HnCompress(graph, opts)));
-  }
-
-  Result<std::unique_ptr<CompressedRep>> Deserialize(
-      const std::vector<uint8_t>& bytes) const override {
-    auto c = HnDeserialize(bytes);
-    if (!c.ok()) return c.status();
-    return std::unique_ptr<CompressedRep>(
-        new HnRep(std::move(c).ValueOrDie()));
-  }
-};
-
-// ---------------------------------------------------------------------------
-// lm
-
-class LmRep : public CompressedRep {
- public:
-  explicit LmRep(LmCompressed c) : compressed_(std::move(c)) {}
-
-  std::vector<uint8_t> Serialize() const override {
-    return LmSerialize(compressed_);
-  }
-  size_t ByteSize() const override { return compressed_.SizeBytes(); }
-  Result<Hypergraph> Decompress() const override {
-    return LmDecompress(compressed_);
-  }
-  uint64_t num_nodes() const override { return compressed_.num_nodes; }
-
- private:
-  LmCompressed compressed_;
-};
-
-class LmCodec : public GraphCodec {
- public:
-  const char* name() const override { return "lm"; }
-  uint32_t capabilities() const override { return 0; }
-
-  Result<std::unique_ptr<CompressedRep>> Compress(
-      const Hypergraph& graph, const Alphabet& alphabet,
-      const CodecOptions& options) const override {
-    GREPAIR_RETURN_IF_ERROR(options.ExpectKeys({"chunk-size"}));
-    auto chunk = GetIntInRange(options, "chunk-size", 64, 1, 64);
-    if (!chunk.ok()) return chunk.status();
-    GREPAIR_RETURN_IF_ERROR(graph.Validate(alphabet));
-    GREPAIR_RETURN_IF_ERROR(RequireUnlabeled(alphabet, name()));
-    GREPAIR_RETURN_IF_ERROR(RequireRank2(graph, name()));
-    return std::unique_ptr<CompressedRep>(new LmRep(
-        LmCompress(graph, static_cast<uint32_t>(chunk.value()))));
-  }
-
-  Result<std::unique_ptr<CompressedRep>> Deserialize(
-      const std::vector<uint8_t>& bytes) const override {
-    auto c = LmDeserialize(bytes);
-    if (!c.ok()) return c.status();
-    return std::unique_ptr<CompressedRep>(
-        new LmRep(std::move(c).ValueOrDie()));
-  }
-};
-
-// ---------------------------------------------------------------------------
-// repair-adj
-
-class AdjRePairRep : public CompressedRep {
- public:
-  explicit AdjRePairRep(AdjRePairCompressed c) : compressed_(std::move(c)) {}
-
-  std::vector<uint8_t> Serialize() const override {
-    if (!serialized_) serialized_ = AdjRePairSerialize(compressed_);
-    return *serialized_;
-  }
-  size_t ByteSize() const override { return Serialize().size(); }
-  Result<Hypergraph> Decompress() const override {
-    return AdjListRePairDecompress(compressed_);
-  }
-  uint64_t num_nodes() const override { return compressed_.num_nodes; }
-
- private:
-  AdjRePairCompressed compressed_;
-  mutable std::optional<std::vector<uint8_t>> serialized_;
-};
-
-class AdjRePairCodec : public GraphCodec {
- public:
-  const char* name() const override { return "repair-adj"; }
-  uint32_t capabilities() const override { return 0; }
-
-  Result<std::unique_ptr<CompressedRep>> Compress(
-      const Hypergraph& graph, const Alphabet& alphabet,
-      const CodecOptions& options) const override {
-    GREPAIR_RETURN_IF_ERROR(options.ExpectKeys({}));
-    GREPAIR_RETURN_IF_ERROR(graph.Validate(alphabet));
-    GREPAIR_RETURN_IF_ERROR(RequireUnlabeled(alphabet, name()));
-    GREPAIR_RETURN_IF_ERROR(RequireRank2(graph, name()));
-    return std::unique_ptr<CompressedRep>(
-        new AdjRePairRep(AdjListRePairCompress(graph)));
-  }
-
-  Result<std::unique_ptr<CompressedRep>> Deserialize(
-      const std::vector<uint8_t>& bytes) const override {
-    auto c = AdjRePairDeserialize(bytes);
-    if (!c.ok()) return c.status();
-    return std::unique_ptr<CompressedRep>(
-        new AdjRePairRep(std::move(c).ValueOrDie()));
-  }
-};
-
-// ---------------------------------------------------------------------------
-// deflate
-
-// Raw Elias-delta edge stream passed through zlib: num_nodes, label
-// ranks, then per edge its label and attachments. Exact and fully
-// general (labels, hyperedges) — the baseline every smarter codec has
-// to beat.
-class DeflateRep : public CompressedRep {
- public:
-  DeflateRep(uint32_t num_nodes, size_t raw_size,
-             std::vector<uint8_t> deflated)
-      : num_nodes_(num_nodes),
-        raw_size_(raw_size),
-        deflated_(std::move(deflated)) {}
-
-  std::vector<uint8_t> Serialize() const override {
-    std::vector<uint8_t> out;
-    PutU32LE(num_nodes_, &out);
-    PutU64LE(raw_size_, &out);
-    out.insert(out.end(), deflated_.begin(), deflated_.end());
-    return out;
-  }
-  size_t ByteSize() const override { return deflated_.size() + 12; }
-  uint64_t num_nodes() const override { return num_nodes_; }
-
-  Result<Hypergraph> Decompress() const override {
-    auto raw = InflateBytes(deflated_, raw_size_);
-    if (!raw.ok()) return raw.status();
-    BitReader r(raw.value());
-    uint64_t num_nodes = 0, num_labels = 0, num_edges = 0;
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_nodes));
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_labels));
-    if (num_nodes == 0 || num_labels == 0 ||
-        num_nodes - 1 > 0xFFFFFFFFull) {
-      return Status::Corruption("bad deflate-codec header");
-    }
-    std::vector<uint64_t> ranks;
-    for (uint64_t l = 0; l + 1 < num_labels; ++l) {
-      uint64_t rank = 0;
-      GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &rank));
-      if (rank == 0 || rank > 255) {  // Alphabet ranks are uint8
-        return Status::Corruption("label rank out of range");
-      }
-      ranks.push_back(rank);
-    }
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_edges));
-    if (num_edges == 0) return Status::Corruption("bad edge count");
-    Hypergraph g(static_cast<uint32_t>(num_nodes - 1));
-    for (uint64_t e = 0; e + 1 < num_edges; ++e) {
-      uint64_t label = 0;
-      GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &label));
-      if (label == 0 || label >= num_labels) {
-        return Status::Corruption("edge label out of range");
-      }
-      Attachments att;
-      for (uint64_t i = 0; i < ranks[label - 1]; ++i) {
-        uint64_t v = 0;
-        GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &v));
-        if (v == 0 || v > num_nodes - 1) {
-          return Status::Corruption("attachment out of range");
-        }
-        att.push_back(static_cast<NodeId>(v - 1));
-      }
-      g.AddEdge(static_cast<Label>(label - 1), std::move(att));
-    }
-    return g;
-  }
-
- private:
-  uint32_t num_nodes_ = 0;
-  size_t raw_size_ = 0;
-  std::vector<uint8_t> deflated_;
-};
-
-class DeflateCodec : public GraphCodec {
- public:
-  const char* name() const override { return "deflate"; }
-  uint32_t capabilities() const override {
-    return kSupportsLabels | kSupportsHyperedges;
-  }
-
-  Result<std::unique_ptr<CompressedRep>> Compress(
-      const Hypergraph& graph, const Alphabet& alphabet,
-      const CodecOptions& options) const override {
-    GREPAIR_RETURN_IF_ERROR(options.ExpectKeys({}));
-    GREPAIR_RETURN_IF_ERROR(graph.Validate(alphabet));
-    BitWriter w;
-    EliasDeltaEncode(graph.num_nodes() + 1, &w);
-    EliasDeltaEncode(alphabet.size() + 1, &w);
-    for (Label l = 0; l < alphabet.size(); ++l) {
-      EliasDeltaEncode(static_cast<uint64_t>(alphabet.rank(l)), &w);
-    }
-    EliasDeltaEncode(graph.num_edges() + 1, &w);
-    for (const auto& e : graph.edges()) {
-      EliasDeltaEncode(e.label + 1, &w);
-      for (NodeId v : e.att) EliasDeltaEncode(v + 1, &w);
-    }
-    auto raw = w.TakeBytes();
-    auto deflated = DeflateBytes(raw);
-    return std::unique_ptr<CompressedRep>(
-        new DeflateRep(graph.num_nodes(), raw.size(), std::move(deflated)));
-  }
-
-  Result<std::unique_ptr<CompressedRep>> Deserialize(
-      const std::vector<uint8_t>& bytes) const override {
-    size_t pos = 0;
-    uint32_t num_nodes = 0;
-    uint64_t raw_size = 0;
-    GREPAIR_RETURN_IF_ERROR(GetU32LE(bytes, &pos, &num_nodes));
-    GREPAIR_RETURN_IF_ERROR(GetU64LE(bytes, &pos, &raw_size));
-    return std::unique_ptr<CompressedRep>(new DeflateRep(
-        num_nodes, raw_size,
-        std::vector<uint8_t>(bytes.begin() + pos, bytes.end())));
-  }
-};
-
 }  // namespace
 
 namespace internal {
@@ -588,18 +289,6 @@ void RegisterBuiltinCodecs() {
   CodecRegistry::Register("k2", [] {
     return std::unique_ptr<GraphCodec>(new K2Codec());
   });
-  CodecRegistry::Register("hn", [] {
-    return std::unique_ptr<GraphCodec>(new HnCodec());
-  });
-  CodecRegistry::Register("lm", [] {
-    return std::unique_ptr<GraphCodec>(new LmCodec());
-  });
-  CodecRegistry::Register("repair-adj", [] {
-    return std::unique_ptr<GraphCodec>(new AdjRePairCodec());
-  });
-  CodecRegistry::Register("deflate", [] {
-    return std::unique_ptr<GraphCodec>(new DeflateCodec());
-  });
   // Sharded meta-variants of every builtin, so Names() (and with it
   // `bench --backend all` and the parameterized round-trip tests)
   // covers them. Factories are function pointers, hence one literal
@@ -609,19 +298,6 @@ void RegisterBuiltinCodecs() {
   });
   CodecRegistry::Register("sharded:k2", [] {
     return std::unique_ptr<GraphCodec>(new shard::ShardedCodec("k2"));
-  });
-  CodecRegistry::Register("sharded:hn", [] {
-    return std::unique_ptr<GraphCodec>(new shard::ShardedCodec("hn"));
-  });
-  CodecRegistry::Register("sharded:lm", [] {
-    return std::unique_ptr<GraphCodec>(new shard::ShardedCodec("lm"));
-  });
-  CodecRegistry::Register("sharded:repair-adj", [] {
-    return std::unique_ptr<GraphCodec>(
-        new shard::ShardedCodec("repair-adj"));
-  });
-  CodecRegistry::Register("sharded:deflate", [] {
-    return std::unique_ptr<GraphCodec>(new shard::ShardedCodec("deflate"));
   });
 }
 

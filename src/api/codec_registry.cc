@@ -41,10 +41,9 @@ void EnsureBuiltins() {
 
 }  // namespace
 
-bool CodecRegistry::Register(const std::string& name, Factory factory) {
+void CodecRegistry::Register(const std::string& name, Factory factory) {
   MutexLock lock(RegistryMutex());
   FactoryMap()[name] = factory;
-  return true;
 }
 
 Result<std::unique_ptr<GraphCodec>> CodecRegistry::Create(

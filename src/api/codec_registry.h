@@ -1,11 +1,12 @@
 // CodecRegistry: name -> GraphCodec factory.
 //
-// All built-in codecs ("grepair", "k2", "hn", "lm", "repair-adj",
-// "deflate") are registered on first use; additional codecs register
-// themselves from any translation unit with GREPAIR_REGISTER_CODEC.
-// The registry is what lets the CLI's --backend flag, the bench
-// tables, and the parameterized round-trip tests enumerate every
-// compressor without naming any of them.
+// The built-in codecs are the two file backends, "grepair" and "k2",
+// plus their "sharded:<inner>" variants, all registered on first use.
+// The registry is what lets the CLI's --backend flag, the file
+// openers and the parameterized round-trip tests enumerate every
+// backend without naming any of them. The paper's size-only baselines
+// (HN, LM, adjacency-list RePair) are not registered; bench/ runs
+// their encoders directly.
 
 #ifndef GREPAIR_API_CODEC_REGISTRY_H_
 #define GREPAIR_API_CODEC_REGISTRY_H_
@@ -25,9 +26,8 @@ class CodecRegistry {
   using Factory = std::unique_ptr<GraphCodec> (*)();
 
   /// \brief Registers `factory` under `name`; later registrations of
-  /// the same name win (lets tests shadow a builtin). Returns true so
-  /// it can initialize a static (see GREPAIR_REGISTER_CODEC).
-  static bool Register(const std::string& name, Factory factory);
+  /// the same name win (lets tests shadow a builtin).
+  static void Register(const std::string& name, Factory factory);
 
   /// \brief Instantiates the codec registered under `name`;
   /// kNotFound (listing the known names) when there is none.
@@ -40,15 +40,6 @@ class CodecRegistry {
   /// base compressors themselves.
   static std::vector<std::string> BaseNames();
 };
-
-/// \brief Registers `CodecClass` (default-constructible GraphCodec
-/// subclass) under `name` at static-initialization time.
-#define GREPAIR_REGISTER_CODEC(name, CodecClass)                         \
-  static const bool grepair_codec_registrar_##CodecClass =               \
-      ::grepair::api::CodecRegistry::Register(                           \
-          name, []() -> std::unique_ptr<::grepair::api::GraphCodec> {    \
-            return std::make_unique<CodecClass>();                       \
-          })
 
 }  // namespace api
 }  // namespace grepair

@@ -1,13 +1,13 @@
 // GraphCodec: the one polymorphic compress/query/serialize interface
-// every compressor in this repo sits behind.
+// the file backends (gRePair and the k^2-tree) sit behind.
 //
-// The paper's comparison — gRePair vs the k^2-tree family vs LM/HN vs
-// string RePair vs Deflate — is a comparison of *codecs*: each takes a
-// hypergraph, produces a compressed representation with a byte size,
-// and (for some) answers neighborhood/reachability queries without
-// decompression. This header abstracts exactly that contract so bench
-// tables, examples and the CLI iterate one registry instead of
-// hand-rolling per-baseline glue:
+// A codec takes a hypergraph, produces a compressed representation
+// with a byte size, and answers neighborhood (and, for some,
+// reachability) queries without decompression. This header abstracts
+// exactly that contract so the CLI, the file openers, benches and
+// examples iterate one registry instead of hand-rolling per-codec
+// glue. The paper's size-only baselines (LM, HN, adjacency-list
+// RePair) are not codecs; bench/bench_util.h runs them directly:
 //
 //   auto codec = CodecRegistry::Create("k2").ValueOrDie();
 //   auto rep = codec->Compress(graph, alphabet, options).ValueOrDie();

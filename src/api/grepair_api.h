@@ -2,7 +2,7 @@
 //
 // Downstream users include this one header and get:
 //   * the polymorphic codec API (GraphCodec, CompressedRep,
-//     CodecOptions, CodecRegistry) over gRePair and every baseline,
+//     CodecOptions, CodecRegistry) over gRePair and the k^2-tree,
 //   * the sharded parallel-compression layer (PartitionGraph,
 //     ParallelCompressor, the "sharded:<inner>" meta-codecs) and the
 //     tagged container framing,

@@ -6,7 +6,6 @@
 
 #include "src/graph/graph_algos.h"
 #include "src/k2tree/k2tree.h"
-#include "src/util/byte_io.h"
 #include "src/util/elias.h"
 #include "src/util/hashing.h"
 
@@ -187,33 +186,6 @@ Result<Hypergraph> HnDecompress(const HnCompressed& compressed) {
     for (uint32_t t : targets) g.AddSimpleEdge(u, t, 0);
   }
   return g;
-}
-
-std::vector<uint8_t> HnSerialize(const HnCompressed& compressed) {
-  std::vector<uint8_t> out;
-  PutU32LE(compressed.original_nodes, &out);
-  PutU32LE(compressed.total_nodes, &out);
-  PutU32LE(compressed.patterns, &out);
-  PutU64LE(compressed.residual_edges, &out);
-  PutU64LE(compressed.bytes.size(), &out);
-  out.insert(out.end(), compressed.bytes.begin(), compressed.bytes.end());
-  return out;
-}
-
-Result<HnCompressed> HnDeserialize(const std::vector<uint8_t>& bytes) {
-  HnCompressed c;
-  size_t pos = 0;
-  uint64_t payload = 0;
-  GREPAIR_RETURN_IF_ERROR(GetU32LE(bytes, &pos, &c.original_nodes));
-  GREPAIR_RETURN_IF_ERROR(GetU32LE(bytes, &pos, &c.total_nodes));
-  GREPAIR_RETURN_IF_ERROR(GetU32LE(bytes, &pos, &c.patterns));
-  GREPAIR_RETURN_IF_ERROR(GetU64LE(bytes, &pos, &c.residual_edges));
-  GREPAIR_RETURN_IF_ERROR(GetU64LE(bytes, &pos, &payload));
-  if (pos + payload != bytes.size()) {
-    return Status::Corruption("HN payload length mismatch");
-  }
-  c.bytes.assign(bytes.begin() + pos, bytes.end());
-  return c;
 }
 
 }  // namespace grepair

@@ -49,12 +49,6 @@ HnCompressed HnCompress(const Hypergraph& g, const HnOptions& options = {});
 /// \brief Expands virtual nodes back to the original edge set.
 Result<Hypergraph> HnDecompress(const HnCompressed& compressed);
 
-/// \brief Self-contained byte serialization (header + k^2 payload);
-/// inverse of HnDeserialize. Used by the "hn" GraphCodec adapter.
-std::vector<uint8_t> HnSerialize(const HnCompressed& compressed);
-
-Result<HnCompressed> HnDeserialize(const std::vector<uint8_t>& bytes);
-
 }  // namespace grepair
 
 #endif  // GREPAIR_BASELINES_HN_H_

@@ -45,6 +45,9 @@ Result<K2GraphRepresentation> K2GraphRepresentation::Deserialize(
   if (num_nodes == 0 || num_labels == 0) {
     return Status::Corruption("bad header");
   }
+  if (num_nodes - 1 > 0xFFFFFFFFull) {
+    return Status::Corruption("k2 node count out of range");
+  }
   K2GraphRepresentation rep;
   rep.num_nodes_ = static_cast<uint32_t>(num_nodes - 1);
   for (uint64_t l = 0; l + 1 < num_labels; ++l) {

@@ -5,7 +5,6 @@
 
 #include "src/baselines/deflate.h"
 #include "src/util/bit_stream.h"
-#include "src/util/byte_io.h"
 #include "src/util/elias.h"
 
 namespace grepair {
@@ -113,33 +112,6 @@ Result<Hypergraph> LmDecompress(const LmCompressed& compressed) {
     }
   }
   return g;
-}
-
-std::vector<uint8_t> LmSerialize(const LmCompressed& compressed) {
-  std::vector<uint8_t> out;
-  PutU32LE(compressed.num_nodes, &out);
-  PutU32LE(compressed.chunk_size, &out);
-  PutU64LE(compressed.num_edges, &out);
-  PutU64LE(compressed.raw_stream_size, &out);
-  out.insert(out.end(), compressed.deflated.begin(),
-             compressed.deflated.end());
-  return out;
-}
-
-Result<LmCompressed> LmDeserialize(const std::vector<uint8_t>& bytes) {
-  LmCompressed c;
-  size_t pos = 0;
-  uint64_t raw_size = 0;
-  GREPAIR_RETURN_IF_ERROR(GetU32LE(bytes, &pos, &c.num_nodes));
-  GREPAIR_RETURN_IF_ERROR(GetU32LE(bytes, &pos, &c.chunk_size));
-  GREPAIR_RETURN_IF_ERROR(GetU64LE(bytes, &pos, &c.num_edges));
-  GREPAIR_RETURN_IF_ERROR(GetU64LE(bytes, &pos, &raw_size));
-  if (c.chunk_size < 1 || c.chunk_size > 64) {
-    return Status::Corruption("LM chunk size out of range");
-  }
-  c.raw_stream_size = raw_size;
-  c.deflated.assign(bytes.begin() + pos, bytes.end());
-  return c;
 }
 
 }  // namespace grepair

@@ -45,12 +45,6 @@ LmCompressed LmCompress(const Hypergraph& g, uint32_t chunk_size = 64);
 /// node-major sorted order).
 Result<Hypergraph> LmDecompress(const LmCompressed& compressed);
 
-/// \brief Self-contained byte serialization (header + Deflate payload);
-/// inverse of LmDeserialize. Used by the "lm" GraphCodec adapter.
-std::vector<uint8_t> LmSerialize(const LmCompressed& compressed);
-
-Result<LmCompressed> LmDeserialize(const std::vector<uint8_t>& bytes);
-
 }  // namespace grepair
 
 #endif  // GREPAIR_BASELINES_LM_H_

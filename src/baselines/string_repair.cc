@@ -222,47 +222,6 @@ std::vector<uint8_t> AdjRePairSerialize(const AdjRePairCompressed& c) {
   return w.TakeBytes();
 }
 
-Result<AdjRePairCompressed> AdjRePairDeserialize(
-    const std::vector<uint8_t>& bytes) {
-  BitReader r(bytes);
-  AdjRePairCompressed c;
-  uint64_t num_nodes = 0, alphabet_size = 0, num_rules = 0, seq_len = 0;
-  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_nodes));
-  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &alphabet_size));
-  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_rules));
-  if (num_nodes == 0 || alphabet_size == 0 || num_rules == 0) {
-    return Status::Corruption("bad RePair header");
-  }
-  c.num_nodes = static_cast<uint32_t>(num_nodes - 1);
-  c.repair.alphabet_size = static_cast<uint32_t>(alphabet_size - 1);
-  // RePair invariant: rule i references only terminals and earlier
-  // rules; enforcing it here keeps StringRePairExpand in-bounds and
-  // terminating on untrusted input.
-  for (uint64_t i = 0; i + 1 < num_rules; ++i) {
-    uint64_t a = 0, b = 0;
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &a));
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &b));
-    uint64_t limit = alphabet_size - 1 + i;
-    if (a == 0 || b == 0 || a - 1 >= limit || b - 1 >= limit) {
-      return Status::Corruption("RePair rule symbol out of range");
-    }
-    c.repair.rules.push_back({static_cast<uint32_t>(a - 1),
-                              static_cast<uint32_t>(b - 1)});
-  }
-  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &seq_len));
-  if (seq_len == 0) return Status::Corruption("bad RePair sequence");
-  uint64_t symbol_limit = alphabet_size - 1 + c.repair.rules.size();
-  for (uint64_t i = 0; i + 1 < seq_len; ++i) {
-    uint64_t s = 0;
-    GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &s));
-    if (s == 0 || s - 1 >= symbol_limit) {
-      return Status::Corruption("RePair sequence symbol out of range");
-    }
-    c.repair.sequence.push_back(static_cast<uint32_t>(s - 1));
-  }
-  return c;
-}
-
 size_t AdjListRePairSizeBytes(const Hypergraph& g) {
   return AdjRePairSerialize(AdjListRePairCompress(g)).size();
 }

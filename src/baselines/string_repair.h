@@ -54,12 +54,9 @@ AdjRePairCompressed AdjListRePairCompress(const Hypergraph& g);
 Result<Hypergraph> AdjListRePairDecompress(
     const AdjRePairCompressed& compressed);
 
-/// \brief Delta-coded byte serialization; inverse of
-/// AdjRePairDeserialize. Used by the "repair-adj" GraphCodec adapter.
+/// \brief Delta-coded byte serialization, whose length is the size
+/// the bench tables report.
 std::vector<uint8_t> AdjRePairSerialize(const AdjRePairCompressed& c);
-
-Result<AdjRePairCompressed> AdjRePairDeserialize(
-    const std::vector<uint8_t>& bytes);
 
 /// \brief One-shot: serialized size in bytes of the adjacency-list
 /// RePair baseline (thin wrapper over AdjListRePairCompress).

@@ -418,6 +418,9 @@ Result<K2Tree> K2Tree::ReadUnranked(BitReader* reader) {
       t_bits == 0 || l_bits == 0) {
     return Status::Corruption("bad k2-tree header");
   }
+  if (rows - 1 > 0xFFFFFFFFull || cols - 1 > 0xFFFFFFFFull) {
+    return Status::Corruption("k2-tree dimensions out of range");
+  }
   K2Tree tree;
   tree.k_ = static_cast<int>(k);
   tree.num_rows_ = static_cast<uint32_t>(rows - 1);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <utility>
 
+#include "src/api/codec_registry.h"
 #include "src/api/container.h"
 #include "src/net/frame.h"
 
@@ -96,6 +97,10 @@ Status CorpusRegistry::Add(const std::string& name,
   auto parsed = shard::ParseContainer(payload);
   if (!parsed.ok()) return parsed.status();
   shard::ParsedContainer& container = parsed.value();
+  // So is one whose shards no client can decode: the inner codec must
+  // resolve here as it would in the client's ShardedRep::Build.
+  auto inner = api::CodecRegistry::Create(container.dir.inner_name);
+  if (!inner.ok()) return inner.status();
   // Everything this server will ever put in a frame must fit the
   // frame bound — refuse oversized containers here with a clear error
   // instead of letting clients misdiagnose a too-long response frame

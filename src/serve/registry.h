@@ -75,8 +75,9 @@ class CorpusRegistry {
   /// tagged file or a bare GRSHARD2 container) under `name`.
   /// kInvalidArgument for bad names, duplicate names, old single-codec
   /// files (any other tag), and containers whose directory or shards
-  /// exceed the frame bound; kCorruption for anything else that is not
-  /// an intact GRSHARD2 container.
+  /// exceed the frame bound; kNotFound when the directory names an
+  /// inner codec this build does not register; kCorruption for anything
+  /// else that is not an intact GRSHARD2 container.
   Status AddFile(const std::string& name, const std::string& path);
 
   /// \brief Registers caller-owned container bytes under `name`. The

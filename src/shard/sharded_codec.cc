@@ -107,7 +107,6 @@ ShardedRep::ShardedRep(std::unique_ptr<api::GraphCodec> inner_codec,
                        std::shared_ptr<ShardSource> source,
                        ParsedDirectory dir, const std::vector<ByteSpan>& views)
     : inner_name_(std::move(dir.inner_name)),
-      inner_capabilities_(inner_codec->capabilities()),
       num_nodes_(dir.num_nodes),
       store_(std::move(inner_codec), std::move(source),
              EntriesOf(&dir, views)),
@@ -222,21 +221,12 @@ Result<Hypergraph> ShardedRep::Decompress() const {
 // ---------------------------------------------------------------------------
 // Routing
 
-Status ShardedRep::CheckNeighborQueries() const {
-  if (inner_capabilities_ & api::kNeighborQueries) return Status::OK();
-  return Status::Unimplemented(
-      "inner codec '" + inner_name_ +
-      "' does not answer neighbor queries (sharded neighbor and "
-      "reachability queries route to them)");
-}
-
 // Shared routing for Out/InNeighbors: per owning shard either the
 // decoded-neighborhood cache (promoting hot shards after repeated
 // misses) or a grammar-direct lookup in the inner rep — faulted in on
 // first touch — then merge and apply the overlay.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
-  GREPAIR_RETURN_IF_ERROR(CheckNeighborQueries());
   GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(node, num_nodes()));
   // Reader protocol (mutable_corpus.h): overlay before shard state.
   std::shared_ptr<const DeltaOverlay> overlay = corpus_.ReaderSnapshot();
@@ -299,13 +289,11 @@ Result<bool> ShardedRep::ReachableImpl(uint64_t from, uint64_t to) const {
 
 Result<bool> ShardedRep::Reachable(uint64_t from, uint64_t to) const {
   stat_singles_.fetch_add(1, std::memory_order_relaxed);
-  GREPAIR_RETURN_IF_ERROR(CheckNeighborQueries());
   return ReachableImpl(from, to);
 }
 
 Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
     const std::vector<uint64_t>& nodes) const {
-  GREPAIR_RETURN_IF_ERROR(CheckNeighborQueries());
   for (uint64_t node : nodes) {
     GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(node, num_nodes()));
   }
@@ -426,7 +414,6 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
 
 Result<std::vector<uint8_t>> ShardedRep::ReachableBatch(
     const std::vector<std::pair<uint64_t, uint64_t>>& pairs) const {
-  GREPAIR_RETURN_IF_ERROR(CheckNeighborQueries());
   for (const auto& [from, to] : pairs) {
     GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(from, num_nodes()));
     GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(to, num_nodes()));

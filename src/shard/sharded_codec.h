@@ -14,7 +14,7 @@
 // global ids and merged, and the corpus overlay is merged last
 // (MutableCorpus, whose header states the reader protocol).
 // Reachability is a BFS over routed neighbor queries, so it crosses
-// shards and works whenever the inner codec answers neighbor queries.
+// shards; both inner codecs (grepair, k2) answer neighbor queries.
 // Batches group nodes by shard and fan out over the rep's thread pool;
 // their answers are identical for every thread count.
 
@@ -168,15 +168,11 @@ class ShardedRep : public api::CompressedRep {
 
   int threads() const { return threads_.load(std::memory_order_relaxed); }
 
-  /// kUnimplemented unless the inner codec answers neighbor queries.
-  Status CheckNeighborQueries() const;
-
   Result<std::vector<uint64_t>> RoutedNeighbors(uint64_t node,
                                                 bool out) const;
   Result<bool> ReachableImpl(uint64_t from, uint64_t to) const;
 
   std::string inner_name_;
-  uint32_t inner_capabilities_ = 0;
   uint64_t num_nodes_ = 0;  // the base container's
   std::atomic<int> threads_{1};
   ShardStore store_;

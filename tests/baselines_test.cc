@@ -1,10 +1,14 @@
 // Tests for the comparison compressors: k^2-tree graphs, LM, HN and
-// string RePair — all verified by exact decompression round trips.
+// string RePair — all verified by exact decompression round trips, so
+// every size the paper benches report for them is proven to decode —
+// plus the k2 payload parser's fail-closed checks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "fuzz/fuzz_checks.h"
+#include "fuzz/golden_seeds.h"
 #include "src/baselines/deflate.h"
 #include "src/baselines/hn.h"
 #include "src/baselines/k2_compressor.h"
@@ -64,6 +68,41 @@ TEST(K2CompressorTest, NeighborQueries) {
       }
       std::sort(expected.begin(), expected.end());
       EXPECT_EQ(rep.OutNeighbors(v, l), expected);
+    }
+  }
+}
+
+TEST(K2CompressorTest, NodeCountAboveUint32FailsClosed) {
+  // The header claims 2^32 + 4 nodes over a real 4 x 4 tree. Before:
+  // OK, a 4-node rep (the count wrapped to the tree's 4).
+  const auto wrapped = fuzz::SmallK2Payload((1ull << 32) + 4, 4);
+  auto rep = K2GraphRepresentation::Deserialize(wrapped);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.status().code(), StatusCode::kCorruption)
+      << rep.status().ToString();
+  auto honest = K2GraphRepresentation::Deserialize(fuzz::SmallK2Payload(4, 4));
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_EQ(honest.value().num_nodes(), 4u);
+}
+
+// Mutation battery over the k2 payload fuzz target's invariants
+// (CheckK2PayloadParse): every seed, bit flip and truncation of the
+// golden k2 payloads.
+TEST(K2CompressorTest, MutatedPayloadsUpholdFuzzInvariants) {
+  for (const auto& seed : fuzz::GoldenK2PayloadSeeds()) {
+    auto check = [](const std::vector<uint8_t>& bytes) {
+      const char* violated =
+          fuzz::CheckK2PayloadParse(bytes.data(), bytes.size());
+      EXPECT_EQ(violated, nullptr) << violated;
+    };
+    check(seed);
+    for (size_t bit = 0; bit < seed.size() * 8; ++bit) {
+      auto flipped = seed;
+      flipped[bit / 8] ^= static_cast<uint8_t>(0x80 >> (bit % 8));
+      check(flipped);
+    }
+    for (size_t keep = 0; keep < seed.size(); ++keep) {
+      check(std::vector<uint8_t>(seed.begin(), seed.begin() + keep));
     }
   }
 }
@@ -210,6 +249,18 @@ TEST(StringRePairTest, RepetitiveInputCompressesWell) {
   // Grammar must be logarithmic-ish, far below the input length.
   EXPECT_LT(result.rules.size() * 2 + result.sequence.size(),
             input.size() / 8);
+}
+
+TEST(StringRePairTest, AdjListBaselineRoundTrips) {
+  for (const GeneratedGraph& gg :
+       {BarabasiAlbert(500, 4, 69), ErdosRenyi(400, 1500, 70),
+        ErdosRenyi(50, 0, 71)}) {
+    SCOPED_TRACE(gg.name);
+    auto back = AdjListRePairDecompress(AdjListRePairCompress(gg.graph));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back.value().num_nodes(), gg.graph.num_nodes());
+    EXPECT_EQ(EdgeSet(back.value()), EdgeSet(gg.graph));
+  }
 }
 
 TEST(StringRePairTest, AdjListBaselineProducesReasonableSizes) {

@@ -5,13 +5,14 @@
 // `stats`/`components` refuse files with more data shards. Edge ranges
 // are the only partition, so there is no `--strategy` flag. `info`
 // refuses a file whose tag names another inner codec than its
-// directory, as every open does.
+// directory, as every open does. The only backends are grepair and k2.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -160,6 +161,32 @@ TEST(CliTest, StrategyFlagAndOptionAreRefused) {
   EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
+}
+
+TEST(CliTest, SizeOnlyBaselinesAreNotBackends) {
+  GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
+  std::string graph_path = TempPath("baseline.graph");
+  std::string file_path = TempPath("baseline.grp");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  std::remove(file_path.c_str());
+  for (const char* backend : {"hn", "lm", "repair-adj", "deflate"}) {
+    CliRun run = RunCli("compress " + graph_path + " " + file_path +
+                        " --backend " + backend);
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find(std::string("no codec named '") + backend +
+                              "' (known: grepair, k2, sharded:grepair, "
+                              "sharded:k2)"),
+              std::string::npos)
+        << run.output;
+  }
+  CliRun backends = RunCli("backends");
+  EXPECT_EQ(backends.exit_code, 0) << backends.output;
+  // One line per registry name: grepair, k2 and their sharded forms.
+  EXPECT_EQ(std::count(backends.output.begin(), backends.output.end(), '\n'),
+            4)
+      << backends.output;
+  EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
+  std::remove(graph_path.c_str());
 }
 
 }  // namespace

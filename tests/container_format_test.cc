@@ -5,7 +5,9 @@
 // negative fixtures that must fail closed everywhere: the eager
 // "GRSHARD1" layout and the single-codec file (a frame tagged with a
 // plain codec name around an unchecked payload), which `compress`
-// wrote before every file became a sharded container.
+// wrote before every file became a sharded container. Files whose
+// directory names a deleted inner codec (hn, deflate) are negative
+// fixtures too.
 //
 // The golden byte arrays below are checked-in fixtures. If one of
 // these tests fails after an intentional format change, do NOT update
@@ -89,6 +91,46 @@ const uint8_t kRetiredSingleCodecFile[] = {
     0x01, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x52,
     0x47, 0x31, 0x44, 0x46, 0x2B, 0x14, 0x99, 0x64, 0x2D, 0x35, 0x18,
     0xC6, 0x34, 0x97, 0x90, 0xA2, 0x62, 0x31, 0xCA, 0xD8,
+};
+
+// `grepair compress --backend hn` and `--backend deflate` of
+// FixtureGraph() (as text), written before the size-only baselines and
+// the deflate codec left the registry: well-formed GRSHARD2 files
+// whose directory names an inner codec that no longer exists.
+const uint8_t kRetiredHnFile[] = {
+    0x47, 0x52, 0x50, 0x43, 0x4F, 0x44, 0x45, 0x43, 0x0A, 0x73, 0x68, 0x61,
+    0x72, 0x64, 0x65, 0x64, 0x3A, 0x68, 0x6E, 0x47, 0x52, 0x53, 0x48, 0x41,
+    0x52, 0x44, 0x32, 0x06, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0C,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7B, 0xD1, 0xEF, 0x79, 0x54,
+    0xB3, 0xFA, 0x51, 0x08, 0x48, 0x44, 0x80, 0x02, 0x68, 0x6E, 0x06, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x3A, 0x2E, 0xB8, 0x31, 0x0D, 0xCA, 0xD8, 0xDB, 0x06, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xFC, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x30,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x58, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xE5, 0x6B, 0x43, 0x64, 0x39, 0xF2, 0x63, 0x5B,
+};
+
+const uint8_t kRetiredDeflateFile[] = {
+    0x47, 0x52, 0x50, 0x43, 0x4F, 0x44, 0x45, 0x43, 0x0F, 0x73, 0x68, 0x61,
+    0x72, 0x64, 0x65, 0x64, 0x3A, 0x64, 0x65, 0x66, 0x6C, 0x61, 0x74, 0x65,
+    0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x06, 0x00, 0x00, 0x00,
+    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x78, 0xDA, 0xAB, 0x52,
+    0xFE, 0xB2, 0xE8, 0xEA, 0x34, 0xB3, 0xEB, 0xB1, 0x00, 0x19, 0x11, 0x05,
+    0x09, 0x07, 0x64, 0x65, 0x66, 0x6C, 0x61, 0x74, 0x65, 0x06, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x1D, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x6E, 0x51, 0x30, 0x72, 0xB9, 0x8A, 0x6B, 0x10, 0x06, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xFC, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x5D, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xDD, 0x88, 0x6E, 0x5D, 0x1C, 0xDC, 0xC2, 0x18,
 };
 
 std::vector<uint8_t> RetiredShardedV1() {
@@ -259,6 +301,36 @@ TEST(ShardedContainerTest, RetiredSingleCodecFileFailsClosedEverywhere) {
     EXPECT_TRUE(registry.empty());
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardedContainerTest, DeletedInnerCodecFailsClosedEverywhere) {
+  // The containers are intact (the directory parses); every way into a
+  // file refuses them with the registry's one NotFound for the inner
+  // name, which ShardedRep::Build returns for any unknown codec.
+  const std::pair<std::string, std::vector<uint8_t>> files[] = {
+      {"hn", std::vector<uint8_t>(kRetiredHnFile,
+                                  kRetiredHnFile + sizeof(kRetiredHnFile))},
+      {"deflate",
+       std::vector<uint8_t>(kRetiredDeflateFile,
+                            kRetiredDeflateFile + sizeof(kRetiredDeflateFile))},
+  };
+  for (const auto& [inner, bytes] : files) {
+    SCOPED_TRACE(inner);
+    std::string path = TempPath("retired_" + inner + ".grp");
+    ASSERT_TRUE(WriteFileBytes(path, bytes).ok());
+    auto expect_no_codec = [&](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
+      EXPECT_NE(status.message().find("no codec named '" + inner + "'"),
+                std::string::npos)
+          << status.ToString();
+    };
+    expect_no_codec(api::OpenCompressedFile(path).status());
+    expect_no_codec(api::OpenVersioned(path, {}).status());
+    serve::CorpusRegistry registry;
+    expect_no_codec(registry.AddFile("g", path));
+    EXPECT_TRUE(registry.empty());
+    std::remove(path.c_str());
+  }
 }
 
 // A small labeled graph with an isolated node (7), compressed the way

@@ -158,15 +158,6 @@ std::vector<LabeledEdge> LabeledEdgeSet(const Hypergraph& g) {
   return edges;
 }
 
-std::vector<std::pair<NodeId, NodeId>> UnlabeledEdgeSet(const Hypergraph& g) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (const HEdge& e : g.edges()) {
-    if (e.att.size() == 2) edges.push_back({e.att[0], e.att[1]});
-  }
-  std::sort(edges.begin(), edges.end());
-  return edges;
-}
-
 struct ScratchDir {
   explicit ScratchDir(const std::string& tag)
       : path(::testing::TempDir() + "grepair_dyn_" + tag) {
@@ -177,86 +168,77 @@ struct ScratchDir {
   std::string path;
 };
 
-// Compares every query surface the codec supports on `edited` (the
+// Compares every query surface of the sharded rep `edited` (the
 // overlay path) against `fresh` (a from-scratch compression of the
 // mutated graph): out/in-neighbor singles over all nodes, one full
 // batch, a reachability sweep, with `threads` workers issuing the
 // singles concurrently when threads > 1.
 void ExpectQueriesAgree(api::CompressedRep* edited,
-                        api::CompressedRep* fresh, uint32_t caps,
-                        int threads, const std::string& tag) {
+                        api::CompressedRep* fresh, int threads,
+                        const std::string& tag) {
   ASSERT_EQ(edited->num_nodes(), fresh->num_nodes()) << tag;
   uint64_t n = edited->num_nodes();
 
-  if (caps & api::kNeighborQueries) {
-    std::atomic<int> failures{0};
-    auto sweep = [&](int stride) {
-      for (uint64_t v = static_cast<uint64_t>(stride); v < n;
-           v += static_cast<uint64_t>(threads)) {
-        auto eo = edited->OutNeighbors(v);
-        auto fo = fresh->OutNeighbors(v);
-        if (!eo.ok() || !fo.ok() || eo.value() != fo.value()) {
-          ++failures;
-          continue;
-        }
-        auto ei = edited->InNeighbors(v);
-        auto fi = fresh->InNeighbors(v);
-        if (!ei.ok() || !fi.ok() || ei.value() != fi.value()) ++failures;
+  std::atomic<int> failures{0};
+  auto sweep = [&](int stride) {
+    for (uint64_t v = static_cast<uint64_t>(stride); v < n;
+         v += static_cast<uint64_t>(threads)) {
+      auto eo = edited->OutNeighbors(v);
+      auto fo = fresh->OutNeighbors(v);
+      if (!eo.ok() || !fo.ok() || eo.value() != fo.value()) {
+        ++failures;
+        continue;
       }
-    };
-    if (threads <= 1) {
-      sweep(0);
-    } else {
-      std::vector<std::thread> workers;
-      for (int t = 0; t < threads; ++t) workers.emplace_back(sweep, t);
-      for (auto& w : workers) w.join();
+      auto ei = edited->InNeighbors(v);
+      auto fi = fresh->InNeighbors(v);
+      if (!ei.ok() || !fi.ok() || ei.value() != fi.value()) ++failures;
     }
-    EXPECT_EQ(failures.load(), 0) << tag << " (singles)";
-
-    std::vector<uint64_t> all(n);
-    for (uint64_t v = 0; v < n; ++v) all[v] = v;
-    auto eb = edited->OutNeighborsBatch(all);
-    auto fb = fresh->OutNeighborsBatch(all);
-    ASSERT_TRUE(eb.ok()) << tag << ": " << eb.status().ToString();
-    ASSERT_TRUE(fb.ok()) << tag << ": " << fb.status().ToString();
-    EXPECT_EQ(eb.value(), fb.value()) << tag << " (batch)";
+  };
+  if (threads <= 1) {
+    sweep(0);
+  } else {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) workers.emplace_back(sweep, t);
+    for (auto& w : workers) w.join();
   }
+  EXPECT_EQ(failures.load(), 0) << tag << " (singles)";
 
-  if (caps & api::kReachabilityQueries) {
-    std::vector<std::pair<uint64_t, uint64_t>> pairs;
-    for (uint64_t i = 0; i < 40 && n > 1; ++i) {
-      pairs.push_back({(i * 7) % n, (i * 13 + 1) % n});
-    }
-    for (const auto& p : pairs) {
-      auto er = edited->Reachable(p.first, p.second);
-      auto fr = fresh->Reachable(p.first, p.second);
-      ASSERT_TRUE(er.ok()) << tag << ": " << er.status().ToString();
-      ASSERT_TRUE(fr.ok()) << tag << ": " << fr.status().ToString();
-      EXPECT_EQ(er.value(), fr.value())
-          << tag << " reach " << p.first << "->" << p.second;
-    }
-    auto erb = edited->ReachableBatch(pairs);
-    auto frb = fresh->ReachableBatch(pairs);
-    ASSERT_TRUE(erb.ok()) << tag << ": " << erb.status().ToString();
-    ASSERT_TRUE(frb.ok()) << tag << ": " << frb.status().ToString();
-    EXPECT_EQ(erb.value(), frb.value()) << tag << " (reach batch)";
+  std::vector<uint64_t> all(n);
+  for (uint64_t v = 0; v < n; ++v) all[v] = v;
+  auto eb = edited->OutNeighborsBatch(all);
+  auto fb = fresh->OutNeighborsBatch(all);
+  ASSERT_TRUE(eb.ok()) << tag << ": " << eb.status().ToString();
+  ASSERT_TRUE(fb.ok()) << tag << ": " << fb.status().ToString();
+  EXPECT_EQ(eb.value(), fb.value()) << tag << " (batch)";
+
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  for (uint64_t i = 0; i < 40 && n > 1; ++i) {
+    pairs.push_back({(i * 7) % n, (i * 13 + 1) % n});
   }
+  for (const auto& p : pairs) {
+    auto er = edited->Reachable(p.first, p.second);
+    auto fr = fresh->Reachable(p.first, p.second);
+    ASSERT_TRUE(er.ok()) << tag << ": " << er.status().ToString();
+    ASSERT_TRUE(fr.ok()) << tag << ": " << fr.status().ToString();
+    EXPECT_EQ(er.value(), fr.value())
+        << tag << " reach " << p.first << "->" << p.second;
+  }
+  auto erb = edited->ReachableBatch(pairs);
+  auto frb = fresh->ReachableBatch(pairs);
+  ASSERT_TRUE(erb.ok()) << tag << ": " << erb.status().ToString();
+  ASSERT_TRUE(frb.ok()) << tag << ": " << frb.status().ToString();
+  EXPECT_EQ(erb.value(), frb.value()) << tag << " (reach batch)";
 }
 
 void ExpectDecompressAgrees(api::CompressedRep* edited,
-                            api::CompressedRep* fresh, bool labeled,
+                            api::CompressedRep* fresh,
                             const std::string& tag) {
   auto eg = edited->Decompress();
   auto fg = fresh->Decompress();
   ASSERT_TRUE(eg.ok()) << tag << ": " << eg.status().ToString();
   ASSERT_TRUE(fg.ok()) << tag << ": " << fg.status().ToString();
   EXPECT_EQ(eg.value().num_nodes(), fg.value().num_nodes()) << tag;
-  if (labeled) {
-    EXPECT_EQ(LabeledEdgeSet(eg.value()), LabeledEdgeSet(fg.value())) << tag;
-  } else {
-    EXPECT_EQ(UnlabeledEdgeSet(eg.value()), UnlabeledEdgeSet(fg.value()))
-        << tag;
-  }
+  EXPECT_EQ(LabeledEdgeSet(eg.value()), LabeledEdgeSet(fg.value())) << tag;
 }
 
 // The tentpole property, per base codec: overlay edits == recompress.
@@ -265,8 +247,6 @@ class DynamicDifferential : public ::testing::TestWithParam<std::string> {};
 TEST_P(DynamicDifferential, EditStreamMatchesRecompress) {
   auto sharded = api::CodecRegistry::Create("sharded:" + GetParam());
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  bool labeled = sharded.value()->capabilities() & api::kSupportsLabels;
-  uint32_t caps = sharded.value()->capabilities();
 
   std::vector<std::pair<std::string, GeneratedGraph>> datasets;
   datasets.push_back({"er", ErdosRenyi(80, 240, 17)});
@@ -304,31 +284,23 @@ TEST_P(DynamicDifferential, EditStreamMatchesRecompress) {
                                            gg.alphabet, options);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
-    ExpectQueriesAgree(edited, fresh.value().get(), caps, 1,
-                       name + "/overlay/1t");
-    ExpectQueriesAgree(edited, fresh.value().get(), caps, 8,
-                       name + "/overlay/8t");
-    ExpectDecompressAgrees(edited, fresh.value().get(), labeled,
-                           name + "/overlay");
+    ExpectQueriesAgree(edited, fresh.value().get(), 1, name + "/overlay/1t");
+    ExpectQueriesAgree(edited, fresh.value().get(), 8, name + "/overlay/8t");
+    ExpectDecompressAgrees(edited, fresh.value().get(), name + "/overlay");
     // Triangulate the out-neighbor answers against the raw edge list.
-    if (caps & api::kNeighborQueries) {
-      for (uint32_t v = 0; v < truth.num_nodes; v += 9) {
-        auto out = edited->OutNeighbors(v);
-        ASSERT_TRUE(out.ok());
-        EXPECT_EQ(out.value(), truth.OutOf(v)) << name << " node " << v;
-      }
+    for (uint32_t v = 0; v < truth.num_nodes; v += 9) {
+      auto out = edited->OutNeighbors(v);
+      ASSERT_TRUE(out.ok());
+      EXPECT_EQ(out.value(), truth.OutOf(v)) << name << " node " << v;
     }
 
     // Fold the overlay into the shard grammars and re-prove all of it:
     // folded answers must be indistinguishable from overlay answers.
     auto folded = edited->FoldOverlay();
     ASSERT_TRUE(folded.ok()) << folded.ToString();
-    ExpectQueriesAgree(edited, fresh.value().get(), caps, 1,
-                       name + "/folded/1t");
-    ExpectQueriesAgree(edited, fresh.value().get(), caps, 8,
-                       name + "/folded/8t");
-    ExpectDecompressAgrees(edited, fresh.value().get(), labeled,
-                           name + "/folded");
+    ExpectQueriesAgree(edited, fresh.value().get(), 1, name + "/folded/1t");
+    ExpectQueriesAgree(edited, fresh.value().get(), 8, name + "/folded/8t");
+    ExpectDecompressAgrees(edited, fresh.value().get(), name + "/folded");
   }
   EXPECT_TRUE(ran_any) << GetParam() << " rejected every dataset";
 }
@@ -363,8 +335,7 @@ TEST(DynamicCorpusTest, FreshNodeAddsGrowTheCorpus) {
 
   auto fresh = codec->Compress(truth.ToHypergraph(), gg.alphabet, options);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ExpectQueriesAgree(edited, fresh.value().get(), codec->capabilities(), 1,
-                     "fresh-nodes");
+  ExpectQueriesAgree(edited, fresh.value().get(), 1, "fresh-nodes");
   EXPECT_EQ(edited->OutNeighbors(n + 9).ValueOrDie(),
             (std::vector<uint64_t>{0}));
   // Folding keeps fresh-node edges residual (no shard owns them) but
@@ -401,8 +372,7 @@ TEST(DynamicCorpusTest, BudgetTriggersAutomaticFold) {
 
   auto fresh = codec->Compress(truth.ToHypergraph(), gg.alphabet, options);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ExpectQueriesAgree(edited, fresh.value().get(), codec->capabilities(), 4,
-                     "auto-fold");
+  ExpectQueriesAgree(edited, fresh.value().get(), 4, "auto-fold");
 }
 
 // Edits race readers. A writer adds one edge per ApplyEdits between
@@ -633,10 +603,8 @@ TEST(DynamicCorpusTest, DeltaChainRoundTripsThroughFiles) {
   ASSERT_TRUE(chained.ok()) << chained.status().ToString();
   auto fresh = codec->Compress(truth.ToHypergraph(), gg.alphabet, options);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ExpectQueriesAgree(chained.value().get(), fresh.value().get(),
-                     codec->capabilities(), 8, "chain");
-  ExpectDecompressAgrees(chained.value().get(), fresh.value().get(),
-                         /*labeled=*/true, "chain");
+  ExpectQueriesAgree(chained.value().get(), fresh.value().get(), 8, "chain");
+  ExpectDecompressAgrees(chained.value().get(), fresh.value().get(), "chain");
 
   // Lineage violations fail closed: a skipped link, a tampered delta,
   // a delta aimed at a non-sharded base.
@@ -743,10 +711,8 @@ TEST(DynamicCorpusTest, DeltaChainOverServedBase) {
   ASSERT_TRUE(chained.ok()) << chained.ToString();
   auto local = api::OpenVersioned(base_path, {d1, d2});
   ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ExpectQueriesAgree(served.get(), local.value().get(),
-                     codec->capabilities(), 4, "served chain");
-  ExpectDecompressAgrees(served.get(), local.value().get(),
-                         /*labeled=*/true, "served chain");
+  ExpectQueriesAgree(served.get(), local.value().get(), 4, "served chain");
+  ExpectDecompressAgrees(served.get(), local.value().get(), "served chain");
   auto edited = served->Decompress();
   ASSERT_TRUE(edited.ok()) << edited.status().ToString();
   EXPECT_NE(LabeledEdgeSet(edited.value()), LabeledEdgeSet(gg.graph))

@@ -327,6 +327,14 @@ TEST(K2TreeLayoutTest, ForgedCellCountFailsWithoutAllocating) {
             (std::vector<std::pair<uint32_t, uint32_t>>{{0, 1}, {3, 2}}));
 }
 
+TEST(K2TreeLayoutTest, DimensionsAboveUint32FailClosed) {
+  // The 4 x 4 tree above under a header claiming 2^32 + 4 rows and
+  // columns. Before: OK, a 4 x 4 tree (both counts wrapped to 4).
+  const uint64_t wrapped = (1ull << 32) + 4;
+  ExpectCorrupt(RawTree(wrapped, wrapped, 2, "1001", "01000010"),
+                "wrapped dimensions");
+}
+
 // Mutation battery over the fuzz target's invariants (CheckK2TreeParse):
 // bit flips, truncations and byte noise on Build outputs for k = 2, 3, 4
 // over square and incidence shapes.

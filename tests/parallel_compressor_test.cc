@@ -33,7 +33,7 @@ std::vector<uint8_t> CompressBytes(const std::string& backend,
 
 TEST(ParallelCompressorTest, ThreadCountDoesNotChangeTheBytes) {
   GeneratedGraph gg = BarabasiAlbert(600, 3, 17);
-  for (const char* backend : {"sharded:grepair", "sharded:deflate"}) {
+  for (const char* backend : {"sharded:grepair", "sharded:k2"}) {
     auto one = CompressBytes(backend, gg, "shards=8,threads=1");
     auto eight = CompressBytes(backend, gg, "shards=8,threads=8");
     ASSERT_FALSE(one.empty());
@@ -51,17 +51,17 @@ TEST(ParallelCompressorTest, RepeatedRunsAreByteIdentical) {
 }
 
 TEST(ParallelCompressorTest, PerShardFailureSurfacesLowestShardError) {
-  // hn rejects labeled alphabets; every shard fails, and the reported
-  // error must deterministically be shard 0's.
+  // k2 refuses an arity outside 2-16; every shard fails, and the
+  // reported error must deterministically be shard 0's.
   GeneratedGraph gg = ErdosRenyi(80, 240, 7, /*num_labels=*/3);
   PartitionOptions options;
   options.num_shards = 4;
   auto partition = PartitionGraph(gg.graph, options);
   ASSERT_TRUE(partition.ok());
-  auto inner = api::CodecRegistry::Create("hn").ValueOrDie();
+  auto inner = api::CodecRegistry::Create("k2").ValueOrDie();
   ParallelCompressor compressor(*inner, 4);
-  auto result = compressor.CompressShards(partition.value(), gg.alphabet,
-                                          api::CodecOptions());
+  auto k17 = api::CodecOptions::Parse("k=17").ValueOrDie();
+  auto result = compressor.CompressShards(partition.value(), gg.alphabet, k17);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("shard 0"), std::string::npos)

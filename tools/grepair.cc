@@ -22,16 +22,17 @@
 //   grepair components <in>
 //   grepair gen <kind> <out.graph> [size]
 //
-// Every compressor in the repo sits behind the GraphCodec registry
-// (src/api/): `--backend` selects one ("grepair", the default, "k2",
-// "hn", "lm", "repair-adj", "deflate"; see `grepair backends`),
-// `--options` passes codec-specific key=value options (for grepair:
-// order, max-rank, prune, virtual, ...), and `bench` runs any backend
-// (or all of them) over any generated dataset with a round-trip check;
-// there `--shards`/`--threads` rewrite the backend to its
-// sharded variant "sharded:<inner>" (src/shard/). Graph files use the
-// native text format of src/graph/graph_io.h. `gen` kinds: er, ba,
-// coauth, rdf-types, rdf-entities, copies, dblp.
+// Both file backends sit behind the GraphCodec registry (src/api/):
+// `--backend` selects one ("grepair", the default, or "k2"; see
+// `grepair backends`), `--options` passes codec-specific key=value
+// options (for grepair: order, max-rank, prune, virtual, ...; for k2:
+// k), and `bench` runs any backend (or all of them) over any generated
+// dataset with a round-trip check; there `--shards`/`--threads`
+// rewrite the backend to its sharded variant "sharded:<inner>"
+// (src/shard/). The paper's size-only baselines (HN, LM, adjacency
+// RePair) are not backends; bench/ compares against them. Graph files
+// use the native text format of src/graph/graph_io.h. `gen` kinds: er,
+// ba, coauth, rdf-types, rdf-entities, copies, dblp.
 //
 // One file kind: `compress` always writes "sharded:<backend>", one
 // edge-range shard unless `--shards` asks for more, as a checksummed
