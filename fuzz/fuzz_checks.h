@@ -27,6 +27,7 @@
 #include "src/k2tree/k2tree.h"
 #include "src/net/frame.h"
 #include "src/query/compressed_graph.h"
+#include "src/serve/placement.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/bit_stream.h"
 #include "src/util/byte_io.h"
@@ -120,6 +121,29 @@ inline const char* CheckFramedDirectoryInput(const uint8_t* data,
     dir_off |= static_cast<uint64_t>(data[i]) << (8 * i);
   }
   return CheckDirectoryParse(ByteSpan(data + 8, size - 8), dir_off);
+}
+
+/// \brief `.grdir` sidecar parse (serve::ParseDirSidecar): failures are
+/// non-empty kCorruption; a parsed sidecar re-encodes to exactly its
+/// input bytes, and its raw directory passes CheckDirectoryParse, the
+/// parse an offline remote open runs on it next.
+inline const char* CheckDirSidecarParse(const uint8_t* data, size_t size) {
+  auto sidecar = serve::ParseDirSidecar(ByteSpan(data, size));
+  if (!sidecar.ok()) {
+    if (sidecar.status().code() != StatusCode::kCorruption) {
+      return "sidecar parse failed with a code other than kCorruption";
+    }
+    if (sidecar.status().message().empty()) {
+      return "sidecar parse failed with an empty status message";
+    }
+    return nullptr;
+  }
+  if (serve::EncodeDirSidecar(sidecar.value()) !=
+      std::vector<uint8_t>(data, data + size)) {
+    return "a parsed sidecar does not re-encode to its input bytes";
+  }
+  return CheckDirectoryParse(SpanOf(sidecar.value().raw_directory),
+                             sidecar.value().dir_off);
 }
 
 /// \brief Differential check of the word-at-a-time bit-stream/Elias

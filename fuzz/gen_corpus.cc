@@ -3,15 +3,16 @@
 //   gen_corpus <corpus_root>
 //
 // writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
-// k2tree,grepair_payload,k2_payload} — the directories checked in at
-// fuzz/corpus and replayed by the ctest fuzz_smoke_* tests. Seeds are
-// golden-path encodings (every GRNF v2 verb plus a retired v1 frame,
-// real GRSHARD2 directories, well-formed Elias streams plus the
-// degenerate all-zeros/all-ones edges, k^2-trees from K2Tree::Build
-// plus a forged cell count, real grepair payloads plus a grammar whose
-// val(G) counts wrap uint64_t and a retired v1 payload, real k2
-// payloads plus two whose node or tree dimension counts wrap
-// uint32_t), so coverage-guided runs start from deep inside the parsers
+// k2tree,grepair_payload,k2_payload,dir_sidecar} — the directories
+// checked in at fuzz/corpus and replayed by the ctest fuzz_smoke_*
+// tests. Seeds are golden-path encodings (every GRNF v2 verb plus a
+// retired v1 frame, real GRSHARD2 directories, well-formed Elias
+// streams plus the degenerate all-zeros/all-ones edges, k^2-trees from
+// K2Tree::Build plus a forged cell count, real grepair payloads plus a
+// grammar whose val(G) counts wrap uint64_t and a retired v1 payload,
+// real k2 payloads plus two whose node or tree dimension counts wrap
+// uint32_t, `.grdir` sidecars over real directories plus a retired v1
+// one), so coverage-guided runs start from deep inside the parsers
 // instead of fighting the magic bytes. Rerun after a format change and
 // commit the diff.
 
@@ -25,6 +26,7 @@
 
 #include "fuzz/golden_seeds.h"
 #include "src/k2tree/k2tree.h"
+#include "src/serve/placement.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
 
@@ -42,10 +44,10 @@ void WriteSeed(const std::filesystem::path& dir, const std::string& name,
   }
 }
 
-// The shard_directory target's input framing: 8-byte LE dir_off, then
-// the raw directory region of a real container.
-std::vector<uint8_t> FramedDirectorySeed(uint32_t nodes, uint32_t shards,
-                                         uint64_t rng_seed) {
+// A real container's raw directory region and its offset, as a
+// sidecar holds them.
+serve::DirSidecar GoldenDirectory(uint32_t nodes, uint32_t shards,
+                                  uint64_t rng_seed) {
   std::vector<uint8_t> container =
       fuzz::GoldenContainerBytes(nodes, shards, rng_seed);
   auto parsed = shard::ParseContainer(SpanOf(container));
@@ -54,11 +56,51 @@ std::vector<uint8_t> FramedDirectorySeed(uint32_t nodes, uint32_t shards,
                  parsed.status().ToString().c_str());
     std::exit(1);
   }
-  ByteSpan region = parsed.value().region;
+  serve::DirSidecar dir;
+  dir.dir_off = parsed.value().dir_off;
+  dir.raw_directory.assign(parsed.value().region.begin(),
+                           parsed.value().region.end());
+  return dir;
+}
+
+// The shard_directory target's input framing: 8-byte LE dir_off, then
+// the raw directory region of a real container.
+std::vector<uint8_t> FramedDirectorySeed(uint32_t nodes, uint32_t shards,
+                                         uint64_t rng_seed) {
+  serve::DirSidecar dir = GoldenDirectory(nodes, shards, rng_seed);
   std::vector<uint8_t> framed;
-  PutU64LE(parsed.value().dir_off, &framed);
-  framed.insert(framed.end(), region.begin(), region.end());
+  PutU64LE(dir.dir_off, &framed);
+  framed.insert(framed.end(), dir.raw_directory.begin(),
+                dir.raw_directory.end());
   return framed;
+}
+
+// A valid sidecar over a real directory; with `epoch` > 0 it carries a
+// histogram of one slot per directory row (the trailing cut row
+// included), some of them zero.
+std::vector<uint8_t> SidecarSeed(uint32_t nodes, uint32_t shards,
+                                 uint64_t rng_seed, uint64_t epoch) {
+  serve::DirSidecar sidecar = GoldenDirectory(nodes, shards, rng_seed);
+  sidecar.histogram_epoch = epoch;
+  if (epoch > 0) {
+    for (uint32_t i = 0; i <= shards; ++i) {
+      sidecar.histogram.push_back(i * 3 % 5);
+    }
+  }
+  return serve::EncodeDirSidecar(sidecar);
+}
+
+// The retired v1 envelope (directory only, correctly checksummed):
+// must fail closed.
+std::vector<uint8_t> RetiredV1SidecarSeed() {
+  std::vector<uint8_t> body;
+  PutU32LE(0x43445247, &body);  // "GRDC"
+  PutU32LE(1, &body);
+  PutU64LE(777, &body);
+  PutU32LE(4, &body);
+  body.insert(body.end(), {9, 8, 7, 6});
+  PutU64LE(HashBytes(body.data(), body.size()), &body);
+  return body;
 }
 
 std::vector<uint8_t> EliasStream(const std::vector<uint64_t>& values,
@@ -120,12 +162,14 @@ int main(int argc, char** argv) {
   const auto k2tree_dir = root / "k2tree";
   const auto payload_dir = root / "grepair_payload";
   const auto k2_payload_dir = root / "k2_payload";
+  const auto sidecar_dir = root / "dir_sidecar";
   std::filesystem::create_directories(frame_dir);
   std::filesystem::create_directories(dir_dir);
   std::filesystem::create_directories(elias_dir);
   std::filesystem::create_directories(k2tree_dir);
   std::filesystem::create_directories(payload_dir);
   std::filesystem::create_directories(k2_payload_dir);
+  std::filesystem::create_directories(sidecar_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -193,6 +237,13 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof(name), "k2_payload_%02zu.bin", i);
     grepair::WriteSeed(k2_payload_dir, name, k2_payloads[i]);
   }
+
+  grepair::WriteSeed(sidecar_dir, "sidecar_ba50_shards3.bin",
+                     grepair::SidecarSeed(50, 3, 61, 7));
+  grepair::WriteSeed(sidecar_dir, "sidecar_ba120_shards5_no_histogram.bin",
+                     grepair::SidecarSeed(120, 5, 7, 0));
+  grepair::WriteSeed(sidecar_dir, "retired_v1.bin",
+                     grepair::RetiredV1SidecarSeed());
 
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

@@ -434,7 +434,7 @@ Result<K2Tree> K2Tree::ReadUnranked(BitReader* reader) {
   // Bitmaps load in 64-bit chunks: one bounds-checked ReadBits + one
   // PushWord per word instead of a ReadBit/PushBack pair per bit. The
   // per-bit loop is retained behind the scalar-oracle switch so the
-  // differential tests (and the decode_throughput baseline) exercise
+  // differential tests (and the decode gate's scalar baseline) exercise
   // the whole bit-at-a-time path, not just the Elias codes.
   auto read_bitmap = [&](RankBitVector* bv, uint64_t nbits) -> Status {
     if (EliasDecodeScalarForTest()) {

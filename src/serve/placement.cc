@@ -25,6 +25,49 @@ constexpr uint32_t kDirSidecarV2 = 2;
 // anyway, so honest files never get near a suspicious count.
 constexpr uint32_t kMaxSidecarShards = 1u << 20;
 
+// The sidecar envelope's parser; `what` names the sidecar in errors.
+Result<DirSidecar> ParseSidecar(ByteSpan body, const std::string& what) {
+  if (body.size < 28) {
+    return Status::Corruption(what + " is truncated");
+  }
+  uint64_t stored = 0;
+  for (int i = 0; i < 8; ++i) {
+    stored |= static_cast<uint64_t>(body.data[body.size - 8 + i]) << (8 * i);
+  }
+  if (HashBytes(body.data, body.size - 8) != stored) {
+    return Status::Corruption(what + " fails its checksum");
+  }
+  ByteSource src(ByteSpan{body.data, body.size - 8}, "directory sidecar");
+  uint32_t magic = 0, version = 0, len = 0;
+  DirSidecar sidecar;
+  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&magic));
+  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&version));
+  GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.dir_off));
+  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&len));
+  if (magic != kDirSidecarMagic || version != kDirSidecarV2) {
+    return Status::Corruption(what + " has a bad magic or version");
+  }
+  ByteSpan raw;
+  GREPAIR_RETURN_IF_ERROR(src.ReadSpan(len, &raw));
+  sidecar.raw_directory.assign(raw.begin(), raw.end());
+  uint32_t count = 0;
+  GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.histogram_epoch));
+  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&count));
+  if (count > kMaxSidecarShards ||
+      src.PeekRemaining().size < static_cast<size_t>(count) * 8) {
+    return Status::Corruption(what +
+                              " histogram count disagrees with the file");
+  }
+  sidecar.histogram.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint64_t hits = 0;
+    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&hits));
+    sidecar.histogram.push_back(hits);
+  }
+  GREPAIR_RETURN_IF_ERROR(src.ExpectExhausted("directory sidecar"));
+  return sidecar;
+}
+
 }  // namespace
 
 std::vector<size_t> RankByHeat(const std::vector<uint64_t>& histogram) {
@@ -49,7 +92,7 @@ std::string DirSidecarPath(const std::string& cache_dir,
          ".grdir";
 }
 
-void SaveDirSidecar(const std::string& path, const DirSidecar& sidecar) {
+std::vector<uint8_t> EncodeDirSidecar(const DirSidecar& sidecar) {
   std::vector<uint8_t> body;
   body.reserve(32 + sidecar.raw_directory.size() +
                8 * sidecar.histogram.size());
@@ -63,58 +106,23 @@ void SaveDirSidecar(const std::string& path, const DirSidecar& sidecar) {
   PutU32LE(static_cast<uint32_t>(sidecar.histogram.size()), &body);
   for (uint64_t hits : sidecar.histogram) PutU64LE(hits, &body);
   PutU64LE(HashBytes(body.data(), body.size()), &body);
+  return body;
+}
+
+void SaveDirSidecar(const std::string& path, const DirSidecar& sidecar) {
   // Best effort: a failed write only costs a feature, never an answer.
-  Status ignored = WriteFileBytes(path, body);
+  Status ignored = WriteFileBytes(path, EncodeDirSidecar(sidecar));
   (void)ignored;
+}
+
+Result<DirSidecar> ParseDirSidecar(ByteSpan bytes) {
+  return ParseSidecar(bytes, "directory sidecar");
 }
 
 Result<DirSidecar> LoadDirSidecar(const std::string& path) {
   auto bytes = ReadFileBytes(path);
   if (!bytes.ok()) return bytes.status();
-  const std::vector<uint8_t>& body = bytes.value();
-  if (body.size() < 28) {
-    return Status::Corruption("directory sidecar " + path +
-                              " is truncated");
-  }
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(body[body.size() - 8 + i]) << (8 * i);
-  }
-  if (HashBytes(body.data(), body.size() - 8) != stored) {
-    return Status::Corruption("directory sidecar " + path +
-                              " fails its checksum");
-  }
-  ByteSource src(ByteSpan{body.data(), body.size() - 8},
-                 "directory sidecar");
-  uint32_t magic = 0, version = 0, len = 0;
-  DirSidecar sidecar;
-  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&magic));
-  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&version));
-  GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.dir_off));
-  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&len));
-  if (magic != kDirSidecarMagic || version != kDirSidecarV2) {
-    return Status::Corruption("directory sidecar " + path +
-                              " has a bad magic or version");
-  }
-  ByteSpan raw;
-  GREPAIR_RETURN_IF_ERROR(src.ReadSpan(len, &raw));
-  sidecar.raw_directory.assign(raw.begin(), raw.end());
-  uint32_t count = 0;
-  GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&sidecar.histogram_epoch));
-  GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&count));
-  if (count > kMaxSidecarShards ||
-      src.PeekRemaining().size < static_cast<size_t>(count) * 8) {
-    return Status::Corruption("directory sidecar " + path +
-                              " histogram count disagrees with the file");
-  }
-  sidecar.histogram.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t hits = 0;
-    GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&hits));
-    sidecar.histogram.push_back(hits);
-  }
-  GREPAIR_RETURN_IF_ERROR(src.ExpectExhausted("directory sidecar"));
-  return sidecar;
+  return ParseSidecar(SpanOf(bytes.value()), "directory sidecar " + path);
 }
 
 void PlacementController::Refresh(const CorpusRegistry& registry) {

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/serve/registry.h"
+#include "src/util/byte_io.h"
 #include "src/util/status.h"
 #include "src/util/sync.h"
 
@@ -58,15 +59,22 @@ struct DirSidecar {
 std::string DirSidecarPath(const std::string& cache_dir,
                            const std::string& corpus);
 
-/// \brief Writes the sidecar (format v2: directory + histogram,
-/// checksummed). Best-effort — a failed write only costs the
-/// offline-open and open-time-warming features.
+/// \brief The sidecar's bytes (format v2: directory + histogram,
+/// checksummed).
+std::vector<uint8_t> EncodeDirSidecar(const DirSidecar& sidecar);
+
+/// \brief Writes EncodeDirSidecar's bytes. Best-effort — a failed write
+/// only costs the offline-open and open-time-warming features.
 void SaveDirSidecar(const std::string& path, const DirSidecar& sidecar);
 
-/// \brief Loads and verifies a format-v2 sidecar. kCorruption on
+/// \brief Verifies and parses format-v2 sidecar bytes. kCorruption on
 /// checksum/layout damage or any other version — a tampered or
 /// foreign sidecar fails closed. The raw directory still needs
-/// ParseV2Directory; the loader only peels the envelope.
+/// ParseV2Directory; the parser only peels the envelope.
+Result<DirSidecar> ParseDirSidecar(ByteSpan bytes);
+
+/// \brief Reads `path` and parses it like ParseDirSidecar; errors name
+/// the path.
 Result<DirSidecar> LoadDirSidecar(const std::string& path);
 
 /// \brief Server-side placement engine: ranks every (corpus, shard)

@@ -10,7 +10,8 @@
 //   * batches reject invalid input as a whole and handle empties.
 //
 // Everything here runs on small generated graphs so the suite stays
-// fast under TSan; bench/query_speedup.cc owns the timing claims.
+// fast under TSan; the `query` gate of bench/gates.cc owns the timing
+// claims.
 
 #include <gtest/gtest.h>
 
