@@ -1,19 +1,23 @@
-// Shared helpers for the table/figure reproduction benches: run each
-// compressor on a dataset and report bits-per-edge / byte sizes in the
-// paper's format, with the published numbers printed alongside.
+// Shared helpers for the programs under bench/: the paper's codec set
+// and their compressed sizes, a flat JSON ledger writer, the one
+// `--json PATH` argument the flag-free programs take, and a
+// self-removing temporary directory.
 //
-// Every bench is a plain executable printing one table; absolute values
-// differ from the paper (synthetic scaled stand-ins, different
+// bench/paper.cc reproduces the paper's tables and figures; absolute
+// values differ from the paper (synthetic scaled stand-ins, different
 // hardware), the *shape* — who wins and by roughly what factor — is
-// what they check. End-to-end timings are the job of the benchmark
+// what it checks. End-to-end timings are the job of the benchmark
 // declared in BENCHMARK.json (see e2ebench/README.md).
 
 #ifndef GREPAIR_BENCH_BENCH_UTIL_H_
 #define GREPAIR_BENCH_BENCH_UTIL_H_
 
+#include <stdlib.h>  // mkdtemp
+
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,9 +26,6 @@
 #include "src/baselines/hn.h"
 #include "src/baselines/lm.h"
 #include "src/baselines/string_repair.h"
-#include "src/datasets/paper_datasets.h"
-#include "src/encoding/grammar_coder.h"
-#include "src/grepair/compressor.h"
 
 namespace grepair {
 namespace bench {
@@ -34,62 +35,12 @@ inline double Seconds(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// \brief gRePair end-to-end: compress + binary encode; returns bpe.
-/// Fails loud: a failed compress, or (when the options track the node
-/// mapping) a grammar that does not reproduce the input exactly, prints
-/// the error and exits the bench with status 1.
-struct GrepairRun {
-  double bpe = 0;
-  size_t bytes = 0;
-  CompressStats stats;
-  GrammarStats grammar;
-  double seconds = 0;
-};
-
-inline GrepairRun RunGrepair(const GeneratedGraph& gg,
-                             CompressOptions options = {}) {
-  auto t0 = std::chrono::steady_clock::now();
-  auto result = Compress(gg.graph, gg.alphabet, options);
-  GrepairRun run;
-  if (!result.ok()) {
-    std::fprintf(stderr, "compress failed on %s: %s\n", gg.name.c_str(),
-                 result.status().ToString().c_str());
-    std::exit(1);
-  }
-  auto bytes = EncodeGrammar(result.value().grammar);
-  auto t1 = std::chrono::steady_clock::now();
-  if (options.track_node_mapping) {
-    auto back = DeriveOriginal(result.value().grammar, result.value().origins);
-    if (!back.ok() || !back.value().EqualUpToEdgeOrder(gg.graph)) {
-      std::fprintf(stderr, "%s: the grammar does not reproduce the input%s%s\n",
-                   gg.name.c_str(), back.ok() ? "" : ": ",
-                   back.ok() ? "" : back.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
-  run.bytes = bytes.size();
-  run.bpe = BitsPerEdge(bytes.size(), gg.graph.num_edges());
-  run.stats = result.value().stats;
-  run.grammar = ComputeGrammarStats(result.value().grammar);
-  run.seconds = Seconds(t0, t1);
-  return run;
-}
-
 /// \brief The paper's codecs in table column order (alphabetical): the
 /// two file backends (grepair, k2) and the size-only baselines (hn, lm,
 /// repair-adj); bench/shard_scaling.cc covers the sharded layer.
 inline std::vector<std::string> PaperCodecNames() {
   return {"grepair", "hn", "k2", "lm", "repair-adj"};
 }
-
-/// \brief One codec's run over a dataset.
-struct CodecRun {
-  bool ok = false;       ///< false: failed or not applicable to the input
-  std::string error;     ///< status message when !ok
-  size_t bytes = 0;      ///< compressed size, the tables' size metric
-  double bpe = 0;
-  double seconds = 0;
-};
 
 /// \brief Compressed bytes of one of PaperCodecNames() over `gg`:
 /// grepair and k2 through the codec registry, the size-only baselines
@@ -123,46 +74,9 @@ inline Result<size_t> PaperCodecBytes(const std::string& name,
   return Status::NotFound("no paper codec named '" + name + "'");
 }
 
-/// \brief Times PaperCodecBytes(backend, gg).
-inline CodecRun RunCodec(const std::string& backend,
-                         const GeneratedGraph& gg) {
-  CodecRun run;
-  auto t0 = std::chrono::steady_clock::now();
-  auto bytes = PaperCodecBytes(backend, gg);
-  auto t1 = std::chrono::steady_clock::now();
-  if (!bytes.ok()) {
-    run.error = bytes.status().ToString();
-    return run;
-  }
-  run.ok = true;
-  run.bytes = bytes.value();
-  run.bpe = BitsPerEdge(run.bytes, gg.graph.num_edges());
-  run.seconds = Seconds(t0, t1);
-  return run;
-}
-
-/// \brief Plain k^2-tree baseline bpe.
-inline double RunK2(const GeneratedGraph& gg) {
-  return RunCodec("k2", gg).bpe;
-}
-
-inline size_t RunK2Bytes(const GeneratedGraph& gg) {
-  return RunCodec("k2", gg).bytes;
-}
-
-/// \brief LM baseline bpe (unlabeled out-adjacency).
-inline double RunLm(const GeneratedGraph& gg) {
-  return RunCodec("lm", gg).bpe;
-}
-
-/// \brief HN baseline bpe (unlabeled out-adjacency).
-inline double RunHn(const GeneratedGraph& gg) {
-  return RunCodec("hn", gg).bpe;
-}
-
-/// \brief Flat key→value metrics sink for `--json <out>`: CI uploads
-/// the file as a build artifact (BENCH_*.json) so runs are diffable
-/// across commits. Insertion order is preserved; values are numbers or
+/// \brief Flat key→value metrics sink for `--json <out>`: CI diffs or
+/// uploads the file (BENCH_*.json) so runs are comparable across
+/// commits. Insertion order is preserved; values are numbers or
 /// strings only — benches emit scalars, not structure.
 class JsonWriter {
  public:
@@ -219,17 +133,47 @@ class JsonWriter {
   std::vector<std::pair<std::string, std::string>> rows_;
 };
 
-inline void PrintHeader(const std::string& title) {
-  std::printf("\n== %s ==\n", title.c_str());
+/// \brief The only command line a flag-free bench accepts: nothing, or
+/// `--json PATH` (stored in `*json_path`). False, after a usage line on
+/// stderr, on anything else; the caller exits 2.
+inline bool ParseJsonArg(int argc, char** argv, std::string* json_path) {
+  if (argc == 3 && std::strcmp(argv[1], "--json") == 0) {
+    *json_path = argv[2];
+    return true;
+  }
+  if (argc == 1) return true;
+  std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
+  return false;
 }
 
-inline void PrintScaleNote(const PaperDataset& d) {
-  std::printf("   [%s: stand-in V=%u E=%u, paper V=%llu E=%llu, "
-              "edge scale %.3f]\n",
-              d.paper.name.c_str(), d.data.graph.num_nodes(),
-              d.data.graph.num_edges(),
-              static_cast<unsigned long long>(d.paper.nodes),
-              static_cast<unsigned long long>(d.paper.edges), d.scale);
+/// \brief A fresh directory under the system temp dir, removed with
+/// everything in it when the object dies, so concurrent runs never
+/// share files.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& prefix) {
+    std::error_code ec;
+    std::string tmpl = (std::filesystem::temp_directory_path(ec) /
+                        ("grepair_" + prefix + ".XXXXXX"))
+                           .string();
+    if (!ec && mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  /// Empty when the directory could not be created.
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+inline void PrintHeader(const std::string& title) {
+  std::printf("\n== %s ==\n", title.c_str());
 }
 
 }  // namespace bench

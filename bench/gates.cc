@@ -37,14 +37,10 @@
 // "<gate>.<key>". Files go to a fresh temporary directory that is
 // removed on exit.
 
-#include <stdlib.h>  // mkdtemp
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -109,31 +105,6 @@ struct GateJson {
   void Add(const std::string& key, const T& value) {
     json->Add(gate + "." + key, value);
   }
-};
-
-// A fresh directory under the system temp dir, removed with everything
-// in it when the object dies.
-class TempDir {
- public:
-  TempDir() {
-    std::error_code ec;
-    std::string tmpl =
-        (std::filesystem::temp_directory_path(ec) / "grepair_gates.XXXXXX")
-            .string();
-    if (!ec && mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-
-  /// Empty when the directory could not be created.
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
 };
 
 // Sorts and dedups every row: the shape of an OutNeighbors answer.
@@ -873,13 +844,8 @@ bool RemoteGate(const std::string& dir, GateJson& json) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  if (argc == 3 && std::strcmp(argv[1], "--json") == 0) {
-    json_path = argv[2];
-  } else if (argc != 1) {
-    std::fprintf(stderr, "usage: gates [--json PATH]\n");
-    return 2;
-  }
-  TempDir tmp;
+  if (!bench::ParseJsonArg(argc, argv, &json_path)) return 2;
+  bench::TempDir tmp("gates");
   if (tmp.path().empty()) {
     std::fprintf(stderr, "gates: cannot create a temporary directory\n");
     return 1;

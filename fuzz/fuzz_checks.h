@@ -28,10 +28,12 @@
 #include "src/net/frame.h"
 #include "src/query/compressed_graph.h"
 #include "src/serve/placement.h"
+#include "src/shard/delta_overlay.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/bit_stream.h"
 #include "src/util/byte_io.h"
 #include "src/util/elias.h"
+#include "src/util/hashing.h"
 #include "src/util/status.h"
 
 namespace grepair {
@@ -386,6 +388,43 @@ inline const char* CheckK2PayloadParse(const uint8_t* data, size_t size) {
     if (!agrees(entry.first)) return "OutNeighbors disagrees with Decompress";
   }
   return nullptr;
+}
+
+/// \brief GRSHARD3 delta-container parse (shard::DecodeDeltaContainer):
+/// a failure is kInvalidArgument (no magic) or kCorruption with a
+/// non-empty message; a decoded container re-encodes to its input
+/// bytes.
+inline const char* CheckDeltaContainerParse(const uint8_t* data,
+                                            size_t size) {
+  auto delta = shard::DecodeDeltaContainer(ByteSpan(data, size));
+  if (!delta.ok()) {
+    if (delta.status().code() != StatusCode::kInvalidArgument &&
+        delta.status().code() != StatusCode::kCorruption) {
+      return "delta decode failed with a code other than kInvalidArgument "
+             "or kCorruption";
+    }
+    if (delta.status().message().empty()) {
+      return "delta decode failed with an empty status message";
+    }
+    return nullptr;
+  }
+  if (shard::EncodeDeltaContainer(delta.value()) !=
+      std::vector<uint8_t>(data, data + size)) {
+    return "a decoded delta container does not re-encode to its input";
+  }
+  return nullptr;
+}
+
+/// \brief The delta fuzzer's check: the input as given, then a copy
+/// whose trailing checksum is recomputed over the (mutated) body, so
+/// mutations get past the checksum gate into the field parser.
+inline const char* CheckDeltaContainerInput(const uint8_t* data,
+                                            size_t size) {
+  const char* violated = CheckDeltaContainerParse(data, size);
+  if (violated != nullptr || size < 8) return violated;
+  std::vector<uint8_t> resealed(data, data + size - 8);
+  PutU64LE(HashBytes(resealed.data(), resealed.size()), &resealed);
+  return CheckDeltaContainerParse(resealed.data(), resealed.size());
 }
 
 }  // namespace fuzz

@@ -3,18 +3,20 @@
 //   gen_corpus <corpus_root>
 //
 // writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
-// k2tree,grepair_payload,k2_payload,dir_sidecar} — the directories
-// checked in at fuzz/corpus and replayed by the ctest fuzz_smoke_*
-// tests. Seeds are golden-path encodings (every GRNF v2 verb plus a
-// retired v1 frame, real GRSHARD2 directories, well-formed Elias
-// streams plus the degenerate all-zeros/all-ones edges, k^2-trees from
-// K2Tree::Build plus a forged cell count, real grepair payloads plus a
-// grammar whose val(G) counts wrap uint64_t and a retired v1 payload,
-// real k2 payloads plus two whose node or tree dimension counts wrap
-// uint32_t, `.grdir` sidecars over real directories plus a retired v1
-// one), so coverage-guided runs start from deep inside the parsers
-// instead of fighting the magic bytes. Rerun after a format change and
-// commit the diff.
+// k2tree,grepair_payload,k2_payload,dir_sidecar,delta_container} — the
+// directories checked in at fuzz/corpus and replayed by the ctest
+// fuzz_smoke_* tests. Seeds are golden-path encodings (every GRNF v2
+// verb plus a retired v1 frame, real GRSHARD2 directories, well-formed
+// Elias streams plus the degenerate all-zeros/all-ones edges,
+// k^2-trees from K2Tree::Build plus a forged cell count, real grepair
+// payloads plus a grammar whose val(G) counts wrap uint64_t and a
+// retired v1 payload, real k2 payloads plus two whose node or tree
+// dimension counts wrap uint32_t, `.grdir` sidecars over real
+// directories plus a retired v1 one, real GRSHARD3 deltas with and
+// without folded shards plus a sealed one whose add run is unsorted),
+// so coverage-guided runs start from deep inside the parsers instead
+// of fighting the magic bytes. Rerun after a format change and commit
+// the diff.
 
 #include <cstdint>
 #include <cstdio>
@@ -163,6 +165,7 @@ int main(int argc, char** argv) {
   const auto payload_dir = root / "grepair_payload";
   const auto k2_payload_dir = root / "k2_payload";
   const auto sidecar_dir = root / "dir_sidecar";
+  const auto delta_dir = root / "delta_container";
   std::filesystem::create_directories(frame_dir);
   std::filesystem::create_directories(dir_dir);
   std::filesystem::create_directories(elias_dir);
@@ -170,6 +173,7 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(payload_dir);
   std::filesystem::create_directories(k2_payload_dir);
   std::filesystem::create_directories(sidecar_dir);
+  std::filesystem::create_directories(delta_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -244,6 +248,14 @@ int main(int argc, char** argv) {
                      grepair::SidecarSeed(120, 5, 7, 0));
   grepair::WriteSeed(sidecar_dir, "retired_v1.bin",
                      grepair::RetiredV1SidecarSeed());
+
+  const char* delta_names[] = {"delta_folded_and_residual.bin",
+                               "delta_residual_only.bin",
+                               "delta_unsorted_adds.bin"};
+  auto deltas = grepair::fuzz::GoldenDeltaSeeds();
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    grepair::WriteSeed(delta_dir, delta_names[i], deltas[i]);
+  }
 
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

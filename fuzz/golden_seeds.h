@@ -11,12 +11,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/grepair_api.h"
 #include "src/baselines/k2_compressor.h"
 #include "src/net/frame.h"
 #include "src/serve/stats.h"
+#include "src/shard/delta_overlay.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/bit_stream.h"
 #include "src/util/byte_io.h"
@@ -233,6 +235,70 @@ inline std::vector<std::vector<uint8_t>> GoldenK2PayloadSeeds() {
           SmallK2Payload(4, 4),
           SmallK2Payload(wrapped, 4),
           SmallK2Payload(4, wrapped)};
+}
+
+/// \brief Dies with `what` and the status unless `s` is ok: the golden
+/// deltas below are fixed inputs, so a failure is a build problem.
+inline void GoldenOk(const Status& s, const char* what) {
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
+    std::abort();
+  }
+}
+
+/// \brief Seeds for the GRSHARD3 delta-container parser, all bound to a
+/// 3-shard BA(60) container: a real BuildDelta output carrying folded
+/// shards plus residual adds and kills, one with residual edits and no
+/// changed shard, and a correctly sealed one whose add run is out of
+/// order (it must fail closed).
+inline std::vector<std::vector<uint8_t>> GoldenDeltaSeeds() {
+  const std::vector<uint8_t> base = GoldenContainerBytes(60, 3, 5);
+  auto open = [&] {
+    auto rep = shard::ShardedRep::Deserialize(base);
+    GoldenOk(rep.status(), "golden delta base open");
+    return std::move(rep).ValueOrDie();
+  };
+  auto graph = open()->Decompress();
+  GoldenOk(graph.status(), "golden delta base decompress");
+  const std::vector<HEdge>& edges = graph.value().edges();
+  // Reversed edges keep both endpoints in one shard, so they can fold.
+  auto edits = [&](size_t from) {
+    std::vector<shard::EdgeEdit> out;
+    for (size_t i = from; i < from + 3; ++i) {
+      out.push_back(shard::EdgeEdit::Add(edges[i].att[1], edges[i].att[0]));
+    }
+    const HEdge& killed = edges[from + 3];
+    out.push_back(shard::EdgeEdit::Delete(killed.att[0], killed.att[1]));
+    return out;
+  };
+  auto delta_of = [&](shard::ShardedRep* rep) {
+    auto delta = rep->BuildDelta(HashBytes(base.data(), base.size()),
+                                 base.size());
+    GoldenOk(delta.status(), "golden delta build");
+    return std::move(delta).ValueOrDie();
+  };
+
+  auto folded = open();
+  GoldenOk(folded->ApplyEdits(edits(0)), "golden delta edits");
+  GoldenOk(folded->FoldOverlay(), "golden delta fold");
+  GoldenOk(folded->ApplyEdits(edits(40)), "golden delta residual edits");
+  shard::DeltaContainer with_shards = delta_of(folded.get());
+
+  auto residual = open();
+  GoldenOk(residual->ApplyEdits(edits(80)), "golden delta edits");
+  shard::DeltaContainer residual_only = delta_of(residual.get());
+
+  if (with_shards.shards.empty() || with_shards.adds.empty() ||
+      with_shards.kills.empty() || !residual_only.shards.empty() ||
+      residual_only.adds.size() < 2) {
+    std::fprintf(stderr, "golden deltas lost their shape\n");
+    std::abort();
+  }
+  shard::DeltaContainer unsorted = residual_only;
+  std::swap(unsorted.adds[0], unsorted.adds[1]);
+  return {shard::EncodeDeltaContainer(with_shards),
+          shard::EncodeDeltaContainer(residual_only),
+          shard::EncodeDeltaContainer(unsorted)};
 }
 
 }  // namespace fuzz

@@ -158,8 +158,7 @@ class GrepairCodec : public GraphCodec {
       const Hypergraph& graph, const Alphabet& alphabet,
       const CodecOptions& options) const override {
     GREPAIR_RETURN_IF_ERROR(options.ExpectKeys(
-        {"max-rank", "order", "seed", "virtual", "prune", "extra-passes",
-         "original-ids"}));
+        {"max-rank", "order", "seed", "virtual", "prune", "original-ids"}));
     CompressOptions opts;
     auto max_rank = GetIntInRange(options, "max-rank", opts.max_rank, 2, 255);
     if (!max_rank.ok()) return max_rank.status();
@@ -179,10 +178,6 @@ class GrepairCodec : public GraphCodec {
     auto prune = options.GetBool("prune", opts.prune);
     if (!prune.ok()) return prune.status();
     opts.prune = prune.value();
-    auto passes = GetIntInRange(options, "extra-passes",
-                                opts.extra_recount_passes, 0, 1000000);
-    if (!passes.ok()) return passes.status();
-    opts.extra_recount_passes = static_cast<int>(passes.value());
     auto original_ids = options.GetBool("original-ids", true);
     if (!original_ids.ok()) return original_ids.status();
 

@@ -39,8 +39,8 @@ class Compressor {
       AddWorkEdge(e.label, e.att);
     }
     // The node order omega is fixed once on the input graph
-    // (Section III-A); later passes (virtual edges, recounts) reuse it
-    // restricted to the surviving nodes.
+    // (Section III-A); the virtual-edge pass reuses it restricted to
+    // the surviving nodes.
     order_ = ComputeNodeOrder(graph, options_.node_order,
                               options_.order_seed);
   }
@@ -49,9 +49,6 @@ class Compressor {
     stats_.input_size = input_.TotalSize();
 
     RunPass();
-    for (int i = 0; i < options_.extra_recount_passes; ++i) {
-      if (!RunPass()) break;
-    }
     if (options_.connect_components) {
       if (AddVirtualEdges() > 0) {
         RunPass();
@@ -370,8 +367,8 @@ class Compressor {
   }
 
   // Snapshot of the current live graph (dead nodes stay as isolated
-  // slots so ids line up), used to compute traversal-based node orders
-  // on recount passes.
+  // slots so ids line up), whose components the virtual-edge pass
+  // connects.
   Hypergraph Snapshot() const {
     Hypergraph g(static_cast<uint32_t>(node_alive_.size()));
     g.ReserveEdges(CountLiveEdges());
@@ -510,20 +507,17 @@ class Compressor {
     touched_.push_back(v);
   }
 
-  bool RunPass() {
+  void RunPass() {
     index_ = std::make_unique<OccurrenceIndex>(CountLiveEdges());
     for (auto& e : edges_) e.occs.clear();
     ResetRoundLists();
     InitialCount();
-    bool any = false;
     for (;;) {
       DigramId did = index_->PopMaxDigram();
       if (did == kInvalidDigram) break;
       ReplaceDigram(did);
-      any = true;
     }
     stats_.occurrences_indexed += index_->total_occurrences_added();
-    return any;
   }
 
   uint32_t CountLiveEdges() const {

@@ -49,11 +49,6 @@ struct CompressOptions {
   /// Track the original-ID mapping psi'; enables exact reconstruction
   /// via DeriveOriginal at some memory cost.
   bool track_node_mapping = false;
-
-  /// Extension (off by default = paper behavior): after the main loop,
-  /// run up to this many additional full counting passes while they
-  /// still find active digrams.
-  int extra_recount_passes = 0;
 };
 
 /// \brief Counters reported by one compression run.

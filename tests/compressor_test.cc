@@ -261,13 +261,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(CompressorTest, ExtraRecountPassesStayCorrect) {
-  GeneratedGraph gg = CoAuthorship(150, 250, 11);
-  CompressOptions options;
-  options.extra_recount_passes = 3;
-  CheckRoundTrip(gg, options);
-}
-
 TEST(CompressorTest, StatsAreConsistent) {
   GeneratedGraph gg = RdfTypes(800, 10, 12);
   auto result = Compress(gg.graph, gg.alphabet, CompressOptions());

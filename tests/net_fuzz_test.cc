@@ -1,7 +1,8 @@
 // Bounded-budget fuzzing of the parsers a hostile network peer can
 // reach: the GRNF wire-frame parser and the GRSHARD2 directory parser
 // (the bytes a shard server ships at connect time), the grepair shard
-// payload parser (the bytes a shard fault decodes), plus the
+// payload parser (the bytes a shard fault decodes), the GRSHARD3 delta
+// container parser (the files a versioned open applies), plus the
 // bit-stream/Elias decode differential. The invariant checks and the
 // golden seeds are shared with the coverage-guided libFuzzer targets
 // (fuzz/fuzz_checks.h, fuzz/golden_seeds.h), so this always-on ctest
@@ -277,6 +278,27 @@ TEST(NetFuzzTest, GrepairPayloadParserSurvivesMutation) {
     auto mutated = Mutate(seeds[rng.UniformBounded(seeds.size())], &rng);
     const char* violated =
         fuzz::CheckGrepairPayload(mutated.data(), mutated.size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+}
+
+TEST(NetFuzzTest, DeltaContainerParserSurvivesMutation) {
+  // fuzz/delta_container_fuzzer.cc runs the same check coverage-guided.
+  const auto seeds = fuzz::GoldenDeltaSeeds();
+  // Golden path: the two real deltas decode; the sealed one whose add
+  // run is unsorted fails closed.
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    auto delta = shard::DecodeDeltaContainer(SpanOf(seeds[i]));
+    EXPECT_EQ(delta.ok(), i + 1 < seeds.size()) << "seed " << i;
+    const char* violated =
+        fuzz::CheckDeltaContainerInput(seeds[i].data(), seeds[i].size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+  Rng rng(0xDE17A5EE);
+  for (int iter = 0; iter < 1500; ++iter) {
+    auto mutated = Mutate(seeds[rng.UniformBounded(seeds.size())], &rng);
+    const char* violated =
+        fuzz::CheckDeltaContainerInput(mutated.data(), mutated.size());
     EXPECT_TRUE(violated == nullptr) << violated;
   }
 }
