@@ -189,5 +189,80 @@ TEST(CliTest, SizeOnlyBaselinesAreNotBackends) {
   std::remove(graph_path.c_str());
 }
 
+// Every argument error exits 2 before a file is opened, so none of the
+// paths below needs to exist. Usage errors (an unknown flag, a flag
+// without its value) print the usage text; a malformed value prints
+// one "<flag> expects <what>, got '<text>'" line.
+TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
+  struct Row {
+    std::string args;
+    int exit_code;
+    std::string message;
+  };
+  const std::string in = TempPath("absent.grp");
+  const std::string out = TempPath("absent.out");
+  const std::string usage = "usage: grepair";
+  const Row rows[] = {
+      // query
+      {"query " + in + " --nodes 1 --cache-bytes 12abc", 2,
+       "--cache-bytes expects a byte count, got '12abc'"},
+      {"query --remote 127.0.0.1:1/c --nodes 1 --pool 0", 2,
+       "--pool expects an integer in [1, 64], got '0'"},
+      {"query --remote 127.0.0.1:1/c --nodes 1 --warm-from-histogram 2", 2,
+       "--warm-from-histogram expects 0 or 1, got '2'"},
+      {"query " + in + " --nodes 1 --pool 4", 2, "require --remote"},
+      {"query " + in + " --batch", 2, "query needs --nodes and/or --pairs"},
+      {"query " + in + " --pairs 1-2", 2,
+       "--pairs expects comma-separated from:to pairs, got '1-2'"},
+      {"query " + in + " --nodes 1 --bogus", 2, usage},
+      {"query " + in + " --nodes", 2, usage},
+      {"query --remote", 2, usage},
+      // append
+      {"append " + in + " -o " + out, 2,
+       "append needs --edits <file> and -o <out>"},
+      {"append " + in + " --edits " + out, 2,
+       "append needs --edits <file> and -o <out>"},
+      {"append " + in + " --edits " + out + " -o " + out +
+           " --fold-budget -1",
+       2, "--fold-budget expects a byte count, got '-1'"},
+      {"append " + in + " --bogus", 2, usage},
+      {"append " + in + " --edits", 2, usage},
+      // serve
+      {"serve --corpus noequals", 2,
+       "--corpus expects name=path, got 'noequals'"},
+      {"serve", 2, "serve needs at least one corpus"},
+      {"serve --bogus", 2, usage},
+      {"serve --port", 2, usage},
+      // gen
+      {"gen ba " + out + " 4294967296", 2,
+       "gen expects a size in [0, 4294967295], got '4294967296'"},
+      // decompress
+      {"decompress " + in + " " + out + " --threads 0", 2,
+       "--threads expects an integer in [1, 256], got '0'"},
+      {"decompress " + in + " " + out + " --bogus", 2, usage},
+      {"decompress " + in + " " + out + " --threads", 2, usage},
+      // bench
+      {"bench --backend grepair", 2, usage},
+      {"bench --gen er --size 50 --shards 2", 2,
+       "--shards/--threads need a single --backend"},
+      {"bench --gen er --bogus", 2, usage},
+      {"bench --gen", 2, usage},
+      // compress
+      {"compress " + in + " " + out + " --bogus", 2, usage},
+      {"compress " + in + " " + out + " --backend", 2, usage},
+      {"compress " + in + " " + out + " --shards 0", 2,
+       "--shards expects an integer in [1, "},
+      // info
+      {"info --remote", 2, usage},
+  };
+  for (const Row& row : rows) {
+    CliRun run = RunCli(row.args);
+    EXPECT_EQ(run.exit_code, row.exit_code) << row.args << "\n" << run.output;
+    EXPECT_NE(run.output.find(row.message), std::string::npos)
+        << row.args << "\n" << run.output;
+  }
+  EXPECT_EQ(::access(out.c_str(), F_OK), -1);
+}
+
 }  // namespace
 }  // namespace grepair
