@@ -132,6 +132,45 @@ struct QueryStats {
   uint64_t folded_edits = 0;    ///< edits folded into shard grammars
 };
 
+/// \brief Every QueryStats counter by field name, in declaration
+/// order, so a printer needs no per-counter code (the CLI's `stats:`
+/// line). A field added without an entry here fails to compile.
+struct QueryStatsField {
+  const char* name;
+  uint64_t QueryStats::*member;
+};
+inline constexpr QueryStatsField kQueryStatsFields[] = {
+    {"single_queries", &QueryStats::single_queries},
+    {"batch_calls", &QueryStats::batch_calls},
+    {"batch_items", &QueryStats::batch_items},
+    {"cache_hits", &QueryStats::cache_hits},
+    {"cache_misses", &QueryStats::cache_misses},
+    {"shard_decodes", &QueryStats::shard_decodes},
+    {"cache_evictions", &QueryStats::cache_evictions},
+    {"cache_bytes_used", &QueryStats::cache_bytes_used},
+    {"memo_entries", &QueryStats::memo_entries},
+    {"memo_hits", &QueryStats::memo_hits},
+    {"shard_faults", &QueryStats::shard_faults},
+    {"shards_prefetched", &QueryStats::shards_prefetched},
+    {"bytes_hinted", &QueryStats::bytes_hinted},
+    {"remote_fetches", &QueryStats::remote_fetches},
+    {"remote_bytes", &QueryStats::remote_bytes},
+    {"pool_dials", &QueryStats::pool_dials},
+    {"pool_redials", &QueryStats::pool_redials},
+    {"pool_peak_in_flight", &QueryStats::pool_peak_in_flight},
+    {"tier_warm_hits", &QueryStats::tier_warm_hits},
+    {"tier_cold_fetches", &QueryStats::tier_cold_fetches},
+    {"tier_evictions", &QueryStats::tier_evictions},
+    {"tier_corrupt_drops", &QueryStats::tier_corrupt_drops},
+    {"overlay_edits", &QueryStats::overlay_edits},
+    {"overlay_merges", &QueryStats::overlay_merges},
+    {"shard_folds", &QueryStats::shard_folds},
+    {"folded_edits", &QueryStats::folded_edits},
+};
+static_assert(sizeof(kQueryStatsFields) / sizeof(kQueryStatsFields[0]) ==
+                  sizeof(QueryStats) / sizeof(uint64_t),
+              "every QueryStats field needs a kQueryStatsFields entry");
+
 /// \brief Uniform out-of-range check for query entry points: every
 /// query-capable codec rejects ids >= num_nodes with exactly this
 /// kInvalidArgument status (codecs without query support stay

@@ -14,9 +14,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/api/container.h"
+#include "src/api/graph_codec.h"
 #include "src/datasets/generators.h"
 #include "src/graph/graph_algos.h"
 #include "src/graph/graph_io.h"
@@ -254,6 +258,16 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
        "--shards expects an integer in [1, "},
       // info
       {"info --remote", 2, usage},
+      // Extra positional arguments are refused, not ignored.
+      {"info " + in + " extra", 2, usage},
+      {"gen ba " + out + " 10 junk", 2, usage},
+      {"components " + in + " junk", 2, usage},
+      {"backends junk", 2, usage},
+      // Port 0 (an ephemeral port, the default) is accepted, so this
+      // fails only for want of a corpus.
+      {"serve --port 0", 2, "serve needs at least one corpus"},
+      {"serve --port 65536", 2,
+       "--port expects an integer in [0, 65535], got '65536'"},
   };
   for (const Row& row : rows) {
     CliRun run = RunCli(row.args);
@@ -262,6 +276,43 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
         << row.args << "\n" << run.output;
   }
   EXPECT_EQ(::access(out.c_str(), F_OK), -1);
+}
+
+// `query` ends with one `stats:` line naming every QueryStats counter
+// exactly once, in kQueryStatsFields order.
+TEST(CliTest, QueryPrintsEveryCounterOnceByFieldName) {
+  GeneratedGraph gg = BarabasiAlbert(80, 2, 9);
+  std::string graph_path = TempPath("counters.graph");
+  std::string file_path = TempPath("counters.grp");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  CliRun compress = RunCli("compress " + graph_path + " " + file_path);
+  ASSERT_EQ(compress.exit_code, 0) << compress.output;
+  CliRun query = RunCli("query " + file_path + " --nodes 1,2 --pairs 0:5");
+  ASSERT_EQ(query.exit_code, 0) << query.output;
+  std::istringstream lines(query.output);
+  std::vector<std::string> stats_lines;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("stats:", 0) == 0) stats_lines.push_back(line);
+  }
+  ASSERT_EQ(stats_lines.size(), 1u) << query.output;
+  // "stats:" then one name=value token per field, in table order.
+  std::istringstream tokens(stats_lines[0]);
+  std::string token;
+  tokens >> token;
+  EXPECT_EQ(token, "stats:");
+  ASSERT_EQ(std::size(api::kQueryStatsFields), 26u);
+  for (const api::QueryStatsField& field : api::kQueryStatsFields) {
+    ASSERT_TRUE(tokens >> token) << stats_lines[0];
+    size_t eq = token.find('=');
+    EXPECT_EQ(token.substr(0, eq), field.name) << stats_lines[0];
+    EXPECT_NE(eq, std::string::npos);
+    EXPECT_EQ(token.find_first_not_of("0123456789", eq + 1),
+              std::string::npos)
+        << token;
+  }
+  EXPECT_FALSE(tokens >> token) << "unexpected token " << token;
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
 }
 
 }  // namespace

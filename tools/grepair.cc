@@ -1,101 +1,50 @@
-// grepair — command-line driver for the library.
-//
-// Usage:
-//   grepair compress <in.graph> <out> [--backend NAME]
-//           [--options k=v,...] [--shards K (default 1)] [--threads T]
-//   grepair decompress <in> <out.graph> [--threads T]
-//   grepair bench --backend NAME|all --gen KIND [--size N]
-//           [--options k=v,...] [--shards K] [--threads T]
-//   grepair backends
-//   grepair query <in>|--remote host:port[/corpus] [--nodes 1,2,3]
-//           [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]
-//           [--prefetch P] [--pool N] [--ssd-cache DIR]
-//           [--ssd-cache-bytes N] [--warm-from-histogram 0|1]
-//           [--delta file.grs3]...
-//   grepair append <base> [chain.grs3]... --edits <file> -o <out.grs3>
-//           [--fold-budget BYTES]
-//   grepair diff <base> <delta.grs3>...
-//   grepair serve [<file>|<dir>]... [--corpus name=path]
-//           [--host H] [--port P] [--pin-bytes N]
-//   grepair info <in> | info --remote host:port[/corpus]
-//   grepair stats <in>
-//   grepair components <in>
-//   grepair gen <kind> <out.graph> [size]
+// grepair — command-line driver for the library. Usage() lists every
+// command and flag; `grepair` with no arguments prints it.
 //
 // Both file backends sit behind the GraphCodec registry (src/api/):
-// `--backend` selects one ("grepair", the default, or "k2"; see
-// `grepair backends`), `--options` passes codec-specific key=value
-// options (for grepair: order, max-rank, prune, virtual, ...; for k2:
-// k), and `bench` runs any backend (or all of them) over any generated
-// dataset with a round-trip check; there `--shards`/`--threads`
-// rewrite the backend to its sharded variant "sharded:<inner>"
-// (src/shard/). The paper's size-only baselines (HN, LM, adjacency
-// RePair) are not backends; bench/ compares against them. Graph files
-// use the native text format of src/graph/graph_io.h. `gen` kinds: er,
-// ba, coauth, rdf-types, rdf-entities, copies, dblp.
+// `--backend` picks one (`grepair backends` lists them), `--options`
+// passes its key=value options, and `bench` runs any backend (or all)
+// over a generated dataset with a round-trip check. The paper's
+// size-only baselines (HN, LM, adjacency RePair) are not backends.
 //
-// One file kind: `compress` always writes "sharded:<backend>", one
-// edge-range shard unless `--shards` asks for more, as a checksummed
-// GRSHARD2 container inside the backend-tagged GRPCODEC frame
-// (src/api/container.h). Every command opens files through src/api/:
-// an untagged file is refused, and so is an old single-codec file
-// (any tag but "sharded:..."), which must be recompressed. The grepair
-// shard payload is the paper's binary grammar encoding plus the node
-// mapping, so `decompress` restores the input's node ids. `stats` and
-// `components` read the grammar of a 1-shard sharded:grepair file:
-// its size and shape, and its connected components counted in one
-// grammar pass plus the edgeless nodes the shard leaves out.
+// One file kind: `compress` writes "sharded:<backend>", one edge-range
+// shard unless `--shards` asks for more, as a checksummed GRSHARD2
+// container inside the backend-tagged GRPCODEC frame. Every command
+// opens files lazily through src/api/container.h, so `query` and
+// `decompress` fault in only the shards they touch and `info` prints
+// the directory without decoding one; untagged and old single-codec
+// files are refused. Grepair shards carry the node mapping, so answers
+// use the input's node ids. `stats` and `components` read the one
+// grammar of a 1-shard sharded:grepair file.
 //
-// `query` answers neighbor/reachability queries on a compressed file
-// without decompressing it: --nodes asks for out-neighbors, --pairs
-// for reachability, --batch switches to the batched entry points
-// (shard-parallel), --cache-bytes sets the byte budget of the rep's
-// one query cache (decoded shards), --threads the rep's thread pool,
-// --prefetch starts a background pool that warms the shards batches
-// touch. A query-stats line (cache hits/misses, shard decodes/faults,
-// memo-table sizes) is printed at the end.
-//
-// Zero-copy storage: every compressed file is opened via mmap as a
-// lazy GRSHARD2 footer-directory container, so `decompress`/`query`
-// materialize only the shards they touch. `info` prints a container's
-// directory — backend, shard offsets/lengths/checksums — without
-// decoding a single shard.
-//
-// Versioned corpora: `append` replays a text edit stream (`a u v
-// [label]` / `d u v`, '#' comments) against a GRSHARD2 base (plus any
-// earlier deltas) and writes a GRSHARD3 delta container — changed
-// shards and residual overlay runs only, chained to the base by
-// content hash. `query --delta` (repeatable) applies the chain through
-// api::ApplyDeltaChain, verifying lineage before anything is trusted;
-// it composes with --remote, where the deltas are read locally and
-// applied over the served base. `diff` prints each delta's size,
-// changed-shard count, and edit counts against the full base reship.
-//
-// Remote serving: `serve` exports GRSHARD2 containers over TCP (the
-// GRNF v2 frame protocol of src/net/ + src/serve/). One server hosts
-// many corpora: `--corpus name=path` registers each explicitly, and a
-// bare directory argument auto-discovers every servable container in
-// it (named by file basename); `--pin-bytes` keeps the hottest shard
-// payloads pinned in server memory. `query --remote host:port/corpus`
-// runs the exact same query paths against a served corpus — cold
-// shards fault across the connection pool (`--pool`), optionally
-// through a checksummed local SSD shard cache (`--ssd-cache`), and the
-// answers are byte-identical to a local open of the same file.
-// `info --remote` asks a running server for its per-corpus serving
-// stats and hot-shard histograms over the GRNF STATS verb.
+// `query` answers out-neighbor (--nodes) and reachability (--pairs)
+// queries without decompressing and ends with one `stats:` line of
+// every api::QueryStats counter. `append` writes an edit stream as a
+// GRSHARD3 delta chained to its base by content hash, `query --delta`
+// applies a verified chain and `diff` sizes it against the base.
+// `serve` exports many corpora over TCP (GRNF v2, src/serve/); `query
+// --remote host:port/corpus` runs the same query paths against one,
+// through a connection pool (--pool) and an optional checksummed SSD
+// cache (--ssd-cache), and `info --remote` prints a server's
+// per-corpus stats and hot-shard histograms.
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <sys/stat.h>
@@ -115,8 +64,7 @@ namespace {
 int Usage() {
   std::string backends;
   for (const auto& name : api::CodecRegistry::Names()) {
-    if (!backends.empty()) backends += "|";
-    backends += name;
+    backends += (backends.empty() ? "" : "|") + name;
   }
   std::fprintf(
       stderr,
@@ -149,178 +97,51 @@ int Usage() {
   return 2;
 }
 
-// Compressed graphs are opened only through src/api/
-// (OpenCompressedFile, ApplyDeltaChain, MapShardedFile); `append` and
-// `diff` map files themselves only to hash or size them. Writes go
-// through WriteFileBytes. Both report Status errors naming the path.
-bool WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  auto status = WriteFileBytes(path, bytes);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return false;
-  }
-  return true;
+// The one failure path: every Status error (the src/api/ opens, codec
+// and file writes all name the path they failed on) is printed to
+// stderr and exits 1.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
-// Sharding knobs shared by compress and bench: --shards/--threads
-// rewrite `backend` to its sharded:<inner> variant and land in
-// `options` as codec options.
-struct ShardFlags {
-  int shards = 0;   // 0 = not requested
-  int threads = 0;  // 0 = not requested
+// ---------------------------------------------------------------------------
+// Arguments: each command declares its flags and how many positional
+// arguments it takes, and ParseArgs is the only loop over argv.
 
-  bool requested() const { return shards != 0 || threads != 0; }
+// A bounded integer value. atoi would silently turn "--shards abc" into
+// an unsharded run; the bounds match each consumer's own validation,
+// so out-of-range values fail here instead of deep in Compress.
+struct Count {
+  int* out;
+  long min, max;
+};
+// A 0|1 value.
+struct Bit {
+  bool* out;
+};
+// Where a flag's value lands, which also says how it parses: a string,
+// a repeatable string, a switch (it takes no value), a byte count, a
+// bounded count or 0|1.
+using FlagTarget = std::variant<std::string*, std::vector<std::string>*,
+                                bool*, uint64_t*, Count, Bit>;
+struct Flag {
+  const char* name;
+  FlagTarget target;
 };
 
-// Strictly positive integer flag value; atoi would silently turn
-// "--shards abc" into an unsharded run and "--shards -8" into the
-// default shard count. `max` matches the codec's own validation so
-// out-of-range values fail fast here instead of deep in Compress.
-bool ParseCountFlag(const char* flag, const char* text, int max, int* out) {
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 1 || value > max) {
-    std::fprintf(stderr, "%s expects an integer in [1, %d], got '%s'\n",
-                 flag, max, text);
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
+// A parsed command line: the positional arguments in order, and the
+// flags that were given (their values are already in their targets).
+struct Args {
+  std::vector<std::string> positional;
+  std::set<std::string> given;
+  bool has(const char* flag) const { return given.count(flag) != 0; }
+};
 
-constexpr int kMaxShards = shard::kMaxShards;
+constexpr size_t kAnyCount = SIZE_MAX;
 constexpr int kMaxThreads = 256;  // ParallelCompressor's clamp
 
-// Consumes one --shards/--threads argument pair shared by
-// CmdCompress and CmdBench (one parser, so the two commands cannot
-// drift apart). Advances *i past the flag's value on a match.
-enum class ShardFlagParse { kNoMatch, kOk, kError };
-
-ShardFlagParse MatchShardFlag(const std::string& arg, int argc, char** argv,
-                              int* i, ShardFlags* flags) {
-  if (arg == "--shards" && *i + 1 < argc) {
-    return ParseCountFlag("--shards", argv[++*i], kMaxShards,
-                          &flags->shards)
-               ? ShardFlagParse::kOk
-               : ShardFlagParse::kError;
-  }
-  if (arg == "--threads" && *i + 1 < argc) {
-    return ParseCountFlag("--threads", argv[++*i], kMaxThreads,
-                          &flags->threads)
-               ? ShardFlagParse::kOk
-               : ShardFlagParse::kError;
-  }
-  return ShardFlagParse::kNoMatch;
-}
-
-void ApplyShardFlags(const ShardFlags& flags, std::string* backend,
-                     api::CodecOptions* options) {
-  if (!flags.requested()) return;
-  if (backend->rfind("sharded:", 0) != 0) {
-    *backend = "sharded:" + *backend;
-  }
-  if (flags.shards > 0) options->Set("shards", std::to_string(flags.shards));
-  if (flags.threads > 0) {
-    options->Set("threads", std::to_string(flags.threads));
-  }
-}
-
-int CmdCompress(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  std::string backend = "grepair";
-  std::string option_spec;
-  ShardFlags shard_flags;
-  for (int i = 4; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--backend" && i + 1 < argc) {
-      backend = argv[++i];
-    } else if (arg == "--options" && i + 1 < argc) {
-      option_spec = argv[++i];
-    } else if (ShardFlagParse m =
-                   MatchShardFlag(arg, argc, argv, &i, &shard_flags);
-               m != ShardFlagParse::kNoMatch) {
-      if (m == ShardFlagParse::kError) return 2;
-    } else {
-      return Usage();
-    }
-  }
-  auto loaded = LoadGraphText(argv[2]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  auto options = api::CodecOptions::Parse(option_spec);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    return 1;
-  }
-  // Every file is a sharded container: one shard unless --shards asks
-  // for more.
-  if (shard_flags.shards == 0) shard_flags.shards = 1;
-  ApplyShardFlags(shard_flags, &backend, &options.value());
-  auto codec = api::CodecRegistry::Create(backend);
-  if (!codec.ok()) {
-    std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-    return 1;
-  }
-  auto rep = codec.value()->Compress(loaded.value().graph,
-                                     loaded.value().alphabet,
-                                     options.value());
-  if (!rep.ok()) {
-    std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
-    return 1;
-  }
-  auto bytes = api::WrapCodecPayload(backend, rep.value()->Serialize());
-  if (!WriteBytes(argv[3], bytes)) return 1;
-  std::printf("[%s] %u edges -> %zu bytes on disk (%.3f bpe as measured "
-              "by the bench tables)\n",
-              backend.c_str(), loaded.value().graph.num_edges(),
-              bytes.size(),
-              BitsPerEdge(rep.value()->ByteSize(),
-                          loaded.value().graph.num_edges()));
-  return 0;
-}
-
-int CmdDecompress(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  int threads = 0;
-  for (int i = 4; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      if (!ParseCountFlag("--threads", argv[++i], kMaxThreads, &threads)) {
-        return 2;
-      }
-    } else {
-      return Usage();
-    }
-  }
-  // The file opens lazily and Decompress faults the shards on the
-  // decompress thread pool.
-  std::string backend;
-  auto rep = api::OpenCompressedFile(argv[2], &backend);
-  if (!rep.ok()) {
-    std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
-    return 1;
-  }
-  if (threads > 1) rep.value()->set_threads(threads);
-  auto graph = rep.value()->Decompress();
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  // Codec payloads carry no label names, only labeled edges.
-  auto status =
-      SaveGraphText(graph.value(), InferAlphabet(graph.value()), argv[3]);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("[%s] wrote %u nodes, %u edges\n", backend.c_str(),
-              graph.value().num_nodes(), graph.value().num_edges());
-  return 0;
-}
-
-// Strict unsigned integer parse for query ids and byte budgets; atoi
+// Strict unsigned integer parse for query ids and byte counts; atoi
 // would silently accept "12abc" and negative values.
 bool ParseU64(const std::string& text, uint64_t* out) {
   // Leading digit required: strtoull alone would accept whitespace,
@@ -329,245 +150,198 @@ bool ParseU64(const std::string& text, uint64_t* out) {
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
-    return false;
-  }
+  if (errno != 0 || *end != '\0') return false;
   *out = static_cast<uint64_t>(v);
   return true;
 }
 
-// "1,2,3" -> ids. Malformed entries are a hard error, not a skip.
-bool ParseNodeList(const std::string& spec, std::vector<uint64_t>* out) {
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) end = spec.size();
-    uint64_t v = 0;
-    if (!ParseU64(spec.substr(pos, end - pos), &v)) {
-      std::fprintf(stderr, "--nodes expects comma-separated ids, got '%s'\n",
-                   spec.c_str());
-      return false;
+// Stores `text` (empty for a switch) through `target`. Returns what
+// the flag expects when `text` is malformed, else "".
+std::string SetFlag(const FlagTarget& target, const std::string& text) {
+  if (auto* on = std::get_if<bool*>(&target)) {
+    **on = true;
+  } else if (auto* str = std::get_if<std::string*>(&target)) {
+    **str = text;
+  } else if (auto* list = std::get_if<std::vector<std::string>*>(&target)) {
+    (*list)->push_back(text);
+  } else if (auto* bytes = std::get_if<uint64_t*>(&target)) {
+    if (!ParseU64(text, *bytes)) return "a byte count";
+  } else if (auto* count = std::get_if<Count>(&target)) {
+    char* end = nullptr;
+    long value = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || value < count->min ||
+        value > count->max) {
+      return "an integer in [" + std::to_string(count->min) + ", " +
+             std::to_string(count->max) + "]";
     }
-    out->push_back(v);
-    pos = end + 1;
+    *count->out = static_cast<int>(value);
+  } else if (auto* bit = std::get_if<Bit>(&target)) {
+    if (text != "0" && text != "1") return "0 or 1";
+    *bit->out = text == "1";
   }
-  return true;
+  return "";
 }
 
-// "1:2,3:4" -> (from, to) pairs.
-bool ParsePairList(const std::string& spec,
-                   std::vector<std::pair<uint64_t, uint64_t>>* out) {
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) end = spec.size();
-    std::string item = spec.substr(pos, end - pos);
-    size_t colon = item.find(':');
-    uint64_t from = 0, to = 0;
-    if (colon == std::string::npos ||
-        !ParseU64(item.substr(0, colon), &from) ||
-        !ParseU64(item.substr(colon + 1), &to)) {
-      std::fprintf(stderr,
-                   "--pairs expects comma-separated from:to pairs, got "
-                   "'%s'\n",
-                   spec.c_str());
-      return false;
+// Parses argv[2..] against `flags`; anything not starting with '-' is
+// positional. nullopt means exit 2: after the usage text on an unknown
+// flag, a flag without its value or a positional count outside
+// [min_positional, max_positional], after one "<flag> expects <what>,
+// got '<text>'" line on a malformed value.
+std::optional<Args> ParseArgs(int argc, char** argv,
+                              std::initializer_list<Flag> flags,
+                              size_t min_positional, size_t max_positional) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      args.positional.push_back(arg);
+      continue;
     }
-    out->push_back({from, to});
-    pos = end + 1;
+    const Flag* flag = std::find_if(
+        flags.begin(), flags.end(),
+        [&](const Flag& f) { return arg == f.name; });
+    bool takes_value =
+        flag != flags.end() && !std::holds_alternative<bool*>(flag->target);
+    if (flag == flags.end() || (takes_value && i + 1 == argc)) {
+      Usage();
+      return std::nullopt;
+    }
+    args.given.insert(arg);
+    const char* text = takes_value ? argv[++i] : "";
+    std::string expects = SetFlag(flag->target, text);
+    if (!expects.empty()) {
+      std::fprintf(stderr, "%s expects %s, got '%s'\n", flag->name,
+                   expects.c_str(), text);
+      return std::nullopt;
+    }
   }
-  return true;
+  if (args.positional.size() < min_positional ||
+      args.positional.size() > max_positional) {
+    Usage();
+    return std::nullopt;
+  }
+  return args;
 }
 
-void PrintNeighborLine(uint64_t node, const std::vector<uint64_t>& out) {
-  std::printf("out[%llu] (%zu):", static_cast<unsigned long long>(node),
-              out.size());
-  for (uint64_t v : out) std::printf(" %llu", (unsigned long long)v);
-  std::printf("\n");
+// --shards/--threads select the backend's sharded:<inner> variant and
+// land in its codec options.
+void UseShards(int shards, int threads, std::string* backend,
+               api::CodecOptions* options) {
+  if (backend->rfind("sharded:", 0) != 0) *backend = "sharded:" + *backend;
+  if (shards > 0) options->Set("shards", std::to_string(shards));
+  if (threads > 0) options->Set("threads", std::to_string(threads));
 }
 
-// The query half of `query`, shared by local files and --remote reps:
-// apply the tuning knobs, run the node/pair queries (batched or not),
-// print answers plus the query-stats line.
-int RunQueries(std::unique_ptr<shard::ShardedRep> rep,
-               const std::vector<uint64_t>& nodes,
-               const std::vector<std::pair<uint64_t, uint64_t>>& pairs,
-               bool batch, int threads, bool have_cache_bytes,
-               uint64_t cache_bytes, int prefetch) {
-  if (threads > 1) rep->set_threads(threads);
-  if (have_cache_bytes) {
-    rep->set_query_cache_bytes(static_cast<size_t>(cache_bytes));
-  }
-  if (prefetch > 0) rep->set_prefetch_threads(prefetch);
-  std::printf("[sharded:%s] %llu nodes\n", rep->inner_name().c_str(),
-              static_cast<unsigned long long>(rep->num_nodes()));
-
-  if (!nodes.empty()) {
-    if (batch) {
-      auto results = rep->OutNeighborsBatch(nodes);
-      if (!results.ok()) {
-        std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
-        return 1;
-      }
-      for (size_t j = 0; j < nodes.size(); ++j) {
-        PrintNeighborLine(nodes[j], results.value()[j]);
-      }
-    } else {
-      for (uint64_t node : nodes) {
-        auto out = rep->OutNeighbors(node);
-        if (!out.ok()) {
-          std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
-          return 1;
-        }
-        PrintNeighborLine(node, out.value());
-      }
-    }
-  }
-  if (!pairs.empty()) {
-    std::vector<uint8_t> verdicts;
-    if (batch) {
-      auto results = rep->ReachableBatch(pairs);
-      if (!results.ok()) {
-        std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
-        return 1;
-      }
-      verdicts = std::move(results).ValueOrDie();
-    } else {
-      for (const auto& [from, to] : pairs) {
-        auto r = rep->Reachable(from, to);
-        if (!r.ok()) {
-          std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
-          return 1;
-        }
-        verdicts.push_back(r.value() ? 1 : 0);
-      }
-    }
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      std::printf("reach %llu -> %llu: %s\n",
-                  static_cast<unsigned long long>(pairs[k].first),
-                  static_cast<unsigned long long>(pairs[k].second),
-                  verdicts[k] ? "yes" : "no");
-    }
-  }
-  api::QueryStats stats = rep->query_stats();
-  std::printf("stats: singles=%llu batch_calls=%llu batch_items=%llu "
-              "cache_hits=%llu cache_misses=%llu shard_decodes=%llu "
-              "evictions=%llu cache_bytes=%llu memo_entries=%llu "
-              "memo_hits=%llu shard_faults=%llu prefetched=%llu "
-              "bytes_hinted=%llu remote_fetches=%llu remote_bytes=%llu\n",
-              (unsigned long long)stats.single_queries,
-              (unsigned long long)stats.batch_calls,
-              (unsigned long long)stats.batch_items,
-              (unsigned long long)stats.cache_hits,
-              (unsigned long long)stats.cache_misses,
-              (unsigned long long)stats.shard_decodes,
-              (unsigned long long)stats.cache_evictions,
-              (unsigned long long)stats.cache_bytes_used,
-              (unsigned long long)stats.memo_entries,
-              (unsigned long long)stats.memo_hits,
-              (unsigned long long)stats.shard_faults,
-              (unsigned long long)stats.shards_prefetched,
-              (unsigned long long)stats.bytes_hinted,
-              (unsigned long long)stats.remote_fetches,
-              (unsigned long long)stats.remote_bytes);
-  // The serving-tier counters get their own line: pool dials/redials
-  // and the SSD tier's hit/miss/eviction/corruption counts are zero
-  // for purely local opens, and the warm-vs-remote split is the number
-  // CI asserts on (an SSD-warm run must show remote_fetches=0).
-  if (stats.pool_dials != 0 || stats.tier_warm_hits != 0 ||
-      stats.tier_cold_fetches != 0 || stats.tier_corrupt_drops != 0) {
-    std::printf("tier: pool_dials=%llu pool_redials=%llu "
-                "pool_peak_in_flight=%llu tier_warm_hits=%llu "
-                "tier_cold_fetches=%llu tier_evictions=%llu "
-                "tier_corrupt_drops=%llu\n",
-                (unsigned long long)stats.pool_dials,
-                (unsigned long long)stats.pool_redials,
-                (unsigned long long)stats.pool_peak_in_flight,
-                (unsigned long long)stats.tier_warm_hits,
-                (unsigned long long)stats.tier_cold_fetches,
-                (unsigned long long)stats.tier_evictions,
-                (unsigned long long)stats.tier_corrupt_drops);
-  }
+int CmdCompress(int argc, char** argv) {
+  std::string backend = "grepair";
+  std::string option_spec;
+  // Every file is a sharded container: one shard unless --shards asks
+  // for more.
+  int shards = 1;
+  int threads = 0;
+  auto args = ParseArgs(argc, argv,
+                        {{"--backend", &backend},
+                         {"--options", &option_spec},
+                         {"--shards", Count{&shards, 1, shard::kMaxShards}},
+                         {"--threads", Count{&threads, 1, kMaxThreads}}},
+                        2, 2);
+  if (!args) return 2;
+  auto loaded = LoadGraphText(args->positional[0]);
+  if (!loaded.ok()) return Fail(loaded.status());
+  auto options = api::CodecOptions::Parse(option_spec);
+  if (!options.ok()) return Fail(options.status());
+  UseShards(shards, threads, &backend, &options.value());
+  auto codec = api::CodecRegistry::Create(backend);
+  if (!codec.ok()) return Fail(codec.status());
+  const Hypergraph& graph = loaded.value().graph;
+  auto rep = codec.value()->Compress(graph, loaded.value().alphabet,
+                                     options.value());
+  if (!rep.ok()) return Fail(rep.status());
+  auto bytes = api::WrapCodecPayload(backend, rep.value()->Serialize());
+  Status written = WriteFileBytes(args->positional[1], bytes);
+  if (!written.ok()) return Fail(written);
+  std::printf("[%s] %u edges -> %zu bytes on disk (%.3f bpe as measured "
+              "by the bench tables)\n",
+              backend.c_str(), graph.num_edges(), bytes.size(),
+              BitsPerEdge(rep.value()->ByteSize(), graph.num_edges()));
   return 0;
 }
 
-int CmdQuery(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  // `query <file>` or `query --remote host:port`: same flags, same
-  // query paths — only where cold shards fault from differs.
-  std::string remote_spec;
-  const char* in_path = argv[2];
-  int flag_start = 3;
-  if (std::strcmp(argv[2], "--remote") == 0) {
-    if (argc < 4) return Usage();
-    remote_spec = argv[3];
-    in_path = nullptr;
-    flag_start = 4;
+int CmdDecompress(int argc, char** argv) {
+  int threads = 0;
+  auto args = ParseArgs(
+      argc, argv, {{"--threads", Count{&threads, 1, kMaxThreads}}}, 2, 2);
+  if (!args) return 2;
+  // The file opens lazily and Decompress faults the shards on the
+  // decompress thread pool.
+  std::string backend;
+  auto rep = api::OpenCompressedFile(args->positional[0], &backend);
+  if (!rep.ok()) return Fail(rep.status());
+  if (threads > 1) rep.value()->set_threads(threads);
+  auto graph = rep.value()->Decompress();
+  if (!graph.ok()) return Fail(graph.status());
+  // Codec payloads carry no label names, only labeled edges.
+  Status saved = SaveGraphText(graph.value(), InferAlphabet(graph.value()),
+                               args->positional[1]);
+  if (!saved.ok()) return Fail(saved);
+  std::printf("[%s] wrote %u nodes, %u edges\n", backend.c_str(),
+              graph.value().num_nodes(), graph.value().num_edges());
+  return 0;
+}
+
+// Splits "a,b,c" and parses each item; a malformed item is a hard
+// error, not a skip.
+template <typename T, typename Parse>
+bool ParseList(const std::string& spec, Parse parse, std::vector<T>* out) {
+  for (size_t pos = 0; pos <= spec.size();) {
+    size_t end = std::min(spec.find(',', pos), spec.size());
+    T item{};
+    if (!parse(spec.substr(pos, end - pos), &item)) return false;
+    out->push_back(item);
+    pos = end + 1;
   }
-  std::string nodes_spec, pairs_spec;
+  return true;
+}
+
+// "from:to", one --pairs item.
+bool ParsePair(const std::string& item, std::pair<uint64_t, uint64_t>* out) {
+  size_t colon = item.find(':');
+  return colon != std::string::npos &&
+         ParseU64(item.substr(0, colon), &out->first) &&
+         ParseU64(item.substr(colon + 1), &out->second);
+}
+
+int CmdQuery(int argc, char** argv) {
+  std::string remote_spec, nodes_spec, pairs_spec;
   bool batch = false;
   int threads = 0;
   int prefetch = 0;
-  bool have_cache_bytes = false;
   uint64_t cache_bytes = 0;
   std::vector<std::string> delta_paths;
   api::RemoteOptions remote_options;
-  bool have_remote_flags = false;
-  for (int i = flag_start; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--nodes" && i + 1 < argc) {
-      nodes_spec = argv[++i];
-    } else if (arg == "--pairs" && i + 1 < argc) {
-      pairs_spec = argv[++i];
-    } else if (arg == "--batch") {
-      batch = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      if (!ParseCountFlag("--threads", argv[++i], kMaxThreads, &threads)) {
-        return 2;
-      }
-    } else if (arg == "--cache-bytes" && i + 1 < argc) {
-      if (!ParseU64(argv[++i], &cache_bytes)) {
-        std::fprintf(stderr, "--cache-bytes expects a byte count, got "
-                             "'%s'\n", argv[i]);
-        return 2;
-      }
-      have_cache_bytes = true;
-    } else if (arg == "--prefetch" && i + 1 < argc) {
-      if (!ParseCountFlag("--prefetch", argv[++i], 64, &prefetch)) {
-        return 2;
-      }
-    } else if (arg == "--pool" && i + 1 < argc) {
-      if (!ParseCountFlag("--pool", argv[++i], 64,
-                          &remote_options.pool_size)) {
-        return 2;
-      }
-      have_remote_flags = true;
-    } else if (arg == "--ssd-cache" && i + 1 < argc) {
-      remote_options.ssd_cache_dir = argv[++i];
-      have_remote_flags = true;
-    } else if (arg == "--ssd-cache-bytes" && i + 1 < argc) {
-      if (!ParseU64(argv[++i], &remote_options.ssd_cache_bytes)) {
-        std::fprintf(stderr, "--ssd-cache-bytes expects a byte count, "
-                             "got '%s'\n", argv[i]);
-        return 2;
-      }
-      have_remote_flags = true;
-    } else if (arg == "--warm-from-histogram" && i + 1 < argc) {
-      std::string value = argv[++i];
-      if (value != "0" && value != "1") {
-        std::fprintf(stderr, "--warm-from-histogram expects 0 or 1, got "
-                             "'%s'\n", value.c_str());
-        return 2;
-      }
-      remote_options.warm_from_histogram = value == "1";
-      have_remote_flags = true;
-    } else if (arg == "--delta" && i + 1 < argc) {
-      delta_paths.push_back(argv[++i]);
-    } else {
-      return Usage();
-    }
-  }
-  if (have_remote_flags && remote_spec.empty()) {
+  auto args = ParseArgs(
+      argc, argv,
+      {{"--remote", &remote_spec},
+       {"--nodes", &nodes_spec},
+       {"--pairs", &pairs_spec},
+       {"--batch", &batch},
+       {"--threads", Count{&threads, 1, kMaxThreads}},
+       {"--cache-bytes", &cache_bytes},
+       {"--prefetch", Count{&prefetch, 1, 64}},
+       {"--pool", Count{&remote_options.pool_size, 1, 64}},
+       {"--ssd-cache", &remote_options.ssd_cache_dir},
+       {"--ssd-cache-bytes", &remote_options.ssd_cache_bytes},
+       {"--warm-from-histogram", Bit{&remote_options.warm_from_histogram}},
+       {"--delta", &delta_paths}},
+      0, 1);
+  if (!args) return 2;
+  // `query <file>` or `query --remote host:port`: same flags, same
+  // query paths — only where cold shards fault from differs.
+  const bool remote = args->has("--remote");
+  if (remote == (args->positional.size() == 1)) return Usage();
+  if (!remote && (args->has("--pool") || args->has("--ssd-cache") ||
+                  args->has("--ssd-cache-bytes") ||
+                  args->has("--warm-from-histogram"))) {
     std::fprintf(stderr,
                  "--pool/--ssd-cache/--ssd-cache-bytes/"
                  "--warm-from-histogram tune the remote tier; they "
@@ -580,37 +354,87 @@ int CmdQuery(int argc, char** argv) {
   }
   std::vector<uint64_t> nodes;
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
-  if (!nodes_spec.empty() && !ParseNodeList(nodes_spec, &nodes)) return 2;
-  if (!pairs_spec.empty() && !ParsePairList(pairs_spec, &pairs)) return 2;
+  if (!nodes_spec.empty() && !ParseList(nodes_spec, ParseU64, &nodes)) {
+    std::fprintf(stderr, "--nodes expects comma-separated ids, got '%s'\n",
+                 nodes_spec.c_str());
+    return 2;
+  }
+  if (!pairs_spec.empty() && !ParseList(pairs_spec, ParsePair, &pairs)) {
+    std::fprintf(stderr,
+                 "--pairs expects comma-separated from:to pairs, got '%s'\n",
+                 pairs_spec.c_str());
+    return 2;
+  }
 
   // Local and served corpora open differently, then share everything:
   // the delta chain (anchored at the local base file, or by directory
   // checksum alone for a served base) and the query paths.
-  auto rep = remote_spec.empty()
-                 ? api::OpenCompressedFile(in_path)
-                 : api::OpenRemote(remote_spec, remote_options);
-  if (!rep.ok()) {
-    std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
-    return 1;
+  const std::string in_path = remote ? "" : args->positional[0];
+  auto opened = remote ? api::OpenRemote(remote_spec, remote_options)
+                       : api::OpenCompressedFile(in_path);
+  if (!opened.ok()) return Fail(opened.status());
+  shard::ShardedRep& rep = *opened.value();
+  Status chained = api::ApplyDeltaChain(&rep, in_path, delta_paths);
+  if (!chained.ok()) return Fail(chained);
+  if (threads > 1) rep.set_threads(threads);
+  if (args->has("--cache-bytes")) {
+    rep.set_query_cache_bytes(static_cast<size_t>(cache_bytes));
   }
-  auto chained = api::ApplyDeltaChain(
-      rep.value().get(), remote_spec.empty() ? in_path : "", delta_paths);
-  if (!chained.ok()) {
-    std::fprintf(stderr, "%s\n", chained.ToString().c_str());
-    return 1;
+  if (prefetch > 0) rep.set_prefetch_threads(prefetch);
+  std::printf("[sharded:%s] %llu nodes\n", rep.inner_name().c_str(),
+              static_cast<unsigned long long>(rep.num_nodes()));
+  std::vector<std::vector<uint64_t>> outs;
+  if (batch && !nodes.empty()) {
+    auto results = rep.OutNeighborsBatch(nodes);
+    if (!results.ok()) return Fail(results.status());
+    outs = std::move(results).ValueOrDie();
   }
-  return RunQueries(std::move(rep).ValueOrDie(), nodes, pairs, batch,
-                    threads, have_cache_bytes, cache_bytes, prefetch);
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    if (!batch) {
+      auto out = rep.OutNeighbors(nodes[j]);
+      if (!out.ok()) return Fail(out.status());
+      outs.push_back(std::move(out).ValueOrDie());
+    }
+    std::printf("out[%llu] (%zu):", static_cast<unsigned long long>(nodes[j]),
+                outs[j].size());
+    for (uint64_t v : outs[j]) std::printf(" %llu", (unsigned long long)v);
+    std::printf("\n");
+  }
+  if (!pairs.empty()) {
+    std::vector<uint8_t> verdicts;
+    if (batch) {
+      auto results = rep.ReachableBatch(pairs);
+      if (!results.ok()) return Fail(results.status());
+      verdicts = std::move(results).ValueOrDie();
+    } else {
+      for (const auto& [from, to] : pairs) {
+        auto r = rep.Reachable(from, to);
+        if (!r.ok()) return Fail(r.status());
+        verdicts.push_back(r.value() ? 1 : 0);
+      }
+    }
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      std::printf("reach %llu -> %llu: %s\n",
+                  static_cast<unsigned long long>(pairs[k].first),
+                  static_cast<unsigned long long>(pairs[k].second),
+                  verdicts[k] ? "yes" : "no");
+    }
+  }
+  // Every counter by field name; CI asserts remote_fetches=0 on an
+  // SSD-warm remote run.
+  api::QueryStats stats = rep.query_stats();
+  std::printf("stats:");
+  for (const api::QueryStatsField& field : api::kQueryStatsFields) {
+    std::printf(" %s=%llu", field.name,
+                static_cast<unsigned long long>(stats.*field.member));
+  }
+  std::printf("\n");
+  return 0;
 }
 
-// `append`: replay a text edit stream against a versioned corpus and
-// write the result as a GRSHARD3 delta container. Edit lines are
-// `a u v [label]` (append a rank-2 edge) or `d u v` (delete every
-// rank-2 edge u -> v); '#' starts a comment, blank lines are skipped.
-// The produced delta chains to the *last* input file (the base when no
-// chain files are given) by whole-file hash + size, and is cumulative:
-// it carries every edit since the base, so shipping only the newest
-// link reproduces the full corpus.
+// `append`'s edit stream: `a u v [label]` appends a rank-2 edge, `d u
+// v` deletes every rank-2 edge u -> v, '#' starts a comment and blank
+// lines are skipped.
 bool ParseEditsFile(const std::string& path,
                     std::vector<shard::EdgeEdit>* edits) {
   std::ifstream in(path);
@@ -648,32 +472,21 @@ bool ParseEditsFile(const std::string& path,
   return true;
 }
 
+// `append`: replay an edit stream against a versioned corpus and write
+// a GRSHARD3 delta container. The delta chains to the *last* input
+// file by whole-file hash + size, and is cumulative: it carries every
+// edit since the base, so shipping only the newest link reproduces the
+// full corpus.
 int CmdAppend(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  std::string base_path = argv[2];
-  std::vector<std::string> chain;
   std::string edits_path, out_path;
   uint64_t fold_budget = 0;
-  bool have_fold_budget = false;
-  for (int i = 3; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--edits" && i + 1 < argc) {
-      edits_path = argv[++i];
-    } else if ((arg == "-o" || arg == "--out") && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--fold-budget" && i + 1 < argc) {
-      if (!ParseU64(argv[++i], &fold_budget)) {
-        std::fprintf(stderr, "--fold-budget expects a byte count, got "
-                             "'%s'\n", argv[i]);
-        return 2;
-      }
-      have_fold_budget = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      chain.push_back(arg);  // an earlier delta in the chain
-    }
-  }
+  auto args = ParseArgs(argc, argv,
+                        {{"--edits", &edits_path},
+                         {"-o", &out_path},
+                         {"--out", &out_path},
+                         {"--fold-budget", &fold_budget}},
+                        1, kAnyCount);
+  if (!args) return 2;
   if (edits_path.empty() || out_path.empty()) {
     std::fprintf(stderr, "append needs --edits <file> and -o <out>\n");
     return 2;
@@ -681,40 +494,33 @@ int CmdAppend(int argc, char** argv) {
   std::vector<shard::EdgeEdit> edits;
   if (!ParseEditsFile(edits_path, &edits)) return 1;
 
+  // The base, then any earlier deltas of the chain.
+  const std::string& base_path = args->positional[0];
+  const std::vector<std::string> chain(args->positional.begin() + 1,
+                                       args->positional.end());
   std::string backend;
   auto rep = api::OpenVersioned(base_path, chain, &backend);
-  if (!rep.ok()) {
-    std::fprintf(stderr, "%s\n", rep.status().ToString().c_str());
-    return 1;
+  if (!rep.ok()) return Fail(rep.status());
+  if (args->has("--fold-budget")) {
+    rep.value()->set_overlay_budget_bytes(fold_budget);
   }
-  if (have_fold_budget) rep.value()->set_overlay_budget_bytes(fold_budget);
-  auto applied = rep.value()->ApplyEdits(edits);
-  if (!applied.ok()) {
-    std::fprintf(stderr, "%s\n", applied.ToString().c_str());
-    return 1;
-  }
+  Status applied = rep.value()->ApplyEdits(edits);
+  if (!applied.ok()) return Fail(applied);
   // The new delta chains to the newest existing file: the base when
   // this is the first delta, else the last chain link.
-  const std::string& prev_path = chain.empty() ? base_path : chain.back();
   uint64_t prev_hash = 0, prev_size = 0;
   {
-    auto prev = MmapFile::Open(prev_path);
-    if (!prev.ok()) {
-      std::fprintf(stderr, "%s\n", prev.status().ToString().c_str());
-      return 1;
-    }
+    auto prev = MmapFile::Open(chain.empty() ? base_path : chain.back());
+    if (!prev.ok()) return Fail(prev.status());
     ByteSpan span = prev.value()->span();
     prev_hash = HashBytes(span.data, span.size);
     prev_size = span.size;
   }
   auto delta = rep.value()->BuildDelta(prev_hash, prev_size);
-  if (!delta.ok()) {
-    std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
-    return 1;
-  }
-  if (!WriteBytes(out_path, shard::EncodeDeltaContainer(delta.value()))) {
-    return 1;
-  }
+  if (!delta.ok()) return Fail(delta.status());
+  Status written =
+      WriteFileBytes(out_path, shard::EncodeDeltaContainer(delta.value()));
+  if (!written.ok()) return Fail(written);
   std::printf("append: %s <- %zu edits (%zu changed shards, %zu adds + "
               "%zu kills residual) backend=%s\n",
               out_path.c_str(), edits.size(),
@@ -727,30 +533,21 @@ int CmdAppend(int argc, char** argv) {
 // container inspection — nothing is decoded, so it works on corrupt
 // payloads too (the trailing checksum is still verified).
 int CmdDiff(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  uint64_t base_size = 0;
-  {
-    auto base = MmapFile::Open(argv[2]);
-    if (!base.ok()) {
-      std::fprintf(stderr, "%s\n", base.status().ToString().c_str());
-      return 1;
-    }
-    base_size = base.value()->span().size;
-  }
-  std::printf("base: %s %llu bytes\n", argv[2],
+  auto args = ParseArgs(argc, argv, {}, 2, kAnyCount);
+  if (!args) return 2;
+  const std::string& base_path = args->positional[0];
+  auto base = MmapFile::Open(base_path);
+  if (!base.ok()) return Fail(base.status());
+  const uint64_t base_size = base.value()->span().size;
+  std::printf("base: %s %llu bytes\n", base_path.c_str(),
               (unsigned long long)base_size);
-  for (int i = 3; i < argc; ++i) {
-    auto file = MmapFile::Open(argv[i]);
-    if (!file.ok()) {
-      std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
-      return 1;
-    }
+  for (size_t i = 1; i < args->positional.size(); ++i) {
+    const std::string& path = args->positional[i];
+    auto file = MmapFile::Open(path);
+    if (!file.ok()) return Fail(file.status());
     ByteSpan span = file.value()->span();
-    auto delta = shard::DecodeDeltaContainer(span, argv[i]);
-    if (!delta.ok()) {
-      std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
-      return 1;
-    }
+    auto delta = shard::DecodeDeltaContainer(span, path);
+    if (!delta.ok()) return Fail(delta.status());
     uint64_t payload = 0;
     for (const auto& shard : delta.value().shards) {
       payload += shard.payload.size();
@@ -760,7 +557,7 @@ int CmdDiff(int argc, char** argv) {
                      : 100.0 * (double)span.size / (double)base_size;
     std::printf("delta: %s %llu bytes (%.2f%% of base) shards=%zu "
                 "shard_payload=%llu adds=%zu kills=%zu base=%s/%llu\n",
-                argv[i], (unsigned long long)span.size, pct,
+                path.c_str(), (unsigned long long)span.size, pct,
                 delta.value().shards.size(),
                 (unsigned long long)payload, delta.value().adds.size(),
                 delta.value().kills.size(),
@@ -770,12 +567,6 @@ int CmdDiff(int argc, char** argv) {
   return 0;
 }
 
-// `serve`: export GRSHARD2 containers over TCP until SIGINT or
-// SIGTERM. Corpora come from repeatable `--corpus name=path` flags
-// and/or bare arguments — a file registers under its basename (minus
-// extension), a directory is scanned for every servable container.
-// The listening line goes to stdout (flushed) so scripts can wait for
-// it; everything after runs in the server's own threads.
 std::atomic<bool> g_serve_stop{false};
 
 void ServeSignalHandler(int) { g_serve_stop.store(true); }
@@ -783,61 +574,52 @@ void ServeSignalHandler(int) { g_serve_stop.store(true); }
 // Basename minus the last extension, the same naming rule
 // CorpusRegistry::DiscoverDirectory applies inside a directory.
 std::string CorpusNameForPath(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  std::string base =
-      slash == std::string::npos ? path : path.substr(slash + 1);
+  // npos + 1 == 0: a path without '/' is its own basename.
+  std::string base = path.substr(path.find_last_of('/') + 1);
   size_t dot = base.rfind('.');
-  if (dot == std::string::npos || dot == 0) return base;
-  return base.substr(0, dot);
+  return dot == std::string::npos || dot == 0 ? base : base.substr(0, dot);
 }
 
+// `serve`: export GRSHARD2 containers over TCP until SIGINT or
+// SIGTERM. Corpora come from repeatable `--corpus name=path` flags
+// and/or bare arguments — a file registers under its basename (minus
+// extension), a directory is scanned for every servable container.
+// The listening line goes to stdout (flushed) so scripts can wait for
+// it; everything after runs in the server's own threads.
 int CmdServe(int argc, char** argv) {
   serve::ShardServer::Options options;
+  int port = options.port;  // 0 picks an ephemeral port
+  std::vector<std::string> corpus_specs;
+  auto args = ParseArgs(argc, argv,
+                        {{"--host", &options.host},
+                         {"--port", Count{&port, 0, 65535}},
+                         {"--pin-bytes", &options.pin_bytes},
+                         {"--corpus", &corpus_specs}},
+                        0, kAnyCount);
+  if (!args) return 2;
+  options.port = static_cast<uint16_t>(port);
   serve::CorpusRegistry registry;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--host" && i + 1 < argc) {
-      options.host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      int port = 0;
-      if (!ParseCountFlag("--port", argv[++i], 65535, &port)) return 2;
-      options.port = static_cast<uint16_t>(port);
-    } else if (arg == "--pin-bytes" && i + 1 < argc) {
-      if (!ParseU64(argv[++i], &options.pin_bytes)) {
-        std::fprintf(stderr, "--pin-bytes expects a byte count, got "
-                             "'%s'\n", argv[i]);
-        return 2;
-      }
-    } else if (arg == "--corpus" && i + 1 < argc) {
-      std::string spec = argv[++i];
-      size_t eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
-        std::fprintf(stderr, "--corpus expects name=path, got '%s'\n",
-                     spec.c_str());
-        return 2;
-      }
-      auto status = registry.AddFile(spec.substr(0, eq), spec.substr(eq + 1));
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-    } else if (!arg.empty() && arg[0] != '-') {
-      struct stat st;
-      if (stat(arg.c_str(), &st) != 0) {
-        std::fprintf(stderr, "serve: cannot stat %s: %s\n", arg.c_str(),
-                     std::strerror(errno));
-        return 1;
-      }
-      Status status = S_ISDIR(st.st_mode)
-                          ? registry.DiscoverDirectory(arg)
-                          : registry.AddFile(CorpusNameForPath(arg), arg);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-    } else {
-      return Usage();
+  for (const std::string& spec : corpus_specs) {
+    size_t eq = spec.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
+      std::fprintf(stderr, "--corpus expects name=path, got '%s'\n",
+                   spec.c_str());
+      return 2;
     }
+    Status added = registry.AddFile(spec.substr(0, eq), spec.substr(eq + 1));
+    if (!added.ok()) return Fail(added);
+  }
+  for (const std::string& path : args->positional) {
+    struct stat st;
+    if (stat(path.c_str(), &st) != 0) {
+      std::fprintf(stderr, "serve: cannot stat %s: %s\n", path.c_str(),
+                   std::strerror(errno));
+      return 1;
+    }
+    Status added = S_ISDIR(st.st_mode)
+                       ? registry.DiscoverDirectory(path)
+                       : registry.AddFile(CorpusNameForPath(path), path);
+    if (!added.ok()) return Fail(added);
   }
   if (registry.empty()) {
     std::fprintf(stderr,
@@ -847,10 +629,7 @@ int CmdServe(int argc, char** argv) {
   }
   size_t num_corpora = registry.size();
   auto server = serve::ShardServer::Start(std::move(registry), options);
-  if (!server.ok()) {
-    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
-    return 1;
-  }
+  if (!server.ok()) return Fail(server.status());
   std::printf("serving %zu corpus(es) on %s\n", num_corpora,
               server.value()->host_port().c_str());
   for (size_t i = 0; i < num_corpora; ++i) {
@@ -881,6 +660,43 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
+// The shard table of `info`: one row per directory entry. `served`
+// (`info --remote` only: the server's stats for this corpus) adds its
+// hit histogram as hits/heat columns — heat is a shard's share of all
+// hits — and its current placement as a pinned column.
+void PrintShardTable(const shard::ParsedDirectory& dir,
+                     const serve::CorpusServeStats* served) {
+  std::printf("%6s %10s %10s %18s %10s", "shard", "offset", "length",
+              "checksum", "nodes");
+  if (served != nullptr) {
+    std::printf(" %10s %7s %7s", "hits", "heat", "pinned");
+  }
+  std::printf("\n");
+  const uint64_t total_hits =
+      served == nullptr ? 0
+                        : std::accumulate(served->shard_hits.begin(),
+                                          served->shard_hits.end(), 0ull);
+  for (size_t i = 0; i < dir.rows.size(); ++i) {
+    const auto& s = dir.rows[i];
+    std::printf("%6zu %10llu %10llu 0x%016llx %10llu", i,
+                (unsigned long long)s.offset, (unsigned long long)s.length,
+                (unsigned long long)s.checksum,
+                (unsigned long long)s.node_count);
+    if (served != nullptr) {
+      uint64_t hits =
+          i < served->shard_hits.size() ? served->shard_hits[i] : 0;
+      double heat = total_hits > 0 ? 100.0 * static_cast<double>(hits) /
+                                         static_cast<double>(total_hits)
+                                   : 0.0;
+      bool pinned =
+          i < served->shard_pinned.size() && served->shard_pinned[i] != 0;
+      std::printf(" %10llu %6.1f%% %7s", (unsigned long long)hits, heat,
+                  pinned ? "yes" : "-");
+    }
+    std::printf("\n");
+  }
+}
+
 // `info --remote host:port[/corpus]`: asks a running shard server
 // over the GRNF STATS verb. Without a corpus name it prints the
 // serving totals and the corpus list; with one it additionally fetches
@@ -889,16 +705,13 @@ int CmdServe(int argc, char** argv) {
 // histogram alongside.
 int CmdInfoRemote(const std::string& target) {
   std::string host_port, corpus;
-  auto split = serve::SplitTarget(target, &host_port, &corpus);
+  Status split = serve::SplitTarget(target, &host_port, &corpus);
   if (!split.ok()) {
-    std::fprintf(stderr, "%s\n", split.ToString().c_str());
-    return 2;
+    Fail(split);
+    return 2;  // a malformed target is an argument error
   }
   auto stats = serve::FetchServerStats(host_port);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+  if (!stats.ok()) return Fail(stats.status());
   const serve::ServerStatsSnapshot& snapshot = stats.value();
   std::printf("shard server %s: %zu corpus(es), %llu connection(s), "
               "%llu request(s), %llu byte(s) sent, %llu error(s)\n",
@@ -917,49 +730,18 @@ int CmdInfoRemote(const std::string& target) {
   std::string resolved;
   auto dir = serve::FetchCorpusDirectory(host_port, corpus,
                                          /*io_timeout_ms=*/30000, &resolved);
-  if (!dir.ok()) {
-    std::fprintf(stderr, "%s\n", dir.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<uint64_t>* hits = nullptr;
-  const std::vector<uint8_t>* pinned = nullptr;
+  if (!dir.ok()) return Fail(dir.status());
+  // A corpus missing from the snapshot prints zero hits, nothing pinned.
+  serve::CorpusServeStats served;
   for (const auto& c : snapshot.corpora) {
-    if (c.name == resolved) {
-      hits = &c.shard_hits;
-      pinned = &c.shard_pinned;
-    }
+    if (c.name == resolved) served = c;
   }
   std::printf("corpus %s: inner=%s nodes=%llu shards=%zu\n",
               resolved.empty() ? corpus.c_str() : resolved.c_str(),
               dir.value().inner_name.c_str(),
               (unsigned long long)dir.value().num_nodes,
               dir.value().rows.size());
-  // heat = this shard's share of all hits; pinned reflects the
-  // server's current placement (blank when it has no pin budget).
-  uint64_t total_hits = 0;
-  if (hits != nullptr) {
-    for (uint64_t h : *hits) total_hits += h;
-  }
-  std::printf("%6s %10s %10s %18s %10s %10s %7s %7s\n", "shard", "offset",
-              "length", "checksum", "nodes", "hits", "heat", "pinned");
-  for (size_t i = 0; i < dir.value().rows.size(); ++i) {
-    const auto& s = dir.value().rows[i];
-    uint64_t shard_hit_count =
-        hits != nullptr && i < hits->size() ? (*hits)[i] : 0;
-    double heat = total_hits > 0
-                      ? 100.0 * static_cast<double>(shard_hit_count) /
-                            static_cast<double>(total_hits)
-                      : 0.0;
-    bool is_pinned =
-        pinned != nullptr && i < pinned->size() && (*pinned)[i] != 0;
-    std::printf("%6zu %10llu %10llu 0x%016llx %10llu %10llu %6.1f%% %7s\n",
-                i, (unsigned long long)s.offset,
-                (unsigned long long)s.length,
-                (unsigned long long)s.checksum,
-                (unsigned long long)s.node_count,
-                (unsigned long long)shard_hit_count, heat,
-                is_pinned ? "yes" : "-");
-  }
+  PrintShardTable(dir.value(), &served);
   return 0;
 }
 
@@ -969,32 +751,26 @@ int CmdInfoRemote(const std::string& target) {
 // constructed, and a tag that names another inner codec than the
 // directory fails as it does at open.
 int CmdInfo(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  if (std::strcmp(argv[2], "--remote") == 0) {
-    if (argc < 4) return Usage();
-    return CmdInfoRemote(argv[3]);
-  }
+  std::string remote_target;
+  auto args = ParseArgs(argc, argv, {{"--remote", &remote_target}}, 0, 1);
+  if (!args) return 2;
+  if (args->has("--remote") == (args->positional.size() == 1)) return Usage();
+  if (args->has("--remote")) return CmdInfoRemote(remote_target);
+  const std::string& path = args->positional[0];
   std::string inner;
   ByteSpan payload;
-  auto file = api::MapShardedFile(argv[2], &inner, &payload);
-  if (!file.ok()) {
-    std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
-    return 1;
-  }
+  auto file = api::MapShardedFile(path, &inner, &payload);
+  if (!file.ok()) return Fail(file.status());
   auto parsed = shard::ParseContainer(payload);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[2],
-                 parsed.status().ToString().c_str());
-    return 1;
+    std::fprintf(stderr, "%s: ", path.c_str());
+    return Fail(parsed.status());
   }
   const shard::ParsedDirectory& dir = parsed.value().dir;
-  Status tag = api::CheckTaggedInner(argv[2], inner, dir.inner_name);
-  if (!tag.ok()) {
-    std::fprintf(stderr, "%s\n", tag.ToString().c_str());
-    return 1;
-  }
+  Status tag = api::CheckTaggedInner(path, inner, dir.inner_name);
+  if (!tag.ok()) return Fail(tag);
   size_t size = file.value()->span().size;
-  std::printf("%s: %zu bytes (%s)\n", argv[2], size,
+  std::printf("%s: %zu bytes (%s)\n", path.c_str(), size,
               file.value()->is_mapped() ? "mmap" : "heap");
   std::printf("backend: sharded:%s (payload %zu bytes at offset %zu)\n",
               inner.c_str(), payload.size, size - payload.size);
@@ -1002,65 +778,58 @@ int CmdInfo(int argc, char** argv) {
               dir.inner_name.c_str(),
               static_cast<unsigned long long>(dir.num_nodes),
               dir.rows.size());
-  std::printf("%6s %10s %10s %18s %10s\n", "shard", "offset", "length",
-              "checksum", "nodes");
-  for (size_t i = 0; i < dir.rows.size(); ++i) {
-    const auto& s = dir.rows[i];
-    std::printf("%6zu %10llu %10llu 0x%016llx %10llu\n", i,
-                (unsigned long long)s.offset, (unsigned long long)s.length,
-                (unsigned long long)s.checksum,
-                (unsigned long long)s.node_count);
-  }
+  PrintShardTable(dir, nullptr);
   return 0;
 }
 
 // `stats` and `components` work on the grammar itself, so they take a
 // file of one sharded:grepair shard (what `compress` writes by
-// default). The shard's payload comes through the rep's
-// checksum-verified fault path; its grammar covers the nodes that
-// have an edge. `*dropped_nodes` receives the edgeless nodes the
-// partitioner left out of the shard. A graph without edges has no
-// grammar (nullopt).
-Result<std::optional<CompressedGraph>> LoadOneGrammar(
-    const std::string& path, uint64_t* dropped_nodes) {
+// default), fetched through the rep's checksum-verified fault path.
+// Its grammar covers the nodes that have an edge; the partitioner
+// leaves the edgeless ones out of the shard.
+int CmdGrammar(int argc, char** argv) {
+  auto args = ParseArgs(argc, argv, {}, 1, 1);
+  if (!args) return 2;
+  const bool components = std::strcmp(argv[1], "components") == 0;
+  const std::string& path = args->positional[0];
   auto rep = api::OpenCompressedFile(path);
-  if (!rep.ok()) return rep.status();
+  if (!rep.ok()) return Fail(rep.status());
   const shard::ShardedRep& sharded = *rep.value();
   if (sharded.inner_name() != "grepair") {
-    return Status::InvalidArgument(path + " holds 'sharded:" +
-                                   sharded.inner_name() +
-                                   "' shards; this command needs "
-                                   "'sharded:grepair'");
+    return Fail(Status::InvalidArgument(
+        path + " holds 'sharded:" + sharded.inner_name() +
+        "' shards; this command needs 'sharded:grepair'"));
   }
   // The directory lists the data shards, then the cut shard.
   size_t data_shards = sharded.num_shards() - 1;
   if (data_shards != 1 || sharded.entry(1).has_payload()) {
-    return Status::InvalidArgument(
+    return Fail(Status::InvalidArgument(
         path + " holds " + std::to_string(data_shards) +
         " data shards; this command reads the one grammar of a 1-shard "
-        "file (compress without --shards)");
+        "file (compress without --shards)"));
   }
-  *dropped_nodes = sharded.num_nodes() - sharded.entry(0).nodes.size();
-  if (!sharded.entry(0).has_payload()) return {std::nullopt};
-  std::vector<uint8_t> fetched;
-  auto payload = sharded.store().VerifiedPayload(0, &fetched);
-  if (!payload.ok()) return payload.status();
-  return CompressedGraph::Deserialize(payload.value());
-}
-
-int CmdStats(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  uint64_t dropped_nodes = 0;
-  auto graph = LoadOneGrammar(argv[2], &dropped_nodes);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+  const uint64_t edgeless = sharded.num_nodes() - sharded.entry(0).nodes.size();
+  std::optional<CompressedGraph> graph;  // none: a graph without edges
+  if (sharded.entry(0).has_payload()) {
+    std::vector<uint8_t> fetched;
+    auto payload = sharded.store().VerifiedPayload(0, &fetched);
+    if (!payload.ok()) return Fail(payload.status());
+    auto decoded = CompressedGraph::Deserialize(payload.value());
+    if (!decoded.ok()) return Fail(decoded.status());
+    graph = std::move(decoded).ValueOrDie();
+  }
+  if (components) {
+    // Each edgeless node is a component of its own.
+    std::printf("%llu connected components\n",
+                static_cast<unsigned long long>(
+                    edgeless + (graph ? graph->NumConnectedComponents() : 0)));
+    return 0;
+  }
+  if (!graph) {
+    std::fprintf(stderr, "%s holds a graph without edges\n", path.c_str());
     return 1;
   }
-  if (!graph.value()) {
-    std::fprintf(stderr, "%s holds a graph without edges\n", argv[2]);
-    return 1;
-  }
-  const SlhrGrammar& grammar = graph.value()->grammar();
+  const SlhrGrammar& grammar = graph->grammar();
   auto s = ComputeGrammarStats(grammar);
   std::printf("rules:            %u\n", s.num_rules);
   std::printf("height:           %u\n", s.height);
@@ -1077,43 +846,25 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
-int CmdComponents(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  uint64_t dropped_nodes = 0;
-  auto graph = LoadOneGrammar(argv[2], &dropped_nodes);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  // Each edgeless node is a component of its own.
-  uint64_t components =
-      dropped_nodes +
-      (graph.value() ? graph.value()->NumConnectedComponents() : 0);
-  std::printf("%llu connected components\n",
-              static_cast<unsigned long long>(components));
-  return 0;
-}
-
 // Builds the named synthetic dataset; false on unknown kind. `size`
 // is the kind's primary scale knob (0 = default).
 bool MakeGenerated(const std::string& kind, uint32_t size,
                    GeneratedGraph* g) {
+  auto n = [size](uint32_t def) { return size ? size : def; };
   if (kind == "er") {
-    uint32_t n = size ? size : 1000;
-    *g = ErdosRenyi(n, n * 4, 1);
+    *g = ErdosRenyi(n(1000), n(1000) * 4, 1);
   } else if (kind == "ba") {
-    *g = BarabasiAlbert(size ? size : 1000, 4, 1);
+    *g = BarabasiAlbert(n(1000), 4, 1);
   } else if (kind == "coauth") {
-    uint32_t n = size ? size : 1000;
-    *g = CoAuthorship(n, n * 3 / 2, 1);
+    *g = CoAuthorship(n(1000), n(1000) * 3 / 2, 1);
   } else if (kind == "rdf-types") {
-    *g = RdfTypes(size ? size : 10000, 50, 1);
+    *g = RdfTypes(n(10000), 50, 1);
   } else if (kind == "rdf-entities") {
-    *g = RdfEntities(size ? size : 2000, 12, 100, 1);
+    *g = RdfEntities(n(2000), 12, 100, 1);
   } else if (kind == "copies") {
-    *g = DisjointCopies(CycleWithDiagonal(), size ? size : 256, "copies");
+    *g = DisjointCopies(CycleWithDiagonal(), n(256), "copies");
   } else if (kind == "dblp") {
-    *g = DblpVersions(size ? size : 8, 200, 100, 1, "dblp");
+    *g = DblpVersions(n(8), 200, 100, 1, "dblp");
   } else {
     return false;
   }
@@ -1121,35 +872,31 @@ bool MakeGenerated(const std::string& kind, uint32_t size,
 }
 
 int CmdGen(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  uint32_t size = 0;
-  if (argc >= 5) {
-    // atoi would wrap negatives/overflow through the uint32_t cast
-    // into enormous generator sizes.
-    uint64_t parsed = 0;
-    if (!ParseU64(argv[4], &parsed) || parsed > 0xFFFFFFFFull) {
-      std::fprintf(stderr,
-                   "gen expects a size in [0, 4294967295], got '%s'\n",
-                   argv[4]);
-      return 2;
-    }
-    size = static_cast<uint32_t>(parsed);
+  auto args = ParseArgs(argc, argv, {}, 2, 3);
+  if (!args) return 2;
+  const std::string& out_path = args->positional[1];
+  uint64_t size = 0;
+  // atoi would wrap negatives/overflow through the uint32_t cast into
+  // enormous generator sizes.
+  if (args->positional.size() == 3 &&
+      (!ParseU64(args->positional[2], &size) || size > 0xFFFFFFFFull)) {
+    std::fprintf(stderr, "gen expects a size in [0, 4294967295], got '%s'\n",
+                 args->positional[2].c_str());
+    return 2;
   }
   GeneratedGraph g;
-  if (!MakeGenerated(argv[2], size, &g)) return Usage();
-  auto status = SaveGraphText(g.graph, g.alphabet, argv[3]);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+  if (!MakeGenerated(args->positional[0], static_cast<uint32_t>(size), &g)) {
+    return Usage();
   }
-  std::printf("wrote %s: %u nodes, %u edges, %zu labels\n", argv[3],
+  Status saved = SaveGraphText(g.graph, g.alphabet, out_path);
+  if (!saved.ok()) return Fail(saved);
+  std::printf("wrote %s: %u nodes, %u edges, %zu labels\n", out_path.c_str(),
               g.graph.num_nodes(), g.graph.num_edges(), g.alphabet.size());
   return 0;
 }
 
-// Sorted unique (source, target) pairs; the round-trip invariant every
-// codec guarantees (the unlabeled baselines drop labels, so the bench
-// check compares structure, not labels).
+// Sorted unique (source, target) pairs: the structure a round trip
+// must restore, whatever a codec does with labels and repeated edges.
 std::vector<std::pair<uint32_t, uint32_t>> UnlabeledEdgeSet(
     const Hypergraph& g) {
   std::vector<std::pair<uint32_t, uint32_t>> edges;
@@ -1163,15 +910,12 @@ std::vector<std::pair<uint32_t, uint32_t>> UnlabeledEdgeSet(
 
 // Runs one codec over a generated dataset: compress, size, timing, and
 // a full serialize -> deserialize -> decompress round-trip check.
-// Returns 1 on hard failure, 0 on success or not-applicable.
+// Returns 1 on hard failure, 0 on success or not-applicable; sets
+// `*ran` when the codec applied.
 int BenchOne(const std::string& backend, const GeneratedGraph& gg,
-             const api::CodecOptions& options, bool* applicable) {
-  *applicable = false;
+             const api::CodecOptions& options, bool* ran) {
   auto codec = api::CodecRegistry::Create(backend);
-  if (!codec.ok()) {
-    std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-    return 1;
-  }
+  if (!codec.ok()) return Fail(codec.status());
   auto t0 = std::chrono::steady_clock::now();
   auto rep = codec.value()->Compress(gg.graph, gg.alphabet, options);
   auto t1 = std::chrono::steady_clock::now();
@@ -1181,11 +925,10 @@ int BenchOne(const std::string& backend, const GeneratedGraph& gg,
                   rep.status().message().c_str());
       return 0;
     }
-    std::fprintf(stderr, "%s: %s\n", backend.c_str(),
-                 rep.status().ToString().c_str());
-    return 1;
+    std::fprintf(stderr, "%s: ", backend.c_str());
+    return Fail(rep.status());
   }
-  *applicable = true;
+  *ran = true;
   auto bytes = rep.value()->Serialize();
   auto round = codec.value()->Deserialize(bytes);
   const char* roundtrip = "FAIL";
@@ -1212,74 +955,59 @@ int CmdBench(int argc, char** argv) {
   std::string backend = "all";
   std::string kind;
   std::string option_spec;
-  ShardFlags shard_flags;
-  uint32_t size = 0;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--backend" && i + 1 < argc) {
-      backend = argv[++i];
-    } else if (arg == "--gen" && i + 1 < argc) {
-      kind = argv[++i];
-    } else if (arg == "--size" && i + 1 < argc) {
-      int parsed = 0;
-      if (!ParseCountFlag("--size", argv[++i], 1 << 30, &parsed)) return 2;
-      size = static_cast<uint32_t>(parsed);
-    } else if (arg == "--options" && i + 1 < argc) {
-      option_spec = argv[++i];
-    } else if (ShardFlagParse m =
-                   MatchShardFlag(arg, argc, argv, &i, &shard_flags);
-               m != ShardFlagParse::kNoMatch) {
-      if (m == ShardFlagParse::kError) return 2;
-    } else {
-      return Usage();
-    }
-  }
+  int size = 0;  // 0 = the kind's default
+  int shards = 0;
+  int threads = 0;
+  auto args = ParseArgs(argc, argv,
+                        {{"--backend", &backend},
+                         {"--gen", &kind},
+                         {"--size", Count{&size, 1, 1 << 30}},
+                         {"--options", &option_spec},
+                         {"--shards", Count{&shards, 1, shard::kMaxShards}},
+                         {"--threads", Count{&threads, 1, kMaxThreads}}},
+                        0, 0);
+  if (!args) return 2;
   if (kind.empty()) return Usage();
-  if (shard_flags.requested() && backend == "all") {
+  const bool sharded = shards > 0 || threads > 0;
+  if (sharded && backend == "all") {
     std::fprintf(stderr,
                  "--shards/--threads need a single --backend "
                  "(run e.g. --backend grepair --shards 8)\n");
     return 2;
   }
   GeneratedGraph gg;
-  if (!MakeGenerated(kind, size, &gg)) {
+  if (!MakeGenerated(kind, static_cast<uint32_t>(size), &gg)) {
     std::fprintf(stderr, "unknown dataset kind %s\n", kind.c_str());
     return 2;
   }
   auto options = api::CodecOptions::Parse(option_spec);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    return 1;
-  }
-  ApplyShardFlags(shard_flags, &backend, &options.value());
+  if (!options.ok()) return Fail(options.status());
+  if (sharded) UseShards(shards, threads, &backend, &options.value());
   std::printf("dataset %s: %u nodes, %u edges, %zu labels\n",
               gg.name.c_str(), gg.graph.num_nodes(), gg.graph.num_edges(),
               gg.alphabet.size());
   std::printf("%-12s %12s %9s %10s %10s %10s\n", "backend", "bytes", "bpe",
               "ms", "queries", "roundtrip");
+  const bool all = backend == "all";
   int rc = 0;
-  if (backend == "all") {
-    bool any_applicable = false;
-    for (const auto& name : api::CodecRegistry::Names()) {
-      bool applicable = false;
-      rc |= BenchOne(name, gg, options.value(), &applicable);
-      any_applicable |= applicable;
-    }
-    if (!any_applicable && rc == 0) {
-      // Every codec refusing usually means the --options spec itself is
-      // bad (a typo'd key rejects everywhere), not a benign mismatch.
-      std::fprintf(stderr, "no codec ran; check --options\n");
-      rc = 1;
-    }
-  } else {
-    bool applicable = false;
-    rc |= BenchOne(backend, gg, options.value(), &applicable);
-    if (rc == 0 && !applicable) rc = 1;  // asked-for backend must run
+  bool any_ran = false;
+  for (const auto& name :
+       all ? api::CodecRegistry::Names() : std::vector<std::string>{backend}) {
+    rc |= BenchOne(name, gg, options.value(), &any_ran);
+  }
+  if (!any_ran && rc == 0) {
+    // An asked-for backend must run. Every codec refusing usually means
+    // the --options spec itself is bad (a typo'd key rejects
+    // everywhere), not a benign mismatch.
+    if (all) std::fprintf(stderr, "no codec ran; check --options\n");
+    rc = 1;
   }
   return rc;
 }
 
-int CmdBackends() {
+int CmdBackends(int argc, char** argv) {
+  auto args = ParseArgs(argc, argv, {}, 0, 0);
+  if (!args) return 2;
   for (const auto& name : api::CodecRegistry::Names()) {
     auto codec = api::CodecRegistry::Create(name).ValueOrDie();
     uint32_t caps = codec->capabilities();
@@ -1302,14 +1030,13 @@ int main(int argc, char** argv) {
   if (cmd == "compress") return CmdCompress(argc, argv);
   if (cmd == "decompress") return CmdDecompress(argc, argv);
   if (cmd == "bench") return CmdBench(argc, argv);
-  if (cmd == "backends") return CmdBackends();
+  if (cmd == "backends") return CmdBackends(argc, argv);
   if (cmd == "query") return CmdQuery(argc, argv);
   if (cmd == "append") return CmdAppend(argc, argv);
   if (cmd == "diff") return CmdDiff(argc, argv);
   if (cmd == "serve") return CmdServe(argc, argv);
   if (cmd == "info") return CmdInfo(argc, argv);
-  if (cmd == "stats") return CmdStats(argc, argv);
-  if (cmd == "components") return CmdComponents(argc, argv);
+  if (cmd == "stats" || cmd == "components") return CmdGrammar(argc, argv);
   if (cmd == "gen") return CmdGen(argc, argv);
   return Usage();
 }
