@@ -158,7 +158,7 @@ class GrepairCodec : public GraphCodec {
       const Hypergraph& graph, const Alphabet& alphabet,
       const CodecOptions& options) const override {
     GREPAIR_RETURN_IF_ERROR(options.ExpectKeys(
-        {"max-rank", "order", "seed", "virtual", "prune", "original-ids"}));
+        {"max-rank", "order", "seed", "virtual", "prune"}));
     CompressOptions opts;
     auto max_rank = GetIntInRange(options, "max-rank", opts.max_rank, 2, 255);
     if (!max_rank.ok()) return max_rank.status();
@@ -178,11 +178,8 @@ class GrepairCodec : public GraphCodec {
     auto prune = options.GetBool("prune", opts.prune);
     if (!prune.ok()) return prune.status();
     opts.prune = prune.value();
-    auto original_ids = options.GetBool("original-ids", true);
-    if (!original_ids.ok()) return original_ids.status();
 
-    auto compressed = CompressedGraph::FromGraph(graph, alphabet, opts,
-                                                 original_ids.value());
+    auto compressed = CompressedGraph::FromGraph(graph, alphabet, opts);
     if (!compressed.ok()) return compressed.status();
     return std::unique_ptr<CompressedRep>(
         new GrepairRep(std::move(compressed).ValueOrDie()));
@@ -195,10 +192,17 @@ class GrepairCodec : public GraphCodec {
 
   // Span-native: the grammar coder decodes straight out of the view,
   // so a lazily faulted shard payload never gets copied on its way in.
+  // Compress always keeps psi', and a shard's answers are read as
+  // shard-local ids, which only psi' gives back: a payload without it
+  // would answer in val(G) ids, so it is refused.
   Result<std::unique_ptr<CompressedRep>> DeserializeSpan(
       ByteSpan bytes) const override {
     auto graph = CompressedGraph::Deserialize(bytes);
     if (!graph.ok()) return graph.status();
+    if (!graph.value().has_original_ids() && graph.value().num_nodes() > 0) {
+      return Status::Corruption(
+          "grepair payload carries no node mapping (psi'); recompress it");
+    }
     return std::unique_ptr<CompressedRep>(
         new GrepairRep(std::move(graph).ValueOrDie()));
   }

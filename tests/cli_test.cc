@@ -24,6 +24,9 @@
 #include "src/datasets/generators.h"
 #include "src/graph/graph_algos.h"
 #include "src/graph/graph_io.h"
+#include "src/query/compressed_graph.h"
+#include "src/shard/container.h"
+#include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
 
 #ifndef GREPAIR_CLI_PATH
@@ -313,6 +316,77 @@ TEST(CliTest, QueryPrintsEveryCounterOnceByFieldName) {
   EXPECT_FALSE(tokens >> token) << "unexpected token " << token;
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
+}
+
+// The grepair codec always keeps psi' (the node mapping), and there is
+// no option to drop it: a shard without it would answer in val(G) ids
+// that the router reads as shard-local ones.
+TEST(CliTest, GrepairHasNoOriginalIdsOption) {
+  GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
+  std::string graph_path = TempPath("ids.graph");
+  std::string file_path = TempPath("ids.grp");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  std::remove(file_path.c_str());
+  CliRun run = RunCli("compress " + graph_path + " " + file_path +
+                      " --options original-ids=false");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("unknown codec option 'original-ids'"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
+  std::remove(graph_path.c_str());
+}
+
+// A sharded:grepair file whose one data shard carries no psi' fails
+// closed at its first query instead of answering in val(G) ids. The
+// same file built with psi' answers like the input graph.
+TEST(CliTest, ShardPayloadWithoutNodeMappingFailsItsFirstQuery) {
+  GeneratedGraph gg = BarabasiAlbert(300, 4, 1);
+  const uint32_t n = gg.graph.num_nodes();
+  std::vector<NodeId> all_nodes(n);
+  for (NodeId v = 0; v < n; ++v) all_nodes[v] = v;
+  auto write_file = [&](bool keep_original_ids, const std::string& path) {
+    auto graph = CompressedGraph::FromGraph(gg.graph, gg.alphabet, {},
+                                            keep_original_ids);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    const std::vector<uint8_t> payload = graph.value().Serialize();
+    // One data shard over every node, then the empty cut shard, as
+    // `compress` lays out a 1-shard file.
+    shard::V2Encoder encoder("grepair", n, 2);
+    encoder.AddShard(all_nodes, SpanOf(payload),
+                     HashBytes(payload.data(), payload.size()));
+    encoder.AddShard({}, ByteSpan(), 0);
+    ASSERT_TRUE(WriteFileBytes(path, api::WrapCodecPayload(
+                                         "sharded:grepair",
+                                         std::move(encoder).Finish()))
+                    .ok());
+  };
+  std::string expected = "out[50] (";
+  std::vector<NodeId> outs;
+  for (const HEdge& e : gg.graph.edges()) {
+    if (e.att[0] == 50) outs.push_back(e.att[1]);
+  }
+  std::sort(outs.begin(), outs.end());
+  outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
+  expected += std::to_string(outs.size()) + "):";
+  for (NodeId v : outs) expected += " " + std::to_string(v);
+  expected += "\n";
+
+  std::string with_path = TempPath("with_psi.grp");
+  std::string without_path = TempPath("without_psi.grp");
+  write_file(true, with_path);
+  write_file(false, without_path);
+  CliRun with = RunCli("query " + with_path + " --nodes 50");
+  EXPECT_EQ(with.exit_code, 0) << with.output;
+  EXPECT_NE(with.output.find(expected), std::string::npos) << with.output;
+  CliRun without = RunCli("query " + without_path + " --nodes 50");
+  EXPECT_EQ(without.exit_code, 1) << without.output;
+  EXPECT_NE(without.output.find("Corruption: "), std::string::npos)
+      << without.output;
+  EXPECT_NE(without.output.find("recompress"), std::string::npos)
+      << without.output;
+  std::remove(with_path.c_str());
+  std::remove(without_path.c_str());
 }
 
 }  // namespace
