@@ -39,7 +39,6 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -97,21 +96,18 @@ int Usage() {
   return 2;
 }
 
-// The one failure path: every Status error (the src/api/ opens, codec
-// and file writes all name the path they failed on) is printed to
-// stderr and exits 1.
+// The one failure path: a Status error (opens and writes name their
+// path) goes to stderr, and the command exits 1.
 int Fail(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return 1;
 }
 
-// ---------------------------------------------------------------------------
 // Arguments: each command declares its flags and how many positional
 // arguments it takes, and ParseArgs is the only loop over argv.
 
-// A bounded integer value. atoi would silently turn "--shards abc" into
-// an unsharded run; the bounds match each consumer's own validation,
-// so out-of-range values fail here instead of deep in Compress.
+// A bounded integer value. atoi would turn "--shards abc" into an
+// unsharded run; the bounds match the consumer's own validation.
 struct Count {
   int* out;
   long min, max;
@@ -150,7 +146,7 @@ bool ParseU64(const std::string& text, uint64_t* out) {
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0') return false;
+  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
   *out = static_cast<uint64_t>(v);
   return true;
 }
@@ -235,9 +231,7 @@ void UseShards(int shards, int threads, std::string* backend,
 int CmdCompress(int argc, char** argv) {
   std::string backend = "grepair";
   std::string option_spec;
-  // Every file is a sharded container: one shard unless --shards asks
-  // for more.
-  int shards = 1;
+  int shards = 1;  // every file is a sharded container
   int threads = 0;
   auto args = ParseArgs(argc, argv,
                         {{"--backend", &backend},
@@ -289,14 +283,20 @@ int CmdDecompress(int argc, char** argv) {
   return 0;
 }
 
-// Splits "a,b,c" and parses each item; a malformed item is a hard
-// error, not a skip.
+// Splits `flag`'s "a,b,c" value, if given, and parses each item; a
+// malformed item is a hard error, not a skip.
 template <typename T, typename Parse>
-bool ParseList(const std::string& spec, Parse parse, std::vector<T>* out) {
+bool ParseList(const char* flag, const char* items, const std::string& spec,
+               Parse parse, std::vector<T>* out) {
+  if (spec.empty()) return true;
   for (size_t pos = 0; pos <= spec.size();) {
     size_t end = std::min(spec.find(',', pos), spec.size());
     T item{};
-    if (!parse(spec.substr(pos, end - pos), &item)) return false;
+    if (!parse(spec.substr(pos, end - pos), &item)) {
+      std::fprintf(stderr, "%s expects comma-separated %s, got '%s'\n", flag,
+                   items, spec.c_str());
+      return false;
+    }
     out->push_back(item);
     pos = end + 1;
   }
@@ -354,15 +354,8 @@ int CmdQuery(int argc, char** argv) {
   }
   std::vector<uint64_t> nodes;
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
-  if (!nodes_spec.empty() && !ParseList(nodes_spec, ParseU64, &nodes)) {
-    std::fprintf(stderr, "--nodes expects comma-separated ids, got '%s'\n",
-                 nodes_spec.c_str());
-    return 2;
-  }
-  if (!pairs_spec.empty() && !ParseList(pairs_spec, ParsePair, &pairs)) {
-    std::fprintf(stderr,
-                 "--pairs expects comma-separated from:to pairs, got '%s'\n",
-                 pairs_spec.c_str());
+  if (!ParseList("--nodes", "ids", nodes_spec, ParseU64, &nodes) ||
+      !ParseList("--pairs", "from:to pairs", pairs_spec, ParsePair, &pairs)) {
     return 2;
   }
 
@@ -432,9 +425,9 @@ int CmdQuery(int argc, char** argv) {
   return 0;
 }
 
-// `append`'s edit stream: `a u v [label]` appends a rank-2 edge, `d u
-// v` deletes every rank-2 edge u -> v, '#' starts a comment and blank
-// lines are skipped.
+// `append`'s edit stream: `a u v [label]` appends a rank-2 edge,
+// `d u v` deletes every rank-2 edge u -> v, '#' starts a comment and
+// blank lines are skipped.
 bool ParseEditsFile(const std::string& path,
                     std::vector<shard::EdgeEdit>* edits) {
   std::ifstream in(path);
@@ -474,9 +467,9 @@ bool ParseEditsFile(const std::string& path,
 
 // `append`: replay an edit stream against a versioned corpus and write
 // a GRSHARD3 delta container. The delta chains to the *last* input
-// file by whole-file hash + size, and is cumulative: it carries every
-// edit since the base, so shipping only the newest link reproduces the
-// full corpus.
+// file (the base when no chain files are given) by whole-file hash +
+// size, and is cumulative: it carries every edit since the base, so
+// shipping only the newest link reproduces the full corpus.
 int CmdAppend(int argc, char** argv) {
   std::string edits_path, out_path;
   uint64_t fold_budget = 0;
@@ -574,10 +567,12 @@ void ServeSignalHandler(int) { g_serve_stop.store(true); }
 // Basename minus the last extension, the same naming rule
 // CorpusRegistry::DiscoverDirectory applies inside a directory.
 std::string CorpusNameForPath(const std::string& path) {
-  // npos + 1 == 0: a path without '/' is its own basename.
-  std::string base = path.substr(path.find_last_of('/') + 1);
+  size_t slash = path.find_last_of('/');
+  std::string base =
+      slash == std::string::npos ? path : path.substr(slash + 1);
   size_t dot = base.rfind('.');
-  return dot == std::string::npos || dot == 0 ? base : base.substr(0, dot);
+  if (dot == std::string::npos || dot == 0) return base;
+  return base.substr(0, dot);
 }
 
 // `serve`: export GRSHARD2 containers over TCP until SIGINT or
@@ -668,14 +663,12 @@ void PrintShardTable(const shard::ParsedDirectory& dir,
                      const serve::CorpusServeStats* served) {
   std::printf("%6s %10s %10s %18s %10s", "shard", "offset", "length",
               "checksum", "nodes");
+  uint64_t total_hits = 0;
   if (served != nullptr) {
     std::printf(" %10s %7s %7s", "hits", "heat", "pinned");
+    for (uint64_t h : served->shard_hits) total_hits += h;
   }
   std::printf("\n");
-  const uint64_t total_hits =
-      served == nullptr ? 0
-                        : std::accumulate(served->shard_hits.begin(),
-                                          served->shard_hits.end(), 0ull);
   for (size_t i = 0; i < dir.rows.size(); ++i) {
     const auto& s = dir.rows[i];
     std::printf("%6zu %10llu %10llu 0x%016llx %10llu", i,
@@ -782,54 +775,50 @@ int CmdInfo(int argc, char** argv) {
   return 0;
 }
 
-// `stats` and `components` work on the grammar itself, so they take a
-// file of one sharded:grepair shard (what `compress` writes by
-// default), fetched through the rep's checksum-verified fault path.
-// Its grammar covers the nodes that have an edge; the partitioner
-// leaves the edgeless ones out of the shard.
-int CmdGrammar(int argc, char** argv) {
-  auto args = ParseArgs(argc, argv, {}, 1, 1);
-  if (!args) return 2;
-  const bool components = std::strcmp(argv[1], "components") == 0;
-  const std::string& path = args->positional[0];
+// `stats` and `components` read the grammar of a file of one
+// sharded:grepair shard (what `compress` writes by default) through
+// the rep's checksum-verified fault path. It covers the nodes that
+// have an edge; `*dropped_nodes` receives the edgeless ones. A graph
+// without edges has no grammar (nullopt).
+Result<std::optional<CompressedGraph>> LoadOneGrammar(
+    const std::string& path, uint64_t* dropped_nodes) {
   auto rep = api::OpenCompressedFile(path);
-  if (!rep.ok()) return Fail(rep.status());
+  if (!rep.ok()) return rep.status();
   const shard::ShardedRep& sharded = *rep.value();
   if (sharded.inner_name() != "grepair") {
-    return Fail(Status::InvalidArgument(
-        path + " holds 'sharded:" + sharded.inner_name() +
-        "' shards; this command needs 'sharded:grepair'"));
+    return Status::InvalidArgument(path + " holds 'sharded:" +
+                                   sharded.inner_name() +
+                                   "' shards; this command needs "
+                                   "'sharded:grepair'");
   }
   // The directory lists the data shards, then the cut shard.
   size_t data_shards = sharded.num_shards() - 1;
   if (data_shards != 1 || sharded.entry(1).has_payload()) {
-    return Fail(Status::InvalidArgument(
+    return Status::InvalidArgument(
         path + " holds " + std::to_string(data_shards) +
         " data shards; this command reads the one grammar of a 1-shard "
-        "file (compress without --shards)"));
+        "file (compress without --shards)");
   }
-  const uint64_t edgeless = sharded.num_nodes() - sharded.entry(0).nodes.size();
-  std::optional<CompressedGraph> graph;  // none: a graph without edges
-  if (sharded.entry(0).has_payload()) {
-    std::vector<uint8_t> fetched;
-    auto payload = sharded.store().VerifiedPayload(0, &fetched);
-    if (!payload.ok()) return Fail(payload.status());
-    auto decoded = CompressedGraph::Deserialize(payload.value());
-    if (!decoded.ok()) return Fail(decoded.status());
-    graph = std::move(decoded).ValueOrDie();
-  }
-  if (components) {
-    // Each edgeless node is a component of its own.
-    std::printf("%llu connected components\n",
-                static_cast<unsigned long long>(
-                    edgeless + (graph ? graph->NumConnectedComponents() : 0)));
-    return 0;
-  }
-  if (!graph) {
+  *dropped_nodes = sharded.num_nodes() - sharded.entry(0).nodes.size();
+  if (!sharded.entry(0).has_payload()) return {std::nullopt};
+  std::vector<uint8_t> fetched;
+  auto payload = sharded.store().VerifiedPayload(0, &fetched);
+  if (!payload.ok()) return payload.status();
+  return CompressedGraph::Deserialize(payload.value());
+}
+
+int CmdStats(int argc, char** argv) {
+  auto args = ParseArgs(argc, argv, {}, 1, 1);
+  if (!args) return 2;
+  const std::string& path = args->positional[0];
+  uint64_t dropped_nodes = 0;
+  auto graph = LoadOneGrammar(path, &dropped_nodes);
+  if (!graph.ok()) return Fail(graph.status());
+  if (!graph.value()) {
     std::fprintf(stderr, "%s holds a graph without edges\n", path.c_str());
     return 1;
   }
-  const SlhrGrammar& grammar = graph->grammar();
+  const SlhrGrammar& grammar = graph.value()->grammar();
   auto s = ComputeGrammarStats(grammar);
   std::printf("rules:            %u\n", s.num_rules);
   std::printf("height:           %u\n", s.height);
@@ -843,6 +832,21 @@ int CmdGrammar(int argc, char** argv) {
   std::printf("val(G):           %llu nodes, %llu edges\n",
               static_cast<unsigned long long>(val.nodes),
               static_cast<unsigned long long>(val.edges));
+  return 0;
+}
+
+int CmdComponents(int argc, char** argv) {
+  auto args = ParseArgs(argc, argv, {}, 1, 1);
+  if (!args) return 2;
+  uint64_t dropped_nodes = 0;
+  auto graph = LoadOneGrammar(args->positional[0], &dropped_nodes);
+  if (!graph.ok()) return Fail(graph.status());
+  // Each edgeless node is a component of its own.
+  uint64_t components =
+      dropped_nodes +
+      (graph.value() ? graph.value()->NumConnectedComponents() : 0);
+  std::printf("%llu connected components\n",
+              static_cast<unsigned long long>(components));
   return 0;
 }
 
@@ -1036,7 +1040,8 @@ int main(int argc, char** argv) {
   if (cmd == "diff") return CmdDiff(argc, argv);
   if (cmd == "serve") return CmdServe(argc, argv);
   if (cmd == "info") return CmdInfo(argc, argv);
-  if (cmd == "stats" || cmd == "components") return CmdGrammar(argc, argv);
+  if (cmd == "stats") return CmdStats(argc, argv);
+  if (cmd == "components") return CmdComponents(argc, argv);
   if (cmd == "gen") return CmdGen(argc, argv);
   return Usage();
 }
