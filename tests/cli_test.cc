@@ -206,8 +206,9 @@ TEST(CliTest, SizeOnlyBaselinesAreNotBackends) {
 
 // Every argument error exits 2 before a file is opened, so none of the
 // paths below needs to exist. Usage errors (an unknown flag, a flag
-// without its value) print the usage text; a malformed value prints
-// one "<flag> expects <what>, got '<text>'" line.
+// without its value, a wrong number of positional arguments) print the
+// usage text; a malformed value prints one "<flag> expects <what>, got
+// '<text>'" line.
 TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
   struct Row {
     std::string args;
