@@ -131,11 +131,24 @@ bool Hypergraph::EqualUpToEdgeOrder(const Hypergraph& other) const {
   return sorted(edges_) == sorted(other.edges_);
 }
 
-std::vector<std::vector<EdgeId>> Hypergraph::BuildIncidence() const {
-  std::vector<std::vector<EdgeId>> inc(num_nodes_);
-  for (EdgeId i = 0; i < edges_.size(); ++i) {
-    for (NodeId v : edges_[i].att) inc[v].push_back(i);
+Incidence Hypergraph::BuildIncidence() const {
+  // Counting sort by node, edge ids ascending. Node v's count goes to
+  // offsets[v + 2], so after the prefix sum offsets[v + 1] is v's start
+  // and doubles as its fill cursor; filling leaves it at v's end, which
+  // is v + 1's start, and the spare last entry is dropped.
+  Incidence inc;
+  inc.offsets.assign(static_cast<size_t>(num_nodes_) + 2, 0);
+  for (const HEdge& e : edges_) {
+    for (NodeId v : e.att) ++inc.offsets[v + 2];
   }
+  for (size_t i = 2; i < inc.offsets.size(); ++i) {
+    inc.offsets[i] += inc.offsets[i - 1];
+  }
+  inc.edges.resize(inc.offsets.back());
+  for (EdgeId i = 0; i < edges_.size(); ++i) {
+    for (NodeId v : edges_[i].att) inc.edges[inc.offsets[v + 1]++] = i;
+  }
+  inc.offsets.pop_back();
   return inc;
 }
 

@@ -179,6 +179,27 @@ struct HEdge {
 // inline rank-4 attachment in one half cache line.
 static_assert(sizeof(HEdge) <= 32, "HEdge outgrew half a cache line");
 
+/// \brief Every node's incident edge ids in one flat array pair (CSR):
+/// node v's ids are edges[offsets[v], offsets[v + 1]), ascending. It
+/// costs two allocations per graph, whatever its node count.
+struct Incidence {
+  /// \brief One node's incident edge ids.
+  struct Row {
+    const EdgeId* first = nullptr;
+    const EdgeId* last = nullptr;
+    const EdgeId* begin() const { return first; }
+    const EdgeId* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
+  };
+
+  Row operator[](NodeId v) const {
+    return {edges.data() + offsets[v], edges.data() + offsets[v + 1]};
+  }
+
+  std::vector<uint64_t> offsets;  ///< num_nodes + 1 entries
+  std::vector<EdgeId> edges;      ///< rows back to back, node order
+};
+
 /// \brief Directed edge-labeled hypergraph with external-node sequence.
 class Hypergraph {
  public:
@@ -271,9 +292,10 @@ class Hypergraph {
            edges_ == other.edges_;
   }
 
-  /// \brief Per-node list of incident edge ids (each edge listed once per
-  /// distinct attached node; attachments never repeat a node).
-  std::vector<std::vector<EdgeId>> BuildIncidence() const;
+  /// \brief Per-node incident edge ids, ascending within each node (each
+  /// edge listed once per distinct attached node; attachments never
+  /// repeat a node).
+  Incidence BuildIncidence() const;
 
   /// \brief Degree (number of incident edges) per node.
   std::vector<uint32_t> Degrees() const;

@@ -123,7 +123,7 @@ struct Ctx {
 class Walker {
  public:
   Walker(const NeighborhoodIndex& index, const NodeMap& nm,
-         const std::vector<std::vector<std::vector<EdgeId>>>& incidence,
+         const std::vector<Incidence>& incidence,
          bool out, std::vector<uint64_t>* results)
       : index_(index),
         g_(nm.grammar()),
@@ -239,7 +239,7 @@ class Walker {
   const NeighborhoodIndex& index_;
   const SlhrGrammar& g_;
   const NodeMap& nm_;
-  const std::vector<std::vector<std::vector<EdgeId>>>& incidence_;
+  const std::vector<Incidence>& incidence_;
   bool out_;
   std::vector<uint64_t>* results_;
 };

@@ -37,9 +37,13 @@ namespace grepair {
 
 /// \brief Neighbor query engine bound to one grammar.
 ///
-/// Construction precomputes incidence lists for the start graph and
-/// every right-hand side (O(|G|)), so a query touches only the edges
-/// actually incident with the nodes along its derivation path.
+/// Construction precomputes a flat incidence index (Hypergraph::
+/// BuildIncidence: one offsets array and one edge-id array, two
+/// allocations per graph) for the start graph and every right-hand
+/// side (O(|G|)), so a query touches only the edges actually incident
+/// with the nodes along its derivation path. Building it is most of a
+/// cold shard's first grammar-direct query, so it allocates per graph,
+/// not per node.
 /// Queries are safe to run concurrently on a shared index; the lazy
 /// memo tables are mutex-guarded.
 class NeighborhoodIndex {
@@ -104,7 +108,7 @@ class NeighborhoodIndex {
 
   NodeMap node_map_;
   /// incidence_[0] covers S; incidence_[1 + j] covers rule j.
-  std::vector<std::vector<std::vector<EdgeId>>> incidence_;
+  std::vector<Incidence> incidence_;
 
   /// Memo tables, keyed by (rule index, ext position, direction).
   /// Values are immutable once inserted; the mutex guards map access

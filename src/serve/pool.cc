@@ -100,32 +100,37 @@ void RemoteShardSource::GateRecordSuccess() {
 }
 
 Status RemoteShardSource::DialAndHandshake(Socket* socket,
-                                           uint32_t* corpus_id,
-                                           shard::ParsedDirectory* dir) {
+                                           uint32_t* corpus_id) {
   auto dialed = DialServer(peer_, io_timeout_ms_);
   if (!dialed.ok()) return dialed.status();
-  // Open (or re-resolve) the corpus; the reply's raw directory bytes
-  // are reparsed with the hardened parser every time.
+  // Open (or re-resolve) the corpus; every reply ships the raw
+  // directory bytes.
   auto opened =
       OpenCorpus(&dialed.value(), peer_,
                  next_req_id_.fetch_add(1, std::memory_order_relaxed),
                  corpus_);
   if (!opened.ok()) return opened.status();
   CorpusDirReply& reply = opened.value();
-  auto parsed =
-      shard::ParseV2Directory(SpanOf(reply.raw_directory), reply.dir_off);
-  if (!parsed.ok()) return parsed.status();
   if (shard_lengths_.empty()) {
-    // First dial (single-threaded Connect): keep the verbatim wire
-    // bytes so the caller can persist them for offline warm opens.
+    // First dial (single-threaded Connect): parse the directory with
+    // the hardened parser, and keep the verbatim wire bytes so the
+    // caller can persist them for offline warm opens.
+    auto parsed =
+        shard::ParseV2Directory(SpanOf(reply.raw_directory), reply.dir_off);
+    if (!parsed.ok()) return parsed.status();
+    directory_ = std::move(parsed).ValueOrDie();
     raw_directory_ = std::move(reply.raw_directory);
     raw_dir_off_ = reply.dir_off;
-  } else {
-    // On a redial the directory must still describe the corpus this
-    // rep was built over — a restarted server serving different bytes
-    // under the same name must not slip through (the per-shard
-    // checksums would catch it at fault time, but catch it with a
-    // better story here).
+  } else if (reply.raw_directory != raw_directory_ ||
+             reply.dir_off != raw_dir_off_) {
+    // A redial that ships the bytes connect parsed needs no parse.
+    // Other bytes must still describe the corpus this rep was built
+    // over — a restarted server serving different bytes under the
+    // same name must not slip through (the per-shard checksums would
+    // catch it at fault time, but catch it with a better story here).
+    auto parsed =
+        shard::ParseV2Directory(SpanOf(reply.raw_directory), reply.dir_off);
+    if (!parsed.ok()) return parsed.status();
     const auto& rows = parsed.value().rows;
     bool same = rows.size() == shard_lengths_.size();
     for (size_t i = 0; same && i < rows.size(); ++i) {
@@ -139,7 +144,6 @@ Status RemoteShardSource::DialAndHandshake(Socket* socket,
     }
   }
   *corpus_id = reply.corpus_id;
-  *dir = std::move(parsed).ValueOrDie();
   *socket = std::move(dialed).ValueOrDie();
   return Status::OK();
 }
@@ -161,8 +165,7 @@ Status RemoteShardSource::EnsureConnected(Conn* conn) {
   GREPAIR_RETURN_IF_ERROR(GateCheck());
   Socket fresh;
   uint32_t corpus_id = 0;
-  shard::ParsedDirectory dir;
-  Status dialed = DialAndHandshake(&fresh, &corpus_id, &dir);
+  Status dialed = DialAndHandshake(&fresh, &corpus_id);
   if (!dialed.ok()) {
     // Only transport-level failures close the gate: a served error
     // (unknown corpus, say) means the server is alive and answering.
@@ -183,7 +186,6 @@ Status RemoteShardSource::EnsureConnected(Conn* conn) {
     conn->corpus_id = corpus_id;
   }
   if (redial) stat_redials_.fetch_add(1, std::memory_order_relaxed);
-  if (shard_lengths_.empty()) directory_ = std::move(dir);
   conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
   return Status::OK();
 }

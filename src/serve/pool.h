@@ -20,7 +20,8 @@
 // broken so its other in-flight requests fail fast to their own
 // single-redial path. Redials re-handshake and re-resolve the corpus
 // (a restarted server may have renumbered its registry) and verify the
-// re-fetched directory still matches shard-for-shard.
+// re-fetched directory still matches shard-for-shard; directory bytes
+// equal to the ones connect parsed are not parsed again.
 //
 // Dead-server hygiene: dial attempts go through a shared
 // exponential-backoff gate with deterministic jitter. While the gate
@@ -133,10 +134,10 @@ class RemoteShardSource : public shard::ShardSource {
 
   /// Dials + handshakes + opens the corpus on a fresh socket (the
   /// shared client calls in src/serve/stats.h). On success
-  /// *socket/*corpus_id are set and *dir holds the re-fetched,
-  /// re-parsed directory.
-  Status DialAndHandshake(Socket* socket, uint32_t* corpus_id,
-                          shard::ParsedDirectory* dir);
+  /// *socket/*corpus_id are set. The first dial parses the directory
+  /// into directory_; a redial parses only directory bytes that differ
+  /// from raw_directory_, and fails if they changed the shard shape.
+  Status DialAndHandshake(Socket* socket, uint32_t* corpus_id);
   /// Ensures `conn` has a live handshaked connection + reader,
   /// redialing through the backoff gate when broken.
   Status EnsureConnected(Conn* conn)

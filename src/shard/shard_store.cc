@@ -13,17 +13,15 @@ namespace shard {
 
 namespace {
 
-// Single-query misses a shard accumulates before it is promoted into
-// the cache (one decode amortized over this many grammar walks); a
-// batch putting at least this many queries on a shard decodes it
-// immediately.
-constexpr uint32_t kDecodeAfterMisses = 8;
+// A batch putting at least this many nodes on a shard decodes it
+// immediately; fewer go through the rent rule (ShardStore::Decoded).
 constexpr size_t kBatchDecodeThreshold = 2;
 
-// Miss-credit sentinel for a shard whose decoded form did not fit the
-// budget: never try decoding it again (until the budget changes), or
-// every 8th query would pay a whole-shard decode just to discard it.
-constexpr uint32_t kUncacheable = ~0u;
+// Rent sentinel for a shard whose decoded form did not fit the budget:
+// never try decoding it again (until the budget changes), or every
+// promotion would pay a whole-shard decode just to discard it. Charges
+// saturate one below it.
+constexpr uint64_t kUncacheable = ~0ull;
 
 // Sorts and deduplicates each CSR row of (off, data) in place,
 // compacting rows forward and rewriting the offsets to the shrunken
@@ -186,7 +184,7 @@ ShardStore::ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,
           new std::atomic<const FoldedShard*>[entries_.size()]),
       cache_slots_(entries_.size()),
       cache_last_use_(entries_.size(), 0),
-      cache_miss_credit_(entries_.size(), 0) {
+      cache_rent_(entries_.size(), 0) {
   for (size_t i = 0; i < entries_.size(); ++i) {
     lazy_published_[i].store(nullptr, std::memory_order_relaxed);
     folded_published_[i].store(nullptr, std::memory_order_relaxed);
@@ -467,7 +465,15 @@ void ShardStore::set_query_cache_bytes(size_t bytes) {
   // previously uncacheable shards try again under the new budget.
   MutexLock lock(cache_mutex_);
   EvictLocked(bytes);
-  std::fill(cache_miss_credit_.begin(), cache_miss_credit_.end(), 0u);
+  std::fill(cache_rent_.begin(), cache_rent_.end(), 0);
+}
+
+void ShardStore::ChargeLookups(size_t shard, uint64_t cost) const {
+  if (cache_bytes_limit_.load(std::memory_order_relaxed) == 0) return;
+  MutexLock lock(cache_mutex_);
+  uint64_t& rent = cache_rent_[shard];
+  if (rent == kUncacheable) return;
+  rent = cost < kUncacheable - 1 - rent ? rent + cost : kUncacheable - 1;
 }
 
 std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
@@ -483,11 +489,12 @@ std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
       cache_last_use_[shard] = ++cache_tick_;
       return cache_slots_[shard];
     }
-    if (cache_miss_credit_[shard] == kUncacheable) return nullptr;
-    cache_miss_credit_[shard] +=
-        static_cast<uint32_t>(std::min<size_t>(pending, kDecodeAfterMisses));
+    if (cache_rent_[shard] == kUncacheable) return nullptr;
+    // Rent or buy: a decode costs about one grammar-direct lookup per
+    // node-map entry, so a shard that only single queries touch is
+    // bought once the lookups it rented have cost that much.
     if (pending < kBatchDecodeThreshold &&
-        cache_miss_credit_[shard] < kDecodeAfterMisses) {
+        cache_rent_[shard] < entry.nodes.size()) {
       return nullptr;
     }
   }
@@ -521,10 +528,10 @@ std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
   // nothing is evicted for it, and it is marked uncacheable so the
   // decode is not endlessly repeated and discarded.
   if (decoded->bytes > budget) {
-    cache_miss_credit_[shard] = kUncacheable;
+    cache_rent_[shard] = kUncacheable;
     return decoded;
   }
-  cache_miss_credit_[shard] = 0;
+  cache_rent_[shard] = 0;
   EvictLocked(budget - decoded->bytes);
   cache_slots_[shard] = decoded;
   cache_last_use_[shard] = ++cache_tick_;
@@ -562,7 +569,7 @@ void ShardStore::Publish(
       cache_slots_[i] = nullptr;
       stat_evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    cache_miss_credit_[i] = 0;  // the new payload may fit the budget
+    cache_rent_[i] = 0;  // the new payload may fit the budget
   }
 }
 

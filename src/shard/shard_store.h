@@ -235,14 +235,21 @@ class ShardStore {
   /// \brief Byte budget of the decoded cache; 0 disables it.
   void set_query_cache_bytes(size_t bytes);
 
-  /// \brief The shard's decoded neighborhoods from the cache; on a
-  /// miss, charges `pending` queries against the shard's miss budget
-  /// and decodes the whole shard once the batch (or accumulated
-  /// single-query misses) amortizes it. Null when caching is disabled,
-  /// the decode is not yet worth it, or it failed (callers then route
-  /// per node through Rep).
+  /// \brief The shard's decoded neighborhoods from the cache. On a
+  /// miss it decodes the whole shard at once when a batch puts
+  /// `pending` >= 2 nodes on it; a single query (`pending` 1) decodes
+  /// it only once the rent charged by ChargeLookups reaches the
+  /// shard's node-map size (rent or buy). Null when caching is
+  /// disabled, the decode is not yet worth it, or it failed (callers
+  /// then route per node through Rep and charge the lookups).
   std::shared_ptr<const ShardNeighborhoods> Decoded(size_t shard,
                                                     size_t pending) const;
+
+  /// \brief Charges grammar-direct lookups on `shard` against its
+  /// rent: `cost` is one per lookup plus the ids it answered.
+  /// Saturating; reset when the shard is decoded into the cache.
+  void ChargeLookups(size_t shard, uint64_t cost) const
+      GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
   /// \brief Installs folded shards and invalidates their cache slots
   /// in one critical section. `replace_all` also reverts shards absent
@@ -302,7 +309,9 @@ class ShardStore {
       cache_slots_ GREPAIR_GUARDED_BY(cache_mutex_);
   mutable std::vector<uint64_t> cache_last_use_
       GREPAIR_GUARDED_BY(cache_mutex_);
-  mutable std::vector<uint32_t> cache_miss_credit_
+  // Grammar-direct lookup cost charged per shard since its last
+  // decode (ChargeLookups), or kUncacheable.
+  mutable std::vector<uint64_t> cache_rent_
       GREPAIR_GUARDED_BY(cache_mutex_);
   mutable uint64_t cache_tick_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;
   mutable size_t cache_bytes_used_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;

@@ -222,9 +222,9 @@ Result<Hypergraph> ShardedRep::Decompress() const {
 // Routing
 
 // Shared routing for Out/InNeighbors: per owning shard either the
-// decoded-neighborhood cache (promoting hot shards after repeated
-// misses) or a grammar-direct lookup in the inner rep — faulted in on
-// first touch — then merge and apply the overlay.
+// decoded-neighborhood cache or a grammar-direct lookup in the inner
+// rep — faulted in on first touch, and charged to the shard's rent
+// (ShardStore::Decoded) — then merge and apply the overlay.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
   GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(node, num_nodes()));
@@ -245,8 +245,10 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
     stat_misses_.fetch_add(1, std::memory_order_relaxed);
     auto rep = store_.Rep(i);
     if (!rep.ok()) return rep.status();
+    size_t before = all.size();
     GREPAIR_RETURN_IF_ERROR(
         AppendShardNeighbors(entry, *rep.value(), local, out, &all));
+    store_.ChargeLookups(i, 1 + (all.size() - before));
   }
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
@@ -357,6 +359,7 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
       return;
     }
     partial[i].resize(groups[i].size());
+    uint64_t cost = 0;
     for (size_t k = 0; k < groups[i].size(); ++k) {
       // Sorted and deduplicated: single-owner answers need no re-sort.
       shard_status[i] =
@@ -364,7 +367,9 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
                                groups[i][k].second, /*out=*/true,
                                &partial[i][k]);
       if (!shard_status[i].ok()) return;
+      cost += 1 + partial[i][k].size();
     }
+    store_.ChargeLookups(i, cost);
   });
   for (size_t i = 0; i < shard_count; ++i) {
     if (!shard_status[i].ok()) return shard_status[i];

@@ -102,6 +102,34 @@ TEST(HypergraphTest, IncidenceAndDegrees) {
   EXPECT_EQ(deg[3], 0u);
 }
 
+TEST(HypergraphTest, FlatIncidenceKeepsEdgeOrderPerNode) {
+  // Nodes 4 and 5 are isolated; edges 1 and 3 have rank 3.
+  Hypergraph g(6);
+  g.AddSimpleEdge(2, 0, 0);  // e0
+  g.AddEdge(1, {0, 3, 2});   // e1
+  g.AddSimpleEdge(0, 1, 0);  // e2
+  g.AddEdge(1, {3, 1, 0});   // e3
+  g.AddSimpleEdge(1, 2, 0);  // e4
+  Incidence inc = g.BuildIncidence();
+  ASSERT_EQ(inc.offsets.size(), 7u);
+  EXPECT_EQ(inc.offsets.front(), 0u);
+  EXPECT_EQ(inc.offsets.back(), inc.edges.size());
+  EXPECT_EQ(inc.edges.size(), 12u);  // one per attachment
+  const std::vector<std::vector<EdgeId>> expected = {
+      {0, 1, 2, 3}, {2, 3, 4}, {0, 1, 4}, {1, 3}, {}, {}};
+  for (NodeId v = 0; v < 6; ++v) {
+    EXPECT_EQ(std::vector<EdgeId>(inc[v].begin(), inc[v].end()), expected[v])
+        << "node " << v;
+    EXPECT_EQ(inc[v].size(), expected[v].size()) << "node " << v;
+  }
+
+  Incidence edgeless = Hypergraph(3).BuildIncidence();
+  EXPECT_EQ(edgeless.offsets, (std::vector<uint64_t>{0, 0, 0, 0}));
+  EXPECT_TRUE(edgeless.edges.empty());
+  EXPECT_EQ(Hypergraph(0).BuildIncidence().offsets,
+            (std::vector<uint64_t>{0}));
+}
+
 TEST(HypergraphTest, RemoveEdgesIf) {
   Hypergraph g(3);
   g.AddSimpleEdge(0, 1, 0);

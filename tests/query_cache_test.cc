@@ -207,6 +207,95 @@ TEST(QueryCacheTest, ConcurrentMixedQueriesAgreeWithTruth) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// Rent or buy: each grammar-direct single lookup charges its shard one
+// plus its answer size, and only a shard whose charge reached its
+// node-map size is decoded into the cache.
+TEST(QueryCacheTest, ColdSinglesStayOnTheGrammarUntilTheyPayForADecode) {
+  GeneratedGraph gg = RdfTypes(600, 9, 77);
+  auto rep = MakeSharded(gg, "sharded:grepair", 2);
+  const shard::ShardedRep& sharded = *AsSharded(rep.get());
+  const uint64_t n = gg.graph.num_nodes();
+
+  // The sweep: nodes in id order, each asked for its out- and then its
+  // in-neighbors, kept while every owning shard's charge stays below
+  // its node-map size. A shard's charge per lookup is at most one plus
+  // the node's whole answer.
+  std::vector<uint64_t> charge(sharded.num_shards(), 0);
+  std::vector<uint64_t> lookups(sharded.num_shards(), 0);
+  std::vector<uint64_t> sweep;
+  for (uint64_t v = 0; v < n; ++v) {
+    uint64_t cost = 2 + TruthNeighbors(gg.graph, v, true).size() +
+                    TruthNeighbors(gg.graph, v, false).size();
+    std::vector<size_t> owners;
+    bool fits = true;
+    for (size_t k = 0; k < sharded.num_shards(); ++k) {
+      if (sharded.entry(k).LocalId(v) == kInvalidNode) continue;
+      owners.push_back(k);
+      fits = fits && charge[k] + cost < sharded.entry(k).nodes.size();
+    }
+    if (owners.empty() || !fits) continue;
+    for (size_t k : owners) {
+      charge[k] += cost;
+      lookups[k] += 2;
+    }
+    sweep.push_back(v);
+  }
+  // At least 8 lookups per shard, so a rule that promotes a shard after
+  // a fixed handful of misses would decode every one of them.
+  for (size_t k = 0; k < sharded.num_shards(); ++k) {
+    if (!sharded.entry(k).has_payload()) continue;
+    EXPECT_GE(lookups[k], 8u) << "shard " << k;
+  }
+  for (uint64_t v : sweep) {
+    auto out = rep->OutNeighbors(v);
+    auto in = rep->InNeighbors(v);
+    ASSERT_TRUE(out.ok() && in.ok());
+    EXPECT_EQ(out.value(), TruthNeighbors(gg.graph, v, true)) << v;
+    EXPECT_EQ(in.value(), TruthNeighbors(gg.graph, v, false)) << v;
+  }
+  QueryStats cold = rep->query_stats();
+  EXPECT_EQ(cold.shard_decodes, 0u);
+  EXPECT_EQ(cold.cache_hits, 0u);
+  EXPECT_GT(cold.memo_hits, 0u);
+
+  // One node of one shard, asked again and again: its lookups reach
+  // the node-map size (each costs at least one), the shard is decoded
+  // once, and every later lookup is a cache hit.
+  auto hot_rep = MakeSharded(gg, "sharded:grepair", 2);
+  const shard::ShardedRep& hot = *AsSharded(hot_rep.get());
+  uint64_t node = n;
+  size_t owner = 0;
+  for (uint64_t v = 0; v < n && node == n; ++v) {
+    std::vector<size_t> owners;
+    for (size_t k = 0; k < hot.num_shards(); ++k) {
+      if (hot.entry(k).LocalId(v) != kInvalidNode) owners.push_back(k);
+    }
+    if (owners.size() == 1 && !TruthNeighbors(gg.graph, v, true).empty()) {
+      node = v;
+      owner = owners[0];
+    }
+  }
+  ASSERT_LT(node, n);
+  const std::vector<uint64_t> truth = TruthNeighbors(gg.graph, node, true);
+  const size_t rent_calls = hot.entry(owner).nodes.size();
+  for (size_t call = 0; call < rent_calls + 1; ++call) {
+    auto out = hot_rep->OutNeighbors(node);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.value(), truth) << "call " << call;
+  }
+  QueryStats bought = hot_rep->query_stats();
+  EXPECT_EQ(bought.shard_decodes, 1u);
+  for (int call = 0; call < 5; ++call) {
+    auto out = hot_rep->OutNeighbors(node);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.value(), truth);
+  }
+  QueryStats warm = hot_rep->query_stats();
+  EXPECT_EQ(warm.shard_decodes, 1u);
+  EXPECT_EQ(warm.cache_hits - bought.cache_hits, 5u);
+  EXPECT_EQ(warm.cache_misses, bought.cache_misses);
+}
+
 TEST(QueryCacheTest, GrepairMemoTablesAreTransparent) {
   GeneratedGraph gg = RdfTypes(300, 9, 77);
   auto codec = CodecRegistry::Create("grepair").ValueOrDie();

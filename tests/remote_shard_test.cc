@@ -318,6 +318,62 @@ TEST(RemoteShardTest, ServingRefusesOtherVersionsAndNonShardedPayloads) {
   EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A pool slot that loses its server redials it, and the redial checks
+// the directory it is served against the one connect parsed. A server
+// restarted on the same port with another corpus under the same name
+// fails the redial with the shape error; one restarted with identical
+// bytes serves the same payloads again.
+TEST(RemoteShardTest, RedialChecksTheRestartedServersDirectory) {
+  std::vector<uint8_t> bytes =
+      CompressSharded("grepair", BarabasiAlbert(120, 3, 7), 3);
+  std::vector<uint8_t> other =
+      CompressSharded("grepair", BarabasiAlbert(160, 3, 8), 3);
+  ASSERT_NE(bytes, other);
+  auto serve_on = [](const std::vector<uint8_t>& corpus, uint16_t port) {
+    serve::CorpusRegistry registry;
+    EXPECT_TRUE(registry.AddBytes("g", SpanOf(corpus)).ok());
+    serve::ShardServer::Options options;
+    options.port = port;
+    auto server = serve::ShardServer::Start(std::move(registry), options);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return std::move(server).ValueOrDie();
+  };
+
+  auto server = serve_on(bytes, 0);
+  const uint16_t port = server->port();
+  serve::RemoteShardSource::Options options;
+  options.pool_size = 1;
+  options.io_timeout_ms = 5000;
+  auto source =
+      serve::RemoteShardSource::Connect(server->host_port(), "g", options);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  std::vector<uint8_t> owned;
+  auto first = source.value()->FetchShard(0, &owned);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::vector<uint8_t> shard0(first.value().data,
+                                    first.value().data + first.value().size);
+
+  server->Stop();
+  server = serve_on(other, port);
+  auto changed = source.value()->FetchShard(0, &owned);
+  ASSERT_FALSE(changed.ok());
+  EXPECT_EQ(changed.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(changed.status().message().find("changed shape since connect"),
+            std::string::npos)
+      << changed.status().ToString();
+
+  server->Stop();
+  server = serve_on(bytes, port);
+  auto again = source.value()->FetchShard(0, &owned);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(std::vector<uint8_t>(again.value().data,
+                                 again.value().data + again.value().size),
+            shard0);
+  api::QueryStats stats;
+  source.value()->AddStats(&stats);
+  EXPECT_GE(stats.pool_redials, 1u);
+}
+
 TEST(RemoteShardTest, ConnectErrorsAreCleanStatuses) {
   // Malformed spec.
   auto bad_spec = api::OpenRemote("not-a-host-port");
