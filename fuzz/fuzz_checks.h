@@ -21,6 +21,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/api/codec_registry.h"
@@ -425,6 +427,49 @@ inline const char* CheckDeltaContainerInput(const uint8_t* data,
   std::vector<uint8_t> resealed(data, data + size - 8);
   PutU64LE(HashBytes(resealed.data(), resealed.size()), &resealed);
   return CheckDeltaContainerParse(resealed.data(), resealed.size());
+}
+
+/// \brief Edit-text parse (shard::ParseEditText, the `append --edits`
+/// reader): a failure is kInvalidArgument naming its line; a success
+/// prints back as canonical text (`a u v label` or `d u v` per line)
+/// that parses to the same edits.
+inline const char* CheckEditTextParse(const uint8_t* data, size_t size) {
+  auto edits = shard::ParseEditText(
+      std::string_view(reinterpret_cast<const char*>(data), size));
+  if (!edits.ok()) {
+    if (edits.status().code() != StatusCode::kInvalidArgument) {
+      return "edit-text parse failed with a code other than kInvalidArgument";
+    }
+    if (edits.status().message().rfind("line ", 0) != 0) {
+      return "edit-text parse failure does not name its line";
+    }
+    return nullptr;
+  }
+  std::string canonical;
+  for (const shard::EdgeEdit& e : edits.value()) {
+    if (e.kind == shard::EdgeEdit::kDelete && e.label != 0) {
+      return "a parsed delete carries a label";
+    }
+    canonical += (e.kind == shard::EdgeEdit::kAdd ? "a " : "d ") +
+                 std::to_string(e.u) + " " + std::to_string(e.v);
+    if (e.kind == shard::EdgeEdit::kAdd) {
+      canonical += " " + std::to_string(e.label);
+    }
+    canonical += "\n";
+  }
+  auto again = shard::ParseEditText(canonical);
+  if (!again.ok()) return "canonical edit text fails to parse";
+  if (again.value().size() != edits.value().size()) {
+    return "canonical edit text parses to another edit count";
+  }
+  for (size_t i = 0; i < edits.value().size(); ++i) {
+    const shard::EdgeEdit& a = edits.value()[i];
+    const shard::EdgeEdit& b = again.value()[i];
+    if (a.kind != b.kind || a.u != b.u || a.v != b.v || a.label != b.label) {
+      return "canonical edit text parses to other edits";
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace fuzz

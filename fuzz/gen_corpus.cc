@@ -3,17 +3,19 @@
 //   gen_corpus <corpus_root>
 //
 // writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
-// k2tree,grepair_payload,k2_payload,dir_sidecar,delta_container} — the
-// directories checked in at fuzz/corpus and replayed by the ctest
-// fuzz_smoke_* tests. Seeds are golden-path encodings (every GRNF v2
-// verb plus a retired v1 frame, real GRSHARD2 directories, well-formed
-// Elias streams plus the degenerate all-zeros/all-ones edges,
+// k2tree,grepair_payload,k2_payload,dir_sidecar,delta_container,
+// edits_text} — the directories checked in at fuzz/corpus and replayed
+// by the ctest fuzz_smoke_* tests. Seeds are golden-path encodings
+// (every GRNF v2 verb plus a retired v1 frame, real GRSHARD2
+// directories, well-formed Elias streams plus the degenerate
+// all-zeros/all-ones edges,
 // k^2-trees from K2Tree::Build plus a forged cell count, real grepair
 // payloads plus a grammar whose val(G) counts wrap uint64_t and a
 // retired v1 payload, real k2 payloads plus two whose node or tree
 // dimension counts wrap uint32_t, `.grdir` sidecars over real
 // directories plus a retired v1 one, real GRSHARD3 deltas with and
-// without folded shards plus a sealed one whose add run is unsorted),
+// without folded shards plus a sealed one whose add run is unsorted,
+// `append --edits` texts, well-formed and refused),
 // so coverage-guided runs start from deep inside the parsers instead
 // of fighting the magic bytes. Rerun after a format change and commit
 // the diff.
@@ -174,6 +176,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(k2_payload_dir);
   std::filesystem::create_directories(sidecar_dir);
   std::filesystem::create_directories(delta_dir);
+  const auto edits_dir = root / "edits_text";
+  std::filesystem::create_directories(edits_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -255,6 +259,15 @@ int main(int argc, char** argv) {
   auto deltas = grepair::fuzz::GoldenDeltaSeeds();
   for (size_t i = 0; i < deltas.size(); ++i) {
     grepair::WriteSeed(delta_dir, delta_names[i], deltas[i]);
+  }
+
+  auto edit_texts = grepair::fuzz::GoldenEditTextSeeds();
+  for (size_t i = 0; i < edit_texts.size(); ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "edits_%02zu.txt", i);
+    grepair::WriteSeed(edits_dir, name,
+                       std::vector<uint8_t>(edit_texts[i].begin(),
+                                            edit_texts[i].end()));
   }
 
   std::printf("corpus written under %s\n", root.c_str());

@@ -301,6 +301,22 @@ inline std::vector<std::vector<uint8_t>> GoldenDeltaSeeds() {
           shard::EncodeDeltaContainer(unsorted)};
 }
 
+/// \brief Edit texts for the `append --edits` reader: well-formed
+/// streams (comments, blank and CRLF lines, labels, the u32 extremes),
+/// then one line each of the shapes it must refuse: a field with
+/// trailing text, an extra token, a number past u32, a labeled delete.
+inline std::vector<std::string> GoldenEditTextSeeds() {
+  return {
+      "# two adds and a delete\na 17 4021\nd 9 12   # retract\n\na 3 4 7\n",
+      "a 0 4294967295 4294967295\r\nd 4294967295 0\r\n",
+      "\t a\t1\t2 \n  \n# only a comment\nd 1 2",
+      "a 1 2x\n",
+      "a 1 2 3 junk\n",
+      "a 1 4294967296\n",
+      "d 1 2 3\n",
+  };
+}
+
 }  // namespace fuzz
 }  // namespace grepair
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -22,6 +21,24 @@ bool EdgeLess(const DeltaEdge& a, const DeltaEdge& b) {
 
 bool PairLess(const DeltaPair& a, const DeltaPair& b) {
   return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+}
+
+// Field separators of the edit text: whitespace other than newline.
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+// A whole decimal token of at most 2^32 - 1.
+bool ParseU32(std::string_view token, uint32_t* out) {
+  if (token.empty()) return false;
+  uint64_t value = 0;
+  for (char c : token) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+    if (value > ~0u) return false;
+  }
+  *out = static_cast<uint32_t>(value);
+  return true;
 }
 
 // The [first == u] slice of a run sorted by (u, ...). The u+1 probe
@@ -78,72 +95,165 @@ std::vector<uint64_t> MergeSlices(
   return out;
 }
 
+// The (v, u) transposes of a run's pairs, sorted and duplicate-free:
+// two labels on the same pair collapse to one entry, since the
+// in-direction runs answer "which sources", not "which edges".
+template <typename T>
+std::vector<DeltaPair> TransposedRun(const std::vector<T>& run) {
+  std::vector<DeltaPair> out;
+  out.reserve(run.size());
+  for (const T& e : run) out.push_back(DeltaPair{e.v, e.u});
+  std::sort(out.begin(), out.end(), PairLess);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Merges two strictly sorted runs into one, skipping the base entries
+// whose (u, v) pair is in `drop` (sorted by (u, v)); an entry in both
+// runs appears once.
+template <typename T, typename Less>
+std::vector<T> MergeRun(const std::vector<T>& base,
+                        const std::vector<DeltaPair>& drop,
+                        const std::vector<T>& batch, Less less) {
+  std::vector<T> out;
+  out.reserve(base.size() + batch.size());
+  auto d = drop.begin();
+  auto b = batch.begin();
+  for (const T& e : base) {
+    const DeltaPair pair{e.u, e.v};
+    while (d != drop.end() && PairLess(*d, pair)) ++d;
+    if (d != drop.end() && *d == pair) continue;
+    while (b != batch.end() && less(*b, e)) out.push_back(*b++);
+    if (b != batch.end() && *b == e) ++b;
+    out.push_back(e);
+  }
+  out.insert(out.end(), b, batch.end());
+  return out;
+}
+
 }  // namespace
 
+Result<std::vector<EdgeEdit>> ParseEditText(std::string_view text,
+                                            const std::string& context) {
+  std::vector<EdgeEdit> edits;
+  size_t line_no = 0;
+  for (size_t start = 0; start < text.size(); ++line_no) {
+    size_t end = std::min(text.find('\n', start), text.size());
+    std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+    line = line.substr(0, line.find('#'));
+    // Up to one token more than a valid line holds, to see it is extra.
+    std::string_view tokens[5];
+    size_t count = 0;
+    for (size_t at = 0; at < line.size() && count < 5;) {
+      if (IsBlank(line[at])) {
+        ++at;
+        continue;
+      }
+      size_t token_end = at;
+      while (token_end < line.size() && !IsBlank(line[token_end])) {
+        ++token_end;
+      }
+      tokens[count++] = line.substr(at, token_end - at);
+      at = token_end;
+    }
+    if (count == 0) continue;  // blank or comment-only
+    uint32_t fields[3] = {0, 0, 0};
+    bool ok = (tokens[0] == "a" && (count == 3 || count == 4)) ||
+              (tokens[0] == "d" && count == 3);
+    for (size_t i = 1; ok && i < count; ++i) {
+      ok = ParseU32(tokens[i], &fields[i - 1]);
+    }
+    if (!ok) {
+      return Status::InvalidArgument(
+          (context.empty() ? "line " : context + ":") +
+          std::to_string(line_no + 1) +
+          ": expected 'a u v [label]' or 'd u v', got '" + std::string(line) +
+          "'");
+    }
+    edits.push_back(tokens[0] == "a"
+                        ? EdgeEdit::Add(fields[0], fields[1], fields[2])
+                        : EdgeEdit::Delete(fields[0], fields[1]));
+  }
+  return edits;
+}
+
 void DeltaOverlay::BuildDerivedRuns() {
-  adds_in_.clear();
-  adds_in_.reserve(adds_out_.size());
+  adds_in_ = TransposedRun(adds_out_);
+  kills_in_ = TransposedRun(kills_out_);
   uint64_t max_ref = 0;
-  bool any = false;
   for (const DeltaEdge& e : adds_out_) {
-    adds_in_.push_back(DeltaPair{e.v, e.u});
     max_ref = std::max<uint64_t>(max_ref, std::max(e.u, e.v));
-    any = true;
   }
-  std::sort(adds_in_.begin(), adds_in_.end(), PairLess);
-  // Two labels on the same pair collapse to one (v, u) entry — the
-  // in-direction run answers "which sources", not "which edges".
-  adds_in_.erase(std::unique(adds_in_.begin(), adds_in_.end()),
-                 adds_in_.end());
-  kills_in_.clear();
-  kills_in_.reserve(kills_out_.size());
   for (const DeltaPair& p : kills_out_) {
-    kills_in_.push_back(DeltaPair{p.v, p.u});
     max_ref = std::max<uint64_t>(max_ref, std::max(p.u, p.v));
-    any = true;
   }
-  std::sort(kills_in_.begin(), kills_in_.end(), PairLess);
-  min_num_nodes_ = any ? max_ref + 1 : 0;
+  min_num_nodes_ = empty() ? 0 : max_ref + 1;
 }
 
 Result<std::shared_ptr<const DeltaOverlay>> DeltaOverlay::Apply(
     const DeltaOverlay* base, const std::vector<EdgeEdit>& edits) {
-  std::set<std::tuple<uint32_t, uint32_t, uint32_t>> adds;
-  std::set<std::pair<uint32_t, uint32_t>> kills;
-  if (base != nullptr) {
-    for (const DeltaEdge& e : base->adds_out_) {
-      adds.emplace(e.u, e.v, e.label);
+  // Normalize the batch into sorted runs, O(b log b). A delete erases
+  // every earlier add of its pair, so an add survives only when no
+  // later delete names the pair.
+  struct Delete {
+    DeltaPair pair;
+    size_t pos;
+  };
+  std::vector<Delete> deletes;
+  uint64_t min_num_nodes = base != nullptr ? base->min_num_nodes_ : 0;
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const EdgeEdit& edit = edits[i];
+    if (edit.kind == EdgeEdit::kAdd && edit.u == edit.v) {
+      return Status::InvalidArgument(
+          "cannot add self-loop edge " + std::to_string(edit.u) + " -> " +
+          std::to_string(edit.v) + " (excluded by the graph model)");
     }
-    for (const DeltaPair& p : base->kills_out_) {
-      kills.emplace(p.u, p.v);
+    if (edit.kind == EdgeEdit::kDelete) {
+      deletes.push_back(Delete{DeltaPair{edit.u, edit.v}, i});
+    }
+    min_num_nodes =
+        std::max<uint64_t>(min_num_nodes, 1ull + std::max(edit.u, edit.v));
+  }
+  auto delete_less = [](const Delete& a, const Delete& b) {
+    return std::tie(a.pair.u, a.pair.v, a.pos) <
+           std::tie(b.pair.u, b.pair.v, b.pos);
+  };
+  std::sort(deletes.begin(), deletes.end(), delete_less);
+  std::vector<DeltaEdge> batch_adds;
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const EdgeEdit& edit = edits[i];
+    if (edit.kind != EdgeEdit::kAdd) continue;
+    const DeltaPair pair{edit.u, edit.v};
+    auto later = std::upper_bound(deletes.begin(), deletes.end(),
+                                  Delete{pair, i}, delete_less);
+    if (later != deletes.end() && later->pair == pair) continue;
+    batch_adds.push_back(DeltaEdge{edit.u, edit.v, edit.label});
+  }
+  std::sort(batch_adds.begin(), batch_adds.end(), EdgeLess);
+  batch_adds.erase(std::unique(batch_adds.begin(), batch_adds.end()),
+                   batch_adds.end());
+  std::vector<DeltaPair> batch_kills;
+  for (const Delete& d : deletes) {
+    if (batch_kills.empty() || !(batch_kills.back() == d.pair)) {
+      batch_kills.push_back(d.pair);
     }
   }
-  for (const EdgeEdit& edit : edits) {
-    if (edit.kind == EdgeEdit::kAdd) {
-      if (edit.u == edit.v) {
-        return Status::InvalidArgument(
-            "cannot add self-loop edge " + std::to_string(edit.u) + " -> " +
-            std::to_string(edit.v) + " (excluded by the graph model)");
-      }
-      adds.emplace(edit.u, edit.v, edit.label);
-    } else {
-      kills.emplace(edit.u, edit.v);
-      // A delete erases pending adds of the pair, every label.
-      adds.erase(adds.lower_bound(std::make_tuple(edit.u, edit.v, 0u)),
-                 adds.upper_bound(std::make_tuple(edit.u, edit.v, ~0u)));
-    }
-  }
+  const std::vector<DeltaPair> batch_kills_in = TransposedRun(batch_kills);
+
+  // One linear merge per run, O(|base| + b); no base run is re-sorted.
+  // Base adds of a pair the batch deletes leave; kills only accumulate.
+  const DeltaOverlay empty_base;
+  const DeltaOverlay& from = base != nullptr ? *base : empty_base;
   auto overlay = std::shared_ptr<DeltaOverlay>(new DeltaOverlay());
-  overlay->adds_out_.reserve(adds.size());
-  for (const auto& t : adds) {
-    overlay->adds_out_.push_back(
-        DeltaEdge{std::get<0>(t), std::get<1>(t), std::get<2>(t)});
-  }
-  overlay->kills_out_.reserve(kills.size());
-  for (const auto& p : kills) {
-    overlay->kills_out_.push_back(DeltaPair{p.first, p.second});
-  }
-  overlay->BuildDerivedRuns();
+  overlay->adds_out_ =
+      MergeRun(from.adds_out_, batch_kills, batch_adds, EdgeLess);
+  overlay->kills_out_ = MergeRun(from.kills_out_, {}, batch_kills, PairLess);
+  overlay->adds_in_ = MergeRun(from.adds_in_, batch_kills_in,
+                               TransposedRun(batch_adds), PairLess);
+  overlay->kills_in_ =
+      MergeRun(from.kills_in_, {}, batch_kills_in, PairLess);
+  overlay->min_num_nodes_ = min_num_nodes;
   return std::shared_ptr<const DeltaOverlay>(std::move(overlay));
 }
 

@@ -36,6 +36,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/graph/hypergraph.h"
@@ -67,6 +69,17 @@ struct EdgeEdit {
   }
 };
 
+/// \brief Parses the edit text `grepair append --edits` reads: one
+/// edit per line, `a u v [label]` appends an edge and `d u v` deletes
+/// every rank-2 edge u -> v. Fields are separated by blanks, and each
+/// number is a whole decimal token of at most 4294967295. '#' starts a
+/// comment, and blank lines are skipped. Any other line, including one
+/// with an extra token, fails with kInvalidArgument "<where>: expected
+/// 'a u v [label]' or 'd u v', got '<line>'", where <where> is
+/// `context:N` (a file path), or `line N` when context is empty.
+Result<std::vector<EdgeEdit>> ParseEditText(std::string_view text,
+                                            const std::string& context = "");
+
 /// \brief An appended edge in an overlay run.
 struct DeltaEdge {
   uint32_t u = 0;
@@ -91,16 +104,21 @@ struct DeltaPair {
 /// Instances are built by Apply (never mutated), shared by
 /// shared_ptr<const DeltaOverlay>, and safe to read from any number of
 /// threads. All four runs are strictly sorted and duplicate-free; the
-/// out-sorted add run is the canonical add set (the in-sorted run is a
-/// permutation of its (u, v) pairs), and likewise for kills.
+/// out-sorted add run is the canonical add set (the in-sorted run holds
+/// its (v, u) transposes, one per pair), and likewise for kills. Apply
+/// merges an edit batch into each run in one linear pass, so a batch of
+/// b edits costs O(|overlay| + b log b) time and no per-edit allocation.
 class DeltaOverlay {
  public:
   /// \brief Builds `base + edits` as a fresh snapshot (base may be
-  /// null = empty). kInvalidArgument on a self-loop add (u == v; the
-  /// paper's model excludes them and Hypergraph::Validate enforces
-  /// it). Edits are applied in order: a delete erases pending adds of
-  /// its pair, an add of a killed pair co-exists with the kill (the
-  /// merge rule applies kills to base edges only, then unions adds).
+  /// null = empty). kInvalidArgument on the first self-loop add (u ==
+  /// v; the paper's model excludes them and Hypergraph::Validate
+  /// enforces it). Edits are applied in order: a delete erases pending
+  /// adds of its pair, an add of a killed pair co-exists with the kill
+  /// (the merge rule applies kills to base edges only, then unions
+  /// adds). The batch is sorted into runs (O(b log b)) and each of the
+  /// base's four runs is merged with its batch run once (O(|base| +
+  /// b)); nothing of the base is re-sorted.
   static Result<std::shared_ptr<const DeltaOverlay>> Apply(
       const DeltaOverlay* base, const std::vector<EdgeEdit>& edits);
 
@@ -151,7 +169,7 @@ class DeltaOverlay {
 
  private:
   DeltaOverlay() = default;
-  void BuildDerivedRuns();  // fills in-sorted runs + min_num_nodes_
+  void BuildDerivedRuns();  // FromRuns: in-sorted runs + min_num_nodes_
 
   std::vector<DeltaEdge> adds_out_;   // sorted by (u, v, label)
   std::vector<DeltaPair> adds_in_;    // (v, u) pairs sorted; dedup'd

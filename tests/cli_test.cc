@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <regex>
 #include <set>
@@ -288,6 +289,32 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
         << row.args << "\n" << run.output;
   }
   EXPECT_EQ(::access(out.c_str(), F_OK), -1);
+}
+
+// `append` parses its whole edits file before it opens the corpus, so
+// the base below need not exist. Each number must be a whole decimal
+// token and a line may hold no extra token; a bad line exits 1 and is
+// echoed with its file and line number.
+TEST(CliTest, MalformedEditLinesExitOneAndEchoTheLine) {
+  const std::string base = TempPath("absent_base.grp");
+  const std::string edits_path = TempPath("edits.txt");
+  const std::string out = TempPath("edits.grs3");
+  for (const std::string line : {"a 1 2x", "a 1 2 3 junk", "a 1 2 3 4"}) {
+    {
+      std::ofstream edits(edits_path);
+      edits << "# a comment, then a good line\na 5 6\n" << line << "\n";
+    }
+    CliRun run = RunCli("append " + base + " --edits " + edits_path +
+                        " -o " + out);
+    EXPECT_EQ(run.exit_code, 1) << line << "\n" << run.output;
+    EXPECT_NE(run.output.find(edits_path +
+                              ":3: expected 'a u v [label]' or 'd u v', "
+                              "got '" + line + "'"),
+              std::string::npos)
+        << line << "\n" << run.output;
+  }
+  EXPECT_EQ(::access(out.c_str(), F_OK), -1);
+  std::remove(edits_path.c_str());
 }
 
 // `query` ends with one `stats:` line naming every QueryStats counter

@@ -1,18 +1,24 @@
-// Unit tests for the DeltaOverlay edit snapshot and the GRSHARD3
-// delta-container codec (src/shard/delta_overlay.h).
+// Unit tests for the DeltaOverlay edit snapshot, the edit-text reader
+// and the GRSHARD3 delta-container codec (src/shard/delta_overlay.h).
 //
 // The overlay's merge rule — out(u) = (base \ killed) u adds — and its
 // edit-ordering semantics (a delete erases pending adds of its pair, a
 // later add resurrects exactly one edge) are pinned here on small
-// hand-checked cases; tests/dynamic_corpus_test.cc proves the same
-// rules differentially against full recompression. The container codec
+// hand-checked cases and against a std::set model on random batch
+// streams; tests/dynamic_corpus_test.cc proves the same rules
+// differentially against full recompression. The container codec
 // tests exercise the fail-closed contract: every mutated byte must
 // surface as kCorruption, never as a silently different corpus.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/shard/delta_overlay.h"
@@ -133,6 +139,188 @@ TEST(DeltaOverlayTest, FromRunsRejectsUnsortedAndDuplicates) {
       {DeltaEdge{1, 2, 0}, DeltaEdge{1, 2, 1}}, {DeltaPair{4, 0}});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value()->add_count(), 2u);
+}
+
+// The reference semantics Apply must reproduce: edits replayed one by
+// one into std::sets, as the overlay was first specified.
+struct SetModel {
+  std::set<std::tuple<uint32_t, uint32_t, uint32_t>> adds;
+  std::set<std::pair<uint32_t, uint32_t>> kills;
+
+  // The first self-loop add's message, or "" after applying the batch.
+  std::string Apply(const Edits& edits) {
+    SetModel next = *this;
+    for (const EdgeEdit& edit : edits) {
+      if (edit.kind == EdgeEdit::kAdd) {
+        if (edit.u == edit.v) {
+          return "cannot add self-loop edge " + std::to_string(edit.u) +
+                 " -> " + std::to_string(edit.v);
+        }
+        next.adds.emplace(edit.u, edit.v, edit.label);
+      } else {
+        next.kills.emplace(edit.u, edit.v);
+        next.adds.erase(next.adds.lower_bound({edit.u, edit.v, 0u}),
+                        next.adds.upper_bound({edit.u, edit.v, ~0u}));
+      }
+    }
+    *this = std::move(next);
+    return "";
+  }
+
+  // out(node) or in(node) over `base`: (base \ kills) u adds.
+  std::vector<uint64_t> Merge(uint32_t node, bool out,
+                              const std::vector<uint64_t>& base) const {
+    std::set<uint64_t> result;
+    for (uint64_t other : base) {
+      auto pair = out ? std::make_pair(node, static_cast<uint32_t>(other))
+                      : std::make_pair(static_cast<uint32_t>(other), node);
+      if (kills.count(pair) == 0) result.insert(other);
+    }
+    for (const auto& [u, v, label] : adds) {
+      if ((out ? u : v) == node) result.insert(out ? v : u);
+    }
+    return {result.begin(), result.end()};
+  }
+
+  bool Touches(uint32_t node, bool out) const {
+    for (const auto& [u, v] : kills) {
+      if ((out ? u : v) == node) return true;
+    }
+    for (const auto& [u, v, label] : adds) {
+      if ((out ? u : v) == node) return true;
+    }
+    return false;
+  }
+
+  uint64_t MinNumNodes() const {
+    uint64_t n = 0;
+    for (const auto& [u, v, label] : adds) {
+      n = std::max<uint64_t>(n, std::max(u, v) + 1ull);
+    }
+    for (const auto& [u, v] : kills) {
+      n = std::max<uint64_t>(n, std::max(u, v) + 1ull);
+    }
+    return n;
+  }
+};
+
+void ExpectMatchesModel(const DeltaOverlay& overlay, const SetModel& model,
+                        uint32_t ids, std::mt19937* rng) {
+  using Triples = std::vector<std::tuple<uint32_t, uint32_t, uint32_t>>;
+  using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+  Triples adds;
+  for (const DeltaEdge& e : overlay.adds()) {
+    adds.emplace_back(e.u, e.v, e.label);
+  }
+  EXPECT_EQ(adds, Triples(model.adds.begin(), model.adds.end()));
+  Pairs kills;
+  for (const DeltaPair& p : overlay.kills()) kills.emplace_back(p.u, p.v);
+  EXPECT_EQ(kills, Pairs(model.kills.begin(), model.kills.end()));
+  EXPECT_EQ(overlay.min_num_nodes(), model.MinNumNodes());
+  for (uint32_t node = 0; node <= ids; ++node) {
+    std::vector<uint64_t> base;
+    for (uint64_t other = 0; other <= ids; ++other) {
+      if ((*rng)() % 2 == 0) base.push_back(other);
+    }
+    EXPECT_EQ(overlay.TouchesOut(node), model.Touches(node, true)) << node;
+    EXPECT_EQ(overlay.TouchesIn(node), model.Touches(node, false)) << node;
+    EXPECT_EQ(overlay.MergeOut(node, base), model.Merge(node, true, base))
+        << node;
+    EXPECT_EQ(overlay.MergeIn(node, base), model.Merge(node, false, base))
+        << node;
+  }
+}
+
+// Random batch streams over 8 ids, so pairs collide within and across
+// batches: three labels, deletes before and after adds of one pair,
+// duplicate adds, and batches with a self-loop add, which must fail
+// with the first self-loop's message and leave the stream as it was.
+// Each snapshot, and FromRuns over its runs, must match the set model.
+TEST(DeltaOverlayTest, RandomStreamsMatchASetModel) {
+  constexpr uint32_t kIds = 8;
+  std::mt19937 rng(31);
+  int rejected = 0;
+  for (int stream = 0; stream < 1000; ++stream) {
+    SetModel model;
+    std::shared_ptr<const DeltaOverlay> overlay;
+    const int batches = 1 + static_cast<int>(rng() % 6);
+    for (int batch = 0; batch < batches; ++batch) {
+      Edits edits;
+      const size_t size = rng() % 10;
+      const bool with_self_loop = rng() % 8 == 0;
+      for (size_t i = 0; i < size; ++i) {
+        uint32_t u = rng() % kIds;
+        uint32_t v = rng() % kIds;
+        if (!edits.empty() && rng() % 3 == 0) {
+          const EdgeEdit& earlier = edits[rng() % edits.size()];
+          u = earlier.u;
+          v = earlier.v;
+        }
+        if (rng() % 2 == 0) {
+          if (u == v) v = (u + 1) % kIds;
+          edits.push_back(EdgeEdit::Add(u, v, rng() % 3));
+        } else {
+          edits.push_back(EdgeEdit::Delete(u, v));
+        }
+      }
+      if (with_self_loop) {
+        const uint32_t w = rng() % kIds;
+        edits.insert(edits.begin() + static_cast<long>(rng() % (size + 1)),
+                     EdgeEdit::Add(w, w));
+      }
+      const std::string error = model.Apply(edits);
+      auto next = DeltaOverlay::Apply(overlay.get(), edits);
+      if (!error.empty()) {
+        ++rejected;
+        ASSERT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(next.status().message().rfind(error, 0), 0u)
+            << next.status().message();
+        continue;
+      }
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      overlay = std::move(next).ValueOrDie();
+      ExpectMatchesModel(*overlay, model, kIds, &rng);
+      auto rebuilt = DeltaOverlay::FromRuns(overlay->adds(), overlay->kills());
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+      ExpectMatchesModel(*rebuilt.value(), model, kIds, &rng);
+      if (HasFailure()) {
+        FAIL() << "stream " << stream << " batch " << batch;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(EditTextTest, ParsesAddsDeletesLabelsAndComments) {
+  auto edits = ParseEditText(
+      "# header\na 17 4021\r\n\n  d\t9 12  # retract\na 1 2 4294967295");
+  ASSERT_TRUE(edits.ok()) << edits.status().ToString();
+  ASSERT_EQ(edits.value().size(), 3u);
+  EXPECT_EQ(edits.value()[0].kind, EdgeEdit::kAdd);
+  EXPECT_EQ(edits.value()[0].u, 17u);
+  EXPECT_EQ(edits.value()[0].v, 4021u);
+  EXPECT_EQ(edits.value()[0].label, 0u);
+  EXPECT_EQ(edits.value()[1].kind, EdgeEdit::kDelete);
+  EXPECT_EQ(edits.value()[1].u, 9u);
+  EXPECT_EQ(edits.value()[1].v, 12u);
+  EXPECT_EQ(edits.value()[2].label, 4294967295u);
+  EXPECT_TRUE(ParseEditText("").ok());
+}
+
+TEST(EditTextTest, RefusesPartialTokensAndExtraFields) {
+  for (const char* line :
+       {"a 1 2x", "a 1 2 3 junk", "a 1 2 3 4", "d 1 2 3", "a 1",
+        "a 1 4294967296", "a -1 2", "a +1 2", "add 1 2", "a1 2 3", "x 1 2"}) {
+    auto edits = ParseEditText(std::string("a 5 6\n") + line + "\n");
+    EXPECT_EQ(edits.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(edits.status().message(),
+              std::string("line 2: expected 'a u v [label]' or 'd u v', "
+                          "got '") + line + "'");
+    auto in_file = ParseEditText(line, "batch.txt");
+    EXPECT_EQ(in_file.status().message().rfind("batch.txt:1: expected", 0),
+              0u)
+        << in_file.status().message();
+  }
 }
 
 DeltaContainer SampleDelta() {

@@ -345,6 +345,44 @@ TEST(DynamicCorpusTest, FreshNodeAddsGrowTheCorpus) {
             (std::vector<uint64_t>{static_cast<uint64_t>(n) + 9}));
 }
 
+// A batch lands whole or not at all. Its fifth edit is a self-loop
+// add, so ApplyEdits refuses it: the four edits before it (a fresh
+// node, a kill of a base edge, an add, and a delete of the earlier
+// add) stay invisible, and the overlay keeps its edit count.
+TEST(DynamicCorpusTest, SelfLoopBatchPublishesNothing) {
+  GeneratedGraph gg = BarabasiAlbert(60, 3, 23);
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "3");
+  auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  auto* edited = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+  const uint32_t n = gg.graph.num_nodes();
+
+  TruthCorpus truth = TruthCorpus::FromGraph(gg.graph);
+  const EdgeEdit first = EdgeEdit::Add(1, 40);
+  ASSERT_FALSE(truth.HasPair(1, 40));
+  truth.Apply(first);
+  ASSERT_TRUE(edited->ApplyEdits({first}).ok());
+  const uint64_t overlay_edits = edited->query_stats().overlay_edits;
+  ASSERT_EQ(overlay_edits, 1u);
+
+  const std::array<uint32_t, 3>& base_edge = truth.edges.front();
+  Status refused = edited->ApplyEdits(
+      {EdgeEdit::Add(2, n + 5), EdgeEdit::Delete(base_edge[0], base_edge[1]),
+       EdgeEdit::Add(3, 50), EdgeEdit::Delete(1, 40), EdgeEdit::Add(7, 7)});
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("self-loop edge 7 -> 7"),
+            std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(edited->query_stats().overlay_edits, overlay_edits);
+  EXPECT_EQ(edited->num_nodes(), n);
+
+  auto fresh = codec->Compress(truth.ToHypergraph(), gg.alphabet, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectQueriesAgree(edited, fresh.value().get(), 1, "self-loop batch");
+}
+
 // ApplyEdits folds automatically once the overlay outgrows the byte
 // budget; with a single shard every in-range edit is fold-eligible, so
 // the overlay must drain to empty and the fold counters move.

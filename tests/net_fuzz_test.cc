@@ -2,8 +2,9 @@
 // reach: the GRNF wire-frame parser and the GRSHARD2 directory parser
 // (the bytes a shard server ships at connect time), the grepair shard
 // payload parser (the bytes a shard fault decodes), the GRSHARD3 delta
-// container parser (the files a versioned open applies), plus the
-// bit-stream/Elias decode differential. The invariant checks and the
+// container parser (the files a versioned open applies), the edit-text
+// reader behind `grepair append --edits`, plus the bit-stream/Elias
+// decode differential. The invariant checks and the
 // golden seeds are shared with the coverage-guided libFuzzer targets
 // (fuzz/fuzz_checks.h, fuzz/golden_seeds.h), so this always-on ctest
 // battery and the long-running fuzzers can never drift apart; each
@@ -299,6 +300,34 @@ TEST(NetFuzzTest, DeltaContainerParserSurvivesMutation) {
     auto mutated = Mutate(seeds[rng.UniformBounded(seeds.size())], &rng);
     const char* violated =
         fuzz::CheckDeltaContainerInput(mutated.data(), mutated.size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+}
+
+TEST(NetFuzzTest, EditTextParserSurvivesMutation) {
+  // fuzz/edits_text_fuzzer.cc runs the same check coverage-guided.
+  const auto seeds = fuzz::GoldenEditTextSeeds();
+  std::vector<std::vector<uint8_t>> seed_bytes;
+  // Golden path: the first three texts parse, the four refused shapes
+  // fail on their first line.
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    auto edits = shard::ParseEditText(seeds[i]);
+    EXPECT_EQ(edits.ok(), i < 3) << "seed " << i;
+    if (!edits.ok()) {
+      EXPECT_EQ(edits.status().message().rfind("line 1: ", 0), 0u)
+          << edits.status().message();
+    }
+    seed_bytes.emplace_back(seeds[i].begin(), seeds[i].end());
+    const char* violated = fuzz::CheckEditTextParse(seed_bytes.back().data(),
+                                                    seed_bytes.back().size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+  Rng rng(0xED175EED);
+  for (int iter = 0; iter < 1500; ++iter) {
+    auto mutated =
+        Mutate(seed_bytes[rng.UniformBounded(seed_bytes.size())], &rng);
+    const char* violated =
+        fuzz::CheckEditTextParse(mutated.data(), mutated.size());
     EXPECT_TRUE(violated == nullptr) << violated;
   }
 }

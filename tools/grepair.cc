@@ -39,6 +39,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -425,46 +426,6 @@ int CmdQuery(int argc, char** argv) {
   return 0;
 }
 
-// `append`'s edit stream: `a u v [label]` appends a rank-2 edge,
-// `d u v` deletes every rank-2 edge u -> v, '#' starts a comment and
-// blank lines are skipped.
-bool ParseEditsFile(const std::string& path,
-                    std::vector<shard::EdgeEdit>* edits) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open edits file %s\n", path.c_str());
-    return false;
-  }
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    char op = 0;
-    unsigned long long u = 0, v = 0, label = 0;
-    int fields = std::sscanf(line.c_str(), " %c %llu %llu %llu",
-                             &op, &u, &v, &label);
-    if (fields <= 0) continue;  // blank / comment-only line
-    bool ok = u <= 0xFFFFFFFFull && v <= 0xFFFFFFFFull &&
-              label <= 0xFFFFFFFFull;
-    if (ok && op == 'a' && (fields == 3 || fields == 4)) {
-      edits->push_back(shard::EdgeEdit::Add(
-          static_cast<uint32_t>(u), static_cast<uint32_t>(v),
-          static_cast<uint32_t>(label)));
-    } else if (ok && op == 'd' && fields == 3) {
-      edits->push_back(shard::EdgeEdit::Delete(
-          static_cast<uint32_t>(u), static_cast<uint32_t>(v)));
-    } else {
-      std::fprintf(stderr, "%s:%zu: expected 'a u v [label]' or "
-                           "'d u v', got '%s'\n",
-                   path.c_str(), line_no, line.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 // `append`: replay an edit stream against a versioned corpus and write
 // a GRSHARD3 delta container. The delta chains to the *last* input
 // file (the base when no chain files are given) by whole-file hash +
@@ -484,8 +445,21 @@ int CmdAppend(int argc, char** argv) {
     std::fprintf(stderr, "append needs --edits <file> and -o <out>\n");
     return 2;
   }
-  std::vector<shard::EdgeEdit> edits;
-  if (!ParseEditsFile(edits_path, &edits)) return 1;
+  // The edit text (format at shard::ParseEditText), read in full before
+  // the corpus opens; a bad line names its file and line number.
+  std::ifstream edits_file(edits_path, std::ios::binary);
+  if (!edits_file) {
+    std::fprintf(stderr, "cannot open edits file %s\n", edits_path.c_str());
+    return 1;
+  }
+  const std::string edits_text((std::istreambuf_iterator<char>(edits_file)),
+                               std::istreambuf_iterator<char>());
+  auto parsed = shard::ParseEditText(edits_text, edits_path);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+    return 1;
+  }
+  const std::vector<shard::EdgeEdit>& edits = parsed.value();
 
   // The base, then any earlier deltas of the chain.
   const std::string& base_path = args->positional[0];
