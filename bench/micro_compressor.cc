@@ -50,11 +50,9 @@ void BM_CompressCopies(benchmark::State& state) {
 BENCHMARK(BM_CompressCopies)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-// build-dblp's ingest input: one DblpVersions(12, 200, 100) graph cut
-// into 16 shards, each compressed as the sharded grepair codec does it
-// (node mapping on), one after another on this thread.
-void BM_CompressDblpShards(benchmark::State& state) {
-  auto gg = DblpVersions(12, 200, 100, 1, "dblp");
+// Compresses `gg` cut into 16 shards, each as the sharded grepair codec
+// does it (node mapping on), one after another on this thread.
+void CompressShards(benchmark::State& state, const GeneratedGraph& gg) {
   shard::PartitionOptions partition_options;
   partition_options.num_shards = 16;
   auto partition = shard::PartitionGraph(gg.graph, partition_options);
@@ -72,7 +70,19 @@ void BM_CompressDblpShards(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * gg.graph.num_edges());
 }
+
+// build-dblp's ingest input: one DblpVersions(12, 200, 100) graph.
+void BM_CompressDblpShards(benchmark::State& state) {
+  CompressShards(state, DblpVersions(12, 200, 100, 1, "dblp"));
+}
 BENCHMARK(BM_CompressDblpShards)->Unit(benchmark::kMillisecond);
+
+// mutate-rdf's corpus, RdfEntities(40000, 40, 60): a fold recompresses
+// its shards.
+void BM_CompressRdfShards(benchmark::State& state) {
+  CompressShards(state, RdfEntities(40000, 40, 60, 1));
+}
+BENCHMARK(BM_CompressRdfShards)->Unit(benchmark::kMillisecond);
 
 void BM_EncodeGrammar(benchmark::State& state) {
   auto gg = RdfEntities(4000, 12, 200, 3);

@@ -21,11 +21,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/api/codec_registry.h"
+#include "src/graph/graph_io.h"
 #include "src/k2tree/k2tree.h"
 #include "src/net/frame.h"
 #include "src/query/compressed_graph.h"
@@ -467,6 +469,47 @@ inline const char* CheckEditTextParse(const uint8_t* data, size_t size) {
     const shard::EdgeEdit& b = again.value()[i];
     if (a.kind != b.kind || a.u != b.u || a.v != b.v || a.label != b.label) {
       return "canonical edit text parses to other edits";
+    }
+  }
+  return nullptr;
+}
+
+/// \brief Graph-text parse (ParseGraphText, the CLI's `compress`
+/// reader): a failure is kCorruption or kInvalidArgument with a
+/// message; a success writes back (WriteGraphText) as text that parses
+/// to the same graph, edge for edge, and the same label ranks.
+inline const char* CheckGraphTextParse(const uint8_t* data, size_t size) {
+  std::istringstream in(
+      std::string(reinterpret_cast<const char*>(data), size));
+  auto loaded = ParseGraphText(in);
+  if (!loaded.ok()) {
+    const StatusCode code = loaded.status().code();
+    if (code != StatusCode::kCorruption &&
+        code != StatusCode::kInvalidArgument) {
+      return "graph-text parse failed with a code other than "
+             "kCorruption or kInvalidArgument";
+    }
+    if (loaded.status().message().empty()) {
+      return "graph-text parse failed without a message";
+    }
+    return nullptr;
+  }
+  std::ostringstream out;
+  WriteGraphText(loaded.value().graph, loaded.value().alphabet, out);
+  std::istringstream written(out.str());
+  auto again = ParseGraphText(written);
+  if (!again.ok()) return "written graph text fails to parse";
+  if (!(again.value().graph == loaded.value().graph)) {
+    return "written graph text parses to another graph";
+  }
+  const Alphabet& a = loaded.value().alphabet;
+  const Alphabet& b = again.value().alphabet;
+  if (a.size() != b.size()) {
+    return "written graph text parses to another label count";
+  }
+  for (Label l = 0; l < a.size(); ++l) {
+    if (a.rank(l) != b.rank(l)) {
+      return "written graph text parses to other label ranks";
     }
   }
   return nullptr;

@@ -4,7 +4,7 @@
 //
 // writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
 // k2tree,grepair_payload,k2_payload,dir_sidecar,delta_container,
-// edits_text} — the directories checked in at fuzz/corpus and replayed
+// edits_text,graph_text} — the directories checked in at fuzz/corpus and replayed
 // by the ctest fuzz_smoke_* tests. Seeds are golden-path encodings
 // (every GRNF v2 verb plus a retired v1 frame, real GRSHARD2
 // directories, well-formed Elias streams plus the degenerate
@@ -15,7 +15,8 @@
 // dimension counts wrap uint32_t, `.grdir` sidecars over real
 // directories plus a retired v1 one, real GRSHARD3 deltas with and
 // without folded shards plus a sealed one whose add run is unsorted,
-// `append --edits` texts, well-formed and refused),
+// `append --edits` texts and `compress` graph texts, well-formed and
+// refused),
 // so coverage-guided runs start from deep inside the parsers instead
 // of fighting the magic bytes. Rerun after a format change and commit
 // the diff.
@@ -178,6 +179,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(delta_dir);
   const auto edits_dir = root / "edits_text";
   std::filesystem::create_directories(edits_dir);
+  const auto graph_text_dir = root / "graph_text";
+  std::filesystem::create_directories(graph_text_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -268,6 +271,15 @@ int main(int argc, char** argv) {
     grepair::WriteSeed(edits_dir, name,
                        std::vector<uint8_t>(edit_texts[i].begin(),
                                             edit_texts[i].end()));
+  }
+
+  auto graph_texts = grepair::fuzz::GoldenGraphTextSeeds();
+  for (size_t i = 0; i < graph_texts.size(); ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "graph_%02zu.txt", i);
+    grepair::WriteSeed(graph_text_dir, name,
+                       std::vector<uint8_t>(graph_texts[i].begin(),
+                                            graph_texts[i].end()));
   }
 
   std::printf("corpus written under %s\n", root.c_str());

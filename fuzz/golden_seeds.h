@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -315,6 +316,40 @@ inline std::vector<std::string> GoldenEditTextSeeds() {
       "a 1 4294967296\n",
       "d 1 2 3\n",
   };
+}
+
+/// \brief Graph texts for the CLI's `compress` reader (ParseGraphText):
+/// two written by WriteGraphText (a labeled RDF graph and a rank-3
+/// hypergraph), a header-only empty graph, loose whitespace with CRLF,
+/// then one each of the shapes it must refuse: a bad magic, a rank-0
+/// label, an unknown edge label, a node past the count, a node attached
+/// twice (restriction 1) and an edge list cut short.
+inline std::vector<std::string> GoldenGraphTextSeeds() {
+  std::vector<std::string> seeds;
+  auto written = [&](const Hypergraph& g, const Alphabet& alphabet) {
+    std::ostringstream out;
+    WriteGraphText(g, alphabet, out);
+    seeds.push_back(out.str());
+  };
+  GeneratedGraph rdf = RdfEntities(8, 3, 4, 1);
+  written(rdf.graph, rdf.alphabet);
+  Alphabet hyper;
+  hyper.Add("e", 2);
+  hyper.Add("t", 3);
+  Hypergraph h(5);
+  h.AddEdge(1, {0, 1, 2});
+  h.AddEdge(1, {2, 3, 4});
+  h.AddEdge(0, {4, 0});
+  written(h, hyper);
+  seeds.push_back("grepair-graph 0 0 0\n\n");
+  seeds.push_back("\t grepair-graph  4 2 2\r\n2\t2\r\n0 0 1\r\n  1 2 3");
+  seeds.push_back("grepair-grape 2 1 1\n2\n0 0 1\n");
+  seeds.push_back("grepair-graph 2 1 1\n0\n0 0 1\n");
+  seeds.push_back("grepair-graph 2 1 1\n2\n1 0 1\n");
+  seeds.push_back("grepair-graph 2 1 1\n2\n0 0 2\n");
+  seeds.push_back("grepair-graph 2 1 1\n2\n0 1 1\n");
+  seeds.push_back("grepair-graph 3 2 1\n2\n0 0 1\n");
+  return seeds;
 }
 
 }  // namespace fuzz

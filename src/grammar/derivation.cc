@@ -6,6 +6,21 @@
 
 namespace grepair {
 
+RecordId NodeMapping::AddRecord(const std::vector<NodeId>& internal,
+                                const std::vector<RecordId>& children) {
+  const RecordId id = static_cast<RecordId>(records.size());
+  DerivationRecord rec;
+  rec.first_orig = static_cast<uint32_t>(origs.size());
+  rec.num_origs = static_cast<uint32_t>(internal.size());
+  origs.insert(origs.end(), internal.begin(), internal.end());
+  for (size_t c = children.size(); c-- > 0;) {
+    records[children[c]].next_sibling = rec.first_child;
+    rec.first_child = children[c];
+  }
+  records.push_back(rec);
+  return id;
+}
+
 void CanonicalizeStartEdgeOrder(SlhrGrammar* grammar, NodeMapping* mapping) {
   std::vector<HEdge> edges = grammar->mutable_start()->TakeEdges();
   std::vector<EdgeId> order(edges.size());
@@ -18,11 +33,12 @@ void CanonicalizeStartEdgeOrder(SlhrGrammar* grammar, NodeMapping* mapping) {
   });
   std::vector<HEdge> sorted;
   sorted.reserve(order.size());
-  std::vector<DerivationRecord> sorted_records;
+  std::vector<RecordId> sorted_records;
+  if (mapping != nullptr) sorted_records.reserve(order.size());
   for (EdgeId e : order) {
     sorted.push_back(std::move(edges[e]));
     if (mapping != nullptr) {
-      sorted_records.push_back(std::move(mapping->edge_records[e]));
+      sorted_records.push_back(mapping->edge_records[e]);
     }
   }
   grammar->mutable_start()->SetEdges(std::move(sorted));
@@ -188,21 +204,29 @@ Result<std::vector<NodeId>> FlattenOrigins(const SlhrGrammar& grammar,
   std::vector<NodeId> origins = mapping.start_origs;
   origins.reserve(total_nodes);
   // Depth-first flatten mirroring the derivation order: a record's
-  // internals come first, then its children in rhs edge order.
+  // internals come first, then its children in rhs edge order. Popping
+  // a record pushes its next sibling below its first child, so the
+  // child's subtree is done before the sibling comes up.
   const Hypergraph& start = grammar.start();
-  std::vector<const DerivationRecord*> stack;
+  std::vector<RecordId> stack;
+  auto visit = [&](RecordId r) {
+    const NodeId* internal = mapping.internal_origs(r);
+    origins.insert(origins.end(), internal,
+                   internal + mapping.records[r].num_origs);
+    if (mapping.records[r].first_child != kNoRecord) {
+      stack.push_back(mapping.records[r].first_child);
+    }
+  };
   for (EdgeId se = 0; se < start.num_edges(); ++se) {
     if (!grammar.IsNonterminal(start.edge(se).label)) continue;
-    stack.push_back(&mapping.edge_records[se]);
-    // Children must be visited left-to-right: push in reverse.
+    visit(mapping.edge_records[se]);
     while (!stack.empty()) {
-      const DerivationRecord* rec = stack.back();
+      const RecordId r = stack.back();
       stack.pop_back();
-      origins.insert(origins.end(), rec->internal_origs.begin(),
-                     rec->internal_origs.end());
-      for (size_t c = rec->children.size(); c-- > 0;) {
-        stack.push_back(&rec->children[c]);
+      if (mapping.records[r].next_sibling != kNoRecord) {
+        stack.push_back(mapping.records[r].next_sibling);
       }
+      visit(r);
     }
   }
   assert(origins.size() == total_nodes);
@@ -246,38 +270,51 @@ Status ValidateMapping(const SlhrGrammar& grammar,
     return Status::InvalidArgument("edge_records size mismatch");
   }
 
-  // Iterative structural walk: (record, rule label) pairs.
-  std::vector<std::pair<const DerivationRecord*, Label>> work;
+  // Iterative structural walk: (record, rule label) pairs. A record
+  // reached twice would be flattened twice, and a sibling chain that
+  // runs on past the rhs's nonterminal edges is a count mismatch, so
+  // the walk ends on any index graph, cyclic ones included.
+  const size_t num_records = mapping.records.size();
+  std::vector<char> seen(num_records, 0);
+  std::vector<std::pair<RecordId, Label>> work;
   for (EdgeId se = 0; se < start.num_edges(); ++se) {
     const HEdge& e = start.edge(se);
+    const RecordId r = mapping.edge_records[se];
     if (grammar.IsNonterminal(e.label)) {
-      work.push_back({&mapping.edge_records[se], e.label});
-    } else if (!mapping.edge_records[se].internal_origs.empty() ||
-               !mapping.edge_records[se].children.empty()) {
-      return Status::InvalidArgument("terminal edge has nonempty record");
+      if (r >= num_records) {
+        return Status::InvalidArgument("nonterminal edge has no record");
+      }
+      work.push_back({r, e.label});
+    } else if (r != kNoRecord) {
+      return Status::InvalidArgument("terminal edge has a record");
     }
   }
   while (!work.empty()) {
-    auto [rec, label] = work.back();
+    auto [r, label] = work.back();
     work.pop_back();
+    if (seen[r]) return Status::InvalidArgument("record reached twice");
+    seen[r] = 1;
+    const DerivationRecord& rec = mapping.records[r];
     const Hypergraph& rhs = grammar.rhs(label);
     size_t internal = rhs.num_nodes() - rhs.ext().size();
-    if (rec->internal_origs.size() != internal) {
+    if (rec.num_origs != internal) {
       return Status::InvalidArgument(
           "record internal count mismatch for rule " +
           std::to_string(grammar.RuleIndex(label)));
     }
-    size_t nt_edges = 0;
-    for (const auto& e : rhs.edges()) {
-      if (grammar.IsNonterminal(e.label)) {
-        if (nt_edges >= rec->children.size()) {
-          return Status::InvalidArgument("record child count mismatch");
-        }
-        work.push_back({&rec->children[nt_edges], e.label});
-        ++nt_edges;
-      }
+    if (uint64_t{rec.first_orig} + rec.num_origs > mapping.origs.size()) {
+      return Status::InvalidArgument("record origins outside the pool");
     }
-    if (rec->children.size() != nt_edges) {
+    RecordId child = rec.first_child;
+    for (const auto& e : rhs.edges()) {
+      if (!grammar.IsNonterminal(e.label)) continue;
+      if (child >= num_records) {
+        return Status::InvalidArgument("record child count mismatch");
+      }
+      work.push_back({child, e.label});
+      child = mapping.records[child].next_sibling;
+    }
+    if (child != kNoRecord) {
       return Status::InvalidArgument("record child count mismatch");
     }
   }

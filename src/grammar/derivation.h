@@ -22,6 +22,15 @@
 // (origins[val(G) id] = original id): the grammar implies the record
 // structure, so FlattenOrigins is the one bridge from records to the
 // array, and the encoder, decoder and query layer never build records.
+//
+// Storage. All records of one NodeMapping live in one arena and link
+// by index: a record names a slice of the mapping's shared origin pool
+// and the first of its children, and each child names its next
+// sibling. Adding a record appends to two vectors, so building psi'
+// costs no allocation per rule application, and re-parenting a record
+// (pruning dissolves rules) rewrites a few indices instead of moving
+// nested vectors. Records that pruning dissolves, and origin slices it
+// rewrites, stay in the arena unreferenced until the mapping dies.
 
 #ifndef GREPAIR_GRAMMAR_DERIVATION_H_
 #define GREPAIR_GRAMMAR_DERIVATION_H_
@@ -35,22 +44,49 @@
 
 namespace grepair {
 
+/// \brief Index of a DerivationRecord in its NodeMapping's arena.
+using RecordId = uint32_t;
+
+/// \brief "No record": the record slot of a terminal edge, and the end
+/// of a sibling chain.
+inline constexpr RecordId kNoRecord = ~0u;
+
 /// \brief Record of one rule application, mirroring the derivation tree.
 struct DerivationRecord {
   /// Original-graph IDs for the rhs's internal nodes, in rhs node-id
-  /// order (which equals their creation order).
-  std::vector<NodeId> internal_origs;
-  /// One child per nonterminal edge of the rhs, in rhs edge order.
-  std::vector<DerivationRecord> children;
+  /// order (which equals their creation order):
+  /// NodeMapping::origs[first_orig, first_orig + num_origs).
+  uint32_t first_orig = 0;
+  uint32_t num_origs = 0;
+  /// First of the children, one per nonterminal edge of the rhs, in rhs
+  /// edge order; the rest follow through next_sibling.
+  RecordId first_child = kNoRecord;
+  /// Next child of this record's parent; kNoRecord for a last child and
+  /// for a start edge's record.
+  RecordId next_sibling = kNoRecord;
 };
 
 /// \brief Node mapping psi': original IDs for start-graph nodes plus a
-/// record tree per start-graph edge (empty records for terminal edges).
+/// record tree per start-graph edge, all in one arena (see the top of
+/// this file).
 struct NodeMapping {
-  std::vector<NodeId> start_origs;            // per start-graph node
-  std::vector<DerivationRecord> edge_records; // per start-graph edge
+  std::vector<NodeId> start_origs;     // per start-graph node
+  std::vector<RecordId> edge_records;  // per start edge; kNoRecord if terminal
+  std::vector<DerivationRecord> records;  // the arena
+  std::vector<NodeId> origs;              // every record's internal ids
 
   bool empty() const { return start_origs.empty() && edge_records.empty(); }
+
+  /// \brief Appends a record with internal origins `internal` and the
+  /// children `children`, in rhs edge order. A child must not be held
+  /// by another record: its next_sibling is overwritten.
+  RecordId AddRecord(const std::vector<NodeId>& internal,
+                     const std::vector<RecordId>& children);
+
+  /// \brief Record r's internal origins: [begin, begin + num_origs).
+  const NodeId* internal_origs(RecordId r) const {
+    return origs.data() + records[r].first_orig;
+  }
 };
 
 /// \brief Per-rule generated sizes: how many internal nodes / terminal
@@ -121,7 +157,9 @@ Result<Hypergraph> DeriveOriginal(const SlhrGrammar& grammar,
                                   const DeriveOptions& options = {});
 
 /// \brief Checks that `mapping` structurally matches `grammar` (record
-/// arity equals internal-node and nonterminal-edge counts, recursively).
+/// arity equals internal-node and nonterminal-edge counts, recursively),
+/// that every index stays inside the arena, and that no record is
+/// reached twice.
 Status ValidateMapping(const SlhrGrammar& grammar, const NodeMapping& mapping);
 
 /// \brief Sorts the start graph's edges by (label, attachment),

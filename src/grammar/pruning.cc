@@ -32,7 +32,7 @@ class LabelLists {
 };
 
 // Copy of a right-hand-side edge with its attachment renamed by `node_map`.
-HEdge MapEdge(const HEdge& e, const std::vector<NodeId>& node_map) {
+HEdge MapEdge(const HEdge& e, const NodeId* node_map) {
   HEdge copy = e;
   for (NodeId& v : copy.att) v = node_map[v];
   return copy;
@@ -65,6 +65,10 @@ HEdge MapEdge(const HEdge& e, const std::vector<NodeId>& node_map) {
 //    at the child's step, and its children take its place. Groups are
 //    ordered by step and, within a step, by edge order, exactly as the
 //    per-step splices append them.
+// The records live in the mapping's arena (derivation.h): dissolving a
+// child relinks its children into its parent's chain and gives the
+// parent a fresh origin slice at the end of the pool. The walks keep
+// their stacks in members, so Finish allocates nothing per record.
 class Inliner {
  public:
   Inliner(SlhrGrammar* grammar, NodeMapping* mapping)
@@ -106,9 +110,11 @@ class Inliner {
   // internal nodes are appended to the host, per A-edge in edge order.
   void InlineIntoRule(Label a, const Hypergraph& rhs_a, uint32_t host_index);
 
-  void FinalizeRecord(DerivationRecord* root, Label label);
-  void DissolveChildren(DerivationRecord* rec, Label label);
-  void ExpandStartEdge(HEdge edge, DerivationRecord rec);
+  void FinalizeRecord(RecordId root, Label label);
+  void DissolveChildren(RecordId rec, Label label);
+  void ExpandStartEdge(HEdge edge, RecordId rec);
+
+  DerivationRecord& record(RecordId r) { return mapping_->records[r]; }
 
   SlhrGrammar* grammar_;
   NodeMapping* mapping_;
@@ -124,7 +130,38 @@ class Inliner {
   std::vector<NodeId> step_base_;  // first new start node of each step
   std::vector<uint32_t> next_instance_;  // per step: instances numbered
   std::vector<HEdge> new_edges_;
-  std::vector<DerivationRecord> new_records_;
+  std::vector<RecordId> new_records_;
+
+  // Scratch of the record and expansion walks, reused across calls.
+  struct FinalizeWork {
+    RecordId rec;
+    Label label;
+    bool children_done;
+  };
+  struct DissolveLevel {
+    RecordId next;         // next child to visit at this level
+    const Label* labels;   // rule labels of this level's children
+    size_t index;          // position of `next` among them
+  };
+  struct DissolvedGroup {
+    uint32_t step;
+    uint32_t seq;  // visit order
+    RecordId rec;
+    bool operator<(const DissolvedGroup& o) const {
+      return step != o.step ? step < o.step : seq < o.seq;
+    }
+  };
+  struct ExpandFrame {
+    const Hypergraph* rhs;
+    size_t map_begin;      // rhs node id -> start node id, in maps_
+    RecordId next_child;   // record of the next nonterminal rhs edge
+    size_t next_edge;
+  };
+  std::vector<FinalizeWork> finalize_stack_;
+  std::vector<DissolveLevel> levels_;
+  std::vector<DissolvedGroup> groups_;
+  std::vector<ExpandFrame> frames_;
+  std::vector<NodeId> maps_;
 };
 
 void Inliner::InlineIntoRule(Label a, const Hypergraph& rhs_a,
@@ -154,7 +191,7 @@ void Inliner::InlineIntoRule(Label a, const Hypergraph& rhs_a,
       node_map[i] = host->AddNode();
     }
     for (const auto& re : rhs_a.edges()) {
-      new_edges.push_back(MapEdge(re, node_map));
+      new_edges.push_back(MapEdge(re, node_map.data()));
     }
   }
   spliced_edges_ += new_edges.size();
@@ -163,24 +200,21 @@ void Inliner::InlineIntoRule(Label a, const Hypergraph& rhs_a,
 
 // Brings `root` (a record of rule `label`, shaped like the rules before
 // pruning) and all records below it into final form, children first.
-void Inliner::FinalizeRecord(DerivationRecord* root, Label label) {
-  struct Work {
-    DerivationRecord* rec;
-    Label label;
-    bool children_done;
-  };
-  std::vector<Work> stack = {{root, label, false}};
-  while (!stack.empty()) {
-    Work w = stack.back();
-    stack.pop_back();
+void Inliner::FinalizeRecord(RecordId root, Label label) {
+  finalize_stack_.push_back({root, label, false});
+  while (!finalize_stack_.empty()) {
+    FinalizeWork w = finalize_stack_.back();
+    finalize_stack_.pop_back();
     if (w.children_done) {
       DissolveChildren(w.rec, w.label);
       continue;
     }
-    stack.push_back({w.rec, w.label, true});
+    finalize_stack_.push_back({w.rec, w.label, true});
     const Label* labels = rule_children_.begin(grammar_->RuleIndex(w.label));
-    for (size_t c = 0; c < w.rec->children.size(); ++c) {
-      stack.push_back({&w.rec->children[c], labels[c], false});
+    size_t c = 0;
+    for (RecordId child = record(w.rec).first_child; child != kNoRecord;
+         child = record(child).next_sibling) {
+      finalize_stack_.push_back({child, labels[c++], false});
     }
   }
 }
@@ -188,102 +222,124 @@ void Inliner::FinalizeRecord(DerivationRecord* root, Label label) {
 // `rec`'s children are final; dissolves those whose rule was inlined
 // before `label`'s own step, recursively through the children they
 // bring along.
-void Inliner::DissolveChildren(DerivationRecord* rec, Label label) {
+void Inliner::DissolveChildren(RecordId rec, Label label) {
   const uint32_t death = StepOf(label);
   const Label* labels = rule_children_.begin(grammar_->RuleIndex(label));
   bool any = false;
-  for (size_t c = 0; c < rec->children.size() && !any; ++c) {
-    any = StepOf(labels[c]) < death;
+  size_t c = 0;
+  for (RecordId child = record(rec).first_child; child != kNoRecord && !any;
+       child = record(child).next_sibling) {
+    any = StepOf(labels[c++]) < death;
   }
   if (!any) return;
 
-  struct Level {
-    std::vector<DerivationRecord>* children;
-    const Label* labels;
-    size_t next;
-  };
-  std::vector<DerivationRecord> old_children = std::move(rec->children);
-  std::vector<DerivationRecord> kept;
-  std::vector<std::pair<uint32_t, std::vector<NodeId>>> groups;
-  std::vector<Level> levels = {{&old_children, labels, 0}};
-  while (!levels.empty()) {
-    Level& level = levels.back();
-    if (level.next == level.children->size()) {
-      levels.pop_back();
+  // Kept records form rec's new chain; each one's old next_sibling is
+  // read before the chain overwrites it.
+  RecordId kept_head = kNoRecord;
+  RecordId kept_tail = kNoRecord;
+  groups_.clear();
+  levels_.push_back({record(rec).first_child, labels, 0});
+  while (!levels_.empty()) {
+    DissolveLevel& level = levels_.back();
+    if (level.next == kNoRecord) {
+      levels_.pop_back();
       continue;
     }
-    DerivationRecord& child = (*level.children)[level.next];
-    uint32_t step = StepOf(level.labels[level.next]);
-    ++level.next;
+    const RecordId child = level.next;
+    const uint32_t step = StepOf(level.labels[level.index++]);
+    level.next = record(child).next_sibling;
     if (step >= death) {
-      kept.push_back(std::move(child));
+      if (kept_tail == kNoRecord) {
+        kept_head = child;
+      } else {
+        record(kept_tail).next_sibling = child;
+      }
+      kept_tail = child;
       continue;
     }
-    groups.emplace_back(step, std::move(child.internal_origs));
-    levels.push_back({&child.children, snapshot_children_.begin(step), 0});
+    groups_.push_back({step, static_cast<uint32_t>(groups_.size()), child});
+    levels_.push_back(
+        {record(child).first_child, snapshot_children_.begin(step), 0});
   }
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const auto& x, const auto& y) {
-                     return x.first < y.first;
-                   });
-  for (auto& group : groups) {
-    rec->internal_origs.insert(rec->internal_origs.end(),
-                               group.second.begin(), group.second.end());
+  if (kept_tail != kNoRecord) record(kept_tail).next_sibling = kNoRecord;
+  // By step, then in visit order: a stable sort that, unlike
+  // std::stable_sort, needs no buffer of its own.
+  std::sort(groups_.begin(), groups_.end());
+  // rec's origins, then each group's, become one new slice at the end
+  // of the pool (copied by index: the sources live in the same pool).
+  std::vector<NodeId>& pool = mapping_->origs;
+  size_t total = record(rec).num_origs;
+  for (const auto& group : groups_) total += record(group.rec).num_origs;
+  if (pool.capacity() < pool.size() + total) {
+    pool.reserve(std::max(pool.size() + total, 2 * pool.capacity()));
   }
-  rec->children = std::move(kept);
+  const uint32_t first = static_cast<uint32_t>(pool.size());
+  auto append = [&](RecordId r) {
+    const size_t begin = record(r).first_orig;
+    for (size_t i = begin; i < begin + record(r).num_origs; ++i) {
+      pool.push_back(pool[i]);
+    }
+  };
+  append(rec);
+  for (const auto& group : groups_) append(group.rec);
+  DerivationRecord& out = record(rec);
+  out.first_orig = first;
+  out.num_origs = static_cast<uint32_t>(total);
+  out.first_child = kept_head;
 }
 
 // Emits `edge` into the new start graph, expanding it (and whatever
 // its snapshot brings along) when its rule was inlined. `rec` is final.
-void Inliner::ExpandStartEdge(HEdge edge, DerivationRecord rec) {
+void Inliner::ExpandStartEdge(HEdge edge, RecordId rec) {
   const bool track = mapping_ != nullptr;
-  struct Frame {
-    const Hypergraph* rhs;
-    std::vector<NodeId> node_map;
-    DerivationRecord rec;
-    size_t next_edge = 0;
-    size_t next_child = 0;
-  };
-  std::vector<Frame> frames;
   // Emits one edge: as is when its rule survives, else as a new frame.
-  auto emit = [&](HEdge e, DerivationRecord r) {
+  auto emit = [&](HEdge e, RecordId r) {
     uint32_t step = StepOf(e.label);
     if (step == kNeverInlined) {
       new_edges_.push_back(std::move(e));
-      if (track) new_records_.push_back(std::move(r));
+      if (track) {
+        // A start edge's record ends no sibling chain.
+        if (r != kNoRecord) record(r).next_sibling = kNoRecord;
+        new_records_.push_back(r);
+      }
       return;
     }
-    Frame f;
-    f.rhs = &snapshots_[step];
-    const uint32_t rank = static_cast<uint32_t>(f.rhs->ext().size());
-    const uint32_t internal = f.rhs->num_nodes() - rank;
+    const Hypergraph* rhs = &snapshots_[step];
+    const uint32_t rank = static_cast<uint32_t>(rhs->ext().size());
+    const uint32_t internal = rhs->num_nodes() - rank;
     assert(e.att.size() == rank);
-    f.node_map.assign(e.att.begin(), e.att.end());
+    const size_t map_begin = maps_.size();
+    maps_.insert(maps_.end(), e.att.begin(), e.att.end());
     NodeId first = step_base_[step] + next_instance_[step]++ * internal;
-    for (uint32_t i = 0; i < internal; ++i) f.node_map.push_back(first + i);
+    for (uint32_t i = 0; i < internal; ++i) maps_.push_back(first + i);
+    RecordId next_child = kNoRecord;
     if (track) {
-      assert(r.internal_origs.size() == internal);
-      for (uint32_t i = 0; i < internal; ++i) {
-        mapping_->start_origs[first + i] = r.internal_origs[i];
-      }
-      f.rec = std::move(r);
+      assert(record(r).num_origs == internal);
+      const NodeId* origs = mapping_->internal_origs(r);
+      std::copy(origs, origs + internal,
+                mapping_->start_origs.begin() + first);
+      next_child = record(r).first_child;
     }
-    frames.push_back(std::move(f));
+    frames_.push_back({rhs, map_begin, next_child, 0});
   };
-  emit(std::move(edge), std::move(rec));
-  while (!frames.empty()) {
-    Frame& f = frames.back();
+  emit(std::move(edge), rec);
+  while (!frames_.empty()) {
+    ExpandFrame& f = frames_.back();
     if (f.next_edge == f.rhs->num_edges()) {
-      assert(!track || f.next_child == f.rec.children.size());
-      frames.pop_back();
+      assert(!track || f.next_child == kNoRecord);
+      maps_.resize(f.map_begin);
+      frames_.pop_back();
       continue;
     }
     const HEdge& re = f.rhs->edge(static_cast<EdgeId>(f.next_edge++));
-    DerivationRecord child;
+    RecordId child = kNoRecord;
     if (track && grammar_->IsNonterminal(re.label)) {
-      child = std::move(f.rec.children[f.next_child++]);
+      child = f.next_child;
+      f.next_child = record(child).next_sibling;
     }
-    emit(MapEdge(re, f.node_map), std::move(child));  // may invalidate f
+    // MapEdge copies before emit may grow maps_ and frames_ (and so
+    // invalidate f).
+    emit(MapEdge(re, maps_.data() + f.map_begin), child);
   }
 }
 
@@ -321,15 +377,16 @@ void Inliner::Finish() {
   if (track) mapping_->start_origs.resize(num_nodes);
   std::vector<HEdge> old_edges = start->TakeEdges();
   next_instance_.assign(num_steps, 0);
+  if (track) new_records_.reserve(old_edges.size());
   for (EdgeId i = 0; i < old_edges.size(); ++i) {
-    DerivationRecord rec;
+    RecordId rec = kNoRecord;
     if (track) {
-      rec = std::move(mapping_->edge_records[i]);
+      rec = mapping_->edge_records[i];
       if (grammar_->IsNonterminal(old_edges[i].label)) {
-        FinalizeRecord(&rec, old_edges[i].label);
+        FinalizeRecord(rec, old_edges[i].label);
       }
     }
-    ExpandStartEdge(std::move(old_edges[i]), std::move(rec));
+    ExpandStartEdge(std::move(old_edges[i]), rec);
   }
   start->AddNodes(static_cast<uint32_t>(num_nodes - start->num_nodes()));
   spliced_edges_ += new_edges_.size();

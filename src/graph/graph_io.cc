@@ -7,10 +7,8 @@
 
 namespace grepair {
 
-Status SaveGraphText(const Hypergraph& g, const Alphabet& alphabet,
-                     const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open " + path + " for writing");
+void WriteGraphText(const Hypergraph& g, const Alphabet& alphabet,
+                    std::ostream& out) {
   out << "grepair-graph " << g.num_nodes() << " " << g.num_edges() << " "
       << alphabet.size() << "\n";
   for (Label l = 0; l < alphabet.size(); ++l) {
@@ -23,6 +21,13 @@ Status SaveGraphText(const Hypergraph& g, const Alphabet& alphabet,
     for (NodeId v : e.att) out << " " << v;
     out << "\n";
   }
+}
+
+Status SaveGraphText(const Hypergraph& g, const Alphabet& alphabet,
+                     const std::string& path) {
+  std::ofstream out(path);
+  if (!out) return Status::NotFound("cannot open " + path + " for writing");
+  WriteGraphText(g, alphabet, out);
   if (!out) return Status::Internal("write to " + path + " failed");
   return Status::OK();
 }

@@ -20,6 +20,11 @@
 
 namespace grepair {
 
+/// \brief Writes graph + alphabet in the native text format to `out`.
+/// ParseGraphText reads it back to the same graph and label ranks.
+void WriteGraphText(const Hypergraph& g, const Alphabet& alphabet,
+                    std::ostream& out);
+
 /// \brief Writes graph + alphabet in the native text format.
 Status SaveGraphText(const Hypergraph& g, const Alphabet& alphabet,
                      const std::string& path);
@@ -38,7 +43,9 @@ Result<LoadedGraph> LoadGraphText(const std::string& path);
 /// All edges get a single label of rank 2.
 Result<LoadedGraph> LoadSnapEdgeList(const std::string& path);
 
-/// \brief Parses the native format from a stream (testing hook).
+/// \brief Parses the native format from a stream. Malformed text fails
+/// with Corruption (header, rank, label or attachment tokens) or
+/// InvalidArgument (Hypergraph::Validate, e.g. a node attached twice).
 Result<LoadedGraph> ParseGraphText(std::istream& in);
 
 }  // namespace grepair

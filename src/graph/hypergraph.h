@@ -275,12 +275,9 @@ class Hypergraph {
   /// \brief Removes edges matching `pred(edge)`; node set unchanged.
   template <typename Pred>
   void RemoveEdgesIf(Pred pred) {
-    std::vector<HEdge> kept;
-    kept.reserve(edges_.size());
-    for (auto& e : edges_) {
-      if (!pred(e)) kept.push_back(std::move(e));
-    }
-    edges_ = std::move(kept);
+    edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
+                                [&](const HEdge& e) { return pred(e); }),
+                 edges_.end());
   }
 
   /// \brief Equality up to edge order (labels, attachments, ext, |V|).

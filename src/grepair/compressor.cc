@@ -12,9 +12,107 @@ namespace grepair {
 
 namespace {
 
+// One occurrence an edge participates in, with the label of the
+// occurrence's other edge (which never changes while it is stored).
+struct OccRef {
+  OccId oid;
+  Label partner;
+};
+
+// The occurrences one edge takes part in, in the order they were made.
+// An edge holds at most one per partner label and most edges hold at
+// most two, so the first kInlineOccs live in place and only busier
+// edges move the list to the heap. Modeled on Attachments.
+class OccList {
+ public:
+  static constexpr uint32_t kInlineOccs = 2;
+  // An edge that outgrows the inline slots pairs with many partner
+  // labels (a hub), so its first heap list has room for eight.
+  static constexpr uint32_t kFirstHeapOccs = 8;
+
+  OccList() = default;
+  OccList(const OccList&) = delete;
+  OccList& operator=(const OccList&) = delete;
+  OccList(OccList&& o) noexcept { Steal(&o); }
+  OccList& operator=(OccList&& o) noexcept {
+    if (this != &o) {
+      Release();
+      Steal(&o);
+    }
+    return *this;
+  }
+  ~OccList() { Release(); }
+
+  const OccRef* begin() const { return data(); }
+  const OccRef* end() const { return data() + size_; }
+  size_t size() const { return size_; }
+
+  void push_back(OccRef ref) {
+    if (size_ == capacity_) {
+      Grow(on_heap() ? 2 * static_cast<size_t>(capacity_) : kFirstHeapOccs);
+    }
+    data()[size_++] = ref;
+  }
+  // Removes the entry of `oid`, which must be present; the others keep
+  // their order.
+  void Erase(OccId oid) {
+    OccRef* first = data();
+    OccRef* it = std::find_if(first, first + size_,
+                              [oid](const OccRef& r) { return r.oid == oid; });
+    assert(it != first + size_);
+    std::copy(it + 1, first + size_, it);
+    --size_;
+  }
+  // Keeps the storage.
+  void clear() { size_ = 0; }
+
+ private:
+  bool on_heap() const { return capacity_ > kInlineOccs; }
+  const OccRef* data() const { return on_heap() ? heap_ : inline_; }
+  OccRef* data() { return on_heap() ? heap_ : inline_; }
+  void Grow(size_t capacity) {
+    OccRef* grown = new OccRef[capacity];
+    std::copy(begin(), end(), grown);
+    Release();
+    heap_ = grown;
+    capacity_ = static_cast<uint32_t>(capacity);
+  }
+  void Release() {
+    if (on_heap()) delete[] heap_;
+    capacity_ = kInlineOccs;
+  }
+  // Takes o's contents; o is left empty and inline. *this must hold no
+  // heap buffer.
+  void Steal(OccList* o) {
+    size_ = o->size_;
+    capacity_ = o->capacity_;
+    if (o->on_heap()) {
+      heap_ = o->heap_;
+    } else {
+      std::copy(o->inline_, o->inline_ + size_, inline_);
+    }
+    o->size_ = 0;
+    o->capacity_ = kInlineOccs;
+  }
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInlineOccs;
+  union {
+    OccRef inline_[kInlineOccs];
+    OccRef* heap_;
+  };
+};
+
 // Mutable working form of the start graph during compression, plus all
 // transient pairing state. Node/edge slots are never reused; dead slots
 // are skipped (and incidence lists compacted lazily).
+//
+// Storage is sized up front so the replacement loop allocates little:
+// the edge arrays (edges_, records_) reserve the most slots a pass can
+// use, each node's incidence list reserves its input degree, an edge's
+// first two occurrence references sit inline (OccList), and psi' is
+// built in one index-linked record arena (NodeMapping, derivation.h),
+// so a replacement appends to flat arrays instead of allocating.
 class Compressor {
  public:
   Compressor(const Hypergraph& graph, const Alphabet& alphabet,
@@ -26,15 +124,28 @@ class Compressor {
     }
     num_terminals_ = static_cast<uint32_t>(work_alphabet_.size());
 
-    node_alive_.assign(graph.num_nodes(), 1);
-    degree_.assign(graph.num_nodes(), 0);
-    incidence_.resize(graph.num_nodes());
-    round_lists_.resize(graph.num_nodes());
-    dead_incident_.assign(graph.num_nodes(), 0);
+    const uint32_t n = graph.num_nodes();
+    node_alive_.assign(n, 1);
+    degree_.assign(n, 0);
+    incidence_.resize(n);
+    round_lists_.resize(n);
+    dead_incident_.assign(n, 0);
     if (options_.track_node_mapping) {
-      orig_.resize(graph.num_nodes());
-      for (NodeId v = 0; v < graph.num_nodes(); ++v) orig_[v] = v;
+      orig_.resize(n);
+      for (NodeId v = 0; v < n; ++v) orig_[v] = v;
+      // Each node is removed at most once.
+      mapping_.origs.reserve(n);
     }
+    for (const auto& e : graph.edges()) {
+      for (NodeId v : e.att) ++degree_[v];
+    }
+    for (NodeId v = 0; v < n; ++v) incidence_[v].reserve(degree_[v]);
+    std::fill(degree_.begin(), degree_.end(), 0);  // AddWorkEdge counts
+    // A replacement kills two live edges and adds one, so a pass over
+    // m live edges adds at most m - 1 slots. The virtual-edge pass
+    // usually fits in what the first pass left unused.
+    edges_.reserve(2 * graph.num_edges());
+    if (options_.track_node_mapping) records_.reserve(2 * graph.num_edges());
     for (const auto& e : graph.edges()) {
       AddWorkEdge(e.label, e.att);
     }
@@ -56,8 +167,7 @@ class Compressor {
       StripVirtualEdges();
     }
 
-    NodeMapping mapping;
-    NodeMapping* tracked = options_.track_node_mapping ? &mapping : nullptr;
+    NodeMapping* tracked = options_.track_node_mapping ? &mapping_ : nullptr;
     CompressResult result = Assemble(tracked);
     if (options_.prune) {
       result.stats.prune_stats =
@@ -67,7 +177,7 @@ class Compressor {
     // round-trip val(G) exactly.
     CanonicalizeStartEdgeOrder(&result.grammar, tracked);
     if (tracked != nullptr) {
-      auto origins = FlattenOrigins(result.grammar, mapping);
+      auto origins = FlattenOrigins(result.grammar, mapping_);
       if (!origins.ok()) return origins.status();
       result.origins = std::move(origins).ValueOrDie();
     }
@@ -77,17 +187,10 @@ class Compressor {
   }
 
  private:
-  // One occurrence an edge participates in, with the label of the
-  // occurrence's other edge (which never changes while it is stored).
-  struct OccRef {
-    OccId oid;
-    Label partner;
-  };
-
   struct WEdge {
     HEdge edge;
     bool alive = true;
-    std::vector<OccRef> occs;  // occurrences this edge participates in
+    OccList occs;  // occurrences this edge participates in
   };
 
   // Entries of the per-round pairing lists: edges of one label at one
@@ -127,8 +230,13 @@ class Compressor {
   EdgeId AddWorkEdge(Label label, const Attachments& att) {
     EdgeId id = static_cast<EdgeId>(edges_.size());
     edges_.push_back(WEdge{HEdge{label, att}, true, {}});
-    if (options_.track_node_mapping) records_.emplace_back();
+    if (options_.track_node_mapping) records_.push_back(kNoRecord);
     for (NodeId v : edges_[id].edge.att) {
+      // A full list sheds its dead entries before it grows.
+      if (incidence_[v].size() == incidence_[v].capacity() &&
+          dead_incident_[v] > 0) {
+        CompactIncidence(v);
+      }
       incidence_[v].push_back(id);
       ++degree_[v];
       // Keep any materialized round list at v complete: new nonterminal
@@ -209,10 +317,15 @@ class Compressor {
     }
   }
 
-  // Compacts v's incidence list when at least half of it is dead.
+  // Compacts v's incidence list when at least half of it is dead. Every
+  // reader skips dead entries, so when compaction runs never changes
+  // what the compressor sees.
   void MaybeCompactIncidence(NodeId v) {
+    if (dead_incident_[v] * 2 >= incidence_[v].size()) CompactIncidence(v);
+  }
+
+  void CompactIncidence(NodeId v) {
     auto& inc = incidence_[v];
-    if (dead_incident_[v] * 2 < inc.size()) return;
     size_t out = 0;
     for (EdgeId e : inc) {
       if (edges_[e].alive) inc[out++] = e;
@@ -278,10 +391,7 @@ class Compressor {
       const Occurrence& o = index_->occ(oid);
       if (!o.alive) continue;
       EdgeId other = o.other(e);
-      auto& other_occs = edges_[other].occs;
-      other_occs.erase(std::find_if(
-          other_occs.begin(), other_occs.end(),
-          [oid](const OccRef& r) { return r.oid == oid; }));
+      edges_[other].occs.Erase(oid);
       index_->Remove(oid);
       if (edges_[other].alive) RepushToRoundLists(other);
     }
@@ -415,17 +525,17 @@ class Compressor {
       }
       EdgeId ne = AddWorkEdge(a_label, attachment);
       if (options_.track_node_mapping) {
-        DerivationRecord rec;
-        rec.internal_origs.reserve(removal.size());
-        for (NodeId v : removal) rec.internal_origs.push_back(orig_[v]);
+        internal_.clear();
+        for (NodeId v : removal) internal_.push_back(orig_[v]);
         // Children follow the rhs edge order [edge0, edge1].
+        children_.clear();
         if (IsNonterminalLabel(edges_[e0].edge.label)) {
-          rec.children.push_back(std::move(records_[e0]));
+          children_.push_back(records_[e0]);
         }
         if (IsNonterminalLabel(edges_[e1].edge.label)) {
-          rec.children.push_back(std::move(records_[e1]));
+          children_.push_back(records_[e1]);
         }
-        records_[ne] = std::move(rec);
+        records_[ne] = mapping_.AddRecord(internal_, children_);
       }
       ++stats_.occurrences_replaced;
       PairNewEdge(ne);
@@ -496,13 +606,14 @@ class Compressor {
     node.first = AllocateRoundSlots(num_labels);
     node.capacity = num_labels;
     node.count = 0;
-    RoundList* list = nullptr;
-    for (const KeyedEdge& k : typed_) {
-      if (list == nullptr || list->label != k.key) {
-        list = &InitRoundSlot(node.first + node.count++,
-                              static_cast<Label>(k.key));
-      }
-      list->edges.push_back(k.edge);
+    for (size_t i = 0; i < typed_.size();) {
+      size_t j = i;
+      while (j < typed_.size() && typed_[j].key == typed_[i].key) ++j;
+      RoundList& list = InitRoundSlot(node.first + node.count++,
+                                      static_cast<Label>(typed_[i].key));
+      // Room for the edges and a few appends; a reused slot may have it.
+      list.edges.reserve(std::max<size_t>(j - i + 1, 8));
+      for (; i < j; ++i) list.edges.push_back(typed_[i].edge);
     }
     touched_.push_back(v);
   }
@@ -590,15 +701,15 @@ class Compressor {
       assert(!drop_virtual || l != virtual_label_);
       return drop_virtual && l > virtual_label_ ? l - 1 : l;
     };
-    start.ReserveEdges(CountLiveEdges());
+    const uint32_t live_edges = CountLiveEdges();
+    start.ReserveEdges(live_edges);
+    if (mapping != nullptr) mapping->edge_records.reserve(live_edges);
     for (EdgeId e = 0; e < edges_.size(); ++e) {
       if (!edges_[e].alive) continue;
       Attachments att = edges_[e].edge.att;
       for (NodeId& v : att) v = remap[v];
       start.AddEdge(out_label(edges_[e].edge.label), std::move(att));
-      if (mapping != nullptr) {
-        mapping->edge_records.push_back(std::move(records_[e]));
-      }
+      if (mapping != nullptr) mapping->edge_records.push_back(records_[e]);
     }
 
     // Rebuild the grammar with the terminal prefix of the work alphabet
@@ -640,7 +751,8 @@ class Compressor {
   std::vector<uint32_t> dead_incident_;
   std::vector<NodeId> orig_;
   std::vector<WEdge> edges_;
-  std::vector<DerivationRecord> records_;
+  std::vector<RecordId> records_;  // per edge slot: psi' record or none
+  NodeMapping mapping_;            // psi' under construction
   std::vector<Hypergraph> rule_rhs_;
 
   std::vector<NodeId> order_;
@@ -654,6 +766,9 @@ class Compressor {
   std::vector<KeyedEdge> typed_;
   std::vector<std::pair<size_t, size_t>> groups_;
   std::vector<EdgeId> list1_, list2_;
+  // Scratch of ReplaceDigram's psi' records.
+  std::vector<NodeId> internal_;
+  std::vector<RecordId> children_;
 
   CompressStats stats_;
 };

@@ -21,7 +21,8 @@
 // Shapes are built in the innermost loop of occurrence counting, so
 // they allocate nothing. The shared positions live inline: an edge
 // attaches no node twice (restriction 1) and Compress caps every rank
-// at 63, so a pair shares at most 63 positions. The backward
+// at 63, so a pair shares at most 63 positions, and only the used
+// prefix of those slots is ever written or copied. The backward
 // orientation has the forward one's fields with edge0 and edge1
 // exchanged, so ComputeDigramShape builds only the winner whenever the
 // labels (or ranks) differ. Only on a tie, in practice equal labels,
@@ -60,11 +61,27 @@ inline constexpr int kMaxSharedPositions = 63;
 
 /// \brief Shared attachment positions of a digram, stored inline.
 /// Compares like a vector: by elements, then lexicographically.
+///
+/// Only the live prefix [0, size()) is ever read: construction leaves
+/// the slots unfilled, and copies, comparisons and DigramShapeHash
+/// touch the prefix alone. A shape is built per candidate pair in
+/// occurrence counting and most candidates are rejected, so filling
+/// all 63 slots for each of them is wasted work.
 class SharedPositions {
  public:
   SharedPositions() = default;
   SharedPositions(std::initializer_list<uint16_t> init) {
     for (uint16_t p : init) push_back(p);
+  }
+  SharedPositions(const SharedPositions& o) : size_(o.size_) {
+    std::copy(o.begin(), o.end(), data_);
+  }
+  SharedPositions& operator=(const SharedPositions& o) {
+    if (this != &o) {
+      size_ = o.size_;
+      std::copy(o.begin(), o.end(), data_);
+    }
+    return *this;
   }
 
   void push_back(uint16_t packed) {
@@ -88,7 +105,7 @@ class SharedPositions {
   }
 
  private:
-  uint16_t data_[kMaxSharedPositions] = {};
+  uint16_t data_[kMaxSharedPositions];  // [size_, 63) is never read
   uint8_t size_ = 0;
 };
 

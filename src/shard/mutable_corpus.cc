@@ -1,9 +1,10 @@
 #include "src/shard/mutable_corpus.h"
 
 #include <algorithm>
-#include <set>
+#include <cassert>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/shard/parallel_compressor.h"
 #include "src/util/hashing.h"
@@ -56,16 +57,25 @@ Status FoldOneShard(const ShardStore& store, size_t shard,
     });
   }
   // Set semantics: an add that duplicates a surviving local edge must
-  // not produce a second copy (the merge rule is a union).
-  std::set<std::tuple<NodeId, NodeId, Label>> present;
+  // not produce a second copy (the merge rule is a union). `adds` is a
+  // slice of the overlay's sorted run and LocalId is one-to-one, so a
+  // repeated add sits right after its twin.
+  assert(std::is_sorted(adds.begin(), adds.end(), EdgeLess));
+  std::vector<DeltaEdge> present;
+  present.reserve(local.num_edges());
   for (const HEdge& e : local.edges()) {
-    if (e.att.size() == 2) present.insert({e.att[0], e.att[1], e.label});
+    if (e.att.size() == 2) present.push_back({e.att[0], e.att[1], e.label});
   }
-  for (const DeltaEdge& a : adds) {
-    NodeId lu = entry.LocalId(a.u);
-    NodeId lv = entry.LocalId(a.v);
-    if (!present.insert({lu, lv, a.label}).second) continue;
-    local.AddSimpleEdge(lu, lv, a.label);
+  std::sort(present.begin(), present.end(), EdgeLess);
+  for (size_t i = 0; i < adds.size(); ++i) {
+    if (i > 0 && adds[i] == adds[i - 1]) continue;
+    const DeltaEdge local_add{entry.LocalId(adds[i].u),
+                              entry.LocalId(adds[i].v), adds[i].label};
+    if (std::binary_search(present.begin(), present.end(), local_add,
+                           EdgeLess)) {
+      continue;
+    }
+    local.AddSimpleEdge(local_add.u, local_add.v, local_add.label);
   }
 
   // The recompression needs an alphabet; the shard payload stores none.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/datasets/generators.h"
 #include "src/graph/wl_hash.h"
 #include "src/grepair/compressor.h"
@@ -260,6 +262,36 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Stars whose spokes all carry distinct labels: initial counting pairs
+// each spoke with one spoke of every other label, so every edge takes
+// part in 11 occurrences at once, far more than the two an edge keeps
+// inline, and replacements then dissolve them again. The node mapping
+// must still reproduce the input exactly, pruned or not.
+TEST(CompressorTest, EdgesInManyOccurrencesRoundTripExactly) {
+  constexpr uint32_t kLabels = 12;
+  constexpr uint32_t kStars = 8;
+  GeneratedGraph gg;
+  gg.name = "labeled-stars";
+  for (uint32_t l = 0; l < kLabels; ++l) {
+    gg.alphabet.Add("s" + std::to_string(l), 2);
+  }
+  gg.graph = Hypergraph(kStars * (kLabels + 1));
+  for (uint32_t s = 0; s < kStars; ++s) {
+    const NodeId hub = s * (kLabels + 1);
+    for (uint32_t l = 0; l < kLabels; ++l) {
+      gg.graph.AddSimpleEdge(hub, hub + 1 + l, l);
+    }
+  }
+  CheckRoundTrip(gg, CompressOptions());
+  CompressOptions unpruned;
+  unpruned.prune = false;
+  CheckRoundTrip(gg, unpruned);
+  auto result = Compress(gg.graph, gg.alphabet, TrackingOptions());
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result.value().stats.occurrences_indexed, kStars * kLabels * 5);
+  EXPECT_LT(result.value().stats.output_size, gg.graph.TotalSize());
+}
 
 TEST(CompressorTest, StatsAreConsistent) {
   GeneratedGraph gg = RdfTypes(800, 10, 12);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/grammar/derivation.h"
 
 namespace grepair {
@@ -136,16 +139,24 @@ TEST(DerivationTest, MaterializationLimit) {
   EXPECT_EQ(derived.status().code(), StatusCode::kOutOfRange);
 }
 
+// psi' with one childless record per start edge, holding `internals`
+// in start-edge order (Figure 1's rule has no nonterminal edge).
+NodeMapping LeafMapping(std::vector<NodeId> start_origs,
+                        const std::vector<std::vector<NodeId>>& internals) {
+  NodeMapping m;
+  m.start_origs = std::move(start_origs);
+  for (const auto& internal : internals) {
+    m.edge_records.push_back(m.AddRecord(internal, {}));
+  }
+  return m;
+}
+
 TEST(DerivationTest, MappingRoundTrip) {
   // Attach records stating which original node each internal stands
   // for; DeriveOriginal must reproduce those IDs.
   SlhrGrammar g = Figure1Grammar();
-  NodeMapping mapping;
-  mapping.start_origs = {2, 0, 4};   // start nodes map to originals 2,0,4
-  mapping.edge_records.resize(3);
-  mapping.edge_records[0].internal_origs = {1};
-  mapping.edge_records[1].internal_origs = {3};
-  mapping.edge_records[2].internal_origs = {5};
+  // Start nodes map to originals 2,0,4.
+  NodeMapping mapping = LeafMapping({2, 0, 4}, {{1}, {3}, {5}});
   ASSERT_TRUE(ValidateMapping(g, mapping).ok());
 
   auto origins = FlattenOrigins(g, mapping);
@@ -166,23 +177,37 @@ TEST(DerivationTest, MappingRoundTrip) {
 
 TEST(DerivationTest, MappingValidationCatchesArityErrors) {
   SlhrGrammar g = Figure1Grammar();
-  NodeMapping mapping;
-  mapping.start_origs = {0, 1, 2};
-  mapping.edge_records.resize(3);
-  mapping.edge_records[0].internal_origs = {3, 4};  // rule has 1 internal
-  mapping.edge_records[1].internal_origs = {5};
-  mapping.edge_records[2].internal_origs = {6};
+  // The rule has 1 internal node, the first record holds 2.
+  NodeMapping mapping = LeafMapping({0, 1, 2}, {{3, 4}, {5}, {6}});
   EXPECT_FALSE(ValidateMapping(g, mapping).ok());
+}
+
+// Arena indices that leave the arena, share a record, or give a record
+// children its rule has no edge for are rejected, not followed.
+TEST(DerivationTest, MappingValidationCatchesBadArenaIndices) {
+  SlhrGrammar g = Figure1Grammar();
+  const NodeMapping good = LeafMapping({0, 1, 2}, {{3}, {4}, {5}});
+  ASSERT_TRUE(ValidateMapping(g, good).ok());
+  std::vector<std::function<void(NodeMapping*)>> corruptions = {
+      [](NodeMapping* m) { m->edge_records[2] = kNoRecord; },
+      [](NodeMapping* m) { m->edge_records[2] = 99; },
+      [](NodeMapping* m) { m->edge_records[1] = m->edge_records[0]; },
+      [](NodeMapping* m) { m->records[1].first_orig = 100; },
+      [](NodeMapping* m) { m->records[0].first_child = 1; },
+      [](NodeMapping* m) { m->records[0].first_child = 0; },  // a cycle
+  };
+  for (size_t i = 0; i < corruptions.size(); ++i) {
+    NodeMapping bad = good;
+    corruptions[i](&bad);
+    Status status = ValidateMapping(g, bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "case " << i;
+  }
 }
 
 TEST(DerivationTest, NonPermutationMappingRejected) {
   SlhrGrammar g = Figure1Grammar();
-  NodeMapping mapping;
-  mapping.start_origs = {0, 0, 2};  // duplicate original id
-  mapping.edge_records.resize(3);
-  mapping.edge_records[0].internal_origs = {3};
-  mapping.edge_records[1].internal_origs = {4};
-  mapping.edge_records[2].internal_origs = {5};
+  // Duplicate original id.
+  NodeMapping mapping = LeafMapping({0, 0, 2}, {{3}, {4}, {5}});
   auto res = DeriveOriginal(g, FlattenOrigins(g, mapping).value());
   EXPECT_FALSE(res.ok());
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
+#include <new>
 #include <numeric>
 #include <set>
 
@@ -210,6 +212,54 @@ TEST(DigramShapeTest, HashEqualForEqualShapes) {
                                  ExternalSet({4, 6}), &s2, &sw));
   EXPECT_TRUE(s1 == s2);  // same digram at different nodes
   EXPECT_EQ(DigramShapeHash()(s1), DigramShapeHash()(s2));
+}
+
+// SharedPositions leaves the slots past size() unfilled. Shapes whose
+// dead slots hold leftovers -- built over scribbled memory, shrunk by
+// clear(), overwritten by assignment or by a double transpose -- must
+// compare and hash exactly like a freshly built shape.
+TEST(DigramShapeTest, CopiesCompareAndHashOnlyTheLivePrefix) {
+  const HEdge a = MakeEdge(0, {0, 1, 2});
+  const HEdge b = MakeEdge(0, {2, 1, 3});
+  auto ext = ExternalSet({0, 3});
+  auto expect_same = [](const DigramShape& x, const DigramShape& y) {
+    EXPECT_TRUE(x == y);
+    EXPECT_FALSE(x < y || y < x);
+    EXPECT_EQ(DigramShapeHash()(x), DigramShapeHash()(y));
+  };
+  auto fill_dead_slots = [](SharedPositions* p) {
+    p->clear();
+    for (int i = 0; i < kMaxSharedPositions; ++i) p->push_back(0x3F3F);
+    p->clear();
+  };
+  DigramShape fresh;
+  bool swapped = false;
+  ASSERT_TRUE(ShapeFor(a, b, ext, &fresh, &swapped));
+  ASSERT_EQ(fresh.shared.size(), 2u);
+
+  alignas(DigramShape) unsigned char raw[sizeof(DigramShape)];
+  std::memset(raw, 0xA5, sizeof(raw));
+  DigramShape* scribbled = new (raw) DigramShape;
+  fill_dead_slots(&scribbled->shared);
+  ASSERT_TRUE(ShapeFor(a, b, ext, scribbled, &swapped));
+  expect_same(*scribbled, fresh);
+
+  const DigramShape copied = *scribbled;
+  expect_same(copied, fresh);
+  DigramShape assigned;
+  fill_dead_slots(&assigned.shared);
+  assigned = *scribbled;
+  expect_same(assigned, fresh);
+  scribbled->~DigramShape();
+
+  SharedPositions there, back;
+  fill_dead_slots(&there);
+  fill_dead_slots(&back);
+  internal::Transpose(fresh.shared, &there);
+  internal::Transpose(there, &back);
+  DigramShape round_trip = fresh;
+  round_trip.shared = back;
+  expect_same(round_trip, fresh);
 }
 
 // Reference canonicalization: builds both orientations in full and keeps

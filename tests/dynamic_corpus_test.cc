@@ -345,6 +345,37 @@ TEST(DynamicCorpusTest, FreshNodeAddsGrowTheCorpus) {
             (std::vector<uint64_t>{static_cast<uint64_t>(n) + 9}));
 }
 
+// Folds keep the overlay's set semantics: an add that repeats a base
+// edge the fold keeps (same pair, same label) leaves a single copy in
+// the recompressed shard, beside a kill and a genuinely new add.
+TEST(DynamicCorpusTest, FoldAddsNoCopyOfASurvivingEdge) {
+  GeneratedGraph gg = BarabasiAlbert(60, 3, 23);
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "3");
+  auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  auto* edited = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+
+  TruthCorpus truth = TruthCorpus::FromGraph(gg.graph);
+  const std::array<uint32_t, 3> kept = truth.edges[0];
+  const std::array<uint32_t, 3> killed = truth.edges.back();
+  ASSERT_FALSE(kept[0] == killed[0] && kept[1] == killed[1]);
+  ASSERT_FALSE(truth.HasPair(1, 40));
+  const std::vector<EdgeEdit> edits = {
+      EdgeEdit::Add(kept[0], kept[1], kept[2]),
+      EdgeEdit::Delete(killed[0], killed[1]), EdgeEdit::Add(1, 40)};
+  for (const auto& e : edits) truth.Apply(e);
+  ASSERT_TRUE(edited->ApplyEdits(edits).ok());
+  ASSERT_TRUE(edited->FoldOverlay().ok());
+  EXPECT_GT(edited->query_stats().shard_folds, 0u);
+
+  auto decompressed = edited->Decompress();
+  ASSERT_TRUE(decompressed.ok()) << decompressed.status().ToString();
+  EXPECT_EQ(LabeledEdgeSet(decompressed.value()),
+            LabeledEdgeSet(truth.ToHypergraph()));
+}
+
 // A batch lands whole or not at all. Its fifth edit is a self-loop
 // add, so ApplyEdits refuses it: the four edits before it (a fresh
 // node, a kill of a base edge, an add, and a delete of the earlier

@@ -3,8 +3,8 @@
 // (the bytes a shard server ships at connect time), the grepair shard
 // payload parser (the bytes a shard fault decodes), the GRSHARD3 delta
 // container parser (the files a versioned open applies), the edit-text
-// reader behind `grepair append --edits`, plus the bit-stream/Elias
-// decode differential. The invariant checks and the
+// reader behind `grepair append --edits`, the graph-text reader behind
+// `grepair compress`, plus the bit-stream/Elias decode differential. The invariant checks and the
 // golden seeds are shared with the coverage-guided libFuzzer targets
 // (fuzz/fuzz_checks.h, fuzz/golden_seeds.h), so this always-on ctest
 // battery and the long-running fuzzers can never drift apart; each
@@ -15,6 +15,8 @@
 // Budgets are fixed and small enough for ctest.
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "fuzz/fuzz_checks.h"
 #include "fuzz/golden_seeds.h"
@@ -328,6 +330,30 @@ TEST(NetFuzzTest, EditTextParserSurvivesMutation) {
         Mutate(seed_bytes[rng.UniformBounded(seed_bytes.size())], &rng);
     const char* violated =
         fuzz::CheckEditTextParse(mutated.data(), mutated.size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+}
+
+TEST(NetFuzzTest, GraphTextParserSurvivesMutation) {
+  // fuzz/graph_text_fuzzer.cc runs the same check coverage-guided.
+  const auto seeds = fuzz::GoldenGraphTextSeeds();
+  std::vector<std::vector<uint8_t>> seed_bytes;
+  // Golden path: the first four texts parse, the six refused shapes
+  // fail.
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    std::istringstream in(seeds[i]);
+    EXPECT_EQ(ParseGraphText(in).ok(), i < 4) << "seed " << i;
+    seed_bytes.emplace_back(seeds[i].begin(), seeds[i].end());
+    const char* violated = fuzz::CheckGraphTextParse(seed_bytes.back().data(),
+                                                     seed_bytes.back().size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+  Rng rng(0x6A7E7E47);
+  for (int iter = 0; iter < 1500; ++iter) {
+    auto mutated =
+        Mutate(seed_bytes[rng.UniformBounded(seed_bytes.size())], &rng);
+    const char* violated =
+        fuzz::CheckGraphTextParse(mutated.data(), mutated.size());
     EXPECT_TRUE(violated == nullptr) << violated;
   }
 }

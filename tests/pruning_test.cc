@@ -137,20 +137,21 @@ NodeMapping RecordsFor(const SlhrGrammar& g,
   for (NodeId v = 0; v < g.start().num_nodes(); ++v) {
     m.start_origs.push_back(origins[next++]);
   }
-  std::function<DerivationRecord(Label)> apply = [&](Label nt) {
-    DerivationRecord rec;
+  std::function<RecordId(Label)> apply = [&](Label nt) {
     const Hypergraph& rhs = g.rhs(nt);
+    std::vector<NodeId> internal;
     for (NodeId v = rhs.rank(); v < rhs.num_nodes(); ++v) {
-      rec.internal_origs.push_back(origins[next++]);
+      internal.push_back(origins[next++]);
     }
+    std::vector<RecordId> children;
     for (const auto& e : rhs.edges()) {
-      if (g.IsNonterminal(e.label)) rec.children.push_back(apply(e.label));
+      if (g.IsNonterminal(e.label)) children.push_back(apply(e.label));
     }
-    return rec;
+    return m.AddRecord(internal, children);
   };
   for (const auto& e : g.start().edges()) {
     m.edge_records.push_back(g.IsNonterminal(e.label) ? apply(e.label)
-                                                       : DerivationRecord());
+                                                       : kNoRecord);
   }
   return m;
 }
@@ -255,12 +256,19 @@ std::string DumpEdges(const Hypergraph& h) {
   return out;
 }
 
-std::string DumpRecord(const DerivationRecord& rec) {
+// A terminal edge's absent record dumps like an empty one.
+std::string DumpRecord(const NodeMapping& m, RecordId r) {
   std::string out = "{";
-  for (size_t i = 0; i < rec.internal_origs.size(); ++i) {
-    out += (i ? "," : "") + std::to_string(rec.internal_origs[i]);
+  if (r != kNoRecord) {
+    const NodeId* internal = m.internal_origs(r);
+    for (uint32_t i = 0; i < m.records[r].num_origs; ++i) {
+      out += (i ? "," : "") + std::to_string(internal[i]);
+    }
+    for (RecordId c = m.records[r].first_child; c != kNoRecord;
+         c = m.records[c].next_sibling) {
+      out += DumpRecord(m, c);
+    }
   }
-  for (const auto& child : rec.children) out += DumpRecord(child);
   return out + "}";
 }
 
@@ -272,7 +280,7 @@ std::string Dump(const SlhrGrammar& g, const NodeMapping& m) {
   out += " | origs=";
   for (NodeId v : m.start_origs) out += std::to_string(v) + ",";
   out += " recs=";
-  for (const auto& rec : m.edge_records) out += DumpRecord(rec);
+  for (RecordId r : m.edge_records) out += DumpRecord(m, r);
   return out;
 }
 
