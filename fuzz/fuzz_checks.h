@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/api/codec_registry.h"
+#include "src/api/container.h"
 #include "src/graph/graph_io.h"
 #include "src/k2tree/k2tree.h"
 #include "src/net/frame.h"
@@ -511,6 +512,41 @@ inline const char* CheckGraphTextParse(const uint8_t* data, size_t size) {
     if (a.rank(l) != b.rank(l)) {
       return "written graph text parses to other label ranks";
     }
+  }
+  return nullptr;
+}
+
+/// \brief Tagged GRPCODEC frame parse (api::UnwrapShardedPayload, the
+/// first parse every file open runs): a failure is kInvalidArgument or
+/// kCorruption with a message; a success yields a payload view inside
+/// the input, and framing that payload again under its tag
+/// ("sharded:<inner>", api::WrapCodecPayload) reproduces the input
+/// bytes exactly.
+inline const char* CheckCodecFrameParse(const uint8_t* data, size_t size) {
+  std::string inner;
+  ByteSpan payload;
+  Status unwrapped = api::UnwrapShardedPayload("input", ByteSpan(data, size),
+                                               &inner, &payload);
+  if (!unwrapped.ok()) {
+    if (unwrapped.code() != StatusCode::kInvalidArgument &&
+        unwrapped.code() != StatusCode::kCorruption) {
+      return "codec frame parse failed with a code other than "
+             "kInvalidArgument or kCorruption";
+    }
+    if (unwrapped.message().empty()) {
+      return "codec frame parse failed without a message";
+    }
+    return nullptr;
+  }
+  const auto begin = reinterpret_cast<uintptr_t>(data);
+  const auto at = reinterpret_cast<uintptr_t>(payload.data);
+  if (at < begin || at - begin > size || payload.size > size - (at - begin)) {
+    return "codec frame payload view lies outside the input";
+  }
+  const std::vector<uint8_t> reframed = api::WrapCodecPayload(
+      "sharded:" + inner, std::vector<uint8_t>(payload.begin(), payload.end()));
+  if (!std::equal(reframed.begin(), reframed.end(), data, data + size)) {
+    return "codec frame framed again differs from the input";
   }
   return nullptr;
 }

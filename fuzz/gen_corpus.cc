@@ -4,22 +4,21 @@
 //
 // writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
 // k2tree,grepair_payload,k2_payload,dir_sidecar,delta_container,
-// edits_text,graph_text} — the directories checked in at fuzz/corpus and replayed
-// by the ctest fuzz_smoke_* tests. Seeds are golden-path encodings
-// (every GRNF v2 verb plus a retired v1 frame, real GRSHARD2
-// directories, well-formed Elias streams plus the degenerate
-// all-zeros/all-ones edges,
-// k^2-trees from K2Tree::Build plus a forged cell count, real grepair
-// payloads plus a grammar whose val(G) counts wrap uint64_t and a
-// retired v1 payload, real k2 payloads plus two whose node or tree
-// dimension counts wrap uint32_t, `.grdir` sidecars over real
-// directories plus a retired v1 one, real GRSHARD3 deltas with and
-// without folded shards plus a sealed one whose add run is unsorted,
-// `append --edits` texts and `compress` graph texts, well-formed and
-// refused),
-// so coverage-guided runs start from deep inside the parsers instead
-// of fighting the magic bytes. Rerun after a format change and commit
-// the diff.
+// edits_text,graph_text,codec_frame} — the directories checked in at
+// fuzz/corpus and replayed by the ctest fuzz_smoke_* tests. Seeds are
+// golden-path encodings (every GRNF v2 verb plus a retired v1 frame,
+// real GRSHARD2 directories, well-formed Elias streams plus the
+// degenerate all-zeros/all-ones edges, k^2-trees from K2Tree::Build
+// plus a forged cell count, real grepair payloads plus a grammar whose
+// val(G) counts wrap uint64_t and a retired v1 payload, real k2
+// payloads plus two whose node or tree dimension counts wrap uint32_t,
+// `.grdir` sidecars over real directories plus a retired v1 one, real
+// GRSHARD3 deltas with and without folded shards plus a sealed one
+// whose add run is unsorted, `append --edits` texts, `compress` graph
+// texts and tagged GRPCODEC frames, well-formed and refused), so
+// coverage-guided runs start from deep inside the parsers instead of
+// fighting the magic bytes. Rerun after a format change and commit the
+// diff.
 
 #include <cstdint>
 #include <cstdio>
@@ -181,6 +180,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(edits_dir);
   const auto graph_text_dir = root / "graph_text";
   std::filesystem::create_directories(graph_text_dir);
+  const auto codec_frame_dir = root / "codec_frame";
+  std::filesystem::create_directories(codec_frame_dir);
 
   auto frames = grepair::fuzz::GoldenFrameSeeds();
   for (size_t i = 0; i < frames.size(); ++i) {
@@ -280,6 +281,13 @@ int main(int argc, char** argv) {
     grepair::WriteSeed(graph_text_dir, name,
                        std::vector<uint8_t>(graph_texts[i].begin(),
                                             graph_texts[i].end()));
+  }
+
+  auto codec_frames = grepair::fuzz::GoldenCodecFrameSeeds();
+  for (size_t i = 0; i < codec_frames.size(); ++i) {
+    char name[40];
+    std::snprintf(name, sizeof(name), "codec_frame_%02zu.bin", i);
+    grepair::WriteSeed(codec_frame_dir, name, codec_frames[i]);
   }
 
   std::printf("corpus written under %s\n", root.c_str());

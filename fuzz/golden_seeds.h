@@ -352,6 +352,32 @@ inline std::vector<std::string> GoldenGraphTextSeeds() {
   return seeds;
 }
 
+/// \brief Tagged GRPCODEC frames for the file-open parser
+/// (api::UnwrapShardedPayload): a real 2-shard sharded:grepair file and
+/// a sharded:k2 frame around an empty payload, which both unwrap, then
+/// one each of the shapes it must refuse: an old single-codec tag, the
+/// untagged GRSHARD2 bytes, a frame cut inside its name, a zero-length
+/// name and the bare magic.
+inline std::vector<std::vector<uint8_t>> GoldenCodecFrameSeeds() {
+  const std::vector<uint8_t> container = GoldenContainerBytes(40, 2, 7);
+  std::vector<uint8_t> cut_name =
+      api::WrapCodecPayload("sharded:grepair", {});
+  cut_name.resize(cut_name.size() - 4);
+  std::vector<uint8_t> magic(api::kCodecContainerMagic,
+                             api::kCodecContainerMagic + 8);
+  std::vector<uint8_t> empty_name = magic;
+  empty_name.push_back(0);
+  return {
+      api::WrapCodecPayload("sharded:grepair", container),
+      api::WrapCodecPayload("sharded:k2", {}),
+      api::WrapCodecPayload("grepair", container),
+      container,
+      cut_name,
+      empty_name,
+      magic,
+  };
+}
+
 }  // namespace fuzz
 }  // namespace grepair
 

@@ -1,6 +1,7 @@
 // Built-in GraphCodec adapters: the two file backends, each wrapped
 // behind the polymorphic API so the CLI, benches and tests can treat
 // them uniformly. Both answer neighbor queries on their own bytes.
+// CodecRegistry's closed table of them is defined at the end.
 //
 //   grepair     SL-HR grammar compression with neighborhood and
 //               reachability queries (the paper's contribution)
@@ -277,29 +278,57 @@ class K2Codec : public GraphCodec {
   }
 };
 
+// The closed codec table: the two file backends, sorted by name. Every
+// other name a file or flag can carry is "sharded:" plus one of them.
+struct BuiltinCodec {
+  const char* name;
+  std::unique_ptr<GraphCodec> (*make)();
+};
+
+constexpr BuiltinCodec kBuiltinCodecs[] = {
+    {"grepair", [] { return std::unique_ptr<GraphCodec>(new GrepairCodec()); }},
+    {"k2", [] { return std::unique_ptr<GraphCodec>(new K2Codec()); }},
+};
+
+constexpr char kShardedPrefix[] = "sharded:";
+
 }  // namespace
 
-namespace internal {
-
-void RegisterBuiltinCodecs() {
-  CodecRegistry::Register("grepair", [] {
-    return std::unique_ptr<GraphCodec>(new GrepairCodec());
-  });
-  CodecRegistry::Register("k2", [] {
-    return std::unique_ptr<GraphCodec>(new K2Codec());
-  });
-  // Sharded meta-variants of every builtin, so Names() (and with it
-  // `bench --backend all` and the parameterized round-trip tests)
-  // covers them. Factories are function pointers, hence one literal
-  // per name instead of a loop.
-  CodecRegistry::Register("sharded:grepair", [] {
-    return std::unique_ptr<GraphCodec>(new shard::ShardedCodec("grepair"));
-  });
-  CodecRegistry::Register("sharded:k2", [] {
-    return std::unique_ptr<GraphCodec>(new shard::ShardedCodec("k2"));
-  });
+Result<std::unique_ptr<GraphCodec>> CodecRegistry::Create(
+    const std::string& name) {
+  const bool sharded = name.rfind(kShardedPrefix, 0) == 0;
+  const std::string base =
+      sharded ? name.substr(sizeof(kShardedPrefix) - 1) : name;
+  for (const BuiltinCodec& codec : kBuiltinCodecs) {
+    if (base != codec.name) continue;
+    if (!sharded) return codec.make();
+    return std::unique_ptr<GraphCodec>(
+        new shard::ShardedCodec(base, codec.make()));
+  }
+  // One level of nesting only: a sharded shard would just pay the
+  // container tax twice.
+  if (sharded && base.rfind(kShardedPrefix, 0) == 0) {
+    return Status::InvalidArgument(
+        "a sharded inner codec cannot itself be sharded ('" + name + "')");
+  }
+  std::string known;
+  for (const auto& n : Names()) {
+    if (!known.empty()) known += ", ";
+    known += n;
+  }
+  return Status::NotFound("no codec named '" + base + "' (known: " + known +
+                          ")");
 }
 
-}  // namespace internal
+std::vector<std::string> CodecRegistry::Names() {
+  std::vector<std::string> names;
+  for (const BuiltinCodec& codec : kBuiltinCodecs) names.push_back(codec.name);
+  // "sharded:" sorts after both base names, so the list stays sorted.
+  for (const BuiltinCodec& codec : kBuiltinCodecs) {
+    names.push_back(kShardedPrefix + std::string(codec.name));
+  }
+  return names;
+}
+
 }  // namespace api
 }  // namespace grepair

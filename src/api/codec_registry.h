@@ -1,12 +1,14 @@
-// CodecRegistry: name -> GraphCodec factory.
+// CodecRegistry: name -> GraphCodec, over a closed table.
 //
-// The built-in codecs are the two file backends, "grepair" and "k2",
-// plus their "sharded:<inner>" variants, all registered on first use.
-// The registry is what lets the CLI's --backend flag, the file
-// openers and the parameterized round-trip tests enumerate every
-// backend without naming any of them. The paper's size-only baselines
-// (HN, LM, adjacency-list RePair) are not registered; bench/ runs
-// their encoders directly.
+// The table holds the two file backends, "grepair" and "k2"; a
+// "sharded:<inner>" name wraps one of them in shard::ShardedCodec.
+// Nothing registers at run time, so a lookup takes no lock. The
+// registry is what lets the CLI's --backend flag, the file openers and
+// the parameterized round-trip tests enumerate every backend without
+// naming any of them. The paper's size-only baselines (HN, LM,
+// adjacency-list RePair) are not in the table; bench/ runs their
+// encoders directly. The table lives in builtin_codecs.cc, next to the
+// codecs it lists.
 
 #ifndef GREPAIR_API_CODEC_REGISTRY_H_
 #define GREPAIR_API_CODEC_REGISTRY_H_
@@ -23,22 +25,15 @@ namespace api {
 
 class CodecRegistry {
  public:
-  using Factory = std::unique_ptr<GraphCodec> (*)();
-
-  /// \brief Registers `factory` under `name`; later registrations of
-  /// the same name win (lets tests shadow a builtin).
-  static void Register(const std::string& name, Factory factory);
-
-  /// \brief Instantiates the codec registered under `name`;
-  /// kNotFound (listing the known names) when there is none.
+  /// \brief Instantiates the codec named `name`: a table entry, or
+  /// "sharded:" plus one. kNotFound (listing the known names) when
+  /// there is none; kInvalidArgument for a sharded inner that is
+  /// itself sharded.
   static Result<std::unique_ptr<GraphCodec>> Create(const std::string& name);
 
-  /// \brief All registered names, sorted.
+  /// \brief Every name Create accepts, sorted: the table's entries,
+  /// then their "sharded:" forms.
   static std::vector<std::string> Names();
-
-  /// \brief Names() without the "sharded:<inner>" meta-variants — the
-  /// base compressors themselves.
-  static std::vector<std::string> BaseNames();
 };
 
 }  // namespace api

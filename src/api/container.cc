@@ -27,10 +27,6 @@ bool IsCodecContainer(ByteSpan bytes) {
          std::memcmp(bytes.data, kCodecContainerMagic, 8) == 0;
 }
 
-bool IsCodecContainer(const std::vector<uint8_t>& bytes) {
-  return IsCodecContainer(SpanOf(bytes));
-}
-
 Status UnwrapCodecPayloadView(ByteSpan bytes, std::string* name,
                               ByteSpan* payload) {
   if (!IsCodecContainer(bytes)) {
@@ -45,14 +41,6 @@ Status UnwrapCodecPayloadView(ByteSpan bytes, std::string* name,
   }
   name->assign(bytes.begin() + 9, bytes.begin() + 9 + name_len);
   *payload = bytes.subspan(9 + name_len, bytes.size - 9 - name_len);
-  return Status::OK();
-}
-
-Status UnwrapCodecPayload(const std::vector<uint8_t>& bytes,
-                          std::string* name, std::vector<uint8_t>* payload) {
-  ByteSpan view;
-  GREPAIR_RETURN_IF_ERROR(UnwrapCodecPayloadView(SpanOf(bytes), name, &view));
-  payload->assign(view.begin(), view.end());
   return Status::OK();
 }
 

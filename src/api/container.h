@@ -38,18 +38,13 @@ std::vector<uint8_t> WrapCodecPayload(const std::string& name,
 
 /// \brief True if `bytes` starts with the container magic.
 bool IsCodecContainer(ByteSpan bytes);
-bool IsCodecContainer(const std::vector<uint8_t>& bytes);
 
-/// \brief Splits a tagged container into codec name + payload.
+/// \brief Splits a tagged container into codec name + payload without
+/// copying: `*payload` is a borrowed view into `bytes`, so a
+/// multi-gigabyte mapped container costs only the name parse here.
 /// kInvalidArgument when the magic is absent (the bytes are not a
 /// tagged container); kCorruption when the magic is present but the
 /// frame is truncated.
-Status UnwrapCodecPayload(const std::vector<uint8_t>& bytes,
-                          std::string* name, std::vector<uint8_t>* payload);
-
-/// \brief Zero-copy unwrap: same contract as UnwrapCodecPayload, but
-/// `*payload` is a borrowed view into `bytes` — nothing is copied, so
-/// a multi-gigabyte mapped container costs only the name parse here.
 Status UnwrapCodecPayloadView(ByteSpan bytes, std::string* name,
                               ByteSpan* payload);
 

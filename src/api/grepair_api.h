@@ -2,14 +2,15 @@
 //
 // Downstream users include this one header and get:
 //   * the polymorphic codec API (GraphCodec, CompressedRep,
-//     CodecOptions, CodecRegistry) over gRePair and the k^2-tree,
+//     CodecOptions) over gRePair and the k^2-tree, looked up by name
+//     in CodecRegistry's closed table of those two,
 //   * the sharded parallel-compression layer (PartitionGraph,
 //     ParallelCompressor, the "sharded:<inner>" meta-codecs) and the
 //     tagged container framing,
 //   * remote shard serving (api::OpenRemote over src/serve/'s
 //     multi-corpus ShardServer, connection pool and SSD shard tier),
 //   * CompressedGraph, the queryable gRePair representation,
-//   * hypergraph + alphabet types and text/SNAP graph IO,
+//   * hypergraph + alphabet types and text graph IO,
 //   * the deterministic dataset generators used by the benches.
 //
 //   #include "src/api/grepair_api.h"

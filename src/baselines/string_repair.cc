@@ -129,17 +129,6 @@ std::vector<uint32_t> StringRePairExpand(const StringRePairResult& result) {
   return out;
 }
 
-size_t StringRePairResult::EstimateBits() const {
-  size_t bits = EliasDeltaLength(alphabet_size + 1) +
-                EliasDeltaLength(rules.size() + 1) +
-                EliasDeltaLength(sequence.size() + 1);
-  for (const auto& [a, b] : rules) {
-    bits += EliasDeltaLength(a + 1) + EliasDeltaLength(b + 1);
-  }
-  for (uint32_t s : sequence) bits += EliasDeltaLength(s + 1);
-  return bits;
-}
-
 AdjRePairCompressed AdjListRePairCompress(const Hypergraph& g) {
   // Concatenated sorted adjacency lists; a unique separator per list
   // (symbol n + u) prevents pairs from spanning lists.

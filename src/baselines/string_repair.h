@@ -25,10 +25,6 @@ struct StringRePairResult {
   uint32_t alphabet_size = 0;
   std::vector<std::pair<uint32_t, uint32_t>> rules;
   std::vector<uint32_t> sequence;
-
-  /// \brief Size estimate in bits with delta codes over rules and
-  /// sequence (the flat encoding used by the bench tables).
-  size_t EstimateBits() const;
 };
 
 /// \brief Runs RePair until no pair occurs twice.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 namespace grepair {
 
@@ -30,31 +29,6 @@ uint64_t SlhrGrammar::RuleSize() const {
   uint64_t size = 0;
   for (const auto& rhs : rules_) size += rhs.TotalSize();
   return size;
-}
-
-uint64_t SlhrGrammar::RuleEdgeSize() const {
-  uint64_t size = 0;
-  for (const auto& rhs : rules_) size += rhs.EdgeSize();
-  return size;
-}
-
-uint64_t SlhrGrammar::RuleNodeSize() const {
-  uint64_t size = 0;
-  for (const auto& rhs : rules_) size += rhs.NodeSize();
-  return size;
-}
-
-uint64_t SlhrGrammar::CountReferences(Label l) const {
-  uint64_t count = 0;
-  for (const auto& e : start_.edges()) {
-    if (e.label == l) ++count;
-  }
-  for (const auto& rhs : rules_) {
-    for (const auto& e : rhs.edges()) {
-      if (e.label == l) ++count;
-    }
-  }
-  return count;
 }
 
 std::vector<uint64_t> SlhrGrammar::AllReferenceCounts() const {
@@ -162,18 +136,6 @@ void SlhrGrammar::CompactRules(const std::vector<char>& dead) {
   relabel(&start_);
   rules_ = std::move(new_rules);
   alphabet_ = std::move(new_alpha);
-}
-
-std::string SlhrGrammar::ToString() const {
-  std::ostringstream out;
-  out << "SL-HR grammar: " << num_terminals_ << " terminals, "
-      << rules_.size() << " rules\n";
-  out << "S: " << start_.ToString(&alphabet_) << "\n";
-  for (uint32_t j = 0; j < rules_.size(); ++j) {
-    out << alphabet_.name(NonterminalLabel(j)) << " -> "
-        << rules_[j].ToString(&alphabet_) << "\n";
-  }
-  return out.str();
 }
 
 GrammarStats ComputeGrammarStats(const SlhrGrammar& grammar) {

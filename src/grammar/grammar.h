@@ -81,14 +81,8 @@ class SlhrGrammar {
   /// graph (what the compression-ratio figures use).
   uint64_t TotalSize() const { return RuleSize() + start_.TotalSize(); }
 
-  uint64_t RuleEdgeSize() const;  ///< |G|_E over rules
-  uint64_t RuleNodeSize() const;  ///< |G|_V over rules
-
-  /// \brief Number of edges labeled `l` in S and all right-hand sides
-  /// (the paper's ref(A) when `l` is a nonterminal).
-  uint64_t CountReferences(Label l) const;
-
-  /// \brief Reference counts for all nonterminals at once.
+  /// \brief ref(A) for every nonterminal, indexed by rule index: the
+  /// number of A-labeled edges in S and all right-hand sides.
   std::vector<uint64_t> AllReferenceCounts() const;
 
   /// \brief height(G): length of the longest <=NT chain from the start
@@ -115,9 +109,6 @@ class SlhrGrammar {
   /// they must be unreferenced) and renumbers the surviving nonterminal
   /// labels densely, rewriting the start graph and all right-hand sides.
   void CompactRules(const std::vector<char>& dead);
-
-  /// \brief Debug rendering of all rules and the start graph.
-  std::string ToString() const;
 
  private:
   Alphabet alphabet_;          // terminals then nonterminals

@@ -1,9 +1,6 @@
 #include "src/graph/graph_io.h"
 
-#include <array>
 #include <fstream>
-#include <sstream>
-#include <unordered_map>
 
 namespace grepair {
 
@@ -28,6 +25,7 @@ Status SaveGraphText(const Hypergraph& g, const Alphabet& alphabet,
   std::ofstream out(path);
   if (!out) return Status::NotFound("cannot open " + path + " for writing");
   WriteGraphText(g, alphabet, out);
+  out.close();  // flushes: a full disk fails here, not at the last <<
   if (!out) return Status::Internal("write to " + path + " failed");
   return Status::OK();
 }
@@ -72,32 +70,6 @@ Result<LoadedGraph> LoadGraphText(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open " + path);
   return ParseGraphText(in);
-}
-
-Result<LoadedGraph> LoadSnapEdgeList(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::unordered_map<uint64_t, uint32_t> remap;
-  std::vector<std::array<uint32_t, 3>> triples;
-  std::string line;
-  auto intern = [&](uint64_t raw) {
-    auto [it, inserted] = remap.emplace(raw, static_cast<uint32_t>(remap.size()));
-    return it->second;
-  };
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    uint64_t u = 0, v = 0;
-    if (!(ls >> u >> v)) {
-      return Status::Corruption("bad edge line: " + line);
-    }
-    triples.push_back({intern(u), intern(v), 0});
-  }
-  LoadedGraph result;
-  result.alphabet.Add("edge", 2);
-  result.graph =
-      BuildSimpleGraph(static_cast<uint32_t>(remap.size()), std::move(triples));
-  return result;
 }
 
 }  // namespace grepair

@@ -5,9 +5,8 @@
 //   line 2: "<rank of label 0> <rank of label 1> ..."
 //   then one line per edge: "<label> <v1> <v2> ... <v_rank>"
 // Node ids are 0-based. External nodes are not stored (data graphs have
-// none). This is the interchange format used by the examples; SNAP-style
-// "u v" edge lists (one unlabeled directed edge per line, '#' comments)
-// are supported by LoadSnapEdgeList for downstream users with real data.
+// none). This is the interchange format used by the CLI and the
+// examples.
 
 #ifndef GREPAIR_GRAPH_GRAPH_IO_H_
 #define GREPAIR_GRAPH_GRAPH_IO_H_
@@ -37,11 +36,6 @@ struct LoadedGraph {
 
 /// \brief Reads the native text format.
 Result<LoadedGraph> LoadGraphText(const std::string& path);
-
-/// \brief Reads a SNAP-style "u v" directed edge list ('#' comments,
-/// arbitrary ids compacted to 0..n-1; self-loops and duplicates dropped).
-/// All edges get a single label of rank 2.
-Result<LoadedGraph> LoadSnapEdgeList(const std::string& path);
 
 /// \brief Parses the native format from a stream. Malformed text fails
 /// with Corruption (header, rank, label or attachment tokens) or

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
-
-#include "src/util/hashing.h"
 
 namespace grepair {
 
@@ -104,17 +101,6 @@ Status Hypergraph::Validate(const Alphabet& alphabet) const {
   return Status::OK();
 }
 
-bool Hypergraph::IsSimple() const {
-  std::unordered_set<uint64_t> seen;
-  for (const auto& e : edges_) {
-    if (e.att.size() != 2) return false;
-    uint64_t key = (static_cast<uint64_t>(e.att[0]) << 32) | e.att[1];
-    key = HashCombine(key, e.label);
-    if (!seen.insert(key).second) return false;
-  }
-  return true;
-}
-
 bool Hypergraph::EqualUpToEdgeOrder(const Hypergraph& other) const {
   if (num_nodes_ != other.num_nodes_ || ext_ != other.ext_ ||
       edges_.size() != other.edges_.size()) {
@@ -158,31 +144,6 @@ std::vector<uint32_t> Hypergraph::Degrees() const {
     for (NodeId v : e.att) ++deg[v];
   }
   return deg;
-}
-
-std::string Hypergraph::ToString(const Alphabet* alphabet) const {
-  std::ostringstream out;
-  out << "n=" << num_nodes_ << " ext=[";
-  for (size_t i = 0; i < ext_.size(); ++i) {
-    if (i) out << " ";
-    out << ext_[i];
-  }
-  out << "] edges:";
-  for (const auto& e : edges_) {
-    out << " ";
-    if (alphabet != nullptr) {
-      out << alphabet->name(e.label);
-    } else {
-      out << "L" << e.label;
-    }
-    out << "(";
-    for (size_t i = 0; i < e.att.size(); ++i) {
-      if (i) out << ",";
-      out << e.att[i];
-    }
-    out << ")";
-  }
-  return out.str();
 }
 
 Hypergraph BuildSimpleGraph(uint32_t num_nodes,

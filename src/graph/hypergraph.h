@@ -260,10 +260,6 @@ class Hypergraph {
   /// referenced nodes exist.
   Status Validate(const Alphabet& alphabet) const;
 
-  /// \brief True if the graph is simple: all edges rank 2 and no two edges
-  /// share both attachment sequence and label.
-  bool IsSimple() const;
-
   /// \brief Replaces the whole edge list (used by rule inlining, which
   /// splices copies of a right-hand side in place of nonterminal edges).
   void SetEdges(std::vector<HEdge> edges) { edges_ = std::move(edges); }
@@ -296,9 +292,6 @@ class Hypergraph {
 
   /// \brief Degree (number of incident edges) per node.
   std::vector<uint32_t> Degrees() const;
-
-  /// \brief Debug rendering ("n=4 ext=[0 1] edges: a(0,1) A(1,2,3) ...").
-  std::string ToString(const Alphabet* alphabet = nullptr) const;
 
  private:
   uint32_t num_nodes_ = 0;

@@ -36,16 +36,6 @@ void Transpose(const SharedPositions& in, SharedPositions* out) {
 
 }  // namespace internal
 
-bool DigramShape::operator<(const DigramShape& o) const {
-  if (label0 != o.label0) return label0 < o.label0;
-  if (label1 != o.label1) return label1 < o.label1;
-  if (rank0 != o.rank0) return rank0 < o.rank0;
-  if (rank1 != o.rank1) return rank1 < o.rank1;
-  if (ext0 != o.ext0) return ext0 < o.ext0;
-  if (ext1 != o.ext1) return ext1 < o.ext1;
-  return shared < o.shared;
-}
-
 int DigramShape::NumExternal() const {
   // Shared nodes are flagged in both masks; count them via edge0 only.
   return __builtin_popcountll(ext0 & LowBits(rank0)) +

@@ -130,9 +130,6 @@ struct DigramShape {
            shared == o.shared;
   }
 
-  /// \brief Lexicographic order used for canonical orientation.
-  bool operator<(const DigramShape& o) const;
-
   /// \brief Total distinct nodes of the digram.
   int NumNodes() const {
     return rank0 + rank1 - static_cast<int>(shared.size());

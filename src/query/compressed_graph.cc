@@ -39,13 +39,6 @@ Result<CompressedGraph> CompressedGraph::FromGraph(
   return g;
 }
 
-Result<CompressedGraph> CompressedGraph::FromGrammar(SlhrGrammar grammar) {
-  GREPAIR_RETURN_IF_ERROR(grammar.Validate());
-  auto size = NameableValSize(grammar);
-  if (!size.ok()) return size.status();
-  return FromValidGrammar(std::move(grammar), size.value(), {});
-}
-
 CompressedGraph CompressedGraph::FromValidGrammar(
     SlhrGrammar grammar, ValSize size, std::vector<NodeId> origins) {
   CompressedGraph g;
@@ -145,10 +138,6 @@ bool CompressedGraph::Reachable(uint64_t from, uint64_t to) const {
 
 uint64_t CompressedGraph::NumConnectedComponents() const {
   return CountConnectedComponents(*grammar_);
-}
-
-std::vector<uint64_t> CompressedGraph::LabelHistogram() const {
-  return grepair::LabelHistogram(*grammar_);
 }
 
 size_t CompressedGraph::SerializedSize() const {

@@ -47,12 +47,6 @@ class CompressedGraph {
                                            CompressOptions options = {},
                                            bool keep_original_ids = true);
 
-  /// \brief Wraps an existing grammar (e.g. from DecodeGrammar);
-  /// queries use val(G) numbering. Fails when val(G) has more nodes
-  /// than NodeId can name (kMaxValNodes) or more edges than uint64_t
-  /// counts.
-  static Result<CompressedGraph> FromGrammar(SlhrGrammar grammar);
-
   /// \brief Self-contained serialization: the paper's binary grammar
   /// format, framed together with the psi' mapping when one is carried
   /// (the paper keeps the mapping out of band; SerializedSize() still
@@ -82,9 +76,6 @@ class CompressedGraph {
 
   /// \brief Connected components of the whole graph, one grammar pass.
   uint64_t NumConnectedComponents() const;
-
-  /// \brief Edge count per terminal label.
-  std::vector<uint64_t> LabelHistogram() const;
 
   /// \brief Size of the grammar in the paper's |.| metric.
   uint64_t GrammarSize() const { return grammar_->TotalSize(); }

@@ -256,13 +256,4 @@ std::vector<uint64_t> NeighborhoodIndex::NeighborsImpl(uint64_t id,
   return results;
 }
 
-std::vector<uint64_t> NeighborhoodIndex::AllNeighbors(uint64_t id) const {
-  std::vector<uint64_t> out = OutNeighbors(id);
-  std::vector<uint64_t> in = InNeighbors(id);
-  out.insert(out.end(), in.begin(), in.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 }  // namespace grepair

@@ -63,9 +63,6 @@ class NeighborhoodIndex {
     return NeighborsImpl(id, /*out=*/false);
   }
 
-  /// \brief Degree-style helper: |N+| + |N-| with duplicates removed.
-  std::vector<uint64_t> AllNeighbors(uint64_t id) const;
-
   /// \brief Memo-table entries built so far (one per distinct
   /// (rule, ext position, direction) touched by queries).
   uint64_t memo_entries() const {

@@ -1,48 +1,12 @@
 #include "src/query/speedup.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <vector>
 
 #include "src/util/union_find.h"
 
 namespace grepair {
-
-std::vector<uint64_t> RuleMultiplicities(const SlhrGrammar& grammar) {
-  std::vector<uint64_t> mult(grammar.num_rules(), 0);
-  for (const auto& e : grammar.start().edges()) {
-    if (grammar.IsNonterminal(e.label)) {
-      ++mult[grammar.RuleIndex(e.label)];
-    }
-  }
-  // Rules only reference lower indices, so a descending sweep settles
-  // every multiplicity before it is propagated further down.
-  for (uint32_t j = grammar.num_rules(); j-- > 0;) {
-    if (mult[j] == 0) continue;
-    for (const auto& e : grammar.rhs_by_index(j).edges()) {
-      if (grammar.IsNonterminal(e.label)) {
-        mult[grammar.RuleIndex(e.label)] += mult[j];
-      }
-    }
-  }
-  return mult;
-}
-
-std::vector<uint64_t> LabelHistogram(const SlhrGrammar& grammar) {
-  auto mult = RuleMultiplicities(grammar);
-  std::vector<uint64_t> hist(grammar.num_terminals(), 0);
-  auto scan = [&](const Hypergraph& g, uint64_t weight) {
-    if (weight == 0) return;
-    for (const auto& e : g.edges()) {
-      if (grammar.IsTerminal(e.label)) hist[e.label] += weight;
-    }
-  };
-  scan(grammar.start(), 1);
-  for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
-    scan(grammar.rhs_by_index(j), mult[j]);
-  }
-  return hist;
-}
 
 namespace {
 
@@ -180,22 +144,6 @@ Result<DegreeExtrema> ComputeDegreeExtrema(const SlhrGrammar& grammar) {
   extrema.min_degree = top.min_internal;
   extrema.max_degree = top.max_internal;
   return extrema;
-}
-
-uint64_t TotalDegree(const SlhrGrammar& grammar) {
-  auto mult = RuleMultiplicities(grammar);
-  uint64_t total = 0;
-  auto scan = [&](const Hypergraph& g, uint64_t weight) {
-    if (weight == 0) return;
-    for (const auto& e : g.edges()) {
-      if (grammar.IsTerminal(e.label)) total += weight * e.att.size();
-    }
-  };
-  scan(grammar.start(), 1);
-  for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
-    scan(grammar.rhs_by_index(j), mult[j]);
-  }
-  return total;
 }
 
 }  // namespace grepair

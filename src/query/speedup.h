@@ -1,32 +1,24 @@
 // Speed-up queries: graph functions evaluated in one pass through the
 // grammar, without decompression (Section V / Proposition 5).
 //
-// These are the paper's examples of CMSO-evaluable functions:
-//   * node / edge counts and per-label edge counts,
-//   * minimal and maximal degree,
-//   * number of connected components.
+// Two of the paper's examples of CMSO-evaluable functions:
+//   * number of connected components,
+//   * minimal and maximal degree.
 // Each is computed bottom-up over the rules (per-rule summaries are
 // combined where nonterminal edges occur), giving O(|G|) evaluation —
 // a speed-up proportional to the compression ratio over running the
-// same computation on val(G).
+// same computation on val(G). No Proposition 5 normal form is needed:
+// the summaries work on right-hand sides of any size.
 
 #ifndef GREPAIR_QUERY_SPEEDUP_H_
 #define GREPAIR_QUERY_SPEEDUP_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/grammar/grammar.h"
 #include "src/util/status.h"
 
 namespace grepair {
-
-/// \brief How many times each rule is applied when deriving val(G)
-/// (top-down multiplicities; O(|G|)).
-std::vector<uint64_t> RuleMultiplicities(const SlhrGrammar& grammar);
-
-/// \brief Edge count of val(G) per terminal label, via multiplicities.
-std::vector<uint64_t> LabelHistogram(const SlhrGrammar& grammar);
 
 /// \brief Number of connected components of val(G) (undirected
 /// hyperedge connectivity), one bottom-up pass.
@@ -43,10 +35,6 @@ struct DegreeExtrema {
 /// silently reported min = max = 0, indistinguishable from a graph of
 /// isolated nodes (which legitimately has min_degree 0).
 Result<DegreeExtrema> ComputeDegreeExtrema(const SlhrGrammar& grammar);
-
-/// \brief Total degree (sum over nodes) of val(G); equals the sum of
-/// edge ranks, provided for cross-checks.
-uint64_t TotalDegree(const SlhrGrammar& grammar);
 
 }  // namespace grepair
 

@@ -228,10 +228,5 @@ void TieredShardSource::AddStats(api::QueryStats* stats) const {
   inner_->AddStats(stats);
 }
 
-uint64_t TieredShardSource::cache_bytes() const {
-  MutexLock lock(mu_);
-  return total_bytes_;
-}
-
 }  // namespace serve
 }  // namespace grepair

@@ -73,9 +73,6 @@ class TieredShardSource : public shard::ShardSource {
 
   void AddStats(api::QueryStats* stats) const override;
 
-  /// \brief Current cache footprint in bytes (tests/bench).
-  uint64_t cache_bytes() const GREPAIR_LOCKS_EXCLUDED(mu_);
-
  private:
   TieredShardSource(std::shared_ptr<shard::ShardSource> inner,
                     std::string cache_dir, uint64_t max_bytes)

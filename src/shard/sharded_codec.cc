@@ -457,12 +457,6 @@ api::QueryStats ShardedRep::query_stats() const {
 // ---------------------------------------------------------------------------
 // ShardedCodec
 
-ShardedCodec::ShardedCodec(std::string inner_name)
-    : inner_name_(std::move(inner_name)), name_("sharded:" + inner_name_) {
-  auto inner = api::CodecRegistry::Create(inner_name_);
-  if (inner.ok()) inner_ = std::move(inner).ValueOrDie();
-}
-
 ShardedCodec::ShardedCodec(std::string inner_name,
                            std::unique_ptr<api::GraphCodec> inner)
     : inner_name_(std::move(inner_name)),
@@ -470,7 +464,6 @@ ShardedCodec::ShardedCodec(std::string inner_name,
       inner_(std::move(inner)) {}
 
 uint32_t ShardedCodec::capabilities() const {
-  if (inner_ == nullptr) return 0;
   uint32_t caps = inner_->capabilities();
   // Cross-shard BFS turns inner neighbor queries into reachability.
   if (caps & api::kNeighborQueries) caps |= api::kReachabilityQueries;
@@ -485,9 +478,6 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
     // would serialize into a self-corrupt container.
     return Status::InvalidArgument(
         "inner codec name exceeds 255 bytes: " + inner_name_);
-  }
-  if (inner_ == nullptr) {
-    return Status::NotFound("no codec named '" + inner_name_ + "'");
   }
 
   PartitionOptions part_options;

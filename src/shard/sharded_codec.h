@@ -188,13 +188,8 @@ class ShardedRep : public api::CompressedRep {
 /// \brief The "sharded:<inner>" meta-codec.
 class ShardedCodec : public api::GraphCodec {
  public:
-  /// \brief Resolves `inner_name` through the registry once; an
-  /// unknown name yields a codec whose capabilities() are 0 and whose
-  /// Compress/Deserialize return the lookup error.
-  explicit ShardedCodec(std::string inner_name);
-
-  /// \brief Wraps an already-constructed inner codec (the registry's
-  /// prefix-resolution path, which has just created it anyway).
+  /// \brief Wraps `inner` (non-null), the codec named `inner_name`;
+  /// CodecRegistry::Create builds every "sharded:<inner>" this way.
   ShardedCodec(std::string inner_name,
                std::unique_ptr<api::GraphCodec> inner);
 
@@ -214,7 +209,7 @@ class ShardedCodec : public api::GraphCodec {
  private:
   std::string inner_name_;
   std::string name_;  // "sharded:" + inner_name_
-  std::unique_ptr<api::GraphCodec> inner_;  // null if inner_name_ unknown
+  std::unique_ptr<api::GraphCodec> inner_;
 };
 
 }  // namespace shard

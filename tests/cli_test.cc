@@ -88,6 +88,28 @@ TEST(CliTest, ComponentsOfTheDefaultFileMatchTheInput) {
   std::remove(file_path.c_str());
 }
 
+// Output that cannot be written is an error. /dev/full accepts the open
+// and every buffered write, then fails the flush at close.
+TEST(CliTest, WritesToAFullDeviceFail) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
+  std::string graph_path = TempPath("full.graph");
+  std::string file_path = TempPath("full.grp");
+  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
+  CliRun compress = RunCli("compress " + graph_path + " " + file_path);
+  ASSERT_EQ(compress.exit_code, 0) << compress.output;
+  for (const std::string& args :
+       {"decompress " + file_path + " /dev/full",
+        std::string("gen er /dev/full 40")}) {
+    CliRun run = RunCli(args);
+    EXPECT_EQ(run.exit_code, 1) << args << ": " << run.output;
+    EXPECT_NE(run.output.find("write to /dev/full failed"), std::string::npos)
+        << args << ": " << run.output;
+  }
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
+}
+
 TEST(CliTest, StatsAndComponentsRefuseMultiShardFiles) {
   GeneratedGraph gg = BarabasiAlbert(200, 3, 5);
   std::string graph_path = TempPath("ba.graph");
@@ -121,12 +143,14 @@ TEST(CliTest, InfoRefusesATagThatDisagreesWithTheDirectory) {
   auto bytes = ReadFileBytes(file_path);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   std::string tag;
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(api::UnwrapCodecPayload(bytes.value(), &tag, &payload).ok());
+  ByteSpan payload;
+  ASSERT_TRUE(
+      api::UnwrapCodecPayloadView(SpanOf(bytes.value()), &tag, &payload).ok());
   ASSERT_EQ(tag, "sharded:grepair");
-  ASSERT_TRUE(WriteFileBytes(retagged_path,
-                             api::WrapCodecPayload("sharded:k2", payload))
-                  .ok());
+  const std::vector<uint8_t> body(payload.begin(), payload.end());
+  ASSERT_TRUE(
+      WriteFileBytes(retagged_path, api::WrapCodecPayload("sharded:k2", body))
+          .ok());
   const std::string refusal = retagged_path +
                               ": container was produced by "
                               "'sharded:grepair', not 'sharded:k2'";

@@ -108,8 +108,6 @@ TEST(CodecRegistryTest, ListsExactlyTheTwoFileBackends) {
   EXPECT_EQ(CodecRegistry::Names(),
             (std::vector<std::string>{"grepair", "k2", "sharded:grepair",
                                       "sharded:k2"}));
-  EXPECT_EQ(CodecRegistry::BaseNames(),
-            (std::vector<std::string>{"grepair", "k2"}));
 }
 
 TEST(CodecRegistryTest, UnknownNameIsNotFound) {

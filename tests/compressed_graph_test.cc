@@ -76,9 +76,6 @@ TEST_P(CompressedGraphSweep, AgreesWithOriginalIds) {
   uint32_t comps = 0;
   ConnectedComponents(gg.graph, &comps);
   EXPECT_EQ(g.NumConnectedComponents(), comps);
-  std::vector<uint64_t> hist(gg.alphabet.size(), 0);
-  for (const auto& e : gg.graph.edges()) ++hist[e.label];
-  EXPECT_EQ(g.LabelHistogram(), hist);
 
   // Decompression returns the exact input.
   auto back = g.Decompress();
@@ -93,16 +90,17 @@ INSTANTIATE_TEST_SUITE_P(Graphs, CompressedGraphSweep,
                          ::testing::Values("coauth", "rdf", "copies",
                                            "dblp"));
 
+// A payload without a node mapping is queried in val(G) numbering;
+// fuzz::GrammarPayload frames a bare grammar the way Serialize does.
 TEST(CompressedGraphTest, FromGrammarUsesValNumbering) {
   GeneratedGraph gg = RdfTypes(300, 6, 64);
   auto compressed = Compress(gg.graph, gg.alphabet, {});
   ASSERT_TRUE(compressed.ok());
-  auto bytes = EncodeGrammar(compressed.value().grammar);
-  auto decoded = DecodeGrammar(bytes);
-  ASSERT_TRUE(decoded.ok());
 
-  auto cg = CompressedGraph::FromGrammar(std::move(decoded).ValueOrDie());
-  ASSERT_TRUE(cg.ok());
+  auto cg = CompressedGraph::Deserialize(
+      fuzz::GrammarPayload(compressed.value().grammar));
+  ASSERT_TRUE(cg.ok()) << cg.status().ToString();
+  EXPECT_FALSE(cg.value().has_original_ids());
   EXPECT_EQ(cg.value().num_nodes(), gg.graph.num_nodes());
   EXPECT_EQ(cg.value().num_edges(), gg.graph.num_edges());
   // Numbering is val(G)'s: verify against the derived graph.
@@ -114,15 +112,27 @@ TEST(CompressedGraphTest, FromGrammarUsesValNumbering) {
 }
 
 TEST(CompressedGraphTest, RejectsInvalidGrammar) {
+  // Rule X references the later rule Y. The encoder writes the grammar
+  // as given; the payload parser refuses the cyclic grammar it decodes.
   Alphabet alpha;
   alpha.Add("a", 2);
   SlhrGrammar bad(alpha, Hypergraph(2));
-  Label nt = bad.AddNonterminal(3, "X");  // rank mismatch with rhs below
-  Hypergraph rhs(2);
-  rhs.AddSimpleEdge(0, 1, 0);
-  rhs.SetExternal({0, 1});
-  bad.SetRule(nt, std::move(rhs));
-  EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(bad)).ok());
+  Label x = bad.AddNonterminal(2, "X");
+  Label y = bad.AddNonterminal(2, "Y");
+  Hypergraph x_rhs(2);
+  x_rhs.AddSimpleEdge(0, 1, y);
+  x_rhs.SetExternal({0, 1});
+  bad.SetRule(x, std::move(x_rhs));
+  Hypergraph y_rhs(2);
+  y_rhs.AddSimpleEdge(0, 1, 0);
+  y_rhs.SetExternal({0, 1});
+  bad.SetRule(y, std::move(y_rhs));
+  bad.mutable_start()->AddSimpleEdge(0, 1, x);
+  ASSERT_FALSE(bad.Validate().ok());
+  auto cg = CompressedGraph::Deserialize(fuzz::GrammarPayload(bad));
+  ASSERT_FALSE(cg.ok());
+  EXPECT_NE(cg.status().message().find("cyclic"), std::string::npos)
+      << cg.status().ToString();
 }
 
 TEST(CompressedGraphTest, ValGraphBeyondNodeIdsFailsClosed) {
@@ -130,7 +140,6 @@ TEST(CompressedGraphTest, ValGraphBeyondNodeIdsFailsClosed) {
   // edges. Plain uint64_t sums wrapped that to 2 nodes and 0 edges, so
   // the grammar passed every size check and Decompress ran unbounded.
   SlhrGrammar wrapped = fuzz::DoublingGrammar(65);
-  const std::vector<uint8_t> payload = fuzz::GrammarPayload(wrapped);
   ASSERT_TRUE(DecodeGrammar(EncodeGrammar(wrapped)).ok());
   const ValSize size = ComputeValSize(wrapped);
   ASSERT_EQ(size.nodes, UINT64_MAX);
@@ -141,19 +150,22 @@ TEST(CompressedGraphTest, ValGraphBeyondNodeIdsFailsClosed) {
       wrapped, [&](Label, const Attachments&) { called = true; });
   EXPECT_EQ(streamed.code(), StatusCode::kOutOfRange);
   EXPECT_FALSE(called);
-  EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(wrapped)).ok());
-  EXPECT_FALSE(CompressedGraph::Deserialize(payload).ok());
+  auto open = [](const SlhrGrammar& grammar) {
+    return CompressedGraph::Deserialize(fuzz::GrammarPayload(grammar));
+  };
+  EXPECT_EQ(open(wrapped).status().code(), StatusCode::kOutOfRange);
 
   // Edges alone can saturate too: 2 nodes and 2^64 parallel edges.
   SlhrGrammar parallel = fuzz::DoublingGrammar(65, /*new_node=*/false);
   EXPECT_EQ(ComputeValSize(parallel).nodes, 2u);
   EXPECT_EQ(ComputeValSize(parallel).edges, UINT64_MAX);
-  EXPECT_FALSE(CompressedGraph::FromGrammar(std::move(parallel)).ok());
+  EXPECT_EQ(open(parallel).status().code(), StatusCode::kOutOfRange);
 
   // 33 rules: 2^32 + 2 nodes, no wrap, but more than NodeId can name.
-  EXPECT_FALSE(CompressedGraph::FromGrammar(fuzz::DoublingGrammar(33)).ok());
+  EXPECT_EQ(open(fuzz::DoublingGrammar(33)).status().code(),
+            StatusCode::kOutOfRange);
   // 20 rules fit, with exact counts.
-  auto fits = CompressedGraph::FromGrammar(fuzz::DoublingGrammar(20));
+  auto fits = open(fuzz::DoublingGrammar(20));
   ASSERT_TRUE(fits.ok()) << fits.status().ToString();
   EXPECT_EQ(fits.value().num_nodes(), (1u << 19) + 2);
   EXPECT_EQ(fits.value().num_edges(), 1u << 19);

@@ -7,8 +7,8 @@
 #include <string>
 
 #include "src/datasets/generators.h"
-#include "src/graph/wl_hash.h"
 #include "src/grepair/compressor.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {

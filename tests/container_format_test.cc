@@ -200,29 +200,31 @@ TEST(TaggedContainerTest, GoldenBytesAreStable) {
          "changing the frame";
 
   std::string name;
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(api::UnwrapCodecPayload(bytes, &name, &payload).ok());
+  ByteSpan payload;
+  ASSERT_TRUE(api::UnwrapCodecPayloadView(SpanOf(bytes), &name, &payload).ok());
   EXPECT_EQ(name, "grepair");
-  EXPECT_EQ(payload, std::vector<uint8_t>({0xDE, 0xAD, 0xBE, 0xEF}));
+  EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()),
+            std::vector<uint8_t>({0xDE, 0xAD, 0xBE, 0xEF}));
 }
 
 TEST(TaggedContainerTest, NonContainerAndTruncatedInputsFailCleanly) {
   std::string name;
-  std::vector<uint8_t> payload;
+  ByteSpan payload;
   // Bytes without the magic are InvalidArgument (not a tagged
   // container at all), distinct from a damaged frame.
   std::vector<uint8_t> raw = {0x01, 0x02, 0x03};
-  EXPECT_FALSE(api::IsCodecContainer(raw));
-  auto status = api::UnwrapCodecPayload(raw, &name, &payload);
+  EXPECT_FALSE(api::IsCodecContainer(SpanOf(raw)));
+  auto status = api::UnwrapCodecPayloadView(SpanOf(raw), &name, &payload);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 
   // Truncations inside the frame are Corruption.
   auto good = api::WrapCodecPayload("grepair", {0xDE, 0xAD});
   for (size_t len = 8; len < 16; ++len) {
     std::vector<uint8_t> cut(good.begin(), good.begin() + len);
-    auto cut_status = api::UnwrapCodecPayload(cut, &name, &payload);
+    auto cut_status =
+        api::UnwrapCodecPayloadView(SpanOf(cut), &name, &payload);
     EXPECT_FALSE(cut_status.ok()) << "length " << len;
-    if (api::IsCodecContainer(cut)) {
+    if (api::IsCodecContainer(SpanOf(cut))) {
       EXPECT_EQ(cut_status.code(), StatusCode::kCorruption)
           << "length " << len;
     }
@@ -484,7 +486,7 @@ TEST(ShardedV2ContainerTest, ByteSizeIsTheSerializedSize) {
   GeneratedGraph gg = ErdosRenyi(80, 240, 17);
   api::CodecOptions options;
   options.Set("shards", "3");
-  for (const std::string& base : api::CodecRegistry::BaseNames()) {
+  for (const std::string base : {"grepair", "k2"}) {
     SCOPED_TRACE(base);
     auto codec = api::CodecRegistry::Create("sharded:" + base).ValueOrDie();
     auto rep = codec->Compress(gg.graph, gg.alphabet, options);

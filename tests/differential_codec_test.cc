@@ -149,7 +149,7 @@ TEST_P(ShardedAgreesWithInner, SameGraph) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BaseCodecs, ShardedAgreesWithInner,
-                         ::testing::ValuesIn(CodecRegistry::BaseNames()),
+                         ::testing::Values("grepair", "k2"),
                          [](const auto& suite_info) {
                            std::string name = suite_info.param;
                            std::replace(name.begin(), name.end(), '-', '_');

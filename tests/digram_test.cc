@@ -9,6 +9,7 @@
 #include <new>
 #include <numeric>
 #include <set>
+#include <tuple>
 
 #include "src/grepair/digram.h"
 #include "src/util/rng.h"
@@ -21,6 +22,14 @@ constexpr int kNoRankLimit = 2 * kMaxSharedPositions;
 
 std::function<bool(NodeId)> ExternalSet(std::set<NodeId> ext) {
   return [ext = std::move(ext)](NodeId v) { return ext.count(v) > 0; };
+}
+
+// Lexicographic order over the shape's fields: of a digram's two
+// orientations, ComputeDigramShape keeps the smaller one.
+bool ShapeLess(const DigramShape& a, const DigramShape& b) {
+  return std::tie(a.label0, a.label1, a.rank0, a.rank1, a.ext0, a.ext1,
+                  a.shared) < std::tie(b.label0, b.label1, b.rank0, b.rank1,
+                                       b.ext0, b.ext1, b.shared);
 }
 
 HEdge MakeEdge(Label l, const std::vector<NodeId>& att) {
@@ -224,7 +233,7 @@ TEST(DigramShapeTest, CopiesCompareAndHashOnlyTheLivePrefix) {
   auto ext = ExternalSet({0, 3});
   auto expect_same = [](const DigramShape& x, const DigramShape& y) {
     EXPECT_TRUE(x == y);
-    EXPECT_FALSE(x < y || y < x);
+    EXPECT_FALSE(ShapeLess(x, y) || ShapeLess(y, x));
     EXPECT_EQ(DigramShapeHash()(x), DigramShapeHash()(y));
   };
   auto fill_dead_slots = [](SharedPositions* p) {
@@ -299,7 +308,7 @@ bool DigramShapeReference(const HEdge& a, const HEdge& b,
   DigramShape forward, backward;
   if (!OrientedShapeReference(a, b, is_external, &forward)) return false;
   EXPECT_TRUE(OrientedShapeReference(b, a, is_external, &backward));
-  *swapped = backward < forward;
+  *swapped = ShapeLess(backward, forward);
   *shape = *swapped ? backward : forward;
   return true;
 }
@@ -324,7 +333,7 @@ void ExpectMatchesReference(const HEdge& a, const HEdge& b,
     ASSERT_EQ(got_ok, want_ok);
     if (!want_ok) continue;
     EXPECT_TRUE(got == want);
-    EXPECT_FALSE(got < want || want < got);
+    EXPECT_FALSE(ShapeLess(got, want) || ShapeLess(want, got));
     EXPECT_EQ(got_swapped, want_swapped);
     EXPECT_EQ(DigramShapeHash()(got), DigramShapeHash()(want));
     EXPECT_EQ(got.NumExternal(), want.NumExternal());

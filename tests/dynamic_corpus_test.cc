@@ -306,7 +306,7 @@ TEST_P(DynamicDifferential, EditStreamMatchesRecompress) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BaseCodecs, DynamicDifferential,
-                         ::testing::ValuesIn(api::CodecRegistry::BaseNames()),
+                         ::testing::Values("grepair", "k2"),
                          [](const auto& suite_info) {
                            std::string name = suite_info.param;
                            std::replace(name.begin(), name.end(), '-', '_');

@@ -12,7 +12,6 @@
 
 #include "src/encoding/grammar_coder.h"
 #include "src/graph/graph_algos.h"
-#include "src/graph/wl_hash.h"
 #include "src/grepair/compressor.h"
 #include "src/query/reachability.h"
 #include "src/query/speedup.h"

@@ -38,7 +38,7 @@ TEST(GrammarTest, Figure6Contribution) {
   SlhrGrammar g = Figure6Grammar();
   ASSERT_TRUE(g.Validate().ok());
   Label a_nt = g.NonterminalLabel(0);
-  EXPECT_EQ(g.CountReferences(a_nt), 4u);
+  EXPECT_EQ(g.AllReferenceCounts()[0], 4u);
   // |rhs| = 3 nodes + 2 edges = 5; |handle| = 2 + 1 = 3.
   EXPECT_EQ(g.rhs(a_nt).TotalSize(), 5u);
   EXPECT_EQ(SlhrGrammar::HandleSize(2), 3u);
@@ -77,7 +77,6 @@ TEST(GrammarTest, NestedHeight) {
   g.mutable_start()->AddEdge(b, {0, 1});
   ASSERT_TRUE(g.Validate().ok());
   EXPECT_EQ(g.Height(), 2u);
-  EXPECT_EQ(g.CountReferences(a), 2u);
   auto refs = g.AllReferenceCounts();
   EXPECT_EQ(refs[0], 2u);
   EXPECT_EQ(refs[1], 1u);
@@ -143,7 +142,7 @@ TEST(GrammarTest, CompactRulesRelabels) {
   EXPECT_EQ(g.num_rules(), 1u);
   ASSERT_TRUE(g.Validate().ok());
   Label b_new = g.NonterminalLabel(0);
-  EXPECT_EQ(g.CountReferences(b_new), 2u);
+  EXPECT_EQ(g.AllReferenceCounts()[0], 2u);
   EXPECT_EQ(g.rhs(b_new).num_edges(), 1u);
 }
 

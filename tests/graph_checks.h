@@ -1,0 +1,72 @@
+// Test oracles over hypergraphs. Header-only: every tests/*.cc file
+// builds its own binary, and the library ships only what products use.
+//
+// WlHash is a Weisfeiler-Leman style isomorphism-invariant graph hash.
+// The grammar produced by gRePair derives an isomorphic copy of the
+// input (Section III-C2), so round-trip property tests compare
+// WlHash(original) with WlHash(val(grammar)). Isomorphic graphs always
+// hash equal; non-isomorphic graphs hash equal only if they are
+// 1-WL-equivalent AND the final multiset hashes collide, which the
+// tests accept as a vanishing false-negative risk (exact-equality
+// tests via the tracked node mapping cover the rest).
+
+#ifndef GREPAIR_TESTS_GRAPH_CHECKS_H_
+#define GREPAIR_TESTS_GRAPH_CHECKS_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "src/graph/hypergraph.h"
+#include "src/graph/node_order.h"
+#include "src/util/hashing.h"
+
+namespace grepair {
+
+/// \brief Isomorphism-invariant 64-bit hash of a hypergraph.
+inline uint64_t WlHash(const Hypergraph& g) {
+  auto fp = ComputeFpRefinement(g);
+
+  // Hash the multiset of edges rendered with stable node colors, plus the
+  // multiset of node colors (covers isolated nodes) and the external
+  // sequence rendered with colors.
+  std::vector<uint64_t> edge_hashes;
+  edge_hashes.reserve(g.num_edges());
+  for (const auto& e : g.edges()) {
+    uint64_t h = HashCombine(0x9E1Eull, e.label);
+    for (NodeId v : e.att) h = HashCombine(h, fp.colors[v]);
+    edge_hashes.push_back(h);
+  }
+  std::sort(edge_hashes.begin(), edge_hashes.end());
+
+  std::vector<uint64_t> node_colors;
+  node_colors.reserve(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    node_colors.push_back(fp.colors[v]);
+  }
+  std::sort(node_colors.begin(), node_colors.end());
+
+  uint64_t h = HashCombine(0xC0FFEEull, g.num_nodes());
+  h = HashCombine(h, HashVector(edge_hashes));
+  h = HashCombine(h, HashVector(node_colors));
+  for (NodeId v : g.ext()) h = HashCombine(h, fp.colors[v]);
+  h = HashCombine(h, g.ext().size());
+  return h;
+}
+
+/// \brief True if `g` is simple: all edges rank 2 and no two edges
+/// share both attachment sequence and label.
+inline bool IsSimple(const Hypergraph& g) {
+  std::set<std::tuple<NodeId, NodeId, Label>> seen;
+  for (const auto& e : g.edges()) {
+    if (e.att.size() != 2) return false;
+    if (!seen.emplace(e.att[0], e.att[1], e.label).second) return false;
+  }
+  return true;
+}
+
+}  // namespace grepair
+
+#endif  // GREPAIR_TESTS_GRAPH_CHECKS_H_

@@ -1,10 +1,8 @@
-// Tests for the text I/O formats (native hypergraph format and
-// SNAP-style edge lists).
+// Tests for the native text hypergraph format.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "src/graph/graph_io.h"
@@ -54,22 +52,6 @@ TEST(GraphIoTest, ParseRejectsSelfLoop) {
   // Restriction (1): repeated attachment must fail validation.
   std::istringstream in("grepair-graph 3 1 1\n2\n0 1 1\n");
   EXPECT_FALSE(ParseGraphText(in).ok());
-}
-
-TEST(GraphIoTest, SnapEdgeListCompactsIds) {
-  std::string path = TempPath("snap.txt");
-  {
-    std::ofstream out(path);
-    out << "# comment line\n";
-    out << "100 200\n200 300\n100 100\n100 200\n";
-  }
-  auto loaded = LoadSnapEdgeList(path);
-  ASSERT_TRUE(loaded.ok());
-  // Ids compacted to 0..2; self-loop and duplicate dropped.
-  EXPECT_EQ(loaded.value().graph.num_nodes(), 3u);
-  EXPECT_EQ(loaded.value().graph.num_edges(), 2u);
-  EXPECT_TRUE(loaded.value().graph.IsSimple());
-  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, MissingFileReportsNotFound) {

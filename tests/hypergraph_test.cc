@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/hypergraph.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {
@@ -65,16 +66,16 @@ TEST(HypergraphTest, IsSimple) {
   g.AddSimpleEdge(0, 1, 0);
   g.AddSimpleEdge(1, 0, 0);  // opposite direction: fine
   g.AddSimpleEdge(0, 1, 1);  // other label: fine
-  EXPECT_TRUE(g.IsSimple());
+  EXPECT_TRUE(IsSimple(g));
   g.AddSimpleEdge(0, 1, 0);  // exact duplicate
-  EXPECT_FALSE(g.IsSimple());
+  EXPECT_FALSE(IsSimple(g));
 }
 
 TEST(HypergraphTest, BuildSimpleGraphFiltersLoopsAndDuplicates) {
   Hypergraph g = BuildSimpleGraph(
       4, {{0, 1, 0}, {1, 1, 0}, {0, 1, 0}, {0, 1, 1}, {2, 3, 0}});
   EXPECT_EQ(g.num_edges(), 3u);  // loop and duplicate dropped
-  EXPECT_TRUE(g.IsSimple());
+  EXPECT_TRUE(IsSimple(g));
 }
 
 TEST(HypergraphTest, EqualUpToEdgeOrder) {

@@ -4,18 +4,21 @@
 // payload parser (the bytes a shard fault decodes), the GRSHARD3 delta
 // container parser (the files a versioned open applies), the edit-text
 // reader behind `grepair append --edits`, the graph-text reader behind
-// `grepair compress`, plus the bit-stream/Elias decode differential. The invariant checks and the
-// golden seeds are shared with the coverage-guided libFuzzer targets
-// (fuzz/fuzz_checks.h, fuzz/golden_seeds.h), so this always-on ctest
-// battery and the long-running fuzzers can never drift apart; each
-// iteration mutates a seed (bit flips, truncations, extensions,
-// splices) and asserts the shared invariants — parsers either succeed
-// or fail with a clean, non-empty Status, never crash, hang, or
-// over-read (the ASan/UBSan CI leg is the memory-safety oracle).
+// `grepair compress`, the tagged GRPCODEC frame every file open parses
+// first, plus the bit-stream/Elias decode differential. The invariant
+// checks and the golden seeds are shared with the coverage-guided
+// libFuzzer targets (fuzz/fuzz_checks.h, fuzz/golden_seeds.h), so this
+// always-on ctest battery and the long-running fuzzers can never drift
+// apart; each iteration mutates a seed (bit flips, truncations,
+// extensions, splices) and asserts the shared invariants — parsers
+// either succeed or fail with a clean, non-empty Status, never crash,
+// hang, or over-read (the ASan/UBSan CI leg is the memory-safety
+// oracle).
 // Budgets are fixed and small enough for ctest.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 
 #include "fuzz/fuzz_checks.h"
@@ -354,6 +357,39 @@ TEST(NetFuzzTest, GraphTextParserSurvivesMutation) {
         Mutate(seed_bytes[rng.UniformBounded(seed_bytes.size())], &rng);
     const char* violated =
         fuzz::CheckGraphTextParse(mutated.data(), mutated.size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+}
+
+TEST(NetFuzzTest, CodecFrameParserSurvivesMutation) {
+  // fuzz/codec_frame_fuzzer.cc runs the same check coverage-guided.
+  const auto seeds = fuzz::GoldenCodecFrameSeeds();
+  // Golden path: the two sharded frames unwrap; an old single-codec tag
+  // and the untagged bytes are kInvalidArgument, the three cut frames
+  // kCorruption.
+  const StatusCode expected[] = {
+      StatusCode::kOk,          StatusCode::kOk,
+      StatusCode::kInvalidArgument, StatusCode::kInvalidArgument,
+      StatusCode::kCorruption,  StatusCode::kCorruption,
+      StatusCode::kCorruption,
+  };
+  ASSERT_EQ(seeds.size(), std::size(expected));
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    std::string inner;
+    ByteSpan payload;
+    Status unwrapped =
+        api::UnwrapShardedPayload("seed", SpanOf(seeds[i]), &inner, &payload);
+    EXPECT_EQ(unwrapped.code(), expected[i])
+        << "seed " << i << ": " << unwrapped.ToString();
+    const char* violated =
+        fuzz::CheckCodecFrameParse(seeds[i].data(), seeds[i].size());
+    EXPECT_TRUE(violated == nullptr) << violated;
+  }
+  Rng rng(0xC0DECF4A);
+  for (int iter = 0; iter < 1500; ++iter) {
+    auto mutated = Mutate(seeds[rng.UniformBounded(seeds.size())], &rng);
+    const char* violated =
+        fuzz::CheckCodecFrameParse(mutated.data(), mutated.size());
     EXPECT_TRUE(violated == nullptr) << violated;
   }
 }

@@ -8,9 +8,9 @@
 #include <string>
 
 #include "src/datasets/generators.h"
-#include "src/graph/wl_hash.h"
 #include "src/grammar/pruning.h"
 #include "src/grepair/compressor.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {

@@ -180,16 +180,6 @@ TEST(ReachabilityTest, DeepSharedSubtree) {
   }
 }
 
-TEST(SpeedupTest, LabelHistogramMatchesValuation) {
-  GeneratedGraph gg = MakeQueryGraph("er");
-  SlhrGrammar grammar = CompressFor(gg);
-  auto derived = Derive(grammar);
-  ASSERT_TRUE(derived.ok());
-  std::vector<uint64_t> truth(grammar.num_terminals(), 0);
-  for (const auto& e : derived.value().edges()) ++truth[e.label];
-  EXPECT_EQ(LabelHistogram(grammar), truth);
-}
-
 TEST(SpeedupTest, ComponentsMatchBruteForce) {
   for (const char* which : {"er", "copies", "dblp", "rdf"}) {
     GeneratedGraph gg = MakeQueryGraph(which);
@@ -214,45 +204,6 @@ TEST(SpeedupTest, DegreeExtremaMatchBruteForce) {
     EXPECT_EQ(got.value().min_degree, truth.min_degree) << which;
     EXPECT_EQ(got.value().max_degree, truth.max_degree) << which;
   }
-}
-
-TEST(SpeedupTest, TotalDegreeMatches) {
-  GeneratedGraph gg = MakeQueryGraph("coauth");
-  SlhrGrammar grammar = CompressFor(gg);
-  auto derived = Derive(grammar);
-  ASSERT_TRUE(derived.ok());
-  uint64_t truth = 0;
-  for (const auto& e : derived.value().edges()) truth += e.att.size();
-  EXPECT_EQ(TotalDegree(grammar), truth);
-}
-
-TEST(SpeedupTest, MultiplicitiesOnNestedGrammar) {
-  // Hand-built: S has 2 B-edges, B -> A A, so mult(B) = 2, mult(A) = 4.
-  Alphabet alpha;
-  alpha.Add("a", 2);
-  SlhrGrammar g(alpha, Hypergraph(4));
-  Label a = g.AddNonterminal(2, "A");
-  {
-    Hypergraph rhs(3);
-    rhs.AddSimpleEdge(0, 2, 0);
-    rhs.AddSimpleEdge(2, 1, 0);
-    rhs.SetExternal({0, 1});
-    g.SetRule(a, std::move(rhs));
-  }
-  Label b = g.AddNonterminal(2, "B");
-  {
-    Hypergraph rhs(3);
-    rhs.AddEdge(a, {0, 2});
-    rhs.AddEdge(a, {2, 1});
-    rhs.SetExternal({0, 1});
-    g.SetRule(b, std::move(rhs));
-  }
-  g.mutable_start()->AddEdge(b, {0, 1});
-  g.mutable_start()->AddEdge(b, {2, 3});
-  auto mult = RuleMultiplicities(g);
-  EXPECT_EQ(mult[g.RuleIndex(a)], 4u);
-  EXPECT_EQ(mult[g.RuleIndex(b)], 2u);
-  EXPECT_EQ(LabelHistogram(g)[0], 8u);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ void ExpectSameResult(const Result<T>& local, const Result<T>& remote,
 
 TEST(RemoteShardTest, EveryShardedCodecAnswersIdenticallyRemoteVsLocal) {
   GeneratedGraph gg = BarabasiAlbert(90, 3, 17);
-  for (const std::string& inner : api::CodecRegistry::BaseNames()) {
+  for (const std::string inner : {"grepair", "k2"}) {
     SCOPED_TRACE("inner codec " + inner);
     ServedContainer served = ServeCompressed(inner, gg, 3);
 

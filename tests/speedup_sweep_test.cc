@@ -1,7 +1,6 @@
 // Parameterized sweeps for the one-pass speed-up queries across all
-// workload families and option combinations: components, degree
-// extrema, histograms and total degree must match brute force on
-// val(G) for every configuration.
+// workload families and option combinations: components and degree
+// extrema must match brute force on val(G) for every configuration.
 
 #include <gtest/gtest.h>
 
@@ -59,28 +58,6 @@ TEST_P(SpeedupSweep, AllAggregatesMatchBruteForce) {
   EXPECT_EQ(extrema.value().min_degree, stats.min_degree);
   EXPECT_EQ(extrema.value().max_degree, stats.max_degree);
 
-  // Label histogram + total degree.
-  std::vector<uint64_t> hist(grammar.num_terminals(), 0);
-  uint64_t total_degree = 0;
-  for (const auto& e : val.edges()) {
-    ++hist[e.label];
-    total_degree += e.att.size();
-  }
-  EXPECT_EQ(LabelHistogram(grammar), hist);
-  EXPECT_EQ(TotalDegree(grammar), total_degree);
-
-  // Multiplicities are consistent with the histogram totals.
-  auto mult = RuleMultiplicities(grammar);
-  uint64_t derived_edges = 0;
-  for (const auto& e : grammar.start().edges()) {
-    if (grammar.IsTerminal(e.label)) ++derived_edges;
-  }
-  for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
-    for (const auto& e : grammar.rhs_by_index(j).edges()) {
-      if (grammar.IsTerminal(e.label)) derived_edges += mult[j];
-    }
-  }
-  EXPECT_EQ(derived_edges, val.num_edges());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -112,8 +89,6 @@ TEST(SpeedupEdgeCases, IsolatedNodesHaveZeroDegreeExtrema) {
   ASSERT_TRUE(extrema.ok()) << extrema.status().ToString();
   EXPECT_EQ(extrema.value().min_degree, 0u);
   EXPECT_EQ(extrema.value().max_degree, 0u);
-  EXPECT_EQ(TotalDegree(g), 0u);
-  EXPECT_EQ(LabelHistogram(g), std::vector<uint64_t>{0});
 }
 
 TEST(SpeedupEdgeCases, MixedIsolatedAndConnectedNodes) {
@@ -138,7 +113,6 @@ TEST(SpeedupEdgeCases, TrulyEmptyGrammarIsAnError) {
   ASSERT_FALSE(extrema.ok());
   EXPECT_EQ(extrema.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(CountConnectedComponents(g), 0u);
-  EXPECT_EQ(TotalDegree(g), 0u);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/graph/wl_hash.h"
 #include "src/util/rng.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {
