@@ -176,10 +176,29 @@ Status MutableCorpus::FoldLocked(int threads) {
     }
     return owner;
   };
+  // True when a shard after `owner` holds the pair (u, v) in its
+  // current grammar, or cannot tell.
+  auto held_after = [&](uint64_t u, uint64_t v, size_t owner) {
+    for (size_t i = owner + 1; i < shard_count; ++i) {
+      const ShardEntry& entry = store_->entry(i);
+      const NodeId lu = entry.LocalId(u), lv = entry.LocalId(v);
+      if (lu == kInvalidNode || lv == kInvalidNode) continue;
+      auto rep = store_->Rep(i);
+      if (!rep.ok()) return true;
+      if (rep.value() == nullptr) continue;  // edgeless
+      auto out = rep.value()->OutNeighbors(lu);
+      if (!out.ok() ||
+          std::binary_search(out.value().begin(), out.value().end(), lv)) {
+        return true;
+      }
+    }
+    return false;
+  };
   std::vector<std::vector<DeltaPair>> shard_kills(shard_count);
   std::vector<std::vector<DeltaEdge>> shard_adds(shard_count);
   std::vector<DeltaPair> residual_kills;
   std::vector<DeltaEdge> residual_adds;
+  size_t spent_kills = 0;
 
   // Kill eligibility: a kill folds only into the *unique* shard whose
   // node map holds both endpoints — with the pair resolvable in two or
@@ -190,7 +209,10 @@ Status MutableCorpus::FoldLocked(int threads) {
   for (const DeltaPair& kill : snap->kills()) {
     int owners = 0;
     size_t owner = owner_of(kill.u, kill.v, 2, &owners);
-    if (owners == 0) continue;
+    if (owners == 0) {
+      ++spent_kills;
+      continue;
+    }
     if (owners > 1) {
       residual_kills.push_back(kill);
       continue;
@@ -202,31 +224,64 @@ Status MutableCorpus::FoldLocked(int threads) {
   // edge — unless the pair has a residual kill, in which case the
   // query-time merge (which applies kills to base answers) would
   // re-kill the folded edge; such adds stay residual with their kill.
+  // Nor does it take the edge while a later shard's grammar holds the
+  // pair: that shard may hold the very triple, which the fold would
+  // then copy (the merge is a set union, a decompression is not).
   // Adds referencing fresh nodes (no shard holds them) stay residual
-  // until a future full recompression.
+  // until a future full recompression. A pair's kill and adds thus
+  // share their target: a kill's unique owner is also the first shard
+  // holding its pair, so one shard slice folds or defers them together.
   for (const DeltaEdge& add : snap->adds()) {
     int owners = 0;
-    size_t owner = owner_of(add.u, add.v, 1, &owners);
+    size_t owner = owner_of(add.u, add.v, 2, &owners);
     bool killed_residual =
         std::binary_search(residual_kills.begin(), residual_kills.end(),
                            DeltaPair{add.u, add.v}, PairLess);
-    if (owners == 0 || killed_residual) {
+    if (owners == 0 || killed_residual ||
+        (owners > 1 && held_after(add.u, add.v, owner))) {
       residual_adds.push_back(add);
       continue;
     }
     shard_adds[owner].push_back(add);
   }
 
+  // Byte parity: a shard is recompressed once its pending edits weigh
+  // as much as its payload (counted as DeltaOverlay::ByteSize counts
+  // them); a lighter slice stays residual, where it costs less than
+  // the payload a fold adds to memory and to every delta. While the
+  // residual outgrows the budget, the heaviest deferred shards fold
+  // too, so a budget of 0 drains every eligible edit.
+  auto pending_bytes = [&](size_t i) -> uint64_t {
+    return shard_kills[i].size() * (2 * sizeof(DeltaPair)) +
+           shard_adds[i].size() * (2 * sizeof(DeltaEdge));
+  };
+  uint64_t residual_bytes = residual_kills.size() * (2 * sizeof(DeltaPair)) +
+                            residual_adds.size() * (2 * sizeof(DeltaEdge));
   std::vector<size_t> work;
+  std::vector<size_t> deferred;
   for (size_t i = 0; i < shard_count; ++i) {
-    if (!shard_kills[i].empty() || !shard_adds[i].empty()) work.push_back(i);
+    const uint64_t bytes = pending_bytes(i);
+    if (bytes == 0) continue;
+    if (bytes >= store_->PayloadSize(i)) {
+      work.push_back(i);
+    } else {
+      deferred.push_back(i);
+      residual_bytes += bytes;
+    }
   }
-  if (work.empty() && residual_kills.size() == snap->kill_count() &&
-      residual_adds.size() == snap->add_count()) {
-    return Status::OK();  // nothing changed at all
+  std::stable_sort(deferred.begin(), deferred.end(), [&](size_t a, size_t b) {
+    return pending_bytes(a) > pending_bytes(b);
+  });
+  const uint64_t budget =
+      overlay_budget_bytes_.load(std::memory_order_relaxed);
+  size_t bought = 0;
+  while (bought < deferred.size() && residual_bytes > budget) {
+    residual_bytes -= pending_bytes(deferred[bought]);
+    work.push_back(deferred[bought++]);
   }
+  std::sort(work.begin(), work.end());
 
-  // Recompress the touched shards on the compression pool. A shard
+  // Recompress the chosen shards on the compression pool. A shard
   // whose fold fails keeps its edits residual (fail-soft, never
   // lossy); the base container file is never touched, so a crash at
   // any point here leaves the on-disk corpus exactly as it was.
@@ -241,7 +296,7 @@ Status MutableCorpus::FoldLocked(int threads) {
 
   std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> publish;
   uint64_t folded_edits = 0;
-  for (size_t i : work) {
+  for (size_t i = 0; i < shard_count; ++i) {
     if (folded[i] != nullptr) {
       publish.emplace_back(i, folded[i]);
       folded_edits += shard_kills[i].size() + shard_adds[i].size();
@@ -252,7 +307,11 @@ Status MutableCorpus::FoldLocked(int threads) {
                            shard_adds[i].end());
     }
   }
-  // Re-sort: failed shards' edits were appended out of order.
+  // A fold that recompressed no shard publishes nothing, unless spent
+  // kills leave the overlay.
+  if (publish.empty() && spent_kills == 0) return Status::OK();
+  // Re-sort: deferred and failed shards' edits were appended out of
+  // order.
   std::sort(residual_kills.begin(), residual_kills.end(), PairLess);
   std::sort(residual_adds.begin(), residual_adds.end(), EdgeLess);
   auto residual = DeltaOverlay::FromRuns(std::move(residual_adds),
@@ -271,7 +330,11 @@ void MutableCorpus::Publish(
     std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> folds,
     std::shared_ptr<const DeltaOverlay> residual, bool replace_all) {
   MutexLock lock(overlay_mu_);
-  store_->Publish(std::move(folds), replace_all);
+  // With no shard to swap, only the overlay changes: the store's fold
+  // epoch and decoded cache stay as they are.
+  if (!folds.empty() || replace_all) {
+    store_->Publish(std::move(folds), replace_all);
+  }
   overlay_ = std::move(residual);
   has_overlay_.store(overlay_ != nullptr && !overlay_->empty(),
                      std::memory_order_release);

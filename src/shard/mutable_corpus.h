@@ -19,7 +19,11 @@
 // new residual always reads the new shards, and a reader holding an
 // older snapshot may read old or new shards: re-applying the
 // snapshot's edits over a folded shard is idempotent. A decode that
-// straddles a publish is not cached by the store (its fold epoch).
+// straddles a publish is not cached by the store (its fold epoch). A
+// residual may keep edits a fold deferred (byte parity, FoldOverlay);
+// readers merge them over their shard's unchanged grammar like any
+// other overlay edit. A publish without folded shards swaps only the
+// overlay: the store, its fold epoch and its cache stay as they are.
 
 #ifndef GREPAIR_SHARD_MUTABLE_CORPUS_H_
 #define GREPAIR_SHARD_MUTABLE_CORPUS_H_
@@ -41,8 +45,7 @@ namespace grepair {
 namespace shard {
 
 /// \brief Default overlay byte budget: once the resident overlay
-/// outgrows this, ApplyEdits folds eligible edits back into their
-/// shards' inner grammars.
+/// outgrows this, ApplyEdits folds (see FoldOverlay).
 inline constexpr uint64_t kDefaultOverlayBudgetBytes = 1ull << 20;
 
 class MutableCorpus {
@@ -62,9 +65,11 @@ class MutableCorpus {
   /// to.
   uint64_t directory_checksum() const { return directory_checksum_; }
 
-  /// \brief Resident overlay bytes past which ApplyEdits folds
-  /// (default kDefaultOverlayBudgetBytes; ~0ull never folds
-  /// automatically).
+  /// \brief Resident overlay bytes past which ApplyEdits folds, and
+  /// the residual a fold may leave before it recompresses shards below
+  /// byte parity (see FoldOverlay). Default kDefaultOverlayBudgetBytes;
+  /// 0 makes every fold drain each eligible edit; ~0ull never folds
+  /// automatically.
   void set_overlay_budget_bytes(uint64_t bytes) {
     overlay_budget_bytes_.store(bytes, std::memory_order_relaxed);
   }
@@ -84,13 +89,20 @@ class MutableCorpus {
   /// reference fresh node ids; a self-loop add is kInvalidArgument.
   Status ApplyEdits(const std::vector<EdgeEdit>& edits, int threads);
 
-  /// \brief Folds every eligible overlay edit into its owning shard's
-  /// grammar, recompressing touched shards on up to `threads` workers.
-  /// A kill needs a unique shard holding both endpoints; an add needs
-  /// any such shard and no residual kill of its pair. Everything else
-  /// stays in the residual overlay, and a shard whose recompression
-  /// fails keeps its edits residual. The base container file is never
-  /// touched.
+  /// \brief Folds eligible overlay edits into their owning shards'
+  /// grammars, recompressing shards on up to `threads` workers. A kill
+  /// needs a unique shard holding both endpoints; an add goes to the
+  /// first such shard unless its pair has a residual kill or a later
+  /// such shard's grammar holds the pair. A pair's kill and adds thus
+  /// share one shard. Byte parity picks the shards: one is recompressed
+  /// once its eligible edits, counted as DeltaOverlay::ByteSize counts
+  /// them, reach its payload size; while the residual then exceeds the
+  /// overlay budget, the heaviest deferred shards are recompressed too
+  /// (budget 0 drains every eligible edit). Everything else stays in
+  /// the residual overlay, and a shard whose recompression fails keeps
+  /// its edits residual. A fold that recompresses no shard publishes
+  /// nothing, except that it drops spent kills (no shard holds their
+  /// pair). The base container file is never touched.
   Status FoldOverlay(int threads);
 
   /// \brief Installs a decoded GRSHARD3 delta bound to this base: its
@@ -119,7 +131,8 @@ class MutableCorpus {
   Status FoldLocked(int threads) GREPAIR_REQUIRES(fold_mu_);
 
   /// Publishes folded shards, then the residual overlay (see the
-  /// reader protocol above).
+  /// reader protocol above); with no folds and !replace_all the store
+  /// is left alone.
   void Publish(
       std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> folds,
       std::shared_ptr<const DeltaOverlay> residual, bool replace_all)

@@ -136,7 +136,10 @@ class ShardedRep : public api::CompressedRep {
   void set_query_cache_bytes(size_t b) { store_.set_query_cache_bytes(b); }
 
   // Mutable-corpus surface (see MutableCorpus); folds run on the rep's
-  // thread pool.
+  // thread pool. FoldOverlay recompresses a shard once its pending
+  // edits reach its payload size, then the heaviest others while the
+  // residual exceeds the overlay budget (set_overlay_budget_bytes: 0
+  // drains every eligible edit, ~0ull never folds from ApplyEdits).
   Status ApplyEdits(const std::vector<EdgeEdit>& edits) {
     return corpus_.ApplyEdits(edits, threads());
   }

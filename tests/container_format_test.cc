@@ -503,6 +503,7 @@ TEST(ShardedV2ContainerTest, ByteSizeIsTheSerializedSize) {
     edits.push_back(shard::EdgeEdit::Add(1, 2));
     edits.push_back(shard::EdgeEdit::Add(3, 70));
     ASSERT_TRUE(sharded->ApplyEdits(edits).ok());
+    sharded->set_overlay_budget_bytes(0);  // fold every eligible edit
     ASSERT_TRUE(sharded->FoldOverlay().ok());
     ASSERT_GT(sharded->query_stats().shard_folds, 0u);
     EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());

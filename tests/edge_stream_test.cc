@@ -188,6 +188,7 @@ TEST(EdgeStreamTest, ShardsAfterFoldOverlay) {
                                : shard::EdgeEdit::Delete(u, v));
   }
   ASSERT_TRUE(sharded->ApplyEdits(edits).ok());
+  sharded->set_overlay_budget_bytes(0);  // fold every eligible edit
   ASSERT_TRUE(sharded->FoldOverlay().ok());
   ASSERT_GT(sharded->query_stats().shard_folds, 0u);
   EXPECT_EQ(CheckEveryShard(*sharded), 4u);
