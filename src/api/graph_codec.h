@@ -120,8 +120,10 @@ struct QueryStats {
   uint64_t pool_peak_in_flight = 0; ///< max concurrent tagged requests
   // Tiered SSD-cache counters (serve::TieredShardSource).
   uint64_t tier_warm_hits = 0;      ///< shards served from the SSD cache
-  uint64_t tier_cold_fetches = 0;   ///< shards faulted through to inner
-  uint64_t tier_evictions = 0;      ///< cache files evicted by the budget
+  uint64_t tier_cold_fetches = 0;   ///< shards fetched from the inner
+                                    ///< source: planned misses + unplanned
+  uint64_t tier_evictions = 0;      ///< unplanned cache files deleted at
+                                    ///< open
   uint64_t tier_corrupt_drops = 0;  ///< cache files failing verification
   // Mutable-corpus counters (shard::DeltaOverlay + folding).
   // overlay_edits is the *current* residual edit count (like

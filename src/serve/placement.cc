@@ -86,10 +86,31 @@ std::vector<size_t> RankByHeat(const std::vector<uint64_t>& histogram) {
   return ranked;
 }
 
+std::vector<size_t> PlanByHeat(const std::vector<uint64_t>& heat,
+                               const std::vector<uint64_t>& lengths,
+                               uint64_t budget) {
+  std::vector<size_t> order = RankByHeat(heat);
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    if (i >= heat.size() || heat[i] == 0) order.push_back(i);
+  }
+  std::vector<size_t> plan;
+  uint64_t used = 0;
+  for (size_t i : order) {
+    if (lengths[i] == 0 || lengths[i] > budget - used) continue;
+    plan.push_back(i);
+    used += lengths[i];
+  }
+  return plan;
+}
+
+std::string CorpusCacheDir(const std::string& cache_dir,
+                           const std::string& corpus) {
+  return cache_dir + "/" + (corpus.empty() ? "_default" : corpus);
+}
+
 std::string DirSidecarPath(const std::string& cache_dir,
                            const std::string& corpus) {
-  return cache_dir + "/" + (corpus.empty() ? "_default" : corpus) +
-         ".grdir";
+  return CorpusCacheDir(cache_dir, corpus) + ".grdir";
 }
 
 std::vector<uint8_t> EncodeDirSidecar(const DirSidecar& sidecar) {
@@ -126,44 +147,26 @@ Result<DirSidecar> LoadDirSidecar(const std::string& path) {
 }
 
 void PlacementController::Refresh(const CorpusRegistry& registry) {
-  // Gather every hot candidate across corpora. The registry is frozen
-  // (spans and rows immutable), the histograms are atomics — no lock
-  // needed to read.
-  struct Candidate {
-    uint64_t heat;
-    uint32_t corpus;
-    uint32_t shard;
-    uint64_t length;
-  };
-  std::vector<Candidate> candidates;
+  // Flatten every hot (corpus, shard) pair in (corpus, shard) order, so
+  // PlanByHeat's id tie-break is the corpus/shard order. The registry
+  // is frozen (spans and rows immutable), the histograms are atomics —
+  // no lock needed to read.
+  std::vector<uint64_t> keys, heat, lengths;
   for (size_t c = 0; c < registry.size(); ++c) {
     const Corpus& corpus = registry.at(c);
     for (size_t s = 0; s < corpus.rows.size(); ++s) {
-      uint64_t heat =
-          corpus.shard_hits[s].load(std::memory_order_relaxed);
-      uint64_t length = corpus.rows[s].length;
-      if (heat == 0 || length == 0) continue;
-      candidates.push_back({heat, static_cast<uint32_t>(c),
-                            static_cast<uint32_t>(s), length});
+      uint64_t hits = corpus.shard_hits[s].load(std::memory_order_relaxed);
+      if (hits == 0) continue;
+      keys.push_back((static_cast<uint64_t>(c) << 32) | s);
+      heat.push_back(hits);
+      lengths.push_back(corpus.rows[s].length);
     }
   }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     if (a.heat != b.heat) return a.heat > b.heat;
-                     if (a.corpus != b.corpus) return a.corpus < b.corpus;
-                     return a.shard < b.shard;
-                   });
-  // Greedy fill hot-first: a shard that overflows the remaining budget
-  // is skipped, not a stopper, so small hot shards behind a big
-  // lukewarm one still make the cut.
   std::set<uint64_t> want;
   uint64_t planned_bytes = 0;
-  uint64_t planned_shards = 0;
-  for (const Candidate& cand : candidates) {
-    if (planned_bytes + cand.length > budget_bytes_) continue;
-    want.insert((static_cast<uint64_t>(cand.corpus) << 32) | cand.shard);
-    planned_bytes += cand.length;
-    ++planned_shards;
+  for (size_t i : PlanByHeat(heat, lengths, budget_bytes_)) {
+    want.insert(keys[i]);
+    planned_bytes += lengths[i];
   }
   MutexLock lock(mu_);
   // Unpin fallen-out shards first so the transient locked footprint
@@ -197,7 +200,7 @@ void PlacementController::Refresh(const CorpusRegistry& registry) {
     corpus.shard_pinned[s].store(1, std::memory_order_relaxed);
     pinned_.insert(key);
   }
-  shards_pinned_.store(planned_shards, std::memory_order_relaxed);
+  shards_pinned_.store(want.size(), std::memory_order_relaxed);
   pinned_bytes_.store(planned_bytes, std::memory_order_relaxed);
 }
 

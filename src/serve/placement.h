@@ -1,20 +1,22 @@
 // Histogram-driven shard placement: turning the per-shard hit
 // histograms the STATS verb already collects into residency decisions.
 //
-// Two consumers share this header:
+// One heat rule decides residency on both sides: PlanByHeat fills a
+// byte budget hottest-first. It is deterministic (heat descending,
+// then id ascending), so an unchanged histogram gives an unchanged
+// plan and tests can predict it exactly.
 //
 //  * Server side — PlacementController watches a frozen CorpusRegistry
-//    and keeps the hottest shard payloads pinned (mlock, best-effort)
-//    under a byte budget. Ranking is deterministic (heat descending,
-//    then corpus/shard id ascending), so an unchanged histogram makes
-//    Refresh a no-op and tests can predict the placement exactly.
+//    and keeps the planned shard payloads pinned (mlock, best-effort).
 //
-//  * Client side — the `.grdir` sidecar the SSD tier writes next to
-//    its cache gains the histogram (DirSidecar, format v2): a client
-//    that reopens a corpus knows which shards were hot *before* it
-//    issues the first query, so OpenRemoteContainer can warm the tier
-//    and prefetch hot shards at open time instead of rediscovering
-//    the working set one cold fault at a time.
+//  * Client side — the SSD tier (src/serve/tiered.h) caches exactly
+//    the shards PlanByHeat picks under its budget. The `.grdir`
+//    sidecar next to the tier's directory keeps the histogram
+//    (DirSidecar, format v2): a client that reopens a corpus knows
+//    which shards were hot *before* it issues the first query, so
+//    OpenRemoteContainer can plan the tier and prefetch hot shards at
+//    open time instead of rediscovering the working set one cold
+//    fault at a time.
 //
 // The "pinned" accounting everywhere in this layer is placement
 // *coverage* — which shards the budget selected — not an mlock
@@ -39,10 +41,21 @@ namespace grepair {
 namespace serve {
 
 /// \brief Shard ids ordered by heat: hits descending, id ascending as
-/// the tie-break, shards with zero hits omitted. The one ranking both
-/// the server-side controller and the client-side open-time warmer
-/// use, so their notions of "hot" agree.
+/// the tie-break, shards with zero hits omitted. The one ranking the
+/// server-side controller, the client-side open-time warmer and the
+/// SSD tier share, so their notions of "hot" agree.
 std::vector<size_t> RankByHeat(const std::vector<uint64_t>& histogram);
+
+/// \brief The one budget-fill rule for shard residency: the shards
+/// RankByHeat ranks, then the cold ones in id order, packed greedily
+/// into `budget` bytes. Zero-length shards are skipped, and so is a
+/// shard that would overflow — it is not a stopper, so smaller shards
+/// behind it still fit. `heat` is empty (every shard cold) or holds
+/// one hit count per entry of `lengths`. Returns the chosen ids in
+/// fill order.
+std::vector<size_t> PlanByHeat(const std::vector<uint64_t>& heat,
+                               const std::vector<uint64_t>& lengths,
+                               uint64_t budget);
 
 /// \brief A persisted corpus directory plus the hit histogram that was
 /// current when it was saved — the `.grdir` sidecar's contents.
@@ -54,8 +67,13 @@ struct DirSidecar {
   std::vector<uint64_t> histogram;  ///< per-shard hits at save time
 };
 
-/// \brief Sidecar path for `corpus` inside `cache_dir` (the empty
-/// corpus name maps to "_default", mirroring the tier's layout).
+/// \brief The SSD tier's own directory for `corpus` inside `cache_dir`
+/// (the empty corpus name maps to "_default").
+std::string CorpusCacheDir(const std::string& cache_dir,
+                           const std::string& corpus);
+
+/// \brief Sidecar path for `corpus`: CorpusCacheDir plus ".grdir", a
+/// sibling of the tier's directory.
 std::string DirSidecarPath(const std::string& cache_dir,
                            const std::string& corpus);
 
@@ -77,11 +95,11 @@ Result<DirSidecar> ParseDirSidecar(ByteSpan bytes);
 /// the path.
 Result<DirSidecar> LoadDirSidecar(const std::string& path);
 
-/// \brief Server-side placement engine: ranks every (corpus, shard)
-/// pair by its hit count, greedily fills the byte budget hot-first,
-/// and pins/unpins registry payload spans to match. Also maintains
-/// each Corpus' shard_pinned flags so the STATS verb can report the
-/// placement to clients.
+/// \brief Server-side placement engine: plans the hot (corpus, shard)
+/// pairs with PlanByHeat under the byte budget, and pins/unpins
+/// registry payload spans to match. Also maintains each Corpus'
+/// shard_pinned flags so the STATS verb can report the placement to
+/// clients.
 ///
 /// Thread-safe: connection threads may call Refresh concurrently with
 /// each other and with stats readers (the registry is frozen, the

@@ -417,6 +417,12 @@ Status SplitTarget(const std::string& target, std::string* host_port,
           "remote target \"" + target +
           "\" has more than one '/'; expected host:port[/corpus]");
     }
+    // The corpus name also names its SSD-tier directory.
+    if (*corpus == "." || *corpus == "..") {
+      return Status::InvalidArgument("remote target \"" + target +
+                                     "\" names corpus \"" + *corpus +
+                                     "\", which is not a file name");
+    }
   }
   std::string host;
   uint16_t port = 0;
@@ -551,16 +557,17 @@ Result<std::unique_ptr<shard::ShardedRep>> OpenRemoteContainer(
   if (histogram.size() != dir.rows.size()) histogram.clear();
 
   if (!options.ssd_cache_dir.empty()) {
+    // The tier plans by the same histogram: it owns one directory per
+    // corpus, next to that corpus' sidecar.
     TieredShardSource::Options tier_options;
-    tier_options.cache_dir = options.ssd_cache_dir;
+    tier_options.cache_dir = CorpusCacheDir(options.ssd_cache_dir, corpus);
     tier_options.max_bytes = options.ssd_cache_bytes;
-    auto tiered =
-        TieredShardSource::Create(std::move(stack), dir.rows, tier_options);
+    auto tiered = TieredShardSource::Create(std::move(stack), dir.rows,
+                                            histogram, tier_options);
     if (!tiered.ok()) return tiered.status();
     stack = std::move(tiered).ValueOrDie();
     if (save_sidecar) {
-      // After Create so the cache directory exists. The tier's disk
-      // scan ignores .grdir strangers.
+      // After Create so the cache directory exists.
       sidecar.histogram = histogram;
       sidecar.histogram_epoch = histogram_epoch;
       SaveDirSidecar(DirSidecarPath(options.ssd_cache_dir, corpus),

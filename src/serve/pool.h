@@ -198,12 +198,14 @@ struct OpenOptions {
   int io_timeout_ms = 30000;
   /// Connections in the multiplexed pool (clamped to [1, 64]).
   int pool_size = 4;
-  /// When non-empty, a TieredShardSource backed by this directory is
-  /// stacked over the pool (see src/serve/tiered.h): shards are cached
-  /// checksummed and served from it on later faults, including after
-  /// the server goes away.
+  /// When non-empty, a TieredShardSource is stacked over the pool
+  /// (see src/serve/tiered.h). It owns the subdirectory named after
+  /// the corpus ("_default" for the empty name): the shards its heat
+  /// plan picks are cached checksummed there and served from it on
+  /// later faults, including after the server goes away.
   std::string ssd_cache_dir;
-  /// Byte budget of the SSD cache (LRU).
+  /// Byte budget of the SSD cache, per corpus: the tier caches the
+  /// shards PlanByHeat fits into it, hottest first.
   uint64_t ssd_cache_bytes = 256ull << 20;
   /// Open-time warming: rank shards by the best histogram available
   /// (the persisted `.grdir` sidecar's, or a fresh STATS snapshot

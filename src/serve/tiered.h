@@ -2,23 +2,32 @@
 // stacked over any inner ShardSource, so a frontend fleet faults each
 // shard across the WAN once and serves it from local disk after that.
 //
-// Layout: one content-addressed file per cached shard,
-// "<hex payload checksum>-<length>.shard", in a flat cache directory,
-// plus an in-memory LRU index (seeded from the directory at Create, so
-// a warm cache survives process restarts — and even the server being
-// gone). Content addressing makes the cache corpus-agnostic and
-// self-verifying: the filename commits to the checksum, and every read
-// is re-hashed against it before the bytes are served, so a corrupt or
-// truncated cache file fails closed — it is deleted, counted, and the
-// fetch falls through to the inner source.
+// Residency is a plan, fixed at Create: PlanByHeat (placement.h) fills
+// the byte budget with the shards the corpus' hit histogram ranks
+// hottest, then the cold ones in id order — the same rule the server
+// pins by. With no histogram every shard is cold, so a cold start with
+// room still caches every shard. A planned shard is read from disk and
+// verified (a warm hit), or else fetched from the inner source and
+// written; an unplanned shard always goes to the inner source. The
+// plan never changes after Create, so the tier holds no index and no
+// lock: only its four counters move.
 //
-// Writes are crash-safe: the payload goes through WriteFileBytesAtomic
-// (a ".tmp" sibling rename(2)d into place — the helper this cache
-// pioneered, now hoisted into src/util/mmap_file.h), so a crash
-// mid-write leaves at worst a tmp file (ignored and eventually
-// overwritten), never a truncated cache entry under the real name. A
-// byte budget is enforced LRU: inserting past the budget evicts the
-// stalest entries' files.
+// Layout: the tier owns one directory per corpus, holding one
+// content-addressed file per planned shard,
+// "<hex payload checksum>-<length>.shard". Create deletes every other
+// ".shard" file there (counted as evictions); ".tmp" leftovers and
+// other files are left alone. So after Create, and after every fetch,
+// the directory holds at most the budget, and a shard larger than the
+// whole budget is never cached. A warm directory survives process
+// restarts, and even the server being gone. The filename commits to
+// the checksum, and every read is re-hashed against it before the
+// bytes are served, so a corrupt or truncated cache file fails closed:
+// it is deleted, counted, and the fetch falls through to the inner
+// source.
+//
+// Writes go through WriteFileBytesAtomic (a ".tmp" sibling renamed
+// into place), so a crash mid-write never leaves a truncated file
+// under the real name.
 //
 // Counters (cold fetches, warm hits, corrupt drops, evictions) flow
 // into QueryStats through the AddStats seam, and the inner source's
@@ -30,15 +39,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/shard/sharded_codec.h"
 #include "src/util/status.h"
-#include "src/util/sync.h"
 
 namespace grepair {
 namespace serve {
@@ -46,23 +52,24 @@ namespace serve {
 class TieredShardSource : public shard::ShardSource {
  public:
   struct Options {
-    std::string cache_dir;              ///< created if missing
-    uint64_t max_bytes = 256ull << 20;  ///< LRU byte budget
+    std::string cache_dir;              ///< the corpus' own; created if missing
+    uint64_t max_bytes = 256ull << 20;  ///< byte budget of the plan
   };
 
   /// \brief Stacks a cache at `options.cache_dir` over `inner`. `rows`
   /// is the corpus' parsed directory (per-shard lengths + checksums —
-  /// the content addresses). The directory is created if missing and
-  /// scanned to seed the LRU with already-cached shards.
+  /// the content addresses); `heat` is its hit histogram (empty, or
+  /// one count per row). Plans the resident shards with PlanByHeat and
+  /// deletes every unplanned ".shard" file in the directory.
   static Result<std::shared_ptr<TieredShardSource>> Create(
       std::shared_ptr<shard::ShardSource> inner,
-      const std::vector<shard::ShardDirEntry>& rows, const Options& options);
+      const std::vector<shard::ShardDirEntry>& rows,
+      const std::vector<uint64_t>& heat, const Options& options);
 
   const char* kind() const override { return "tiered-ssd"; }
 
   Result<ByteSpan> FetchShard(size_t shard,
-                              std::vector<uint8_t>* owned) override
-      GREPAIR_LOCKS_EXCLUDED(mu_);
+                              std::vector<uint8_t>* owned) override;
 
   // Advise calls are about the inner source's own storage.
   uint64_t AdviseShard(size_t shard) override {
@@ -74,39 +81,18 @@ class TieredShardSource : public shard::ShardSource {
   void AddStats(api::QueryStats* stats) const override;
 
  private:
-  TieredShardSource(std::shared_ptr<shard::ShardSource> inner,
-                    std::string cache_dir, uint64_t max_bytes)
-      : inner_(std::move(inner)),
-        cache_dir_(std::move(cache_dir)),
-        max_bytes_(max_bytes) {}
+  explicit TieredShardSource(std::shared_ptr<shard::ShardSource> inner)
+      : inner_(std::move(inner)) {}
 
-  Status SeedFromDisk() GREPAIR_LOCKS_EXCLUDED(mu_);
-  std::string PathFor(size_t shard) const;
-  /// Registers `filename` (size `bytes`) as most-recently-used and
-  /// evicts past the budget.
-  void InsertLocked(const std::string& filename, uint64_t bytes)
-      GREPAIR_REQUIRES(mu_);
-  void TouchLocked(const std::string& filename) GREPAIR_REQUIRES(mu_);
-  void EraseLocked(const std::string& filename) GREPAIR_REQUIRES(mu_);
+  /// True when `bytes` are what the corpus directory promised.
+  bool Matches(size_t shard, ByteSpan bytes) const;
 
   std::shared_ptr<shard::ShardSource> inner_;
-  std::string cache_dir_;
-  uint64_t max_bytes_ = 0;
-
-  // Content addresses, precomputed from the directory rows.
-  std::vector<std::string> filenames_;  // "" for edgeless shards
+  // Per shard: the cache file path ("" when unplanned) and the content
+  // address, all fixed at Create.
+  std::vector<std::string> paths_;
   std::vector<uint64_t> lengths_;
   std::vector<uint64_t> checksums_;
-
-  mutable Mutex mu_;  // guards the LRU index
-  // Front = most recent. The map's value is (LRU position, file size).
-  struct IndexEntry {
-    std::list<std::string>::iterator lru_it;
-    uint64_t bytes = 0;
-  };
-  std::list<std::string> lru_ GREPAIR_GUARDED_BY(mu_);
-  std::unordered_map<std::string, IndexEntry> index_ GREPAIR_GUARDED_BY(mu_);
-  uint64_t total_bytes_ GREPAIR_GUARDED_BY(mu_) = 0;
 
   mutable std::atomic<uint64_t> stat_warm_hits_{0};
   mutable std::atomic<uint64_t> stat_cold_fetches_{0};

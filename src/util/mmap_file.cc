@@ -5,6 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #if defined(_WIN32)
 #define GREPAIR_HAVE_MMAP 0
@@ -221,6 +223,16 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 }
 
 Status WriteFileBytesAtomic(const std::string& path, ByteSpan bytes) {
+  // Replace regular files only: the rename would swap a FIFO, device
+  // node or symlink itself for a plain file.
+  std::error_code ec;
+  std::filesystem::file_status target =
+      std::filesystem::symlink_status(path, ec);
+  if (std::filesystem::exists(target) &&
+      !std::filesystem::is_regular_file(target)) {
+    return Status::InvalidArgument("cannot write " + path +
+                                   ": not a regular file");
+  }
   // The counter keeps concurrent writers to the same destination from
   // clobbering each other's temporaries; rename serializes who wins.
   static std::atomic<uint64_t> tmp_counter{0};

@@ -94,9 +94,12 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 /// temporary sibling first and are rename(2)d over `path` only after a
 /// flushed, full-length close, so readers never observe a torn file —
 /// they see either the old contents or the new, never a prefix. The
-/// temporary is removed on any failure. Errors name the path. Every
-/// container/sidecar writer in the tree funnels through here (hoisted
-/// from the tiered SSD cache, which pioneered the tmp+rename dance).
+/// temporary is removed on any failure. An existing `path` must be a
+/// regular file (lstat(2), so a symlink does not qualify): a FIFO,
+/// device node, directory or symlink fails with kInvalidArgument and
+/// is left intact. Not durable: nothing is fsync'd. Errors name the
+/// path. Every container, sidecar and SSD-tier writer in the tree
+/// funnels through here.
 Status WriteFileBytesAtomic(const std::string& path, ByteSpan bytes);
 
 /// \brief Status-ful whole-file write; errors name the path. Atomic:

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -1313,6 +1314,40 @@ TEST(DynamicCorpusTest, AtomicWritesLeaveNoTornOrStrayFiles) {
   // The legacy entry point routes through the same atomic path.
   ASSERT_TRUE(WriteFileBytes(target, old_bytes).ok());
   EXPECT_EQ(ReadFileBytes(target).ValueOrDie(), old_bytes);
+}
+
+// The rename at the end of an atomic write replaces whatever node the
+// path names, so a target that is not a regular file (a FIFO, or a
+// symlink — the same holds for a device node) must fail closed and be
+// left as it was, with no temporary left behind.
+TEST(DynamicCorpusTest, AtomicWritesRefuseNonRegularTargets) {
+  namespace fs = std::filesystem;
+  ScratchDir scratch("atomic_nonregular");
+  std::string fifo = scratch.path + "/out.fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  std::string real = scratch.path + "/real.bin";
+  std::vector<uint8_t> real_bytes(64, 0xCC);
+  ASSERT_TRUE(WriteFileBytesAtomic(real, SpanOf(real_bytes)).ok());
+  std::string link = scratch.path + "/link.bin";
+  fs::create_symlink(real, link);
+
+  std::vector<uint8_t> bytes(379, 0xDD);
+  for (const std::string& target : {fifo, link}) {
+    Status status = WriteFileBytesAtomic(target, SpanOf(bytes));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << target;
+    EXPECT_NE(status.ToString().find(target), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_TRUE(fs::is_fifo(fs::symlink_status(fifo)));
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+  EXPECT_EQ(fs::read_symlink(link), fs::path(real));
+  EXPECT_EQ(ReadFileBytes(real).ValueOrDie(), real_bytes);
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(scratch.path)) {
+    names.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(names,
+            (std::set<std::string>{"out.fifo", "real.bin", "link.bin"}));
 }
 
 // A freshly compressed rep is the rep its own GRSHARD2 bytes open to:

@@ -538,6 +538,13 @@ TEST(AddressParsing, SplitTargetKeepsIpv6Brackets) {
   ASSERT_TRUE(ParseHostPort(host_port, &host, &port).ok());
   EXPECT_EQ(host, "::1");
   EXPECT_EQ(port, 9000);
+
+  // "." and ".." would name a directory outside the SSD tier's own.
+  for (const char* target : {"[::1]:9000/.", "[::1]:9000/.."}) {
+    EXPECT_EQ(serve::SplitTarget(target, &host_port, &corpus).code(),
+              StatusCode::kInvalidArgument)
+        << target;
+  }
 }
 
 TEST_F(NetFaultTest, StopUnblocksSilentConnections) {

@@ -1,6 +1,7 @@
 // The placement layer end to end: RankByHeat's deterministic ordering,
-// the `.grdir` sidecar envelope (v2 with histogram + epoch, fail-closed
-// on damage and on the retired v1 envelope), the server-side
+// PlanByHeat's budget fill (the one residency rule), the `.grdir`
+// sidecar envelope (v2 with histogram + epoch, fail-closed on damage
+// and on the retired v1 envelope), the server-side
 // PlacementController's budgeted pin set and its STATS-visible flags,
 // the STATS body round-trip carrying epoch + pinned flags, and the
 // sidecar a remote open persists.
@@ -68,6 +69,25 @@ TEST(PlacementTest, RankByHeatOrdersByHitsThenIdAndDropsCold) {
             (std::vector<size_t>{2, 5, 0, 3}));
   EXPECT_TRUE(serve::RankByHeat({}).empty());
   EXPECT_TRUE(serve::RankByHeat({0, 0, 0}).empty());
+}
+
+TEST(PlacementTest, PlanByHeatFillsHotThenColdUnderTheBudget) {
+  // Hot shards by hits descending (ties by id), then cold ones in id
+  // order; zero-length shards never enter the plan.
+  std::vector<uint64_t> heat = {0, 4, 0, 9, 4, 0, 0};
+  std::vector<uint64_t> lengths = {10, 10, 10, 10, 10, 0, 10};
+  EXPECT_EQ(serve::PlanByHeat(heat, lengths, 1000),
+            (std::vector<size_t>{3, 1, 4, 0, 2, 6}));
+  // An empty histogram makes every shard cold: id order.
+  EXPECT_EQ(serve::PlanByHeat({}, lengths, 1000),
+            (std::vector<size_t>{0, 1, 2, 3, 4, 6}));
+  // A shard that would overflow is skipped, not a stopper: 3 (hottest,
+  // 60 bytes) fits, 1 (50) would overflow, 4 (30) still fits.
+  std::vector<uint64_t> sizes = {40, 50, 10, 60, 30};
+  EXPECT_EQ(serve::PlanByHeat({0, 8, 0, 9, 7}, sizes, 100),
+            (std::vector<size_t>{3, 4, 2}));
+  // Budget 0 plans nothing.
+  EXPECT_TRUE(serve::PlanByHeat(heat, lengths, 0).empty());
 }
 
 TEST(PlacementTest, DirSidecarV2RoundTripAndFailClosed) {

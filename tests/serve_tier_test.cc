@@ -3,7 +3,8 @@
 // to local opens of the same containers, under 8-thread interleaved
 // load; the SSD shard tier must keep answering with the server gone,
 // fail closed on corrupt or truncated cache files (refetching
-// remotely), and honor its LRU byte budget; the redial backoff gate
+// remotely), and keep exactly its heat plan under the byte budget, in
+// a directory per corpus; the redial backoff gate
 // must fail fast and name the dead peer; corpus discovery and the
 // GRNF STATS verb round-trip. Runs under the ASan/UBSan and TSan CI
 // legs — the interleaved-tenant test doubles as the data-race net for
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "src/api/grepair_api.h"
@@ -24,6 +26,7 @@
 #include "src/serve/server.h"
 #include "src/serve/stats.h"
 #include "src/serve/tiered.h"
+#include "src/util/hashing.h"
 
 namespace grepair {
 namespace {
@@ -61,11 +64,13 @@ struct ScratchDir {
   std::string path;
 };
 
-// Bytes the shard tier holds on disk (the .grdir directory sidecar
-// is bookkeeping, not cached payload, and sits outside the budget).
+// Bytes the shard tier holds on disk, in every corpus directory under
+// `dir` (the .grdir directory sidecar is bookkeeping, not cached
+// payload, and sits outside the budget).
 uint64_t DiskBytes(const std::string& dir) {
   uint64_t total = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
     if (entry.is_regular_file() && entry.path().extension() == ".shard") {
       total += entry.file_size();
     }
@@ -80,6 +85,36 @@ std::vector<shard::ShardDirEntry> DirectoryRows(
   auto parsed = shard::ParseContainer(SpanOf(container));
   EXPECT_TRUE(parsed.ok());
   return std::move(parsed).ValueOrDie().dir.rows;
+}
+
+// The tier's content-addressed file name for a shard.
+std::string CacheName(const shard::ShardDirEntry& row) {
+  return HexU64(row.checksum) + "-" + std::to_string(row.length) + ".shard";
+}
+
+// Names of the `.shard` files anywhere under `dir`.
+std::set<std::string> ShardFiles(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() == ".shard") {
+      names.insert(entry.path().filename().string());
+    }
+  }
+  return names;
+}
+
+// The tier's plan for `rows` under `budget` and `heat`, as file names.
+std::set<std::string> PlannedFiles(
+    const std::vector<shard::ShardDirEntry>& rows,
+    const std::vector<uint64_t>& heat, uint64_t budget) {
+  std::vector<uint64_t> lengths;
+  for (const auto& row : rows) lengths.push_back(row.length);
+  std::set<std::string> names;
+  for (size_t s : serve::PlanByHeat(heat, lengths, budget)) {
+    names.insert(CacheName(rows[s]));
+  }
+  return names;
 }
 
 size_t CountDataShards(const std::vector<shard::ShardDirEntry>& rows) {
@@ -416,7 +451,7 @@ TEST(ServeTierTest, CorruptOrTruncatedCacheFilesFailClosedAndRefetch) {
   // re-hash, deleted, and refetched from the server.
   size_t vandalized = 0;
   for (const auto& entry :
-       std::filesystem::directory_iterator(options.ssd_cache_dir)) {
+       std::filesystem::recursive_directory_iterator(options.ssd_cache_dir)) {
     if (!entry.is_regular_file()) continue;
     if (entry.path().extension() != ".shard") continue;  // dir sidecar
     std::string path = entry.path().string();
@@ -458,8 +493,11 @@ TEST(ServeTierTest, CorruptOrTruncatedCacheFilesFailClosedAndRefetch) {
   EXPECT_EQ(repaired.value()->query_stats().remote_fetches, 0u);
 }
 
-TEST(ServeTierTest, LruEvictionHonorsTheByteBudget) {
-  ScratchDir scratch("lru");
+// The tier caches exactly PlanByHeat's shards: a full pass leaves the
+// plan on disk within the budget, and a second full pass fetches
+// exactly the unplanned shards remotely.
+TEST(ServeTierTest, HeatPlanHonorsTheByteBudget) {
+  ScratchDir scratch("plan");
   GeneratedGraph gg = BarabasiAlbert(140, 3, 103);
   std::vector<uint8_t> bytes = CompressSharded(gg, 6);
   auto truth = LocalTruth(bytes, gg.graph.num_nodes());
@@ -470,27 +508,51 @@ TEST(ServeTierTest, LruEvictionHonorsTheByteBudget) {
     largest = std::max(largest, row.length);
   }
   ASSERT_GT(total, largest * 2) << "need several data shards";
+  size_t data_shards = CountDataShards(rows);
 
   serve::CorpusRegistry registry;
   ASSERT_TRUE(registry.AddBytes("g", SpanOf(bytes)).ok());
   auto server = serve::ShardServer::Start(std::move(registry));
   ASSERT_TRUE(server.ok());
+  std::string peer = server.value()->host_port();
 
   // Budget: room for the largest shard but nowhere near all of them.
   serve::OpenOptions options;
   options.ssd_cache_dir = scratch.path + "/cache";
   options.ssd_cache_bytes = largest + total / 4;
-  auto rep = serve::OpenRemoteContainer(server.value()->host_port(),
-                                        options);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  for (uint64_t v = 0; v < truth.size(); ++v) {
-    auto r = rep.value()->OutNeighbors(v);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r.value(), truth[v]);
+  // The plan an open makes now: the server's histogram under the
+  // budget.
+  auto plan_now = [&] {
+    auto snapshot = serve::FetchServerStats(peer);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    return PlannedFiles(rows, snapshot.value().corpora[0].shard_hits,
+                        options.ssd_cache_bytes);
+  };
+  std::set<std::string> plan = plan_now();
+  ASSERT_GT(plan.size(), 0u);
+  ASSERT_LT(plan.size(), data_shards);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    auto rep = serve::OpenRemoteContainer(peer, options);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    for (uint64_t v = 0; v < truth.size(); ++v) {
+      auto r = rep.value()->OutNeighbors(v);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value(), truth[v]);
+    }
+    auto stats = rep.value()->query_stats();
+    EXPECT_EQ(ShardFiles(options.ssd_cache_dir), plan) << "pass " << pass;
+    EXPECT_LE(DiskBytes(options.ssd_cache_dir), options.ssd_cache_bytes);
+    if (pass == 0) {
+      EXPECT_EQ(stats.remote_fetches, data_shards);
+      // Pass 0 hit every data shard once: the tie keeps the id order,
+      // so the second open plans the same shards.
+      ASSERT_EQ(plan_now(), plan);
+    } else {
+      EXPECT_EQ(stats.tier_warm_hits, plan.size());
+      EXPECT_EQ(stats.remote_fetches, data_shards - plan.size());
+    }
   }
-  auto stats = rep.value()->query_stats();
-  EXPECT_GT(stats.tier_evictions, 0u);
-  EXPECT_LE(DiskBytes(options.ssd_cache_dir), options.ssd_cache_bytes);
 }
 
 TEST(ServeTierTest, DeadPeerFailsFastWithBackoffAndNamesThePeer) {
@@ -541,8 +603,8 @@ TEST(ServeTierTest, DeadPeerFailsFastWithBackoffAndNamesThePeer) {
   EXPECT_LT(stats.pool_redials, 25u);
 }
 
-// Inner source that must never be reached: the seeding tests exercise
-// the cache index alone.
+// Inner source that must never be reached: the Create test exercises
+// the plan and the directory alone.
 class NullShardSource : public shard::ShardSource {
  public:
   const char* kind() const override { return "null"; }
@@ -551,56 +613,69 @@ class NullShardSource : public shard::ShardSource {
   }
 };
 
-// LRU seeding determinism: cache files that share an mtime (coarse
-// filesystem clocks make this common after a bulk warm) must enter the
-// LRU in name order, so which files survive a tighter budget is a
-// function of the directory contents, not readdir order or hash-map
-// iteration. Two seedings over identical files must evict identically.
-TEST(ServeTierTest, SeedFromDiskBreaksMtimeTiesByName) {
-  GeneratedGraph gg = BarabasiAlbert(50, 3, 127);
-  std::vector<uint8_t> bytes = CompressSharded(gg, 2);
-  auto rows = DirectoryRows(bytes);
+// Create owns the corpus directory: it keeps the planned shards' files
+// and deletes every other `.shard` file — unplanned shards of this
+// corpus and stale files of a rebuilt one alike — counting each as an
+// eviction. A `.tmp` leftover is not a cache file and stays. The plan
+// depends on the rows, the heat and the budget only, so two Creates
+// over identical inputs leave identical directories.
+TEST(ServeTierTest, CreateKeepsExactlyThePlannedFiles) {
+  GeneratedGraph gg = BarabasiAlbert(120, 3, 127);
+  auto rows = DirectoryRows(CompressSharded(gg, 6));
+  auto stale_rows = DirectoryRows(CompressSharded(ErdosRenyi(120, 360, 7), 4));
+  std::vector<uint64_t> heat(rows.size(), 0);
+  uint64_t total = 0;
+  std::vector<size_t> data;
+  for (size_t s = 0; s < rows.size(); ++s) {
+    total += rows[s].length;
+    if (rows[s].length > 0) data.push_back(s);
+  }
+  ASSERT_GE(data.size(), 4u);
+  heat[data.back()] = 5;
+  heat[data[1]] = 3;
+  const uint64_t budget = total / 2;
+  std::set<std::string> plan = PlannedFiles(rows, heat, budget);
+  ASSERT_GT(plan.size(), 0u);
+  ASSERT_LT(plan.size(), data.size());
+  const std::string tmp = *plan.begin() + ".tmp7";
 
-  const std::vector<std::string> names = {
-      "0a-64.shard", "0b-64.shard", "0c-64.shard",
-      "0d-64.shard", "0e-64.shard", "0f-64.shard",
-  };
-  auto seed_and_list = [&](const std::string& dir) {
+  auto seed_and_create = [&](const std::string& dir) {
     std::filesystem::create_directories(dir);
     std::vector<uint8_t> blob(64, 0x5a);
-    for (const auto& name : names) {
-      EXPECT_TRUE(WriteFileBytes(dir + "/" + name, blob).ok());
-    }
-    // Force one shared mtime: the tie the sort must break by name.
-    auto stamp = std::filesystem::last_write_time(dir + "/" + names[0]);
-    for (const auto& name : names) {
-      std::filesystem::last_write_time(dir + "/" + name, stamp);
-    }
-    serve::TieredShardSource::Options options;
-    options.cache_dir = dir;
-    options.max_bytes = 3 * 64;  // room for half the files
-    auto tier = serve::TieredShardSource::Create(
-        std::make_shared<NullShardSource>(), rows, options);
-    EXPECT_TRUE(tier.ok()) << tier.status().ToString();
-    EXPECT_EQ(DiskBytes(dir), 3u * 64);  // the surviving .shard files
-    std::vector<std::string> survivors;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (entry.path().extension() == ".shard") {
-        survivors.push_back(entry.path().filename().string());
+    size_t seeded = 0;
+    for (const auto* seed_rows : {&rows, &stale_rows}) {
+      for (const auto& row : *seed_rows) {
+        if (row.length == 0) continue;
+        EXPECT_TRUE(WriteFileBytes(dir + "/" + CacheName(row), blob).ok());
+        ++seeded;
       }
     }
-    std::sort(survivors.begin(), survivors.end());
-    return survivors;
+    EXPECT_TRUE(WriteFileBytes(dir + "/" + tmp, blob).ok());
+    serve::TieredShardSource::Options options;
+    options.cache_dir = dir;
+    options.max_bytes = budget;
+    auto tier = serve::TieredShardSource::Create(
+        std::make_shared<NullShardSource>(), rows, heat, options);
+    EXPECT_TRUE(tier.ok()) << tier.status().ToString();
+    api::QueryStats stats;
+    tier.value()->AddStats(&stats);
+    EXPECT_EQ(stats.tier_evictions, seeded - plan.size());
+    EXPECT_EQ(ShardFiles(dir), plan);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + tmp));
+    std::set<std::string> listing;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      listing.insert(entry.path().filename().string());
+    }
+    return listing;
   };
 
-  ScratchDir scratch_a("seed_tie_a");
-  ScratchDir scratch_b("seed_tie_b");
-  auto first = seed_and_list(scratch_a.path + "/cache");
-  auto second = seed_and_list(scratch_b.path + "/cache");
-  // Ties insert in ascending name order, so the lexicographically
-  // largest names are most-recently-used and survive the budget.
-  EXPECT_EQ(first, (std::vector<std::string>{"0d-64.shard", "0e-64.shard",
-                                             "0f-64.shard"}));
+  ScratchDir scratch_a("create_a");
+  ScratchDir scratch_b("create_b");
+  auto first = seed_and_create(scratch_a.path + "/cache");
+  auto second = seed_and_create(scratch_b.path + "/cache");
+  std::set<std::string> expected = plan;
+  expected.insert(tmp);
+  EXPECT_EQ(first, expected);
   EXPECT_EQ(second, first);
 }
 
@@ -608,8 +683,9 @@ TEST(ServeTierTest, SeedFromDiskBreaksMtimeTiesByName) {
 // (the prefetch pool's MADV_WILLNEED hint plus fault per shard) with
 // point queries on one shared mmap-backed rep. Then the same thread
 // shape drives a budget-constrained SSD tier, so prefetch faults
-// through the tier race LRU eviction. Answers must stay
-// byte-identical throughout. Runs under the TSan CI leg.
+// through the tier race its planned-shard reads and writes and its
+// unplanned pass-throughs. Answers must stay byte-identical
+// throughout. Runs under the TSan CI leg.
 TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   ScratchDir scratch("pin_stress");
   GeneratedGraph gg = BarabasiAlbert(140, 3, 137);
@@ -660,14 +736,14 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  // --- Tiered leg: tier prefetch racing LRU eviction ---------------
+  // --- Tiered leg: tier prefetch racing planned writes -------------
   serve::CorpusRegistry registry;
   ASSERT_TRUE(registry.AddBytes("g", SpanOf(bytes)).ok());
   auto server = serve::ShardServer::Start(std::move(registry));
   ASSERT_TRUE(server.ok());
   serve::OpenOptions options;
   options.ssd_cache_dir = scratch.path + "/cache";
-  options.ssd_cache_bytes = largest + total / 4;  // forces evictions
+  options.ssd_cache_bytes = largest + total / 4;  // plans a subset
   auto remote = serve::OpenRemoteContainer(server.value()->host_port(),
                                            options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
@@ -678,7 +754,7 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < 2; ++t) {
-      threads.emplace_back([&] {  // tier warms race evictions
+      threads.emplace_back([&] {  // tier warms race planned writes
         for (int i = 0; i < 10; ++i) {
           tiered_rep->Prefetch(all_shards);
           tiered_rep->WaitForPrefetch();
@@ -818,9 +894,9 @@ TEST(ServeTierTest, StaleSidecarFailsClosedOnRebuiltCorpus) {
 }
 
 // Regression: dropping a corrupt cache file and refetching its shard
-// must release the dead file's bytes from the LRU accounting. With a
-// budget of exactly the corpus size, a leak double-counts every
-// refetched shard and forces spurious evictions.
+// must keep the tier's footprint exact. With a budget of exactly the
+// corpus size every shard is planned, so a refetch replaces its dead
+// file and evicts nothing.
 TEST(ServeTierTest, RefetchAfterCorruptionKeepsByteAccountingExact) {
   ScratchDir scratch("refetch");
   GeneratedGraph gg = BarabasiAlbert(90, 3, 139);
@@ -851,7 +927,7 @@ TEST(ServeTierTest, RefetchAfterCorruptionKeepsByteAccountingExact) {
   }
   size_t vandalized = 0;
   for (const auto& entry :
-       std::filesystem::directory_iterator(options.ssd_cache_dir)) {
+       std::filesystem::recursive_directory_iterator(options.ssd_cache_dir)) {
     if (!entry.is_regular_file()) continue;
     if (entry.path().extension() != ".shard") continue;
     auto cached = ReadFileBytes(entry.path().string());
