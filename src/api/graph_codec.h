@@ -117,7 +117,8 @@ struct QueryStats {
   // Connection-pool counters (serve::RemoteShardSource).
   uint64_t pool_dials = 0;          ///< TCP connects (incl. redials)
   uint64_t pool_redials = 0;        ///< reconnects after a broken link
-  uint64_t pool_peak_in_flight = 0; ///< max concurrent tagged requests
+  uint64_t pool_peak_in_flight = 0; ///< max concurrent shard fetches
+                                    ///< (at most pool_size)
   // Tiered SSD-cache counters (serve::TieredShardSource).
   uint64_t tier_warm_hits = 0;      ///< shards served from the SSD cache
   uint64_t tier_cold_fetches = 0;   ///< shards fetched from the inner

@@ -8,7 +8,8 @@
 // The target is "host:port[/corpus]" — the corpus name may be omitted
 // when the server hosts a single corpus. The returned rep is the lazy
 // sharded rep: the directory is fetched at open, each cold shard
-// faults over a multiplexed connection pool on first touch
+// faults over a connection pool on first touch, one request per
+// connection at a time, each round trip bounded by io_timeout_ms
 // (checksum-verified like a local fault), and the prefetch pool, query
 // caches and QueryStats counters work unchanged —
 // remote_fetches/remote_bytes say what crossed the wire, the pool_*

@@ -13,11 +13,11 @@
 // Any other version byte or type fails closed as kCorruption. Types
 // start at 6: 1-5 belonged to the retired GRNF v1 and stay unassigned.
 //
-// The protocol is multi-tenant and multiplexed (see src/net/README.md
-// for the full spec). A connection opens with a synchronous handshake,
-// then any number of tagged requests may be in flight concurrently;
-// every post-handshake body starts with a u64 request id the server echoes
-// verbatim so responses can arrive out of order:
+// The protocol is multi-tenant (see src/net/README.md for the full
+// spec). A connection opens with a synchronous handshake, then carries
+// tagged requests, answered in order; every post-handshake body starts
+// with a u64 request id the server echoes verbatim, which the client
+// checks against the request it sent:
 //
 //   kHello      c->s  u32 highest protocol version the client speaks
 //   kHelloOk    s->c  u32 negotiated version + u32 corpus count

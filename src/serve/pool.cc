@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/net/frame.h"
 #include "src/serve/placement.h"
 #include "src/serve/stats.h"
 #include "src/serve/tiered.h"
@@ -12,7 +13,15 @@
 namespace grepair {
 namespace serve {
 
-using net::Frame;
+namespace {
+
+// Redial backoff bounds: the gate starts at kBackoffBaseMs after the
+// first failed dial and doubles up to kBackoffMaxMs, with jitter in
+// [delay/2, delay].
+constexpr int kBackoffBaseMs = 25;
+constexpr int kBackoffMaxMs = 2000;
+
+}  // namespace
 
 RemoteShardSource::RemoteShardSource(std::string peer, std::string corpus,
                                      const Options& options)
@@ -36,24 +45,16 @@ Result<std::shared_ptr<RemoteShardSource>> RemoteShardSource::Connect(
   // The first slot's dial doubles as the directory fetch: the
   // handshake's kCorpusDir response is parsed into directory_ (the
   // shard_lengths_ table is still empty, so no cross-check yet).
-  GREPAIR_RETURN_IF_ERROR(source->EnsureConnected(source->conns_[0].get()));
+  {
+    Conn* first = source->conns_[0].get();
+    MutexLock lock(first->mu);
+    GREPAIR_RETURN_IF_ERROR(source->Dial(first));
+  }
   source->shard_lengths_.reserve(source->directory_.rows.size());
   for (const auto& row : source->directory_.rows) {
     source->shard_lengths_.push_back(row.length);
   }
   return source;
-}
-
-RemoteShardSource::~RemoteShardSource() {
-  // Break every connection (unparking reader threads and any stray
-  // waiters), then join the readers.
-  for (auto& conn : conns_) {
-    FailConnection(conn.get(),
-                   Status::Unavailable("remote source shutting down"));
-  }
-  for (auto& conn : conns_) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
 }
 
 shard::ParsedDirectory RemoteShardSource::TakeDirectory() {
@@ -99,17 +100,26 @@ void RemoteShardSource::GateRecordSuccess() {
   gate_last_error_.clear();
 }
 
-Status RemoteShardSource::DialAndHandshake(Socket* socket,
-                                           uint32_t* corpus_id) {
+Status RemoteShardSource::Dial(Conn* conn) {
+  GREPAIR_RETURN_IF_ERROR(GateCheck());
+  // Handshake, then open (or re-resolve) the corpus; every reply ships
+  // the raw directory bytes.
   auto dialed = DialServer(peer_, io_timeout_ms_);
-  if (!dialed.ok()) return dialed.status();
-  // Open (or re-resolve) the corpus; every reply ships the raw
-  // directory bytes.
-  auto opened =
-      OpenCorpus(&dialed.value(), peer_,
-                 next_req_id_.fetch_add(1, std::memory_order_relaxed),
-                 corpus_);
-  if (!opened.ok()) return opened.status();
+  Result<CorpusDirReply> opened =
+      dialed.ok()
+          ? OpenCorpus(&dialed.value(), peer_,
+                       next_req_id_.fetch_add(1, std::memory_order_relaxed),
+                       corpus_)
+          : Result<CorpusDirReply>(dialed.status());
+  if (!opened.ok()) {
+    // Only transport-level failures close the gate: a served error
+    // (unknown corpus, say) means the server is alive and answering.
+    if (opened.status().code() == StatusCode::kUnavailable) {
+      GateRecordFailure(opened.status().message());
+    }
+    return opened.status();
+  }
+  GateRecordSuccess();
   CorpusDirReply& reply = opened.value();
   if (shard_lengths_.empty()) {
     // First dial (single-threaded Connect): parse the directory with
@@ -143,112 +153,14 @@ Status RemoteShardSource::DialAndHandshake(Socket* socket,
           "different data?); reopen the remote container");
     }
   }
-  *corpus_id = reply.corpus_id;
-  *socket = std::move(dialed).ValueOrDie();
-  return Status::OK();
-}
-
-Status RemoteShardSource::EnsureConnected(Conn* conn) {
-  {
-    MutexLock lock(conn->mu);
-    if (conn->connected) return Status::OK();
-  }
-  MutexLock dial_lock(conn->dial_mu);
-  {
-    MutexLock lock(conn->mu);
-    if (conn->connected) return Status::OK();  // raced with another dialer
-    conn->socket.ShutdownBoth();
-  }
-  // The old reader (if any) is parked on a dead socket; collect it
-  // before replacing the socket it reads from.
-  if (conn->reader.joinable()) conn->reader.join();
-  GREPAIR_RETURN_IF_ERROR(GateCheck());
-  Socket fresh;
-  uint32_t corpus_id = 0;
-  Status dialed = DialAndHandshake(&fresh, &corpus_id);
-  if (!dialed.ok()) {
-    // Only transport-level failures close the gate: a served error
-    // (unknown corpus, say) means the server is alive and answering.
-    if (dialed.code() == StatusCode::kUnavailable) {
-      GateRecordFailure(dialed.message());
-    }
-    return dialed;
-  }
-  GateRecordSuccess();
   stat_dials_.fetch_add(1, std::memory_order_relaxed);
-  bool redial;
-  {
-    MutexLock lock(conn->mu);
-    redial = conn->ever_connected;
-    conn->socket = std::move(fresh);
-    conn->connected = true;
-    conn->ever_connected = true;
-    conn->corpus_id = corpus_id;
+  if (conn->ever_connected) {
+    stat_redials_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (redial) stat_redials_.fetch_add(1, std::memory_order_relaxed);
-  conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+  conn->socket = std::move(dialed).ValueOrDie();
+  conn->ever_connected = true;
+  conn->corpus_id = reply.corpus_id;
   return Status::OK();
-}
-
-void RemoteShardSource::FailConnection(Conn* conn, const Status& status) {
-  std::vector<std::shared_ptr<Pending>> parked;
-  {
-    MutexLock lock(conn->mu);
-    conn->connected = false;
-    conn->socket.ShutdownBoth();
-    parked.reserve(conn->pending.size());
-    for (auto& entry : conn->pending) parked.push_back(entry.second);
-    conn->pending.clear();
-  }
-  for (auto& pending : parked) {
-    MutexLock lock(pending->mu);
-    pending->status = status;
-    pending->done = true;
-    pending->cv.NotifyAll();
-  }
-}
-
-void RemoteShardSource::ReaderLoop(Conn* conn) {
-  for (;;) {
-    auto frame = net::ReadFrame(&conn->socket);
-    if (!frame.ok()) {
-      // Idle timeout, peer close, shutdown from FailConnection, or
-      // malformed bytes: this connection is done. Corruption is
-      // propagated so parked requests fail without a retry — a lying
-      // peer does not get a second chance.
-      Status status =
-          frame.status().code() == StatusCode::kCorruption
-              ? frame.status()
-              : Status::Unavailable("connection to " + peer_ +
-                                    " lost: " + frame.status().message());
-      FailConnection(conn, status);
-      return;
-    }
-    auto req_id = net::FrameRequestId(frame.value());
-    if (!req_id.ok()) {
-      FailConnection(
-          conn, Status::Corruption("shard server sent untagged frame type " +
-                                   std::to_string(frame.value().type) +
-                                   " on a multiplexed connection"));
-      return;
-    }
-    std::shared_ptr<Pending> pending;
-    {
-      MutexLock lock(conn->mu);
-      auto it = conn->pending.find(req_id.value());
-      if (it != conn->pending.end()) {
-        pending = it->second;
-        conn->pending.erase(it);
-      }
-    }
-    // No waiter: the request hit its deadline and was abandoned —
-    // drop the late response on the floor.
-    if (pending == nullptr) continue;
-    MutexLock lock(pending->mu);
-    pending->frame = std::move(frame).ValueOrDie();
-    pending->done = true;
-    pending->cv.NotifyAll();
-  }
 }
 
 Result<ByteSpan> RemoteShardSource::FetchShard(size_t shard,
@@ -261,120 +173,64 @@ Result<ByteSpan> RemoteShardSource::FetchShard(size_t shard,
       conns_[round_robin_.fetch_add(1, std::memory_order_relaxed) %
              conns_.size()]
           .get();
+  MutexLock lock(conn->mu);
+  uint64_t in_flight =
+      stat_in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t peak = stat_peak_in_flight_.load(std::memory_order_relaxed);
+  while (in_flight > peak &&
+         !stat_peak_in_flight_.compare_exchange_weak(
+             peak, in_flight, std::memory_order_relaxed)) {
+  }
+  auto fetched = FetchOnSlot(conn, shard, owned);
+  stat_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return fetched;
+}
+
+Result<ByteSpan> RemoteShardSource::FetchOnSlot(Conn* conn, size_t shard,
+                                                std::vector<uint8_t>* owned) {
   // Every request is a pure read, so a transport failure is retried
   // exactly once on a fresh connection (servers reap idle peers; a
   // redial-and-retry is the difference between surviving that and a
   // permanently broken rep).
   Status transport = Status::OK();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    Status up = EnsureConnected(conn);
-    if (!up.ok()) return up;  // dial failures already name the peer
-    uint64_t req_id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-    auto pending = std::make_shared<Pending>();
-    uint32_t corpus_id = 0;
-    {
-      MutexLock lock(conn->mu);
-      if (!conn->connected) {
-        transport = Status::Unavailable("connection to " + peer_ +
-                                        " broke before the request left");
-        continue;
+    if (!conn->socket.valid()) {
+      Status up = Dial(conn);
+      if (!up.ok()) return up;  // dial failures already name the peer
+    }
+    std::vector<uint8_t> operands;
+    PutU32LE(conn->corpus_id, &operands);
+    PutU32LE(static_cast<uint32_t>(shard), &operands);
+    auto reply = CallServer(
+        &conn->socket, peer_, net::kGetShard2,
+        next_req_id_.fetch_add(1, std::memory_order_relaxed),
+        SpanOf(operands), net::kShard2);
+    if (!reply.ok()) {
+      StatusCode code = reply.status().code();
+      // A served error is a per-request failure: the stream stays in
+      // sync, later requests may succeed. Transport failures and
+      // corruption leave it unusable.
+      if (code != StatusCode::kUnavailable &&
+          code != StatusCode::kCorruption) {
+        return reply.status();
       }
-      corpus_id = conn->corpus_id;
-      conn->pending.emplace(req_id, pending);
-    }
-    uint64_t in_flight =
-        stat_in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t peak = stat_peak_in_flight_.load(std::memory_order_relaxed);
-    while (in_flight > peak &&
-           !stat_peak_in_flight_.compare_exchange_weak(
-               peak, in_flight, std::memory_order_relaxed)) {
-    }
-    std::vector<uint8_t> request;
-    request.reserve(16);
-    PutU64LE(req_id, &request);
-    PutU32LE(corpus_id, &request);
-    PutU32LE(static_cast<uint32_t>(shard), &request);
-    Status sent;
-    {
-      MutexLock send_lock(conn->send_mu);
-      sent = net::WriteFrame(&conn->socket, net::kGetShard2,
-                             SpanOf(request));
-    }
-    if (!sent.ok()) {
-      stat_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      FailConnection(conn, Status::Unavailable("request to " + peer_ +
-                                               " failed: " + sent.message()));
-      transport = Status::Unavailable("request to " + peer_ +
-                                      " failed: " + sent.message());
+      conn->socket.Close();
+      if (code == StatusCode::kCorruption) return reply.status();
+      transport = reply.status();
       continue;
     }
-    // The wait is an explicit deadline loop (not a predicate lambda)
-    // so the analysis sees every read of the guarded fields under the
-    // lock; the response is copied out before the lock drops — the
-    // reader thread owned those fields until it flipped `done`.
-    bool done = false;
-    Status response_status = Status::OK();
-    Frame frame;
-    {
-      MutexLock lock(pending->mu);
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(io_timeout_ms_);
-      while (!pending->done) {
-        if (!pending->cv.WaitUntil(lock, deadline)) break;  // timeout
-      }
-      done = pending->done;
-      if (done) {
-        response_status = pending->status;
-        frame = std::move(pending->frame);
-      }
-    }
-    stat_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    if (!done) {
-      // Deadline missed: abandon the slot (the reader drops any late
-      // response) and break the connection — a stalled server stalls
-      // every request it holds.
-      {
-        MutexLock lock(conn->mu);
-        conn->pending.erase(req_id);
-      }
-      transport = Status::Unavailable(
-          "request to " + peer_ + " missed its " +
-          std::to_string(io_timeout_ms_) + "ms deadline");
-      FailConnection(conn, transport);
-      continue;
-    }
-    if (!response_status.ok()) {
-      if (response_status.code() == StatusCode::kUnavailable) {
-        transport = response_status;
-        continue;
-      }
-      return response_status;  // corruption: never retried
-    }
-    if (frame.type == net::kError2) {
-      // A served error is a per-request failure, not a transport one:
-      // the stream stays in sync, later requests may succeed.
-      return net::DecodeErrorBody2(SpanOf(frame.body));
-    }
-    if (frame.type != net::kShard2) {
-      Status status = Status::Corruption(
-          "shard server sent frame type " + std::to_string(frame.type) +
-          " where " + std::to_string(net::kShard2) + " was expected");
-      FailConnection(conn, status);
-      return status;
-    }
-    ByteSource body(SpanOf(frame.body), "shard frame body");
-    uint64_t echoed_req = 0;
+    ByteSource body(SpanOf(reply.value().body), "shard frame body");
     uint32_t echoed_corpus = 0;
     uint32_t echoed_shard = 0;
-    GREPAIR_RETURN_IF_ERROR(body.ReadU64LE(&echoed_req));
+    GREPAIR_RETURN_IF_ERROR(body.Skip(8));  // the request id just checked
     GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&echoed_corpus));
     GREPAIR_RETURN_IF_ERROR(body.ReadU32LE(&echoed_shard));
-    if (echoed_corpus != corpus_id || echoed_shard != shard) {
+    if (echoed_corpus != conn->corpus_id || echoed_shard != shard) {
       return Status::Corruption(
           "shard server returned corpus " + std::to_string(echoed_corpus) +
           " shard " + std::to_string(echoed_shard) + " where corpus " +
-          std::to_string(corpus_id) + " shard " + std::to_string(shard) +
-          " was requested");
+          std::to_string(conn->corpus_id) + " shard " +
+          std::to_string(shard) + " was requested");
     }
     ByteSpan payload = body.PeekRemaining();
     // Length is re-checked (and the payload checksum verified) by the

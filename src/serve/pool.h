@@ -1,27 +1,29 @@
 // serve::RemoteShardSource — the GRNF v2 network implementation of the
-// ShardSource seam, built for fleets: a bounded connection pool with
-// tagged-request multiplexing instead of PR 5's one mutex-serialized
-// socket.
+// ShardSource seam, built for fleets: a bounded pool of connections,
+// each carrying one request at a time.
 //
 // Connect() dials one pool slot, performs the kHello handshake, opens
 // the named corpus (fetching and reparsing its footer directory with
 // the same hardened parser the file path uses) and remembers the
-// corpus id. Each FetchShard picks a pool slot round-robin, tags the
-// request with a fresh u64 id, and parks on a per-request slot while a
-// per-connection reader thread dispatches responses by echoed id — so
-// many shard faults (prefetch pool, batch queries, concurrent
-// frontends) stay in flight at once across and within connections.
+// corpus id. Each FetchShard picks a pool slot round-robin and holds
+// its mutex for one CallServer round trip (src/serve/stats.h), the
+// exchange every client call uses. The server answers each connection
+// in order, so a second request on a busy connection would only queue
+// behind the first: concurrent faults (prefetch pool, batch queries,
+// concurrent frontends) overlap across slots, at most pool_size at
+// once.
 //
-// Failure model, unchanged from PR 5 but per-request: every request is
-// a pure read, so a transport failure is retried exactly once on a
-// freshly dialed connection; corruption is never retried — a lying
-// peer does not get a second chance to lie. Each request carries a
-// deadline (io_timeout_ms); a deadline miss marks the connection
-// broken so its other in-flight requests fail fast to their own
-// single-redial path. Redials re-handshake and re-resolve the corpus
-// (a restarted server may have renumbered its registry) and verify the
-// re-fetched directory still matches shard-for-shard; directory bytes
-// equal to the ones connect parsed are not parsed again.
+// Failure model: every request is a pure read, so a transport failure
+// closes the slot's connection and is retried exactly once on a
+// freshly dialed one; corruption closes it and is never retried — a
+// lying peer does not get a second chance to lie. A served kError2
+// fails only its request. The round trip's deadline is the socket's:
+// it fails kUnavailable about io_timeout_ms after the request left,
+// however the peer stalls or trickles. Redials re-handshake and
+// re-resolve the corpus (a restarted server may have renumbered its
+// registry) and verify the re-fetched directory still matches
+// shard-for-shard; directory bytes equal to the ones connect parsed
+// are not parsed again.
 //
 // Dead-server hygiene: dial attempts go through a shared
 // exponential-backoff gate with deterministic jitter. While the gate
@@ -37,11 +39,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "src/net/frame.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/rng.h"
 #include "src/util/socket.h"
@@ -51,16 +50,10 @@
 namespace grepair {
 namespace serve {
 
-/// \brief Redial backoff bounds (exposed for tests): the gate starts
-/// at kBackoffBaseMs after the first failed dial and doubles up to
-/// kBackoffMaxMs, with jitter in [delay/2, delay].
-inline constexpr int kBackoffBaseMs = 25;
-inline constexpr int kBackoffMaxMs = 2000;
-
 class RemoteShardSource : public shard::ShardSource {
  public:
   struct Options {
-    int io_timeout_ms = 30000;  ///< connect + per-request deadline
+    int io_timeout_ms = 30000;  ///< connect + per-round-trip deadline
     int pool_size = 4;          ///< connections (clamped to [1, 64])
   };
 
@@ -72,8 +65,6 @@ class RemoteShardSource : public shard::ShardSource {
   static Result<std::shared_ptr<RemoteShardSource>> Connect(
       const std::string& host_port, const std::string& corpus,
       const Options& options);
-
-  ~RemoteShardSource() override;
 
   const char* kind() const override { return "remote"; }
 
@@ -98,55 +89,29 @@ class RemoteShardSource : public shard::ShardSource {
   void AddStats(api::QueryStats* stats) const override;
 
  private:
-  // One parked request awaiting its tagged response.
-  struct Pending {
-    Mutex mu;
-    CondVar cv;
-    bool done GREPAIR_GUARDED_BY(mu) = false;
-    Status status GREPAIR_GUARDED_BY(mu) = Status::OK();
-    net::Frame frame GREPAIR_GUARDED_BY(mu);
-  };
-
-  // One pool slot: a socket, its reader thread, and the in-flight map.
+  // One pool slot. Its mutex is held for a whole round trip, redial
+  // included, so the connection carries one request at a time.
   struct Conn {
-    Mutex mu;  // guards connection state + pending map
-    // Deliberately not GUARDED_BY(mu): the reader thread recvs on the
-    // socket lock-free while FailConnection shuts the fd down under mu
-    // (shutdown-vs-recv is the documented unpark protocol), and writes
-    // are serialized by send_mu. The fd itself is only replaced under
-    // dial_mu with the old reader joined.
-    Socket socket;
-    bool connected GREPAIR_GUARDED_BY(mu) = false;
+    Mutex mu;
+    Socket socket GREPAIR_GUARDED_BY(mu);  // invalid until (re)dialed
     bool ever_connected GREPAIR_GUARDED_BY(mu) = false;
     uint32_t corpus_id GREPAIR_GUARDED_BY(mu) = 0;
-    std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending
-        GREPAIR_GUARDED_BY(mu);
-    Mutex send_mu;  // serializes frame writes on this socket
-    Mutex dial_mu;  // serializes (re)dials of this slot
-    // Written/joined only under dial_mu (or in the destructor, when no
-    // other thread can touch the slot); not expressible as GUARDED_BY
-    // because the destructor legitimately joins lock-free.
-    std::thread reader;
   };
 
   RemoteShardSource(std::string peer, std::string corpus,
                     const Options& options);
 
-  /// Dials + handshakes + opens the corpus on a fresh socket (the
-  /// shared client calls in src/serve/stats.h). On success
-  /// *socket/*corpus_id are set. The first dial parses the directory
-  /// into directory_; a redial parses only directory bytes that differ
-  /// from raw_directory_, and fails if they changed the shard shape.
-  Status DialAndHandshake(Socket* socket, uint32_t* corpus_id);
-  /// Ensures `conn` has a live handshaked connection + reader,
-  /// redialing through the backoff gate when broken.
-  Status EnsureConnected(Conn* conn)
-      GREPAIR_LOCKS_EXCLUDED(conn->mu, conn->dial_mu, gate_mu_);
-  void ReaderLoop(Conn* conn) GREPAIR_LOCKS_EXCLUDED(conn->mu);
-  /// Marks the connection broken and fails every pending request with
-  /// `status` (each parked fetch then runs its own redial attempt).
-  void FailConnection(Conn* conn, const Status& status)
-      GREPAIR_LOCKS_EXCLUDED(conn->mu);
+  /// (Re)dials `conn` through the backoff gate: handshake and corpus
+  /// open (the shared client calls in src/serve/stats.h). The first
+  /// dial parses the directory into directory_; a redial parses only
+  /// directory bytes that differ from raw_directory_, and fails if
+  /// they changed the shard shape.
+  Status Dial(Conn* conn) GREPAIR_REQUIRES(conn->mu)
+      GREPAIR_LOCKS_EXCLUDED(gate_mu_);
+  /// FetchShard's round trip on the slot it picked.
+  Result<ByteSpan> FetchOnSlot(Conn* conn, size_t shard,
+                               std::vector<uint8_t>* owned)
+      GREPAIR_REQUIRES(conn->mu);
 
   // Backoff gate (shared across pool slots).
   Status GateCheck() GREPAIR_LOCKS_EXCLUDED(gate_mu_);
@@ -193,10 +158,13 @@ Status SplitTarget(const std::string& target, std::string* host_port,
 /// \brief Everything api::OpenRemote needs to wire the tier together
 /// (api::RemoteOptions is this struct).
 struct OpenOptions {
-  /// Bounds the connect and every shard fetch — a stalled or dead
-  /// server is a kUnavailable Status, never a hang.
+  /// Bounds the connect and every round trip (handshake, corpus open,
+  /// STATS, shard fetch) from the moment its request is sent — a
+  /// stalled, dead or trickling server is a kUnavailable Status, never
+  /// a hang.
   int io_timeout_ms = 30000;
-  /// Connections in the multiplexed pool (clamped to [1, 64]).
+  /// Connections in the pool (clamped to [1, 64]), each carrying one
+  /// request at a time: at most this many shard fetches are in flight.
   int pool_size = 4;
   /// When non-empty, a TieredShardSource is stacked over the pool
   /// (see src/serve/tiered.h). It owns the subdirectory named after

@@ -8,20 +8,19 @@
 // is the wire form.
 //
 // A connection opens with a kHello/kHelloOk handshake; after that the
-// server answers tagged requests (kOpenCorpus, kGetShard2, kGetStats),
-// echoing each request id so a multiplexing client can run many shard
-// faults in flight per connection. Every error the server sends is a
-// kError2 frame, with request id 0 when the request carried none: a
-// kHello below v2 or a stray frame type keeps the connection open; a
-// malformed stream (bad magic, version, type, length or checksum)
-// closes it after the error frame.
+// server answers tagged requests (kOpenCorpus, kGetShard2, kGetStats)
+// in order, echoing each request id for the client to check. Every
+// error the server sends is a kError2 frame, with request id 0 when
+// the request carried none: a kHello below v2 or a stray frame type
+// keeps the connection open; a malformed stream (bad magic, version,
+// type, length or checksum) closes it after the error frame.
 //
 // Concurrency: one accept thread plus one thread per connection, each
 // handling that connection's requests sequentially (clients get
-// concurrency from the pool + pipelining, not from per-request server
-// threads). Stop() (and the destructor) shuts down the listener and
-// every live connection and joins all threads; it is safe to call
-// while requests are in flight.
+// concurrency from a pool of connections, one request on each at a
+// time, not from per-request server threads). Stop() (and the
+// destructor) shuts down the listener and every live connection and
+// joins all threads; it is safe to call while requests are in flight.
 
 #ifndef GREPAIR_SERVE_SERVER_H_
 #define GREPAIR_SERVE_SERVER_H_

@@ -116,11 +116,13 @@ Result<ServerStatsSnapshot> DecodeStatsBody(ByteSpan body, uint64_t* req_id) {
 
 namespace {
 
-// Sends one frame and reads one reply. kUnavailable names the peer; a
-// kError2 reply becomes the Status it carries; any reply type other
-// than `expect` is kCorruption.
+// Sends one frame and reads one reply, both under one deadline armed
+// from the socket's timeout. kUnavailable names the peer; a kError2
+// reply becomes the Status it carries; any reply type other than
+// `expect` is kCorruption.
 Result<net::Frame> Exchange(Socket* socket, const std::string& peer,
                             uint8_t type, ByteSpan body, uint8_t expect) {
+  socket->ArmDeadline();
   Status sent = net::WriteFrame(socket, type, body);
   if (!sent.ok()) {
     return Status::Unavailable("request to " + peer +

@@ -1,7 +1,9 @@
 // The GRNF v2 STATS verb's body codec, plus the synchronous client
 // calls every client connection is built from: the connection pool's
-// (re)dials (src/serve/pool.h) and the short-lived admin connections
-// behind `grepair info --remote`.
+// (re)dials and shard fetches (src/serve/pool.h) and the short-lived
+// admin connections behind `grepair info --remote`. Every client
+// round trip is one CallServer: one request out, one reply back, the
+// pair bounded by one io_timeout_ms deadline.
 //
 // A kStats body is a point-in-time snapshot of one server process:
 // process-wide counters followed by one record per served corpus,
@@ -83,7 +85,8 @@ Result<Socket> DialServer(const std::string& host_port, int io_timeout_ms);
 /// sends `type` with body u64 `req_id` + `operands` and reads one
 /// reply. A kError2 reply is its Status; a reply of another type than
 /// `expect`, or one echoing another request id, is kCorruption.
-/// kUnavailable (naming `peer`) on transport failure.
+/// kUnavailable (naming `peer`) on transport failure, and once the
+/// socket's timeout has elapsed since the request was sent.
 Result<net::Frame> CallServer(Socket* socket, const std::string& peer,
                               uint8_t type, uint64_t req_id,
                               ByteSpan operands, uint8_t expect);

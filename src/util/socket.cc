@@ -25,9 +25,24 @@ std::string ErrnoText() { return std::string(std::strerror(errno)); }
 
 #if GREPAIR_HAVE_SOCKETS
 bool WouldBlock(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
+
+// What SendAll/RecvAll return once the armed deadline has passed.
+Status PastDeadline(const char* op, int timeout_ms, size_t done,
+                    size_t total) {
+  return Status::Unavailable(
+      std::string(op) + " missed its " + std::to_string(timeout_ms) +
+      "ms round-trip deadline after " + std::to_string(done) + " of " +
+      std::to_string(total) + " byte(s)");
+}
 #endif
 
 }  // namespace
+
+void Socket::ArmDeadline() {
+  deadline_ = timeout_ms_ > 0 ? std::chrono::steady_clock::now() +
+                                    std::chrono::milliseconds(timeout_ms_)
+                              : std::chrono::steady_clock::time_point::max();
+}
 
 #if GREPAIR_HAVE_SOCKETS
 
@@ -51,12 +66,16 @@ Status Socket::SetTimeouts(int millis) {
       setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
     return Status::Internal("setsockopt timeout: " + ErrnoText());
   }
+  timeout_ms_ = millis;
   return Status::OK();
 }
 
 Status Socket::SendAll(ByteSpan bytes) {
   size_t off = 0;
   while (off < bytes.size) {
+    if (std::chrono::steady_clock::now() >= deadline_) {
+      return PastDeadline("send", timeout_ms_, off, bytes.size);
+    }
     ssize_t n = ::send(fd_, bytes.data + off, bytes.size - off,
                        MSG_NOSIGNAL);
     if (n < 0) {
@@ -75,6 +94,9 @@ Status Socket::RecvAll(uint8_t* out, size_t n, bool* clean_eof) {
   if (clean_eof != nullptr) *clean_eof = false;
   size_t off = 0;
   while (off < n) {
+    if (std::chrono::steady_clock::now() >= deadline_) {
+      return PastDeadline("recv", timeout_ms_, off, n);
+    }
     ssize_t got = ::recv(fd_, out + off, n - off, 0);
     if (got == 0) {
       if (off == 0 && clean_eof != nullptr) *clean_eof = true;

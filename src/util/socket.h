@@ -6,8 +6,11 @@
 // per-socket timeouts, plus the listen/accept/connect constructors.
 // Every failure is a Status naming the peer and the errno string —
 // a stalled or dead peer surfaces as kUnavailable after the timeout,
-// never as a hang. SIGPIPE is suppressed per send (MSG_NOSIGNAL), so
-// a peer closing mid-write is an error return, not process death.
+// never as a hang. A client arms a deadline per round trip
+// (ArmDeadline), so a peer that trickles bytes cannot stretch one past
+// about one timeout either. SIGPIPE is suppressed per send
+// (MSG_NOSIGNAL), so a peer closing mid-write is an error return, not
+// process death.
 //
 // Platforms without BSD sockets (_WIN32 in this tree) get stubs that
 // return kUnimplemented; the net layer degrades to "not supported"
@@ -16,8 +19,10 @@
 #ifndef GREPAIR_UTIL_SOCKET_H_
 #define GREPAIR_UTIL_SOCKET_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/util/byte_io.h"
 #include "src/util/status.h"
@@ -33,11 +38,13 @@ class Socket {
 
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
-  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Socket(Socket&& other) noexcept { *this = std::move(other); }
   Socket& operator=(Socket&& other) noexcept {
     if (this != &other) {
       Close();
       fd_ = other.fd_;
+      timeout_ms_ = other.timeout_ms_;
+      deadline_ = other.deadline_;
       other.fd_ = -1;
     }
     return *this;
@@ -58,6 +65,13 @@ class Socket {
   /// (0 = block forever). Every RecvAll/SendAll after this fails with
   /// kUnavailable instead of blocking past the deadline.
   Status SetTimeouts(int millis);
+
+  /// \brief Starts one round trip's deadline: from now on, SendAll and
+  /// RecvAll fail kUnavailable between transfers once the SetTimeouts
+  /// timeout has elapsed since this call, however steadily bytes
+  /// arrive. The deadline holds until the next call; without a
+  /// timeout there is none.
+  void ArmDeadline();
 
   /// \brief Sends all of `bytes`; kUnavailable on timeout, reset, or
   /// close (partial progress is reported in the message).
@@ -86,6 +100,9 @@ class Socket {
 
  private:
   int fd_ = -1;
+  int timeout_ms_ = 0;
+  std::chrono::steady_clock::time_point deadline_ =
+      std::chrono::steady_clock::time_point::max();
 };
 
 /// \brief Splits "host:port" (e.g. "127.0.0.1:9000", "localhost:80").

@@ -25,7 +25,6 @@
 #ifndef GREPAIR_UTIL_SYNC_H_
 #define GREPAIR_UTIL_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -176,20 +175,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  /// \brief Waits until `deadline`; returns false on timeout.
-  template <typename Clock, typename Duration>
-  bool WaitUntil(MutexLock& lock,
-                 const std::chrono::time_point<Clock, Duration>& deadline) {
-    return cv_.wait_until(lock.lock_, deadline) == std::cv_status::no_timeout;
-  }
-
-  /// \brief Waits up to `rel_time`; returns false on timeout.
-  template <typename Rep, typename Period>
-  bool WaitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& rel_time) {
-    return cv_.wait_for(lock.lock_, rel_time) == std::cv_status::no_timeout;
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

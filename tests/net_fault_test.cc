@@ -1,13 +1,14 @@
 // Fault injection for the shard-serving path: a misbehaving-server
 // shim speaking GRNF v2 feeds the client every class of wire-level
 // lie — truncated frames, bit-flipped payloads, wrong shard ids,
-// premature closes, stalled writes, garbage frames, corrupted frame
-// checksums — and every one must surface as a clean Status
-// (kCorruption or kUnavailable), never a crash, hang, or silently
-// wrong answer. The real server is also attacked from the client side
-// (garbage bytes, out-of-range requests, silent connections, a
-// retired GRNF v1 frame, a down-version handshake) and must keep
-// serving well-behaved peers. Runs under the ASan/UBSan and TSan CI legs.
+// premature closes, stalled and trickled writes, garbage frames,
+// corrupted frame checksums — and every one must surface as a clean
+// Status (kCorruption or kUnavailable), never a crash, hang, or
+// silently wrong answer. The real server is also attacked from the
+// client side (garbage bytes, out-of-range requests, silent
+// connections, a retired GRNF v1 frame, a down-version handshake) and
+// must keep serving well-behaved peers. Runs under the ASan/UBSan and
+// TSan CI legs.
 
 #include <gtest/gtest.h>
 
@@ -48,12 +49,14 @@ enum class Fault {
   kBadFrameChecksum,   // valid frame, last checksum byte flipped
   kCorruptDirectory,   // truncated directory at connect time
   kWrongOpenId,        // kCorpusDir echoes another request id
+  kTrickledDirectory,  // kCorpusDir sent one byte per 100 ms
+  kTrickledWrite,      // kShard2 sent one byte per 100 ms
 };
 
 // Speaks just enough GRNF v2 to get a real client through the
 // kHello/kOpenCorpus handshake, then applies `fault` to kGetShard2
-// (or, for kCorruptDirectory and kWrongOpenId, to the kCorpusDir
-// reply).
+// (or, for kCorruptDirectory, kWrongOpenId and kTrickledDirectory, to
+// the kCorpusDir reply).
 // Single-connection, joins on destruction.
 class MisbehavingServer {
  public:
@@ -130,6 +133,12 @@ class MisbehavingServer {
         if (fault_ == Fault::kCorruptDirectory) {
           body.resize(body.size() / 2);  // truncated directory
         }
+        if (fault_ == Fault::kTrickledDirectory) {
+          if (!Trickle(net::EncodeFrame(net::kCorpusDir, SpanOf(body)))) {
+            return;
+          }
+          continue;
+        }
         (void)net::WriteFrame(&conn_, net::kCorpusDir, SpanOf(body));
         continue;
       }
@@ -141,6 +150,19 @@ class MisbehavingServer {
       }
       if (!Misbehave(req_id, corpus_id, index)) return;
     }
+  }
+
+  // Sends `bytes` one per 100 ms: every recv makes progress, so only a
+  // deadline over the whole round trip stops the client waiting. False
+  // once the client hangs up or the shim stops.
+  bool Trickle(const std::vector<uint8_t>& bytes) {
+    for (uint8_t byte : bytes) {
+      if (stopping_.load() || !conn_.SendAll(ByteSpan{&byte, 1}).ok()) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    return true;
   }
 
   // One faulty kGetShard2 answer; false = close the connection.
@@ -159,6 +181,7 @@ class MisbehavingServer {
       case Fault::kNone:
       case Fault::kCorruptDirectory:
       case Fault::kWrongOpenId:
+      case Fault::kTrickledDirectory:
         return net::WriteFrame(&conn_, net::kShard2, SpanOf(body)).ok();
       case Fault::kTruncatedFrame: {
         auto bytes = net::EncodeFrame(net::kShard2, SpanOf(body));
@@ -189,6 +212,8 @@ class MisbehavingServer {
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
         }
         return net::WriteFrame(&conn_, net::kShard2, SpanOf(body)).ok();
+      case Fault::kTrickledWrite:
+        return Trickle(net::EncodeFrame(net::kShard2, SpanOf(body)));
       case Fault::kGarbageFrame: {
         std::vector<uint8_t> garbage(32, 0x5A);
         (void)conn_.SendAll(SpanOf(garbage));
@@ -304,6 +329,30 @@ TEST_F(NetFaultTest, StalledWriteTimesOutInsteadOfHanging) {
   auto elapsed = std::chrono::steady_clock::now() - start;
   // 300 ms timeout, generous margin for loaded runners — the point is
   // "bounded", not "fast".
+  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 10.0);
+}
+
+TEST_F(NetFaultTest, TrickledResponseMissesTheRequestDeadline) {
+  // Every byte arrives well inside the 300 ms socket timeout; the
+  // fetch must still fail once the round trip as a whole overruns it.
+  MisbehavingServer server(*container_, Fault::kTrickledWrite);
+  auto start = std::chrono::steady_clock::now();
+  ExpectQueryFailsClosed(server.host_port(), {StatusCode::kUnavailable});
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 10.0);
+}
+
+TEST_F(NetFaultTest, TrickledDirectoryMissesTheOpenDeadline) {
+  // The open's round trips are bounded like a fetch: a kCorpusDir
+  // reply trickled past io_timeout_ms fails the open, however long
+  // the directory is.
+  MisbehavingServer server(*container_, Fault::kTrickledDirectory);
+  auto start = std::chrono::steady_clock::now();
+  auto rep = serve::OpenRemoteContainer(server.host_port(), OnePoolSlot(300));
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(rep.ok()) << "a trickled directory must miss the deadline";
+  EXPECT_EQ(rep.status().code(), StatusCode::kUnavailable)
+      << rep.status().ToString();
   EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 10.0);
 }
 

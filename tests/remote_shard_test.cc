@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/api/grepair_api.h"
@@ -191,7 +192,31 @@ TEST(RemoteShardTest, EightThreadsOnOnePoolMatchTruth) {
     EXPECT_GT(stats.remote_bytes, 0u);
     EXPECT_GE(stats.pool_dials, 1u);
     EXPECT_EQ(stats.pool_redials, 0u);
+    // One request per connection at a time.
+    EXPECT_LE(stats.pool_peak_in_flight, static_cast<uint64_t>(pool_size));
   }
+}
+
+// A slot that sits idle longer than io_timeout_ms keeps its
+// connection: the timeout bounds round trips, not the gaps between
+// them, so the next fetch reuses the socket instead of redialing and
+// downloading the directory again.
+TEST(RemoteShardTest, IdleSlotStaysConnected) {
+  GeneratedGraph gg = BarabasiAlbert(90, 3, 47);
+  ServedContainer served = ServeCompressed("grepair", gg, 3);
+  serve::OpenOptions options;
+  options.pool_size = 1;
+  options.io_timeout_ms = 300;
+  options.warm_from_histogram = false;
+  auto remote = serve::OpenRemoteContainer(served.host_port(), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  remote.value()->Prefetch({0});
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  remote.value()->Prefetch({1});
+  auto stats = remote.value()->query_stats();
+  EXPECT_EQ(stats.remote_fetches, 2u);
+  EXPECT_EQ(stats.pool_dials, 1u);
+  EXPECT_EQ(stats.pool_redials, 0u);
 }
 
 TEST(RemoteShardTest, EightIndependentClientsMatchTruth) {
