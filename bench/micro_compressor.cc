@@ -50,12 +50,17 @@ void BM_CompressCopies(benchmark::State& state) {
 BENCHMARK(BM_CompressCopies)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
+// `gg` cut into 16 shards, as build-dblp and mutate-rdf cut theirs.
+Result<shard::GraphPartition> SixteenShards(const GeneratedGraph& gg) {
+  shard::PartitionOptions partition_options;
+  partition_options.num_shards = 16;
+  return shard::PartitionGraph(gg.graph, partition_options);
+}
+
 // Compresses `gg` cut into 16 shards, each as the sharded grepair codec
 // does it (node mapping on), one after another on this thread.
 void CompressShards(benchmark::State& state, const GeneratedGraph& gg) {
-  shard::PartitionOptions partition_options;
-  partition_options.num_shards = 16;
-  auto partition = shard::PartitionGraph(gg.graph, partition_options);
+  auto partition = SixteenShards(gg);
   if (!partition.ok()) {
     state.SkipWithError(partition.status().ToString().c_str());
     return;
@@ -107,6 +112,34 @@ void BM_DecodeGrammar(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes.size());
 }
 BENCHMARK(BM_DecodeGrammar)->Unit(benchmark::kMillisecond);
+
+// The grammars of BM_CompressDblpShards' 16 shards, decoded one after
+// another: the decode a cold session runs as it faults every shard.
+void BM_DecodeGrammarDblpShards(benchmark::State& state) {
+  auto gg = DblpVersions(12, 200, 100, 1, "dblp");
+  auto partition = SixteenShards(gg);
+  if (!partition.ok()) {
+    state.SkipWithError(partition.status().ToString().c_str());
+    return;
+  }
+  CompressOptions options;
+  options.track_node_mapping = true;
+  std::vector<std::vector<uint8_t>> payloads;
+  size_t bytes = 0;
+  for (const auto& part : partition.value().shards) {
+    auto result = Compress(part.graph, gg.alphabet, options);
+    payloads.push_back(EncodeGrammar(result.value().grammar));
+    bytes += payloads.back().size();
+  }
+  for (auto _ : state) {
+    for (const auto& payload : payloads) {
+      auto decoded = DecodeGrammar(payload);
+      benchmark::DoNotOptimize(decoded.ok());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_DecodeGrammarDblpShards)->Unit(benchmark::kMillisecond);
 
 void BM_DeriveVal(benchmark::State& state) {
   auto gg = DisjointCopies(CycleWithDiagonal(), 4096, "c");

@@ -63,6 +63,24 @@ void BM_K2TreeRowNeighbors(benchmark::State& state) {
 }
 BENCHMARK(BM_K2TreeRowNeighbors)->Arg(1 << 10)->Arg(1 << 14);
 
+// DecodeCells of one k = 2 tree over a 2,048-node shard's start label:
+// 7,400 cells for the dense label, 35 for a sparse one.
+void BM_K2TreeDecodeCells(benchmark::State& state) {
+  const uint32_t n = 2048;
+  const auto cells =
+      RandomCells(n, static_cast<uint32_t>(state.range(0)), 42);
+  BitWriter w;
+  K2Tree::Build(n, n, cells).Serialize(&w);
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+  for (auto _ : state) {
+    BitReader r(bytes);
+    auto decoded = K2Tree::DecodeCells(&r);
+    benchmark::DoNotOptimize(decoded.value().keys.data());
+  }
+  state.SetItemsProcessed(state.iterations() * cells.size());
+}
+BENCHMARK(BM_K2TreeDecodeCells)->Arg(7400)->Arg(35);
+
 void BM_RankBitVector(benchmark::State& state) {
   RankBitVector bv;
   Rng rng(9);

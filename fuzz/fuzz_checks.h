@@ -294,19 +294,38 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
 
 /// \brief Grepair payload parse (CompressedGraph::Deserialize, i.e.
 /// DecodeGrammar plus DecodeNodeMapping): a failure carries a non-empty
-/// message. A success holds a permutation of val(G)'s ids as psi' (or
-/// none), re-serializes to bytes that decode again, and, when val(G) is
-/// small enough to materialize here, both decodes decompress to the same
-/// graph.
+/// message and is kCorruption or kOutOfRange; kInvalidArgument only for
+/// a grammar with the retired GRG1 magic. A success passes the full
+/// SlhrGrammar::Validate, which DecodeGrammar splits into checks made
+/// as it decodes; holds a permutation of val(G)'s ids as psi' (or
+/// none); re-serializes to bytes that decode again; and, when val(G)
+/// is small enough to materialize here, both decodes decompress to the
+/// same graph.
 inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
   auto graph = CompressedGraph::Deserialize(ByteSpan(data, size));
   if (!graph.ok()) {
     if (graph.status().message().empty()) {
       return "grepair payload decode failed with an empty status message";
     }
+    const StatusCode code = graph.status().code();
+    if (code == StatusCode::kInvalidArgument) {
+      // The grammar starts after the mapping flag and its u64 length.
+      if (size < 13 || std::string_view(reinterpret_cast<const char*>(data) +
+                                            9, 4) != "GRG1") {
+        return "a grepair payload other than GRG1 failed with "
+               "kInvalidArgument";
+      }
+    } else if (code != StatusCode::kCorruption &&
+               code != StatusCode::kOutOfRange) {
+      return "grepair payload decode failed with a code other than "
+             "kCorruption, kOutOfRange or kInvalidArgument";
+    }
     return nullptr;
   }
   const CompressedGraph& g = graph.value();
+  if (!g.grammar().Validate().ok()) {
+    return "a decoded grammar fails SlhrGrammar::Validate";
+  }
   const std::vector<NodeId>& origins = g.origins();
   if (!origins.empty()) {
     if (origins.size() != g.num_nodes()) {

@@ -1,8 +1,10 @@
 // libFuzzer target for the grepair shard payload parser behind every
 // sharded:grepair shard fault: CompressedGraph::Deserialize, i.e.
-// DecodeGrammar plus DecodeNodeMapping. Failures must carry a message;
-// a decoded payload must hold a permutation as its node map and survive
-// a re-serialize round trip (see CheckGrepairPayload). Seed corpus:
+// DecodeGrammar plus DecodeNodeMapping. Failures must carry a message
+// and be Corruption or OutOfRange (InvalidArgument only for a GRG1
+// grammar); a decoded payload must pass SlhrGrammar::Validate, hold a
+// permutation as its node map and survive a re-serialize round trip
+// (see CheckGrepairPayload). Seed corpus:
 // fuzz/corpus/grepair_payload, regenerated by fuzz/gen_corpus.cc.
 
 #include <cstdint>

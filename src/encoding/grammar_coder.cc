@@ -74,6 +74,9 @@ Status DecodeRule(uint32_t num_labels, BitReader* r, Hypergraph* rhs,
   }
   if (rank > num_nodes) return Status::Corruption("rank exceeds rhs nodes");
   *rhs = Hypergraph(static_cast<uint32_t>(num_nodes));
+  // An edge takes at least 5 bits (its marker, attachment count, one
+  // external flag and id, and label), so the input bounds the reserve.
+  rhs->ReserveEdges(std::min<uint64_t>(num_edges, r->BitsAvailable() / 5));
   for (uint64_t i = 0; i < num_edges; ++i) {
     bool is_nt = false;
     GREPAIR_RETURN_IF_ERROR(r->ReadBit(&is_nt));
@@ -379,28 +382,48 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
     perms.push_back(std::move(perm));
   }
 
-  // Start graph label sections.
-  Hypergraph* start = grammar.mutable_start();
+  // Start graph label sections. Every section is decoded before the
+  // first edge is written, so the edge list is sized once and each
+  // edge is appended in place. The tuple sections prove their members
+  // in range and distinct as they decode them; a rank-2 cell is
+  // checked as its edge is written. Together they cover what
+  // Hypergraph::Validate would check of the start graph.
+  struct Section {
+    Label label = 0;
+    std::vector<uint64_t> cells;  // rank 2: u << 32 | v, row-major
+    // Rank 2: edges per cell, empty when no cell repeats.
+    std::vector<uint32_t> multiplicity;
+    size_t first_member = 0;  // other ranks: the section's tuples
+    uint64_t num_edges = 0;
+  };
+  std::vector<Section> sections;
+  // Attachment tuples of the rank != 2 sections, back to back.
+  std::vector<NodeId> members;
   const Alphabet& alpha = grammar.alphabet();
   uint64_t decoded_dup_edges = 0;  // whole-grammar budget, see header
+  uint64_t total_edges = 0;
   for (Label l = 0; l < alpha.size(); ++l) {
     bool present = false;
     GREPAIR_RETURN_IF_ERROR(r.ReadBit(&present));
     if (!present) continue;
+    Section& section = sections.emplace_back();
+    section.label = l;
     if (alpha.rank(l) == 2) {
       auto tree = K2Tree::DecodeCells(&r);
       if (!tree.ok()) return tree.status();
-      const std::vector<uint64_t>& cells = tree.value().keys;
+      section.cells = std::move(tree.value().keys);
+      const std::vector<uint64_t>& cells = section.cells;
+      section.num_edges = cells.size();
       uint64_t num_dups = 0;
       GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_dups));
       if (num_dups == 0) return Status::Corruption("bad dup count");
       --num_dups;
-      std::vector<uint32_t> multiplicity(cells.size(), 1);
+      if (num_dups > 0) section.multiplicity.assign(cells.size(), 1);
       // Distinct cells are input-proportional (each costs >= 1 tree
       // bit), so only the duplicate count needs an absolute cap: dup
       // entries amplify by design (one Elias code can claim many
       // parallel edges), and a crafted 60-byte file aiming at parser
-      // OOM must die here instead of in AddEdge. The budget
+      // OOM must die here instead of in the edge list. The budget
       // (kMaxDupEdges) is global across label sections — per-section
       // budgets could be evaded by declaring many labels.
       for (uint64_t d = 0; d < num_dups; ++d) {
@@ -420,15 +443,10 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
           return Status::Corruption("edge multiplicity overflow");
         }
         decoded_dup_edges += extra;
-        multiplicity[cell_rank - 1] += static_cast<uint32_t>(extra);
+        section.num_edges += extra;
+        section.multiplicity[cell_rank - 1] += static_cast<uint32_t>(extra);
       }
-      for (size_t ci = 0; ci < cells.size(); ++ci) {
-        const NodeId u = static_cast<NodeId>(cells[ci] >> 32);
-        const NodeId v = static_cast<NodeId>(cells[ci] & 0xFFFFFFFFu);
-        for (uint32_t m = 0; m < multiplicity[ci]; ++m) {
-          start->AddEdge(l, {u, v});
-        }
-      }
+      total_edges += section.num_edges;
       continue;
     }
     // Sorted attachment tuples (see EncodeGrammar). Every tuple takes
@@ -443,10 +461,12 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
     if (rank_perms.empty()) {
       return Status::Corruption("hyperedge without permutations");
     }
+    section.first_member = members.size();
+    section.num_edges = num_edges;
+    total_edges += num_edges;
     const int perm_bits = IndexBits(rank_perms.size());
     NodeId prev_first = 0;
-    Attachments sorted_att;
-    sorted_att.resize(rank);
+    NodeId sorted_att[kMaxRank];
     for (uint64_t i = 0; i < num_edges; ++i) {
       uint64_t perm_idx = 0;
       GREPAIR_RETURN_IF_ERROR(r.ReadBits(perm_bits, &perm_idx));
@@ -471,21 +491,53 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
         }
         sorted_att[a] = static_cast<NodeId>(sorted_att[a - 1] + gap);
       }
-      Attachments att;
-      att.resize(rank);
+      const size_t at = members.size();
+      members.resize(at + rank);
+      NodeId* att = members.data() + at;
       for (size_t a = 0; a < rank; ++a) att[a] = sorted_att[perm[a]];
-      if (i > 0 && att < start->edge(start->num_edges() - 1).att) {
+      if (i > 0 && std::lexicographical_compare(att, att + rank, att - rank,
+                                                att)) {
         return Status::Corruption("hyperedges out of canonical order");
       }
-      start->AddEdge(l, std::move(att));
       prev_first = sorted_att[0];
     }
   }
 
-  // The edge insertion above goes label by label in ascending label
-  // order with ascending attachment within each label (checked for the
-  // tuple sections): canonical order.
-  GREPAIR_RETURN_IF_ERROR(grammar.Validate());
+  // Label by label in ascending label order, with ascending attachment
+  // within each label (checked for the tuple sections): canonical order.
+  Hypergraph* start = grammar.mutable_start();
+  start->ReserveEdges(total_edges);
+  for (const Section& section : sections) {
+    const size_t rank = static_cast<size_t>(alpha.rank(section.label));
+    if (rank != 2) {
+      const NodeId* att = members.data() + section.first_member;
+      for (uint64_t i = 0; i < section.num_edges; ++i, att += rank) {
+        start->AddEdge(section.label, Attachments(att, rank));
+      }
+      continue;
+    }
+    for (size_t ci = 0; ci < section.cells.size(); ++ci) {
+      const uint64_t u = section.cells[ci] >> 32;
+      const uint64_t v = section.cells[ci] & 0xFFFFFFFFu;
+      if (u >= start_nodes || v >= start_nodes) {
+        return Status::Corruption("start edge references a missing node");
+      }
+      if (u == v) {
+        return Status::Corruption("start edge attaches the same node twice");
+      }
+      const uint32_t copies =
+          section.multiplicity.empty() ? 1 : section.multiplicity[ci];
+      for (uint32_t m = 0; m < copies; ++m) {
+        start->AddSimpleEdge(static_cast<NodeId>(u), static_cast<NodeId>(v),
+                             section.label);
+      }
+    }
+  }
+
+  // The start graph passed its checks above; the rules get theirs here.
+  // A grammar that breaks them is a corrupt payload, whatever the check.
+  const Status rules = grammar.ValidateRules();
+  if (!rules.ok()) return Status::Corruption(rules.message());
   return grammar;
 }
 

@@ -76,6 +76,16 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
 /// counts that size allocations are bounded by the input size and the
 /// capacity limits above, so corrupt or crafted input yields a clean
 /// Status instead of unbounded allocation.
+///
+/// Each check runs once, where its value is decoded. The tuple
+/// sections prove their members in range and distinct as they read
+/// them. Once every section is read, the start graph's edge list is
+/// sized once and each rank-2 cell is checked as its edge is written:
+/// both ends below |V_S|, and no self-loop. SlhrGrammar::ValidateRules
+/// then checks the rules. A success therefore passes the full
+/// SlhrGrammar::Validate. Every failure is Corruption, or OutOfRange
+/// when the input ends early; only a retired GRG1 payload is
+/// InvalidArgument.
 Result<SlhrGrammar> DecodeGrammar(const std::vector<uint8_t>& bytes);
 
 /// \brief Zero-copy overload: decodes straight out of a borrowed view

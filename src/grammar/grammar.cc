@@ -68,6 +68,10 @@ Status SlhrGrammar::Validate() const {
   if (!start_.ext().empty()) {
     return Status::InvalidArgument("start graph must have no external nodes");
   }
+  return ValidateRules();
+}
+
+Status SlhrGrammar::ValidateRules() const {
   for (uint32_t j = 0; j < rules_.size(); ++j) {
     const Hypergraph& rhs = rules_[j];
     GREPAIR_RETURN_IF_ERROR(rhs.Validate(alphabet_));

@@ -92,7 +92,13 @@ class SlhrGrammar {
   /// \brief Validates definition invariants: alphabet ranks, hypergraph
   /// restrictions, bottom-up rule order, rank(A) == rank(rhs(A)), and
   /// canonical right-hand sides (external nodes are 0..k-1 in order).
+  /// It is the start graph's checks followed by ValidateRules().
   Status Validate() const;
+
+  /// \brief The rule half of Validate(): every right-hand side, and
+  /// nothing of the start graph. For DecodeGrammar, which checks each
+  /// start edge as it writes it and so need not scan them again.
+  Status ValidateRules() const;
 
   /// \brief Size of handle(A) for a rank-k nonterminal: k nodes plus one
   /// edge of size (k <= 2 ? 1 : k). This is what one occurrence of a

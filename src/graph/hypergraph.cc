@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -21,36 +20,6 @@ Label Alphabet::AddSimpleLabels(int count) {
     Add("l" + std::to_string(first + i), 2);
   }
   return first;
-}
-
-void Attachments::assign(const NodeId* src, size_t n) {
-  assert(n <= UINT32_MAX);
-  if (n > capacity_) {
-    // Allocate first: the sequence stays intact if new throws.
-    NodeId* grown = new NodeId[n];
-    std::copy(src, src + n, grown);
-    Release();
-    heap_ = grown;
-    capacity_ = static_cast<uint32_t>(n);
-  } else if (n > 0) {
-    std::memmove(data(), src, n * sizeof(NodeId));
-  }
-  size_ = static_cast<uint32_t>(n);
-}
-
-void Attachments::resize(size_t n) {
-  if (n > capacity_) Grow(n);
-  if (n > size_) std::fill(data() + size_, data() + n, 0u);
-  size_ = static_cast<uint32_t>(n);
-}
-
-void Attachments::Grow(size_t capacity) {
-  assert(capacity > capacity_ && capacity <= UINT32_MAX);
-  NodeId* grown = new NodeId[capacity];
-  std::copy(begin(), end(), grown);
-  Release();
-  heap_ = grown;
-  capacity_ = static_cast<uint32_t>(capacity);
 }
 
 uint64_t Hypergraph::EdgeSize() const {

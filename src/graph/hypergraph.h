@@ -20,7 +20,10 @@
 // node ids inline and moves longer sequences to the heap. Terminal
 // edges of simple graphs have rank 2 and gRePair caps nonterminal ranks
 // at 4 by default, so adding, copying and deriving edges allocates
-// nothing per edge in practice, and an HEdge is 32 bytes. Attachments
+// nothing per edge in practice, and an HEdge is 32 bytes. Its storage
+// functions are inline, and AddSimpleEdge writes a pair's two ids
+// straight into the new edge: appending a rank-2 edge makes no
+// out-of-line call and builds no temporary sequence. Attachments
 // converts neither to nor from std::vector<NodeId>: a hidden per-edge
 // vector copy does not compile. Build one from a brace list, a pointer
 // and a size, or element by element.
@@ -30,7 +33,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -122,9 +127,26 @@ class Attachments {
     data()[size_++] = v;
   }
   /// \brief Replaces the contents; `src` may point into this sequence.
-  void assign(const NodeId* src, size_t n);
+  void assign(const NodeId* src, size_t n) {
+    assert(n <= UINT32_MAX);
+    if (n > capacity_) {
+      // Allocate first: the sequence stays intact if new throws.
+      NodeId* grown = new NodeId[n];
+      std::copy(src, src + n, grown);
+      Release();
+      heap_ = grown;
+      capacity_ = static_cast<uint32_t>(n);
+    } else if (n > 0) {
+      std::memmove(data(), src, n * sizeof(NodeId));
+    }
+    size_ = static_cast<uint32_t>(n);
+  }
   /// \brief New elements are zero.
-  void resize(size_t n);
+  void resize(size_t n) {
+    if (n > capacity_) Grow(n);
+    if (n > size_) std::fill(data() + size_, data() + n, 0u);
+    size_ = static_cast<uint32_t>(n);
+  }
 
   bool operator==(const Attachments& o) const {
     return std::equal(begin(), end(), o.begin(), o.end());
@@ -137,7 +159,14 @@ class Attachments {
  private:
   bool on_heap() const { return capacity_ > kInlineAttachments; }
   // Moves the elements to a heap buffer of at least `capacity` ids.
-  void Grow(size_t capacity);
+  void Grow(size_t capacity) {
+    assert(capacity > capacity_ && capacity <= UINT32_MAX);
+    NodeId* grown = new NodeId[capacity];
+    std::copy(begin(), end(), grown);
+    Release();
+    heap_ = grown;
+    capacity_ = static_cast<uint32_t>(capacity);
+  }
   void Release() {
     if (on_heap()) delete[] heap_;
     capacity_ = kInlineAttachments;
@@ -225,9 +254,13 @@ class Hypergraph {
   /// \brief Reserves room for `count` edges in total.
   void ReserveEdges(size_t count) { edges_.reserve(count); }
 
-  /// \brief Convenience for a rank-2 edge u -> v.
+  /// \brief Appends a rank-2 edge u -> v, writing both ids in place.
   EdgeId AddSimpleEdge(NodeId u, NodeId v, Label label) {
-    return AddEdge(label, {u, v});
+    HEdge& e = edges_.emplace_back();
+    e.label = label;
+    const NodeId pair[2] = {u, v};
+    e.att.assign(pair, 2);
+    return static_cast<EdgeId>(edges_.size() - 1);
   }
 
   /// \brief Sets the external-node sequence.

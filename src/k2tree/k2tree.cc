@@ -196,6 +196,54 @@ void ForEachSetBit(const std::vector<uint64_t>& words, uint64_t begin,
   }
 }
 
+// Number of set bits of `words` in [begin, end).
+uint64_t CountSetBits(const std::vector<uint64_t>& words, uint64_t begin,
+                      uint64_t end) {
+  if (begin >= end) return 0;
+  uint64_t w = begin / 64;
+  const uint64_t last = (end - 1) / 64;
+  uint64_t word = words[w] & (~0ull << (begin % 64));
+  uint64_t count = 0;
+  for (; w < last; word = words[++w]) count += __builtin_popcountll(word);
+  return count + __builtin_popcountll(word & (~0ull >> (63 - (end - 1) % 64)));
+}
+
+// One level of the k = 2 walk. Parent j's children are the aligned
+// nibble at bit begin + 4j, child q at row offset (q >> 1) * sub and
+// column offset (q & 1) * sub. Every candidate origin is written and
+// the output advances by the child's bit, so no branch depends on the
+// data; `out` needs room for the level's set bits plus one.
+void EmitLevelK2(const uint64_t* words, uint64_t begin,
+                 const std::vector<uint64_t>& parents, uint64_t sub,
+                 uint64_t* out) {
+  const uint64_t down = sub << 32;
+  for (size_t j = 0; j < parents.size(); ++j) {
+    const uint64_t p = begin + 4 * j;
+    const uint64_t nibble = (words[p / 64] >> (p % 64)) & 0xF;
+    const uint64_t key = parents[j];
+    *out = key;
+    out += nibble & 1;
+    *out = key + sub;
+    out += (nibble >> 1) & 1;
+    *out = key + down;
+    out += (nibble >> 2) & 1;
+    *out = key + down + sub;
+    out += nibble >> 3;
+  }
+}
+
+// Whether every packed row << 32 | col origin in keys[0, n) lies inside
+// the num_rows x num_cols matrix; branch-free.
+bool AllInside(const uint64_t* keys, size_t n, uint64_t num_rows,
+               uint64_t num_cols) {
+  uint64_t outside = 0;
+  for (size_t i = 0; i < n; ++i) {
+    outside |= static_cast<uint64_t>(keys[i] >> 32 >= num_rows) |
+               static_cast<uint64_t>((keys[i] & 0xFFFFFFFFu) >= num_cols);
+  }
+  return outside == 0;
+}
+
 // Sorts level-order keys into row-major order. Level order lists the
 // cells in Z-order (by their quadrant path from the root), and within
 // one row that order is ascending by column, so a stable sort on the
@@ -245,45 +293,60 @@ Status K2Tree::AppendKeys(std::vector<uint64_t>* keys) const {
   // in level order: the root, then one entry per set bit above. In a
   // valid tree the level above L, with |L| / k^2 nodes, is the widest;
   // unlike the header's cell count, that bound is backed by input read.
+  // The k = 2 walk writes one slot past a level's keys, hence the + 2
+  // and + 1 below.
   std::vector<uint64_t> parents;
   std::vector<uint64_t> children;
-  parents.reserve(l_.size() / kk + 1);
-  children.reserve(l_.size() / kk + 1);
+  parents.reserve(l_.size() / kk + 2);
+  children.reserve(l_.size() / kk + 2);
   parents.push_back(0);
   const size_t first_key = keys->size();
-  keys->reserve(first_key + std::min<uint64_t>(num_cells_, l_.size()));
-  uint64_t row_off[256];
-  uint64_t col_off[256];
+  keys->reserve(first_key + std::min<uint64_t>(num_cells_, l_.size()) + 1);
   uint64_t level_begin = 0;  // in T; the last level is all of L
   for (uint64_t sub = size_ / k;; sub /= k) {
     const bool leaf = sub == 1;
     const uint64_t level_bits = parents.size() * kk;
     GREPAIR_RETURN_IF_ERROR(CheckLevelBounds(leaf, level_begin, level_bits));
-    for (uint64_t q = 0; q < kk; ++q) {
-      row_off[q] = (q / k) * sub;
-      col_off[q] = (q % k) * sub;
-    }
     const uint64_t begin = leaf ? 0 : level_begin;
+    const std::vector<uint64_t>& words = (leaf ? l_ : t_).words();
     std::vector<uint64_t>* out = leaf ? keys : &children;
     children.clear();
     bool in_bounds = true;
-    // Block j of this level holds the children of parents[j]; set bits
-    // arrive in ascending order, so the owning block only moves
-    // forward and no rank is needed to find it.
-    const uint64_t* parent = parents.data();
-    uint64_t block_end = begin + kk;
-    ForEachSetBit((leaf ? l_ : t_).words(), begin, begin + level_bits,
-                  [&](uint64_t p) {
-                    while (p >= block_end) {
-                      ++parent;
-                      block_end += kk;
-                    }
-                    const uint64_t q = p + kk - block_end;
-                    const uint64_t row = (*parent >> 32) + row_off[q];
-                    const uint64_t col = (*parent & 0xFFFFFFFFu) + col_off[q];
-                    in_bounds &= row < num_rows_ && col < num_cols_;
-                    out->push_back(row << 32 | col);
-                  });
+    if (k == 2) {
+      // A set bit lies in the padding exactly when the origin written
+      // for it does, so a second branch-free pass over the level's
+      // origins checks what the cursor walk below checks per bit. A
+      // parent whose own origin is outside has every child outside.
+      const uint64_t ones = CountSetBits(words, begin, begin + level_bits);
+      const size_t first = out->size();
+      out->resize(first + ones + 1);
+      EmitLevelK2(words.data(), begin, parents, sub, out->data() + first);
+      out->pop_back();
+      in_bounds = AllInside(out->data() + first, ones, num_rows_, num_cols_);
+    } else {
+      uint64_t row_off[256];
+      uint64_t col_off[256];
+      for (uint64_t q = 0; q < kk; ++q) {
+        row_off[q] = (q / k) * sub;
+        col_off[q] = (q % k) * sub;
+      }
+      // Block j of this level holds the children of parents[j]; set
+      // bits arrive in ascending order, so the owning block only moves
+      // forward and no rank is needed to find it.
+      const uint64_t* parent = parents.data();
+      uint64_t block_end = begin + kk;
+      ForEachSetBit(words, begin, begin + level_bits, [&](uint64_t p) {
+        while (p >= block_end) {
+          ++parent;
+          block_end += kk;
+        }
+        const uint64_t q = p + kk - block_end;
+        const uint64_t row = (*parent >> 32) + row_off[q];
+        const uint64_t col = (*parent & 0xFFFFFFFFu) + col_off[q];
+        in_bounds &= row < num_rows_ && col < num_cols_;
+        out->push_back(row << 32 | col);
+      });
+    }
     if (!in_bounds) {
       return Status::Corruption("k2-tree sets a bit in its padding");
     }

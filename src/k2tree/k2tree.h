@@ -19,6 +19,12 @@
 //    The blocks of level i+1 belong to the set bits of level i in
 //    order, so the walk keeps a cursor over the parents instead of
 //    calling Rank1, and DecodeCells never builds the rank directories.
+//    For k = 2, the only arity the grammar coder writes, a parent's
+//    block is one aligned nibble: the walk writes all four candidate
+//    cells and advances its output by each bit, then checks the
+//    level's written origins against the matrix in a second pass, so
+//    no branch depends on the data. Other k step a cursor over the set
+//    bits and check each one's origin as they go.
 //    The walk yields cells in Z-order; a radix sort on the row alone
 //    makes that row-major, since one row's cells already ascend by
 //    column.

@@ -6,13 +6,17 @@
 // These run the same invariants as compressor_test/encoding_test but
 // over a wider randomized space (seeds x densities x label counts),
 // exercising odd corner cases: dense multigraph-like label stacks,
-// disconnected fragments, isolated nodes, single-hub stars.
+// disconnected fragments, isolated nodes, single-hub stars. A second
+// battery flips bits of the same graphs' payloads and holds each
+// decode to the grepair payload fuzz target's invariants.
 
 #include <gtest/gtest.h>
 
+#include "fuzz/fuzz_checks.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/graph/graph_algos.h"
 #include "src/grepair/compressor.h"
+#include "src/query/compressed_graph.h"
 #include "src/query/reachability.h"
 #include "src/query/speedup.h"
 #include "src/util/rng.h"
@@ -109,6 +113,33 @@ TEST_P(FuzzRoundTrip, FullPipeline) {
     bool truth = DirectedReachable(val_a.value(), static_cast<NodeId>(u))[v];
     ASSERT_EQ(reach.Reachable(u, v), truth)
         << "seed " << p.seed << ": " << u << " -> " << v;
+  }
+}
+
+// Single-bit flips of the same graphs' grepair payloads (grammar and
+// psi') uphold the payload fuzz target's invariants
+// (CheckGrepairPayload): a decode that succeeds passes the full
+// SlhrGrammar::Validate, and a failure is kCorruption or kOutOfRange.
+// Flips in a start k^2-tree's leaves move cells onto the diagonal,
+// which only the decoder's per-cell check rejects.
+TEST_P(FuzzRoundTrip, FlippedPayloadsUpholdFuzzInvariants) {
+  const FuzzParam& p = GetParam();
+  Alphabet alphabet;
+  Hypergraph graph = RandomGraph(p, &alphabet);
+  auto compressed = CompressedGraph::FromGraph(graph, alphabet);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  const std::vector<uint8_t> payload = compressed.value().Serialize();
+  const char* violated =
+      fuzz::CheckGrepairPayload(payload.data(), payload.size());
+  ASSERT_EQ(violated, nullptr) << violated;
+  // At most 512 flips per graph, spread over the whole payload.
+  const size_t bits = payload.size() * 8;
+  const size_t stride = (bits + 511) / 512;
+  for (size_t bit = p.seed % stride; bit < bits; bit += stride) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[bit / 8] ^= static_cast<uint8_t>(0x80 >> (bit % 8));
+    violated = fuzz::CheckGrepairPayload(flipped.data(), flipped.size());
+    ASSERT_EQ(violated, nullptr) << violated << " (bit " << bit << ")";
   }
 }
 

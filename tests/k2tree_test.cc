@@ -335,6 +335,66 @@ TEST(K2TreeLayoutTest, DimensionsAboveUint32FailClosed) {
                 "wrapped dimensions");
 }
 
+TEST(K2TreeLayoutTest, ZeroDimensionHeaderFailsClosed) {
+  // A tree holding only its origin cell, under headers giving 0
+  // columns, 0 rows, or both. Every set bit is child 0 of its parent,
+  // at the parent's own origin, and the root's origin (0,0) is already
+  // outside the matrix, so the root's first bit lies in the padding. A
+  // walk that took a parent's origin to be in bounds and checked only
+  // the child offsets would accept the tree.
+  const struct {
+    uint64_t rows, cols;
+    const char* t;
+    const char* l;
+  } headers[] = {{8, 0, "1000" "1000", "1000"},
+                 {0, 8, "1000" "1000", "1000"},
+                 {0, 0, "", "1000"}};
+  for (const auto& h : headers) {
+    const std::string what =
+        std::to_string(h.rows) + " x " + std::to_string(h.cols);
+    const auto bytes = RawTree(h.rows, h.cols, 1, h.t, h.l);
+    ExpectCorrupt(bytes, what);
+    BitReader r(bytes);
+    auto cells = K2Tree::DecodeCells(&r);
+    ASSERT_FALSE(cells.ok()) << what;
+    EXPECT_EQ(cells.status().message(), "k2-tree sets a bit in its padding")
+        << what;
+  }
+}
+
+// The k = 2 walk at shard scale: on 2,048 x 2,048 trees shaped like a
+// read-corpus shard's start labels, one dense (7,400 cells) and twenty
+// sparse (about 35 cells each), DecodeCells lists exactly the sorted
+// distinct input cells, as does AllCells.
+TEST(K2TreeLayoutTest, ShardScaleDecodeCellsMatchesAllCells) {
+  constexpr uint32_t kSize = 2048;
+  Rng rng(0x5A4D);
+  std::vector<uint32_t> counts = {7400};
+  for (int i = 0; i < 20; ++i) {
+    counts.push_back(25 + static_cast<uint32_t>(rng.UniformBounded(21)));
+  }
+  for (uint32_t count : counts) {
+    std::vector<std::pair<uint32_t, uint32_t>> cells;
+    for (uint32_t i = 0; i < count; ++i) {
+      cells.push_back({static_cast<uint32_t>(rng.UniformBounded(kSize)),
+                       static_cast<uint32_t>(rng.UniformBounded(kSize))});
+    }
+    BitWriter w;
+    const K2Tree tree = K2Tree::Build(kSize, kSize, cells);
+    tree.Serialize(&w);
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    std::vector<uint64_t> truth;
+    for (const auto& c : cells) truth.push_back(Key(c));
+    const auto bytes = w.TakeBytes();
+    BitReader r(bytes);
+    auto decoded = K2Tree::DecodeCells(&r);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().keys, truth) << count << " cells";
+    EXPECT_EQ(tree.AllCells(), cells) << count << " cells";
+  }
+}
+
 // Mutation battery over the fuzz target's invariants (CheckK2TreeParse):
 // bit flips, truncations and byte noise on Build outputs for k = 2, 3, 4
 // over square and incidence shapes.

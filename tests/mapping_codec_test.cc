@@ -1,8 +1,9 @@
 // Round-trip and fail-closed tests for the grepair payload v2 codes of
 // grammar_coder.h: the psi' node mapping (the flat origin array as
-// zigzag gaps) and the start graph's hyperedge tuple sections, plus the
-// retired v1 payload, which must fail closed with a "recompress"
-// message.
+// zigzag gaps), the start graph's hyperedge tuple sections and rank-2
+// k^2 cells, and the rule checks, each of which must fail closed with
+// Corruption, plus the retired v1 payload, which must fail closed with
+// a "recompress" message.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "src/datasets/generators.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
+#include "src/k2tree/k2tree.h"
 #include "src/query/compressed_graph.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
@@ -366,6 +368,102 @@ TEST(TupleSectionTest, RejectsEveryStrictPrefix) {
     std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
     EXPECT_FALSE(DecodeGrammar(prefix).ok()) << "prefix of " << len;
   }
+}
+
+// ---- Start-graph k^2 cells and rule checks --------------------------------
+
+// A grammar written out by hand: one rank-2 terminal, the one rule
+// `write_rule` writes (none if null), `start_nodes` start nodes, an
+// empty permutation dictionary, and the terminal's section: a
+// `tree_size` x `tree_size` k^2-tree holding `cells`, with no
+// duplicates.
+std::vector<uint8_t> GrammarWithCells(
+    uint64_t start_nodes, uint32_t tree_size,
+    const std::vector<std::pair<uint32_t, uint32_t>>& cells,
+    void (*write_rule)(BitWriter*) = nullptr) {
+  const uint64_t num_rules = write_rule != nullptr ? 1 : 0;
+  BitWriter w;
+  w.PutBits(0x47524732, 32);  // "GRG2"
+  EliasDeltaEncode(2, &w);    // one terminal label
+  EliasDeltaEncode(2, &w);    // ... of rank 2
+  EliasDeltaEncode(num_rules + 1, &w);
+  EliasDeltaEncode(start_nodes + 1, &w);
+  if (write_rule != nullptr) write_rule(&w);
+  EliasDeltaEncode(1, &w);  // no permutations
+  w.PutBit(true);           // label 0 present
+  K2Tree::Build(tree_size, tree_size, cells).Serialize(&w);
+  EliasDeltaEncode(1, &w);  // no duplicate cells
+  if (num_rules > 0) w.PutBit(false);  // the rule's label: absent
+  return w.TakeBytes();
+}
+
+TEST(StartCellTest, DecodesHonestCells) {
+  auto decoded = DecodeGrammar(GrammarWithCells(3, 3, {{0, 1}, {2, 0}}));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const Hypergraph& start = decoded.value().start();
+  ASSERT_EQ(start.num_edges(), 2u);
+  EXPECT_TRUE(start.edge(0).att == Attachments({0, 1}));
+  EXPECT_TRUE(start.edge(1).att == Attachments({2, 0}));
+  EXPECT_TRUE(decoded.value().Validate().ok());
+}
+
+TEST(StartCellTest, RejectsADiagonalCell) {
+  // The encoder writes what it is given: a start graph with the
+  // self-loop (2,2) puts a cell on the diagonal. Before the decoder
+  // checked cells, this failed InvalidArgument from Validate.
+  Alphabet alphabet;
+  alphabet.Add("e", 2);
+  Hypergraph start(3);
+  start.AddSimpleEdge(0, 1, 0);
+  start.AddSimpleEdge(2, 2, 0);
+  SlhrGrammar grammar(std::move(alphabet), std::move(start));
+  const std::vector<uint8_t> bytes = EncodeGrammar(grammar);
+  EXPECT_EQ(bytes, GrammarWithCells(3, 3, {{0, 1}, {2, 2}}));
+  ExpectCorrupt(bytes, "cell (2,2)");
+}
+
+TEST(StartCellTest, RejectsACellBeyondTheStartNodes) {
+  // A 4 x 4 tree over 2 start nodes: (0,3) is inside the tree, so
+  // the tree's own padding check passes it, but node 3 does not
+  // exist. Before the decoder checked cells, this failed
+  // InvalidArgument from Validate.
+  ExpectCorrupt(GrammarWithCells(2, 4, {{0, 3}}), "column 3 of 2 nodes");
+  ExpectCorrupt(GrammarWithCells(2, 4, {{3, 0}}), "row 3 of 2 nodes");
+  // The same tree over 4 start nodes is honest.
+  EXPECT_TRUE(DecodeGrammar(GrammarWithCells(4, 4, {{0, 3}})).ok());
+}
+
+TEST(StartCellTest, RejectsRulesThatFailTheirChecks) {
+  // Rule checks run after decoding and fail Corruption too. A rank-2
+  // rule over 2 nodes whose one terminal edge attaches node 0 twice:
+  // each id is in range, only restriction (1) breaks.
+  auto twice = [](BitWriter* w) {
+    EliasDeltaEncode(2, w);  // one edge
+    EliasDeltaEncode(3, w);  // two nodes
+    EliasDeltaEncode(3, w);  // rank 2
+    w->PutBit(false);        // terminal
+    EliasDeltaEncode(2, w);  // two attachments
+    for (int a = 0; a < 2; ++a) {
+      w->PutBit(true);         // external
+      EliasDeltaEncode(1, w);  // node 0
+    }
+    EliasDeltaEncode(1, w);  // label 0
+  };
+  ExpectCorrupt(GrammarWithCells(3, 3, {{0, 1}}, twice), "att 0, 0");
+  // A rule that references itself breaks the bottom-up order.
+  auto cyclic = [](BitWriter* w) {
+    EliasDeltaEncode(2, w);  // one edge
+    EliasDeltaEncode(3, w);  // two nodes
+    EliasDeltaEncode(3, w);  // rank 2
+    w->PutBit(true);         // nonterminal
+    EliasDeltaEncode(2, w);  // two attachments
+    for (uint64_t v : {1, 2}) {
+      w->PutBit(true);  // external
+      EliasDeltaEncode(v, w);
+    }
+    EliasDeltaEncode(2, w);  // label 1, this rule
+  };
+  ExpectCorrupt(GrammarWithCells(3, 3, {{0, 1}}, cyclic), "self-reference");
 }
 
 TEST(RetiredPayloadTest, V1PayloadFailsClosedWithRecompress) {
