@@ -110,8 +110,8 @@ struct QueryStats {
   uint64_t memo_entries = 0;    ///< grammar memo-table entries built
   uint64_t memo_hits = 0;       ///< queries answered from memo tables
   uint64_t shard_faults = 0;    ///< lazy shards materialized on demand
-  uint64_t shards_prefetched = 0; ///< shards warmed by the prefetch pool
-  uint64_t bytes_hinted = 0;    ///< madvise-hinted bytes (WILLNEED/SEQ)
+  uint64_t shards_prefetched = 0; ///< shards faulted by Prefetch
+  uint64_t bytes_hinted = 0;    ///< madvise-hinted bytes (SEQUENTIAL)
   uint64_t remote_fetches = 0;  ///< shard payloads fetched over the network
   uint64_t remote_bytes = 0;    ///< payload bytes fetched over the network
   // Connection-pool counters (serve::RemoteShardSource).

@@ -10,7 +10,7 @@
 // sharded rep: the directory is fetched at open, each cold shard
 // faults over a connection pool on first touch, one request per
 // connection at a time, each round trip bounded by io_timeout_ms
-// (checksum-verified like a local fault), and the prefetch pool, query
+// (checksum-verified like a local fault), and Prefetch, the query
 // caches and QueryStats counters work unchanged —
 // remote_fetches/remote_bytes say what crossed the wire, the pool_*
 // counters say how, and with an SSD cache dir configured the tier_*

@@ -21,6 +21,10 @@ namespace {
 constexpr int kBackoffBaseMs = 25;
 constexpr int kBackoffMaxMs = 2000;
 
+// The number of connections a pool opens, and so of open-time warming
+// workers: pool_size clamped to [1, 64].
+int PoolWidth(int pool_size) { return std::max(1, std::min(64, pool_size)); }
+
 }  // namespace
 
 RemoteShardSource::RemoteShardSource(std::string peer, std::string corpus,
@@ -30,7 +34,7 @@ RemoteShardSource::RemoteShardSource(std::string peer, std::string corpus,
       io_timeout_ms_(options.io_timeout_ms),
       gate_jitter_(HashBytes(
           reinterpret_cast<const uint8_t*>(peer_.data()), peer_.size())) {
-  int pool = std::max(1, std::min(64, options.pool_size));
+  int pool = PoolWidth(options.pool_size);
   conns_.reserve(pool);
   for (int i = 0; i < pool; ++i) {
     conns_.push_back(std::make_unique<Conn>());
@@ -436,12 +440,10 @@ Result<std::unique_ptr<shard::ShardedRep>> OpenRemoteContainer(
   std::vector<size_t> ranked = RankByHeat(histogram);
   if (options.warm_from_histogram && !ranked.empty()) {
     // Open-time warming: fault the known-hot shards through the stack
-    // (SSD tier first, network behind it) on a small pool so the first
-    // real queries find them resident. Asynchronous — the open returns
-    // while the warm-up streams in; a later set_prefetch_threads joins
-    // this pool first.
-    rep.value()->set_prefetch_threads(4);
-    rep.value()->Prefetch(ranked);
+    // (SSD tier first, network behind it), one worker per pool
+    // connection, before the open returns, so the first real queries
+    // find them resident.
+    rep.value()->store().Prefetch(ranked, PoolWidth(options.pool_size));
   }
   return rep;
 }

@@ -9,9 +9,9 @@
 // its mutex for one CallServer round trip (src/serve/stats.h), the
 // exchange every client call uses. The server answers each connection
 // in order, so a second request on a busy connection would only queue
-// behind the first: concurrent faults (prefetch pool, batch queries,
-// concurrent frontends) overlap across slots, at most pool_size at
-// once.
+// behind the first: concurrent faults (a Prefetch or batch fanned out
+// on the rep's threads, concurrent frontends) overlap across slots, at
+// most pool_size at once.
 //
 // Failure model: every request is a pure read, so a transport failure
 // closes the slot's connection and is retried exactly once on a

@@ -72,9 +72,6 @@ class TieredShardSource : public shard::ShardSource {
                               std::vector<uint8_t>* owned) override;
 
   // Advise calls are about the inner source's own storage.
-  uint64_t AdviseShard(size_t shard) override {
-    return inner_->AdviseShard(shard);
-  }
   uint64_t AdviseSequential() override { return inner_->AdviseSequential(); }
   uint64_t AdviseNormal() override { return inner_->AdviseNormal(); }
 

@@ -1,9 +1,7 @@
 #include "src/shard/shard_store.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
-#include <thread>
 
 #include "src/shard/parallel_compressor.h"
 #include "src/util/hashing.h"
@@ -96,78 +94,6 @@ std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
 }
 
 // ---------------------------------------------------------------------------
-// Prefetch pool
-
-// Fixed worker pool draining a shard-index queue: each worker faults
-// one shard's inner rep at a time so foreground queries find it
-// resident. Owned by the store (declared last, so destroyed — and
-// joined — before any state the workers touch).
-class ShardStore::Prefetcher {
- public:
-  Prefetcher(const ShardStore* store, int threads) : store_(store) {
-    for (int i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { Worker(); });
-    }
-  }
-
-  ~Prefetcher() {
-    {
-      MutexLock lock(mu_);
-      stop_ = true;
-    }
-    cv_.NotifyAll();
-    for (auto& t : workers_) t.join();
-  }
-
-  void Enqueue(const std::vector<size_t>& shards)
-      GREPAIR_LOCKS_EXCLUDED(mu_) {
-    {
-      MutexLock lock(mu_);
-      for (size_t s : shards) {
-        queue_.push_back(s);
-        ++pending_;
-      }
-    }
-    cv_.NotifyAll();
-  }
-
-  void WaitIdle() GREPAIR_LOCKS_EXCLUDED(mu_) {
-    MutexLock lock(mu_);
-    while (pending_ != 0 && !stop_) idle_cv_.Wait(lock);
-  }
-
- private:
-  void Worker() GREPAIR_LOCKS_EXCLUDED(mu_) {
-    MutexLock lock(mu_);
-    while (true) {
-      while (!stop_ && queue_.empty()) cv_.Wait(lock);
-      if (stop_) break;
-      size_t shard = queue_.front();
-      queue_.pop_front();
-      // The fault itself runs unlocked so workers fault in parallel;
-      // the scoped lock is released and re-acquired around it with
-      // the analysis tracking the gap.
-      lock.Unlock();
-      store_->PrefetchOne(shard);
-      lock.Lock();
-      if (--pending_ == 0) idle_cv_.NotifyAll();
-    }
-    // Wake any WaitIdle caller racing a shutdown (queued work is
-    // dropped; nobody can observe the store after destruction anyway).
-    idle_cv_.NotifyAll();
-  }
-
-  const ShardStore* store_;
-  Mutex mu_;
-  CondVar cv_;
-  CondVar idle_cv_;
-  std::deque<size_t> queue_ GREPAIR_GUARDED_BY(mu_);
-  size_t pending_ GREPAIR_GUARDED_BY(mu_) = 0;
-  bool stop_ GREPAIR_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
-};
-
-// ---------------------------------------------------------------------------
 // ShardStore
 
 ShardStore::ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,
@@ -190,8 +116,6 @@ ShardStore::ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,
     folded_published_[i].store(nullptr, std::memory_order_relaxed);
   }
 }
-
-ShardStore::~ShardStore() = default;
 
 Result<ByteSpan> ShardStore::VerifiedPayload(
     size_t shard, std::vector<uint8_t>* owned) const {
@@ -278,11 +202,6 @@ Result<const api::CompressedRep*> ShardStore::Rep(size_t shard,
   lazy_published_[shard].store(lazy_slots_[shard].get(),
                                std::memory_order_release);
   return static_cast<const api::CompressedRep*>(lazy_slots_[shard].get());
-}
-
-bool ShardStore::Resident(size_t shard) const {
-  if (!entries_[shard].has_payload()) return true;  // nothing to fault
-  return lazy_published_[shard].load(std::memory_order_acquire) != nullptr;
 }
 
 size_t ShardStore::PayloadSize(size_t shard) const {
@@ -374,69 +293,22 @@ Result<Hypergraph> ShardStore::Decompress(uint64_t num_nodes,
 // ---------------------------------------------------------------------------
 // Prefetch
 
-void ShardStore::set_prefetch_threads(int threads) {
-  MutexLock lock(prefetch_mutex_);
-  prefetcher_.reset();  // join the old pool before any resize
-  if (threads > 0) {
-    prefetcher_ = std::make_unique<Prefetcher>(this, std::min(threads, 64));
-  }
+void ShardStore::Prefetch(const std::vector<size_t>& shards,
+                          int threads) const {
+  RunIndexedOnPool(shards.size(), threads, [&](size_t k) {
+    if (shards[k] >= entries_.size()) return;
+    bool faulted = false;
+    (void)Rep(shards[k], &faulted);  // errors resurface on the query
+    if (faulted) stat_prefetched_.fetch_add(1, std::memory_order_relaxed);
+  });
 }
 
-void ShardStore::Prefetch(const std::vector<size_t>& shards) const {
-  std::vector<size_t> valid;
-  valid.reserve(shards.size());
-  for (size_t s : shards) {
-    if (s < entries_.size()) valid.push_back(s);
-  }
-  if (valid.empty()) return;
-  {
-    MutexLock lock(prefetch_mutex_);
-    if (prefetcher_ != nullptr) {
-      prefetcher_->Enqueue(valid);
-      return;
-    }
-  }
-  // No pool: warm synchronously so the call still means "make these
-  // resident".
-  for (size_t s : valid) PrefetchOne(s);
-}
-
-void ShardStore::PrefetchAll() const {
+void ShardStore::PrefetchAll(int threads) const {
   std::vector<size_t> all;
   for (size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].has_payload()) all.push_back(i);
   }
-  Prefetch(all);
-}
-
-void ShardStore::WaitForPrefetch() const {
-  MutexLock lock(prefetch_mutex_);
-  if (prefetcher_ != nullptr) prefetcher_->WaitIdle();
-}
-
-void ShardStore::WarmAhead(const std::vector<size_t>& shards) const {
-  // The per-shard fault mutex makes the handoff race-free: workers
-  // that lose the race simply find the shard resident.
-  std::vector<size_t> cold;
-  for (size_t s : shards) {
-    if (!Resident(s)) cold.push_back(s);
-  }
-  if (cold.empty()) return;
-  MutexLock lock(prefetch_mutex_);
-  if (prefetcher_ != nullptr) prefetcher_->Enqueue(cold);
-}
-
-void ShardStore::PrefetchOne(size_t shard) const {
-  if (shard >= entries_.size() || Resident(shard)) return;
-  // Readahead hint first: on mapped sources the kernel starts paging
-  // the payload in while this worker is still in the deserializer's
-  // early bytes.
-  uint64_t hinted = source_->AdviseShard(shard);
-  if (hinted > 0) stat_hinted_.fetch_add(hinted, std::memory_order_relaxed);
-  bool faulted = false;
-  auto rep = Rep(shard, &faulted);
-  (void)rep;  // errors resurface on the foreground query that needs it
-  if (faulted) stat_prefetched_.fetch_add(1, std::memory_order_relaxed);
+  Prefetch(all, threads);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@
 // wherever payload bytes or inner reps are read. The decoded
 // neighborhood is the shard's whole out/in adjacency in global ids,
 // kept in one LRU cache under a byte budget (set_query_cache_bytes,
-// 0 disables it) and evicted whole. A background pool can fault
-// shards ahead of demand. Faulted and folded reps are retained for the
-// store's lifetime; the byte budget governs decoded shards only.
+// 0 disables it) and evicted whole. Prefetch faults shards ahead of
+// demand on the caller's fan-out. Faulted and folded reps are retained
+// for the store's lifetime; the byte budget governs decoded shards only.
 // Answers never depend on what is resident or cached.
 
 #ifndef GREPAIR_SHARD_SHARD_STORE_H_
@@ -42,8 +42,7 @@ inline constexpr size_t kDefaultQueryCacheBytes = 64ull << 20;
 /// (serve::RemoteShardSource) and the SSD tier in front of it
 /// (serve::TieredShardSource) implement. A store holds exactly one
 /// source for its lifetime; the source owns (or pins) whatever
-/// storage its returned spans borrow from. Prefetch has one readahead
-/// hook, AdviseShard, called just before each prefetched fault.
+/// storage its returned spans borrow from.
 class ShardSource {
  public:
   virtual ~ShardSource() = default;
@@ -62,18 +61,10 @@ class ShardSource {
   virtual Result<ByteSpan> FetchShard(size_t shard,
                                       std::vector<uint8_t>* owned) = 0;
 
-  /// \brief Readahead hint for one shard's payload (MADV_WILLNEED on
-  /// mapped sources), issued just before a prefetch worker faults the
-  /// shard. Returns the number of bytes hinted (0 = no-op); the store
-  /// accumulates this into QueryStats::bytes_hinted.
-  virtual uint64_t AdviseShard(size_t shard) {
-    (void)shard;
-    return 0;
-  }
-
   /// \brief Whole-container sequential-access hint (MADV_SEQUENTIAL
   /// on mapped sources, ahead of a full Decompress walk). Returns
-  /// bytes hinted.
+  /// bytes hinted; the store accumulates this into
+  /// QueryStats::bytes_hinted.
   virtual uint64_t AdviseSequential() { return 0; }
 
   /// \brief Undoes AdviseSequential once the walk is done
@@ -177,7 +168,6 @@ class ShardStore {
   ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,
              std::shared_ptr<ShardSource> source,
              std::vector<ShardEntry> entries);
-  ~ShardStore();
 
   size_t num_shards() const { return entries_.size(); }
   const ShardEntry& entry(size_t i) const { return entries_[i]; }
@@ -214,23 +204,11 @@ class ShardStore {
   /// one graph over `num_nodes` global ids.
   Result<Hypergraph> Decompress(uint64_t num_nodes, int threads) const;
 
-  /// \brief Starts (or resizes, or with 0 stops) the background
-  /// prefetch pool. Safe to toggle while queries run.
-  void set_prefetch_threads(int threads);
-
-  /// \brief Queues `shards` for background faulting; faults inline
-  /// when no pool is running. Out-of-range indices are ignored.
-  void Prefetch(const std::vector<size_t>& shards) const;
-  void PrefetchAll() const;
-
-  /// \brief Blocks until the prefetch queue is drained (no-op without
-  /// a pool).
-  void WaitForPrefetch() const;
-
-  /// \brief Hands the shards a batch is about to touch to the pool
-  /// when one is running (no-op otherwise), so they fault while the
-  /// batch works on earlier shards.
-  void WarmAhead(const std::vector<size_t>& shards) const;
+  /// \brief Faults `shards` on up to `threads` workers and returns
+  /// once each is resident or has failed; a fault error resurfaces on
+  /// the query that needs the shard. Out-of-range indices are ignored.
+  void Prefetch(const std::vector<size_t>& shards, int threads) const;
+  void PrefetchAll(int threads) const;
 
   /// \brief Byte budget of the decoded cache; 0 disables it.
   void set_query_cache_bytes(size_t bytes);
@@ -265,15 +243,6 @@ class ShardStore {
       GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
  private:
-  class Prefetcher;
-
-  /// True when the shard has nothing left to fault.
-  bool Resident(size_t shard) const;
-
-  /// Prefetch-worker body for one shard (fault errors resurface on the
-  /// foreground query that needs the shard).
-  void PrefetchOne(size_t shard) const;
-
   /// LRU eviction of decoded shards down to `target` bytes.
   void EvictLocked(size_t target) const GREPAIR_REQUIRES(cache_mutex_);
 
@@ -325,12 +294,6 @@ class ShardStore {
   mutable std::atomic<uint64_t> stat_faults_{0};
   mutable std::atomic<uint64_t> stat_prefetched_{0};
   mutable std::atomic<uint64_t> stat_hinted_{0};
-
-  // Prefetch pool; guarded by prefetch_mutex_ (knob retunes race with
-  // batch enqueues). Declared last so workers are joined before the
-  // state they touch is torn down.
-  mutable Mutex prefetch_mutex_;
-  std::unique_ptr<Prefetcher> prefetcher_ GREPAIR_GUARDED_BY(prefetch_mutex_);
 };
 
 }  // namespace shard

@@ -41,19 +41,6 @@ class LocalShardSource : public ShardSource {
     return payloads_[shard];
   }
 
-  uint64_t AdviseShard(size_t shard) override {
-    if (file_ == nullptr || shard >= payloads_.size()) return 0;
-    ByteSpan payload = payloads_[shard];
-    if (payload.size == 0) return 0;
-    ByteSpan map = file_->span();
-    if (payload.data < map.data || payload.data + payload.size >
-                                       map.data + map.size) {
-      return 0;  // heap-owned container bytes: nothing to madvise
-    }
-    return file_->AdviseWillNeed(
-        static_cast<size_t>(payload.data - map.data), payload.size);
-  }
-
   uint64_t AdviseSequential() override {
     return file_ != nullptr ? file_->AdviseSequential() : 0;
   }
@@ -327,14 +314,6 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
       }
     }
   }
-
-  // Let a running prefetch pool fault the batch's cold shards while
-  // earlier shards are queried.
-  std::vector<size_t> touched;
-  for (size_t i = 0; i < shard_count; ++i) {
-    if (!groups[i].empty()) touched.push_back(i);
-  }
-  store_.WarmAhead(touched);
 
   // Per-shard answers, filled by the pool workers into per-shard
   // slots and merged single-threaded afterwards, so the result is

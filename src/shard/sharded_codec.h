@@ -72,10 +72,8 @@ class ShardedRep : public api::CompressedRep {
 
   /// \brief Batch neighbor queries: nodes grouped by owning shard,
   /// shards decoded into the cache where the batch amortizes it, work
-  /// fanned out over the thread pool (un-faulted shards the batch
-  /// touches are handed to the prefetch pool first when one is
-  /// running). Result order follows the input order and is identical
-  /// for every thread count.
+  /// fanned out over the thread pool. Result order follows the input
+  /// order and is identical for every thread count.
   Result<std::vector<std::vector<uint64_t>>> OutNeighborsBatch(
       const std::vector<uint64_t>& nodes) const override;
 
@@ -116,8 +114,9 @@ class ShardedRep : public api::CompressedRep {
   static Result<std::unique_ptr<ShardedRep>> OpenFromSource(
       std::shared_ptr<ShardSource> source, ParsedDirectory dir);
 
-  /// \brief Thread-pool size for Decompress, batch queries and folds
-  /// (default 1, clamped to [1, 256]). Safe to call while queries run.
+  /// \brief Thread-pool size for Decompress, batch queries, Prefetch
+  /// and folds (default 1, clamped to [1, 256]). Safe to call while
+  /// queries run.
   void set_threads(int threads);
 
   const std::string& inner_name() const { return inner_name_; }
@@ -128,11 +127,11 @@ class ShardedRep : public api::CompressedRep {
   /// neighborhoods, prefetch.
   const ShardStore& store() const { return store_; }
 
-  // Store knobs (see ShardStore).
-  void set_prefetch_threads(int n) { store_.set_prefetch_threads(n); }
-  void Prefetch(const std::vector<size_t>& s) const { store_.Prefetch(s); }
-  void PrefetchAll() const { store_.PrefetchAll(); }
-  void WaitForPrefetch() const { store_.WaitForPrefetch(); }
+  // Store knobs (see ShardStore); Prefetch faults on the thread pool.
+  void Prefetch(const std::vector<size_t>& s) const {
+    store_.Prefetch(s, threads());
+  }
+  void PrefetchAll() const { store_.PrefetchAll(threads()); }
   void set_query_cache_bytes(size_t b) { store_.set_query_cache_bytes(b); }
 
   // Mutable-corpus surface (see MutableCorpus); folds run on the rep's

@@ -1,11 +1,11 @@
 #include "src/util/mmap_file.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <random>
 #include <system_error>
 
 #if defined(_WIN32)
@@ -18,6 +18,8 @@
 #include <unistd.h>
 #endif
 
+#include "src/util/hashing.h"
+
 namespace grepair {
 
 namespace {
@@ -25,10 +27,6 @@ namespace {
 std::string ErrnoText() {
   return std::string(std::strerror(errno));
 }
-
-}  // namespace
-
-namespace {
 
 #if GREPAIR_HAVE_MMAP
 size_t PageSize() {
@@ -38,31 +36,6 @@ size_t PageSize() {
 #endif
 
 }  // namespace
-
-size_t MmapFile::AdviseWillNeed(size_t offset, size_t length) const {
-#if GREPAIR_HAVE_MMAP
-  if (!mapped_ || data_ == nullptr || length == 0 || offset >= size_) {
-    return 0;
-  }
-  length = std::min(length, size_ - offset);
-  // madvise wants a page-aligned start; widen the range to page
-  // boundaries (the mapping itself is page-aligned, so aligning down
-  // from offset stays inside it).
-  size_t page = PageSize();
-  size_t begin = offset - offset % page;
-  size_t end = std::min(size_, offset + length);
-  size_t span = end - begin;
-  const char* base = static_cast<const char*>(data_) + begin;
-  if (madvise(const_cast<char*>(base), span, MADV_WILLNEED) != 0) {
-    return 0;
-  }
-  return span;
-#else
-  (void)offset;
-  (void)length;
-  return 0;
-#endif
-}
 
 size_t MmapFile::AdviseSequential() const {
 #if GREPAIR_HAVE_MMAP
@@ -222,6 +195,16 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
+std::FILE* CreateExclusiveFile(const std::function<std::string()>& next_name,
+                               std::string* chosen) {
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    *chosen = next_name();
+    std::FILE* f = std::fopen(chosen->c_str(), "wbx");
+    if (f != nullptr || errno != EEXIST) return f;
+  }
+  return nullptr;
+}
+
 Status WriteFileBytesAtomic(const std::string& path, ByteSpan bytes) {
   // Replace regular files only: the rename would swap a FIFO, device
   // node or symlink itself for a plain file.
@@ -233,12 +216,18 @@ Status WriteFileBytesAtomic(const std::string& path, ByteSpan bytes) {
     return Status::InvalidArgument("cannot write " + path +
                                    ": not a regular file");
   }
-  // The counter keeps concurrent writers to the same destination from
-  // clobbering each other's temporaries; rename serializes who wins.
-  static std::atomic<uint64_t> tmp_counter{0};
-  std::string tmp =
-      path + ".tmp" + std::to_string(tmp_counter.fetch_add(1));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  // mkstemp-style temporary names: a per-process random salt mixed with
+  // a counter, so writers in this process or another never share one;
+  // rename serializes who wins.
+  static const uint64_t salt = [] {
+    std::random_device seed;
+    return (uint64_t{seed()} << 32) ^ seed();
+  }();
+  static std::atomic<uint64_t> counter{0};
+  std::string tmp;
+  std::FILE* f = CreateExclusiveFile(
+      [&] { return path + ".tmp" + std::to_string(Mix64(salt + counter++)); },
+      &tmp);
   if (f == nullptr) {
     return Status::InvalidArgument("cannot write " + tmp + ": " +
                                    ErrnoText());

@@ -17,6 +17,8 @@
 #define GREPAIR_UTIL_MMAP_FILE_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,13 +51,6 @@ class MmapFile {
   /// \brief True when the bytes live in a real mapping rather than the
   /// heap fallback (exposed for tests and the CLI's `info` output).
   bool is_mapped() const { return mapped_; }
-
-  /// \brief MADV_WILLNEED over the page-aligned range covering
-  /// [offset, offset+length) — kicks off readahead so an imminent
-  /// shard fault finds its pages resident. Returns the number of
-  /// bytes actually hinted (0 on the heap fallback, an empty range,
-  /// or a refused madvise; hints are best-effort by design).
-  size_t AdviseWillNeed(size_t offset, size_t length) const;
 
   /// \brief MADV_SEQUENTIAL over the whole mapping (ahead of a
   /// front-to-back walk such as a full Decompress). Returns bytes
@@ -90,11 +85,22 @@ size_t UnpinBytes(ByteSpan span);
 /// and small inputs where a mapping is overkill). Errors name the path.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 
-/// \brief Atomic whole-file write: the bytes land in a uniquely named
-/// temporary sibling first and are rename(2)d over `path` only after a
-/// flushed, full-length close, so readers never observe a torn file —
-/// they see either the old contents or the new, never a prefix. The
-/// temporary is removed on any failure. An existing `path` must be a
+/// \brief Creates and opens for writing the first name `next_name`
+/// draws, out of at most 100 draws, that does not exist yet. The create
+/// is exclusive (O_CREAT|O_EXCL): a file or symlink already at a drawn
+/// name is never opened, followed or truncated. On success `*chosen`
+/// names the new file; null with errno set (EEXIST when every draw was
+/// taken) when none could be made.
+std::FILE* CreateExclusiveFile(const std::function<std::string()>& next_name,
+                               std::string* chosen);
+
+/// \brief Atomic whole-file write: the bytes land in a temporary
+/// sibling first, created by CreateExclusiveFile under a fresh name
+/// (so never through a symlink, nor shared with a concurrent writer),
+/// and are rename(2)d over `path` only after a flushed, full-length
+/// close, so readers never observe a torn file — they see either the
+/// old contents or the new, never a prefix. The temporary is removed
+/// on any failure. An existing `path` must be a
 /// regular file (lstat(2), so a symlink does not qualify): a FIFO,
 /// device node, directory or symlink fails with kInvalidArgument and
 /// is left intact. Not durable: nothing is fsync'd. Errors name the

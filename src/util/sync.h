@@ -14,10 +14,6 @@
 //  - Public entry points that acquire a lock internally are annotated
 //    `GREPAIR_LOCKS_EXCLUDED(mu_)` so re-entrant acquisition is a
 //    compile error at the call site, not a deadlock in production.
-//  - Condition-variable predicates are written as explicit wait loops
-//    (`while (!pred) cv.Wait(lock);`) rather than lambda predicates:
-//    the analysis cannot see that a predicate lambda runs under the
-//    lock, but it fully checks the loop form.
 //  - What cannot be expressed (per-element mutex arrays, fields handed
 //    off between threads by join/detach) is documented with a comment
 //    at the declaration instead of left silently unannotated.
@@ -25,7 +21,6 @@
 #ifndef GREPAIR_UTIL_SYNC_H_
 #define GREPAIR_UTIL_SYNC_H_
 
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -65,7 +60,6 @@
 
 namespace grepair {
 
-class CondVar;
 class MutexLock;
 class ReaderMutexLock;
 class WriterMutexLock;
@@ -73,8 +67,7 @@ class WriterMutexLock;
 /// \brief A standard mutex carrying the `capability` attribute.
 ///
 /// Prefer the scoped MutexLock over calling Lock/Unlock directly; the
-/// raw methods exist for the rare hand-over-hand or conditional paths
-/// and are fully annotated so the analysis tracks them too.
+/// raw methods are fully annotated so the analysis tracks them too.
 class GREPAIR_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -85,7 +78,6 @@ class GREPAIR_CAPABILITY("mutex") Mutex {
   void Unlock() GREPAIR_RELEASE() { mu_.unlock(); }
 
  private:
-  friend class CondVar;
   friend class MutexLock;
   std::mutex mu_;
 };
@@ -109,11 +101,6 @@ class GREPAIR_CAPABILITY("shared_mutex") SharedMutex {
 };
 
 /// \brief Scoped exclusive lock on a Mutex (the workhorse guard).
-///
-/// Relockable: Unlock()/Lock() support the unlock-work-relock pattern
-/// (e.g. a worker dropping the queue lock around the expensive decode)
-/// with the analysis tracking the capability across the gap. The
-/// destructor releases only if still held.
 class GREPAIR_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) GREPAIR_ACQUIRE(mu) : lock_(mu.mu_) {}
@@ -122,15 +109,8 @@ class GREPAIR_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// \brief Releases the mutex before scope exit (must be held).
-  void Unlock() GREPAIR_RELEASE() { lock_.unlock(); }
-
-  /// \brief Re-acquires the mutex after an Unlock().
-  void Lock() GREPAIR_ACQUIRE() { lock_.lock(); }
-
  private:
-  friend class CondVar;
-  std::unique_lock<std::mutex> lock_;
+  std::lock_guard<std::mutex> lock_;
 };
 
 /// \brief Scoped shared (reader) lock on a SharedMutex.
@@ -159,28 +139,6 @@ class GREPAIR_SCOPED_CAPABILITY WriterMutexLock {
 
  private:
   std::unique_lock<std::shared_mutex> lock_;
-};
-
-/// \brief Condition variable over Mutex/MutexLock.
-///
-/// Wait takes the scoped lock, not the mutex: the analysis then keeps
-/// treating the capability as held across the wait (which is what the
-/// caller observes — Wait returns with the lock re-acquired). Callers
-/// write explicit `while (!pred) cv.Wait(lock);` loops so every
-/// predicate read is visibly under the lock.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace grepair

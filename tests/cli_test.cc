@@ -256,6 +256,7 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
       {"query " + in + " --pairs 1-2", 2,
        "--pairs expects comma-separated from:to pairs, got '1-2'"},
       {"query " + in + " --nodes 1 --bogus", 2, usage},
+      {"query " + in + " --nodes 1 --prefetch 2", 2, usage},
       {"query " + in + " --nodes", 2, usage},
       {"query --remote", 2, usage},
       // append

@@ -2,7 +2,7 @@
 // src/shard/shard_store.h): a GRSHARD2 container opened via mmap (or
 // from memory) materializes exactly the shards queries touch, evicted
 // shards re-fault byte-identically, payload corruption fails closed at
-// fault time, concurrent queriers/prefetchers on one mapping are
+// fault time, concurrent queries and prefetches on one mapping are
 // race-free (the TSan CI leg runs this file), and a decode racing a
 // delta's publish is not cached. Also covers MmapFile's error surface
 // and the api-level Open entry points.
@@ -246,19 +246,18 @@ TEST(LazyOpenTest, PrefetchWarmsShardsAheadOfQueries) {
       AsSharded(compressed.get())->SerializeV2());
   ASSERT_TRUE(rep.ok());
 
-  rep.value()->set_prefetch_threads(2);
+  // PrefetchAll returns once every shard is resident: no wait.
+  rep.value()->set_threads(2);
   rep.value()->PrefetchAll();
-  rep.value()->WaitForPrefetch();
   auto stats = rep.value()->query_stats();
   EXPECT_EQ(stats.shard_faults, 2u);       // both data shards warmed
-  EXPECT_EQ(stats.shards_prefetched, 2u);  // ...by the pool
+  EXPECT_EQ(stats.shards_prefetched, 2u);  // ...by Prefetch
 
   // Queries find everything resident: no further faults.
   for (uint64_t v = 0; v < 8; ++v) {
     ASSERT_TRUE(rep.value()->OutNeighbors(v).ok());
   }
   EXPECT_EQ(rep.value()->query_stats().shard_faults, 2u);
-  rep.value()->set_prefetch_threads(0);  // clean shutdown while warm
 }
 
 TEST(LazyOpenTest, PrefetchOverMmapHintsReadaheadBytes) {
@@ -278,9 +277,9 @@ TEST(LazyOpenTest, PrefetchOverMmapHintsReadaheadBytes) {
   EXPECT_STREQ(sharded->store().source_kind(),
                mapped ? "local-mmap" : "local-heap");
 
-  // Prefetch routes a WILLNEED hint through the source before each
-  // fault; Decompress advises the whole mapping SEQUENTIAL. On the
-  // (rare) heap fallback both are no-ops and the counter stays 0.
+  // Decompress advises the whole mapping SEQUENTIAL (after a prefetch
+  // has faulted every shard). On the (rare) heap fallback the hint is
+  // a no-op and the counter stays 0.
   sharded->PrefetchAll();
   ASSERT_TRUE(rep.value()->Decompress().ok());
   auto stats = rep.value()->query_stats();
@@ -296,7 +295,7 @@ TEST(LazyOpenTest, PrefetchOverMmapHintsReadaheadBytes) {
   std::remove(path.c_str());
 }
 
-TEST(LazyOpenTest, ConcurrentQueriersAndPrefetchersAreRaceFree) {
+TEST(LazyOpenTest, ConcurrentQueriesAndPrefetchesAreRaceFree) {
   GeneratedGraph gg = BarabasiAlbert(120, 3, 11);
   auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
@@ -315,10 +314,10 @@ TEST(LazyOpenTest, ConcurrentQueriersAndPrefetchersAreRaceFree) {
   auto lazy = shard::ShardedRep::Deserialize(compressed_sharded->SerializeV2());
   ASSERT_TRUE(lazy.ok());
   lazy.value()->set_threads(4);
-  lazy.value()->set_prefetch_threads(2);
 
-  // 8 threads race single queries, batches and prefetches over one
-  // cold mapping; every shard fault is contended.
+  // 8 threads race single queries, batches and a prefetch fanned out
+  // on the rep's threads over one cold mapping; every shard fault is
+  // contended.
   std::vector<uint64_t> all_nodes(gg.graph.num_nodes());
   for (uint64_t v = 0; v < all_nodes.size(); ++v) all_nodes[v] = v;
   std::atomic<int> failures{0};

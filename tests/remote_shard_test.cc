@@ -262,9 +262,8 @@ TEST(RemoteShardTest, RemotePrefetchWarmsShardsOverTheWire) {
   auto* sharded = dynamic_cast<shard::ShardedRep*>(remote.value().get());
   ASSERT_NE(sharded, nullptr);
 
-  sharded->set_prefetch_threads(2);
+  sharded->set_threads(2);
   sharded->PrefetchAll();
-  sharded->WaitForPrefetch();
   auto warm = remote.value()->query_stats();
   EXPECT_GT(warm.shard_faults, 0u);
   EXPECT_EQ(warm.remote_fetches, warm.shard_faults);
@@ -275,7 +274,6 @@ TEST(RemoteShardTest, RemotePrefetchWarmsShardsOverTheWire) {
   }
   EXPECT_EQ(remote.value()->query_stats().remote_fetches,
             warm.remote_fetches);
-  sharded->set_prefetch_threads(0);
 }
 
 TEST(RemoteShardTest, ApiOpenRemoteEntryPoint) {

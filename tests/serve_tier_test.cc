@@ -357,7 +357,8 @@ TEST(ServeTierTest, OfflineOpenFromWarmTierAfterServerDies) {
 // Open-time warming from the SSD tier: the first session fills the
 // tier and the directory sidecar and makes its shards the server's
 // hot set; a second open with warm_from_histogram must prefetch each
-// hot shard with exactly one tier read and no network fetch.
+// hot shard, before it returns, with exactly one tier read and no
+// network fetch.
 TEST(ServeTierTest, OpenTimeWarmingReadsEachHotShardFromTheTierOnce) {
   ScratchDir scratch("open_warm");
   GeneratedGraph gg = BarabasiAlbert(120, 3, 149);
@@ -397,13 +398,12 @@ TEST(ServeTierTest, OpenTimeWarmingReadsEachHotShardFromTheTierOnce) {
   ASSERT_GT(hot, 0u);
   ASSERT_LT(hot, data_shards);  // some shards stay cold
 
-  // Session 2: the open warms the hot shards; wait for it before any
-  // query so the counters are the warm-up's alone.
+  // Session 2: the open warms the hot shards before it returns, so
+  // the counters read before any query are the warm-up's alone.
   auto rep = serve::OpenRemoteContainer(peer, options);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
   ASSERT_NE(sharded, nullptr);
-  sharded->WaitForPrefetch();
   auto warmed = sharded->query_stats();
   EXPECT_EQ(warmed.shards_prefetched, hot);
   EXPECT_EQ(warmed.tier_warm_hits, hot);
@@ -680,12 +680,12 @@ TEST(ServeTierTest, CreateKeepsExactlyThePlannedFiles) {
 }
 
 // Warming under load: threads interleave histogram-style Prefetch
-// (the prefetch pool's MADV_WILLNEED hint plus fault per shard) with
-// point queries on one shared mmap-backed rep. Then the same thread
-// shape drives a budget-constrained SSD tier, so prefetch faults
-// through the tier race its planned-shard reads and writes and its
-// unplanned pass-throughs. Answers must stay byte-identical
-// throughout. Runs under the TSan CI leg.
+// (faults fanned out on the rep's two threads) with point queries on
+// one shared mmap-backed rep. Then the same thread shape drives a
+// budget-constrained SSD tier, so prefetch faults through the tier
+// race its planned-shard reads and writes and its unplanned
+// pass-throughs. Answers must stay byte-identical throughout. Runs
+// under the TSan CI leg.
 TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   ScratchDir scratch("pin_stress");
   GeneratedGraph gg = BarabasiAlbert(140, 3, 137);
@@ -707,7 +707,7 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto* sharded = dynamic_cast<shard::ShardedRep*>(opened.value().get());
   ASSERT_NE(sharded, nullptr);
-  sharded->set_prefetch_threads(2);
+  sharded->set_threads(2);
 
   std::vector<size_t> all_shards(sharded->num_shards());
   for (size_t s = 0; s < all_shards.size(); ++s) all_shards[s] = s;
@@ -717,10 +717,7 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 2; ++t) {
       threads.emplace_back([&] {  // histogram-style warming
-        for (int i = 0; i < 20; ++i) {
-          sharded->Prefetch(all_shards);
-          sharded->WaitForPrefetch();
-        }
+        for (int i = 0; i < 20; ++i) sharded->Prefetch(all_shards);
       });
     }
     for (int t = 0; t < 4; ++t) {
@@ -750,15 +747,12 @@ TEST(ServeTierTest, EightThreadPinPrefetchEvictionStress) {
   auto* tiered_rep =
       dynamic_cast<shard::ShardedRep*>(remote.value().get());
   ASSERT_NE(tiered_rep, nullptr);
-  tiered_rep->set_prefetch_threads(2);
+  tiered_rep->set_threads(2);
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < 2; ++t) {
       threads.emplace_back([&] {  // tier warms race planned writes
-        for (int i = 0; i < 10; ++i) {
-          tiered_rep->Prefetch(all_shards);
-          tiered_rep->WaitForPrefetch();
-        }
+        for (int i = 0; i < 10; ++i) tiered_rep->Prefetch(all_shards);
       });
     }
     for (int t = 0; t < 6; ++t) {

@@ -1,14 +1,23 @@
 // Unit tests for bit streams, byte spans/cursors, Elias codes, RNG
-// determinism and union-find.
+// determinism, union-find and the atomic file writer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/util/bit_stream.h"
 #include "src/util/byte_io.h"
 #include "src/util/elias.h"
 #include "src/util/hashing.h"
+#include "src/util/mmap_file.h"
 #include "src/util/rng.h"
 #include "src/util/union_find.h"
 
@@ -258,6 +267,100 @@ TEST(UnionFindTest, BasicMerging) {
   EXPECT_TRUE(uf.Same(1, 3));
   EXPECT_EQ(uf.CountSets(), 3u);
   EXPECT_EQ(uf.SetSize(3), 4u);
+}
+
+// An atomic write creates its temporary exclusively: symlinks planted at
+// the names a per-process counter would give a process's first
+// temporaries (".tmp0", ".tmp1", ...) are neither followed nor replaced,
+// so the file they point to keeps its bytes. The victim is written with
+// a plain stream so this process's first atomic write is the one below.
+TEST(WriteFileBytesAtomicTest, PlantedTemporarySymlinksAreNotFollowed) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "grepair_atomic_planted";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path victim = dir / "victim.bin";
+  const std::string victim_text = "bytes someone else owns";
+  std::ofstream(victim, std::ios::binary) << victim_text;
+  const std::string target = (dir / "out.bin").string();
+  std::set<std::string> names = {"victim.bin", "out.bin"};
+  for (int i = 0; i < 8; ++i) {
+    std::string link = "out.bin.tmp" + std::to_string(i);
+    fs::create_symlink(victim, dir / link);
+    names.insert(link);
+  }
+
+  std::vector<uint8_t> bytes(4096, 0xEE);
+  Status status = WriteFileBytesAtomic(target, SpanOf(bytes));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(fs::is_regular_file(fs::symlink_status(target)));
+  EXPECT_EQ(ReadFileBytes(target).ValueOrDie(), bytes);
+  auto victim_now = ReadFileBytes(victim.string()).ValueOrDie();
+  EXPECT_TRUE(std::string(victim_now.begin(), victim_now.end()) ==
+              victim_text)
+      << "the victim now holds " << victim_now.size() << " byte(s)";
+  std::set<std::string> found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    found.insert(entry.path().filename().string());
+    if (entry.path() != victim && entry.path().string() != target) {
+      EXPECT_EQ(fs::read_symlink(entry.path()), victim) << entry.path();
+    }
+  }
+  EXPECT_EQ(found, names);  // no temporary left behind
+  fs::remove_all(dir);
+}
+
+// The exclusive create itself: a drawn name already taken by a symlink
+// or a regular file fails the open with EEXIST and is redrawn, and
+// neither it nor the file a symlink points to is touched.
+TEST(WriteFileBytesAtomicTest, ExclusiveCreateRedrawsPastTakenNames) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "grepair_exclusive_create";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string victim_text = "bytes someone else owns";
+  std::ofstream(dir / "victim.bin", std::ios::binary) << victim_text;
+  std::ofstream(dir / "taken.bin", std::ios::binary) << victim_text;
+  fs::create_symlink(dir / "victim.bin", dir / "link.bin");
+  auto text_of = [](const fs::path& p) {
+    auto bytes = ReadFileBytes(p.string());
+    if (!bytes.ok()) return bytes.status().ToString();
+    return std::string(bytes.value().begin(), bytes.value().end());
+  };
+
+  const std::vector<fs::path> draws = {dir / "link.bin", dir / "taken.bin",
+                                       dir / "fresh.bin"};
+  size_t drawn = 0;
+  std::string chosen;
+  std::FILE* f = CreateExclusiveFile(
+      [&] { return draws[std::min(drawn++, draws.size() - 1)].string(); },
+      &chosen);
+  ASSERT_NE(f, nullptr) << std::strerror(errno);
+  std::fputs("new", f);
+  std::fclose(f);
+  EXPECT_EQ(drawn, 3u);
+  EXPECT_EQ(chosen, (dir / "fresh.bin").string());
+  EXPECT_EQ(text_of(dir / "fresh.bin"), "new");
+  EXPECT_EQ(text_of(dir / "victim.bin"), victim_text);
+  EXPECT_EQ(text_of(dir / "taken.bin"), victim_text);
+  EXPECT_TRUE(fs::is_symlink(dir / "link.bin"));
+
+  // Every draw taken: no file, EEXIST, and the draws stop at 100.
+  drawn = 0;
+  errno = 0;
+  f = CreateExclusiveFile(
+      [&] {
+        ++drawn;
+        return (dir / "link.bin").string();
+      },
+      &chosen);
+  EXPECT_EQ(f, nullptr);
+  EXPECT_EQ(errno, EEXIST);
+  EXPECT_EQ(drawn, 100u);
+  EXPECT_EQ(text_of(dir / "victim.bin"), victim_text);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -79,8 +79,8 @@ int Usage() {
       "  backends\n"
       "  query <in>|--remote host:port[/corpus] [--nodes 1,2,3]\n"
       "        [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]\n"
-      "        [--prefetch P] [--pool N] [--ssd-cache DIR]\n"
-      "        [--ssd-cache-bytes N] [--warm-from-histogram 0|1]\n"
+      "        [--pool N] [--ssd-cache DIR] [--ssd-cache-bytes N]\n"
+      "        [--warm-from-histogram 0|1]\n"
       "        [--delta file.grs3]...\n"
       "  append <base> [chain.grs3]... --edits <file> -o <out.grs3>\n"
       "         [--fold-budget BYTES]\n"
@@ -316,7 +316,6 @@ int CmdQuery(int argc, char** argv) {
   std::string remote_spec, nodes_spec, pairs_spec;
   bool batch = false;
   int threads = 0;
-  int prefetch = 0;
   uint64_t cache_bytes = 0;
   std::vector<std::string> delta_paths;
   api::RemoteOptions remote_options;
@@ -328,7 +327,6 @@ int CmdQuery(int argc, char** argv) {
        {"--batch", &batch},
        {"--threads", Count{&threads, 1, kMaxThreads}},
        {"--cache-bytes", &cache_bytes},
-       {"--prefetch", Count{&prefetch, 1, 64}},
        {"--pool", Count{&remote_options.pool_size, 1, 64}},
        {"--ssd-cache", &remote_options.ssd_cache_dir},
        {"--ssd-cache-bytes", &remote_options.ssd_cache_bytes},
@@ -374,7 +372,6 @@ int CmdQuery(int argc, char** argv) {
   if (args->has("--cache-bytes")) {
     rep.set_query_cache_bytes(static_cast<size_t>(cache_bytes));
   }
-  if (prefetch > 0) rep.set_prefetch_threads(prefetch);
   std::printf("[sharded:%s] %llu nodes\n", rep.inner_name().c_str(),
               static_cast<unsigned long long>(rep.num_nodes()));
   std::vector<std::vector<uint64_t>> outs;
