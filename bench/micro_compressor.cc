@@ -1,8 +1,8 @@
 // Micro-benchmarks for the compression pipeline itself: gRePair
-// end-to-end throughput per workload family, encode/decode/derive, and
-// one compression benchmark per paper codec (bench_util.h's
-// PaperCodecNames, so every compressor's throughput is tracked from the
-// same harness).
+// end-to-end throughput per workload family, encode/decode/derive, a
+// warm sharded batch query, and one compression benchmark per paper
+// codec (bench_util.h's PaperCodecNames, so every compressor's
+// throughput is tracked from the same harness).
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
 #include "src/shard/partitioner.h"
+#include "src/util/rng.h"
 
 namespace grepair {
 namespace {
@@ -140,6 +141,44 @@ void BM_DecodeGrammarDblpShards(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_DecodeGrammarDblpShards)->Unit(benchmark::kMillisecond);
+
+// A warm 512-node OutNeighborsBatch on a 16-shard sharded:grepair rep
+// opened from its container bytes: routing, the decoded shards and
+// result assembly. Arg 0 is read-hot-local's corpus, whose shard maps
+// barely overlap; arg 1 is mutate-rdf's, whose maps all span the hub
+// ids.
+void BM_ShardedBatch512(benchmark::State& state) {
+  const GeneratedGraph gg = state.range(0) == 0
+                                ? DblpVersions(32, 200, 100, 1, "dblp")
+                                : RdfEntities(40000, 40, 60, 1);
+  state.SetLabel(gg.name);
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "16");
+  auto compressed = codec->Compress(gg.graph, gg.alphabet, options);
+  if (!compressed.ok()) {
+    state.SkipWithError(compressed.status().ToString().c_str());
+    return;
+  }
+  auto rep = codec->Deserialize(compressed.value()->Serialize());
+  if (!rep.ok()) {
+    state.SkipWithError(rep.status().ToString().c_str());
+    return;
+  }
+  Rng rng(1);
+  std::vector<uint64_t> nodes(512);
+  for (uint64_t& node : nodes) {
+    node = rng.UniformBounded(gg.graph.num_nodes());
+  }
+  (void)rep.value()->OutNeighborsBatch(nodes);  // fault and decode
+  for (auto _ : state) {
+    auto answers = rep.value()->OutNeighborsBatch(nodes);
+    benchmark::DoNotOptimize(answers.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * nodes.size());
+}
+BENCHMARK(BM_ShardedBatch512)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DeriveVal(benchmark::State& state) {
   auto gg = DisjointCopies(CycleWithDiagonal(), 4096, "c");

@@ -22,6 +22,35 @@ bool EdgeLess(const DeltaEdge& a, const DeltaEdge& b) {
   return std::tie(a.u, a.v, a.label) < std::tie(b.u, b.v, b.label);
 }
 
+// One shard whose node map holds both ends of a pair, and their local
+// ids there.
+struct PairOwner {
+  uint32_t shard;
+  NodeId lu, lv;
+};
+
+// The shards whose node maps hold both `u` and `v`, in shard order: the
+// two owner runs intersected into *out.
+void PairOwners(const OwnerIndex& index, uint64_t u, uint64_t v,
+                std::vector<PairOwner>* out) {
+  out->clear();
+  const OwnerIndex::Run ou = index.Owners(u);
+  const OwnerIndex::Run ov = index.Owners(v);
+  const ShardOwner* a = ou.begin();
+  const ShardOwner* b = ov.begin();
+  while (a != ou.end() && b != ov.end()) {
+    if (a->shard < b->shard) {
+      ++a;
+    } else if (b->shard < a->shard) {
+      ++b;
+    } else {
+      out->push_back({a->shard, a->local, b->local});
+      ++a;
+      ++b;
+    }
+  }
+}
+
 // Decompresses one shard, applies `kills` then `adds` (global ids; set
 // semantics) and recompresses it through the inner codec.
 Status FoldOneShard(const ShardStore& store, size_t shard,
@@ -161,34 +190,18 @@ Status MutableCorpus::FoldLocked(int threads) {
   if (snap == nullptr || snap->empty()) return Status::OK();
 
   const size_t shard_count = store_->num_shards();
-  // The first shard holding both endpoints, and how many shards do,
-  // counted up to `enough`.
-  auto owner_of = [&](uint64_t u, uint64_t v, int enough, int* owners) {
-    size_t owner = shard_count;
-    *owners = 0;
-    for (size_t i = 0; i < shard_count && *owners < enough; ++i) {
-      const ShardEntry& entry = store_->entry(i);
-      if (entry.LocalId(u) == kInvalidNode ||
-          entry.LocalId(v) == kInvalidNode) {
-        continue;
-      }
-      if (++*owners == 1) owner = i;
-    }
-    return owner;
-  };
-  // True when a shard after `owner` holds the pair (u, v) in its
-  // current grammar, or cannot tell.
-  auto held_after = [&](uint64_t u, uint64_t v, size_t owner) {
-    for (size_t i = owner + 1; i < shard_count; ++i) {
-      const ShardEntry& entry = store_->entry(i);
-      const NodeId lu = entry.LocalId(u), lv = entry.LocalId(v);
-      if (lu == kInvalidNode || lv == kInvalidNode) continue;
-      auto rep = store_->Rep(i);
-      if (!rep.ok()) return true;
-      if (rep.value() == nullptr) continue;  // edgeless
-      auto out = rep.value()->OutNeighbors(lu);
-      if (!out.ok() ||
-          std::binary_search(out.value().begin(), out.value().end(), lv)) {
+  const OwnerIndex& owner_index = store_->owner_index();
+  std::vector<PairOwner> owners;  // reused per edit
+  // True when a shard after the first owner holds the pair in its
+  // current grammar, or cannot tell. Owners all have a payload, so each
+  // has a rep.
+  auto held_after = [&] {
+    for (size_t k = 1; k < owners.size(); ++k) {
+      auto rep = store_->Rep(owners[k].shard);
+      if (!rep.ok() || rep.value() == nullptr) return true;
+      auto out = rep.value()->OutNeighbors(owners[k].lu);
+      if (!out.ok() || std::binary_search(out.value().begin(),
+                                          out.value().end(), owners[k].lv)) {
         return true;
       }
     }
@@ -207,17 +220,16 @@ Status MutableCorpus::FoldLocked(int threads) {
   // endpoints means no base copy exists: the kill is spent (Apply
   // already erased pending adds of the pair).
   for (const DeltaPair& kill : snap->kills()) {
-    int owners = 0;
-    size_t owner = owner_of(kill.u, kill.v, 2, &owners);
-    if (owners == 0) {
+    PairOwners(owner_index, kill.u, kill.v, &owners);
+    if (owners.empty()) {
       ++spent_kills;
       continue;
     }
-    if (owners > 1) {
+    if (owners.size() > 1) {
       residual_kills.push_back(kill);
       continue;
     }
-    shard_kills[owner].push_back(kill);
+    shard_kills[owners[0].shard].push_back(kill);
   }
 
   // Add eligibility: the first shard holding both endpoints takes the
@@ -232,17 +244,15 @@ Status MutableCorpus::FoldLocked(int threads) {
   // share their target: a kill's unique owner is also the first shard
   // holding its pair, so one shard slice folds or defers them together.
   for (const DeltaEdge& add : snap->adds()) {
-    int owners = 0;
-    size_t owner = owner_of(add.u, add.v, 2, &owners);
+    PairOwners(owner_index, add.u, add.v, &owners);
     bool killed_residual =
         std::binary_search(residual_kills.begin(), residual_kills.end(),
                            DeltaPair{add.u, add.v}, PairLess);
-    if (owners == 0 || killed_residual ||
-        (owners > 1 && held_after(add.u, add.v, owner))) {
+    if (owners.empty() || killed_residual || held_after()) {
       residual_adds.push_back(add);
       continue;
     }
-    shard_adds[owner].push_back(add);
+    shard_adds[owners[0].shard].push_back(add);
   }
 
   // Byte parity: a shard is recompressed once its pending edits weigh

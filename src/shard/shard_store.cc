@@ -94,6 +94,66 @@ std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
 }
 
 // ---------------------------------------------------------------------------
+// OwnerIndex
+
+OwnerIndex::OwnerIndex(const std::vector<ShardEntry>& entries) {
+  size_t total = 0;
+  uint64_t max_id = 0;
+  for (const ShardEntry& entry : entries) {
+    if (!entry.has_payload() || entry.nodes.empty()) continue;
+    total += entry.nodes.size();
+    max_id = std::max<uint64_t>(max_id, entry.nodes.back());
+  }
+  if (total == 0) return;
+  // The fewest bits to drop for at most total + 1 buckets: the index is
+  // sized by the maps, never by the (untrusted) node count.
+  while ((max_id >> shift_) > total) ++shift_;
+  const size_t buckets = static_cast<size_t>(max_id >> shift_) + 1;
+
+  // Counting sort: per id while the ids span at most four times the
+  // entries (a transient 16 B per entry at most), else per bucket.
+  // Filling back to front leaves start[k] at key k's first slot and an
+  // id's owners in shard order.
+  const unsigned key_shift = shift_ <= 2 ? 0 : shift_;
+  std::vector<uint32_t> start((max_id >> key_shift) + 2, 0);
+  for (const ShardEntry& entry : entries) {
+    if (!entry.has_payload()) continue;
+    for (NodeId id : entry.nodes) ++start[id >> key_shift];
+  }
+  for (size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  // Every slot is written below, so none is initialized first.
+  owners_.reset(new ShardOwner[total]);
+  for (size_t s = entries.size(); s-- > 0;) {
+    const ShardEntry& entry = entries[s];
+    if (!entry.has_payload()) continue;
+    for (size_t local = entry.nodes.size(); local-- > 0;) {
+      const NodeId id = entry.nodes[local];
+      owners_[--start[id >> key_shift]] =
+          ShardOwner{id, static_cast<uint32_t>(s), static_cast<NodeId>(local)};
+    }
+  }
+  if (key_shift == shift_) {
+    bucket_start_ = std::move(start);
+  } else {
+    bucket_start_.reserve(buckets + 1);
+    for (size_t b = 0; b < buckets; ++b) {
+      bucket_start_.push_back(start[b << shift_]);
+    }
+    bucket_start_.push_back(static_cast<uint32_t>(total));
+  }
+  if (key_shift == 0) return;
+  // Sparse maps: a bucket spans 2^shift ids. Order it by id, keeping
+  // shard order among an id's owners.
+  for (size_t b = 0; b < buckets; ++b) {
+    ShardOwner* lo = owners_.get() + bucket_start_[b];
+    ShardOwner* hi = owners_.get() + bucket_start_[b + 1];
+    std::sort(lo, hi, [](const ShardOwner& x, const ShardOwner& y) {
+      return x.global != y.global ? x.global < y.global : x.shard < y.shard;
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // ShardStore
 
 ShardStore::ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,

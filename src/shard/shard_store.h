@@ -10,9 +10,13 @@
 // neighborhood is the shard's whole out/in adjacency in global ids,
 // kept in one LRU cache under a byte budget (set_query_cache_bytes,
 // 0 disables it) and evicted whole. Prefetch faults shards ahead of
-// demand on the caller's fan-out. Faulted and folded reps are retained
-// for the store's lifetime; the byte budget governs decoded shards only.
-// Answers never depend on what is resident or cached.
+// demand on the caller's fan-out. Across shards it keeps the owner
+// index, which routes a global id to the shards holding it. Faulted and
+// folded reps are retained for the store's lifetime, and so is the
+// owner index once the first routed lookup builds it (12 B per node-map
+// entry plus at most 4 B per entry for its buckets); the byte budget
+// governs decoded shards only. Answers never depend on what is
+// resident or cached.
 
 #ifndef GREPAIR_SHARD_SHARD_STORE_H_
 #define GREPAIR_SHARD_SHARD_STORE_H_
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -96,12 +101,13 @@ struct ShardEntry {
   ByteSpan payload_bytes() const { return view; }
   bool has_payload() const { return length != 0; }
 
-  /// \brief The routing rule: `global`'s local id in this shard, or
-  /// kInvalidNode when the shard is edgeless or does not hold it.
-  /// Inline: queries run it once per shard per node.
+  /// \brief `global`'s local id in this shard, or kInvalidNode when the
+  /// shard is edgeless or does not hold it: a binary search of the
+  /// map. For callers that already know the shard (a fold); routing a
+  /// node to its shards goes through the OwnerIndex, because vertex-cut
+  /// maps overlap (every RDF map spans the shared hub ids) and a range
+  /// check rejects few of them.
   NodeId LocalId(uint64_t global) const {
-    // Two comparisons reject most shards before the binary search: maps
-    // are sorted, and edge-range partitions make their ranges disjoint.
     if (!has_payload() || nodes.empty() || global < nodes.front() ||
         global > nodes.back()) {
       return kInvalidNode;
@@ -111,6 +117,61 @@ struct ShardEntry {
     if (*it != static_cast<NodeId>(global)) return kInvalidNode;
     return static_cast<NodeId>(it - nodes.begin());
   }
+};
+
+/// \brief One node-map entry: global id `global` is local id `local`
+/// of shard `shard`.
+struct ShardOwner {
+  NodeId global;
+  uint32_t shard;
+  NodeId local;
+};
+
+/// \brief The routing table of a store: for each global id, the shards
+/// with a payload whose node maps hold it, as one contiguous run of
+/// ShardOwner in shard order. Immutable once built.
+///
+/// The entries of every map sit in one array sorted by (global, shard),
+/// bucketed by `global >> shift` with the shift chosen so that there
+/// are at most (entries + 1) buckets: 12 B per map entry plus 4 B per
+/// bucket, whatever the directory's node count claims. Ids above every
+/// map, such as ids that overlay adds created, have no owners.
+class OwnerIndex {
+ public:
+  struct Run {
+    const ShardOwner* first = nullptr;
+    const ShardOwner* last = nullptr;
+    const ShardOwner* begin() const { return first; }
+    const ShardOwner* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
+  };
+
+  /// Indexes the maps of `entries` with a payload; their entry count
+  /// must fit 32 bits (ShardedRep::Build checks it).
+  explicit OwnerIndex(const std::vector<ShardEntry>& entries);
+
+  /// \brief `global`'s owners in shard order; empty when no map holds
+  /// it.
+  Run Owners(uint64_t global) const {
+    // bucket_start_ holds one offset past the last bucket, or none.
+    const uint64_t bucket = global >> shift_;
+    if (bucket_start_.empty() || bucket >= bucket_start_.size() - 1) {
+      return {};
+    }
+    const ShardOwner* owners = owners_.get();
+    const ShardOwner* hi = owners + bucket_start_[bucket + 1];
+    const ShardOwner* lo = std::lower_bound(
+        owners + bucket_start_[bucket], hi, global,
+        [](const ShardOwner& o, uint64_t id) { return o.global < id; });
+    const ShardOwner* end = lo;
+    while (end != hi && end->global == global) ++end;
+    return {lo, end};
+  }
+
+ private:
+  unsigned shift_ = 0;
+  std::vector<uint32_t> bucket_start_;  // buckets + 1 offsets into owners_
+  std::unique_ptr<ShardOwner[]> owners_;  // sorted by (global, shard)
 };
 
 /// \brief A shard's decoded adjacency: Out(local) / In(local) are the
@@ -173,6 +234,16 @@ class ShardStore {
   const ShardEntry& entry(size_t i) const { return entries_[i]; }
   const api::GraphCodec& inner_codec() const { return *inner_codec_; }
   const char* source_kind() const { return source_->kind(); }
+
+  /// \brief The owner index of the node maps, built on the first call
+  /// (once per store; never at open, so an open stays a directory
+  /// parse) and immutable after it.
+  const OwnerIndex& owner_index() const {
+    std::call_once(owner_index_once_, [this] {
+      owner_index_ = std::make_unique<const OwnerIndex>(entries_);
+    });
+    return *owner_index_;
+  }
 
   /// \brief Shard `shard`'s payload bytes, checksum-verified exactly as
   /// a fault verifies them: a folded shard's bytes, else the resident
@@ -249,6 +320,9 @@ class ShardStore {
   std::vector<ShardEntry> entries_;  // K data shards, then the cut shard
   std::unique_ptr<api::GraphCodec> inner_codec_;  // non-null
   std::shared_ptr<ShardSource> source_;           // non-null
+
+  mutable std::once_flag owner_index_once_;
+  mutable std::unique_ptr<const OwnerIndex> owner_index_;
 
   // Base faults. lazy_slots_[i] is written only under
   // fault_mutexes_[i]; a per-element capability is not expressible

@@ -119,6 +119,15 @@ Result<std::unique_ptr<ShardedRep>> ShardedRep::Build(
       dir.rows.size() > kMaxShardCount) {
     return Status::Corruption("sharded directory shard count out of range");
   }
+  // The owner index addresses every node-map entry with 32 bits.
+  uint64_t map_entries = 0;
+  for (const std::vector<NodeId>& map : dir.node_maps) {
+    map_entries += map.size();
+  }
+  if (map_entries > 0xFFFFFFFFull) {
+    return Status::Corruption(
+        "sharded directory node maps hold over 2^32-1 ids");
+  }
   auto inner = api::CodecRegistry::Create(dir.inner_name);
   if (!inner.ok()) return inner.status();
   return std::unique_ptr<ShardedRep>(
@@ -208,20 +217,21 @@ Result<Hypergraph> ShardedRep::Decompress() const {
 // ---------------------------------------------------------------------------
 // Routing
 
-// Shared routing for Out/InNeighbors: per owning shard either the
-// decoded-neighborhood cache or a grammar-direct lookup in the inner
-// rep — faulted in on first touch, and charged to the shard's rent
-// (ShardStore::Decoded) — then merge and apply the overlay.
+// Shared routing for Out/InNeighbors: per owning shard (one owner-index
+// lookup) either the decoded-neighborhood cache or a grammar-direct
+// lookup in the inner rep — faulted in on first touch, and charged to
+// the shard's rent (ShardStore::Decoded) — then merge and apply the
+// overlay.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
   GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(node, num_nodes()));
   // Reader protocol (mutable_corpus.h): overlay before shard state.
   std::shared_ptr<const DeltaOverlay> overlay = corpus_.ReaderSnapshot();
+  const OwnerIndex::Run owners = store_.owner_index().Owners(node);
   std::vector<uint64_t> all;
-  for (size_t i = 0; i < store_.num_shards(); ++i) {
-    const Entry& entry = store_.entry(i);
-    NodeId local = entry.LocalId(node);
-    if (local == kInvalidNode) continue;
+  for (const ShardOwner& owner : owners) {
+    const size_t i = owner.shard;
+    const NodeId local = owner.local;
     auto cached = store_.Decoded(i, 1);
     if (cached != nullptr) {
       stat_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -233,12 +243,16 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
     auto rep = store_.Rep(i);
     if (!rep.ok()) return rep.status();
     size_t before = all.size();
-    GREPAIR_RETURN_IF_ERROR(
-        AppendShardNeighbors(entry, *rep.value(), local, out, &all));
+    GREPAIR_RETURN_IF_ERROR(AppendShardNeighbors(
+        store_.entry(i), *rep.value(), local, out, &all));
     store_.ChargeLookups(i, 1 + (all.size() - before));
   }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  // Each shard's part is sorted and deduplicated: only a node with
+  // several owners needs the merge.
+  if (owners.size() > 1) {
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+  }
   if (overlay != nullptr) corpus_.Merge(*overlay, node, out, &all);
   return all;
 }
@@ -305,13 +319,12 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
   // appear in several groups.
   std::vector<std::vector<std::pair<size_t, NodeId>>> groups(shard_count);
   std::vector<uint32_t> owner_count(uniq.size(), 0);
+  const OwnerIndex& owner_index = store_.owner_index();
   for (size_t u = 0; u < uniq.size(); ++u) {
-    for (size_t i = 0; i < shard_count; ++i) {
-      NodeId local = store_.entry(i).LocalId(uniq[u]);
-      if (local != kInvalidNode) {
-        groups[i].emplace_back(u, local);
-        ++owner_count[u];
-      }
+    const OwnerIndex::Run owners = owner_index.Owners(uniq[u]);
+    owner_count[u] = static_cast<uint32_t>(owners.size());
+    for (const ShardOwner& owner : owners) {
+      groups[owner.shard].emplace_back(u, owner.local);
     }
   }
 
@@ -386,12 +399,24 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
     }
   }
 
-  std::vector<std::vector<uint64_t>> results(nodes.size());
+  // Each request position takes its node's answer: moved into the
+  // node's last position, copied into any earlier one.
+  std::vector<size_t> uniq_of(nodes.size());
+  std::vector<size_t> uses_left(uniq.size(), 0);
   for (size_t j = 0; j < nodes.size(); ++j) {
-    size_t u = static_cast<size_t>(
+    uniq_of[j] = static_cast<size_t>(
         std::lower_bound(uniq.begin(), uniq.end(), nodes[j]) -
         uniq.begin());
-    results[j] = uniq_results[u];
+    ++uses_left[uniq_of[j]];
+  }
+  std::vector<std::vector<uint64_t>> results(nodes.size());
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    const size_t u = uniq_of[j];
+    if (--uses_left[u] == 0) {
+      results[j] = std::move(uniq_results[u]);
+    } else {
+      results[j] = uniq_results[u];
+    }
   }
   return results;
 }

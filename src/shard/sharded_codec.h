@@ -7,12 +7,13 @@
 // (compression pool, default min(K, hw)); anything else goes to the
 // inner codec.
 //
-// ShardedRep answers queries by routing: a global node is looked up in
-// the node map of every shard that holds it (vertex-cut shards share
-// nodes), each shard answers from its decoded neighborhoods or its
-// inner rep (both from the ShardStore), the parts are mapped back to
-// global ids and merged, and the corpus overlay is merged last
-// (MutableCorpus, whose header states the reader protocol).
+// ShardedRep answers queries by routing: one lookup in the store's
+// owner index gives every shard that holds a global node, with its
+// local id there (vertex-cut shards share nodes), each shard answers
+// from its decoded neighborhoods or its inner rep (both from the
+// ShardStore), the parts are mapped back to global ids and merged, and
+// the corpus overlay is merged last (MutableCorpus, whose header states
+// the reader protocol).
 // Reachability is a BFS over routed neighbor queries, so it crosses
 // shards; both inner codecs (grepair, k2) answer neighbor queries.
 // Batches group nodes by shard and fan out over the rep's thread pool;

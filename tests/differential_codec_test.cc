@@ -12,6 +12,9 @@
 //      variants MR-RePair-style systems get subtly wrong are exactly
 //      what this cross-check catches.
 //
+// The router's own answers are then checked against its Decompress:
+// per node, on ground truth, and where shard node maps overlap.
+//
 // Codecs that reject a dataset up front (e.g. k2 on hyperedges) must do
 // so with kInvalidArgument, which the suite treats as a verified skip,
 // not a pass.
@@ -20,7 +23,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/api/grepair_api.h"
@@ -254,6 +259,173 @@ TEST(ShardedQueryDifferentialTest, NeighborsMatchGroundTruth) {
       EXPECT_EQ(out.value(), expected_out) << backend << " node " << v;
       EXPECT_EQ(in.value(), expected_in) << backend << " node " << v;
     }
+  }
+}
+
+// The out and in adjacency of `rep`'s Decompress (rank-2 edges, sorted
+// and deduplicated per node) over its num_nodes() ids.
+struct Adjacency {
+  std::vector<std::vector<uint64_t>> out, in;
+};
+
+Adjacency DecompressedAdjacency(const shard::ShardedRep& rep) {
+  auto graph = rep.Decompress();
+  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+  Adjacency adj;
+  adj.out.resize(rep.num_nodes());
+  adj.in.resize(rep.num_nodes());
+  if (!graph.ok()) return adj;
+  for (const HEdge& e : graph.value().edges()) {
+    if (e.att.size() != 2) continue;
+    adj.out[e.att[0]].push_back(e.att[1]);
+    adj.in[e.att[1]].push_back(e.att[0]);
+  }
+  for (auto* lists : {&adj.out, &adj.in}) {
+    for (auto& list : *lists) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+  }
+  return adj;
+}
+
+// Every node's OutNeighbors and InNeighbors, and one all-node
+// OutNeighborsBatch at 1 and at 4 threads, equal the Decompress
+// adjacency. Returns that adjacency.
+Adjacency ExpectRoutingMatchesDecompress(shard::ShardedRep* rep) {
+  Adjacency adj = DecompressedAdjacency(*rep);
+  const uint64_t n = rep->num_nodes();
+  Adjacency routed;
+  for (uint64_t v = 0; v < n; ++v) {
+    routed.out.push_back(rep->OutNeighbors(v).ValueOrDie());
+    routed.in.push_back(rep->InNeighbors(v).ValueOrDie());
+  }
+  EXPECT_TRUE(routed.out == adj.out);
+  EXPECT_TRUE(routed.in == adj.in);
+  std::vector<uint64_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  for (int threads : {1, 4}) {
+    rep->set_threads(threads);
+    auto batch = rep->OutNeighborsBatch(all);
+    EXPECT_TRUE(batch.ok() && batch.value() == adj.out)
+        << "threads " << threads;
+  }
+  rep->set_threads(1);
+  return adj;
+}
+
+TEST(ShardedQueryDifferentialTest, OverlappingNodeMapsRouteEveryNode) {
+  // RDF entity graphs put their shared pool ids first and every entity
+  // points into them, so each of the 6 edge-range shards' node maps
+  // spans the pool ids: most ids lie inside several maps' ranges, and
+  // the pool ids have an owner in every shard.
+  GeneratedGraph gg = RdfEntities(300, 8, 12, 1);
+  auto codec = CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  CodecOptions options;
+  options.Set("shards", "6");
+  auto compressed = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  const std::vector<uint8_t> base = compressed.value()->Serialize();
+  auto opened = shard::ShardedRep::Deserialize(base);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  shard::ShardedRep& rep = *opened.value();
+  const uint64_t n = rep.num_nodes();
+
+  // Coverage guard: some id has an owner in every data shard.
+  size_t data_shards = 0;
+  for (size_t k = 0; k < rep.num_shards(); ++k) {
+    data_shards += rep.entry(k).has_payload();
+  }
+  ASSERT_GE(data_shards, 4u);
+  uint64_t hub = 0;
+  size_t max_owners = 0;
+  for (uint64_t v = 0; v < n; ++v) {
+    const size_t owners = rep.store().owner_index().Owners(v).size();
+    if (owners > max_owners) {
+      max_owners = owners;
+      hub = v;
+    }
+  }
+  EXPECT_EQ(max_owners, data_shards);
+
+  Adjacency base_adj;
+  {
+    SCOPED_TRACE("base");
+    base_adj = ExpectRoutingMatchesDecompress(&rep);
+  }
+
+  // Edits: reversed copies of some base edges (foldable), deletes of
+  // others, and adds on three ids past the base node count.
+  std::vector<shard::EdgeEdit> edits;
+  const auto& edges = gg.graph.edges();
+  for (size_t i = 0; i + 5 < edges.size() && i < 400; i += 10) {
+    const HEdge& e = edges[i];
+    edits.push_back(shard::EdgeEdit::Add(e.att[1], e.att[0], e.label));
+    const HEdge& d = edges[i + 5];
+    edits.push_back(shard::EdgeEdit::Delete(d.att[0], d.att[1]));
+  }
+  const uint32_t fresh = static_cast<uint32_t>(n);
+  edits.push_back(shard::EdgeEdit::Add(fresh, 0));
+  edits.push_back(shard::EdgeEdit::Add(1, fresh + 1));
+  edits.push_back(shard::EdgeEdit::Add(fresh + 2, fresh));
+  rep.set_overlay_budget_bytes(~0ull);
+  ASSERT_TRUE(rep.ApplyEdits(edits).ok());
+  ASSERT_EQ(rep.num_nodes(), n + 3);
+  {
+    SCOPED_TRACE("overlay");
+    ExpectRoutingMatchesDecompress(&rep);
+  }
+
+  rep.set_overlay_budget_bytes(0);
+  ASSERT_TRUE(rep.FoldOverlay().ok());
+  ASSERT_GT(rep.query_stats().shard_folds, 0u);
+  Adjacency folded;
+  {
+    SCOPED_TRACE("folded");
+    folded = ExpectRoutingMatchesDecompress(&rep);
+  }
+
+  auto delta = rep.BuildDelta(0, 0);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  const std::vector<uint8_t> delta_bytes =
+      shard::EncodeDeltaContainer(delta.value());
+  auto decoded = shard::DecodeDeltaContainer(SpanOf(delta_bytes));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto reopened = shard::ShardedRep::Deserialize(base);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE(reopened.value()->ApplyDelta(decoded.value()).ok());
+  {
+    SCOPED_TRACE("delta on a fresh open");
+    Adjacency applied = ExpectRoutingMatchesDecompress(reopened.value().get());
+    EXPECT_TRUE(applied.out == folded.out);
+    EXPECT_TRUE(applied.in == folded.in);
+  }
+
+  // Eight threads race the first routed lookups of a fresh rep (they
+  // build its owner index and fault its shards): singles and batches
+  // on the hub, which every data shard holds, and on ids 0 to 3.
+  auto raced = shard::ShardedRep::Deserialize(base);
+  ASSERT_TRUE(raced.ok()) << raced.status().ToString();
+  std::vector<std::vector<uint64_t>> got(8);
+  auto node_of = [&](size_t t) { return t < 4 ? hub : t - 4; };
+  std::vector<std::thread> threads;
+  threads.reserve(got.size());
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const uint64_t v = node_of(t);
+      if (t % 3 == 0) {
+        got[t] = raced.value()->InNeighbors(v).ValueOrDie();
+      } else if (t % 3 == 1) {
+        got[t] = raced.value()->OutNeighbors(v).ValueOrDie();
+      } else {
+        got[t] = raced.value()->OutNeighborsBatch({v, 0}).ValueOrDie()[0];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < got.size(); ++t) {
+    const uint64_t v = node_of(t);
+    EXPECT_EQ(got[t], t % 3 == 0 ? base_adj.in[v] : base_adj.out[v]) << t;
   }
 }
 

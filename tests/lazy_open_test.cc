@@ -5,18 +5,74 @@
 // fault time, concurrent queries and prefetches on one mapping are
 // race-free (the TSan CI leg runs this file), and a decode racing a
 // delta's publish is not cached. Also covers MmapFile's error surface
-// and the api-level Open entry points.
+// and the api-level Open entry points. A container whose header claims
+// 2^32-1 nodes answers queries, edits and folds without an allocation
+// sized by that count: this binary replaces the global operator
+// new/delete to record the largest request.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "src/api/grepair_api.h"
+#include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
+
+namespace {
+
+std::atomic<size_t> g_largest_allocation{0};
+
+void* RecordedAlloc(size_t size) {
+  size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+// Every throwing and nothrow form routes through malloc/free, so the
+// sanitizers see matching pairs; out of line, as in attachments_test.
+[[gnu::noinline]] void* operator new(size_t size) {
+  if (void* p = RecordedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](size_t size) {
+  if (void* p = RecordedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(size_t size,
+                                     const std::nothrow_t&) noexcept {
+  return RecordedAlloc(size);
+}
+[[gnu::noinline]] void* operator new[](size_t size,
+                                       const std::nothrow_t&) noexcept {
+  return RecordedAlloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace grepair {
 namespace {
@@ -414,6 +470,66 @@ TEST(LazyOpenTest, DecodeRacingADeltaIsNotCached) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value()[0], std::vector<uint64_t>({3}));
   EXPECT_EQ(after.value()[1], std::vector<uint64_t>({0, 2, 3}));
+}
+
+TEST(LazyOpenTest, HugeClaimedNodeCountAllocatesByTheMapsOnly) {
+  // One real 3-node shard (a -> b -> c) under a header claiming 2^32-1
+  // nodes; its map puts a, b and c at globals 7, 2^20 and 2^32-3. Every
+  // query, edit and fold must answer from the map, with no allocation
+  // sized by the claimed node count.
+  constexpr uint64_t kA = 7, kB = 1u << 20, kC = 0xFFFFFFFDull;
+  constexpr uint64_t kUnmapped = 0xFFFFFFFEull;  // valid, in no map
+  Hypergraph path(3);
+  path.AddSimpleEdge(0, 1, 0);
+  path.AddSimpleEdge(1, 2, 0);
+  auto inner = api::CodecRegistry::Create("grepair").ValueOrDie();
+  auto shard_rep = inner->Compress(path, OneLabel(), api::CodecOptions());
+  ASSERT_TRUE(shard_rep.ok()) << shard_rep.status().ToString();
+  const std::vector<uint8_t> payload = shard_rep.value()->Serialize();
+  shard::V2Encoder encoder("grepair", /*num_nodes=*/0xFFFFFFFFull, 1);
+  encoder.AddShard({kA, kB, kC}, SpanOf(payload),
+                   HashBytes(payload.data(), payload.size()));
+  const std::vector<uint8_t> bytes = std::move(encoder).Finish();
+
+  g_largest_allocation.store(0);
+  auto rep = shard::ShardedRep::Deserialize(bytes);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  shard::ShardedRep& sharded = *rep.value();
+  ASSERT_EQ(sharded.num_nodes(), 0xFFFFFFFFull);
+  using Ids = std::vector<uint64_t>;
+  auto out = [&](uint64_t v) { return sharded.OutNeighbors(v).ValueOrDie(); };
+  auto in = [&](uint64_t v) { return sharded.InNeighbors(v).ValueOrDie(); };
+  EXPECT_EQ(out(kA), Ids({kB}));
+  EXPECT_EQ(in(kB), Ids({kA}));
+  EXPECT_EQ(out(kB), Ids({kC}));
+  EXPECT_EQ(out(kUnmapped), Ids());
+  EXPECT_EQ(in(kUnmapped), Ids());
+  auto batch = sharded.OutNeighborsBatch({kUnmapped, kA, kUnmapped, kB});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value(),
+            std::vector<Ids>({Ids(), Ids({kB}), Ids(), Ids({kC})}));
+
+  // a -> c and a kill of a -> b fold into the shard; the edge from the
+  // unmapped id stays in the overlay.
+  ASSERT_TRUE(sharded
+                  .ApplyEdits({shard::EdgeEdit::Add(kA, kC),
+                               shard::EdgeEdit::Delete(kA, kB),
+                               shard::EdgeEdit::Add(kUnmapped, kA)})
+                  .ok());
+  EXPECT_EQ(out(kA), Ids({kC}));
+  EXPECT_EQ(in(kA), Ids({kUnmapped}));
+  sharded.set_overlay_budget_bytes(0);
+  ASSERT_TRUE(sharded.FoldOverlay().ok());
+  EXPECT_EQ(sharded.query_stats().shard_folds, 1u);
+  EXPECT_EQ(sharded.query_stats().overlay_edits, 1u);
+  EXPECT_EQ(out(kA), Ids({kC}));
+  EXPECT_EQ(in(kB), Ids());
+  EXPECT_EQ(in(kC), Ids({kA, kB}));
+  EXPECT_EQ(out(kUnmapped), Ids({kA}));
+  batch = sharded.OutNeighborsBatch({kA, kUnmapped, kB});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value(), std::vector<Ids>({Ids({kC}), Ids({kA}), Ids({kC})}));
+  EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
 }
 
 TEST(MmapFileTest, ErrorsNameThePath) {

@@ -7,7 +7,9 @@
 //     (default, tiny-budget eviction path, disabled),
 //   * the grammar-direct memo tables (grepair) change nothing about
 //     answers while filling their counters,
-//   * batches reject invalid input as a whole and handle empties.
+//   * batches reject invalid input as a whole and handle empties,
+//   * the owner index routes every id to exactly the shards whose node
+//     maps hold it.
 //
 // Everything here runs on small generated graphs so the suite stays
 // fast under TSan; the `query` gate of bench/gates.cc owns the timing
@@ -17,10 +19,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "src/api/grepair_api.h"
+#include "src/util/rng.h"
 
 namespace grepair {
 namespace api {
@@ -373,6 +377,51 @@ TEST(QueryCacheTest, OptionErrorsListAcceptedKeys) {
   EXPECT_NE(rep.status().message().find("accepted keys"), std::string::npos)
       << rep.status().message();
   EXPECT_NE(rep.status().message().find("k"), std::string::npos);
+}
+
+
+// The owner index against a brute-force LocalId scan of every map:
+// overlapping and disjoint maps, a map with an id far above the rest
+// (so buckets span many ids and hold several shards' entries), an
+// edgeless shard whose map must be ignored, and ids above every map.
+TEST(OwnerIndexTest, AgreesWithEveryMapsLocalId) {
+  std::vector<shard::ShardEntry> entries(6);
+  Rng rng(17);
+  for (size_t k = 0; k < entries.size(); ++k) {
+    for (NodeId v = 0; v < 400; ++v) {
+      if (v < 8 || rng.UniformBounded(4) == 0) entries[k].nodes.push_back(v);
+    }
+    entries[k].length = 1;
+  }
+  entries[1].nodes.push_back(1u << 20);  // sparse top: shift > 0
+  entries[4].length = 0;                 // edgeless: owns nothing
+  entries[5].nodes.assign({500, 501, 503});
+  const shard::OwnerIndex index(entries);
+  std::vector<uint64_t> probes(600);
+  std::iota(probes.begin(), probes.end(), 0);
+  for (uint64_t v : {(1ull << 20) - 1, 1ull << 20, (1ull << 20) + 1,
+                     0xFFFFFFFFull, 1ull << 40}) {
+    probes.push_back(v);
+  }
+  size_t multi_owner = 0;
+  for (uint64_t v : probes) {
+    std::vector<std::pair<uint32_t, NodeId>> expected, got;
+    for (size_t k = 0; k < entries.size(); ++k) {
+      NodeId local = entries[k].LocalId(v);
+      if (local != kInvalidNode) {
+        expected.emplace_back(static_cast<uint32_t>(k), local);
+      }
+    }
+    for (const shard::ShardOwner& owner : index.Owners(v)) {
+      EXPECT_EQ(owner.global, v);
+      got.emplace_back(owner.shard, owner.local);
+    }
+    EXPECT_EQ(got, expected) << "id " << v;
+    multi_owner += expected.size() > 1;
+  }
+  EXPECT_GT(multi_owner, 100u);
+  // No map at all: every id is ownerless.
+  EXPECT_EQ(shard::OwnerIndex({}).Owners(0).size(), 0u);
 }
 
 }  // namespace
