@@ -1,6 +1,7 @@
 // Micro-benchmarks for the compression pipeline itself: gRePair
 // end-to-end throughput per workload family, encode/decode/derive, a
-// warm sharded batch query, and one compression benchmark per paper
+// warm sharded batch query, the node map's id <-> derivation-path
+// round trip, and one compression benchmark per paper
 // codec (bench_util.h's PaperCodecNames, so every compressor's
 // throughput is tracked from the same harness).
 
@@ -10,6 +11,7 @@
 #include "src/api/grepair_api.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
+#include "src/query/node_map.h"
 #include "src/shard/partitioner.h"
 #include "src/util/rng.h"
 
@@ -179,6 +181,43 @@ void BM_ShardedBatch512(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedBatch512)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+// PathOf + IdOf over every val(G) node of the 16 shard grammars, as
+// a cold point query addresses them before any shard is decoded. Arg 0
+// is read-hot-local's corpus, arg 1 mutate-rdf's.
+void BM_NodeMapRoundTrip(benchmark::State& state) {
+  const GeneratedGraph gg = state.range(0) == 0
+                                ? DblpVersions(32, 200, 100, 1, "dblp")
+                                : RdfEntities(40000, 40, 60, 1);
+  state.SetLabel(gg.name);
+  auto partition = SixteenShards(gg);
+  if (!partition.ok()) {
+    state.SkipWithError(partition.status().ToString().c_str());
+    return;
+  }
+  CompressOptions options;
+  options.track_node_mapping = true;
+  std::vector<SlhrGrammar> grammars;
+  for (const auto& part : partition.value().shards) {
+    if (part.graph.num_edges() == 0) continue;
+    auto result = Compress(part.graph, gg.alphabet, options);
+    auto decoded = DecodeGrammar(EncodeGrammar(result.value().grammar));
+    grammars.push_back(std::move(decoded).ValueOrDie());
+  }
+  std::vector<NodeMap> maps(grammars.begin(), grammars.end());
+  uint64_t nodes = 0;
+  for (const NodeMap& map : maps) nodes += map.num_nodes();
+  for (auto _ : state) {
+    for (const NodeMap& map : maps) {
+      for (uint64_t id = 0; id < map.num_nodes(); ++id) {
+        benchmark::DoNotOptimize(map.IdOf(map.PathOf(id)));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+}
+BENCHMARK(BM_NodeMapRoundTrip)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DeriveVal(benchmark::State& state) {
   auto gg = DisjointCopies(CycleWithDiagonal(), 4096, "c");

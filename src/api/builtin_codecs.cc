@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "src/api/codec_registry.h"
@@ -62,10 +61,7 @@ class GrepairRep : public CompressedRep {
  public:
   explicit GrepairRep(CompressedGraph g) : graph_(std::move(g)) {}
 
-  std::vector<uint8_t> Serialize() const override {
-    if (!serialized_) serialized_ = graph_.Serialize();
-    return *serialized_;
-  }
+  std::vector<uint8_t> Serialize() const override { return graph_.Serialize(); }
   size_t ByteSize() const override { return graph_.SerializedSize(); }
   Result<Hypergraph> Decompress() const override {
     return graph_.Decompress();
@@ -141,7 +137,6 @@ class GrepairRep : public CompressedRep {
 
  private:
   CompressedGraph graph_;
-  mutable std::optional<std::vector<uint8_t>> serialized_;
   mutable std::atomic<uint64_t> singles_{0};
   mutable std::atomic<uint64_t> batch_calls_{0};
   mutable std::atomic<uint64_t> batch_items_{0};
@@ -216,11 +211,8 @@ class K2Rep : public CompressedRep {
  public:
   explicit K2Rep(K2GraphRepresentation rep) : rep_(std::move(rep)) {}
 
-  std::vector<uint8_t> Serialize() const override {
-    if (!serialized_) serialized_ = rep_.Serialize();
-    return *serialized_;
-  }
-  size_t ByteSize() const override { return Serialize().size(); }
+  std::vector<uint8_t> Serialize() const override { return rep_.Serialize(); }
+  size_t ByteSize() const override { return rep_.Serialize().size(); }
   Result<Hypergraph> Decompress() const override { return rep_.ToGraph(); }
   uint64_t num_nodes() const override { return rep_.num_nodes(); }
 
@@ -246,7 +238,6 @@ class K2Rep : public CompressedRep {
   }
 
   K2GraphRepresentation rep_;
-  mutable std::optional<std::vector<uint8_t>> serialized_;
 };
 
 class K2Codec : public GraphCodec {

@@ -111,7 +111,6 @@ struct QueryStats {
   uint64_t memo_hits = 0;       ///< queries answered from memo tables
   uint64_t shard_faults = 0;    ///< lazy shards materialized on demand
   uint64_t shards_prefetched = 0; ///< shards faulted by Prefetch
-  uint64_t bytes_hinted = 0;    ///< madvise-hinted bytes (SEQUENTIAL)
   uint64_t remote_fetches = 0;  ///< shard payloads fetched over the network
   uint64_t remote_bytes = 0;    ///< payload bytes fetched over the network
   // Connection-pool counters (serve::RemoteShardSource).
@@ -155,7 +154,6 @@ inline constexpr QueryStatsField kQueryStatsFields[] = {
     {"memo_hits", &QueryStats::memo_hits},
     {"shard_faults", &QueryStats::shard_faults},
     {"shards_prefetched", &QueryStats::shards_prefetched},
-    {"bytes_hinted", &QueryStats::bytes_hinted},
     {"remote_fetches", &QueryStats::remote_fetches},
     {"remote_bytes", &QueryStats::remote_bytes},
     {"pool_dials", &QueryStats::pool_dials},

@@ -1,40 +1,43 @@
 #include "src/query/node_map.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace grepair {
 
-NodeMap::NodeMap(const SlhrGrammar& grammar)
-    : grammar_(&grammar), gen_(ComputeGeneratedSizes(grammar)) {
-  const Hypergraph& start = grammar.start();
-  std::vector<uint64_t> start_prefix(start.num_edges() + 1);
-  uint64_t acc = start.num_nodes();
-  for (EdgeId e = 0; e < start.num_edges(); ++e) {
-    start_prefix[e] = acc;
-    Label l = start.edge(e).label;
-    if (grammar.IsNonterminal(l)) {
-      acc += gen_.gen_nodes[grammar.RuleIndex(l)];
-    }
-  }
-  start_prefix[start.num_edges()] = acc;
-  total_nodes_ = acc;
-  start_prefix_ = EliasFanoIndex(start_prefix);
+NodeMap::NodeMap(const SlhrGrammar& grammar) : grammar_(&grammar) {
+  const std::vector<uint64_t> gen = ComputeGeneratedSizes(grammar).gen_nodes;
+  auto block = [&](const HEdge& e) -> uint64_t {
+    return grammar.IsNonterminal(e.label) ? gen[grammar.RuleIndex(e.label)]
+                                          : 0;
+  };
 
-  rule_child_prefix_.reserve(grammar.num_rules());
-  std::vector<uint64_t> prefix;
+  const Hypergraph& start = grammar.start();
+  while (first_block_edge_ < start.num_edges() &&
+         !grammar.IsNonterminal(start.edge(first_block_edge_).label)) {
+    ++first_block_edge_;
+  }
+  start_base_.assign(start.num_edges() - first_block_edge_, 0);
+  uint64_t acc = start.num_nodes();
+  for (EdgeId e = first_block_edge_; e < start.num_edges(); ++e) {
+    start_base_[e - first_block_edge_] = static_cast<uint32_t>(acc);
+    acc += block(start.edge(e));
+  }
+  total_nodes_ = acc;
+  assert(total_nodes_ <= kMaxValNodes);
+
+  rule_begin_.assign(grammar.num_rules() + 1, 0);
+  for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
+    rule_begin_[j + 1] = rule_begin_[j] + grammar.rhs_by_index(j).num_edges();
+  }
+  child_base_.assign(rule_begin_.back(), 0);
   for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
     const Hypergraph& rhs = grammar.rhs_by_index(j);
-    prefix.assign(rhs.num_edges() + 1, 0);
     uint64_t sum = 0;
     for (EdgeId e = 0; e < rhs.num_edges(); ++e) {
-      prefix[e] = sum;
-      Label l = rhs.edge(e).label;
-      if (grammar.IsNonterminal(l)) {
-        sum += gen_.gen_nodes[grammar.RuleIndex(l)];
-      }
+      child_base_[rule_begin_[j] + e] = static_cast<uint32_t>(sum);
+      sum += block(rhs.edge(e));
     }
-    prefix[rhs.num_edges()] = sum;
-    rule_child_prefix_.emplace_back(prefix);
   }
 }
 
@@ -46,19 +49,15 @@ GPath NodeMap::PathOf(uint64_t id) const {
     path.node = static_cast<NodeId>(id);
     return path;
   }
-  // Succinct predecessor: last start edge whose block base is <= id.
-  // The sentinel (total) is never picked because id < total_nodes_,
-  // and id >= |V_S| = start_prefix[0] guarantees a predecessor exists.
-  size_t e_idx = 0;
-  uint64_t base = 0;
-  bool found = start_prefix_.PredecessorOrEqual(id, &e_idx, &base);
-  assert(found);
-  (void)found;
-  EdgeId e = static_cast<EdgeId>(e_idx);
-  path.start_edge = e;
-  uint64_t offset = id - base;
+  // The last start edge whose block begins at or before id: one exists
+  // because start_base_[0] == |V_S| <= id. Among equal bases (empty
+  // blocks) upper_bound - 1 picks the last, whose block holds id.
+  auto at = std::upper_bound(start_base_.begin(), start_base_.end(), id) - 1;
+  path.start_edge =
+      first_block_edge_ + static_cast<EdgeId>(at - start_base_.begin());
+  uint64_t offset = id - *at;
 
-  Label label = start.edge(e).label;
+  Label label = start.edge(path.start_edge).label;
   for (;;) {
     uint32_t j = grammar_->RuleIndex(label);
     const Hypergraph& rhs = grammar_->rhs_by_index(j);
@@ -70,18 +69,14 @@ GPath NodeMap::PathOf(uint64_t id) const {
       return path;
     }
     offset -= internal;
-    // offset < sum of child blocks here, so the sentinel entry is
-    // never the predecessor and a child always exists (prefix[0] == 0).
-    size_t child_idx = 0;
-    uint64_t child_base = 0;
-    bool ok =
-        rule_child_prefix_[j].PredecessorOrEqual(offset, &child_idx, &child_base);
-    assert(ok);
-    (void)ok;
-    EdgeId child = static_cast<EdgeId>(child_idx);
-    path.steps.push_back(child);
-    offset -= child_base;
-    label = rhs.edge(child).label;
+    // offset lies inside some child block here, and the first entry
+    // is 0, so the predecessor exists and is a nonterminal edge.
+    const uint32_t* begin = child_base_.data() + rule_begin_[j];
+    const uint32_t* end = child_base_.data() + rule_begin_[j + 1];
+    const uint32_t* child = std::upper_bound(begin, end, offset) - 1;
+    path.steps.push_back(static_cast<uint32_t>(child - begin));
+    offset -= *child;
+    label = rhs.edge(path.steps.back()).label;
     assert(grammar_->IsNonterminal(label));
   }
 }
@@ -91,13 +86,14 @@ uint64_t NodeMap::IdOf(const GPath& path) const {
   if (path.start_edge == kInvalidEdge) {
     return path.node;
   }
-  uint64_t id = start_prefix_.Get(path.start_edge);
+  assert(path.start_edge >= first_block_edge_);
+  uint64_t id = start_base_[path.start_edge - first_block_edge_];
   Label label = start.edge(path.start_edge).label;
   for (uint32_t step : path.steps) {
     uint32_t j = grammar_->RuleIndex(label);
     const Hypergraph& rhs = grammar_->rhs_by_index(j);
     id += rhs.num_nodes() - rhs.ext().size();
-    id += rule_child_prefix_[j].Get(step);
+    id += child_base_[rule_begin_[j] + step];
     label = rhs.edge(step).label;
   }
   const Hypergraph& rhs = grammar_->rhs(label);

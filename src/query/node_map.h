@@ -7,12 +7,10 @@
 // internals first, then the child blocks in rhs edge order). A
 // G-representation ("GPath") addresses a node by the start edge, the
 // chain of nonterminal rhs-edge indices, and the node inside the final
-// right-hand side. The block-base prefix sums (start-edge blocks and
-// per-rule child blocks) are stored as Elias-Fano indexes, so each
-// descent step in PathOf is an O(1)-expected succinct predecessor
-// query instead of a std::upper_bound binary search, and the index
-// costs ~2 bits per edge over entropy instead of 8 bytes per edge;
-// IdOf runs in O(h) (Section V's getID).
+// right-hand side. The block bases are plain sorted 32-bit prefix
+// arrays (one for the start graph, one flat array for every rule's
+// child blocks), so each descent step in PathOf is one
+// std::upper_bound and IdOf runs in O(h) (Section V's getID).
 
 #ifndef GREPAIR_QUERY_NODE_MAP_H_
 #define GREPAIR_QUERY_NODE_MAP_H_
@@ -22,7 +20,6 @@
 
 #include "src/grammar/derivation.h"
 #include "src/grammar/grammar.h"
-#include "src/util/rank_select.h"
 
 namespace grepair {
 
@@ -45,6 +42,9 @@ struct GPath {
 /// \brief Precomputed index for PathOf/IdOf on one grammar.
 class NodeMap {
  public:
+  /// \brief Indexes `grammar`, which must outlive the map. Its val(G)
+  /// must have at most kMaxValNodes nodes (CompressedGraph checks this
+  /// at load), so every block base fits a 32-bit entry.
   explicit NodeMap(const SlhrGrammar& grammar);
 
   const SlhrGrammar& grammar() const { return *grammar_; }
@@ -52,38 +52,28 @@ class NodeMap {
   /// \brief Total nodes of val(G).
   uint64_t num_nodes() const { return total_nodes_; }
 
-  /// \brief Internal nodes generated under an edge labeled `l`
-  /// (0 for terminals).
-  uint64_t GenNodes(Label l) const {
-    return grammar_->IsNonterminal(l) ? gen_.gen_nodes[grammar_->RuleIndex(l)]
-                                      : 0;
-  }
-
   /// \brief Derivation path of node `id` (must be < num_nodes()).
   GPath PathOf(uint64_t id) const;
 
   /// \brief Inverse of PathOf.
   uint64_t IdOf(const GPath& path) const;
 
-  /// \brief Global id of the start-graph block base for `start_edge`
-  /// (the first id generated under it).
-  uint64_t BlockBase(EdgeId start_edge) const {
-    return start_prefix_.Get(start_edge);
-  }
-
  private:
   const SlhrGrammar* grammar_;
-  GeneratedSizes gen_;
   uint64_t total_nodes_ = 0;
-  /// Elias-Fano over start_prefix[e] = first derived id of start edge
-  /// e's block (equals |V_S| + sum of earlier blocks); defined for all
-  /// edges (terminal edges get empty blocks), with a sentinel entry
-  /// holding the total so predecessor semantics match upper_bound - 1.
-  EliasFanoIndex start_prefix_;
-  /// Per rule: Elias-Fano over the prefix sums (with sentinel) of
-  /// generated node counts across rhs edges, used to descend in O(1)
-  /// expected per level.
-  std::vector<EliasFanoIndex> rule_child_prefix_;
+  /// Start edges before this one are all terminal. In canonical
+  /// start-edge order (nonterminal labels sort last) the edges from
+  /// here on are exactly the nonterminal ones.
+  EdgeId first_block_edge_ = 0;
+  /// start_base_[i]: first id derived under start edge
+  /// first_block_edge_ + i (|V_S| plus all earlier blocks). A terminal
+  /// edge's block is empty, so it repeats its successor's base.
+  std::vector<uint32_t> start_base_;
+  /// Rule j's entries are child_base_[rule_begin_[j], rule_begin_[j+1]),
+  /// one per rhs edge: the offset of that edge's child block after the
+  /// rule's own internal nodes.
+  std::vector<uint32_t> rule_begin_;
+  std::vector<uint32_t> child_base_;
 };
 
 }  // namespace grepair

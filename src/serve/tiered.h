@@ -71,10 +71,6 @@ class TieredShardSource : public shard::ShardSource {
   Result<ByteSpan> FetchShard(size_t shard,
                               std::vector<uint8_t>* owned) override;
 
-  // Advise calls are about the inner source's own storage.
-  uint64_t AdviseSequential() override { return inner_->AdviseSequential(); }
-  uint64_t AdviseNormal() override { return inner_->AdviseNormal(); }
-
   void AddStats(api::QueryStats* stats) const override;
 
  private:

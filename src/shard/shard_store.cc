@@ -296,22 +296,6 @@ bool ShardStore::EncodeShards(V2Encoder* out) const {
 
 Result<Hypergraph> ShardStore::Decompress(uint64_t num_nodes,
                                           int threads) const {
-  // A full decompression walks every payload front to back: tell the
-  // kernel so readahead runs ahead of the workers. Restored to
-  // MADV_NORMAL on every exit path so a long-lived store's later
-  // point-query faults are not stuck with sequential readahead.
-  struct SequentialHint {
-    ShardSource* source;
-    ~SequentialHint() {
-      // Best effort: a failed madvise only costs readahead tuning.
-      if (source != nullptr) (void)source->AdviseNormal();
-    }
-  } hint{nullptr};
-  uint64_t hinted = source_->AdviseSequential();
-  if (hinted > 0) {
-    stat_hinted_.fetch_add(hinted, std::memory_order_relaxed);
-    hint.source = source_.get();
-  }
   // Sentinel status keeps Result's value-or-error contract honest for
   // slots the workers never fill (edgeless shards with no payload).
   std::vector<Result<Hypergraph>> locals(
@@ -511,7 +495,6 @@ void ShardStore::AddStats(api::QueryStats* stats) const {
   stats->shard_faults += stat_faults_.load(std::memory_order_relaxed);
   stats->shards_prefetched +=
       stat_prefetched_.load(std::memory_order_relaxed);
-  stats->bytes_hinted += stat_hinted_.load(std::memory_order_relaxed);
   {
     MutexLock lock(cache_mutex_);
     stats->cache_bytes_used += cache_bytes_used_;

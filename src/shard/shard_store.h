@@ -66,18 +66,6 @@ class ShardSource {
   virtual Result<ByteSpan> FetchShard(size_t shard,
                                       std::vector<uint8_t>* owned) = 0;
 
-  /// \brief Whole-container sequential-access hint (MADV_SEQUENTIAL
-  /// on mapped sources, ahead of a full Decompress walk). Returns
-  /// bytes hinted; the store accumulates this into
-  /// QueryStats::bytes_hinted.
-  virtual uint64_t AdviseSequential() { return 0; }
-
-  /// \brief Undoes AdviseSequential once the walk is done
-  /// (MADV_NORMAL), so a long-lived mapping returns to the default
-  /// readahead that random point-query faults want. Returns bytes
-  /// covered.
-  virtual uint64_t AdviseNormal() { return 0; }
-
   /// \brief Folds this source's own counters (network fetches, pool
   /// dials, cache tiers) into *stats. Local sources are free: the
   /// default is a no-op. Layered sources (TieredShardSource) forward
@@ -367,7 +355,6 @@ class ShardStore {
   mutable std::atomic<uint64_t> stat_evictions_{0};
   mutable std::atomic<uint64_t> stat_faults_{0};
   mutable std::atomic<uint64_t> stat_prefetched_{0};
-  mutable std::atomic<uint64_t> stat_hinted_{0};
 };
 
 }  // namespace shard

@@ -41,14 +41,6 @@ class LocalShardSource : public ShardSource {
     return payloads_[shard];
   }
 
-  uint64_t AdviseSequential() override {
-    return file_ != nullptr ? file_->AdviseSequential() : 0;
-  }
-
-  uint64_t AdviseNormal() override {
-    return file_ != nullptr ? file_->AdviseNormal() : 0;
-  }
-
  private:
   std::shared_ptr<MmapFile> file_;
   std::shared_ptr<std::vector<uint8_t>> owned_;

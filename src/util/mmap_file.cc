@@ -33,39 +33,8 @@ size_t PageSize() {
   long page = sysconf(_SC_PAGESIZE);
   return page > 0 ? static_cast<size_t>(page) : 4096;
 }
-#endif
 
-}  // namespace
-
-size_t MmapFile::AdviseSequential() const {
-#if GREPAIR_HAVE_MMAP
-  if (!mapped_ || data_ == nullptr || size_ == 0) return 0;
-  if (madvise(const_cast<void*>(data_), size_, MADV_SEQUENTIAL) != 0) {
-    return 0;
-  }
-  return size_;
-#else
-  return 0;
-#endif
-}
-
-size_t MmapFile::AdviseNormal() const {
-#if GREPAIR_HAVE_MMAP
-  if (!mapped_ || data_ == nullptr || size_ == 0) return 0;
-  if (madvise(const_cast<void*>(data_), size_, MADV_NORMAL) != 0) {
-    return 0;
-  }
-  return size_;
-#else
-  return 0;
-#endif
-}
-
-namespace {
-
-#if GREPAIR_HAVE_MMAP
-// Unlike the MmapFile methods (whose base is page-aligned by mmap),
-// an arbitrary span's address must itself be aligned down; the same
+// A span's address is arbitrary, so it is aligned down; the same
 // widening is applied by PinBytes and UnpinBytes so the two always
 // cover the identical page range.
 void AlignedSpan(ByteSpan span, void** begin, size_t* bytes) {

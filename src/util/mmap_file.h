@@ -52,17 +52,6 @@ class MmapFile {
   /// heap fallback (exposed for tests and the CLI's `info` output).
   bool is_mapped() const { return mapped_; }
 
-  /// \brief MADV_SEQUENTIAL over the whole mapping (ahead of a
-  /// front-to-back walk such as a full Decompress). Returns bytes
-  /// hinted, 0 when not mapped or refused.
-  size_t AdviseSequential() const;
-
-  /// \brief MADV_NORMAL over the whole mapping — undoes
-  /// AdviseSequential once the walk is done, so a long-lived mapping
-  /// goes back to the default readahead that random point-query
-  /// faults want. Returns bytes covered, 0 when not mapped/refused.
-  size_t AdviseNormal() const;
-
  private:
   MmapFile() = default;
 
@@ -76,8 +65,7 @@ class MmapFile {
 /// \brief mlock / munlock over the page-aligned range covering `span`
 /// (any readable memory, mapped or heap — the server-side placement
 /// path pins registry payload spans that may not sit in an MmapFile).
-/// Returns bytes locked/unlocked; 0 when refused (best-effort, like
-/// every madvise in this layer).
+/// Returns bytes locked/unlocked; 0 when refused (best-effort).
 size_t PinBytes(ByteSpan span);
 size_t UnpinBytes(ByteSpan span);
 

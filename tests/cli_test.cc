@@ -363,7 +363,7 @@ TEST(CliTest, QueryPrintsEveryCounterOnceByFieldName) {
     expected += std::string(" ") + field.name + "=N";
   }
   EXPECT_EQ(std::regex_replace(line, std::regex("=[0-9]+"), "=N"), expected);
-  EXPECT_EQ(std::size(api::kQueryStatsFields), 26u);
+  EXPECT_EQ(std::size(api::kQueryStatsFields), 25u);
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
 }
