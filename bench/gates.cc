@@ -12,9 +12,9 @@
 //   query      the query cache and batch engine on 16-shard BA(2000):
 //              warm vs cold single queries                   (>= 1.05x)
 //              OutNeighborsBatch vs an uncached loop         (>= 1x)
-//   decode     word-at-a-time vs bit-at-a-time shard decode of the
-//              dblp graph on sharded:k2                      (>= 2x)
-//              (sharded:grepair is reported, not gated)
+//   decode     word-at-a-time vs bit-at-a-time decode of the dblp
+//              graph's 16 shards as k^2-tree payloads        (>= 2x)
+//              (its sharded:grepair payloads are reported, not gated)
 //   overlay    warm batch sweep with a 256-edit overlay live vs the
 //              overlay-free base, 4-shard BA(4000)           (<= 1.5x)
 //   placement  histogram-warmed remote open vs a cold one, open to the
@@ -174,12 +174,11 @@ Result<Adjacency> Loop(const api::CompressedRep& rep,
   return out;
 }
 
-// The one corpus builder: `gg` compressed by `codec` into `shards`
-// edge-range shards, as GRSHARD2 container bytes.
-Result<std::vector<uint8_t>> BuildContainer(
-    const GeneratedGraph& gg, int shards,
-    const std::string& codec = "sharded:grepair") {
-  auto c = api::CodecRegistry::Create(codec);
+// The one corpus builder: `gg` compressed by sharded:grepair into
+// `shards` edge-range shards, as GRSHARD2 container bytes.
+Result<std::vector<uint8_t>> BuildContainer(const GeneratedGraph& gg,
+                                            int shards) {
+  auto c = api::CodecRegistry::Create("sharded:grepair");
   if (!c.ok()) return c.status();
   api::CodecOptions options;
   options.Set("shards", std::to_string(shards));
@@ -214,10 +213,11 @@ bool Describe(const Corpus& c) {
   return true;
 }
 
-// Writes `container` as a `codec`-tagged file at `path`.
-Status WriteCorpusFile(const std::string& path, const std::string& codec,
+// Writes `container` as a sharded:grepair file at `path`.
+Status WriteCorpusFile(const std::string& path,
                        const std::vector<uint8_t>& container) {
-  return WriteFileBytes(path, api::WrapCodecPayload(codec, container));
+  return WriteFileBytes(path,
+                        api::WrapCodecPayload("sharded:grepair", container));
 }
 
 // One corpus hosted by an in-process ShardServer that sleeps
@@ -246,7 +246,7 @@ Result<ServedCorpus> Serve(const std::string& name,
 bool OpenGate(const Corpus& dblp, const std::string& dir, GateJson& json) {
   if (!Describe(dblp)) return false;
   const std::string path = dir + "/open.grp";
-  if (!Ok(WriteCorpusFile(path, "sharded:grepair", dblp.container.value()))) {
+  if (!Ok(WriteCorpusFile(path, dblp.container.value()))) {
     return false;
   }
   // One probe node, then a batch striped over the id space so every
@@ -385,83 +385,127 @@ bool QueryGate(GateJson& json) {
 
 // ---- decode: word-at-a-time vs bit-at-a-time shard decode -----------
 
-// One container's shard payloads, sliced out of its footer directory:
-// the exact bytes a shard fault hands the inner codec.
+// One corpus's shard payloads in one encoding: the exact bytes a shard
+// fault decodes, each shard's node map, and the decoder.
 struct ShardPayloads {
-  std::unique_ptr<api::GraphCodec> inner;
+  const char* name;
+  // Parses one payload (the timed step); `graph` and `bytes` (both
+  // optional) receive its local graph and its re-serialization.
+  Status (*decode)(const std::vector<uint8_t>& payload, Hypergraph* graph,
+                   std::vector<uint8_t>* bytes);
   std::vector<std::vector<uint8_t>> payloads;
-  std::vector<size_t> rows;  ///< directory row of each payload
-  uint64_t edges = 0;        ///< edges decoded per pass over all payloads
+  std::vector<std::vector<NodeId>> nodes;  ///< global ids, per payload
+  uint64_t edges = 0;  ///< edges decoded per pass over all payloads
 };
 
-// Decodes every payload once; `out` (optional) receives the reps.
-Status DecodeAll(const ShardPayloads& p,
-                 std::vector<std::unique_ptr<api::CompressedRep>>* out) {
-  for (const auto& payload : p.payloads) {
-    auto rep = p.inner->Deserialize(payload);
-    if (!rep.ok()) return rep.status();
-    if (out != nullptr) out->push_back(std::move(rep).ValueOrDie());
-  }
+Status DecodeGrepair(const std::vector<uint8_t>& payload, Hypergraph* graph,
+                     std::vector<uint8_t>* bytes) {
+  auto decoded = shard::DecodeShardPayload(SpanOf(payload));
+  if (!decoded.ok()) return decoded.status();
+  if (bytes != nullptr) *bytes = decoded.value().Serialize();
+  if (graph == nullptr) return Status::OK();
+  auto local = decoded.value().Decompress();
+  if (!local.ok()) return local.status();
+  *graph = std::move(local).ValueOrDie();
   return Status::OK();
 }
 
-// Slices `container`'s payloads, then checks both decode paths: every
-// shard must re-serialize and decompress identically under the fast and
-// the scalar readers, and the fast shards' edges, mapped through the
-// directory's node maps, must be the input graph's.
-bool PrepareDecode(const std::string& codec,
-                   const std::vector<uint8_t>& container,
-                   const Adjacency& truth, ShardPayloads* p) {
+Status DecodeK2(const std::vector<uint8_t>& payload, Hypergraph* graph,
+                std::vector<uint8_t>* bytes) {
+  auto decoded = K2GraphRepresentation::Deserialize(payload);
+  if (!decoded.ok()) return decoded.status();
+  if (bytes != nullptr) *bytes = decoded.value().Serialize();
+  if (graph != nullptr) *graph = decoded.value().ToGraph();
+  return Status::OK();
+}
+
+// The sharded:grepair payloads of `container`, sliced out of its footer
+// directory.
+Status GrepairPayloads(const std::vector<uint8_t>& container,
+                       ShardPayloads* p) {
   auto parsed = shard::ParseContainer(SpanOf(container));
-  if (!Ok(parsed.status())) return false;
+  if (!parsed.ok()) return parsed.status();
   const shard::ParsedDirectory& dir = parsed.value().dir;
+  *p = ShardPayloads{"sharded:grepair", DecodeGrepair, {}, {}, 0};
   for (size_t row = 0; row < dir.rows.size(); ++row) {
     const auto& entry = dir.rows[row];
     if (entry.length == 0) continue;  // edgeless shard: nothing to decode
     p->payloads.emplace_back(container.begin() + entry.offset,
                              container.begin() + entry.offset + entry.length);
-    p->rows.push_back(row);
+    p->nodes.push_back(dir.node_maps[row]);
   }
-  auto inner = api::CodecRegistry::Create(dir.inner_name);
-  if (!Ok(inner.status())) return false;
-  p->inner = std::move(inner).ValueOrDie();
+  return Status::OK();
+}
 
-  std::vector<std::unique_ptr<api::CompressedRep>> fast, scalar;
-  Status fast_ok = DecodeAll(*p, &fast);
+// The k^2-tree payloads (K2GraphRepresentation, k = 2) of the same
+// edge-range partition sharded:grepair compresses.
+Status K2Payloads(const GeneratedGraph& gg, int shards, ShardPayloads* p) {
+  shard::PartitionOptions options;
+  options.num_shards = shards;
+  auto partition = shard::PartitionGraph(gg.graph, options);
+  if (!partition.ok()) return partition.status();
+  *p = ShardPayloads{"k2 shards", DecodeK2, {}, {}, 0};
+  for (const shard::Shard& part : partition.value().shards) {
+    if (part.graph.num_edges() == 0) continue;
+    p->payloads.push_back(
+        K2GraphRepresentation::Build(part.graph, gg.alphabet).Serialize());
+    p->nodes.push_back(part.nodes);
+  }
+  return Status::OK();
+}
+
+// Decodes every payload once; `graphs` and `bytes` (optional) receive
+// each payload's local graph and re-serialization.
+Status DecodeAll(const ShardPayloads& p, std::vector<Hypergraph>* graphs,
+                 std::vector<std::vector<uint8_t>>* bytes) {
+  if (graphs != nullptr) graphs->resize(p.payloads.size());
+  if (bytes != nullptr) bytes->resize(p.payloads.size());
+  for (size_t i = 0; i < p.payloads.size(); ++i) {
+    GREPAIR_RETURN_IF_ERROR(
+        p.decode(p.payloads[i], graphs != nullptr ? &(*graphs)[i] : nullptr,
+                 bytes != nullptr ? &(*bytes)[i] : nullptr));
+  }
+  return Status::OK();
+}
+
+// Checks both decode paths: every shard must re-serialize and decompress
+// identically under the fast and the scalar readers, and the fast
+// shards' edges, mapped through their node maps, must be the input
+// graph's.
+bool CheckDecode(const Adjacency& truth, ShardPayloads* p) {
+  std::vector<Hypergraph> fast, scalar;
+  std::vector<std::vector<uint8_t>> fast_bytes, scalar_bytes;
+  Status fast_ok = DecodeAll(*p, &fast, &fast_bytes);
   SetEliasDecodeScalarForTest(true);
-  Status scalar_ok = DecodeAll(*p, &scalar);
+  Status scalar_ok = DecodeAll(*p, &scalar, &scalar_bytes);
   SetEliasDecodeScalarForTest(false);
   if (!Ok(fast_ok) || !Ok(scalar_ok)) return false;
   Adjacency decoded(truth.size());
+  p->edges = 0;
   for (size_t i = 0; i < fast.size(); ++i) {
-    auto fast_graph = fast[i]->Decompress();
-    auto scalar_graph = scalar[i]->Decompress();
-    if (!Ok(fast_graph.status()) || !Ok(scalar_graph.status())) return false;
-    if (fast[i]->Serialize() != scalar[i]->Serialize() ||
-        !fast_graph.value().EqualUpToEdgeOrder(scalar_graph.value())) {
+    if (fast_bytes[i] != scalar_bytes[i] ||
+        !fast[i].EqualUpToEdgeOrder(scalar[i])) {
       std::printf("  %s shard %zu decodes differently under the scalar "
-                  "readers\n", codec.c_str(), i);
+                  "readers\n", p->name, i);
       return false;
     }
-    const std::vector<NodeId>& global = dir.node_maps[p->rows[i]];
-    for (const HEdge& e : fast_graph.value().edges()) {
+    const std::vector<NodeId>& global = p->nodes[i];
+    for (const HEdge& e : fast[i].edges()) {
       if (e.att.size() == 2 && e.att[0] < global.size() &&
           e.att[1] < global.size()) {
         decoded[global[e.att[0]]].push_back(global[e.att[1]]);
       }
     }
-    p->edges += fast_graph.value().num_edges();
+    p->edges += fast[i].num_edges();
   }
   Normalize(&decoded);
   if (decoded != truth) {
-    std::printf("  %s shards do not decode to the input graph\n",
-                codec.c_str());
+    std::printf("  %s do not decode to the input graph\n", p->name);
     return false;
   }
   std::printf("  %s: %zu shard payloads identical fast vs scalar and equal "
               "to the input (%llu edges per pass)\n",
-              codec.c_str(), p->payloads.size(),
-              (unsigned long long)p->edges);
+              p->name, p->payloads.size(), (unsigned long long)p->edges);
   return true;
 }
 
@@ -469,20 +513,18 @@ bool PrepareDecode(const std::string& codec,
 double EdgesPerSec(const ShardPayloads& p, int iters) {
   auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) {
-    if (!DecodeAll(p, nullptr).ok()) return 0.0;
+    if (!DecodeAll(p, nullptr, nullptr).ok()) return 0.0;
   }
   return Ratio(static_cast<double>(p.edges) * iters, Seconds(t0, Clock::now()));
 }
 
-bool DecodeGate(const Corpus& dblp, const std::string& dir, GateJson& json) {
+bool DecodeGate(const Corpus& dblp, GateJson& json) {
   constexpr int kIters = 30;
   if (!Describe(dblp)) return false;
-  auto k2_container = BuildContainer(dblp.gg, dblp.shards, "sharded:k2");
-  if (!Ok(k2_container.status())) return false;
   ShardPayloads k2, grepair;
-  if (!PrepareDecode("sharded:k2", k2_container.value(), dblp.truth, &k2) ||
-      !PrepareDecode("sharded:grepair", dblp.container.value(), dblp.truth,
-                     &grepair)) {
+  if (!Ok(K2Payloads(dblp.gg, dblp.shards, &k2)) ||
+      !Ok(GrepairPayloads(dblp.container.value(), &grepair)) ||
+      !CheckDecode(dblp.truth, &k2) || !CheckDecode(dblp.truth, &grepair)) {
     return false;
   }
   double fast[2], scalar[2];  // [0] k2, [1] grepair
@@ -500,31 +542,8 @@ bool DecodeGate(const Corpus& dblp, const std::string& dir, GateJson& json) {
   }
   std::printf("  %-16s %14s %14s\n", "shard decode", "scalar e/s",
               "fast e/s");
-  std::printf("  %-16s %14.0f %14.0f\n", "sharded:k2", scalar[0], fast[0]);
-  std::printf("  %-16s %14.0f %14.0f\n", "sharded:grepair", scalar[1],
-              fast[1]);
-
-  // Informational: a whole-container batch sweep on the k2 file, first
-  // touch vs cached, so the shard cache's win shows beside the decode's.
-  const std::string path = dir + "/decode.k2";
-  if (!Ok(WriteCorpusFile(path, "sharded:k2", k2_container.value()))) {
-    return false;
-  }
-  auto opened = api::OpenCompressedFile(path);
-  if (!Ok(opened.status())) return false;
-  const std::vector<uint64_t> sweep = Stripe(dblp.num_nodes(), 256);
-  auto c0 = Clock::now();
-  auto cold = opened.value()->OutNeighborsBatch(sweep);
-  auto c1 = Clock::now();
-  auto warm = opened.value()->OutNeighborsBatch(sweep);
-  auto c2 = Clock::now();
-  if (!Ok(cold.status()) || !Ok(warm.status()) ||
-      !Matches("cold sweep", dblp.truth, sweep, cold.value()) ||
-      !Matches("warm sweep", dblp.truth, sweep, warm.value())) {
-    return false;
-  }
-  std::printf("  k2 container sweep (256 queries): cold %.3f ms, warm "
-              "%.3f ms\n", Seconds(c0, c1) * 1e3, Seconds(c1, c2) * 1e3);
+  std::printf("  %-16s %14.0f %14.0f\n", k2.name, scalar[0], fast[0]);
+  std::printf("  %-16s %14.0f %14.0f\n", grepair.name, scalar[1], fast[1]);
 
   double k2_speedup = Ratio(fast[0], scalar[0]);
   double grepair_speedup = Ratio(fast[1], scalar[1]);
@@ -544,7 +563,7 @@ bool DecodeGate(const Corpus& dblp, const std::string& dir, GateJson& json) {
   // up; its ratio has read 1.28-2.08x, too close to 1x to gate.
   std::printf("  %-36s %7.2fx  (not gated)\n", "sharded:grepair fast vs scalar",
               grepair_speedup);
-  return Bound("sharded:k2 fast vs scalar", k2_speedup, kMinK2DecodeSpeedup,
+  return Bound("k2 shards fast vs scalar", k2_speedup, kMinK2DecodeSpeedup,
                false);
 }
 
@@ -708,7 +727,7 @@ bool PlacementGate(const Corpus& dblp, const std::string& dir,
   // The same container on disk, mmap'd: prefetch every shard on two
   // threads, then answer the hot nodes.
   const std::string path = dir + "/placement.grp";
-  if (!Ok(WriteCorpusFile(path, "sharded:grepair", dblp.container.value()))) {
+  if (!Ok(WriteCorpusFile(path, dblp.container.value()))) {
     return false;
   }
   auto local = api::OpenCompressedFile(path);
@@ -871,7 +890,7 @@ int main(int argc, char** argv) {
   const std::pair<const char*, std::function<bool(GateJson&)>> gates[] = {
       {"open", [&](GateJson& j) { return OpenGate(dblp, dir, j); }},
       {"query", [&](GateJson& j) { return QueryGate(j); }},
-      {"decode", [&](GateJson& j) { return DecodeGate(dblp, dir, j); }},
+      {"decode", [&](GateJson& j) { return DecodeGate(dblp, j); }},
       {"overlay", [&](GateJson& j) { return OverlayGate(j); }},
       {"placement", [&](GateJson& j) { return PlacementGate(dblp, dir, j); }},
       {"remote", [&](GateJson& j) { return RemoteGate(dir, j); }},

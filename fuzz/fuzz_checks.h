@@ -26,7 +26,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/api/codec_registry.h"
+#include "src/baselines/k2_compressor.h"
 #include "src/api/container.h"
 #include "src/graph/graph_io.h"
 #include "src/k2tree/k2tree.h"
@@ -359,32 +359,29 @@ inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
   return nullptr;
 }
 
-/// \brief k2 payload parse (the "k2" codec's Deserialize, i.e.
-/// K2GraphRepresentation::Deserialize): a failure carries a non-empty
-/// message. A success decompresses to num_nodes() nodes and rank-2
-/// edges whose ids are all below num_nodes(), and OutNeighbors reports
-/// the same edge set: for every node when num_nodes() <= 2^16, else for
+/// \brief k2 payload parse (K2GraphRepresentation::Deserialize, the
+/// paper's k^2 size baseline): a failure carries a non-empty message.
+/// A success decodes to num_nodes() nodes and rank-2 edges whose ids
+/// are all below num_nodes(), and the per-label OutNeighbors report the
+/// same edge set: for every node when num_nodes() <= 2^16, else for
 /// every node with an out-edge.
 inline const char* CheckK2PayloadParse(const uint8_t* data, size_t size) {
-  auto codec = api::CodecRegistry::Create("k2");
-  if (!codec.ok()) return "the k2 codec is not registered";
-  auto rep =
-      codec.value()->Deserialize(std::vector<uint8_t>(data, data + size));
+  auto rep = K2GraphRepresentation::Deserialize(
+      std::vector<uint8_t>(data, data + size));
   if (!rep.ok()) {
     if (rep.status().message().empty()) {
       return "k2 payload decode failed with an empty status message";
     }
     return nullptr;
   }
-  const api::CompressedRep& k2 = *rep.value();
+  const K2GraphRepresentation& k2 = rep.value();
   const uint64_t n = k2.num_nodes();
-  auto graph = k2.Decompress();
-  if (!graph.ok()) return "a parsed k2 payload fails to decompress";
-  if (graph.value().num_nodes() != n) {
-    return "a decompressed k2 payload has another node count";
+  const Hypergraph graph = k2.ToGraph();
+  if (graph.num_nodes() != n) {
+    return "a decoded k2 payload has another node count";
   }
   std::map<uint64_t, std::vector<uint64_t>> out;
-  for (const HEdge& e : graph.value().edges()) {
+  for (const HEdge& e : graph.edges()) {
     if (e.att.size() != 2) return "a decompressed k2 edge is not rank 2";
     if (e.att[0] >= n || e.att[1] >= n) {
       return "a decompressed k2 edge names a node id >= num_nodes()";
@@ -398,9 +395,16 @@ inline const char* CheckK2PayloadParse(const uint8_t* data, size_t size) {
   }
   const std::vector<uint64_t> none;
   auto agrees = [&](uint64_t u) {
-    auto got = k2.OutNeighbors(u);
+    std::vector<uint64_t> got;
+    for (Label l = 0; l < k2.num_labels(); ++l) {
+      for (uint32_t v : k2.OutNeighbors(static_cast<uint32_t>(u), l)) {
+        got.push_back(v);
+      }
+    }
+    std::sort(got.begin(), got.end());
+    got.erase(std::unique(got.begin(), got.end()), got.end());
     auto it = out.find(u);
-    return got.ok() && got.value() == (it == out.end() ? none : it->second);
+    return got == (it == out.end() ? none : it->second);
   };
   if (n <= (1u << 16)) {
     for (uint64_t u = 0; u < n; ++u) {
@@ -536,21 +540,22 @@ inline const char* CheckGraphTextParse(const uint8_t* data, size_t size) {
 }
 
 /// \brief Tagged GRPCODEC frame parse (api::UnwrapShardedPayload, the
-/// first parse every file open runs): a failure is kInvalidArgument or
+/// first parse every file open runs): a failure is kInvalidArgument,
+/// kNotFound (a "sharded:<inner>" tag of another inner codec) or
 /// kCorruption with a message; a success yields a payload view inside
 /// the input, and framing that payload again under its tag
-/// ("sharded:<inner>", api::WrapCodecPayload) reproduces the input
+/// ("sharded:grepair", api::WrapCodecPayload) reproduces the input
 /// bytes exactly.
 inline const char* CheckCodecFrameParse(const uint8_t* data, size_t size) {
-  std::string inner;
   ByteSpan payload;
-  Status unwrapped = api::UnwrapShardedPayload("input", ByteSpan(data, size),
-                                               &inner, &payload);
+  Status unwrapped =
+      api::UnwrapShardedPayload("input", ByteSpan(data, size), &payload);
   if (!unwrapped.ok()) {
     if (unwrapped.code() != StatusCode::kInvalidArgument &&
+        unwrapped.code() != StatusCode::kNotFound &&
         unwrapped.code() != StatusCode::kCorruption) {
       return "codec frame parse failed with a code other than "
-             "kInvalidArgument or kCorruption";
+             "kInvalidArgument, kNotFound or kCorruption";
     }
     if (unwrapped.message().empty()) {
       return "codec frame parse failed without a message";
@@ -563,7 +568,7 @@ inline const char* CheckCodecFrameParse(const uint8_t* data, size_t size) {
     return "codec frame payload view lies outside the input";
   }
   const std::vector<uint8_t> reframed = api::WrapCodecPayload(
-      "sharded:" + inner, std::vector<uint8_t>(payload.begin(), payload.end()));
+      "sharded:grepair", std::vector<uint8_t>(payload.begin(), payload.end()));
   if (!std::equal(reframed.begin(), reframed.end(), data, data + size)) {
     return "codec frame framed again differs from the input";
   }

@@ -3,16 +3,15 @@
 //   gen_corpus <corpus_root>
 //
 // writes fuzz inputs under <corpus_root>/{frame,shard_directory,elias,
-// k2tree,grepair_payload,k2_payload,dir_sidecar,delta_container,
+// k2tree,grepair_payload,dir_sidecar,delta_container,
 // edits_text,graph_text,codec_frame} — the directories checked in at
 // fuzz/corpus and replayed by the ctest fuzz_smoke_* tests. Seeds are
 // golden-path encodings (every GRNF v2 verb plus a retired v1 frame,
 // real GRSHARD2 directories, well-formed Elias streams plus the
 // degenerate all-zeros/all-ones edges, k^2-trees from K2Tree::Build
 // plus a forged cell count, real grepair payloads plus a grammar whose
-// val(G) counts wrap uint64_t and a retired v1 payload, real k2
-// payloads plus two whose node or tree dimension counts wrap uint32_t,
-// `.grdir` sidecars over real directories plus a retired v1 one, real
+// val(G) counts wrap uint64_t and a retired v1 payload, `.grdir`
+// sidecars over real directories plus a retired v1 one, real
 // GRSHARD3 deltas with and without folded shards plus a sealed one
 // whose add run is unsorted, `append --edits` texts, `compress` graph
 // texts and tagged GRPCODEC frames, well-formed and refused), so
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
   const auto elias_dir = root / "elias";
   const auto k2tree_dir = root / "k2tree";
   const auto payload_dir = root / "grepair_payload";
-  const auto k2_payload_dir = root / "k2_payload";
   const auto sidecar_dir = root / "dir_sidecar";
   const auto delta_dir = root / "delta_container";
   std::filesystem::create_directories(frame_dir);
@@ -173,7 +171,6 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(elias_dir);
   std::filesystem::create_directories(k2tree_dir);
   std::filesystem::create_directories(payload_dir);
-  std::filesystem::create_directories(k2_payload_dir);
   std::filesystem::create_directories(sidecar_dir);
   std::filesystem::create_directories(delta_dir);
   const auto edits_dir = root / "edits_text";
@@ -242,13 +239,6 @@ int main(int argc, char** argv) {
   }
   grepair::WriteSeed(payload_dir, "retired_v1.bin",
                      grepair::fuzz::RetiredV1GrepairPayload());
-
-  auto k2_payloads = grepair::fuzz::GoldenK2PayloadSeeds();
-  for (size_t i = 0; i < k2_payloads.size(); ++i) {
-    char name[40];
-    std::snprintf(name, sizeof(name), "k2_payload_%02zu.bin", i);
-    grepair::WriteSeed(k2_payload_dir, name, k2_payloads[i]);
-  }
 
   grepair::WriteSeed(sidecar_dir, "sidecar_ba50_shards3.bin",
                      grepair::SidecarSeed(50, 3, 61, 7));

@@ -206,7 +206,7 @@ inline void PutSmallK2Tree(uint64_t dim, uint64_t cells, BitWriter* w) {
   for (char bit : std::string("1001" "01000010")) w->PutBit(bit == '1');
 }
 
-/// \brief A k2 codec payload (K2GraphRepresentation::Serialize's
+/// \brief A k2 baseline payload (K2GraphRepresentation::Serialize's
 /// layout: node count, label count, then per label a presence bit and
 /// a k^2-tree) of one label whose tree is PutSmallK2Tree(dim, 2), under
 /// a header claiming `nodes` nodes. Honest at nodes = dim = 4; a count
@@ -353,11 +353,11 @@ inline std::vector<std::string> GoldenGraphTextSeeds() {
 }
 
 /// \brief Tagged GRPCODEC frames for the file-open parser
-/// (api::UnwrapShardedPayload): a real 2-shard sharded:grepair file and
-/// a sharded:k2 frame around an empty payload, which both unwrap, then
-/// one each of the shapes it must refuse: an old single-codec tag, the
-/// untagged GRSHARD2 bytes, a frame cut inside its name, a zero-length
-/// name and the bare magic.
+/// (api::UnwrapShardedPayload): a real 2-shard sharded:grepair file,
+/// which unwraps, then one each of the shapes it must refuse: a
+/// sharded:k2 frame around an empty payload (a deleted inner codec), an
+/// old single-codec tag, the untagged GRSHARD2 bytes, a frame cut
+/// inside its name, a zero-length name and the bare magic.
 inline std::vector<std::vector<uint8_t>> GoldenCodecFrameSeeds() {
   const std::vector<uint8_t> container = GoldenContainerBytes(40, 2, 7);
   std::vector<uint8_t> cut_name =

@@ -1,21 +1,18 @@
-// CodecRegistry: name -> GraphCodec, over a closed table.
+// CodecRegistry: name -> GraphCodec.
 //
-// The table holds the two file backends, "grepair" and "k2"; a
-// "sharded:<inner>" name wraps one of them in shard::ShardedCodec.
-// Nothing registers at run time, so a lookup takes no lock. The
-// registry is what lets the CLI's --backend flag, the file openers and
-// the parameterized round-trip tests enumerate every backend without
-// naming any of them. The paper's size-only baselines (HN, LM,
-// adjacency-list RePair) are not in the table; bench/ runs their
-// encoders directly. The table lives in builtin_codecs.cc, next to the
-// codecs it lists.
+// Two names resolve: "grepair" (one grammar, bare payload bytes) and
+// "sharded:grepair" (the GRSHARD2 container every file holds,
+// shard::ShardedCodec). Any other name, such as a deleted codec's
+// ("k2", "hn", or either under "sharded:"), is kNotFound. The paper's size-only
+// baselines (k^2-trees, HN, LM, adjacency-list RePair) are not codecs;
+// bench/ runs their encoders directly. The codecs live in
+// builtin_codecs.cc.
 
 #ifndef GREPAIR_API_CODEC_REGISTRY_H_
 #define GREPAIR_API_CODEC_REGISTRY_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/api/graph_codec.h"
 #include "src/util/status.h"
@@ -25,15 +22,9 @@ namespace api {
 
 class CodecRegistry {
  public:
-  /// \brief Instantiates the codec named `name`: a table entry, or
-  /// "sharded:" plus one. kNotFound (listing the known names) when
-  /// there is none; kInvalidArgument for a sharded inner that is
-  /// itself sharded.
+  /// \brief Instantiates the codec named `name`: "grepair" or
+  /// "sharded:grepair"; kNotFound "no codec named '<name>'" otherwise.
   static Result<std::unique_ptr<GraphCodec>> Create(const std::string& name);
-
-  /// \brief Every name Create accepts, sorted: the table's entries,
-  /// then their "sharded:" forms.
-  static std::vector<std::string> Names();
 };
 
 }  // namespace api

@@ -45,7 +45,7 @@ Status UnwrapCodecPayloadView(ByteSpan bytes, std::string* name,
 }
 
 Status UnwrapShardedPayload(const std::string& where, ByteSpan bytes,
-                            std::string* inner_name, ByteSpan* payload) {
+                            ByteSpan* payload) {
   std::string tag;
   Status unwrap = UnwrapCodecPayloadView(bytes, &tag, payload);
   if (unwrap.code() == StatusCode::kInvalidArgument) {
@@ -59,40 +59,24 @@ Status UnwrapShardedPayload(const std::string& where, ByteSpan bytes,
         "' file; recompress it (grepair compress writes checksummed "
         "GRSHARD2 containers)");
   }
-  *inner_name = tag.substr(8);
-  return Status::OK();
+  return shard::CheckInnerCodecName(tag.substr(8));
 }
 
 Result<std::shared_ptr<MmapFile>> MapShardedFile(const std::string& path,
-                                                 std::string* inner_name,
                                                  ByteSpan* payload) {
   auto file = MmapFile::Open(path);
   if (!file.ok()) return file.status();
   GREPAIR_RETURN_IF_ERROR(
-      UnwrapShardedPayload(path, file.value()->span(), inner_name, payload));
+      UnwrapShardedPayload(path, file.value()->span(), payload));
   return file;
 }
 
-Status CheckTaggedInner(const std::string& path, const std::string& tagged,
-                        const std::string& stored) {
-  if (tagged == stored) return Status::OK();
-  return Status::InvalidArgument(path +
-                                 ": container was produced by 'sharded:" +
-                                 stored + "', not 'sharded:" + tagged + "'");
-}
-
 Result<std::unique_ptr<shard::ShardedRep>> OpenCompressedFile(
-    const std::string& path, std::string* backend_name) {
-  std::string inner;
+    const std::string& path) {
   ByteSpan payload;
-  auto file = MapShardedFile(path, &inner, &payload);
+  auto file = MapShardedFile(path, &payload);
   if (!file.ok()) return file.status();
-  auto rep = shard::ShardedRep::Open(std::move(file).ValueOrDie(), payload);
-  if (!rep.ok()) return rep.status();
-  GREPAIR_RETURN_IF_ERROR(
-      CheckTaggedInner(path, inner, rep.value()->inner_name()));
-  if (backend_name != nullptr) *backend_name = "sharded:" + inner;
-  return rep;
+  return shard::ShardedRep::Open(std::move(file).ValueOrDie(), payload);
 }
 
 Status ApplyDeltaChain(shard::ShardedRep* rep, const std::string& base_path,
@@ -140,9 +124,8 @@ Status ApplyDeltaChain(shard::ShardedRep* rep, const std::string& base_path,
 
 Result<std::unique_ptr<shard::ShardedRep>> OpenVersioned(
     const std::string& base_path,
-    const std::vector<std::string>& delta_paths,
-    std::string* backend_name) {
-  auto rep = OpenCompressedFile(base_path, backend_name);
+    const std::vector<std::string>& delta_paths) {
+  auto rep = OpenCompressedFile(base_path);
   if (!rep.ok()) return rep;
   GREPAIR_RETURN_IF_ERROR(
       ApplyDeltaChain(rep.value().get(), base_path, delta_paths));

@@ -3,14 +3,15 @@
 //
 // A container is `magic "GRPCODEC" | u8 name_len | name | payload`,
 // where `name` is the registry name of the codec that produced
-// `payload`. There is one file kind: the tag "sharded:<inner>" around
+// `payload`. There is one file kind: the tag "sharded:grepair" around
 // a checksummed GRSHARD2 payload (src/shard/container.h), which
 // this module opens lazily (OpenCompressedFile), as a base plus
 // GRSHARD3 deltas (OpenVersioned, ApplyDeltaChain), or as a bare frame
 // (MapShardedFile). Untagged files are refused, and so is any other
 // tag: an old single-codec file, which carried no checksum and must
-// be recompressed. Golden-file tests (tests/container_format_test.cc)
-// pin the frame bytes, so changing it means bumping the magic.
+// be recompressed, or the sharded tag of a deleted inner codec (k2).
+// Golden-file tests (tests/container_format_test.cc) pin the frame
+// bytes, so changing it means bumping the magic.
 
 #ifndef GREPAIR_API_CONTAINER_H_
 #define GREPAIR_API_CONTAINER_H_
@@ -49,32 +50,27 @@ Status UnwrapCodecPayloadView(ByteSpan bytes, std::string* name,
                               ByteSpan* payload);
 
 /// \brief UnwrapCodecPayloadView for a tag that must be
-/// "sharded:<inner>"; `*inner_name` receives <inner>. kInvalidArgument
-/// "<where> is not a backend-tagged container" without the magic, and
-/// "<where> is an old single-codec '<tag>' file; recompress it ..."
-/// for any other tag; kCorruption for a truncated frame.
+/// "sharded:grepair". kInvalidArgument "<where> is not a
+/// backend-tagged container" without the magic, and "<where> is an old
+/// single-codec '<tag>' file; recompress it ..." for a tag without the
+/// "sharded:" prefix; kNotFound "no codec named '<inner>'" for any
+/// other "sharded:<inner>" (shard::CheckInnerCodecName); kCorruption
+/// for a truncated frame.
 Status UnwrapShardedPayload(const std::string& where, ByteSpan bytes,
-                            std::string* inner_name, ByteSpan* payload);
+                            ByteSpan* payload);
 
 /// \brief Maps `path` and splits it with UnwrapShardedPayload; the
 /// payload view lives as long as the returned mapping.
 Result<std::shared_ptr<MmapFile>> MapShardedFile(const std::string& path,
-                                                 std::string* inner_name,
                                                  ByteSpan* payload);
-
-/// \brief kInvalidArgument "<path>: container was produced by
-/// 'sharded:<stored>', not 'sharded:<tagged>'" when a file's tag and
-/// its GRSHARD2 directory name different inner codecs.
-Status CheckTaggedInner(const std::string& path, const std::string& tagged,
-                        const std::string& stored);
 
 /// \brief Opens a file via mmap as a lazy sharded rep: the GRSHARD2
 /// directory is verified at open, shards fault in on first touch, and
-/// the rep keeps the mapping alive. The directory's inner codec must
-/// match the tag, which `*backend_name` (optional) receives. Errors as
-/// MapShardedFile, plus the container parser's.
+/// the rep keeps the mapping alive. Errors as MapShardedFile, plus the
+/// container parser's and ShardedRep's (a directory naming another
+/// inner codec than grepair is kNotFound).
 Result<std::unique_ptr<shard::ShardedRep>> OpenCompressedFile(
-    const std::string& path, std::string* backend_name = nullptr);
+    const std::string& path);
 
 /// \brief Applies GRSHARD3 delta files, in chain order, to `rep`. Each
 /// delta's lineage is verified before its payload is trusted: it must
@@ -99,8 +95,7 @@ Status ApplyDeltaChain(shard::ShardedRep* rep, const std::string& base_path,
 /// partially applied).
 Result<std::unique_ptr<shard::ShardedRep>> OpenVersioned(
     const std::string& base_path,
-    const std::vector<std::string>& delta_paths,
-    std::string* backend_name = nullptr);
+    const std::vector<std::string>& delta_paths);
 
 }  // namespace api
 }  // namespace grepair

@@ -89,59 +89,5 @@ Status CheckNodeId(uint64_t node, uint64_t num_nodes) {
   return Status::OK();
 }
 
-Status CompressedRep::ForEachRank2Edge(const Rank2EdgeSink& sink) const {
-  auto graph = Decompress();
-  if (!graph.ok()) return graph.status();
-  if (graph.value().num_nodes() != num_nodes()) {
-    return Status::Corruption("decompressed node count disagrees with rep");
-  }
-  for (const HEdge& e : graph.value().edges()) {
-    if (e.att.size() == 2) sink(e.att[0], e.att[1]);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint64_t>> CompressedRep::OutNeighbors(uint64_t) const {
-  return Status::Unimplemented("codec does not support neighbor queries");
-}
-
-Result<std::vector<uint64_t>> CompressedRep::InNeighbors(uint64_t) const {
-  return Status::Unimplemented("codec does not support neighbor queries");
-}
-
-Result<bool> CompressedRep::Reachable(uint64_t, uint64_t) const {
-  return Status::Unimplemented(
-      "codec does not support reachability queries");
-}
-
-Result<std::vector<std::vector<uint64_t>>> CompressedRep::OutNeighborsBatch(
-    const std::vector<uint64_t>& nodes) const {
-  std::vector<std::vector<uint64_t>> results;
-  results.reserve(nodes.size());
-  for (uint64_t node : nodes) {
-    auto r = OutNeighbors(node);
-    if (!r.ok()) return r.status();
-    results.push_back(std::move(r).ValueOrDie());
-  }
-  return results;
-}
-
-Result<std::vector<uint8_t>> CompressedRep::ReachableBatch(
-    const std::vector<std::pair<uint64_t, uint64_t>>& pairs) const {
-  std::vector<uint8_t> results;
-  results.reserve(pairs.size());
-  for (const auto& [from, to] : pairs) {
-    auto r = Reachable(from, to);
-    if (!r.ok()) return r.status();
-    results.push_back(r.value() ? 1 : 0);
-  }
-  return results;
-}
-
-Result<std::unique_ptr<CompressedRep>> GraphCodec::DeserializeSpan(
-    ByteSpan bytes) const {
-  return Deserialize(bytes.ToVector());
-}
-
 }  // namespace api
 }  // namespace grepair

@@ -1,36 +1,29 @@
-// GraphCodec: the one polymorphic compress/query/serialize interface
-// the file backends (gRePair and the k^2-tree) sit behind.
+// GraphCodec: the compress/query/serialize interface of the two codec
+// names, "grepair" (one SL-HR grammar) and "sharded:grepair" (the
+// GRSHARD2 container of shard grammars that every file holds).
 //
 // A codec takes a hypergraph, produces a compressed representation
-// with a byte size, and answers neighborhood (and, for some,
-// reachability) queries without decompression. This header abstracts
-// exactly that contract so the CLI, the file openers, benches and
-// examples iterate one registry instead of hand-rolling per-codec
-// glue. The paper's size-only baselines (LM, HN, adjacency-list
-// RePair) are not codecs; bench/bench_util.h runs them directly:
+// with a byte size, and answers neighborhood and reachability queries
+// without decompression:
 //
-//   auto codec = CodecRegistry::Create("k2").ValueOrDie();
+//   auto codec = CodecRegistry::Create("grepair").ValueOrDie();
 //   auto rep = codec->Compress(graph, alphabet, options).ValueOrDie();
 //   rep->Serialize();               // round-trippable bytes
 //   rep->ByteSize();                // the bench tables' size metric
-//   rep->OutNeighbors(v);           // capability-gated, may be
-//                                   //   Unimplemented for this codec
+//   rep->OutNeighbors(v);           // grammar-direct, no decompression
 //   rep->Decompress();              // exact graph reconstruction
 //
-// Capability flags say up front what a codec can do (labels,
-// hyperedges, queries); the query entry points additionally return
-// Status::Unimplemented when unsupported, so callers may either check
-// capabilities() or just handle the status.
+// The paper's size-only baselines (k^2-trees, LM, HN, adjacency-list
+// RePair) are not codecs; bench/bench_util.h runs them directly.
 //
 // Codecs work on bytes in memory. A file on disk is always a GRSHARD2
-// container of their payloads, opened by api::OpenCompressedFile
+// container of grepair payloads, opened by api::OpenCompressedFile
 // (src/api/container.h) straight into a shard::ShardedRep.
 
 #ifndef GREPAIR_API_GRAPH_CODEC_H_
 #define GREPAIR_API_GRAPH_CODEC_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -83,20 +76,10 @@ class CodecOptions {
   std::map<std::string, std::string> values_;
 };
 
-/// \brief What a codec supports, beyond compress + serialize +
-/// decompress (which every codec must provide).
-enum CodecCapability : uint32_t {
-  kSupportsLabels = 1u << 0,      ///< preserves edge labels
-  kSupportsHyperedges = 1u << 1,  ///< accepts edges of rank != 2
-  kNeighborQueries = 1u << 2,     ///< Out/InNeighbors without decompression
-  kReachabilityQueries = 1u << 3, ///< Reachable without decompression
-};
-
 /// \brief Counters exposed by the query subsystem of a CompressedRep.
 ///
-/// All counters are cumulative since construction. Codecs without
-/// caches/memoization report zeros; the sharded meta-codec and gRePair
-/// fill in what applies to them. Snapshots are cheap and safe to take
+/// All counters are cumulative since construction; each rep fills in
+/// what applies to it (the sharded rep its caches, shards and overlay). Snapshots are cheap and safe to take
 /// concurrently with queries.
 struct QueryStats {
   uint64_t single_queries = 0;  ///< Out/InNeighbors + Reachable calls
@@ -173,25 +156,23 @@ static_assert(sizeof(kQueryStatsFields) / sizeof(kQueryStatsFields[0]) ==
               "every QueryStats field needs a kQueryStatsFields entry");
 
 /// \brief Uniform out-of-range check for query entry points: every
-/// query-capable codec rejects ids >= num_nodes with exactly this
-/// kInvalidArgument status (codecs without query support stay
-/// capability-gated behind Unimplemented instead).
+/// rep rejects ids >= num_nodes with exactly this kInvalidArgument
+/// status.
 Status CheckNodeId(uint64_t node, uint64_t num_nodes);
 
 /// \brief A compressed graph representation produced by one codec.
 ///
 /// Serialize() must round-trip through GraphCodec::Deserialize back to
 /// an equivalent representation; Decompress() must reproduce the input
-/// graph's node count and edge set (labels preserved only when the
-/// codec has kSupportsLabels). ByteSize() is the size metric the bench
-/// tables report; it may be smaller than Serialize().size() when a
-/// codec excludes bookkeeping the paper's metric excludes (e.g. gRePair
-/// excludes the optional psi' node mapping, as the paper does).
+/// graph's node count, edge set and labels. ByteSize() is the size
+/// metric the bench tables report; it may be smaller than
+/// Serialize().size() when a codec excludes bookkeeping the paper's
+/// metric excludes (gRePair excludes the psi' node mapping, as the
+/// paper does).
 ///
 /// Query entry points are safe to call concurrently from multiple
 /// threads on a shared rep (internal caches are synchronized), and any
-/// node id >= num_nodes() yields kInvalidArgument on query-capable
-/// codecs (see CheckNodeId).
+/// node id >= num_nodes() yields kInvalidArgument (see CheckNodeId).
 class CompressedRep {
  public:
   virtual ~CompressedRep() = default;
@@ -201,43 +182,29 @@ class CompressedRep {
   virtual Result<Hypergraph> Decompress() const = 0;
   virtual uint64_t num_nodes() const = 0;
 
-  /// \brief Receives one rank-2 edge from -> to of the decompressed graph.
-  using Rank2EdgeSink = std::function<void(NodeId from, NodeId to)>;
-
-  /// \brief Calls `sink` for every rank-2 edge of Decompress()'s graph,
-  /// in Decompress()'s node ids and edge order; hyperedges are skipped.
-  /// Default: Decompress() and walk its edges (Corruption when its node
-  /// count disagrees with num_nodes()). Codecs that can produce edges
-  /// without building a Hypergraph override it.
-  virtual Status ForEachRank2Edge(const Rank2EdgeSink& sink) const;
-
   /// \brief Targets of edges leaving `node` (any label), sorted.
-  /// Default: Unimplemented (codec lacks kNeighborQueries).
-  virtual Result<std::vector<uint64_t>> OutNeighbors(uint64_t node) const;
+  virtual Result<std::vector<uint64_t>> OutNeighbors(uint64_t node) const = 0;
 
   /// \brief Sources of edges entering `node`, sorted.
-  virtual Result<std::vector<uint64_t>> InNeighbors(uint64_t node) const;
+  virtual Result<std::vector<uint64_t>> InNeighbors(uint64_t node) const = 0;
 
-  /// \brief Directed reachability. Default: Unimplemented.
-  virtual Result<bool> Reachable(uint64_t from, uint64_t to) const;
+  /// \brief Directed reachability.
+  virtual Result<bool> Reachable(uint64_t from, uint64_t to) const = 0;
 
   /// \brief Out-neighbors of every node in `nodes`, result i for node
   /// i. Whole-batch failure on the first invalid id (so callers never
-  /// see partial answers). Default: a loop over OutNeighbors;
-  /// overridden where batching pays (the sharded codec amortizes
-  /// shard decoding and fans out over its thread pool).
+  /// see partial answers).
   virtual Result<std::vector<std::vector<uint64_t>>> OutNeighborsBatch(
-      const std::vector<uint64_t>& nodes) const;
+      const std::vector<uint64_t>& nodes) const = 0;
 
   /// \brief Reachability verdict per (from, to) pair, result i for
   /// pair i (1 = reachable). Same whole-batch failure contract as
-  /// OutNeighborsBatch. Default: a loop over Reachable.
+  /// OutNeighborsBatch.
   virtual Result<std::vector<uint8_t>> ReachableBatch(
-      const std::vector<std::pair<uint64_t, uint64_t>>& pairs) const;
+      const std::vector<std::pair<uint64_t, uint64_t>>& pairs) const = 0;
 
-  /// \brief Snapshot of this rep's query counters (zeros when the
-  /// codec tracks nothing).
-  virtual QueryStats query_stats() const { return QueryStats(); }
+  /// \brief Snapshot of this rep's query counters.
+  virtual QueryStats query_stats() const = 0;
 };
 
 /// \brief A graph compression algorithm. Stateless; Compress may be
@@ -246,31 +213,27 @@ class GraphCodec {
  public:
   virtual ~GraphCodec() = default;
 
-  /// \brief Registry name ("grepair", "k2", ...).
+  /// \brief Registry name ("grepair" or "sharded:grepair").
   virtual const char* name() const = 0;
 
-  /// \brief OR of CodecCapability flags.
-  virtual uint32_t capabilities() const = 0;
-
   /// \brief Compresses `graph` (over `alphabet`). kInvalidArgument when
-  /// the graph needs a capability this codec lacks (e.g. hyperedges
-  /// into the k^2-tree) or when `options` has unknown/bad keys.
+  /// the graph does not fit `alphabet` or when `options` has
+  /// unknown/bad keys; the options are checked before any work.
   virtual Result<std::unique_ptr<CompressedRep>> Compress(
       const Hypergraph& graph, const Alphabet& alphabet,
       const CodecOptions& options = CodecOptions()) const = 0;
 
   /// \brief Reconstructs a representation from Serialize() output.
-  virtual Result<std::unique_ptr<CompressedRep>> Deserialize(
-      const std::vector<uint8_t>& bytes) const = 0;
+  Result<std::unique_ptr<CompressedRep>> Deserialize(
+      const std::vector<uint8_t>& bytes) const {
+    return DeserializeSpan(SpanOf(bytes));
+  }
 
-  /// \brief Zero-copy variant of Deserialize: parses a representation
-  /// from a borrowed byte view. The default copies into an owned
-  /// buffer and delegates to Deserialize; codecs with span-native
-  /// parsers (grepair's grammar coder, the sharded container) override
-  /// to read in place. `bytes` only needs to stay alive for the call —
-  /// the returned rep owns (or re-derives) everything it keeps.
+  /// \brief Deserialize from a borrowed byte view. `bytes` only needs
+  /// to stay alive for the call: the returned rep owns (or re-derives)
+  /// everything it keeps.
   virtual Result<std::unique_ptr<CompressedRep>> DeserializeSpan(
-      ByteSpan bytes) const;
+      ByteSpan bytes) const = 0;
 };
 
 }  // namespace api

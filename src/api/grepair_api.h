@@ -1,12 +1,12 @@
 // Umbrella header: the stable public surface of the grepair library.
 //
 // Downstream users include this one header and get:
-//   * the polymorphic codec API (GraphCodec, CompressedRep,
-//     CodecOptions) over gRePair and the k^2-tree, looked up by name
-//     in CodecRegistry's closed table of those two,
+//   * the codec API (GraphCodec, CompressedRep, CodecOptions) over
+//     gRePair, created by name ("grepair", "sharded:grepair") through
+//     CodecRegistry,
 //   * the sharded parallel-compression layer (PartitionGraph,
-//     ParallelCompressor, the "sharded:<inner>" meta-codecs) and the
-//     tagged container framing,
+//     ParallelCompressor, the "sharded:grepair" codec) and the tagged
+//     container framing,
 //   * remote shard serving (api::OpenRemote over src/serve/'s
 //     multi-corpus ShardServer, connection pool and SSD shard tier),
 //   * CompressedGraph, the queryable gRePair representation,

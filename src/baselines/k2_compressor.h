@@ -44,12 +44,6 @@ class K2GraphRepresentation {
     return trees_[label].RowNeighbors(v);
   }
 
-  /// \brief In-neighbors of `v` under `label`; empty out of range.
-  std::vector<uint32_t> InNeighbors(uint32_t v, Label label) const {
-    if (label >= trees_.size() || v >= num_nodes_) return {};
-    return trees_[label].ColNeighbors(v);
-  }
-
   bool HasEdge(uint32_t u, uint32_t v, Label label) const {
     if (label >= trees_.size() || u >= num_nodes_ || v >= num_nodes_) {
       return false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <string>
 
 #include "src/encoding/grammar_coder.h"
 #include "src/graph/graph_algos.h"
@@ -782,8 +783,10 @@ Result<CompressResult> Compress(const Hypergraph& graph,
   if (!graph.ext().empty()) {
     return Status::InvalidArgument("input graph must have no external nodes");
   }
-  if (options.max_rank < 1 || options.max_rank > 63) {
-    return Status::InvalidArgument("max_rank must be in [1, 63]");
+  if (options.max_rank < kMinMaxRank || options.max_rank > kMaxMaxRank) {
+    return Status::InvalidArgument(
+        "max_rank must be in [" + std::to_string(kMinMaxRank) + ", " +
+        std::to_string(kMaxMaxRank) + "]");
   }
   for (Label l = 0; l < alphabet.size(); ++l) {
     if (alphabet.rank(l) > 63) {

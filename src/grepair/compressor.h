@@ -25,11 +25,15 @@
 
 namespace grepair {
 
+/// \brief The CompressOptions::max_rank values Compress accepts.
+inline constexpr int kMinMaxRank = 1;
+inline constexpr int kMaxMaxRank = 63;
+
 /// \brief Tuning knobs of gRePair (Section III-B).
 struct CompressOptions {
   /// Maximum digram rank = maximum nonterminal rank (Section III-B2).
   /// Digrams with more external nodes are not counted. The paper finds
-  /// 4 a good compromise (Table IV).
+  /// 4 a good compromise (Table IV). In [kMinMaxRank, kMaxMaxRank].
   int max_rank = 4;
 
   /// Node order for occurrence counting (Section III-B1).

@@ -123,15 +123,13 @@ bool K2Tree::Contains(uint32_t row, uint32_t col) const {
 
 namespace {
 
-// Generic DFS over one axis: visits all set cells with the given fixed
-// coordinate. `row_major` selects whether the fixed coordinate is the
-// row (collect columns) or the column (collect rows).
-struct AxisQuery {
+// DFS along one row: visits the set cells of row `fixed` and collects
+// their columns.
+struct RowQuery {
   const RankBitVector* t;
   const RankBitVector* l;
   int k;
-  bool row_major;
-  uint32_t limit;  // exclusive bound on the collected coordinate
+  uint32_t limit;  // exclusive bound on the collected column
   std::vector<uint32_t>* out;
 
   void Recurse(uint64_t block, uint64_t size, uint64_t fixed,
@@ -140,7 +138,7 @@ struct AxisQuery {
     uint64_t fq = fixed / sub;
     const uint64_t kk = static_cast<uint64_t>(k) * k;
     for (int i = 0; i < k; ++i) {
-      uint64_t q = row_major ? fq * k + i : static_cast<uint64_t>(i) * k + fq;
+      uint64_t q = fq * k + i;
       uint64_t p = block + q;
       uint64_t coord_base = base + static_cast<uint64_t>(i) * sub;
       if (p >= t->size()) {
@@ -161,16 +159,8 @@ struct AxisQuery {
 std::vector<uint32_t> K2Tree::RowNeighbors(uint32_t row) const {
   std::vector<uint32_t> out;
   if (num_cells_ == 0 || row >= num_rows_) return out;
-  AxisQuery q{&t_, &l_, k_, true, num_cols_, &out};
+  RowQuery q{&t_, &l_, k_, num_cols_, &out};
   q.Recurse(0, size_, row, 0);
-  return out;
-}
-
-std::vector<uint32_t> K2Tree::ColNeighbors(uint32_t col) const {
-  std::vector<uint32_t> out;
-  if (num_cells_ == 0 || col >= num_cols_) return out;
-  AxisQuery q{&t_, &l_, k_, false, num_rows_, &out};
-  q.Recurse(0, size_, col, 0);
   return out;
 }
 

@@ -13,7 +13,7 @@
 // root: one sort of the paths, then one scan per level.
 //
 // Two ways to navigate that layout:
-//  * point queries (Contains, RowNeighbors, ColNeighbors) descend one
+//  * point queries (Contains, RowNeighbors) descend one
 //    path and find each child block with Rank1 over T;
 //  * enumeration (AllCells, DecodeCells) walks the levels in order.
 //    The blocks of level i+1 belong to the set bits of level i in
@@ -77,9 +77,6 @@ class K2Tree {
 
   /// \brief Columns set in `row` (out-neighbors for adjacency matrices).
   std::vector<uint32_t> RowNeighbors(uint32_t row) const;
-
-  /// \brief Rows set in `col` (in-neighbors for adjacency matrices).
-  std::vector<uint32_t> ColNeighbors(uint32_t col) const;
 
   /// \brief All set cells in row-major order.
   std::vector<std::pair<uint32_t, uint32_t>> AllCells() const;

@@ -141,10 +141,7 @@ uint64_t CompressedGraph::NumConnectedComponents() const {
 }
 
 size_t CompressedGraph::SerializedSize() const {
-  if (!serialized_size_.has_value()) {
-    serialized_size_ = EncodeGrammar(*grammar_).size();
-  }
-  return *serialized_size_;
+  return EncodeGrammar(*grammar_).size();
 }
 
 Result<Hypergraph> CompressedGraph::Decompress() const {

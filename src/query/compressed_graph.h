@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "src/grepair/compressor.h"
@@ -80,7 +79,8 @@ class CompressedGraph {
   /// \brief Size of the grammar in the paper's |.| metric.
   uint64_t GrammarSize() const { return grammar_->TotalSize(); }
 
-  /// \brief Bytes of the binary serialization (computed once).
+  /// \brief Bytes of the grammar's binary serialization (encodes it on
+  /// each call).
   size_t SerializedSize() const;
 
   /// \brief Materializes the graph (original ids when available).
@@ -162,7 +162,6 @@ class CompressedGraph {
   std::vector<uint64_t> to_val_;  // original id -> val id
   std::unique_ptr<LazyIndex<NeighborhoodIndex>> neighborhood_;
   std::unique_ptr<LazyIndex<ReachabilityIndex>> reachability_;
-  mutable std::optional<size_t> serialized_size_;
 };
 
 }  // namespace grepair

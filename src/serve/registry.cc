@@ -8,9 +8,9 @@
 #include <cstring>
 #include <utility>
 
-#include "src/api/codec_registry.h"
 #include "src/api/container.h"
 #include "src/net/frame.h"
+#include "src/shard/container.h"
 
 namespace grepair {
 namespace serve {
@@ -50,8 +50,7 @@ Status CheckCorpusName(const std::string& name) {
 // single-codec file); raw GRSHARD2 bytes are served as they are.
 Status UnwrapIfTagged(const std::string& where, ByteSpan* payload) {
   if (!api::IsCodecContainer(*payload)) return Status::OK();
-  std::string inner_name;
-  return api::UnwrapShardedPayload(where, *payload, &inner_name, payload);
+  return api::UnwrapShardedPayload(where, *payload, payload);
 }
 
 // Basename minus the last extension: "/data/web.graph.grc" -> a
@@ -97,10 +96,10 @@ Status CorpusRegistry::Add(const std::string& name,
   auto parsed = shard::ParseContainer(payload);
   if (!parsed.ok()) return parsed.status();
   shard::ParsedContainer& container = parsed.value();
-  // So is one whose shards no client can decode: the inner codec must
-  // resolve here as it would in the client's ShardedRep::Build.
-  auto inner = api::CodecRegistry::Create(container.dir.inner_name);
-  if (!inner.ok()) return inner.status();
+  // So is one whose shards no client can decode: the inner codec name
+  // is checked here as the client's ShardedRep::Build checks it.
+  GREPAIR_RETURN_IF_ERROR(
+      shard::CheckInnerCodecName(container.dir.inner_name));
   // Everything this server will ever put in a frame must fit the
   // frame bound — refuse oversized containers here with a clear error
   // instead of letting clients misdiagnose a too-long response frame

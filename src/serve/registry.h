@@ -71,12 +71,12 @@ class CorpusRegistry {
   CorpusRegistry(const CorpusRegistry&) = delete;
   CorpusRegistry& operator=(const CorpusRegistry&) = delete;
 
-  /// \brief Registers the container at `path` (a "sharded:<inner>"
+  /// \brief Registers the container at `path` (a "sharded:grepair"
   /// tagged file or a bare GRSHARD2 container) under `name`.
   /// kInvalidArgument for bad names, duplicate names, old single-codec
   /// files (any other tag), and containers whose directory or shards
-  /// exceed the frame bound; kNotFound when the directory names an
-  /// inner codec this build does not register; kCorruption for anything
+  /// exceed the frame bound; kNotFound when the tag or the directory
+  /// names another inner codec than grepair; kCorruption for anything
   /// else that is not an intact GRSHARD2 container.
   Status AddFile(const std::string& name, const std::string& path);
 

@@ -203,11 +203,16 @@ Result<ParsedContainer> ParseContainer(ByteSpan bytes) {
   return out;
 }
 
-V2Encoder::V2Encoder(const std::string& inner_name, uint64_t num_nodes,
-                     size_t shard_count)
+Status CheckInnerCodecName(const std::string& name) {
+  if (name == kInnerCodecName) return Status::OK();
+  return Status::NotFound("no codec named '" + name + "'");
+}
+
+V2Encoder::V2Encoder(uint64_t num_nodes, size_t shard_count)
     : out_(kShardContainerMagicV2, kShardContainerMagicV2 + 8) {
-  dir_.push_back(static_cast<uint8_t>(inner_name.size()));
-  dir_.insert(dir_.end(), inner_name.begin(), inner_name.end());
+  const size_t name_len = sizeof(kInnerCodecName) - 1;
+  dir_.push_back(static_cast<uint8_t>(name_len));
+  dir_.insert(dir_.end(), kInnerCodecName, kInnerCodecName + name_len);
   PutU64LE(num_nodes, &dir_);
   PutU32LE(static_cast<uint32_t>(shard_count), &dir_);
 }
@@ -235,9 +240,9 @@ std::vector<uint8_t> V2Encoder::Finish() && {
   return std::move(out_);
 }
 
-size_t V2Encoder::FixedBytes(const std::string& inner_name) {
+size_t V2Encoder::FixedBytes() {
   // Magic, directory head (name, node count, shard count), trailer.
-  return 8 + 1 + inner_name.size() + 8 + 4 + kV2TrailerBytes;
+  return 8 + 1 + (sizeof(kInnerCodecName) - 1) + 8 + 4 + kV2TrailerBytes;
 }
 
 size_t V2Encoder::RowBytes(const std::vector<NodeId>& nodes) {

@@ -30,6 +30,17 @@ extern const char kShardContainerMagicV2[8];  ///< "GRSHARD2"
 /// plus the cut shard.
 inline constexpr size_t kMaxShardCount = static_cast<size_t>(kMaxShards) + 1;
 
+/// \brief The one inner codec name a GRSHARD2 directory (and a file's
+/// "sharded:<inner>" tag) may carry. Files keep the name byte until a
+/// format bump drops it.
+inline constexpr char kInnerCodecName[] = "grepair";
+
+/// \brief OK for kInnerCodecName; kNotFound "no codec named '<name>'"
+/// for any other name, such as a deleted codec (k2, hn, deflate) or a
+/// nested "sharded:..." one. Every open path and the serving registry
+/// check a directory's name here.
+Status CheckInnerCodecName(const std::string& name);
+
 /// \brief One directory row.
 struct ShardDirEntry {
   uint64_t offset = 0;      ///< payload offset from container start
@@ -83,8 +94,8 @@ Result<ParsedDirectory> ParseV2Directory(ByteSpan dir, uint64_t dir_off);
 /// trailer. The one encoder behind Compress and SerializeV2.
 class V2Encoder {
  public:
-  V2Encoder(const std::string& inner_name, uint64_t num_nodes,
-            size_t shard_count);
+  /// The directory names kInnerCodecName.
+  V2Encoder(uint64_t num_nodes, size_t shard_count);
 
   /// \brief Appends the next shard: its payload (empty = edgeless,
   /// recorded with offset and checksum 0) and its directory row.
@@ -95,7 +106,7 @@ class V2Encoder {
 
   /// \brief Exact container size without encoding: FixedBytes, plus
   /// RowBytes and the payload length per shard.
-  static size_t FixedBytes(const std::string& inner_name);
+  static size_t FixedBytes();
   static size_t RowBytes(const std::vector<NodeId>& nodes);
 
  private:

@@ -52,18 +52,18 @@ void PairOwners(const OwnerIndex& index, uint64_t u, uint64_t v,
 }
 
 // Decompresses one shard, applies `kills` then `adds` (global ids; set
-// semantics) and recompresses it through the inner codec.
+// semantics) and recompresses it with the default options.
 Status FoldOneShard(const ShardStore& store, size_t shard,
                     const std::vector<DeltaPair>& kills,
                     const std::vector<DeltaEdge>& adds,
                     std::shared_ptr<FoldedShard>* out) {
   const ShardEntry& entry = store.entry(shard);
-  auto rep = store.Rep(shard);
-  if (!rep.ok()) return rep.status();
-  if (rep.value() == nullptr) {
+  auto graph = store.Graph(shard);
+  if (!graph.ok()) return graph.status();
+  if (graph.value() == nullptr) {
     return Status::Internal("cannot fold into an edgeless shard");
   }
-  auto local_r = rep.value()->Decompress();
+  auto local_r = graph.value()->Decompress();
   if (!local_r.ok()) return local_r.status();
   Hypergraph local = std::move(local_r).ValueOrDie();
   if (local.num_nodes() != entry.nodes.size()) {
@@ -108,15 +108,15 @@ Status FoldOneShard(const ShardStore& store, size_t shard,
   }
 
   // The recompression needs an alphabet; the shard payload stores none.
-  auto compressed = store.inner_codec().Compress(
-      local, InferAlphabet(local), api::CodecOptions());
+  auto compressed = CompressedGraph::FromGraph(local, InferAlphabet(local));
   if (!compressed.ok()) return compressed.status();
   auto f = std::make_shared<FoldedShard>();
-  f->rep = std::move(compressed).ValueOrDie();
-  if (f->rep->num_nodes() != entry.nodes.size()) {
+  f->graph = std::make_shared<const CompressedGraph>(
+      std::move(compressed).ValueOrDie());
+  if (f->graph->num_nodes() != entry.nodes.size()) {
     return Status::Internal("folded shard changed its node count");
   }
-  f->payload = f->rep->Serialize();
+  f->payload = f->graph->Serialize();
   if (f->payload.empty()) {
     return Status::Internal("folded shard serialized to nothing");
   }
@@ -194,14 +194,14 @@ Status MutableCorpus::FoldLocked(int threads) {
   std::vector<PairOwner> owners;  // reused per edit
   // True when a shard after the first owner holds the pair in its
   // current grammar, or cannot tell. Owners all have a payload, so each
-  // has a rep.
+  // has a graph.
   auto held_after = [&] {
     for (size_t k = 1; k < owners.size(); ++k) {
-      auto rep = store_->Rep(owners[k].shard);
-      if (!rep.ok() || rep.value() == nullptr) return true;
-      auto out = rep.value()->OutNeighbors(owners[k].lu);
-      if (!out.ok() || std::binary_search(out.value().begin(),
-                                          out.value().end(), owners[k].lv)) {
+      auto graph = store_->Graph(owners[k].shard);
+      if (!graph.ok() || graph.value() == nullptr) return true;
+      const std::vector<uint64_t> out =
+          graph.value()->OutNeighbors(owners[k].lu);
+      if (std::binary_search(out.begin(), out.end(), owners[k].lv)) {
         return true;
       }
     }
@@ -373,14 +373,15 @@ Status MutableCorpus::ApplyDelta(const DeltaContainer& delta) {
     auto f = std::make_shared<FoldedShard>();
     f->payload = shard.payload;
     f->checksum = shard.checksum;  // verified by DecodeDeltaContainer
-    auto rep = store_->inner_codec().DeserializeSpan(SpanOf(f->payload));
-    if (!rep.ok()) return rep.status();
-    if (rep.value()->num_nodes() != entry.nodes.size()) {
+    auto graph = DecodeShardPayload(SpanOf(f->payload));
+    if (!graph.ok()) return graph.status();
+    if (graph.value().num_nodes() != entry.nodes.size()) {
       return Status::Corruption(
           "delta shard " + std::to_string(shard.index) +
           " node count does not match the base node map");
     }
-    f->rep = std::move(rep).ValueOrDie();
+    f->graph = std::make_shared<const CompressedGraph>(
+        std::move(graph).ValueOrDie());
     publish.emplace_back(shard.index, std::move(f));
   }
   auto residual = DeltaOverlay::FromRuns(delta.adds, delta.kills);

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
+#include <string>
 #include <thread>
 
+#include "src/graph/node_order.h"
+#include "src/query/compressed_graph.h"
 #include "src/util/sync.h"
 
 namespace grepair {
@@ -45,13 +49,60 @@ void RunIndexedOnPool(size_t count, int threads,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ParallelCompressor::ParallelCompressor(const api::GraphCodec& inner,
+namespace {
+
+// Integer option with loud range validation: the options narrow to
+// int, so out-of-range values must fail, not wrap.
+Result<int64_t> GetIntInRange(const api::CodecOptions& options,
+                              const std::string& key, int64_t def,
+                              int64_t min, int64_t max) {
+  auto value = options.GetInt(key, def);
+  if (!value.ok()) return value.status();
+  if (value.value() < min || value.value() > max) {
+    return Status::InvalidArgument(
+        "option " + key + "=" + std::to_string(value.value()) +
+        " out of range [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]");
+  }
+  return value.value();
+}
+
+}  // namespace
+
+Result<CompressOptions> ParseCompressOptions(
+    const api::CodecOptions& options) {
+  GREPAIR_RETURN_IF_ERROR(
+      options.ExpectKeys({"max-rank", "order", "seed", "virtual", "prune"}));
+  CompressOptions opts;
+  auto max_rank = GetIntInRange(options, "max-rank", opts.max_rank,
+                                kMinMaxRank, kMaxMaxRank);
+  if (!max_rank.ok()) return max_rank.status();
+  opts.max_rank = static_cast<int>(max_rank.value());
+  std::string order = options.GetString("order", "");
+  if (!order.empty() && !ParseNodeOrderKind(order, &opts.node_order)) {
+    return Status::InvalidArgument("unknown node order '" + order + "'");
+  }
+  auto seed = GetIntInRange(options, "seed",
+                            static_cast<int64_t>(opts.order_seed), 0,
+                            INT64_MAX);
+  if (!seed.ok()) return seed.status();
+  opts.order_seed = static_cast<uint64_t>(seed.value());
+  auto virt = options.GetBool("virtual", opts.connect_components);
+  if (!virt.ok()) return virt.status();
+  opts.connect_components = virt.value();
+  auto prune = options.GetBool("prune", opts.prune);
+  if (!prune.ok()) return prune.status();
+  opts.prune = prune.value();
+  return opts;
+}
+
+ParallelCompressor::ParallelCompressor(const CompressOptions& options,
                                        int num_threads)
-    : inner_(inner), num_threads_(std::max(1, std::min(num_threads, 256))) {}
+    : options_(options),
+      num_threads_(std::max(1, std::min(num_threads, 256))) {}
 
 Result<std::vector<std::vector<uint8_t>>> ParallelCompressor::CompressShards(
-    const GraphPartition& partition, const Alphabet& alphabet,
-    const api::CodecOptions& inner_options) const {
+    const GraphPartition& partition, const Alphabet& alphabet) const {
   size_t count = partition.shards.size();
   std::vector<std::vector<uint8_t>> results(count);
   std::vector<Status> statuses(count);
@@ -59,12 +110,12 @@ Result<std::vector<std::vector<uint8_t>>> ParallelCompressor::CompressShards(
   RunIndexedOnPool(count, num_threads_, [&](size_t i) {
     const Shard& shard = partition.shards[i];
     if (shard.graph.num_edges() == 0) return;  // empty payload slot
-    auto rep = inner_.Compress(shard.graph, alphabet, inner_options);
-    if (!rep.ok()) {
-      statuses[i] = rep.status();
+    auto graph = CompressedGraph::FromGraph(shard.graph, alphabet, options_);
+    if (!graph.ok()) {
+      statuses[i] = graph.status();
       return;
     }
-    results[i] = rep.value()->Serialize();
+    results[i] = graph.value().Serialize();
   });
 
   for (size_t i = 0; i < count; ++i) {

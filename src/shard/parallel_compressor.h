@@ -1,13 +1,11 @@
-// ParallelCompressor: drives any GraphCodec over the shards of a
-// GraphPartition with a fixed-size thread pool.
+// ParallelCompressor: compresses the shards of a GraphPartition into
+// grepair payloads with a fixed-size thread pool.
 //
 // Output is deterministic regardless of thread count or scheduling:
 // workers claim shard indices from an atomic counter and write results
 // into per-index slots, so shard i's bytes are shard i's bytes whether
 // they were produced first or last (the threads=1 vs threads=8
 // byte-identity test in tests/parallel_compressor_test.cc pins this).
-// GraphCodec::Compress is documented stateless/thread-safe; this class
-// is what cashes that promise in.
 
 #ifndef GREPAIR_SHARD_PARALLEL_COMPRESSOR_H_
 #define GREPAIR_SHARD_PARALLEL_COMPRESSOR_H_
@@ -16,6 +14,7 @@
 #include <vector>
 
 #include "src/api/graph_codec.h"
+#include "src/grepair/compressor.h"
 #include "src/shard/partitioner.h"
 #include "src/util/status.h"
 
@@ -29,26 +28,31 @@ namespace shard {
 void RunIndexedOnPool(size_t count, int threads,
                       const std::function<void(size_t)>& fn);
 
+/// \brief The grepair codec options (max-rank, order, seed, virtual,
+/// prune) as CompressOptions, checked against Compress's own bounds.
+/// kInvalidArgument on an unknown key or a bad value. Both codecs call
+/// it before any work, so an edgeless graph refuses what any other
+/// graph refuses.
+Result<CompressOptions> ParseCompressOptions(const api::CodecOptions& options);
+
 class ParallelCompressor {
  public:
-  /// \brief `inner` must outlive the compressor; `num_threads` is
-  /// clamped to [1, 256].
-  ParallelCompressor(const api::GraphCodec& inner, int num_threads);
+  /// \brief Compresses with `options`; `num_threads` is clamped to
+  /// [1, 256].
+  ParallelCompressor(const CompressOptions& options, int num_threads);
 
-  /// \brief Compresses every shard of `partition` (over `alphabet`,
-  /// with `inner_options` forwarded to the inner codec) and returns
-  /// each shard's serialized inner payload, in shard order. Edgeless
-  /// shards get an empty payload (inner codecs never see them). On
-  /// any per-shard failure returns the failing status of the lowest
-  /// shard index (deterministic even when several shards fail).
+  /// \brief Compresses every shard of `partition` (over `alphabet`)
+  /// and returns each shard's serialized grammar payload (psi' kept),
+  /// in shard order. Edgeless shards get an empty payload. On any
+  /// per-shard failure returns the failing status of the lowest shard
+  /// index (deterministic even when several shards fail).
   Result<std::vector<std::vector<uint8_t>>> CompressShards(
-      const GraphPartition& partition, const Alphabet& alphabet,
-      const api::CodecOptions& inner_options) const;
+      const GraphPartition& partition, const Alphabet& alphabet) const;
 
   int num_threads() const { return num_threads_; }
 
  private:
-  const api::GraphCodec& inner_;
+  CompressOptions options_;
   int num_threads_;
 };
 

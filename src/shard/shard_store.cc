@@ -42,18 +42,18 @@ void SortDedupCompact(uint64_t* off, uint64_t* data, size_t n) {
 }  // namespace
 
 std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
-    const std::vector<NodeId>& nodes, const api::CompressedRep& rep) {
+    const std::vector<NodeId>& nodes, const CompressedGraph& graph) {
   size_t n = nodes.size();
-  if (rep.num_nodes() != n) return nullptr;
+  if (graph.num_nodes() != n) return nullptr;
 
-  // Counting pass, fed straight from the rep's edge stream (a grepair
-  // shard derives it from the grammar without building a Hypergraph):
+  // Counting pass, fed straight from the grammar's edge stream (no
+  // Hypergraph is built):
   // per-node degrees (and validation), so the arena can be sized
   // exactly and the whole decoded form costs one allocation.
   std::vector<uint64_t> out_deg(n + 1, 0), in_deg(n + 1, 0);
   std::vector<std::pair<NodeId, NodeId>> edges;
   bool in_range = true;
-  Status streamed = rep.ForEachRank2Edge([&](NodeId u, NodeId v) {
+  Status streamed = graph.ForEachRank2Edge([&](NodeId u, NodeId v) {
     if (u >= n || v >= n) {
       in_range = false;
       return;
@@ -91,6 +91,16 @@ std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
   sn->in_off = in_off;
   sn->bytes = sn->arena.bytes_reserved();
   return sn;
+}
+
+Result<CompressedGraph> DecodeShardPayload(ByteSpan bytes) {
+  auto graph = CompressedGraph::Deserialize(bytes);
+  if (!graph.ok()) return graph.status();
+  if (!graph.value().has_original_ids() && graph.value().num_nodes() > 0) {
+    return Status::Corruption(
+        "grepair payload carries no node mapping (psi'); recompress it");
+  }
+  return graph;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,15 +166,13 @@ OwnerIndex::OwnerIndex(const std::vector<ShardEntry>& entries) {
 // ---------------------------------------------------------------------------
 // ShardStore
 
-ShardStore::ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,
-                       std::shared_ptr<ShardSource> source,
+ShardStore::ShardStore(std::shared_ptr<ShardSource> source,
                        std::vector<ShardEntry> entries)
     : entries_(std::move(entries)),
-      inner_codec_(std::move(inner_codec)),
       source_(std::move(source)),
       lazy_slots_(entries_.size()),
       lazy_published_(
-          new std::atomic<const api::CompressedRep*>[entries_.size()]),
+          new std::atomic<const CompressedGraph*>[entries_.size()]),
       fault_mutexes_(new Mutex[entries_.size()]),
       folded_published_(
           new std::atomic<const FoldedShard*>[entries_.size()]),
@@ -219,21 +227,21 @@ Result<ByteSpan> ShardStore::VerifiedPayload(
   return payload;
 }
 
-Result<const api::CompressedRep*> ShardStore::Rep(size_t shard,
-                                                  bool* faulted) const {
+Result<const CompressedGraph*> ShardStore::Graph(size_t shard,
+                                                 bool* faulted) const {
   if (faulted != nullptr) *faulted = false;
   // Folded grammar first: once a fold has recompressed this shard,
-  // its rep is the shard's truth (base payload + folded edits).
+  // its graph is the shard's truth (base payload + folded edits).
   if (const FoldedShard* folded = Folded(shard)) {
-    return static_cast<const api::CompressedRep*>(folded->rep.get());
+    return static_cast<const CompressedGraph*>(folded->graph.get());
   }
   const ShardEntry& entry = entries_[shard];
   if (!entry.has_payload()) {
-    return static_cast<const api::CompressedRep*>(nullptr);  // edgeless
+    return static_cast<const CompressedGraph*>(nullptr);  // edgeless
   }
   // Lock-free resident fast path: hot shards cost one acquire-load per
   // touch.
-  if (const api::CompressedRep* published =
+  if (const CompressedGraph* published =
           lazy_published_[shard].load(std::memory_order_acquire)) {
     return published;
   }
@@ -242,26 +250,27 @@ Result<const api::CompressedRep*> ShardStore::Rep(size_t shard,
   // while other shards fault in parallel.
   MutexLock lock(fault_mutexes_[shard]);
   if (lazy_slots_[shard] != nullptr) {
-    return static_cast<const api::CompressedRep*>(lazy_slots_[shard].get());
+    return static_cast<const CompressedGraph*>(lazy_slots_[shard].get());
   }
   std::vector<uint8_t> fetched;
   auto payload = VerifiedPayload(shard, &fetched);
   if (!payload.ok()) return payload.status();
-  auto rep = inner_codec_->DeserializeSpan(payload.value());
-  if (!rep.ok()) return rep.status();
-  if (rep.value()->num_nodes() != entry.nodes.size()) {
+  auto graph = DecodeShardPayload(payload.value());
+  if (!graph.ok()) return graph.status();
+  if (graph.value().num_nodes() != entry.nodes.size()) {
     return Status::Corruption(
         "shard " + std::to_string(shard) + " payload node count " +
-        std::to_string(rep.value()->num_nodes()) +
+        std::to_string(graph.value().num_nodes()) +
         " does not match its node map (" +
         std::to_string(entry.nodes.size()) + ")");
   }
   stat_faults_.fetch_add(1, std::memory_order_relaxed);
   if (faulted != nullptr) *faulted = true;
-  lazy_slots_[shard] = std::move(rep).ValueOrDie();
+  lazy_slots_[shard] = std::make_shared<const CompressedGraph>(
+      std::move(graph).ValueOrDie());
   lazy_published_[shard].store(lazy_slots_[shard].get(),
                                std::memory_order_release);
-  return static_cast<const api::CompressedRep*>(lazy_slots_[shard].get());
+  return static_cast<const CompressedGraph*>(lazy_slots_[shard].get());
 }
 
 size_t ShardStore::PayloadSize(size_t shard) const {
@@ -301,11 +310,11 @@ Result<Hypergraph> ShardStore::Decompress(uint64_t num_nodes,
   std::vector<Result<Hypergraph>> locals(
       entries_.size(), Status::Internal("shard not decompressed"));
   RunIndexedOnPool(entries_.size(), threads, [&](size_t i) {
-    auto rep = Rep(i);  // faults lazy shards in parallel
-    if (!rep.ok()) {
-      locals[i] = rep.status();
-    } else if (rep.value() != nullptr) {
-      locals[i] = rep.value()->Decompress();
+    auto graph = Graph(i);  // faults lazy shards in parallel
+    if (!graph.ok()) {
+      locals[i] = graph.status();
+    } else if (graph.value() != nullptr) {
+      locals[i] = graph.value()->Decompress();
     }
   });
 
@@ -342,7 +351,7 @@ void ShardStore::Prefetch(const std::vector<size_t>& shards,
   RunIndexedOnPool(shards.size(), threads, [&](size_t k) {
     if (shards[k] >= entries_.size()) return;
     bool faulted = false;
-    (void)Rep(shards[k], &faulted);  // errors resurface on the query
+    (void)Graph(shards[k], &faulted);  // errors resurface on the query
     if (faulted) stat_prefetched_.fetch_add(1, std::memory_order_relaxed);
   });
 }
@@ -414,19 +423,19 @@ std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
       return nullptr;
     }
   }
-  // Decode outside the lock: it runs inner decompression (and may
+  // Decode outside the lock: it walks the whole grammar (and may
   // fault the shard in first) and must not serialize concurrent
   // queries on other shards. A racing decode of the same shard wastes
   // work but stays correct (first insert wins). The fold epoch is
-  // captured before the rep is resolved: if a Publish lands while we
+  // captured before the graph is resolved: if a Publish lands while we
   // decode, the result below came from the pre-fold grammar and must
   // not be cached past the publish's invalidation.
   uint64_t fold_epoch = fold_epoch_.load(std::memory_order_acquire);
-  auto rep = Rep(shard);
-  if (!rep.ok() || rep.value() == nullptr) {
+  auto graph = Graph(shard);
+  if (!graph.ok() || graph.value() == nullptr) {
     return nullptr;  // fault errors resurface via per-node routing
   }
-  auto decoded = DecodeNeighborhoods(entry.nodes, *rep.value());
+  auto decoded = DecodeNeighborhoods(entry.nodes, *graph.value());
   if (decoded == nullptr) return nullptr;
   stat_decodes_.fetch_add(1, std::memory_order_relaxed);
 
@@ -502,17 +511,16 @@ void ShardStore::AddStats(api::QueryStats* stats) const {
   // Network/pool/tier counters live with the source stack: the store
   // cannot tell an SSD-warm hit from a WAN fetch, but the sources can.
   source_->AddStats(stats);
-  // The inner reps' memo-table counters (grepair inners build grammar
-  // memo tables of their own). Only resident reps are consulted.
+  // The shard grammars' memo-table counters. Only resident graphs are
+  // consulted.
   for (size_t i = 0; i < entries_.size(); ++i) {
     const FoldedShard* folded = Folded(i);
-    const api::CompressedRep* rep =
-        folded != nullptr ? folded->rep.get()
+    const CompressedGraph* graph =
+        folded != nullptr ? folded->graph.get()
                           : lazy_published_[i].load(std::memory_order_acquire);
-    if (rep == nullptr) continue;
-    api::QueryStats inner = rep->query_stats();
-    stats->memo_entries += inner.memo_entries;
-    stats->memo_hits += inner.memo_hits;
+    if (graph == nullptr) continue;
+    stats->memo_entries += graph->memo_entries();
+    stats->memo_hits += graph->memo_hits();
   }
 }
 

@@ -3,16 +3,16 @@
 //
 // Per shard it keeps three things. The base fault turns the shard's
 // payload bytes, fetched from the ShardSource and checksum-verified,
-// into an inner rep on first touch (per-shard mutex, lock-free once
-// published). The folded replacement is the payload and rep a fold or
-// an applied delta installs through Publish; it supersedes the base
-// wherever payload bytes or inner reps are read. The decoded
-// neighborhood is the shard's whole out/in adjacency in global ids,
-// kept in one LRU cache under a byte budget (set_query_cache_bytes,
-// 0 disables it) and evicted whole. Prefetch faults shards ahead of
+// into the shard's CompressedGraph on first touch (per-shard mutex,
+// lock-free once published). The folded replacement is the payload and
+// graph a fold or an applied delta installs through Publish; it
+// supersedes the base wherever payload bytes or shard graphs are read.
+// The decoded neighborhood is the shard's whole out/in adjacency in
+// global ids, kept in one LRU cache under a byte budget
+// (set_query_cache_bytes, 0 disables it) and evicted whole. Prefetch faults shards ahead of
 // demand on the caller's fan-out. Across shards it keeps the owner
 // index, which routes a global id to the shards holding it. Faulted and
-// folded reps are retained for the store's lifetime, and so is the
+// folded graphs are retained for the store's lifetime, and so is the
 // owner index once the first routed lookup builds it (12 B per node-map
 // entry plus at most 4 B per entry for its buckets); the byte budget
 // governs decoded shards only. Answers never depend on what is
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/api/graph_codec.h"
+#include "src/query/compressed_graph.h"
 #include "src/shard/container.h"
 #include "src/util/arena.h"
 #include "src/util/byte_io.h"
@@ -197,30 +198,35 @@ struct ShardNeighborhoods {
   explicit ShardNeighborhoods(size_t reserve_bytes) : arena(reserve_bytes) {}
 };
 
-/// \brief Decodes `rep` (a shard whose local node i is global id
+/// \brief Decodes `graph` (a shard whose local node i is global id
 /// `nodes[i]`) from its rank-2 edge stream into its neighborhood form;
 /// null when its edges do not fit `nodes` or the stream fails.
 std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
-    const std::vector<NodeId>& nodes, const api::CompressedRep& rep);
+    const std::vector<NodeId>& nodes, const CompressedGraph& graph);
+
+/// \brief Decodes one shard payload: a grammar with its psi' node
+/// mapping. A shard's answers are read as shard-local ids, which only
+/// psi' gives back, so a payload without it is kCorruption
+/// ("recompress it"). The one decode behind every fault, delta and
+/// bare "grepair" payload.
+Result<CompressedGraph> DecodeShardPayload(ByteSpan bytes);
 
 /// \brief One shard's grammar after a fold or delta: the payload, its
-/// checksum, and its inner rep. Immutable once published.
+/// checksum, and its graph. Immutable once published.
 struct FoldedShard {
   std::vector<uint8_t> payload;
   uint64_t checksum = 0;
-  std::shared_ptr<api::CompressedRep> rep;
+  std::shared_ptr<const CompressedGraph> graph;
 };
 
 class ShardStore {
  public:
-  /// `inner_codec` faults shards in, `source` serves their bytes.
-  ShardStore(std::unique_ptr<api::GraphCodec> inner_codec,
-             std::shared_ptr<ShardSource> source,
+  /// `source` serves the shards' payload bytes.
+  ShardStore(std::shared_ptr<ShardSource> source,
              std::vector<ShardEntry> entries);
 
   size_t num_shards() const { return entries_.size(); }
   const ShardEntry& entry(size_t i) const { return entries_[i]; }
-  const api::GraphCodec& inner_codec() const { return *inner_codec_; }
   const char* source_kind() const { return source_->kind(); }
 
   /// \brief The owner index of the node maps, built on the first call
@@ -236,15 +242,15 @@ class ShardStore {
   /// \brief Shard `shard`'s payload bytes, checksum-verified exactly as
   /// a fault verifies them: a folded shard's bytes, else the resident
   /// view, else a source fetch into *owned (counted in the
-  /// remote-fetch stats). Never faults an inner rep.
+  /// remote-fetch stats). Never faults a shard graph.
   Result<ByteSpan> VerifiedPayload(size_t shard,
                                    std::vector<uint8_t>* owned) const;
 
-  /// \brief The shard's inner rep: the folded one, else the base rep,
+  /// \brief The shard's graph: the folded one, else the base graph,
   /// faulting it in on first touch. nullptr value = edgeless shard.
   /// `*faulted` (optional) tells whether this call did the fault.
-  Result<const api::CompressedRep*> Rep(size_t shard,
-                                        bool* faulted = nullptr) const;
+  Result<const CompressedGraph*> Graph(size_t shard,
+                                       bool* faulted = nullptr) const;
 
   /// \brief The current folded replacement of `shard`, or nullptr while
   /// it carries its base grammar (acquire-load, lock-free).
@@ -278,7 +284,7 @@ class ShardStore {
   /// it only once the rent charged by ChargeLookups reaches the
   /// shard's node-map size (rent or buy). Null when caching is
   /// disabled, the decode is not yet worth it, or it failed (callers
-  /// then route per node through Rep and charge the lookups).
+  /// then route per node through Graph and charge the lookups).
   std::shared_ptr<const ShardNeighborhoods> Decoded(size_t shard,
                                                     size_t pending) const;
 
@@ -297,7 +303,7 @@ class ShardStore {
       bool replace_all) GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
   /// \brief Adds fault, prefetch, cache and source counters plus the
-  /// resident inner reps' memo counters. Never faults a shard.
+  /// resident shard graphs' memo counters. Never faults a shard.
   void AddStats(api::QueryStats* stats) const
       GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
@@ -306,8 +312,7 @@ class ShardStore {
   void EvictLocked(size_t target) const GREPAIR_REQUIRES(cache_mutex_);
 
   std::vector<ShardEntry> entries_;  // K data shards, then the cut shard
-  std::unique_ptr<api::GraphCodec> inner_codec_;  // non-null
-  std::shared_ptr<ShardSource> source_;           // non-null
+  std::shared_ptr<ShardSource> source_;  // non-null
 
   mutable std::once_flag owner_index_once_;
   mutable std::unique_ptr<const OwnerIndex> owner_index_;
@@ -318,8 +323,8 @@ class ShardStore {
   // invariant is enforced by code review + the lock-free published
   // pointer. Slots are never reset, so a published pointer stays
   // valid for the store's lifetime.
-  mutable std::vector<std::shared_ptr<api::CompressedRep>> lazy_slots_;
-  mutable std::unique_ptr<std::atomic<const api::CompressedRep*>[]>
+  mutable std::vector<std::shared_ptr<const CompressedGraph>> lazy_slots_;
+  mutable std::unique_ptr<std::atomic<const CompressedGraph*>[]>
       lazy_published_;
   mutable std::unique_ptr<Mutex[]> fault_mutexes_;
 

@@ -5,7 +5,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "src/api/codec_registry.h"
 #include "src/shard/parallel_compressor.h"
 #include "src/shard/partitioner.h"
 #include "src/util/hashing.h"
@@ -60,15 +59,15 @@ std::vector<ShardEntry> EntriesOf(ParsedDirectory* dir,
 }
 
 // Grammar-direct lookup in one shard: `local`'s out (or in) neighbors
-// from the shard's inner rep, mapped back to global ids and appended
-// to *dest. entry.nodes is increasing, so the appended run stays
-// sorted and deduplicated.
+// in the shard's graph, mapped back to global ids and appended to
+// *dest. entry.nodes is increasing, so the appended run stays sorted
+// and deduplicated.
 Status AppendShardNeighbors(const ShardEntry& entry,
-                            const api::CompressedRep& rep, NodeId local,
+                            const CompressedGraph& graph, NodeId local,
                             bool out, std::vector<uint64_t>* dest) {
-  auto part = out ? rep.OutNeighbors(local) : rep.InNeighbors(local);
-  if (!part.ok()) return part.status();
-  for (uint64_t u : part.value()) {
+  const std::vector<uint64_t> part =
+      out ? graph.OutNeighbors(local) : graph.InNeighbors(local);
+  for (uint64_t u : part) {
     if (u >= entry.nodes.size()) {
       return Status::Corruption("shard neighbor id out of range");
     }
@@ -82,13 +81,10 @@ Status AppendShardNeighbors(const ShardEntry& entry,
 // ---------------------------------------------------------------------------
 // Opening
 
-ShardedRep::ShardedRep(std::unique_ptr<api::GraphCodec> inner_codec,
-                       std::shared_ptr<ShardSource> source,
+ShardedRep::ShardedRep(std::shared_ptr<ShardSource> source,
                        ParsedDirectory dir, const std::vector<ByteSpan>& views)
-    : inner_name_(std::move(dir.inner_name)),
-      num_nodes_(dir.num_nodes),
-      store_(std::move(inner_codec), std::move(source),
-             EntriesOf(&dir, views)),
+    : num_nodes_(dir.num_nodes),
+      store_(std::move(source), EntriesOf(&dir, views)),
       corpus_(&store_, dir.num_nodes, dir.dir_checksum) {}
 
 ShardedRep::~ShardedRep() = default;
@@ -99,14 +95,7 @@ Result<std::unique_ptr<ShardedRep>> ShardedRep::Build(
   if (source == nullptr) {
     return Status::InvalidArgument("OpenFromSource needs a source");
   }
-  // The inner name is untrusted: a nested "sharded:*" inner would
-  // recurse through this parser once per container level, and a crafted
-  // deeply-nested file becomes a stack overflow instead of a Status.
-  // Compression never produces nested containers (the registry refuses
-  // sharded-of-sharded), so reject them up front.
-  if (dir.inner_name.rfind("sharded:", 0) == 0) {
-    return Status::Corruption("nested sharded containers are not supported");
-  }
+  GREPAIR_RETURN_IF_ERROR(CheckInnerCodecName(dir.inner_name));
   if (dir.rows.size() != dir.node_maps.size() || dir.rows.empty() ||
       dir.rows.size() > kMaxShardCount) {
     return Status::Corruption("sharded directory shard count out of range");
@@ -120,11 +109,8 @@ Result<std::unique_ptr<ShardedRep>> ShardedRep::Build(
     return Status::Corruption(
         "sharded directory node maps hold over 2^32-1 ids");
   }
-  auto inner = api::CodecRegistry::Create(dir.inner_name);
-  if (!inner.ok()) return inner.status();
   return std::unique_ptr<ShardedRep>(
-      new ShardedRep(std::move(inner).ValueOrDie(), std::move(source),
-                     std::move(dir), views));
+      new ShardedRep(std::move(source), std::move(dir), views));
 }
 
 Result<std::unique_ptr<ShardedRep>> ShardedRep::OpenFromSource(
@@ -187,13 +173,13 @@ void ShardedRep::set_threads(int threads) {
 std::vector<uint8_t> ShardedRep::Serialize() const { return SerializeV2(); }
 
 std::vector<uint8_t> ShardedRep::SerializeV2() const {
-  V2Encoder out(inner_name_, num_nodes_, store_.num_shards());
+  V2Encoder out(num_nodes_, store_.num_shards());
   if (!store_.EncodeShards(&out)) return {};
   return std::move(out).Finish();
 }
 
 size_t ShardedRep::ByteSize() const {
-  size_t size = V2Encoder::FixedBytes(inner_name_);
+  size_t size = V2Encoder::FixedBytes();
   for (size_t s = 0; s < store_.num_shards(); ++s) {
     size += V2Encoder::RowBytes(store_.entry(s).nodes) +
             store_.PayloadSize(s);
@@ -211,8 +197,8 @@ Result<Hypergraph> ShardedRep::Decompress() const {
 
 // Shared routing for Out/InNeighbors: per owning shard (one owner-index
 // lookup) either the decoded-neighborhood cache or a grammar-direct
-// lookup in the inner rep — faulted in on first touch, and charged to
-// the shard's rent (ShardStore::Decoded) — then merge and apply the
+// lookup in the shard's graph — faulted in on first touch, and charged
+// to the shard's rent (ShardStore::Decoded) — then merge and apply the
 // overlay.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
@@ -232,11 +218,11 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
       continue;
     }
     stat_misses_.fetch_add(1, std::memory_order_relaxed);
-    auto rep = store_.Rep(i);
-    if (!rep.ok()) return rep.status();
+    auto graph = store_.Graph(i);
+    if (!graph.ok()) return graph.status();
     size_t before = all.size();
     GREPAIR_RETURN_IF_ERROR(AppendShardNeighbors(
-        store_.entry(i), *rep.value(), local, out, &all));
+        store_.entry(i), *graph.value(), local, out, &all));
     store_.ChargeLookups(i, 1 + (all.size() - before));
   }
   // Each shard's part is sorted and deduplicated: only a node with
@@ -337,9 +323,9 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
       return;
     }
     stat_misses_.fetch_add(groups[i].size(), std::memory_order_relaxed);
-    auto rep = store_.Rep(i);
-    if (!rep.ok()) {
-      shard_status[i] = rep.status();
+    auto graph = store_.Graph(i);
+    if (!graph.ok()) {
+      shard_status[i] = graph.status();
       return;
     }
     partial[i].resize(groups[i].size());
@@ -347,7 +333,7 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
     for (size_t k = 0; k < groups[i].size(); ++k) {
       // Sorted and deduplicated: single-owner answers need no re-sort.
       shard_status[i] =
-          AppendShardNeighbors(store_.entry(i), *rep.value(),
+          AppendShardNeighbors(store_.entry(i), *graph.value(),
                                groups[i][k].second, /*out=*/true,
                                &partial[i][k]);
       if (!shard_status[i].ok()) return;
@@ -453,36 +439,17 @@ api::QueryStats ShardedRep::query_stats() const {
 // ---------------------------------------------------------------------------
 // ShardedCodec
 
-ShardedCodec::ShardedCodec(std::string inner_name,
-                           std::unique_ptr<api::GraphCodec> inner)
-    : inner_name_(std::move(inner_name)),
-      name_("sharded:" + inner_name_),
-      inner_(std::move(inner)) {}
-
-uint32_t ShardedCodec::capabilities() const {
-  uint32_t caps = inner_->capabilities();
-  // Cross-shard BFS turns inner neighbor queries into reachability.
-  if (caps & api::kNeighborQueries) caps |= api::kReachabilityQueries;
-  return caps;
-}
-
 Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
     const Hypergraph& graph, const Alphabet& alphabet,
     const api::CodecOptions& options) const {
-  if (inner_name_.size() > 255) {
-    // The container stores the name length as one byte; a longer name
-    // would serialize into a self-corrupt container.
-    return Status::InvalidArgument(
-        "inner codec name exceeds 255 bytes: " + inner_name_);
-  }
-
   PartitionOptions part_options;
-  int threads = 0;
-  api::CodecOptions inner_options;
+  api::CodecOptions grepair_options;
   for (const auto& [key, value] : options.entries()) {
     if (key == "shards" || key == "threads") continue;
-    inner_options.Set(key, value);
+    grepair_options.Set(key, value);
   }
+  auto compress_options = ParseCompressOptions(grepair_options);
+  if (!compress_options.ok()) return compress_options.status();
   auto shards = options.GetInt("shards", part_options.num_shards);
   if (!shards.ok()) return shards.status();
   if (shards.value() < 1 || shards.value() > kMaxShards) {
@@ -495,7 +462,7 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
   if (threads_opt.value() < 0 || threads_opt.value() > 256) {
     return Status::InvalidArgument("option threads out of range [0, 256]");
   }
-  threads = static_cast<int>(threads_opt.value());
+  int threads = static_cast<int>(threads_opt.value());
   if (threads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     threads = static_cast<int>(
@@ -507,15 +474,14 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
   auto partition = PartitionGraph(graph, part_options);
   if (!partition.ok()) return partition.status();
 
-  ParallelCompressor compressor(*inner_, threads);
-  auto payloads = compressor.CompressShards(partition.value(), alphabet,
-                                            inner_options);
+  ParallelCompressor compressor(compress_options.value(), threads);
+  auto payloads = compressor.CompressShards(partition.value(), alphabet);
   if (!payloads.ok()) return payloads.status();
 
   // Encode the container and open it like any other GRSHARD2 bytes, so
   // a fresh rep is exactly the rep its serialized form opens to.
   const std::vector<Shard>& parts = partition.value().shards;
-  V2Encoder encoder(inner_name_, graph.num_nodes(), parts.size());
+  V2Encoder encoder(graph.num_nodes(), parts.size());
   for (size_t i = 0; i < parts.size(); ++i) {
     ByteSpan payload = SpanOf(payloads.value()[i]);
     encoder.AddShard(parts[i].nodes, payload,
@@ -524,23 +490,9 @@ Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Compress(
   return ShardedRep::Deserialize(std::move(encoder).Finish());
 }
 
-Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::Deserialize(
-    const std::vector<uint8_t>& bytes) const {
-  return DeserializeSpan(SpanOf(bytes));
-}
-
 Result<std::unique_ptr<api::CompressedRep>> ShardedCodec::DeserializeSpan(
     ByteSpan bytes) const {
-  // Copies the span once into the rep's owned backing store (the lazy
-  // views must outlive this call).
-  auto rep = ShardedRep::Deserialize(bytes);
-  if (!rep.ok()) return rep.status();
-  if (rep.value()->inner_name() != inner_name_) {
-    return Status::InvalidArgument(
-        "container was produced by 'sharded:" + rep.value()->inner_name() +
-        "', not '" + name_ + "'");
-  }
-  return rep;
+  return ShardedRep::Deserialize(bytes);
 }
 
 }  // namespace shard

@@ -1,23 +1,22 @@
-// Sharded meta-codec "sharded:<inner>" and its rep, the query router.
+// The "sharded:grepair" codec and its rep, the query router.
 //
 // ShardedCodec::Compress partitions a graph into K data shards plus a
-// cut shard, compresses each through the inner codec and opens the
+// cut shard, compresses each into a grepair grammar and opens the
 // resulting GRSHARD2 bytes (container.h), so a fresh rep is exactly the
 // rep its own bytes open to. Options: shards=K (default 4), threads=T
-// (compression pool, default min(K, hw)); anything else goes to the
-// inner codec.
+// (compression pool, default min(K, hw)), and the grepair options
+// (ParseCompressOptions), all checked before the graph is partitioned.
 //
 // ShardedRep answers queries by routing: one lookup in the store's
 // owner index gives every shard that holds a global node, with its
 // local id there (vertex-cut shards share nodes), each shard answers
-// from its decoded neighborhoods or its inner rep (both from the
-// ShardStore), the parts are mapped back to global ids and merged, and
-// the corpus overlay is merged last (MutableCorpus, whose header states
-// the reader protocol).
+// from its decoded neighborhoods or grammar-direct on its
+// CompressedGraph (both from the ShardStore), the parts are mapped
+// back to global ids and merged, and the corpus overlay is merged last
+// (MutableCorpus, whose header states the reader protocol).
 // Reachability is a BFS over routed neighbor queries, so it crosses
-// shards; both inner codecs (grepair, k2) answer neighbor queries.
-// Batches group nodes by shard and fan out over the rep's thread pool;
-// their answers are identical for every thread count.
+// shards. Batches group nodes by shard and fan out over the rep's
+// thread pool; their answers are identical for every thread count.
 
 #ifndef GREPAIR_SHARD_SHARDED_CODEC_H_
 #define GREPAIR_SHARD_SHARDED_CODEC_H_
@@ -120,7 +119,8 @@ class ShardedRep : public api::CompressedRep {
   /// queries run.
   void set_threads(int threads);
 
-  const std::string& inner_name() const { return inner_name_; }
+  /// \brief The directory's inner codec name, always kInnerCodecName.
+  std::string inner_name() const { return kInnerCodecName; }
   size_t num_shards() const { return store_.num_shards(); }
   const Entry& entry(size_t i) const { return store_.entry(i); }
 
@@ -155,12 +155,12 @@ class ShardedRep : public api::CompressedRep {
   uint64_t directory_checksum() const { return corpus_.directory_checksum(); }
 
  private:
-  ShardedRep(std::unique_ptr<api::GraphCodec> inner_codec,
-             std::shared_ptr<ShardSource> source, ParsedDirectory dir,
+  ShardedRep(std::shared_ptr<ShardSource> source, ParsedDirectory dir,
              const std::vector<ByteSpan>& views);
 
-  /// Every rep is built here: validates `dir`, creates the inner codec.
-  /// `views` are the locally resident payloads (empty = source-only).
+  /// Every rep is built here: validates `dir`, including its inner
+  /// codec name. `views` are the locally resident payloads (empty =
+  /// source-only).
   static Result<std::unique_ptr<ShardedRep>> Build(
       std::shared_ptr<ShardSource> source, ParsedDirectory dir,
       const std::vector<ByteSpan>& views);
@@ -175,7 +175,6 @@ class ShardedRep : public api::CompressedRep {
                                                 bool out) const;
   Result<bool> ReachableImpl(uint64_t from, uint64_t to) const;
 
-  std::string inner_name_;
   uint64_t num_nodes_ = 0;  // the base container's
   std::atomic<int> threads_{1};
   ShardStore store_;
@@ -188,31 +187,18 @@ class ShardedRep : public api::CompressedRep {
   mutable std::atomic<uint64_t> stat_misses_{0};
 };
 
-/// \brief The "sharded:<inner>" meta-codec.
+/// \brief The "sharded:grepair" codec.
 class ShardedCodec : public api::GraphCodec {
  public:
-  /// \brief Wraps `inner` (non-null), the codec named `inner_name`;
-  /// CodecRegistry::Create builds every "sharded:<inner>" this way.
-  ShardedCodec(std::string inner_name,
-               std::unique_ptr<api::GraphCodec> inner);
-
-  const char* name() const override { return name_.c_str(); }
-  uint32_t capabilities() const override;
+  const char* name() const override { return "sharded:grepair"; }
 
   Result<std::unique_ptr<api::CompressedRep>> Compress(
       const Hypergraph& graph, const Alphabet& alphabet,
       const api::CodecOptions& options) const override;
 
-  Result<std::unique_ptr<api::CompressedRep>> Deserialize(
-      const std::vector<uint8_t>& bytes) const override;
-
+  /// \brief Copies `bytes` into the rep's owned backing store.
   Result<std::unique_ptr<api::CompressedRep>> DeserializeSpan(
       ByteSpan bytes) const override;
-
- private:
-  std::string inner_name_;
-  std::string name_;  // "sharded:" + inner_name_
-  std::unique_ptr<api::GraphCodec> inner_;
 };
 
 }  // namespace shard

@@ -3,9 +3,10 @@
 // sharded:grepair container by default, `components` reads its one
 // grammar and adds back the edgeless nodes the shard leaves out, and
 // `stats`/`components` refuse files with more data shards. Edge ranges
-// are the only partition, so there is no `--strategy` flag. `info`
-// refuses a file whose tag names another inner codec than its
-// directory, as every open does. The only backends are grepair and k2.
+// are the only partition, so there is no `--strategy` flag, and
+// grepair is the only codec, so there is no `--backend` flag. `info`
+// refuses a file whose tag or directory names another inner codec, as
+// every open does.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "src/graph/graph_io.h"
 #include "src/query/compressed_graph.h"
 #include "src/shard/container.h"
+#include "src/util/byte_io.h"
 #include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
 
@@ -128,18 +130,44 @@ TEST(CliTest, StatsAndComponentsRefuseMultiShardFiles) {
   std::remove(file_path.c_str());
 }
 
-TEST(CliTest, InfoRefusesATagThatDisagreesWithTheDirectory) {
+// A GRSHARD2 container whose directory names inner codec `inner` and
+// holds one edgeless shard over `num_nodes` nodes: magic, directory at
+// offset 8, checksummed trailer.
+std::vector<uint8_t> EdgelessContainerNaming(const std::string& inner,
+                                             uint64_t num_nodes) {
+  std::vector<uint8_t> bytes(shard::kShardContainerMagicV2,
+                             shard::kShardContainerMagicV2 + 8);
+  const size_t dir_off = bytes.size();
+  bytes.push_back(static_cast<uint8_t>(inner.size()));
+  for (char c : inner) bytes.push_back(static_cast<uint8_t>(c));
+  PutU64LE(num_nodes, &bytes);
+  PutU32LE(1, &bytes);  // one shard
+  PutU64LE(0, &bytes);  // payload offset
+  PutU64LE(0, &bytes);  // payload length: edgeless
+  PutU64LE(0, &bytes);  // payload checksum
+  PutU64LE(0, &bytes);  // empty node map
+  PutU32LE(0, &bytes);
+  const size_t dir_len = bytes.size() - dir_off;
+  const uint64_t dir_hash = HashBytes(bytes.data() + dir_off, dir_len);
+  PutU64LE(dir_off, &bytes);
+  PutU64LE(dir_len, &bytes);
+  PutU64LE(dir_hash, &bytes);
+  return bytes;
+}
+
+TEST(CliTest, InfoRefusesAnotherInnerCodecInTagOrDirectory) {
   GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
   std::string graph_path = TempPath("tag.graph");
   std::string file_path = TempPath("tag.grp");
   std::string retagged_path = TempPath("retagged.grp");
+  std::string renamed_path = TempPath("renamed.grp");
   ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
   CliRun compress = RunCli("compress " + graph_path + " " + file_path);
   ASSERT_EQ(compress.exit_code, 0) << compress.output;
   CliRun info = RunCli("info " + file_path);
   EXPECT_EQ(info.exit_code, 0) << info.output;
 
-  // Same GRSHARD2 payload, framed under another backend's tag.
+  // Same GRSHARD2 payload, framed under the deleted k2 backend's tag.
   auto bytes = ReadFileBytes(file_path);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   std::string tag;
@@ -151,23 +179,59 @@ TEST(CliTest, InfoRefusesATagThatDisagreesWithTheDirectory) {
   ASSERT_TRUE(
       WriteFileBytes(retagged_path, api::WrapCodecPayload("sharded:k2", body))
           .ok());
-  const std::string refusal = retagged_path +
-                              ": container was produced by "
-                              "'sharded:grepair', not 'sharded:k2'";
-  for (const std::string& args :
-       {"info " + retagged_path,
-        "decompress " + retagged_path + " " + TempPath("retagged.graph")}) {
-    CliRun run = RunCli(args);
-    EXPECT_EQ(run.exit_code, 1) << args << run.output;
-    EXPECT_NE(run.output.find(refusal), std::string::npos)
-        << args << run.output;
-    EXPECT_EQ(run.output.find("sharded container GRSHARD2"),
-              std::string::npos)
-        << args << run.output;
+  // A sharded:grepair tag around a directory that names k2.
+  ASSERT_TRUE(WriteFileBytes(renamed_path,
+                             api::WrapCodecPayload(
+                                 "sharded:grepair",
+                                 EdgelessContainerNaming("k2", 6)))
+                  .ok());
+  for (const std::string& path : {retagged_path, renamed_path}) {
+    for (const std::string& args :
+         {"info " + path,
+          "decompress " + path + " " + TempPath("retagged.graph")}) {
+      CliRun run = RunCli(args);
+      EXPECT_EQ(run.exit_code, 1) << args << run.output;
+      EXPECT_NE(run.output.find("NotFound: no codec named 'k2'"),
+                std::string::npos)
+          << args << run.output;
+      EXPECT_EQ(run.output.find("sharded container GRSHARD2"),
+                std::string::npos)
+          << args << run.output;
+    }
   }
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
   std::remove(retagged_path.c_str());
+  std::remove(renamed_path.c_str());
+}
+
+// Options are checked before any work, so a graph without edges (whose
+// shards never reach the compressor) refuses what any graph refuses,
+// including a max-rank outside the compressor's own [1, 63].
+TEST(CliTest, BadOptionsFailOnAnEdgelessGraph) {
+  Alphabet alphabet;
+  alphabet.Add("e", 2);
+  std::string graph_path = TempPath("edgeless.graph");
+  std::string file_path = TempPath("edgeless.grp");
+  ASSERT_TRUE(SaveGraphText(Hypergraph(4), alphabet, graph_path).ok());
+  std::remove(file_path.c_str());
+  const std::pair<std::string, std::string> cases[] = {
+      {"bogus=1,prune=maybe", "unknown codec option 'bogus'"},
+      {"max-rank=100", "option max-rank=100 out of range [1, 63]"},
+  };
+  for (const auto& [spec, message] : cases) {
+    CliRun run = RunCli("compress " + graph_path + " " + file_path +
+                        " --options " + spec);
+    EXPECT_EQ(run.exit_code, 1) << spec << ": " << run.output;
+    EXPECT_NE(run.output.find(message), std::string::npos)
+        << spec << ": " << run.output;
+  }
+  EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
+  CliRun ok = RunCli("compress " + graph_path + " " + file_path +
+                     " --options max-rank=63");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  std::remove(graph_path.c_str());
+  std::remove(file_path.c_str());
 }
 
 // Edge ranges are the only partition, so there is no strategy flag or
@@ -184,9 +248,8 @@ TEST(CliTest, RetiredFlagAndOptionsAreRefused) {
                        " --shards 2 --strategy edge-range");
   EXPECT_EQ(flag.exit_code, 2) << flag.output;
   EXPECT_NE(flag.output.find("usage:"), std::string::npos) << flag.output;
-  CliRun bench = RunCli(
-      "bench --backend grepair --gen er --size 50 --shards 2 "
-      "--strategy edge-range");
+  CliRun bench =
+      RunCli("bench --gen er --size 50 --shards 2 --strategy edge-range");
   EXPECT_EQ(bench.exit_code, 2) << bench.output;
   for (std::string option : {"strategy=edge-range", "original-ids=false"}) {
     CliRun run = RunCli("compress " + graph_path + " " + file_path +
@@ -201,32 +264,6 @@ TEST(CliTest, RetiredFlagAndOptionsAreRefused) {
   EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
   std::remove(graph_path.c_str());
   std::remove(file_path.c_str());
-}
-
-TEST(CliTest, SizeOnlyBaselinesAreNotBackends) {
-  GeneratedGraph gg = BarabasiAlbert(60, 2, 3);
-  std::string graph_path = TempPath("baseline.graph");
-  std::string file_path = TempPath("baseline.grp");
-  ASSERT_TRUE(SaveGraphText(gg.graph, gg.alphabet, graph_path).ok());
-  std::remove(file_path.c_str());
-  for (const char* backend : {"hn", "lm", "repair-adj", "deflate"}) {
-    CliRun run = RunCli("compress " + graph_path + " " + file_path +
-                        " --backend " + backend);
-    EXPECT_EQ(run.exit_code, 1) << run.output;
-    EXPECT_NE(run.output.find(std::string("no codec named '") + backend +
-                              "' (known: grepair, k2, sharded:grepair, "
-                              "sharded:k2)"),
-              std::string::npos)
-        << run.output;
-  }
-  CliRun backends = RunCli("backends");
-  EXPECT_EQ(backends.exit_code, 0) << backends.output;
-  // One line per registry name: grepair, k2 and their sharded forms.
-  EXPECT_EQ(std::count(backends.output.begin(), backends.output.end(), '\n'),
-            4)
-      << backends.output;
-  EXPECT_EQ(::access(file_path.c_str(), F_OK), -1);
-  std::remove(graph_path.c_str());
 }
 
 // Every argument error exits 2 before a file is opened, so none of the
@@ -283,15 +320,15 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
        "--threads expects an integer in [1, 256], got '0'"},
       {"decompress " + in + " " + out + " --bogus", 2, usage},
       {"decompress " + in + " " + out + " --threads", 2, usage},
-      // bench
+      // bench; grepair is the only codec, so --backend is no flag.
       {"bench --backend grepair", 2, usage},
-      {"bench --gen er --size 50 --shards 2", 2,
-       "--shards/--threads need a single --backend"},
+      {"bench --gen er --size 50 --backend all", 2, usage},
       {"bench --gen er --bogus", 2, usage},
       {"bench --gen", 2, usage},
       // compress
       {"compress " + in + " " + out + " --bogus", 2, usage},
       {"compress " + in + " " + out + " --backend", 2, usage},
+      {"compress " + in + " " + out + " --backend k2", 2, usage},
       {"compress " + in + " " + out + " --shards 0", 2,
        "--shards expects an integer in [1, "},
       // info
@@ -300,7 +337,8 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
       {"info " + in + " extra", 2, usage},
       {"gen ba " + out + " 10 junk", 2, usage},
       {"components " + in + " junk", 2, usage},
-      {"backends junk", 2, usage},
+      // No command lists codecs any more.
+      {"backends", 2, usage},
       // Port 0 (an ephemeral port, the default) is accepted, so this
       // fails only for want of a corpus.
       {"serve --port 0", 2, "serve needs at least one corpus"},
@@ -383,7 +421,7 @@ TEST(CliTest, ShardPayloadWithoutNodeMappingFailsItsFirstQuery) {
     const std::vector<uint8_t> payload = graph.value().Serialize();
     // One data shard over every node, then the empty cut shard, as
     // `compress` lays out a 1-shard file.
-    shard::V2Encoder encoder("grepair", n, 2);
+    shard::V2Encoder encoder(n, 2);
     encoder.AddShard(all_nodes, SpanOf(payload),
                      HashBytes(payload.data(), payload.size()));
     encoder.AddShard({}, ByteSpan(), 0);

@@ -83,7 +83,7 @@ TEST_P(CompressedGraphSweep, AgreesWithOriginalIds) {
   EXPECT_TRUE(back.value().EqualUpToEdgeOrder(gg.graph));
 
   EXPECT_GT(g.SerializedSize(), 0u);
-  EXPECT_EQ(g.SerializedSize(), g.SerializedSize());  // cached
+  EXPECT_EQ(g.SerializedSize(), g.SerializedSize());
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, CompressedGraphSweep,

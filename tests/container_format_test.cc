@@ -133,18 +133,11 @@ const uint8_t kRetiredDeflateFile[] = {
     0x00, 0x00, 0xDD, 0x88, 0x6E, 0x5D, 0x1C, 0xDC, 0xC2, 0x18,
 };
 
-std::vector<uint8_t> RetiredShardedV1() {
-  return std::vector<uint8_t>(
-      kRetiredShardedV1Container,
-      kRetiredShardedV1Container + sizeof(kRetiredShardedV1Container));
-}
-
-// SerializeV2() of sharded:k2, shards=2, threads=1, edge-range over
-// FixtureGraph(): payload blobs after the magic, footer directory
-// (name, counts, per-shard offset/length/checksum/node map), 24-byte
-// trailer (directory offset/length/checksum). Change only with a
-// magic bump.
-const uint8_t kGoldenShardedV2Container[] = {
+// SerializeV2() of sharded:k2, shards=2, threads=1, over
+// FixtureGraph(), written before the k2 file backend left the codec
+// registry: the GRSHARD2 payload of a `--backend k2` file (its frame
+// tag is "sharded:k2"), whose directory names the deleted inner codec.
+const uint8_t kRetiredK2File[] = {
     0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x6A, 0x51, 0xAD, 0x63,
     0x49, 0x75, 0x09, 0x00, 0x6A, 0x51, 0xAD, 0x63, 0x49, 0x5C, 0x89, 0x00,
     0x02, 0x6B, 0x32, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
@@ -162,27 +155,64 @@ const uint8_t kGoldenShardedV2Container[] = {
     0xCD, 0x7E, 0x0B, 0xF0, 0x2F,
 };
 
-// The same fixture as sharded:k2, shards=2, written by the retired
-// greedy-BFS partitioner: data shards {0,1,5} and {2,3,4}, and a last
-// shard holding the two edges between them (1->2, 4->5) over nodes
-// {1,2,4,5}. Nothing writes such files any more; they must still open
-// and route every shard alike.
+std::vector<uint8_t> RetiredShardedV1() {
+  return std::vector<uint8_t>(
+      kRetiredShardedV1Container,
+      kRetiredShardedV1Container + sizeof(kRetiredShardedV1Container));
+}
+
+// SerializeV2() of sharded:grepair, shards=2, threads=1, edge-range
+// over FixtureGraph(): payload blobs after the magic, footer directory
+// (name, counts, per-shard offset/length/checksum/node map), 24-byte
+// trailer (directory offset/length/checksum). Change only with a
+// magic bump.
+const uint8_t kGoldenShardedV2Container[] = {
+    0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x01, 0x0D, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x52, 0x47, 0x32, 0x44, 0xB7, 0x46,
+    0xB5, 0x8D, 0x25, 0xD4, 0x24, 0x80, 0x6F, 0x80, 0x01, 0x0D, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x52, 0x47, 0x32, 0x44, 0xB7, 0x46,
+    0xB5, 0x8D, 0x25, 0x72, 0x24, 0x80, 0x6F, 0x80, 0x07, 0x67, 0x72, 0x65,
+    0x70, 0x61, 0x69, 0x72, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC9, 0x08, 0x99, 0xCB,
+    0xE6, 0x63, 0xF4, 0x09, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0xF0, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0x44, 0xD9,
+    0x16, 0x1C, 0x8D, 0xB1, 0x81, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0xAE, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x38, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x82, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x27, 0x79,
+    0xDB, 0xC2, 0xBC, 0x8F, 0x70, 0x42,
+};
+
+// The same fixture as sharded:grepair in the layout the retired
+// greedy-BFS partitioner wrote for shards=2: data shards {0,1,5} and
+// {2,3,4}, and a last shard holding the two edges between them (1->2,
+// 4->5) over nodes {1,2,4,5}. Nothing writes such files any more; they
+// must still open and route every shard alike.
 const uint8_t kPopulatedLastShardContainer[] = {
-    0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x62, 0x51, 0x8C, 0x56,
-    0x90, 0xD2, 0x40, 0x62, 0x51, 0x8C, 0x56, 0x90, 0xE2, 0x10, 0x6A, 0x51,
-    0xAD, 0x56, 0x90, 0xCA, 0x20, 0x02, 0x6B, 0x32, 0x06, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0xD9, 0x18, 0x46, 0xC9, 0xA5, 0x4C, 0x41, 0xD3, 0x03, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xD8, 0x0F, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0xC3, 0xE2, 0x6D, 0xA1, 0x7F, 0x28, 0x29, 0xF8, 0x03, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x5C, 0x16, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xE1, 0xBE, 0x23, 0x6B, 0x77, 0x5C, 0x40, 0xA6, 0x04, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x4A, 0x40,
-    0x1D, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7F, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x1E, 0x58, 0xA8, 0xB0, 0x2B, 0x2C, 0x2E, 0xEF,
+    0x47, 0x52, 0x53, 0x48, 0x41, 0x52, 0x44, 0x32, 0x01, 0x0C, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x47, 0x52, 0x47, 0x32, 0x44, 0xB3, 0x46,
+    0x31, 0x5A, 0x43, 0x49, 0x10, 0x67, 0x01, 0x0C, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x47, 0x52, 0x47, 0x32, 0x44, 0xB3, 0x46, 0x31, 0x5A,
+    0x43, 0x88, 0x50, 0x67, 0x01, 0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x47, 0x52, 0x47, 0x32, 0x44, 0xB7, 0x46, 0xB5, 0x5A, 0x43, 0x28,
+    0x90, 0x6F, 0x80, 0x07, 0x67, 0x72, 0x65, 0x70, 0x61, 0x69, 0x72, 0x06,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x08,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xB1, 0xF7, 0xC9, 0xBE, 0x29, 0x42, 0x19, 0xE2, 0x03,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xD8,
+    0x1E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x60, 0x9E, 0x0F, 0x18, 0x0B, 0xF0, 0x04, 0xF8,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x5C, 0x34, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x17, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xDF, 0x88, 0xD3, 0x01, 0xBE, 0xA7, 0xF6,
+    0xB2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x4A, 0x40, 0x4B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x84,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x98, 0xAD, 0xC1, 0xA7, 0xB3,
+    0x96, 0x4A, 0x91,
 };
 
 std::vector<uint8_t> GoldenShardedV2() {
@@ -251,7 +281,7 @@ TEST(ShardedContainerTest, RetiredV1ContainerFailsClosedEverywhere) {
   // refused by each entry point that takes container bytes: the rep
   // parser, a tagged file opened through the api, the directory
   // inspector, and the serving registry.
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   std::string path = TempPath("v1.bin");
   auto good = RetiredShardedV1();
   for (size_t len = 0; len <= good.size(); ++len) {
@@ -264,7 +294,8 @@ TEST(ShardedContainerTest, RetiredV1ContainerFailsClosedEverywhere) {
     EXPECT_FALSE(shard::ParseContainer(SpanOf(cut)).ok());
 
     ASSERT_TRUE(
-        WriteFileBytes(path, api::WrapCodecPayload("sharded:k2", cut)).ok());
+        WriteFileBytes(path, api::WrapCodecPayload("sharded:grepair", cut))
+            .ok());
     EXPECT_FALSE(api::OpenCompressedFile(path).ok());
 
     serve::CorpusRegistry registry;
@@ -307,14 +338,20 @@ TEST(ShardedContainerTest, RetiredSingleCodecFileFailsClosedEverywhere) {
 
 TEST(ShardedContainerTest, DeletedInnerCodecFailsClosedEverywhere) {
   // The containers are intact (the directory parses); every way into a
-  // file refuses them with the registry's one NotFound for the inner
-  // name, which ShardedRep::Build returns for any unknown codec.
+  // file refuses them with the one NotFound for the inner name: the
+  // frame tag's, and, for the bare GRSHARD2 payload, the directory's
+  // (shard::CheckInnerCodecName, which ShardedRep::Build and the
+  // serving registry call).
   const std::pair<std::string, std::vector<uint8_t>> files[] = {
       {"hn", std::vector<uint8_t>(kRetiredHnFile,
                                   kRetiredHnFile + sizeof(kRetiredHnFile))},
       {"deflate",
        std::vector<uint8_t>(kRetiredDeflateFile,
                             kRetiredDeflateFile + sizeof(kRetiredDeflateFile))},
+      {"k2", api::WrapCodecPayload(
+                 "sharded:k2",
+                 std::vector<uint8_t>(kRetiredK2File,
+                                      kRetiredK2File + sizeof(kRetiredK2File)))},
   };
   for (const auto& [inner, bytes] : files) {
     SCOPED_TRACE(inner);
@@ -330,6 +367,19 @@ TEST(ShardedContainerTest, DeletedInnerCodecFailsClosedEverywhere) {
     expect_no_codec(api::OpenVersioned(path, {}).status());
     serve::CorpusRegistry registry;
     expect_no_codec(registry.AddFile("g", path));
+
+    std::string tag;
+    ByteSpan payload;
+    ASSERT_TRUE(
+        api::UnwrapCodecPayloadView(SpanOf(bytes), &tag, &payload).ok());
+    ASSERT_EQ(tag, "sharded:" + inner);
+    ASSERT_TRUE(shard::ParseContainer(payload).ok());
+    expect_no_codec(shard::ShardedRep::Deserialize(payload).status());
+    expect_no_codec(
+        api::CodecRegistry::Create("sharded:grepair").ValueOrDie()
+            ->DeserializeSpan(payload)
+            .status());
+    expect_no_codec(registry.AddBytes("g", payload));
     EXPECT_TRUE(registry.empty());
     std::remove(path.c_str());
   }
@@ -394,7 +444,7 @@ TEST(ShardedV2ContainerTest, EveryBitFlipAndTruncationOfAFileFailsClosed) {
 }
 
 TEST(ShardedV2ContainerTest, GoldenBytesAreStable) {
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
   options.Set("shards", "2");
   options.Set("threads", "1");
@@ -412,7 +462,7 @@ TEST(ShardedV2ContainerTest, GoldenBytesAreStable) {
 }
 
 TEST(ShardedV2ContainerTest, GoldenBytesDeserializeToTheFixture) {
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   auto rep = codec->Deserialize(GoldenShardedV2());
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_EQ(rep.value()->num_nodes(), 6u);
@@ -432,7 +482,7 @@ TEST(ShardedV2ContainerTest, PopulatedLastShardStillOpensAndRoutes) {
   std::vector<uint8_t> bytes(
       kPopulatedLastShardContainer,
       kPopulatedLastShardContainer + sizeof(kPopulatedLastShardContainer));
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   auto rep = codec->Deserialize(bytes);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
@@ -463,14 +513,14 @@ TEST(ShardedV2ContainerTest, ParseContainerReadsTheDirectory) {
       kGoldenShardedV2Container, sizeof(kGoldenShardedV2Container)));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const shard::ParsedDirectory& dir = parsed.value().dir;
-  EXPECT_EQ(dir.inner_name, "k2");
+  EXPECT_EQ(dir.inner_name, "grepair");
   EXPECT_EQ(dir.num_nodes, 6u);
   ASSERT_EQ(dir.rows.size(), 3u);
   EXPECT_EQ(dir.rows[0].offset, 8u);
-  EXPECT_EQ(dir.rows[0].length, 8u);
+  EXPECT_EQ(dir.rows[0].length, 24u);
   EXPECT_EQ(dir.rows[0].node_count, 4u);
-  EXPECT_EQ(dir.rows[1].offset, 16u);
-  EXPECT_EQ(dir.rows[1].length, 8u);
+  EXPECT_EQ(dir.rows[1].offset, 32u);
+  EXPECT_EQ(dir.rows[1].length, 24u);
   EXPECT_EQ(dir.rows[2].length, 0u);  // empty cut shard
   // The region is the directory the trailer points at.
   EXPECT_EQ(parsed.value().region.data,
@@ -481,33 +531,30 @@ TEST(ShardedV2ContainerTest, ParseContainerReadsTheDirectory) {
 
 TEST(ShardedV2ContainerTest, ByteSizeIsTheSerializedSize) {
   // ByteSize() counts the GRSHARD2 layout arithmetically; it must equal
-  // the bytes Serialize() emits for every sharded codec, fresh from
-  // Compress and after folded edits replaced some shard payloads.
+  // the bytes Serialize() emits, fresh from Compress and after folded
+  // edits replaced some shard payloads.
   GeneratedGraph gg = ErdosRenyi(80, 240, 17);
   api::CodecOptions options;
   options.Set("shards", "3");
-  for (const std::string base : {"grepair", "k2"}) {
-    SCOPED_TRACE(base);
-    auto codec = api::CodecRegistry::Create("sharded:" + base).ValueOrDie();
-    auto rep = codec->Compress(gg.graph, gg.alphabet, options);
-    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
-    ASSERT_NE(sharded, nullptr);
-    EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  auto rep = codec->Compress(gg.graph, gg.alphabet, options);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.value().get());
+  ASSERT_NE(sharded, nullptr);
+  EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());
 
-    std::vector<shard::EdgeEdit> edits;
-    for (const HEdge& e : gg.graph.edges()) {
-      if (edits.size() == 6) break;
-      edits.push_back(shard::EdgeEdit::Delete(e.att[0], e.att[1]));
-    }
-    edits.push_back(shard::EdgeEdit::Add(1, 2));
-    edits.push_back(shard::EdgeEdit::Add(3, 70));
-    ASSERT_TRUE(sharded->ApplyEdits(edits).ok());
-    sharded->set_overlay_budget_bytes(0);  // fold every eligible edit
-    ASSERT_TRUE(sharded->FoldOverlay().ok());
-    ASSERT_GT(sharded->query_stats().shard_folds, 0u);
-    EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());
+  std::vector<shard::EdgeEdit> edits;
+  for (const HEdge& e : gg.graph.edges()) {
+    if (edits.size() == 6) break;
+    edits.push_back(shard::EdgeEdit::Delete(e.att[0], e.att[1]));
   }
+  edits.push_back(shard::EdgeEdit::Add(1, 2));
+  edits.push_back(shard::EdgeEdit::Add(3, 70));
+  ASSERT_TRUE(sharded->ApplyEdits(edits).ok());
+  sharded->set_overlay_budget_bytes(0);  // fold every eligible edit
+  ASSERT_TRUE(sharded->FoldOverlay().ok());
+  ASSERT_GT(sharded->query_stats().shard_folds, 0u);
+  EXPECT_EQ(sharded->ByteSize(), sharded->Serialize().size());
 }
 
 TEST(ShardedV2ContainerTest, EveryTruncationFailsCleanly) {
@@ -553,15 +600,6 @@ TEST(ShardedV2ContainerTest, EveryBitFlipFailsClosed) {
   }
 }
 
-TEST(ShardedContainerTest, WrongInnerCodecIsRejected) {
-  // A sharded:k2 container fed to sharded:grepair must be refused,
-  // not misparsed.
-  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
-  auto rep = codec->Deserialize(GoldenShardedV2());
-  ASSERT_FALSE(rep.ok());
-  EXPECT_EQ(rep.status().code(), StatusCode::kInvalidArgument);
-}
-
 // A GRSHARD2 container around hand-built directory bytes (no
 // payloads): magic, directory at offset 8, checksummed trailer.
 std::vector<uint8_t> ContainerAround(const std::vector<uint8_t>& dir) {
@@ -601,7 +639,7 @@ TEST(ShardedContainerTest, HugeClaimedNodeMapRejectedWithoutAllocating) {
   // together), so the flip sweep missed it; counts must be bounded by
   // the remaining input size instead.
   auto bytes = ContainerAround(
-      OneRowDirectory("k2", /*num_nodes=*/0xFFFFFFFFull,
+      OneRowDirectory("grepair", /*num_nodes=*/0xFFFFFFFFull,
                       /*map_count=*/0xFFFFFFFFull, /*map=*/{}));
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
@@ -609,16 +647,19 @@ TEST(ShardedContainerTest, HugeClaimedNodeMapRejectedWithoutAllocating) {
 }
 
 TEST(ShardedContainerTest, NestedShardedInnerNameRejected) {
-  // Regression: the inner-name field is untrusted; "sharded:<x>"
+  // Regression: the inner-name field is untrusted; "sharded:<x>" once
   // resolved through the registry and recursed back into this parser,
   // so a deeply nested crafted file was a stack overflow instead of a
-  // Status. Compression never nests containers, so parsing rejects
-  // them outright.
-  auto bytes = ContainerAround(OneRowDirectory("sharded:k2", 6, 0, {}));
+  // Status. The only inner name is "grepair", so a nested one is
+  // refused like any other unknown codec, before any shard decodes.
+  auto bytes =
+      ContainerAround(OneRowDirectory("sharded:grepair", 6, 0, {}));
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
-  EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(rep.status().message().find("nested"), std::string::npos);
+  EXPECT_EQ(rep.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(rep.status().message().find("no codec named 'sharded:grepair'"),
+            std::string::npos)
+      << rep.status().ToString();
 }
 
 TEST(ShardedContainerTest, WrappingNodeMapGapRejected) {
@@ -632,7 +673,7 @@ TEST(ShardedContainerTest, WrappingNodeMapGapRejected) {
   EliasDeltaEncode(~0ull, &w);          // gap 2^64-1: wraps to shifted = 2
   w.AlignToByte();
   auto bytes = ContainerAround(
-      OneRowDirectory("k2", 6, /*map_count=*/2, w.TakeBytes()));
+      OneRowDirectory("grepair", 6, /*map_count=*/2, w.TakeBytes()));
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kCorruption);
@@ -653,15 +694,19 @@ TEST(GoldenDifferentialTest, FixturesDecodeIdenticallyUnderScalarOracle) {
   // fast/scalar divergence anywhere in a real container parse, not
   // just in a synthetic stream.
   struct Fixture {
-    const char* codec;
+    const char* name;
     std::vector<uint8_t> bytes;
   };
   const std::vector<Fixture> fixtures = {
-      {"sharded:k2", GoldenShardedV2()},
+      {"golden", GoldenShardedV2()},
+      {"populated last shard",
+       std::vector<uint8_t>(kPopulatedLastShardContainer,
+                            kPopulatedLastShardContainer +
+                                sizeof(kPopulatedLastShardContainer))},
   };
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   for (const auto& fixture : fixtures) {
-    auto codec = api::CodecRegistry::Create(fixture.codec).ValueOrDie();
-
+    SCOPED_TRACE(fixture.name);
     auto fast_rep = codec->Deserialize(fixture.bytes);
     ASSERT_TRUE(fast_rep.ok()) << fast_rep.status().ToString();
     auto fast_graph = fast_rep.value()->Decompress();
@@ -679,8 +724,7 @@ TEST(GoldenDifferentialTest, FixturesDecodeIdenticallyUnderScalarOracle) {
       scalar_bytes = scalar_rep.value()->Serialize();
     }
     EXPECT_EQ(fast_bytes, scalar_bytes)
-        << fixture.codec << ": fast and scalar decodes re-serialize "
-        << "differently";
+        << "fast and scalar decodes re-serialize differently";
   }
 }
 
@@ -689,7 +733,7 @@ TEST(GoldenDifferentialTest, CorruptFixturesFailIdenticallyUnderOracle) {
   // a golden fixture must produce the same ok/error outcome under the
   // fast and scalar decode paths.
   auto good = GoldenShardedV2();
-  auto codec = api::CodecRegistry::Create("sharded:k2").ValueOrDie();
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   for (size_t len = 0; len < good.size(); ++len) {
     std::vector<uint8_t> cut(good.begin(), good.begin() + len);
     auto fast = codec->Deserialize(cut);

@@ -4,10 +4,10 @@
 // plus src/shard/delta_overlay.h and api::OpenVersioned) proven
 // equivalent to recompressing the mutated graph from scratch.
 //
-// For every registered base codec, a random edit stream applied
-// through the overlay must answer every query — singles, batches,
-// reachability, full Decompress — identically to a fresh
-// sharded:<inner> compression of the mutated graph, single-threaded
+// A random edit stream applied through the overlay must answer every
+// query — singles, batches, reachability, full Decompress —
+// identically to a fresh sharded:grepair compression of the mutated
+// graph, single-threaded
 // and under 8 concurrent query threads, before and after folding the
 // overlay into the shard grammars. The GRSHARD3 chain tests prove a
 // written delta file reproduces the same corpus through
@@ -245,7 +245,7 @@ void ExpectDecompressAgrees(api::CompressedRep* edited,
   EXPECT_EQ(LabeledEdgeSet(eg.value()), LabeledEdgeSet(fg.value())) << tag;
 }
 
-// The tentpole property, per base codec: overlay edits == recompress.
+// The tentpole property: overlay edits == recompress.
 class DynamicDifferential : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DynamicDifferential, EditStreamMatchesRecompress) {
@@ -260,16 +260,10 @@ TEST_P(DynamicDifferential, EditStreamMatchesRecompress) {
   options.Set("shards", "4");
   options.Set("threads", "2");
 
-  bool ran_any = false;
   for (auto& [name, gg] : datasets) {
     SCOPED_TRACE(name);
     auto rep = sharded.value()->Compress(gg.graph, gg.alphabet, options);
-    if (!rep.ok()) {
-      EXPECT_EQ(rep.status().code(), StatusCode::kInvalidArgument)
-          << rep.status().ToString();
-      continue;
-    }
-    ran_any = true;
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     auto* edited = dynamic_cast<shard::ShardedRep*>(rep.value().get());
     ASSERT_NE(edited, nullptr);
 
@@ -306,11 +300,10 @@ TEST_P(DynamicDifferential, EditStreamMatchesRecompress) {
     ExpectQueriesAgree(edited, fresh.value().get(), 8, name + "/folded/8t");
     ExpectDecompressAgrees(edited, fresh.value().get(), name + "/folded");
   }
-  EXPECT_TRUE(ran_any) << GetParam() << " rejected every dataset";
 }
 
 INSTANTIATE_TEST_SUITE_P(BaseCodecs, DynamicDifferential,
-                         ::testing::Values("grepair", "k2"),
+                         ::testing::Values("grepair"),
                          [](const auto& suite_info) {
                            std::string name = suite_info.param;
                            std::replace(name.begin(), name.end(), '-', '_');
@@ -472,13 +465,11 @@ FoldRoute RouteOf(const shard::ShardedRep& rep, uint32_t u, uint32_t v) {
       continue;
     }
     route.shared = true;
-    auto inner = rep.store().Rep(i);
-    EXPECT_TRUE(inner.ok()) << inner.status().ToString();
-    if (!inner.ok() || inner.value() == nullptr) continue;
-    auto out = inner.value()->OutNeighbors(lu);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    if (out.ok() &&
-        std::binary_search(out.value().begin(), out.value().end(), lv)) {
+    auto graph = rep.store().Graph(i);
+    EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+    if (!graph.ok() || graph.value() == nullptr) continue;
+    const std::vector<uint64_t> out = graph.value()->OutNeighbors(lu);
+    if (std::binary_search(out.begin(), out.end(), lv)) {
       route.held_after = true;
     }
   }

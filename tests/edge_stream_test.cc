@@ -1,5 +1,5 @@
-// The rank-2 edge stream (CompressedRep::ForEachRank2Edge) that shard
-// decode builds its CSR from, differential against Decompress():
+// The rank-2 edge stream (CompressedGraph::ForEachRank2Edge) that
+// shard decode builds its CSR from, differential against Decompress():
 //
 //   * per shard, the streamed edges are exactly Decompress()'s rank-2
 //     edges, in order (hence also as a multiset),
@@ -9,8 +9,7 @@
 //
 // over every shard of a 16-shard dblp corpus, an RDF corpus, a graph
 // with rank-3 hyperedges (which the stream skips) and the shards a
-// FoldOverlay recompressed, plus the default (Decompress-backed)
-// stream of a non-grepair codec.
+// FoldOverlay recompressed.
 
 #include <gtest/gtest.h>
 
@@ -28,9 +27,9 @@ namespace {
 
 using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
-EdgeList Streamed(const api::CompressedRep& rep) {
+EdgeList Streamed(const CompressedGraph& graph) {
   EdgeList edges;
-  Status status = rep.ForEachRank2Edge(
+  Status status = graph.ForEachRank2Edge(
       [&](NodeId u, NodeId v) { edges.push_back({u, v}); });
   EXPECT_TRUE(status.ok()) << status.ToString();
   return edges;
@@ -66,17 +65,17 @@ std::pair<Rows, Rows> ReferenceRows(const std::vector<NodeId>& nodes,
   return {std::move(out), std::move(in)};
 }
 
-// Checks one rep whose local node i is global id nodes[i].
+// Checks one shard graph whose local node i is global id nodes[i].
 void ExpectStreamMatchesDecompress(const std::vector<NodeId>& nodes,
-                                   const api::CompressedRep& rep,
+                                   const CompressedGraph& shard_graph,
                                    const std::string& tag) {
-  auto graph = rep.Decompress();
+  auto graph = shard_graph.Decompress();
   ASSERT_TRUE(graph.ok()) << tag << ": " << graph.status().ToString();
   ASSERT_EQ(graph.value().num_nodes(), nodes.size()) << tag;
   const EdgeList expected = Rank2Edges(graph.value());
-  EXPECT_EQ(Streamed(rep), expected) << tag;
+  EXPECT_EQ(Streamed(shard_graph), expected) << tag;
 
-  auto decoded = shard::DecodeNeighborhoods(nodes, rep);
+  auto decoded = shard::DecodeNeighborhoods(nodes, shard_graph);
   ASSERT_NE(decoded, nullptr) << tag << ": edges do not fit the node map";
   const auto [want_out, want_in] = ReferenceRows(nodes, graph.value());
   Rows out, in;
@@ -97,19 +96,15 @@ size_t CheckEveryShard(const shard::ShardedRep& rep) {
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   if (!parsed.ok()) return 0;
   const shard::ParsedDirectory& dir = parsed.value().dir;
-  auto inner = api::CodecRegistry::Create(dir.inner_name);
-  EXPECT_TRUE(inner.ok()) << inner.status().ToString();
-  if (!inner.ok()) return 0;
   size_t checked = 0;
   for (size_t s = 0; s < dir.rows.size(); ++s) {
     const auto& row = dir.rows[s];
     if (row.length == 0) continue;
-    auto shard_rep = inner.value()->DeserializeSpan(
+    auto shard_graph = shard::DecodeShardPayload(
         ByteSpan(container.data() + row.offset, row.length));
-    EXPECT_TRUE(shard_rep.ok()) << shard_rep.status().ToString();
-    if (!shard_rep.ok()) continue;
-    ExpectStreamMatchesDecompress(dir.node_maps[s],
-                                  *shard_rep.value(),
+    EXPECT_TRUE(shard_graph.ok()) << shard_graph.status().ToString();
+    if (!shard_graph.ok()) continue;
+    ExpectStreamMatchesDecompress(dir.node_maps[s], shard_graph.value(),
                                   "shard " + std::to_string(s));
     ++checked;
   }
@@ -117,9 +112,8 @@ size_t CheckEveryShard(const shard::ShardedRep& rep) {
 }
 
 std::unique_ptr<api::CompressedRep> CompressSharded(const GeneratedGraph& gg,
-                                                    const std::string& codec,
                                                     int shards) {
-  auto c = api::CodecRegistry::Create(codec).ValueOrDie();
+  auto c = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
   options.Set("shards", std::to_string(shards));
   auto rep = c->Compress(gg.graph, gg.alphabet, options);
@@ -129,7 +123,7 @@ std::unique_ptr<api::CompressedRep> CompressSharded(const GeneratedGraph& gg,
 
 TEST(EdgeStreamTest, EveryShardOfA16ShardDblpCorpus) {
   GeneratedGraph gg = DblpVersions(8, 200, 100, 1, "dblp");
-  auto rep = CompressSharded(gg, "sharded:grepair", 16);
+  auto rep = CompressSharded(gg, 16);
   ASSERT_NE(rep, nullptr);
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get());
   ASSERT_NE(sharded, nullptr);
@@ -138,7 +132,7 @@ TEST(EdgeStreamTest, EveryShardOfA16ShardDblpCorpus) {
 
 TEST(EdgeStreamTest, EveryShardOfAnRdfCorpus) {
   GeneratedGraph gg = RdfEntities(2000, 20, 30, 3);
-  auto rep = CompressSharded(gg, "sharded:grepair", 8);
+  auto rep = CompressSharded(gg, 8);
   ASSERT_NE(rep, nullptr);
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get());
   ASSERT_NE(sharded, nullptr);
@@ -159,22 +153,21 @@ TEST(EdgeStreamTest, Rank3HyperedgesAreSkipped) {
     if (a != b) g.AddEdge(knows, {a, b});
     if (a != b && b != c && a != c && i % 3 == 0) g.AddEdge(meets, {a, b, c});
   }
-  auto codec = api::CodecRegistry::Create("grepair").ValueOrDie();
-  auto rep = codec->Compress(g, alphabet, api::CodecOptions());
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  auto graph = rep.value()->Decompress();
+  auto compressed = CompressedGraph::FromGraph(g, alphabet);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  auto graph = compressed.value().Decompress();
   ASSERT_TRUE(graph.ok());
   ASSERT_LT(Rank2Edges(graph.value()).size(), graph.value().num_edges())
       << "the graph must keep hyperedges for this test to mean anything";
 
   std::vector<NodeId> identity(n);
   for (NodeId v = 0; v < n; ++v) identity[v] = v;
-  ExpectStreamMatchesDecompress(identity, *rep.value(), "rank-3 graph");
+  ExpectStreamMatchesDecompress(identity, compressed.value(), "rank-3 graph");
 }
 
 TEST(EdgeStreamTest, ShardsAfterFoldOverlay) {
   GeneratedGraph gg = DblpVersions(4, 120, 60, 2, "dblp");
-  auto rep = CompressSharded(gg, "sharded:grepair", 4);
+  auto rep = CompressSharded(gg, 4);
   ASSERT_NE(rep, nullptr);
   auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get());
   ASSERT_NE(sharded, nullptr);
@@ -192,16 +185,6 @@ TEST(EdgeStreamTest, ShardsAfterFoldOverlay) {
   ASSERT_TRUE(sharded->FoldOverlay().ok());
   ASSERT_GT(sharded->query_stats().shard_folds, 0u);
   EXPECT_EQ(CheckEveryShard(*sharded), 4u);
-}
-
-TEST(EdgeStreamTest, DefaultStreamComesFromDecompress) {
-  // Codecs without their own stream fall back to Decompress().
-  GeneratedGraph gg = DblpVersions(2, 60, 30, 4, "dblp");
-  auto rep = CompressSharded(gg, "sharded:k2", 3);
-  ASSERT_NE(rep, nullptr);
-  auto* sharded = dynamic_cast<shard::ShardedRep*>(rep.get());
-  ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(CheckEveryShard(*sharded), 3u);
 }
 
 }  // namespace

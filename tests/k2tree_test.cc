@@ -114,7 +114,7 @@ TEST_P(K2TreeRandom, MatchesBruteForce) {
         << r << "," << c;
   }
 
-  // Row/column reporting.
+  // Row reporting.
   for (uint32_t r = 0; r < std::min<uint32_t>(p.rows, 40); ++r) {
     std::vector<uint32_t> expected;
     for (const auto& c : cells) {
@@ -123,15 +123,6 @@ TEST_P(K2TreeRandom, MatchesBruteForce) {
     auto got = tree.RowNeighbors(r);
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, expected) << "row " << r;
-  }
-  for (uint32_t c = 0; c < std::min<uint32_t>(p.cols, 40); ++c) {
-    std::vector<uint32_t> expected;
-    for (const auto& cell : cells) {
-      if (cell.second == c) expected.push_back(cell.first);
-    }
-    auto got = tree.ColNeighbors(c);
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, expected) << "col " << c;
   }
 
   // Full reconstruction.
@@ -203,7 +194,6 @@ TEST(K2TreeTest, SingleCell) {
   EXPECT_TRUE(tree.Contains(999, 0));
   EXPECT_FALSE(tree.Contains(0, 999));
   EXPECT_EQ(tree.RowNeighbors(999), std::vector<uint32_t>{0});
-  EXPECT_EQ(tree.ColNeighbors(0), std::vector<uint32_t>{999});
 }
 
 TEST(K2TreeTest, DuplicateCellsMerged) {

@@ -157,10 +157,9 @@ TEST(LazyOpenTest, MmapOpenFaultsLazilyThroughTheCodecApi) {
   std::string path = TempPath("open.bin");
   ASSERT_TRUE(WriteFileBytes(path, wrapped).ok());
 
-  std::string backend;
-  auto rep = api::OpenCompressedFile(path, &backend);
+  auto rep = api::OpenCompressedFile(path);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(backend, "sharded:grepair");
+  EXPECT_EQ(rep.value()->inner_name(), "grepair");
   ASSERT_NE(AsSharded(rep.value().get()), nullptr);
 
   auto out = rep.value()->OutNeighbors(5);
@@ -478,7 +477,7 @@ TEST(LazyOpenTest, HugeClaimedNodeCountAllocatesByTheMapsOnly) {
   auto shard_rep = inner->Compress(path, OneLabel(), api::CodecOptions());
   ASSERT_TRUE(shard_rep.ok()) << shard_rep.status().ToString();
   const std::vector<uint8_t> payload = shard_rep.value()->Serialize();
-  shard::V2Encoder encoder("grepair", /*num_nodes=*/0xFFFFFFFFull, 1);
+  shard::V2Encoder encoder(/*num_nodes=*/0xFFFFFFFFull, 1);
   encoder.AddShard({kA, kB, kC}, SpanOf(payload),
                    HashBytes(payload.data(), payload.size()));
   const std::vector<uint8_t> bytes = std::move(encoder).Finish();

@@ -364,21 +364,20 @@ TEST(NetFuzzTest, GraphTextParserSurvivesMutation) {
 TEST(NetFuzzTest, CodecFrameParserSurvivesMutation) {
   // fuzz/codec_frame_fuzzer.cc runs the same check coverage-guided.
   const auto seeds = fuzz::GoldenCodecFrameSeeds();
-  // Golden path: the two sharded frames unwrap; an old single-codec tag
-  // and the untagged bytes are kInvalidArgument, the three cut frames
-  // kCorruption.
+  // Golden path: the sharded:grepair frame unwraps; the sharded:k2 one
+  // is kNotFound, an old single-codec tag and the untagged bytes are
+  // kInvalidArgument, the three cut frames kCorruption.
   const StatusCode expected[] = {
-      StatusCode::kOk,          StatusCode::kOk,
+      StatusCode::kOk,          StatusCode::kNotFound,
       StatusCode::kInvalidArgument, StatusCode::kInvalidArgument,
       StatusCode::kCorruption,  StatusCode::kCorruption,
       StatusCode::kCorruption,
   };
   ASSERT_EQ(seeds.size(), std::size(expected));
   for (size_t i = 0; i < seeds.size(); ++i) {
-    std::string inner;
     ByteSpan payload;
     Status unwrapped =
-        api::UnwrapShardedPayload("seed", SpanOf(seeds[i]), &inner, &payload);
+        api::UnwrapShardedPayload("seed", SpanOf(seeds[i]), &payload);
     EXPECT_EQ(unwrapped.code(), expected[i])
         << "seed " << i << ": " << unwrapped.ToString();
     const char* violated =

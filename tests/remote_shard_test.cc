@@ -1,7 +1,7 @@
 // Differential proof that remote == local: an in-process
 // serve::ShardServer on a loopback port must answer every query
 // byte-identically to a local open of the same GRSHARD2 container —
-// for every sharded inner codec, for single and batch entry points,
+// for single and batch entry points,
 // at 1 and 8 client threads, over shared and per-thread connections,
 // at pool sizes 1 and 4. Also pins the remote QueryStats counters,
 // remote prefetch, remote Serialize, and the api::OpenRemote entry
@@ -34,9 +34,8 @@ struct ServedContainer {
   std::string host_port() const { return server->host_port(); }
 };
 
-std::vector<uint8_t> CompressSharded(const std::string& inner,
-                                     const GeneratedGraph& gg, int shards) {
-  auto codec = api::CodecRegistry::Create("sharded:" + inner).ValueOrDie();
+std::vector<uint8_t> CompressSharded(const GeneratedGraph& gg, int shards) {
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
   api::CodecOptions options;
   options.Set("shards", std::to_string(shards));
   auto rep = codec->Compress(gg.graph, gg.alphabet, options);
@@ -44,12 +43,11 @@ std::vector<uint8_t> CompressSharded(const std::string& inner,
   return dynamic_cast<shard::ShardedRep*>(rep.value().get())->SerializeV2();
 }
 
-// Compresses `gg` with sharded:<inner> into a v2 container and serves
+// Compresses `gg` with sharded:grepair into a v2 container and serves
 // it as the sole corpus "g" on an ephemeral loopback port.
-ServedContainer ServeCompressed(const std::string& inner,
-                                const GeneratedGraph& gg, int shards) {
+ServedContainer ServeCompressed(const GeneratedGraph& gg, int shards) {
   ServedContainer served;
-  served.bytes = CompressSharded(inner, gg, shards);
+  served.bytes = CompressSharded(gg, shards);
   serve::CorpusRegistry registry;
   auto added = registry.AddBytes("g", SpanOf(served.bytes));
   EXPECT_TRUE(added.ok()) << added.ToString();
@@ -72,61 +70,58 @@ void ExpectSameResult(const Result<T>& local, const Result<T>& remote,
   }
 }
 
-TEST(RemoteShardTest, EveryShardedCodecAnswersIdenticallyRemoteVsLocal) {
+TEST(RemoteShardTest, AnswersIdenticallyRemoteVsLocal) {
   GeneratedGraph gg = BarabasiAlbert(90, 3, 17);
-  for (const std::string inner : {"grepair", "k2"}) {
-    SCOPED_TRACE("inner codec " + inner);
-    ServedContainer served = ServeCompressed(inner, gg, 3);
+  ServedContainer served = ServeCompressed(gg, 3);
 
-    auto local = shard::ShardedRep::Deserialize(SpanOf(served.bytes));
-    ASSERT_TRUE(local.ok()) << local.status().ToString();
-    auto remote = serve::OpenRemoteContainer(served.host_port());
-    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    EXPECT_EQ(remote.value()->num_nodes(), local.value()->num_nodes());
+  auto local = shard::ShardedRep::Deserialize(SpanOf(served.bytes));
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto remote = serve::OpenRemoteContainer(served.host_port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(remote.value()->num_nodes(), local.value()->num_nodes());
 
-    // Single queries, every node, both directions.
-    for (uint64_t v = 0; v < gg.graph.num_nodes(); ++v) {
-      ExpectSameResult(local.value()->OutNeighbors(v),
-                       remote.value()->OutNeighbors(v),
-                       "out[" + std::to_string(v) + "]");
-      ExpectSameResult(local.value()->InNeighbors(v),
-                       remote.value()->InNeighbors(v),
-                       "in[" + std::to_string(v) + "]");
-    }
-    // Reachability over a deterministic pair sample.
-    std::vector<std::pair<uint64_t, uint64_t>> pairs;
-    for (uint64_t i = 0; i < 12; ++i) {
-      pairs.push_back({(i * 7) % gg.graph.num_nodes(),
-                       (i * 13 + 5) % gg.graph.num_nodes()});
-      ExpectSameResult(local.value()->Reachable(pairs.back().first,
-                                                pairs.back().second),
-                       remote.value()->Reachable(pairs.back().first,
-                                                 pairs.back().second),
-                       "reach " + std::to_string(i));
-    }
-    // Batch entry points.
-    std::vector<uint64_t> all_nodes(gg.graph.num_nodes());
-    for (uint64_t v = 0; v < all_nodes.size(); ++v) all_nodes[v] = v;
-    ExpectSameResult(local.value()->OutNeighborsBatch(all_nodes),
-                     remote.value()->OutNeighborsBatch(all_nodes),
-                     "out batch");
-    ExpectSameResult(local.value()->ReachableBatch(pairs),
-                     remote.value()->ReachableBatch(pairs), "reach batch");
+  // Single queries, every node, both directions.
+  for (uint64_t v = 0; v < gg.graph.num_nodes(); ++v) {
+    ExpectSameResult(local.value()->OutNeighbors(v),
+                     remote.value()->OutNeighbors(v),
+                     "out[" + std::to_string(v) + "]");
+    ExpectSameResult(local.value()->InNeighbors(v),
+                     remote.value()->InNeighbors(v),
+                     "in[" + std::to_string(v) + "]");
+  }
+  // Reachability over a deterministic pair sample.
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  for (uint64_t i = 0; i < 12; ++i) {
+    pairs.push_back({(i * 7) % gg.graph.num_nodes(),
+                     (i * 13 + 5) % gg.graph.num_nodes()});
+    ExpectSameResult(local.value()->Reachable(pairs.back().first,
+                                              pairs.back().second),
+                     remote.value()->Reachable(pairs.back().first,
+                                               pairs.back().second),
+                     "reach " + std::to_string(i));
+  }
+  // Batch entry points.
+  std::vector<uint64_t> all_nodes(gg.graph.num_nodes());
+  for (uint64_t v = 0; v < all_nodes.size(); ++v) all_nodes[v] = v;
+  ExpectSameResult(local.value()->OutNeighborsBatch(all_nodes),
+                   remote.value()->OutNeighborsBatch(all_nodes),
+                   "out batch");
+  ExpectSameResult(local.value()->ReachableBatch(pairs),
+                   remote.value()->ReachableBatch(pairs), "reach batch");
 
-    // Full reconstruction agrees too.
-    auto local_graph = local.value()->Decompress();
-    auto remote_graph = remote.value()->Decompress();
-    ASSERT_EQ(local_graph.ok(), remote_graph.ok());
-    if (local_graph.ok()) {
-      EXPECT_TRUE(local_graph.value().EqualUpToEdgeOrder(
-          remote_graph.value()));
-    }
+  // Full reconstruction agrees too.
+  auto local_graph = local.value()->Decompress();
+  auto remote_graph = remote.value()->Decompress();
+  ASSERT_EQ(local_graph.ok(), remote_graph.ok());
+  if (local_graph.ok()) {
+    EXPECT_TRUE(local_graph.value().EqualUpToEdgeOrder(
+        remote_graph.value()));
   }
 }
 
 TEST(RemoteShardTest, RemoteSerializeMatchesLocalByteForByte) {
   GeneratedGraph gg = BarabasiAlbert(60, 3, 23);
-  ServedContainer served = ServeCompressed("grepair", gg, 4);
+  ServedContainer served = ServeCompressed(gg, 4);
   auto local = shard::ShardedRep::Deserialize(SpanOf(served.bytes));
   ASSERT_TRUE(local.ok());
   auto remote = serve::OpenRemoteContainer(served.host_port());
@@ -140,7 +135,7 @@ TEST(RemoteShardTest, RemoteSerializeMatchesLocalByteForByte) {
 
 TEST(RemoteShardTest, EightThreadsOnOnePoolMatchTruth) {
   GeneratedGraph gg = BarabasiAlbert(120, 3, 29);
-  ServedContainer served = ServeCompressed("grepair", gg, 4);
+  ServedContainer served = ServeCompressed(gg, 4);
 
   auto local = shard::ShardedRep::Deserialize(SpanOf(served.bytes));
   ASSERT_TRUE(local.ok());
@@ -203,7 +198,7 @@ TEST(RemoteShardTest, EightThreadsOnOnePoolMatchTruth) {
 // downloading the directory again.
 TEST(RemoteShardTest, IdleSlotStaysConnected) {
   GeneratedGraph gg = BarabasiAlbert(90, 3, 47);
-  ServedContainer served = ServeCompressed("grepair", gg, 3);
+  ServedContainer served = ServeCompressed(gg, 3);
   serve::OpenOptions options;
   options.pool_size = 1;
   options.io_timeout_ms = 300;
@@ -221,7 +216,7 @@ TEST(RemoteShardTest, IdleSlotStaysConnected) {
 
 TEST(RemoteShardTest, EightIndependentClientsMatchTruth) {
   GeneratedGraph gg = BarabasiAlbert(80, 3, 31);
-  ServedContainer served = ServeCompressed("grepair", gg, 3);
+  ServedContainer served = ServeCompressed(gg, 3);
 
   auto local = shard::ShardedRep::Deserialize(SpanOf(served.bytes));
   ASSERT_TRUE(local.ok());
@@ -256,7 +251,7 @@ TEST(RemoteShardTest, EightIndependentClientsMatchTruth) {
 
 TEST(RemoteShardTest, RemotePrefetchWarmsShardsOverTheWire) {
   GeneratedGraph gg = BarabasiAlbert(70, 3, 37);
-  ServedContainer served = ServeCompressed("grepair", gg, 3);
+  ServedContainer served = ServeCompressed(gg, 3);
   auto remote = serve::OpenRemoteContainer(served.host_port());
   ASSERT_TRUE(remote.ok());
   auto* sharded = dynamic_cast<shard::ShardedRep*>(remote.value().get());
@@ -278,7 +273,7 @@ TEST(RemoteShardTest, RemotePrefetchWarmsShardsOverTheWire) {
 
 TEST(RemoteShardTest, ApiOpenRemoteEntryPoint) {
   GeneratedGraph gg = BarabasiAlbert(50, 3, 41);
-  ServedContainer served = ServeCompressed("grepair", gg, 2);
+  ServedContainer served = ServeCompressed(gg, 2);
   // Both the bare "host:port" form (sole corpus) and the explicit
   // "host:port/name" form resolve.
   for (const std::string& target :
@@ -348,9 +343,9 @@ TEST(RemoteShardTest, ServingRefusesOtherVersionsAndNonShardedPayloads) {
 // bytes serves the same payloads again.
 TEST(RemoteShardTest, RedialChecksTheRestartedServersDirectory) {
   std::vector<uint8_t> bytes =
-      CompressSharded("grepair", BarabasiAlbert(120, 3, 7), 3);
+      CompressSharded(BarabasiAlbert(120, 3, 7), 3);
   std::vector<uint8_t> other =
-      CompressSharded("grepair", BarabasiAlbert(160, 3, 8), 3);
+      CompressSharded(BarabasiAlbert(160, 3, 8), 3);
   ASSERT_NE(bytes, other);
   auto serve_on = [](const std::vector<uint8_t>& corpus, uint16_t port) {
     serve::CorpusRegistry registry;

@@ -1,21 +1,18 @@
 // grepair — command-line driver for the library. Usage() lists every
 // command and flag; `grepair` with no arguments prints it.
 //
-// Both file backends sit behind the GraphCodec registry (src/api/):
-// `--backend` picks one (`grepair backends` lists them), `--options`
-// passes its key=value options, and `bench` runs any backend (or all)
-// over a generated dataset with a round-trip check. The paper's
-// size-only baselines (HN, LM, adjacency RePair) are not backends.
-//
-// One file kind: `compress` writes "sharded:<backend>", one edge-range
+// One file kind: `compress` writes "sharded:grepair", one edge-range
 // shard unless `--shards` asks for more, as a checksummed GRSHARD2
-// container inside the backend-tagged GRPCODEC frame. Every command
-// opens files lazily through src/api/container.h, so `query` and
-// `decompress` fault in only the shards they touch and `info` prints
-// the directory without decoding one; untagged and old single-codec
-// files are refused. Grepair shards carry the node mapping, so answers
-// use the input's node ids. `stats` and `components` read the one
-// grammar of a 1-shard sharded:grepair file.
+// container inside the backend-tagged GRPCODEC frame; `--options`
+// passes the grepair key=value options, and `bench` runs the same
+// compression over a generated dataset with a round-trip check. The
+// paper's size-only baselines (k^2-trees, HN, LM, adjacency RePair)
+// live in bench/, not here. Every command opens files lazily through
+// src/api/container.h, so `query` and `decompress` fault in only the
+// shards they touch and `info` prints the directory without decoding
+// one; untagged and old single-codec files are refused. Shards carry
+// the node mapping, so answers use the input's node ids. `stats` and
+// `components` read the one grammar of a 1-shard file.
 //
 // `query` answers out-neighbor (--nodes) and reachability (--pairs)
 // queries without decompressing and ends with one `stats:` line of
@@ -61,22 +58,18 @@ using namespace grepair;
 
 namespace {
 
+// The one codec every command writes and reads.
+constexpr char kFileCodec[] = "sharded:grepair";
+
 int Usage() {
-  std::string backends;
-  for (const auto& name : api::CodecRegistry::Names()) {
-    backends += (backends.empty() ? "" : "|") + name;
-  }
   std::fprintf(
       stderr,
       "usage: grepair <command> ...\n"
-      "  compress <in.graph> <out> [--backend %s]\n"
-      "           (default grepair) [--options k=v,...] [--shards K]\n"
+      "  compress <in.graph> <out> [--options k=v,...] [--shards K]\n"
       "           [--threads T]\n"
       "  decompress <in> <out.graph> [--threads T]\n"
-      "  bench --backend NAME|all --gen KIND [--size N] "
-      "[--options k=v,...]\n"
-      "        [--shards K] [--threads T]\n"
-      "  backends\n"
+      "  bench --gen KIND [--size N] [--options k=v,...] [--shards K]\n"
+      "        [--threads T]\n"
       "  query <in>|--remote host:port[/corpus] [--nodes 1,2,3]\n"
       "        [--pairs 1:2,3:4] [--batch] [--cache-bytes N] [--threads T]\n"
       "        [--pool N] [--ssd-cache DIR] [--ssd-cache-bytes N]\n"
@@ -92,8 +85,7 @@ int Usage() {
       "  stats <in>\n"
       "  components <in>\n"
       "  gen <er|ba|coauth|rdf-types|rdf-entities|copies|dblp> "
-      "<out.graph> [size]\n",
-      backends.c_str());
+      "<out.graph> [size]\n");
   return 2;
 }
 
@@ -220,44 +212,44 @@ std::optional<Args> ParseArgs(int argc, char** argv,
   return args;
 }
 
-// --shards/--threads select the backend's sharded:<inner> variant and
-// land in its codec options.
-void UseShards(int shards, int threads, std::string* backend,
-               api::CodecOptions* options) {
-  if (backend->rfind("sharded:", 0) != 0) *backend = "sharded:" + *backend;
-  if (shards > 0) options->Set("shards", std::to_string(shards));
-  if (threads > 0) options->Set("threads", std::to_string(threads));
+// Parses the --options spec and adds --shards/--threads to it;
+// nullopt (exit 1, reported) on a malformed spec.
+std::optional<api::CodecOptions> FileCodecOptions(const std::string& spec,
+                                                  int shards, int threads) {
+  auto options = api::CodecOptions::Parse(spec);
+  if (!options.ok()) {
+    Fail(options.status());
+    return std::nullopt;
+  }
+  if (shards > 0) options.value().Set("shards", std::to_string(shards));
+  if (threads > 0) options.value().Set("threads", std::to_string(threads));
+  return std::move(options).ValueOrDie();
 }
 
 int CmdCompress(int argc, char** argv) {
-  std::string backend = "grepair";
   std::string option_spec;
   int shards = 1;  // every file is a sharded container
   int threads = 0;
   auto args = ParseArgs(argc, argv,
-                        {{"--backend", &backend},
-                         {"--options", &option_spec},
+                        {{"--options", &option_spec},
                          {"--shards", Count{&shards, 1, shard::kMaxShards}},
                          {"--threads", Count{&threads, 1, kMaxThreads}}},
                         2, 2);
   if (!args) return 2;
   auto loaded = LoadGraphText(args->positional[0]);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto options = api::CodecOptions::Parse(option_spec);
-  if (!options.ok()) return Fail(options.status());
-  UseShards(shards, threads, &backend, &options.value());
-  auto codec = api::CodecRegistry::Create(backend);
-  if (!codec.ok()) return Fail(codec.status());
+  auto options = FileCodecOptions(option_spec, shards, threads);
+  if (!options) return 1;
   const Hypergraph& graph = loaded.value().graph;
-  auto rep = codec.value()->Compress(graph, loaded.value().alphabet,
-                                     options.value());
+  auto rep = shard::ShardedCodec().Compress(graph, loaded.value().alphabet,
+                                            *options);
   if (!rep.ok()) return Fail(rep.status());
-  auto bytes = api::WrapCodecPayload(backend, rep.value()->Serialize());
+  auto bytes = api::WrapCodecPayload(kFileCodec, rep.value()->Serialize());
   Status written = WriteFileBytes(args->positional[1], bytes);
   if (!written.ok()) return Fail(written);
   std::printf("[%s] %u edges -> %zu bytes on disk (%.3f bpe as measured "
               "by the bench tables)\n",
-              backend.c_str(), graph.num_edges(), bytes.size(),
+              kFileCodec, graph.num_edges(), bytes.size(),
               BitsPerEdge(rep.value()->ByteSize(), graph.num_edges()));
   return 0;
 }
@@ -269,8 +261,7 @@ int CmdDecompress(int argc, char** argv) {
   if (!args) return 2;
   // The file opens lazily and Decompress faults the shards on the
   // decompress thread pool.
-  std::string backend;
-  auto rep = api::OpenCompressedFile(args->positional[0], &backend);
+  auto rep = api::OpenCompressedFile(args->positional[0]);
   if (!rep.ok()) return Fail(rep.status());
   if (threads > 1) rep.value()->set_threads(threads);
   auto graph = rep.value()->Decompress();
@@ -279,7 +270,7 @@ int CmdDecompress(int argc, char** argv) {
   Status saved = SaveGraphText(graph.value(), InferAlphabet(graph.value()),
                                args->positional[1]);
   if (!saved.ok()) return Fail(saved);
-  std::printf("[%s] wrote %u nodes, %u edges\n", backend.c_str(),
+  std::printf("[%s] wrote %u nodes, %u edges\n", kFileCodec,
               graph.value().num_nodes(), graph.value().num_edges());
   return 0;
 }
@@ -372,7 +363,7 @@ int CmdQuery(int argc, char** argv) {
   if (args->has("--cache-bytes")) {
     rep.set_query_cache_bytes(static_cast<size_t>(cache_bytes));
   }
-  std::printf("[sharded:%s] %llu nodes\n", rep.inner_name().c_str(),
+  std::printf("[%s] %llu nodes\n", kFileCodec,
               static_cast<unsigned long long>(rep.num_nodes()));
   std::vector<std::vector<uint64_t>> outs;
   if (batch && !nodes.empty()) {
@@ -462,8 +453,7 @@ int CmdAppend(int argc, char** argv) {
   const std::string& base_path = args->positional[0];
   const std::vector<std::string> chain(args->positional.begin() + 1,
                                        args->positional.end());
-  std::string backend;
-  auto rep = api::OpenVersioned(base_path, chain, &backend);
+  auto rep = api::OpenVersioned(base_path, chain);
   if (!rep.ok()) return Fail(rep.status());
   if (args->has("--fold-budget")) {
     rep.value()->set_overlay_budget_bytes(fold_budget);
@@ -489,7 +479,7 @@ int CmdAppend(int argc, char** argv) {
               "%zu kills residual) backend=%s\n",
               out_path.c_str(), edits.size(),
               delta.value().shards.size(), delta.value().adds.size(),
-              delta.value().kills.size(), backend.c_str());
+              delta.value().kills.size(), kFileCodec);
   return 0;
 }
 
@@ -711,9 +701,9 @@ int CmdInfoRemote(const std::string& target) {
 
 // `info`: the container directory without decoding a shard — the
 // backend tag and the per-shard offset/length/checksum/node-count
-// table from the parsed GRSHARD2 directory. No inner rep is ever
-// constructed, and a tag that names another inner codec than the
-// directory fails as it does at open.
+// table from the parsed GRSHARD2 directory. No shard is ever decoded,
+// and a tag or directory naming another inner codec than grepair
+// fails as it does at open.
 int CmdInfo(int argc, char** argv) {
   std::string remote_target;
   auto args = ParseArgs(argc, argv, {{"--remote", &remote_target}}, 0, 1);
@@ -721,9 +711,8 @@ int CmdInfo(int argc, char** argv) {
   if (args->has("--remote") == (args->positional.size() == 1)) return Usage();
   if (args->has("--remote")) return CmdInfoRemote(remote_target);
   const std::string& path = args->positional[0];
-  std::string inner;
   ByteSpan payload;
-  auto file = api::MapShardedFile(path, &inner, &payload);
+  auto file = api::MapShardedFile(path, &payload);
   if (!file.ok()) return Fail(file.status());
   auto parsed = shard::ParseContainer(payload);
   if (!parsed.ok()) {
@@ -731,13 +720,13 @@ int CmdInfo(int argc, char** argv) {
     return Fail(parsed.status());
   }
   const shard::ParsedDirectory& dir = parsed.value().dir;
-  Status tag = api::CheckTaggedInner(path, inner, dir.inner_name);
-  if (!tag.ok()) return Fail(tag);
+  Status inner = shard::CheckInnerCodecName(dir.inner_name);
+  if (!inner.ok()) return Fail(inner);
   size_t size = file.value()->span().size;
   std::printf("%s: %zu bytes (%s)\n", path.c_str(), size,
               file.value()->is_mapped() ? "mmap" : "heap");
-  std::printf("backend: sharded:%s (payload %zu bytes at offset %zu)\n",
-              inner.c_str(), payload.size, size - payload.size);
+  std::printf("backend: %s (payload %zu bytes at offset %zu)\n", kFileCodec,
+              payload.size, size - payload.size);
   std::printf("sharded container GRSHARD2: inner=%s nodes=%llu shards=%zu\n",
               dir.inner_name.c_str(),
               static_cast<unsigned long long>(dir.num_nodes),
@@ -746,9 +735,9 @@ int CmdInfo(int argc, char** argv) {
   return 0;
 }
 
-// `stats` and `components` read the grammar of a file of one
-// sharded:grepair shard (what `compress` writes by default) through
-// the rep's checksum-verified fault path. It covers the nodes that
+// `stats` and `components` read the grammar of a 1-shard file (what
+// `compress` writes by default) through the rep's checksum-verified
+// fault path. It covers the nodes that
 // have an edge; `*dropped_nodes` receives the edgeless ones. A graph
 // without edges has no grammar (nullopt).
 Result<std::optional<CompressedGraph>> LoadOneGrammar(
@@ -756,12 +745,6 @@ Result<std::optional<CompressedGraph>> LoadOneGrammar(
   auto rep = api::OpenCompressedFile(path);
   if (!rep.ok()) return rep.status();
   const shard::ShardedRep& sharded = *rep.value();
-  if (sharded.inner_name() != "grepair") {
-    return Status::InvalidArgument(path + " holds 'sharded:" +
-                                   sharded.inner_name() +
-                                   "' shards; this command needs "
-                                   "'sharded:grepair'");
-  }
   // The directory lists the data shards, then the cut shard.
   size_t data_shards = sharded.num_shards() - 1;
   if (data_shards != 1 || sharded.entry(1).has_payload()) {
@@ -870,72 +853,17 @@ int CmdGen(int argc, char** argv) {
   return 0;
 }
 
-// Sorted unique (source, target) pairs: the structure a round trip
-// must restore, whatever a codec does with labels and repeated edges.
-std::vector<std::pair<uint32_t, uint32_t>> UnlabeledEdgeSet(
-    const Hypergraph& g) {
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (const auto& e : g.edges()) {
-    if (e.att.size() == 2) edges.push_back({e.att[0], e.att[1]});
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
-}
-
-// Runs one codec over a generated dataset: compress, size, timing, and
-// a full serialize -> deserialize -> decompress round-trip check.
-// Returns 1 on hard failure, 0 on success or not-applicable; sets
-// `*ran` when the codec applied.
-int BenchOne(const std::string& backend, const GeneratedGraph& gg,
-             const api::CodecOptions& options, bool* ran) {
-  auto codec = api::CodecRegistry::Create(backend);
-  if (!codec.ok()) return Fail(codec.status());
-  auto t0 = std::chrono::steady_clock::now();
-  auto rep = codec.value()->Compress(gg.graph, gg.alphabet, options);
-  auto t1 = std::chrono::steady_clock::now();
-  if (!rep.ok()) {
-    if (rep.status().code() == StatusCode::kInvalidArgument) {
-      std::printf("%-12s %12s   (%s)\n", backend.c_str(), "n/a",
-                  rep.status().message().c_str());
-      return 0;
-    }
-    std::fprintf(stderr, "%s: ", backend.c_str());
-    return Fail(rep.status());
-  }
-  *ran = true;
-  auto bytes = rep.value()->Serialize();
-  auto round = codec.value()->Deserialize(bytes);
-  const char* roundtrip = "FAIL";
-  if (round.ok()) {
-    auto back = round.value()->Decompress();
-    if (back.ok() && back.value().num_nodes() == gg.graph.num_nodes() &&
-        UnlabeledEdgeSet(back.value()) == UnlabeledEdgeSet(gg.graph)) {
-      roundtrip = "ok";
-    }
-  }
-  double seconds = std::chrono::duration<double>(t1 - t0).count();
-  std::printf("%-12s %12zu %9.3f %10.1f %10s %10s\n", backend.c_str(),
-              rep.value()->ByteSize(),
-              BitsPerEdge(rep.value()->ByteSize(), gg.graph.num_edges()),
-              seconds * 1e3,
-              (codec.value()->capabilities() & api::kNeighborQueries)
-                  ? "yes"
-                  : "no",
-              roundtrip);
-  return std::strcmp(roundtrip, "ok") == 0 ? 0 : 1;
-}
-
+// `bench`: compresses a generated dataset the way `compress` does and
+// prints bytes, bpe and time, plus a serialize -> deserialize ->
+// decompress round-trip check ("roundtrip ok"; exit 1 otherwise).
 int CmdBench(int argc, char** argv) {
-  std::string backend = "all";
   std::string kind;
   std::string option_spec;
   int size = 0;  // 0 = the kind's default
-  int shards = 0;
+  int shards = 1;
   int threads = 0;
   auto args = ParseArgs(argc, argv,
-                        {{"--backend", &backend},
-                         {"--gen", &kind},
+                        {{"--gen", &kind},
                          {"--size", Count{&size, 1, 1 << 30}},
                          {"--options", &option_spec},
                          {"--shards", Count{&shards, 1, shard::kMaxShards}},
@@ -943,58 +871,34 @@ int CmdBench(int argc, char** argv) {
                         0, 0);
   if (!args) return 2;
   if (kind.empty()) return Usage();
-  const bool sharded = shards > 0 || threads > 0;
-  if (sharded && backend == "all") {
-    std::fprintf(stderr,
-                 "--shards/--threads need a single --backend "
-                 "(run e.g. --backend grepair --shards 8)\n");
-    return 2;
-  }
   GeneratedGraph gg;
   if (!MakeGenerated(kind, static_cast<uint32_t>(size), &gg)) {
     std::fprintf(stderr, "unknown dataset kind %s\n", kind.c_str());
     return 2;
   }
-  auto options = api::CodecOptions::Parse(option_spec);
-  if (!options.ok()) return Fail(options.status());
-  if (sharded) UseShards(shards, threads, &backend, &options.value());
+  auto options = FileCodecOptions(option_spec, shards, threads);
+  if (!options) return 1;
   std::printf("dataset %s: %u nodes, %u edges, %zu labels\n",
               gg.name.c_str(), gg.graph.num_nodes(), gg.graph.num_edges(),
               gg.alphabet.size());
-  std::printf("%-12s %12s %9s %10s %10s %10s\n", "backend", "bytes", "bpe",
-              "ms", "queries", "roundtrip");
-  const bool all = backend == "all";
-  int rc = 0;
-  bool any_ran = false;
-  for (const auto& name :
-       all ? api::CodecRegistry::Names() : std::vector<std::string>{backend}) {
-    rc |= BenchOne(name, gg, options.value(), &any_ran);
-  }
-  if (!any_ran && rc == 0) {
-    // An asked-for backend must run. Every codec refusing usually means
-    // the --options spec itself is bad (a typo'd key rejects
-    // everywhere), not a benign mismatch.
-    if (all) std::fprintf(stderr, "no codec ran; check --options\n");
-    rc = 1;
-  }
-  return rc;
-}
-
-int CmdBackends(int argc, char** argv) {
-  auto args = ParseArgs(argc, argv, {}, 0, 0);
-  if (!args) return 2;
-  for (const auto& name : api::CodecRegistry::Names()) {
-    auto codec = api::CodecRegistry::Create(name).ValueOrDie();
-    uint32_t caps = codec->capabilities();
-    std::printf("%-12s labels=%s hyperedges=%s neighbors=%s "
-                "reachability=%s\n",
-                name.c_str(),
-                (caps & api::kSupportsLabels) ? "yes" : "no",
-                (caps & api::kSupportsHyperedges) ? "yes" : "no",
-                (caps & api::kNeighborQueries) ? "yes" : "no",
-                (caps & api::kReachabilityQueries) ? "yes" : "no");
-  }
-  return 0;
+  const shard::ShardedCodec codec;
+  auto t0 = std::chrono::steady_clock::now();
+  auto rep = codec.Compress(gg.graph, gg.alphabet, *options);
+  auto t1 = std::chrono::steady_clock::now();
+  if (!rep.ok()) return Fail(rep.status());
+  auto round = codec.Deserialize(rep.value()->Serialize());
+  if (!round.ok()) return Fail(round.status());
+  auto back = round.value()->Decompress();
+  if (!back.ok()) return Fail(back.status());
+  const bool same = back.value().EqualUpToEdgeOrder(gg.graph);
+  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  std::printf("%-16s %12s %9s %10s %10s\n", "backend", "bytes", "bpe", "ms",
+              "roundtrip");
+  std::printf("%-16s %12zu %9.3f %10.1f %10s\n", kFileCodec,
+              rep.value()->ByteSize(),
+              BitsPerEdge(rep.value()->ByteSize(), gg.graph.num_edges()),
+              seconds * 1e3, same ? "ok" : "FAIL");
+  return same ? 0 : 1;
 }
 
 }  // namespace
@@ -1005,7 +909,6 @@ int main(int argc, char** argv) {
   if (cmd == "compress") return CmdCompress(argc, argv);
   if (cmd == "decompress") return CmdDecompress(argc, argv);
   if (cmd == "bench") return CmdBench(argc, argv);
-  if (cmd == "backends") return CmdBackends(argc, argv);
   if (cmd == "query") return CmdQuery(argc, argv);
   if (cmd == "append") return CmdAppend(argc, argv);
   if (cmd == "diff") return CmdDiff(argc, argv);
