@@ -298,9 +298,10 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
 /// a grammar with the retired GRG1 magic. A success passes the full
 /// SlhrGrammar::Validate, which DecodeGrammar splits into checks made
 /// as it decodes; holds a permutation of val(G)'s ids as psi' (or
-/// none); re-serializes to bytes that decode again; and, when val(G)
-/// is small enough to materialize here, both decodes decompress to the
-/// same graph.
+/// none); re-serializes to bytes that decode again; answers every
+/// node's out- and in-neighbor queries with its rank-2 edges when val(G)
+/// has at most 4,096 nodes and edges; and, when val(G) is small enough
+/// to materialize here, both decodes decompress to the same graph.
 inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
   auto graph = CompressedGraph::Deserialize(ByteSpan(data, size));
   if (!graph.ok()) {
@@ -343,6 +344,33 @@ inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
   if (!again.ok()) return "a re-serialized payload fails to decode";
   if (again.value().origins() != origins) {
     return "a re-serialized payload decodes to different origins";
+  }
+  // Every node's neighbors are its sorted, unique rank-2 edges. Capped
+  // because a tiny payload may describe a star with 2^30 leaves.
+  if (g.num_nodes() <= 4096 && g.num_edges() <= 4096) {
+    const size_t n = static_cast<size_t>(g.num_nodes());
+    std::vector<std::vector<uint64_t>> out(n), in(n);
+    bool in_range = true;
+    Status streamed = g.ForEachRank2Edge([&](NodeId u, NodeId v) {
+      if (u >= n || v >= n) {
+        in_range = false;
+        return;
+      }
+      out[u].push_back(v);
+      in[v].push_back(u);
+    });
+    if (!streamed.ok() || !in_range) {
+      return "streaming a small payload's rank-2 edges failed";
+    }
+    for (size_t v = 0; v < n; ++v) {
+      for (std::vector<uint64_t>* list : {&out[v], &in[v]}) {
+        std::sort(list->begin(), list->end());
+        list->erase(std::unique(list->begin(), list->end()), list->end());
+      }
+      if (g.OutNeighbors(v) != out[v] || g.InNeighbors(v) != in[v]) {
+        return "a neighbor query disagrees with the rank-2 edges";
+      }
+    }
   }
   // Tight derive limits: a tiny payload may still describe a huge val(G).
   if (g.num_nodes() > (1u << 16) || g.num_edges() > (1u << 18)) {

@@ -60,27 +60,32 @@ NeighborhoodIndex::DescendMemoLocked(Label label, uint32_t pos,
 
   const Hypergraph& rhs = g.rhs(label);
   size_t ext_count = rhs.ext().size();
+  std::vector<RelNeighbor> entries;
   // Normal form pins external nodes to ids [0, ext); anything above is
-  // internal to this rhs and addressed by an empty relative path.
-  auto classify = [&](NodeId u) {
+  // internal to this rhs and addressed by an empty relative path. An
+  // external position is listed once: rules stacked in parallel would
+  // otherwise double the list per level.
+  std::vector<char> ext_listed(ext_count, 0);
+  auto add_node = [&](NodeId u) {
     RelNeighbor rn;
     if (u < ext_count) {
+      if (ext_listed[u]) return;
+      ext_listed[u] = 1;
       rn.ext_pos = u;
     } else {
       rn.node = u;
     }
-    return rn;
+    entries.push_back(std::move(rn));
   };
 
-  std::vector<RelNeighbor> entries;
   for (EdgeId ei : incidence_[1 + rule][pos]) {
     const HEdge& e = rhs.edge(ei);
     if (g.IsTerminal(e.label)) {
       if (e.att.size() != 2) continue;  // hyperedges carry no direction
       if (out && e.att[0] == static_cast<NodeId>(pos)) {
-        entries.push_back(classify(e.att[1]));
+        add_node(e.att[1]);
       } else if (!out && e.att[1] == static_cast<NodeId>(pos)) {
-        entries.push_back(classify(e.att[0]));
+        add_node(e.att[0]);
       }
       continue;
     }
@@ -93,7 +98,7 @@ NeighborhoodIndex::DescendMemoLocked(Label label, uint32_t pos,
           DescendMemoLocked(e.label, q, out);
       for (const RelNeighbor& c : child) {
         if (c.ext_pos != RelNeighbor::kNotExternal) {
-          entries.push_back(classify(e.att[c.ext_pos]));
+          add_node(e.att[c.ext_pos]);
         } else {
           RelNeighbor rn;
           rn.steps.reserve(1 + c.steps.size());

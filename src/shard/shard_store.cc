@@ -11,15 +11,27 @@ namespace shard {
 
 namespace {
 
-// A batch putting at least this many nodes on a shard decodes it
-// immediately; fewer go through the rent rule (ShardStore::Decoded).
+// A call putting at least this many nodes on a shard decodes it
+// immediately; fewer go through the rent rule (ShardStore::Answer).
 constexpr size_t kBatchDecodeThreshold = 2;
 
-// Rent sentinel for a shard whose decoded form did not fit the budget:
-// never try decoding it again (until the budget changes), or every
-// promotion would pay a whole-shard decode just to discard it. Charges
-// saturate one below it.
+// Rent sentinel for a shard whose decoded form does not fit the budget
+// or whose decode failed: never try decoding it again (until the
+// budget changes or a publish replaces it), or every promotion would
+// pay a whole-shard decode just to discard it. Charges saturate one
+// below it.
 constexpr uint64_t kUncacheable = ~0ull;
+
+// What the cache charges for a decoded shard of `n` nodes and `edges`
+// rank-2 edges: its buffer of 2·(n+1) + 2·edges words plus one word of
+// slack, and at least 64 B. Given all of val(G)'s edges, of which the
+// buffer holds the rank-2 ones, it bounds the charge before the decode.
+// `n` fits 32 bits; a crafted grammar's edge count can near 2^64.
+size_t NeighborhoodBytes(uint64_t n, uint64_t edges) {
+  if (edges > (1ull << 58)) return ~size_t{0};
+  const uint64_t words = 2 * (n + 1) + 2 * edges + 1;
+  return std::max<size_t>(64, words * sizeof(uint64_t));
+}
 
 // Sorts and deduplicates each CSR row of (off, data) in place,
 // compacting rows forward and rewriting the offsets to the shrunken
@@ -47,9 +59,9 @@ std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
   if (graph.num_nodes() != n) return nullptr;
 
   // Counting pass, fed straight from the grammar's edge stream (no
-  // Hypergraph is built):
-  // per-node degrees (and validation), so the arena can be sized
-  // exactly and the whole decoded form costs one allocation.
+  // Hypergraph is built): per-node degrees (and validation), so the
+  // buffer can be sized exactly and the whole decoded form costs one
+  // allocation.
   std::vector<uint64_t> out_deg(n + 1, 0), in_deg(n + 1, 0);
   std::vector<std::pair<NodeId, NodeId>> edges;
   bool in_range = true;
@@ -65,13 +77,13 @@ std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
   if (!streamed.ok() || !in_range) return nullptr;
   const size_t total = edges.size();
 
-  const size_t reserve =
-      (2 * (n + 1) + 2 * total) * sizeof(uint64_t) + alignof(uint64_t);
-  auto sn = std::make_shared<ShardNeighborhoods>(reserve);
-  uint64_t* out_off = sn->arena.AllocateArray<uint64_t>(n + 1);
-  uint64_t* in_off = sn->arena.AllocateArray<uint64_t>(n + 1);
-  sn->out_data = sn->arena.AllocateArray<uint64_t>(total);
-  sn->in_data = sn->arena.AllocateArray<uint64_t>(total);
+  auto sn = std::make_shared<ShardNeighborhoods>();
+  sn->words.reset(new uint64_t[2 * (n + 1) + 2 * total]);
+  uint64_t* out_off = sn->words.get();
+  uint64_t* in_off = out_off + (n + 1);
+  uint64_t* out_data = in_off + (n + 1);
+  uint64_t* in_data = out_data + total;
+  out_off[0] = in_off[0] = 0;
   for (size_t u = 0; u < n; ++u) {
     out_off[u + 1] = out_off[u] + out_deg[u + 1];
     in_off[u + 1] = in_off[u] + in_deg[u + 1];
@@ -81,15 +93,17 @@ std::shared_ptr<const ShardNeighborhoods> DecodeNeighborhoods(
   std::copy(out_off, out_off + n, out_deg.begin());
   std::copy(in_off, in_off + n, in_deg.begin());
   for (const auto& [u, v] : edges) {
-    sn->out_data[out_deg[u]++] = nodes[v];
-    sn->in_data[in_deg[v]++] = nodes[u];
+    out_data[out_deg[u]++] = nodes[v];
+    in_data[in_deg[v]++] = nodes[u];
   }
 
-  SortDedupCompact(out_off, sn->out_data, n);
-  SortDedupCompact(in_off, sn->in_data, n);
+  SortDedupCompact(out_off, out_data, n);
+  SortDedupCompact(in_off, in_data, n);
   sn->out_off = out_off;
   sn->in_off = in_off;
-  sn->bytes = sn->arena.bytes_reserved();
+  sn->out_data = out_data;
+  sn->in_data = in_data;
+  sn->bytes = NeighborhoodBytes(n, total);
   return sn;
 }
 
@@ -170,20 +184,8 @@ ShardStore::ShardStore(std::shared_ptr<ShardSource> source,
                        std::vector<ShardEntry> entries)
     : entries_(std::move(entries)),
       source_(std::move(source)),
-      lazy_slots_(entries_.size()),
-      lazy_published_(
-          new std::atomic<const CompressedGraph*>[entries_.size()]),
-      fault_mutexes_(new Mutex[entries_.size()]),
-      folded_published_(
-          new std::atomic<const FoldedShard*>[entries_.size()]),
-      cache_slots_(entries_.size()),
-      cache_last_use_(entries_.size(), 0),
-      cache_rent_(entries_.size(), 0) {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    lazy_published_[i].store(nullptr, std::memory_order_relaxed);
-    folded_published_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
+      slots_(new Slot[entries_.size()]),
+      cache_(entries_.size()) {}
 
 Result<ByteSpan> ShardStore::VerifiedPayload(
     size_t shard, std::vector<uint8_t>* owned) const {
@@ -241,16 +243,17 @@ Result<const CompressedGraph*> ShardStore::Graph(size_t shard,
   }
   // Lock-free resident fast path: hot shards cost one acquire-load per
   // touch.
+  Slot& slot = slots_[shard];
   if (const CompressedGraph* published =
-          lazy_published_[shard].load(std::memory_order_acquire)) {
+          slot.published.load(std::memory_order_acquire)) {
     return published;
   }
   // Fault path: per-shard mutex so concurrent touches of one shard
   // deserialize (and, for remote sources, fetch) it exactly once
   // while other shards fault in parallel.
-  MutexLock lock(fault_mutexes_[shard]);
-  if (lazy_slots_[shard] != nullptr) {
-    return static_cast<const CompressedGraph*>(lazy_slots_[shard].get());
+  MutexLock lock(slot.fault_mutex);
+  if (slot.base != nullptr) {
+    return static_cast<const CompressedGraph*>(slot.base.get());
   }
   std::vector<uint8_t> fetched;
   auto payload = VerifiedPayload(shard, &fetched);
@@ -266,11 +269,10 @@ Result<const CompressedGraph*> ShardStore::Graph(size_t shard,
   }
   stat_faults_.fetch_add(1, std::memory_order_relaxed);
   if (faulted != nullptr) *faulted = true;
-  lazy_slots_[shard] = std::make_shared<const CompressedGraph>(
+  slot.base = std::make_unique<const CompressedGraph>(
       std::move(graph).ValueOrDie());
-  lazy_published_[shard].store(lazy_slots_[shard].get(),
-                               std::memory_order_release);
-  return static_cast<const CompressedGraph*>(lazy_slots_[shard].get());
+  slot.published.store(slot.base.get(), std::memory_order_release);
+  return static_cast<const CompressedGraph*>(slot.base.get());
 }
 
 size_t ShardStore::PayloadSize(size_t shard) const {
@@ -290,7 +292,7 @@ bool ShardStore::EncodeShards(V2Encoder* out) const {
     // (FetchShard is never called concurrently for one shard) when an
     // encode races a query faulting the same shard.
     std::vector<uint8_t> fetched;
-    MutexLock shard_lock(fault_mutexes_[i]);
+    MutexLock shard_lock(slots_[i].fault_mutex);
     auto verified = VerifiedPayload(i, &fetched);
     if (!verified.ok()) return false;
     // VerifiedPayload just checked the bytes against this checksum;
@@ -369,17 +371,16 @@ void ShardStore::PrefetchAll(int threads) const {
 
 void ShardStore::EvictLocked(size_t target) const {
   while (cache_bytes_used_ > target) {
-    size_t victim = cache_slots_.size();
-    uint64_t oldest = ~0ull;
-    for (size_t i = 0; i < cache_slots_.size(); ++i) {
-      if (cache_slots_[i] != nullptr && cache_last_use_[i] < oldest) {
-        oldest = cache_last_use_[i];
-        victim = i;
+    CacheSlot* victim = nullptr;
+    for (CacheSlot& slot : cache_) {
+      if (slot.decoded != nullptr &&
+          (victim == nullptr || slot.last_use < victim->last_use)) {
+        victim = &slot;
       }
     }
-    if (victim == cache_slots_.size()) break;
-    cache_bytes_used_ -= cache_slots_[victim]->bytes;
-    cache_slots_[victim] = nullptr;
+    if (victim == nullptr) break;
+    cache_bytes_used_ -= victim->decoded->bytes;
+    victim->decoded = nullptr;
     stat_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -390,39 +391,73 @@ void ShardStore::set_query_cache_bytes(size_t bytes) {
   // previously uncacheable shards try again under the new budget.
   MutexLock lock(cache_mutex_);
   EvictLocked(bytes);
-  std::fill(cache_rent_.begin(), cache_rent_.end(), 0);
+  for (CacheSlot& slot : cache_) slot.rent = 0;
 }
 
-void ShardStore::ChargeLookups(size_t shard, uint64_t cost) const {
-  if (cache_bytes_limit_.load(std::memory_order_relaxed) == 0) return;
-  MutexLock lock(cache_mutex_);
-  uint64_t& rent = cache_rent_[shard];
-  if (rent == kUncacheable) return;
-  rent = cost < kUncacheable - 1 - rent ? rent + cost : kUncacheable - 1;
-}
-
-std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
-    size_t shard, size_t pending) const {
-  const ShardEntry& entry = entries_[shard];
-  if (!entry.has_payload()) return nullptr;
-  if (cache_bytes_limit_.load(std::memory_order_relaxed) == 0) {
-    return nullptr;
-  }
-  {
+Result<ShardAnswer> ShardStore::Answer(size_t shard, const NodeId* locals,
+                                       size_t count, bool out) const {
+  ShardAnswer answer;
+  answer.locals_ = locals;
+  answer.out_ = out;
+  const bool caching =
+      cache_bytes_limit_.load(std::memory_order_relaxed) != 0;
+  bool buy = false;
+  if (caching) {
     MutexLock lock(cache_mutex_);
-    if (cache_slots_[shard] != nullptr) {
-      cache_last_use_[shard] = ++cache_tick_;
-      return cache_slots_[shard];
-    }
-    if (cache_rent_[shard] == kUncacheable) return nullptr;
-    // Rent or buy: a decode costs about one grammar-direct lookup per
-    // node-map entry, so a shard that only single queries touch is
-    // bought once the lookups it rented have cost that much.
-    if (pending < kBatchDecodeThreshold &&
-        cache_rent_[shard] < entry.nodes.size()) {
-      return nullptr;
+    CacheSlot& slot = cache_[shard];
+    if (slot.decoded != nullptr) {
+      slot.last_use = ++cache_tick_;
+      answer.decoded_ = slot.decoded;
+    } else if (slot.rent != kUncacheable) {
+      // Rent or buy: a decode costs about one grammar-direct lookup per
+      // node-map entry, so a shard that only single queries touch is
+      // bought once the lookups it rented have cost that much.
+      buy = count >= kBatchDecodeThreshold ||
+            slot.rent >= entries_[shard].nodes.size();
     }
   }
+  if (buy) answer.decoded_ = Buy(shard);
+  if (answer.decoded_ != nullptr) {
+    stat_hits_.fetch_add(count, std::memory_order_relaxed);
+    return answer;
+  }
+
+  stat_misses_.fetch_add(count, std::memory_order_relaxed);
+  auto graph = Graph(shard);
+  if (!graph.ok()) return graph.status();
+  const std::vector<NodeId>& nodes = entries_[shard].nodes;
+  uint64_t cost = 0;
+  answer.ends_.reserve(count);
+  for (size_t k = 0; k < count; ++k) {
+    std::vector<uint64_t> part = out ? graph.value()->OutNeighbors(locals[k])
+                                     : graph.value()->InNeighbors(locals[k]);
+    // nodes is increasing, so the mapped list stays sorted and unique.
+    for (uint64_t& u : part) {
+      if (u >= nodes.size()) {
+        return Status::Corruption("shard neighbor id out of range");
+      }
+      u = nodes[u];
+    }
+    cost += 1 + part.size();
+    if (answer.ids_.empty()) {
+      answer.ids_ = std::move(part);
+    } else {
+      answer.ids_.insert(answer.ids_.end(), part.begin(), part.end());
+    }
+    answer.ends_.push_back(answer.ids_.size());
+  }
+  if (caching) {
+    MutexLock lock(cache_mutex_);
+    uint64_t& rent = cache_[shard].rent;
+    if (rent != kUncacheable) {
+      rent = cost < kUncacheable - 1 - rent ? rent + cost : kUncacheable - 1;
+    }
+  }
+  return answer;
+}
+
+std::shared_ptr<const ShardNeighborhoods> ShardStore::Buy(
+    size_t shard) const {
   // Decode outside the lock: it walks the whole grammar (and may
   // fault the shard in first) and must not serialize concurrent
   // queries on other shards. A racing decode of the same shard wastes
@@ -433,14 +468,23 @@ std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
   uint64_t fold_epoch = fold_epoch_.load(std::memory_order_acquire);
   auto graph = Graph(shard);
   if (!graph.ok() || graph.value() == nullptr) {
-    return nullptr;  // fault errors resurface via per-node routing
+    return nullptr;  // fault errors resurface on the grammar-direct path
   }
-  auto decoded = DecodeNeighborhoods(entry.nodes, *graph.value());
-  if (decoded == nullptr) return nullptr;
-  stat_decodes_.fetch_add(1, std::memory_order_relaxed);
+  // A shard whose decoded form cannot fit the budget is never derived:
+  // a few hundred payload bytes can describe billions of edges.
+  std::shared_ptr<const ShardNeighborhoods> decoded;
+  const ShardEntry& entry = entries_[shard];
+  if (NeighborhoodBytes(entry.nodes.size(), graph.value()->num_edges()) <=
+      cache_bytes_limit_.load(std::memory_order_relaxed)) {
+    decoded = DecodeNeighborhoods(entry.nodes, *graph.value());
+    if (decoded != nullptr) {
+      stat_decodes_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
   MutexLock lock(cache_mutex_);
-  if (cache_slots_[shard] != nullptr) return cache_slots_[shard];
+  CacheSlot& slot = cache_[shard];
+  if (slot.decoded != nullptr) return slot.decoded;
   if (fold_epoch_.load(std::memory_order_relaxed) != fold_epoch) {
     // Usable for this call (the caller's overlay snapshot predates the
     // publish, so the pre-fold view merges correctly), but stale for
@@ -448,18 +492,18 @@ std::shared_ptr<const ShardNeighborhoods> ShardStore::Decoded(
     return decoded;
   }
   size_t budget = cache_bytes_limit_.load(std::memory_order_relaxed);
-  // A shard that cannot fit the budget must not flush everyone else
-  // on every decode: it is returned for this call, not retained,
-  // nothing is evicted for it, and it is marked uncacheable so the
-  // decode is not endlessly repeated and discarded.
-  if (decoded->bytes > budget) {
-    cache_rent_[shard] = kUncacheable;
+  // Not retrying a shard that failed or cannot fit keeps it from
+  // flushing everyone else, or paying a decode, on every call. One
+  // that outgrew a budget shrunk during the decode is returned for
+  // this call, not retained, and nothing is evicted for it.
+  if (decoded == nullptr || decoded->bytes > budget) {
+    slot.rent = kUncacheable;
     return decoded;
   }
-  cache_rent_[shard] = 0;
+  slot.rent = 0;
   EvictLocked(budget - decoded->bytes);
-  cache_slots_[shard] = decoded;
-  cache_last_use_[shard] = ++cache_tick_;
+  slot.decoded = decoded;
+  slot.last_use = ++cache_tick_;
   cache_bytes_used_ += decoded->bytes;
   return decoded;
 }
@@ -471,13 +515,13 @@ void ShardStore::Publish(
   MutexLock lock(cache_mutex_);
   for (auto& [shard, fold] : folds) {
     changed[shard] = 1;
-    folded_published_[shard].store(fold.get(), std::memory_order_release);
+    slots_[shard].folded.store(fold.get(), std::memory_order_release);
     folded_keep_.push_back(std::move(fold));
   }
   if (replace_all) {
     for (size_t i = 0; i < entries_.size(); ++i) {
       if (!changed[i] && Folded(i) != nullptr) {
-        folded_published_[i].store(nullptr, std::memory_order_release);
+        slots_[i].folded.store(nullptr, std::memory_order_release);
         changed[i] = 1;  // its cache slot is stale too
       }
     }
@@ -489,16 +533,19 @@ void ShardStore::Publish(
   fold_epoch_.fetch_add(1, std::memory_order_release);
   for (size_t i = 0; i < entries_.size(); ++i) {
     if (!changed[i]) continue;
-    if (cache_slots_[i] != nullptr) {
-      cache_bytes_used_ -= cache_slots_[i]->bytes;
-      cache_slots_[i] = nullptr;
+    CacheSlot& slot = cache_[i];
+    if (slot.decoded != nullptr) {
+      cache_bytes_used_ -= slot.decoded->bytes;
+      slot.decoded = nullptr;
       stat_evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    cache_rent_[i] = 0;  // the new payload may fit the budget
+    slot.rent = 0;  // the new payload may fit the budget
   }
 }
 
 void ShardStore::AddStats(api::QueryStats* stats) const {
+  stats->cache_hits += stat_hits_.load(std::memory_order_relaxed);
+  stats->cache_misses += stat_misses_.load(std::memory_order_relaxed);
   stats->shard_decodes += stat_decodes_.load(std::memory_order_relaxed);
   stats->cache_evictions += stat_evictions_.load(std::memory_order_relaxed);
   stats->shard_faults += stat_faults_.load(std::memory_order_relaxed);
@@ -517,7 +564,7 @@ void ShardStore::AddStats(api::QueryStats* stats) const {
     const FoldedShard* folded = Folded(i);
     const CompressedGraph* graph =
         folded != nullptr ? folded->graph.get()
-                          : lazy_published_[i].load(std::memory_order_acquire);
+                          : slots_[i].published.load(std::memory_order_acquire);
     if (graph == nullptr) continue;
     stats->memo_entries += graph->memo_entries();
     stats->memo_hits += graph->memo_hits();

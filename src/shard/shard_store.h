@@ -1,19 +1,26 @@
-// ShardStore: every per-shard slot of a sharded rep, and nothing about
-// routing or edits.
+// ShardStore: every per-shard slot of a sharded rep, and each shard's
+// answers; nothing about routing or edits.
 //
-// Per shard it keeps three things. The base fault turns the shard's
-// payload bytes, fetched from the ShardSource and checksum-verified,
-// into the shard's CompressedGraph on first touch (per-shard mutex,
-// lock-free once published). The folded replacement is the payload and
-// graph a fold or an applied delta installs through Publish; it
-// supersedes the base wherever payload bytes or shard graphs are read.
-// The decoded neighborhood is the shard's whole out/in adjacency in
+// Per shard it keeps one Slot and one cache entry. The slot's base
+// fault turns the shard's payload bytes, fetched from the ShardSource
+// and checksum-verified, into the shard's CompressedGraph on first
+// touch (under the slot's mutex, lock-free once published). The
+// slot's folded replacement is the payload and graph a fold or an
+// applied delta installs through Publish; it supersedes the base
+// wherever payload bytes or shard graphs are read. The cache entry is
+// the shard's decoded neighborhood: its whole out/in adjacency in
 // global ids, kept in one LRU cache under a byte budget
-// (set_query_cache_bytes, 0 disables it) and evicted whole. Prefetch faults shards ahead of
-// demand on the caller's fan-out. Across shards it keeps the owner
-// index, which routes a global id to the shards holding it. Faulted and
-// folded graphs are retained for the store's lifetime, and so is the
-// owner index once the first routed lookup builds it (12 B per node-map
+// (set_query_cache_bytes, 0 disables it) and evicted whole.
+//
+// Answer is the one way a query reads a shard, and it makes the
+// rent-or-buy decision: it answers from the decoded cache, or buys
+// the decode, or looks the nodes up grammar-direct and charges their
+// cost to the shard's rent. The rep only routes ids to shards and
+// merges. Prefetch faults shards ahead of demand on the caller's
+// fan-out. Across shards the store keeps the owner index, which
+// routes a global id to the shards holding it. Faulted and folded
+// graphs are retained for the store's lifetime, and so is the owner
+// index once the first routed lookup builds it (12 B per node-map
 // entry plus at most 4 B per entry for its buckets); the byte budget
 // governs decoded shards only. Answers never depend on what is
 // resident or cached.
@@ -32,7 +39,6 @@
 #include "src/api/graph_codec.h"
 #include "src/query/compressed_graph.h"
 #include "src/shard/container.h"
-#include "src/util/arena.h"
 #include "src/util/byte_io.h"
 #include "src/util/status.h"
 #include "src/util/sync.h"
@@ -168,9 +174,9 @@ class OwnerIndex {
 /// the node at local index. Immutable once built.
 ///
 /// Storage is a CSR layout (offsets + one flat id array per direction)
-/// carved out of a single arena block sized by a counting pass, so a
-/// decode does one allocation instead of one per node per direction.
-/// The spans point into the arena and share its lifetime.
+/// in one buffer sized by a counting pass, so a decode does one
+/// allocation instead of one per node per direction. The spans point
+/// into the buffer and share its lifetime.
 struct ShardNeighborhoods {
   struct Span {
     const uint64_t* data = nullptr;
@@ -188,14 +194,12 @@ struct ShardNeighborhoods {
             static_cast<size_t>(in_off[local + 1] - in_off[local])};
   }
 
-  Arena arena;
+  std::unique_ptr<uint64_t[]> words;  // out_off, in_off, out_data, in_data
   const uint64_t* out_off = nullptr;  // n + 1 entries
   const uint64_t* in_off = nullptr;   // n + 1 entries
-  uint64_t* out_data = nullptr;
-  uint64_t* in_data = nullptr;
+  const uint64_t* out_data = nullptr;
+  const uint64_t* in_data = nullptr;
   size_t bytes = 0;  ///< what the cache budget charges
-
-  explicit ShardNeighborhoods(size_t reserve_bytes) : arena(reserve_bytes) {}
 };
 
 /// \brief Decodes `graph` (a shard whose local node i is global id
@@ -217,6 +221,31 @@ struct FoldedShard {
   std::vector<uint8_t> payload;
   uint64_t checksum = 0;
   std::shared_ptr<const CompressedGraph> graph;
+};
+
+/// \brief One shard's answers to one ShardStore::Answer call: at(k) is
+/// the k-th requested local id's neighbors, sorted and unique global
+/// ids. They point into the decoded cache when the shard is decoded,
+/// else into the grammar-direct answers the call computed; either way
+/// they live as long as the answer and the `locals` it was asked for.
+class ShardAnswer {
+ public:
+  ShardNeighborhoods::Span at(size_t k) const {
+    if (decoded_ != nullptr) {
+      return out_ ? decoded_->Out(locals_[k]) : decoded_->In(locals_[k]);
+    }
+    const size_t begin = k == 0 ? 0 : ends_[k - 1];
+    return {ids_.data() + begin, ends_[k] - begin};
+  }
+
+ private:
+  friend class ShardStore;
+
+  std::shared_ptr<const ShardNeighborhoods> decoded_;
+  const NodeId* locals_ = nullptr;
+  bool out_ = true;
+  std::vector<uint64_t> ids_;  // grammar-direct lists, back to back
+  std::vector<size_t> ends_;   // one past each list in ids_
 };
 
 class ShardStore {
@@ -255,7 +284,7 @@ class ShardStore {
   /// \brief The current folded replacement of `shard`, or nullptr while
   /// it carries its base grammar (acquire-load, lock-free).
   const FoldedShard* Folded(size_t shard) const {
-    return folded_published_[shard].load(std::memory_order_acquire);
+    return slots_[shard].folded.load(std::memory_order_acquire);
   }
 
   /// \brief Byte length of the shard's current payload.
@@ -278,20 +307,17 @@ class ShardStore {
   /// \brief Byte budget of the decoded cache; 0 disables it.
   void set_query_cache_bytes(size_t bytes);
 
-  /// \brief The shard's decoded neighborhoods from the cache. On a
-  /// miss it decodes the whole shard at once when a batch puts
-  /// `pending` >= 2 nodes on it; a single query (`pending` 1) decodes
-  /// it only once the rent charged by ChargeLookups reaches the
-  /// shard's node-map size (rent or buy). Null when caching is
-  /// disabled, the decode is not yet worth it, or it failed (callers
-  /// then route per node through Graph and charge the lookups).
-  std::shared_ptr<const ShardNeighborhoods> Decoded(size_t shard,
-                                                    size_t pending) const;
-
-  /// \brief Charges grammar-direct lookups on `shard` against its
-  /// rent: `cost` is one per lookup plus the ids it answered.
-  /// Saturating; reset when the shard is decoded into the cache.
-  void ChargeLookups(size_t shard, uint64_t cost) const
+  /// \brief The out (or in) neighbors of `count` local ids of `shard`,
+  /// which must have a payload; `locals` must outlive the answer. They
+  /// come from the decoded cache when it holds the shard or this call
+  /// buys it: a call putting 2 or more nodes on the shard decodes it at
+  /// once, and calls of fewer decode it once the rent they paid reaches
+  /// its node-map size (rent or buy). Otherwise each is a grammar-direct
+  /// lookup in the shard's graph, faulted in on first touch, that
+  /// charges the rent one plus the ids it answered. Each node counts
+  /// one cache hit or miss.
+  Result<ShardAnswer> Answer(size_t shard, const NodeId* locals,
+                             size_t count, bool out) const
       GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
   /// \brief Installs folded shards and invalidates their cache slots
@@ -302,12 +328,41 @@ class ShardStore {
       std::vector<std::pair<size_t, std::shared_ptr<FoldedShard>>> folds,
       bool replace_all) GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
-  /// \brief Adds fault, prefetch, cache and source counters plus the
-  /// resident shard graphs' memo counters. Never faults a shard.
+  /// \brief Adds the answer (cache hit and miss), fault, prefetch,
+  /// cache and source counters plus the resident shard graphs' memo
+  /// counters. Never faults a shard.
   void AddStats(api::QueryStats* stats) const
       GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
 
  private:
+  // One shard's fault and fold state. The base graph is written once,
+  // under the slot's mutex, and then published for lock-free reads;
+  // it is never reset, so a published pointer stays valid for the
+  // store's lifetime. The folded pointer is written only inside
+  // Publish.
+  struct Slot {
+    Mutex fault_mutex;  // also serializes the source's FetchShard
+    std::unique_ptr<const CompressedGraph> base
+        GREPAIR_GUARDED_BY(fault_mutex);
+    std::atomic<const CompressedGraph*> published{nullptr};
+    std::atomic<const FoldedShard*> folded{nullptr};
+  };
+
+  // One shard's decoded-cache state.
+  struct CacheSlot {
+    std::shared_ptr<const ShardNeighborhoods> decoded;
+    uint64_t last_use = 0;  // LRU stamp
+    // Grammar-direct lookup cost charged since the last decode, or
+    // kUncacheable.
+    uint64_t rent = 0;
+  };
+
+  /// Decodes `shard` and caches it under the budget; null when it
+  /// cannot fit the budget or the decode fails (both mark it
+  /// uncacheable) or the fault fails.
+  std::shared_ptr<const ShardNeighborhoods> Buy(size_t shard) const
+      GREPAIR_LOCKS_EXCLUDED(cache_mutex_);
+
   /// LRU eviction of decoded shards down to `target` bytes.
   void EvictLocked(size_t target) const GREPAIR_REQUIRES(cache_mutex_);
 
@@ -317,38 +372,18 @@ class ShardStore {
   mutable std::once_flag owner_index_once_;
   mutable std::unique_ptr<const OwnerIndex> owner_index_;
 
-  // Base faults. lazy_slots_[i] is written only under
-  // fault_mutexes_[i]; a per-element capability is not expressible
-  // with GUARDED_BY (one mutex object per array slot), so the
-  // invariant is enforced by code review + the lock-free published
-  // pointer. Slots are never reset, so a published pointer stays
-  // valid for the store's lifetime.
-  mutable std::vector<std::shared_ptr<const CompressedGraph>> lazy_slots_;
-  mutable std::unique_ptr<std::atomic<const CompressedGraph*>[]>
-      lazy_published_;
-  mutable std::unique_ptr<Mutex[]> fault_mutexes_;
+  std::unique_ptr<Slot[]> slots_;  // one per entry
 
-  // Folded replacements: written only inside Publish, read lock-free
-  // with acquire. folded_keep_ retains every published FoldedShard for
-  // the store's lifetime — the documented cost of lock-free readers (a
-  // corpus folds a few times, not millions).
-  std::unique_ptr<std::atomic<const FoldedShard*>[]> folded_published_;
-
-  // Decoded cache: one slot per shard plus LRU stamps, all guarded by
-  // cache_mutex_; the pointed-to data is immutable, so readers only
-  // hold the lock for the lookup.
+  // Guarded by cache_mutex_: folded_keep_, which retains every
+  // published FoldedShard for the store's lifetime (the documented cost
+  // of lock-free readers; a corpus folds a few times, not millions),
+  // and the decoded cache, whose pointed-to data is immutable, so
+  // readers only hold the lock for the lookup.
   std::atomic<size_t> cache_bytes_limit_{kDefaultQueryCacheBytes};
   mutable Mutex cache_mutex_;
   std::vector<std::shared_ptr<FoldedShard>> folded_keep_
       GREPAIR_GUARDED_BY(cache_mutex_);
-  mutable std::vector<std::shared_ptr<const ShardNeighborhoods>>
-      cache_slots_ GREPAIR_GUARDED_BY(cache_mutex_);
-  mutable std::vector<uint64_t> cache_last_use_
-      GREPAIR_GUARDED_BY(cache_mutex_);
-  // Grammar-direct lookup cost charged per shard since its last
-  // decode (ChargeLookups), or kUncacheable.
-  mutable std::vector<uint64_t> cache_rent_
-      GREPAIR_GUARDED_BY(cache_mutex_);
+  mutable std::vector<CacheSlot> cache_ GREPAIR_GUARDED_BY(cache_mutex_);
   mutable uint64_t cache_tick_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;
   mutable size_t cache_bytes_used_ GREPAIR_GUARDED_BY(cache_mutex_) = 0;
   // Pairs an in-flight decode with the grammar it read: its cache
@@ -356,6 +391,8 @@ class ShardStore {
   // Bumped and checked under cache_mutex_.
   mutable std::atomic<uint64_t> fold_epoch_{0};
 
+  mutable std::atomic<uint64_t> stat_hits_{0};
+  mutable std::atomic<uint64_t> stat_misses_{0};
   mutable std::atomic<uint64_t> stat_decodes_{0};
   mutable std::atomic<uint64_t> stat_evictions_{0};
   mutable std::atomic<uint64_t> stat_faults_{0};

@@ -58,24 +58,6 @@ std::vector<ShardEntry> EntriesOf(ParsedDirectory* dir,
   return entries;
 }
 
-// Grammar-direct lookup in one shard: `local`'s out (or in) neighbors
-// in the shard's graph, mapped back to global ids and appended to
-// *dest. entry.nodes is increasing, so the appended run stays sorted
-// and deduplicated.
-Status AppendShardNeighbors(const ShardEntry& entry,
-                            const CompressedGraph& graph, NodeId local,
-                            bool out, std::vector<uint64_t>* dest) {
-  const std::vector<uint64_t> part =
-      out ? graph.OutNeighbors(local) : graph.InNeighbors(local);
-  for (uint64_t u : part) {
-    if (u >= entry.nodes.size()) {
-      return Status::Corruption("shard neighbor id out of range");
-    }
-    dest->push_back(entry.nodes[u]);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -195,11 +177,8 @@ Result<Hypergraph> ShardedRep::Decompress() const {
 // ---------------------------------------------------------------------------
 // Routing
 
-// Shared routing for Out/InNeighbors: per owning shard (one owner-index
-// lookup) either the decoded-neighborhood cache or a grammar-direct
-// lookup in the shard's graph — faulted in on first touch, and charged
-// to the shard's rent (ShardStore::Decoded) — then merge and apply the
-// overlay.
+// Shared routing for Out/InNeighbors: one owner-index lookup, one
+// store answer per owning shard, then merge and apply the overlay.
 Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
                                                           bool out) const {
   GREPAIR_RETURN_IF_ERROR(api::CheckNodeId(node, num_nodes()));
@@ -208,22 +187,10 @@ Result<std::vector<uint64_t>> ShardedRep::RoutedNeighbors(uint64_t node,
   const OwnerIndex::Run owners = store_.owner_index().Owners(node);
   std::vector<uint64_t> all;
   for (const ShardOwner& owner : owners) {
-    const size_t i = owner.shard;
-    const NodeId local = owner.local;
-    auto cached = store_.Decoded(i, 1);
-    if (cached != nullptr) {
-      stat_hits_.fetch_add(1, std::memory_order_relaxed);
-      const auto list = out ? cached->Out(local) : cached->In(local);
-      all.insert(all.end(), list.begin(), list.end());
-      continue;
-    }
-    stat_misses_.fetch_add(1, std::memory_order_relaxed);
-    auto graph = store_.Graph(i);
-    if (!graph.ok()) return graph.status();
-    size_t before = all.size();
-    GREPAIR_RETURN_IF_ERROR(AppendShardNeighbors(
-        store_.entry(i), *graph.value(), local, out, &all));
-    store_.ChargeLookups(i, 1 + (all.size() - before));
+    auto answer = store_.Answer(owner.shard, &owner.local, 1, out);
+    if (!answer.ok()) return answer.status();
+    const auto list = answer.value().at(0);
+    all.insert(all.end(), list.begin(), list.end());
   }
   // Each shard's part is sorted and deduplicated: only a node with
   // several owners needs the merge.
@@ -292,54 +259,36 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
 
   size_t shard_count = store_.num_shards();
-  // Group the unique nodes by owning shard: (unique index, local id)
-  // per shard. Vertex-cut shards may share nodes, so one node can
-  // appear in several groups.
-  std::vector<std::vector<std::pair<size_t, NodeId>>> groups(shard_count);
+  // Group the unique nodes by owning shard: per shard the local ids and
+  // the unique index each answers. Vertex-cut shards may share nodes,
+  // so one node can appear in several groups.
+  std::vector<std::vector<NodeId>> locals(shard_count);
+  std::vector<std::vector<size_t>> uniq_at(shard_count);
   std::vector<uint32_t> owner_count(uniq.size(), 0);
   const OwnerIndex& owner_index = store_.owner_index();
   for (size_t u = 0; u < uniq.size(); ++u) {
     const OwnerIndex::Run owners = owner_index.Owners(uniq[u]);
     owner_count[u] = static_cast<uint32_t>(owners.size());
     for (const ShardOwner& owner : owners) {
-      groups[owner.shard].emplace_back(u, owner.local);
+      locals[owner.shard].push_back(owner.local);
+      uniq_at[owner.shard].push_back(u);
     }
   }
 
-  // Per-shard answers, filled by the pool workers into per-shard
-  // slots and merged single-threaded afterwards, so the result is
-  // byte-identical for every thread count. For shards served from the
-  // decoded-neighborhood cache the worker only records the cache
-  // handle; the merge reads the lists in place.
-  std::vector<std::vector<std::vector<uint64_t>>> partial(shard_count);
-  std::vector<std::shared_ptr<const ShardNeighborhoods>> used_cache(
-      shard_count);
+  // One store answer per shard on the pool, merged single-threaded
+  // afterwards, so the result is byte-identical for every thread count.
+  // The merge reads decoded lists in place.
+  std::vector<ShardAnswer> answers(shard_count);
   std::vector<Status> shard_status(shard_count, Status::OK());
   RunIndexedOnPool(shard_count, threads(), [&](size_t i) {
-    if (groups[i].empty()) return;
-    used_cache[i] = store_.Decoded(i, groups[i].size());
-    if (used_cache[i] != nullptr) {
-      stat_hits_.fetch_add(groups[i].size(), std::memory_order_relaxed);
+    if (locals[i].empty()) return;
+    auto answer =
+        store_.Answer(i, locals[i].data(), locals[i].size(), /*out=*/true);
+    if (!answer.ok()) {
+      shard_status[i] = answer.status();
       return;
     }
-    stat_misses_.fetch_add(groups[i].size(), std::memory_order_relaxed);
-    auto graph = store_.Graph(i);
-    if (!graph.ok()) {
-      shard_status[i] = graph.status();
-      return;
-    }
-    partial[i].resize(groups[i].size());
-    uint64_t cost = 0;
-    for (size_t k = 0; k < groups[i].size(); ++k) {
-      // Sorted and deduplicated: single-owner answers need no re-sort.
-      shard_status[i] =
-          AppendShardNeighbors(store_.entry(i), *graph.value(),
-                               groups[i][k].second, /*out=*/true,
-                               &partial[i][k]);
-      if (!shard_status[i].ok()) return;
-      cost += 1 + partial[i][k].size();
-    }
-    store_.ChargeLookups(i, cost);
+    answers[i] = std::move(answer).ValueOrDie();
   });
   for (size_t i = 0; i < shard_count; ++i) {
     if (!shard_status[i].ok()) return shard_status[i];
@@ -350,20 +299,10 @@ Result<std::vector<std::vector<uint64_t>>> ShardedRep::OutNeighborsBatch(
   // only genuinely cut nodes pay a sort + dedup.
   std::vector<std::vector<uint64_t>> uniq_results(uniq.size());
   for (size_t i = 0; i < shard_count; ++i) {
-    for (size_t k = 0; k < groups[i].size(); ++k) {
-      size_t u = groups[i][k].first;
-      const uint64_t* list_begin;
-      const uint64_t* list_end;
-      if (used_cache[i] != nullptr) {
-        const auto span = used_cache[i]->Out(groups[i][k].second);
-        list_begin = span.begin();
-        list_end = span.end();
-      } else {
-        list_begin = partial[i][k].data();
-        list_end = list_begin + partial[i][k].size();
-      }
-      auto& dest = uniq_results[u];
-      dest.insert(dest.end(), list_begin, list_end);
+    for (size_t k = 0; k < locals[i].size(); ++k) {
+      const auto list = answers[i].at(k);
+      auto& dest = uniq_results[uniq_at[i][k]];
+      dest.insert(dest.end(), list.begin(), list.end());
     }
   }
   for (size_t u = 0; u < uniq.size(); ++u) {
@@ -429,8 +368,6 @@ api::QueryStats ShardedRep::query_stats() const {
   stats.single_queries = stat_singles_.load(std::memory_order_relaxed);
   stats.batch_calls = stat_batch_calls_.load(std::memory_order_relaxed);
   stats.batch_items = stat_batch_items_.load(std::memory_order_relaxed);
-  stats.cache_hits = stat_hits_.load(std::memory_order_relaxed);
-  stats.cache_misses = stat_misses_.load(std::memory_order_relaxed);
   store_.AddStats(&stats);
   corpus_.AddStats(&stats);
   return stats;

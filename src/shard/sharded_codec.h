@@ -9,11 +9,11 @@
 //
 // ShardedRep answers queries by routing: one lookup in the store's
 // owner index gives every shard that holds a global node, with its
-// local id there (vertex-cut shards share nodes), each shard answers
-// from its decoded neighborhoods or grammar-direct on its
-// CompressedGraph (both from the ShardStore), the parts are mapped
-// back to global ids and merged, and the corpus overlay is merged last
-// (MutableCorpus, whose header states the reader protocol).
+// local id there (vertex-cut shards share nodes), one
+// ShardStore::Answer per shard gives that shard's part in global ids
+// (from its decoded neighborhoods or grammar-direct, as the store
+// decides), the parts are merged, and the corpus overlay is merged
+// last (MutableCorpus, whose header states the reader protocol).
 // Reachability is a BFS over routed neighbor queries, so it crosses
 // shards. Batches group nodes by shard and fan out over the rep's
 // thread pool; their answers are identical for every thread count.
@@ -70,9 +70,9 @@ class ShardedRep : public api::CompressedRep {
   Result<std::vector<uint64_t>> InNeighbors(uint64_t node) const override;
   Result<bool> Reachable(uint64_t from, uint64_t to) const override;
 
-  /// \brief Batch neighbor queries: nodes grouped by owning shard,
-  /// shards decoded into the cache where the batch amortizes it, work
-  /// fanned out over the thread pool. Result order follows the input
+  /// \brief Batch neighbor queries: nodes grouped by owning shard, one
+  /// store answer per shard (which decodes a shard the batch puts 2 or
+  /// more nodes on), fanned out over the thread pool. Result order follows the input
   /// order and is identical for every thread count.
   Result<std::vector<std::vector<uint64_t>>> OutNeighborsBatch(
       const std::vector<uint64_t>& nodes) const override;
@@ -124,8 +124,8 @@ class ShardedRep : public api::CompressedRep {
   size_t num_shards() const { return store_.num_shards(); }
   const Entry& entry(size_t i) const { return store_.entry(i); }
 
-  /// \brief The per-shard slots: faults, verified payloads, decoded
-  /// neighborhoods, prefetch.
+  /// \brief The per-shard slots: faults, verified payloads, answers,
+  /// prefetch.
   const ShardStore& store() const { return store_; }
 
   // Store knobs (see ShardStore); Prefetch faults on the thread pool.
@@ -183,8 +183,6 @@ class ShardedRep : public api::CompressedRep {
   mutable std::atomic<uint64_t> stat_singles_{0};
   mutable std::atomic<uint64_t> stat_batch_calls_{0};
   mutable std::atomic<uint64_t> stat_batch_items_{0};
-  mutable std::atomic<uint64_t> stat_hits_{0};
-  mutable std::atomic<uint64_t> stat_misses_{0};
 };
 
 /// \brief The "sharded:grepair" codec.

@@ -7,8 +7,7 @@
 // sweeps drive randomized streams, every truncation length, and every
 // single-bit flip across the Peek64 refill boundary, so a divergence
 // anywhere in the 64-bit window logic fails loudly here before it can
-// corrupt a container decode. Also covers the Arena used for decoded
-// shard neighborhoods.
+// corrupt a container decode.
 
 #include <cstdint>
 #include <random>
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/arena.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
 
@@ -270,57 +268,6 @@ TEST(DecodeFastTest, ScalarDispatchFlagRoutesFastEntryPoints) {
   ASSERT_TRUE(EliasDeltaDecode(&r, &v).ok());
   SetEliasDecodeScalarForTest(false);
   EXPECT_EQ(v, 12345u);
-}
-
-TEST(ArenaTest, CarvesZeroedAlignedArraysFromOneBlock) {
-  Arena arena(1 << 16);
-  size_t reserved_before = arena.bytes_reserved();
-  uint64_t* a = arena.AllocateArray<uint64_t>(100);
-  uint32_t* b = arena.AllocateArray<uint32_t>(7);
-  uint64_t* c = arena.AllocateArray<uint64_t>(900);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(uint64_t), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % alignof(uint64_t), 0u);
-  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(a[i], 0u);
-  for (size_t i = 0; i < 900; ++i) EXPECT_EQ(c[i], 0u);
-  // Everything fit the first block: no growth.
-  EXPECT_EQ(arena.bytes_reserved(), reserved_before);
-  EXPECT_GE(arena.bytes_allocated(), 100 * 8 + 7 * 4 + 900 * 8);
-  // Writes land and stay disjoint.
-  a[99] = 1;
-  b[6] = 2;
-  c[0] = 3;
-  EXPECT_EQ(a[99], 1u);
-  EXPECT_EQ(b[6], 2u);
-  EXPECT_EQ(c[0], 3u);
-}
-
-TEST(ArenaTest, GrowsWhenABlockFills) {
-  Arena arena(64);
-  std::vector<uint64_t*> arrays;
-  for (int i = 0; i < 50; ++i) {
-    uint64_t* p = arena.AllocateArray<uint64_t>(33);
-    for (size_t j = 0; j < 33; ++j) {
-      EXPECT_EQ(p[j], 0u);
-      p[j] = static_cast<uint64_t>(i);
-    }
-    arrays.push_back(p);
-  }
-  // Earlier arrays survive later growth.
-  for (int i = 0; i < 50; ++i) {
-    for (size_t j = 0; j < 33; ++j) {
-      EXPECT_EQ(arrays[i][j], static_cast<uint64_t>(i));
-    }
-  }
-  EXPECT_GE(arena.bytes_allocated(), 50u * 33 * 8);
-}
-
-TEST(ArenaTest, ZeroLengthArraysAreValid) {
-  Arena arena;
-  EXPECT_NE(arena.AllocateArray<uint64_t>(0), nullptr);
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // delta's publish is not cached. Also covers MmapFile's error surface
 // and the api-level Open entry points. A container whose header claims
 // 2^32-1 nodes answers queries, edits and folds without an allocation
-// sized by that count: this binary replaces the global operator
-// new/delete to record the largest request.
+// sized by that count, and a tiny payload describing a million parallel
+// edges answers without deriving them: this binary replaces the global
+// operator new/delete to record the largest request.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz/golden_seeds.h"
 #include "src/api/grepair_api.h"
+#include "src/encoding/grammar_coder.h"
 #include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
 
@@ -521,6 +524,39 @@ TEST(LazyOpenTest, HugeClaimedNodeCountAllocatesByTheMapsOnly) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch.value(), std::vector<Ids>({Ids({kC}), Ids({kA}), Ids({kC})}));
   EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
+}
+
+TEST(LazyOpenTest, StackedParallelRulesAnswerWithinABoundedAllocation) {
+  // One 2-node shard whose grammar stacks 20 levels of two parallel
+  // copies of the rule below: val(G) is 2^20 parallel edges 0 -> 1 in
+  // a payload of about 150 bytes. Queries must answer without listing
+  // them: the memo keeps each external position once per list, and a
+  // shard whose decoded form cannot fit the cache budget is never
+  // derived, not even by a batch.
+  const SlhrGrammar grammar = fuzz::DoublingGrammar(21, /*new_node=*/false);
+  const std::vector<uint8_t> grammar_bytes = EncodeGrammar(grammar);
+  const std::vector<uint8_t> mapping = EncodeNodeMapping(grammar, {0, 1});
+  std::vector<uint8_t> payload = {1};  // carries psi'
+  PutU64LE(grammar_bytes.size(), &payload);
+  payload.insert(payload.end(), grammar_bytes.begin(), grammar_bytes.end());
+  payload.insert(payload.end(), mapping.begin(), mapping.end());
+  shard::V2Encoder encoder(/*num_nodes=*/2, 1);
+  encoder.AddShard({0, 1}, SpanOf(payload),
+                   HashBytes(payload.data(), payload.size()));
+  auto rep = shard::ShardedRep::Deserialize(std::move(encoder).Finish());
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  shard::ShardedRep& sharded = *rep.value();
+  sharded.set_query_cache_bytes(1 << 20);
+
+  g_largest_allocation.store(0);
+  using Ids = std::vector<uint64_t>;
+  EXPECT_EQ(sharded.OutNeighbors(0).ValueOrDie(), Ids({1}));
+  EXPECT_EQ(sharded.InNeighbors(1).ValueOrDie(), Ids({0}));
+  auto batch = sharded.OutNeighborsBatch({0, 1});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value(), std::vector<Ids>({Ids({1}), Ids()}));
+  EXPECT_EQ(sharded.query_stats().shard_decodes, 0u);
+  EXPECT_LT(g_largest_allocation.load(), size_t{64} << 10);
 }
 
 TEST(MmapFileTest, ErrorsNameThePath) {

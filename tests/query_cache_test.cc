@@ -1,5 +1,5 @@
 // The batch query engine and the store's one query cache (the
-// decoded-shard cache, ShardStore::Decoded), end to end:
+// decoded-shard cache behind ShardStore::Answer), end to end:
 //
 //   * cached (warm) and batched answers are byte-identical to fresh
 //     uncached single-call answers, against ground truth,
@@ -298,6 +298,37 @@ TEST(QueryCacheTest, ColdSinglesStayOnTheGrammarUntilTheyPayForADecode) {
   EXPECT_EQ(warm.shard_decodes, 1u);
   EXPECT_EQ(warm.cache_hits - bought.cache_hits, 5u);
   EXPECT_EQ(warm.cache_misses, bought.cache_misses);
+}
+
+// Hits and misses count per owning shard: a node two shards hold costs
+// two misses while both are cold and two hits once a batch decoded
+// both.
+TEST(QueryCacheTest, HitsAndMissesCountPerOwningShard) {
+  GeneratedGraph gg = BarabasiAlbert(150, 3, 5);
+  auto rep = MakeSharded(gg);
+  const shard::ShardedRep& sharded = *AsSharded(rep.get());
+  const uint64_t n = gg.graph.num_nodes();
+  uint64_t node = n;
+  for (uint64_t v = 0; v < n && node == n; ++v) {
+    if (sharded.store().owner_index().Owners(v).size() == 2) node = v;
+  }
+  ASSERT_LT(node, n);
+  const std::vector<uint64_t> truth = TruthNeighbors(gg.graph, node, true);
+
+  ASSERT_EQ(rep->OutNeighbors(node).ValueOrDie(), truth);
+  QueryStats cold = rep->query_stats();
+  EXPECT_EQ(cold.cache_misses, 2u);
+  EXPECT_EQ(cold.cache_hits, 0u);
+
+  std::vector<uint64_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  ASSERT_TRUE(rep->OutNeighborsBatch(all).ok());
+  QueryStats batched = rep->query_stats();
+  ASSERT_EQ(rep->OutNeighbors(node).ValueOrDie(), truth);
+  QueryStats warm = rep->query_stats();
+  EXPECT_EQ(warm.cache_hits - batched.cache_hits, 2u);
+  EXPECT_EQ(warm.cache_misses, batched.cache_misses);
+  EXPECT_EQ(warm.shard_decodes, batched.shard_decodes);
 }
 
 TEST(QueryCacheTest, GrepairMemoTablesAreTransparent) {
