@@ -222,8 +222,10 @@ inline const char* CheckEliasDifferential(const uint8_t* data, size_t size) {
 /// K2Tree::Deserialize and the enumerate-only K2Tree::DecodeCells
 /// accept exactly the same inputs with the same status, and a parsed
 /// tree's AllCells is sorted, unique, in bounds, num_cells() long and
-/// equal to DecodeCells' keys; every listed cell satisfies Contains,
-/// and on matrices up to 64 x 64 Contains holds on no other cell.
+/// equal to DecodeCells' keys once sorted, which come ascending within
+/// each row and each column (level order); every listed cell satisfies
+/// Contains, and on matrices up to 64 x 64 Contains holds on no other
+/// cell.
 inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
   BitReader ranked_reader(data, size * 8);
   auto tree = K2Tree::Deserialize(&ranked_reader);
@@ -262,6 +264,22 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
   if (c.keys.size() != all.size()) {
     return "DecodeCells lists a different number of cells than AllCells";
   }
+  // Level order: a row's cells ascend by column and a column's by row.
+  // Sorting by (col, row) the one way and stably by row the other must
+  // leave the keys where they are.
+  std::vector<uint64_t> sorted = c.keys;
+  std::vector<uint64_t> by_col = c.keys;
+  std::stable_sort(by_col.begin(), by_col.end(), [](uint64_t a, uint64_t b) {
+    return (a & 0xFFFFFFFFu) < (b & 0xFFFFFFFFu);
+  });
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](uint64_t a, uint64_t b) { return a >> 32 < b >> 32; });
+  for (size_t i = 1; i < by_col.size(); ++i) {
+    if ((by_col[i] & 0xFFFFFFFFu) == (by_col[i - 1] & 0xFFFFFFFFu) &&
+        by_col[i] >> 32 <= by_col[i - 1] >> 32) {
+      return "DecodeCells lists a column's cells out of row order";
+    }
+  }
   for (size_t i = 0; i < all.size(); ++i) {
     if (i > 0 && !(all[i - 1] < all[i])) {
       return "AllCells output is not strictly increasing";
@@ -269,7 +287,7 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
     if (all[i].first >= t.num_rows() || all[i].second >= t.num_cols()) {
       return "AllCells lists a cell outside the matrix";
     }
-    if (c.keys[i] != (static_cast<uint64_t>(all[i].first) << 32 |
+    if (sorted[i] != (static_cast<uint64_t>(all[i].first) << 32 |
                       all[i].second)) {
       return "DecodeCells and AllCells list different cells";
     }

@@ -147,6 +147,38 @@ inline SlhrGrammar DoublingGrammar(uint32_t rules, bool new_node = true) {
   return grammar;
 }
 
+/// \brief A hand-built grammar whose start graph exercises the start
+/// adjacency's merge: two terminal rank-2 labels a and b, a parallel
+/// duplicate a edge (a dup patch), a and b on the same cell, a rank-3
+/// terminal hyperedge, and rank-2 nonterminal start edges whose rule
+/// derives one new node each.
+inline SlhrGrammar StartAdjacencyGrammar() {
+  Alphabet alphabet;
+  const Label a = alphabet.Add("a", 2);
+  const Label b = alphabet.Add("b", 2);
+  const Label h = alphabet.Add("h", 3);
+  SlhrGrammar grammar(std::move(alphabet), Hypergraph(5));
+  const Label nt = grammar.AddNonterminal(2);
+  Hypergraph rhs(3);
+  rhs.AddSimpleEdge(0, 2, a);
+  rhs.AddSimpleEdge(2, 1, b);
+  rhs.SetExternal({0, 1});
+  grammar.SetRule(nt, std::move(rhs));
+  Hypergraph* start = grammar.mutable_start();
+  start->AddSimpleEdge(0, 1, a);
+  start->AddSimpleEdge(0, 1, a);  // parallel duplicate
+  start->AddSimpleEdge(0, 1, b);  // same cell, other label
+  start->AddSimpleEdge(3, 0, b);
+  start->AddSimpleEdge(2, 3, a);
+  start->AddSimpleEdge(1, 4, a);
+  start->AddSimpleEdge(4, 2, b);
+  start->AddEdge(h, {4, 0, 2});
+  start->AddSimpleEdge(1, 2, nt);
+  start->AddSimpleEdge(4, 3, nt);
+  CanonicalizeStartEdgeOrder(&grammar, nullptr);
+  return grammar;
+}
+
 /// \brief A grepair payload (CompressedGraph::Serialize's layout: u8
 /// mapping flag, u64 LE grammar length, grammar bytes, mapping bytes)
 /// around `grammar`, with no node mapping. Builds payloads that
@@ -172,8 +204,10 @@ inline std::vector<uint8_t> RetiredV1GrepairPayload() {
 }
 
 /// \brief Seeds for the grepair payload parser: small real payloads
-/// with and without a node mapping, plus the 65-rule DoublingGrammar,
-/// whose val(G) counts wrap uint64_t.
+/// with and without a node mapping, the 65-rule DoublingGrammar, whose
+/// val(G) counts wrap uint64_t, and StartAdjacencyGrammar, whose two
+/// terminal rank-2 labels and dup patch reach the start adjacency's
+/// label merge and edge multiplicity.
 inline std::vector<std::vector<uint8_t>> GoldenGrepairPayloadSeeds() {
   std::vector<std::vector<uint8_t>> seeds;
   auto add = [&](const GeneratedGraph& gg, bool original_ids) {
@@ -190,6 +224,7 @@ inline std::vector<std::vector<uint8_t>> GoldenGrepairPayloadSeeds() {
   add(RdfTypes(60, 4, 92), true);
   add(DisjointCopies(CycleWithDiagonal(), 8, "copies8"), false);
   seeds.push_back(GrammarPayload(DoublingGrammar(65)));
+  seeds.push_back(GrammarPayload(StartAdjacencyGrammar()));
   return seeds;
 }
 

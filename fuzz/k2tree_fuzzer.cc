@@ -2,7 +2,8 @@
 // graph and every k2 payload: K2Tree::Deserialize (ranked, for point
 // queries) and K2Tree::DecodeCells (enumerate-only) must accept the
 // same inputs, and a parsed tree's cell listing must be sorted, unique,
-// in bounds, num_cells long and consistent with Contains (see
+// in bounds, num_cells long and consistent with Contains, with
+// DecodeCells listing the same cells in level order (see
 // CheckK2TreeParse). Seed corpus: fuzz/corpus/k2tree, regenerated by
 // fuzz/gen_corpus.cc.
 

@@ -121,6 +121,8 @@ Result<Hypergraph> HnDecompress(const HnCompressed& compressed) {
     return Status::Corruption("HN tree dimensions mismatch header");
   }
 
+  // The keys come in level order, whose cells of one row already
+  // ascend by column, so each row's list is sorted without a sort.
   std::vector<std::vector<uint32_t>> adj(total);
   for (uint64_t cell : tree.value().keys) {
     adj[cell >> 32].push_back(static_cast<uint32_t>(cell & 0xFFFFFFFFu));

@@ -199,18 +199,27 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
       by_label[fill[start.edge(i).label]++] = i;
     }
   }
+  // The terminal rank-2 edges a decoded grammar keeps in its CSR.
+  const StartAdjacency::LabelGroups csr =
+      grammar.start_adjacency().GroupByLabel();
   for (Label l = 0; l < alpha.size(); ++l) {
     const EdgeId* label_edges = by_label.data() + label_begin[l];
     const uint32_t num_label_edges = label_begin[l + 1] - label_begin[l];
-    w.PutBit(num_label_edges > 0);
-    if (num_label_edges == 0) continue;
+    const uint64_t csr_begin = l + 1 < csr.begin.size() ? csr.begin[l] : 0;
+    const uint64_t csr_end = l + 1 < csr.begin.size() ? csr.begin[l + 1] : 0;
+    w.PutBit(num_label_edges > 0 || csr_end > csr_begin);
+    if (num_label_edges == 0 && csr_end == csr_begin) continue;
     if (alpha.rank(l) == 2) {
       // Adjacency matrix; parallel duplicates patched separately.
       std::vector<std::pair<uint32_t, uint32_t>> cells;
-      cells.reserve(num_label_edges);
+      cells.reserve(num_label_edges + (csr_end - csr_begin));
       for (uint32_t j = 0; j < num_label_edges; ++j) {
         const HEdge& e = start.edge(label_edges[j]);
         cells.push_back({e.att[0], e.att[1]});
+      }
+      for (uint64_t i = csr_begin; i < csr_end; ++i) {
+        cells.push_back({static_cast<uint32_t>(csr.keys[i] >> 32),
+                         static_cast<uint32_t>(csr.keys[i] & 0xFFFFFFFFu)});
       }
       // Already sorted when the start graph is in canonical order.
       std::sort(cells.begin(), cells.end());
@@ -275,7 +284,7 @@ Result<SlhrGrammar> DecodeGrammar(const std::vector<uint8_t>& bytes) {
   return DecodeGrammar(SpanOf(bytes));
 }
 
-Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
+Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
   BitReader r(bytes.data, bytes.size * 8);
   uint64_t magic = 0;
   GREPAIR_RETURN_IF_ERROR(r.ReadBits(32, &magic));
@@ -313,6 +322,11 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
   const uint64_t total_bits = bytes.size * 8;
   if (start_nodes > 0xFFFFFFFFull) {
     return Status::Corruption("start node count out of range");
+  }
+  // The start adjacency's offsets take 8 bytes per start node, and only
+  // the caller knows what bounds the count (see the header).
+  if (start_nodes > max_start_nodes) {
+    return Status::Corruption("start node count exceeds the input");
   }
   if (num_rules > total_bits) {
     return Status::Corruption("rule count exceeds input size");
@@ -386,7 +400,8 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
   // first edge is written, so the edge list is sized once and each
   // edge is appended in place. The tuple sections prove their members
   // in range and distinct as they decode them; a rank-2 cell is
-  // checked as its edge is written. Together they cover what
+  // checked as its edge is written, to start() or, for a terminal
+  // label, to the start adjacency. Together they cover what
   // Hypergraph::Validate would check of the start graph.
   struct Section {
     Label label = 0;
@@ -397,6 +412,7 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
     uint64_t num_edges = 0;
   };
   std::vector<Section> sections;
+  std::vector<StartAdjacency::Section> csr_sections;
   // Attachment tuples of the rank != 2 sections, back to back.
   std::vector<NodeId> members;
   const Alphabet& alpha = grammar.alphabet();
@@ -406,19 +422,22 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
     bool present = false;
     GREPAIR_RETURN_IF_ERROR(r.ReadBit(&present));
     if (!present) continue;
-    Section& section = sections.emplace_back();
-    section.label = l;
     if (alpha.rank(l) == 2) {
+      // The walk lists the cells in level order (Z-order), which the
+      // CSR build takes as is; dup patches and start() edges need
+      // row-major order.
       auto tree = K2Tree::DecodeCells(&r);
       if (!tree.ok()) return tree.status();
-      section.cells = std::move(tree.value().keys);
-      const std::vector<uint64_t>& cells = section.cells;
-      section.num_edges = cells.size();
+      std::vector<uint64_t> cells = std::move(tree.value().keys);
+      std::vector<uint32_t> multiplicity;
       uint64_t num_dups = 0;
       GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_dups));
       if (num_dups == 0) return Status::Corruption("bad dup count");
       --num_dups;
-      if (num_dups > 0) section.multiplicity.assign(cells.size(), 1);
+      const bool terminal = grammar.IsTerminal(l);
+      if (num_dups > 0 || !terminal) std::sort(cells.begin(), cells.end());
+      if (num_dups > 0) multiplicity.assign(cells.size(), 1);
+      uint64_t num_edges = cells.size();
       // Distinct cells are input-proportional (each costs >= 1 tree
       // bit), so only the duplicate count needs an absolute cap: dup
       // entries amplify by design (one Elias code can claim many
@@ -443,12 +462,23 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
           return Status::Corruption("edge multiplicity overflow");
         }
         decoded_dup_edges += extra;
-        section.num_edges += extra;
-        section.multiplicity[cell_rank - 1] += static_cast<uint32_t>(extra);
+        num_edges += extra;
+        multiplicity[cell_rank - 1] += static_cast<uint32_t>(extra);
       }
-      total_edges += section.num_edges;
+      if (terminal) {
+        csr_sections.push_back({l, std::move(cells), std::move(multiplicity)});
+        continue;
+      }
+      Section& section = sections.emplace_back();
+      section.label = l;
+      section.cells = std::move(cells);
+      section.multiplicity = std::move(multiplicity);
+      section.num_edges = num_edges;
+      total_edges += num_edges;
       continue;
     }
+    Section& section = sections.emplace_back();
+    section.label = l;
     // Sorted attachment tuples (see EncodeGrammar). Every tuple takes
     // at least one bit, so a count beyond the bits left fails here.
     const size_t rank = static_cast<size_t>(alpha.rank(l));
@@ -502,6 +532,11 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes) {
       prev_first = sorted_att[0];
     }
   }
+
+  auto csr = StartAdjacency::Build(static_cast<uint32_t>(start_nodes),
+                                   csr_sections);
+  if (!csr.ok()) return csr.status();
+  grammar.SetStartAdjacency(std::move(csr).ValueOrDie());
 
   // Label by label in ascending label order, with ascending attachment
   // within each label (checked for the tuple sections): canonical order.

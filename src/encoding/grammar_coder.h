@@ -30,7 +30,9 @@
 // order, which Compress outputs: rank-2 sections are in that order by
 // construction, and the decoder rejects tuple sections that break it.
 // Decoding reproduces the grammar exactly (labels, rules, start graph
-// and therefore val(G)).
+// and therefore val(G)), with its terminal rank-2 start edges in the
+// start adjacency instead of start() (grammar.h); EncodeGrammar reads
+// both parts, so re-encoding a decoded grammar gives the same bytes.
 
 #ifndef GREPAIR_ENCODING_GRAMMAR_CODER_H_
 #define GREPAIR_ENCODING_GRAMMAR_CODER_H_
@@ -75,24 +77,39 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
 /// synthetic (they are not serialized). Treats `bytes` as untrusted:
 /// counts that size allocations are bounded by the input size and the
 /// capacity limits above, so corrupt or crafted input yields a clean
-/// Status instead of unbounded allocation.
+/// Status instead of unbounded allocation. The one exception is the
+/// start node count |V_S|: isolated start nodes cost the grammar no
+/// bits, yet the start adjacency takes 8 bytes per start node. So
+/// |V_S| above `max_start_nodes` is Corruption before anything is
+/// sized by it. CompressedGraph::Deserialize passes its payload's
+/// bits (psi' spends at least one per node); the default, the 32-bit
+/// id range, is for bytes the caller encoded itself.
+///
+/// The terminal rank-2 start edges go into the grammar's start
+/// adjacency, a two-way CSR built from each label's k^2-tree keys in
+/// the walk's level order (start_adjacency.h); start() holds the other
+/// start edges, in canonical order. Dup patches count a label's cells
+/// in row-major order, so a label with patches is sorted first, and
+/// they expand to parallel CSR entries.
 ///
 /// Each check runs once, where its value is decoded. The tuple
 /// sections prove their members in range and distinct as they read
-/// them. Once every section is read, the start graph's edge list is
-/// sized once and each rank-2 cell is checked as its edge is written:
-/// both ends below |V_S|, and no self-loop. SlhrGrammar::ValidateRules
-/// then checks the rules. A success therefore passes the full
-/// SlhrGrammar::Validate. Every failure is Corruption, or OutOfRange
-/// when the input ends early; only a retired GRG1 payload is
-/// InvalidArgument.
+/// them; each dup patch's cell rank and the kMaxDupEdges budget are
+/// checked as the patch is read. Once every section is read, the CSR
+/// and start()'s edge list are each sized once and each rank-2 cell
+/// is checked as its edge is written: both ends below |V_S|, and no
+/// self-loop. SlhrGrammar::ValidateRules then checks the rules. A
+/// success therefore passes the full SlhrGrammar::Validate. Every
+/// failure is Corruption, or OutOfRange when the input ends early;
+/// only a retired GRG1 payload is InvalidArgument.
 Result<SlhrGrammar> DecodeGrammar(const std::vector<uint8_t>& bytes);
 
 /// \brief Zero-copy overload: decodes straight out of a borrowed view
 /// (an mmap'd file, a shard payload inside a mapped container). The
 /// bytes are only read during the call; the returned grammar owns all
 /// of its state.
-Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes);
+Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes,
+                                  uint64_t max_start_nodes = UINT32_MAX);
 
 /// \brief Convenience: bits-per-edge of an encoded grammar for a graph
 /// with `num_edges` edges (the paper's compression metric).

@@ -80,6 +80,7 @@ ValSize ComputeValSize(const SlhrGrammar& grammar) {
   const GeneratedSizes sizes = ComputeGeneratedSizes(grammar);
   ValSize size;
   size.nodes = grammar.start().num_nodes();
+  size.edges = grammar.start_adjacency().num_edges();
   for (const auto& e : grammar.start().edges()) {
     if (grammar.IsNonterminal(e.label)) {
       const uint32_t j = grammar.RuleIndex(e.label);
@@ -141,7 +142,27 @@ void DeriveImpl(const SlhrGrammar& grammar,
   };
 
   uint64_t emitted = 0;
+  // The start adjacency's edges go out label by label in canonical
+  // order, each label before the start() edges of higher labels: in a
+  // canonical start graph that is the order of the whole start graph.
+  const StartAdjacency::LabelGroups csr =
+      grammar.start_adjacency().GroupByLabel();
+  Label csr_label = 0;
+  Attachments pair = {0, 0};
+  auto emit_csr_below = [&](Label bound) {
+    for (; csr_label + 1 < csr.begin.size() && csr_label < bound;
+         ++csr_label) {
+      for (uint64_t i = csr.begin[csr_label]; i < csr.begin[csr_label + 1];
+           ++i) {
+        pair[0] = static_cast<NodeId>(csr.keys[i] >> 32);
+        pair[1] = static_cast<NodeId>(csr.keys[i] & 0xFFFFFFFFu);
+        sink(csr_label, pair);
+        ++emitted;
+      }
+    }
+  };
   for (const HEdge& e : start.edges()) {
+    emit_csr_below(e.label);
     if (grammar.IsTerminal(e.label)) {
       sink(e.label, e.att);
       ++emitted;
@@ -167,6 +188,7 @@ void DeriveImpl(const SlhrGrammar& grammar,
       }
     }
   }
+  emit_csr_below(kInvalidLabel);
   assert(next_node == size.nodes);
   assert(emitted == size.edges);
   (void)emitted;

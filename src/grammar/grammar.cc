@@ -68,6 +68,21 @@ Status SlhrGrammar::Validate() const {
   if (!start_.ext().empty()) {
     return Status::InvalidArgument("start graph must have no external nodes");
   }
+  const StartAdjacency::LabelGroups groups = start_adjacency_.GroupByLabel();
+  for (Label l = 0; l + 1 < groups.begin.size(); ++l) {
+    if (groups.begin[l] == groups.begin[l + 1]) continue;
+    if (!IsTerminal(l) || alphabet_.rank(l) != 2) {
+      return Status::InvalidArgument(
+          "start adjacency holds a label that is not terminal rank 2");
+    }
+    for (uint64_t i = groups.begin[l]; i < groups.begin[l + 1]; ++i) {
+      const uint64_t u = groups.keys[i] >> 32;
+      const uint64_t v = groups.keys[i] & 0xFFFFFFFFu;
+      if (u == v || u >= start_.num_nodes() || v >= start_.num_nodes()) {
+        return Status::InvalidArgument("bad start adjacency edge");
+      }
+    }
+  }
   return ValidateRules();
 }
 
@@ -147,7 +162,8 @@ GrammarStats ComputeGrammarStats(const SlhrGrammar& grammar) {
   stats.num_rules = grammar.num_rules();
   stats.height = grammar.Height();
   stats.rule_size = grammar.RuleSize();
-  stats.start_size = grammar.start().TotalSize();
+  stats.start_size =
+      grammar.start().TotalSize() + grammar.start_adjacency().num_edges();
   stats.total_size = stats.rule_size + stats.start_size;
   for (uint32_t j = 0; j < grammar.num_rules(); ++j) {
     stats.max_nonterminal_rank = std::max(
@@ -155,7 +171,7 @@ GrammarStats ComputeGrammarStats(const SlhrGrammar& grammar) {
         static_cast<uint32_t>(grammar.rank(grammar.NonterminalLabel(j))));
   }
   stats.start_nodes = grammar.start().num_nodes();
-  stats.start_edges = grammar.start().num_edges();
+  stats.start_edges = static_cast<uint32_t>(grammar.num_start_edges());
   return stats;
 }
 

@@ -20,14 +20,23 @@
 // paper's serializer needs ("the order induced by the IDs of the
 // external nodes is the same as the order of the external nodes") and
 // it pins down the derivation order of internal nodes.
+//
+// A decoded grammar holds its start graph in two parts: the terminal
+// rank-2 edges in an immutable CSR (start_adjacency.h) and every other
+// edge in start(). A grammar under construction, as the compressor and
+// pruning build it, has an empty CSR and its whole start graph in
+// start(). Every function here and in derivation.h, the encoder and
+// src/query reads both parts.
 
 #ifndef GREPAIR_GRAMMAR_GRAMMAR_H_
 #define GREPAIR_GRAMMAR_GRAMMAR_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/grammar/start_adjacency.h"
 #include "src/graph/hypergraph.h"
 #include "src/util/status.h"
 
@@ -64,8 +73,26 @@ class SlhrGrammar {
   uint32_t num_rules() const { return static_cast<uint32_t>(rules_.size()); }
 
   const Alphabet& alphabet() const { return alphabet_; }
+  /// \brief The start graph's edges other than those in
+  /// start_adjacency(); all of them while that is empty.
   const Hypergraph& start() const { return start_; }
   Hypergraph* mutable_start() { return &start_; }
+
+  /// \brief The terminal rank-2 start edges DecodeGrammar keeps out of
+  /// start(), over start()'s nodes; empty in a grammar under
+  /// construction.
+  const StartAdjacency& start_adjacency() const { return start_adjacency_; }
+
+  /// \brief Installs `adjacency`; start() must then hold no terminal
+  /// rank-2 edge, so that each label's start edges sit in one part.
+  void SetStartAdjacency(StartAdjacency adjacency) {
+    start_adjacency_ = std::move(adjacency);
+  }
+
+  /// \brief Start-graph edges in both parts.
+  uint64_t num_start_edges() const {
+    return start_.num_edges() + start_adjacency_.num_edges();
+  }
 
   const Hypergraph& rhs(Label nt) const { return rules_[RuleIndex(nt)]; }
   const Hypergraph& rhs_by_index(uint32_t i) const { return rules_[i]; }
@@ -79,7 +106,9 @@ class SlhrGrammar {
 
   /// \brief |G| + |S|: total representation size including the start
   /// graph (what the compression-ratio figures use).
-  uint64_t TotalSize() const { return RuleSize() + start_.TotalSize(); }
+  uint64_t TotalSize() const {
+    return RuleSize() + start_.TotalSize() + start_adjacency_.num_edges();
+  }
 
   /// \brief ref(A) for every nonterminal, indexed by rule index: the
   /// number of A-labeled edges in S and all right-hand sides.
@@ -121,6 +150,7 @@ class SlhrGrammar {
   uint32_t num_terminals_ = 0;
   std::vector<Hypergraph> rules_;  // rules_[j] is rhs of label num_terminals_+j
   Hypergraph start_;
+  StartAdjacency start_adjacency_;
 };
 
 /// \brief Summary statistics for reporting.

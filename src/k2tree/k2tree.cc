@@ -234,27 +234,6 @@ bool AllInside(const uint64_t* keys, size_t n, uint64_t num_rows,
   return outside == 0;
 }
 
-// Sorts level-order keys into row-major order. Level order lists the
-// cells in Z-order (by their quadrant path from the root), and within
-// one row that order is ascending by column, so a stable sort on the
-// row alone finishes the job: an LSD radix sort over the row's bytes,
-// one O(n) pass per byte of the largest row.
-void SortLevelOrderKeys(uint32_t num_rows, std::vector<uint64_t>* keys) {
-  if (keys->size() < 64) {
-    std::sort(keys->begin(), keys->end());
-    return;
-  }
-  std::vector<uint64_t> sorted(keys->size());
-  for (uint64_t shift = 32; shift < 64 && ((num_rows - 1ull) >> (shift - 32));
-       shift += 8) {
-    size_t next[257] = {};
-    for (uint64_t key : *keys) ++next[((key >> shift) & 0xFF) + 1];
-    for (size_t b = 1; b < 257; ++b) next[b] += next[b - 1];
-    for (uint64_t key : *keys) sorted[next[(key >> shift) & 0xFF]++] = key;
-    keys->swap(sorted);
-  }
-}
-
 }  // namespace
 
 Status K2Tree::CheckLevelBounds(bool leaf, uint64_t level_begin,
@@ -357,7 +336,7 @@ std::vector<std::pair<uint32_t, uint32_t>> K2Tree::AllCells() const {
   // Build and Deserialize only produce trees that CheckLayout accepts.
   assert(walked.ok());
   (void)walked;
-  SortLevelOrderKeys(num_rows_, &keys);
+  std::sort(keys.begin(), keys.end());
   std::vector<std::pair<uint32_t, uint32_t>> out;
   out.reserve(keys.size());
   for (uint64_t key : keys) {
@@ -434,7 +413,6 @@ Result<K2Tree::Cells> K2Tree::DecodeCells(BitReader* reader) {
   cells.num_rows = tree.num_rows_;
   cells.num_cols = tree.num_cols_;
   GREPAIR_RETURN_IF_ERROR(tree.AppendKeys(&cells.keys));
-  SortLevelOrderKeys(tree.num_rows_, &cells.keys);
   return cells;
 }
 

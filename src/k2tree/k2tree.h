@@ -25,9 +25,11 @@
 //    level's written origins against the matrix in a second pass, so
 //    no branch depends on the data. Other k step a cursor over the set
 //    bits and check each one's origin as they go.
-//    The walk yields cells in Z-order; a radix sort on the row alone
-//    makes that row-major, since one row's cells already ascend by
-//    column.
+//    The walk yields cells in Z-order (by their quadrant path from
+//    the root), and DecodeCells returns them that way: within one row
+//    they ascend by column and within one column by row, which is all
+//    the grammar decoder's CSR build needs. Callers that need
+//    row-major order sort the keys themselves, as AllCells does.
 //
 // The layout is validated once, at deserialize time, by both entry
 // points: level 0 is one k^2-bit block, level i+1 holds k^2 * ones(level
@@ -82,7 +84,9 @@ class K2Tree {
   std::vector<std::pair<uint32_t, uint32_t>> AllCells() const;
 
   /// \brief A serialized tree's dimensions and set cells, each cell
-  /// packed as `row << 32 | col`, ascending (row-major order).
+  /// packed as `row << 32 | col`, in level order (Z-order, see the top
+  /// of this file): not sorted, but ascending within each row and
+  /// within each column.
   struct Cells {
     uint32_t num_rows = 0;
     uint32_t num_cols = 0;

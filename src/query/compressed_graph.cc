@@ -22,6 +22,22 @@ Result<ValSize> NameableValSize(const SlhrGrammar& grammar) {
   return size;
 }
 
+// The payload layout Serialize documents, around `grammar` and psi'
+// as `origins` (none when empty).
+std::vector<uint8_t> PayloadOf(const SlhrGrammar& grammar,
+                               const std::vector<NodeId>& origins) {
+  auto grammar_bytes = EncodeGrammar(grammar);
+  std::vector<uint8_t> out;
+  out.push_back(origins.empty() ? 0 : 1);
+  PutU64LE(grammar_bytes.size(), &out);
+  out.insert(out.end(), grammar_bytes.begin(), grammar_bytes.end());
+  if (!origins.empty()) {
+    auto mapping_bytes = EncodeNodeMapping(grammar, origins);
+    out.insert(out.end(), mapping_bytes.begin(), mapping_bytes.end());
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<CompressedGraph> CompressedGraph::FromGraph(
@@ -30,13 +46,21 @@ Result<CompressedGraph> CompressedGraph::FromGraph(
   options.track_node_mapping = keep_original_ids;
   auto result = Compress(graph, alphabet, options);
   if (!result.ok()) return result.status();
-  auto size = NameableValSize(result.value().grammar);
-  if (!size.ok()) return size.status();
-  CompressedGraph g =
-      FromValidGrammar(std::move(result.value().grammar), size.value(),
-                       std::move(result.value().origins));
-  g.stats_ = result.value().stats;
+  const std::vector<uint8_t> payload =
+      PayloadOf(result.value().grammar, result.value().origins);
+  auto g = Deserialize(SpanOf(payload));
+  if (!g.ok()) return g.status();
+  g.value().stats_ = result.value().stats;
   return g;
+}
+
+Result<std::vector<uint8_t>> CompressedGraph::CompressToPayload(
+    const Hypergraph& graph, const Alphabet& alphabet,
+    CompressOptions options) {
+  options.track_node_mapping = true;
+  auto result = Compress(graph, alphabet, options);
+  if (!result.ok()) return result.status();
+  return PayloadOf(result.value().grammar, result.value().origins);
 }
 
 CompressedGraph CompressedGraph::FromValidGrammar(
@@ -59,16 +83,7 @@ CompressedGraph CompressedGraph::FromValidGrammar(
 }
 
 std::vector<uint8_t> CompressedGraph::Serialize() const {
-  auto grammar_bytes = EncodeGrammar(*grammar_);
-  std::vector<uint8_t> out;
-  out.push_back(has_original_ids() ? 1 : 0);
-  PutU64LE(grammar_bytes.size(), &out);
-  out.insert(out.end(), grammar_bytes.begin(), grammar_bytes.end());
-  if (has_original_ids()) {
-    auto mapping_bytes = EncodeNodeMapping(*grammar_, to_original_);
-    out.insert(out.end(), mapping_bytes.begin(), mapping_bytes.end());
-  }
-  return out;
+  return PayloadOf(*grammar_, to_original_);
 }
 
 Result<CompressedGraph> CompressedGraph::Deserialize(
@@ -85,7 +100,11 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
   ByteSpan grammar_bytes;
   GREPAIR_RETURN_IF_ERROR(src.ReadSpan(grammar_len, &grammar_bytes));
   // DecodeGrammar validates what it returns, so it is not checked twice.
-  auto grammar = DecodeGrammar(grammar_bytes);
+  // psi' spends at least one bit per val(G) node, and val(G) holds
+  // every start node, so the payload's bits bound |V_S| before the
+  // start adjacency is sized by it. A payload without psi' is held to
+  // the same bound.
+  auto grammar = DecodeGrammar(grammar_bytes, uint64_t{bytes.size} * 8);
   if (!grammar.ok()) return grammar.status();
   auto size = NameableValSize(grammar.value());
   if (!size.ok()) return size.status();

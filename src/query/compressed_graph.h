@@ -12,6 +12,16 @@
 //   g.Reachable(u, v);        // Theorem 6
 //   g.NumConnectedComponents(); // one bottom-up pass
 //   g.SerializedSize();       // Section III-C2 format size
+//
+// Every CompressedGraph holds its grammar in the decoded form, however
+// it was made: FromGraph compresses to payload bytes and decodes them.
+// The start graph's terminal rank-2 edges, most of a shard's start
+// graph, sit in one immutable two-way CSR (start_adjacency.h) straight
+// from the k^2-tree walk, and the grammar's start() keeps the others.
+// Neighbor queries on a start node read its CSR row plus the
+// Proposition 4 path over the rest; Decompress, ForEachRank2Edge,
+// reachability, components, Serialize and SerializedSize read the CSR
+// too. None of them rebuilds a full start graph.
 
 #ifndef GREPAIR_QUERY_COMPRESSED_GRAPH_H_
 #define GREPAIR_QUERY_COMPRESSED_GRAPH_H_
@@ -45,6 +55,14 @@ class CompressedGraph {
                                            const Alphabet& alphabet,
                                            CompressOptions options = {},
                                            bool keep_original_ids = true);
+
+  /// \brief Compresses `graph` with its original ids kept straight to
+  /// Serialize()'s bytes, without building a CompressedGraph: shard
+  /// compression and folds write payloads first and take their graph
+  /// from the decoder.
+  static Result<std::vector<uint8_t>> CompressToPayload(
+      const Hypergraph& graph, const Alphabet& alphabet,
+      CompressOptions options = {});
 
   /// \brief Self-contained serialization: the paper's binary grammar
   /// format, framed together with the psi' mapping when one is carried

@@ -226,6 +226,12 @@ class Walker {
   void Run(const GPath& path) {
     Ctx ctx;
     if (path.start_edge == kInvalidEdge) {
+      // A start node: its terminal rank-2 edges are one CSR row, the
+      // rest of S goes through the incidence index.
+      const StartAdjacency& csr = g_.start_adjacency();
+      for (NodeId w : out_ ? csr.Targets(path.node) : csr.Sources(path.node)) {
+        results_->push_back(w);
+      }
       ScanIncident(ctx, g_.start(), 0, path.node);
       return;
     }

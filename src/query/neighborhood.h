@@ -39,11 +39,14 @@ namespace grepair {
 ///
 /// Construction precomputes a flat incidence index (Hypergraph::
 /// BuildIncidence: one offsets array and one edge-id array, two
-/// allocations per graph) for the start graph and every right-hand
-/// side (O(|G|)), so a query touches only the edges actually incident
-/// with the nodes along its derivation path. Building it is most of a
-/// cold shard's first grammar-direct query, so it allocates per graph,
-/// not per node.
+/// allocations per graph) for the start graph's start() part and every
+/// right-hand side (O(|G|)), so a query touches only the edges
+/// actually incident with the nodes along its derivation path. The
+/// start graph's terminal rank-2 edges need no index: a decoded
+/// grammar holds them as a two-way CSR (start_adjacency.h), and a
+/// start node's answer reads its row there. Building the index is most
+/// of a cold shard's first grammar-direct query, so it allocates per
+/// graph, not per node.
 /// Queries are safe to run concurrently on a shared index; the lazy
 /// memo tables are mutex-guarded.
 class NeighborhoodIndex {
@@ -104,7 +107,8 @@ class NeighborhoodIndex {
       GREPAIR_REQUIRES(memo_mutex_);
 
   NodeMap node_map_;
-  /// incidence_[0] covers S; incidence_[1 + j] covers rule j.
+  /// incidence_[0] covers start(), the start graph without its start
+  /// adjacency; incidence_[1 + j] covers rule j.
   std::vector<Incidence> incidence_;
 
   /// Memo tables, keyed by (rule index, ext position, direction).

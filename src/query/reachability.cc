@@ -7,27 +7,31 @@ namespace grepair {
 
 namespace {
 
-std::vector<char> Bfs(const std::vector<std::vector<NodeId>>& adj,
-                      const std::vector<NodeId>& seeds) {
+// Nodes reachable from `seeds` over `adj` and the rows `extra(v)`.
+template <typename ExtraRow>
+std::vector<char> Search(const std::vector<std::vector<NodeId>>& adj,
+                         const std::vector<NodeId>& seeds, ExtraRow extra) {
   std::vector<char> reached(adj.size(), 0);
   std::vector<NodeId> stack;
-  for (NodeId s : seeds) {
-    if (!reached[s]) {
-      reached[s] = 1;
-      stack.push_back(s);
+  auto visit = [&](NodeId u) {
+    if (!reached[u]) {
+      reached[u] = 1;
+      stack.push_back(u);
     }
-  }
+  };
+  for (NodeId s : seeds) visit(s);
   while (!stack.empty()) {
     NodeId v = stack.back();
     stack.pop_back();
-    for (NodeId u : adj[v]) {
-      if (!reached[u]) {
-        reached[u] = 1;
-        stack.push_back(u);
-      }
-    }
+    for (NodeId u : adj[v]) visit(u);
+    for (NodeId u : extra(v)) visit(u);
   }
   return reached;
+}
+
+std::vector<char> Bfs(const std::vector<std::vector<NodeId>>& adj,
+                      const std::vector<NodeId>& seeds) {
+  return Search(adj, seeds, [](NodeId) { return StartAdjacency::Row{}; });
 }
 
 }  // namespace
@@ -157,7 +161,13 @@ bool ReachabilityIndex::Reachable(uint64_t from, uint64_t to) const {
         chain.levels.push_back(std::move(info));
       }
     }
-    chain.s_reached = Bfs(backward ? start_bwd_ : start_fwd_, seeds);
+    // The start level adds the start adjacency's rows to S'.
+    const StartAdjacency& csr = grammar_->start_adjacency();
+    chain.s_reached =
+        backward ? Search(start_bwd_, seeds,
+                          [&](NodeId v) { return csr.Sources(v); })
+                 : Search(start_fwd_, seeds,
+                          [&](NodeId v) { return csr.Targets(v); });
     return chain;
   };
 

@@ -7,7 +7,10 @@
 // condensation; with rank <= maxRank the explicit relation is at most
 // maxRank^2 bits per rule and the overall cost stays O(|G| * rank^2)).
 // The start graph with every nonterminal edge replaced by its skeleton
-// edges (S' in the paper) is materialized once.
+// edges (S' in the paper) is materialized once, except for the terminal
+// rank-2 edges a decoded grammar keeps in its start adjacency
+// (start_adjacency.h): the start-level search reads those rows in
+// place.
 //
 // A query locates both nodes' derivation paths, then propagates
 // forward-reachable external positions up s's path and
@@ -81,8 +84,9 @@ class ReachabilityIndex {
   const SlhrGrammar* grammar_;
   NodeMap node_map_;
   std::vector<std::vector<uint64_t>> skeletons_;  // per rule: rank rows
-  std::vector<std::vector<NodeId>> start_fwd_;    // S' adjacency
-  std::vector<std::vector<NodeId>> start_bwd_;    // reversed S'
+  // S' adjacency over start() (without the start adjacency's edges).
+  std::vector<std::vector<NodeId>> start_fwd_;
+  std::vector<std::vector<NodeId>> start_bwd_;    // reversed
 
   // Slot [2 * rule + reverse]; null until built. The mutex guards slot
   // installation; the pointed-to adjacency never changes after that.

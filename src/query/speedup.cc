@@ -18,11 +18,16 @@ struct ComponentSummary {
   uint64_t closed = 0;              // fully internal components
 };
 
+// `csr` is the start adjacency when `g` is the start graph, else null.
 ComponentSummary SummarizeComponents(
     const SlhrGrammar& grammar, const Hypergraph& g,
-    const std::vector<ComponentSummary>& rule_summaries) {
+    const std::vector<ComponentSummary>& rule_summaries,
+    const StartAdjacency* csr = nullptr) {
   UnionFind uf(g.num_nodes());
   uint64_t closed = 0;
+  for (NodeId u = 0; csr != nullptr && u < g.num_nodes(); ++u) {
+    for (NodeId v : csr->Targets(u)) uf.Union(u, v);
+  }
   for (const auto& e : g.edges()) {
     if (grammar.IsTerminal(e.label)) {
       for (size_t i = 1; i < e.att.size(); ++i) {
@@ -72,8 +77,8 @@ uint64_t CountConnectedComponents(const SlhrGrammar& grammar) {
     summaries[j] =
         SummarizeComponents(grammar, grammar.rhs_by_index(j), summaries);
   }
-  ComponentSummary top =
-      SummarizeComponents(grammar, grammar.start(), summaries);
+  ComponentSummary top = SummarizeComponents(
+      grammar, grammar.start(), summaries, &grammar.start_adjacency());
   // The start graph has no external nodes: everything is "closed".
   return top.closed;
 }
@@ -89,11 +94,19 @@ struct DegreeSummary {
   bool has_internal = false;
 };
 
+// `csr` is the start adjacency when `g` is the start graph, else null.
 DegreeSummary SummarizeDegrees(const SlhrGrammar& grammar,
                                const Hypergraph& g,
-                               const std::vector<DegreeSummary>& summaries) {
+                               const std::vector<DegreeSummary>& summaries,
+                               const StartAdjacency* csr = nullptr) {
   std::vector<uint64_t> degree(g.num_nodes(), 0);
   DegreeSummary out;
+  for (NodeId u = 0; csr != nullptr && u < g.num_nodes(); ++u) {
+    for (NodeId v : csr->Targets(u)) {
+      ++degree[u];
+      ++degree[v];
+    }
+  }
   for (const auto& e : g.edges()) {
     if (grammar.IsTerminal(e.label)) {
       for (NodeId v : e.att) ++degree[v];
@@ -133,8 +146,8 @@ Result<DegreeExtrema> ComputeDegreeExtrema(const SlhrGrammar& grammar) {
   // The start graph has no external nodes, so every val(G) node
   // surfaces as "internal" in the top summary; unapplied rules never
   // flow into it.
-  DegreeSummary top =
-      SummarizeDegrees(grammar, grammar.start(), summaries);
+  DegreeSummary top = SummarizeDegrees(grammar, grammar.start(), summaries,
+                                       &grammar.start_adjacency());
   if (!top.has_internal) {
     return Status::InvalidArgument(
         "grammar derives an empty graph (no nodes): degree extrema are "

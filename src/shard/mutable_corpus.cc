@@ -108,17 +108,19 @@ Status FoldOneShard(const ShardStore& store, size_t shard,
   }
 
   // The recompression needs an alphabet; the shard payload stores none.
-  auto compressed = CompressedGraph::FromGraph(local, InferAlphabet(local));
-  if (!compressed.ok()) return compressed.status();
+  // The payload is written first and the graph decoded from it, as
+  // ApplyDelta and a shard fault take theirs.
+  auto payload =
+      CompressedGraph::CompressToPayload(local, InferAlphabet(local));
+  if (!payload.ok()) return payload.status();
   auto f = std::make_shared<FoldedShard>();
+  f->payload = std::move(payload).ValueOrDie();
+  auto folded = DecodeShardPayload(SpanOf(f->payload));
+  if (!folded.ok()) return folded.status();
   f->graph = std::make_shared<const CompressedGraph>(
-      std::move(compressed).ValueOrDie());
+      std::move(folded).ValueOrDie());
   if (f->graph->num_nodes() != entry.nodes.size()) {
     return Status::Internal("folded shard changed its node count");
-  }
-  f->payload = f->graph->Serialize();
-  if (f->payload.empty()) {
-    return Status::Internal("folded shard serialized to nothing");
   }
   f->checksum = HashBytes(f->payload.data(), f->payload.size());
   *out = std::move(f);

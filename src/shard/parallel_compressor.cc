@@ -110,12 +110,13 @@ Result<std::vector<std::vector<uint8_t>>> ParallelCompressor::CompressShards(
   RunIndexedOnPool(count, num_threads_, [&](size_t i) {
     const Shard& shard = partition.shards[i];
     if (shard.graph.num_edges() == 0) return;  // empty payload slot
-    auto graph = CompressedGraph::FromGraph(shard.graph, alphabet, options_);
-    if (!graph.ok()) {
-      statuses[i] = graph.status();
+    auto payload =
+        CompressedGraph::CompressToPayload(shard.graph, alphabet, options_);
+    if (!payload.ok()) {
+      statuses[i] = payload.status();
       return;
     }
-    results[i] = graph.value().Serialize();
+    results[i] = std::move(payload).ValueOrDie();
   });
 
   for (size_t i = 0; i < count; ++i) {

@@ -4,12 +4,16 @@
 // Per shard it keeps one Slot and one cache entry. The slot's base
 // fault turns the shard's payload bytes, fetched from the ShardSource
 // and checksum-verified, into the shard's CompressedGraph on first
-// touch (under the slot's mutex, lock-free once published). The
-// slot's folded replacement is the payload and graph a fold or an
-// applied delta installs through Publish; it supersedes the base
-// wherever payload bytes or shard graphs are read. The cache entry is
-// the shard's decoded neighborhood: its whole out/in adjacency in
-// global ids, kept in one LRU cache under a byte budget
+// touch (under the slot's mutex, lock-free once published). That
+// graph is what a fault builds and what stays resident: the rules,
+// the start graph's terminal rank-2 edges as one two-way CSR decoded
+// straight from the payload's k^2-trees, its few other start edges,
+// and psi' both ways; the query indexes its first queries build stay
+// with it. The slot's folded replacement is the payload and graph a
+// fold or an applied delta installs through Publish; it supersedes
+// the base wherever payload bytes or shard graphs are read. The cache
+// entry is the shard's decoded neighborhood: its whole out/in
+// adjacency in global ids, kept in one LRU cache under a byte budget
 // (set_query_cache_bytes, 0 disables it) and evicted whole.
 //
 // Answer is the one way a query reads a shard, and it makes the

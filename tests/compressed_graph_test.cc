@@ -12,6 +12,9 @@
 #include "src/encoding/grammar_coder.h"
 #include "src/graph/graph_algos.h"
 #include "src/query/compressed_graph.h"
+#include "src/query/speedup.h"
+#include "src/shard/partitioner.h"
+#include "src/shard/shard_store.h"
 #include "src/util/rng.h"
 
 namespace grepair {
@@ -233,6 +236,144 @@ TEST(CompressedGraphTest, LazyIndexesRaceFirstQueries) {
     EXPECT_EQ(mismatches.load(), 0) << "round " << round;
     EXPECT_GT(g.memo_entries(), 0u);
   }
+}
+
+// Sorted, deduplicated rank-2 adjacency of `g`: out rows, or in rows
+// with `in`.
+std::vector<std::vector<uint64_t>> Rank2Rows(const Hypergraph& g, bool in) {
+  std::vector<std::vector<uint64_t>> rows(g.num_nodes());
+  for (const HEdge& e : g.edges()) {
+    if (e.att.size() != 2) continue;
+    rows[e.att[in ? 1 : 0]].push_back(e.att[in ? 0 : 1]);
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  return rows;
+}
+
+// Differential check of a decoded graph, whose terminal rank-2 start
+// edges sit in the start adjacency, against `grammar` in the form the
+// compressor builds, with its whole start graph in start(): `expected`
+// is that form's Decompress (DeriveOriginal with `origins`, or Derive
+// without). Decompress and ForEachRank2Edge match it edge for edge and
+// in order; every node's Out/InNeighbors are its sorted unique rows;
+// components, degree extrema, sampled reachability and Serialize agree.
+void ExpectDecodedFormAgrees(const CompressedGraph& g,
+                             const SlhrGrammar& grammar,
+                             const Hypergraph& expected,
+                             const std::vector<uint8_t>& payload) {
+  EXPECT_EQ(g.grammar().num_start_edges(), grammar.start().num_edges());
+  EXPECT_EQ(g.GrammarSize(), grammar.TotalSize());
+  EXPECT_EQ(g.Serialize(), payload);
+  auto val = g.Decompress();
+  ASSERT_TRUE(val.ok()) << val.status().ToString();
+  ASSERT_TRUE(val.value() == expected);
+  std::vector<std::pair<NodeId, NodeId>> streamed, derived;
+  ASSERT_TRUE(g.ForEachRank2Edge([&](NodeId u, NodeId v) {
+                 streamed.push_back({u, v});
+               }).ok());
+  for (const HEdge& e : expected.edges()) {
+    if (e.att.size() == 2) derived.push_back({e.att[0], e.att[1]});
+  }
+  EXPECT_EQ(streamed, derived);
+
+  const auto out = Rank2Rows(expected, false);
+  const auto in = Rank2Rows(expected, true);
+  for (NodeId v = 0; v < expected.num_nodes(); ++v) {
+    ASSERT_EQ(g.OutNeighbors(v), out[v]) << "node " << v;
+    ASSERT_EQ(g.InNeighbors(v), in[v]) << "node " << v;
+  }
+  EXPECT_EQ(g.NumConnectedComponents(), CountConnectedComponents(grammar));
+  auto extrema = ComputeDegreeExtrema(g.grammar());
+  auto truth = ComputeDegreeExtrema(grammar);
+  ASSERT_TRUE(extrema.ok() && truth.ok());
+  EXPECT_EQ(extrema.value().min_degree, truth.value().min_degree);
+  EXPECT_EQ(extrema.value().max_degree, truth.value().max_degree);
+  Rng rng(expected.num_edges());
+  for (int i = 0; i < 8; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformBounded(val.value().num_nodes()));
+    const std::vector<char> reach = DirectedReachable(expected, u);
+    for (int j = 0; j < 8; ++j) {
+      const NodeId w =
+          static_cast<NodeId>(rng.UniformBounded(val.value().num_nodes()));
+      EXPECT_EQ(g.Reachable(u, w), reach[w] != 0) << u << " -> " << w;
+    }
+  }
+}
+
+// Shard grammars of both generators: a dblp shard has one terminal
+// rank-2 label, an RDF shard dozens. Each shard is decoded the way a
+// fault does (DecodeShardPayload) and checked against the compressor's
+// own grammar.
+class StartAdjacencyShards : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StartAdjacencyShards, DecodedShardsMatchTheCompressorsGrammar) {
+  const std::string which = GetParam();
+  const GeneratedGraph gg = which == "dblp"
+                                ? DblpVersions(6, 100, 50, 3, "dblp")
+                                : RdfEntities(3000, 40, 60, 5);
+  shard::PartitionOptions partition_options;
+  partition_options.num_shards = 4;
+  auto partition = shard::PartitionGraph(gg.graph, partition_options);
+  ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+  size_t max_labels = 0;
+  for (const shard::Shard& part : partition.value().shards) {
+    if (part.graph.num_edges() == 0) continue;
+    CompressOptions options;
+    options.track_node_mapping = true;
+    auto compressed = Compress(part.graph, gg.alphabet, options);
+    ASSERT_TRUE(compressed.ok());
+    const SlhrGrammar& grammar = compressed.value().grammar;
+    auto expected = DeriveOriginal(grammar, compressed.value().origins);
+    ASSERT_TRUE(expected.ok());
+    auto payload = CompressedGraph::CompressToPayload(part.graph, gg.alphabet);
+    ASSERT_TRUE(payload.ok());
+    auto g = shard::DecodeShardPayload(SpanOf(payload.value()));
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    const StartAdjacency::LabelGroups groups =
+        g.value().grammar().start_adjacency().GroupByLabel();
+    size_t labels = 0;
+    for (size_t l = 0; l + 1 < groups.begin.size(); ++l) {
+      labels += groups.begin[l + 1] > groups.begin[l] ? 1 : 0;
+    }
+    max_labels = std::max(max_labels, labels);
+    ExpectDecodedFormAgrees(g.value(), grammar, expected.value(),
+                            payload.value());
+  }
+  if (which == "dblp") {
+    EXPECT_EQ(max_labels, 1u);
+  } else {
+    EXPECT_GE(max_labels, 20u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Generators, StartAdjacencyShards,
+                         ::testing::Values("dblp", "rdf"));
+
+// Parallel duplicate terminal start edges (a dup patch), two labels on
+// one cell, a terminal hyperedge and rank-2 nonterminal start edges.
+TEST(StartAdjacencyTest, HandBuiltGrammarMatchesItsCompressorForm) {
+  const SlhrGrammar grammar = fuzz::StartAdjacencyGrammar();
+  ASSERT_TRUE(grammar.Validate().ok());
+  const std::vector<uint8_t> payload = fuzz::GrammarPayload(grammar);
+  auto g = CompressedGraph::Deserialize(SpanOf(payload));
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  // The seven terminal rank-2 edges sit in the CSR, the hyperedge and
+  // the two nonterminal edges in start().
+  EXPECT_EQ(g.value().grammar().start_adjacency().num_edges(), 7u);
+  EXPECT_EQ(g.value().grammar().start().num_edges(), 3u);
+  EXPECT_TRUE(g.value().grammar().Validate().ok());
+  auto expected = Derive(grammar);
+  ASSERT_TRUE(expected.ok());
+  ExpectDecodedFormAgrees(g.value(), grammar, expected.value(), payload);
+  // Node 0's CSR row holds a twice and b once to node 1, listed once.
+  // Node 1's answer joins its CSR row (a to 4) and the memo path of
+  // N(1,2), whose rule derives node 5.
+  EXPECT_EQ(g.value().OutNeighbors(0), (std::vector<uint64_t>{1}));
+  EXPECT_EQ(g.value().OutNeighbors(1), (std::vector<uint64_t>{4, 5}));
+  EXPECT_EQ(g.value().InNeighbors(2), (std::vector<uint64_t>{4, 5}));
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "src/shard/partitioner.h"
 #include "src/util/hashing.h"
 #include "src/util/rng.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {
@@ -241,7 +242,7 @@ std::vector<uint64_t> StructureWords(const SlhrGrammar& grammar,
     words.push_back(grammar.rhs_by_index(j).ext().size());
     AppendGraph(grammar.rhs_by_index(j), &words);
   }
-  AppendGraph(grammar.start(), &words);
+  AppendGraph(WholeStartGraph(grammar), &words);
   words.push_back(origins.size());
   words.insert(words.end(), origins.begin(), origins.end());
   return words;

@@ -9,6 +9,7 @@
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
 #include "src/util/elias.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {
@@ -99,7 +100,11 @@ TEST(EncodingTest, TerminalOnlyGrammar) {
   auto bytes = EncodeGrammar(grammar);
   auto decoded = DecodeGrammar(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(grammar.start() == decoded.value().start());
+  // The rank-2 edges decode into the start adjacency, the hyperedges
+  // into start().
+  EXPECT_EQ(decoded.value().start_adjacency().num_edges(), 2u);
+  EXPECT_EQ(decoded.value().start().num_edges(), 2u);
+  EXPECT_TRUE(grammar.start() == WholeStartGraph(decoded.value()));
 }
 
 TEST(EncodingTest, HyperedgePermutationsRecovered) {
@@ -229,7 +234,7 @@ TEST(EncodingTest, ForgedStartGraphCellCountRejected) {
   // std::bad_alloc. The tree layout check now rejects the count.
   auto honest = DecodeGrammar(GrammarWithRawTree(2));
   ASSERT_TRUE(honest.ok()) << honest.status().ToString();
-  EXPECT_EQ(honest.value().start().num_edges(), 2u);
+  EXPECT_EQ(honest.value().num_start_edges(), 2u);
 
   auto forged = DecodeGrammar(GrammarWithRawTree(1ull << 40));
   ASSERT_FALSE(forged.ok());

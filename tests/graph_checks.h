@@ -9,6 +9,9 @@
 // 1-WL-equivalent AND the final multiset hashes collide, which the
 // tests accept as a vanishing false-negative risk (exact-equality
 // tests via the tracked node mapping cover the rest).
+//
+// WholeStartGraph puts a decoded grammar's start graph back together
+// from its two parts, for tests that compare it edge for edge.
 
 #ifndef GREPAIR_TESTS_GRAPH_CHECKS_H_
 #define GREPAIR_TESTS_GRAPH_CHECKS_H_
@@ -19,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/grammar/grammar.h"
 #include "src/graph/hypergraph.h"
 #include "src/graph/node_order.h"
 #include "src/util/hashing.h"
@@ -65,6 +69,29 @@ inline bool IsSimple(const Hypergraph& g) {
     if (!seen.emplace(e.att[0], e.att[1], e.label).second) return false;
   }
   return true;
+}
+
+/// \brief `grammar`'s whole start graph: start() plus the start
+/// adjacency's edges, in canonical (label, attachment) order when
+/// start() is canonical. Each label's edges sit in one part, so a
+/// stable sort by label alone merges them.
+inline Hypergraph WholeStartGraph(const SlhrGrammar& grammar) {
+  std::vector<HEdge> edges = grammar.start().edges();
+  const StartAdjacency::LabelGroups csr =
+      grammar.start_adjacency().GroupByLabel();
+  for (Label l = 0; l + 1 < csr.begin.size(); ++l) {
+    for (uint64_t i = csr.begin[l]; i < csr.begin[l + 1]; ++i) {
+      edges.push_back(HEdge{l, {static_cast<NodeId>(csr.keys[i] >> 32),
+                                static_cast<NodeId>(csr.keys[i])}});
+    }
+  }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const HEdge& a, const HEdge& b) {
+                     return a.label < b.label;
+                   });
+  Hypergraph start(grammar.start().num_nodes());
+  start.SetEdges(std::move(edges));
+  return start;
 }
 
 }  // namespace grepair

@@ -81,6 +81,32 @@ uint64_t Key(const std::pair<uint32_t, uint32_t>& cell) {
   return static_cast<uint64_t>(cell.first) << 32 | cell.second;
 }
 
+// DecodeCells' order for a tree with arity k over `rows` x `cols`: the
+// distinct cells sorted by their quadrant path from the root (Z-order),
+// packed as keys. Small trees only: the path is a base-k^2 number.
+std::vector<uint64_t> LevelOrderKeys(
+    std::vector<std::pair<uint32_t, uint32_t>> cells, uint32_t rows,
+    uint32_t cols, int k) {
+  uint64_t size = k;
+  while (size < std::max<uint64_t>({rows, cols, 1})) size *= k;
+  auto path = [&](const std::pair<uint32_t, uint32_t>& c) {
+    uint64_t key = 0;
+    for (uint64_t sub = size / k; sub > 0; sub /= k) {
+      key = key * k * k + (c.first / sub % k) * k + c.second / sub % k;
+    }
+    return key;
+  };
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  std::stable_sort(cells.begin(), cells.end(),
+                   [&](const auto& a, const auto& b) {
+                     return path(a) < path(b);
+                   });
+  std::vector<uint64_t> keys;
+  for (const auto& c : cells) keys.push_back(Key(c));
+  return keys;
+}
+
 struct K2Param {
   int k;
   uint32_t rows, cols;
@@ -141,15 +167,13 @@ TEST_P(K2TreeRandom, MatchesBruteForce) {
   EXPECT_EQ(back.value().StorageBits(), tree.StorageBits());
 
   // The enumerate-only entry point reads the same bytes to the same
-  // cells, already packed and sorted.
+  // cells, packed, in level order.
   BitReader cells_reader(bytes);
   auto decoded = K2Tree::DecodeCells(&cells_reader);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().num_rows, p.rows);
   EXPECT_EQ(decoded.value().num_cols, p.cols);
-  std::vector<uint64_t> keys;
-  for (const auto& c : cells) keys.push_back(Key(c));
-  EXPECT_EQ(decoded.value().keys, keys);
+  EXPECT_EQ(decoded.value().keys, LevelOrderKeys(cells, p.rows, p.cols, p.k));
   EXPECT_EQ(cells_reader.position(), r.position());
 }
 
@@ -354,8 +378,8 @@ TEST(K2TreeLayoutTest, ZeroDimensionHeaderFailsClosed) {
 
 // The k = 2 walk at shard scale: on 2,048 x 2,048 trees shaped like a
 // read-corpus shard's start labels, one dense (7,400 cells) and twenty
-// sparse (about 35 cells each), DecodeCells lists exactly the sorted
-// distinct input cells, as does AllCells.
+// sparse (about 35 cells each), DecodeCells lists exactly the distinct
+// input cells in level order, and AllCells lists them sorted.
 TEST(K2TreeLayoutTest, ShardScaleDecodeCellsMatchesAllCells) {
   constexpr uint32_t kSize = 2048;
   Rng rng(0x5A4D);
@@ -372,10 +396,9 @@ TEST(K2TreeLayoutTest, ShardScaleDecodeCellsMatchesAllCells) {
     BitWriter w;
     const K2Tree tree = K2Tree::Build(kSize, kSize, cells);
     tree.Serialize(&w);
+    const std::vector<uint64_t> truth = LevelOrderKeys(cells, kSize, kSize, 2);
     std::sort(cells.begin(), cells.end());
     cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-    std::vector<uint64_t> truth;
-    for (const auto& c : cells) truth.push_back(Key(c));
     const auto bytes = w.TakeBytes();
     BitReader r(bytes);
     auto decoded = K2Tree::DecodeCells(&r);

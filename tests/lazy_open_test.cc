@@ -7,9 +7,12 @@
 // delta's publish is not cached. Also covers MmapFile's error surface
 // and the api-level Open entry points. A container whose header claims
 // 2^32-1 nodes answers queries, edits and folds without an allocation
-// sized by that count, and a tiny payload describing a million parallel
-// edges answers without deriving them: this binary replaces the global
-// operator new/delete to record the largest request.
+// sized by that count, a tiny payload describing a million parallel
+// edges answers without deriving them, and one claiming 2^32-2 start
+// nodes fails its fault without sizing anything by them: this binary
+// replaces the global operator new/delete to record the largest
+// request, and refuses any request above 1 GiB so that a regression
+// fails the test rather than exhausting memory.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,9 @@
 #include "fuzz/golden_seeds.h"
 #include "src/api/grepair_api.h"
 #include "src/encoding/grammar_coder.h"
+#include "src/k2tree/k2tree.h"
+#include "src/util/bit_stream.h"
+#include "src/util/elias.h"
 #include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
 
@@ -37,6 +43,7 @@ void* RecordedAlloc(size_t size) {
   while (size > seen && !g_largest_allocation.compare_exchange_weak(
                             seen, size, std::memory_order_relaxed)) {
   }
+  if (size > (size_t{1} << 30)) return nullptr;
   return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -556,6 +563,51 @@ TEST(LazyOpenTest, StackedParallelRulesAnswerWithinABoundedAllocation) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch.value(), std::vector<Ids>({Ids({1}), Ids()}));
   EXPECT_EQ(sharded.query_stats().shard_decodes, 0u);
+  EXPECT_LT(g_largest_allocation.load(), size_t{64} << 10);
+}
+
+TEST(LazyOpenTest, HugeStartNodeCountFailsItsFaultWithinABoundedAllocation) {
+  // A grammar of about 20 bytes: 2^32-2 start nodes, of which a 2 x 2
+  // k^2 tree joins two. Each start node would take 8 bytes of start
+  // adjacency, but the payload around it has far fewer bits than the
+  // psi' its nodes need, so the fault fails before sizing anything.
+  constexpr uint64_t kStartNodes = (uint64_t{1} << 32) - 2;
+  BitWriter w;
+  w.PutBits(0x47524732, 32);  // "GRG2"
+  EliasDeltaEncode(2, &w);    // one terminal label
+  EliasDeltaEncode(2, &w);    // ... of rank 2
+  EliasDeltaEncode(1, &w);    // no rules
+  EliasDeltaEncode(kStartNodes + 1, &w);
+  EliasDeltaEncode(1, &w);  // no permutations
+  w.PutBit(true);           // label 0 present
+  K2Tree::Build(2, 2, {{0, 1}}).Serialize(&w);
+  EliasDeltaEncode(1, &w);  // no duplicate cells
+  const std::vector<uint8_t> grammar_bytes = w.TakeBytes();
+  BitWriter psi;
+  EliasDeltaEncode(kStartNodes + 1, &psi);
+  const std::vector<uint8_t> mapping = psi.TakeBytes();
+  std::vector<uint8_t> payload = {1};  // carries psi'
+  PutU64LE(grammar_bytes.size(), &payload);
+  payload.insert(payload.end(), grammar_bytes.begin(), grammar_bytes.end());
+  payload.insert(payload.end(), mapping.begin(), mapping.end());
+  ASSERT_LT(payload.size(), 64u);
+
+  g_largest_allocation.store(0);
+  auto direct = shard::DecodeShardPayload(SpanOf(payload));
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(direct.status().message().find("start node count"),
+            std::string::npos)
+      << direct.status().ToString();
+
+  shard::V2Encoder encoder(/*num_nodes=*/2, 1);
+  encoder.AddShard({0, 1}, SpanOf(payload),
+                   HashBytes(payload.data(), payload.size()));
+  auto rep = shard::ShardedRep::Deserialize(std::move(encoder).Finish());
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  auto faulted = rep.value()->OutNeighbors(0);
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.status().code(), StatusCode::kCorruption);
   EXPECT_LT(g_largest_allocation.load(), size_t{64} << 10);
 }
 

@@ -15,8 +15,10 @@
 #include "src/grepair/compressor.h"
 #include "src/k2tree/k2tree.h"
 #include "src/query/compressed_graph.h"
+#include "src/shard/shard_store.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
+#include "tests/graph_checks.h"
 
 namespace grepair {
 namespace {
@@ -400,7 +402,9 @@ std::vector<uint8_t> GrammarWithCells(
 TEST(StartCellTest, DecodesHonestCells) {
   auto decoded = DecodeGrammar(GrammarWithCells(3, 3, {{0, 1}, {2, 0}}));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const Hypergraph& start = decoded.value().start();
+  // Terminal rank-2 cells decode into the start adjacency.
+  EXPECT_EQ(decoded.value().start().num_edges(), 0u);
+  const Hypergraph start = WholeStartGraph(decoded.value());
   ASSERT_EQ(start.num_edges(), 2u);
   EXPECT_TRUE(start.edge(0).att == Attachments({0, 1}));
   EXPECT_TRUE(start.edge(1).att == Attachments({2, 0}));
@@ -464,6 +468,79 @@ TEST(StartCellTest, RejectsRulesThatFailTheirChecks) {
     EliasDeltaEncode(2, w);  // label 1, this rule
   };
   ExpectCorrupt(GrammarWithCells(3, 3, {{0, 1}}, cyclic), "self-reference");
+}
+
+// A grepair payload with no node mapping around a grammar of one
+// rank-2 terminal over 4 start nodes, whose only k^2-tree holds (0,3)
+// and (1,0), followed by the dup patches `dups`: (cell rank, extra
+// edges) pairs, ranks counted from 1 in row-major order. The tree's
+// level order lists (1,0) first, row-major order (0,3).
+std::vector<uint8_t> PayloadWithDups(
+    const std::vector<std::pair<uint64_t, uint64_t>>& dups) {
+  BitWriter w;
+  w.PutBits(0x47524732, 32);  // "GRG2"
+  EliasDeltaEncode(2, &w);    // one terminal label
+  EliasDeltaEncode(2, &w);    // ... of rank 2
+  EliasDeltaEncode(1, &w);    // no rules
+  EliasDeltaEncode(5, &w);    // 4 start nodes
+  EliasDeltaEncode(1, &w);    // no permutations
+  w.PutBit(true);             // label 0 present
+  K2Tree::Build(4, 4, {{0, 3}, {1, 0}}).Serialize(&w);
+  EliasDeltaEncode(dups.size() + 1, &w);
+  for (const auto& [rank, extra] : dups) {
+    EliasDeltaEncode(rank, &w);
+    EliasDeltaEncode(extra, &w);
+  }
+  const std::vector<uint8_t> grammar = w.TakeBytes();
+  std::vector<uint8_t> payload = {0};
+  PutU64LE(grammar.size(), &payload);
+  payload.insert(payload.end(), grammar.begin(), grammar.end());
+  return payload;
+}
+
+TEST(DupPatchTest, PatchesExpandToParallelEdges) {
+  // Rank 1 is (0,3), the row-major first cell, not the level-order one.
+  auto g = CompressedGraph::Deserialize(SpanOf(PayloadWithDups({{1, 2}})));
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g.value().num_edges(), 4u);
+  const StartAdjacency& csr = g.value().grammar().start_adjacency();
+  const StartAdjacency::Row row = csr.Targets(0);
+  EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
+            (std::vector<NodeId>{3, 3, 3}));
+  const StartAdjacency::Row single = csr.Targets(1);
+  EXPECT_EQ(std::vector<NodeId>(single.begin(), single.end()),
+            (std::vector<NodeId>{0}));
+  EXPECT_EQ(g.value().OutNeighbors(0), (std::vector<uint64_t>{3}));
+  EXPECT_EQ(g.value().InNeighbors(3), (std::vector<uint64_t>{0}));
+  // Re-encoding writes the same patch.
+  EXPECT_EQ(g.value().Serialize(), PayloadWithDups({{1, 2}}));
+}
+
+TEST(DupPatchTest, RankPastTheLabelsCellsFailsClosed) {
+  // The label has 2 distinct cells; rank 3 names none of them.
+  auto g = shard::DecodeShardPayload(SpanOf(PayloadWithDups({{3, 1}})));
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(g.status().message(), "bad dup cell");
+}
+
+TEST(DupPatchTest, PatchesPastTheDupBudgetFailClosed) {
+  // Exactly kMaxDupEdges extra edges over two patches fit the budget;
+  // one more fails, whether in one patch or spread over two.
+  auto fits = CompressedGraph::Deserialize(
+      SpanOf(PayloadWithDups({{1, kMaxDupEdges - 1}, {2, 1}})));
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits.value().num_edges(), 2 + kMaxDupEdges);
+  for (const auto& dups :
+       {std::vector<std::pair<uint64_t, uint64_t>>{{1, kMaxDupEdges + 1}},
+        std::vector<std::pair<uint64_t, uint64_t>>{{1, kMaxDupEdges},
+                                                   {2, 1}},
+        std::vector<std::pair<uint64_t, uint64_t>>{{1, ~uint64_t{0}}}}) {
+    auto g = shard::DecodeShardPayload(SpanOf(PayloadWithDups(dups)));
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(g.status().message(), "edge multiplicity overflow");
+  }
 }
 
 TEST(RetiredPayloadTest, V1PayloadFailsClosedWithRecompress) {

@@ -270,11 +270,12 @@ TEST(NetFuzzTest, WholeContainerMutationStaysFailClosed) {
 TEST(NetFuzzTest, GrepairPayloadParserSurvivesMutation) {
   // fuzz/grepair_payload_fuzzer.cc runs the same check coverage-guided.
   const auto seeds = fuzz::GoldenGrepairPayloadSeeds();
-  // Golden path: the real payloads decode; the last seed, whose val(G)
-  // counts wrap uint64_t, fails closed.
+  // Golden path: the other payloads decode; the DoublingGrammar seed,
+  // whose val(G) counts wrap uint64_t, fails closed.
+  const size_t kWrapping = 3;
   for (size_t i = 0; i < seeds.size(); ++i) {
     auto graph = CompressedGraph::Deserialize(SpanOf(seeds[i]));
-    EXPECT_EQ(graph.ok(), i + 1 < seeds.size()) << "seed " << i;
+    EXPECT_EQ(graph.ok(), i != kWrapping) << "seed " << i;
     const char* violated =
         fuzz::CheckGrepairPayload(seeds[i].data(), seeds[i].size());
     EXPECT_TRUE(violated == nullptr) << violated;
