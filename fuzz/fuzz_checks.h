@@ -33,6 +33,7 @@
 #include "src/net/frame.h"
 #include "src/query/compressed_graph.h"
 #include "src/serve/placement.h"
+#include "src/serve/stats.h"
 #include "src/shard/delta_overlay.h"
 #include "src/shard/sharded_codec.h"
 #include "src/util/bit_stream.h"
@@ -45,7 +46,9 @@ namespace grepair {
 namespace fuzz {
 
 /// \brief GRNF wire-frame decode: ok frames carry a GRNF v2 type and
-/// re-encode byte-identically; failures are non-empty kCorruption.
+/// re-encode byte-identically; failures are non-empty kCorruption. A
+/// kStats frame's body goes on through DecodeStatsBody under the same
+/// contract: a decoded snapshot re-encodes byte-identically.
 /// Returns nullptr or the violated invariant.
 inline const char* CheckFrameParse(ByteSpan bytes) {
   size_t consumed = 0;
@@ -70,6 +73,21 @@ inline const char* CheckFrameParse(ByteSpan bytes) {
   if (reencoded !=
       std::vector<uint8_t>(bytes.data, bytes.data + consumed)) {
     return "re-encoding a decoded frame did not reproduce its input bytes";
+  }
+  if (frame.value().type != net::kStats) return nullptr;
+  uint64_t req_id = 0;
+  auto stats = serve::DecodeStatsBody(SpanOf(frame.value().body), &req_id);
+  if (!stats.ok()) {
+    if (stats.status().code() != StatusCode::kCorruption) {
+      return "stats body decode failed with a code other than kCorruption";
+    }
+    if (stats.status().message().empty()) {
+      return "stats body decode failed with an empty status message";
+    }
+    return nullptr;
+  }
+  if (serve::EncodeStatsBody(req_id, stats.value()) != frame.value().body) {
+    return "re-encoding a decoded stats body did not reproduce its bytes";
   }
   return nullptr;
 }

@@ -82,7 +82,6 @@ inline std::vector<std::vector<uint8_t>> GoldenFrameSeeds() {
   stats.corpora[0].requests = 8;
   stats.corpora[0].histogram_epoch = 8;
   stats.corpora[0].shard_hits = {5, 3};
-  stats.corpora[0].shard_pinned = {1, 0};
   return {
       net::EncodeFrame(net::kHello, SpanOf(hello)),
       net::EncodeFrame(net::kHelloOk, SpanOf(hello_ok)),

@@ -146,63 +146,5 @@ Result<DirSidecar> LoadDirSidecar(const std::string& path) {
   return ParseSidecar(SpanOf(bytes.value()), "directory sidecar " + path);
 }
 
-void PlacementController::Refresh(const CorpusRegistry& registry) {
-  // Flatten every hot (corpus, shard) pair in (corpus, shard) order, so
-  // PlanByHeat's id tie-break is the corpus/shard order. The registry
-  // is frozen (spans and rows immutable), the histograms are atomics —
-  // no lock needed to read.
-  std::vector<uint64_t> keys, heat, lengths;
-  for (size_t c = 0; c < registry.size(); ++c) {
-    const Corpus& corpus = registry.at(c);
-    for (size_t s = 0; s < corpus.rows.size(); ++s) {
-      uint64_t hits = corpus.shard_hits[s].load(std::memory_order_relaxed);
-      if (hits == 0) continue;
-      keys.push_back((static_cast<uint64_t>(c) << 32) | s);
-      heat.push_back(hits);
-      lengths.push_back(corpus.rows[s].length);
-    }
-  }
-  std::set<uint64_t> want;
-  uint64_t planned_bytes = 0;
-  for (size_t i : PlanByHeat(heat, lengths, budget_bytes_)) {
-    want.insert(keys[i]);
-    planned_bytes += lengths[i];
-  }
-  MutexLock lock(mu_);
-  // Unpin fallen-out shards first so the transient locked footprint
-  // never exceeds the budget, then pin the newcomers.
-  for (auto it = pinned_.begin(); it != pinned_.end();) {
-    if (want.count(*it)) {
-      ++it;
-      continue;
-    }
-    uint32_t c = static_cast<uint32_t>(*it >> 32);
-    uint32_t s = static_cast<uint32_t>(*it & 0xffffffffu);
-    if (c < registry.size()) {
-      const Corpus& corpus = registry.at(c);
-      if (s < corpus.rows.size()) {
-        (void)UnpinBytes(corpus.payload.subspan(corpus.rows[s].offset,
-                                                corpus.rows[s].length));
-        corpus.shard_pinned[s].store(0, std::memory_order_relaxed);
-      }
-    }
-    it = pinned_.erase(it);
-  }
-  for (uint64_t key : want) {
-    if (pinned_.count(key)) continue;
-    uint32_t c = static_cast<uint32_t>(key >> 32);
-    uint32_t s = static_cast<uint32_t>(key & 0xffffffffu);
-    const Corpus& corpus = registry.at(c);
-    // mlock is best-effort; the flag and the accounting record the
-    // placement decision either way (see the header's coverage note).
-    (void)PinBytes(corpus.payload.subspan(corpus.rows[s].offset,
-                                          corpus.rows[s].length));
-    corpus.shard_pinned[s].store(1, std::memory_order_relaxed);
-    pinned_.insert(key);
-  }
-  shards_pinned_.store(want.size(), std::memory_order_relaxed);
-  pinned_bytes_.store(planned_bytes, std::memory_order_relaxed);
-}
-
 }  // namespace serve
 }  // namespace grepair

@@ -1,49 +1,37 @@
 // Histogram-driven shard placement: turning the per-shard hit
-// histograms the STATS verb already collects into residency decisions.
+// histograms the STATS verb collects into residency decisions on the
+// client. The server only counts hits; it decides no residency.
 //
-// One heat rule decides residency on both sides: PlanByHeat fills a
-// byte budget hottest-first. It is deterministic (heat descending,
-// then id ascending), so an unchanged histogram gives an unchanged
-// plan and tests can predict it exactly.
+// One heat rule decides residency: PlanByHeat fills a byte budget
+// hottest-first. It is deterministic (heat descending, then id
+// ascending), so an unchanged histogram gives an unchanged plan and
+// tests can predict it exactly.
 //
-//  * Server side — PlacementController watches a frozen CorpusRegistry
-//    and keeps the planned shard payloads pinned (mlock, best-effort).
-//
-//  * Client side — the SSD tier (src/serve/tiered.h) caches exactly
-//    the shards PlanByHeat picks under its budget. The `.grdir`
-//    sidecar next to the tier's directory keeps the histogram
-//    (DirSidecar, format v2): a client that reopens a corpus knows
-//    which shards were hot *before* it issues the first query, so
-//    OpenRemoteContainer can plan the tier and prefetch hot shards at
-//    open time instead of rediscovering the working set one cold
-//    fault at a time.
-//
-// The "pinned" accounting everywhere in this layer is placement
-// *coverage* — which shards the budget selected — not an mlock
-// guarantee: RLIMIT_MEMLOCK is tight in containers, so the lock
-// syscalls are best-effort while the decision stays deterministic.
+// The SSD tier (src/serve/tiered.h) caches exactly the shards
+// PlanByHeat picks under its budget. The `.grdir` sidecar next to the
+// tier's directory keeps the histogram (DirSidecar, format v2): a
+// client that reopens a corpus knows which shards were hot *before*
+// it issues the first query, so OpenRemoteContainer can plan the tier
+// and prefetch hot shards at open time instead of rediscovering the
+// working set one cold fault at a time.
 
 #ifndef GREPAIR_SERVE_PLACEMENT_H_
 #define GREPAIR_SERVE_PLACEMENT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "src/serve/registry.h"
 #include "src/util/byte_io.h"
 #include "src/util/status.h"
-#include "src/util/sync.h"
 
 namespace grepair {
 namespace serve {
 
 /// \brief Shard ids ordered by heat: hits descending, id ascending as
 /// the tie-break, shards with zero hits omitted. The one ranking the
-/// server-side controller, the client-side open-time warmer and the
-/// SSD tier share, so their notions of "hot" agree.
+/// open-time warmer and the SSD tier share, so their notions of "hot"
+/// agree.
 std::vector<size_t> RankByHeat(const std::vector<uint64_t>& histogram);
 
 /// \brief The one budget-fill rule for shard residency: the shards
@@ -94,49 +82,6 @@ Result<DirSidecar> ParseDirSidecar(ByteSpan bytes);
 /// \brief Reads `path` and parses it like ParseDirSidecar; errors name
 /// the path.
 Result<DirSidecar> LoadDirSidecar(const std::string& path);
-
-/// \brief Server-side placement engine: plans the hot (corpus, shard)
-/// pairs with PlanByHeat under the byte budget, and pins/unpins
-/// registry payload spans to match. Also maintains each Corpus'
-/// shard_pinned flags so the STATS verb can report the placement to
-/// clients.
-///
-/// Thread-safe: connection threads may call Refresh concurrently with
-/// each other and with stats readers (the registry is frozen, the
-/// histograms are atomics, and the pin set is under a mutex).
-class PlacementController {
- public:
-  /// \brief `budget_bytes` caps the summed payload length of pinned
-  /// shards. 0 disables pinning (Refresh only clears leftovers).
-  explicit PlacementController(uint64_t budget_bytes)
-      : budget_bytes_(budget_bytes) {}
-
-  ~PlacementController() = default;
-  PlacementController(const PlacementController&) = delete;
-  PlacementController& operator=(const PlacementController&) = delete;
-
-  /// \brief Re-ranks from the registry's current histograms and
-  /// adjusts the pinned set. Idempotent for an unchanged histogram.
-  void Refresh(const CorpusRegistry& registry)
-      GREPAIR_LOCKS_EXCLUDED(mu_);
-
-  /// \brief Current placement size (shards / payload bytes covered by
-  /// the budget). Snapshot-safe without the mutex.
-  uint64_t shards_pinned() const {
-    return shards_pinned_.load(std::memory_order_relaxed);
-  }
-  uint64_t pinned_bytes() const {
-    return pinned_bytes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const uint64_t budget_bytes_;
-  Mutex mu_;
-  /// Pinned (corpus << 32 | shard) keys, the diff base for Refresh.
-  std::set<uint64_t> pinned_ GREPAIR_GUARDED_BY(mu_);
-  std::atomic<uint64_t> shards_pinned_{0};
-  std::atomic<uint64_t> pinned_bytes_{0};
-};
 
 }  // namespace serve
 }  // namespace grepair

@@ -132,11 +132,8 @@ Status CorpusRegistry::Add(const std::string& name,
   size_t shards = corpus->rows.size();
   corpus->shard_hits =
       std::make_unique<std::atomic<uint64_t>[]>(shards > 0 ? shards : 1);
-  corpus->shard_pinned =
-      std::make_unique<std::atomic<uint8_t>[]>(shards > 0 ? shards : 1);
   for (size_t i = 0; i < shards; ++i) {
     corpus->shard_hits[i].store(0, std::memory_order_relaxed);
-    corpus->shard_pinned[i].store(0, std::memory_order_relaxed);
   }
   corpora_.push_back(std::move(corpus));
   return Status::OK();

@@ -54,13 +54,8 @@ struct Corpus {
   // Serving counters (incremented by connection threads).
   mutable std::atomic<uint64_t> requests{0};
   /// Per-shard hit histogram (rows.size() slots): the hot-shard signal
-  /// behind the STATS verb, placement and open-time warming.
+  /// behind the STATS verb, the SSD tier's plan and open-time warming.
   std::unique_ptr<std::atomic<uint64_t>[]> shard_hits;
-  /// Per-shard placement flags (rows.size() slots): 1 when the shard
-  /// is under the server's pin budget right now. Written by the
-  /// PlacementController, snapshot by the STATS verb so clients see
-  /// the current placement.
-  std::unique_ptr<std::atomic<uint8_t>[]> shard_pinned;
 };
 
 class CorpusRegistry {

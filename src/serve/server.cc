@@ -27,9 +27,6 @@ Status ShardServer::Init(const Options& options) {
   host_ = options.host;
   io_timeout_ms_ = options.io_timeout_ms;
   debug_shard_delay_ms_ = options.debug_shard_delay_ms;
-  if (options.pin_bytes > 0) {
-    placement_ = std::make_unique<PlacementController>(options.pin_bytes);
-  }
   auto listener = Socket::ListenTcp(options.host, options.port, &port_);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener).ValueOrDie();
@@ -288,15 +285,8 @@ bool ShardServer::HandleGetShard(Socket* socket, uint64_t req_id,
   ByteSpan blob = corpus.payload.subspan(row.offset, row.length);
   body.insert(body.end(), blob.begin(), blob.end());
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t seen = corpus.requests.fetch_add(1, std::memory_order_relaxed);
+  corpus.requests.fetch_add(1, std::memory_order_relaxed);
   corpus.shard_hits[index].fetch_add(1, std::memory_order_relaxed);
-  // Periodic placement refresh off the serving path's own cadence: the
-  // connection thread crossing the interval pays the (cheap, frozen-
-  // registry) re-rank; everyone else just bumps atomics.
-  if (placement_ != nullptr &&
-      (seen + 1) % kPlacementRefreshRequests == 0) {
-    placement_->Refresh(registry_);
-  }
   return SendFrame(socket, net::kShard2, SpanOf(body)).ok();
 }
 
@@ -318,9 +308,6 @@ Status ShardServer::SendError(Socket* socket, uint64_t req_id,
 }
 
 ServerStatsSnapshot ShardServer::stats() const {
-  // A stats reader is about to see the histogram — bring the placement
-  // up to date first so the pinned flags it reports match.
-  if (placement_ != nullptr) placement_->Refresh(registry_);
   ServerStatsSnapshot snapshot;
   snapshot.connections = stat_connections_.load(std::memory_order_relaxed);
   snapshot.requests = stat_requests_.load(std::memory_order_relaxed);
@@ -345,11 +332,8 @@ ServerStatsSnapshot ShardServer::stats() const {
          << 32) |
         (out.requests & 0xFFFFFFFFull);
     out.shard_hits.resize(corpus.rows.size());
-    out.shard_pinned.resize(corpus.rows.size());
     for (size_t k = 0; k < corpus.rows.size(); ++k) {
       out.shard_hits[k] = corpus.shard_hits[k].load(
-          std::memory_order_relaxed);
-      out.shard_pinned[k] = corpus.shard_pinned[k].load(
           std::memory_order_relaxed);
     }
   }

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/net/frame.h"
-#include "src/serve/placement.h"
 #include "src/serve/registry.h"
 #include "src/serve/stats.h"
 #include "src/util/socket.h"
@@ -54,10 +53,6 @@ class ShardServer {
     /// connection-pool speedups are measurable on any machine. Leave 0
     /// in production.
     int debug_shard_delay_ms = 0;
-    /// Byte budget for histogram-driven pinning of hot shard payloads
-    /// (mlock, best-effort — see src/serve/placement.h). 0 disables
-    /// the placement controller.
-    uint64_t pin_bytes = 0;
   };
 
   /// \brief Takes ownership of a populated registry (≥1 corpus) and
@@ -105,12 +100,6 @@ class ShardServer {
   Status SendError(Socket* socket, uint64_t req_id, const Status& status);
 
   CorpusRegistry registry_;
-
-  // Histogram-driven pinning (null when Options::pin_bytes is 0).
-  // Refreshed every kPlacementRefreshRequests shard requests and on
-  // every stats snapshot, so placement follows the live histogram.
-  static constexpr uint64_t kPlacementRefreshRequests = 256;
-  std::unique_ptr<PlacementController> placement_;
 
   std::string host_;
   uint16_t port_ = 0;

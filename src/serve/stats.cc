@@ -26,11 +26,7 @@ std::vector<uint8_t> EncodeStatsBody(uint64_t req_id,
     PutU64LE(corpus.requests, &body);
     PutU64LE(corpus.histogram_epoch, &body);
     PutU32LE(static_cast<uint32_t>(corpus.shard_hits.size()), &body);
-    for (size_t i = 0; i < corpus.shard_hits.size(); ++i) {
-      PutU64LE(corpus.shard_hits[i], &body);
-      body.push_back(i < corpus.shard_pinned.size() ? corpus.shard_pinned[i]
-                                                    : 0);
-    }
+    for (uint64_t hits : corpus.shard_hits) PutU64LE(hits, &body);
   }
   return body;
 }
@@ -86,24 +82,15 @@ Result<ServerStatsSnapshot> DecodeStatsBody(ByteSpan body, uint64_t* req_id) {
     GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&corpus.histogram_epoch));
     uint32_t num_shards = 0;
     GREPAIR_RETURN_IF_ERROR(src.ReadU32LE(&num_shards));
-    if (static_cast<uint64_t>(num_shards) * 9 > src.PeekRemaining().size) {
+    if (static_cast<uint64_t>(num_shards) * 8 > src.PeekRemaining().size) {
       return Status::Corruption(
           "stats body claims " + std::to_string(num_shards) +
           " shard counters but only " +
           std::to_string(src.PeekRemaining().size) + " byte(s) remain");
     }
     corpus.shard_hits.resize(num_shards);
-    corpus.shard_pinned.resize(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&corpus.shard_hits[s]));
-      uint8_t pinned = 0;
-      GREPAIR_RETURN_IF_ERROR(src.ReadU8(&pinned));
-      if (pinned > 1) {
-        return Status::Corruption("stats body has pinned flag " +
-                                  std::to_string(pinned) +
-                                  " (expected 0 or 1)");
-      }
-      corpus.shard_pinned[s] = pinned;
+    for (uint64_t& hits : corpus.shard_hits) {
+      GREPAIR_RETURN_IF_ERROR(src.ReadU64LE(&hits));
     }
   }
   if (src.PeekRemaining().size != 0) {

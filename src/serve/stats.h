@@ -8,10 +8,11 @@
 // A kStats body is a point-in-time snapshot of one server process:
 // process-wide counters followed by one record per served corpus,
 // including the per-shard hit histogram — the hot-shard signal that
-// placement and open-time warming feed on. The encoding is the usual
-// little-endian length-prefixed layout and the decoder applies the
-// same untrusted-input discipline as every other wire parser in this
-// tree (a stats frame crosses the same network as shard frames).
+// the client's SSD tier and open-time warming feed on. The encoding is
+// the usual little-endian length-prefixed layout and the decoder
+// applies the same untrusted-input discipline as every other wire
+// parser in this tree (a stats frame crosses the same network as shard
+// frames).
 //
 // Layout (after the u64 request id):
 //
@@ -25,8 +26,7 @@
 //     u64 histogram_epoch (the corpus request counter the histogram
 //                          was snapshot at — a client persisting it
 //                          can tell fresher from staler)
-//     u32 num_shards + per shard: u64 hit-count, u8 pinned flag
-//                     (1 = under the server's pin budget right now)
+//     u32 num_shards + per shard: u64 hit-count
 
 #ifndef GREPAIR_SERVE_STATS_H_
 #define GREPAIR_SERVE_STATS_H_
@@ -54,9 +54,6 @@ struct CorpusServeStats {
   /// to — lets a client persisting histograms prefer the fresher one.
   uint64_t histogram_epoch = 0;
   std::vector<uint64_t> shard_hits;     ///< per-shard hit histogram
-  /// Per-shard placement flags (same length as shard_hits): 1 when
-  /// the shard is under the server's pin budget.
-  std::vector<uint8_t> shard_pinned;
 };
 
 /// \brief A whole-process serving snapshot (the kStats payload).

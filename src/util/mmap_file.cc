@@ -28,51 +28,7 @@ std::string ErrnoText() {
   return std::string(std::strerror(errno));
 }
 
-#if GREPAIR_HAVE_MMAP
-size_t PageSize() {
-  long page = sysconf(_SC_PAGESIZE);
-  return page > 0 ? static_cast<size_t>(page) : 4096;
-}
-
-// A span's address is arbitrary, so it is aligned down; the same
-// widening is applied by PinBytes and UnpinBytes so the two always
-// cover the identical page range.
-void AlignedSpan(ByteSpan span, void** begin, size_t* bytes) {
-  size_t page = PageSize();
-  uintptr_t addr = reinterpret_cast<uintptr_t>(span.data);
-  uintptr_t start = addr - addr % page;
-  *begin = reinterpret_cast<void*>(start);
-  *bytes = static_cast<size_t>(addr - start) + span.size;
-}
-#endif
-
 }  // namespace
-
-size_t PinBytes(ByteSpan span) {
-#if GREPAIR_HAVE_MMAP
-  if (span.data == nullptr || span.size == 0) return 0;
-  void* begin = nullptr;
-  size_t bytes = 0;
-  AlignedSpan(span, &begin, &bytes);
-  return mlock(begin, bytes) == 0 ? bytes : 0;
-#else
-  (void)span;
-  return 0;
-#endif
-}
-
-size_t UnpinBytes(ByteSpan span) {
-#if GREPAIR_HAVE_MMAP
-  if (span.data == nullptr || span.size == 0) return 0;
-  void* begin = nullptr;
-  size_t bytes = 0;
-  AlignedSpan(span, &begin, &bytes);
-  return munlock(begin, bytes) == 0 ? bytes : 0;
-#else
-  (void)span;
-  return 0;
-#endif
-}
 
 MmapFile::~MmapFile() {
 #if GREPAIR_HAVE_MMAP

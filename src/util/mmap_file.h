@@ -62,13 +62,6 @@ class MmapFile {
   std::vector<uint8_t> fallback_;     // owns the bytes when !mapped_
 };
 
-/// \brief mlock / munlock over the page-aligned range covering `span`
-/// (any readable memory, mapped or heap — the server-side placement
-/// path pins registry payload spans that may not sit in an MmapFile).
-/// Returns bytes locked/unlocked; 0 when refused (best-effort).
-size_t PinBytes(ByteSpan span);
-size_t UnpinBytes(ByteSpan span);
-
 /// \brief Status-ful whole-file read into an owned buffer (for writers
 /// and small inputs where a mapping is overkill). Errors name the path.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);

@@ -312,6 +312,7 @@ TEST(CliTest, ArgumentErrorsExitTwoBeforeAnyIo) {
       {"serve", 2, "serve needs at least one corpus"},
       {"serve --bogus", 2, usage},
       {"serve --port", 2, usage},
+      {"serve " + in + " --pin-bytes 1", 2, usage},
       // gen
       {"gen ba " + out + " 4294967296", 2,
        "gen expects a size in [0, 4294967295], got '4294967296'"},

@@ -169,14 +169,12 @@ TEST(NetFuzzTest, StatsBodyDecoderSurvivesMutation) {
   snapshot.corpora[0].requests = 12;
   snapshot.corpora[0].histogram_epoch = 12;
   snapshot.corpora[0].shard_hits = {4, 0, 8};
-  snapshot.corpora[0].shard_pinned = {1, 0, 1};
   snapshot.corpora[1].name = "cite";
   snapshot.corpora[1].inner_name = "k2";
   snapshot.corpora[1].num_nodes = 50;
   snapshot.corpora[1].requests = 5;
   snapshot.corpora[1].histogram_epoch = 5;
   snapshot.corpora[1].shard_hits = {5};
-  snapshot.corpora[1].shard_pinned = {0};
   auto body = serve::EncodeStatsBody(9, snapshot);
 
   // Golden round-trip.
@@ -187,8 +185,8 @@ TEST(NetFuzzTest, StatsBodyDecoderSurvivesMutation) {
   ASSERT_EQ(decoded.value().corpora.size(), 2u);
   EXPECT_EQ(decoded.value().corpora[0].name, "web");
   EXPECT_EQ(decoded.value().corpora[0].histogram_epoch, 12u);
-  EXPECT_EQ(decoded.value().corpora[0].shard_pinned,
-            (std::vector<uint8_t>{1, 0, 1}));
+  EXPECT_EQ(decoded.value().corpora[0].shard_hits,
+            (std::vector<uint64_t>{4, 0, 8}));
   EXPECT_EQ(decoded.value().corpora[1].shard_hits,
             (std::vector<uint64_t>{5}));
 

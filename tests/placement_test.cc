@@ -1,10 +1,9 @@
 // The placement layer end to end: RankByHeat's deterministic ordering,
 // PlanByHeat's budget fill (the one residency rule), the `.grdir`
 // sidecar envelope (v2 with histogram + epoch, fail-closed on damage
-// and on the retired v1 envelope), the server-side
-// PlacementController's budgeted pin set and its STATS-visible flags,
-// the STATS body round-trip carrying epoch + pinned flags, and the
-// sidecar a remote open persists.
+// and on the retired v1 envelope), the STATS body round-trip carrying
+// epoch + hits (fail-closed on the retired layout with a per-shard
+// pinned flag), and the sidecar a remote open persists.
 
 #include <gtest/gtest.h>
 
@@ -40,16 +39,6 @@ std::vector<shard::ShardDirEntry> DirectoryRows(
   auto parsed = shard::ParseContainer(SpanOf(container));
   EXPECT_TRUE(parsed.ok());
   return std::move(parsed).ValueOrDie().dir.rows;
-}
-
-// Indices of shards that actually carry payload bytes.
-std::vector<size_t> DataShards(
-    const std::vector<shard::ShardDirEntry>& rows) {
-  std::vector<size_t> data;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].length > 0) data.push_back(i);
-  }
-  return data;
 }
 
 struct ScratchDir {
@@ -149,62 +138,7 @@ TEST(PlacementTest, DirSidecarV1FailsClosed) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(PlacementTest, ControllerPinsHotFirstUnderBudgetDeterministically) {
-  GeneratedGraph gg = BarabasiAlbert(120, 3, 211);
-  std::vector<uint8_t> bytes = CompressSharded(gg, 5);
-  serve::CorpusRegistry registry;
-  ASSERT_TRUE(registry.AddBytes("g", SpanOf(bytes)).ok());
-  const serve::Corpus& corpus = registry.at(0);
-  auto data = DataShards(corpus.rows);
-  ASSERT_GE(data.size(), 3u);
-  size_t s0 = data[0], s1 = data[1], s2 = data[2];
-
-  // Phase A: two hot shards, room for everything → both pinned.
-  corpus.shard_hits[s0].store(5);
-  corpus.shard_hits[s1].store(3);
-  serve::PlacementController controller(/*budget_bytes=*/1ull << 40);
-  controller.Refresh(registry);
-  EXPECT_EQ(controller.shards_pinned(), 2u);
-  EXPECT_EQ(controller.pinned_bytes(),
-            corpus.rows[s0].length + corpus.rows[s1].length);
-  EXPECT_EQ(corpus.shard_pinned[s0].load(), 1);
-  EXPECT_EQ(corpus.shard_pinned[s1].load(), 1);
-  EXPECT_EQ(corpus.shard_pinned[s2].load(), 0);
-
-  // Idempotent for an unchanged histogram.
-  controller.Refresh(registry);
-  EXPECT_EQ(controller.shards_pinned(), 2u);
-
-  // Phase B: the heat moves, the placement follows — s1 falls out,
-  // s2 comes in.
-  corpus.shard_hits[s1].store(0);
-  corpus.shard_hits[s2].store(7);
-  controller.Refresh(registry);
-  EXPECT_EQ(controller.shards_pinned(), 2u);
-  EXPECT_EQ(controller.pinned_bytes(),
-            corpus.rows[s0].length + corpus.rows[s2].length);
-  EXPECT_EQ(corpus.shard_pinned[s0].load(), 1);
-  EXPECT_EQ(corpus.shard_pinned[s1].load(), 0);
-  EXPECT_EQ(corpus.shard_pinned[s2].load(), 1);
-
-  // Phase C: a budget of exactly one hottest shard pins that shard
-  // alone (greedy skips anything that would overflow).
-  serve::PlacementController tight(corpus.rows[s2].length);
-  tight.Refresh(registry);
-  EXPECT_EQ(tight.shards_pinned(), 1u);
-  EXPECT_EQ(tight.pinned_bytes(), corpus.rows[s2].length);
-
-  // A zero budget clears everything it owns; the wide controller's
-  // flags were overwritten by the tight one, so re-assert via a final
-  // wide refresh then a zero-budget drain.
-  controller.Refresh(registry);
-  serve::PlacementController off(0);
-  off.Refresh(registry);
-  EXPECT_EQ(off.shards_pinned(), 0u);
-  EXPECT_EQ(off.pinned_bytes(), 0u);
-}
-
-TEST(PlacementTest, StatsBodyRoundTripsEpochAndPinnedFlags) {
+TEST(PlacementTest, StatsBodyRoundTripsEpochAndHits) {
   serve::ServerStatsSnapshot snapshot;
   snapshot.connections = 4;
   snapshot.requests = 100;
@@ -217,7 +151,6 @@ TEST(PlacementTest, StatsBodyRoundTripsEpochAndPinnedFlags) {
   corpus.requests = 17;
   corpus.histogram_epoch = 17;
   corpus.shard_hits = {9, 0, 8};
-  corpus.shard_pinned = {1, 0, 1};
   snapshot.corpora.push_back(corpus);
 
   std::vector<uint8_t> body = serve::EncodeStatsBody(7, snapshot);
@@ -230,18 +163,23 @@ TEST(PlacementTest, StatsBodyRoundTripsEpochAndPinnedFlags) {
   EXPECT_EQ(got.name, "web");
   EXPECT_EQ(got.histogram_epoch, 17u);
   EXPECT_EQ(got.shard_hits, corpus.shard_hits);
-  EXPECT_EQ(got.shard_pinned, corpus.shard_pinned);
 
-  // A pinned flag that is neither 0 nor 1 is wire damage.
+  // A trailing byte is wire damage.
   std::vector<uint8_t> mutated = body;
-  mutated.back() = 2;  // the last field is the last shard's pin flag
-  EXPECT_EQ(
-      serve::DecodeStatsBody(SpanOf(mutated), &req_id).status().code(),
-      StatusCode::kCorruption);
-  // So is a trailing byte.
-  mutated = body;
   mutated.push_back(0);
   EXPECT_FALSE(serve::DecodeStatsBody(SpanOf(mutated), &req_id).ok());
+
+  // The retired layout (a u8 flag after each shard's hit count) fails
+  // closed. The one corpus's hit counts are the body's last 8 x 3 bytes.
+  size_t hits_at = body.size() - 8 * corpus.shard_hits.size();
+  std::vector<uint8_t> retired(body.begin(), body.begin() + hits_at);
+  for (size_t s = 0; s < corpus.shard_hits.size(); ++s) {
+    PutU64LE(corpus.shard_hits[s], &retired);
+    retired.push_back(s == 1 ? 0 : 1);
+  }
+  EXPECT_EQ(
+      serve::DecodeStatsBody(SpanOf(retired), &req_id).status().code(),
+      StatusCode::kCorruption);
 }
 
 TEST(PlacementTest, RemoteOpenPersistsHistogramSidecar) {

@@ -80,7 +80,6 @@ int Usage() {
       "  diff <base> <delta.grs3>...\n"
       "  serve [<file>|<dir>]... [--corpus name=path] [--host H] "
       "[--port P]\n"
-      "        [--pin-bytes N]\n"
       "  info <in> | info --remote host:port[/corpus]\n"
       "  stats <in>\n"
       "  components <in>\n"
@@ -549,7 +548,6 @@ int CmdServe(int argc, char** argv) {
   auto args = ParseArgs(argc, argv,
                         {{"--host", &options.host},
                          {"--port", Count{&port, 0, 65535}},
-                         {"--pin-bytes", &options.pin_bytes},
                          {"--corpus", &corpus_specs}},
                         0, kAnyCount);
   if (!args) return 2;
@@ -618,15 +616,15 @@ int CmdServe(int argc, char** argv) {
 
 // The shard table of `info`: one row per directory entry. `served`
 // (`info --remote` only: the server's stats for this corpus) adds its
-// hit histogram as hits/heat columns — heat is a shard's share of all
-// hits — and its current placement as a pinned column.
+// hit histogram as hits/heat columns; heat is a shard's share of all
+// hits.
 void PrintShardTable(const shard::ParsedDirectory& dir,
                      const serve::CorpusServeStats* served) {
   std::printf("%6s %10s %10s %18s %10s", "shard", "offset", "length",
               "checksum", "nodes");
   uint64_t total_hits = 0;
   if (served != nullptr) {
-    std::printf(" %10s %7s %7s", "hits", "heat", "pinned");
+    std::printf(" %10s %7s", "hits", "heat");
     for (uint64_t h : served->shard_hits) total_hits += h;
   }
   std::printf("\n");
@@ -642,10 +640,7 @@ void PrintShardTable(const shard::ParsedDirectory& dir,
       double heat = total_hits > 0 ? 100.0 * static_cast<double>(hits) /
                                          static_cast<double>(total_hits)
                                    : 0.0;
-      bool pinned =
-          i < served->shard_pinned.size() && served->shard_pinned[i] != 0;
-      std::printf(" %10llu %6.1f%% %7s", (unsigned long long)hits, heat,
-                  pinned ? "yes" : "-");
+      std::printf(" %10llu %6.1f%%", (unsigned long long)hits, heat);
     }
     std::printf("\n");
   }
@@ -685,7 +680,7 @@ int CmdInfoRemote(const std::string& target) {
   auto dir = serve::FetchCorpusDirectory(host_port, corpus,
                                          /*io_timeout_ms=*/30000, &resolved);
   if (!dir.ok()) return Fail(dir.status());
-  // A corpus missing from the snapshot prints zero hits, nothing pinned.
+  // A corpus missing from the snapshot prints zero hits.
   serve::CorpusServeStats served;
   for (const auto& c : snapshot.corpora) {
     if (c.name == resolved) served = c;
