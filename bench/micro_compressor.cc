@@ -1,9 +1,10 @@
 // Micro-benchmarks for the compression pipeline itself: gRePair
 // end-to-end throughput per workload family, encode/decode/derive, a
 // warm sharded batch query, the node map's id <-> derivation-path
-// round trip, and one compression benchmark per paper
-// codec (bench_util.h's PaperCodecNames, so every compressor's
-// throughput is tracked from the same harness).
+// round trip, the cold shard fault and directory parse, and one
+// compression benchmark per paper codec (bench_util.h's
+// PaperCodecNames, so every compressor's throughput is tracked from
+// the same harness).
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
 #include "src/query/node_map.h"
+#include "src/shard/container.h"
 #include "src/shard/partitioner.h"
 #include "src/shard/shard_store.h"
 #include "src/util/rng.h"
@@ -117,12 +119,16 @@ void BM_DecodeGrammar(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeGrammar)->Unit(benchmark::kMillisecond);
 
-// What a cold session pays per shard of BM_CompressDblpShards' 16:
+// What a cold session pays per shard of a 16-shard corpus:
 // DecodeShardPayload on the shard's payload (grammar and psi'), the
 // first OutNeighbors, which builds the neighborhood index, and the
-// graph's teardown, one shard after another.
+// graph's teardown, one shard after another. Arg 0 is build-dblp's
+// ingest input, DblpVersions(12, 200, 100); arg 1 is the read corpus,
+// DblpVersions(32, 200, 100), whose shards read-cold-remote faults.
 void BM_FaultDblpShards(benchmark::State& state) {
-  auto gg = DblpVersions(12, 200, 100, 1, "dblp");
+  const GeneratedGraph gg =
+      DblpVersions(state.range(0) == 0 ? 12 : 32, 200, 100, 1, "dblp");
+  state.SetLabel(state.range(0) == 0 ? "build-dblp" : "read");
   auto partition = SixteenShards(gg);
   if (!partition.ok()) {
     state.SkipWithError(partition.status().ToString().c_str());
@@ -144,7 +150,37 @@ void BM_FaultDblpShards(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * bytes);
 }
-BENCHMARK(BM_FaultDblpShards)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FaultDblpShards)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// The read corpus's GRSHARD2 directory (16 rows and their node maps,
+// 55,783 ids) through ParseV2Directory: what every lazy open and every
+// remote open parses before its first query.
+void BM_ParseDirectory(benchmark::State& state) {
+  const GeneratedGraph gg = DblpVersions(32, 200, 100, 1, "dblp");
+  auto codec = api::CodecRegistry::Create("sharded:grepair").ValueOrDie();
+  api::CodecOptions options;
+  options.Set("shards", "16");
+  auto compressed = codec->Compress(gg.graph, gg.alphabet, options);
+  if (!compressed.ok()) {
+    state.SkipWithError(compressed.status().ToString().c_str());
+    return;
+  }
+  const std::vector<uint8_t> container = compressed.value()->Serialize();
+  auto parsed = shard::ParseContainer(SpanOf(container));
+  if (!parsed.ok()) {
+    state.SkipWithError(parsed.status().ToString().c_str());
+    return;
+  }
+  const ByteSpan region = parsed.value().region;
+  const uint64_t dir_off = parsed.value().dir_off;
+  for (auto _ : state) {
+    auto dir = shard::ParseV2Directory(region, dir_off);
+    benchmark::DoNotOptimize(dir.value().node_maps.size());
+  }
+  state.SetBytesProcessed(state.iterations() * region.size);
+}
+BENCHMARK(BM_ParseDirectory)->Unit(benchmark::kMicrosecond);
 
 // A warm 512-node OutNeighborsBatch on a 16-shard sharded:grepair rep
 // opened from its container bytes: routing, the decoded shards and

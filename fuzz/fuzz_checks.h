@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fuzz/largest_allocation.h"
 #include "src/baselines/k2_compressor.h"
 #include "src/api/container.h"
 #include "src/graph/graph_io.h"
@@ -92,12 +93,35 @@ inline const char* CheckFrameParse(ByteSpan bytes) {
   return nullptr;
 }
 
+/// \brief Whether the largest heap request since `probe.reset()` fits
+/// `per_input_byte` bytes per byte of a `size`-byte input plus `slack`;
+/// true when the binary has no probe (see largest_allocation.h).
+inline bool AllocationWithin(size_t size, size_t per_input_byte,
+                             size_t slack) {
+  return !g_largest_allocation.installed() ||
+         g_largest_allocation.largest() <= per_input_byte * size + slack;
+}
+
+/// \brief What one directory parse may allocate at once. A node map
+/// costs at least one bit per 4-byte entry and grows by doubling past
+/// its first reserve; a row and its map's vector header take fewer
+/// bytes than the row does.
+inline constexpr size_t kDirectoryBytesPerInputByte = 64;
+inline constexpr size_t kDirectorySlackBytes = 4 << 10;
+
 /// \brief GRSHARD2 directory parse: a successful parse must uphold the
 /// invariants queries rely on (row/node-map agreement, strictly
 /// increasing in-range node IDs, payload ranges confined to
-/// [8, dir_off)); failures are non-empty kCorruption.
+/// [8, dir_off)); failures are non-empty kCorruption. Either way no
+/// single allocation may exceed kDirectoryBytesPerInputByte per input
+/// byte plus kDirectorySlackBytes.
 inline const char* CheckDirectoryParse(ByteSpan dir, uint64_t dir_off) {
+  if (g_largest_allocation.installed()) g_largest_allocation.reset();
   auto parsed = shard::ParseV2Directory(dir, dir_off);
+  if (!AllocationWithin(dir.size, kDirectoryBytesPerInputByte,
+                        kDirectorySlackBytes)) {
+    return "a directory parse made an allocation its input does not bound";
+  }
   if (!parsed.ok()) {
     if (parsed.status().code() != StatusCode::kCorruption) {
       return "directory parse failed with a code other than kCorruption";
@@ -171,6 +195,62 @@ inline const char* CheckDirSidecarParse(const uint8_t* data, size_t size) {
                              sidecar.value().dir_off);
 }
 
+/// \brief Runs `ops` on a windowed BitReader and on the bit-at-a-time
+/// oracles over the first `bit_count` bits of `data`: op % 5 picks
+/// ReadBit, ReadBits(op / 5 % 65), EliasDeltaDecode, EliasGammaDecode
+/// or AlignToByte. Both must give the same value, status (code and
+/// message) and cursor after every op, until the first failure.
+inline const char* CheckMixedReads(const uint8_t* data, size_t bit_count,
+                                   const uint8_t* ops, size_t num_ops) {
+  BitReader fast(data, bit_count);
+  BitReader oracle(data, bit_count);
+  for (size_t i = 0; i < num_ops; ++i) {
+    uint64_t fast_value = 0;
+    uint64_t oracle_value = 0;
+    Status fast_status;
+    Status oracle_status;
+    switch (ops[i] % 5) {
+      case 0: {
+        bool bit = false;
+        fast_status = fast.ReadBit(&bit);
+        fast_value = bit;
+        oracle_status = oracle.ReadBitsScalar(1, &oracle_value);
+        break;
+      }
+      case 1: {
+        const int width = ops[i] / 5 % 65;
+        fast_status = fast.ReadBits(width, &fast_value);
+        oracle_status = oracle.ReadBitsScalar(width, &oracle_value);
+        break;
+      }
+      case 2:
+        fast_status = EliasDeltaDecode(&fast, &fast_value);
+        oracle_status = EliasDeltaDecodeScalar(&oracle, &oracle_value);
+        break;
+      case 3:
+        fast_status = EliasGammaDecode(&fast, &fast_value);
+        oracle_status = EliasGammaDecodeScalar(&oracle, &oracle_value);
+        break;
+      default:
+        fast.AlignToByte();
+        oracle.AlignToByte();
+        break;
+    }
+    if (fast_status.code() != oracle_status.code() ||
+        fast_status.message() != oracle_status.message()) {
+      return "a windowed read and its oracle disagree on the status";
+    }
+    if (fast.position() != oracle.position()) {
+      return "a windowed read and its oracle left different cursors";
+    }
+    if (!fast_status.ok()) return nullptr;
+    if (fast_value != oracle_value) {
+      return "a windowed read and its oracle read different values";
+    }
+  }
+  return nullptr;
+}
+
 /// \brief Differential check of the word-at-a-time bit-stream/Elias
 /// decoders against their bit-at-a-time scalar oracles: on ANY input
 /// the two must produce identical values, identical statuses (code and
@@ -233,6 +313,15 @@ inline const char* CheckEliasDifferential(const uint8_t* data, size_t size) {
       width = (width + 7) % 65;  // 0,7,14,...,63,5,... covers 0..64
     }
   }
+
+  // Every read kind interleaved on one windowed reader, the ops drawn
+  // from the input, over a sub-window that ends up to 7 bits before
+  // the buffer does: the window must never surface a bit past the end.
+  if (size > 0) {
+    const char* mixed = CheckMixedReads(data, bit_count - data[0] % 8, data,
+                                        size);
+    if (mixed != nullptr) return mixed;
+  }
   return nullptr;
 }
 
@@ -248,13 +337,14 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
   BitReader ranked_reader(data, size * 8);
   auto tree = K2Tree::Deserialize(&ranked_reader);
   BitReader cells_reader(data, size * 8);
-  auto cells = K2Tree::DecodeCells(&cells_reader);
+  K2Tree::Cells c;
+  const Status cells = K2Tree::DecodeCells(&cells_reader, &c);
   if (tree.ok() != cells.ok()) {
     return "Deserialize and DecodeCells disagree on the input's validity";
   }
   if (!tree.ok()) {
-    if (tree.status().code() != cells.status().code() ||
-        tree.status().message() != cells.status().message()) {
+    if (tree.status().code() != cells.code() ||
+        tree.status().message() != cells.message()) {
       return "Deserialize and DecodeCells fail with different statuses";
     }
     if (tree.status().code() != StatusCode::kCorruption &&
@@ -271,7 +361,6 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
     return "Deserialize and DecodeCells consumed different bit counts";
   }
   const K2Tree& t = tree.value();
-  const K2Tree::Cells& c = cells.value();
   if (c.num_rows != t.num_rows() || c.num_cols != t.num_cols()) {
     return "Deserialize and DecodeCells report different dimensions";
   }
@@ -285,8 +374,8 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
   // Level order: a row's cells ascend by column and a column's by row.
   // Sorting by (col, row) the one way and stably by row the other must
   // leave the keys where they are.
-  std::vector<uint64_t> sorted = c.keys;
-  std::vector<uint64_t> by_col = c.keys;
+  std::vector<uint64_t> sorted(c.keys.begin(), c.keys.end());
+  std::vector<uint64_t> by_col(c.keys.begin(), c.keys.end());
   std::stable_sort(by_col.begin(), by_col.end(), [](uint64_t a, uint64_t b) {
     return (a & 0xFFFFFFFFu) < (b & 0xFFFFFFFFu);
   });
@@ -328,6 +417,17 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
   return nullptr;
 }
 
+/// \brief What one payload decode may allocate at once. Every count
+/// that sizes a buffer is bounded by the input's bits: start nodes, psi'
+/// entries, k^2 levels (8 bytes per bit), labels, rules, permutations
+/// and start edges (a 32-byte HEdge per bit, doubled by growth) all fit
+/// 1024 bytes per input byte. Parallel start edges are the exception:
+/// dup patches may claim up to kMaxDupEdges of them from a few bytes,
+/// so the slack holds that many HEdges.
+inline constexpr size_t kPayloadBytesPerInputByte = 1024;
+inline constexpr size_t kPayloadSlackBytes =
+    sizeof(HEdge) * kMaxDupEdges + (64 << 10);
+
 /// \brief Grepair payload parse (CompressedGraph::Deserialize, i.e.
 /// DecodeGrammar plus DecodeNodeMapping): a failure carries a non-empty
 /// message and is kCorruption or kOutOfRange; kInvalidArgument only for
@@ -337,9 +437,17 @@ inline const char* CheckK2TreeParse(const uint8_t* data, size_t size) {
 /// none); re-serializes to bytes that decode again; answers every
 /// node's out- and in-neighbor queries with its rank-2 edges when val(G)
 /// has at most 4,096 nodes and edges; and, when val(G) is small enough
-/// to materialize here, both decodes decompress to the same graph.
+/// to materialize here, both decodes decompress to the same graph. The
+/// decode, whatever its outcome, allocates at most
+/// kPayloadBytesPerInputByte per input byte plus kPayloadSlackBytes at
+/// once.
 inline const char* CheckGrepairPayload(const uint8_t* data, size_t size) {
+  if (g_largest_allocation.installed()) g_largest_allocation.reset();
   auto graph = CompressedGraph::Deserialize(ByteSpan(data, size));
+  if (!AllocationWithin(size, kPayloadBytesPerInputByte,
+                        kPayloadSlackBytes)) {
+    return "a payload decode made an allocation its input does not bound";
+  }
   if (!graph.ok()) {
     if (graph.status().message().empty()) {
       return "grepair payload decode failed with an empty status message";

@@ -115,16 +115,16 @@ Result<Hypergraph> HnDecompress(const HnCompressed& compressed) {
   if (original > total) {
     return Status::Corruption("more original than total nodes");
   }
-  auto tree = K2Tree::DecodeCells(&r);
-  if (!tree.ok()) return tree.status();
-  if (tree.value().num_rows != total || tree.value().num_cols != total) {
+  K2Tree::Cells tree;
+  GREPAIR_RETURN_IF_ERROR(K2Tree::DecodeCells(&r, &tree));
+  if (tree.num_rows != total || tree.num_cols != total) {
     return Status::Corruption("HN tree dimensions mismatch header");
   }
 
   // The keys come in level order, whose cells of one row already
   // ascend by column, so each row's list is sorted without a sort.
   std::vector<std::vector<uint32_t>> adj(total);
-  for (uint64_t cell : tree.value().keys) {
+  for (uint64_t cell : tree.keys) {
     adj[cell >> 32].push_back(static_cast<uint32_t>(cell & 0xFFFFFFFFu));
   }
   // Expansion of a virtual node: the original nodes reachable from it

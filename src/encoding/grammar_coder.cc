@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <numeric>
+#include <optional>
 
 #include "src/k2tree/k2tree.h"
 #include "src/util/elias.h"
@@ -54,8 +55,8 @@ void EncodeRule(const SlhrGrammar& grammar, const Hypergraph& rhs,
   }
 }
 
-Status DecodeRule(uint32_t num_labels, BitReader* r, Hypergraph* rhs,
-                  uint32_t* rank_out) {
+Status DecodeRule(uint32_t num_terminals, uint32_t num_labels, BitReader* r,
+                  Hypergraph* rhs, uint32_t* rank_out) {
   uint64_t num_edges = 0, num_nodes = 0, rank = 0;
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(r, &num_edges));
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(r, &num_nodes));
@@ -105,7 +106,10 @@ Status DecodeRule(uint32_t num_labels, BitReader* r, Hypergraph* rhs,
     if (label == 0 || label > num_labels) {
       return Status::Corruption("bad rhs label");
     }
-    (void)is_nt;  // redundant with the label range; kept for the format
+    if (is_nt != (label > num_terminals)) {
+      return Status::Corruption(
+          "rule edge's nonterminal marker disagrees with its label");
+    }
     rhs->AddEdge(static_cast<Label>(label - 1), std::move(att));
   }
   std::vector<NodeId> ext(rank);
@@ -335,31 +339,26 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
   SlhrGrammar grammar(std::move(terminals),
                       Hypergraph(static_cast<uint32_t>(start_nodes)));
 
-  // Rules: decode bodies first, then install (ranks come from the rhs).
-  // The body vector grows per successfully decoded rule instead of
-  // being sized from the untrusted count: a corrupt count within the
-  // total_bits bound could still claim ~56 bytes of Hypergraph per
-  // input BIT, a ~450x allocation amplification.
+  // Rules, each installed as soon as it is decoded (its rank comes
+  // from its rhs). The rule list grows per successfully decoded rule
+  // instead of being sized from the untrusted count: a corrupt count
+  // within the total_bits bound could still claim ~56 bytes of
+  // Hypergraph per input BIT, a ~450x allocation amplification.
   const uint32_t num_labels =
       static_cast<uint32_t>(num_terminals + num_rules);
-  std::vector<Hypergraph> rule_bodies;
-  // Capped reserve: honest inputs skip the realloc churn on the hot
-  // decode path, while a lying count can still only claim a bounded
-  // up-front slab.
-  rule_bodies.reserve(
-      static_cast<size_t>(std::min<uint64_t>(num_rules, 4096)));
+  // `r` reaches out-of-line code only as a copy (here and at the k^2
+  // walk below), so it stays in registers through the inline reads.
+  BitReader rule_reader = r;
   for (uint64_t j = 0; j < num_rules; ++j) {
     uint32_t rank = 0;
     Hypergraph body;
-    GREPAIR_RETURN_IF_ERROR(DecodeRule(num_labels, &r, &body, &rank));
-    rule_bodies.push_back(std::move(body));
-    Label nt = grammar.AddNonterminal(static_cast<int>(rank));
-    (void)nt;
+    GREPAIR_RETURN_IF_ERROR(DecodeRule(static_cast<uint32_t>(num_terminals),
+                                       num_labels, &rule_reader, &body,
+                                       &rank));
+    grammar.SetRule(grammar.AddNonterminal(static_cast<int>(rank)),
+                    std::move(body));
   }
-  for (uint64_t j = 0; j < num_rules; ++j) {
-    grammar.SetRule(grammar.NonterminalLabel(static_cast<uint32_t>(j)),
-                    std::move(rule_bodies[j]));
-  }
+  r = rule_reader;
 
   // Permutation dictionary.
   uint64_t num_perms = 0;
@@ -396,28 +395,41 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
     perms.push_back(std::move(perm));
   }
 
-  // Start graph label sections. Every section is decoded before the
-  // first edge is written, so the edge list is sized once and each
-  // edge is appended in place. The tuple sections prove their members
-  // in range and distinct as they decode them; a rank-2 cell is
-  // checked as its edge is written, to start() or, for a terminal
-  // label, to the start adjacency. Together they cover what
-  // Hypergraph::Validate would check of the start graph.
-  struct Section {
-    Label label = 0;
-    std::vector<uint64_t> cells;  // rank 2: u << 32 | v, row-major
-    // Rank 2: edges per cell, empty when no cell repeats.
-    std::vector<uint32_t> multiplicity;
-    size_t first_member = 0;  // other ranks: the section's tuples
-    uint64_t num_edges = 0;
-  };
-  std::vector<Section> sections;
-  std::vector<StartAdjacency::Section> csr_sections;
-  // Attachment tuples of the rank != 2 sections, back to back.
-  std::vector<NodeId> members;
+  // Start graph label sections, in label order, each written as it is
+  // decoded: a terminal rank-2 section to the start adjacency's keys
+  // and degrees, every other section straight into start(). The tuple
+  // sections prove their members in range and distinct, and each edge
+  // in canonical order after the one before it. A rank-2 section's
+  // tree may not be larger than the start graph, so the walk lists
+  // start nodes only; a nonterminal cell is checked for the diagonal
+  // as its edge is written, and Build checks the terminal cells for
+  // it. The checks together cover what Hypergraph::Validate would
+  // check of the start graph.
   const Alphabet& alpha = grammar.alphabet();
+  Hypergraph* start = grammar.mutable_start();
+  // One walk buffer for every rank-2 section: the terminal sections'
+  // keys stay in it, back to back, for the start adjacency; a
+  // nonterminal section's keys are dropped once written to start().
+  K2Tree::Cells cells;
+  std::vector<StartAdjacency::Section> csr_sections;
+  // Sized at the first terminal rank-2 section: 8 bytes per start node.
+  std::optional<StartAdjacency::Degrees> degrees;
   uint64_t decoded_dup_edges = 0;  // whole-grammar budget, see header
-  uint64_t total_edges = 0;
+  // Room for a section's `more` edges in start(), which it knows before
+  // it appends them. The edge list grows geometrically, but never past
+  // what the input after the section and the rest of the dup budget can
+  // add, since every later edge costs a bit or a unit of the budget:
+  // the largest request stays within the input plus the budget.
+  auto reserve_edges = [start, &decoded_dup_edges](uint64_t more,
+                                                   uint64_t bits_left) {
+    const uint64_t need = start->num_edges() + more;
+    const uint64_t capacity = start->edges().capacity();
+    if (need <= capacity) return;
+    const uint64_t most =
+        need + bits_left + (kMaxDupEdges - decoded_dup_edges);
+    start->ReserveEdges(static_cast<size_t>(
+        std::max(need, std::min(2 * capacity, most))));
+  };
   for (Label l = 0; l < alpha.size(); ++l) {
     bool present = false;
     GREPAIR_RETURN_IF_ERROR(r.ReadBit(&present));
@@ -426,18 +438,32 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
       // The walk lists the cells in level order (Z-order), which the
       // CSR build takes as is; dup patches and start() edges need
       // row-major order.
-      auto tree = K2Tree::DecodeCells(&r);
-      if (!tree.ok()) return tree.status();
-      std::vector<uint64_t> cells = std::move(tree.value().keys);
-      std::vector<uint32_t> multiplicity;
+      const bool terminal = grammar.IsTerminal(l);
+      if (terminal && !degrees) {
+        degrees.emplace(static_cast<uint32_t>(start_nodes));
+      }
+      // A tree no larger than the start graph lists start nodes only.
+      K2Tree::Degrees walk_degrees;
+      walk_degrees.limit = start_nodes;
+      if (terminal) {
+        walk_degrees.rows = degrees->out.data() + 2;
+        walk_degrees.cols = degrees->in.data() + 2;
+      }
+      const size_t first = cells.keys.size();
+      BitReader tree_reader = r;
+      GREPAIR_RETURN_IF_ERROR(
+          K2Tree::DecodeCells(&tree_reader, &cells, walk_degrees));
+      r = tree_reader;
+      uint64_t* keys = cells.keys.data() + first;
+      const size_t num_cells = cells.keys.size() - first;
       uint64_t num_dups = 0;
       GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_dups));
       if (num_dups == 0) return Status::Corruption("bad dup count");
       --num_dups;
-      const bool terminal = grammar.IsTerminal(l);
-      if (num_dups > 0 || !terminal) std::sort(cells.begin(), cells.end());
-      if (num_dups > 0) multiplicity.assign(cells.size(), 1);
-      uint64_t num_edges = cells.size();
+      if (num_dups > 0 || !terminal) std::sort(keys, keys + num_cells);
+      std::vector<uint32_t> multiplicity;
+      if (num_dups > 0) multiplicity.assign(num_cells, 1);
+      uint64_t section_dups = 0;
       // Distinct cells are input-proportional (each costs >= 1 tree
       // bit), so only the duplicate count needs an absolute cap: dup
       // entries amplify by design (one Elias code can claim many
@@ -449,7 +475,7 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
         uint64_t cell_rank = 0, extra = 0;
         GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &cell_rank));
         GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &extra));
-        if (cell_rank == 0 || cell_rank > cells.size()) {
+        if (cell_rank == 0 || cell_rank > num_cells) {
           return Status::Corruption("bad dup cell");
         }
         // Caps materialized duplicates and keeps both this sum and
@@ -462,23 +488,35 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
           return Status::Corruption("edge multiplicity overflow");
         }
         decoded_dup_edges += extra;
-        num_edges += extra;
+        section_dups += extra;
         multiplicity[cell_rank - 1] += static_cast<uint32_t>(extra);
+        if (terminal) {
+          const uint64_t key = keys[cell_rank - 1];
+          degrees->out[(key >> 32) + 2] += static_cast<uint32_t>(extra);
+          degrees->in[(key & 0xFFFFFFFFu) + 2] += static_cast<uint32_t>(extra);
+        }
       }
       if (terminal) {
-        csr_sections.push_back({l, std::move(cells), std::move(multiplicity)});
+        csr_sections.push_back(
+            {l, first, first + num_cells, std::move(multiplicity)});
         continue;
       }
-      Section& section = sections.emplace_back();
-      section.label = l;
-      section.cells = std::move(cells);
-      section.multiplicity = std::move(multiplicity);
-      section.num_edges = num_edges;
-      total_edges += num_edges;
+      reserve_edges(num_cells + section_dups, r.BitsAvailable());
+      for (size_t ci = 0; ci < num_cells; ++ci) {
+        const uint64_t u = keys[ci] >> 32;
+        const uint64_t v = keys[ci] & 0xFFFFFFFFu;
+        if (u == v) {
+          return Status::Corruption("start edge attaches the same node twice");
+        }
+        const uint32_t copies = multiplicity.empty() ? 1 : multiplicity[ci];
+        for (uint32_t m = 0; m < copies; ++m) {
+          start->AddSimpleEdge(static_cast<NodeId>(u), static_cast<NodeId>(v),
+                               l);
+        }
+      }
+      cells.keys.resize(first);
       continue;
     }
-    Section& section = sections.emplace_back();
-    section.label = l;
     // Sorted attachment tuples (see EncodeGrammar). Every tuple takes
     // at least one bit, so a count beyond the bits left fails here.
     const size_t rank = static_cast<size_t>(alpha.rank(l));
@@ -491,12 +529,12 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
     if (rank_perms.empty()) {
       return Status::Corruption("hyperedge without permutations");
     }
-    section.first_member = members.size();
-    section.num_edges = num_edges;
-    total_edges += num_edges;
     const int perm_bits = IndexBits(rank_perms.size());
+    reserve_edges(num_edges, r.BitsAvailable());
     NodeId prev_first = 0;
     NodeId sorted_att[kMaxRank];
+    NodeId att[kMaxRank];
+    NodeId prev[kMaxRank];
     for (uint64_t i = 0; i < num_edges; ++i) {
       uint64_t perm_idx = 0;
       GREPAIR_RETURN_IF_ERROR(r.ReadBits(perm_bits, &perm_idx));
@@ -521,53 +559,27 @@ Result<SlhrGrammar> DecodeGrammar(ByteSpan bytes, uint64_t max_start_nodes) {
         }
         sorted_att[a] = static_cast<NodeId>(sorted_att[a - 1] + gap);
       }
-      const size_t at = members.size();
-      members.resize(at + rank);
-      NodeId* att = members.data() + at;
       for (size_t a = 0; a < rank; ++a) att[a] = sorted_att[perm[a]];
-      if (i > 0 && std::lexicographical_compare(att, att + rank, att - rank,
-                                                att)) {
+      if (i > 0 &&
+          std::lexicographical_compare(att, att + rank, prev, prev + rank)) {
         return Status::Corruption("hyperedges out of canonical order");
       }
+      start->AddEdge(l, Attachments(att, rank));
+      std::copy(att, att + rank, prev);
       prev_first = sorted_att[0];
     }
   }
 
+  // The edge list grew by sections; trimmed to its edges, it holds
+  // what an exact reserve would. A decoded graph keeps it, and on
+  // read-cold-remote the spare capacity raised the peak RSS by a tenth.
+  start->ShrinkEdges();
   auto csr = StartAdjacency::Build(static_cast<uint32_t>(start_nodes),
-                                   csr_sections);
+                                   cells.keys.data(), csr_sections,
+                                   degrees ? std::move(*degrees)
+                                           : StartAdjacency::Degrees(0));
   if (!csr.ok()) return csr.status();
   grammar.SetStartAdjacency(std::move(csr).ValueOrDie());
-
-  // Label by label in ascending label order, with ascending attachment
-  // within each label (checked for the tuple sections): canonical order.
-  Hypergraph* start = grammar.mutable_start();
-  start->ReserveEdges(total_edges);
-  for (const Section& section : sections) {
-    const size_t rank = static_cast<size_t>(alpha.rank(section.label));
-    if (rank != 2) {
-      const NodeId* att = members.data() + section.first_member;
-      for (uint64_t i = 0; i < section.num_edges; ++i, att += rank) {
-        start->AddEdge(section.label, Attachments(att, rank));
-      }
-      continue;
-    }
-    for (size_t ci = 0; ci < section.cells.size(); ++ci) {
-      const uint64_t u = section.cells[ci] >> 32;
-      const uint64_t v = section.cells[ci] & 0xFFFFFFFFu;
-      if (u >= start_nodes || v >= start_nodes) {
-        return Status::Corruption("start edge references a missing node");
-      }
-      if (u == v) {
-        return Status::Corruption("start edge attaches the same node twice");
-      }
-      const uint32_t copies =
-          section.multiplicity.empty() ? 1 : section.multiplicity[ci];
-      for (uint32_t m = 0; m < copies; ++m) {
-        start->AddSimpleEdge(static_cast<NodeId>(u), static_cast<NodeId>(v),
-                             section.label);
-      }
-    }
-  }
 
   // The start graph passed its checks above; the rules get theirs here.
   // A grammar that breaks them is a corrupt payload, whatever the check.
@@ -589,8 +601,8 @@ std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
   return w.TakeBytes();
 }
 
-Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                              uint64_t n, ByteSpan bytes) {
+Result<DecodedNodeMapping> DecodeNodeMapping(const SlhrGrammar& grammar,
+                                             uint64_t n, ByteSpan bytes) {
   BitReader r(bytes.data, bytes.size * 8);
   uint64_t num_start = 0;
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &num_start));
@@ -604,22 +616,28 @@ Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
   if (n > r.BitsAvailable() || n > kMaxValNodes) {
     return Status::Corruption("mapping node count exceeds the input");
   }
-  std::vector<NodeId> origins(n);
-  std::vector<uint8_t> seen(n, 0);
+  // Both directions in one pass. An original id's val(G) id is written
+  // once; finding one there already is a repeat, so a success is a
+  // permutation. kInvalidNode is no val(G) id (n <= kMaxValNodes).
+  DecodedNodeMapping mapping;
+  mapping.to_original.resize(n);
+  mapping.to_val.assign(n, kInvalidNode);
   uint64_t expected = 0;  // the previous origin + 1
-  for (NodeId& v : origins) {
+  for (uint64_t v = 0; v < n; ++v) {
     uint64_t code = 0;
     GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(&r, &code));
     // Wrapping add: with n <= kMaxValNodes the sum lands in [0, n)
     // only when the signed step really does.
     const uint64_t id = expected + UnZigZag(code - 1);
     if (id >= n) return Status::Corruption("origin id out of range");
-    v = static_cast<NodeId>(id);
-    if (seen[v]) return Status::Corruption("node mapping is not a permutation");
-    seen[v] = 1;
+    if (mapping.to_val[id] != kInvalidNode) {
+      return Status::Corruption("node mapping is not a permutation");
+    }
+    mapping.to_val[id] = static_cast<NodeId>(v);
+    mapping.to_original[v] = static_cast<NodeId>(id);
     expected = id + 1;
   }
-  return origins;
+  return mapping;
 }
 
 double BitsPerEdge(size_t encoded_bytes, uint64_t num_edges) {

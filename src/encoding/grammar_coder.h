@@ -92,16 +92,23 @@ std::vector<uint8_t> EncodeGrammar(const SlhrGrammar& grammar,
 /// in row-major order, so a label with patches is sorted first, and
 /// they expand to parallel CSR entries.
 ///
-/// Each check runs once, where its value is decoded. The tuple
-/// sections prove their members in range and distinct as they read
-/// them; each dup patch's cell rank and the kMaxDupEdges budget are
-/// checked as the patch is read. Once every section is read, the CSR
-/// and start()'s edge list are each sized once and each rank-2 cell
-/// is checked as its edge is written: both ends below |V_S|, and no
-/// self-loop. SlhrGrammar::ValidateRules then checks the rules. A
-/// success therefore passes the full SlhrGrammar::Validate. Every
-/// failure is Corruption, or OutOfRange when the input ends early;
-/// only a retired GRG1 payload is InvalidArgument.
+/// Each section is written as it is decoded, and each check runs
+/// once, where its value is decoded. A rule edge's nonterminal marker
+/// must agree with its label. A rank-2 section's tree may be no larger
+/// than the start graph, so its cells lie below |V_S|; a nonterminal
+/// section's cells are appended to start() in row-major order, each
+/// checked for a self-loop, and a terminal section's keys and degrees
+/// stay in the walk's buffers until the CSR is built once, which checks
+/// them for self-loops. The tuple sections prove their members in
+/// range and distinct, and each edge in canonical order after the one
+/// before it, as they read them; each dup patch's cell rank and the
+/// kMaxDupEdges budget are checked as the patch is read. start()'s
+/// edge list grows per section, never past what the rest of the input
+/// and of the budget could add. SlhrGrammar::ValidateRules then checks
+/// the rules. A success therefore passes the full
+/// SlhrGrammar::Validate. Every failure is Corruption, or OutOfRange
+/// when the input ends early; only a retired GRG1 payload is
+/// InvalidArgument.
 Result<SlhrGrammar> DecodeGrammar(const std::vector<uint8_t>& bytes);
 
 /// \brief Zero-copy overload: decodes straight out of a borrowed view
@@ -130,15 +137,23 @@ double BitsPerEdge(size_t encoded_bytes, uint64_t num_edges);
 std::vector<uint8_t> EncodeNodeMapping(const SlhrGrammar& grammar,
                                        const std::vector<NodeId>& origins);
 
+/// \brief psi' both ways, each a permutation of val(G)'s ids.
+struct DecodedNodeMapping {
+  std::vector<NodeId> to_original;  ///< val(G) id -> original id
+  std::vector<NodeId> to_val;       ///< original id -> val(G) id
+};
+
 /// \brief Inverse of EncodeNodeMapping and the mapping's one validation
 /// point. `n` is ComputeValSize(grammar).nodes, the id count the
 /// grammar fixes; callers already have it at hand. Treats `bytes`
 /// as untrusted: the count must fit the input before anything is
 /// allocated, the stored |V_S| must match the grammar's, and every id
 /// a gap steps to must be in range and unique, so a success is a
-/// permutation of val(G)'s ids.
-Result<std::vector<NodeId>> DecodeNodeMapping(const SlhrGrammar& grammar,
-                                              uint64_t n, ByteSpan bytes);
+/// permutation of val(G)'s ids. One pass fills both directions, and
+/// the inverse is the uniqueness check: an original id whose val(G)
+/// id is already set repeats.
+Result<DecodedNodeMapping> DecodeNodeMapping(const SlhrGrammar& grammar,
+                                             uint64_t n, ByteSpan bytes);
 
 }  // namespace grepair
 

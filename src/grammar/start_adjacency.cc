@@ -1,6 +1,7 @@
 #include "src/grammar/start_adjacency.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace grepair {
 
@@ -9,17 +10,17 @@ namespace {
 // Calls visit(u, v) for each edge of `section`, a parallel edge once
 // per copy, in key order.
 template <typename Visit>
-void ForEachEdge(const StartAdjacency::Section& section, Visit&& visit) {
+void ForEachEdge(const uint64_t* keys, const StartAdjacency::Section& section,
+                 Visit&& visit) {
   if (section.copies.empty()) {
-    for (uint64_t key : section.keys) {
-      visit(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key));
+    for (size_t i = section.begin; i < section.end; ++i) {
+      visit(static_cast<NodeId>(keys[i] >> 32), static_cast<NodeId>(keys[i]));
     }
     return;
   }
-  for (size_t i = 0; i < section.keys.size(); ++i) {
-    for (uint32_t c = 0; c < section.copies[i]; ++c) {
-      visit(static_cast<NodeId>(section.keys[i] >> 32),
-            static_cast<NodeId>(section.keys[i]));
+  for (size_t i = section.begin; i < section.end; ++i) {
+    for (uint32_t c = 0; c < section.copies[i - section.begin]; ++c) {
+      visit(static_cast<NodeId>(keys[i] >> 32), static_cast<NodeId>(keys[i]));
     }
   }
 }
@@ -27,75 +28,84 @@ void ForEachEdge(const StartAdjacency::Section& section, Visit&& visit) {
 }  // namespace
 
 Result<StartAdjacency> StartAdjacency::Build(
-    uint32_t num_nodes, const std::vector<Section>& sections) {
+    uint32_t num_nodes, const uint64_t* keys,
+    const std::vector<Section>& sections, Degrees degrees) {
   StartAdjacency adj;
   if (sections.empty()) return adj;
   const size_t n = num_nodes;
-  // Row v's degree goes to off[v + 2]. After the prefix sums off[v + 1]
-  // is row v's first slot, and a scatter that bumps it leaves it at
-  // row v's end, which is row v + 1's first slot: the offsets are done
-  // without a cursor array. Every cell is checked here, once.
-  adj.out_off_.assign(n + 2, 0);
-  adj.in_off_.assign(n + 2, 0);
   uint64_t total = 0;
   for (const Section& section : sections) {
-    for (size_t i = 0; i < section.keys.size(); ++i) {
-      const uint64_t u = section.keys[i] >> 32;
-      const uint64_t v = section.keys[i] & 0xFFFFFFFFu;
-      if (u >= n || v >= n) {
-        return Status::Corruption("start edge references a missing node");
-      }
-      if (u == v) {
-        return Status::Corruption("start edge attaches the same node twice");
-      }
-      const uint32_t copies = section.copies.empty() ? 1 : section.copies[i];
-      adj.out_off_[u + 2] += copies;
-      adj.in_off_[v + 2] += copies;
-      total += copies;
+    if (section.copies.empty()) {
+      total += section.end - section.begin;
+    } else {
+      for (uint32_t copies : section.copies) total += copies;
     }
   }
+  // Checked before the prefix sums: a row's count can only have
+  // wrapped if the total is past it too.
   if (total > UINT32_MAX) {
     return Status::Corruption("start graph has more edges than it can index");
   }
+  // Row v's degree is at off[v + 2]. After the prefix sums off[v + 1]
+  // is row v's first slot, and a scatter that bumps it leaves it at
+  // row v's end, which is row v + 1's first slot: the offsets are done
+  // without a cursor array.
+  adj.out_off_ = std::move(degrees.out);
+  adj.in_off_ = std::move(degrees.in);
   for (size_t v = 2; v < n + 2; ++v) {
     adj.out_off_[v] += adj.out_off_[v - 1];
     adj.in_off_[v] += adj.in_off_[v - 1];
   }
 
-  // One label, like every dblp shard's, stores no per-edge label, and
-  // pass 1 already sorts its in rows by source, so pass 3 is skipped.
-  // On BM_FaultDblpShards' 16 shards that takes the build from about
-  // 350 to 220 us (4-vCPU Xeon) and saves 4 bytes per edge.
-  const bool one_label = sections.size() == 1;
+  adj.sources_.resize(total);
+  adj.targets_.resize(total);
+  bool diagonal = false;
+  if (sections.size() == 1) {
+    // One label, like every dblp shard's: no per-edge label, and one
+    // pass fills both directions, since the keys already ascend by
+    // column within each row and by row within each column.
+    ForEachEdge(keys, sections[0], [&](NodeId u, NodeId v) {
+      assert(u < n && v < n);
+      diagonal |= u == v;
+      adj.sources_[adj.in_off_[v + 1]++] = u;
+      adj.targets_[adj.out_off_[u + 1]++] = v;
+    });
+    if (diagonal) {
+      return Status::Corruption("start edge attaches the same node twice");
+    }
+    adj.in_off_.resize(n + 1);
+    adj.out_off_.resize(n + 1);
+    adj.single_label_ = sections[0].label;
+    return adj;
+  }
 
   // Pass 1, by column: in rows sorted by (label, source).
-  adj.sources_.resize(total);
-  std::vector<Label> column_labels(one_label ? 0 : total);
+  UninitializedVector<Label> column_labels(total);
   for (const Section& section : sections) {
-    ForEachEdge(section, [&](NodeId u, NodeId v) {
+    ForEachEdge(keys, section, [&](NodeId u, NodeId v) {
+      assert(u < n && v < n);
+      diagonal |= u == v;
       const uint32_t at = adj.in_off_[v + 1]++;
       adj.sources_[at] = u;
-      if (!one_label) column_labels[at] = section.label;
+      column_labels[at] = section.label;
     });
   }
-  adj.in_off_.pop_back();
+  if (diagonal) {
+    return Status::Corruption("start edge attaches the same node twice");
+  }
+  adj.in_off_.resize(n + 1);
 
   // Pass 2, by row over the in rows in column order: out rows sorted
   // by (target, label).
-  adj.targets_.resize(total);
-  adj.labels_.resize(column_labels.size());
+  adj.labels_.resize(total);
   for (size_t v = 0; v < n; ++v) {
     for (uint32_t at = adj.in_off_[v]; at < adj.in_off_[v + 1]; ++at) {
       const uint32_t to = adj.out_off_[adj.sources_[at] + 1]++;
       adj.targets_[to] = static_cast<NodeId>(v);
-      if (!one_label) adj.labels_[to] = column_labels[at];
+      adj.labels_[to] = column_labels[at];
     }
   }
-  adj.out_off_.pop_back();
-  if (one_label) {
-    adj.single_label_ = sections[0].label;
-    return adj;
-  }
+  adj.out_off_.resize(n + 1);
 
   // Pass 3, by column over the out rows: in rows sorted by source.
   std::vector<uint32_t> cursor(adj.in_off_.begin(), adj.in_off_.end() - 1);

@@ -254,6 +254,9 @@ class Hypergraph {
   /// \brief Reserves room for `count` edges in total.
   void ReserveEdges(size_t count) { edges_.reserve(count); }
 
+  /// \brief Releases the edge list's unused capacity.
+  void ShrinkEdges() { edges_.shrink_to_fit(); }
+
   /// \brief Appends a rank-2 edge u -> v, writing both ids in place.
   EdgeId AddSimpleEdge(NodeId u, NodeId v, Label label) {
     HEdge& e = edges_.emplace_back();

@@ -186,160 +186,138 @@ void ForEachSetBit(const std::vector<uint64_t>& words, uint64_t begin,
   }
 }
 
-// Number of set bits of `words` in [begin, end).
-uint64_t CountSetBits(const std::vector<uint64_t>& words, uint64_t begin,
-                      uint64_t end) {
-  if (begin >= end) return 0;
-  uint64_t w = begin / 64;
-  const uint64_t last = (end - 1) / 64;
-  uint64_t word = words[w] & (~0ull << (begin % 64));
-  uint64_t count = 0;
-  for (; w < last; word = words[++w]) count += __builtin_popcountll(word);
-  return count + __builtin_popcountll(word & (~0ull >> (63 - (end - 1) % 64)));
+// Reads `n` (1..32) bits that the walk checked are in the input.
+uint64_t TakeBits(BitReader* reader, int n) {
+  uint64_t v = 0;
+  const Status read = reader->ReadBits(n, &v);
+  assert(read.ok());
+  (void)read;
+  return v;
 }
 
-// One level of the k = 2 walk. Parent j's children are the aligned
-// nibble at bit begin + 4j, child q at row offset (q >> 1) * sub and
-// column offset (q & 1) * sub. Every candidate origin is written and
-// the output advances by the child's bit, so no branch depends on the
-// data; `out` needs room for the level's set bits plus one.
-void EmitLevelK2(const uint64_t* words, uint64_t begin,
-                 const std::vector<uint64_t>& parents, uint64_t sub,
-                 uint64_t* out) {
+// One level of the k = 2 walk: parent j's children are the next nibble
+// of the stream, child q (the nibble's bit 3 - q) at row offset
+// (q >> 1) * sub and column offset (q & 1) * sub. Every candidate
+// origin is written, each at the count of set bits before it, so no
+// branch depends on the data and only the one add past the block
+// carries from parent to parent; `out` needs room for the level's set
+// bits plus three. Returns the number of keys written.
+size_t EmitLevelK2(BitReader* reader, const uint64_t* parents,
+                   size_t num_parents, uint64_t sub, uint64_t* out) {
   const uint64_t down = sub << 32;
-  for (size_t j = 0; j < parents.size(); ++j) {
-    const uint64_t p = begin + 4 * j;
-    const uint64_t nibble = (words[p / 64] >> (p % 64)) & 0xF;
-    const uint64_t key = parents[j];
-    *out = key;
-    out += nibble & 1;
-    *out = key + sub;
-    out += (nibble >> 1) & 1;
-    *out = key + down;
-    out += (nibble >> 2) & 1;
-    *out = key + down + sub;
-    out += nibble >> 3;
+  uint64_t* const first = out;
+  auto emit = [&](uint64_t nibble, uint64_t key) {
+    const uint64_t b0 = nibble >> 3;
+    const uint64_t at2 = b0 + ((nibble >> 2) & 1);
+    const uint64_t at3 = at2 + ((nibble >> 1) & 1);
+    out[0] = key;
+    out[b0] = key + sub;
+    out[at2] = key + down;
+    out[at3] = key + down + sub;
+    out += at3 + (nibble & 1);
+  };
+  // Eight parents per 32-bit read, the first in the top nibble.
+  size_t j = 0;
+  for (; j + 8 <= num_parents; j += 8) {
+    uint64_t bits = TakeBits(reader, 32) << 32;
+    for (size_t i = 0; i < 8; ++i, bits <<= 4) emit(bits >> 60, parents[j + i]);
   }
+  if (j < num_parents) {
+    const int rest = static_cast<int>(num_parents - j);
+    uint64_t bits = TakeBits(reader, 4 * rest) << (64 - 4 * rest);
+    for (; j < num_parents; ++j, bits <<= 4) emit(bits >> 60, parents[j]);
+  }
+  return static_cast<size_t>(out - first);
+}
+
+// One level of the walk for k > 2: each parent's k^2-bit block in
+// reads of up to 32 bits, one key per set bit. `out` needs room for
+// the level's set bits. Returns the number of keys written.
+size_t EmitLevel(BitReader* reader, uint64_t k, const uint64_t* parents,
+                 size_t num_parents, uint64_t sub, uint64_t* out) {
+  const uint64_t kk = k * k;
+  uint64_t* const first = out;
+  for (size_t j = 0; j < num_parents; ++j) {
+    const uint64_t parent_row = parents[j] >> 32;
+    const uint64_t parent_col = parents[j] & 0xFFFFFFFFu;
+    for (uint64_t q0 = 0; q0 < kk; q0 += 32) {
+      const int width = static_cast<int>(std::min<uint64_t>(32, kk - q0));
+      // The block's bits MSB-aligned: bit 63 is child q0.
+      uint64_t bits = TakeBits(reader, width) << (64 - width);
+      while (bits != 0) {
+        const int lead = __builtin_clzll(bits);
+        bits &= ~(uint64_t{1} << (63 - lead));
+        const uint64_t q = q0 + static_cast<uint64_t>(lead);
+        const uint64_t row = parent_row + (q / k) * sub;
+        const uint64_t col = parent_col + (q % k) * sub;
+        *out++ = row << 32 | col;
+      }
+    }
+  }
+  return static_cast<size_t>(out - first);
+}
+
+// Whether a level whose children are `sub` wide can put a child into
+// the padding along a dimension of `bound` cells. Every parent lies
+// inside (the level above checked it), and a parent's origin is a
+// multiple of its width k * sub, so only the parent in the last band
+// can have a child past the bound, and only when the bound cuts that
+// band after its first child: 0 < bound mod (k * sub) <= (k - 1) * sub.
+// A bound of 0 leaves even the root outside.
+bool LevelCanLeave(uint64_t bound, uint64_t k, uint64_t sub) {
+  const uint64_t cut = bound % (k * sub);
+  return bound == 0 || (cut != 0 && cut <= (k - 1) * sub);
 }
 
 // Whether every packed row << 32 | col origin in keys[0, n) lies inside
-// the num_rows x num_cols matrix; branch-free.
+// the num_rows x num_cols matrix. A coordinate plus 2^32 minus its
+// bound carries into bit 32 exactly when it reaches the bound, so the
+// loop has no compare and vectorizes. On the read corpus's 16 terminal
+// trees it added a fifth to the walk when it ran on every level, and a
+// per-parent check inside the emit step added a third; the walk runs it
+// only on the levels that LevelCanLeave, about half of them.
 bool AllInside(const uint64_t* keys, size_t n, uint64_t num_rows,
                uint64_t num_cols) {
-  uint64_t outside = 0;
+  const uint64_t row_bias = (uint64_t{1} << 32) - num_rows;
+  const uint64_t col_bias = (uint64_t{1} << 32) - num_cols;
+  uint64_t carries = 0;
   for (size_t i = 0; i < n; ++i) {
-    outside |= static_cast<uint64_t>(keys[i] >> 32 >= num_rows) |
-               static_cast<uint64_t>((keys[i] & 0xFFFFFFFFu) >= num_cols);
+    carries |= ((keys[i] >> 32) + row_bias) |
+               ((keys[i] & 0xFFFFFFFFu) + col_bias);
   }
-  return outside == 0;
+  return (carries >> 32) == 0;
 }
 
 }  // namespace
 
 Status K2Tree::CheckLevelBounds(bool leaf, uint64_t level_begin,
-                                uint64_t level_bits) const {
-  if (!leaf && level_bits > t_.size() - level_begin) {
+                                uint64_t level_bits, uint64_t t_bits,
+                                uint64_t l_bits) {
+  if (!leaf && level_bits > t_bits - level_begin) {
     return Status::Corruption("k2-tree level runs past the end of T");
   }
-  if (leaf && level_begin != t_.size()) {
+  if (leaf && level_begin != t_bits) {
     return Status::Corruption("k2-tree T is longer than its levels");
   }
-  if (leaf && level_bits != l_.size()) {
+  if (leaf && level_bits != l_bits) {
     return Status::Corruption("k2-tree L size disagrees with its parents");
   }
   return Status::OK();
 }
 
-Status K2Tree::AppendKeys(std::vector<uint64_t>* keys) const {
-  if (t_.size() == 0 && l_.size() == 0) {
-    return num_cells_ == 0
-               ? Status::OK()
-               : Status::Corruption("k2-tree cell count disagrees with L");
-  }
-  const uint64_t k = static_cast<uint64_t>(k_);
-  const uint64_t kk = k * k;
-  // Packed row << 32 | col origin of every node on the current level,
-  // in level order: the root, then one entry per set bit above. In a
-  // valid tree the level above L, with |L| / k^2 nodes, is the widest;
-  // unlike the header's cell count, that bound is backed by input read.
-  // The k = 2 walk writes one slot past a level's keys, hence the + 2
-  // and + 1 below.
-  std::vector<uint64_t> parents;
-  std::vector<uint64_t> children;
-  parents.reserve(l_.size() / kk + 2);
-  children.reserve(l_.size() / kk + 2);
-  parents.push_back(0);
-  const size_t first_key = keys->size();
-  keys->reserve(first_key + std::min<uint64_t>(num_cells_, l_.size()) + 1);
-  uint64_t level_begin = 0;  // in T; the last level is all of L
-  for (uint64_t sub = size_ / k;; sub /= k) {
-    const bool leaf = sub == 1;
-    const uint64_t level_bits = parents.size() * kk;
-    GREPAIR_RETURN_IF_ERROR(CheckLevelBounds(leaf, level_begin, level_bits));
-    const uint64_t begin = leaf ? 0 : level_begin;
-    const std::vector<uint64_t>& words = (leaf ? l_ : t_).words();
-    std::vector<uint64_t>* out = leaf ? keys : &children;
-    children.clear();
-    bool in_bounds = true;
-    if (k == 2) {
-      // A set bit lies in the padding exactly when the origin written
-      // for it does, so a second branch-free pass over the level's
-      // origins checks what the cursor walk below checks per bit. A
-      // parent whose own origin is outside has every child outside.
-      const uint64_t ones = CountSetBits(words, begin, begin + level_bits);
-      const size_t first = out->size();
-      out->resize(first + ones + 1);
-      EmitLevelK2(words.data(), begin, parents, sub, out->data() + first);
-      out->pop_back();
-      in_bounds = AllInside(out->data() + first, ones, num_rows_, num_cols_);
-    } else {
-      uint64_t row_off[256];
-      uint64_t col_off[256];
-      for (uint64_t q = 0; q < kk; ++q) {
-        row_off[q] = (q / k) * sub;
-        col_off[q] = (q % k) * sub;
-      }
-      // Block j of this level holds the children of parents[j]; set
-      // bits arrive in ascending order, so the owning block only moves
-      // forward and no rank is needed to find it.
-      const uint64_t* parent = parents.data();
-      uint64_t block_end = begin + kk;
-      ForEachSetBit(words, begin, begin + level_bits, [&](uint64_t p) {
-        while (p >= block_end) {
-          ++parent;
-          block_end += kk;
-        }
-        const uint64_t q = p + kk - block_end;
-        const uint64_t row = (*parent >> 32) + row_off[q];
-        const uint64_t col = (*parent & 0xFFFFFFFFu) + col_off[q];
-        in_bounds &= row < num_rows_ && col < num_cols_;
-        out->push_back(row << 32 | col);
-      });
-    }
-    if (!in_bounds) {
-      return Status::Corruption("k2-tree sets a bit in its padding");
-    }
-    if (leaf) {
-      if (keys->size() - first_key != num_cells_) {
-        return Status::Corruption("k2-tree cell count disagrees with L");
-      }
-      return Status::OK();
-    }
-    level_begin += level_bits;
-    parents.swap(children);
-  }
-}
-
 std::vector<std::pair<uint32_t, uint32_t>> K2Tree::AllCells() const {
-  std::vector<uint64_t> keys;
-  const Status walked = AppendKeys(&keys);
+  BitWriter w;
+  Serialize(&w);
+  BitReader r(w.bytes());
+  Cells cells;
+  const Status walked = DecodeCells(&r, &cells);
   // Build and Deserialize only produce trees that CheckLayout accepts.
   assert(walked.ok());
   (void)walked;
-  std::sort(keys.begin(), keys.end());
+  std::sort(cells.keys.begin(), cells.keys.end());
   std::vector<std::pair<uint32_t, uint32_t>> out;
-  out.reserve(keys.size());
-  for (uint64_t key : keys) {
+  out.reserve(cells.keys.size());
+  for (uint64_t key : cells.keys) {
     out.push_back({static_cast<uint32_t>(key >> 32),
                    static_cast<uint32_t>(key & 0xFFFFFFFFu)});
   }
@@ -370,7 +348,8 @@ Status K2Tree::CheckLayout() const {
   uint64_t ones_before = 0;  // set bits of T before level_begin
   for (uint64_t sub = size_ / k;; sub /= k) {
     const bool leaf = sub == 1;
-    GREPAIR_RETURN_IF_ERROR(CheckLevelBounds(leaf, level_begin, level_bits));
+    GREPAIR_RETURN_IF_ERROR(CheckLevelBounds(leaf, level_begin, level_bits,
+                                             t_.size(), l_.size()));
     const RankBitVector& bits = leaf ? l_ : t_;
     const uint64_t begin = leaf ? 0 : level_begin;
     if (leaf) ones_before = 0;
@@ -405,15 +384,82 @@ Status K2Tree::CheckLayout() const {
   }
 }
 
-Result<K2Tree::Cells> K2Tree::DecodeCells(BitReader* reader) {
-  auto read = ReadUnranked(reader);
-  if (!read.ok()) return read.status();
-  const K2Tree& tree = read.value();
-  Cells cells;
-  cells.num_rows = tree.num_rows_;
-  cells.num_cols = tree.num_cols_;
-  GREPAIR_RETURN_IF_ERROR(tree.AppendKeys(&cells.keys));
-  return cells;
+Status K2Tree::DecodeCells(BitReader* reader, Cells* cells,
+                           const Degrees& degrees) {
+  K2Tree tree;
+  uint64_t t_bits = 0, l_bits = 0;
+  GREPAIR_RETURN_IF_ERROR(ReadHeader(reader, &tree, &t_bits, &l_bits));
+  cells->num_rows = tree.num_rows_;
+  cells->num_cols = tree.num_cols_;
+  if (tree.num_rows_ > degrees.limit || tree.num_cols_ > degrees.limit) {
+    return Status::Corruption(
+        "k2-tree has more rows or columns than its graph has nodes");
+  }
+  if (t_bits == 0 && l_bits == 0) {
+    return tree.num_cells_ == 0
+               ? Status::OK()
+               : Status::Corruption("k2-tree cell count disagrees with L");
+  }
+  const uint64_t k = static_cast<uint64_t>(tree.k_);
+  const uint64_t kk = k * k;
+  // Packed row << 32 | col origin of every node on the current level,
+  // in level order: the root, then one entry per set bit above. No
+  // level of a valid tree holds more nodes than it has cells, so one
+  // allocation each, bounded by L's bits, covers every level; they are
+  // freed with the walk, so a grammar's large terminal tree does not
+  // keep them through the sections after it.
+  KeyVector levels[2];
+  KeyVector* parents = &levels[0];
+  KeyVector* children = &levels[1];
+  const size_t widest =
+      static_cast<size_t>(std::min(tree.num_cells_, l_bits)) + 3;
+  parents->reserve(widest);
+  children->reserve(widest);
+  parents->assign(1, 0);
+  const size_t first_key = cells->keys.size();
+  uint64_t level_begin = 0;  // in T; the last level is all of L
+  for (uint64_t sub = tree.size_ / k;; sub /= k) {
+    const bool leaf = sub == 1;
+    const uint64_t level_bits = parents->size() * kk;
+    GREPAIR_RETURN_IF_ERROR(
+        CheckLevelBounds(leaf, level_begin, level_bits, t_bits, l_bits));
+    // Room for the level's set bits, counted in place first, and the
+    // three candidates the k = 2 emit may write past its last key; not
+    // zero-filled. Sized by what is set rather than by the level's
+    // width, the buffers are four times smaller on a sparse tree.
+    KeyVector* out = leaf ? &cells->keys : children;
+    const size_t first = leaf ? first_key : 0;
+    if (!leaf) out->clear();  // so that growing copies nothing
+    out->resize(first + reader->CountOnes(level_bits) + 3);
+    uint64_t* level = out->data() + first;
+    const size_t written =
+        k == 2 ? EmitLevelK2(reader, parents->data(), parents->size(), sub,
+                             level)
+               : EmitLevel(reader, k, parents->data(), parents->size(), sub,
+                           level);
+    out->resize(first + written);
+    // A set bit lies in the padding exactly when its origin does.
+    if ((LevelCanLeave(tree.num_rows_, k, sub) ||
+         LevelCanLeave(tree.num_cols_, k, sub)) &&
+        !AllInside(level, written, tree.num_rows_, tree.num_cols_)) {
+      return Status::Corruption("k2-tree sets a bit in its padding");
+    }
+    if (leaf) {
+      if (written != tree.num_cells_) {
+        return Status::Corruption("k2-tree cell count disagrees with L");
+      }
+      if (degrees.rows != nullptr) {
+        for (size_t i = first; i < first + written; ++i) {
+          const uint64_t key = cells->keys[i];
+          ++degrees.rows[key >> 32];
+          ++degrees.cols[key & 0xFFFFFFFFu];
+        }
+      }
+      return Status::OK();
+    }
+    level_begin += level_bits;
+    std::swap(parents, children);
+  }
 }
 
 void K2Tree::Serialize(BitWriter* writer) const {
@@ -428,74 +474,68 @@ void K2Tree::Serialize(BitWriter* writer) const {
 }
 
 Result<K2Tree> K2Tree::Deserialize(BitReader* reader) {
-  auto read = ReadUnranked(reader);
-  if (!read.ok()) return read.status();
-  K2Tree tree = std::move(read).ValueOrDie();
+  K2Tree tree;
+  uint64_t t_bits = 0, l_bits = 0;
+  GREPAIR_RETURN_IF_ERROR(ReadHeader(reader, &tree, &t_bits, &l_bits));
+  // Bitmaps load in 56-bit chunks, one windowed ReadBits and one
+  // PushWord each. In scalar mode ReadBits goes bit by bit, so the
+  // differential tests (and the decode gate's scalar baseline) exercise
+  // the whole bit-at-a-time path, not just the Elias codes.
+  auto read_bitmap = [&](RankBitVector* bv, uint64_t nbits) -> Status {
+    // ReadHeader checked that the input holds the bits.
+    bv->Reserve(nbits);
+    for (uint64_t i = 0; i < nbits; i += 56) {
+      const int chunk = static_cast<int>(std::min<uint64_t>(56, nbits - i));
+      uint64_t w = 0;
+      GREPAIR_RETURN_IF_ERROR(reader->ReadBits(chunk, &w));
+      // ReadBits returns the bits right-aligned; PushWord wants the
+      // first-read bit at position 63.
+      bv->PushWord(w << (64 - chunk), static_cast<size_t>(chunk));
+    }
+    return Status::OK();
+  };
+  GREPAIR_RETURN_IF_ERROR(read_bitmap(&tree.t_, t_bits));
+  GREPAIR_RETURN_IF_ERROR(read_bitmap(&tree.l_, l_bits));
   tree.t_.Finalize();
   tree.l_.Finalize();
   GREPAIR_RETURN_IF_ERROR(tree.CheckLayout());
   return tree;
 }
 
-Result<K2Tree> K2Tree::ReadUnranked(BitReader* reader) {
-  uint64_t k = 0, rows = 0, cols = 0, cells = 0, t_bits = 0, l_bits = 0;
+Status K2Tree::ReadHeader(BitReader* reader, K2Tree* tree, uint64_t* t_bits,
+                          uint64_t* l_bits) {
+  uint64_t k = 0, rows = 0, cols = 0, cells = 0, t_code = 0, l_code = 0;
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &k));
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &rows));
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &cols));
   GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &cells));
-  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &t_bits));
-  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &l_bits));
+  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &t_code));
+  GREPAIR_RETURN_IF_ERROR(EliasDeltaDecode(reader, &l_code));
   if (k < 2 || k > 16 || rows == 0 || cols == 0 || cells == 0 ||
-      t_bits == 0 || l_bits == 0) {
+      t_code == 0 || l_code == 0) {
     return Status::Corruption("bad k2-tree header");
   }
   if (rows - 1 > 0xFFFFFFFFull || cols - 1 > 0xFFFFFFFFull) {
     return Status::Corruption("k2-tree dimensions out of range");
   }
-  K2Tree tree;
-  tree.k_ = static_cast<int>(k);
-  tree.num_rows_ = static_cast<uint32_t>(rows - 1);
-  tree.num_cols_ = static_cast<uint32_t>(cols - 1);
-  tree.num_cells_ = cells - 1;
-  uint64_t need =
-      std::max<uint64_t>({tree.num_rows_, tree.num_cols_, 1});
+  tree->k_ = static_cast<int>(k);
+  tree->num_rows_ = static_cast<uint32_t>(rows - 1);
+  tree->num_cols_ = static_cast<uint32_t>(cols - 1);
+  tree->num_cells_ = cells - 1;
+  const uint64_t need =
+      std::max<uint64_t>({tree->num_rows_, tree->num_cols_, 1});
   uint64_t size = k;
   while (size < need) size *= k;
-  tree.size_ = size;
-  // Bitmaps load in 64-bit chunks: one bounds-checked ReadBits + one
-  // PushWord per word instead of a ReadBit/PushBack pair per bit. The
-  // per-bit loop is retained behind the scalar-oracle switch so the
-  // differential tests (and the decode gate's scalar baseline) exercise
-  // the whole bit-at-a-time path, not just the Elias codes.
-  auto read_bitmap = [&](RankBitVector* bv, uint64_t nbits) -> Status {
-    if (EliasDecodeScalarForTest()) {
-      bool bit = false;
-      for (uint64_t i = 0; i < nbits; ++i) {
-        GREPAIR_RETURN_IF_ERROR(reader->ReadBit(&bit));
-        bv->PushBack(bit);
-      }
-      return Status::OK();
-    }
-    // Sized from the header only as far as the input can back it.
-    bv->Reserve(std::min<uint64_t>(nbits, reader->BitsAvailable()));
-    uint64_t i = 0;
-    uint64_t w = 0;
-    for (; i + 64 <= nbits; i += 64) {
-      GREPAIR_RETURN_IF_ERROR(reader->ReadBits(64, &w));
-      bv->PushWord(w, 64);
-    }
-    const int rem = static_cast<int>(nbits - i);
-    if (rem > 0) {
-      GREPAIR_RETURN_IF_ERROR(reader->ReadBits(rem, &w));
-      // ReadBits returns the bits right-aligned; PushWord wants the
-      // first-read bit at position 63.
-      bv->PushWord(w << (64 - rem), static_cast<size_t>(rem));
-    }
-    return Status::OK();
-  };
-  GREPAIR_RETURN_IF_ERROR(read_bitmap(&tree.t_, t_bits - 1));
-  GREPAIR_RETURN_IF_ERROR(read_bitmap(&tree.l_, l_bits - 1));
-  return tree;
+  tree->size_ = size;
+  *t_bits = t_code - 1;
+  *l_bits = l_code - 1;
+  // T and L size what reads them (DecodeCells' level buffers,
+  // Deserialize's bitmaps), so the input must hold them first.
+  if (*t_bits > reader->BitsAvailable() ||
+      *l_bits > reader->BitsAvailable() - *t_bits) {
+    return Status::Corruption("k2-tree levels run past the end of the input");
+  }
+  return Status::OK();
 }
 
 }  // namespace grepair

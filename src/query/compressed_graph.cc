@@ -63,20 +63,17 @@ Result<std::vector<uint8_t>> CompressedGraph::CompressToPayload(
   return PayloadOf(result.value().grammar, result.value().origins);
 }
 
-CompressedGraph CompressedGraph::FromValidGrammar(
-    SlhrGrammar grammar, ValSize size, std::vector<NodeId> origins) {
+CompressedGraph CompressedGraph::FromValidGrammar(SlhrGrammar grammar,
+                                                  ValSize size,
+                                                  DecodedNodeMapping mapping) {
   CompressedGraph g;
   g.grammar_ = std::make_unique<SlhrGrammar>(std::move(grammar));
   g.num_nodes_ = size.nodes;
   g.num_edges_ = size.edges;
-  // Compress and DecodeNodeMapping only hand out permutations of
-  // val(G)'s ids, so inverting needs no second check.
-  assert(origins.empty() || origins.size() == size.nodes);
-  g.to_original_ = std::move(origins);
-  g.to_val_.resize(g.to_original_.size());
-  for (uint64_t v = 0; v < g.to_original_.size(); ++v) {
-    g.to_val_[g.to_original_[v]] = v;
-  }
+  assert(mapping.to_original.empty() ||
+         mapping.to_original.size() == size.nodes);
+  g.to_original_ = std::move(mapping.to_original);
+  g.to_val_ = std::move(mapping.to_val);
   g.neighborhood_ = std::make_unique<LazyIndex<NeighborhoodIndex>>();
   g.reachability_ = std::make_unique<LazyIndex<ReachabilityIndex>>();
   return g;
@@ -108,17 +105,17 @@ Result<CompressedGraph> CompressedGraph::Deserialize(ByteSpan bytes) {
   if (!grammar.ok()) return grammar.status();
   auto size = NameableValSize(grammar.value());
   if (!size.ok()) return size.status();
-  std::vector<NodeId> origins;
+  DecodedNodeMapping mapping;
   if (mapping_flag != 0) {
     ByteSpan mapping_bytes;
     GREPAIR_RETURN_IF_ERROR(src.ReadSpan(src.remaining(), &mapping_bytes));
     auto decoded =
         DecodeNodeMapping(grammar.value(), size.value().nodes, mapping_bytes);
     if (!decoded.ok()) return decoded.status();
-    origins = std::move(decoded).ValueOrDie();
+    mapping = std::move(decoded).ValueOrDie();
   }
   return FromValidGrammar(std::move(grammar).ValueOrDie(), size.value(),
-                          std::move(origins));
+                          std::move(mapping));
 }
 
 uint64_t CompressedGraph::memo_entries() const {

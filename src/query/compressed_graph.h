@@ -33,6 +33,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/encoding/grammar_coder.h"
 #include "src/grepair/compressor.h"
 #include "src/query/neighborhood.h"
 #include "src/query/reachability.h"
@@ -149,10 +150,10 @@ class CompressedGraph {
 
   CompressedGraph() = default;
   // Wraps a grammar that already passed Validate(), whose val(G) has
-  // `size` (within what ids can name), with `origins` as psi' (a
-  // permutation of val(G)'s ids, or empty for val(G) ids).
+  // `size` (within what ids can name), with `mapping` as psi' (both
+  // directions permutations of val(G)'s ids, or empty for val(G) ids).
   static CompressedGraph FromValidGrammar(SlhrGrammar grammar, ValSize size,
-                                          std::vector<NodeId> origins);
+                                          DecodedNodeMapping mapping);
 
   const NeighborhoodIndex& neighborhood() const {
     return neighborhood_->Get(*grammar_);
@@ -177,7 +178,7 @@ class CompressedGraph {
   // psi': val id -> original id, a permutation; empty when ids are
   // val(G) numbering.
   std::vector<NodeId> to_original_;
-  std::vector<uint64_t> to_val_;  // original id -> val id
+  std::vector<NodeId> to_val_;  // original id -> val id
   std::unique_ptr<LazyIndex<NeighborhoodIndex>> neighborhood_;
   std::unique_ptr<LazyIndex<ReachabilityIndex>> reachability_;
 };

@@ -56,13 +56,12 @@ Status DecodeNodeMap(ByteSource* src, uint64_t count, uint64_t num_nodes,
   }
   BitReader r(in.data, in.size * 8);
   nodes->clear();
-  // Capped reserve: sizing 4 bytes per claimed 1-bit entry up front
-  // would hand crafted input a 32x allocation amplifier before any
-  // gap is validated. Growth past the cap is pay-as-you-decode —
-  // memory stays proportional to input actually consumed (the
-  // residual is ordinary decompression-bomb density, not a free
-  // allocation).
-  nodes->reserve(static_cast<size_t>(std::min<uint64_t>(count, 1u << 16)));
+  // One entry per input byte up front: an honest gap code takes about
+  // 9 bits, so that is the whole map, while a count that claims 1-bit
+  // entries gets 4 bytes per input byte before any gap is validated.
+  // Growth past it is pay-as-you-decode, proportional to the input
+  // actually consumed.
+  nodes->reserve(static_cast<size_t>(std::min<uint64_t>(count, in.size)));
   uint64_t prev = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t gap = 0;

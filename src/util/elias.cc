@@ -40,10 +40,10 @@ void EliasDeltaEncode(uint64_t n, BitWriter* writer) {
 
 Status EliasGammaDecodeScalar(BitReader* reader, uint64_t* n) {
   int zeros = 0;
-  bool bit = false;
+  uint64_t bit = 0;
   for (;;) {
-    GREPAIR_RETURN_IF_ERROR(reader->ReadBit(&bit));
-    if (bit) break;
+    GREPAIR_RETURN_IF_ERROR(reader->ReadBitsScalar(1, &bit));
+    if (bit != 0) break;
     if (++zeros > 63) return Status::Corruption("gamma code too long");
   }
   uint64_t rest = 0;
@@ -64,8 +64,25 @@ Status EliasDeltaDecodeScalar(BitReader* reader, uint64_t* n) {
   return Status::OK();
 }
 
+namespace {
+
+// The word-at-a-time delta decode of a code the window did not hold:
+// gamma(len) through EliasGammaDecode, then the mantissa.
+Status DeltaDecodeWords(BitReader* reader, uint64_t* n) {
+  uint64_t len = 0;
+  GREPAIR_RETURN_IF_ERROR(EliasGammaDecode(reader, &len));
+  if (len == 0 || len > 64) return Status::Corruption("bad delta length");
+  uint64_t rest = 0;
+  GREPAIR_RETURN_IF_ERROR(reader->ReadBits(static_cast<int>(len - 1), &rest));
+  *n = (len == 64 ? 0ull : (1ull << (len - 1))) | rest;
+  if (len == 64) *n |= 1ull << 63;
+  return Status::OK();
+}
+
+}  // namespace
+
 Status EliasGammaDecode(BitReader* reader, uint64_t* n) {
-  if (g_decode_scalar_for_test) return EliasGammaDecodeScalar(reader, n);
+  if (reader->scalar()) return EliasGammaDecodeScalar(reader, n);
   const uint64_t w = reader->Peek64();
   if (w == 0) {
     // No stop bit inside the window: either 64+ zeros lie ahead (no
@@ -100,37 +117,14 @@ Status EliasGammaDecode(BitReader* reader, uint64_t* n) {
   return Status::OK();
 }
 
-Status EliasDeltaDecode(BitReader* reader, uint64_t* n) {
-  if (g_decode_scalar_for_test) return EliasDeltaDecodeScalar(reader, n);
-  // Fast path: gamma(len) and the mantissa both inside one window.
-  // gamma(len) is at most 13 bits (len <= 64), so this covers every
-  // delta code up to ~52 mantissa bits; larger values and all
-  // truncation cases take the general path below.
-  const uint64_t w = reader->Peek64();
-  if (w != 0) {
-    const int zeros = __builtin_clzll(w);
-    const size_t gamma_bits = 2 * static_cast<size_t>(zeros) + 1;
-    if (gamma_bits <= 64) {
-      const uint64_t len = w >> (64 - gamma_bits);
-      const size_t total = gamma_bits + static_cast<size_t>(len) - 1;
-      if (len >= 1 && len <= 64 && total <= 64 && reader->HasBits(total)) {
-        const uint64_t rest =
-            len == 1 ? 0
-                     : (w >> (64 - total)) & ((1ull << (len - 1)) - 1);
-        *n = (1ull << (len - 1)) | rest;
-        reader->Consume(total);
-        return Status::OK();
-      }
-    }
-  }
-  uint64_t len = 0;
-  GREPAIR_RETURN_IF_ERROR(EliasGammaDecode(reader, &len));
-  if (len == 0 || len > 64) return Status::Corruption("bad delta length");
-  uint64_t rest = 0;
-  GREPAIR_RETURN_IF_ERROR(reader->ReadBits(static_cast<int>(len - 1), &rest));
-  *n = (len == 64 ? 0ull : (1ull << (len - 1))) | rest;
-  if (len == 64) *n |= 1ull << 63;
-  return Status::OK();
+Status EliasDeltaDecodeSlow(const uint8_t* data, size_t bit_count,
+                            size_t* pos, uint64_t* n) {
+  BitReader reader(data, bit_count);
+  reader.Consume(*pos);
+  Status status = reader.scalar() ? EliasDeltaDecodeScalar(&reader, n)
+                                  : DeltaDecodeWords(&reader, n);
+  *pos = reader.position();
+  return status;
 }
 
 int EliasGammaLength(uint64_t n) {

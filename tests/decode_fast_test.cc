@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/fuzz_checks.h"
+#include "src/k2tree/k2tree.h"
 #include "src/util/bit_stream.h"
 #include "src/util/elias.h"
 
@@ -255,6 +257,131 @@ TEST(DecodeFastTest, BitsAvailableSurvivesAlignPastEnd) {
   EXPECT_EQ(r.Peek64(), 0u);
   uint64_t v = 0;
   EXPECT_FALSE(r.ReadBits(1, &v).ok());
+}
+
+// A stream of every read kind: delta codes of every width up to 64
+// bits, gamma codes up to 127 bits (longer than any window), raw bit
+// fields and single bits, so a random op sequence over it reads codes
+// that fit the window, straddle it and overrun it.
+std::vector<uint8_t> MixedStream(std::mt19937_64* rng, size_t* bit_count) {
+  BitWriter w;
+  const int items = 1 + static_cast<int>((*rng)() % 60);
+  for (int i = 0; i < items; ++i) {
+    const int width = 1 + static_cast<int>((*rng)() % 64);
+    const uint64_t v = ((*rng)() >> (64 - width)) | 1u;
+    switch ((*rng)() % 4) {
+      case 0: EliasDeltaEncode(v, &w); break;
+      case 1: EliasGammaEncode(v, &w); break;
+      case 2: w.PutBits(v, width); break;
+      default: w.PutBit(v & 2); break;
+    }
+  }
+  *bit_count = w.bit_size();
+  return w.TakeBytes();
+}
+
+void ExpectMixedReadsMatch(const std::vector<uint8_t>& bytes,
+                           size_t bit_count, const std::vector<uint8_t>& ops,
+                           const std::string& label) {
+  const char* violated =
+      fuzz::CheckMixedReads(bytes.data(), bit_count, ops.data(), ops.size());
+  EXPECT_EQ(violated, nullptr) << label << ": " << violated;
+}
+
+TEST(DecodeFastTest, MixedReadsMatchTheOraclesOnOneReader) {
+  // The window carries over from one read to the next, so each read
+  // kind is checked after every other kind, at every cut of the stream
+  // (a truncated code must fail where the oracle fails), and over a
+  // sub-window of a buffer whose bits past the end are all ones.
+  std::mt19937_64 rng(50);
+  for (int iter = 0; iter < 150; ++iter) {
+    size_t bit_count = 0;
+    std::vector<uint8_t> bytes = MixedStream(&rng, &bit_count);
+    std::vector<uint8_t> ops(64 + rng() % 200);
+    for (auto& op : ops) op = static_cast<uint8_t>(rng());
+    const std::string label = "stream " + std::to_string(iter);
+    ExpectMixedReadsMatch(bytes, bit_count, ops, label);
+    for (size_t cut = 0; cut < bit_count; cut += 1 + bit_count / 40) {
+      ExpectMixedReadsMatch(bytes, cut, ops, label + " cut " +
+                                                 std::to_string(cut));
+    }
+    std::vector<uint8_t> padded = bytes;
+    padded.resize(padded.size() + 9, 0xFF);
+    if (bit_count % 8 != 0) {
+      padded[bit_count / 8] |= static_cast<uint8_t>(0xFFu >> (bit_count % 8));
+    }
+    ExpectMixedReadsMatch(padded, bit_count, ops, label + " padded");
+  }
+}
+
+TEST(DecodeFastTest, MixedReadsMatchTheOraclesOnNoise) {
+  std::mt19937_64 rng(0x5eed);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::vector<uint8_t> bytes(1 + rng() % 40);
+    for (auto& b : bytes) b = static_cast<uint8_t>(rng() & rng());
+    std::vector<uint8_t> ops(1 + rng() % 100);
+    for (auto& op : ops) op = static_cast<uint8_t>(rng());
+    const size_t bit_count = bytes.size() * 8 - rng() % 8;
+    ExpectMixedReadsMatch(bytes, bit_count, ops,
+                          "noise " + std::to_string(iter));
+  }
+}
+
+TEST(DecodeFastTest, ScalarSwitchKeepsEveryReadOffTheWindow) {
+  // Under the switch a reader never fills its window, so ReadBit,
+  // ReadBits and both Elias decoders go bit by bit; the k^2 walk and
+  // Deserialize's bitmap loads read through the same reader and must
+  // decode the same tree as the windowed path.
+  std::mt19937_64 rng(3);
+  std::vector<std::pair<uint32_t, uint32_t>> cells;
+  for (int i = 0; i < 300; ++i) {
+    cells.push_back({static_cast<uint32_t>(rng() % 200),
+                     static_cast<uint32_t>(rng() % 150)});
+  }
+  BitWriter w;
+  EliasDeltaEncode(77, &w);
+  w.PutBit(true);
+  K2Tree::Build(200, 150, cells).Serialize(&w);
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+
+  using CellList = std::vector<std::pair<uint32_t, uint32_t>>;
+  auto decode = [&](K2Tree::Cells* walked, CellList* all, size_t* end) {
+    BitReader r(bytes);
+    uint64_t v = 0;
+    bool bit = false;
+    ASSERT_TRUE(EliasDeltaDecode(&r, &v).ok());
+    ASSERT_EQ(v, 77u);
+    ASSERT_TRUE(r.ReadBit(&bit).ok());
+    ASSERT_TRUE(bit);
+    BitReader tree_reader = r;
+    ASSERT_TRUE(K2Tree::DecodeCells(&tree_reader, walked).ok());
+    auto tree = K2Tree::Deserialize(&r);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ASSERT_EQ(r.position(), tree_reader.position());
+    if (r.scalar()) {
+      EXPECT_EQ(r.window_bits(), 0u);
+      EXPECT_EQ(tree_reader.window_bits(), 0u);
+    }
+    *all = tree.value().AllCells();
+    *end = r.position();
+  };
+  K2Tree::Cells windowed, scalar;
+  CellList windowed_all, scalar_all;
+  size_t windowed_end = 0, scalar_end = 0;
+  decode(&windowed, &windowed_all, &windowed_end);
+  {
+    struct ScalarMode {
+      ScalarMode() { SetEliasDecodeScalarForTest(true); }
+      ~ScalarMode() { SetEliasDecodeScalarForTest(false); }
+    } scalar_mode;
+    BitReader probe(bytes);
+    EXPECT_TRUE(probe.scalar());
+    decode(&scalar, &scalar_all, &scalar_end);
+  }
+  EXPECT_EQ(std::vector<uint64_t>(scalar.keys.begin(), scalar.keys.end()),
+            std::vector<uint64_t>(windowed.keys.begin(), windowed.keys.end()));
+  EXPECT_EQ(scalar_all, windowed_all);
+  EXPECT_EQ(scalar_end, windowed_end);
 }
 
 TEST(DecodeFastTest, ScalarDispatchFlagRoutesFastEntryPoints) {

@@ -151,6 +151,68 @@ TEST(EncodingTest, ParallelNonterminalEdgesSurvive) {
   EXPECT_TRUE(a.value() == b.value());
 }
 
+// Bits EncodeRule spends on `rhs` before its first edge's nonterminal
+// marker, and on all of `rhs`.
+size_t RuleHeaderBits(const Hypergraph& rhs) {
+  return EliasDeltaLength(rhs.num_edges() + 1) +
+         EliasDeltaLength(rhs.num_nodes() + 1) +
+         EliasDeltaLength(rhs.ext().size() + 1);
+}
+size_t RuleBits(const Hypergraph& rhs) {
+  size_t bits = RuleHeaderBits(rhs);
+  for (const HEdge& e : rhs.edges()) {
+    bits += 1 + EliasDeltaLength(e.att.size()) + EliasDeltaLength(e.label + 1);
+    for (NodeId v : e.att) bits += 1 + EliasDeltaLength(v + 1);
+  }
+  return bits;
+}
+
+TEST(EncodingTest, RuleEdgeMarkerMustMatchItsLabel) {
+  // A's body holds a terminal edge and B's starts with an A edge. The
+  // marker bit before each rule edge says which kind its label is;
+  // flipping either one must fail closed, not decode as before.
+  Alphabet alpha;
+  alpha.Add("a", 2);
+  SlhrGrammar grammar(alpha, Hypergraph(3));
+  const Label a_nt = grammar.AddNonterminal(2, "A");
+  Hypergraph a_rhs(3);
+  a_rhs.AddSimpleEdge(0, 2, 0);
+  a_rhs.AddSimpleEdge(2, 1, 0);
+  a_rhs.SetExternal({0, 1});
+  grammar.SetRule(a_nt, a_rhs);
+  const Label b_nt = grammar.AddNonterminal(2, "B");
+  Hypergraph b_rhs(3);
+  b_rhs.AddSimpleEdge(0, 2, a_nt);
+  b_rhs.AddSimpleEdge(2, 1, 0);
+  b_rhs.SetExternal({0, 1});
+  grammar.SetRule(b_nt, b_rhs);
+  grammar.mutable_start()->AddEdge(b_nt, {0, 1});
+  grammar.mutable_start()->AddEdge(a_nt, {1, 2});
+  CanonicalizeStartEdgeOrder(&grammar, nullptr);
+  ASSERT_TRUE(grammar.Validate().ok());
+
+  EncodeStats stats;
+  const std::vector<uint8_t> bytes = EncodeGrammar(grammar, &stats);
+  ASSERT_TRUE(DecodeGrammar(bytes).ok());
+  auto bit_at = [&](size_t bit) {
+    return (bytes[bit / 8] >> (7 - bit % 8)) & 1;
+  };
+  const size_t a_marker = stats.header_bits + RuleHeaderBits(a_rhs);
+  const size_t b_marker =
+      stats.header_bits + RuleBits(a_rhs) + RuleHeaderBits(b_rhs);
+  ASSERT_EQ(bit_at(a_marker), 0) << "A's first edge is terminal";
+  ASSERT_EQ(bit_at(b_marker), 1) << "B's first edge is A";
+  for (size_t bit : {a_marker, b_marker}) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (7 - bit % 8));
+    auto decoded = DecodeGrammar(flipped);
+    ASSERT_FALSE(decoded.ok()) << "bit " << bit;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(decoded.status().message(),
+              "rule edge's nonterminal marker disagrees with its label");
+  }
+}
+
 TEST(EncodingTest, CorruptionRejected) {
   GeneratedGraph gg = RdfTypes(100, 4, 47);
   auto result = Compress(gg.graph, gg.alphabet, CompressOptions());

@@ -169,11 +169,13 @@ TEST_P(K2TreeRandom, MatchesBruteForce) {
   // The enumerate-only entry point reads the same bytes to the same
   // cells, packed, in level order.
   BitReader cells_reader(bytes);
-  auto decoded = K2Tree::DecodeCells(&cells_reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().num_rows, p.rows);
-  EXPECT_EQ(decoded.value().num_cols, p.cols);
-  EXPECT_EQ(decoded.value().keys, LevelOrderKeys(cells, p.rows, p.cols, p.k));
+  K2Tree::Cells decoded;
+  const Status walked = K2Tree::DecodeCells(&cells_reader, &decoded);
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
+  EXPECT_EQ(decoded.num_rows, p.rows);
+  EXPECT_EQ(decoded.num_cols, p.cols);
+  EXPECT_EQ(std::vector<uint64_t>(decoded.keys.begin(), decoded.keys.end()),
+            LevelOrderKeys(cells, p.rows, p.cols, p.k));
   EXPECT_EQ(cells_reader.position(), r.position());
 }
 
@@ -270,9 +272,10 @@ void ExpectCorrupt(const std::vector<uint8_t>& bytes,
   ASSERT_FALSE(tree.ok()) << what;
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption) << what;
   BitReader unranked(bytes);
-  auto cells = K2Tree::DecodeCells(&unranked);
-  ASSERT_FALSE(cells.ok()) << what;
-  EXPECT_EQ(cells.status().ToString(), tree.status().ToString()) << what;
+  K2Tree::Cells cells;
+  const Status walked = K2Tree::DecodeCells(&unranked, &cells);
+  ASSERT_FALSE(walked.ok()) << what;
+  EXPECT_EQ(walked.ToString(), tree.status().ToString()) << what;
 }
 
 // The 8 x 8 tree holding (0,1) and (5,6): level 0 = 1001, level 1 =
@@ -369,10 +372,10 @@ TEST(K2TreeLayoutTest, ZeroDimensionHeaderFailsClosed) {
     const auto bytes = RawTree(h.rows, h.cols, 1, h.t, h.l);
     ExpectCorrupt(bytes, what);
     BitReader r(bytes);
-    auto cells = K2Tree::DecodeCells(&r);
-    ASSERT_FALSE(cells.ok()) << what;
-    EXPECT_EQ(cells.status().message(), "k2-tree sets a bit in its padding")
-        << what;
+    K2Tree::Cells cells;
+    const Status walked = K2Tree::DecodeCells(&r, &cells);
+    ASSERT_FALSE(walked.ok()) << what;
+    EXPECT_EQ(walked.message(), "k2-tree sets a bit in its padding") << what;
   }
 }
 
@@ -401,9 +404,12 @@ TEST(K2TreeLayoutTest, ShardScaleDecodeCellsMatchesAllCells) {
     cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
     const auto bytes = w.TakeBytes();
     BitReader r(bytes);
-    auto decoded = K2Tree::DecodeCells(&r);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().keys, truth) << count << " cells";
+    K2Tree::Cells decoded;
+    const Status walked = K2Tree::DecodeCells(&r, &decoded);
+    ASSERT_TRUE(walked.ok()) << walked.ToString();
+    EXPECT_EQ(std::vector<uint64_t>(decoded.keys.begin(), decoded.keys.end()),
+              truth)
+        << count << " cells";
     EXPECT_EQ(tree.AllCells(), cells) << count << " cells";
   }
 }

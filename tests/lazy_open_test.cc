@@ -10,22 +10,21 @@
 // sized by that count, a tiny payload describing a million parallel
 // edges answers without deriving them, and one claiming 2^32-2 start
 // nodes fails its fault without sizing anything by them: this binary
-// replaces the global operator new/delete to record the largest
-// request, and refuses any request above 1 GiB so that a regression
-// fails the test rather than exhausting memory.
+// compiles fuzz/largest_allocation.cc, which records the largest heap
+// request and refuses any above 1 GiB so that a regression fails the
+// test rather than exhausting memory.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "fuzz/golden_seeds.h"
+#include "fuzz/largest_allocation.h"
 #include "src/api/grepair_api.h"
 #include "src/encoding/grammar_coder.h"
 #include "src/k2tree/k2tree.h"
@@ -33,56 +32,6 @@
 #include "src/util/elias.h"
 #include "src/util/hashing.h"
 #include "src/util/mmap_file.h"
-
-namespace {
-
-std::atomic<size_t> g_largest_allocation{0};
-
-void* RecordedAlloc(size_t size) {
-  size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
-  while (size > seen && !g_largest_allocation.compare_exchange_weak(
-                            seen, size, std::memory_order_relaxed)) {
-  }
-  if (size > (size_t{1} << 30)) return nullptr;
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-}  // namespace
-
-// Every throwing and nothrow form routes through malloc/free, so the
-// sanitizers see matching pairs; out of line, as in attachments_test.
-[[gnu::noinline]] void* operator new(size_t size) {
-  if (void* p = RecordedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](size_t size) {
-  if (void* p = RecordedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new(size_t size,
-                                     const std::nothrow_t&) noexcept {
-  return RecordedAlloc(size);
-}
-[[gnu::noinline]] void* operator new[](size_t size,
-                                       const std::nothrow_t&) noexcept {
-  return RecordedAlloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p,
-                                         const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace grepair {
 namespace {
@@ -492,7 +441,7 @@ TEST(LazyOpenTest, HugeClaimedNodeCountAllocatesByTheMapsOnly) {
                    HashBytes(payload.data(), payload.size()));
   const std::vector<uint8_t> bytes = std::move(encoder).Finish();
 
-  g_largest_allocation.store(0);
+  fuzz::g_largest_allocation.reset();
   auto rep = shard::ShardedRep::Deserialize(bytes);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   shard::ShardedRep& sharded = *rep.value();
@@ -530,7 +479,7 @@ TEST(LazyOpenTest, HugeClaimedNodeCountAllocatesByTheMapsOnly) {
   batch = sharded.OutNeighborsBatch({kA, kUnmapped, kB});
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch.value(), std::vector<Ids>({Ids({kC}), Ids({kA}), Ids({kC})}));
-  EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
+  EXPECT_LT(fuzz::g_largest_allocation.largest(), size_t{1} << 20);
 }
 
 TEST(LazyOpenTest, StackedParallelRulesAnswerWithinABoundedAllocation) {
@@ -555,7 +504,7 @@ TEST(LazyOpenTest, StackedParallelRulesAnswerWithinABoundedAllocation) {
   shard::ShardedRep& sharded = *rep.value();
   sharded.set_query_cache_bytes(1 << 20);
 
-  g_largest_allocation.store(0);
+  fuzz::g_largest_allocation.reset();
   using Ids = std::vector<uint64_t>;
   EXPECT_EQ(sharded.OutNeighbors(0).ValueOrDie(), Ids({1}));
   EXPECT_EQ(sharded.InNeighbors(1).ValueOrDie(), Ids({0}));
@@ -563,7 +512,7 @@ TEST(LazyOpenTest, StackedParallelRulesAnswerWithinABoundedAllocation) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch.value(), std::vector<Ids>({Ids({1}), Ids()}));
   EXPECT_EQ(sharded.query_stats().shard_decodes, 0u);
-  EXPECT_LT(g_largest_allocation.load(), size_t{64} << 10);
+  EXPECT_LT(fuzz::g_largest_allocation.largest(), size_t{64} << 10);
 }
 
 TEST(LazyOpenTest, HugeStartNodeCountFailsItsFaultWithinABoundedAllocation) {
@@ -592,7 +541,7 @@ TEST(LazyOpenTest, HugeStartNodeCountFailsItsFaultWithinABoundedAllocation) {
   payload.insert(payload.end(), mapping.begin(), mapping.end());
   ASSERT_LT(payload.size(), 64u);
 
-  g_largest_allocation.store(0);
+  fuzz::g_largest_allocation.reset();
   auto direct = shard::DecodeShardPayload(SpanOf(payload));
   ASSERT_FALSE(direct.ok());
   EXPECT_EQ(direct.status().code(), StatusCode::kCorruption);
@@ -608,7 +557,65 @@ TEST(LazyOpenTest, HugeStartNodeCountFailsItsFaultWithinABoundedAllocation) {
   auto faulted = rep.value()->OutNeighbors(0);
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kCorruption);
-  EXPECT_LT(g_largest_allocation.load(), size_t{64} << 10);
+  EXPECT_LT(fuzz::g_largest_allocation.largest(), size_t{64} << 10);
+}
+
+TEST(LazyOpenTest, CraftedClaimsFailWithinABoundedAllocation) {
+  // Two counts that size the decode's buffers, each claiming far more
+  // than the bytes around it hold. Both must fail Corruption before
+  // anything is sized by them.
+  //
+  // A shard payload whose one k^2 tree claims 2^40 bits of T: the walk's
+  // level buffers are sized from the levels' bits.
+  BitWriter w;
+  w.PutBits(0x47524732, 32);  // "GRG2"
+  EliasDeltaEncode(2, &w);    // one terminal label
+  EliasDeltaEncode(2, &w);    // ... of rank 2
+  EliasDeltaEncode(1, &w);    // no rules
+  EliasDeltaEncode(4, &w);    // three start nodes
+  EliasDeltaEncode(1, &w);    // no permutations
+  w.PutBit(true);             // label 0 present
+  EliasDeltaEncode(2, &w);    // k = 2
+  EliasDeltaEncode(4, &w);    // 3 rows
+  EliasDeltaEncode(4, &w);    // 3 columns
+  EliasDeltaEncode(2, &w);    // one cell
+  EliasDeltaEncode((uint64_t{1} << 40) + 1, &w);  // |T| = 2^40
+  EliasDeltaEncode(5, &w);                        // |L| = 4
+  w.PutBits(0xA5A5A5A5, 32);
+  const std::vector<uint8_t> grammar_bytes = w.TakeBytes();
+  std::vector<uint8_t> payload = {1};  // carries psi'
+  PutU64LE(grammar_bytes.size(), &payload);
+  payload.insert(payload.end(), grammar_bytes.begin(), grammar_bytes.end());
+  payload.push_back(0xFF);
+
+  fuzz::g_largest_allocation.reset();
+  auto decoded = shard::DecodeShardPayload(SpanOf(payload));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(decoded.status().message(),
+            "k2-tree levels run past the end of the input");
+  EXPECT_LT(fuzz::g_largest_allocation.largest(), size_t{64} << 10);
+
+  // A directory row whose node map claims 2^32 ids, and one that claims
+  // 2^32 - 1 of a 2^32 - 1 node corpus in four bytes: the map is sized
+  // by the bits that back it.
+  for (const uint64_t claimed : {uint64_t{1} << 32, (uint64_t{1} << 32) - 1}) {
+    std::vector<uint8_t> dir = {7, 'g', 'r', 'e', 'p', 'a', 'i', 'r'};
+    PutU64LE(0xFFFFFFFFull, &dir);  // num_nodes
+    PutU32LE(1, &dir);              // one shard
+    PutU64LE(0, &dir);              // edgeless: offset,
+    PutU64LE(0, &dir);              // length and checksum 0
+    PutU64LE(0, &dir);
+    PutU64LE(claimed, &dir);  // node_count
+    PutU32LE(4, &dir);        // a 4-byte map
+    dir.insert(dir.end(), {0x88, 0x88, 0x88, 0x88});
+    fuzz::g_largest_allocation.reset();
+    auto parsed = shard::ParseV2Directory(SpanOf(dir), 8);
+    ASSERT_FALSE(parsed.ok()) << claimed;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << claimed;
+    EXPECT_LT(fuzz::g_largest_allocation.largest(), size_t{4} << 10)
+        << claimed;
+  }
 }
 
 TEST(MmapFileTest, ErrorsNameThePath) {

@@ -67,14 +67,19 @@ void CheckMappingRoundTrip(const GeneratedGraph& gg) {
   auto decoded = DecodeNodeMapping(grammar, ComputeValSize(grammar).nodes,
                                    SpanOf(bytes));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  // The decoded mapping agrees entry-for-entry with the in-memory one.
-  EXPECT_EQ(decoded.value(), result.origins);
+  // The decoded mapping agrees entry-for-entry with the in-memory one,
+  // and its other direction is the inverse.
+  EXPECT_EQ(decoded.value().to_original, result.origins);
+  ASSERT_EQ(decoded.value().to_val.size(), result.origins.size());
+  for (NodeId v = 0; v < result.origins.size(); ++v) {
+    ASSERT_EQ(decoded.value().to_val[result.origins[v]], v);
+  }
   // The layout is the header plus every origin's gap in val(G) id order.
   std::vector<int64_t> ids(result.origins.begin(), result.origins.end());
   EXPECT_EQ(bytes, RawMapping(grammar.start().num_nodes(), ids));
 
   // And it reconstructs the exact original graph.
-  auto original = DeriveOriginal(grammar, decoded.value());
+  auto original = DeriveOriginal(grammar, decoded.value().to_original);
   ASSERT_TRUE(original.ok());
   EXPECT_TRUE(original.value().EqualUpToEdgeOrder(gg.graph)) << gg.name;
 }
@@ -89,7 +94,7 @@ class MappingCodecTest : public ::testing::Test {
     ids_.assign(result_.origins.begin(), result_.origins.end());
     n_ = ids_.size();
   }
-  Result<std::vector<NodeId>> Decode(const std::vector<uint8_t>& bytes) {
+  Result<DecodedNodeMapping> Decode(const std::vector<uint8_t>& bytes) {
     return DecodeNodeMapping(result_.grammar,
                              ComputeValSize(result_.grammar).nodes,
                              SpanOf(bytes));
@@ -122,7 +127,7 @@ TEST_F(MappingCodecTest, RejectsWrongGrammar) {
 TEST_F(MappingCodecTest, AcceptsTheHonestMapping) {
   auto decoded = Decode(RawMapping(start_nodes(), ids_));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value(), result_.origins);
+  EXPECT_EQ(decoded.value().to_original, result_.origins);
 }
 
 TEST_F(MappingCodecTest, RejectsStartNodeCountMismatch) {
